@@ -13,20 +13,24 @@ vet:
 
 # race exercises the concurrency-sensitive packages — the hot-team region
 # dispatch, the lock-free construct ring, the wait-policy barrier and lock
-# park/wake paths, the per-thread trace rings, the metrics registry, and the
-# parallel sweep worker pool — under the race detector. Keep this green
+# park/wake paths, the per-thread trace rings, the metrics registry, the
+# parallel sweep worker pool and the model's shared placement cache — under
+# the race detector. Keep this green
 # before touching openmp, internal/obs or internal/core.
 race:
-	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./internal/core ./internal/obs
+	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./internal/core ./internal/obs ./internal/sim
 
 # bench runs the runtime overhead microbenchmarks with settings pinned for
 # benchstat: save a baseline with `make bench > before.txt`, make changes,
 # `make bench > after.txt`, then `benchstat before.txt after.txt`.
 # BENCH selects the benchmarks (regexp); default covers the EPCC-style
-# overhead suite plus the whole-operation benchmarks it complements.
+# overhead suite plus the whole-operation benchmarks it complements. The
+# campaign side rides along: the model sweep's throughput and the
+# configuration-key cost behind it, with their allocation counts.
 BENCH ?= .
 bench:
 	$(GO) test ./openmp -run '^$$' -bench '$(BENCH)' -benchtime=300ms -count=5 -benchmem
+	$(GO) test . -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey' -benchtime=300ms -count=5
 
 # bench-json refreshes the committed BENCH_openmp.json baseline: three
 # repetitions of the suite converted to JSON via cmd/benchjson (see

@@ -70,6 +70,7 @@ func BenchmarkTableII_Dataset(b *testing.B) {
 // one complete application setting (XSbench on Milan, sampled space) per
 // iteration, reporting samples/op via custom metrics.
 func BenchmarkTableII_SweepThroughput(b *testing.B) {
+	b.ReportAllocs()
 	samples := 0
 	for i := 0; i < b.N; i++ {
 		ds, err := Collect(CollectOptions{
@@ -199,6 +200,21 @@ func BenchmarkModelEvaluate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Evaluate(m, app.Profile, cfg, set, i%Repetitions)
+	}
+}
+
+// BenchmarkEnvConfigKey times building one configuration key — the sweep
+// keys every configuration of the space once per plan, a search once per
+// probe.
+func BenchmarkEnvConfigKey(b *testing.B) {
+	b.ReportAllocs()
+	space := ConfigSpace(topology.MustGet(topology.Milan))
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += len(space[i%len(space)].Key())
+	}
+	if n == 0 {
+		b.Fatal("empty keys")
 	}
 }
 

@@ -174,8 +174,8 @@ func calibrationSetting(app *apps.App, m *topology.Machine) sim.Setting {
 
 // calibrationSubspace deterministically ranks the non-default configurations
 // by hash and keeps the n−1 lowest, with the default always first. The hash
-// keying mirrors keepConfig so different apps exercise different corners of
-// the space.
+// keying mirrors the sweep's sampling rule (keepKey) so different apps
+// exercise different corners of the space.
 func calibrationSubspace(appName string, arch topology.Arch, setting string, space []env.Config, def env.Config, n int, seed uint64) []env.Config {
 	type ranked struct {
 		h   uint64

@@ -39,7 +39,13 @@ func NewEvalCache() *EvalCache {
 // setting, computing it via ev on the first request and replaying the stored
 // value afterwards. hit reports whether the value came from the cache.
 func (c *EvalCache) Mean(ev Evaluator, mc *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting) (sec float64, hit bool) {
-	key := string(mc.Arch) + "|" + app.Name + "|" + set.Label + "|" + cfg.Key()
+	return c.mean(ev, mc, app, cfg, cfg.Key(), set)
+}
+
+// mean is Mean for a caller that already holds cfgKey = cfg.Key(): a search
+// probe builds the key once for the cache, the backend and its step label.
+func (c *EvalCache) mean(ev Evaluator, mc *topology.Machine, app *apps.App, cfg env.Config, cfgKey string, set sim.Setting) (sec float64, hit bool) {
+	key := string(mc.Arch) + "|" + app.Name + "|" + set.Label + "|" + cfgKey
 	c.mu.Lock()
 	if v, ok := c.m[key]; ok {
 		c.hits++
@@ -51,7 +57,7 @@ func (c *EvalCache) Mean(ev Evaluator, mc *topology.Machine, app *apps.App, cfg 
 	// seconds, and holding the lock would serialize unrelated keys. Searches
 	// are sequential today, so the benign race (two goroutines computing the
 	// same key; first store wins) costs nothing.
-	sec = meanRuntime(ev, mc, app, cfg, set)
+	sec = seriesMean(evalSeries(ev, mc, app, cfg, cfgKey, set))
 	c.mu.Lock()
 	if v, ok := c.m[key]; ok {
 		sec = v

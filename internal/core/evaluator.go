@@ -70,12 +70,31 @@ func orModel(ev Evaluator) Evaluator {
 	return ev
 }
 
+// evalSeries returns the sim.Reps runtimes of one configuration; key must be
+// cfg.Key(). Exactly the model backend takes the whole series in one call
+// (sim.EvaluateSeries does the repetition-independent work once, with
+// bit-identical results); every other backend — including a type that embeds
+// ModelEvaluator and overrides Evaluate — is asked repetition by repetition.
+func evalSeries(ev Evaluator, m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) (out [sim.Reps]float64) {
+	if _, ok := ev.(ModelEvaluator); ok {
+		return sim.EvaluateSeries(m, app.Profile, cfg, key, set)
+	}
+	for rep := range out {
+		out[rep] = ev.Evaluate(m, app, cfg, set, rep)
+	}
+	return out
+}
+
 // meanRuntime is the tuning and calibration objective: the mean of the
 // repeated measurements, the same quantity the study's speedups use.
 func meanRuntime(ev Evaluator, m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting) float64 {
+	return seriesMean(evalSeries(ev, m, app, cfg, cfg.Key(), set))
+}
+
+func seriesMean(series [sim.Reps]float64) float64 {
 	total := 0.0
-	for rep := 0; rep < sim.Reps; rep++ {
-		total += ev.Evaluate(m, app, cfg, set, rep)
+	for _, t := range series {
+		total += t
 	}
 	return total / sim.Reps
 }

@@ -61,6 +61,22 @@ func TestParallelSweepMatchesSerialCSV(t *testing.T) {
 	}
 }
 
+// withoutDefault returns a copy of u planned over u's space with the default
+// configuration stripped: its own key table and kept list, derived exactly
+// as planUnits derives them, so the original unit's shared table is intact.
+func withoutDefault(u *sweepUnit) *sweepUnit {
+	var filtered []env.Config
+	for _, cfg := range u.space {
+		if cfg != u.defCfg {
+			filtered = append(filtered, cfg)
+		}
+	}
+	broken := *u
+	broken.configTable = newConfigTable(filtered, u.defCfg)
+	broken.sample()
+	return &broken
+}
+
 // TestEvalUnitDefaultMissingFromSpace is the regression test for the
 // enrichment bug: a space without the default configuration used to leave
 // DefaultRuntime = 0 on every sample, poisoning speedups downstream.
@@ -69,15 +85,11 @@ func TestEvalUnitDefaultMissingFromSpace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("planUnits: %v", err)
 	}
-	u := *units[0]
-	var filtered []env.Config
-	for _, cfg := range u.space {
-		if cfg != u.defCfg {
-			filtered = append(filtered, cfg)
-		}
+	u := withoutDefault(units[0])
+	if u.cfgCount != units[0].cfgCount-1 {
+		t.Fatalf("stripped unit plans %d configurations, want %d", u.cfgCount, units[0].cfgCount-1)
 	}
-	u.space = filtered
-	if _, _, err := evalUnit(&u, ModelEvaluator{}); err == nil {
+	if _, _, err := evalUnit(u, ModelEvaluator{}); err == nil {
 		t.Fatal("evalUnit accepted a space without the default configuration")
 	} else if !strings.Contains(err.Error(), "default configuration") {
 		t.Fatalf("unhelpful error: %v", err)
@@ -281,15 +293,7 @@ func TestWorkerErrorAborts(t *testing.T) {
 	}
 	// Corrupt one unit's space (default missing) and run it through the
 	// pool path directly.
-	broken := *units[1]
-	var filtered []env.Config
-	for _, cfg := range broken.space {
-		if cfg != broken.defCfg {
-			filtered = append(filtered, cfg)
-		}
-	}
-	broken.space = filtered
-	pending := []*sweepUnit{units[0], &broken, units[2]}
+	pending := []*sweepUnit{units[0], withoutDefault(units[1]), units[2]}
 	results := make([][]*dataset.Sample, len(units))
 	rep := newReporter(SweepConfig{}, len(units), 0)
 	err = runUnits(context.Background(), SweepConfig{Workers: 2}, ModelEvaluator{}, pending, results, nil, rep)

@@ -253,7 +253,7 @@ func runSearch(ctx context.Context, strategy string, spec SearchSpec, body func(
 func (s *searchState) init() {
 	def := env.Default(s.spec.Machine)
 	t0 := time.Now()
-	sec, hit := s.cache.Mean(s.ev, s.spec.Machine, s.spec.App, def, s.spec.Setting)
+	sec, hit := s.cache.mean(s.ev, s.spec.Machine, s.spec.App, def, def.Key(), s.spec.Setting)
 	s.res.Evaluations = 1
 	if hit {
 		s.res.CacheHits++
@@ -267,8 +267,20 @@ func (s *searchState) init() {
 // the move that produced it), and feeds the observability sinks. The caller
 // must have checked exhausted() first.
 func (s *searchState) probe(cfg env.Config, variable, value string) float64 {
+	return s.probeKeyed(cfg, cfg.Key(), variable, value)
+}
+
+// probeConfig is probe for a move that draws a whole configuration: the
+// step is labelled with the configuration's key, built once for the label,
+// the cache and the backend.
+func (s *searchState) probeConfig(cfg env.Config, move string) float64 {
+	key := cfg.Key()
+	return s.probeKeyed(cfg, key, move, key)
+}
+
+func (s *searchState) probeKeyed(cfg env.Config, key, variable, value string) float64 {
 	t0 := time.Now()
-	sec, hit := s.cache.Mean(s.ev, s.spec.Machine, s.spec.App, cfg, s.spec.Setting)
+	sec, hit := s.cache.mean(s.ev, s.spec.Machine, s.spec.App, cfg, key, s.spec.Setting)
 	s.res.Evaluations++
 	if hit {
 		s.res.CacheHits++

@@ -99,7 +99,7 @@ func (randomSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResult
 		rng := newLCG(spec.Seed)
 		for !s.exhausted() {
 			cfg := s.space[rng.intn(len(s.space))]
-			s.probe(cfg, "random", cfg.Key())
+			s.probeConfig(cfg, "random")
 		}
 	})
 }
@@ -118,7 +118,7 @@ func (restartSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResul
 		rng := newLCG(spec.Seed ^ hash64("restart"))
 		for !s.exhausted() {
 			cfg := s.space[rng.intn(len(s.space))]
-			sec := s.probe(cfg, "restart", cfg.Key())
+			sec := s.probeConfig(cfg, "restart")
 			if s.exhausted() {
 				return
 			}
@@ -221,7 +221,7 @@ func (surrogateSearcher) Search(ctx context.Context, spec SearchSpec) (SearchRes
 			if seen[cfg] {
 				return false
 			}
-			add(cfg, s.probe(cfg, "explore", cfg.Key()))
+			add(cfg, s.probeConfig(cfg, "explore"))
 			return true
 		}
 		for i := 0; i < surrogateWarmup && !s.exhausted(); i++ {
@@ -262,7 +262,7 @@ func (surrogateSearcher) Search(ctx context.Context, spec SearchSpec) (SearchRes
 					if s.exhausted() {
 						return
 					}
-					add(p.cfg, s.probe(p.cfg, "surrogate", p.cfg.Key()))
+					add(p.cfg, s.probeConfig(p.cfg, "surrogate"))
 				}
 			}
 			// A space smaller than the budget eventually leaves nothing

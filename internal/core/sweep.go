@@ -84,7 +84,7 @@ type SweepConfig struct {
 	Monitor *Monitor
 }
 
-// DefaultFractions yields, with the sampling rule of keepConfig, dataset
+// DefaultFractions yields, with the sampling rule of keepKey, dataset
 // sizes matching Table II: ~53.8k on A64FX, ~99.7k on Milan, ~90.2k on
 // Skylake. (The paper's counts are what survived its data cleaning; the
 // fraction plays that role here.)
@@ -96,27 +96,64 @@ func DefaultFractions() map[topology.Arch]float64 {
 	}
 }
 
-// keepConfig deterministically decides whether a configuration is part of
-// the sampled sweep for one (app, arch, setting).
-func keepConfig(appName string, arch topology.Arch, setting string, cfg env.Config, frac float64) bool {
-	if frac >= 1 {
-		return true
-	}
-	s := hash64(appName + "|" + string(arch) + "|" + setting + "|" + cfg.Key())
-	return float64(s>>11)/(1<<53) < frac
-}
+const fnvOffset uint64 = 0xcbf29ce484222325
 
-// hash64 is FNV-1a with a finalizer, matching the sampling used in sim.
-func hash64(s string) uint64 {
-	var h uint64 = 0xcbf29ce484222325
+// fnv1a continues the FNV-1a state h (fnvOffset to start) over s; hashing a
+// string in pieces gives the same state as hashing their concatenation.
+func fnv1a(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 0x100000001b3
 	}
+	return h
+}
+
+// fnvFinish scrambles an FNV-1a state into the final hash.
+func fnvFinish(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return h
+}
+
+// hash64 is FNV-1a with a finalizer, matching the sampling used in sim.
+func hash64(s string) uint64 { return fnvFinish(fnv1a(fnvOffset, s)) }
+
+// samplePrefix is the FNV-1a state after "app|arch|setting|": the part of
+// the sampling hash that one (app, arch, setting) unit shares.
+func samplePrefix(appName string, arch topology.Arch, setting string) uint64 {
+	h := fnv1a(fnv1a(fnvOffset, appName), "|")
+	h = fnv1a(fnv1a(h, string(arch)), "|")
+	return fnv1a(fnv1a(h, setting), "|")
+}
+
+// keepKey deterministically decides whether the configuration with the given
+// Key() is part of the sampled sweep of the unit with the given prefix: the
+// hash of "app|arch|setting|key", mapped to [0, 1), falls below frac.
+func keepKey(prefix uint64, key string, frac float64) bool {
+	return frac >= 1 || float64(fnvFinish(fnv1a(prefix, key))>>11)/(1<<53) < frac
+}
+
+// configTable is an architecture's sweep space with what every unit on it
+// needs per configuration, built once at plan time and shared read-only by
+// the arch's units: keys[i] is space[i].Key(), defIdx the position of the
+// default configuration defCfg (-1 when the space lacks it).
+type configTable struct {
+	space  []env.Config
+	keys   []string
+	defCfg env.Config
+	defIdx int
+}
+
+func newConfigTable(space []env.Config, defCfg env.Config) *configTable {
+	t := &configTable{space: space, keys: make([]string, len(space)), defCfg: defCfg, defIdx: -1}
+	for i, cfg := range space {
+		t.keys[i] = cfg.Key()
+		if t.defIdx < 0 && cfg == defCfg {
+			t.defIdx = i
+		}
+	}
+	return t
 }
 
 // sweepUnit is one (arch, app, setting) batch — the unit of parallelism and
@@ -124,19 +161,33 @@ func hash64(s string) uint64 {
 // mirroring the batching rationale of §IV-B: relative performance within a
 // setting is preserved even if the cluster load changes between settings.
 type sweepUnit struct {
-	index    int // position in the campaign plan; fixes the merge order
-	arch     topology.Arch
-	m        *topology.Machine
-	app      *apps.App
-	set      sim.Setting
-	frac     float64
-	space    []env.Config // shared across the arch's units
-	defCfg   env.Config
-	cfgCount int // sampled configurations including the default
+	index int // position in the campaign plan; fixes the merge order
+	arch  topology.Arch
+	m     *topology.Machine
+	app   *apps.App
+	set   sim.Setting
+	frac  float64
+	*configTable
+	kept     []int32 // sampled positions in space, ascending, default included
+	cfgCount int     // len(kept): sampled configurations including the default
 }
 
 func (u *sweepUnit) key() string {
 	return string(u.arch) + "/" + u.app.Name + "/" + u.set.Label
+}
+
+// sample applies the deterministic sampling rule to the unit's table without
+// evaluating anything: the plan knows every unit's exact sample set, hence
+// exact progress totals, up front, and evalUnit walks only what is kept.
+func (u *sweepUnit) sample() {
+	prefix := samplePrefix(u.app.Name, u.arch, u.set.Label)
+	var kept []int32
+	for i, key := range u.keys {
+		if i == u.defIdx || keepKey(prefix, key, u.frac) {
+			kept = append(kept, int32(i))
+		}
+	}
+	u.kept, u.cfgCount = kept, len(kept)
 }
 
 // planUnits enumerates the campaign deterministically (arch → app →
@@ -177,7 +228,7 @@ func planUnits(sc SweepConfig) ([]*sweepUnit, error) {
 		if sc.Nested {
 			space = append(append([]env.Config(nil), space...), nestedVariants(m)...)
 		}
-		defCfg := env.Default(m)
+		table := newConfigTable(space, env.Default(m))
 		for _, app := range appList {
 			settings := app.Settings(m)
 			if sc.Extended && !app.VariesInput {
@@ -186,26 +237,14 @@ func planUnits(sc SweepConfig) ([]*sweepUnit, error) {
 			for _, set := range settings {
 				u := &sweepUnit{
 					index: len(units), arch: arch, m: m, app: app, set: set,
-					frac: frac, space: space, defCfg: defCfg,
+					frac: frac, configTable: table,
 				}
-				u.cfgCount = countSampled(u)
+				u.sample()
 				units = append(units, u)
 			}
 		}
 	}
 	return units, nil
-}
-
-// countSampled applies the deterministic sampling rule without evaluating
-// anything, giving exact progress totals up front.
-func countSampled(u *sweepUnit) int {
-	n := 0
-	for _, cfg := range u.space {
-		if cfg == u.defCfg || keepConfig(u.app.Name, u.arch, u.set.Label, cfg, u.frac) {
-			n++
-		}
-	}
-	return n
 }
 
 // sampleOK reports whether every repetition of a sample actually measured:
@@ -230,59 +269,48 @@ func sampleOK(s *dataset.Sample) bool {
 // default configuration skips the entire batch — without the default there
 // is nothing to enrich against — but the campaign continues.
 func evalUnit(u *sweepUnit, ev Evaluator) (out []*dataset.Sample, skipped int, err error) {
+	if u.defIdx < 0 {
+		return nil, 0, fmt.Errorf("core: default configuration absent from the sweep space for %s; cannot enrich (§IV-B)", u.key())
+	}
 	mp, _ := ev.(SeriesMetaProvider)
-	newSample := func(cfg env.Config) *dataset.Sample {
-		s := &dataset.Sample{
-			Arch: u.arch, App: u.app.Name, Suite: string(u.app.Suite),
-			Setting: u.set.Label, Threads: u.set.Threads, Scale: u.set.Scale,
-			Config: cfg,
-			Source: ev.Name(),
-		}
-		for rep := 0; rep < sim.Reps; rep++ {
-			s.Runtimes[rep] = ev.Evaluate(u.m, u.app, cfg, u.set, rep)
-		}
+	proto := dataset.Sample{
+		Arch: u.arch, App: u.app.Name, Suite: string(u.app.Suite),
+		Setting: u.set.Label, Threads: u.set.Threads, Scale: u.set.Scale,
+		Source: ev.Name(),
+	}
+	fill := func(s *dataset.Sample, i int32) {
+		*s = proto
+		s.Config = u.space[i]
+		s.Runtimes = evalSeries(ev, u.m, u.app, s.Config, u.keys[i], u.set)
 		if mp != nil {
-			if meta, ok := mp.SeriesMeta(u.m, u.app, cfg, u.set); ok {
+			if meta, ok := mp.SeriesMeta(u.m, u.app, s.Config, u.set); ok {
 				s.RepsRun, s.CoV, s.CIRel = meta.Reps, meta.CoV, meta.CIRel
 			}
 		}
-		return s
 	}
-	defInSpace := false
-	for _, cfg := range u.space {
-		if cfg == u.defCfg {
-			defInSpace = true
-			break
-		}
-	}
-	if !defInSpace {
-		return nil, 0, fmt.Errorf("core: default configuration absent from the sweep space for %s; cannot enrich (§IV-B)", u.key())
-	}
-	defSample := newSample(u.defCfg)
-	if !sampleOK(defSample) {
+	var def dataset.Sample
+	fill(&def, int32(u.defIdx))
+	if !sampleOK(&def) {
 		return nil, u.cfgCount, nil
 	}
-	defMean := defSample.MeanRuntime()
-	out = make([]*dataset.Sample, 0, u.cfgCount)
-	for _, cfg := range u.space {
-		if cfg == u.defCfg {
-			out = append(out, defSample)
-			continue
-		}
-		if !keepConfig(u.app.Name, u.arch, u.set.Label, cfg, u.frac) {
-			continue
-		}
-		s := newSample(cfg)
-		if !sampleOK(s) {
-			skipped++
-			continue
+	// Enrichment (§IV-B): every sample of the setting carries the default's
+	// mean runtime.
+	proto.DefaultRuntime = def.MeanRuntime()
+	def.DefaultRuntime = proto.DefaultRuntime
+	slab := make([]dataset.Sample, len(u.kept)) // one allocation for the batch's samples
+	out = make([]*dataset.Sample, 0, len(u.kept))
+	for _, i := range u.kept {
+		s := &slab[len(out)] // a skipped sample's slot is reused by the next
+		if int(i) == u.defIdx {
+			*s = def
+		} else {
+			fill(s, i)
+			if !sampleOK(s) {
+				skipped++
+				continue
+			}
 		}
 		out = append(out, s)
-	}
-	// Enrichment (§IV-B): attach the default's mean runtime to every sample
-	// of the setting.
-	for _, s := range out {
-		s.DefaultRuntime = defMean
 	}
 	return out, skipped, nil
 }

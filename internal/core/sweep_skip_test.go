@@ -28,9 +28,9 @@ func (e nanEvaluator) Evaluate(m *topology.Machine, app *apps.App, cfg env.Confi
 // keeps and that is not the default.
 func sampledNonDefault(t *testing.T, u *sweepUnit) env.Config {
 	t.Helper()
-	for _, cfg := range u.space {
-		if cfg != u.defCfg && keepConfig(u.app.Name, u.arch, u.set.Label, cfg, u.frac) {
-			return cfg
+	for _, i := range u.kept {
+		if int(i) != u.defIdx {
+			return u.space[i]
 		}
 	}
 	t.Fatal("no sampled non-default configuration in unit")

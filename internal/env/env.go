@@ -263,20 +263,32 @@ func (c Config) IsDefault(m *topology.Machine) bool { return c == Default(m) }
 // used as the dataset join key. Nesting fields are appended only when set,
 // so flat configurations keep their pre-nesting keys (existing datasets
 // stay joinable).
+//
+// The sweep plan and every search probe key configurations, so the key is
+// appended into a stack buffer: the returned string is the only allocation.
 func (c Config) Key() string {
-	k := fmt.Sprintf("places=%s|bind=%s|sched=%s|lib=%s|blocktime=%s|red=%s|align=%d",
-		c.Places, c.ProcBind, c.Schedule, c.Library, blocktimeString(c.BlocktimeMS),
-		c.ForceReduction, c.AlignAlloc)
+	var buf [192]byte // the longest nested-space key is ~130 bytes
+	b := append(append(buf[:0], "places="...), c.Places...)
+	b = append(append(b, "|bind="...), c.ProcBind...)
+	b = append(append(b, "|sched="...), c.Schedule...)
+	b = append(append(b, "|lib="...), c.Library...)
+	if b = append(b, "|blocktime="...); c.BlocktimeMS == BlocktimeInfinite {
+		b = append(b, "infinite"...)
+	} else {
+		b = strconv.AppendInt(b, int64(c.BlocktimeMS), 10)
+	}
+	b = append(append(b, "|red="...), c.ForceReduction...)
+	b = strconv.AppendInt(append(b, "|align="...), int64(c.AlignAlloc), 10)
 	if c.NumThreadsList != "" {
-		k += "|nthreads=" + c.NumThreadsList
+		b = append(append(b, "|nthreads="...), c.NumThreadsList...)
 	}
 	if c.MaxActiveLevels != 0 {
-		k += "|maxlevels=" + strconv.Itoa(c.MaxActiveLevels)
+		b = strconv.AppendInt(append(b, "|maxlevels="...), int64(c.MaxActiveLevels), 10)
 	}
 	if c.ThreadLimit != 0 {
-		k += "|threadlimit=" + strconv.Itoa(c.ThreadLimit)
+		b = strconv.AppendInt(append(b, "|threadlimit="...), int64(c.ThreadLimit), 10)
 	}
-	return k
+	return string(b)
 }
 
 // String implements fmt.Stringer with the Key representation.

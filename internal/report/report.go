@@ -213,6 +213,12 @@ func Fig3(w io.Writer, ds *dataset.Dataset, opt ml.LogisticOptions) error {
 	if err != nil {
 		return err
 	}
+	return Fig3From(w, hm)
+}
+
+// Fig3From is Fig3 from an already fitted per-architecture heatmap, so a
+// caller that also renders Q3 (which ranks the same fit) fits it once.
+func Fig3From(w io.Writer, hm *core.Heatmap) error {
 	fmt.Fprintln(w, "Fig 3: feature influence, grouped by architecture (darker = larger)")
 	return Heatmap(w, hm)
 }
@@ -376,6 +382,12 @@ func Q3(w io.Writer, ds *dataset.Dataset, opt ml.LogisticOptions) error {
 	if err != nil {
 		return err
 	}
+	return Q3From(w, hm)
+}
+
+// Q3From is Q3 from an already fitted per-architecture heatmap (see
+// Fig3From).
+func Q3From(w io.Writer, hm *core.Heatmap) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Architecture\tVariables (descending influence)\tOMP_WAIT_POLICY share")
 	for _, r := range core.Q3BestVariables(hm) {

@@ -97,9 +97,10 @@ type placementInfo struct {
 
 // placementCache memoizes placement over its small key domain
 // (arch x place kind x bind x threads); the sweep calls Evaluate millions
-// of times.
+// of times, from every worker of a parallel sweep, so hits take only the
+// read lock.
 var (
-	placementMu    sync.Mutex
+	placementMu    sync.RWMutex
 	placementCache = make(map[placementKey]placementInfo)
 )
 
@@ -116,13 +117,13 @@ type placementKey struct {
 // spread (via env.Config.EffectiveBind).
 func placement(m *topology.Machine, cfg env.Config, threads int) placementInfo {
 	key := placementKey{m.Arch, cfg.Places, cfg.EffectiveBind(), threads}
-	placementMu.Lock()
-	if pi, ok := placementCache[key]; ok {
-		placementMu.Unlock()
+	placementMu.RLock()
+	pi, ok := placementCache[key]
+	placementMu.RUnlock()
+	if ok {
 		return pi
 	}
-	placementMu.Unlock()
-	pi := computePlacement(m, cfg, threads)
+	pi = computePlacement(m, cfg, threads)
 	placementMu.Lock()
 	placementCache[key] = pi
 	placementMu.Unlock()
@@ -208,27 +209,64 @@ func avgDist(m *topology.Machine) float64 {
 	return total / (10 * float64(m.NUMANodes))
 }
 
-// Evaluate returns the simulated runtime, in seconds, of application p on
-// machine m under configuration cfg at the given setting, for repetition
-// rep in [0, Reps). The result is deterministic in its arguments.
-func Evaluate(m *topology.Machine, p *Profile, cfg env.Config, set Setting, rep int) float64 {
-	t := EvaluateExact(m, p, cfg, set)
+// series is everything about one (machine, application, configuration,
+// setting) that does not depend on the repetition: the noise-free runtime,
+// the identity seed and the config-persistent noise factor. Evaluate and
+// EvaluateSeries both draw repetitions from it, so there is one noise
+// formula.
+type series struct {
+	exact   float64
+	base    uint64
+	persist float64   // 1 + config-persistent noise
+	drift   []float64 // per-run-index multipliers; nil means none
+	repSig  float64
+}
 
-	// Measurement noise: per-run-index drift plus a config-persistent and a
-	// per-repetition random component (see noise.go).
-	drift := 1.0
-	if dv, ok := runDrift[string(m.Arch)]; ok {
-		drift = dv[rep%Reps]
+// newSeries does the per-configuration work once. key must be cfg.Key();
+// callers that already hold it (the sweep's key table, a search probe) pass
+// it in rather than have it rebuilt.
+func newSeries(m *topology.Machine, p *Profile, cfg env.Config, key string, set Setting) series {
+	base := seed(hashString(p.Name), hashString(string(m.Arch)), hashString(key), hashString(set.Label))
+	return series{
+		exact:   EvaluateExact(m, p, cfg, set),
+		base:    base,
+		persist: 1 + m.NoiseSigma*gauss(base),
+		drift:   runDrift[string(m.Arch)],
+		repSig:  repSigma(string(m.Arch)),
 	}
-	base := seed(hashString(p.Name), hashString(string(m.Arch)), hashString(cfg.Key()), hashString(set.Label))
-	t *= drift *
-		(1 + m.NoiseSigma*gauss(base)) *
-		(1 + repSigma(string(m.Arch))*gauss(seed(base, uint64(rep))))
-	t = quantize(t)
+}
+
+// at applies measurement noise for one repetition: per-run-index drift plus
+// the config-persistent and a per-repetition random component (see
+// noise.go), quantized to the harness resolution.
+func (s series) at(rep int) float64 {
+	drift := 1.0
+	if s.drift != nil {
+		drift = s.drift[rep%Reps]
+	}
+	t := quantize(s.exact * (drift * s.persist * (1 + s.repSig*gauss(seed(s.base, uint64(rep))))))
 	if t < 0.001 {
 		t = 0.001
 	}
 	return t
+}
+
+// Evaluate returns the simulated runtime, in seconds, of application p on
+// machine m under configuration cfg at the given setting, for repetition
+// rep in [0, Reps). The result is deterministic in its arguments.
+func Evaluate(m *topology.Machine, p *Profile, cfg env.Config, set Setting, rep int) float64 {
+	return newSeries(m, p, cfg, cfg.Key(), set).at(rep)
+}
+
+// EvaluateSeries returns Evaluate for every repetition, bit for bit, doing
+// the repetition-independent work (the model, the key hash, the persistent
+// noise) once instead of Reps times. key must be cfg.Key().
+func EvaluateSeries(m *topology.Machine, p *Profile, cfg env.Config, key string, set Setting) (out [Reps]float64) {
+	s := newSeries(m, p, cfg, key, set)
+	for rep := range out {
+		out[rep] = s.at(rep)
+	}
+	return out
 }
 
 // EvaluateExact is Evaluate without measurement noise, drift or

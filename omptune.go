@@ -468,6 +468,19 @@ func ReadDatasetCSV(r io.Reader) (*Dataset, error) { return dataset.ReadCSV(r) }
 
 // WriteReport renders every table and figure of the paper from ds.
 func WriteReport(w io.Writer, ds *Dataset) error {
+	// Q3 ranks and Fig 3 draws the same per-architecture fit (the costliest
+	// single step of the report); whichever renders first fits it.
+	var perArch *core.Heatmap
+	withPerArch := func(render func(io.Writer, *core.Heatmap) error) error {
+		if perArch == nil {
+			hm, err := core.InfluenceHeatmap(ds, core.PerArch, ml.LogisticOptions{})
+			if err != nil {
+				return err
+			}
+			perArch = hm
+		}
+		return render(w, perArch)
+	}
 	sections := []struct {
 		title  string
 		render func() error
@@ -481,11 +494,11 @@ func WriteReport(w io.Writer, ds *Dataset) error {
 		{"Table VII: best performing variables and values", func() error { return report.TableVII(w, ds, []string{"Nqueens", "CG"}) }},
 		{"Q1: upshot potential per architecture", func() error { return report.Q1(w, ds) }},
 		{"Q2: variable-set consistency across architectures", func() error { return report.Q2(w, ds) }},
-		{"Q3: best variables per architecture", func() error { return report.Q3(w, ds, ml.LogisticOptions{}) }},
+		{"Q3: best variables per architecture", func() error { return withPerArch(report.Q3From) }},
 		{"Q4: worst-performance trends", func() error { return report.Q4(w, ds) }},
 		{"Fig 1: Alignment runtime distributions", func() error { return report.Fig1(w, ds) }},
 		{"Fig 2: influence per application", func() error { return report.Fig2(w, ds, ml.LogisticOptions{}) }},
-		{"Fig 3: influence per architecture", func() error { return report.Fig3(w, ds, ml.LogisticOptions{}) }},
+		{"Fig 3: influence per architecture", func() error { return withPerArch(report.Fig3From) }},
 		{"Fig 4: influence per application-architecture", func() error { return report.Fig4(w, ds, ml.LogisticOptions{}) }},
 		{"Fig 5: BT runtime distributions", func() error { return report.Fig5(w, ds) }},
 		{"Fig 6: Health runtime distributions", func() error { return report.Fig6(w, ds) }},

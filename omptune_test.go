@@ -2,6 +2,8 @@ package omptune
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -100,6 +102,29 @@ func TestFacadePipeline(t *testing.T) {
 	}
 	if len(hm.RowLabels) != 3 {
 		t.Errorf("per-arch heatmap rows = %d", len(hm.RowLabels))
+	}
+}
+
+// tableIICSVSHA256 is the SHA-256 of the full default campaign's CSV
+// (244,305 samples, 30,553,903 bytes). The model is deterministic, so the
+// dataset every table and figure is derived from is pinned to the bit: a
+// change to the sweep, the model, the noise streams, the configuration keys
+// or the CSV format that moves one byte fails here.
+const tableIICSVSHA256 = "39d65e69801f89e53313d6f1f5964e1566b65fe1d35cb57d37708a880d0ea5f7"
+
+func TestCollectGoldenCSV(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ds, err := Collect(CollectOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("Collect(Workers: %d): %v", workers, err)
+		}
+		h := sha256.New()
+		if err := WriteDatasetCSV(h, ds); err != nil {
+			t.Fatalf("WriteDatasetCSV: %v", err)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != tableIICSVSHA256 {
+			t.Errorf("Workers %d: %d samples, CSV sha256 %s, want %s", workers, ds.Len(), got, tableIICSVSHA256)
+		}
 	}
 }
 
