@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"omptune/internal/env"
 	"omptune/internal/ml"
 	"omptune/internal/report"
 	"omptune/internal/sim"
@@ -199,7 +200,7 @@ func BenchmarkModelEvaluate(b *testing.B) {
 	set := Setting{Label: "t24", Threads: 24, Scale: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Evaluate(m, app.Profile, cfg, set, i%Repetitions)
+		sim.Evaluate(m, app.Profile, cfg, set, i%sim.Reps)
 	}
 }
 
@@ -208,7 +209,7 @@ func BenchmarkModelEvaluate(b *testing.B) {
 // probe.
 func BenchmarkEnvConfigKey(b *testing.B) {
 	b.ReportAllocs()
-	space := ConfigSpace(topology.MustGet(topology.Milan))
+	space := env.Space(topology.MustGet(topology.Milan))
 	n := 0
 	for i := 0; i < b.N; i++ {
 		n += len(space[i%len(space)].Key())
@@ -283,8 +284,8 @@ func BenchmarkExt_GuidedVsRandomTuning(b *testing.B) {
 	set := Setting{Label: "medium", Threads: m.Cores, Scale: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		guided := Tune(m, app, set, nil, 60)
-		random := RandomSearch(m, app, set, 60, uint64(i+1))
+		guided := Tune(nil, m, app, set, nil, 60)
+		random := RandomSearch(nil, m, app, set, 60, uint64(i+1))
 		if i == 0 {
 			b.Logf("guided %.2fx in %d evals | random %.2fx in %d evals",
 				guided.Speedup(), guided.Evaluations, random.Speedup(), random.Evaluations)
@@ -302,7 +303,7 @@ func BenchmarkExt_NUMAPlaces(b *testing.B) {
 	set := Setting{Label: "t24", Threads: 24, Scale: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg, speedup := BestNUMAPlacement(m, app, set)
+		cfg, speedup := BestNUMAPlacement(nil, m, app, set)
 		if i == 0 {
 			b.Logf("best numa_domains config %s -> %.2fx", cfg, speedup)
 		}

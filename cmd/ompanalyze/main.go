@@ -43,13 +43,6 @@
 // series provenance, pairs are gated by their own recorded CI (-compare-ci)
 // and weighted by their measured noise instead of the -compare-cov fallback.
 //
-// When the -compare baseline ends in .json, both arguments are instead
-// cmd/benchjson microbenchmark documents and the command runs the bench
-// gate (internal/bench): per benchmark, the median ns/op ratio against a
-// tolerance (-compare-shift, default 20%) plus a hard gate on any allocs/op
-// increase. `make bench-gate` drives this against the committed
-// BENCH_openmp.json baseline.
-//
 // -backend selects the measurement backend for the evaluation-driven
 // analyses (-tune, -random, -numa): model (the deterministic analytic
 // model, default) or measured (real kernel execution on this host).
@@ -68,7 +61,6 @@ import (
 	"strings"
 
 	"omptune"
-	"omptune/internal/bench"
 	"omptune/internal/core"
 	"omptune/internal/ml"
 	"omptune/internal/report"
@@ -220,7 +212,7 @@ func main() {
 			fatal(err)
 		}
 		set := app.Settings(m)[1] // the middle (default-size) setting
-		res := omptune.TuneWith(backend, m, app, set, nil, *budget)
+		res := omptune.Tune(backend, m, app, set, nil, *budget)
 		fmt.Printf("tuned %s on %s (%s, %s backend): %.3fs -> %.3fs (%.3fx) in %d evaluations\n",
 			appName, archName, set.Label, *backendFl, res.DefaultSeconds, res.BestSeconds, res.Speedup(), res.Evaluations)
 		for _, s := range res.Trace {
@@ -232,7 +224,7 @@ func main() {
 		ran = true
 		app, m := appArch(*random)
 		set := app.Settings(m)[1]
-		res := omptune.RandomSearchWith(backend, m, app, set, *budget, 1)
+		res := omptune.RandomSearch(backend, m, app, set, *budget, 1)
 		fmt.Printf("random search %s on %s: %.3fx in %d evaluations (best: %s)\n",
 			app.Name, m.Arch, res.Speedup(), res.Evaluations, res.Best)
 	}
@@ -268,7 +260,7 @@ func main() {
 		ran = true
 		app, m := appArch(*numa)
 		set := app.Settings(m)[1]
-		cfg, speedup := omptune.BestNUMAPlacementWith(backend, m, app, set)
+		cfg, speedup := omptune.BestNUMAPlacement(backend, m, app, set)
 		fmt.Printf("best numa_domains placement for %s on %s (%s): %.3fx with %s\n",
 			app.Name, m.Arch, set.Label, speedup, cfg)
 	}
@@ -306,28 +298,7 @@ func main() {
 	if *compareTo != "" {
 		ran = true
 		if flag.NArg() != 1 {
-			fatal(fmt.Errorf("-compare %s needs the new dataset (CSV or bench JSON) as the positional argument", *compareTo))
-		}
-		// Baseline ending in .json selects the microbenchmark gate: both
-		// arguments are cmd/benchjson documents, compared per benchmark with
-		// the median-ratio rule and the allocs/op hard gate (internal/bench).
-		// -compare-shift doubles as the time threshold there.
-		if strings.HasSuffix(*compareTo, ".json") {
-			old, err := bench.ReadFile(*compareTo)
-			if err != nil {
-				fatal(err)
-			}
-			cur, err := bench.ReadFile(flag.Arg(0))
-			if err != nil {
-				fatal(err)
-			}
-			rep := bench.Compare(old, cur, bench.CompareOptions{Threshold: *cmpShift})
-			fmt.Printf("== bench gate: %s vs %s ==\n", *compareTo, flag.Arg(0))
-			fmt.Print(rep.String())
-			if rep.Regressions() > 0 {
-				os.Exit(1)
-			}
-			return
+			fatal(fmt.Errorf("-compare %s needs the new dataset CSV as the positional argument", *compareTo))
 		}
 		rep, err := omptune.CompareSweeps(readCSV(*compareTo), readCSV(flag.Arg(0)), omptune.CompareOptions{
 			Alpha: *cmpAlpha, CoVThreshold: *cmpCoV, CIRelThreshold: *cmpCI, MinShift: *cmpShift,

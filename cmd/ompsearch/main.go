@@ -162,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var srv *omptune.MonitorServer
 	if mon != nil {
-		srv = omptune.NewSearchMonitorServer(mon)
+		srv = omptune.NewMonitorServer(mon)
 		addr, err := srv.Start(*serve)
 		if err != nil {
 			return err

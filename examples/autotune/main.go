@@ -56,8 +56,8 @@ func main() {
 				continue
 			}
 			set := app.Settings(m)[0]
-			naive := omptune.Tune(m, app, set, nil, 1000)
-			pruned := omptune.Tune(m, app, set, guided, 1000)
+			naive := omptune.Tune(nil, m, app, set, nil, 1000)
+			pruned := omptune.Tune(nil, m, app, set, guided, 1000)
 			fmt.Printf("%-8s %-8s naive: %.2fx in %3d evals | pruned: %.2fx in %3d evals\n",
 				appName, m.Arch, naive.Speedup(), naive.Evaluations,
 				pruned.Speedup(), pruned.Evaluations)

@@ -9,7 +9,6 @@ package core
 // writes history to a file, the monitor answers "now" over HTTP.
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,37 +24,22 @@ import (
 // it in SweepConfig.Monitor, and serve its Registry/Status with obs.Server.
 // A Monitor observes one campaign at a time; all methods are safe for
 // concurrent use by sweep workers and HTTP scrape handlers.
+//
+// Campaign progress is not counted here: Status and the omptune_sweep_*
+// gauges read the campaign ledger (progress.go) the running sweep attaches.
+// The monitor owns only what no other observer has — the registry and its
+// instruments, the latency and CoV histograms, the variability cells and
+// the region profile.
 type Monitor struct {
 	reg *obs.Registry
 
-	// Campaign gauges. workersBusy is atomic because workers bump it on the
-	// batch hot path, outside the mutex.
-	workersBusy atomic.Int64
+	// led is the attached campaign's ledger; nil until a sweep starts.
+	led atomic.Pointer[reporter]
 
-	mu            sync.Mutex
-	state         string // waiting | running | done | error
-	backend       string
-	workers       int
-	start         time.Time
-	planned       bool
-	settingsDone  int
-	settingsTotal int
-	samplesDone   int
-	samplesTotal  int
-	evaluated     int // rows evaluated this run (resumed batches excluded)
-	lastRate      float64
-	lastETA       float64
-	errMsg        string
-	cells         map[string]*obs.Cell
-	cellOrder     []string
+	mu sync.Mutex
 	// varCells aggregates per-(arch, app) series-noise provenance for the
-	// /api/variability payload, keyed like cells.
-	varCells map[string]*varCell
-
-	// Registered instruments.
-	gSettingsPlanned *obs.Gauge
-	gSamplesPlanned  *obs.Gauge
-	gWorkers         *obs.Gauge
+	// /api/variability payload, keyed by position in the ledger's cell grid.
+	varCells map[int]*varCell
 
 	// Runtime latency histograms, fed through the openmp metrics seam.
 	hRegion  *obs.Histogram
@@ -90,29 +74,30 @@ type varCell struct {
 func NewMonitor() *Monitor {
 	m := &Monitor{
 		reg:      obs.NewRegistry(),
-		state:    "waiting",
-		cells:    make(map[string]*obs.Cell),
-		varCells: make(map[string]*varCell),
+		varCells: make(map[int]*varCell),
 		prof:     profile.NewAggregator(),
 	}
-	m.gSettingsPlanned = m.reg.Gauge("omptune_sweep_settings_planned",
-		"setting batches in the campaign plan")
-	m.gSamplesPlanned = m.reg.Gauge("omptune_sweep_samples_planned",
-		"dataset rows the campaign plan will produce")
-	m.gWorkers = m.reg.Gauge("omptune_sweep_workers",
-		"concurrent sweep workers")
-	m.reg.GaugeFunc("omptune_sweep_workers_busy",
-		"workers evaluating a setting batch right now",
-		func() float64 { return float64(m.workersBusy.Load()) })
-	m.reg.GaugeFunc("omptune_sweep_samples_per_second",
-		"evaluation throughput at the last completed batch",
-		func() float64 { m.mu.Lock(); defer m.mu.Unlock(); return m.lastRate })
-	m.reg.GaugeFunc("omptune_sweep_eta_seconds",
-		"projected remaining campaign time at the current rate",
-		func() float64 { m.mu.Lock(); defer m.mu.Unlock(); return m.lastETA })
-	m.reg.GaugeFunc("omptune_sweep_elapsed_seconds",
-		"wall-clock time since the campaign plan was recorded",
-		func() float64 { m.mu.Lock(); defer m.mu.Unlock(); return m.elapsedLocked() })
+	for _, g := range []struct {
+		name, help string
+		read       func(obs.Status) float64
+	}{
+		{"omptune_sweep_settings_planned", "setting batches in the campaign plan",
+			func(st obs.Status) float64 { return float64(st.SettingsTotal) }},
+		{"omptune_sweep_samples_planned", "dataset rows the campaign plan will produce",
+			func(st obs.Status) float64 { return float64(st.SamplesTotal) }},
+		{"omptune_sweep_workers", "concurrent sweep workers",
+			func(st obs.Status) float64 { return float64(st.Workers) }},
+		{"omptune_sweep_workers_busy", "workers evaluating a setting batch right now",
+			func(st obs.Status) float64 { return float64(st.WorkersBusy) }},
+		{"omptune_sweep_samples_per_second", "evaluation throughput at the last completed batch",
+			func(st obs.Status) float64 { return st.SamplesPerSec }},
+		{"omptune_sweep_eta_seconds", "projected remaining campaign time at the current rate",
+			func(st obs.Status) float64 { return st.ETASec }},
+		{"omptune_sweep_elapsed_seconds", "wall-clock time since the campaign plan was recorded",
+			func(st obs.Status) float64 { return st.ElapsedSec }},
+	} {
+		m.reg.GaugeFunc(g.name, g.help, func() float64 { return g.read(m.led.Load().snapshot()) })
+	}
 	m.hRegion = m.reg.Histogram("omptune_runtime_region_seconds",
 		"parallel-region fork-to-join latency (openmp runtime)")
 	m.hBarrier = m.reg.Histogram("omptune_runtime_barrier_wait_seconds",
@@ -144,45 +129,16 @@ func (m *Monitor) RuntimeProfile() *profile.Aggregator { return m.prof }
 // /api/regions payload.
 func (m *Monitor) Regions() []obs.Region { return regionRows(m.prof.Snapshot()) }
 
-func (m *Monitor) elapsedLocked() float64 {
-	if !m.planned {
-		return 0
-	}
-	return time.Since(m.start).Seconds()
+// evalHist is the per-arch setting-batch evaluation latency histogram.
+func (m *Monitor) evalHist(arch string) *obs.Histogram {
+	return m.reg.Histogram("omptune_sweep_setting_eval_seconds",
+		"wall-clock latency of one setting-batch evaluation", "arch", arch)
 }
 
-// plan records the campaign shape: totals, per-cell grid, worker count.
-func (m *Monitor) plan(units []*sweepUnit, backend string, workers int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.state = "running"
-	m.backend = backend
-	m.workers = workers
-	m.start = time.Now()
-	m.planned = true
-	m.settingsTotal = len(units)
-	for _, u := range units {
-		m.samplesTotal += u.cfgCount
-		key := string(u.arch) + "\x00" + u.app.Name
-		c := m.cells[key]
-		if c == nil {
-			c = &obs.Cell{Arch: string(u.arch), App: u.app.Name}
-			m.cells[key] = c
-			m.cellOrder = append(m.cellOrder, key)
-		}
-		c.SettingsTotal++
-		c.SamplesTotal += u.cfgCount
-	}
-	m.gSettingsPlanned.Set(float64(m.settingsTotal))
-	m.gSamplesPlanned.Set(float64(m.samplesTotal))
-	m.gWorkers.Set(float64(workers))
-	// Per-arch counters registered up front so the scrape schema is stable
-	// from the first poll.
-	archs := map[string]bool{}
-	for _, u := range units {
-		archs[string(u.arch)] = true
-	}
-	for a := range archs {
+// plan registers the per-arch instruments up front so the scrape schema is
+// stable from the first poll.
+func (m *Monitor) plan(arches []string) {
+	for _, a := range arches {
 		m.reg.Counter("omptune_sweep_settings_done_total",
 			"completed setting batches", "arch", a)
 		m.reg.Counter("omptune_sweep_samples_done_total",
@@ -191,64 +147,38 @@ func (m *Monitor) plan(units []*sweepUnit, backend string, workers int) {
 			"timed repetitions actually run for provenance-carrying samples", "arch", a)
 		m.reg.Counter("omptune_sweep_reps_fixed_total",
 			"timed repetitions a fixed-rep campaign would have run for the same samples", "arch", a)
-		m.reg.Histogram("omptune_sweep_setting_eval_seconds",
-			"wall-clock latency of one setting-batch evaluation", "arch", a)
+		m.evalHist(a)
 	}
 }
 
-// unitStart brackets the beginning of one batch evaluation.
-func (m *Monitor) unitStart() { m.workersBusy.Add(1) }
-
-// unitEnd closes the bracket and records the batch's evaluation latency in
-// the per-arch histogram.
-func (m *Monitor) unitEnd(arch string, d time.Duration) {
-	m.workersBusy.Add(-1)
-	m.reg.Histogram("omptune_sweep_setting_eval_seconds",
-		"wall-clock latency of one setting-batch evaluation", "arch", arch).Observe(d)
-}
-
-// unitDone folds one completed batch (evaluated or resumed) into the
-// campaign gauges, including each sample's series-noise provenance into the
-// variability observatory (resumed batches carry provenance too — the
-// reps/cov/ci columns round-trip through the checkpoint journal).
-func (m *Monitor) unitDone(u *sweepUnit, ev ProgressEvent, samples []*dataset.Sample) {
-	arch := string(u.arch)
+// unitDone folds one completed batch (evaluated or resumed) of ledger cell
+// `cell` into the per-arch counters, and each sample's series-noise
+// provenance into the variability observatory (resumed batches carry
+// provenance too — the reps/cov/ci columns round-trip through the checkpoint
+// journal).
+func (m *Monitor) unitDone(cell int, ev ProgressEvent, samples []*dataset.Sample) {
 	m.reg.Counter("omptune_sweep_settings_done_total",
-		"completed setting batches", "arch", arch).Inc()
+		"completed setting batches", "arch", ev.Arch).Inc()
 	m.reg.Counter("omptune_sweep_samples_done_total",
-		"dataset rows produced", "arch", arch).Add(uint64(ev.SettingSamples))
+		"dataset rows produced", "arch", ev.Arch).Add(uint64(ev.SettingSamples))
 	if ev.SettingRepsFixed > 0 {
 		m.reg.Counter("omptune_sweep_reps_run_total",
-			"timed repetitions actually run for provenance-carrying samples", "arch", arch).
+			"timed repetitions actually run for provenance-carrying samples", "arch", ev.Arch).
 			Add(uint64(ev.SettingRepsRun))
 		m.reg.Counter("omptune_sweep_reps_fixed_total",
-			"timed repetitions a fixed-rep campaign would have run for the same samples", "arch", arch).
+			"timed repetitions a fixed-rep campaign would have run for the same samples", "arch", ev.Arch).
 			Add(uint64(ev.SettingRepsFixed))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.settingsDone++
-	m.samplesDone += ev.SettingSamples
-	if !ev.Resumed {
-		m.evaluated += ev.SettingSamples
-	}
-	if ev.SamplesPerSec > 0 {
-		m.lastRate = ev.SamplesPerSec
-	}
-	m.lastETA = ev.ETA.Seconds()
-	if c := m.cells[arch+"\x00"+u.app.Name]; c != nil {
-		c.SettingsDone++
-		c.SamplesDone += ev.SettingSamples
-	}
 	for _, s := range samples {
 		if !s.HasSeriesMeta() {
 			continue
 		}
-		key := arch + "\x00" + u.app.Name
-		vc := m.varCells[key]
+		vc := m.varCells[cell]
 		if vc == nil {
 			vc = &varCell{cov: obs.NewHistogram()}
-			m.varCells[key] = vc
+			m.varCells[cell] = vc
 		}
 		vc.samples++
 		vc.repsRun += s.RepsRun
@@ -263,15 +193,15 @@ func (m *Monitor) unitDone(u *sweepUnit, ev ProgressEvent, samples []*dataset.Sa
 // payload: one cell per (arch, app) with provenance-carrying samples, in
 // the campaign's cell order.
 func (m *Monitor) Variability() []obs.VariabilityCell {
+	cells := m.led.Load().snapshot().Cells
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []obs.VariabilityCell
-	for _, key := range m.cellOrder {
-		vc := m.varCells[key]
+	for i, c := range cells {
+		vc := m.varCells[i]
 		if vc == nil || vc.samples == 0 {
 			continue
 		}
-		c := m.cells[key]
 		snap := vc.cov.Snapshot()
 		out = append(out, obs.VariabilityCell{
 			Arch:      c.Arch,
@@ -286,55 +216,13 @@ func (m *Monitor) Variability() []obs.VariabilityCell {
 	return out
 }
 
-// finish marks the campaign's terminal state.
-func (m *Monitor) finish(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err != nil {
-		m.state = "error"
-		m.errMsg = err.Error()
-		return
-	}
-	m.state = "done"
-	m.lastETA = 0
-}
-
-// Status snapshots the campaign for /api/status. Cells come out in plan
-// order (arch then app); latencies cover the eval histograms per arch plus
-// the three runtime histograms, omitting empty ones.
+// Status snapshots the campaign for /api/status: the ledger's progress view
+// (cells in plan order) plus the latency summaries — the eval histograms per
+// arch and the three runtime histograms, omitting empty ones.
 func (m *Monitor) Status() obs.Status {
-	m.mu.Lock()
-	st := obs.Status{
-		State:         m.state,
-		Backend:       m.backend,
-		Workers:       m.workers,
-		WorkersBusy:   m.workersBusy.Load(),
-		ElapsedSec:    m.elapsedLocked(),
-		SettingsDone:  m.settingsDone,
-		SettingsTotal: m.settingsTotal,
-		SamplesDone:   m.samplesDone,
-		SamplesTotal:  m.samplesTotal,
-		SamplesPerSec: m.lastRate,
-		ETASec:        m.lastETA,
-		Error:         m.errMsg,
-	}
-	archs := map[string]bool{}
-	for _, key := range m.cellOrder {
-		c := m.cells[key]
-		st.Cells = append(st.Cells, *c)
-		archs[c.Arch] = true
-	}
-	m.mu.Unlock()
-
-	archList := make([]string, 0, len(archs))
-	for a := range archs {
-		archList = append(archList, a)
-	}
-	sort.Strings(archList)
-	for _, a := range archList {
-		h := m.reg.Histogram("omptune_sweep_setting_eval_seconds",
-			"wall-clock latency of one setting-batch evaluation", "arch", a)
-		if h.Count() > 0 {
+	st := m.led.Load().snapshot()
+	for _, a := range cellArches(st.Cells) {
+		if h := m.evalHist(a); h.Count() > 0 {
 			st.Latencies = append(st.Latencies, obs.LatencyOf("eval "+a, h.Snapshot()))
 		}
 	}

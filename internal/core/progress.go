@@ -3,10 +3,13 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"omptune/internal/dataset"
+	"omptune/internal/obs"
 	"omptune/internal/sim"
 )
 
@@ -48,26 +51,130 @@ type ProgressEvent struct {
 	ETA time.Duration
 }
 
-// reporter serializes progress accounting across sweep workers and renders
-// the structured events as text for the legacy Progress writer.
+// reporter is the campaign ledger: the one owner of a sweep's progress
+// state — totals, the per-(arch, app) cell grid in plan order, evaluated
+// rows, rate/ETA, busy workers, the terminal state and one start time. The
+// progress line, the OnProgress event, the telemetry stream and the live
+// Monitor are all rendered from its snapshot, so they cannot disagree.
 type reporter struct {
-	mu           sync.Mutex
-	w            io.Writer
-	fn           func(ProgressEvent)
-	tel          *telemetry // optional JSONL telemetry sink
-	mon          *Monitor   // optional live HTTP monitor
-	start        time.Time
+	w   io.Writer
+	fn  func(ProgressEvent)
+	tel *telemetry // optional JSONL telemetry sink
+	mon *Monitor   // optional live HTTP monitor
+
+	// busy is atomic because workers bump it on the batch hot path, outside
+	// any lock.
+	busy atomic.Int64
+
+	// out serializes the observer fan-out (batch events and telemetry
+	// heartbeats), so every observer sees one order. mu guards the fields
+	// below and is never held across an observer call: a progress callback
+	// may scrape the monitor, which reads the ledger.
+	out sync.Mutex
+	mu  sync.Mutex
+
+	state        string // waiting | running | done | error
+	errMsg       string
+	backend      string
+	workers      int
+	start, end   time.Time // plan time; terminal time (zero while running)
 	done         int
 	total        int
 	samplesDone  int
 	samplesTotal int
 	evaluated    int // rows actually evaluated this run (excludes resumed)
+	rate         float64
+	eta          time.Duration
+	cells        []obs.Cell // plan order
+	cellOf       []int      // sweepUnit.index -> position in cells
 }
 
-func newReporter(sc SweepConfig, totalUnits, totalSamples int) *reporter {
-	return &reporter{
-		w: sc.Progress, fn: sc.OnProgress,
-		start: time.Now(), total: totalUnits, samplesTotal: totalSamples,
+// newReporter opens the ledger of one campaign in state "waiting" and
+// attaches it to the configured monitor, so even a plan-time failure reaches
+// the dashboard as a terminal error state.
+func newReporter(sc SweepConfig) *reporter {
+	r := &reporter{w: sc.Progress, fn: sc.OnProgress, mon: sc.Monitor, state: "waiting"}
+	if r.mon != nil {
+		r.mon.led.Store(r)
+	}
+	return r
+}
+
+// plan records the campaign shape — totals, cell grid, backend, worker
+// count — and starts the campaign clock.
+func (r *reporter) plan(units []*sweepUnit, backend string, workers int) {
+	r.mu.Lock()
+	r.state, r.backend, r.workers, r.start = "running", backend, workers, time.Now()
+	r.total = len(units)
+	r.cellOf = make([]int, len(units))
+	at := map[[2]string]int{}
+	for _, u := range units {
+		key := [2]string{string(u.arch), u.app.Name}
+		i, ok := at[key]
+		if !ok {
+			i = len(r.cells)
+			at[key] = i
+			r.cells = append(r.cells, obs.Cell{Arch: key[0], App: key[1]})
+		}
+		r.cells[i].SettingsTotal++
+		r.cells[i].SamplesTotal += u.cfgCount
+		r.samplesTotal += u.cfgCount
+		r.cellOf[u.index] = i
+	}
+	arches := cellArches(r.cells)
+	r.mu.Unlock()
+	if r.mon != nil {
+		r.mon.plan(arches)
+	}
+}
+
+// cellArches lists the distinct architectures of a cell grid, sorted.
+func cellArches(cells []obs.Cell) []string {
+	arches := make([]string, len(cells))
+	for i, c := range cells {
+		arches[i] = c.Arch
+	}
+	slices.Sort(arches)
+	return slices.Compact(arches)
+}
+
+// snapshot is the immutable view of the ledger every observer reads. A nil
+// ledger (a monitor no campaign has been attached to) reads as waiting.
+func (r *reporter) snapshot() obs.Status {
+	if r == nil {
+		return obs.Status{State: "waiting"}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	now := r.end // the clock stops with the campaign
+	if now.IsZero() {
+		now = time.Now()
+	}
+	elapsed := 0.0
+	if !r.start.IsZero() {
+		elapsed = now.Sub(r.start).Seconds()
+	}
+	return obs.Status{
+		State: r.state, Backend: r.backend, Workers: r.workers,
+		WorkersBusy: r.busy.Load(), ElapsedSec: elapsed,
+		SettingsDone: r.done, SettingsTotal: r.total,
+		SamplesDone: r.samplesDone, SamplesTotal: r.samplesTotal,
+		SamplesPerSec: r.rate, ETASec: r.eta.Seconds(),
+		Error: r.errMsg, Cells: slices.Clone(r.cells),
+	}
+}
+
+// unitStart / unitEnd bracket one batch evaluation: the busy gauge, and the
+// batch's evaluation latency for the monitor's per-arch histogram.
+func (r *reporter) unitStart() time.Time {
+	r.busy.Add(1)
+	return time.Now()
+}
+
+func (r *reporter) unitEnd(u *sweepUnit, started time.Time) {
+	r.busy.Add(-1)
+	if r.mon != nil {
+		r.mon.evalHist(string(u.arch)).Observe(time.Since(started))
 	}
 }
 
@@ -85,12 +192,25 @@ func (r *reporter) unitDone(u *sweepUnit, samples []*dataset.Sample, skipped int
 			repsFixed += sim.Reps
 		}
 	}
+	r.out.Lock()
+	defer r.out.Unlock()
+
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	elapsed := time.Since(r.start)
+	cell := r.cellOf[u.index]
 	r.done++
 	r.samplesDone += len(samples)
+	r.cells[cell].SettingsDone++
+	r.cells[cell].SamplesDone += len(samples)
 	if !resumed {
 		r.evaluated += len(samples)
+	}
+	if secs := elapsed.Seconds(); secs > 0 && r.evaluated > 0 {
+		r.rate = float64(r.evaluated) / secs
+		r.eta = 0
+		if remaining := r.samplesTotal - r.samplesDone; remaining > 0 {
+			r.eta = time.Duration(float64(remaining) / r.rate * float64(time.Second))
+		}
 	}
 	ev := ProgressEvent{
 		SettingsDone: r.done, SettingsTotal: r.total,
@@ -98,26 +218,37 @@ func (r *reporter) unitDone(u *sweepUnit, samples []*dataset.Sample, skipped int
 		Arch: string(u.arch), App: u.app.Name, Setting: u.set.Label,
 		SettingSamples: len(samples), SettingSkipped: skipped, Resumed: resumed,
 		SettingRepsRun: repsRun, SettingRepsFixed: repsFixed,
-		Elapsed: time.Since(r.start),
+		Elapsed: elapsed, SamplesPerSec: r.rate, ETA: r.eta,
 	}
-	if secs := ev.Elapsed.Seconds(); secs > 0 && r.evaluated > 0 {
-		ev.SamplesPerSec = float64(r.evaluated) / secs
-		remaining := r.samplesTotal - r.samplesDone
-		if remaining > 0 {
-			ev.ETA = time.Duration(float64(remaining) / ev.SamplesPerSec * float64(time.Second))
-		}
-	}
+	r.mu.Unlock()
+
 	if r.tel != nil {
-		r.tel.settingDone(u, ev)
+		r.tel.settingDone(ev, r.busy.Load())
 	}
 	if r.mon != nil {
-		r.mon.unitDone(u, ev, samples)
+		r.mon.unitDone(cell, ev, samples)
 	}
 	if r.fn != nil {
 		r.fn(ev)
 	}
 	if r.w != nil {
 		fmt.Fprintln(r.w, ev.String())
+	}
+}
+
+// finish records the campaign's terminal state, stops the clock and closes
+// the telemetry stream with the terminal record.
+func (r *reporter) finish(err error) {
+	r.mu.Lock()
+	r.state, r.end = "done", time.Now()
+	if err != nil {
+		r.state, r.errMsg = "error", err.Error()
+	} else {
+		r.eta = 0
+	}
+	r.mu.Unlock()
+	if r.tel != nil {
+		r.tel.finish()
 	}
 }
 

@@ -9,10 +9,6 @@ package core
 // searches can append to one file and SearchReport can still separate them.
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
 	"time"
 
 	"omptune/internal/env"
@@ -57,38 +53,39 @@ type searchRecord struct {
 	Error string `json:"error,omitempty"`
 }
 
-// searchTelemetry owns one JSONL sink. It shares the sweep telemetry's
-// error discipline: the first write failure is surfaced once on errw, a
-// terminal error record is attempted, and the stream is disabled.
+func (r *searchRecord) stamp(ts string) { r.TS = ts }
+
+// searchTelemetry renders one search as a JSONL stream over the shared
+// best-effort sink (telemetry.go): the first write failure is surfaced once,
+// a terminal error record is attempted, and the stream is disabled.
 type searchTelemetry struct {
-	w     io.WriteCloser
-	enc   *json.Encoder
+	sink  *jsonlSink
 	start time.Time
-	werr  error
-	errw  io.Writer
 }
 
 // newSearchTelemetry opens (appending) the JSONL log.
 func newSearchTelemetry(path string) (*searchTelemetry, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	sink, err := openJSONLSink("search telemetry", path, func(msg string) jsonlRecord {
+		return &searchRecord{Type: "error", Error: msg}
+	})
 	if err != nil {
-		return nil, fmt.Errorf("core: search telemetry log: %w", err)
+		return nil, err
 	}
-	return &searchTelemetry{w: f, enc: json.NewEncoder(f), start: time.Now(), errw: os.Stderr}, nil
+	return &searchTelemetry{sink: sink, start: time.Now()}, nil
 }
 
 // ident stamps the search identity fields shared by every record.
-func (t *searchTelemetry) ident(s *searchState, rec searchRecord) searchRecord {
+func (t *searchTelemetry) ident(s *searchState, rec searchRecord) *searchRecord {
 	rec.Strategy = s.res.Strategy
 	rec.Arch = string(s.spec.Machine.Arch)
 	rec.App = s.spec.App.Name
 	rec.Setting = s.spec.Setting.Label
-	return rec
+	return &rec
 }
 
 // plan records the search shape before the first evaluation.
 func (t *searchTelemetry) plan(s *searchState) {
-	t.emit(t.ident(s, searchRecord{
+	t.sink.emit(t.ident(s, searchRecord{
 		Type:        "search_plan",
 		Backend:     s.ev.Name(),
 		SpaceSize:   len(s.space),
@@ -104,7 +101,7 @@ func (t *searchTelemetry) step(s *searchState, cfg env.Config, sec float64, hit 
 	if sec > 0 && s.res.DefaultSeconds > 0 {
 		speedup = s.res.DefaultSeconds / sec
 	}
-	t.emit(t.ident(s, searchRecord{
+	t.sink.emit(t.ident(s, searchRecord{
 		Type:        "search_step",
 		Eval:        s.res.Evaluations,
 		Config:      cfg.Key(),
@@ -130,28 +127,6 @@ func (t *searchTelemetry) done(s *searchState, err error) {
 		rec.Type = "error"
 		rec.Error = err.Error()
 	}
-	t.emit(rec)
-	t.w.Close()
-}
-
-// emit stamps and writes one record, mirroring the sweep telemetry's
-// best-effort write discipline.
-func (t *searchTelemetry) emit(rec searchRecord) {
-	if t.werr != nil {
-		return
-	}
-	rec.TS = time.Now().UTC().Format(time.RFC3339Nano)
-	err := t.enc.Encode(rec)
-	if err == nil {
-		return
-	}
-	t.werr = err
-	if t.errw != nil {
-		fmt.Fprintf(t.errw, "omptune: search telemetry: write failed, disabling stream: %v\n", err)
-	}
-	_ = t.enc.Encode(searchRecord{
-		Type:  "error",
-		TS:    time.Now().UTC().Format(time.RFC3339Nano),
-		Error: fmt.Sprintf("search telemetry stream disabled after write error: %v", err),
-	})
+	t.sink.emit(rec)
+	t.sink.w.Close()
 }

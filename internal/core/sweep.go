@@ -326,12 +326,12 @@ func RunSweep(sc SweepConfig) (ds *dataset.Dataset, err error) {
 		ctx = context.Background()
 	}
 	ev := orModel(sc.Evaluator)
-	if sc.Monitor != nil {
-		// Registered before planning so even a plan-time failure (unknown
-		// app, bad shard spec) reaches the dashboard as a terminal error
-		// state. The deferred finish reads the named error result.
-		defer func() { sc.Monitor.finish(err) }()
-	}
+	// Opened before planning so even a plan-time failure (unknown app, bad
+	// shard spec) reaches the monitor as a terminal error state. The terminal
+	// record reflects how the sweep actually ended, so the deferred finish
+	// reads the named error result.
+	rep := newReporter(sc)
+	defer func() { rep.finish(err) }()
 	units, err := planUnits(sc)
 	if err != nil {
 		return nil, err
@@ -346,33 +346,16 @@ func RunSweep(sc SweepConfig) (ds *dataset.Dataset, err error) {
 		defer ck.close()
 	}
 
-	totalSamples := 0
-	for _, u := range units {
-		totalSamples += u.cfgCount
-	}
-
 	workers := sc.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-
-	var tel *telemetry
+	rep.plan(units, ev.Name(), workers)
 	if sc.TelemetryLog != "" {
-		tel, err = newTelemetry(sc.TelemetryLog, sc.TelemetryInterval)
-		if err != nil {
+		if err = rep.openTelemetry(sc.TelemetryLog, sc.TelemetryInterval); err != nil {
 			return nil, err
 		}
-		tel.plan(units, ev.Name(), workers)
-		// The terminal record reflects how the sweep actually ended, so the
-		// deferred finish reads the named error result.
-		defer func() { tel.finish(err) }()
 	}
-	if sc.Monitor != nil {
-		sc.Monitor.plan(units, ev.Name(), workers)
-	}
-	rep := newReporter(sc, len(units), totalSamples)
-	rep.tel = tel
-	rep.mon = sc.Monitor
 
 	results := make([][]*dataset.Sample, len(units))
 	var pending []*sweepUnit
@@ -397,7 +380,7 @@ func RunSweep(sc SweepConfig) (ds *dataset.Dataset, err error) {
 		}
 	}
 
-	ds = &dataset.Dataset{Samples: make([]*dataset.Sample, 0, totalSamples)}
+	ds = &dataset.Dataset{Samples: make([]*dataset.Sample, 0, rep.samplesTotal)}
 	for _, samples := range results {
 		ds.Samples = append(ds.Samples, samples...)
 	}
@@ -441,20 +424,9 @@ func runUnits(ctx context.Context, sc SweepConfig, ev Evaluator, pending []*swee
 		go func() {
 			defer wg.Done()
 			for u := range unitCh {
-				if rep.tel != nil {
-					rep.tel.unitStart()
-				}
-				if rep.mon != nil {
-					rep.mon.unitStart()
-				}
-				evalStart := time.Now()
+				started := rep.unitStart()
 				samples, skipped, err := evalUnit(u, ev)
-				if rep.mon != nil {
-					rep.mon.unitEnd(string(u.arch), time.Since(evalStart))
-				}
-				if rep.tel != nil {
-					rep.tel.unitEnd()
-				}
+				rep.unitEnd(u, started)
 				if err != nil {
 					fail(err)
 					return

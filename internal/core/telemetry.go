@@ -8,17 +8,18 @@ package core
 // heartbeats on the configured interval, and a final "done" (or "error")
 // record. Heartbeats carry expvar-style gauges — workers busy, evaluation
 // throughput, per-arch completion — sampled from counters the sweep workers
-// maintain.
+// maintain. Every record is rendered from a snapshot of the campaign ledger
+// (progress.go); this file keeps no counters of its own.
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"omptune/internal/obs"
 )
 
 // telemetryRecord is the JSONL record shape. Type discriminates; unused
@@ -71,144 +72,153 @@ type archProgress struct {
 	SamplesTotal  int `json:"samples_total"`
 }
 
-// telemetry owns the JSONL sink and the campaign gauges. Writes are
-// serialized by mu; the busy-worker gauge is atomic because workers bump it
-// outside any lock on the batch hot path.
-type telemetry struct {
-	mu    sync.Mutex
-	w     io.WriteCloser
-	enc   *json.Encoder
-	start time.Time
+func (r *telemetryRecord) stamp(ts string) { r.TS = ts }
 
+// jsonlRecord is what a jsonlSink writes: a JSON-encodable record that
+// carries its own timestamp field.
+type jsonlRecord interface{ stamp(ts string) }
+
+// jsonlSink is the best-effort JSONL writer under the sweep and search
+// telemetry streams. Callers serialize emits.
+//
+// Write errors (disk full, closed file) must not kill a campaign —
+// telemetry is best-effort by design — but they must not be silent either:
+// the first failure is surfaced once on errw, a terminal error record is
+// attempted so a consumer tailing the file sees the stream died (it lands
+// whenever the failure was transient or partial), and the stream is then
+// disabled so a long campaign doesn't pay one failing write per batch.
+type jsonlSink struct {
+	name string // stream name in diagnostics: "telemetry", "search telemetry"
+	w    io.WriteCloser
 	// werr is the first write error; once set, no further records are
-	// written (a full disk would otherwise fail every record of a long
-	// campaign, once per batch). errw receives the single operator-facing
-	// diagnostic (os.Stderr in production, a buffer in tests).
+	// written. errw receives the single operator-facing diagnostic
+	// (os.Stderr in production, a buffer in tests).
 	werr error
 	errw io.Writer
+	// errRecord builds the stream's terminal error record.
+	errRecord func(msg string) jsonlRecord
+}
 
-	workersBusy atomic.Int64
+// openJSONLSink opens (appending) the log at path.
+func openJSONLSink(name, path string, errRecord func(msg string) jsonlRecord) (*jsonlSink, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s log: %w", name, err)
+	}
+	return &jsonlSink{name: name, w: f, errw: os.Stderr, errRecord: errRecord}, nil
+}
 
-	// campaign gauges, guarded by mu
-	settingsDone  int
-	settingsTotal int
-	samplesDone   int
-	samplesTotal  int
-	perArch       map[string]*archProgress
-	lastRate      float64
-	lastETA       float64
+// emit stamps and writes one record.
+func (s *jsonlSink) emit(rec jsonlRecord) {
+	if s.werr != nil {
+		return
+	}
+	// Not a json.Encoder: it latches its first write error, so the terminal
+	// error record would never reach the writer.
+	write := func(rec jsonlRecord) error {
+		rec.stamp(time.Now().UTC().Format(time.RFC3339Nano))
+		line, err := json.Marshal(rec)
+		if err == nil {
+			_, err = s.w.Write(append(line, '\n'))
+		}
+		return err
+	}
+	err := write(rec)
+	if err == nil {
+		return
+	}
+	s.werr = err
+	fmt.Fprintf(s.errw, "omptune: %s: write failed, disabling stream: %v\n", s.name, err)
+	_ = write(s.errRecord(fmt.Sprintf("%s stream disabled after write error: %v", s.name, err)))
+}
 
+// telemetry renders the campaign ledger as the sweep's JSONL stream: it owns
+// the sink and the heartbeat loop, and reads every number from led. Writes
+// are serialized by led.out, which the ledger holds while it fans a batch
+// out.
+type telemetry struct {
+	sink *jsonlSink
+	led  *reporter
 	stop chan struct{}
 	done sync.WaitGroup
 }
 
-// newTelemetry opens (appending) the JSONL log and starts the heartbeat
-// loop. interval <= 0 defaults to 30s.
-func newTelemetry(path string, interval time.Duration) (*telemetry, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// openTelemetry opens the JSONL log of the planned campaign led, records the
+// campaign shape, and emits the first heartbeat immediately, so a consumer
+// tailing the log sees liveness before the first (possibly slow) batch
+// completes; then it starts the heartbeat loop. interval <= 0 defaults to
+// 30s.
+func (r *reporter) openTelemetry(path string, interval time.Duration) error {
+	sink, err := openJSONLSink("telemetry", path, func(msg string) jsonlRecord {
+		return &telemetryRecord{Type: "error", Error: msg, ElapsedSec: r.snapshot().ElapsedSec}
+	})
 	if err != nil {
-		return nil, fmt.Errorf("core: telemetry log: %w", err)
+		return err
 	}
+	t := &telemetry{sink: sink, led: r, stop: make(chan struct{})}
 	if interval <= 0 {
 		interval = 30 * time.Second
 	}
-	t := &telemetry{
-		w: f, enc: json.NewEncoder(f), start: time.Now(),
-		errw:    os.Stderr,
-		perArch: make(map[string]*archProgress),
-		stop:    make(chan struct{}),
-	}
+	r.out.Lock()
+	st := r.snapshot()
+	sink.emit(&telemetryRecord{
+		Type: "plan", Backend: st.Backend, Workers: st.Workers, Arches: cellArches(st.Cells),
+		SettingsTotal: st.SettingsTotal, SamplesTotal: st.SamplesTotal,
+	})
+	sink.emit(heartbeat(st))
+	r.tel = t
+	r.out.Unlock()
 	t.done.Add(1)
 	go t.heartbeatLoop(interval)
-	return t, nil
+	return nil
 }
 
-// plan records the campaign shape and emits the first heartbeat
-// immediately, so a consumer tailing the log sees liveness before the
-// first (possibly slow) batch completes.
-func (t *telemetry) plan(units []*sweepUnit, backend string, workers int) {
-	t.mu.Lock()
-	archSet := map[string]bool{}
-	for _, u := range units {
-		a := string(u.arch)
-		archSet[a] = true
-		ap := t.perArch[a]
-		if ap == nil {
-			ap = &archProgress{}
-			t.perArch[a] = ap
-		}
-		ap.SettingsTotal++
-		ap.SamplesTotal += u.cfgCount
-		t.samplesTotal += u.cfgCount
-	}
-	t.settingsTotal = len(units)
-	arches := make([]string, 0, len(archSet))
-	for a := range archSet {
-		arches = append(arches, a)
-	}
-	sort.Strings(arches)
-	t.emitLocked(telemetryRecord{
-		Type: "plan", Backend: backend, Workers: workers, Arches: arches,
-		SettingsTotal: t.settingsTotal, SamplesTotal: t.samplesTotal,
-	})
-	t.emitLocked(t.heartbeatLocked())
-	t.mu.Unlock()
-}
-
-// unitStart / unitEnd bracket one batch evaluation for the busy gauge.
-func (t *telemetry) unitStart() { t.workersBusy.Add(1) }
-func (t *telemetry) unitEnd()   { t.workersBusy.Add(-1) }
-
-// settingDone records one completed batch and updates the gauges. A batch
-// that dropped rows to measurement failures additionally emits an
-// eval_error record, so a consumer grepping the stream for failures finds
-// them without reconstructing per-batch sample arithmetic.
-func (t *telemetry) settingDone(u *sweepUnit, ev ProgressEvent) {
-	t.mu.Lock()
-	t.settingsDone++
-	t.samplesDone += ev.SettingSamples
-	if ap := t.perArch[string(u.arch)]; ap != nil {
-		ap.SettingsDone++
-		ap.SamplesDone += ev.SettingSamples
-	}
-	t.lastRate = ev.SamplesPerSec
-	t.lastETA = ev.ETA.Seconds()
+// settingDone records one completed batch. A batch that dropped rows to
+// measurement failures additionally emits an eval_error record, so a
+// consumer grepping the stream for failures finds them without
+// reconstructing per-batch sample arithmetic. ev is the ledger's view at the
+// batch's completion; the caller holds led.out.
+func (t *telemetry) settingDone(ev ProgressEvent, busy int64) {
 	if ev.SettingSkipped > 0 {
-		t.emitLocked(telemetryRecord{
+		t.sink.emit(&telemetryRecord{
 			Type: "eval_error",
-			Arch: string(u.arch), App: u.app.Name, Setting: u.set.Label,
+			Arch: ev.Arch, App: ev.App, Setting: ev.Setting,
 			SamplesSkipped: ev.SettingSkipped,
-			ElapsedSec:     time.Since(t.start).Seconds(),
+			ElapsedSec:     ev.Elapsed.Seconds(),
 			Error:          fmt.Sprintf("%d of %d planned samples failed to measure and were skipped", ev.SettingSkipped, ev.SettingSamples+ev.SettingSkipped),
 		})
 	}
-	t.emitLocked(telemetryRecord{
+	t.sink.emit(&telemetryRecord{
 		Type: "setting_done",
-		Arch: string(u.arch), App: u.app.Name, Setting: u.set.Label,
+		Arch: ev.Arch, App: ev.App, Setting: ev.Setting,
 		Samples: ev.SettingSamples, SamplesSkipped: ev.SettingSkipped, Resumed: ev.Resumed,
 		RepsRun: ev.SettingRepsRun, RepsFixed: ev.SettingRepsFixed,
-		ElapsedSec:   time.Since(t.start).Seconds(),
-		SettingsDone: t.settingsDone, SamplesDone: t.samplesDone,
+		ElapsedSec:   ev.Elapsed.Seconds(),
+		SettingsDone: ev.SettingsDone, SamplesDone: ev.SamplesDone,
 		SamplesPerSec: ev.SamplesPerSec, ETASec: ev.ETA.Seconds(),
-		WorkersBusy: t.workersBusy.Load(),
+		WorkersBusy: busy,
 	})
-	t.mu.Unlock()
 }
 
-// heartbeatLocked snapshots the gauges into a heartbeat record. Caller
-// holds mu.
-func (t *telemetry) heartbeatLocked() telemetryRecord {
-	per := make(map[string]archProgress, len(t.perArch))
-	for a, ap := range t.perArch {
-		per[a] = *ap
+// heartbeat renders a ledger snapshot as a heartbeat record; the per-arch
+// gauges are the cell grid rolled up by architecture.
+func heartbeat(st obs.Status) *telemetryRecord {
+	per := make(map[string]archProgress)
+	for _, c := range st.Cells {
+		ap := per[c.Arch]
+		ap.SettingsDone += c.SettingsDone
+		ap.SettingsTotal += c.SettingsTotal
+		ap.SamplesDone += c.SamplesDone
+		ap.SamplesTotal += c.SamplesTotal
+		per[c.Arch] = ap
 	}
-	return telemetryRecord{
+	return &telemetryRecord{
 		Type:         "heartbeat",
-		ElapsedSec:   time.Since(t.start).Seconds(),
-		SettingsDone: t.settingsDone, SettingsTotal: t.settingsTotal,
-		SamplesDone: t.samplesDone, SamplesTotal: t.samplesTotal,
-		SamplesPerSec: t.lastRate, ETASec: t.lastETA,
-		WorkersBusy: t.workersBusy.Load(), PerArch: per,
+		ElapsedSec:   st.ElapsedSec,
+		SettingsDone: st.SettingsDone, SettingsTotal: st.SettingsTotal,
+		SamplesDone: st.SamplesDone, SamplesTotal: st.SamplesTotal,
+		SamplesPerSec: st.SamplesPerSec, ETASec: st.ETASec,
+		WorkersBusy: st.WorkersBusy, PerArch: per,
 	}
 }
 
@@ -221,55 +231,27 @@ func (t *telemetry) heartbeatLoop(interval time.Duration) {
 		case <-t.stop:
 			return
 		case <-tick.C:
-			t.mu.Lock()
-			t.emitLocked(t.heartbeatLocked())
-			t.mu.Unlock()
+			t.led.out.Lock()
+			t.sink.emit(heartbeat(t.led.snapshot()))
+			t.led.out.Unlock()
 		}
 	}
 }
 
-// finish writes the terminal record (done on success, error otherwise),
-// stops the heartbeat loop and closes the log.
-func (t *telemetry) finish(err error) {
+// finish stops the heartbeat loop, writes the terminal record (done on
+// success, error otherwise) from the finished ledger and closes the log.
+func (t *telemetry) finish() {
 	close(t.stop)
 	t.done.Wait()
-	t.mu.Lock()
-	rec := t.heartbeatLocked()
+	t.led.out.Lock()
+	st := t.led.snapshot()
+	rec := heartbeat(st)
 	rec.Type = "done"
-	if err != nil {
+	if st.State == "error" {
 		rec.Type = "error"
-		rec.Error = err.Error()
+		rec.Error = st.Error
 	}
-	t.emitLocked(rec)
-	t.w.Close()
-	t.mu.Unlock()
-}
-
-// emitLocked stamps and writes one record. Caller holds mu.
-//
-// Write errors (disk full, closed file) must not kill a campaign —
-// telemetry is best-effort by design — but they must not be silent either:
-// the first failure is surfaced once on errw, a terminal error record is
-// attempted so a consumer tailing the file sees the stream died (it lands
-// whenever the failure was transient or partial), and the stream is then
-// disabled so a long campaign doesn't pay one failing write per batch.
-func (t *telemetry) emitLocked(rec telemetryRecord) {
-	if t.werr != nil {
-		return
-	}
-	rec.TS = time.Now().UTC().Format(time.RFC3339Nano)
-	err := t.enc.Encode(rec)
-	if err == nil {
-		return
-	}
-	t.werr = err
-	if t.errw != nil {
-		fmt.Fprintf(t.errw, "omptune: telemetry: write failed, disabling stream: %v\n", err)
-	}
-	_ = t.enc.Encode(telemetryRecord{
-		Type:       "error",
-		TS:         time.Now().UTC().Format(time.RFC3339Nano),
-		Error:      fmt.Sprintf("telemetry stream disabled after write error: %v", err),
-		ElapsedSec: time.Since(t.start).Seconds(),
-	})
+	t.sink.emit(rec)
+	t.sink.w.Close()
+	t.led.out.Unlock()
 }

@@ -2,13 +2,18 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"omptune/internal/env"
 	"omptune/internal/topology"
 )
 
@@ -160,12 +165,12 @@ func TestSweepTelemetryErrorRecord(t *testing.T) {
 
 func TestTelemetryHeartbeatLoop(t *testing.T) {
 	log := filepath.Join(t.TempDir(), "hb.jsonl")
-	tel, err := newTelemetry(log, 5*time.Millisecond)
-	if err != nil {
+	led := newReporter(SweepConfig{})
+	led.plan(nil, "model", 2)
+	if err := led.openTelemetry(log, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	tel.plan(nil, "model", 2)
-	tel.unitStart()
+	started := led.unitStart()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if time.Now().After(deadline) {
@@ -177,8 +182,8 @@ func TestTelemetryHeartbeatLoop(t *testing.T) {
 			break
 		}
 	}
-	tel.unitEnd()
-	tel.finish(nil)
+	led.unitEnd(nil, started)
+	led.finish(nil)
 	recs := readTelemetry(t, log)
 	sawBusy := false
 	for _, rec := range recs[2:] {
@@ -191,5 +196,263 @@ func TestTelemetryHeartbeatLoop(t *testing.T) {
 	}
 	if recs[len(recs)-1].Type != "done" {
 		t.Errorf("last record %q, want done", recs[len(recs)-1].Type)
+	}
+}
+
+// TestLedgerViewsAgree attaches every observer of a sweep at once — progress
+// line, OnProgress, telemetry log, monitor — and checks that the final
+// ProgressEvent, the terminal telemetry record, Monitor.Status() and the
+// summed cell grid report the same campaign, including when one batch is
+// resumed from a checkpoint or drops a failed sample.
+func TestLedgerViewsAgree(t *testing.T) {
+	campaign := func() SweepConfig {
+		return SweepConfig{
+			Arches:   []topology.Arch{topology.A64FX, topology.Milan},
+			AppNames: []string{"Sort", "Nqueens"},
+			Fraction: map[topology.Arch]float64{topology.A64FX: 0.05, topology.Milan: 0.03},
+			Workers:  2,
+		}
+	}
+	units, err := planUnits(campaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := 0
+	for _, u := range units {
+		planned += u.cfgCount
+	}
+
+	cases := []struct {
+		name string
+		// prepare adjusts the campaign and returns how many batches must come
+		// back resumed and how many planned rows must be skipped.
+		prepare func(t *testing.T, sc *SweepConfig) (resumed, skipped int)
+	}{
+		{"clean", func(*testing.T, *SweepConfig) (int, int) { return 0, 0 }},
+		{"resumed batch", func(t *testing.T, sc *SweepConfig) (int, int) {
+			ctx, cancel := context.WithCancel(context.Background())
+			first := campaign()
+			first.Workers = 1
+			first.CheckpointDir = t.TempDir()
+			first.Context = ctx
+			first.OnProgress = func(ProgressEvent) { cancel() }
+			if _, err := RunSweep(first); !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+			}
+			journal, err := os.ReadFile(filepath.Join(first.CheckpointDir, "journal.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.CheckpointDir = first.CheckpointDir
+			return strings.Count(string(journal), "\n"), 0
+		}},
+		{"skipped-sample batch", func(t *testing.T, sc *SweepConfig) (int, int) {
+			sc.Evaluator = nanEvaluator{fail: map[env.Config]bool{sampledNonDefault(t, units[0]): true}}
+			return 0, 1
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := campaign()
+			wantResumed, wantSkipped := tc.prepare(t, &sc)
+			var (
+				last   ProgressEvent
+				events int
+				lines  bytes.Buffer
+			)
+			mon := NewMonitor()
+			sc.Monitor = mon
+			sc.Progress = &lines
+			sc.OnProgress = func(ev ProgressEvent) { last = ev; events++ }
+			sc.TelemetryLog = filepath.Join(t.TempDir(), "run.jsonl")
+			sc.TelemetryInterval = time.Hour
+			ds, err := RunSweep(sc)
+			if err != nil {
+				t.Fatalf("RunSweep: %v", err)
+			}
+
+			recs := readTelemetry(t, sc.TelemetryLog)
+			done := recs[len(recs)-1]
+			if done.Type != "done" {
+				t.Fatalf("terminal record type %q, want done", done.Type)
+			}
+			var lastSetting telemetryRecord
+			resumed, skipped := 0, 0
+			for _, rec := range recs {
+				switch rec.Type {
+				case "setting_done":
+					lastSetting = rec
+					if rec.Resumed {
+						resumed++
+					}
+				case "eval_error":
+					skipped += rec.SamplesSkipped
+				}
+			}
+			if wantResumed > 0 && resumed == 0 {
+				t.Fatal("no batch was resumed; the case tests nothing")
+			}
+			if resumed != wantResumed || skipped != wantSkipped {
+				t.Errorf("stream shows %d resumed batches / %d skipped rows, want %d / %d",
+					resumed, skipped, wantResumed, wantSkipped)
+			}
+
+			st := mon.Status()
+			if st.State != "done" || st.Backend != recs[0].Backend || st.Workers != recs[0].Workers {
+				t.Errorf("status %s/%s/%d vs plan record %s/%d", st.State, st.Backend, st.Workers, recs[0].Backend, recs[0].Workers)
+			}
+
+			// One row per view of the shared progress fields.
+			type view struct {
+				settingsDone, settingsTotal, samplesDone, samplesTotal int
+				rate                                                   float64
+			}
+			var cellSum, archSum view
+			for _, c := range st.Cells {
+				cellSum.settingsDone += c.SettingsDone
+				cellSum.settingsTotal += c.SettingsTotal
+				cellSum.samplesDone += c.SamplesDone
+				cellSum.samplesTotal += c.SamplesTotal
+			}
+			for _, ap := range done.PerArch {
+				archSum.settingsDone += ap.SettingsDone
+				archSum.settingsTotal += ap.SettingsTotal
+				archSum.samplesDone += ap.SamplesDone
+				archSum.samplesTotal += ap.SamplesTotal
+			}
+			want := view{len(units), len(units), ds.Len(), planned, last.SamplesPerSec}
+			cellSum.rate, archSum.rate = want.rate, want.rate // the roll-ups carry no rate
+			for name, got := range map[string]view{
+				"final ProgressEvent":    {last.SettingsDone, last.SettingsTotal, last.SamplesDone, last.SamplesTotal, last.SamplesPerSec},
+				"terminal record":        {done.SettingsDone, done.SettingsTotal, done.SamplesDone, done.SamplesTotal, done.SamplesPerSec},
+				"Monitor.Status":         {st.SettingsDone, st.SettingsTotal, st.SamplesDone, st.SamplesTotal, st.SamplesPerSec},
+				"summed Status.Cells":    cellSum,
+				"summed record per_arch": archSum,
+			} {
+				if got != want {
+					t.Errorf("%s = %+v, want %+v", name, got, want)
+				}
+			}
+			if ds.Len() != planned-wantSkipped {
+				t.Errorf("dataset has %d rows, want %d planned - %d skipped", ds.Len(), planned, wantSkipped)
+			}
+			if events != len(units) || last.SamplesPerSec <= 0 {
+				t.Errorf("%d events / rate %v, want %d events and a positive rate", events, last.SamplesPerSec, len(units))
+			}
+
+			// One clock: the last batch's event and record were stamped from
+			// the same instant, and the clock stopped with the campaign.
+			if lastSetting.ElapsedSec != last.Elapsed.Seconds() || lastSetting.ETASec != last.ETA.Seconds() {
+				t.Errorf("last setting_done elapsed %v / eta %v, final event %v / %v",
+					lastSetting.ElapsedSec, lastSetting.ETASec, last.Elapsed.Seconds(), last.ETA.Seconds())
+			}
+			if st.ETASec != 0 || done.ETASec != 0 {
+				t.Errorf("eta after done: status %v, record %v", st.ETASec, done.ETASec)
+			}
+			if st.ElapsedSec != done.ElapsedSec || done.ElapsedSec < lastSetting.ElapsedSec {
+				t.Errorf("elapsed: status %v, done record %v, last batch %v", st.ElapsedSec, done.ElapsedSec, lastSetting.ElapsedSec)
+			}
+			if st.WorkersBusy != 0 || done.WorkersBusy != 0 {
+				t.Errorf("workers busy after the pool drained: status %d, record %d", st.WorkersBusy, done.WorkersBusy)
+			}
+			progress := strings.Split(strings.TrimSpace(lines.String()), "\n")
+			if len(progress) != len(units) || progress[len(progress)-1] != last.String() {
+				t.Errorf("progress writer: %d lines ending %q, want %d ending %q",
+					len(progress), progress[len(progress)-1], len(units), last.String())
+			}
+		})
+	}
+}
+
+// flakyWriter accepts the first ok writes and fails every later one,
+// recording each attempted payload.
+type flakyWriter struct {
+	ok       int
+	attempts [][]byte
+}
+
+func (w *flakyWriter) Write(p []byte) (int, error) {
+	w.attempts = append(w.attempts, bytes.Clone(p))
+	if len(w.attempts) > w.ok {
+		return 0, errors.New("disk full")
+	}
+	return len(p), nil
+}
+
+func (w *flakyWriter) Close() error { return nil }
+
+// TestTelemetrySinkWriteFailure drives both record streams through a writer
+// that starts failing: the first error is surfaced once, a terminal error
+// record is attempted, and the stream stays silent afterwards — for the rest
+// of the campaign and its terminal record.
+func TestTelemetrySinkWriteFailure(t *testing.T) {
+	// redirect points an opened sink at w and its diagnostic at errw.
+	redirect := func(s *jsonlSink, w io.WriteCloser, errw io.Writer) {
+		s.w.Close()
+		s.w, s.errw = w, errw
+	}
+	streams := []struct {
+		name string
+		// run opens the stream, redirects it, and emits one record that
+		// lands, one that fails, and the rest of a campaign after it.
+		run func(t *testing.T, w io.WriteCloser, errw io.Writer)
+	}{
+		{"telemetry", func(t *testing.T, w io.WriteCloser, errw io.Writer) {
+			units, err := planUnits(smallCampaign())
+			if err != nil {
+				t.Fatal(err)
+			}
+			led := newReporter(SweepConfig{})
+			led.plan(units, "model", 1)
+			if err := led.openTelemetry(filepath.Join(t.TempDir(), "run.jsonl"), time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			redirect(led.tel.sink, w, errw)
+			for _, u := range units {
+				led.unitDone(u, nil, 0, false)
+			}
+			led.finish(nil)
+		}},
+		{"search telemetry", func(t *testing.T, w io.WriteCloser, errw io.Writer) {
+			m, app, set := searchApp(t, topology.A64FX, "Nqueens")
+			s, err := newSearchState(context.Background(), "random", SearchSpec{Machine: m, App: app, Setting: set})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tel, err := newSearchTelemetry(filepath.Join(t.TempDir(), "search.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			redirect(tel.sink, w, errw)
+			for i := 0; i < 3; i++ {
+				tel.step(s, env.Default(m), 1, false)
+			}
+			tel.done(s, nil)
+		}},
+	}
+	for _, tc := range streams {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &flakyWriter{ok: 1}
+			var diag bytes.Buffer
+			tc.run(t, w, &diag)
+
+			if got := strings.Count(diag.String(), "\n"); got != 1 ||
+				!strings.Contains(diag.String(), "omptune: "+tc.name+": write failed, disabling stream: disk full") {
+				t.Errorf("diagnostic = %q, want exactly one write-failed line", diag.String())
+			}
+			// One record landed, one failed, the terminal error record was
+			// attempted, and nothing after that reached the writer.
+			if len(w.attempts) != 3 {
+				t.Fatalf("%d write attempts, want 3 (ok, failed, terminal error record)", len(w.attempts))
+			}
+			var last struct{ Type, TS, Error string }
+			if err := json.Unmarshal(w.attempts[2], &last); err != nil {
+				t.Fatalf("terminal record not valid JSON: %v\n%s", err, w.attempts[2])
+			}
+			if last.Type != "error" || last.TS == "" ||
+				last.Error != tc.name+" stream disabled after write error: disk full" {
+				t.Errorf("terminal record = %+v", last)
+			}
+		})
 	}
 }

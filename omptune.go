@@ -32,7 +32,6 @@ import (
 	"omptune/internal/obs"
 	"omptune/internal/report"
 	"omptune/internal/sim"
-	"omptune/internal/stats"
 	"omptune/internal/topology"
 	"omptune/internal/viz"
 )
@@ -44,8 +43,6 @@ type (
 	Arch = topology.Arch
 	// Machine is an architecture model (Table I).
 	Machine = topology.Machine
-	// Config is one assignment of the seven studied environment variables.
-	Config = env.Config
 	// VarName names one studied environment variable.
 	VarName = env.VarName
 	// Setting is a thread-count/input-scale experimental setting.
@@ -54,20 +51,6 @@ type (
 	App = apps.App
 	// Dataset is the collected tabular sample data.
 	Dataset = dataset.Dataset
-	// Sample is one dataset row.
-	Sample = dataset.Sample
-	// Heatmap is a feature-influence matrix (Figs. 2-4).
-	Heatmap = core.Heatmap
-	// Recommendation is a Table VII-style tuning suggestion.
-	Recommendation = core.Recommendation
-	// TuneResult is the outcome of the guided coordinate-descent tuner.
-	TuneResult = core.TuneResult
-	// UpshotSummary is the per-architecture Q1 summary.
-	UpshotSummary = core.UpshotSummary
-	// WilcoxonRow is one consistency-test row (Table III).
-	WilcoxonRow = core.WilcoxonRow
-	// Violin is a kernel-density summary of a runtime distribution.
-	Violin = stats.Violin
 )
 
 // The studied architectures.
@@ -88,14 +71,8 @@ const (
 func Machines() []*Machine { return topology.All() }
 
 // MachineByName returns the model for an architecture name
-// ("a64fx", "skylake", "milan", or anything added via RegisterMachine).
+// ("a64fx", "skylake", "milan").
 func MachineByName(name string) (*Machine, error) { return topology.Get(Arch(name)) }
-
-// RegisterMachine adds a user-defined architecture model, enabling sweeps
-// and tuning on machines beyond the study's three (its "latest CPU chips"
-// future-work item). The model's calibration fields (bandwidth, NUMA
-// factors, wakeup cost, noise) are documented on topology.Machine.
-func RegisterMachine(m *Machine) error { return topology.Register(m) }
 
 // Applications returns the fifteen benchmark applications in suite order.
 func Applications() []*App { return apps.All() }
@@ -110,33 +87,14 @@ func NestedApplications() []*App { return apps.NestedApps() }
 func ApplicationByName(name string) (*App, error) { return apps.ByName(name) }
 
 // DefaultConfig returns the runtime's default configuration on m (§III).
-func DefaultConfig(m *Machine) Config { return env.Default(m) }
-
-// ConfigSpace enumerates the full sweep space on m: 4608 configurations on
-// A64FX, 9216 on the x86 machines.
-func ConfigSpace(m *Machine) []Config { return env.Space(m) }
+func DefaultConfig(m *Machine) env.Config { return env.Default(m) }
 
 // ParseConfig builds a Config from KEY=VALUE environment entries.
-func ParseConfig(m *Machine, environ []string) (Config, error) { return env.Parse(m, environ) }
+func ParseConfig(m *Machine, environ []string) (env.Config, error) { return env.Parse(m, environ) }
 
 // Variables returns the canonical order of the studied environment
 // variables.
 func Variables() []VarName { return env.Names() }
-
-// Simulate returns the modeled runtime of app on m under cfg at the given
-// setting for repetition rep (deterministic; includes measurement noise and
-// per-run drift).
-func Simulate(m *Machine, app *App, cfg Config, set Setting, rep int) float64 {
-	return sim.Evaluate(m, app.Profile, cfg, set, rep)
-}
-
-// SimulateExact is Simulate without noise: the model's true runtime.
-func SimulateExact(m *Machine, app *App, cfg Config, set Setting) float64 {
-	return sim.EvaluateExact(m, app.Profile, cfg, set)
-}
-
-// Repetitions is the number of repeated runs per configuration (R0..R3).
-const Repetitions = sim.Reps
 
 // ---- Measurement backends (the Evaluator seam) --------------------------
 
@@ -146,11 +104,6 @@ const Repetitions = sim.Reps
 // analytic model (the default everywhere) and the measured backend, which
 // executes the application's functional kernel on a real openmp.Runtime.
 type Evaluator = core.Evaluator
-
-// ModelBackend returns the analytic-model backend, the default used when no
-// backend is given. It is deterministic: campaigns produce byte-identical
-// CSV output across runs and worker counts.
-func ModelBackend() Evaluator { return core.ModelEvaluator{} }
 
 // MeasureOptions configures the measured backend (warmup runs and timed
 // repetitions per configuration, plus the optional adaptive-repetition
@@ -176,17 +129,12 @@ func NewMeasuredEvaluator(opt MeasureOptions) Evaluator { return measure.NewEval
 // size of a backend-agreement study.
 type CalibrationOptions = core.CalibrationOptions
 
-// CalibrationReport is the model-vs-measured agreement study: per-app and
-// per-variable Spearman rank correlation and median relative error over a
-// shared configuration subspace. Its String method renders the tables.
-type CalibrationReport = core.CalibrationReport
-
 // Calibrate evaluates the same configuration subspace under both backends
 // and reports how well the alternate backend's runtime ordering tracks the
 // reference's (nil = the analytic model). Runtimes are compared in
 // speedup-over-default units, so the backends' incomparable absolute scales
 // cancel out.
-func Calibrate(ref, alt Evaluator, opt CalibrationOptions) (*CalibrationReport, error) {
+func Calibrate(ref, alt Evaluator, opt CalibrationOptions) (*core.CalibrationReport, error) {
 	return core.Calibrate(ref, alt, opt)
 }
 
@@ -213,7 +161,7 @@ type CollectOptions struct {
 	Extended bool
 	// Nested enables the nesting tunable axis: per-level OMP_NUM_THREADS
 	// lists, OMP_MAX_ACTIVE_LEVELS and OMP_THREAD_LIMIT join the swept
-	// configuration space (see NestedConfigSpace) and the nested-parallel
+	// configuration space and the nested-parallel
 	// applications (LUNest, TreeNest) join the campaign when Apps is nil.
 	// Composable with Extended.
 	Nested bool
@@ -294,12 +242,23 @@ func NewSweepMonitor() *SweepMonitor { return core.NewMonitor() }
 // dashboard polling both APIs).
 type MonitorServer = obs.Server
 
-// NewMonitorServer builds the HTTP monitor for mon. Call Start(addr) to
-// bind and serve, Shutdown(ctx) for a graceful stop.
-func NewMonitorServer(mon *SweepMonitor) *MonitorServer {
+// monitor is what NewMonitorServer serves; SweepMonitor and SearchMonitor
+// both satisfy it.
+type monitor interface {
+	Registry() *obs.Registry
+	Status() obs.Status
+	Regions() []obs.Region
+}
+
+// NewMonitorServer builds the HTTP monitor for a sweep or search monitor;
+// /api/variability is wired when mon has a noise observatory (sweeps). Call
+// Start(addr) to bind and serve, Shutdown(ctx) for a graceful stop.
+func NewMonitorServer(mon monitor) *MonitorServer {
 	srv := obs.NewServer(mon.Registry(), func() any { return mon.Status() })
 	srv.SetRegions(func() any { return mon.Regions() })
-	srv.SetVariability(func() any { return mon.Variability() })
+	if v, ok := mon.(interface{ Variability() []obs.VariabilityCell }); ok {
+		srv.SetVariability(func() any { return v.Variability() })
+	}
 	return srv
 }
 
@@ -307,11 +266,6 @@ func NewMonitorServer(mon *SweepMonitor) *MonitorServer {
 // level, repetition-CoV noise gate and practical-significance floor); the
 // zero value selects the defaults.
 type CompareOptions = core.CompareOptions
-
-// CompareReport is the result of CompareSweeps: one verdict per (arch, app)
-// group plus unpaired-row counts. Its String method renders the table, and
-// Regressions counts groups flagged as significantly slower.
-type CompareReport = core.CompareReport
 
 // CompareSweeps runs the variability-aware regression gate between two
 // datasets of the same campaign: samples are paired per configuration,
@@ -322,42 +276,33 @@ type CompareReport = core.CompareReport
 // columns written by adaptive campaigns) are gated and weighted by their own
 // measured CI; legacy pairs fall back to the repetition-CoV cutoff, with
 // byte-identical output on provenance-free datasets.
-func CompareSweeps(oldDS, newDS *Dataset, opt CompareOptions) (*CompareReport, error) {
+func CompareSweeps(oldDS, newDS *Dataset, opt CompareOptions) (*core.CompareReport, error) {
 	return core.CompareDatasets(oldDS, newDS, opt)
 }
-
-// VariabilityReport is the noise observatory of a collected dataset: per
-// (arch, app, setting) CoV and CI quantiles, real-repetition histograms, and
-// the measurement time the adaptive policy saved against the fixed-rep
-// baseline. Its String method renders the table.
-type VariabilityReport = core.VariabilityReport
-
-// VariabilityGroup is one (arch, app, setting) row of a VariabilityReport.
-type VariabilityGroup = core.VariabilityGroup
 
 // DatasetVariability aggregates a dataset's per-series noise provenance into
 // the observatory report. Samples without provenance (model rows, files
 // predating the reps/cov/ci columns) are counted but contribute no noise
 // statistics.
-func DatasetVariability(ds *Dataset) *VariabilityReport { return core.Variability(ds) }
+func DatasetVariability(ds *Dataset) *core.VariabilityReport { return core.Variability(ds) }
 
 // Upshot summarizes the per-architecture tuning potential (§V-Q1).
-func Upshot(ds *Dataset) []UpshotSummary { return core.Upshot(ds) }
+func Upshot(ds *Dataset) []core.UpshotSummary { return core.Upshot(ds) }
 
 // WilcoxonTable reproduces Table III for one app and setting.
-func WilcoxonTable(ds *Dataset, app, setting string) []WilcoxonRow {
+func WilcoxonTable(ds *Dataset, app, setting string) []core.WilcoxonRow {
 	return core.WilcoxonTable(ds, app, setting)
 }
 
 // Influence trains the §IV-D logistic-regression surrogate per group and
 // returns the influence heatmap for the grouping (Fig. 2: PerApp, Fig. 3:
 // PerArch, Fig. 4: PerArchApp).
-func Influence(ds *Dataset, g core.Grouping) (*Heatmap, error) {
+func Influence(ds *Dataset, g core.Grouping) (*core.Heatmap, error) {
 	return core.InfluenceHeatmap(ds, g, ml.LogisticOptions{})
 }
 
 // Recommend mines Table VII-style variable/value suggestions for app.
-func Recommend(ds *Dataset, app string) []Recommendation {
+func Recommend(ds *Dataset, app string) []core.Recommendation {
 	return core.Recommend(ds, app, core.RecommendOptions{})
 }
 
@@ -367,24 +312,14 @@ func WorstTrends(ds *Dataset) []core.WorstTrend { return core.WorstTrends(ds, 0.
 // Tune runs the §VI guided coordinate-descent search for app on m at the
 // given setting, trying variables in the given order (nil = canonical
 // order; pass a Heatmap's FeatureRank-derived variables for pruning).
-func Tune(m *Machine, app *App, set Setting, order []VarName, budget int) TuneResult {
-	return core.Tune(nil, m, app, set, order, budget)
-}
-
-// TuneWith is Tune on an explicit measurement backend: pass
+// backend nil means the deterministic analytic model; pass
 // NewMeasuredEvaluator(...) to tune against real kernel execution — the
-// setting the paper's §VI tuner actually targets — or ModelBackend() for
-// the deterministic default.
-func TuneWith(backend Evaluator, m *Machine, app *App, set Setting, order []VarName, budget int) TuneResult {
+// setting the paper's §VI tuner actually targets.
+func Tune(backend Evaluator, m *Machine, app *App, set Setting, order []VarName, budget int) core.TuneResult {
 	return core.Tune(backend, m, app, set, order, budget)
 }
 
 // ---- Budgeted search (the Searcher seam) --------------------------------
-
-// Searcher is one budgeted search strategy over the configuration space —
-// the seam behind Tune, RandomSearch and the ompsearch CLI. Resolve one with
-// NewSearcher; the built-in strategies are listed by SearchStrategies.
-type Searcher = core.Searcher
 
 // SearchSpec carries a search problem: machine, app, setting, space, seed,
 // measurement backend, budget, and the optional cache/telemetry/monitor
@@ -400,65 +335,29 @@ type SearchBudget = core.SearchBudget
 // best-so-far trajectory.
 type SearchResult = core.SearchResult
 
-// SearchStep is one improvement of the best-so-far configuration.
-type SearchStep = core.SearchStep
-
-// EvalCache memoizes the evaluation objective across probes; share one
-// across searches of the same problem to dedupe repeat work.
-type EvalCache = core.EvalCache
-
-// NewEvalCache returns an empty evaluation cache.
-func NewEvalCache() *EvalCache { return core.NewEvalCache() }
-
 // SearchStrategies lists the built-in strategy names: greedy, restart,
 // anneal, surrogate, random.
 func SearchStrategies() []string { return core.SearchStrategies() }
 
 // NewSearcher resolves a strategy by name; the error of an unknown name
 // lists the valid set.
-func NewSearcher(name string) (Searcher, error) { return core.NewSearcher(name) }
-
-// Search resolves and runs one strategy — the one-call form of the seam.
-func Search(ctx context.Context, strategy string, spec SearchSpec) (SearchResult, error) {
-	s, err := core.NewSearcher(strategy)
-	if err != nil {
-		return SearchResult{}, err
-	}
-	return s.Search(ctx, spec)
-}
+func NewSearcher(name string) (core.Searcher, error) { return core.NewSearcher(name) }
 
 // SearchMonitor aggregates live search state (best-so-far speedup,
 // evaluations done, cache hits, evaluation latency); set it in
-// SearchSpec.Monitor and serve it with NewSearchMonitorServer.
+// SearchSpec.Monitor and serve it with NewMonitorServer.
 type SearchMonitor = core.SearchMonitor
 
 // NewSearchMonitor returns a search monitor with its metric schema
 // pre-registered.
 func NewSearchMonitor() *SearchMonitor { return core.NewSearchMonitor() }
 
-// NewSearchMonitorServer builds the HTTP monitor for mon — the same
-// dashboard, /metrics and /api/status endpoints a sweep monitor serves.
-func NewSearchMonitorServer(mon *SearchMonitor) *MonitorServer {
-	srv := obs.NewServer(mon.Registry(), func() any { return mon.Status() })
-	srv.SetRegions(func() any { return mon.Regions() })
-	return srv
-}
-
-// SearchReportRow compares one completed search against the full sweep of
-// the same (arch, app, setting) group: fraction of the sweep's best speedup
-// reached at what fraction of the sweep's evaluation cost.
-type SearchReportRow = core.SearchReportRow
-
 // SearchReport joins a search-telemetry JSONL stream (SearchSpec.
 // TelemetryLog, ompsearch -telemetry) against a sweep dataset's per-group
 // best speedups.
-func SearchReport(r io.Reader, ds *Dataset) ([]SearchReportRow, error) {
+func SearchReport(r io.Reader, ds *Dataset) ([]core.SearchReportRow, error) {
 	return core.SearchReport(r, ds)
 }
-
-// MergeDatasets combines separately collected shards, rejecting duplicate
-// rows.
-func MergeDatasets(parts ...*Dataset) (*Dataset, error) { return dataset.Merge(parts...) }
 
 // WriteDatasetCSV writes ds in the open-data tabular format.
 func WriteDatasetCSV(w io.Writer, ds *Dataset) error { return ds.WriteCSV(w) }
@@ -517,63 +416,30 @@ func WriteReport(w io.Writer, ds *Dataset) error {
 
 // ---- §VI future-work extensions ----------------------------------------
 
-// ModelComparison contrasts the linear classification surrogate with a
-// random forest on one analysis group.
-type ModelComparison = core.ModelComparison
-
-// TransferRow is one leave-one-architecture-out transfer measurement.
-type TransferRow = core.TransferRow
-
-// WorstTrend is one §V-Q4 worst-performance pattern.
-type WorstTrend = core.WorstTrend
-
 // CompareModels fits the §IV-D logistic surrogate and a random forest per
 // group and reports their accuracies — the paper's proposed non-linear
 // follow-up, quantified.
-func CompareModels(ds *Dataset, g core.Grouping) ([]ModelComparison, error) {
+func CompareModels(ds *Dataset, g core.Grouping) ([]core.ModelComparison, error) {
 	return core.CompareModels(ds, g, ml.LogisticOptions{},
 		ml.TreeOptions{MaxDepth: 8, MinLeaf: 30, Seed: 1}, 10)
 }
 
 // Transfer quantifies §VI's transfer caveat for one application:
 // leave-one-architecture-out accuracy vs the majority baseline.
-func Transfer(ds *Dataset, app string) ([]TransferRow, error) {
+func Transfer(ds *Dataset, app string) ([]core.TransferRow, error) {
 	return core.Transfer(ds, app, ml.TreeOptions{MaxDepth: 8, MinLeaf: 30, Seed: 5}, 10)
 }
 
 // RandomSearch is the unguided baseline for Tune: best of `budget` uniform
-// configuration draws.
-func RandomSearch(m *Machine, app *App, set Setting, budget int, seedVal uint64) TuneResult {
-	return core.RandomSearch(nil, m, app, set, budget, seedVal)
-}
-
-// RandomSearchWith is RandomSearch on an explicit measurement backend.
-func RandomSearchWith(backend Evaluator, m *Machine, app *App, set Setting, budget int, seedVal uint64) TuneResult {
+// configuration draws on backend (nil = the analytic model).
+func RandomSearch(backend Evaluator, m *Machine, app *App, set Setting, budget int, seedVal uint64) core.TuneResult {
 	return core.RandomSearch(backend, m, app, set, budget, seedVal)
 }
 
-// ExtendedConfigSpace includes the numa_domains place kind the paper
-// deferred for lack of hwloc.
-func ExtendedConfigSpace(m *Machine) []Config { return core.ExtendedSpace(m) }
-
-// NestedConfigSpace extends the sweep space along the nesting axis this repo
-// adds beyond the paper's seven variables: per-level OMP_NUM_THREADS lists,
-// OMP_MAX_ACTIVE_LEVELS and OMP_THREAD_LIMIT.
-func NestedConfigSpace(m *Machine) []Config { return core.NestedSpace(m) }
-
-// ExtendedThreadSettings widens the thread-count exploration the paper
-// lists as a limitation.
-func ExtendedThreadSettings(m *Machine) []Setting { return core.ExtendedThreadSettings(m) }
-
-// BestNUMAPlacement evaluates the deferred numa_domains configurations and
+// BestNUMAPlacement evaluates the numa_domains configurations the paper
+// deferred for lack of hwloc on backend (nil = the analytic model) and
 // returns the best one with its speedup over the default.
-func BestNUMAPlacement(m *Machine, app *App, set Setting) (Config, float64) {
-	return core.BestNUMAPlacement(nil, m, app, set)
-}
-
-// BestNUMAPlacementWith is BestNUMAPlacement on an explicit measurement
-// backend.
-func BestNUMAPlacementWith(backend Evaluator, m *Machine, app *App, set Setting) (Config, float64) {
+func BestNUMAPlacement(backend Evaluator, m *Machine, app *App, set Setting) (env.Config, float64) {
 	return core.BestNUMAPlacement(backend, m, app, set)
 }
 
@@ -585,6 +451,6 @@ func WriteViolinSVG(w io.Writer, ds *Dataset, app string) error {
 
 // WriteHeatmapSVG renders an influence heatmap (Fig 2-4 style) as a
 // standalone SVG document.
-func WriteHeatmapSVG(w io.Writer, hm *Heatmap, title string) error {
+func WriteHeatmapSVG(w io.Writer, hm *core.Heatmap, title string) error {
 	return viz.HeatmapSVG(w, hm, title)
 }

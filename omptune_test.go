@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"omptune/internal/core"
 	"omptune/internal/env"
+	"omptune/internal/sim"
+	"omptune/internal/topology"
 )
 
 // facadeDataset is a reduced sweep shared by the facade tests.
@@ -42,8 +45,8 @@ func TestFacadeBasics(t *testing.T) {
 	if _, err := MachineByName("cray-1"); err == nil {
 		t.Error("unknown machine should error")
 	}
-	if got := len(ConfigSpace(m)); got != 9216 {
-		t.Errorf("ConfigSpace(milan) = %d, want 9216", got)
+	if got := len(env.Space(m)); got != 9216 {
+		t.Errorf("env.Space(milan) = %d, want 9216", got)
 	}
 	if len(Variables()) != 7 {
 		t.Errorf("Variables() = %d, want 7", len(Variables()))
@@ -62,16 +65,16 @@ func TestFacadeSimulate(t *testing.T) {
 	}
 	set := Setting{Label: "t20", Threads: 20, Scale: 1}
 	cfg := DefaultConfig(m)
-	exact := SimulateExact(m, app, cfg, set)
+	exact := sim.EvaluateExact(m, app.Profile, cfg, set)
 	if exact <= 0 {
-		t.Fatalf("SimulateExact = %v", exact)
+		t.Fatalf("EvaluateExact = %v", exact)
 	}
-	noisy := Simulate(m, app, cfg, set, 1)
+	noisy := sim.Evaluate(m, app.Profile, cfg, set, 1)
 	if noisy <= 0 {
-		t.Fatalf("Simulate = %v", noisy)
+		t.Fatalf("Evaluate = %v", noisy)
 	}
-	if Repetitions != 4 {
-		t.Errorf("Repetitions = %d, want 4", Repetitions)
+	if sim.Reps != 4 {
+		t.Errorf("sim.Reps = %d, want 4", sim.Reps)
 	}
 }
 
@@ -173,7 +176,7 @@ func TestFacadeTune(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := Setting{Label: "medium", Threads: m.Cores, Scale: 1}
-	res := Tune(m, app, set, nil, 150)
+	res := Tune(nil, m, app, set, nil, 150)
 	if res.Speedup() < 2 {
 		t.Errorf("tuned NQueens speedup %v, want > 2 (turnaround effect)", res.Speedup())
 	}
@@ -188,7 +191,7 @@ func TestFacadeTune(t *testing.T) {
 	}
 	// Importance-guided ordering (library first) must find the win within a
 	// tiny budget.
-	guided := Tune(m, app, set, []VarName{env.VarLibrary, env.VarBlocktime}, 10)
+	guided := Tune(nil, m, app, set, []VarName{env.VarLibrary, env.VarBlocktime}, 10)
 	if guided.Speedup() < 2 {
 		t.Errorf("guided tuning speedup %v within 10 evals, want > 2", guided.Speedup())
 	}
@@ -216,18 +219,18 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Errorf("Transfer rows = %d", len(tr))
 	}
 	m, _ := MachineByName("milan")
-	if got := len(ExtendedConfigSpace(m)); got != 9216+9216/4 {
-		t.Errorf("ExtendedConfigSpace = %d", got)
+	if got := len(core.ExtendedSpace(m)); got != 9216+9216/4 {
+		t.Errorf("ExtendedSpace = %d", got)
 	}
-	if got := len(ExtendedThreadSettings(m)); got != 6 {
+	if got := len(core.ExtendedThreadSettings(m)); got != 6 {
 		t.Errorf("ExtendedThreadSettings = %d", got)
 	}
 	app, _ := ApplicationByName("XSbench")
-	cfg, speedup := BestNUMAPlacement(m, app, Setting{Label: "t24", Threads: 24, Scale: 1})
+	cfg, speedup := BestNUMAPlacement(nil, m, app, Setting{Label: "t24", Threads: 24, Scale: 1})
 	if speedup < 1.5 || cfg.Places != "numa_domains" {
 		t.Errorf("BestNUMAPlacement = %s / %v", cfg, speedup)
 	}
-	rs := RandomSearch(m, app, Setting{Label: "t24", Threads: 24, Scale: 1}, 40, 7)
+	rs := RandomSearch(nil, m, app, Setting{Label: "t24", Threads: 24, Scale: 1}, 40, 7)
 	if rs.Evaluations != 40 || rs.Speedup() < 1 {
 		t.Errorf("RandomSearch = %+v", rs)
 	}
@@ -264,8 +267,8 @@ func TestFacadeCustomMachineEndToEnd(t *testing.T) {
 		RemoteNUMAFactor: 1.4, CrossSocketFactor: 1.9,
 		WakeupMicros: 9, NoiseSigma: 0.004,
 	}
-	if err := RegisterMachine(custom); err != nil {
-		t.Fatalf("RegisterMachine: %v", err)
+	if err := topology.Register(custom); err != nil {
+		t.Fatalf("topology.Register: %v", err)
 	}
 	// The whole pipeline works on the new architecture.
 	ds, err := Collect(CollectOptions{
@@ -284,7 +287,7 @@ func TestFacadeCustomMachineEndToEnd(t *testing.T) {
 		t.Errorf("NQueens on custom machine: range %v-%v — turnaround should still win", lo, hi)
 	}
 	app, _ := ApplicationByName("Nqueens")
-	res := Tune(custom, app, Setting{Label: "medium", Threads: custom.Cores, Scale: 1}, nil, 80)
+	res := Tune(nil, custom, app, Setting{Label: "medium", Threads: custom.Cores, Scale: 1}, nil, 80)
 	if res.Speedup() < 1.5 {
 		t.Errorf("tuning on custom machine: %v", res.Speedup())
 	}

@@ -16,38 +16,102 @@ import (
 // once the hot team is warm, dispatching a region allocates nothing. The
 // turnaround policy keeps every wait on the spin path (the park path
 // allocates its wake channel, and AllocsPerRun counts allocations from all
-// goroutines, workers included).
+// goroutines, workers included). The other cases are the remaining
+// operations the micro-benchmarks report at 0 allocs/op, pinned here so the
+// property is a test and not a number in a benchmark log.
 func TestParallelSteadyStateZeroAlloc(t *testing.T) {
-	o := optsN(4)
-	o.Library = LibTurnaround
-	rt := testRuntime(t, o)
-	body := func(*Thread) {}
-	for i := 0; i < 10; i++ {
-		rt.Parallel(body) // warm the hot team
+	region := func(body func(*Runtime) func(*Thread)) func(*Runtime) func() {
+		return func(rt *Runtime) func() {
+			b := body(rt)
+			return func() { rt.Parallel(b) }
+		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { rt.Parallel(body) }); allocs != 0 {
-		t.Errorf("steady-state Parallel: %.1f allocs/op, want 0", allocs)
+	empty := region(func(*Runtime) func(*Thread) { return func(*Thread) {} })
+	cases := []struct {
+		name   string
+		mutate func(*Options)
+		op     func(*Runtime) func() // builds the measured operation
+	}{
+		{"empty region", nil, empty},
+		// BenchmarkOuterOnlyRegression: nesting configured but never used
+		// may not tax the flat dispatch.
+		{"nesting configured, unused", func(o *Options) {
+			o.ThreadsPerLevel = []int{4, 2}
+			o.MaxActiveLevels = 2
+			o.ThreadLimit = 16
+		}, empty},
+		// BenchmarkLockContended.
+		{"contended lock", nil, region(func(rt *Runtime) func(*Thread) {
+			l, n := rt.NewLock(), 0
+			return func(*Thread) {
+				for i := 0; i < 32; i++ {
+					l.Lock()
+					n++
+					l.Unlock()
+				}
+			}
+		})},
+		// BenchmarkOverheadCritical: name→lock resolution on the cached path.
+		{"named critical", nil, region(func(*Runtime) func(*Thread) {
+			n := 0
+			inc := func() { n++ }
+			return func(th *Thread) {
+				for i := 0; i < 32; i++ {
+					th.Critical("pin", inc)
+				}
+			}
+		})},
+		// BenchmarkLockUncontended.
+		{"uncontended lock", nil, func(rt *Runtime) func() {
+			l := rt.NewLock()
+			return func() { l.Lock(); l.Unlock() }
+		}},
+		// BenchmarkOverheadStats: the snapshot walks the per-thread shards.
+		{"stats snapshot", nil, func(rt *Runtime) func() {
+			rt.Parallel(func(*Thread) {})
+			return func() { _ = rt.Stats() }
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := optsN(4)
+			o.Library = LibTurnaround
+			if tc.mutate != nil {
+				tc.mutate(&o)
+			}
+			op := tc.op(testRuntime(t, o))
+			for i := 0; i < 10; i++ {
+				op() // warm the hot team
+			}
+			if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+				t.Errorf("steady-state %s: %.1f allocs/op, want 0", tc.name, allocs)
+			}
+		})
 	}
 }
 
 // A static worksharing loop needs no shared construct state, so a whole
-// region containing one stays allocation-free too.
+// region containing one stays allocation-free too — blocked (chunk 0) and
+// round-robin chunked alike (BenchmarkOverheadFor sched=static, static_c8).
 func TestParallelStaticForZeroAlloc(t *testing.T) {
-	o := optsN(4)
-	o.Library = LibTurnaround
-	rt := testRuntime(t, o)
-	var sink atomic.Int64
-	iter := func(i int) {
-		if i == 0 {
-			sink.Add(1)
+	for _, chunk := range []int{0, 8} {
+		o := optsN(4)
+		o.Library = LibTurnaround
+		o.Schedule, o.ChunkSize = ScheduleStatic, chunk
+		rt := testRuntime(t, o)
+		var sink atomic.Int64
+		iter := func(i int) {
+			if i == 0 {
+				sink.Add(1)
+			}
 		}
-	}
-	body := func(th *Thread) { th.For(256, iter) }
-	for i := 0; i < 10; i++ {
-		rt.Parallel(body)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { rt.Parallel(body) }); allocs != 0 {
-		t.Errorf("static-for region: %.1f allocs/op, want 0", allocs)
+		body := func(th *Thread) { th.For(256, iter) }
+		for i := 0; i < 10; i++ {
+			rt.Parallel(body)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { rt.Parallel(body) }); allocs != 0 {
+			t.Errorf("static-for region, chunk %d: %.1f allocs/op, want 0", chunk, allocs)
+		}
 	}
 }
 

@@ -244,7 +244,15 @@ func TestProfileZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { rt.Parallel(body) }); avg != 0 {
 		t.Errorf("enabled profiler: %v allocs/region, want 0", avg)
 	}
-	if rep := rt.Profile(); len(rep.Regions) == 0 || rep.Regions[0].Count < 100 {
+	// The report sorts by attributed thread-time, so the 1-count warm-up
+	// call site can outrank the measured one when it was descheduled: find
+	// the measured row by its count, not by position.
+	rep := rt.Profile()
+	measured := false
+	for _, r := range rep.Regions {
+		measured = measured || r.Count >= 100
+	}
+	if !measured {
 		t.Errorf("enabled profiler recorded nothing: %+v", rep)
 	}
 }
