@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench smoke trace-smoke nested-smoke monitor-smoke search-smoke profile-smoke sobol-smoke variability-smoke verify
+.PHONY: build test vet race bench smoke monitor-smoke search-smoke sobol-smoke variability-smoke verify
 
 # build also compiles and vets the benchmark/ module against this checkout:
 # it has its own go.mod, so `go build ./...` alone never sees a facade or
@@ -17,12 +17,13 @@ vet:
 
 # race exercises the concurrency-sensitive packages — the hot-team region
 # dispatch, the lock-free construct ring, the wait-policy barrier and lock
-# park/wake paths, the per-thread trace rings, the metrics registry, the
+# park/wake paths, the observer hooks and per-thread trace rings (also end to
+# end on real kernels, through cmd/omprun's tests), the metrics registry, the
 # parallel sweep worker pool and the model's shared placement cache — under
 # the race detector. Keep this green
 # before touching openmp, internal/obs or internal/core.
 race:
-	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./internal/core ./internal/obs ./internal/sim
+	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./internal/core ./internal/obs ./internal/sim
 
 # bench runs the runtime overhead microbenchmarks with settings pinned for
 # benchstat: save a baseline with `make bench > before.txt`, make changes,
@@ -61,63 +62,6 @@ smoke: build
 		END { if (bad) exit 1; if (NR < 2) { print "smoke: empty campaign"; exit 1 } print "smoke: " NR - 1 " measured samples OK" }' \
 		$(SMOKE_DIR)/smoke.csv
 	rm -rf $(SMOKE_DIR)
-
-# trace-smoke runs a real traced execution end to end: Nqueens (BOTS-style
-# task parallelism) on four threads with OMPT-style tracing enabled. omprun
-# self-validates the Chrome JSON (shape, per-thread B/E nesting, timestamp
-# monotonicity) before writing it and exits nonzero otherwise; the awk pass
-# then asserts the derived per-region summary reports live metrics — regions
-# observed, nonzero stolen tasks, nonzero barrier wait, no dropped events.
-TRACE_DIR := $(or $(TMPDIR),/tmp)/omptune-trace-smoke
-trace-smoke: build
-	rm -rf $(TRACE_DIR) && mkdir -p $(TRACE_DIR)
-	$(GO) run ./cmd/omprun -app Nqueens -scale 0.5 \
-		-set "OMP_NUM_THREADS=4,KMP_BLOCKTIME=0" -warmup 1 -reps 2 \
-		-trace $(TRACE_DIR)/trace.json -trace-summary 2> $(TRACE_DIR)/summary.txt
-	grep -q '"traceEvents"' $(TRACE_DIR)/trace.json
-	awk '/^summary: / { found = 1; \
-		for (i = 2; i <= NF; i++) { split($$i, kv, "="); v[kv[1]] = kv[2] } \
-		if (v["regions"] + 0 <= 0) { print "trace-smoke: no regions"; exit 1 } \
-		if (v["dropped"] + 0 != 0) { print "trace-smoke: dropped events"; exit 1 } \
-		if (v["tasks_stolen"] + 0 <= 0) { print "trace-smoke: no steals"; exit 1 } \
-		if (v["barrier_wait_ns"] + 0 <= 0) { print "trace-smoke: no barrier wait"; exit 1 } \
-		print "trace-smoke: " $$0 } \
-		END { if (!found) { print "trace-smoke: summary line missing"; exit 1 } }' \
-		$(TRACE_DIR)/summary.txt
-	rm -rf $(TRACE_DIR)
-
-# nested-smoke runs a real nested-parallel application (blocked LU with a
-# depth-2 region per trailing update) under a per-level thread list and
-# asserts, from the machine-readable JSON trace summary
-# (-trace-summary-json), that nesting actually happened: two active levels,
-# nested regions observed, the configured widths at each level (4 outer,
-# 2 inner), and no dropped events. The warmup run matters — it creates the
-# inner teams before tracing starts, so their threads have rings when the
-# timed repetitions are traced. The awk gate keys the per-level checks off
-# the trailing "levels" array (top-level "level"/"max_threads" pairs also
-# appear inside region rows, so the array start is the state switch).
-NESTED_DIR := $(or $(TMPDIR),/tmp)/omptune-nested-smoke
-nested-smoke: build
-	rm -rf $(NESTED_DIR) && mkdir -p $(NESTED_DIR)
-	$(GO) run ./cmd/omprun -app LUNest -scale 0.5 \
-		-set "OMP_NUM_THREADS=4,2,OMP_MAX_ACTIVE_LEVELS=2,KMP_BLOCKTIME=0" \
-		-warmup 1 -reps 2 -trace-summary-json 2> $(NESTED_DIR)/summary.json
-	awk '/"dropped":/ { gsub(/[^0-9]/, "", $$2); dropped = $$2; seen = 1 } \
-		/"nested_regions":/ { gsub(/[^0-9]/, "", $$2); nested = $$2 } \
-		/"levels": \[/ { inlev = 1 } \
-		inlev && /"level":/ { gsub(/[^0-9]/, "", $$2); lvl = $$2; nlev++ } \
-		inlev && /"max_threads":/ { gsub(/[^0-9]/, "", $$2); thr[lvl] = $$2 } \
-		END { \
-		if (!seen) { print "nested-smoke: summary JSON missing"; exit 1 } \
-		if (dropped + 0 != 0) { print "nested-smoke: dropped events"; exit 1 } \
-		if (nested + 0 <= 0) { print "nested-smoke: no nested regions"; exit 1 } \
-		if (nlev + 0 < 2) { print "nested-smoke: levels=" nlev ", want >= 2"; exit 1 } \
-		if (thr[0] + 0 != 4) { print "nested-smoke: level0 threads=" thr[0] ", want 4"; exit 1 } \
-		if (thr[1] + 0 != 2) { print "nested-smoke: level1 threads=" thr[1] ", want 2"; exit 1 } \
-		print "nested-smoke: levels=" nlev " nested_regions=" nested \
-			" level0_threads=" thr[0] " level1_threads=" thr[1] " dropped=" dropped " OK" }' \
-		$(NESTED_DIR)/summary.json
-	rm -rf $(NESTED_DIR)
 
 # monitor-smoke proves the live monitor end to end on a real measured
 # micro-campaign: ompsweep runs with -serve on an ephemeral port, the bound
@@ -194,35 +138,6 @@ search-smoke: build
 		print "search-smoke: both strategies >= 90% of sweep best within <= 10% of the space OK" }' \
 		$(SEARCH_DIR)/report.txt
 	rm -rf $(SEARCH_DIR)
-
-# profile-smoke proves the per-region efficiency profiler end to end on a
-# real kernel execution: Nqueens on 4 threads, profiled over 2 timed reps,
-# exporting both the JSON report and the folded flamegraph stacks. The gates
-# assert the profiler attributed real time (a region row with positive
-# wall_ns), observed genuine barrier waiting (nonzero barrier_wait_share —
-# the irregular Nqueens task tree guarantees arrival spread on 4 threads),
-# dropped nothing, and emitted well-formed folded lines
-# (`omp;<frame>@L<lvl>;<leaf> <usec>`, with a compute leaf present).
-PROFILE_DIR := $(or $(TMPDIR),/tmp)/omptune-profile-smoke
-profile-smoke: build
-	rm -rf $(PROFILE_DIR) && mkdir -p $(PROFILE_DIR)
-	$(GO) run ./cmd/omprun -app Nqueens -scale 0.5 -set "OMP_NUM_THREADS=4" \
-		-warmup 1 -reps 2 -profile-json $(PROFILE_DIR)/profile.json \
-		-profile-folded $(PROFILE_DIR)/profile.folded 2> $(PROFILE_DIR)/log.txt
-	awk '/"wall_ns":/ { gsub(/[^0-9]/, "", $$2); if ($$2 + 0 > 0) wall = 1 } \
-		/"barrier_wait_share":/ { gsub(/[^0-9.eE+-]/, "", $$2); if ($$2 + 0 > 0) bar = 1 } \
-		/"dropped":/ { gsub(/[^0-9]/, "", $$2); dropped = $$2 } \
-		END { if (!wall) { print "profile-smoke: no region with positive wall_ns"; exit 1 } \
-		if (!bar) { print "profile-smoke: barrier_wait_share is zero everywhere"; exit 1 } \
-		if (dropped + 0 != 0) { print "profile-smoke: dropped regions"; exit 1 } \
-		print "profile-smoke: JSON report OK" }' $(PROFILE_DIR)/profile.json
-	awk '!/^omp;[^ ]+ [0-9]+$$/ { print "profile-smoke: malformed folded line: " $$0; bad = 1; exit 1 } \
-		/;compute [0-9]+$$/ { compute = 1 } \
-		END { if (bad) exit 1; \
-		if (NR == 0) { print "profile-smoke: folded output empty"; exit 1 } \
-		if (!compute) { print "profile-smoke: no compute leaf in folded stacks"; exit 1 } \
-		print "profile-smoke: " NR " folded stack lines OK" }' $(PROFILE_DIR)/profile.folded
-	rm -rf $(PROFILE_DIR)
 
 # sobol-smoke proves the variance-based sensitivity path end to end on the
 # deterministic analytic backend: a full LU sweep on a64fx (LU has the
@@ -311,4 +226,4 @@ variability-smoke: build
 
 # verify is the pre-merge gate (build, reached through test and the smoke
 # targets, includes the benchmark/ module).
-verify: race test smoke trace-smoke nested-smoke monitor-smoke search-smoke profile-smoke sobol-smoke variability-smoke
+verify: race test smoke monitor-smoke search-smoke sobol-smoke variability-smoke

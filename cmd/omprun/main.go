@@ -39,7 +39,7 @@
 // chunk histogram) to stderr; it implies tracing even without an output
 // file. -trace-summary-json emits the same summary as one JSON object on
 // stderr (durations in integer nanoseconds) for scripted consumers — the
-// smoke gates parse it instead of the human table. -trace-buf sizes the
+// command's own tests parse it instead of the human table. -trace-buf sizes the
 // per-thread event rings.
 //
 // -profile enables the streaming per-region efficiency profiler for the
@@ -54,8 +54,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -96,29 +98,42 @@ type runReport struct {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "omprun:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the testable command body: everything main used to print goes to
+// stdout/stderr and every failure comes back as an error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("omprun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		appName   = flag.String("app", "", "application to run (see -list)")
-		scale     = flag.Float64("scale", 1.0, "input scale relative to the self-test size")
-		setFlag   = flag.String("set", "", "comma-separated KEY=VALUE overrides")
-		list      = flag.Bool("list", false, "list the available applications")
-		warmup    = flag.Int("warmup", 0, "untimed warmup runs before the timed repetitions")
-		reps      = flag.Int("reps", 1, "timed repetitions (the runtime is reused across them)")
-		jsonOut   = flag.Bool("json", false, "emit the measurement series as JSON on stdout")
-		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the timed runs to this file")
-		traceSum  = flag.Bool("trace-summary", false, "print derived per-region trace metrics to stderr (implies tracing)")
-		traceSumJ = flag.Bool("trace-summary-json", false, "print the trace summary as JSON on stderr (implies tracing)")
-		traceBuf  = flag.Int("trace-buf", 0, "per-thread trace ring capacity in events (0 = default)")
-		profSum   = flag.Bool("profile", false, "print the per-region efficiency profile to stderr (implies profiling)")
-		profJSON  = flag.String("profile-json", "", "write the per-region efficiency profile as JSON to this file")
-		profFold  = flag.String("profile-folded", "", "write the profile as folded stacks (flamegraph.pl input) to this file")
-		adaptive  = flag.Bool("adaptive", false, "repeat until the noise targets are met instead of a fixed -reps count")
-		targetCoV = flag.Float64("target-cov", 0, "adaptive: stop when the running CoV drops under this (0.02 when -adaptive is set with no target)")
-		targetCI  = flag.Float64("target-ci", 0, "adaptive: stop when the relative 95% CI half-width drops under this")
-		minReps   = flag.Int("min-reps", 0, "adaptive: repetitions before the stopping rule may fire (default 2)")
-		maxReps   = flag.Int("max-reps", 0, "adaptive: repetition ceiling (default 16)")
-		repBudget = flag.Duration("rep-budget", 0, "adaptive: wall-clock budget for the timed series (0 = none)")
+		appName   = fs.String("app", "", "application to run (see -list)")
+		scale     = fs.Float64("scale", 1.0, "input scale relative to the self-test size")
+		setFlag   = fs.String("set", "", "comma-separated KEY=VALUE overrides")
+		list      = fs.Bool("list", false, "list the available applications")
+		warmup    = fs.Int("warmup", 0, "untimed warmup runs before the timed repetitions")
+		reps      = fs.Int("reps", 1, "timed repetitions (the runtime is reused across them)")
+		jsonOut   = fs.Bool("json", false, "emit the measurement series as JSON on stdout")
+		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the timed runs to this file")
+		traceSum  = fs.Bool("trace-summary", false, "print derived per-region trace metrics to stderr (implies tracing)")
+		traceSumJ = fs.Bool("trace-summary-json", false, "print the trace summary as JSON on stderr (implies tracing)")
+		traceBuf  = fs.Int("trace-buf", 0, "per-thread trace ring capacity in events (0 = default)")
+		profSum   = fs.Bool("profile", false, "print the per-region efficiency profile to stderr (implies profiling)")
+		profJSON  = fs.String("profile-json", "", "write the per-region efficiency profile as JSON to this file")
+		profFold  = fs.String("profile-folded", "", "write the profile as folded stacks (flamegraph.pl input) to this file")
+		adaptive  = fs.Bool("adaptive", false, "repeat until the noise targets are met instead of a fixed -reps count")
+		targetCoV = fs.Float64("target-cov", 0, "adaptive: stop when the running CoV drops under this (0.02 when -adaptive is set with no target)")
+		targetCI  = fs.Float64("target-ci", 0, "adaptive: stop when the relative 95% CI half-width drops under this")
+		minReps   = fs.Int("min-reps", 0, "adaptive: repetitions before the stopping rule may fire (default 2)")
+		maxReps   = fs.Int("max-reps", 0, "adaptive: repetition ceiling (default 16)")
+		repBudget = fs.Duration("rep-budget", 0, "adaptive: wall-clock budget for the timed series (0 = none)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, a := range omptune.Applications() {
@@ -126,23 +141,23 @@ func main() {
 			if a.VariesInput {
 				style = "input-size sweep"
 			}
-			fmt.Printf("%-10s %-6s %s\n", a.Name, a.Suite, style)
+			fmt.Fprintf(stdout, "%-10s %-6s %s\n", a.Name, a.Suite, style)
 		}
-		return
+		return nil
 	}
 	if *appName == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("-app is required (see -list)")
 	}
 	app, err := omptune.ApplicationByName(*appName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *reps < 1 {
-		fatal(fmt.Errorf("-reps %d: want at least 1", *reps))
+		return fmt.Errorf("-reps %d: want at least 1", *reps)
 	}
 	if *warmup < 0 {
-		fatal(fmt.Errorf("-warmup %d: want >= 0", *warmup))
+		return fmt.Errorf("-warmup %d: want >= 0", *warmup)
 	}
 	var pol measure.Adaptive
 	if *adaptive || *targetCoV > 0 || *targetCI > 0 {
@@ -159,16 +174,16 @@ func main() {
 	environ := append(os.Environ(), splitSetFlag(*setFlag)...)
 	opts, err := openmp.OptionsFromEnviron(environ)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rt, err := openmp.New(opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer rt.Close()
 
 	if !*jsonOut {
-		fmt.Printf("running %s (scale %.2f) on %s\n", app.Name, *scale, rt)
+		fmt.Fprintf(stdout, "running %s (scale %.2f) on %s\n", app.Name, *scale, rt)
 	}
 
 	var series measure.Series
@@ -183,12 +198,12 @@ func main() {
 		}
 		if tracing {
 			if err := rt.StartTrace(*traceBuf); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		if profiling {
 			if err := rt.StartProfile(); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		if pol.Enabled() {
@@ -199,14 +214,14 @@ func main() {
 		series.Warmup = *warmup
 		if tracing {
 			data := rt.StopTrace()
-			if err := emitTrace(data, *traceOut, *traceSum, *traceSumJ); err != nil {
-				fatal(err)
+			if err := emitTrace(stderr, data, *traceOut, *traceSum, *traceSumJ); err != nil {
+				return err
 			}
 		}
 		if profiling {
 			rep := rt.StopProfile()
-			if err := emitProfile(rep, *profSum, *profJSON, *profFold); err != nil {
-				fatal(err)
+			if err := emitProfile(stderr, rep, *profSum, *profJSON, *profFold); err != nil {
+				return err
 			}
 		}
 	} else if pol.Enabled() {
@@ -239,43 +254,41 @@ func main() {
 			RepStats:   series.RepStats,
 			StopReason: series.StopReason, CoV: series.CoV, CIRel: series.CIRel,
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		return
+		return enc.Encode(rep)
 	}
 
 	st := series.Stats
-	fmt.Printf("checksum   %.10g\n", series.Checksum)
+	fmt.Fprintf(stdout, "checksum   %.10g\n", series.Checksum)
 	if len(series.Runtimes) == 1 {
-		fmt.Printf("wall time  %s\n", secondsDuration(series.Runtimes[0]))
+		fmt.Fprintf(stdout, "wall time  %s\n", secondsDuration(series.Runtimes[0]))
 	} else {
 		for i, t := range series.Runtimes {
-			fmt.Printf("rep %-2d     %s\n", i, secondsDuration(t))
+			fmt.Fprintf(stdout, "rep %-2d     %s\n", i, secondsDuration(t))
 		}
-		fmt.Printf("mean       %s (min %s over %d reps, %d warmup)\n",
+		fmt.Fprintf(stdout, "mean       %s (min %s over %d reps, %d warmup)\n",
 			secondsDuration(mean), secondsDuration(min), len(series.Runtimes), series.Warmup)
-		fmt.Printf("p50/p90/p99  %s / %s / %s\n",
+		fmt.Fprintf(stdout, "p50/p90/p99  %s / %s / %s\n",
 			snap.Quantile(0.50).Round(time.Microsecond),
 			snap.Quantile(0.90).Round(time.Microsecond),
 			snap.Quantile(0.99).Round(time.Microsecond))
-		fmt.Printf("noise      cov %.2f%%, 95%% ci ±%.2f%% (stop: %s)\n",
+		fmt.Fprintf(stdout, "noise      cov %.2f%%, 95%% ci ±%.2f%% (stop: %s)\n",
 			series.CoV*100, series.CIRel*100, series.StopReason)
 	}
-	fmt.Printf("regions    %d\n", st.Regions)
-	fmt.Printf("chunks     %d\n", st.Chunks)
-	fmt.Printf("tasks      %d (stolen %d)\n", st.TasksRun, st.TasksStolen)
-	fmt.Printf("sleeps     %d, wakeups %d\n", st.Sleeps, st.Wakeups)
+	fmt.Fprintf(stdout, "regions    %d\n", st.Regions)
+	fmt.Fprintf(stdout, "chunks     %d\n", st.Chunks)
+	fmt.Fprintf(stdout, "tasks      %d (stolen %d)\n", st.TasksRun, st.TasksStolen)
+	fmt.Fprintf(stdout, "sleeps     %d, wakeups %d\n", st.Sleeps, st.Wakeups)
+	return nil
 }
 
 // emitProfile renders the per-region efficiency profile: the fixed-width
 // table on stderr (like -trace-summary), the full report as JSON, and/or
 // folded stacks ready for flamegraph.pl / speedscope.
-func emitProfile(rep *profile.Report, table bool, jsonPath, foldedPath string) error {
+func emitProfile(stderr io.Writer, rep *profile.Report, table bool, jsonPath, foldedPath string) error {
 	if table {
-		fmt.Fprint(os.Stderr, rep.String())
+		fmt.Fprint(stderr, rep.String())
 	}
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)
@@ -289,7 +302,7 @@ func emitProfile(rep *profile.Report, table bool, jsonPath, foldedPath string) e
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "profile: %d region rows written to %s\n", len(rep.Regions), jsonPath)
+		fmt.Fprintf(stderr, "profile: %d region rows written to %s\n", len(rep.Regions), jsonPath)
 	}
 	if foldedPath != "" {
 		f, err := os.Create(foldedPath)
@@ -303,7 +316,7 @@ func emitProfile(rep *profile.Report, table bool, jsonPath, foldedPath string) e
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "profile: folded stacks written to %s (feed to flamegraph.pl)\n", foldedPath)
+		fmt.Fprintf(stderr, "profile: folded stacks written to %s (feed to flamegraph.pl)\n", foldedPath)
 	}
 	return nil
 }
@@ -311,7 +324,7 @@ func emitProfile(rep *profile.Report, table bool, jsonPath, foldedPath string) e
 // emitTrace renders the collected trace: a self-validated Chrome JSON file
 // when path is set, and the derived per-region summary on stderr when
 // summary (text) or summaryJSON is set.
-func emitTrace(data trace.Data, path string, summary, summaryJSON bool) error {
+func emitTrace(stderr io.Writer, data trace.Data, path string, summary, summaryJSON bool) error {
 	if path != "" {
 		var buf bytes.Buffer
 		if err := trace.WriteChrome(&buf, data); err != nil {
@@ -325,19 +338,19 @@ func emitTrace(data trace.Data, path string, summary, summaryJSON bool) error {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "trace: %d events written to %s (load at ui.perfetto.dev)\n",
+		fmt.Fprintf(stderr, "trace: %d events written to %s (load at ui.perfetto.dev)\n",
 			len(data.Events), path)
 		if data.Dropped > 0 {
-			fmt.Fprintf(os.Stderr, "trace: %d events dropped (raise -trace-buf)\n", data.Dropped)
+			fmt.Fprintf(stderr, "trace: %d events dropped (raise -trace-buf)\n", data.Dropped)
 		}
 	}
 	if summary || summaryJSON {
 		s := trace.Summarize(data)
 		if summary {
-			fmt.Fprint(os.Stderr, s.String())
+			fmt.Fprint(stderr, s.String())
 		}
 		if summaryJSON {
-			if err := s.WriteJSON(os.Stderr); err != nil {
+			if err := s.WriteJSON(stderr); err != nil {
 				return fmt.Errorf("trace summary json: %w", err)
 			}
 		}
@@ -369,9 +382,4 @@ func splitSetFlag(s string) []string {
 
 func secondsDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second)).Round(time.Microsecond)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "omprun:", err)
-	os.Exit(1)
 }

@@ -1,0 +1,174 @@
+package main
+
+// End-to-end runs of the command on real kernels with the runtime's
+// observers on, asserting on the decoded trace.Summary and profile.Report
+// rather than on the human-readable tables.
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"omptune/openmp/profile"
+	"omptune/openmp/trace"
+)
+
+// omprun runs the command and returns what it wrote to stderr.
+func omprun(t *testing.T, args ...string) []byte {
+	t.Helper()
+	var out, errb bytes.Buffer
+	if err := run(args, &out, &errb); err != nil {
+		t.Fatalf("run(%v): %v\nstderr: %s", args, err, errb.String())
+	}
+	return errb.Bytes()
+}
+
+// summaryJSON decodes the -trace-summary-json object from stderr, skipping
+// the status lines the command prints ahead of it.
+func summaryJSON(t *testing.T, stderr []byte) trace.Summary {
+	t.Helper()
+	var s trace.Summary
+	i := bytes.IndexByte(stderr, '{')
+	if i < 0 {
+		t.Fatalf("no summary JSON on stderr:\n%s", stderr)
+	}
+	if err := json.Unmarshal(stderr[i:], &s); err != nil {
+		t.Fatalf("bad summary JSON: %v\n%s", err, stderr[i:])
+	}
+	return s
+}
+
+// TestTracedTaskKernel runs Nqueens (BOTS-style task parallelism) on four
+// threads with tracing on. The command validates the Chrome JSON itself
+// before writing it (shape, per-thread B/E nesting, timestamp order); the
+// file is checked again here, and the derived summary must report live
+// metrics — regions observed, stolen tasks, barrier wait, nothing dropped.
+func TestTracedTaskKernel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	s := summaryJSON(t, omprun(t, "-app", "Nqueens", "-scale", "0.5",
+		"-set", "OMP_NUM_THREADS=4,KMP_BLOCKTIME=0", "-warmup", "1", "-reps", "2",
+		"-trace", path, "-trace-summary-json"))
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if n, err := trace.ValidateChrome(f, s.Dropped == 0); err != nil || n == 0 {
+		t.Errorf("trace file: %d events, err %v", n, err)
+	}
+	if len(s.Regions) == 0 {
+		t.Error("summary has no regions")
+	}
+	if s.Dropped != 0 {
+		t.Errorf("dropped %d events", s.Dropped)
+	}
+	if s.TasksStolen <= 0 || s.TasksStolen > s.TasksRun {
+		t.Errorf("tasks stolen = %d of %d run, want some and no more than ran", s.TasksStolen, s.TasksRun)
+	}
+	if s.TotalBarrierWait <= 0 {
+		t.Errorf("total barrier wait = %v, want > 0", s.TotalBarrierWait)
+	}
+}
+
+// TestTracedNestedKernel runs a nested-parallel application (blocked LU with
+// a depth-2 region per trailing update) under a per-level thread list and
+// checks that nesting happened as configured: two levels, nested regions,
+// widths 4 outer and 2 inner, nothing dropped. The warmup run matters — it
+// creates the inner teams before tracing starts, so their threads have
+// rings when the timed repetitions are traced.
+func TestTracedNestedKernel(t *testing.T) {
+	s := summaryJSON(t, omprun(t, "-app", "LUNest", "-scale", "0.5",
+		"-set", "OMP_NUM_THREADS=4,2,OMP_MAX_ACTIVE_LEVELS=2,KMP_BLOCKTIME=0",
+		"-warmup", "1", "-reps", "2", "-trace-summary-json"))
+	if s.Dropped != 0 {
+		t.Errorf("dropped %d events", s.Dropped)
+	}
+	if s.NestedRegions <= 0 {
+		t.Error("no nested regions")
+	}
+	if len(s.Levels) < 2 {
+		t.Fatalf("levels = %+v, want at least 2", s.Levels)
+	}
+	if s.Levels[0].MaxThreads != 4 || s.Levels[1].MaxThreads != 2 {
+		t.Errorf("team widths = %d outer, %d inner, want 4 and 2", s.Levels[0].MaxThreads, s.Levels[1].MaxThreads)
+	}
+}
+
+// TestProfiledTaskKernel runs Nqueens on four threads with the per-region
+// profiler on and both exports: the report must attribute real time (a row
+// with positive wall), show barrier waiting (the irregular task tree
+// guarantees arrival spread on four threads) and drop nothing, and the
+// folded stacks must be well-formed flamegraph input with a compute leaf.
+func TestProfiledTaskKernel(t *testing.T) {
+	dir := t.TempDir()
+	jsonPath, foldedPath := filepath.Join(dir, "profile.json"), filepath.Join(dir, "profile.folded")
+	omprun(t, "-app", "Nqueens", "-scale", "0.5", "-set", "OMP_NUM_THREADS=4",
+		"-warmup", "1", "-reps", "2", "-profile-json", jsonPath, "-profile-folded", foldedPath)
+
+	raw, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep profile.Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("bad profile JSON: %v\n%s", err, raw)
+	}
+	if rep.Dropped != 0 {
+		t.Errorf("dropped %d regions", rep.Dropped)
+	}
+	wall, waited := false, false
+	for _, r := range rep.Regions {
+		wall = wall || r.WallNS > 0
+		waited = waited || r.BarrierWaitShare > 0
+		if r.StealRate > 1 {
+			t.Errorf("region %s: steal rate %v > 1", r.Name, r.StealRate)
+		}
+	}
+	if !wall || !waited {
+		t.Errorf("want a row with positive wall (%v) and one with barrier wait (%v):\n%s", wall, waited, raw)
+	}
+
+	f, err := os.Open(foldedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	line := regexp.MustCompile(`^omp;[^ ]+ [0-9]+$`)
+	lines, compute := 0, false
+	for sc := bufio.NewScanner(f); sc.Scan(); lines++ {
+		if !line.MatchString(sc.Text()) {
+			t.Errorf("malformed folded line: %q", sc.Text())
+		}
+		stack, _, _ := strings.Cut(sc.Text(), " ")
+		compute = compute || strings.HasSuffix(stack, ";compute")
+	}
+	if lines == 0 || !compute {
+		t.Errorf("folded output: %d lines, compute leaf %v", lines, compute)
+	}
+}
+
+// TestRunValidation: bad invocations come back as errors, not os.Exit.
+func TestRunValidation(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "-app is required"},
+		{[]string{"-app", "Doom"}, "Doom"},
+		{[]string{"-app", "EP", "-reps", "0"}, "-reps 0"},
+		{[]string{"-app", "EP", "-warmup", "-1"}, "-warmup -1"},
+		{[]string{"-app", "EP", "-set", "OMP_SCHEDULE=sideways"}, "sideways"},
+	} {
+		var out, errb bytes.Buffer
+		err := run(tc.args, &out, &errb)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) error = %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
+}

@@ -18,7 +18,9 @@ import (
 // allocates its wake channel, and AllocsPerRun counts allocations from all
 // goroutines, workers included). The other cases are the remaining
 // operations the micro-benchmarks report at 0 allocs/op, pinned here so the
-// property is a test and not a number in a benchmark log.
+// property is a test and not a number in a benchmark log. The first cases
+// run with Runtime.hooks nil; the last ones repeat the region with each
+// observer attached alone and with all three.
 func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 	region := func(body func(*Runtime) func(*Thread)) func(*Runtime) func() {
 		return func(rt *Runtime) func() {
@@ -27,21 +29,28 @@ func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}
 	empty := region(func(*Runtime) func(*Thread) { return func(*Thread) {} })
-	cases := []struct {
-		name   string
-		mutate func(*Options)
-		op     func(*Runtime) func() // builds the measured operation
-	}{
-		{"empty region", nil, empty},
+	// loop is a region with a static loop and its barrier, so every hook of
+	// the untasked path fires on every thread.
+	loop := region(func(*Runtime) func(*Thread) {
+		return func(th *Thread) { th.For(64, func(int) {}) }
+	})
+	type pin struct {
+		name    string
+		mutate  func(*Options)
+		op      func(*Runtime) func() // builds the measured operation
+		observe int                   // index into observerSets; 0 attaches nothing
+	}
+	cases := []pin{
+		{name: "empty region", op: empty},
 		// BenchmarkOuterOnlyRegression: nesting configured but never used
 		// may not tax the flat dispatch.
-		{"nesting configured, unused", func(o *Options) {
+		{name: "nesting configured, unused", mutate: func(o *Options) {
 			o.ThreadsPerLevel = []int{4, 2}
 			o.MaxActiveLevels = 2
 			o.ThreadLimit = 16
-		}, empty},
+		}, op: empty},
 		// BenchmarkLockContended.
-		{"contended lock", nil, region(func(rt *Runtime) func(*Thread) {
+		{name: "contended lock", op: region(func(rt *Runtime) func(*Thread) {
 			l, n := rt.NewLock(), 0
 			return func(*Thread) {
 				for i := 0; i < 32; i++ {
@@ -52,7 +61,7 @@ func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 			}
 		})},
 		// BenchmarkOverheadCritical: name→lock resolution on the cached path.
-		{"named critical", nil, region(func(*Runtime) func(*Thread) {
+		{name: "named critical", op: region(func(*Runtime) func(*Thread) {
 			n := 0
 			inc := func() { n++ }
 			return func(th *Thread) {
@@ -62,15 +71,18 @@ func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 			}
 		})},
 		// BenchmarkLockUncontended.
-		{"uncontended lock", nil, func(rt *Runtime) func() {
+		{name: "uncontended lock", op: func(rt *Runtime) func() {
 			l := rt.NewLock()
 			return func() { l.Lock(); l.Unlock() }
 		}},
 		// BenchmarkOverheadStats: the snapshot walks the per-thread shards.
-		{"stats snapshot", nil, func(rt *Runtime) func() {
+		{name: "stats snapshot", op: func(rt *Runtime) func() {
 			rt.Parallel(func(*Thread) {})
 			return func() { _ = rt.Stats() }
 		}},
+	}
+	for i := 1; i < len(observerSets); i++ {
+		cases = append(cases, pin{name: "loop region, " + observerSets[i].name, op: loop, observe: i})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,7 +91,9 @@ func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 			if tc.mutate != nil {
 				tc.mutate(&o)
 			}
-			op := tc.op(testRuntime(t, o))
+			rt := testRuntime(t, o)
+			attachObservers(t, rt, observerSets[tc.observe])
+			op := tc.op(rt)
 			for i := 0; i < 10; i++ {
 				op() // warm the hot team
 			}
@@ -95,22 +109,25 @@ func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 // round-robin chunked alike (BenchmarkOverheadFor sched=static, static_c8).
 func TestParallelStaticForZeroAlloc(t *testing.T) {
 	for _, chunk := range []int{0, 8} {
-		o := optsN(4)
-		o.Library = LibTurnaround
-		o.Schedule, o.ChunkSize = ScheduleStatic, chunk
-		rt := testRuntime(t, o)
-		var sink atomic.Int64
-		iter := func(i int) {
-			if i == 0 {
-				sink.Add(1)
+		for _, set := range observerSets {
+			o := optsN(4)
+			o.Library = LibTurnaround
+			o.Schedule, o.ChunkSize = ScheduleStatic, chunk
+			rt := testRuntime(t, o)
+			attachObservers(t, rt, set)
+			var sink atomic.Int64
+			iter := func(i int) {
+				if i == 0 {
+					sink.Add(1)
+				}
 			}
-		}
-		body := func(th *Thread) { th.For(256, iter) }
-		for i := 0; i < 10; i++ {
-			rt.Parallel(body)
-		}
-		if allocs := testing.AllocsPerRun(100, func() { rt.Parallel(body) }); allocs != 0 {
-			t.Errorf("static-for region, chunk %d: %.1f allocs/op, want 0", chunk, allocs)
+			body := func(th *Thread) { th.For(256, iter) }
+			for i := 0; i < 10; i++ {
+				rt.Parallel(body)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { rt.Parallel(body) }); allocs != 0 {
+				t.Errorf("static-for region, chunk %d, %s: %.1f allocs/op, want 0", chunk, set.name, allocs)
+			}
 		}
 	}
 }

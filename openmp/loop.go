@@ -1,20 +1,6 @@
 package openmp
 
-import (
-	"sync/atomic"
-
-	"omptune/openmp/trace"
-)
-
-// traceChunk records one dispatched worksharing chunk when tracing is on.
-// The tracer pointer is loaded per chunk (not hoisted per loop) so the
-// untraced fast path stays a single predictable branch and enabling tracing
-// mid-loop is simply picked up.
-func (th *Thread) traceChunk(iters int) {
-	if tr := th.team.rt.tracer.Load(); tr != nil {
-		tr.Emit(int(th.gtid), th.team.level, trace.KindChunk, th.team.regionID, int64(iters))
-	}
-}
+import "sync/atomic"
 
 // For executes body for every iteration in [0, n), dividing iterations
 // among the team per the configured schedule, then waits at the implicit
@@ -54,11 +40,7 @@ func (th *Thread) forStatic(n, chunk int, body func(i int)) {
 	t, nt := th.id, th.team.n
 	if chunk <= 0 {
 		lo, hi := t*n/nt, (t+1)*n/nt
-		if lo < hi {
-			th.stats.chunks.Add(1)
-			th.traceChunk(hi - lo)
-			th.profChunk()
-		}
+		th.chunkTaken(hi-lo, 0) // counts nothing for an empty block
 		for i := lo; i < hi; i++ {
 			body(i)
 		}
@@ -66,9 +48,7 @@ func (th *Thread) forStatic(n, chunk int, body func(i int)) {
 	}
 	for lo := t * chunk; lo < n; lo += nt * chunk {
 		hi := min(lo+chunk, n)
-		th.stats.chunks.Add(1)
-		th.traceChunk(hi - lo)
-		th.profChunk()
+		th.chunkTaken(hi-lo, 0)
 		for i := lo; i < hi; i++ {
 			body(i)
 		}
@@ -85,46 +65,13 @@ type dynLoop struct {
 }
 
 // forDynamic hands out fixed-size chunks from a shared counter,
-// first-come-first-served. The profiler charges everything between a
-// chunk's claim and the previous chunk's last iteration — instance lookup
-// and cursor CAS — to scheduling overhead; the pointer is hoisted per loop
-// (not per chunk), so enabling the profiler mid-loop is picked up at the
-// next worksharing construct.
+// first-come-first-served.
 func (th *Thread) forDynamic(n, chunk int, body func(i int)) {
-	seq := th.nextSeq()
-	p := th.team.rt.profiler.Load()
-	gtid, lvl := int(th.gtid), th.team.level
-	var t0 int64
-	if p != nil {
-		t0 = p.Now()
-	}
-	st, h := th.team.instance(seq, func() any { return new(dynLoop) })
-	d := st.(*dynLoop)
-	if chunk <= 0 {
-		chunk = 1
-	}
-	for {
-		lo := int(d.next.Add(int64(chunk))) - chunk
-		if p != nil {
-			p.AddSched(gtid, lvl, p.Now()-t0)
-		}
-		if lo >= n {
-			break
-		}
-		hi := min(lo+chunk, n)
-		th.stats.chunks.Add(1)
-		th.traceChunk(hi - lo)
-		if p != nil {
-			p.AddChunk(gtid, lvl)
-		}
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-		if p != nil {
-			t0 = p.Now()
-		}
-	}
-	th.team.release(h, seq)
+	chunk = max(chunk, 1)
+	th.claimLoop(func() any { return new(dynLoop) }, func(st any) (lo, hi int) {
+		lo = int(st.(*dynLoop).next.Add(int64(chunk))) - chunk
+		return lo, min(lo+chunk, n)
+	}, body)
 }
 
 type guidedLoop struct {
@@ -135,57 +82,57 @@ type guidedLoop struct {
 // forGuided hands out exponentially shrinking chunks: each grab takes
 // remaining/(2*nthreads), clamped below by the chunk size (default 1).
 func (th *Thread) forGuided(n, minChunk int, body func(i int)) {
-	seq := th.nextSeq()
-	p := th.team.rt.profiler.Load()
-	gtid, lvl := int(th.gtid), th.team.level
-	var t0 int64
-	if p != nil {
-		t0 = p.Now()
-	}
-	st, h := th.team.instance(seq, func() any {
+	nt := int64(th.team.n)
+	th.claimLoop(func() any {
 		g := new(guidedLoop)
 		g.remaining.Store(int64(n))
 		return g
-	})
-	g := st.(*guidedLoop)
-	if minChunk <= 0 {
-		minChunk = 1
-	}
-	nt := int64(th.team.n)
-	for {
-		rem := g.remaining.Load()
-		if rem <= 0 {
-			if p != nil {
-				p.AddSched(gtid, lvl, p.Now()-t0)
+	}, func(st any) (lo, hi int) {
+		g := st.(*guidedLoop)
+		for {
+			rem := g.remaining.Load()
+			if rem <= 0 {
+				return n, n
 			}
+			c := min(max(rem/(2*nt), int64(minChunk), 1), rem)
+			if g.remaining.CompareAndSwap(rem, rem-c) {
+				lo = n - int(rem)
+				return lo, lo + int(c)
+			}
+		}
+	}, body)
+}
+
+// claimLoop runs a dynamically scheduled loop: the construct's shared state
+// comes from create, claim takes the next chunk [lo, hi) from it — empty once
+// the loop is exhausted — and body runs over each chunk. All that lies between
+// two chunk bodies (instance lookup, cursor CAS, retries) is one claim span.
+func (th *Thread) claimLoop(create func() any, claim func(st any) (lo, hi int), body func(i int)) {
+	seq := th.nextSeq()
+	h := th.team.hooks
+	claimAt := h.claimStart()
+	st, slot := th.team.instance(seq, create)
+	for {
+		lo, hi := claim(st)
+		th.chunkTaken(hi-lo, claimAt)
+		if lo >= hi {
 			break
-		}
-		c := rem / (2 * nt)
-		if c < int64(minChunk) {
-			c = int64(minChunk)
-		}
-		if c > rem {
-			c = rem
-		}
-		if !g.remaining.CompareAndSwap(rem, rem-c) {
-			// CAS retries stay inside the same overhead window: t0 is only
-			// reset after a chunk's body has run.
-			continue
-		}
-		lo := n - int(rem)
-		hi := lo + int(c)
-		th.stats.chunks.Add(1)
-		th.traceChunk(hi - lo)
-		if p != nil {
-			p.AddSched(gtid, lvl, p.Now()-t0)
-			p.AddChunk(gtid, lvl)
 		}
 		for i := lo; i < hi; i++ {
 			body(i)
 		}
-		if p != nil {
-			t0 = p.Now()
-		}
+		claimAt = h.claimStart()
 	}
-	th.team.release(h, seq)
+	th.team.release(slot, seq)
+}
+
+// chunkTaken accounts one chunk claim, begun at claimAt, that handed this
+// thread iters iterations (none: the loop was exhausted).
+func (th *Thread) chunkTaken(iters int, claimAt int64) {
+	if iters > 0 {
+		th.stats.chunks.Add(1)
+	}
+	if h := th.team.hooks; h != nil {
+		h.chunk(th, iters, claimAt)
+	}
 }

@@ -1,13 +1,10 @@
 package openmp
 
-import (
-	"time"
-)
+import "time"
 
 // DurationObserver receives one duration per observed event. The obs
 // package's Histogram satisfies it; the interface lives here so the openmp
-// package stays free of monitoring dependencies, mirroring how the trace
-// seam keeps OMPT collection out of the hot path's import graph.
+// package stays free of monitoring dependencies.
 //
 // Observe is called from region dispatch, barrier waits and task execution
 // concurrently from every team thread — implementations must be safe for
@@ -17,8 +14,8 @@ type DurationObserver interface {
 }
 
 // Metrics is the set of runtime latency sinks a monitor can attach with
-// SetMetrics. Any field may be nil to skip that instrument; the struct must
-// not be mutated after it has been attached.
+// SetMetrics (hooks.go). Any field may be nil to skip that instrument;
+// SetMetrics copies the struct, so later writes to it have no effect.
 type Metrics struct {
 	// Region receives the fork-to-join wall time of each parallel region,
 	// measured on the primary thread around the full dispatch (generation
@@ -33,14 +30,4 @@ type Metrics struct {
 	// TaskRun receives the body execution time of each explicit task,
 	// excluding queue and steal overhead.
 	TaskRun DurationObserver
-}
-
-// SetMetrics attaches (or, with nil, detaches) the metrics sinks. Like the
-// tracer, the attachment point is a single atomic pointer: while detached,
-// every instrumented site pays one atomic load and a nil check — the
-// disabled region-dispatch path stays allocation-free and branch-
-// predictable. SetMetrics may be called at any time; regions already in
-// flight may report to the previous sinks.
-func (rt *Runtime) SetMetrics(m *Metrics) {
-	rt.metrics.Store(m)
 }

@@ -54,11 +54,7 @@ func TestMetricsRegionBarrierTask(t *testing.T) {
 	// passes the join before the workers finish their own wait spans), so
 	// poll briefly for the final count.
 	wantBarrier := uint64(regions * 2 * 4)
-	deadline := time.Now().Add(2 * time.Second)
-	for barrier.n.Load() < wantBarrier && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := barrier.n.Load(); got != wantBarrier {
+	if got := waitCount(&barrier, wantBarrier); got != wantBarrier {
 		t.Errorf("barrier-wait observations = %d, want %d", got, wantBarrier)
 	}
 	if got := taskRun.n.Load(); got != regions*5 {

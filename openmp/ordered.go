@@ -66,6 +66,7 @@ func (rt *Runtime) ParallelN(n int, body func(th *Thread)) {
 			sub.level = th.team.level
 			sub.activeLevels = th.team.activeLevels
 			sub.regionID = th.team.regionID
+			sub.hooks = th.team.hooks
 			sub.body = body
 			return sub
 		})

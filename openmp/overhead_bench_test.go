@@ -157,7 +157,8 @@ func BenchmarkOverheadReduce(b *testing.B) {
 }
 
 // BenchmarkOverheadTracing contrasts the disabled-tracing hot path (one
-// atomic tracer load per instrumented site) with tracing fully enabled
+// nil check of the region's observer snapshot per instrumented site) with
+// tracing fully enabled
 // (timestamped ring emits at every site) on the two hottest instrumented
 // operations: bare region dispatch and a dynamic-schedule loop. With
 // tracing on, the per-thread rings fill after the first few thousand
@@ -236,8 +237,8 @@ func BenchmarkOverheadTracing(b *testing.B) {
 	})
 }
 
-// BenchmarkOverheadProfiling contrasts the disabled-profiler hot path (one
-// atomic profiler load per region boundary) with profiling fully enabled
+// BenchmarkOverheadProfiling contrasts the disabled-profiler hot path (the
+// same nil checks) with profiling fully enabled
 // (per-thread shard stamps at start/arrive plus the primary-thread fold into
 // the aggregate table at join) on bare region dispatch and a
 // dynamic-schedule loop. Both modes must stay allocation-free: the fold

@@ -114,9 +114,8 @@ type entry struct {
 }
 
 // Profiler collects per-region efficiency data for one runtime. Create one
-// with New sized for the runtime's live global thread ids, attach it through
-// Runtime.SetProfiler (or Runtime.StartProfile), and snapshot with
-// Runtime.Profile. All recording methods are safe for concurrent use under
+// with New sized for the runtime's live global thread ids (Runtime.StartProfile
+// does, and attaches it), and snapshot with Runtime.Profile. All recording methods are safe for concurrent use under
 // the ownership rules above and never allocate.
 type Profiler struct {
 	start   time.Time
@@ -211,7 +210,8 @@ const (
 	StealRemote
 )
 
-// TaskStolen counts one steal batch of n tasks with the given locality class.
+// TaskStolen counts one steal visit that took n not-yet-stolen tasks from a
+// victim of the given locality class (openmp.Stats defines what counts).
 func (p *Profiler) TaskStolen(gtid, level, n, locality int) {
 	sc := p.sc(gtid, level)
 	if sc == nil {

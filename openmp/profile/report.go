@@ -68,6 +68,8 @@ func (rp *RegionProfile) BarrierNS() int64 { return rp.ExplicitBarNS + rp.FinalB
 //	steal rate           = tasks stolen / tasks run
 //	steal local fraction = local steals / classified steals
 //
+// A task is stolen once, by its first thief (see openmp.Stats), so the steal
+// rate is the share of executed tasks that were stolen and never exceeds 1.
 // thread-time is wall × attributed threads, so missing samples shrink both
 // numerator and denominator instead of skewing the ratios.
 func (rp *RegionProfile) finalize() {

@@ -105,8 +105,8 @@ func TestProfileRegionMetrics(t *testing.T) {
 		t.Errorf("StopProfile report lost data: %+v", final)
 	}
 	rt.Parallel(func(th *Thread) {})
-	if rt.Profiler() != nil {
-		t.Error("profiler still attached after StopProfile")
+	if rt.hooks.Load() != nil {
+		t.Error("observer snapshot still published after the last consumer detached")
 	}
 	if got := rt.Profile(); len(got.Regions) != 0 {
 		t.Errorf("detached Profile() returned %d regions, want 0", len(got.Regions))
@@ -227,33 +227,31 @@ func TestProfileSerializedNestedUnprofiled(t *testing.T) {
 }
 
 // TestProfileZeroAlloc pins the acceptance criterion: region dispatch stays
-// at zero allocations with the profiler disabled AND enabled.
+// at zero allocations with nothing attached, with the profiler attached, and
+// with every other combination the observer seam is pinned for.
 func TestProfileZeroAlloc(t *testing.T) {
-	rt := testRuntime(t, testMetricsOpts(2))
-	body := func(th *Thread) {}
-
-	rt.Parallel(body) // warm the hot team
-	if avg := testing.AllocsPerRun(100, func() { rt.Parallel(body) }); avg != 0 {
-		t.Errorf("disabled profiler: %v allocs/region, want 0", avg)
-	}
-
-	if err := rt.StartProfile(); err != nil {
-		t.Fatal(err)
-	}
-	rt.Parallel(body)
-	if avg := testing.AllocsPerRun(100, func() { rt.Parallel(body) }); avg != 0 {
-		t.Errorf("enabled profiler: %v allocs/region, want 0", avg)
-	}
-	// The report sorts by attributed thread-time, so the 1-count warm-up
-	// call site can outrank the measured one when it was descheduled: find
-	// the measured row by its count, not by position.
-	rep := rt.Profile()
-	measured := false
-	for _, r := range rep.Regions {
-		measured = measured || r.Count >= 100
-	}
-	if !measured {
-		t.Errorf("enabled profiler recorded nothing: %+v", rep)
+	for _, set := range observerSets {
+		rt := testRuntime(t, testMetricsOpts(2))
+		body := func(th *Thread) {}
+		attachObservers(t, rt, set)
+		rt.Parallel(body) // warm the hot team
+		if avg := testing.AllocsPerRun(100, func() { rt.Parallel(body) }); avg != 0 {
+			t.Errorf("%s: %v allocs/region, want 0", set.name, avg)
+		}
+		if !set.profile {
+			continue
+		}
+		// The report sorts by attributed thread-time, so the 1-count warm-up
+		// call site can outrank the measured one when it was descheduled:
+		// find the measured row by its count, not by position.
+		rep := rt.Profile()
+		measured := false
+		for _, r := range rep.Regions {
+			measured = measured || r.Count >= 100
+		}
+		if !measured {
+			t.Errorf("%s: profiler recorded nothing: %+v", set.name, rep)
+		}
 	}
 }
 

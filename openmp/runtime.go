@@ -1,15 +1,11 @@
 package openmp
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"omptune/openmp/profile"
-	"omptune/openmp/trace"
 )
 
 // budgetUnlimited is the contention-group thread budget used when
@@ -89,21 +85,10 @@ type Runtime struct {
 
 	stats rtStats
 
-	// tracer is the OMPT-style event collector, nil while tracing is
-	// disabled. Every instrumentation site does one atomic load and a nil
-	// check, so the untraced hot path stays branch-predictable and
-	// allocation-free; see StartTrace.
-	tracer atomic.Pointer[trace.Tracer]
-
-	// metrics is the latency-histogram seam, nil while monitoring is
-	// disabled; same one-load-plus-nil-check discipline as tracer. See
-	// SetMetrics in metrics.go.
-	metrics atomic.Pointer[Metrics]
-
-	// profiler is the per-region efficiency profiler seam, nil while
-	// profiling is disabled; same discipline again. See StartProfile in
-	// profiler.go.
-	profiler atomic.Pointer[profile.Profiler]
+	// hooks is the one observer seam (hooks.go): the snapshot of attached
+	// consumers, nil while all are off; hooksMu serializes its swaps.
+	hooks   atomic.Pointer[hooks]
+	hooksMu sync.Mutex
 }
 
 // Stats is a snapshot of runtime activity counters, useful for verifying
@@ -131,17 +116,25 @@ type Stats struct {
 	Sleeps      uint64 // times an idle worker, barrier waiter or task waiter exhausted its blocktime and slept
 	Wakeups     uint64 // times a slept worker, barrier waiter or task waiter was woken
 	TasksRun    uint64 // explicit tasks executed
-	TasksStolen uint64 // tasks taken from another thread's deque
+	TasksStolen uint64 // tasks first taken from their spawner's deque by another thread
 	Chunks      uint64 // worksharing chunks dispatched
 
-	// StealBatches counts steal visits (one KindTaskSteal trace event each);
-	// TasksStolen / StealBatches is the mean half-batch size. StealsLocal and
-	// StealsRemote split TasksStolen by the victim's NUMA distance from the
-	// thief's bound place; both stay zero when the runtime has no placement
-	// or no Options.PlaceDistances model (locality unknown).
-	StealBatches uint64 // batch steal visits that claimed at least one task
-	StealsLocal  uint64 // stolen tasks whose victim was NUMA-local to the thief
-	StealsRemote uint64 // stolen tasks whose victim was on a farther NUMA node
+	// One steal definition, shared with the trace summary and the profile
+	// report (all three are fed from the same site): a task is stolen once,
+	// when it first leaves its spawner's deque through a thief — batch
+	// surplus a later thief takes from the first thief's deque is migration
+	// of a task already counted. StealBatches counts the visits that took at
+	// least one such task (one KindTaskSteal trace event each); the "steal
+	// rate" TasksStolen / TasksRun is the share of executed tasks that were
+	// stolen. StealsLocal/StealsRemote split TasksStolen by the first
+	// victim's NUMA distance from the thief's bound place, zero without a
+	// placement or a PlaceDistances model. At region quiescence:
+	//
+	//	StealBatches <= TasksStolen <= TasksRun
+	//	StealsLocal + StealsRemote == TasksStolen (0 without a distance model)
+	StealBatches uint64 // steal visits that took at least one not-yet-stolen task
+	StealsLocal  uint64 // stolen tasks whose first victim was NUMA-local to the thief
+	StealsRemote uint64 // stolen tasks whose first victim was on a farther NUMA node
 
 	// NestedRegions counts the subset of Regions that ran at nesting level
 	// >= 1 (threaded inner teams and serialized width-1 fallbacks alike).
@@ -405,70 +398,6 @@ func (rt *Runtime) StealOrder() [][]int {
 	return out
 }
 
-// StartTrace enables OMPT-style event tracing with the given per-thread
-// ring capacity in events (0 means trace.DefaultBufferSize). Rings are
-// preallocated here, one per global thread id live at this point — outer
-// threads plus every cached inner-team worker. Inner-team workers created
-// *after* StartTrace have no ring and trace nothing (their emits are
-// silently ignored); fork the nested regions once (a warmup run) before
-// tracing to capture them. Once tracing is on, emitting an event costs one
-// timestamp read and one ring store, and a full ring drops new events
-// rather than blocking. Tracing a runtime that is already tracing or
-// closed is an error.
-func (rt *Runtime) StartTrace(eventsPerThread int) error {
-	rt.regionMu.Lock()
-	defer rt.regionMu.Unlock()
-	if rt.closed {
-		return errors.New("openmp: StartTrace on closed Runtime")
-	}
-	if rt.tracer.Load() != nil {
-		return errors.New("openmp: StartTrace while already tracing")
-	}
-	rt.tracer.Store(trace.New(int(rt.nextGtid.Load()), eventsPerThread))
-	return nil
-}
-
-// StopTrace disables tracing and returns the collected, time-ordered
-// events. Returns an empty Data when tracing was not enabled.
-//
-// A worker emits its end-of-region BarrierLeave/ImplicitEnd after the
-// primary thread has already passed the join barrier, so those records can
-// still be in flight when Parallel returns. StopTrace therefore first swaps
-// the tracer out (new events stop) and then dispatches one untraced no-op
-// flush region that recurses into every cached inner team: each worker's
-// pending emits precede its flush-barrier arrival, which precedes its
-// dispatcher's barrier pass, so by the time the flush returns every traced
-// event — inner teams included — has been published to its ring. Workers
-// parking after the flush may race the drain with park/wake instants, which
-// the rings' single-producer single-consumer protocol permits; such
-// stragglers are simply not collected.
-func (rt *Runtime) StopTrace() trace.Data {
-	rt.regionMu.Lock()
-	tr := rt.tracer.Swap(nil)
-	if tr == nil {
-		rt.regionMu.Unlock()
-		return trace.Data{}
-	}
-	if !rt.closed {
-		// No-op flush region (invisible to the Regions counter and the
-		// metrics seam): purely a synchronization flush, recursing into each
-		// thread's cached inner team.
-		rt.regionActive.Store(true)
-		rt.hot.dispatchRegion(func(th *Thread) { th.flushNested() }, false, 0)
-		rt.regionActive.Store(false)
-	}
-	rt.regionMu.Unlock()
-	return tr.Collect()
-}
-
-// flushNested dispatches the recursive no-op flush through this thread's
-// cached inner team, if any (see StopTrace).
-func (th *Thread) flushNested() {
-	if th.inner != nil {
-		th.inner.dispatchRegion(func(ith *Thread) { ith.flushNested() }, false, 0)
-	}
-}
-
 // Close shuts every worker pool down — the outer team and all cached nested
 // teams — and waits for the goroutines to exit. The runtime must not be
 // used afterwards. Close is idempotent.
@@ -506,22 +435,20 @@ func (rt *Runtime) Close() {
 // width-1 nested region on the calling goroutine. Thread.Parallel is the
 // threaded nested fork — prefer it inside region bodies.
 func (rt *Runtime) Parallel(body func(th *Thread)) {
-	var pc uintptr
-	if rt.profiler.Load() != nil {
-		pc = callerPC()
-	}
-	rt.parallel(pc, body)
+	rt.parallel(rt.callerPC(), body)
 }
 
-// parallel is Parallel with the profiler's construct identity already
-// captured — each exported entry point records its own caller, so distinct
-// ParallelFor call sites never alias through the shared internal path.
+// parallel is Parallel with the construct identity (callerPC) captured by the
+// exported entry point.
 func (rt *Runtime) parallel(pc uintptr, body func(th *Thread)) {
 	if rt.regionActive.Load() {
 		// The outer region holds regionMu for its whole duration, so the
-		// nested path must not touch it. This cold fallback allocates a
-		// transient width-1 team per call; counters land on the misc shard.
-		rt.nestedSerial(pc, body)
+		// nested path must not touch it. This cold fallback runs body on a
+		// transient width-1 team that keeps the full Thread surface usable
+		// (everything collapses to serial execution); counters land on the
+		// misc shard, and without a global thread id the region is neither
+		// traced nor profiled.
+		newTransientTeam(rt, 1).dispatchRegion(body, true, pc)
 		return
 	}
 	rt.regionMu.Lock()
@@ -534,35 +461,17 @@ func (rt *Runtime) parallel(pc uintptr, body func(th *Thread)) {
 	rt.regionActive.Store(false)
 }
 
-// nestedSerial runs body as a width-1 nested region on the calling
-// goroutine. The transient team keeps the full Thread surface usable
-// (worksharing, tasks, reductions all collapse to serial execution); its
-// events are not traced and not profiled (the goroutine owns no trace ring,
-// and the team has no profiler thread ids).
-func (rt *Runtime) nestedSerial(pc uintptr, body func(th *Thread)) {
-	tm := newTransientTeam(rt, 1)
-	tm.dispatchRegion(body, true, pc)
-}
-
 // ParallelFor is shorthand for a region containing a single worksharing
 // loop over [0, n).
 func (rt *Runtime) ParallelFor(n int, body func(i int)) {
-	var pc uintptr
-	if rt.profiler.Load() != nil {
-		pc = callerPC()
-	}
-	rt.parallel(pc, func(th *Thread) { th.For(n, body) })
+	rt.parallel(rt.callerPC(), func(th *Thread) { th.For(n, body) })
 }
 
 // ParallelReduceSum runs body over [0, n) and returns the sum of its return
 // values, combined with the configured reduction method.
 func (rt *Runtime) ParallelReduceSum(n int, body func(i int) float64) float64 {
-	var pc uintptr
-	if rt.profiler.Load() != nil {
-		pc = callerPC()
-	}
 	var out float64
-	rt.parallel(pc, func(th *Thread) {
+	rt.parallel(rt.callerPC(), func(th *Thread) {
 		local := 0.0
 		th.ForNowait(n, func(i int) { local += body(i) })
 		v := th.ReduceSum(local)
@@ -640,7 +549,7 @@ func (w *worker) await() {
 			runtime.Gosched()
 		}
 	}
-	gtid := int(tm.threads[w.slot].gtid)
+	th := &tm.threads[w.slot]
 	for {
 		// Drain any stale token so a park cannot be satisfied by a wake
 		// meant for an earlier generation.
@@ -658,21 +567,19 @@ func (w *worker) await() {
 			w.seen = next
 			return
 		}
-		if tr := rt.tracer.Load(); tr != nil {
-			tr.Emit(gtid, tm.level, trace.KindPark, 0, 0)
+		h := rt.hooks.Load()
+		if h != nil {
+			h.park(th)
 		}
-		w.stats().sleeps.Add(1)
+		th.stats.sleeps.Add(1)
 		<-w.wake
-		w.stats().wakeups.Add(1)
-		if tr := rt.tracer.Load(); tr != nil {
-			tr.Emit(gtid, tm.level, trace.KindWake, 0, 0)
+		th.stats.wakeups.Add(1)
+		if h != nil {
+			h.wake(th)
 		}
 		w.parked.Store(false)
 	}
 }
-
-// stats returns the shard of the team thread this worker runs as.
-func (w *worker) stats() *statShard { return w.tm.threads[w.slot].stats }
 
 // wakeIfParked posts a wake token if the worker has advertised a park. The
 // send is non-blocking: a token already in the buffer serves the same

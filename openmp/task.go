@@ -5,20 +5,23 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"omptune/openmp/profile"
-	"omptune/openmp/trace"
 )
 
-// task is one explicit task. children counts direct child tasks that have
-// not yet completed, which is what TaskWait blocks on.
+// task is one explicit task, allocated per spawn and kept within the 32-byte
+// size class. children counts direct child tasks that have not yet completed
+// (live heap objects, so 32 bits hold it), which is what TaskWait blocks on.
 type task struct {
-	fn       func(*Thread)
-	parent   *task
-	children atomic.Int64
+	fn     func(*Thread)
+	parent *task
 	// group is the innermost enclosing taskgroup at spawn time, inherited
 	// by descendants so TaskGroup can await the whole subtree.
-	group *taskGroup
+	group    *taskGroup
+	children atomic.Int32
+	// stolen is set by the first thief to claim the task, so a steal counts
+	// once however often batch surplus moves on (Stats.TasksStolen). Plain:
+	// only the thread holding the task touches it, and hand-overs go through
+	// the deque's atomic slot and index words.
+	stolen bool
 }
 
 // taskPool is the team's work-stealing task scheduler: one Chase–Lev deque
@@ -244,12 +247,15 @@ func (d *taskDeque) stealOne() *task {
 // stale bottom could overlap elements the owner is already running. The
 // per-element CAS chain keeps the standard Chase–Lev ownership proof intact
 // while still amortizing victim selection over the whole batch.
-func (d *taskDeque) stealBatch(own *taskDeque) (first *task, n int) {
+//
+// n is how many tasks moved; fresh how many of them had never been stolen
+// before — each now marked, so a later thief of the surplus does not recount.
+func (d *taskDeque) stealBatch(own *taskDeque) (first *task, n, fresh int) {
 	t := d.top.Load()
 	b := d.bottom.Load()
 	size := b - t
 	if size <= 0 {
-		return nil, 0
+		return nil, 0, 0
 	}
 	want := (size + 1) / 2
 	if want > maxStealBatch {
@@ -260,6 +266,10 @@ func (d *taskDeque) stealBatch(own *taskDeque) (first *task, n int) {
 		if x == nil {
 			break
 		}
+		if !x.stolen {
+			x.stolen = true
+			fresh++
+		}
 		if first == nil {
 			first = x
 		} else {
@@ -267,7 +277,7 @@ func (d *taskDeque) stealBatch(own *taskDeque) (first *task, n int) {
 		}
 		n++
 	}
-	return first, n
+	return first, n, fresh
 }
 
 // Task spawns an explicit task executing fn. The task becomes a child of
@@ -286,11 +296,8 @@ func (th *Thread) Task(fn func(*Thread)) {
 	pool.pending.Add(1)
 	pool.deques[th.id].push(t)
 	pool.wakeWaiters()
-	if tr := th.team.rt.tracer.Load(); tr != nil {
-		tr.Emit(int(th.gtid), th.team.level, trace.KindTaskCreate, th.team.regionID, 0)
-	}
-	if p := th.team.rt.profiler.Load(); p != nil {
-		p.TaskCreated(int(th.gtid), th.team.level)
+	if h := th.team.hooks; h != nil {
+		h.taskCreate(th)
 	}
 	// Task creation is a task scheduling point (OpenMP spec §task scheduling):
 	// periodically yield the processor so idle team threads get a chance to
@@ -364,28 +371,15 @@ func (th *Thread) parkForTasks(done func() bool) {
 		pool.mu.Unlock()
 		return
 	}
-	tr := th.team.rt.tracer.Load()
-	var gen uint64
-	if tr != nil {
-		gen = th.team.regionID
-		tr.Emit(int(th.gtid), th.team.level, trace.KindPark, gen, 0)
-	}
-	// Task-wait parks complete strictly inside the region (the parked
-	// thread still has to arrive at the end-of-region barrier), so they are
-	// safe to charge to the region's profile — unlike end-of-region barrier
-	// parks, which may outlive the fold.
-	pr := th.team.rt.profiler.Load()
-	if pr != nil {
-		pr.Park(int(th.gtid), th.team.level)
+	h := th.team.hooks
+	if h != nil {
+		h.park(th)
 	}
 	th.stats.sleeps.Add(1)
 	pool.cond.Wait()
 	th.stats.wakeups.Add(1)
-	if pr != nil {
-		pr.Wake(int(th.gtid), th.team.level)
-	}
-	if tr != nil {
-		tr.Emit(int(th.gtid), th.team.level, trace.KindWake, gen, 0)
+	if h != nil {
+		h.wake(th)
 	}
 	pool.waiters.Add(-1)
 	pool.mu.Unlock()
@@ -403,25 +397,16 @@ func (th *Thread) runOneTask() bool {
 	if t == nil {
 		return false
 	}
-	tr := th.team.rt.tracer.Load()
-	var gen uint64
-	if tr != nil {
-		gen = th.team.regionID
-	}
+	h := th.team.hooks
 	prevTask, prevGroup := th.curTask, th.curGroup
 	th.curTask, th.curGroup = t, t.group
-	if tr != nil {
-		tr.Emit(int(th.gtid), th.team.level, trace.KindTaskBegin, gen, 0)
+	var beginAt int64
+	if h != nil {
+		beginAt = h.taskBegin(th)
 	}
-	if m := th.team.rt.metrics.Load(); m != nil && m.TaskRun != nil {
-		start := time.Now()
-		t.fn(th)
-		m.TaskRun.Observe(time.Since(start))
-	} else {
-		t.fn(th)
-	}
-	if tr != nil {
-		tr.Emit(int(th.gtid), th.team.level, trace.KindTaskEnd, gen, 0)
+	t.fn(th)
+	if h != nil {
+		h.taskEnd(th, beginAt)
 	}
 	th.curTask, th.curGroup = prevTask, prevGroup
 	t.parent.children.Add(-1)
@@ -430,9 +415,6 @@ func (th *Thread) runOneTask() bool {
 	}
 	pool.pending.Add(-1)
 	th.stats.tasksRun.Add(1)
-	if p := th.team.rt.profiler.Load(); p != nil {
-		p.TaskRan(int(th.gtid), th.team.level)
-	}
 	pool.wakeWaiters()
 	return true
 }
@@ -479,42 +461,39 @@ func (th *Thread) stealTask() *task {
 	return nil
 }
 
-// stealFrom attempts one half-batch steal from victim, accounting the
-// transferred tasks in the thread's stats shard (total, batch count and
-// NUMA locality class) and emitting one KindTaskSteal event per batch with
-// victim, batch size and locality packed into Arg.
+// stealFrom attempts one half-batch steal from victim. A visit that took at
+// least one never-stolen task is accounted by that many tasks — in the
+// thread's stats shard (tasks, batch count, NUMA locality class) and as one
+// taskSteal event; re-stolen surplus is not (see Stats.TasksStolen).
 func (th *Thread) stealFrom(victim int) *task {
 	tm := th.team
 	pool := tm.pool
-	first, n := pool.deques[victim].stealBatch(&pool.deques[th.id])
+	first, n, fresh := pool.deques[victim].stealBatch(&pool.deques[th.id])
 	if first == nil {
 		return nil
-	}
-	th.stats.tasksStolen.Add(uint64(n))
-	th.stats.stealBatches.Add(1)
-	loc := trace.StealLocalityUnknown
-	ploc := profile.StealUnknown
-	if tm.stealLocal != nil {
-		if tm.stealLocal[th.id][victim] {
-			loc = trace.StealLocalityLocal
-			ploc = profile.StealLocal
-			th.stats.stealsLocal.Add(uint64(n))
-		} else {
-			loc = trace.StealLocalityRemote
-			ploc = profile.StealRemote
-			th.stats.stealsRemote.Add(uint64(n))
-		}
-	}
-	if p := tm.rt.profiler.Load(); p != nil {
-		p.TaskStolen(int(th.gtid), tm.level, n, ploc)
 	}
 	if n > 1 {
 		// The surplus landed on this thread's deque: other idle threads can
 		// steal it in turn.
 		pool.wakeWaiters()
 	}
-	if tr := tm.rt.tracer.Load(); tr != nil {
-		tr.Emit(int(th.gtid), tm.level, trace.KindTaskSteal, tm.regionID, trace.StealArg(victim, n, loc))
+	if fresh == 0 {
+		return first
+	}
+	th.stats.tasksStolen.Add(uint64(fresh))
+	th.stats.stealBatches.Add(1)
+	class := stealUnknown
+	if tm.stealLocal != nil {
+		if tm.stealLocal[th.id][victim] {
+			class = stealLocal
+			th.stats.stealsLocal.Add(uint64(fresh))
+		} else {
+			class = stealRemote
+			th.stats.stealsRemote.Add(uint64(fresh))
+		}
+	}
+	if h := tm.hooks; h != nil {
+		h.taskSteal(th, victim, fresh, class)
 	}
 	return first
 }

@@ -6,9 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"omptune/openmp/profile"
-	"omptune/openmp/trace"
 )
 
 // Team is one fork–join instance: n threads executing the same region body.
@@ -46,6 +43,10 @@ type Team struct {
 	// sub-teams). Workers read it after acquiring gen, which
 	// happens-after the dispatcher's store.
 	regionID uint64
+
+	// hooks is the observer snapshot the current region forked with (nil:
+	// nothing attached, or the flush region); published like regionID.
+	hooks *hooks
 
 	// gen is the per-team region-generation counter this team's workers
 	// await on. Per-team — not runtime-global — so dispatching an inner
@@ -188,49 +189,29 @@ func (tm *Team) spawnWorkers() {
 // dispatchRegion runs one region on the team with the calling goroutine as
 // thread 0: stamp a fresh region id, publish the body via the gen bump,
 // wake parked workers, run, join at the end-of-region barrier. counted=false
-// is the StopTrace flush path — invisible to the stats counters, the
-// metrics seam and the profiler (the tracer is already detached, so nothing
-// is emitted either). pc is the construct identity the profiler keys the
-// region by (zero when profiling is off).
+// is the StopTrace flush path — invisible to the stats counters and, being
+// handed no observer snapshot, to every observer. pc is the construct
+// identity the profiler keys the region by (zero when profiling is off).
 func (tm *Team) dispatchRegion(body func(*Thread), counted bool, pc uintptr) {
 	rt := tm.rt
+	var h *hooks
 	if counted {
 		tm.threads[0].stats.regions.Add(1)
 		if tm.level > 0 {
 			tm.threads[0].stats.nestedRegions.Add(1)
 		}
+		h = rt.hooks.Load()
 	}
 	tm.body = body
 	tm.regionID = rt.regionSeq.Add(1)
-	// The fork event is emitted before the generation bump, guaranteeing it
-	// precedes every worker event of the region.
-	tr := rt.tracer.Load()
-	if tr != nil {
-		tr.Emit(int(tm.threads[0].gtid), tm.level, trace.KindRegionFork, tm.regionID, int64(tm.n))
-	}
-	// Fork-to-join latency: the clock starts before the generation bump so
-	// the measured span covers the whole dispatch (wakes included), and
-	// stops after the primary passes the join barrier. One pointer load
-	// when monitoring is off, one more when profiling is off.
-	var mets *Metrics
-	var prof *profile.Profiler
-	var forkAt time.Time
-	var profFork int64
-	if counted {
-		mets = rt.metrics.Load()
-		if tm.gtids != nil {
-			prof = rt.profiler.Load()
-		}
-	}
-	if mets != nil && mets.Region != nil {
-		forkAt = time.Now()
-	}
-	if prof != nil {
-		profFork = prof.Now()
+	tm.hooks = h
+	var forkAt int64
+	if h != nil {
+		forkAt = h.regionFork(tm)
 	}
 	// Publish the region: the gen bump is the release edge workers acquire
-	// tm.body and tm.regionID through; parked workers additionally get a
-	// wake token.
+	// tm.body, tm.regionID and tm.hooks through; parked workers additionally
+	// get a wake token.
 	tm.gen.Add(1)
 	for _, w := range tm.workers {
 		w.wakeIfParked()
@@ -239,18 +220,10 @@ func (tm *Team) dispatchRegion(body func(*Thread), counted bool, pc uintptr) {
 	// The end-of-region barrier doubles as the join: every worker has
 	// finished the body (its last tm accesses precede its barrier arrival,
 	// which precedes the primary's barrier pass).
-	if mets != nil && mets.Region != nil {
-		mets.Region.Observe(time.Since(forkAt))
+	if h != nil {
+		h.regionJoin(tm, pc, forkAt)
 	}
-	if prof != nil {
-		// Region quiescence: the join barrier ordered every worker's scratch
-		// writes before this fold.
-		prof.Fold(pc, tm.level, tm.regionID, tm.gtids, profFork)
-	}
-	if tr != nil {
-		tr.Emit(int(tm.threads[0].gtid), tm.level, trace.KindRegionJoin, tm.regionID, 0)
-	}
-	tm.body = nil
+	tm.body, tm.hooks = nil, nil
 }
 
 // retire releases a cached inner team: its workers exit on the next gen
@@ -316,57 +289,40 @@ func (tm *Team) run(tid int) {
 	th := &tm.threads[tid]
 	th.curTask = &tm.rootTask
 	th.curGroup = nil
+	th.regionID = tm.regionID
 	// th.seq is deliberately NOT reset: construct sequence numbers stay
 	// unique for the team's lifetime, which the construct ring's slot
 	// identity encoding relies on. All threads execute the same construct
 	// count per region, so the counters stay aligned across regions.
 	//
-	// The profiler stamps bracket the implicit task: ThreadStart zeroes and
-	// claims this thread's scratch slot for the region, ThreadArrive marks
-	// the end-of-region barrier arrival. The fold (on the dispatcher, after
-	// its barrier pass) derives busy time and final barrier wait from the
-	// two stamps.
-	p := tm.rt.profiler.Load()
-	if p != nil {
-		p.ThreadStart(int(th.gtid), tm.level, tm.regionID)
-	}
-	if tr := tm.rt.tracer.Load(); tr != nil {
-		gtid, id, lvl := int(th.gtid), tm.regionID, tm.level
-		tr.Emit(gtid, lvl, trace.KindImplicitBegin, id, 0)
-		tm.body(th)
-		th.drainTasks()
-		if p != nil {
-			p.ThreadArrive(gtid, lvl)
-		}
-		// The end-of-region barrier wait is a span of its own, closed before
-		// the implicit task ends so the B/E pairs nest per thread.
-		tr.Emit(gtid, lvl, trace.KindBarrierEnter, id, 0)
-		tm.barrierWait(th)
-		tr.Emit(gtid, lvl, trace.KindBarrierLeave, id, 0)
-		tr.Emit(gtid, lvl, trace.KindImplicitEnd, id, 0)
-		return
+	// h is read once: a worker closes its implicit task after the primary
+	// may already be forking the next region.
+	h := tm.hooks
+	if h != nil {
+		h.implicitBegin(th)
 	}
 	tm.body(th)
 	th.drainTasks()
-	if p != nil {
-		p.ThreadArrive(int(th.gtid), tm.level)
+	tm.barrierWait(th, false)
+	if h != nil {
+		h.implicitEnd(th)
 	}
-	tm.barrierWait(th)
+	th.regionID = 0
 }
 
-// barrierWait passes the team barrier, timing the wait when a BarrierWait
-// metrics sink is attached. All barrier entries (implicit end-of-region and
-// explicit Thread.Barrier) funnel through here so the monitor sees every
-// wait; the disabled path is one atomic load and a nil check on top of the
-// wait itself.
-func (tm *Team) barrierWait(th *Thread) {
-	if m := tm.rt.metrics.Load(); m != nil && m.BarrierWait != nil {
-		start := time.Now()
-		tm.bar.wait(th.stats)
-		m.BarrierWait.Observe(time.Since(start))
-		return
+// barrierWait passes the team barrier as one observed span. All barrier
+// entries (implicit end-of-region and explicit Thread.Barrier) funnel
+// through here so every observer sees every wait.
+func (tm *Team) barrierWait(th *Thread, explicit bool) {
+	h := tm.hooks
+	var enterAt int64
+	if h != nil {
+		enterAt = h.barrierEnter(th, explicit)
 	}
 	tm.bar.wait(th.stats)
+	if h != nil {
+		h.barrierLeave(th, explicit, enterAt)
+	}
 }
 
 // instance returns the shared state for the construct with sequence number
@@ -390,8 +346,9 @@ func (tm *Team) release(h *constructSlot, seq int64) {
 type Thread struct {
 	team     *Team
 	id       int
-	gtid     int32 // global thread id (trace-ring index); -1 = untraced
-	seq      int64 // worksharing constructs encountered, team-lifetime monotonic
+	gtid     int32  // global thread id (trace-ring index); -1 = untraced
+	regionID uint64 // region of the implicit task being run, 0 between regions; see hooks.emit
+	seq      int64  // worksharing constructs encountered, team-lifetime monotonic
 	curTask  *task
 	curGroup *taskGroup // innermost active taskgroup, nil outside one
 	stealAt  int        // last productive steal victim (scan start position)
@@ -405,6 +362,7 @@ type Thread struct {
 	// goroutines; innerWant remembers the width it was built for.
 	inner     *Team
 	innerWant int
+	_         [2*cacheLineSize - 96]byte
 }
 
 // ID returns the thread number within the team (0 = primary).
@@ -430,26 +388,14 @@ func (th *Thread) Runtime() *Runtime { return th.team.rt }
 // team is cached on this thread, so steady-state nested fork–join is
 // allocation-free. Returns after the inner region's end barrier.
 func (th *Thread) Parallel(body func(*Thread)) {
-	var pc uintptr
-	if th.team.rt.profiler.Load() != nil {
-		pc = callerPC()
-	}
-	th.forkNested(0, pc, body)
+	th.innerTeam(0).dispatchRegion(body, true, th.team.rt.callerPC())
 }
 
 // ParallelN is Parallel with a num_threads clause: it requests width n for
 // the inner team (still subject to the active-level limit and the thread
 // budget). n < 1 falls back to the per-level default.
 func (th *Thread) ParallelN(n int, body func(*Thread)) {
-	var pc uintptr
-	if th.team.rt.profiler.Load() != nil {
-		pc = callerPC()
-	}
-	th.forkNested(n, pc, body)
-}
-
-func (th *Thread) forkNested(request int, pc uintptr, body func(*Thread)) {
-	th.innerTeam(request).dispatchRegion(body, true, pc)
+	th.innerTeam(n).dispatchRegion(body, true, th.team.rt.callerPC())
 }
 
 // innerTeam returns this thread's cached inner team for the requested
@@ -510,28 +456,8 @@ func (th *Thread) nextSeq() int64 {
 }
 
 // Barrier blocks until every thread of the team has called it (inner-team
-// barriers involve only the inner team's threads). The profiler charges the
-// whole passage to the thread's explicit-barrier wait: unlike the
-// end-of-region barrier (whose wait the fold derives from arrival stamps),
-// a mid-region barrier completes strictly inside the region, so
-// self-timing here is race-free.
-func (th *Thread) Barrier() {
-	p := th.team.rt.profiler.Load()
-	var t0 int64
-	if p != nil {
-		t0 = p.Now()
-	}
-	if tr := th.team.rt.tracer.Load(); tr != nil {
-		tr.Emit(int(th.gtid), th.team.level, trace.KindBarrierEnter, th.team.regionID, 0)
-		th.team.barrierWait(th)
-		tr.Emit(int(th.gtid), th.team.level, trace.KindBarrierLeave, th.team.regionID, 0)
-	} else {
-		th.team.barrierWait(th)
-	}
-	if p != nil {
-		p.AddBarrier(int(th.gtid), th.team.level, p.Now()-t0)
-	}
-}
+// barriers involve only the inner team's threads).
+func (th *Thread) Barrier() { th.team.barrierWait(th, true) }
 
 // Master runs fn on the primary thread only. No implied barrier.
 func (th *Thread) Master(fn func()) {

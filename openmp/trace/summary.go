@@ -41,9 +41,12 @@ type RegionMetrics struct {
 	TasksCreated int `json:"tasks_created"`
 	TasksRun     int `json:"tasks_run"`
 	TasksStolen  int `json:"tasks_stolen"`
-	// StealBatches counts steal visits (TasksStolen/StealBatches is the
-	// mean half-batch size); StealsLocal/StealsRemote split TasksStolen by
-	// the victim's NUMA locality (both zero when locality was unknown).
+	// StealBatches counts the steal visits behind TasksStolen — each task is
+	// counted once, at its first steal (openmp.Stats), so
+	// TasksStolen <= TasksRun and TasksStolen/StealBatches is the mean
+	// number of fresh tasks a visit took; StealsLocal/StealsRemote split
+	// TasksStolen by the victim's NUMA locality (both zero when locality was
+	// unknown).
 	StealBatches int `json:"steal_batches"`
 	StealsLocal  int `json:"steals_local"`
 	StealsRemote int `json:"steals_remote"`
@@ -68,7 +71,7 @@ type Summary struct {
 	TasksCreated     int           `json:"tasks_created"`
 	TasksRun         int           `json:"tasks_run"`
 	TasksStolen      int           `json:"tasks_stolen"`
-	StealRate        float64       `json:"steal_rate"` // TasksStolen / TasksRun
+	StealRate        float64       `json:"steal_rate"` // TasksStolen / TasksRun, at most 1
 	StealBatches     int           `json:"steal_batches"`
 	StealsLocal      int           `json:"steals_local"`
 	StealsRemote     int           `json:"steals_remote"`
@@ -307,8 +310,7 @@ func (s *Summary) WriteJSON(w io.Writer) error {
 }
 
 // String renders the summary as a per-region table with aggregate header
-// lines, ending with one machine-parseable key=value line (used by
-// `make trace-smoke`).
+// lines, ending with one machine-parseable key=value line.
 func (s *Summary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace: %d threads, %d events (%d dropped), %d regions\n",

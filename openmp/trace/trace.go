@@ -7,9 +7,9 @@
 //
 // The design mirrors what LLVM/OpenMP exposes through its OMPT tools
 // interface: the runtime is instrumented at its hot sites, but the entire
-// mechanism sits behind a single atomically-loaded tracer pointer owned by
-// the openmp.Runtime, so a runtime that is not tracing pays one predictable
-// nil-check per site and allocates nothing. When tracing is enabled, Emit
+// mechanism sits behind the one observer snapshot the openmp.Runtime hands
+// each region (openmp/hooks.go), so a runtime that is not tracing pays one
+// predictable nil-check per site and allocates nothing. When tracing is enabled, Emit
 // writes one fixed-size Event into the calling thread's preallocated ring —
 // still allocation-free — and a full ring drops new events (counting them)
 // rather than blocking or growing.
@@ -58,9 +58,10 @@ const (
 	// KindTaskBegin/End bracket the execution of one explicit task.
 	KindTaskBegin
 	KindTaskEnd
-	// KindTaskSteal marks one steal visit that claimed at least one task
-	// from another thread's deque; Arg packs the victim thread id, the
-	// batch size (how many tasks the visit transferred) and the victim's
+	// KindTaskSteal marks one steal visit that took at least one task never
+	// stolen before from another thread's deque; Arg packs the victim thread
+	// id, the batch size (how many such tasks — surplus re-stolen from an
+	// earlier thief is not counted again, see openmp.Stats) and the victim's
 	// NUMA-locality class — see StealArg.
 	KindTaskSteal
 	// KindPark/Wake mark a worker exhausting its blocktime budget between

@@ -155,8 +155,7 @@ func TestSummarizeDerivedMetrics(t *testing.T) {
 // TestSummarizeNestedLevels builds a depth-2 trace — an outer two-thread
 // region (id 7) whose tid 0 forks a two-thread inner region (id 8, level 1)
 // run by tid 0 and the inner worker tid 2 — and checks the per-level
-// decode: region levels, the Levels breakdown, and the machine-line keys
-// nested-smoke parses.
+// decode: region levels, the Levels breakdown, and the machine-line keys.
 func TestSummarizeNestedLevels(t *testing.T) {
 	mk := func(ts int64, tid int32, lvl uint8, region uint64, k Kind, arg int64) Event {
 		return Event{TS: ts, Arg: arg, Region: region, Tid: tid, Kind: k, Level: lvl}
