@@ -19,11 +19,12 @@ vet:
 # dispatch, the lock-free construct ring, the wait-policy barrier and lock
 # park/wake paths, the observer hooks and per-thread trace rings (also end to
 # end on real kernels, through cmd/omprun's tests), the metrics registry, the
-# parallel sweep worker pool and the model's shared placement cache — under
+# parallel sweep worker pool, the stateless measured backend those workers
+# share, the CSV column table and the model's shared placement cache — under
 # the race detector. Keep this green
-# before touching openmp, internal/obs or internal/core.
+# before touching openmp, internal/obs, internal/core or internal/measure.
 race:
-	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./internal/core ./internal/obs ./internal/sim
+	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./internal/core ./internal/obs ./internal/sim ./internal/measure ./internal/dataset
 
 # bench runs the runtime overhead microbenchmarks with settings pinned for
 # benchstat: save a baseline with `make bench > before.txt`, make changes,
@@ -44,7 +45,7 @@ bench:
 # two timed repetitions. It asserts the campaign completes, resumes
 # byte-identically from its own checkpoint, and records only positive
 # measured runtimes (CSV columns 14-17 are runtime_0..runtime_3). Measured
-# campaigns carry series provenance, so the CSV is the V4 schema: column 21
+# campaigns carry series provenance, so the CSV has every column group: column 21
 # is source and the trailing reps/cov/ci columns must record the real
 # repetition count (2 here — fixed -measure-reps).
 SMOKE_DIR := $(or $(TMPDIR),/tmp)/omptune-smoke

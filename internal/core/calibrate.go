@@ -110,19 +110,35 @@ func Calibrate(ref, alt Evaluator, opt CalibrationOptions) (*CalibrationReport, 
 	varRef := map[env.VarName][]float64{}
 	varAlt := map[env.VarName][]float64{}
 
+	// Backends are stateless, and the default is asked for twice per app (as
+	// the normalizer and as the subspace's first member) while a one-at-a-time
+	// deviation may also sit in the sampled subspace: one memo per backend
+	// (cache keys do not name it) keeps that to one series per configuration.
+	refMemo, altMemo := NewEvalCache(), NewEvalCache()
 	for _, app := range appList {
 		set := calibrationSetting(app, m)
 		cfgs := calibrationSubspace(app.Name, arch, set.Label, space, def, perApp, opt.Seed)
-		refDef := meanRuntime(ref, m, app, def, set)
-		altDef := meanRuntime(alt, m, app, def, set)
-		if refDef <= 0 || altDef <= 0 {
-			return nil, fmt.Errorf("core: non-positive default runtime for %s on %s", app.Name, arch)
+		// A failed series fails the calibration, which has no use for a
+		// partial pairing; nothing is measured after the first failure.
+		var failed error
+		mean := func(memo *EvalCache, ev Evaluator, cfg env.Config) float64 {
+			if failed != nil {
+				return math.NaN()
+			}
+			sec, _, err := memo.mean(ev, m, app, cfg, cfg.Key(), set)
+			failed = err
+			return sec
+		}
+		refDef := mean(refMemo, ref, def)
+		altDef := mean(altMemo, alt, def)
+		if failed == nil && (refDef <= 0 || altDef <= 0) {
+			failed = fmt.Errorf("non-positive default runtime for %s on %s", app.Name, arch)
 		}
 		refN := make([]float64, len(cfgs))
 		altN := make([]float64, len(cfgs))
 		for i, cfg := range cfgs {
-			refN[i] = meanRuntime(ref, m, app, cfg, set) / refDef
-			altN[i] = meanRuntime(alt, m, app, cfg, set) / altDef
+			refN[i] = mean(refMemo, ref, cfg) / refDef
+			altN[i] = mean(altMemo, alt, cfg) / altDef
 		}
 		rep.Apps = append(rep.Apps, AppCalibration{
 			App: app.Name, Setting: set.Label, Configs: len(cfgs),
@@ -139,9 +155,12 @@ func Calibrate(ref, alt Evaluator, opt CalibrationOptions) (*CalibrationReport, 
 				if err != nil || cand.Validate(m) != nil {
 					continue
 				}
-				varRef[v] = append(varRef[v], meanRuntime(ref, m, app, cand, set)/refDef)
-				varAlt[v] = append(varAlt[v], meanRuntime(alt, m, app, cand, set)/altDef)
+				varRef[v] = append(varRef[v], mean(refMemo, ref, cand)/refDef)
+				varAlt[v] = append(varAlt[v], mean(altMemo, alt, cand)/altDef)
 			}
+		}
+		if failed != nil {
+			return nil, fmt.Errorf("core: calibrate: %w", failed)
 		}
 	}
 

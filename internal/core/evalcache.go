@@ -10,15 +10,14 @@ import (
 )
 
 // EvalCache memoizes the tuning objective — the mean runtime of one
-// (architecture, application, setting, configuration) — across probes of a
-// search. Every strategy behind the Searcher seam routes its evaluations
-// through one, so revisiting a configuration (the greedy tuner re-probing
-// last pass's values, a random walk drawing a duplicate, annealing circling
-// back) costs a map lookup instead of sim.Reps backend evaluations. The cache
-// works for both backends: the model's repeat values are identical anyway,
-// and for the measured backend memoization pins a configuration to its first
-// measured series — the same dedupe the series cache in internal/measure
-// applies one layer down, extended here to the aggregated mean.
+// (architecture, application, setting, configuration) — and is the one memo in
+// the system: backends are stateless, so whoever may ask for a configuration
+// twice asks through a cache. Every strategy behind the Searcher seam does
+// (the greedy tuner re-probing last pass's values, a random walk drawing a
+// duplicate, annealing circling back), and so does Calibrate; a revisit costs
+// a map lookup instead of a series. For the measured backend memoization pins
+// a configuration to its first measured series, and a series that failed is
+// remembered as NaN — it never compares below a best and is not run again.
 //
 // A cache may be shared across searches (e.g. several strategies on the same
 // app/arch/setting) because keys carry the full evaluation identity; it must
@@ -37,27 +36,30 @@ func NewEvalCache() *EvalCache {
 
 // Mean returns the mean runtime of app on machine mc under cfg at the given
 // setting, computing it via ev on the first request and replaying the stored
-// value afterwards. hit reports whether the value came from the cache.
+// value afterwards. hit reports whether the value came from the cache. A
+// failed series reads as NaN.
 func (c *EvalCache) Mean(ev Evaluator, mc *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting) (sec float64, hit bool) {
-	return c.mean(ev, mc, app, cfg, cfg.Key(), set)
+	sec, hit, _ = c.mean(ev, mc, app, cfg, cfg.Key(), set)
+	return sec, hit
 }
 
 // mean is Mean for a caller that already holds cfgKey = cfg.Key(): a search
 // probe builds the key once for the cache, the backend and its step label.
-func (c *EvalCache) mean(ev Evaluator, mc *topology.Machine, app *apps.App, cfg env.Config, cfgKey string, set sim.Setting) (sec float64, hit bool) {
+// err is the backend's, returned on the one miss that ran the failed series.
+func (c *EvalCache) mean(ev Evaluator, mc *topology.Machine, app *apps.App, cfg env.Config, cfgKey string, set sim.Setting) (sec float64, hit bool, err error) {
 	key := string(mc.Arch) + "|" + app.Name + "|" + set.Label + "|" + cfgKey
 	c.mu.Lock()
 	if v, ok := c.m[key]; ok {
 		c.hits++
 		c.mu.Unlock()
-		return v, true
+		return v, true, nil
 	}
 	c.mu.Unlock()
 	// Computed outside the lock: a measured-backend evaluation can take
 	// seconds, and holding the lock would serialize unrelated keys. Searches
 	// are sequential today, so the benign race (two goroutines computing the
 	// same key; first store wins) costs nothing.
-	sec = seriesMean(evalSeries(ev, mc, app, cfg, cfgKey, set))
+	sec, err = meanRuntime(ev, mc, app, cfg, cfgKey, set)
 	c.mu.Lock()
 	if v, ok := c.m[key]; ok {
 		sec = v
@@ -65,7 +67,7 @@ func (c *EvalCache) mean(ev Evaluator, mc *topology.Machine, app *apps.App, cfg 
 		c.m[key] = sec
 	}
 	c.mu.Unlock()
-	return sec, false
+	return sec, false, err
 }
 
 // Hits returns how many lookups were answered from the cache.

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"os"
+
 	"omptune/internal/apps"
 	"omptune/internal/dataset"
 	"omptune/internal/env"
@@ -22,26 +26,16 @@ type Evaluator interface {
 	// a campaign journaled under one backend cannot silently resume under
 	// another.
 	Name() string
-	// Deterministic reports whether repeated calls with identical arguments
-	// return identical values. The model is deterministic — which is what
-	// makes byte-identical CSV output and checkpoint resume exact; wall-clock
-	// measurement is not.
-	Deterministic() bool
-	// Evaluate returns the runtime, in seconds, of app on machine m under
-	// cfg at the given setting, for repetition rep in [0, sim.Reps).
-	Evaluate(m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting, rep int) float64
-}
-
-// SeriesMetaProvider is the optional evaluator extension behind the
-// variability observatory: a backend that measures real series can report
-// each series' noise provenance — the real repetition count behind the
-// sample's (possibly cycled) runtime slots, the final CoV, the relative 95%
-// CI half-width, and the stop reason. The sweep type-asserts this interface
-// and stamps the provenance onto every sample it emits (the dataset's
-// reps/cov/ci columns); backends without it (the model) produce samples
-// without provenance, exactly as before.
-type SeriesMetaProvider interface {
-	SeriesMeta(m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting) (dataset.SeriesMeta, bool)
+	// EvaluateSeries runs app on machine m under cfg at the given setting as
+	// one batch of repeated runs — the study's R0..R3 (§IV-B/C) — and
+	// returns the sim.Reps runtimes in seconds; key must be cfg.Key(), which
+	// every caller already holds. A backend that measures real series also
+	// returns their noise provenance (the real repetition count behind the
+	// possibly cycled slots, final CoV, relative 95% CI, stop reason); the
+	// zero SeriesMeta means none. A non-nil error means the series produced
+	// no data: callers drop the configuration and carry on. Must be safe for
+	// concurrent use by sweep workers.
+	EvaluateSeries(m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) ([sim.Reps]float64, dataset.SeriesMeta, error)
 }
 
 // ModelEvaluator is the analytic-model backend — the deterministic
@@ -52,10 +46,15 @@ type ModelEvaluator struct{}
 // Name returns the model backend identity.
 func (ModelEvaluator) Name() string { return dataset.SourceModel }
 
-// Deterministic reports true: the model is a pure function of its arguments.
-func (ModelEvaluator) Deterministic() bool { return true }
+// EvaluateSeries returns the modeled series via sim.EvaluateSeries, which
+// does the repetition-independent work once; the model never fails and
+// carries no noise provenance.
+func (ModelEvaluator) EvaluateSeries(m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) ([sim.Reps]float64, dataset.SeriesMeta, error) {
+	return sim.EvaluateSeries(m, app.Profile, cfg, key, set), dataset.SeriesMeta{}, nil
+}
 
-// Evaluate returns the modeled runtime via sim.Evaluate.
+// Evaluate returns one repetition of the modeled series via sim.Evaluate,
+// bit-identical to EvaluateSeries' slot rep.
 func (ModelEvaluator) Evaluate(m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting, rep int) float64 {
 	return sim.Evaluate(m, app.Profile, cfg, set, rep)
 }
@@ -70,31 +69,20 @@ func orModel(ev Evaluator) Evaluator {
 	return ev
 }
 
-// evalSeries returns the sim.Reps runtimes of one configuration; key must be
-// cfg.Key(). Exactly the model backend takes the whole series in one call
-// (sim.EvaluateSeries does the repetition-independent work once, with
-// bit-identical results); every other backend — including a type that embeds
-// ModelEvaluator and overrides Evaluate — is asked repetition by repetition.
-func evalSeries(ev Evaluator, m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) (out [sim.Reps]float64) {
-	if _, ok := ev.(ModelEvaluator); ok {
-		return sim.EvaluateSeries(m, app.Profile, cfg, key, set)
-	}
-	for rep := range out {
-		out[rep] = ev.Evaluate(m, app, cfg, set, rep)
-	}
-	return out
-}
-
 // meanRuntime is the tuning and calibration objective: the mean of the
-// repeated measurements, the same quantity the study's speedups use.
-func meanRuntime(ev Evaluator, m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting) float64 {
-	return seriesMean(evalSeries(ev, m, app, cfg, cfg.Key(), set))
+// repeated measurements, the very quantity the study's speedups use. key must
+// be cfg.Key().
+func meanRuntime(ev Evaluator, m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) (float64, error) {
+	series, _, err := ev.EvaluateSeries(m, app, cfg, key, set)
+	if err != nil {
+		return math.NaN(), err
+	}
+	return (&dataset.Sample{Runtimes: series}).MeanRuntime(), nil
 }
 
-func seriesMean(series [sim.Reps]float64) float64 {
-	total := 0.0
-	for _, t := range series {
-		total += t
-	}
-	return total / sim.Reps
+// reportSkipped surfaces a failed series on stderr. Every caller then carries
+// on without the configuration: a campaign is hours of checkpointed work, and
+// one bad configuration is a data point, not a crash.
+func reportSkipped(err error) {
+	fmt.Fprintf(os.Stderr, "core: %v (series skipped)\n", err)
 }

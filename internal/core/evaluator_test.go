@@ -16,18 +16,20 @@ import (
 
 // fakeEvaluator is a non-model backend for seam tests: deterministic,
 // distinctly named, and cheap. Runtimes depend on the config key so rankings
-// are non-trivial.
+// are non-trivial. calls counts the series asked for.
 type fakeEvaluator struct {
 	calls atomic.Int64
 }
 
-func (f *fakeEvaluator) Name() string        { return "fake" }
-func (f *fakeEvaluator) Deterministic() bool { return true }
+func (f *fakeEvaluator) Name() string { return "fake" }
 
-func (f *fakeEvaluator) Evaluate(m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting, rep int) float64 {
+func (f *fakeEvaluator) EvaluateSeries(m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) (out [sim.Reps]float64, _ dataset.SeriesMeta, _ error) {
 	f.calls.Add(1)
-	h := hash64(app.Name + "|" + cfg.Key() + "|" + set.Label)
-	return 1 + float64(h%1000)/1000 + float64(rep)*0.001
+	h := hash64(app.Name + "|" + key + "|" + set.Label)
+	for rep := range out {
+		out[rep] = 1 + float64(h%1000)/1000 + float64(rep)*0.001
+	}
+	return out, dataset.SeriesMeta{}, nil
 }
 
 func TestSweepRecordsBackendInSourceColumn(t *testing.T) {

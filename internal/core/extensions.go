@@ -228,7 +228,11 @@ func ExtendedThreadSettings(m *topology.Machine) []sim.Setting {
 func BestNUMAPlacement(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting) (env.Config, float64) {
 	ev = orModel(ev)
 	measure := func(cfg env.Config) float64 {
-		return meanRuntime(ev, m, app, cfg, set)
+		sec, err := meanRuntime(ev, m, app, cfg, cfg.Key(), set)
+		if err != nil {
+			reportSkipped(err) // sec is NaN: never the best
+		}
+		return sec
 	}
 	def := measure(env.Default(m))
 	best := env.Default(m)

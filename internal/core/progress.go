@@ -82,6 +82,7 @@ type reporter struct {
 	total        int
 	samplesDone  int
 	samplesTotal int
+	settled      int // planned rows of finished batches: done, resumed or skipped
 	evaluated    int // rows actually evaluated this run (excludes resumed)
 	rate         float64
 	eta          time.Duration
@@ -200,6 +201,7 @@ func (r *reporter) unitDone(u *sweepUnit, samples []*dataset.Sample, skipped int
 	cell := r.cellOf[u.index]
 	r.done++
 	r.samplesDone += len(samples)
+	r.settled += u.cfgCount
 	r.cells[cell].SettingsDone++
 	r.cells[cell].SamplesDone += len(samples)
 	if !resumed {
@@ -208,7 +210,7 @@ func (r *reporter) unitDone(u *sweepUnit, samples []*dataset.Sample, skipped int
 	if secs := elapsed.Seconds(); secs > 0 && r.evaluated > 0 {
 		r.rate = float64(r.evaluated) / secs
 		r.eta = 0
-		if remaining := r.samplesTotal - r.samplesDone; remaining > 0 {
+		if remaining := r.samplesTotal - r.settled; remaining > 0 {
 			r.eta = time.Duration(float64(remaining) / r.rate * float64(time.Second))
 		}
 	}

@@ -253,13 +253,24 @@ func runSearch(ctx context.Context, strategy string, spec SearchSpec, body func(
 func (s *searchState) init() {
 	def := env.Default(s.spec.Machine)
 	t0 := time.Now()
-	sec, hit := s.cache.mean(s.ev, s.spec.Machine, s.spec.App, def, def.Key(), s.spec.Setting)
+	sec, hit := s.mean(def, def.Key())
 	s.res.Evaluations = 1
 	if hit {
 		s.res.CacheHits++
 	}
 	s.res.Best, s.res.BestSeconds, s.res.DefaultSeconds = def, sec, sec
 	s.emitEval(def, sec, hit, time.Since(t0))
+}
+
+// mean is the cache-routed objective. A failed series is reported on the miss
+// that ran it and reads as NaN then and on every revisit, so it is counted
+// against the budget like any probe but never becomes the best.
+func (s *searchState) mean(cfg env.Config, key string) (sec float64, hit bool) {
+	sec, hit, err := s.cache.mean(s.ev, s.spec.Machine, s.spec.App, cfg, key, s.spec.Setting)
+	if err != nil {
+		reportSkipped(err)
+	}
+	return sec, hit
 }
 
 // probe evaluates one candidate: it spends one budget unit, consults the
@@ -280,7 +291,7 @@ func (s *searchState) probeConfig(cfg env.Config, move string) float64 {
 
 func (s *searchState) probeKeyed(cfg env.Config, key, variable, value string) float64 {
 	t0 := time.Now()
-	sec, hit := s.cache.mean(s.ev, s.spec.Machine, s.spec.App, cfg, key, s.spec.Setting)
+	sec, hit := s.mean(cfg, key)
 	s.res.Evaluations++
 	if hit {
 		s.res.CacheHits++

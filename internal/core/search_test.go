@@ -14,7 +14,6 @@ import (
 	"omptune/internal/apps"
 	"omptune/internal/dataset"
 	"omptune/internal/env"
-	"omptune/internal/measure"
 	"omptune/internal/sim"
 	"omptune/internal/topology"
 )
@@ -33,7 +32,8 @@ func legacyTune(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Settin
 	}
 	ev = orModel(ev)
 	measure := func(cfg env.Config) float64 {
-		return meanRuntime(ev, m, app, cfg, set)
+		sec, _ := meanRuntime(ev, m, app, cfg, cfg.Key(), set)
+		return sec
 	}
 	res := TuneResult{Best: env.Default(m)}
 	res.DefaultSeconds = measure(res.Best)
@@ -77,7 +77,8 @@ func legacyRandomSearch(ev Evaluator, m *topology.Machine, app *apps.App, set si
 	}
 	ev = orModel(ev)
 	measure := func(cfg env.Config) float64 {
-		return meanRuntime(ev, m, app, cfg, set)
+		sec, _ := meanRuntime(ev, m, app, cfg, cfg.Key(), set)
+		return sec
 	}
 	space := env.Space(m)
 	res := TuneResult{Best: env.Default(m)}
@@ -225,8 +226,8 @@ func TestEvalCacheMemoizes(t *testing.T) {
 		t.Error("first lookup reported a hit")
 	}
 	calls := fake.calls.Load()
-	if calls != sim.Reps {
-		t.Errorf("first lookup cost %d backend calls, want %d", calls, sim.Reps)
+	if calls != 1 {
+		t.Errorf("first lookup cost %d backend series, want 1", calls)
 	}
 	v2, hit := c.Mean(fake, m, app, cfg, set)
 	if !hit || v2 != v1 {
@@ -258,16 +259,8 @@ func TestTuneCacheSavesEvaluations(t *testing.T) {
 	if res.CacheHits == 0 {
 		t.Fatal("greedy descent recorded no cache hits; the terminating pass should re-probe earlier candidates")
 	}
-	wantCalls := int64(res.Evaluations-res.CacheHits) * sim.Reps
-	if got := fake.calls.Load(); got != wantCalls {
-		t.Errorf("backend calls = %d, want (%d evals - %d hits) * %d reps = %d",
-			got, res.Evaluations, res.CacheHits, sim.Reps, wantCalls)
-	}
-	// The saved-evaluation count: without the cache every probe would cost
-	// sim.Reps backend calls.
-	saved := int64(res.Evaluations)*sim.Reps - fake.calls.Load()
-	if saved != int64(res.CacheHits)*sim.Reps {
-		t.Errorf("saved %d backend calls, want %d", saved, int64(res.CacheHits)*sim.Reps)
+	if got, want := fake.calls.Load(), int64(res.Evaluations-res.CacheHits); got != want {
+		t.Errorf("backend series = %d, want %d evals - %d hits = %d", got, res.Evaluations, res.CacheHits, want)
 	}
 }
 
@@ -291,31 +284,6 @@ func TestSharedCacheAcrossSearches(t *testing.T) {
 	// search already measured, so at least that probe must hit.
 	if res.CacheHits == 0 {
 		t.Error("second search over a shared cache recorded no hits")
-	}
-}
-
-// TestSearchMeasuredBackendSeriesCache: the search layer's eval cache sits
-// above the measured backend's per-configuration series cache, so a search
-// measures exactly one real series per distinct configuration probed,
-// however often the strategy revisits one.
-func TestSearchMeasuredBackendSeriesCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real kernel execution in -short mode")
-	}
-	m, app, set := searchApp(t, topology.A64FX, "EP")
-	ev := measure.NewEvaluator(measure.Options{Warmup: 0, TimedReps: 1})
-	res, err := greedySearcher{}.Search(context.Background(), SearchSpec{
-		Machine: m, App: app, Setting: set,
-		Evaluator: ev, Budget: SearchBudget{MaxEvals: 12},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evaluations != 12 {
-		t.Errorf("Evaluations = %d, want the full budget of 12", res.Evaluations)
-	}
-	if got, want := ev.SeriesMeasured(), res.Evaluations-res.CacheHits; got != want {
-		t.Errorf("SeriesMeasured = %d, want evaluations - cache hits = %d", got, want)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -247,50 +246,37 @@ func planUnits(sc SweepConfig) ([]*sweepUnit, error) {
 	return units, nil
 }
 
-// sampleOK reports whether every repetition of a sample actually measured:
-// a measurement-backend failure poisons its series with NaN (see
-// measure.Evaluator.Evaluate) rather than panicking the campaign.
-func sampleOK(s *dataset.Sample) bool {
-	for _, r := range s.Runtimes {
-		if math.IsNaN(r) {
-			return false
-		}
-	}
-	return true
-}
-
 // evalUnit runs one setting batch. The default configuration is evaluated
 // explicitly first — if it is missing from the space the batch fails loudly
 // rather than silently enriching every sample with DefaultRuntime = 0
 // (which would poison downstream speedups with Inf/NaN).
 //
-// Configurations whose measurement failed (NaN samples) are skipped, not
-// fatal: skipped reports how many planned rows the batch dropped. A failed
-// default configuration skips the entire batch — without the default there
-// is nothing to enrich against — but the campaign continues.
+// A configuration whose series failed is reported and skipped, not fatal:
+// skipped counts the planned rows the batch dropped. A failed default
+// configuration skips the entire batch — without the default there is
+// nothing to enrich against — but the campaign continues.
 func evalUnit(u *sweepUnit, ev Evaluator) (out []*dataset.Sample, skipped int, err error) {
 	if u.defIdx < 0 {
 		return nil, 0, fmt.Errorf("core: default configuration absent from the sweep space for %s; cannot enrich (§IV-B)", u.key())
 	}
-	mp, _ := ev.(SeriesMetaProvider)
 	proto := dataset.Sample{
 		Arch: u.arch, App: u.app.Name, Suite: string(u.app.Suite),
 		Setting: u.set.Label, Threads: u.set.Threads, Scale: u.set.Scale,
 		Source: ev.Name(),
 	}
-	fill := func(s *dataset.Sample, i int32) {
-		*s = proto
-		s.Config = u.space[i]
-		s.Runtimes = evalSeries(ev, u.m, u.app, s.Config, u.keys[i], u.set)
-		if mp != nil {
-			if meta, ok := mp.SeriesMeta(u.m, u.app, s.Config, u.set); ok {
-				s.RepsRun, s.CoV, s.CIRel = meta.Reps, meta.CoV, meta.CIRel
-			}
+	fill := func(s *dataset.Sample, i int32) bool {
+		series, meta, err := ev.EvaluateSeries(u.m, u.app, u.space[i], u.keys[i], u.set)
+		if err != nil {
+			reportSkipped(err)
+			return false
 		}
+		*s = proto
+		s.Config, s.Runtimes = u.space[i], series
+		s.RepsRun, s.CoV, s.CIRel = meta.Reps, meta.CoV, meta.CIRel
+		return true
 	}
 	var def dataset.Sample
-	fill(&def, int32(u.defIdx))
-	if !sampleOK(&def) {
+	if !fill(&def, int32(u.defIdx)) {
 		return nil, u.cfgCount, nil
 	}
 	// Enrichment (§IV-B): every sample of the setting carries the default's
@@ -303,12 +289,9 @@ func evalUnit(u *sweepUnit, ev Evaluator) (out []*dataset.Sample, skipped int, e
 		s := &slab[len(out)] // a skipped sample's slot is reused by the next
 		if int(i) == u.defIdx {
 			*s = def
-		} else {
-			fill(s, i)
-			if !sampleOK(s) {
-				skipped++
-				continue
-			}
+		} else if !fill(s, i) {
+			skipped++
+			continue
 		}
 		out = append(out, s)
 	}

@@ -3,9 +3,7 @@ package core
 import (
 	"testing"
 
-	"omptune/internal/apps"
 	"omptune/internal/env"
-	"omptune/internal/sim"
 	"omptune/internal/topology"
 )
 
@@ -60,48 +58,45 @@ func TestPlanKeepsWhatTheConcatenatedHashKept(t *testing.T) {
 	}
 }
 
-// recordingEvaluator embeds the model and overrides Evaluate, the shape of
-// nanEvaluator: not being the model backend itself, it must be asked for
-// every repetition of every configuration.
-type recordingEvaluator struct {
-	ModelEvaluator
-	seen *[]env.Config
-}
-
-func (e recordingEvaluator) Evaluate(m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting, rep int) float64 {
-	*e.seen = append(*e.seen, cfg)
-	return e.ModelEvaluator.Evaluate(m, app, cfg, set, rep)
-}
-
-// TestEvalUnitAsksBackendPerRepDefaultFirst: the model's one-call series is
-// reserved for ModelEvaluator itself, any other backend sees the default
-// configuration first (a failed default must cost nothing else) and then
-// sim.Reps calls per kept configuration — and returns what the model path
-// returns.
-func TestEvalUnitAsksBackendPerRepDefaultFirst(t *testing.T) {
+// TestEvalUnitAsksEachSeriesOnceDefaultFirst: a backend sees the default
+// configuration first (a failed default must cost nothing else), then every
+// kept configuration exactly once, in plan order, each with the key the plan
+// already built — and a backend that answers like the model yields the
+// model's samples.
+func TestEvalUnitAsksEachSeriesOnceDefaultFirst(t *testing.T) {
 	units, err := planUnits(smallCampaign())
 	if err != nil {
 		t.Fatalf("planUnits: %v", err)
 	}
 	u := units[0]
-	var seen []env.Config
-	got, skipped, err := evalUnit(u, recordingEvaluator{seen: &seen})
+	ev := &seamBackend{}
+	got, skipped, err := evalUnit(u, ev)
 	if err != nil || skipped != 0 {
 		t.Fatalf("evalUnit: %d skipped, err %v", skipped, err)
 	}
-	if len(seen) != u.cfgCount*sim.Reps {
-		t.Fatalf("backend saw %d calls, want %d configurations x %d reps", len(seen), u.cfgCount, sim.Reps)
+	want := []int32{int32(u.defIdx)}
+	for _, i := range u.kept {
+		if int(i) != u.defIdx {
+			want = append(want, i)
+		}
 	}
-	if seen[0] != u.defCfg {
-		t.Errorf("first configuration evaluated is %s, want the default", seen[0])
+	if len(ev.asked) != len(want) {
+		t.Fatalf("backend asked for %d series, want one per kept configuration = %d", len(ev.asked), len(want))
 	}
-	want, _, err := evalUnit(u, ModelEvaluator{})
-	if err != nil || len(want) != len(got) {
-		t.Fatalf("model evalUnit: %d samples vs %d, err %v", len(want), len(got), err)
+	for n, i := range want {
+		if a := ev.asked[n]; a.cfg != u.space[i] || a.key != u.keys[i] {
+			t.Fatalf("series %d asked for %s with key %q, want %s with the plan's key %q", n, a.cfg, a.key, u.space[i], u.keys[i])
+		}
 	}
-	for i := range want {
-		if *got[i] != *want[i] {
-			t.Fatalf("sample %d differs between the per-rep and the series path:\n%+v\n%+v", i, *got[i], *want[i])
+	model, _, err := evalUnit(u, ModelEvaluator{})
+	if err != nil || len(model) != len(got) {
+		t.Fatalf("model evalUnit: %d samples vs %d, err %v", len(model), len(got), err)
+	}
+	for i := range model {
+		g := *got[i]
+		g.Source = model[i].Source
+		if g != *model[i] {
+			t.Fatalf("sample %d differs between the wrapped and the bare model:\n%+v\n%+v", i, g, *model[i])
 		}
 	}
 }

@@ -1,28 +1,10 @@
 package core
 
 import (
-	"math"
 	"testing"
 
-	"omptune/internal/apps"
 	"omptune/internal/env"
-	"omptune/internal/sim"
-	"omptune/internal/topology"
 )
-
-// nanEvaluator wraps the model and poisons selected configurations with NaN,
-// imitating measure.Evaluator's behaviour after a measurement failure.
-type nanEvaluator struct {
-	ModelEvaluator
-	fail map[env.Config]bool
-}
-
-func (e nanEvaluator) Evaluate(m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting, rep int) float64 {
-	if e.fail[cfg] {
-		return math.NaN()
-	}
-	return e.ModelEvaluator.Evaluate(m, app, cfg, set, rep)
-}
 
 // sampledNonDefault returns a configuration that the unit's sampling rule
 // keeps and that is not the default.
@@ -38,8 +20,8 @@ func sampledNonDefault(t *testing.T, u *sweepUnit) env.Config {
 }
 
 // TestEvalUnitSkipsFailedSamples is the regression test for the
-// sweep-killing measurement panic: a NaN sample (how the measured backend
-// reports a failed series) must drop that row and keep the batch going.
+// sweep-killing measurement panic: a series that fails (the backend returns
+// an error) must drop that one row and keep the batch going.
 func TestEvalUnitSkipsFailedSamples(t *testing.T) {
 	units, err := planUnits(smallCampaign())
 	if err != nil {
@@ -47,7 +29,7 @@ func TestEvalUnitSkipsFailedSamples(t *testing.T) {
 	}
 	u := units[0]
 	bad := sampledNonDefault(t, u)
-	samples, skipped, err := evalUnit(u, nanEvaluator{fail: map[env.Config]bool{bad: true}})
+	samples, skipped, err := evalUnit(u, failing(bad))
 	if err != nil {
 		t.Fatalf("evalUnit failed instead of skipping: %v", err)
 	}
@@ -61,8 +43,8 @@ func TestEvalUnitSkipsFailedSamples(t *testing.T) {
 		if s.Config == bad {
 			t.Error("failed configuration still present in the batch")
 		}
-		if !sampleOK(s) {
-			t.Errorf("NaN sample leaked into the dataset: %s", s.Config)
+		if !(s.MeanRuntime() > 0) {
+			t.Errorf("unmeasured sample leaked into the dataset: %s", s.Config)
 		}
 	}
 }
@@ -75,12 +57,16 @@ func TestEvalUnitSkipsWholeBatchOnFailedDefault(t *testing.T) {
 		t.Fatalf("planUnits: %v", err)
 	}
 	u := units[0]
-	samples, skipped, err := evalUnit(u, nanEvaluator{fail: map[env.Config]bool{u.defCfg: true}})
+	ev := failing(u.defCfg)
+	samples, skipped, err := evalUnit(u, ev)
 	if err != nil {
 		t.Fatalf("evalUnit failed instead of skipping: %v", err)
 	}
 	if len(samples) != 0 || skipped != u.cfgCount {
 		t.Errorf("got %d samples / %d skipped, want 0 / %d", len(samples), skipped, u.cfgCount)
+	}
+	if len(ev.asked) != 1 {
+		t.Errorf("a failed default cost %d series, want 1", len(ev.asked))
 	}
 }
 
@@ -94,7 +80,7 @@ func TestRunSweepSurvivesMeasurementFailure(t *testing.T) {
 	bad := sampledNonDefault(t, units[0])
 	var skippedSeen int
 	sc := smallCampaign()
-	sc.Evaluator = nanEvaluator{fail: map[env.Config]bool{bad: true}}
+	sc.Evaluator = failing(bad)
 	sc.OnProgress = func(ev ProgressEvent) { skippedSeen += ev.SettingSkipped }
 	ds, err := RunSweep(sc)
 	if err != nil {

@@ -247,7 +247,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 			return strings.Count(string(journal), "\n"), 0
 		}},
 		{"skipped-sample batch", func(t *testing.T, sc *SweepConfig) (int, int) {
-			sc.Evaluator = nanEvaluator{fail: map[env.Config]bool{sampledNonDefault(t, units[0]): true}}
+			sc.Evaluator = failing(sampledNonDefault(t, units[0]))
 			return 0, 1
 		}},
 	}
@@ -345,6 +345,11 @@ func TestLedgerViewsAgree(t *testing.T) {
 			if lastSetting.ElapsedSec != last.Elapsed.Seconds() || lastSetting.ETASec != last.ETA.Seconds() {
 				t.Errorf("last setting_done elapsed %v / eta %v, final event %v / %v",
 					lastSetting.ElapsedSec, lastSetting.ETASec, last.Elapsed.Seconds(), last.ETA.Seconds())
+			}
+			// Skipped rows are settled, not still to come: nothing remains
+			// after the last batch even when the campaign dropped a row.
+			if last.ETA != 0 {
+				t.Errorf("last batch ETA = %v with every planned row settled, want 0", last.ETA)
 			}
 			if st.ETASec != 0 || done.ETASec != 0 {
 				t.Errorf("eta after done: status %v, record %v", st.ETASec, done.ETASec)

@@ -161,18 +161,18 @@ func TestVariabilityReport(t *testing.T) {
 	}
 }
 
-// metaEvaluator wraps the model backend with a SeriesMetaProvider that
-// reports a fixed provenance for every series, standing in for the measured
-// backend in sweep tests.
+// metaEvaluator wraps the model backend and returns a fixed provenance with
+// every series, standing in for the measured backend in sweep tests.
 type metaEvaluator struct{ ModelEvaluator }
 
-func (metaEvaluator) SeriesMeta(m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting) (dataset.SeriesMeta, bool) {
-	return dataset.SeriesMeta{Reps: 3, CoV: 0.02, CIRel: 0.015, StopReason: "target"}, true
+func (e metaEvaluator) EvaluateSeries(m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) ([sim.Reps]float64, dataset.SeriesMeta, error) {
+	series, _, err := e.ModelEvaluator.EvaluateSeries(m, app, cfg, key, set)
+	return series, dataset.SeriesMeta{Reps: 3, CoV: 0.02, CIRel: 0.015, StopReason: "target"}, err
 }
 
-// TestSweepStampsSeriesMeta: the sweep type-asserts SeriesMetaProvider and
-// stamps every emitted sample, the progress events carry the rep totals, and
-// the monitor aggregates them into /api/variability cells.
+// TestSweepStampsSeriesMeta: the sweep stamps the provenance a backend
+// returns onto every emitted sample, the progress events carry the rep
+// totals, and the monitor aggregates them into /api/variability cells.
 func TestSweepStampsSeriesMeta(t *testing.T) {
 	mon := NewMonitor()
 	var repsRun, repsFixed int

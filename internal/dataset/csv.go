@@ -2,146 +2,165 @@ package dataset
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"omptune/internal/env"
-	"omptune/internal/sim"
 	"omptune/internal/topology"
 )
 
-// The tabular format is versioned by its header. headerV1 is the original
-// column order of the open-sourced files; headerV2 appends the "source"
-// provenance column recording which measurement backend produced each row.
-// WriteCSV emits the V1 header whenever every sample is model-sourced, so
-// model-backend campaigns stay byte-identical with files written before the
-// column existed; ReadCSV accepts both, defaulting absent provenance to
-// "model".
-var headerV1 = []string{
-	"arch", "app", "suite", "setting", "threads", "scale",
-	"omp_places", "omp_proc_bind", "omp_schedule",
-	"kmp_library", "kmp_blocktime", "kmp_force_reduction", "kmp_align_alloc",
-	"runtime_0", "runtime_1", "runtime_2", "runtime_3",
-	"default_runtime", "speedup", "optimal",
+// colGroup orders the optional column groups of the tabular format. The
+// format grows linearly: a file that needs a group also carries every earlier
+// one (blank where unset), and a dataset that needs none is written with the
+// base columns alone — byte-identical with the first open-sourced files.
+type colGroup int
+
+const (
+	groupBase   colGroup = iota // the original 20 columns
+	groupSource                 // backend provenance: any sample not model-sourced
+	groupNested                 // nesting-axis configuration: any nested sample
+	groupMeta                   // series noise provenance: any sample carrying it
+)
+
+// column is one CSV column, in both directions: WriteCSV renders a sample's
+// cell with write, ReadCSV finds the column by its header name and parses the
+// cell with read. A nil read marks a column derived from the others, which
+// reading recomputes instead of trusting.
+type column struct {
+	name  string
+	group colGroup
+	write func(s *Sample) string
+	read  func(p *rowParse, cell string) error
 }
 
-var headerV2 = append(append([]string{}, headerV1...), "source")
-
-// headerV3 appends the nesting-axis configuration columns. Like the source
-// column, they are emitted only when a sample actually carries a nested
-// configuration, so flat campaigns stay byte-identical with earlier files.
-var headerV3 = append(append([]string{}, headerV2...),
-	"omp_num_threads", "omp_max_active_levels", "omp_thread_limit")
-
-// headerV4 appends the variability-observatory provenance columns: the real
-// repetition count behind the (possibly cycled) runtime slots, the series'
-// final coefficient of variation, and the relative 95% confidence-interval
-// half-width. They are emitted only when a sample carries series provenance
-// (RepsRun > 0), keeping the single linear version order — a V4 file always
-// has the source and nesting columns too, blank where unset.
-var headerV4 = append(append([]string{}, headerV3...), "reps", "cov", "ci")
-
-// hasNonModelSource reports whether any sample needs the provenance column.
-func (d *Dataset) hasNonModelSource() bool {
-	for _, s := range d.Samples {
-		if s.SourceName() != SourceModel {
-			return true
-		}
-	}
-	return false
+// rowParse is the reader's state for one row: the sample being filled, plus
+// what only the whole row settles — the environment its configuration parses
+// from (which needs the row's machine) and how many of the three provenance
+// cells are set.
+type rowParse struct {
+	s       *Sample
+	environ []string
+	metaSet int
 }
 
-// hasSeriesMeta reports whether any sample needs the reps/cov/ci provenance
-// columns.
-func (d *Dataset) hasSeriesMeta() bool {
-	for _, s := range d.Samples {
-		if s.HasSeriesMeta() {
-			return true
-		}
-	}
-	return false
+// columns is the one definition of the format. Its order is the written
+// column order.
+var columns = []column{
+	textCol("arch", func(s *Sample) *string { return (*string)(&s.Arch) }),
+	textCol("app", func(s *Sample) *string { return &s.App }),
+	textCol("suite", func(s *Sample) *string { return &s.Suite }),
+	textCol("setting", func(s *Sample) *string { return &s.Setting }),
+	{"threads", groupBase,
+		func(s *Sample) string { return strconv.Itoa(s.Threads) },
+		func(p *rowParse, cell string) (err error) { p.s.Threads, err = strconv.Atoi(cell); return err }},
+	floatCol("scale", groupBase, func(s *Sample) *float64 { return &s.Scale }),
+	cfgCol("omp_places", groupBase, env.VarPlaces),
+	cfgCol("omp_proc_bind", groupBase, env.VarProcBind),
+	cfgCol("omp_schedule", groupBase, env.VarSchedule),
+	cfgCol("kmp_library", groupBase, env.VarLibrary),
+	cfgCol("kmp_blocktime", groupBase, env.VarBlocktime),
+	cfgCol("kmp_force_reduction", groupBase, env.VarForceReduction),
+	cfgCol("kmp_align_alloc", groupBase, env.VarAlignAlloc),
+	floatCol("runtime_0", groupBase, func(s *Sample) *float64 { return &s.Runtimes[0] }),
+	floatCol("runtime_1", groupBase, func(s *Sample) *float64 { return &s.Runtimes[1] }),
+	floatCol("runtime_2", groupBase, func(s *Sample) *float64 { return &s.Runtimes[2] }),
+	floatCol("runtime_3", groupBase, func(s *Sample) *float64 { return &s.Runtimes[3] }),
+	floatCol("default_runtime", groupBase, func(s *Sample) *float64 { return &s.DefaultRuntime }),
+	{"speedup", groupBase, func(s *Sample) string { return fmt1(s.Speedup()) }, nil},
+	{"optimal", groupBase, func(s *Sample) string { return strconv.FormatBool(s.Optimal()) }, nil},
+
+	{"source", groupSource, (*Sample).SourceName,
+		func(p *rowParse, cell string) error {
+			if cell == "" {
+				return errors.New("empty")
+			}
+			p.s.Source = cell
+			return nil
+		}},
+
+	cfgCol("omp_num_threads", groupNested, env.VarNumThreads),
+	cfgCol("omp_max_active_levels", groupNested, env.VarMaxActiveLevels),
+	cfgCol("omp_thread_limit", groupNested, env.VarThreadLimit),
+
+	{"reps", groupMeta,
+		func(s *Sample) string { return strconv.Itoa(s.RepsRun) },
+		func(p *rowParse, cell string) (err error) { p.s.RepsRun, err = strconv.Atoi(cell); return err }},
+	floatCol("cov", groupMeta, func(s *Sample) *float64 { return &s.CoV }),
+	floatCol("ci", groupMeta, func(s *Sample) *float64 { return &s.CIRel }),
 }
 
-// hasNestedConfig reports whether any sample needs the nesting columns —
-// dropping them would collapse configurations that differ only in the
+func textCol(name string, field func(*Sample) *string) column {
+	return column{name, groupBase,
+		func(s *Sample) string { return *field(s) },
+		func(p *rowParse, cell string) error { *field(p.s) = cell; return nil }}
+}
+
+func floatCol(name string, g colGroup, field func(*Sample) *float64) column {
+	return column{name, g,
+		func(s *Sample) string { return fmt1(*field(s)) },
+		func(p *rowParse, cell string) (err error) {
+			*field(p.s), err = strconv.ParseFloat(cell, 64)
+			return err
+		}}
+}
+
+// cfgCol is a configuration column: written as the configuration's value of
+// v, read back as the environment entry "v=cell" for env.Parse.
+func cfgCol(name string, g colGroup, v env.VarName) column {
+	return column{name, g,
+		func(s *Sample) string { return s.Config.Value(v) },
+		func(p *rowParse, cell string) error { p.environ = append(p.environ, string(v)+"="+cell); return nil }}
+}
+
+// groupNeeded returns the highest column group any sample needs. Dropping the
+// nesting columns would collapse configurations that differ only in the
 // nesting axis into indistinguishable rows.
-func (d *Dataset) hasNestedConfig() bool {
+func (d *Dataset) groupNeeded() colGroup {
+	need := groupBase
 	for _, s := range d.Samples {
-		c := s.Config
-		if c.NumThreadsList != "" || c.MaxActiveLevels != 0 || c.ThreadLimit != 0 {
-			return true
+		c := &s.Config
+		switch {
+		case s.HasSeriesMeta():
+			return groupMeta
+		case c.NumThreadsList != "" || c.MaxActiveLevels != 0 || c.ThreadLimit != 0:
+			need = groupNested
+		case need < groupSource && s.SourceName() != SourceModel:
+			need = groupSource
 		}
 	}
-	return false
+	return need
 }
 
-// WriteCSV streams the dataset in the study's tabular format. Datasets whose
-// samples all come from the model backend use the legacy V1 header
-// (byte-identical with pre-provenance files); any measured sample switches
-// the file to the V2 header with the trailing "source" column, any nested
-// configuration to the V3 header with the nesting columns, and any sample
-// with series provenance to the V4 header with the reps/cov/ci columns
-// (each version includes every earlier column — a single linear version
-// order keeps reading simple).
+// WriteCSV streams the dataset in the study's tabular format: the base
+// columns, plus every optional group up to the highest one a sample needs
+// (see colGroup).
 func (d *Dataset) WriteCSV(w io.Writer) error {
-	header := headerV1
-	withSource := d.hasNonModelSource()
-	withNested := d.hasNestedConfig()
-	withMeta := d.hasSeriesMeta()
-	if withSource {
-		header = headerV2
+	need := d.groupNeeded()
+	var cols []*column
+	for i := range columns {
+		if columns[i].group <= need {
+			cols = append(cols, &columns[i])
+		}
 	}
-	if withNested {
-		header = headerV3
-		withSource = true
-	}
-	if withMeta {
-		header = headerV4
-		withSource, withNested = true, true
+	row := make([]string, len(cols))
+	for i, c := range cols {
+		row[i] = c.name
 	}
 	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
+	if err := cw.Write(row); err != nil {
 		return err
 	}
-	row := make([]string, len(header))
 	for _, s := range d.Samples {
-		row[0] = string(s.Arch)
-		row[1] = s.App
-		row[2] = s.Suite
-		row[3] = s.Setting
-		row[4] = strconv.Itoa(s.Threads)
-		row[5] = fmt1(s.Scale)
-		row[6] = s.Config.Value(env.VarPlaces)
-		row[7] = s.Config.Value(env.VarProcBind)
-		row[8] = s.Config.Value(env.VarSchedule)
-		row[9] = s.Config.Value(env.VarLibrary)
-		row[10] = s.Config.Value(env.VarBlocktime)
-		row[11] = s.Config.Value(env.VarForceReduction)
-		row[12] = s.Config.Value(env.VarAlignAlloc)
-		for r := 0; r < sim.Reps; r++ {
-			row[13+r] = fmt1(s.Runtimes[r])
-		}
-		row[17] = fmt1(s.DefaultRuntime)
-		row[18] = fmt1(s.Speedup())
-		row[19] = strconv.FormatBool(s.Optimal())
-		if withSource {
-			row[20] = s.SourceName()
-		}
-		if withNested {
-			row[21] = s.Config.NumThreadsList
-			row[22] = itoaOrEmpty(s.Config.MaxActiveLevels)
-			row[23] = itoaOrEmpty(s.Config.ThreadLimit)
-		}
-		if withMeta {
-			// Samples without provenance (e.g. model rows merged into a
-			// measured campaign) leave all three columns blank.
-			if s.HasSeriesMeta() {
-				row[24] = strconv.Itoa(s.RepsRun)
-				row[25] = fmt1(s.CoV)
-				row[26] = fmt1(s.CIRel)
-			} else {
-				row[24], row[25], row[26] = "", "", ""
+		for i, c := range cols {
+			row[i] = c.write(s)
+			// What the reader takes a blank cell for: an unset nesting limit,
+			// and the provenance of a sample without any (a model row merged
+			// into a measured campaign).
+			if c.group == groupNested && row[i] == "0" || c.group == groupMeta && !s.HasSeriesMeta() {
+				row[i] = ""
 			}
 		}
 		if err := cw.Write(row); err != nil {
@@ -152,114 +171,87 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a dataset previously written by WriteCSV, accepting both
-// header versions. Files without the "source" column — every CSV produced
-// before the provenance column existed — read back with Source defaulting
-// to "model".
+// resolveHeader maps a file's header to the column table by name, in any
+// order. Unknown and duplicate names are rejected, and every base column must
+// be present.
+func resolveHeader(header []string) ([]*column, error) {
+	cols := make([]*column, len(header))
+	for i, name := range header {
+		at := slices.IndexFunc(columns, func(c column) bool { return c.name == name })
+		if at < 0 {
+			return nil, fmt.Errorf("dataset: unknown column %q in header", name)
+		}
+		if slices.Contains(cols[:i], &columns[at]) {
+			return nil, fmt.Errorf("dataset: duplicate column %q in header", name)
+		}
+		cols[i] = &columns[at]
+	}
+	for i := range columns {
+		if c := &columns[i]; c.group == groupBase && !slices.Contains(cols, c) {
+			return nil, fmt.Errorf("dataset: header lacks column %q", c.name)
+		}
+	}
+	return cols, nil
+}
+
+// finish settles what needs the whole row: the machine, the configuration,
+// and the all-or-nothing provenance cells.
+func (p *rowParse) finish() error {
+	m, err := topology.Get(p.s.Arch)
+	if err != nil {
+		return err
+	}
+	if p.s.Config, err = env.Parse(m, p.environ); err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
+	if p.metaSet != 0 && (p.metaSet != 3 || p.s.RepsRun < 1) {
+		return errors.New("reps, cov and ci must be set together, reps positive")
+	}
+	return nil
+}
+
+// ReadCSV parses a dataset previously written by WriteCSV, resolving columns
+// by header name. Files without an optional group — every CSV produced before
+// the group existed — read back with its fields unset (Source defaulting to
+// "model"). The returned dataset has passed Validate.
 func ReadCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
+	rows, err := csv.NewReader(r).ReadAll() // also rejects rows of uneven length
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("dataset: empty file")
 	}
-	withSource, withNested, withMeta := false, false, false
-	switch {
-	case len(rows[0]) == len(headerV1) && rows[0][0] == "arch":
-	case len(rows[0]) == len(headerV2) && rows[0][0] == "arch" && rows[0][len(headerV2)-1] == "source":
-		withSource = true
-	case len(rows[0]) == len(headerV3) && rows[0][0] == "arch" && rows[0][len(headerV3)-1] == "omp_thread_limit":
-		withSource, withNested = true, true
-	case len(rows[0]) == len(headerV4) && rows[0][0] == "arch" && rows[0][len(headerV4)-1] == "ci":
-		withSource, withNested, withMeta = true, true, true
-	default:
-		return nil, fmt.Errorf("dataset: unrecognized header %v", rows[0])
+	cols, err := resolveHeader(rows[0])
+	if err != nil {
+		return nil, err
 	}
-	d := &Dataset{}
+	d := &Dataset{Samples: make([]*Sample, 0, len(rows)-1)}
+	var p rowParse
 	for ln, row := range rows[1:] {
-		s := &Sample{
-			Arch:    topology.Arch(row[0]),
-			App:     row[1],
-			Suite:   row[2],
-			Setting: row[3],
+		p = rowParse{s: &Sample{}, environ: p.environ[:0]}
+		for i, cell := range row {
+			c := cols[i]
+			// A blank nesting or provenance cell means the row has none.
+			if c.read == nil || cell == "" && c.group >= groupNested {
+				continue
+			}
+			if err := c.read(&p, cell); err != nil {
+				return nil, fmt.Errorf("dataset: row %d %s: %w", ln+2, c.name, err)
+			}
+			if c.group == groupMeta {
+				p.metaSet++
+			}
 		}
-		m, err := topology.Get(s.Arch)
-		if err != nil {
+		if err := p.finish(); err != nil {
 			return nil, fmt.Errorf("dataset: row %d: %w", ln+2, err)
 		}
-		if s.Threads, err = strconv.Atoi(row[4]); err != nil {
-			return nil, fmt.Errorf("dataset: row %d threads: %w", ln+2, err)
-		}
-		if s.Scale, err = strconv.ParseFloat(row[5], 64); err != nil {
-			return nil, fmt.Errorf("dataset: row %d scale: %w", ln+2, err)
-		}
-		environ := []string{
-			"OMP_SCHEDULE=" + row[8],
-			"KMP_LIBRARY=" + row[9],
-			"KMP_BLOCKTIME=" + row[10],
-			"KMP_ALIGN_ALLOC=" + row[12],
-		}
-		if row[6] != string(topology.PlaceUnset) {
-			environ = append(environ, "OMP_PLACES="+row[6])
-		}
-		if row[7] != string(env.BindUnset) {
-			environ = append(environ, "OMP_PROC_BIND="+row[7])
-		}
-		if row[11] != string(env.ReductionUnset) {
-			environ = append(environ, "KMP_FORCE_REDUCTION="+row[11])
-		}
-		if withNested {
-			if row[21] != "" {
-				environ = append(environ, "OMP_NUM_THREADS="+row[21])
-			}
-			if row[22] != "" {
-				environ = append(environ, "OMP_MAX_ACTIVE_LEVELS="+row[22])
-			}
-			if row[23] != "" {
-				environ = append(environ, "OMP_THREAD_LIMIT="+row[23])
-			}
-		}
-		if s.Config, err = env.Parse(m, environ); err != nil {
-			return nil, fmt.Errorf("dataset: row %d config: %w", ln+2, err)
-		}
-		for rIdx := 0; rIdx < sim.Reps; rIdx++ {
-			if s.Runtimes[rIdx], err = strconv.ParseFloat(row[13+rIdx], 64); err != nil {
-				return nil, fmt.Errorf("dataset: row %d runtime_%d: %w", ln+2, rIdx, err)
-			}
-		}
-		if s.DefaultRuntime, err = strconv.ParseFloat(row[17], 64); err != nil {
-			return nil, fmt.Errorf("dataset: row %d default_runtime: %w", ln+2, err)
-		}
-		if withSource {
-			if row[20] == "" {
-				return nil, fmt.Errorf("dataset: row %d has an empty source column", ln+2)
-			}
-			s.Source = row[20]
-		}
-		if withMeta && row[24] != "" {
-			if s.RepsRun, err = strconv.Atoi(row[24]); err != nil {
-				return nil, fmt.Errorf("dataset: row %d reps: %w", ln+2, err)
-			}
-			if s.CoV, err = strconv.ParseFloat(row[25], 64); err != nil {
-				return nil, fmt.Errorf("dataset: row %d cov: %w", ln+2, err)
-			}
-			if s.CIRel, err = strconv.ParseFloat(row[26], 64); err != nil {
-				return nil, fmt.Errorf("dataset: row %d ci: %w", ln+2, err)
-			}
-		}
-		d.Samples = append(d.Samples, s)
+		d.Samples = append(d.Samples, p.s)
+	}
+	if err := d.Validate(); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
 
 func fmt1(f float64) string { return strconv.FormatFloat(f, 'g', 10, 64) }
-
-// itoaOrEmpty renders an optional integer column: zero (unset) stays empty.
-func itoaOrEmpty(n int) string {
-	if n == 0 {
-		return ""
-	}
-	return strconv.Itoa(n)
-}

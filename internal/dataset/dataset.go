@@ -53,11 +53,12 @@ type Sample struct {
 // provenance (reps/cov/ci columns).
 func (s *Sample) HasSeriesMeta() bool { return s.RepsRun > 0 }
 
-// SeriesMeta is the per-series noise provenance a measurement backend can
-// hand to the sweep: the real repetition count behind a sample's cycled
-// runtime slots, the series' final noise estimates, and why measurement
-// stopped. It lives here (not in the measure package) so the core sweep can
-// consume it through an optional interface without importing the backend.
+// SeriesMeta is the per-series noise provenance a measurement backend
+// returns with a series' runtimes: the real repetition count behind a
+// sample's cycled runtime slots, the series' final noise estimates, and why
+// measurement stopped. The zero value means "no provenance". It lives here
+// (not in the measure package) so the core Evaluator seam can name it without
+// importing the backend.
 type SeriesMeta struct {
 	// Reps is the number of real timed repetitions the series ran.
 	Reps int
@@ -220,20 +221,25 @@ func (d *Dataset) RuntimeColumn(rep int) []float64 {
 	return out
 }
 
-// Validate performs integrity checks: positive runtimes, enriched default
-// runtimes, and consistent setting metadata.
+// Validate performs integrity checks: positive finite runtimes, enriched
+// default runtimes, consistent setting metadata and sane series provenance.
+// The comparisons are written so that NaN fails them.
 func (d *Dataset) Validate() error {
+	positive := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 	for i, s := range d.Samples {
 		for r, t := range s.Runtimes {
-			if t <= 0 || math.IsNaN(t) {
+			if !positive(t) {
 				return fmt.Errorf("dataset: sample %d rep %d has runtime %v", i, r, t)
 			}
 		}
-		if s.DefaultRuntime <= 0 {
+		if !positive(s.DefaultRuntime) {
 			return fmt.Errorf("dataset: sample %d (%s) not enriched with default runtime", i, s.SettingKey())
 		}
-		if s.Threads < 1 || s.Scale <= 0 {
+		if s.Threads < 1 || !positive(s.Scale) {
 			return fmt.Errorf("dataset: sample %d has invalid setting %d threads scale %v", i, s.Threads, s.Scale)
+		}
+		if s.RepsRun < 0 || !(s.CoV >= 0) || !(s.CIRel >= 0) {
+			return fmt.Errorf("dataset: sample %d has invalid series provenance reps %d cov %v ci %v", i, s.RepsRun, s.CoV, s.CIRel)
 		}
 	}
 	return nil

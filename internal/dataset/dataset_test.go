@@ -209,22 +209,125 @@ func TestCSVHeaderAndFormat(t *testing.T) {
 	}
 }
 
+const (
+	baseHeader = "arch,app,suite,setting,threads,scale,omp_places,omp_proc_bind,omp_schedule,kmp_library,kmp_blocktime,kmp_force_reduction,kmp_align_alloc,runtime_0,runtime_1,runtime_2,runtime_3,default_runtime,speedup,optimal"
+	baseRow    = "a64fx,CG,NPB,small,48,1,unset,unset,static,throughput,200,unset,256,1,1,1,1,1,1,false"
+)
+
 func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"not,a,header\n",
-		"arch,app,suite,setting,threads,scale,omp_places,omp_proc_bind,omp_schedule,kmp_library,kmp_blocktime,kmp_force_reduction,kmp_align_alloc,runtime_0,runtime_1,runtime_2,runtime_3,default_runtime,speedup,optimal\n" +
-			"vax,CG,NPB,small,48,1,unset,unset,static,throughput,200,unset,64,1,1,1,1,1,1,false\n",
-		"arch,app,suite,setting,threads,scale,omp_places,omp_proc_bind,omp_schedule,kmp_library,kmp_blocktime,kmp_force_reduction,kmp_align_alloc,runtime_0,runtime_1,runtime_2,runtime_3,default_runtime,speedup,optimal\n" +
-			"a64fx,CG,NPB,small,forty,1,unset,unset,static,throughput,200,unset,256,1,1,1,1,1,1,false\n",
-		"arch,app,suite,setting,threads,scale,omp_places,omp_proc_bind,omp_schedule,kmp_library,kmp_blocktime,kmp_force_reduction,kmp_align_alloc,runtime_0,runtime_1,runtime_2,runtime_3,default_runtime,speedup,optimal\n" +
-			"a64fx,CG,NPB,small,48,1,unset,unset,roundrobin,throughput,200,unset,256,1,1,1,1,1,1,false\n",
+	cases := map[string]string{
+		"empty file":     "",
+		"foreign header": "not,a,header\n",
+		"unknown arch":   baseHeader + "\n" + strings.Replace(baseRow, "a64fx", "vax", 1) + "\n",
+		"bad threads":    baseHeader + "\n" + strings.Replace(baseRow, ",48,", ",forty,", 1) + "\n",
+		"bad schedule":   baseHeader + "\n" + strings.Replace(baseRow, "static", "roundrobin", 1) + "\n",
+		// The header is resolved by name, so a botched one is caught instead
+		// of being read by position.
+		"duplicate column":       strings.Replace(baseHeader, "runtime_1", "runtime_0", 1) + "\n" + baseRow + "\n",
+		"unknown column":         strings.Replace(baseHeader, "runtime_1", "runtime_9", 1) + "\n" + baseRow + "\n",
+		"missing base column":    strings.Replace(baseHeader, ",optimal", "", 1) + "\n" + strings.TrimSuffix(baseRow, ",false") + "\n",
+		"partial optional group": baseHeader + ",source,reps\n" + baseRow + ",measured,2\n",
+		"cov without reps":       baseHeader + ",reps,cov,ci\n" + baseRow + ",,0.1,\n",
+		"zero reps":              baseHeader + ",reps,cov,ci\n" + baseRow + ",0,0.1,0.1\n",
+		// Rows that parse but fail Validate must not reach the analyses.
+		"NaN runtime":          baseHeader + "\n" + strings.Replace(baseRow, "256,1,", "256,NaN,", 1) + "\n",
+		"negative runtime":     baseHeader + "\n" + strings.Replace(baseRow, "256,1,", "256,-1,", 1) + "\n",
+		"infinite runtime":     baseHeader + "\n" + strings.Replace(baseRow, "256,1,", "256,Inf,", 1) + "\n",
+		"zero default_runtime": baseHeader + "\n" + strings.Replace(baseRow, "1,1,false", "0,1,false", 1) + "\n",
+		"NaN default_runtime":  baseHeader + "\n" + strings.Replace(baseRow, "1,1,false", "NaN,1,false", 1) + "\n",
+		"NaN cov":              baseHeader + ",reps,cov,ci\n" + baseRow + ",2,NaN,0.1\n",
 	}
-	for i, c := range cases {
+	if _, err := ReadCSV(strings.NewReader(baseHeader + "\n" + baseRow + "\n")); err != nil {
+		t.Fatalf("the row every case corrupts does not read: %v", err)
+	}
+	for name, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: want error", i)
+			t.Errorf("%s: want error", name)
 		}
 	}
+}
+
+// TestReadCSVResolvesColumnsByName: columns are found by header name, not by
+// position — a file whose runtime_0 and runtime_1 columns are swapped, header
+// and cells alike, reads the same dataset (the positional reader accepted the
+// swapped header and read runtime_1 into slot 0), and an optional group may
+// sit anywhere.
+func TestReadCSVResolvesColumnsByName(t *testing.T) {
+	row := strings.Replace(baseRow, "256,1,1,1,1,", "256,0.5,0.25,1,1,", 1)
+	want, err := ReadCSV(strings.NewReader(baseHeader + "\n" + row + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := want.Samples[0].Runtimes; r[0] != 0.5 || r[1] != 0.25 {
+		t.Fatalf("reference runtimes %v", r)
+	}
+	swappedHeader := strings.Replace(baseHeader, "runtime_0,runtime_1", "runtime_1,runtime_0", 1)
+	swappedRow := strings.Replace(row, "0.5,0.25", "0.25,0.5", 1)
+	for name, file := range map[string]string{
+		"swapped columns": swappedHeader + "\n" + swappedRow + "\n",
+		"source first":    "source," + baseHeader + "\nmodel," + row + "\n",
+	} {
+		got, err := ReadCSV(strings.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if g, w := *got.Samples[0], *want.Samples[0]; g.Runtimes != w.Runtimes || g.Config != w.Config || g.SourceName() != w.SourceName() {
+			t.Errorf("%s: read %+v, want %+v", name, g, w)
+		}
+	}
+}
+
+// FuzzReadCSV: the reader never panics, and whatever it accepts is a valid
+// dataset that the writer can emit and the reader takes back unchanged —
+// exactly so from the second pass on (the first may round floats to the
+// format's 10 significant digits).
+func FuzzReadCSV(f *testing.F) {
+	nested := mkSample(topology.Milan, "LUNest", "small", 1.3)
+	nested.Config.NumThreadsList, nested.Config.MaxActiveLevels = "64,2", 2
+	measured := mkSample(topology.A64FX, "CG", "small", 1.2)
+	measured.Source = SourceMeasured
+	withMeta := mkSample(topology.A64FX, "CG", "large", 1.1)
+	withMeta.Source, withMeta.RepsRun, withMeta.CoV, withMeta.CIRel = SourceMeasured, 7, 0.0123, 0.0345
+	for _, ds := range []*Dataset{
+		{Samples: []*Sample{mkSample(topology.A64FX, "CG", "small", 1.5)}},
+		{Samples: []*Sample{measured}},
+		{Samples: []*Sample{nested, measured}},
+		{Samples: []*Sample{withMeta, measured}},
+	} {
+		f.Add(regenerate(f, ds))
+	}
+	f.Add([]byte(strings.Replace(baseHeader, "runtime_0,runtime_1", "runtime_1,runtime_0", 1) + "\n" + baseRow + "\n"))
+	f.Fuzz(func(t *testing.T, file []byte) {
+		d1, err := ReadCSV(bytes.NewReader(file))
+		if err != nil {
+			return
+		}
+		if err := d1.Validate(); err != nil {
+			t.Fatalf("accepted dataset fails Validate: %v", err)
+		}
+		w1 := regenerate(t, d1)
+		d2, err := ReadCSV(bytes.NewReader(w1))
+		if err != nil {
+			t.Fatalf("reader rejects the writer's output: %v\n%s", err, w1)
+		}
+		d3, err := ReadCSV(bytes.NewReader(regenerate(t, d2)))
+		if err != nil {
+			t.Fatalf("second pass: %v", err)
+		}
+		if len(d2.Samples) != len(d1.Samples) || len(d3.Samples) != len(d2.Samples) {
+			t.Fatalf("round trip changed the row count: %d, %d, %d", len(d1.Samples), len(d2.Samples), len(d3.Samples))
+		}
+		for i := range d2.Samples {
+			a, b := *d1.Samples[i], *d2.Samples[i]
+			if a.Arch != b.Arch || a.App != b.App || a.Setting != b.Setting || a.Threads != b.Threads ||
+				a.Config != b.Config || a.SourceName() != b.SourceName() || a.RepsRun != b.RepsRun {
+				t.Fatalf("sample %d changed across write/read:\n%+v\n%+v", i, a, b)
+			}
+			if c := *d3.Samples[i]; b != c {
+				t.Fatalf("sample %d not stable across a second write/read:\n%+v\n%+v", i, b, c)
+			}
+		}
+	})
 }
 
 func TestSpeedupRangePropertyBestIsMax(t *testing.T) {
@@ -396,7 +499,7 @@ func TestCSVNestedConfigRoundTrip(t *testing.T) {
 }
 
 // regenerate re-serializes ds for byte-comparison.
-func regenerate(t *testing.T, ds *Dataset) []byte {
+func regenerate(t testing.TB, ds *Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := ds.WriteCSV(&buf); err != nil {

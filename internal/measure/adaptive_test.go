@@ -8,6 +8,7 @@ import (
 	"omptune/internal/apps"
 	"omptune/internal/env"
 	"omptune/internal/sim"
+	"omptune/internal/stats"
 	"omptune/internal/topology"
 	"omptune/openmp"
 )
@@ -159,8 +160,8 @@ func TestFixedRunRecordsNoiseEstimates(t *testing.T) {
 }
 
 // TestEvaluatorAdaptiveSeriesMeta: an adaptive evaluator preserves the
-// sweep's sim.Reps sample shape by cycling and exposes the real rep count
-// and noise estimates through SeriesMeta.
+// sweep's sim.Reps sample shape by cycling and returns the real rep count
+// and noise estimates with the runtimes.
 func TestEvaluatorAdaptiveSeriesMeta(t *testing.T) {
 	m := topology.MustGet(topology.A64FX)
 	app, err := apps.ByName("EP")
@@ -170,19 +171,14 @@ func TestEvaluatorAdaptiveSeriesMeta(t *testing.T) {
 	e := NewEvaluator(Options{Warmup: 1, Adaptive: Adaptive{TargetCoV: 0.5, MinReps: 2, MaxReps: 3}})
 	cfg := env.Default(m)
 	set := sim.Setting{Label: "t2", Threads: 2, Scale: 0.3}
-	if _, ok := e.SeriesMeta(m, app, cfg, set); ok {
-		t.Fatal("SeriesMeta before measurement must report ok=false")
+	slots, meta, err := e.EvaluateSeries(m, app, cfg, cfg.Key(), set)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var slots [sim.Reps]float64
-	for rep := 0; rep < sim.Reps; rep++ {
-		slots[rep] = e.Evaluate(m, app, cfg, set, rep)
-		if slots[rep] <= 0 || math.IsNaN(slots[rep]) {
-			t.Fatalf("rep %d runtime %v", rep, slots[rep])
+	for rep, r := range slots {
+		if !(r > 0) {
+			t.Fatalf("rep %d runtime %v", rep, r)
 		}
-	}
-	meta, ok := e.SeriesMeta(m, app, cfg, set)
-	if !ok {
-		t.Fatal("SeriesMeta after measurement must report ok=true")
 	}
 	if meta.Reps < 2 || meta.Reps > 3 {
 		t.Fatalf("meta.Reps = %d, want within [MinReps=2, MaxReps=3]", meta.Reps)
@@ -198,29 +194,51 @@ func TestEvaluatorAdaptiveSeriesMeta(t *testing.T) {
 	}
 }
 
-// TestSeriesMetaRecordsShortFixedSeries: the rep-cycling satellite — a fixed
-// 2-rep series under a 4-slot sweep is aliased by Evaluate, and SeriesMeta
-// is the record that distinguishes real reps from recycled ones.
+// TestSeriesMetaRecordsShortFixedSeries: the sim.Reps slots cycle over a
+// short series and keep the first sim.Reps runs of a long one, and the
+// returned provenance is the record that distinguishes real reps from
+// recycled ones — its noise figures cover every rep run, not just the slots.
+// The scripted clock makes rep k of a series take 3, 5, 7, 2, 4, 6 ms.
 func TestSeriesMetaRecordsShortFixedSeries(t *testing.T) {
 	m := topology.MustGet(topology.A64FX)
 	app, err := apps.ByName("EP")
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEvaluator(Options{Warmup: 0, TimedReps: 2})
 	cfg := env.Default(m)
 	set := sim.Setting{Label: "t2", Threads: 2, Scale: 0.3}
-	for rep := 0; rep < sim.Reps; rep++ {
-		e.Evaluate(m, app, cfg, set, rep)
-	}
-	meta, ok := e.SeriesMeta(m, app, cfg, set)
-	if !ok {
-		t.Fatal("SeriesMeta not recorded for fixed series")
-	}
-	if meta.Reps != 2 {
-		t.Fatalf("meta.Reps = %d, want the 2 real reps behind the 4 cycled slots", meta.Reps)
-	}
-	if meta.StopReason != StopFixed {
-		t.Fatalf("meta.StopReason = %q, want %q", meta.StopReason, StopFixed)
+	ran := []float64{0.003, 0.005, 0.007, 0.002, 0.004, 0.006}
+	for _, tc := range []struct {
+		reps int
+		want [sim.Reps]float64
+	}{
+		{1, [sim.Reps]float64{0.003, 0.003, 0.003, 0.003}},
+		{2, [sim.Reps]float64{0.003, 0.005, 0.003, 0.005}},
+		{6, [sim.Reps]float64{0.003, 0.005, 0.007, 0.002}},
+	} {
+		var steps []time.Duration
+		for ms := 1; ms <= 7; ms++ {
+			steps = append(steps, time.Duration(ms)*time.Millisecond)
+		}
+		withFakeClock(t, steps)
+		e := NewEvaluator(Options{TimedReps: tc.reps})
+		slots, meta, err := e.EvaluateSeries(m, app, cfg, cfg.Key(), set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range slots {
+			if math.Abs(slots[i]-tc.want[i]) > 1e-12 {
+				t.Fatalf("%d timed reps: slots %v, want %v", tc.reps, slots, tc.want)
+			}
+		}
+		var w stats.Welford
+		for _, r := range ran[:tc.reps] {
+			w.Add(r)
+		}
+		if meta.Reps != tc.reps || meta.StopReason != StopFixed ||
+			math.Abs(meta.CoV-w.CoV()) > 1e-9 || math.Abs(meta.CIRel-w.CIRel(CIConfidence)) > 1e-9 {
+			t.Fatalf("%d timed reps: meta %+v, want reps %d, %q, CoV %v, CIRel %v",
+				tc.reps, meta, tc.reps, StopFixed, w.CoV(), w.CIRel(CIConfidence))
+		}
 	}
 }

@@ -14,9 +14,6 @@ package measure
 
 import (
 	"fmt"
-	"math"
-	"os"
-	"sync"
 
 	"omptune/internal/apps"
 	"omptune/internal/dataset"
@@ -89,8 +86,8 @@ type Options struct {
 	// until its CoV / relative-CI targets are met, its rep ceiling is hit,
 	// or its time budget expires. The sweep's fixed sample shape is
 	// preserved by cycling the repetition slots over however many reps the
-	// series ran; the series' real rep count and noise estimates surface
-	// through SeriesMeta and the dataset's reps/cov/ci columns.
+	// series ran; the series' real rep count and noise estimates travel
+	// with the runtimes into the dataset's reps/cov/ci columns.
 	Adaptive Adaptive
 	// Metrics, when non-nil, is attached (Runtime.SetMetrics) to every
 	// runtime the evaluator builds, feeding region / barrier-wait / task-run
@@ -119,147 +116,41 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Evaluator is the measured counterpart of the analytic model: Evaluate
+// Evaluator is the measured counterpart of the analytic model: every series
 // builds a real openmp.Runtime from the configuration (via
 // env.Config.RuntimeOptions), runs the application's kernel with the shared
-// harness, and returns wall-clock seconds.
-//
-// One measured series covers all repetition indices of a configuration: the
-// first Evaluate call for a (machine, app, config, setting) key runs the
-// warmup and every timed repetition on one runtime, and subsequent calls for
-// the remaining rep indices return the already-timed values. That preserves
-// the sweep's sample shape (Reps runtimes per row) while reusing the runtime
-// across reps. Evaluate is safe for concurrent use by sweep workers; series
-// for distinct keys measure independently.
+// harness — warmup, then every timed repetition on that one runtime — and
+// closes it. The evaluator holds only its options, so it is safe for
+// concurrent use by sweep workers and remembers nothing: a caller that may
+// ask for a configuration twice memoizes above it (core.EvalCache).
 type Evaluator struct {
 	opt Options
-
-	mu     sync.Mutex
-	series map[string]*seriesEntry
-}
-
-type seriesEntry struct {
-	once     sync.Once
-	runtimes []float64
-	repStats []openmp.Stats
-	// meta is the series' noise provenance (real rep count, final CoV,
-	// relative CI, stop reason), surfaced to the sweep via SeriesMeta.
-	meta dataset.SeriesMeta
-	// err records a failed measurement: the series is poisoned and every
-	// Evaluate call for it returns NaN instead of a sample.
-	err error
 }
 
 // NewEvaluator returns a measured-backend evaluator with the given options.
 func NewEvaluator(opt Options) *Evaluator {
-	return &Evaluator{opt: opt.withDefaults(), series: make(map[string]*seriesEntry)}
+	return &Evaluator{opt: opt.withDefaults()}
 }
 
 // Name identifies the backend in dataset provenance columns and checkpoint
 // manifests.
-func (e *Evaluator) Name() string { return "measured" }
+func (e *Evaluator) Name() string { return dataset.SourceMeasured }
 
-// Deterministic reports false: wall-clock measurements vary run to run.
-func (e *Evaluator) Deterministic() bool { return false }
-
-// Evaluate measures app's kernel under cfg at the given setting and returns
-// the runtime, in seconds, of repetition rep.
-//
-// A failed measurement must not kill the campaign (a sweep is hours of
-// checkpointed work; one bad configuration is a data point, not a crash):
-// the error is recorded on the series entry, surfaced once on stderr, and
-// every repetition of the poisoned series returns NaN. Sweep drivers treat
-// NaN samples as skipped (see core.RunSweep); Err exposes the cause.
-func (e *Evaluator) Evaluate(m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting, rep int) float64 {
-	key := string(m.Arch) + "|" + app.Name + "|" + set.Label + "|" + cfg.Key()
-	e.mu.Lock()
-	ent, ok := e.series[key]
-	if !ok {
-		ent = &seriesEntry{}
-		e.series[key] = ent
+// EvaluateSeries measures one series of app's kernel under cfg (key is
+// cfg.Key()) at the given setting. The sim.Reps slots cycle over however many
+// repetitions the series timed — a short fixed series repeats, a longer
+// adaptive one keeps its first sim.Reps — and the returned provenance records
+// how many really ran. A failed measurement is an error naming the series,
+// never a panic: one bad configuration must not kill a campaign.
+func (e *Evaluator) EvaluateSeries(m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) (slots [sim.Reps]float64, meta dataset.SeriesMeta, err error) {
+	s, err := e.measure(m, app, cfg, set)
+	if err != nil {
+		return slots, meta, fmt.Errorf("measure: %s|%s|%s|%s: %w", m.Arch, app.Name, set.Label, key, err)
 	}
-	e.mu.Unlock()
-	ent.once.Do(func() {
-		s, err := e.measure(m, app, cfg, set)
-		if err != nil {
-			ent.err = fmt.Errorf("measure: %s: %w", key, err)
-			fmt.Fprintf(os.Stderr, "measure: %s: %v (series skipped)\n", key, err)
-			return
-		}
-		ent.runtimes = s.Runtimes
-		ent.repStats = s.RepStats
-		ent.meta = dataset.SeriesMeta{
-			Reps:       s.RepsRun,
-			CoV:        s.CoV,
-			CIRel:      s.CIRel,
-			StopReason: s.StopReason,
-		}
-	})
-	if ent.err != nil {
-		return math.NaN()
+	for rep := range slots {
+		slots[rep] = s.Runtimes[rep%len(s.Runtimes)]
 	}
-	return ent.runtimes[rep%len(ent.runtimes)]
-}
-
-// Err returns the measurement error poisoning the series for the given
-// arguments, or nil when the series measured cleanly (or has not been
-// attempted yet).
-func (e *Evaluator) Err(m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting) error {
-	key := string(m.Arch) + "|" + app.Name + "|" + set.Label + "|" + cfg.Key()
-	e.mu.Lock()
-	ent := e.series[key]
-	e.mu.Unlock()
-	if ent == nil {
-		return nil
-	}
-	return ent.err
-}
-
-// SeriesMeasured returns how many distinct (machine, app, config, setting)
-// series this evaluator has started measuring. The search layer's memoizing
-// evaluation cache sits above this series cache: a cached probe never
-// reaches Evaluate, so a budgeted search's SeriesMeasured stays at its
-// distinct-configuration count no matter how often configurations are
-// revisited.
-func (e *Evaluator) SeriesMeasured() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.series)
-}
-
-// RepStats returns the runtime-counter delta recorded alongside the sample
-// that Evaluate returned for the same arguments, attaching the derived
-// per-sample counters (regions, chunks, tasks run/stolen, sleeps, wakeups)
-// to the measured series. ok is false when that sample has not been
-// measured yet.
-func (e *Evaluator) RepStats(m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting, rep int) (st openmp.Stats, ok bool) {
-	key := string(m.Arch) + "|" + app.Name + "|" + set.Label + "|" + cfg.Key()
-	e.mu.Lock()
-	ent := e.series[key]
-	e.mu.Unlock()
-	if ent == nil || len(ent.repStats) == 0 {
-		return openmp.Stats{}, false
-	}
-	return ent.repStats[rep%len(ent.repStats)], true
-}
-
-// SeriesMeta returns the noise provenance of the measured series for the
-// given arguments: the real repetition count behind the cycled sample slots
-// (Evaluate aliases rep indices via rep % reps-run, so without this record a
-// short or adaptive series is indistinguishable from sim.Reps independent
-// measurements), the final CoV / relative CI, and the stop reason. ok is
-// false when the series has not been measured or failed. The core sweep
-// consumes this through an optional interface to stamp the dataset's
-// reps/cov/ci columns.
-func (e *Evaluator) SeriesMeta(m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting) (dataset.SeriesMeta, bool) {
-	key := string(m.Arch) + "|" + app.Name + "|" + set.Label + "|" + cfg.Key()
-	e.mu.Lock()
-	ent := e.series[key]
-	e.mu.Unlock()
-	if ent == nil || ent.err != nil || len(ent.runtimes) == 0 {
-		return dataset.SeriesMeta{}, false
-	}
-	return ent.meta, true
+	return slots, dataset.SeriesMeta{Reps: s.RepsRun, CoV: s.CoV, CIRel: s.CIRel, StopReason: s.StopReason}, nil
 }
 
 // newRuntime builds the runtime a series measures on; a test seam for

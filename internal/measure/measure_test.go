@@ -2,11 +2,12 @@ package measure
 
 import (
 	"errors"
-	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"omptune/internal/apps"
+	"omptune/internal/dataset"
 	"omptune/internal/env"
 	"omptune/internal/sim"
 	"omptune/internal/topology"
@@ -70,71 +71,45 @@ func TestEvaluatorIdentity(t *testing.T) {
 	if e.Name() != "measured" {
 		t.Errorf("Name = %q", e.Name())
 	}
-	if e.Deterministic() {
-		t.Error("measured backend must not claim determinism")
-	}
 }
 
-func TestEvaluatorSeriesReuseAcrossReps(t *testing.T) {
-	m := topology.MustGet(topology.A64FX)
-	app, err := apps.ByName("EP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEvaluator(Options{Warmup: 1, TimedReps: 2})
-	cfg := env.Default(m)
-	set := testSetting()
-	// All sim.Reps sample slots must be served from one measured series:
-	// with 2 timed reps, slots cycle (0,1,0,1) and repeated queries of the
-	// same slot return the identical value (no re-measurement).
-	var first [sim.Reps]float64
-	for rep := 0; rep < sim.Reps; rep++ {
-		first[rep] = e.Evaluate(m, app, cfg, set, rep)
-		if first[rep] <= 0 {
-			t.Fatalf("rep %d runtime %v not positive", rep, first[rep])
-		}
-	}
-	if first[0] != first[2] || first[1] != first[3] {
-		t.Errorf("2 timed reps must cycle across 4 slots: %v", first)
-	}
-	for rep := 0; rep < sim.Reps; rep++ {
-		if again := e.Evaluate(m, app, cfg, set, rep); again != first[rep] {
-			t.Errorf("rep %d re-measured: %v then %v", rep, first[rep], again)
-		}
-	}
-}
-
-func TestEvaluatorConcurrentSameKey(t *testing.T) {
+// TestEvaluatorConcurrentSeries: the evaluator holds only its options, so
+// sweep workers share one; concurrent series (same key included — nothing is
+// deduplicated here, that is core.EvalCache's job) each measure on their own
+// runtime and fold into the shared profile. Meaningful under -race.
+func TestEvaluatorConcurrentSeries(t *testing.T) {
 	m := topology.MustGet(topology.A64FX)
 	app, err := apps.ByName("Nqueens")
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEvaluator(Options{Warmup: 0, TimedReps: 2})
+	agg := profile.NewAggregator()
+	e := NewEvaluator(Options{TimedReps: 2, Profile: agg})
 	cfg := env.Default(m)
-	set := testSetting()
-	const workers = 8
-	got := make([]float64, workers)
+	key := cfg.Key()
+	const workers = 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			got[w] = e.Evaluate(m, app, cfg, set, 0)
+			set := sim.Setting{Label: "t2", Threads: 2, Scale: 0.3 + 0.1*float64(w%2)}
+			slots, meta, err := e.EvaluateSeries(m, app, cfg, key, set)
+			if err != nil || meta.Reps != 2 || slots[0] <= 0 || slots[0] != slots[2] {
+				t.Errorf("worker %d: slots %v meta %+v err %v", w, slots, meta, err)
+			}
 		}(w)
 	}
 	wg.Wait()
-	for w := 1; w < workers; w++ {
-		if got[w] != got[0] {
-			t.Fatalf("concurrent callers saw different series: %v", got)
-		}
+	if len(agg.Snapshot().Regions) == 0 {
+		t.Error("no region rows aggregated from the concurrent series")
 	}
 }
 
 // TestEvaluatorFailureDoesNotPanic is the regression test for the
-// sweep-killing panic: a kernel-measurement failure used to panic out of
-// Evaluate (and with it an hours-long checkpointed campaign). It must
-// instead poison the series — every rep returns NaN, Err reports the cause —
+// sweep-killing panic: a kernel-measurement failure used to panic out of the
+// evaluator (and with it an hours-long checkpointed campaign). It must
+// instead be an ordinary error that wraps the cause and names the series,
 // while other series keep measuring.
 func TestEvaluatorFailureDoesNotPanic(t *testing.T) {
 	m := topology.MustGet(topology.A64FX)
@@ -156,22 +131,20 @@ func TestEvaluatorFailureDoesNotPanic(t *testing.T) {
 	e := NewEvaluator(Options{Warmup: 0, TimedReps: 1})
 	cfg := env.Default(m)
 	set := testSetting()
-	for rep := 0; rep < sim.Reps; rep++ {
-		if got := e.Evaluate(m, app, cfg, set, rep); !math.IsNaN(got) {
-			t.Fatalf("rep %d of a failed series = %v, want NaN", rep, got)
-		}
+	_, meta, err := e.EvaluateSeries(m, app, cfg, cfg.Key(), set)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want wrapped injected failure", err)
 	}
-	if err := e.Err(m, app, cfg, set); !errors.Is(err, boom) {
-		t.Fatalf("Err = %v, want wrapped injected failure", err)
+	if want := "a64fx|EP|t4|" + cfg.Key(); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the series %q", err, want)
 	}
-	// The poisoning is per series: a different setting measures normally.
+	if meta != (dataset.SeriesMeta{}) {
+		t.Errorf("failed series carries provenance: %+v", meta)
+	}
+	// Nothing is remembered: the same series measures once the cause is gone.
 	failing = false
-	other := sim.Setting{Label: "t2", Threads: 2, Scale: 0.3}
-	if got := e.Evaluate(m, app, cfg, other, 0); !(got > 0) {
-		t.Fatalf("healthy series after a failed one = %v, want positive", got)
-	}
-	if err := e.Err(m, app, cfg, other); err != nil {
-		t.Fatalf("healthy series reports error: %v", err)
+	if slots, _, err := e.EvaluateSeries(m, app, cfg, cfg.Key(), set); err != nil || !(slots[0] > 0) {
+		t.Fatalf("healthy series after a failed one = %v, %v", slots, err)
 	}
 }
 
@@ -195,8 +168,8 @@ func TestEvaluatorHonoursConfigAndSetting(t *testing.T) {
 		cfg env.Config
 		set sim.Setting
 	}{{cfgA, setA}, {cfgB, setA}, {cfgA, setB}} {
-		if r := e.Evaluate(m, app, probe.cfg, probe.set, 0); r <= 0 {
-			t.Fatalf("cfg %s set %s: runtime %v", probe.cfg, probe.set.Label, r)
+		if r, _, err := e.EvaluateSeries(m, app, probe.cfg, probe.cfg.Key(), probe.set); err != nil || r[0] <= 0 {
+			t.Fatalf("cfg %s set %s: runtimes %v, err %v", probe.cfg, probe.set.Label, r, err)
 		}
 	}
 }
@@ -213,8 +186,8 @@ func TestEvaluatorProfileAggregation(t *testing.T) {
 	agg := profile.NewAggregator()
 	e := NewEvaluator(Options{Warmup: 1, TimedReps: 2, Profile: agg})
 	set := testSetting()
-	if r := e.Evaluate(m, app, env.Default(m), set, 0); r <= 0 || math.IsNaN(r) {
-		t.Fatalf("runtime = %v", r)
+	if r, _, err := e.EvaluateSeries(m, app, env.Default(m), env.Default(m).Key(), set); err != nil || !(r[0] > 0) {
+		t.Fatalf("runtimes = %v, err %v", r, err)
 	}
 	rep := agg.Snapshot()
 	if len(rep.Regions) == 0 {
@@ -236,8 +209,8 @@ func TestEvaluatorProfileAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := e.Evaluate(m, app, cfg, set, 0); r <= 0 || math.IsNaN(r) {
-		t.Fatalf("runtime = %v", r)
+	if r, _, err := e.EvaluateSeries(m, app, cfg, cfg.Key(), set); err != nil || !(r[0] > 0) {
+		t.Fatalf("runtimes = %v, err %v", r, err)
 	}
 	rep2 := agg.Snapshot()
 	var total2 int64

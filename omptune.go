@@ -99,10 +99,11 @@ func Variables() []VarName { return env.Names() }
 // ---- Measurement backends (the Evaluator seam) --------------------------
 
 // Evaluator is the pluggable measurement backend behind Collect, Tune and
-// the extension analyses: it returns the runtime of an application under a
-// configuration. Two backends ship with the library — the deterministic
-// analytic model (the default everywhere) and the measured backend, which
-// executes the application's functional kernel on a real openmp.Runtime.
+// the extension analyses: it returns the repeated runs of an application
+// under a configuration as one series — runtimes, noise provenance, or an
+// error. Two backends ship with the library — the deterministic analytic
+// model (the default everywhere) and the measured backend, which executes
+// the application's functional kernel on a real openmp.Runtime.
 type Evaluator = core.Evaluator
 
 // MeasureOptions configures the measured backend (warmup runs and timed
@@ -117,12 +118,12 @@ type MeasureOptions = measure.Options
 // zero value disables adaptation and keeps the fixed repetition count.
 type AdaptivePolicy = measure.Adaptive
 
-// NewMeasuredEvaluator returns the measured backend: each evaluation builds
-// a real openmp.Runtime from the swept configuration (via
-// Config.RuntimeOptions), runs the application's kernel with a warmup, and
-// times sim.Reps repetitions on the monotonic clock, reusing the runtime
-// across repetitions. Samples it produces carry Source "measured" in the
-// dataset CSV.
+// NewMeasuredEvaluator returns the measured backend: each series builds a
+// real openmp.Runtime from the swept configuration (via
+// Config.RuntimeOptions), runs the application's kernel with a warmup, times
+// sim.Reps repetitions on the monotonic clock, reusing the runtime across
+// repetitions, and closes it. The backend keeps no state between series.
+// Samples it produces carry Source "measured" in the dataset CSV.
 func NewMeasuredEvaluator(opt MeasureOptions) Evaluator { return measure.NewEvaluator(opt) }
 
 // CalibrationOptions selects the architecture, applications and subspace
