@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench smoke monitor-smoke search-smoke sobol-smoke variability-smoke verify
+.PHONY: build test vet race bench smoke monitor-smoke variability-smoke verify
 
 # build also compiles and vets the benchmark/ module against this checkout:
 # it has its own go.mod, so `go build ./...` alone never sees a facade or
@@ -20,11 +20,12 @@ vet:
 # park/wake paths, the observer hooks and per-thread trace rings (also end to
 # end on real kernels, through cmd/omprun's tests), the metrics registry, the
 # parallel sweep worker pool, the stateless measured backend those workers
-# share, the CSV column table and the model's shared placement cache — under
-# the race detector. Keep this green
+# share, the CSV column table, the model's shared placement cache and the
+# sweep-to-analysis path of cmd/ompanalyze's tests (full sweeps, budgeted
+# searches, Sobol indices) — under the race detector. Keep this green
 # before touching openmp, internal/obs, internal/core or internal/measure.
 race:
-	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./internal/core ./internal/obs ./internal/sim ./internal/measure ./internal/dataset
+	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./cmd/ompanalyze ./internal/core ./internal/obs ./internal/sim ./internal/measure ./internal/dataset
 
 # bench runs the runtime overhead microbenchmarks with settings pinned for
 # benchstat: save a baseline with `make bench > before.txt`, make changes,
@@ -114,57 +115,6 @@ monitor-smoke: build
 	awk -F, 'END { if (NR < 2) { print "monitor-smoke: empty campaign CSV"; exit 1 } }' $(MONITOR_DIR)/smoke.csv
 	rm -rf $(MONITOR_DIR)
 
-# search-smoke proves the budgeted Searcher seam end to end on the analytic
-# backend: a full (deterministic) Nqueens sweep on a64fx is the ground truth,
-# then the annealing and surrogate strategies each get a 300-evaluation
-# budget — 6.5% of the 4608-configuration space — against the same model.
-# `ompanalyze -searchreport` joins their shared telemetry stream to the
-# sweep, and the awk gate asserts both strategies recover at least 90% of
-# the full sweep's best speedup while spending at most 10% of the space
-# (columns: evalfrac = $$7, fraction = $$10).
-SEARCH_DIR := $(or $(TMPDIR),/tmp)/omptune-search-smoke
-search-smoke: build
-	rm -rf $(SEARCH_DIR) && mkdir -p $(SEARCH_DIR)
-	$(GO) run ./cmd/ompsweep -arch a64fx -apps Nqueens -frac 1 -o $(SEARCH_DIR)/sweep.csv
-	$(GO) run ./cmd/ompsearch -app Nqueens -arch a64fx -strategy anneal \
-		-budget 300 -seed 1 -telemetry $(SEARCH_DIR)/search.jsonl > /dev/null
-	$(GO) run ./cmd/ompsearch -app Nqueens -arch a64fx -strategy surrogate \
-		-budget 300 -seed 1 -telemetry $(SEARCH_DIR)/search.jsonl > /dev/null
-	$(GO) run ./cmd/ompanalyze -data $(SEARCH_DIR)/sweep.csv \
-		-searchreport $(SEARCH_DIR)/search.jsonl | tee $(SEARCH_DIR)/report.txt
-	awk '$$4 == "anneal" || $$4 == "surrogate" { seen++; \
-		if ($$7 + 0 > 0.10) { print "search-smoke: " $$4 " spent " $$7 " of the space, want <= 0.10"; exit 1 } \
-		if ($$10 + 0 < 0.90) { print "search-smoke: " $$4 " reached " $$10 " of sweep best, want >= 0.90"; exit 1 } } \
-		END { if (seen != 2) { print "search-smoke: expected 2 strategy rows, saw " seen; exit 1 } \
-		print "search-smoke: both strategies >= 90% of sweep best within <= 10% of the space OK" }' \
-		$(SEARCH_DIR)/report.txt
-	rm -rf $(SEARCH_DIR)
-
-# sobol-smoke proves the variance-based sensitivity path end to end on the
-# deterministic analytic backend: a full LU sweep on a64fx (LU has the
-# highest residual imbalance of the modeled apps, so OMP_SCHEDULE genuinely
-# moves runtime), then `ompanalyze -sobol` Saltelli-samples the recorded
-# space. The gate reads the pooled ranking and asserts the schedule variable
-# carries strictly more total-order variance than KMP_ALIGN_ALLOC, which the
-# model treats as inert (its Jansen ST is exactly zero on a full-factorial
-# sweep), and that no Saltelli point needed group-mean substitution.
-SOBOL_DIR := $(or $(TMPDIR),/tmp)/omptune-sobol-smoke
-sobol-smoke: build
-	rm -rf $(SOBOL_DIR) && mkdir -p $(SOBOL_DIR)
-	$(GO) run ./cmd/ompsweep -arch a64fx -apps LU -frac 1 -o $(SOBOL_DIR)/sweep.csv
-	$(GO) run ./cmd/ompanalyze -data $(SOBOL_DIR)/sweep.csv \
-		-sobol -sobol-samples 256 -sobol-seed 1 | tee $(SOBOL_DIR)/report.txt
-	awk '/misses/ { if ($$0 !~ / misses 0\//) { print "sobol-smoke: Saltelli points missing from full sweep"; exit 1 } } \
-		/^pooled ranking/ { pooled = 1 } \
-		pooled && $$1 == "OMP_SCHEDULE" { sched = $$3 } \
-		pooled && $$1 == "KMP_ALIGN_ALLOC" { align = $$3 } \
-		END { if (sched == "") { print "sobol-smoke: no pooled OMP_SCHEDULE row"; exit 1 } \
-		if (sched + 0 <= 0) { print "sobol-smoke: OMP_SCHEDULE total-order index " sched " not positive"; exit 1 } \
-		if (sched + 0 <= align + 0) { print "sobol-smoke: OMP_SCHEDULE ST " sched " not above inert KMP_ALIGN_ALLOC " align; exit 1 } \
-		print "sobol-smoke: OMP_SCHEDULE ST " sched " > inert KMP_ALIGN_ALLOC ST " align " OK" }' \
-		$(SOBOL_DIR)/report.txt
-	rm -rf $(SOBOL_DIR)
-
 # variability-smoke proves the variability observatory end to end on a real
 # adaptive measured micro-campaign: EP on a64fx with an 8% CoV target and two
 # workers (more would time series against each other's load and inflate
@@ -227,4 +177,4 @@ variability-smoke: build
 
 # verify is the pre-merge gate (build, reached through test and the smoke
 # targets, includes the benchmark/ module).
-verify: race test smoke monitor-smoke search-smoke sobol-smoke variability-smoke
+verify: race test smoke monitor-smoke variability-smoke

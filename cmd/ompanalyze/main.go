@@ -55,8 +55,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -67,40 +69,54 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "ompanalyze:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the testable command body: reports go to stdout, progress and usage
+// to stderr, and every failure — a bad flag, an unreadable dataset, a
+// -compare that found regressions — comes back as the error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("ompanalyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dataPath  = flag.String("data", "", "dataset CSV produced by ompsweep (default: collect now)")
-		upshot    = flag.Bool("upshot", false, "print the Q1 upshot summary")
-		worst     = flag.Bool("worst", false, "print the Q4 worst-trend analysis")
-		wilcoxon  = flag.String("wilcoxon", "", "APP,SETTING: print the Table III consistency test")
-		heatmap   = flag.String("heatmap", "", "grouping for the influence heatmap: app, arch or apparch")
-		recommend = flag.String("recommend", "", "application to mine Table VII recommendations for")
-		tune      = flag.String("tune", "", "APP@ARCH: run the guided coordinate-descent tuner")
-		budget    = flag.Int("budget", 200, "evaluation budget for -tune and -random")
-		random    = flag.String("random", "", "APP@ARCH: run the random-search baseline")
-		compare   = flag.Bool("compare-models", false, "contrast linear vs random-forest surrogates (per arch)")
-		transfer  = flag.String("transfer", "", "application for leave-one-architecture-out transfer analysis")
-		numa      = flag.String("numa", "", "APP@ARCH: evaluate the deferred numa_domains placements")
-		drill     = flag.String("drill", "", "APP@ARCH: hierarchical Fig3->Fig2->Fig4 drill-down with tuning advice")
-		searchRep = flag.String("searchreport", "", "JSONL file from ompsearch -telemetry: report search quality vs the -data full sweep")
-		sobol     = flag.Bool("sobol", false, "variance-based sensitivity: Sobol indices per tuning variable, per setting")
-		sobolN    = flag.Int("sobol-samples", 256, "Saltelli base samples per group for -sobol")
-		sobolSeed = flag.Int64("sobol-seed", 1, "sampling seed for -sobol")
-		sobolJSON = flag.Bool("sobol-json", false, "emit the -sobol report as JSON instead of a table")
-		backendFl = flag.String("backend", "model", "measurement backend for -tune/-random/-numa: model or measured")
-		calibrate = flag.String("calibrate", "", "ARCH: compare the model against the measured backend over a small subspace")
-		calApps   = flag.String("calibrate-apps", "", "comma-separated apps for -calibrate (default: all on the arch)")
-		calCfgs   = flag.Int("calibrate-configs", 12, "configurations per app for -calibrate")
-		mreps     = flag.Int("measure-reps", 0, "measured backend: timed repetitions per configuration (0 = one per sample slot)")
-		mwarmup   = flag.Int("measure-warmup", 1, "measured backend: untimed warmup runs per configuration")
-		compareTo = flag.String("compare", "", "OLD.csv: regression-gate against NEW.csv given as the positional argument; exits 1 on significant slowdowns")
-		cmpAlpha  = flag.Float64("compare-alpha", 0, "-compare significance level (0 = 0.05)")
-		cmpCoV    = flag.Float64("compare-cov", 0, "-compare noise gate: exclude pairs whose repetition CoV exceeds this (0 = 0.10)")
-		cmpCI     = flag.Float64("compare-ci", 0, "-compare noise-aware gate: exclude provenance-carrying pairs whose recorded relative CI exceeds this (0 = 0.05)")
-		cmpShift  = flag.Float64("compare-shift", 0, "-compare practical floor: flag only shifts beyond this fraction (0 = 0.02)")
-		varTable  = flag.Bool("variability", false, "print the noise observatory of the -data dataset (per-group CoV/CI quantiles, reps saved)")
-		varJSON   = flag.Bool("variability-json", false, "emit the -variability report as JSON")
+		dataPath  = fs.String("data", "", "dataset CSV produced by ompsweep (default: collect now)")
+		upshot    = fs.Bool("upshot", false, "print the Q1 upshot summary")
+		worst     = fs.Bool("worst", false, "print the Q4 worst-trend analysis")
+		wilcoxon  = fs.String("wilcoxon", "", "APP,SETTING: print the Table III consistency test")
+		heatmap   = fs.String("heatmap", "", "grouping for the influence heatmap: app, arch or apparch")
+		recommend = fs.String("recommend", "", "application to mine Table VII recommendations for")
+		tune      = fs.String("tune", "", "APP@ARCH: run the guided coordinate-descent tuner")
+		budget    = fs.Int("budget", 200, "evaluation budget for -tune and -random")
+		random    = fs.String("random", "", "APP@ARCH: run the random-search baseline")
+		compare   = fs.Bool("compare-models", false, "contrast linear vs random-forest surrogates (per arch)")
+		transfer  = fs.String("transfer", "", "application for leave-one-architecture-out transfer analysis")
+		numa      = fs.String("numa", "", "APP@ARCH: evaluate the deferred numa_domains placements")
+		drill     = fs.String("drill", "", "APP@ARCH: hierarchical Fig3->Fig2->Fig4 drill-down with tuning advice")
+		searchRep = fs.String("searchreport", "", "JSONL file from ompsearch -telemetry: report search quality vs the -data full sweep")
+		sobol     = fs.Bool("sobol", false, "variance-based sensitivity: Sobol indices per tuning variable, per setting")
+		sobolN    = fs.Int("sobol-samples", 256, "Saltelli base samples per group for -sobol")
+		sobolSeed = fs.Int64("sobol-seed", 1, "sampling seed for -sobol")
+		sobolJSON = fs.Bool("sobol-json", false, "emit the -sobol report as JSON instead of a table")
+		backendFl = fs.String("backend", "model", "measurement backend for -tune/-random/-numa: model or measured")
+		calibrate = fs.String("calibrate", "", "ARCH: compare the model against the measured backend over a small subspace")
+		calApps   = fs.String("calibrate-apps", "", "comma-separated apps for -calibrate (default: all on the arch)")
+		calCfgs   = fs.Int("calibrate-configs", 12, "configurations per app for -calibrate")
+		mreps     = fs.Int("measure-reps", 0, "measured backend: timed repetitions per configuration (0 = one per sample slot)")
+		mwarmup   = fs.Int("measure-warmup", 1, "measured backend: untimed warmup runs per configuration")
+		compareTo = fs.String("compare", "", "OLD.csv: regression-gate against NEW.csv given as the positional argument; exits 1 on significant slowdowns")
+		cmpAlpha  = fs.Float64("compare-alpha", 0, "-compare significance level (0 = 0.05)")
+		cmpCoV    = fs.Float64("compare-cov", 0, "-compare noise gate: exclude pairs whose repetition CoV exceeds this (0 = 0.10)")
+		cmpCI     = fs.Float64("compare-ci", 0, "-compare noise-aware gate: exclude provenance-carrying pairs whose recorded relative CI exceeds this (0 = 0.05)")
+		cmpShift  = fs.Float64("compare-shift", 0, "-compare practical floor: flag only shifts beyond this fraction (0 = 0.02)")
+		varTable  = fs.Bool("variability", false, "print the noise observatory of the -data dataset (per-group CoV/CI quantiles, reps saved)")
+		varJSON   = fs.Bool("variability-json", false, "emit the -variability report as JSON")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	measureOpt := omptune.MeasureOptions{Warmup: *mwarmup, TimedReps: *mreps}
 	var backend omptune.Evaluator // nil = the analytic model
@@ -109,180 +125,195 @@ func main() {
 	case "measured":
 		backend = omptune.NewMeasuredEvaluator(measureOpt)
 	default:
-		fatal(fmt.Errorf("-backend %q: want model or measured", *backendFl))
+		return fmt.Errorf("-backend %q: want model or measured", *backendFl)
 	}
 
 	var ds *omptune.Dataset
-	load := func() *omptune.Dataset {
+	load := func() (*omptune.Dataset, error) {
 		if ds != nil {
-			return ds
+			return ds, nil
 		}
-		if *dataPath != "" {
-			f, err := os.Open(*dataPath)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			var e error
-			ds, e = omptune.ReadDatasetCSV(f)
-			if e != nil {
-				fatal(e)
-			}
-			return ds
-		}
-		fmt.Fprintln(os.Stderr, "ompanalyze: collecting the Table II dataset (pass -data to reuse one)...")
 		var err error
-		ds, err = omptune.Collect(omptune.CollectOptions{})
-		if err != nil {
-			fatal(err)
+		if *dataPath != "" {
+			ds, err = readCSV(*dataPath)
+		} else {
+			fmt.Fprintln(stderr, "ompanalyze: collecting the Table II dataset (pass -data to reuse one)...")
+			ds, err = omptune.Collect(omptune.CollectOptions{})
 		}
-		return ds
+		return ds, err
+	}
+	printJSON := func(v any) error {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
 	}
 
 	ran := false
 	if *upshot {
 		ran = true
-		fmt.Println("== Q1: upshot potential ==")
-		for _, u := range omptune.Upshot(load()) {
-			fmt.Printf("%-8s best speedup %.3f-%.3f, median %.3f over %d settings\n",
+		ds, err := load()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, "== Q1: upshot potential ==")
+		for _, u := range omptune.Upshot(ds) {
+			fmt.Fprintf(stdout, "%-8s best speedup %.3f-%.3f, median %.3f over %d settings\n",
 				u.Arch, u.MinBest, u.MaxBest, u.MedianBest, u.Settings)
 		}
 	}
 	if *worst {
 		ran = true
-		fmt.Println("== Q4: worst-performance trends ==")
-		for i, t := range omptune.WorstTrends(load()) {
+		ds, err := load()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, "== Q4: worst-performance trends ==")
+		for i, t := range omptune.WorstTrends(ds) {
 			if i >= 8 {
 				break
 			}
-			fmt.Printf("%-20s = %-10s lift %.2fx among the slowest 5%%\n", t.Variable, t.Value, t.Lift)
+			fmt.Fprintf(stdout, "%-20s = %-10s lift %.2fx among the slowest 5%%\n", t.Variable, t.Value, t.Lift)
 		}
 	}
 	if *wilcoxon != "" {
 		ran = true
 		app, setting, ok := strings.Cut(*wilcoxon, ",")
 		if !ok {
-			fatal(fmt.Errorf("-wilcoxon wants APP,SETTING"))
+			return fmt.Errorf("-wilcoxon wants APP,SETTING")
 		}
-		for _, r := range omptune.WilcoxonTable(load(), strings.TrimSpace(app), strings.TrimSpace(setting)) {
-			fmt.Printf("%-28s %-7s stat=%12.1f p=%.3g\n", r.Group, r.Pair, r.Statistic, r.PValue)
+		ds, err := load()
+		if err != nil {
+			return err
+		}
+		for _, r := range omptune.WilcoxonTable(ds, strings.TrimSpace(app), strings.TrimSpace(setting)) {
+			fmt.Fprintf(stdout, "%-28s %-7s stat=%12.1f p=%.3g\n", r.Group, r.Pair, r.Statistic, r.PValue)
 		}
 	}
 	if *heatmap != "" {
 		ran = true
-		var g = map[string]func() error{
-			"app":     func() error { return report.Fig2(os.Stdout, load(), defaultML()) },
-			"arch":    func() error { return report.Fig3(os.Stdout, load(), defaultML()) },
-			"apparch": func() error { return report.Fig4(os.Stdout, load(), defaultML()) },
-		}
-		fn, ok := g[*heatmap]
+		fig, ok := map[string]func(io.Writer, *omptune.Dataset, ml.LogisticOptions) error{
+			"app": report.Fig2, "arch": report.Fig3, "apparch": report.Fig4,
+		}[*heatmap]
 		if !ok {
-			fatal(fmt.Errorf("-heatmap wants app, arch or apparch"))
+			return fmt.Errorf("-heatmap wants app, arch or apparch")
 		}
-		if err := fn(); err != nil {
-			fatal(err)
+		ds, err := load()
+		if err != nil {
+			return err
+		}
+		if err := fig(stdout, ds, ml.LogisticOptions{}); err != nil {
+			return err
 		}
 	}
 	if *recommend != "" {
 		ran = true
 		if _, err := omptune.ApplicationByName(*recommend); err != nil {
-			fatal(err)
+			return err
 		}
-		for _, r := range omptune.Recommend(load(), *recommend) {
+		ds, err := load()
+		if err != nil {
+			return err
+		}
+		for _, r := range omptune.Recommend(ds, *recommend) {
 			arch := "All"
 			if r.Arch != "" {
 				arch = string(r.Arch)
 			}
-			fmt.Printf("%-8s %-8s %-20s %s (lift %.2f)\n",
+			fmt.Fprintf(stdout, "%-8s %-8s %-20s %s (lift %.2f)\n",
 				*recommend, arch, r.Variable, strings.Join(r.Values, "/"), r.Lift)
 		}
 	}
 	if *tune != "" {
 		ran = true
-		appName, archName, ok := strings.Cut(*tune, "@")
-		if !ok {
-			fatal(fmt.Errorf("-tune wants APP@ARCH"))
-		}
-		app, err := omptune.ApplicationByName(appName)
+		app, m, err := appArch(*tune)
 		if err != nil {
-			fatal(err)
-		}
-		m, err := omptune.MachineByName(archName)
-		if err != nil {
-			fatal(err)
+			return err
 		}
 		set := app.Settings(m)[1] // the middle (default-size) setting
 		res := omptune.Tune(backend, m, app, set, nil, *budget)
-		fmt.Printf("tuned %s on %s (%s, %s backend): %.3fs -> %.3fs (%.3fx) in %d evaluations\n",
-			appName, archName, set.Label, *backendFl, res.DefaultSeconds, res.BestSeconds, res.Speedup(), res.Evaluations)
+		fmt.Fprintf(stdout, "tuned %s on %s (%s, %s backend): %.3fs -> %.3fs (%.3fx) in %d evaluations\n",
+			app.Name, m.Arch, set.Label, *backendFl, res.DefaultSeconds, res.BestSeconds, res.Speedup(), res.Evaluations)
 		for _, s := range res.Trace {
-			fmt.Printf("  %-20s = %-12s -> %.3fs\n", s.Variable, s.Value, s.Seconds)
+			fmt.Fprintf(stdout, "  %-20s = %-12s -> %.3fs\n", s.Variable, s.Value, s.Seconds)
 		}
-		fmt.Printf("  best: %s\n", res.Best)
+		fmt.Fprintf(stdout, "  best: %s\n", res.Best)
 	}
 	if *random != "" {
 		ran = true
-		app, m := appArch(*random)
+		app, m, err := appArch(*random)
+		if err != nil {
+			return err
+		}
 		set := app.Settings(m)[1]
 		res := omptune.RandomSearch(backend, m, app, set, *budget, 1)
-		fmt.Printf("random search %s on %s: %.3fx in %d evaluations (best: %s)\n",
+		fmt.Fprintf(stdout, "random search %s on %s: %.3fx in %d evaluations (best: %s)\n",
 			app.Name, m.Arch, res.Speedup(), res.Evaluations, res.Best)
 	}
 	if *compare {
 		ran = true
-		rows, err := omptune.CompareModels(load(), omptune.PerArch)
+		ds, err := load()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("== linear vs non-linear surrogate (per architecture) ==")
+		rows, err := omptune.CompareModels(ds, omptune.PerArch)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, "== linear vs non-linear surrogate (per architecture) ==")
 		for _, r := range rows {
-			fmt.Printf("%-8s n=%-7d majority=%.3f logistic=%.3f forest=%.3f\n",
+			fmt.Fprintf(stdout, "%-8s n=%-7d majority=%.3f logistic=%.3f forest=%.3f\n",
 				r.Group, r.Samples, r.MajorityAcc, r.LogisticAcc, r.ForestAcc)
 		}
 	}
 	if *transfer != "" {
 		ran = true
-		rows, err := omptune.Transfer(load(), *transfer)
+		ds, err := load()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("== transfer analysis for %s (leave one architecture out) ==\n", *transfer)
+		rows, err := omptune.Transfer(ds, *transfer)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "== transfer analysis for %s (leave one architecture out) ==\n", *transfer)
 		for _, r := range rows {
 			verdict := "does NOT transfer"
 			if r.Transfers {
 				verdict = "transfers"
 			}
-			fmt.Printf("held out %-8s accuracy=%.3f majority=%.3f -> %s\n",
+			fmt.Fprintf(stdout, "held out %-8s accuracy=%.3f majority=%.3f -> %s\n",
 				r.HeldOut, r.Accuracy, r.Majority, verdict)
 		}
 	}
 	if *numa != "" {
 		ran = true
-		app, m := appArch(*numa)
+		app, m, err := appArch(*numa)
+		if err != nil {
+			return err
+		}
 		set := app.Settings(m)[1]
 		cfg, speedup := omptune.BestNUMAPlacement(backend, m, app, set)
-		fmt.Printf("best numa_domains placement for %s on %s (%s): %.3fx with %s\n",
+		fmt.Fprintf(stdout, "best numa_domains placement for %s on %s (%s): %.3fx with %s\n",
 			app.Name, m.Arch, set.Label, speedup, cfg)
 	}
 	if *calibrate != "" {
 		ran = true
 		m, err := omptune.MachineByName(*calibrate)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		var appNames []string
 		if *calApps != "" {
 			for _, a := range strings.Split(*calApps, ",") {
 				name := strings.TrimSpace(a)
 				if _, err := omptune.ApplicationByName(name); err != nil {
-					fatal(err)
+					return err
 				}
 				appNames = append(appNames, name)
 			}
 		}
 		// The reference is always the model; the alternate is the measured
-		// backend (reusing the one from -backend measured, so its cached
-		// series are shared with any tuning run in the same invocation).
+		// backend (the one from -backend measured when given).
 		alt := backend
 		if alt == nil {
 			alt = omptune.NewMeasuredEvaluator(measureOpt)
@@ -291,130 +322,143 @@ func main() {
 			Arch: m.Arch, AppNames: appNames, ConfigsPerApp: *calCfgs,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(rep.String())
+		fmt.Fprint(stdout, rep.String())
 	}
 	if *compareTo != "" {
 		ran = true
-		if flag.NArg() != 1 {
-			fatal(fmt.Errorf("-compare %s needs the new dataset CSV as the positional argument", *compareTo))
+		if fs.NArg() != 1 {
+			return fmt.Errorf("-compare %s needs the new dataset CSV as the positional argument", *compareTo)
 		}
-		rep, err := omptune.CompareSweeps(readCSV(*compareTo), readCSV(flag.Arg(0)), omptune.CompareOptions{
+		oldDS, err := readCSV(*compareTo)
+		if err != nil {
+			return err
+		}
+		newDS, err := readCSV(fs.Arg(0))
+		if err != nil {
+			return err
+		}
+		rep, err := omptune.CompareSweeps(oldDS, newDS, omptune.CompareOptions{
 			Alpha: *cmpAlpha, CoVThreshold: *cmpCoV, CIRelThreshold: *cmpCI, MinShift: *cmpShift,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("== regression gate: %s vs %s ==\n", *compareTo, flag.Arg(0))
-		fmt.Print(rep.String())
-		if rep.Regressions() > 0 {
-			os.Exit(1)
+		fmt.Fprintf(stdout, "== regression gate: %s vs %s ==\n", *compareTo, fs.Arg(0))
+		fmt.Fprint(stdout, rep.String())
+		if n := rep.Regressions(); n > 0 {
+			return fmt.Errorf("-compare: %d group(s) significantly slower", n)
 		}
 	}
 	if *searchRep != "" {
 		ran = true
 		if *dataPath == "" {
-			fatal(fmt.Errorf("-searchreport needs -data with the full-sweep CSV to compare against"))
+			return fmt.Errorf("-searchreport needs -data with the full-sweep CSV to compare against")
+		}
+		ds, err := load()
+		if err != nil {
+			return err
 		}
 		f, err := os.Open(*searchRep)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		rows, err := omptune.SearchReport(f, load())
+		rows, err := omptune.SearchReport(f, ds)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("== budgeted search vs full sweep ==")
-		fmt.Printf("%-8s %-10s %-8s %-10s %6s %6s %9s %8s %8s %9s\n",
+		fmt.Fprintln(stdout, "== budgeted search vs full sweep ==")
+		fmt.Fprintf(stdout, "%-8s %-10s %-8s %-10s %6s %6s %9s %8s %8s %9s\n",
 			"arch", "app", "setting", "strategy", "evals", "hits", "evalfrac", "speedup", "sweep", "fraction")
 		for _, r := range rows {
-			fmt.Printf("%-8s %-10s %-8s %-10s %6d %6d %9.4f %8.3f %8.3f %9.4f\n",
+			fmt.Fprintf(stdout, "%-8s %-10s %-8s %-10s %6d %6d %9.4f %8.3f %8.3f %9.4f\n",
 				r.Arch, r.App, r.Setting, r.Strategy, r.Evaluations, r.CacheHits,
 				r.EvalFraction, r.BestSpeedup, r.SweepBestSpeedup, r.Fraction)
 		}
 	}
 	if *varTable || *varJSON {
 		ran = true
-		rep := omptune.DatasetVariability(load())
+		ds, err := load()
+		if err != nil {
+			return err
+		}
+		rep := omptune.DatasetVariability(ds)
 		if *varJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				fatal(err)
+			if err := printJSON(rep); err != nil {
+				return err
 			}
 		} else {
-			fmt.Println("== variability observatory: series noise and adaptive-measurement savings ==")
-			fmt.Print(rep.String())
+			fmt.Fprintln(stdout, "== variability observatory: series noise and adaptive-measurement savings ==")
+			fmt.Fprint(stdout, rep.String())
 		}
 	}
 	if *sobol {
 		ran = true
-		rep, err := core.SobolSensitivity(load(), *sobolN, *sobolSeed)
+		ds, err := load()
 		if err != nil {
-			fatal(err)
+			return err
+		}
+		rep, err := core.SobolSensitivity(ds, *sobolN, *sobolSeed)
+		if err != nil {
+			return err
 		}
 		if *sobolJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				fatal(err)
+			if err := printJSON(rep); err != nil {
+				return err
 			}
 		} else {
-			fmt.Println("== Sobol sensitivity: runtime variance share per tuning variable ==")
-			fmt.Print(rep.String())
+			fmt.Fprintln(stdout, "== Sobol sensitivity: runtime variance share per tuning variable ==")
+			fmt.Fprint(stdout, rep.String())
 		}
 	}
 	if *drill != "" {
 		ran = true
-		app, m := appArch(*drill)
-		d, err := core.Drill(load(), app.Name, m.Arch, ml.LogisticOptions{})
+		app, m, err := appArch(*drill)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(d.String())
+		ds, err := load()
+		if err != nil {
+			return err
+		}
+		d, err := core.Drill(ds, app.Name, m.Arch, ml.LogisticOptions{})
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(stdout, d.String())
 	}
 	if !ran {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("no analysis selected")
 	}
+	return nil
 }
 
-// readCSV loads one dataset CSV or dies.
-func readCSV(path string) *omptune.Dataset {
+// readCSV loads one dataset CSV.
+func readCSV(path string) (*omptune.Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer f.Close()
-	ds, err := omptune.ReadDatasetCSV(f)
-	if err != nil {
-		fatal(err)
-	}
-	return ds
+	return omptune.ReadDatasetCSV(f)
 }
 
 // appArch parses an "APP@ARCH" selector.
-func appArch(sel string) (*omptune.App, *omptune.Machine) {
+func appArch(sel string) (*omptune.App, *omptune.Machine, error) {
 	appName, archName, ok := strings.Cut(sel, "@")
 	if !ok {
-		fatal(fmt.Errorf("selector %q wants APP@ARCH", sel))
+		return nil, nil, fmt.Errorf("selector %q wants APP@ARCH", sel)
 	}
 	app, err := omptune.ApplicationByName(appName)
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
 	m, err := omptune.MachineByName(archName)
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
-	return app, m
-}
-
-func defaultML() ml.LogisticOptions { return ml.LogisticOptions{} }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ompanalyze:", err)
-	os.Exit(1)
+	return app, m, nil
 }

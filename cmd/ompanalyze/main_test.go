@@ -1,0 +1,180 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"omptune"
+	"omptune/internal/core"
+	"omptune/internal/env"
+)
+
+// fullSweepCSV collects the exhaustive model sweep of one app on a64fx — the
+// ground truth both smokes analyse — and writes it where -data can read it.
+func fullSweepCSV(t *testing.T, app string) string {
+	t.Helper()
+	ds, err := omptune.Collect(omptune.CollectOptions{
+		Arches:   []omptune.Arch{omptune.A64FX},
+		Apps:     []string{app},
+		Fraction: map[omptune.Arch]float64{omptune.A64FX: 1},
+	})
+	if err != nil {
+		t.Fatalf("Collect: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "sweep.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := omptune.WriteDatasetCSV(f, ds); err != nil {
+		t.Fatalf("WriteDatasetCSV: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSobolFullSweep proves the variance-based sensitivity path end to end on
+// the deterministic backend. LU has the highest residual imbalance of the
+// modeled apps, so OMP_SCHEDULE genuinely moves its runtime, while the model
+// treats KMP_ALIGN_ALLOC as inert (its Jansen ST is exactly zero on a
+// full-factorial sweep); and on a full sweep no Saltelli point may need the
+// group-mean substitution.
+func TestSobolFullSweep(t *testing.T) {
+	csv := fullSweepCSV(t, "LU")
+	var out, errb bytes.Buffer
+	args := []string{"-data", csv, "-sobol", "-sobol-samples", "256", "-sobol-seed", "1", "-sobol-json"}
+	if err := run(args, &out, &errb); err != nil {
+		t.Fatalf("run(%v): %v\nstderr: %s", args, err, errb.String())
+	}
+	var rep core.SobolReport
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("bad -sobol-json output: %v\n%s", err, out.String())
+	}
+	if len(rep.Groups) != 3 {
+		t.Fatalf("%d groups, want LU's 3 settings", len(rep.Groups))
+	}
+	for _, g := range rep.Groups {
+		if g.Misses != 0 || g.Evals == 0 {
+			t.Errorf("%s: misses %d/%d, want every Saltelli point in the full sweep", g.Group, g.Misses, g.Evals)
+		}
+	}
+	var sched, align float64
+	for _, ix := range rep.MeanTotal() {
+		switch ix.Var {
+		case env.VarSchedule:
+			sched = ix.Total
+		case env.VarAlignAlloc:
+			align = ix.Total
+		}
+	}
+	if sched <= 0 || sched <= align {
+		t.Errorf("pooled OMP_SCHEDULE ST %v not above inert KMP_ALIGN_ALLOC ST %v", sched, align)
+	}
+
+	// The table form carries the same pooled ranking.
+	out.Reset()
+	if err := run(args[:len(args)-1], &out, &errb); err != nil {
+		t.Fatalf("run -sobol: %v", err)
+	}
+	if !strings.Contains(out.String(), "pooled ranking (mean ST across 3 groups)") {
+		t.Errorf("-sobol table misses the pooled ranking:\n%s", out.String())
+	}
+}
+
+// TestSearchReportFullSweep proves the budgeted Searcher seam end to end: the
+// full Nqueens sweep on a64fx is the ground truth, the annealing and surrogate
+// strategies each get 300 evaluations — 6.5% of the 4608-configuration space —
+// against the same model, and -searchreport joins their shared telemetry
+// stream to the sweep. Both must recover at least 90% of the sweep's best
+// speedup while spending at most 10% of the space.
+func TestSearchReportFullSweep(t *testing.T) {
+	csv := fullSweepCSV(t, "Nqueens")
+	m, err := omptune.MachineByName("a64fx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := omptune.ApplicationByName("Nqueens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := app.Settings(m)
+	telemetry := filepath.Join(t.TempDir(), "search.jsonl")
+	for _, strategy := range []string{"anneal", "surrogate"} {
+		s, err := core.NewSearcher(strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Search(context.Background(), core.SearchSpec{
+			Machine: m, App: app, Setting: sets[len(sets)/2], Seed: 1,
+			Budget: core.SearchBudget{MaxEvals: 300}, TelemetryLog: telemetry,
+		}); err != nil {
+			t.Fatalf("%s search: %v", strategy, err)
+		}
+	}
+
+	var out, errb bytes.Buffer
+	args := []string{"-data", csv, "-searchreport", telemetry}
+	if err := run(args, &out, &errb); err != nil {
+		t.Fatalf("run(%v): %v\nstderr: %s", args, err, errb.String())
+	}
+	// Columns: arch app setting strategy evals hits evalfrac speedup sweep fraction.
+	seen := map[string]bool{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 10 || (f[3] != "anneal" && f[3] != "surrogate") {
+			continue
+		}
+		seen[f[3]] = true
+		evalFrac, err1 := strconv.ParseFloat(f[6], 64)
+		fraction, err2 := strconv.ParseFloat(f[9], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("unparsable report row %q", line)
+		}
+		if evalFrac > 0.10 {
+			t.Errorf("%s spent %v of the space, want <= 0.10", f[3], evalFrac)
+		}
+		if fraction < 0.90 {
+			t.Errorf("%s reached %v of the sweep best, want >= 0.90", f[3], fraction)
+		}
+	}
+	if len(seen) != 2 {
+		t.Errorf("report rows for %v, want anneal and surrogate:\n%s", seen, out.String())
+	}
+}
+
+// TestRunValidation: a bad invocation comes back as an error naming the
+// problem, not an os.Exit.
+func TestRunValidation(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"nothing selected", nil, "no analysis selected"},
+		{"unknown backend", []string{"-backend", "oracle", "-upshot"}, `-backend "oracle"`},
+		{"wilcoxon without setting", []string{"-wilcoxon", "Alignment"}, "APP,SETTING"},
+		{"unknown heatmap grouping", []string{"-heatmap", "suite"}, "app, arch or apparch"},
+		{"unknown app", []string{"-recommend", "Doom"}, "Doom"},
+		{"selector without arch", []string{"-tune", "Nqueens"}, "APP@ARCH"},
+		{"searchreport without data", []string{"-searchreport", "x.jsonl"}, "needs -data"},
+		{"compare without new csv", []string{"-compare", "old.csv"}, "positional argument"},
+		{"missing dataset", []string{"-data", "/nonexistent.csv", "-upshot"}, "nonexistent.csv"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			err := run(tc.args, &out, &errb)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%v) error = %v, want one containing %q", tc.args, err, tc.want)
+			}
+		})
+	}
+}

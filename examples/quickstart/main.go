@@ -25,8 +25,9 @@ func main() {
 	fmt.Printf("collected %d samples\n\n", ds.Len())
 
 	// Per setting (thread count), report the best configuration found.
-	for key, best := range ds.BestPerSetting() {
-		fmt.Printf("%s\n", key)
+	for _, g := range ds.Groups() {
+		best := g.Best()
+		fmt.Printf("%s\n", best.SettingKey())
 		fmt.Printf("  default: %.3fs   best: %.3fs   speedup: %.2fx\n",
 			best.DefaultRuntime, best.MeanRuntime(), best.Speedup())
 		fmt.Printf("  best configuration: %s\n\n", best.Config)

@@ -31,8 +31,27 @@ func Upshot(ds *dataset.Dataset) []UpshotSummary {
 		out = append(out, UpshotSummary{
 			Arch: arch, MinBest: lo, MaxBest: hi,
 			MedianBest: sub.MedianBestSpeedup(),
-			Settings:   len(sub.Settings()),
+			Settings:   len(sub.Groups()),
 		})
+	}
+	return out
+}
+
+// SettingGroups returns app's groups in figure order — architectures as
+// topology.Arches lists them, settings by label within each: the cells of
+// Tables III/IV and of the violin figures.
+func SettingGroups(ds *dataset.Dataset, app string) []dataset.Group {
+	groups := ds.Groups()
+	var out []dataset.Group
+	for _, arch := range topology.Arches() {
+		n := len(out)
+		for _, g := range groups {
+			if g.Arch == arch && g.App == app {
+				out = append(out, g)
+			}
+		}
+		cells := out[n:]
+		sort.Slice(cells, func(i, j int) bool { return cells[i].Setting < cells[j].Setting })
 	}
 	return out
 }
@@ -53,17 +72,14 @@ type WilcoxonRow struct {
 // across all architectures: consecutive run pairs (R0,R1), (R1,R2), (R2,R3).
 func WilcoxonTable(ds *dataset.Dataset, app, setting string) []WilcoxonRow {
 	var rows []WilcoxonRow
-	for _, arch := range topology.Arches() {
-		sub := ds.ByArch(arch).ByApp(app).Filter(func(s *dataset.Sample) bool {
-			return s.Setting == setting
-		})
-		if sub.Len() == 0 {
+	for _, g := range SettingGroups(ds, app) {
+		if g.Setting != setting {
 			continue
 		}
-		group := fmt.Sprintf("%s-%s-%s", arch, app, setting)
+		group := fmt.Sprintf("%s-%s-%s", g.Arch, app, setting)
 		for rep := 0; rep+1 < sim.Reps; rep++ {
-			a := sub.RuntimeColumn(rep)
-			b := sub.RuntimeColumn(rep + 1)
+			a := g.RuntimeColumn(rep)
+			b := g.RuntimeColumn(rep + 1)
 			res, err := stats.Wilcoxon(a, b)
 			row := WilcoxonRow{
 				Group:     group,
@@ -97,16 +113,13 @@ type RuntimeStatRow struct {
 // (the paper tabulates the first three run indices).
 func RuntimeStats(ds *dataset.Dataset, app, setting string, reps int) []RuntimeStatRow {
 	var rows []RuntimeStatRow
-	for _, arch := range topology.Arches() {
-		sub := ds.ByArch(arch).ByApp(app).Filter(func(s *dataset.Sample) bool {
-			return s.Setting == setting
-		})
-		if sub.Len() == 0 {
+	for _, g := range SettingGroups(ds, app) {
+		if g.Setting != setting {
 			continue
 		}
-		group := fmt.Sprintf("%s-%s-%s", arch, app, setting)
+		group := fmt.Sprintf("%s-%s-%s", g.Arch, app, setting)
 		for rep := 0; rep < reps && rep < sim.Reps; rep++ {
-			col := sub.RuntimeColumn(rep)
+			col := g.RuntimeColumn(rep)
 			rows = append(rows, RuntimeStatRow{
 				Group: group, Rep: rep,
 				Mean: stats.Mean(col), Std: stats.StdDev(col),
@@ -143,17 +156,8 @@ func TableV(ds *dataset.Dataset, appNames []string) []SpeedupRangeRow {
 // TableVI returns the per-application best-speedup range across all
 // architectures and settings, sorted by application name as in the paper.
 func TableVI(ds *dataset.Dataset) []SpeedupRangeRow {
-	apps := map[string]bool{}
-	for _, s := range ds.Samples {
-		apps[s.App] = true
-	}
-	names := make([]string, 0, len(apps))
-	for n := range apps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var rows []SpeedupRangeRow
-	for _, app := range names {
+	for _, app := range ds.Apps() {
 		lo, hi := ds.ByApp(app).SpeedupRange()
 		rows = append(rows, SpeedupRangeRow{App: app, Lo: lo, Hi: hi})
 	}

@@ -17,7 +17,9 @@ import (
 	"strings"
 
 	"omptune/internal/dataset"
+	"omptune/internal/env"
 	"omptune/internal/stats"
+	"omptune/internal/topology"
 )
 
 // CompareOptions tunes the regression gate; zero values select the
@@ -113,16 +115,22 @@ func (r *CompareReport) Regressions() int {
 func CompareDatasets(oldDS, newDS *dataset.Dataset, opt CompareOptions) (*CompareReport, error) {
 	opt = opt.withDefaults()
 	type pair struct{ oldS, newS *dataset.Sample }
-	key := func(s *dataset.Sample) string { return s.SettingKey() + "|" + s.Config.Key() }
+	// A row's identity across the two datasets: its group and configuration.
+	type row struct {
+		arch         topology.Arch
+		app, setting string
+		cfg          env.Config
+	}
+	key := func(s *dataset.Sample) row { return row{s.Arch, s.App, s.Setting, s.Config} }
 
-	oldBy := make(map[string]*dataset.Sample, oldDS.Len())
+	oldBy := make(map[row]*dataset.Sample, oldDS.Len())
 	for _, s := range oldDS.Samples {
 		oldBy[key(s)] = s
 	}
 	groups := make(map[string][]pair)
 	var order []string
 	rep := &CompareReport{Opt: opt}
-	paired := make(map[string]bool, newDS.Len())
+	paired := make(map[row]bool, newDS.Len())
 	for _, s := range newDS.Samples {
 		k := key(s)
 		o, ok := oldBy[k]

@@ -70,7 +70,7 @@ func Drill(ds *dataset.Dataset, app string, arch topology.Arch, opt ml.LogisticO
 	if err != nil {
 		return nil, err
 	}
-	row := app + "@" + string(arch)
+	row := PerArchApp.label(&dataset.Group{Arch: arch, App: app})
 	for _, v := range env.Names() {
 		d.Variables = append(d.Variables, RankedVariable{
 			Variable: v, Influence: fig4.RowInfluence(row, string(v)),

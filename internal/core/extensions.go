@@ -35,36 +35,31 @@ type ModelComparison struct {
 // strategy and reports their training accuracies next to the majority
 // baseline — quantifying how much the linear restriction costs (§VI).
 func CompareModels(ds *dataset.Dataset, g Grouping, logOpt ml.LogisticOptions, treeOpt ml.TreeOptions, nTrees int) ([]ModelComparison, error) {
-	appNames := distinctApps(ds)
-	var cols []string
-	switch g {
-	case PerApp:
-		cols = append(baseFeatures(), FeatArch)
-	case PerArch:
-		cols = append(baseFeatures(), FeatApp)
-	default:
-		cols = baseFeatures()
-	}
+	appNames := ds.Apps()
+	cols := g.features()
 	var out []ModelComparison
-	for _, key := range groupKeys(ds, g) {
-		sub := groupSubset(ds, g, key)
+	err := g.eachRow(ds, func(label string, sub *dataset.Dataset) error {
 		x, y := featurize(sub, cols, appNames)
-		mc := ModelComparison{Group: key, Samples: len(x), MajorityAcc: majorityAccuracy(y)}
+		mc := ModelComparison{Group: label, Samples: len(x), MajorityAcc: majorityAccuracy(y)}
 		if hasBothClasses(y) {
 			lm, err := ml.FitLogistic(x, y, logOpt)
 			if err != nil {
-				return nil, fmt.Errorf("core: %s logistic: %w", key, err)
+				return fmt.Errorf("core: %s logistic: %w", label, err)
 			}
 			mc.LogisticAcc = lm.Accuracy(x, y)
 			fm, err := ml.FitForest(x, y, nTrees, treeOpt)
 			if err != nil {
-				return nil, fmt.Errorf("core: %s forest: %w", key, err)
+				return fmt.Errorf("core: %s forest: %w", label, err)
 			}
 			mc.ForestAcc = fm.Accuracy(x, y)
 		} else {
 			mc.LogisticAcc, mc.ForestAcc = 1, 1
 		}
 		out = append(out, mc)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -111,7 +106,7 @@ func Transfer(ds *dataset.Dataset, app string, treeOpt ml.TreeOptions, nTrees in
 		if test.Len() == 0 {
 			continue
 		}
-		train := sub.Filter(func(s *dataset.Sample) bool { return s.Arch != held })
+		train := sub.Where(func(g *dataset.Group) bool { return g.Arch != held })
 		if train.Len() == 0 {
 			continue
 		}

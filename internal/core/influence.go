@@ -23,6 +23,52 @@ const (
 	PerArch
 )
 
+// label names the heatmap row grp falls in under the grouping.
+func (g Grouping) label(grp *dataset.Group) string {
+	switch g {
+	case PerApp:
+		return grp.App
+	case PerArch:
+		return string(grp.Arch)
+	default:
+		return grp.App + "@" + string(grp.Arch)
+	}
+}
+
+// features lists the grouping's design-matrix columns: the base features
+// plus the context feature its rows pool over.
+func (g Grouping) features() []string {
+	switch g {
+	case PerApp:
+		return append(baseFeatures(), FeatArch)
+	case PerArch:
+		return append(baseFeatures(), FeatApp)
+	default:
+		return baseFeatures()
+	}
+}
+
+// eachRow calls fit once per heatmap row of the grouping, in label order,
+// with the row's samples in dataset order.
+func (g Grouping) eachRow(ds *dataset.Dataset, fit func(label string, sub *dataset.Dataset) error) error {
+	seen := map[string]bool{}
+	var labels []string
+	for _, grp := range ds.Groups() {
+		if l := g.label(&grp); !seen[l] {
+			seen[l] = true
+			labels = append(labels, l)
+		}
+	}
+	sort.Strings(labels)
+	for _, label := range labels {
+		sub := ds.Where(func(grp *dataset.Group) bool { return g.label(grp) == label })
+		if err := fit(label, sub); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Feature column labels used in the heatmaps.
 const (
 	FeatInput = "Input Size"
@@ -102,40 +148,28 @@ type Heatmap struct {
 // of the requested grouping: Fig. 2 (PerApp), Fig. 3 (PerArch) or
 // Fig. 4 (PerArchApp).
 func InfluenceHeatmap(ds *dataset.Dataset, g Grouping, opt ml.LogisticOptions) (*Heatmap, error) {
-	appNames := distinctApps(ds)
-	var cols []string
-	switch g {
-	case PerApp:
-		cols = append(baseFeatures(), FeatArch)
-	case PerArch:
-		cols = append(baseFeatures(), FeatApp)
-	default:
-		cols = baseFeatures()
-	}
-	groups := groupKeys(ds, g)
-	hm := &Heatmap{Features: cols}
-	for _, key := range groups {
-		sub := groupSubset(ds, g, key)
-		if sub.Len() == 0 {
-			continue
+	appNames := ds.Apps()
+	hm := &Heatmap{Features: g.features()}
+	err := g.eachRow(ds, func(label string, sub *dataset.Dataset) error {
+		x, y := featurize(sub, hm.Features, appNames)
+		cells, acc := make([]float64, len(hm.Features)), 1.0
+		// A group where nothing (or everything) beats the default has no
+		// decision boundary; report zero influence, as the paper's missing
+		// Sort/Strassen cells do.
+		if hasBothClasses(y) {
+			model, err := ml.FitLogistic(x, y, opt)
+			if err != nil {
+				return fmt.Errorf("core: group %s: %w", label, err)
+			}
+			cells, acc = model.Influence(), model.Accuracy(x, y)
 		}
-		x, y := featurize(sub, cols, appNames)
-		if !hasBothClasses(y) {
-			// A group where nothing (or everything) beats the default has no
-			// decision boundary; report zero influence, as the paper's
-			// missing Sort/Strassen cells do.
-			hm.RowLabels = append(hm.RowLabels, key)
-			hm.Cells = append(hm.Cells, make([]float64, len(cols)))
-			hm.Accuracy = append(hm.Accuracy, 1)
-			continue
-		}
-		model, err := ml.FitLogistic(x, y, opt)
-		if err != nil {
-			return nil, fmt.Errorf("core: group %s: %w", key, err)
-		}
-		hm.RowLabels = append(hm.RowLabels, key)
-		hm.Cells = append(hm.Cells, model.Influence())
-		hm.Accuracy = append(hm.Accuracy, model.Accuracy(x, y))
+		hm.RowLabels = append(hm.RowLabels, label)
+		hm.Cells = append(hm.Cells, cells)
+		hm.Accuracy = append(hm.Accuracy, acc)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return hm, nil
 }
@@ -194,54 +228,6 @@ func (h *Heatmap) RowInfluence(row, feature string) float64 {
 		}
 	}
 	return 0
-}
-
-func distinctApps(ds *dataset.Dataset) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range ds.Samples {
-		if !seen[s.App] {
-			seen[s.App] = true
-			out = append(out, s.App)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func groupKeys(ds *dataset.Dataset, g Grouping) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range ds.Samples {
-		var k string
-		switch g {
-		case PerApp:
-			k = s.App
-		case PerArch:
-			k = string(s.Arch)
-		default:
-			k = s.App + "@" + string(s.Arch)
-		}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func groupSubset(ds *dataset.Dataset, g Grouping, key string) *dataset.Dataset {
-	return ds.Filter(func(s *dataset.Sample) bool {
-		switch g {
-		case PerApp:
-			return s.App == key
-		case PerArch:
-			return string(s.Arch) == key
-		default:
-			return s.App+"@"+string(s.Arch) == key
-		}
-	})
 }
 
 func hasBothClasses(y []bool) bool {

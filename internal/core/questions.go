@@ -27,7 +27,7 @@ type Q2Row struct {
 // Q2Consistency computes the Q2 analysis for every application in ds.
 func Q2Consistency(ds *dataset.Dataset) []Q2Row {
 	var rows []Q2Row
-	for _, app := range distinctApps(ds) {
+	for _, app := range ds.Apps() {
 		sub := ds.ByApp(app)
 		row := Q2Row{App: app, PerArchTop: map[topology.Arch][]env.VarName{}}
 		union := map[env.VarName]int{}

@@ -77,12 +77,12 @@ func SearchReport(r io.Reader, ds *dataset.Dataset) ([]SearchReportRow, error) {
 		return nil, fmt.Errorf("core: search telemetry holds no search_done records")
 	}
 
-	// Per-(arch, app, setting) best speedup of the sweep dataset.
-	sweepBest := make(map[string]float64)
-	for _, s := range ds.Samples {
-		if sp := s.Speedup(); sp > sweepBest[s.SettingKey()] {
-			sweepBest[s.SettingKey()] = sp
-		}
+	// Per-(arch, app, setting) best speedup of the sweep dataset; a search
+	// over a group the dataset lacks joins against 0.
+	type group struct{ arch, app, setting string }
+	sweepBest := make(map[group]float64)
+	for _, g := range ds.Groups() {
+		sweepBest[group{string(g.Arch), g.App, g.Setting}] = g.Best().Speedup()
 	}
 
 	var rows []SearchReportRow
@@ -96,7 +96,7 @@ func SearchReport(r io.Reader, ds *dataset.Dataset) ([]SearchReportRow, error) {
 		if row.SpaceSize > 0 {
 			row.EvalFraction = float64(row.Evaluations) / float64(row.SpaceSize)
 		}
-		row.SweepBestSpeedup = sweepBest[id.arch+"/"+id.app+"/"+id.setting]
+		row.SweepBestSpeedup = sweepBest[group{id.arch, id.app, id.setting}]
 		if row.SweepBestSpeedup > 0 {
 			row.Fraction = row.BestSpeedup / row.SweepBestSpeedup
 		}

@@ -105,10 +105,9 @@ func TestShapeNQueensTurnaroundEverywhere(t *testing.T) {
 	// yields: turnaround mode, or its equivalent KMP_BLOCKTIME=infinite
 	// (the paper notes OMP_WAIT_POLICY is derived from the two together).
 	for _, arch := range topology.Arches() {
-		best := ds.ByApp("Nqueens").ByArch(arch).BestPerSetting()
-		for key, s := range best {
-			if s.Config.EffectiveBlocktimeMS() != env.BlocktimeInfinite {
-				t.Errorf("%s: best NQueens config at %s is %s — want a spinning wait policy", arch, key, s.Config)
+		for _, g := range ds.ByApp("Nqueens").ByArch(arch).Groups() {
+			if s := g.Best(); s.Config.EffectiveBlocktimeMS() != env.BlocktimeInfinite {
+				t.Errorf("%s: best NQueens config at %s is %s — want a spinning wait policy", arch, s.SettingKey(), s.Config)
 			}
 		}
 	}
@@ -131,9 +130,9 @@ func TestShapeXSBenchMilanOutlier(t *testing.T) {
 		}
 	}
 	// The Milan win comes from binding: the best Milan config must be bound.
-	for key, s := range ds.ByApp("XSbench").ByArch(topology.Milan).BestPerSetting() {
-		if s.Speedup() > 1.5 && s.Config.EffectiveBind() == env.BindFalse {
-			t.Errorf("best XSbench Milan config at %s is unbound: %s", key, s.Config)
+	for _, g := range ds.ByApp("XSbench").ByArch(topology.Milan).Groups() {
+		if s := g.Best(); s.Speedup() > 1.5 && s.Config.EffectiveBind() == env.BindFalse {
+			t.Errorf("best XSbench Milan config at %s is unbound: %s", s.SettingKey(), s.Config)
 		}
 	}
 }

@@ -144,21 +144,20 @@ func SobolSensitivity(ds *dataset.Dataset, n int, seed int64) (*SobolReport, err
 	}
 	rep := &SobolReport{Samples: n, Seed: seed}
 	names := env.Names()
-	for _, key := range ds.Settings() {
-		group := key
-		sub := ds.Filter(func(s *dataset.Sample) bool { return s.SettingKey() == group })
-		if sub.Len() < 2 {
+	for _, sub := range ds.Groups() {
+		if len(sub.Samples) < 2 {
 			continue // a single config has no variance to partition
 		}
-		machine, err := topology.Get(sub.Samples[0].Arch)
+		group := sub.Samples[0].SettingKey()
+		machine, err := topology.Get(sub.Arch)
 		if err != nil {
 			return nil, fmt.Errorf("core: sobol: group %s: %w", group, err)
 		}
 
 		// Mean runtime per measured configuration, and the group mean as the
 		// out-of-sweep fallback.
-		resp := make(map[string]float64, sub.Len())
-		cnt := make(map[string]int, sub.Len())
+		resp := make(map[string]float64, len(sub.Samples))
+		cnt := make(map[string]int, len(sub.Samples))
 		groupMean := 0.0
 		for _, s := range sub.Samples {
 			k := s.Config.Key()
@@ -166,7 +165,7 @@ func SobolSensitivity(ds *dataset.Dataset, n int, seed int64) (*SobolReport, err
 			cnt[k]++
 			groupMean += s.MeanRuntime()
 		}
-		groupMean /= float64(sub.Len())
+		groupMean /= float64(len(sub.Samples))
 		for k, c := range cnt {
 			resp[k] /= float64(c)
 		}

@@ -92,60 +92,46 @@ func (r *VariabilityReport) SavedFrac() float64 {
 // instead of inventing numbers.
 func Variability(ds *dataset.Dataset) *VariabilityReport {
 	rep := &VariabilityReport{FixedReps: sim.Reps}
-	type acc struct {
-		g    *VariabilityGroup
-		covs []float64
-		cis  []float64
-	}
-	byKey := make(map[string]*acc)
-	var order []string
-	for _, s := range ds.Samples {
-		rep.Samples++
-		k := s.SettingKey()
-		a := byKey[k]
-		if a == nil {
-			a = &acc{g: &VariabilityGroup{
-				Arch: string(s.Arch), App: s.App, Setting: s.Setting,
-				RepsHist: make(map[int]int),
-			}}
-			byKey[k] = a
-			order = append(order, k)
+	for _, grp := range ds.Groups() {
+		g := VariabilityGroup{
+			Arch: string(grp.Arch), App: grp.App, Setting: grp.Setting,
+			Samples: len(grp.Samples), RepsHist: make(map[int]int),
 		}
-		a.g.Samples++
-		if !s.HasSeriesMeta() {
-			continue
+		rep.Samples += g.Samples
+		var covs, cis []float64
+		for _, s := range grp.Samples {
+			if !s.HasSeriesMeta() {
+				continue
+			}
+			g.WithMeta++
+			covs = append(covs, s.CoV)
+			cis = append(cis, s.CIRel)
+			g.RepsHist[s.RepsRun]++
+			if g.WithMeta == 1 || s.RepsRun < g.RepsMin {
+				g.RepsMin = s.RepsRun
+			}
+			if s.RepsRun > g.RepsMax {
+				g.RepsMax = s.RepsRun
+			}
+			g.RepsRun += s.RepsRun
+			g.RepsFixed += sim.Reps
+			perRep := s.MeanRuntime()
+			g.TimeRunSec += float64(s.RepsRun) * perRep
+			g.TimeFixedSec += float64(sim.Reps) * perRep
 		}
-		rep.WithMeta++
-		a.g.WithMeta++
-		a.covs = append(a.covs, s.CoV)
-		a.cis = append(a.cis, s.CIRel)
-		a.g.RepsHist[s.RepsRun]++
-		if a.g.WithMeta == 1 || s.RepsRun < a.g.RepsMin {
-			a.g.RepsMin = s.RepsRun
+		if g.WithMeta > 0 {
+			g.CoVP50 = stats.Quantile(covs, 0.50)
+			g.CoVP90 = stats.Quantile(covs, 0.90)
+			g.CoVMax = stats.Quantile(covs, 1)
+			g.CIP50 = stats.Quantile(cis, 0.50)
+			g.CIP90 = stats.Quantile(cis, 0.90)
+			rep.WithMeta += g.WithMeta
+			rep.RepsRun += g.RepsRun
+			rep.RepsFixed += g.RepsFixed
+			rep.TimeRunSec += g.TimeRunSec
+			rep.TimeFixedSec += g.TimeFixedSec
 		}
-		if s.RepsRun > a.g.RepsMax {
-			a.g.RepsMax = s.RepsRun
-		}
-		a.g.RepsRun += s.RepsRun
-		a.g.RepsFixed += sim.Reps
-		perRep := s.MeanRuntime()
-		a.g.TimeRunSec += float64(s.RepsRun) * perRep
-		a.g.TimeFixedSec += float64(sim.Reps) * perRep
-	}
-	for _, k := range order {
-		a := byKey[k]
-		if a.g.WithMeta > 0 {
-			a.g.CoVP50 = stats.Quantile(a.covs, 0.50)
-			a.g.CoVP90 = stats.Quantile(a.covs, 0.90)
-			a.g.CoVMax = stats.Quantile(a.covs, 1)
-			a.g.CIP50 = stats.Quantile(a.cis, 0.50)
-			a.g.CIP90 = stats.Quantile(a.cis, 0.90)
-			rep.RepsRun += a.g.RepsRun
-			rep.RepsFixed += a.g.RepsFixed
-			rep.TimeRunSec += a.g.TimeRunSec
-			rep.TimeFixedSec += a.g.TimeFixedSec
-		}
-		rep.Groups = append(rep.Groups, *a.g)
+		rep.Groups = append(rep.Groups, g)
 	}
 	return rep
 }

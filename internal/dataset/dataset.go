@@ -113,7 +113,9 @@ const OptimalThreshold = 1.01
 // Optimal reports whether the sample is labeled optimal.
 func (s *Sample) Optimal() bool { return s.Speedup() > OptimalThreshold }
 
-// SettingKey identifies a (arch, app, setting) group.
+// SettingKey renders the sample's (arch, app, setting) group as a label for
+// messages and output. Analysis code selects groups with Groups and Where,
+// never by comparing this string.
 func (s *Sample) SettingKey() string {
 	return string(s.Arch) + "/" + s.App + "/" + s.Setting
 }
@@ -126,52 +128,124 @@ type Dataset struct {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Samples) }
 
-// Filter returns the samples for which keep returns true.
-func (d *Dataset) Filter(keep func(*Sample) bool) *Dataset {
-	out := &Dataset{}
-	for _, s := range d.Samples {
-		if keep(s) {
-			out.Samples = append(out.Samples, s)
+// Group is one setting batch of §IV-B — every sample of one (arch, app,
+// setting) — the unit every table, figure, question and fit selects from.
+type Group struct {
+	Arch    topology.Arch
+	App     string
+	Setting string
+	// Samples holds the group's samples in dataset order.
+	Samples []*Sample
+}
+
+// groupID is the comparable identity of a group: a map key that costs no
+// string concatenation.
+type groupID struct {
+	arch         topology.Arch
+	app, setting string
+}
+
+func (s *Sample) groupID() groupID { return groupID{s.Arch, s.App, s.Setting} }
+
+// eachRun calls fn for every maximal run of consecutive samples of one
+// group, in dataset order. A sweep writes each group as one run, so callers
+// pay their per-group work (a map lookup) once per group, not per sample.
+func (d *Dataset) eachRun(fn func(id groupID, run []*Sample)) {
+	for i := 0; i < len(d.Samples); {
+		id := d.Samples[i].groupID()
+		j := i + 1
+		for j < len(d.Samples) && d.Samples[j].groupID() == id {
+			j++
+		}
+		fn(id, d.Samples[i:j:j])
+		i = j
+	}
+}
+
+// Groups returns the dataset's (arch, app, setting) groups in first-seen
+// order, each with its samples in dataset order. A group stored as one run
+// shares the dataset's backing array; a group split across runs gets a copy.
+// Nothing is cached: a Dataset is a plain slice callers may append to, and
+// one call is a single pass.
+func (d *Dataset) Groups() []Group {
+	var groups []Group
+	index := make(map[groupID]int)
+	d.eachRun(func(id groupID, run []*Sample) {
+		if i, ok := index[id]; ok {
+			groups[i].Samples = append(groups[i].Samples, run...)
+			return
+		}
+		index[id] = len(groups)
+		groups = append(groups, Group{Arch: id.arch, App: id.app, Setting: id.setting, Samples: run})
+	})
+	return groups
+}
+
+// Where returns the samples of the groups match accepts, in dataset order.
+// match runs once per group and sees the whole group.
+func (d *Dataset) Where(match func(*Group) bool) *Dataset {
+	groups := d.Groups()
+	keep := make(map[groupID]bool, len(groups))
+	n := 0
+	for i := range groups {
+		if g := &groups[i]; match(g) {
+			keep[groupID{g.Arch, g.App, g.Setting}] = true
+			n += len(g.Samples)
 		}
 	}
+	out := &Dataset{Samples: make([]*Sample, 0, n)}
+	d.eachRun(func(id groupID, run []*Sample) {
+		if keep[id] {
+			out.Samples = append(out.Samples, run...)
+		}
+	})
 	return out
 }
 
 // ByArch returns the subset collected on arch.
 func (d *Dataset) ByArch(arch topology.Arch) *Dataset {
-	return d.Filter(func(s *Sample) bool { return s.Arch == arch })
+	return d.Where(func(g *Group) bool { return g.Arch == arch })
 }
 
 // ByApp returns the subset for the named application.
 func (d *Dataset) ByApp(app string) *Dataset {
-	return d.Filter(func(s *Sample) bool { return s.App == app })
+	return d.Where(func(g *Group) bool { return g.App == app })
 }
 
-// Settings returns the distinct setting keys in insertion order.
-func (d *Dataset) Settings() []string {
+// Apps returns the dataset's distinct applications, sorted by name.
+func (d *Dataset) Apps() []string {
 	seen := make(map[string]bool)
 	var out []string
-	for _, s := range d.Samples {
-		k := s.SettingKey()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
+	for _, g := range d.Groups() {
+		if !seen[g.App] {
+			seen[g.App] = true
+			out = append(out, g.App)
 		}
 	}
+	sort.Strings(out)
 	return out
 }
 
-// BestPerSetting returns, for every (arch, app, setting) group, the sample
-// with the highest speedup.
-func (d *Dataset) BestPerSetting() map[string]*Sample {
-	best := make(map[string]*Sample)
-	for _, s := range d.Samples {
-		k := s.SettingKey()
-		if b, ok := best[k]; !ok || s.Speedup() > b.Speedup() {
-			best[k] = s
+// Best returns the group's sample with the highest speedup, the first such
+// in dataset order.
+func (g *Group) Best() *Sample {
+	best, bestSp := g.Samples[0], g.Samples[0].Speedup()
+	for _, s := range g.Samples[1:] {
+		if sp := s.Speedup(); sp > bestSp {
+			best, bestSp = s, sp
 		}
 	}
 	return best
+}
+
+// bestSpeedups returns every group's best speedup, in group order.
+func (d *Dataset) bestSpeedups() []float64 {
+	groups := d.Groups()
+	sp := make([]float64, len(groups))
+	for i := range groups {
+		sp[i] = groups[i].Best().Speedup()
+	}
+	return sp
 }
 
 // SpeedupRange returns the minimum and maximum best-speedup across the
@@ -179,8 +253,7 @@ func (d *Dataset) BestPerSetting() map[string]*Sample {
 // and per application×architecture (Table V).
 func (d *Dataset) SpeedupRange() (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, b := range d.BestPerSetting() {
-		sp := b.Speedup()
+	for _, sp := range d.bestSpeedups() {
 		if sp < lo {
 			lo = sp
 		}
@@ -197,10 +270,7 @@ func (d *Dataset) SpeedupRange() (lo, hi float64) {
 // MedianBestSpeedup returns the median of the per-setting best speedups,
 // the per-architecture "median improvement" of §V-Q1.
 func (d *Dataset) MedianBestSpeedup() float64 {
-	var sp []float64
-	for _, b := range d.BestPerSetting() {
-		sp = append(sp, b.Speedup())
-	}
+	sp := d.bestSpeedups()
 	if len(sp) == 0 {
 		return 0
 	}
@@ -212,10 +282,11 @@ func (d *Dataset) MedianBestSpeedup() float64 {
 	return (sp[n/2-1] + sp[n/2]) / 2
 }
 
-// RuntimeColumn extracts repetition rep's runtime for every sample.
-func (d *Dataset) RuntimeColumn(rep int) []float64 {
-	out := make([]float64, 0, len(d.Samples))
-	for _, s := range d.Samples {
+// RuntimeColumn extracts repetition rep's runtime for every sample of the
+// group.
+func (g *Group) RuntimeColumn(rep int) []float64 {
+	out := make([]float64, 0, len(g.Samples))
+	for _, s := range g.Samples {
 		out = append(out, s.Runtimes[rep])
 	}
 	return out
@@ -243,46 +314,4 @@ func (d *Dataset) Validate() error {
 		}
 	}
 	return nil
-}
-
-// sampleKey identifies one row for overlap detection: the same (arch, app,
-// setting, config) must not appear twice, which would double-count a
-// configuration in the analysis.
-func (s *Sample) sampleKey() string { return s.SettingKey() + "|" + s.Config.Key() }
-
-// Merge appends the samples of the given parts to d in order, validating
-// non-overlap against d's existing rows and across the parts. On error d is
-// left unchanged.
-func (d *Dataset) Merge(parts ...*Dataset) error {
-	seen := make(map[string]bool, len(d.Samples))
-	for _, s := range d.Samples {
-		seen[s.sampleKey()] = true
-	}
-	var add []*Sample
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		for _, s := range p.Samples {
-			key := s.sampleKey()
-			if seen[key] {
-				return fmt.Errorf("dataset: duplicate sample %s", key)
-			}
-			seen[key] = true
-			add = append(add, s)
-		}
-	}
-	d.Samples = append(d.Samples, add...)
-	return nil
-}
-
-// Merge combines datasets collected separately (e.g. per-architecture
-// shards of a cluster campaign) into one, preserving order and rejecting
-// duplicate rows.
-func Merge(parts ...*Dataset) (*Dataset, error) {
-	out := &Dataset{}
-	if err := out.Merge(parts...); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -79,8 +79,11 @@ func TestFilters(t *testing.T) {
 	if got := ds.ByApp("CG").Len(); got != 2 {
 		t.Errorf("ByApp = %d, want 2", got)
 	}
-	if got := len(ds.Settings()); got != 3 {
-		t.Errorf("Settings = %d, want 3", got)
+	if got := len(ds.Groups()); got != 3 {
+		t.Errorf("Groups = %d, want 3", got)
+	}
+	if got := ds.Apps(); len(got) != 2 || got[0] != "CG" || got[1] != "MG" {
+		t.Errorf("Apps = %v, want [CG MG]", got)
 	}
 }
 
@@ -90,12 +93,12 @@ func TestBestPerSettingAndRange(t *testing.T) {
 		mkSample(topology.A64FX, "CG", "small", 1.5),
 		mkSample(topology.A64FX, "CG", "large", 1.1),
 	}}
-	best := ds.BestPerSetting()
-	if len(best) != 2 {
-		t.Fatalf("BestPerSetting has %d groups, want 2", len(best))
+	groups := ds.Groups()
+	if len(groups) != 2 {
+		t.Fatalf("Groups has %d groups, want 2", len(groups))
 	}
-	if sp := best["a64fx/CG/small"].Speedup(); math.Abs(sp-1.5) > 1e-9 {
-		t.Errorf("best small speedup %v, want 1.5", sp)
+	if sp := groups[0].Best().Speedup(); groups[0].Setting != "small" || math.Abs(sp-1.5) > 1e-9 {
+		t.Errorf("best %s speedup %v, want small 1.5", groups[0].Setting, sp)
 	}
 	lo, hi := ds.SpeedupRange()
 	if math.Abs(lo-1.1) > 1e-9 || math.Abs(hi-1.5) > 1e-9 {
@@ -120,9 +123,9 @@ func TestEmptyDatasetRanges(t *testing.T) {
 func TestRuntimeColumn(t *testing.T) {
 	s := mkSample(topology.A64FX, "CG", "small", 1)
 	s.Runtimes = [4]float64{1, 2, 3, 4}
-	ds := &Dataset{Samples: []*Sample{s}}
+	g := Group{Samples: []*Sample{s}}
 	for rep := 0; rep < 4; rep++ {
-		col := ds.RuntimeColumn(rep)
+		col := g.RuntimeColumn(rep)
 		if len(col) != 1 || col[0] != float64(rep+1) {
 			t.Errorf("RuntimeColumn(%d) = %v", rep, col)
 		}
@@ -346,53 +349,6 @@ func TestSpeedupRangePropertyBestIsMax(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMergeMethod(t *testing.T) {
-	d := &Dataset{Samples: []*Sample{mkSample(topology.A64FX, "CG", "small", 1.2)}}
-	b := &Dataset{Samples: []*Sample{mkSample(topology.Milan, "CG", "large", 1.4)}}
-	if err := d.Merge(b, nil); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if d.Len() != 2 {
-		t.Errorf("merged length = %d, want 2", d.Len())
-	}
-	// Overlap with the receiver's existing rows is rejected, and on error
-	// the receiver is unchanged.
-	dup := &Dataset{Samples: []*Sample{
-		mkSample(topology.Skylake, "CG", "small", 1.1),
-		mkSample(topology.A64FX, "CG", "small", 1.2),
-	}}
-	if err := d.Merge(dup); err == nil {
-		t.Error("overlapping merge accepted")
-	}
-	if d.Len() != 2 {
-		t.Errorf("failed merge mutated receiver: length = %d, want 2", d.Len())
-	}
-	// Overlap across the parts themselves is rejected too.
-	p := &Dataset{Samples: []*Sample{mkSample(topology.Skylake, "MG", "small", 1.1)}}
-	if err := (&Dataset{}).Merge(p, p); err == nil {
-		t.Error("cross-part overlap accepted")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := &Dataset{Samples: []*Sample{mkSample(topology.A64FX, "CG", "small", 1.2)}}
-	b := &Dataset{Samples: []*Sample{mkSample(topology.Milan, "CG", "small", 1.4)}}
-	merged, err := Merge(a, b, nil)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if merged.Len() != 2 {
-		t.Errorf("merged %d samples, want 2", merged.Len())
-	}
-	if _, err := Merge(a, a); err == nil {
-		t.Error("duplicate samples should be rejected")
-	}
-	empty, err := Merge()
-	if err != nil || empty.Len() != 0 {
-		t.Errorf("empty merge: %v, %d", err, empty.Len())
 	}
 }
 

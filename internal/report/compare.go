@@ -71,12 +71,9 @@ func CompareWithPaper(w io.Writer, ds *dataset.Dataset) error {
 	for _, arch := range topology.Arches() {
 		p := PaperTableII[arch]
 		sub := ds.ByArch(arch)
-		apps := map[string]bool{}
-		for _, s := range sub.Samples {
-			apps[s.App] = true
-		}
-		ok := within(float64(sub.Len()), float64(p.Samples), 0.03) && len(apps) == p.Apps
-		fmt.Fprintf(tw, "%s\t%d / %d\t%d / %d\t%s\n", arch, p.Apps, p.Samples, len(apps), sub.Len(), verdict(ok))
+		apps := len(sub.Apps())
+		ok := within(float64(sub.Len()), float64(p.Samples), 0.03) && apps == p.Apps
+		fmt.Fprintf(tw, "%s\t%d / %d\t%d / %d\t%s\n", arch, p.Apps, p.Samples, apps, sub.Len(), verdict(ok))
 	}
 
 	fmt.Fprintln(tw, "\n== Q1: upshot potential ==")

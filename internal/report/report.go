@@ -7,7 +7,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
@@ -40,11 +39,7 @@ func TableII(w io.Writer, ds *dataset.Dataset) error {
 	fmt.Fprintln(tw, "Architecture\tApplications\t#Samples")
 	for _, arch := range topology.Arches() {
 		sub := ds.ByArch(arch)
-		apps := map[string]bool{}
-		for _, s := range sub.Samples {
-			apps[s.App] = true
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\n", topology.MustGet(arch).Name, len(apps), sub.Len())
+		fmt.Fprintf(tw, "%s\t%d\t%d\n", topology.MustGet(arch).Name, len(sub.Apps()), sub.Len())
 	}
 	return tw.Flush()
 }
@@ -237,22 +232,34 @@ func Fig4(w io.Writer, ds *dataset.Dataset, opt ml.LogisticOptions) error {
 // runtime distribution of one (arch, app, setting) group, with quartile
 // marks — the unit of Figs. 1 and 5–7.
 func Violin(w io.Writer, ds *dataset.Dataset, arch topology.Arch, app, setting string, rows int) error {
-	sub := ds.ByArch(arch).ByApp(app).Filter(func(s *dataset.Sample) bool { return s.Setting == setting })
-	if sub.Len() == 0 {
-		return fmt.Errorf("report: no samples for %s/%s/%s", arch, app, setting)
+	for _, g := range ds.Groups() {
+		if g.Arch == arch && g.App == app && g.Setting == setting {
+			violin(w, &g, rows)
+			return nil
+		}
 	}
-	times := make([]float64, 0, sub.Len())
-	for _, s := range sub.Samples {
+	return fmt.Errorf("report: no samples for %s/%s/%s", arch, app, setting)
+}
+
+// meanRuntimes is the runtime distribution a violin draws: one mean runtime
+// per configuration of the group.
+func meanRuntimes(g *dataset.Group) []float64 {
+	times := make([]float64, 0, len(g.Samples))
+	for _, s := range g.Samples {
 		times = append(times, s.MeanRuntime())
 	}
-	v := stats.ViolinOf(times, rows)
+	return times
+}
+
+func violin(w io.Writer, g *dataset.Group, rows int) {
+	v := stats.ViolinOf(meanRuntimes(g), rows)
 	maxD := 0.0
 	for _, d := range v.Density {
 		if d > maxD {
 			maxD = d
 		}
 	}
-	fmt.Fprintf(w, "%s-%s-%s  n=%d  mean=%.3fs  std=%.3fs\n", arch, app, setting, v.Desc.N, v.Desc.Mean, v.Desc.Std)
+	fmt.Fprintf(w, "%s-%s-%s  n=%d  mean=%.3fs  std=%.3fs\n", g.Arch, g.App, g.Setting, v.Desc.N, v.Desc.Mean, v.Desc.Std)
 	const width = 50
 	for i := len(v.Grid) - 1; i >= 0; i-- {
 		bar := 0
@@ -268,7 +275,6 @@ func Violin(w io.Writer, ds *dataset.Dataset, arch topology.Arch, app, setting s
 		}
 		fmt.Fprintf(w, "%9.3fs %s |%s\n", v.Grid[i], mark, strings.Repeat("#", bar))
 	}
-	return nil
 }
 
 func near(g, target float64, grid []float64) bool {
@@ -284,30 +290,10 @@ func near(g, target float64, grid []float64) bool {
 // external plotting — the open-data companion to Figs. 1 and 5–7.
 func ViolinCSV(w io.Writer, ds *dataset.Dataset, app string, points int) error {
 	fmt.Fprintln(w, "arch,setting,runtime_seconds,density")
-	for _, arch := range topology.Arches() {
-		sub := ds.ByArch(arch).ByApp(app)
-		if sub.Len() == 0 {
-			continue
-		}
-		settings := map[string]bool{}
-		var order []string
-		for _, s := range sub.Samples {
-			if !settings[s.Setting] {
-				settings[s.Setting] = true
-				order = append(order, s.Setting)
-			}
-		}
-		sort.Strings(order)
-		for _, setting := range order {
-			group := sub.Filter(func(s *dataset.Sample) bool { return s.Setting == setting })
-			var times []float64
-			for _, s := range group.Samples {
-				times = append(times, s.MeanRuntime())
-			}
-			v := stats.ViolinOf(times, points)
-			for i := range v.Grid {
-				fmt.Fprintf(w, "%s,%s,%.6g,%.6g\n", arch, setting, v.Grid[i], v.Density[i])
-			}
+	for _, g := range core.SettingGroups(ds, app) {
+		v := stats.ViolinOf(meanRuntimes(&g), points)
+		for i := range v.Grid {
+			fmt.Fprintf(w, "%s,%s,%.6g,%.6g\n", g.Arch, g.Setting, v.Grid[i], v.Density[i])
 		}
 	}
 	return nil
@@ -332,26 +318,9 @@ func Fig7(w io.Writer, ds *dataset.Dataset) error {
 
 func violinFigure(w io.Writer, ds *dataset.Dataset, app, caption string) error {
 	fmt.Fprintf(w, "%s: runtime distributions of the %s benchmark across the search space\n", caption, app)
-	for _, arch := range topology.Arches() {
-		sub := ds.ByArch(arch).ByApp(app)
-		if sub.Len() == 0 {
-			continue
-		}
-		seen := map[string]bool{}
-		var settings []string
-		for _, s := range sub.Samples {
-			if !seen[s.Setting] {
-				seen[s.Setting] = true
-				settings = append(settings, s.Setting)
-			}
-		}
-		sort.Strings(settings)
-		for _, setting := range settings {
-			fmt.Fprintln(w)
-			if err := Violin(w, ds, arch, app, setting, 20); err != nil {
-				return err
-			}
-		}
+	for _, g := range core.SettingGroups(ds, app) {
+		fmt.Fprintln(w)
+		violin(w, &g, 20)
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"omptune/internal/core"
@@ -49,47 +48,35 @@ func ViolinFigureSVG(w io.Writer, ds *dataset.Dataset, app string) error {
 	}
 	// The paper's Fig. 1 marks, in every violin, where each setting's best
 	// configuration lands — demonstrating that winners do not transfer.
-	bests := ds.ByApp(app).BestPerSetting()
+	var bests []*dataset.Sample
+	for _, g := range ds.Groups() {
+		if g.App == app {
+			bests = append(bests, g.Best())
+		}
+	}
 	var cells []cell
-	for _, arch := range topology.Arches() {
-		sub := ds.ByArch(arch).ByApp(app)
-		if sub.Len() == 0 {
-			continue
+	for _, g := range core.SettingGroups(ds, app) {
+		var logs []float64
+		for _, s := range g.Samples {
+			logs = append(logs, math.Log10(math.Max(s.MeanRuntime(), 1e-6)))
 		}
-		seen := map[string]bool{}
-		var settings []string
-		for _, s := range sub.Samples {
-			if !seen[s.Setting] {
-				seen[s.Setting] = true
-				settings = append(settings, s.Setting)
-			}
-		}
-		sort.Strings(settings)
-		for _, setting := range settings {
-			group := sub.Filter(func(s *dataset.Sample) bool { return s.Setting == setting })
-			var logs []float64
-			for _, s := range group.Samples {
-				logs = append(logs, math.Log10(math.Max(s.MeanRuntime(), 1e-6)))
-			}
-			v := stats.ViolinOf(logs, 64)
-			c := cell{arch: arch, setting: setting, v: v, logMin: v.Desc.Min, logMax: v.Desc.Max}
-			ownKey := string(arch) + "/" + app + "/" + setting
-			for key, best := range bests {
-				// Locate this best configuration among the cell's samples
-				// (the sampled sweep may not contain it everywhere).
-				for _, s := range group.Samples {
-					if s.Config == best.Config {
-						c.markers = append(c.markers, marker{
-							logRT: math.Log10(math.Max(s.MeanRuntime(), 1e-6)),
-							color: archColors[best.Arch],
-							own:   key == ownKey,
-						})
-						break
-					}
+		v := stats.ViolinOf(logs, 64)
+		c := cell{arch: g.Arch, setting: g.Setting, v: v, logMin: v.Desc.Min, logMax: v.Desc.Max}
+		for _, best := range bests {
+			// Locate this best configuration among the cell's samples
+			// (the sampled sweep may not contain it everywhere).
+			for _, s := range g.Samples {
+				if s.Config == best.Config {
+					c.markers = append(c.markers, marker{
+						logRT: math.Log10(math.Max(s.MeanRuntime(), 1e-6)),
+						color: archColors[best.Arch],
+						own:   best.Arch == g.Arch && best.Setting == g.Setting,
+					})
+					break
 				}
 			}
-			cells = append(cells, c)
 		}
+		cells = append(cells, c)
 	}
 	if len(cells) == 0 {
 		return fmt.Errorf("viz: no samples for application %q", app)

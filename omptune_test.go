@@ -109,7 +109,7 @@ func TestFacadePipeline(t *testing.T) {
 }
 
 // tableIICSVSHA256 is the SHA-256 of the full default campaign's CSV
-// (244,305 samples, 30,553,903 bytes). The model is deterministic, so the
+// (244,305 samples, 30,553,858 bytes). The model is deterministic, so the
 // dataset every table and figure is derived from is pinned to the bit: a
 // change to the sweep, the model, the noise streams, the configuration keys
 // or the CSV format that moves one byte fails here.
@@ -166,6 +166,23 @@ func TestFacadeWriteReport(t *testing.T) {
 	// their sections must still render without violins.
 	if !strings.Contains(out, "Fig 5") {
 		t.Error("report missing Fig 5 section")
+	}
+}
+
+// reportSHA256 is the SHA-256 of WriteReport over facadeDS (24,497 samples,
+// 11,334 bytes): every table, question and figure the analysis derives,
+// pinned to the byte, so a refactor of grouping, featurizing or fitting that
+// moves one digit fails here in seconds rather than on a full-campaign cmp.
+const reportSHA256 = "ab25f6c3331f553ad48f9d3b941b05dfe3b0c2edc463ce8806d813eaef15904f"
+
+func TestWriteReportGolden(t *testing.T) {
+	ds := facadeDS(t)
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, ds); err != nil {
+		t.Fatalf("WriteReport: %v", err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != reportSHA256 {
+		t.Errorf("%d samples, report %d bytes, sha256 %s, want %s", ds.Len(), buf.Len(), got, reportSHA256)
 	}
 }
 
