@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench smoke monitor-smoke variability-smoke verify
+.PHONY: build test vet race bench verify
 
 # build also compiles and vets the benchmark/ module against this checkout:
 # it has its own go.mod, so `go build ./...` alone never sees a facade or
@@ -20,12 +20,14 @@ vet:
 # park/wake paths, the observer hooks and per-thread trace rings (also end to
 # end on real kernels, through cmd/omprun's tests), the metrics registry, the
 # parallel sweep worker pool, the stateless measured backend those workers
-# share, the CSV column table, the model's shared placement cache and the
+# share, the CSV column table, the model's shared placement cache, the
 # sweep-to-analysis path of cmd/ompanalyze's tests (full sweeps, budgeted
-# searches, Sobol indices) — under the race detector. Keep this green
-# before touching openmp, internal/obs, internal/core or internal/measure.
+# searches, Sobol indices) and the served campaigns of cmd/ompsweep's and
+# cmd/ompsearch's tests (measured workers, the ledger and HTTP scrapes at
+# once) — under the race detector. Keep this green before touching openmp,
+# internal/obs, internal/core or internal/measure.
 race:
-	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./cmd/ompanalyze ./internal/core ./internal/obs ./internal/sim ./internal/measure ./internal/dataset
+	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./cmd/ompanalyze ./cmd/ompsweep ./cmd/ompsearch ./internal/core ./internal/obs ./internal/sim ./internal/measure ./internal/dataset
 
 # bench runs the runtime overhead microbenchmarks with settings pinned for
 # benchstat: save a baseline with `make bench > before.txt`, make changes,
@@ -41,140 +43,7 @@ bench:
 	$(GO) test ./openmp -run '^$$' -bench '$(BENCH)' -benchtime=300ms -count=5 -benchmem
 	$(GO) test . -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey' -benchtime=300ms -count=5
 
-# smoke runs a real-execution micro-campaign through the measured backend:
-# one app per suite (NPB/BOTS/proxy) on one arch, a tiny slice of the space,
-# two timed repetitions. It asserts the campaign completes, resumes
-# byte-identically from its own checkpoint, and records only positive
-# measured runtimes (CSV columns 14-17 are runtime_0..runtime_3). Measured
-# campaigns carry series provenance, so the CSV has every column group: column 21
-# is source and the trailing reps/cov/ci columns must record the real
-# repetition count (2 here — fixed -measure-reps).
-SMOKE_DIR := $(or $(TMPDIR),/tmp)/omptune-smoke
-SMOKE_SWEEP = $(GO) run ./cmd/ompsweep -backend measured -arch a64fx \
-	-apps EP,Nqueens,XSbench -frac 0.001 -measure-reps 2 -checkpoint $(SMOKE_DIR)/ck
-smoke: build
-	rm -rf $(SMOKE_DIR)
-	$(SMOKE_SWEEP) -o $(SMOKE_DIR)/smoke.csv
-	$(SMOKE_SWEEP) -o $(SMOKE_DIR)/resumed.csv
-	cmp $(SMOKE_DIR)/smoke.csv $(SMOKE_DIR)/resumed.csv
-	awk -F, 'NR == 1 { if ($$21 != "source" || $$NF != "ci") { print "smoke: want source col 21 and trailing reps/cov/ci, got " $$21 "/" $$NF; bad = 1; exit 1 } next } \
-		{ if ($$21 != "measured") { print "smoke: unmeasured row: " $$0; bad = 1; exit 1 } \
-		  if ($$(NF-2) + 0 != 2) { print "smoke: reps column " $$(NF-2) ", want 2: " $$0; bad = 1; exit 1 } \
-		  for (i = 14; i <= 17; i++) if ($$i + 0 <= 0) { print "smoke: non-positive runtime: " $$0; bad = 1; exit 1 } } \
-		END { if (bad) exit 1; if (NR < 2) { print "smoke: empty campaign"; exit 1 } print "smoke: " NR - 1 " measured samples OK" }' \
-		$(SMOKE_DIR)/smoke.csv
-	rm -rf $(SMOKE_DIR)
-
-# monitor-smoke proves the live monitor end to end on a real measured
-# micro-campaign: ompsweep runs with -serve on an ephemeral port, the bound
-# address is scraped from its stderr line, and while the server lingers the
-# target polls /api/status to "done", then asserts /healthz, a well-formed
-# Prometheus exposition with nonzero campaign gauges and runtime-latency
-# histogram counts, and a status payload carrying the heatmap cells and
-# latency tiles. The final TERM cuts the linger short (graceful shutdown
-# path), and the campaign must still exit 0 with a non-empty CSV.
-MONITOR_DIR := $(or $(TMPDIR),/tmp)/omptune-monitor-smoke
-monitor-smoke: build
-	rm -rf $(MONITOR_DIR) && mkdir -p $(MONITOR_DIR)
-	$(GO) build -o $(MONITOR_DIR)/ompsweep ./cmd/ompsweep
-	set -e; \
-	$(MONITOR_DIR)/ompsweep -backend measured -arch a64fx -apps Nqueens \
-		-frac 0.002 -measure-reps 2 -serve 127.0.0.1:0 -serve-linger 60s \
-		-o $(MONITOR_DIR)/smoke.csv 2> $(MONITOR_DIR)/stderr.txt & \
-	pid=$$!; \
-	addr=; for i in $$(seq 1 300); do \
-		addr=$$(sed -n 's#^ompsweep: monitor: serving on http://##p' $(MONITOR_DIR)/stderr.txt); \
-		[ -n "$$addr" ] && break; sleep 0.1; \
-	done; \
-	[ -n "$$addr" ] || { echo "monitor-smoke: no serving line"; cat $(MONITOR_DIR)/stderr.txt; kill $$pid 2>/dev/null; exit 1; }; \
-	state=; for i in $$(seq 1 600); do \
-		state=$$(curl -sf "http://$$addr/api/status" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p'); \
-		[ "$$state" = done ] && break; sleep 0.2; \
-	done; \
-	[ "$$state" = done ] || { echo "monitor-smoke: state=$$state, want done"; kill $$pid 2>/dev/null; exit 1; }; \
-	curl -sf "http://$$addr/healthz" | grep -qx ok; \
-	curl -sf "http://$$addr/metrics" > $(MONITOR_DIR)/metrics.txt; \
-	curl -sf "http://$$addr/api/status" > $(MONITOR_DIR)/status.json; \
-	kill $$pid; wait $$pid
-	grep -q '"state":"done"' $(MONITOR_DIR)/status.json
-	grep -q '"name":"region fork-join"' $(MONITOR_DIR)/status.json
-	grep -q '"arch":"a64fx"' $(MONITOR_DIR)/status.json
-	awk '/^#/ { next } \
-		!/^[A-Za-z_][A-Za-z0-9_]*(\{[^}]*\})? [-+0-9.eE]+$$/ { print "monitor-smoke: malformed exposition line: " $$0; exit 1 } \
-		/^omptune_sweep_settings_planned / { planned = $$2 } \
-		/^omptune_sweep_samples_done_total/ { samples += $$NF } \
-		/^omptune_runtime_region_seconds_count/ { regions = $$NF } \
-		/^omptune_sweep_setting_eval_seconds_count/ { evals += $$NF } \
-		END { \
-			if (planned + 0 <= 0) { print "monitor-smoke: settings_planned gauge is zero"; exit 1 } \
-			if (samples + 0 <= 0) { print "monitor-smoke: samples_done counter is zero"; exit 1 } \
-			if (regions + 0 <= 0) { print "monitor-smoke: region histogram empty"; exit 1 } \
-			if (evals + 0 <= 0) { print "monitor-smoke: eval histogram empty"; exit 1 } \
-			print "monitor-smoke: " planned " settings planned, " samples " samples, " regions " regions timed OK" }' \
-		$(MONITOR_DIR)/metrics.txt
-	awk -F, 'END { if (NR < 2) { print "monitor-smoke: empty campaign CSV"; exit 1 } }' $(MONITOR_DIR)/smoke.csv
-	rm -rf $(MONITOR_DIR)
-
-# variability-smoke proves the variability observatory end to end on a real
-# adaptive measured micro-campaign: EP on a64fx with an 8% CoV target and two
-# workers (more would time series against each other's load and inflate
-# every CoV past the target), served live. The rep ceiling is pinned to the
-# 4-rep fixed baseline so the savings assertion is structural — quiet series
-# stop at 2, noisy ones cost no more than fixed — and the gate is not
-# hostage to the host's noise level (sub-millisecond kernels on a loaded
-# machine can exceed any CoV target). The gates assert the stopping rule
-# genuinely adapted (the CSV reps column takes at least two distinct values
-# in [2, 4]), the adaptive policy spent fewer total repetitions than the
-# fixed baseline (the acceptance criterion of the observatory), `ompanalyze
-# -variability` renders a well-formed table over the provenance, and the
-# live monitor served the noise cells at /api/variability while the campaign
-# ran.
-VARIABILITY_DIR := $(or $(TMPDIR),/tmp)/omptune-variability-smoke
-variability-smoke: build
-	rm -rf $(VARIABILITY_DIR) && mkdir -p $(VARIABILITY_DIR)
-	$(GO) build -o $(VARIABILITY_DIR)/ompsweep ./cmd/ompsweep
-	set -e; \
-	$(VARIABILITY_DIR)/ompsweep -backend measured -arch a64fx -apps EP \
-		-frac 0.02 -measure-warmup 1 -adaptive-cov 0.08 -adaptive-max 4 -workers 2 \
-		-serve 127.0.0.1:0 -serve-linger 60s \
-		-o $(VARIABILITY_DIR)/adaptive.csv 2> $(VARIABILITY_DIR)/stderr.txt & \
-	pid=$$!; \
-	addr=; for i in $$(seq 1 300); do \
-		addr=$$(sed -n 's#^ompsweep: monitor: serving on http://##p' $(VARIABILITY_DIR)/stderr.txt); \
-		[ -n "$$addr" ] && break; sleep 0.1; \
-	done; \
-	[ -n "$$addr" ] || { echo "variability-smoke: no serving line"; cat $(VARIABILITY_DIR)/stderr.txt; kill $$pid 2>/dev/null; exit 1; }; \
-	state=; for i in $$(seq 1 600); do \
-		state=$$(curl -sf "http://$$addr/api/status" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p'); \
-		[ "$$state" = done ] && break; sleep 0.2; \
-	done; \
-	[ "$$state" = done ] || { echo "variability-smoke: state=$$state, want done"; kill $$pid 2>/dev/null; exit 1; }; \
-	curl -sf "http://$$addr/api/variability" > $(VARIABILITY_DIR)/variability.json; \
-	kill $$pid; wait $$pid
-	grep -q '"arch":"a64fx"' $(VARIABILITY_DIR)/variability.json
-	grep -q '"reps_run":' $(VARIABILITY_DIR)/variability.json
-	grep -q '"cov_p50":' $(VARIABILITY_DIR)/variability.json
-	awk -F, 'NR == 1 { if ($$NF != "ci") { print "variability-smoke: no trailing ci column"; exit 1 } next } \
-		{ r = $$(NF-2) + 0; reps[r] = 1; run += r; fixed += 4; \
-		  if (r < 2 || r > 4) { print "variability-smoke: reps " r " outside [2, 4]: " $$0; exit 1 } \
-		  if ($$(NF-1) + 0 < 0 || $$NF + 0 < 0) { print "variability-smoke: negative noise estimate: " $$0; exit 1 } } \
-		END { n = 0; for (r in reps) n++; \
-		if (NR < 2) { print "variability-smoke: empty campaign"; exit 1 } \
-		if (n < 2) { print "variability-smoke: stopping rule never adapted (all series ran " run / (NR - 1) " reps)"; exit 1 } \
-		if (run >= fixed) { print "variability-smoke: adaptive spent " run " reps vs " fixed " fixed — no savings"; exit 1 } \
-		print "variability-smoke: " NR - 1 " series, " n " distinct rep counts, " run " reps vs " fixed " fixed OK" }' \
-		$(VARIABILITY_DIR)/adaptive.csv
-	$(GO) run ./cmd/ompanalyze -data $(VARIABILITY_DIR)/adaptive.csv -variability \
-		| tee $(VARIABILITY_DIR)/report.txt
-	awk '/^arch / { header = 1 } \
-		/^adaptive measurement: / { summary = 1; \
-			if ($$3 + 0 <= 0 || $$7 + 0 <= 0) { print "variability-smoke: degenerate summary: " $$0; exit 1 } } \
-		END { if (!header) { print "variability-smoke: report table header missing"; exit 1 } \
-		if (!summary) { print "variability-smoke: report summary line missing"; exit 1 } \
-		print "variability-smoke: observatory report OK" }' \
-		$(VARIABILITY_DIR)/report.txt
-	rm -rf $(VARIABILITY_DIR)
-
-# verify is the pre-merge gate (build, reached through test and the smoke
-# targets, includes the benchmark/ module).
-verify: race test smoke monitor-smoke variability-smoke
+# verify is the pre-merge gate (build, reached through test, includes the
+# benchmark/ module; the measured, live-monitor and variability smokes are Go
+# tests in cmd/ompsweep).
+verify: race test

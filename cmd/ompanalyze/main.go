@@ -233,7 +233,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		res := omptune.Tune(backend, m, app, set, nil, *budget)
 		fmt.Fprintf(stdout, "tuned %s on %s (%s, %s backend): %.3fs -> %.3fs (%.3fx) in %d evaluations\n",
 			app.Name, m.Arch, set.Label, *backendFl, res.DefaultSeconds, res.BestSeconds, res.Speedup(), res.Evaluations)
-		for _, s := range res.Trace {
+		for _, s := range res.Trajectory {
 			fmt.Fprintf(stdout, "  %-20s = %-12s -> %.3fs\n", s.Variable, s.Value, s.Seconds)
 		}
 		fmt.Fprintf(stdout, "  best: %s\n", res.Best)

@@ -150,6 +150,51 @@ func TestSearchReportFullSweep(t *testing.T) {
 	}
 }
 
+// TestVariabilityFlag: -variability renders the observatory table and the
+// savings summary over a CSV's series provenance (cmd/ompsweep's tests check
+// the same report over a real adaptive campaign; this is the flag's wiring).
+func TestVariabilityFlag(t *testing.T) {
+	ds, err := omptune.Collect(omptune.CollectOptions{
+		Arches:   []omptune.Arch{omptune.A64FX},
+		Apps:     []string{"EP"},
+		Fraction: map[omptune.Arch]float64{omptune.A64FX: 0.01},
+	})
+	if err != nil {
+		t.Fatalf("Collect: %v", err)
+	}
+	for i, s := range ds.Samples {
+		s.Source, s.RepsRun, s.CoV, s.CIRel = "measured", 2+i%3, 0.01*float64(1+i%5), 0.02
+	}
+	path := filepath.Join(t.TempDir(), "adaptive.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := omptune.WriteDatasetCSV(f, ds); err != nil {
+		t.Fatalf("WriteDatasetCSV: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if err := run([]string{"-data", path, "-variability"}, &out, &errb); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, errb.String())
+	}
+	header, summary := false, false
+	for _, line := range strings.Split(out.String(), "\n") {
+		header = header || strings.HasPrefix(line, "arch ")
+		if strings.HasPrefix(line, "adaptive measurement: ") {
+			f := strings.Fields(line)
+			repsRun, _ := strconv.Atoi(f[2])
+			repsFixed, _ := strconv.Atoi(f[6])
+			summary = repsRun > 0 && repsFixed > repsRun
+		}
+	}
+	if !header || !summary {
+		t.Errorf("report lacks its table header (%v) or a summary with savings (%v):\n%s", header, summary, out.String())
+	}
+}
+
 // TestRunValidation: a bad invocation comes back as an error naming the
 // problem, not an os.Exit.
 func TestRunValidation(t *testing.T) {

@@ -30,7 +30,9 @@
 // `ompanalyze -searchreport` together with a sweep CSV to measure what
 // fraction of the full sweep's best speedup the search recovered. -serve
 // exposes the live monitor (dashboard, /metrics, /api/status, /healthz)
-// while the search runs, exactly like ompsweep -serve.
+// while the search runs, exactly like ompsweep -serve — including, with the
+// measured backend, the runtime's fork-join, barrier-wait and task-run
+// latency histograms.
 package main
 
 import (
@@ -43,13 +45,14 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"omptune"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "ompsearch:", err)
 		os.Exit(1)
 	}
@@ -57,7 +60,9 @@ func main() {
 
 // run is the testable command body: flag validation errors come back loud
 // instead of os.Exiting, so the table-driven tests can assert on them.
-func run(args []string, stdout, stderr io.Writer) error {
+// Cancelling ctx stops the search at the next evaluation and cuts the
+// -serve-linger short.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ompsearch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -140,9 +145,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	var mon *omptune.SearchMonitor
+	var mon *omptune.Monitor
 	if *serve != "" {
-		mon = omptune.NewSearchMonitor()
+		mon = omptune.NewMonitor()
 	}
 	var ev omptune.Evaluator // nil = the analytic model
 	switch *backend {
@@ -150,15 +155,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case "measured":
 		mo := omptune.MeasureOptions{Warmup: *mwarmup, TimedReps: *mreps}
 		if mon != nil {
+			mo.Metrics = mon.RuntimeMetrics()
 			mo.Profile = mon.RuntimeProfile()
 		}
 		ev = omptune.NewMeasuredEvaluator(mo)
 	default:
 		return fmt.Errorf("-backend %q: want model or measured", *backend)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	var srv *omptune.MonitorServer
 	if mon != nil {
@@ -178,15 +181,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Monitor:      mon,
 	})
 	if srv != nil {
-		if *linger > 0 {
-			select {
-			case <-time.After(*linger):
-			case <-ctx.Done():
-			}
-		}
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		srv.Shutdown(sctx)
-		cancel()
+		srv.Linger(ctx, *linger)
 	}
 	if serr != nil {
 		return serr

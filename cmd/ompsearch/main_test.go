@@ -2,11 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"omptune/internal/obs"
 )
 
 // TestRunValidation is the loud-flag-validation table: every bad invocation
@@ -34,7 +42,7 @@ func TestRunValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errb bytes.Buffer
-			err := run(tc.args, &out, &errb)
+			err := run(context.Background(), tc.args, &out, &errb)
 			if err == nil {
 				t.Fatalf("run(%v) = nil error, want one containing %q", tc.args, tc.want)
 			}
@@ -50,7 +58,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunGreedyJSON(t *testing.T) {
 	var out, errb bytes.Buffer
 	args := []string{"-app", "Nqueens", "-arch", "a64fx", "-strategy", "greedy", "-budget", "40", "-seed", "7", "-json"}
-	if err := run(args, &out, &errb); err != nil {
+	if err := run(context.Background(), args, &out, &errb); err != nil {
 		t.Fatalf("run(%v) error: %v\nstderr: %s", args, err, errb.String())
 	}
 	var doc searchJSON
@@ -83,7 +91,7 @@ func TestRunTextAndTelemetry(t *testing.T) {
 	tel := filepath.Join(dir, "search.jsonl")
 	var out, errb bytes.Buffer
 	args := []string{"-app", "EP", "-arch", "skylake", "-strategy", "random", "-budget", "25", "-seed", "3", "-telemetry", tel}
-	if err := run(args, &out, &errb); err != nil {
+	if err := run(context.Background(), args, &out, &errb); err != nil {
 		t.Fatalf("run(%v) error: %v", args, err)
 	}
 	text := out.String()
@@ -118,13 +126,115 @@ func TestRunTextAndTelemetry(t *testing.T) {
 func TestRunDeterministicAcrossInvocations(t *testing.T) {
 	args := []string{"-app", "Sort", "-arch", "a64fx", "-strategy", "anneal", "-budget", "60", "-seed", "11", "-json"}
 	var a, b, errb bytes.Buffer
-	if err := run(args, &a, &errb); err != nil {
+	if err := run(context.Background(), args, &a, &errb); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	if err := run(args, &b, &errb); err != nil {
+	if err := run(context.Background(), args, &b, &errb); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 	if a.String() != b.String() {
 		t.Errorf("same seed, different output:\n--- a ---\n%s--- b ---\n%s", a.String(), b.String())
+	}
+}
+
+// lockedBuffer is the stderr of a search running in another goroutine.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestServeMeasuredRuntimeTiles: a measured search served live feeds the one
+// monitor's runtime latency histograms like a measured sweep does — the
+// status payload carries the fork-join / barrier-wait / task-run tiles next
+// to the probe latency, and /metrics counts the timed regions. The search
+// runs in process on an ephemeral port; cancelling the context cuts the
+// linger short.
+func TestServeMeasuredRuntimeTiles(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stdout bytes.Buffer
+	stderr := &lockedBuffer{}
+	exited := make(chan error, 1)
+	args := []string{"-app", "Nqueens", "-arch", "a64fx", "-strategy", "random", "-budget", "10", "-seed", "2",
+		"-backend", "measured", "-measure-reps", "1", "-serve", "127.0.0.1:0", "-serve-linger", "60s"}
+	go func() { exited <- run(ctx, args, &stdout, stderr) }()
+
+	get := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s -> %d, %v", url, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	// The bound address comes from the stderr line; then poll to "done".
+	var st obs.Status
+	base := ""
+	for deadline := time.Now().Add(2 * time.Minute); st.State != "done"; time.Sleep(20 * time.Millisecond) {
+		select {
+		case err := <-exited:
+			t.Fatalf("search exited while it should linger: %v\nstderr: %s", err, stderr.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("state=%q, want done\nstderr: %s", st.State, stderr.String())
+		}
+		if base == "" {
+			_, rest, _ := strings.Cut(stderr.String(), "ompsearch: monitor: serving on ")
+			if addr, _, ok := strings.Cut(rest, "\n"); ok {
+				base = addr
+			}
+			continue
+		}
+		if err := json.Unmarshal([]byte(get(base+"/api/status")), &st); err != nil {
+			t.Fatalf("/api/status: %v", err)
+		}
+	}
+	metrics := get(base + "/metrics")
+	cancel()
+	if err := <-exited; err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	}
+
+	tiles := map[string]uint64{}
+	for _, l := range st.Latencies {
+		tiles[l.Name] = l.Count
+	}
+	if tiles["eval"] != 10 {
+		t.Errorf("probe latency tile counts %d evaluations, want 10: %+v", tiles["eval"], st.Latencies)
+	}
+	for _, name := range []string{"region fork-join", "barrier wait", "task run"} {
+		if tiles[name] == 0 {
+			t.Errorf("status has no %q tile: %+v", name, st.Latencies)
+		}
+	}
+	regions := 0.0
+	for _, line := range strings.Split(metrics, "\n") {
+		if v, ok := strings.CutPrefix(line, "omptune_runtime_region_seconds_count "); ok {
+			regions, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	if regions <= 0 {
+		t.Error("omptune_runtime_region_seconds_count is zero after a measured search")
+	}
+	if !strings.Contains(stdout.String(), "10 evaluations") {
+		t.Errorf("result not printed after the linger was cut:\n%s", stdout.String())
 	}
 }

@@ -63,47 +63,64 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"omptune"
 )
 
 func main() {
+	// A first Ctrl-C cancels the sweep between settings — in-flight settings
+	// finish and checkpoint — a second one kills the process the usual way.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "ompsweep:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the testable command body: flag validation errors come back loud
+// instead of os.Exiting, and cancelling ctx interrupts the campaign and cuts
+// the -serve-linger short, so the tests can drive whole campaigns in process.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("ompsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		archList   = flag.String("arch", "", "comma-separated architectures (default: all)")
-		appList    = flag.String("apps", "", "comma-separated applications (default: all per arch)")
-		frac       = flag.Float64("frac", 0, "fraction of the config space to sample in [0, 1] (0 = Table II defaults, 1 = exhaustive)")
-		out        = flag.String("o", "-", "output CSV path ('-' = stdout)")
-		progress   = flag.Bool("progress", false, "print one line per completed setting to stderr")
-		extended   = flag.Bool("extended", false, "include numa_domains places and six thread counts (future-work coverage)")
-		nested     = flag.Bool("nested", false, "sweep the nesting axis: per-level OMP_NUM_THREADS lists, OMP_MAX_ACTIVE_LEVELS, OMP_THREAD_LIMIT, plus the nested apps")
-		shard      = flag.String("shard", "", "K/N: collect only the K-th of N application shards (merge CSVs afterwards)")
-		workers    = flag.Int("workers", 0, "concurrent setting batches (0 = one per CPU)")
-		checkpoint = flag.String("checkpoint", "", "journal completed settings here; rerun with the same flags to resume")
-		backend    = flag.String("backend", "model", "measurement backend: model (analytic, deterministic) or measured (real kernel execution)")
-		mreps      = flag.Int("measure-reps", 0, "measured backend: timed repetitions per configuration (0 = one per sample slot)")
-		mwarmup    = flag.Int("measure-warmup", 1, "measured backend: untimed warmup runs per configuration")
-		adCoV      = flag.Float64("adaptive-cov", 0, "measured backend: adaptive repetition CoV target (0 = fixed reps)")
-		adCI       = flag.Float64("adaptive-ci", 0, "measured backend: adaptive relative 95% CI half-width target (0 = off)")
-		adMin      = flag.Int("adaptive-min", 0, "adaptive: repetitions before the stopping rule may fire (default 2)")
-		adMax      = flag.Int("adaptive-max", 0, "adaptive: repetition ceiling (default 16)")
-		adBudget   = flag.Duration("adaptive-budget", 0, "adaptive: wall-clock budget per series (0 = none)")
-		telemetry  = flag.String("telemetry", "", "append a JSONL telemetry stream (plan/setting_done/heartbeat/done) to this file")
-		heartbeat  = flag.Duration("heartbeat", 0, "telemetry heartbeat period (0 = 30s)")
-		serve      = flag.String("serve", "", "serve the live monitor (/, /metrics, /api/status, /healthz) on this address, e.g. :8080 or 127.0.0.1:0")
-		linger     = flag.Duration("serve-linger", 0, "keep the monitor serving this long after the campaign ends (0 = shut down immediately)")
+		archList   = fs.String("arch", "", "comma-separated architectures (default: all)")
+		appList    = fs.String("apps", "", "comma-separated applications (default: all per arch)")
+		frac       = fs.Float64("frac", 0, "fraction of the config space to sample in [0, 1] (0 = Table II defaults, 1 = exhaustive)")
+		out        = fs.String("o", "-", "output CSV path ('-' = stdout)")
+		progress   = fs.Bool("progress", false, "print one line per completed setting to stderr")
+		extended   = fs.Bool("extended", false, "include numa_domains places and six thread counts (future-work coverage)")
+		nested     = fs.Bool("nested", false, "sweep the nesting axis: per-level OMP_NUM_THREADS lists, OMP_MAX_ACTIVE_LEVELS, OMP_THREAD_LIMIT, plus the nested apps")
+		shard      = fs.String("shard", "", "K/N: collect only the K-th of N application shards (merge CSVs afterwards)")
+		workers    = fs.Int("workers", 0, "concurrent setting batches (0 = one per CPU)")
+		checkpoint = fs.String("checkpoint", "", "journal completed settings here; rerun with the same flags to resume")
+		backend    = fs.String("backend", "model", "measurement backend: model (analytic, deterministic) or measured (real kernel execution)")
+		mreps      = fs.Int("measure-reps", 0, "measured backend: timed repetitions per configuration (0 = one per sample slot)")
+		mwarmup    = fs.Int("measure-warmup", 1, "measured backend: untimed warmup runs per configuration")
+		adCoV      = fs.Float64("adaptive-cov", 0, "measured backend: adaptive repetition CoV target (0 = fixed reps)")
+		adCI       = fs.Float64("adaptive-ci", 0, "measured backend: adaptive relative 95% CI half-width target (0 = off)")
+		adMin      = fs.Int("adaptive-min", 0, "adaptive: repetitions before the stopping rule may fire (default 2)")
+		adMax      = fs.Int("adaptive-max", 0, "adaptive: repetition ceiling (default 16)")
+		adBudget   = fs.Duration("adaptive-budget", 0, "adaptive: wall-clock budget per series (0 = none)")
+		telemetry  = fs.String("telemetry", "", "append a JSONL telemetry stream (plan/setting_done/heartbeat/done) to this file")
+		heartbeat  = fs.Duration("heartbeat", 0, "telemetry heartbeat period (0 = 30s)")
+		serve      = fs.String("serve", "", "serve the live monitor (/, /metrics, /api/status, /healthz) on this address, e.g. :8080 or 127.0.0.1:0")
+		linger     = fs.Duration("serve-linger", 0, "keep the monitor serving this long after the campaign ends (0 = shut down immediately)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *frac < 0 || *frac > 1 {
-		fatal(fmt.Errorf("-frac %v outside [0, 1]", *frac))
+		return fmt.Errorf("-frac %v outside [0, 1]", *frac)
 	}
 
 	// The monitor exists before the backend so the measured evaluator can be
 	// built with the monitor's runtime-latency sinks attached.
-	var mon *omptune.SweepMonitor
+	var mon *omptune.Monitor
 	if *serve != "" {
-		mon = omptune.NewSweepMonitor()
+		mon = omptune.NewMonitor()
 	}
 
 	opt := omptune.CollectOptions{
@@ -112,6 +129,8 @@ func main() {
 		Shard:             *shard,
 		TelemetryLog:      *telemetry,
 		TelemetryInterval: *heartbeat,
+		Context:           ctx,
+		Monitor:           mon,
 	}
 	switch *backend {
 	case "model":
@@ -130,15 +149,15 @@ func main() {
 		}
 		opt.Backend = omptune.NewMeasuredEvaluator(mo)
 	default:
-		fatal(fmt.Errorf("-backend %q: want model or measured", *backend))
+		return fmt.Errorf("-backend %q: want model or measured", *backend)
 	}
 	if (*adCoV > 0 || *adCI > 0) && *backend != "measured" {
-		fatal(fmt.Errorf("-adaptive-cov/-adaptive-ci need -backend measured (the model is deterministic)"))
+		return fmt.Errorf("-adaptive-cov/-adaptive-ci need -backend measured (the model is deterministic)")
 	}
 	if *archList != "" {
 		for _, a := range strings.Split(*archList, ",") {
 			if _, err := omptune.MachineByName(strings.TrimSpace(a)); err != nil {
-				fatal(err)
+				return err
 			}
 			opt.Arches = append(opt.Arches, omptune.Arch(strings.TrimSpace(a)))
 		}
@@ -147,7 +166,7 @@ func main() {
 		for _, a := range strings.Split(*appList, ",") {
 			name := strings.TrimSpace(a)
 			if _, err := omptune.ApplicationByName(name); err != nil {
-				fatal(err)
+				return err
 			}
 			opt.Apps = append(opt.Apps, name)
 		}
@@ -157,7 +176,7 @@ func main() {
 		k, err1 := strconv.Atoi(kStr)
 		n, err2 := strconv.Atoi(nStr)
 		if !ok || err1 != nil || err2 != nil || n < 1 || k < 0 || k >= n {
-			fatal(fmt.Errorf("-shard wants K/N with 0 <= K < N, got %q", *shard))
+			return fmt.Errorf("-shard wants K/N with 0 <= K < N, got %q", *shard)
 		}
 		// Shard by application: stable, disjoint, and merge-safe. The shard
 		// spec is recorded in the checkpoint manifest, so resuming a
@@ -180,7 +199,7 @@ func main() {
 			}
 		}
 		if len(mine) == 0 {
-			fatal(fmt.Errorf("shard %s selects no applications", *shard))
+			return fmt.Errorf("shard %s selects no applications", *shard)
 		}
 		opt.Apps = mine
 	}
@@ -191,68 +210,46 @@ func main() {
 		}
 	}
 	if *progress {
-		opt.Progress = os.Stderr
+		opt.Progress = stderr
 	}
 	opt.Extended = *extended
 	opt.Nested = *nested
 
-	// A first Ctrl-C cancels the sweep between settings — in-flight settings
-	// finish and checkpoint — a second one kills the process the usual way.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	opt.Context = ctx
-
 	var srv *omptune.MonitorServer
 	if mon != nil {
-		opt.Monitor = mon
 		srv = omptune.NewMonitorServer(mon)
 		addr, err := srv.Start(*serve)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		// The address line goes to stderr so scripts (make monitor-smoke) can
-		// scrape the bound port even with -serve :0.
-		fmt.Fprintf(os.Stderr, "ompsweep: monitor: serving on http://%s\n", addr)
+		// The address line goes to stderr so a script or test can scrape the
+		// bound port even with -serve :0.
+		fmt.Fprintf(stderr, "ompsweep: monitor: serving on http://%s\n", addr)
 	}
 
 	ds, err := omptune.Collect(opt)
 	if srv != nil {
-		// Keep the monitor up for -serve-linger after the campaign ends (the
-		// dashboard shows the terminal state), then stop accepting scrapes.
-		// Ctrl-C cuts the linger short.
-		if *linger > 0 {
-			select {
-			case <-time.After(*linger):
-			case <-ctx.Done():
-			}
-		}
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		srv.Shutdown(sctx)
-		cancel()
+		// The dashboard keeps showing the terminal state for -serve-linger.
+		srv.Linger(ctx, *linger)
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) && *checkpoint != "" {
-			fmt.Fprintln(os.Stderr, "ompsweep: interrupted; rerun with the same flags to resume from", *checkpoint)
+			fmt.Fprintln(stderr, "ompsweep: interrupted; rerun with the same flags to resume from", *checkpoint)
 		}
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "ompsweep: collected %d samples\n", ds.Len())
+	fmt.Fprintf(stderr, "ompsweep: collected %d samples\n", ds.Len())
 
-	var w io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
+	if *out == "-" {
+		return omptune.WriteDatasetCSV(stdout, ds)
 	}
-	if err := omptune.WriteDatasetCSV(w, ds); err != nil {
-		fatal(err)
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ompsweep:", err)
-	os.Exit(1)
+	if err := omptune.WriteDatasetCSV(f, ds); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -130,18 +130,18 @@ func Transfer(ds *dataset.Dataset, app string, treeOpt ml.TreeOptions, nTrees in
 
 // RandomSearch is the baseline the guided tuner is judged against: sample
 // `budget` configurations uniformly (deterministically seeded) and keep the
-// best. Returned in the same TuneResult shape as Tune. The ev backend
-// decides what an evaluation measures (nil = analytic model).
+// best. The ev backend decides what an evaluation measures (nil = analytic
+// model).
 //
-// RandomSearch is a compatibility wrapper over the "random" strategy of the
+// RandomSearch is a convenience wrapper over the "random" strategy of the
 // Searcher seam (see search.go); the seeded draw sequence and the results
 // are identical to the pre-seam implementation under the analytic backend.
-func RandomSearch(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, budget int, seedVal uint64) TuneResult {
+func RandomSearch(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, budget int, seedVal uint64) SearchResult {
 	res, _ := randomSearcher{}.Search(context.Background(), SearchSpec{
 		Machine: m, App: app, Setting: set, Seed: seedVal,
 		Evaluator: ev, Budget: SearchBudget{MaxEvals: budget},
 	})
-	return res.TuneResult()
+	return res
 }
 
 // ExtendedSpace enumerates the sweep space including the numa_domains

@@ -1,12 +1,14 @@
 package core
 
-// Monitor is the live-observability sink of a sweep campaign: it owns an
-// obs.Registry holding the campaign gauges (workers busy, throughput,
-// per-arch completion), per-arch setting-evaluation latency histograms, and
-// the openmp runtime's fork-join / barrier-wait / task-run histograms, and
-// it assembles the /api/status payload the embedded dashboard polls. It is
-// the Prometheus-facing sibling of the JSONL telemetry sink: telemetry
-// writes history to a file, the monitor answers "now" over HTTP.
+// Monitor is the live-observability sink of a campaign — a sweep or a
+// budgeted search: it owns an obs.Registry holding the campaign gauges
+// (workers busy, throughput, per-arch completion; a search's evaluations,
+// cache hits and best-so-far speedup), the per-arch setting-evaluation and
+// per-probe latency histograms, and the openmp runtime's fork-join /
+// barrier-wait / task-run histograms, and it assembles the /api/status
+// payload the embedded dashboard polls. It is the Prometheus-facing sibling
+// of the JSONL telemetry sink: telemetry writes history to a file, the
+// monitor answers "now" over HTTP.
 
 import (
 	"sync"
@@ -21,19 +23,22 @@ import (
 )
 
 // Monitor aggregates live campaign state. Create one with NewMonitor, put
-// it in SweepConfig.Monitor, and serve its Registry/Status with obs.Server.
-// A Monitor observes one campaign at a time; all methods are safe for
-// concurrent use by sweep workers and HTTP scrape handlers.
+// it in SweepConfig.Monitor or SearchSpec.Monitor, and serve its
+// Registry/Status with obs.Server. A Monitor observes one campaign at a
+// time; all methods are safe for concurrent use by sweep workers, the
+// searching goroutine and HTTP scrape handlers.
 //
-// Campaign progress is not counted here: Status and the omptune_sweep_*
-// gauges read the campaign ledger (progress.go) the running sweep attaches.
+// Campaign progress is not counted here: Status and the omptune_sweep_* and
+// omptune_search_* gauges read the campaign ledger (progress.go) the running
+// sweep or search attaches. A search is a one-cell campaign whose rows are
+// its evaluations, so both families read the same fields.
 // The monitor owns only what no other observer has — the registry and its
 // instruments, the latency and CoV histograms, the variability cells and
 // the region profile.
 type Monitor struct {
 	reg *obs.Registry
 
-	// led is the attached campaign's ledger; nil until a sweep starts.
+	// led is the attached campaign's ledger; nil until a campaign starts.
 	led atomic.Pointer[reporter]
 
 	mu sync.Mutex
@@ -50,6 +55,9 @@ type Monitor struct {
 	// Campaign-wide per-region efficiency aggregate, fed through the openmp
 	// profiler seam (measure.Options.Profile) and served at /api/regions.
 	prof *profile.Aggregator
+
+	// hProbe is a search's per-evaluation latency (cache hits included).
+	hProbe *obs.Histogram
 
 	// hCoV is the campaign-wide per-series CoV distribution. The CoV is
 	// unitless; it is recorded scaled as seconds (CoV 0.05 observes as 50ms)
@@ -79,22 +87,32 @@ func NewMonitor() *Monitor {
 	}
 	for _, g := range []struct {
 		name, help string
-		read       func(obs.Status) float64
+		read       func(ledgerView) float64
 	}{
 		{"omptune_sweep_settings_planned", "setting batches in the campaign plan",
-			func(st obs.Status) float64 { return float64(st.SettingsTotal) }},
+			func(st ledgerView) float64 { return float64(st.SettingsTotal) }},
 		{"omptune_sweep_samples_planned", "dataset rows the campaign plan will produce",
-			func(st obs.Status) float64 { return float64(st.SamplesTotal) }},
+			func(st ledgerView) float64 { return float64(st.SamplesTotal) }},
 		{"omptune_sweep_workers", "concurrent sweep workers",
-			func(st obs.Status) float64 { return float64(st.Workers) }},
+			func(st ledgerView) float64 { return float64(st.Workers) }},
 		{"omptune_sweep_workers_busy", "workers evaluating a setting batch right now",
-			func(st obs.Status) float64 { return float64(st.WorkersBusy) }},
+			func(st ledgerView) float64 { return float64(st.WorkersBusy) }},
 		{"omptune_sweep_samples_per_second", "evaluation throughput at the last completed batch",
-			func(st obs.Status) float64 { return st.SamplesPerSec }},
+			func(st ledgerView) float64 { return st.SamplesPerSec }},
 		{"omptune_sweep_eta_seconds", "projected remaining campaign time at the current rate",
-			func(st obs.Status) float64 { return st.ETASec }},
+			func(st ledgerView) float64 { return st.ETASec }},
 		{"omptune_sweep_elapsed_seconds", "wall-clock time since the campaign plan was recorded",
-			func(st obs.Status) float64 { return st.ElapsedSec }},
+			func(st ledgerView) float64 { return st.ElapsedSec }},
+		{"omptune_search_budget_evals", "evaluation budget of the search (0 = time-bounded only)",
+			func(st ledgerView) float64 { return float64(st.SamplesTotal) }},
+		{"omptune_search_evaluations", "configuration evaluations done so far (cache hits included)",
+			func(st ledgerView) float64 { return float64(st.SamplesDone) }},
+		{"omptune_search_cache_hits", "evaluations answered by the memoizing cache",
+			func(st ledgerView) float64 { return float64(st.cacheHits) }},
+		{"omptune_search_best_speedup", "best speedup over the default configuration found so far",
+			func(st ledgerView) float64 { return st.bestSpeedup }},
+		{"omptune_search_elapsed_seconds", "wall-clock time since the search plan was recorded",
+			func(st ledgerView) float64 { return st.ElapsedSec }},
 	} {
 		m.reg.GaugeFunc(g.name, g.help, func() float64 { return g.read(m.led.Load().snapshot()) })
 	}
@@ -104,6 +122,8 @@ func NewMonitor() *Monitor {
 		"per-thread barrier wait latency (openmp runtime)")
 	m.hTask = m.reg.Histogram("omptune_runtime_task_run_seconds",
 		"explicit-task body execution latency (openmp runtime)")
+	m.hProbe = m.reg.Histogram("omptune_search_eval_seconds",
+		"wall-clock latency of one configuration evaluation")
 	m.hCoV = m.reg.Histogram("omptune_sweep_series_cov",
 		"per-series runtime coefficient of variation (unitless, scaled as seconds)")
 	m.rtm = openmp.Metrics{Region: m.hRegion, BarrierWait: m.hBarrier, TaskRun: m.hTask}
@@ -116,8 +136,8 @@ func (m *Monitor) Registry() *obs.Registry { return m.reg }
 
 // RuntimeMetrics returns the openmp metrics sinks backed by this monitor's
 // runtime histograms. Attach it with Runtime.SetMetrics — the measured
-// sweep backend does this for every runtime it builds when
-// measure.Options.Metrics carries this value.
+// backend does this for every runtime it builds when measure.Options.Metrics
+// carries this value.
 func (m *Monitor) RuntimeMetrics() *openmp.Metrics { return &m.rtm }
 
 // RuntimeProfile returns the campaign-wide per-region profile aggregate.
@@ -217,10 +237,11 @@ func (m *Monitor) Variability() []obs.VariabilityCell {
 }
 
 // Status snapshots the campaign for /api/status: the ledger's progress view
-// (cells in plan order) plus the latency summaries — the eval histograms per
-// arch and the three runtime histograms, omitting empty ones.
+// (cells in plan order) plus the latency summaries — a sweep's eval
+// histograms per arch, a search's probe histogram and the three runtime
+// histograms, omitting empty ones.
 func (m *Monitor) Status() obs.Status {
-	st := m.led.Load().snapshot()
+	st := m.led.Load().snapshot().Status
 	for _, a := range cellArches(st.Cells) {
 		if h := m.evalHist(a); h.Count() > 0 {
 			st.Latencies = append(st.Latencies, obs.LatencyOf("eval "+a, h.Snapshot()))
@@ -230,6 +251,7 @@ func (m *Monitor) Status() obs.Status {
 		name string
 		h    *obs.Histogram
 	}{
+		{"eval", m.hProbe},
 		{"region fork-join", m.hRegion},
 		{"barrier wait", m.hBarrier},
 		{"task run", m.hTask},

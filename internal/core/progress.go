@@ -51,11 +51,13 @@ type ProgressEvent struct {
 	ETA time.Duration
 }
 
-// reporter is the campaign ledger: the one owner of a sweep's progress
+// reporter is the campaign ledger: the one owner of a campaign's progress
 // state — totals, the per-(arch, app) cell grid in plan order, evaluated
-// rows, rate/ETA, busy workers, the terminal state and one start time. The
-// progress line, the OnProgress event, the telemetry stream and the live
-// Monitor are all rendered from its snapshot, so they cannot disagree.
+// rows, rate/ETA, busy workers, the terminal state and one start time. A
+// sweep plans it from its batches; a search plans it as a one-cell campaign
+// whose rows are its evaluation budget. The progress line, the OnProgress
+// event, the telemetry stream and the live Monitor are all rendered from its
+// snapshot, so they cannot disagree.
 type reporter struct {
 	w   io.Writer
 	fn  func(ProgressEvent)
@@ -88,17 +90,35 @@ type reporter struct {
 	eta          time.Duration
 	cells        []obs.Cell // plan order
 	cellOf       []int      // sweepUnit.index -> position in cells
+
+	// A search's two extra gauges, pushed by probed with the row counts.
+	cacheHits   int
+	bestSpeedup float64
+}
+
+// ledgerView is the ledger's snapshot: the status payload every campaign
+// serves, plus the two search gauges the payload has no key for.
+type ledgerView struct {
+	obs.Status
+	cacheHits   int
+	bestSpeedup float64
 }
 
 // newReporter opens the ledger of one campaign in state "waiting" and
 // attaches it to the configured monitor, so even a plan-time failure reaches
 // the dashboard as a terminal error state.
-func newReporter(sc SweepConfig) *reporter {
-	r := &reporter{w: sc.Progress, fn: sc.OnProgress, mon: sc.Monitor, state: "waiting"}
+func newReporter(w io.Writer, fn func(ProgressEvent), mon *Monitor) *reporter {
+	r := &reporter{w: w, fn: fn, mon: mon, state: "waiting"}
 	if r.mon != nil {
 		r.mon.led.Store(r)
 	}
 	return r
+}
+
+// unobserved reports whether nothing watches this campaign: its events then
+// return before any lock or allocation.
+func (r *reporter) unobserved() bool {
+	return r.w == nil && r.fn == nil && r.tel == nil && r.mon == nil
 }
 
 // plan records the campaign shape — totals, cell grid, backend, worker
@@ -129,6 +149,27 @@ func (r *reporter) plan(units []*sweepUnit, backend string, workers int) {
 	}
 }
 
+// planSearch records a search as a one-cell campaign — the cell is the
+// search's (arch, app), its planned rows the evaluation budget (0 when only
+// time bounds it), one worker — and starts the campaign clock, which it
+// returns so the search's time budget counts from the same instant. An
+// unobserved search keeps nothing else.
+func (r *reporter) planSearch(arch, app, backend, strategy string, budget int) time.Time {
+	start := time.Now()
+	if r.unobserved() {
+		return start
+	}
+	r.mu.Lock()
+	r.state, r.backend, r.workers, r.start = "running", backend+" ("+strategy+")", 1, start
+	r.samplesTotal = budget
+	r.cells = []obs.Cell{{Arch: arch, App: app, SamplesTotal: budget}}
+	r.mu.Unlock()
+	if r.mon != nil {
+		r.mon.plan([]string{arch})
+	}
+	return start
+}
+
 // cellArches lists the distinct architectures of a cell grid, sorted.
 func cellArches(cells []obs.Cell) []string {
 	arches := make([]string, len(cells))
@@ -141,9 +182,9 @@ func cellArches(cells []obs.Cell) []string {
 
 // snapshot is the immutable view of the ledger every observer reads. A nil
 // ledger (a monitor no campaign has been attached to) reads as waiting.
-func (r *reporter) snapshot() obs.Status {
+func (r *reporter) snapshot() ledgerView {
 	if r == nil {
-		return obs.Status{State: "waiting"}
+		return ledgerView{Status: obs.Status{State: "waiting"}}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -155,13 +196,16 @@ func (r *reporter) snapshot() obs.Status {
 	if !r.start.IsZero() {
 		elapsed = now.Sub(r.start).Seconds()
 	}
-	return obs.Status{
-		State: r.state, Backend: r.backend, Workers: r.workers,
-		WorkersBusy: r.busy.Load(), ElapsedSec: elapsed,
-		SettingsDone: r.done, SettingsTotal: r.total,
-		SamplesDone: r.samplesDone, SamplesTotal: r.samplesTotal,
-		SamplesPerSec: r.rate, ETASec: r.eta.Seconds(),
-		Error: r.errMsg, Cells: slices.Clone(r.cells),
+	return ledgerView{
+		Status: obs.Status{
+			State: r.state, Backend: r.backend, Workers: r.workers,
+			WorkersBusy: r.busy.Load(), ElapsedSec: elapsed,
+			SettingsDone: r.done, SettingsTotal: r.total,
+			SamplesDone: r.samplesDone, SamplesTotal: r.samplesTotal,
+			SamplesPerSec: r.rate, ETASec: r.eta.Seconds(),
+			Error: r.errMsg, Cells: slices.Clone(r.cells),
+		},
+		cacheHits: r.cacheHits, bestSpeedup: r.bestSpeedup,
 	}
 }
 
@@ -183,7 +227,7 @@ func (r *reporter) unitEnd(u *sweepUnit, started time.Time) {
 // is the batch's sample slice (not just a count) so per-sample series
 // provenance reaches the monitor's variability aggregates.
 func (r *reporter) unitDone(u *sweepUnit, samples []*dataset.Sample, skipped int, resumed bool) {
-	if r.w == nil && r.fn == nil && r.tel == nil && r.mon == nil {
+	if r.unobserved() {
 		return
 	}
 	repsRun, repsFixed := 0, 0
@@ -207,13 +251,7 @@ func (r *reporter) unitDone(u *sweepUnit, samples []*dataset.Sample, skipped int
 	if !resumed {
 		r.evaluated += len(samples)
 	}
-	if secs := elapsed.Seconds(); secs > 0 && r.evaluated > 0 {
-		r.rate = float64(r.evaluated) / secs
-		r.eta = 0
-		if remaining := r.samplesTotal - r.settled; remaining > 0 {
-			r.eta = time.Duration(float64(remaining) / r.rate * float64(time.Second))
-		}
-	}
+	r.pace(elapsed)
 	ev := ProgressEvent{
 		SettingsDone: r.done, SettingsTotal: r.total,
 		SamplesDone: r.samplesDone, SamplesTotal: r.samplesTotal,
@@ -235,6 +273,45 @@ func (r *reporter) unitDone(u *sweepUnit, samples []*dataset.Sample, skipped int
 	}
 	if r.w != nil {
 		fmt.Fprintln(r.w, ev.String())
+	}
+}
+
+// pace re-derives the rate from the rows evaluated in elapsed, and the ETA
+// from the planned rows not yet settled. The caller holds mu.
+func (r *reporter) pace(elapsed time.Duration) {
+	if secs := elapsed.Seconds(); secs > 0 && r.evaluated > 0 {
+		r.rate = float64(r.evaluated) / secs
+		r.eta = 0
+		if remaining := r.samplesTotal - r.settled; remaining > 0 {
+			r.eta = time.Duration(float64(remaining) / r.rate * float64(time.Second))
+		}
+	}
+}
+
+// probed records one search evaluation begun at started. The counts are
+// s.res's, pushed as absolute values from the one place that counts them; the
+// search_step record and the monitor's probe latency fan out under out like a
+// batch does. An unobserved search returns before any lock.
+func (r *reporter) probed(s *searchState, key string, sec float64, hit bool, started time.Time) {
+	if r.unobserved() {
+		return
+	}
+	r.out.Lock()
+	defer r.out.Unlock()
+
+	r.mu.Lock()
+	evals, best := s.res.Evaluations, s.res.Speedup()
+	r.samplesDone, r.evaluated, r.settled = evals, evals, evals
+	r.cells[0].SamplesDone = evals
+	r.cacheHits, r.bestSpeedup = s.res.CacheHits, best
+	r.pace(time.Since(r.start))
+	r.mu.Unlock()
+
+	if r.tel != nil {
+		r.tel.sink.emit(s.stepRecord(evals, best, key, sec, hit))
+	}
+	if r.mon != nil {
+		r.mon.hProbe.Observe(time.Since(started))
 	}
 }
 

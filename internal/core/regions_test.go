@@ -42,7 +42,7 @@ func TestMonitorRegions(t *testing.T) {
 }
 
 func TestSearchMonitorRegions(t *testing.T) {
-	m := NewSearchMonitor()
+	m := NewMonitor()
 	if rows := m.Regions(); len(rows) != 0 {
 		t.Fatalf("fresh search monitor has %d region rows, want 0", len(rows))
 	}

@@ -5,10 +5,11 @@ package core
 // strategies this repo adds (random-restart greedy, simulated annealing,
 // surrogate-guided search) — implements one interface over one spec. The
 // seam mirrors the Evaluator seam of the measurement layer: strategies are
-// interchangeable, share the memoizing evaluation cache, and emit the same
-// per-evaluation telemetry and monitor gauges, so "which search finds the
-// sweep's best speedup on the smallest budget" is a fair, instrumented
-// comparison instead of five ad-hoc loops.
+// interchangeable, share the memoizing evaluation cache, and report every
+// evaluation through one campaign ledger (progress.go) to the same telemetry
+// stream and live Monitor a sweep uses, so "which search finds the sweep's
+// best speedup on the smallest budget" is a fair, instrumented comparison
+// instead of five ad-hoc loops.
 
 import (
 	"context"
@@ -78,7 +79,7 @@ type SearchSpec struct {
 	// Monitor, when non-nil, receives live gauges (best-so-far speedup,
 	// evaluations done, cache hits) and the evaluation-latency histogram;
 	// serve it over HTTP with obs.Server.
-	Monitor *SearchMonitor
+	Monitor *Monitor
 }
 
 // SearchStep records one improvement of the best-so-far configuration.
@@ -124,21 +125,6 @@ func (r SearchResult) Speedup() float64 {
 	return r.DefaultSeconds / r.BestSeconds
 }
 
-// TuneResult converts the result to the legacy coordinate-descent shape; the
-// compatibility wrappers (Tune, RandomSearch) return exactly this.
-func (r SearchResult) TuneResult() TuneResult {
-	t := TuneResult{
-		Best:           r.Best,
-		BestSeconds:    r.BestSeconds,
-		DefaultSeconds: r.DefaultSeconds,
-		Evaluations:    r.Evaluations,
-	}
-	for _, st := range r.Trajectory {
-		t.Trace = append(t.Trace, TuneStep{Variable: env.VarName(st.Variable), Value: st.Value, Seconds: st.Seconds})
-	}
-	return t
-}
-
 // SearchStrategies lists the registered strategy names in presentation
 // order.
 func SearchStrategies() []string {
@@ -170,7 +156,7 @@ const legacyDefaultBudget = 200
 
 // searchState is the shared machinery under every strategy: resolved spec
 // defaults, the budget clock, the cache-routed probe, best-so-far tracking,
-// and the telemetry/monitor fan-out.
+// and the campaign ledger every probe is reported to.
 type searchState struct {
 	ctx   context.Context
 	spec  SearchSpec
@@ -183,16 +169,17 @@ type searchState struct {
 	deadline time.Time
 
 	res SearchResult
-	tel *searchTelemetry
+	led *reporter
 }
 
-// newSearchState validates spec, applies defaults and opens the
-// observability sinks.
-func newSearchState(ctx context.Context, strategy string, spec SearchSpec) (*searchState, error) {
+// newSearchState validates spec, applies defaults, opens the telemetry
+// stream and plans the search on its ledger led, which starts the clock the
+// time budget counts from.
+func newSearchState(ctx context.Context, strategy string, spec SearchSpec, led *reporter) (*searchState, error) {
 	if spec.Machine == nil || spec.App == nil {
 		return nil, fmt.Errorf("core: search %s: machine and app are required", strategy)
 	}
-	s := &searchState{ctx: ctx, spec: spec, ev: orModel(spec.Evaluator)}
+	s := &searchState{ctx: ctx, spec: spec, ev: orModel(spec.Evaluator), led: led}
 	s.cache = spec.Cache
 	if s.cache == nil {
 		s.cache = NewEvalCache()
@@ -209,40 +196,33 @@ func newSearchState(ctx context.Context, strategy string, spec SearchSpec) (*sea
 	if s.maxEvals <= 0 && spec.Budget.MaxTime <= 0 {
 		s.maxEvals = legacyDefaultBudget
 	}
-	if spec.Budget.MaxTime > 0 {
-		s.deadline = time.Now().Add(spec.Budget.MaxTime)
-	}
 	s.res.Strategy = strategy
 	if spec.TelemetryLog != "" {
-		tel, err := newSearchTelemetry(spec.TelemetryLog)
-		if err != nil {
+		if err := s.openTelemetry(spec.TelemetryLog); err != nil {
 			return nil, err
 		}
-		s.tel = tel
-		tel.plan(s)
 	}
-	if spec.Monitor != nil {
-		spec.Monitor.plan(s)
+	start := led.planSearch(string(spec.Machine.Arch), spec.App.Name, s.ev.Name(), strategy, s.maxEvals)
+	if spec.Budget.MaxTime > 0 {
+		s.deadline = start.Add(spec.Budget.MaxTime)
 	}
 	return s, nil
 }
 
 // runSearch wraps a strategy body with state setup and teardown; it is the
-// single entry path of every Search implementation.
-func runSearch(ctx context.Context, strategy string, spec SearchSpec, body func(*searchState)) (SearchResult, error) {
-	s, err := newSearchState(ctx, strategy, spec)
+// single entry path of every Search implementation. Like RunSweep it opens
+// the ledger first and finishes it with the error the search returns, so a
+// spec the search rejects still reaches the monitor as a terminal error.
+func runSearch(ctx context.Context, strategy string, spec SearchSpec, body func(*searchState)) (res SearchResult, err error) {
+	led := newReporter(nil, nil, spec.Monitor)
+	defer func() { led.finish(err) }()
+	s, err := newSearchState(ctx, strategy, spec, led)
 	if err != nil {
 		return SearchResult{}, err
 	}
 	body(s)
 	if ctx != nil {
 		err = ctx.Err()
-	}
-	if s.tel != nil {
-		s.tel.done(s, err)
-	}
-	if spec.Monitor != nil {
-		spec.Monitor.finish(err)
 	}
 	return s.res, err
 }
@@ -252,14 +232,15 @@ func runSearch(ctx context.Context, strategy string, spec SearchSpec, body func(
 // tuners did.
 func (s *searchState) init() {
 	def := env.Default(s.spec.Machine)
+	key := def.Key()
 	t0 := time.Now()
-	sec, hit := s.mean(def, def.Key())
+	sec, hit := s.mean(def, key)
 	s.res.Evaluations = 1
 	if hit {
 		s.res.CacheHits++
 	}
 	s.res.Best, s.res.BestSeconds, s.res.DefaultSeconds = def, sec, sec
-	s.emitEval(def, sec, hit, time.Since(t0))
+	s.led.probed(s, key, sec, hit, t0)
 }
 
 // mean is the cache-routed objective. A failed series is reported on the miss
@@ -275,7 +256,7 @@ func (s *searchState) mean(cfg env.Config, key string) (sec float64, hit bool) {
 
 // probe evaluates one candidate: it spends one budget unit, consults the
 // cache, folds an improvement into the best-so-far trajectory (labelled with
-// the move that produced it), and feeds the observability sinks. The caller
+// the move that produced it), and reports the probe to the ledger. The caller
 // must have checked exhausted() first.
 func (s *searchState) probe(cfg env.Config, variable, value string) float64 {
 	return s.probeKeyed(cfg, cfg.Key(), variable, value)
@@ -304,7 +285,7 @@ func (s *searchState) probeKeyed(cfg env.Config, key, variable, value string) fl
 			Config: cfg, Seconds: sec, Speedup: s.res.DefaultSeconds / sec,
 		})
 	}
-	s.emitEval(cfg, sec, hit, time.Since(t0))
+	s.led.probed(s, key, sec, hit, t0)
 	return sec
 }
 
@@ -341,23 +322,4 @@ func (s *searchState) progress() float64 {
 		p = 1
 	}
 	return p
-}
-
-// bestSpeedup is the best-so-far speedup gauge fed to telemetry and the
-// monitor.
-func (s *searchState) bestSpeedup() float64 {
-	if s.res.BestSeconds <= 0 {
-		return 0
-	}
-	return s.res.DefaultSeconds / s.res.BestSeconds
-}
-
-// emitEval fans one completed evaluation out to the observability sinks.
-func (s *searchState) emitEval(cfg env.Config, sec float64, hit bool, d time.Duration) {
-	if s.tel != nil {
-		s.tel.step(s, cfg, sec, hit)
-	}
-	if s.spec.Monitor != nil {
-		s.spec.Monitor.eval(d, s.res.Evaluations, s.res.CacheHits, s.bestSpeedup())
-	}
 }

@@ -1,18 +1,14 @@
 package core
 
-// Search telemetry: the per-evaluation JSONL sibling of the sweep telemetry
-// in telemetry.go. A search emits one search_plan record, one search_step
-// per evaluation (strategy, config, this probe's speedup, best-so-far), and
-// a terminal search_done (or error) record. Searches are short and already
-// step-granular, so there is no heartbeat loop. Records carry the full
-// search identity (strategy, arch, app, setting) on every line, so many
-// searches can append to one file and SearchReport can still separate them.
-
-import (
-	"time"
-
-	"omptune/internal/env"
-)
+// Search telemetry: the record shapes a search's campaign ledger
+// (progress.go) writes through the telemetry stream of telemetry.go. A search
+// emits one search_plan record, one search_step per evaluation (strategy,
+// config, this probe's speedup, best-so-far), and a terminal search_done (or
+// error) record. Searches are short and already step-granular, so there is
+// no heartbeat loop. Records carry the full search identity (strategy, arch,
+// app, setting) on every line, so many searches can append to one file and
+// SearchReport can still separate them. Counts, best-so-far and the clock
+// come from the ledger; this file keeps none of its own.
 
 // searchRecord is the JSONL record shape of a search stream. Type
 // discriminates; unused fields are omitted per record type.
@@ -55,27 +51,8 @@ type searchRecord struct {
 
 func (r *searchRecord) stamp(ts string) { r.TS = ts }
 
-// searchTelemetry renders one search as a JSONL stream over the shared
-// best-effort sink (telemetry.go): the first write failure is surfaced once,
-// a terminal error record is attempted, and the stream is disabled.
-type searchTelemetry struct {
-	sink  *jsonlSink
-	start time.Time
-}
-
-// newSearchTelemetry opens (appending) the JSONL log.
-func newSearchTelemetry(path string) (*searchTelemetry, error) {
-	sink, err := openJSONLSink("search telemetry", path, func(msg string) jsonlRecord {
-		return &searchRecord{Type: "error", Error: msg}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &searchTelemetry{sink: sink, start: time.Now()}, nil
-}
-
-// ident stamps the search identity fields shared by every record.
-func (t *searchTelemetry) ident(s *searchState, rec searchRecord) *searchRecord {
+// record stamps rec with the search identity shared by every record.
+func (s *searchState) record(rec searchRecord) *searchRecord {
 	rec.Strategy = s.res.Strategy
 	rec.Arch = string(s.spec.Machine.Arch)
 	rec.App = s.spec.App.Name
@@ -83,9 +60,18 @@ func (t *searchTelemetry) ident(s *searchState, rec searchRecord) *searchRecord 
 	return &rec
 }
 
-// plan records the search shape before the first evaluation.
-func (t *searchTelemetry) plan(s *searchState) {
-	t.sink.emit(t.ident(s, searchRecord{
+// openTelemetry opens (appending) the search's JSONL log on its ledger and
+// records the search shape before the first evaluation.
+func (s *searchState) openTelemetry(path string) error {
+	sink, err := openJSONLSink("search telemetry", path, func(msg string) jsonlRecord {
+		return &searchRecord{Type: "error", Error: msg}
+	})
+	if err != nil {
+		return err
+	}
+	s.led.out.Lock()
+	defer s.led.out.Unlock()
+	sink.emit(s.record(searchRecord{
 		Type:        "search_plan",
 		Backend:     s.ev.Name(),
 		SpaceSize:   len(s.space),
@@ -93,40 +79,47 @@ func (t *searchTelemetry) plan(s *searchState) {
 		BudgetSec:   s.spec.Budget.MaxTime.Seconds(),
 		Seed:        s.spec.Seed,
 	}))
+	s.led.tel = &telemetry{sink: sink, led: s.led, terminal: s.doneRecord}
+	return nil
 }
 
-// step records one completed evaluation.
-func (t *searchTelemetry) step(s *searchState, cfg env.Config, sec float64, hit bool) {
+// stepRecord renders one completed evaluation: the probe itself, numbered
+// and scored by the ledger's evaluation count and best-so-far speedup. A
+// failed probe (sec is NaN, which JSON cannot carry) omits seconds and
+// speedup.
+func (s *searchState) stepRecord(evals int, best float64, key string, sec float64, hit bool) *searchRecord {
 	speedup := 0.0
-	if sec > 0 && s.res.DefaultSeconds > 0 {
+	if !(sec > 0) {
+		sec = 0
+	} else if s.res.DefaultSeconds > 0 {
 		speedup = s.res.DefaultSeconds / sec
 	}
-	t.sink.emit(t.ident(s, searchRecord{
+	return s.record(searchRecord{
 		Type:        "search_step",
-		Eval:        s.res.Evaluations,
-		Config:      cfg.Key(),
+		Eval:        evals,
+		Config:      key,
 		Seconds:     sec,
 		Speedup:     speedup,
 		CacheHit:    hit,
-		BestSpeedup: s.bestSpeedup(),
-	}))
+		BestSpeedup: best,
+	})
 }
 
-// done writes the terminal record and closes the log.
-func (t *searchTelemetry) done(s *searchState, err error) {
-	rec := t.ident(s, searchRecord{
+// doneRecord renders the finished ledger as the terminal record:
+// search_done on success, error otherwise.
+func (s *searchState) doneRecord(st ledgerView) jsonlRecord {
+	rec := s.record(searchRecord{
 		Type:        "search_done",
 		SpaceSize:   len(s.space),
-		Evaluations: s.res.Evaluations,
-		CacheHits:   s.res.CacheHits,
+		Evaluations: st.SamplesDone,
+		CacheHits:   st.cacheHits,
 		BestConfig:  s.res.Best.Key(),
-		BestSpeedup: s.bestSpeedup(),
-		ElapsedSec:  time.Since(t.start).Seconds(),
+		BestSpeedup: st.bestSpeedup,
+		ElapsedSec:  st.ElapsedSec,
 	})
-	if err != nil {
+	if st.State == "error" {
 		rec.Type = "error"
-		rec.Error = err.Error()
+		rec.Error = st.Error
 	}
-	t.sink.emit(rec)
-	t.sink.w.Close()
+	return rec
 }

@@ -18,10 +18,35 @@ import (
 	"omptune/internal/topology"
 )
 
+// legacyStep and legacyResult are the pre-seam result shape the two
+// reference copies below return.
+type legacyStep struct {
+	Variable env.VarName
+	Value    string
+	Seconds  float64
+}
+
+type legacyResult struct {
+	Best           env.Config
+	BestSeconds    float64
+	DefaultSeconds float64
+	Evaluations    int
+	Trace          []legacyStep
+}
+
+// asLegacy projects a SearchResult onto the pre-seam shape, field for field.
+func asLegacy(r SearchResult) legacyResult {
+	l := legacyResult{Best: r.Best, BestSeconds: r.BestSeconds, DefaultSeconds: r.DefaultSeconds, Evaluations: r.Evaluations}
+	for _, st := range r.Trajectory {
+		l.Trace = append(l.Trace, legacyStep{Variable: env.VarName(st.Variable), Value: st.Value, Seconds: st.Seconds})
+	}
+	return l
+}
+
 // legacyTune is a verbatim copy of the pre-seam Tune implementation; the
 // golden tests hold the seam's greedy strategy byte-identical to it under
 // the analytic backend.
-func legacyTune(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, order []env.VarName, budget int) TuneResult {
+func legacyTune(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, order []env.VarName, budget int) legacyResult {
 	if budget <= 0 {
 		budget = 200
 	}
@@ -35,7 +60,7 @@ func legacyTune(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Settin
 		sec, _ := meanRuntime(ev, m, app, cfg, cfg.Key(), set)
 		return sec
 	}
-	res := TuneResult{Best: env.Default(m)}
+	res := legacyResult{Best: env.Default(m)}
 	res.DefaultSeconds = measure(res.Best)
 	res.BestSeconds = res.DefaultSeconds
 	res.Evaluations = 1
@@ -58,7 +83,7 @@ func legacyTune(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Settin
 				if t < res.BestSeconds {
 					res.Best = cand
 					res.BestSeconds = t
-					res.Trace = append(res.Trace, TuneStep{Variable: v, Value: val, Seconds: t})
+					res.Trace = append(res.Trace, legacyStep{Variable: v, Value: val, Seconds: t})
 					improvedThisPass = true
 				}
 			}
@@ -71,7 +96,7 @@ func legacyTune(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Settin
 }
 
 // legacyRandomSearch is a verbatim copy of the pre-seam RandomSearch.
-func legacyRandomSearch(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, budget int, seedVal uint64) TuneResult {
+func legacyRandomSearch(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, budget int, seedVal uint64) legacyResult {
 	if budget <= 0 {
 		budget = 200
 	}
@@ -81,7 +106,7 @@ func legacyRandomSearch(ev Evaluator, m *topology.Machine, app *apps.App, set si
 		return sec
 	}
 	space := env.Space(m)
-	res := TuneResult{Best: env.Default(m)}
+	res := legacyResult{Best: env.Default(m)}
 	res.DefaultSeconds = measure(res.Best)
 	res.BestSeconds = res.DefaultSeconds
 	res.Evaluations = 1
@@ -94,7 +119,7 @@ func legacyRandomSearch(ev Evaluator, m *topology.Machine, app *apps.App, set si
 		if t < res.BestSeconds {
 			res.Best = cfg
 			res.BestSeconds = t
-			res.Trace = append(res.Trace, TuneStep{Variable: "random", Value: cfg.Key(), Seconds: t})
+			res.Trace = append(res.Trace, legacyStep{Variable: "random", Value: cfg.Key(), Seconds: t})
 		}
 	}
 	return res
@@ -130,7 +155,7 @@ func TestTuneMatchesLegacyGolden(t *testing.T) {
 	for _, c := range cases {
 		m, app, set := searchApp(t, c.arch, c.app)
 		want := legacyTune(nil, m, app, set, c.order, c.budget)
-		got := Tune(nil, m, app, set, c.order, c.budget)
+		got := asLegacy(Tune(nil, m, app, set, c.order, c.budget))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s/%s budget %d: Tune diverged from legacy:\n got %+v\nwant %+v",
 				c.arch, c.app, c.budget, got, want)
@@ -154,7 +179,7 @@ func TestRandomSearchMatchesLegacyGolden(t *testing.T) {
 	for _, c := range cases {
 		m, app, set := searchApp(t, c.arch, c.app)
 		want := legacyRandomSearch(nil, m, app, set, c.budget, c.seed)
-		got := RandomSearch(nil, m, app, set, c.budget, c.seed)
+		got := asLegacy(RandomSearch(nil, m, app, set, c.budget, c.seed))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s/%s budget %d seed %d: RandomSearch diverged from legacy:\n got %+v\nwant %+v",
 				c.arch, c.app, c.budget, c.seed, got, want)
@@ -397,7 +422,7 @@ func TestSearchTelemetryStream(t *testing.T) {
 // status payload end to end.
 func TestSearchMonitorGauges(t *testing.T) {
 	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
-	mon := NewSearchMonitor()
+	mon := NewMonitor()
 	if st := mon.Status(); st.State != "waiting" {
 		t.Errorf("pre-plan state %q", st.State)
 	}
@@ -429,6 +454,25 @@ func TestSearchMonitorGauges(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("/metrics output missing %s", want)
 		}
+	}
+}
+
+// TestSearchProbeNoObserverAllocs holds the hot path of every search the
+// benchmark's search_tune runs: with no telemetry log and no monitor a cached
+// probe allocates what it did before the ledger took over the reporting — the
+// configuration key and its label, 2 allocations, measured at the parent
+// commit with this same body.
+func TestSearchProbeNoObserverAllocs(t *testing.T) {
+	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
+	s, err := newSearchState(context.Background(), "random", SearchSpec{Machine: m, App: app, Setting: set}, newReporter(nil, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.init()
+	cfg := env.Space(m)[1]
+	s.probeConfig(cfg, "random")
+	if got := testing.AllocsPerRun(200, func() { s.probeConfig(cfg, "random") }); got != 2 {
+		t.Errorf("cached probe with no observers: %v allocations, want 2", got)
 	}
 }
 

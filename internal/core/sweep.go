@@ -313,7 +313,7 @@ func RunSweep(sc SweepConfig) (ds *dataset.Dataset, err error) {
 	// shard spec) reaches the monitor as a terminal error state. The terminal
 	// record reflects how the sweep actually ended, so the deferred finish
 	// reads the named error result.
-	rep := newReporter(sc)
+	rep := newReporter(sc.Progress, sc.OnProgress, sc.Monitor)
 	defer func() { rep.finish(err) }()
 	units, err := planUnits(sc)
 	if err != nil {

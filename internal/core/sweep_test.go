@@ -127,7 +127,7 @@ func TestTuneRespectsBudgetAndMonotonicity(t *testing.T) {
 	}
 	// The trace must be monotonically improving.
 	prev := res.DefaultSeconds
-	for _, step := range res.Trace {
+	for _, step := range res.Trajectory {
 		if step.Seconds > prev {
 			t.Errorf("trace step %v regressed from %v", step, prev)
 		}
@@ -144,8 +144,8 @@ func TestTuneRespectsBudgetAndMonotonicity(t *testing.T) {
 }
 
 func TestTuneSpeedupZeroGuard(t *testing.T) {
-	var r TuneResult
+	var r SearchResult
 	if r.Speedup() != 0 {
-		t.Error("zero-value TuneResult should report speedup 0")
+		t.Error("zero-value SearchResult should report speedup 0")
 	}
 }

@@ -132,13 +132,17 @@ func (s *jsonlSink) emit(rec jsonlRecord) {
 	_ = write(s.errRecord(fmt.Sprintf("%s stream disabled after write error: %v", s.name, err)))
 }
 
-// telemetry renders the campaign ledger as the sweep's JSONL stream: it owns
-// the sink and the heartbeat loop, and reads every number from led. Writes
-// are serialized by led.out, which the ledger holds while it fans a batch
-// out.
+// telemetry renders the campaign ledger as a JSONL stream: it owns the sink
+// and, for a sweep, the heartbeat loop, and reads every number from led.
+// Writes are serialized by led.out, which the ledger holds while it fans a
+// batch or a probe out.
 type telemetry struct {
 	sink *jsonlSink
 	led  *reporter
+	// terminal renders the finished ledger as the stream's last record.
+	terminal func(ledgerView) jsonlRecord
+	// stop ends the heartbeat loop; nil for a search, whose stream is already
+	// step-granular.
 	stop chan struct{}
 	done sync.WaitGroup
 }
@@ -155,7 +159,7 @@ func (r *reporter) openTelemetry(path string, interval time.Duration) error {
 	if err != nil {
 		return err
 	}
-	t := &telemetry{sink: sink, led: r, stop: make(chan struct{})}
+	t := &telemetry{sink: sink, led: r, terminal: sweepDone, stop: make(chan struct{})}
 	if interval <= 0 {
 		interval = 30 * time.Second
 	}
@@ -165,7 +169,7 @@ func (r *reporter) openTelemetry(path string, interval time.Duration) error {
 		Type: "plan", Backend: st.Backend, Workers: st.Workers, Arches: cellArches(st.Cells),
 		SettingsTotal: st.SettingsTotal, SamplesTotal: st.SamplesTotal,
 	})
-	sink.emit(heartbeat(st))
+	sink.emit(heartbeat(st.Status))
 	r.tel = t
 	r.out.Unlock()
 	t.done.Add(1)
@@ -232,26 +236,33 @@ func (t *telemetry) heartbeatLoop(interval time.Duration) {
 			return
 		case <-tick.C:
 			t.led.out.Lock()
-			t.sink.emit(heartbeat(t.led.snapshot()))
+			t.sink.emit(heartbeat(t.led.snapshot().Status))
 			t.led.out.Unlock()
 		}
 	}
 }
 
-// finish stops the heartbeat loop, writes the terminal record (done on
-// success, error otherwise) from the finished ledger and closes the log.
-func (t *telemetry) finish() {
-	close(t.stop)
-	t.done.Wait()
-	t.led.out.Lock()
-	st := t.led.snapshot()
-	rec := heartbeat(st)
+// sweepDone renders a finished sweep's terminal record: done on success,
+// error otherwise.
+func sweepDone(st ledgerView) jsonlRecord {
+	rec := heartbeat(st.Status)
 	rec.Type = "done"
 	if st.State == "error" {
 		rec.Type = "error"
 		rec.Error = st.Error
 	}
-	t.sink.emit(rec)
+	return rec
+}
+
+// finish stops the heartbeat loop, writes the terminal record from the
+// finished ledger and closes the log.
+func (t *telemetry) finish() {
+	if t.stop != nil {
+		close(t.stop)
+		t.done.Wait()
+	}
+	t.led.out.Lock()
+	t.sink.emit(t.terminal(t.led.snapshot()))
 	t.sink.w.Close()
 	t.led.out.Unlock()
 }

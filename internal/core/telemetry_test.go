@@ -9,11 +9,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"omptune/internal/apps"
+	"omptune/internal/dataset"
 	"omptune/internal/env"
+	"omptune/internal/sim"
 	"omptune/internal/topology"
 )
 
@@ -165,7 +169,7 @@ func TestSweepTelemetryErrorRecord(t *testing.T) {
 
 func TestTelemetryHeartbeatLoop(t *testing.T) {
 	log := filepath.Join(t.TempDir(), "hb.jsonl")
-	led := newReporter(SweepConfig{})
+	led := newReporter(nil, nil, nil)
 	led.plan(nil, "model", 2)
 	if err := led.openTelemetry(log, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -203,8 +207,11 @@ func TestTelemetryHeartbeatLoop(t *testing.T) {
 // line, OnProgress, telemetry log, monitor — and checks that the final
 // ProgressEvent, the terminal telemetry record, Monitor.Status() and the
 // summed cell grid report the same campaign, including when one batch is
-// resumed from a checkpoint or drops a failed sample.
+// resumed from a checkpoint or drops a failed sample. The search cases do the
+// same for a search's ledger: result, terminal record, status, gauges and the
+// single cell, on one clock.
 func TestLedgerViewsAgree(t *testing.T) {
+	t.Run("search", testSearchLedgerViewsAgree)
 	campaign := func() SweepConfig {
 		return SweepConfig{
 			Arches:   []topology.Arch{topology.A64FX, topology.Milan},
@@ -369,6 +376,182 @@ func TestLedgerViewsAgree(t *testing.T) {
 	}
 }
 
+// hookedBackend calls each after every series the backend below it ran, with
+// the running count — a seat inside a search from which to scrape the monitor
+// or cancel the context.
+type hookedBackend struct {
+	*seamBackend
+	each func(n int)
+}
+
+func (b hookedBackend) EvaluateSeries(m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) ([sim.Reps]float64, dataset.SeriesMeta, error) {
+	out, meta, err := b.seamBackend.EvaluateSeries(m, app, cfg, key, set)
+	b.each(len(b.asked))
+	return out, meta, err
+}
+
+// gaugeValue reads one unlabelled series from a Prometheus exposition.
+func gaugeValue(t *testing.T, exposition, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("exposition has no series %s", name)
+	return 0
+}
+
+func testSearchLedgerViewsAgree(t *testing.T) {
+	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
+	const budget = 60
+	cases := []struct {
+		name, strategy string
+		fail           bool // the pool's fastest configuration fails to measure
+		cancelAt       int  // cancel the context after this many series (0 = never)
+	}{
+		{"clean", "greedy", false, 0},
+		{"cancelled mid-search", "random", false, 5},
+		{"failed series", "random", true, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mon := NewMonitor()
+			if st := mon.Status(); st.State != "waiting" {
+				t.Fatalf("state before the search %q, want waiting", st.State)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			pool := env.Space(m)[:8]
+			ev := hookedBackend{seamBackend: failing()}
+			if tc.fail {
+				ev.fail[pool[3]] = true
+			}
+			var during string
+			ev.each = func(n int) {
+				if n == 2 {
+					during = mon.Status().State
+				}
+				if n == tc.cancelAt {
+					cancel()
+				}
+			}
+			searcher, err := NewSearcher(tc.strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A scraper polls the monitor from its own goroutine for the whole
+			// search, as an HTTP handler would (the race detector's seat).
+			searched := make(chan struct{})
+			scraped := make(chan struct{})
+			go func() {
+				defer close(scraped)
+				for {
+					select {
+					case <-searched:
+						return
+					default:
+						mon.Status()
+						mon.Registry().WritePrometheus(io.Discard)
+					}
+				}
+			}()
+			log := filepath.Join(t.TempDir(), "search.jsonl")
+			res, err := searcher.Search(ctx, SearchSpec{
+				Machine: m, App: app, Setting: set, Space: pool, Seed: 5,
+				Evaluator: ev, Budget: SearchBudget{MaxEvals: budget},
+				TelemetryLog: log, Monitor: mon,
+			})
+			close(searched)
+			<-scraped
+			wantState, wantType := "done", "search_done"
+			if tc.cancelAt > 0 {
+				wantState, wantType = "error", "error"
+				if !errors.Is(err, context.Canceled) || res.Evaluations >= budget {
+					t.Fatalf("err = %v after %d evaluations, want context.Canceled before the budget", err, res.Evaluations)
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if tc.fail && len(ev.asked) == res.Evaluations {
+				t.Fatal("no probe was answered by the cache; the case tests nothing")
+			}
+
+			raw, err := os.ReadFile(log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var recs []searchRecord
+			for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+				var rec searchRecord
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("bad JSONL line %q: %v", line, err)
+				}
+				recs = append(recs, rec)
+			}
+			last, lastStep := recs[len(recs)-1], recs[len(recs)-2]
+			if recs[0].Type != "search_plan" || lastStep.Type != "search_step" || last.Type != wantType {
+				t.Fatalf("stream %s … %s, %s; want search_plan … search_step, %s", recs[0].Type, lastStep.Type, last.Type, wantType)
+			}
+			if (last.Error != "") != (tc.cancelAt > 0) {
+				t.Errorf("terminal record error %q", last.Error)
+			}
+
+			st := mon.Status()
+			if during != "running" || st.State != wantState {
+				t.Errorf("state walked waiting → %s → %s, want running → %s", during, st.State, wantState)
+			}
+			if want := "seam (" + tc.strategy + ")"; st.Backend != want || st.Workers != 1 {
+				t.Errorf("status backend %q / %d workers, want %q / 1", st.Backend, st.Workers, want)
+			}
+			if len(st.Cells) != 1 || st.Cells[0].Arch != "a64fx" || st.Cells[0].App != "Nqueens" {
+				t.Fatalf("cells = %+v, want the one a64fx/Nqueens cell", st.Cells)
+			}
+			var expo strings.Builder
+			if err := mon.Registry().WritePrometheus(&expo); err != nil {
+				t.Fatal(err)
+			}
+			gauge := func(name string) float64 { return gaugeValue(t, expo.String(), name) }
+
+			// One row per view of the search's shared fields; a view that
+			// lacks a field carries the wanted value.
+			type view struct {
+				evals, planned, hits int
+				best, elapsed        float64
+			}
+			want := view{res.Evaluations, budget, res.CacheHits, res.Speedup(), st.ElapsedSec}
+			for name, got := range map[string]view{
+				"terminal record":  {last.Evaluations, recs[0].BudgetEvals, last.CacheHits, last.BestSpeedup, last.ElapsedSec},
+				"last search_step": {lastStep.Eval, budget, want.hits, lastStep.BestSpeedup, want.elapsed},
+				"Monitor.Status":   {st.SamplesDone, st.SamplesTotal, want.hits, want.best, st.ElapsedSec},
+				"the cell":         {st.Cells[0].SamplesDone, st.Cells[0].SamplesTotal, want.hits, want.best, want.elapsed},
+				"omptune_search_* gauges": {
+					int(gauge("omptune_search_evaluations")), int(gauge("omptune_search_budget_evals")),
+					int(gauge("omptune_search_cache_hits")), gauge("omptune_search_best_speedup"),
+					gauge("omptune_search_elapsed_seconds"),
+				},
+			} {
+				if got != want {
+					t.Errorf("%s = %+v, want %+v", name, got, want)
+				}
+			}
+			if steps := len(recs) - 2; steps != res.Evaluations {
+				t.Errorf("%d search_step records, want one per evaluation (%d)", steps, res.Evaluations)
+			}
+			if want.best < 1 || want.elapsed <= 0 || want.hits != res.Evaluations-len(ev.asked) {
+				t.Errorf("best %v, elapsed %v, %d hits over %d evaluations and %d series", want.best, want.elapsed, want.hits, res.Evaluations, len(ev.asked))
+			}
+			if len(st.Latencies) == 0 || st.Latencies[0].Name != "eval" || st.Latencies[0].Count != uint64(res.Evaluations) {
+				t.Errorf("latencies %+v, want the probe histogram with %d observations", st.Latencies, res.Evaluations)
+			}
+		})
+	}
+}
+
 // flakyWriter accepts the first ok writes and fails every later one,
 // recording each attempted payload.
 type flakyWriter struct {
@@ -407,7 +590,7 @@ func TestTelemetrySinkWriteFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			led := newReporter(SweepConfig{})
+			led := newReporter(nil, nil, nil)
 			led.plan(units, "model", 1)
 			if err := led.openTelemetry(filepath.Join(t.TempDir(), "run.jsonl"), time.Hour); err != nil {
 				t.Fatal(err)
@@ -420,19 +603,20 @@ func TestTelemetrySinkWriteFailure(t *testing.T) {
 		}},
 		{"search telemetry", func(t *testing.T, w io.WriteCloser, errw io.Writer) {
 			m, app, set := searchApp(t, topology.A64FX, "Nqueens")
-			s, err := newSearchState(context.Background(), "random", SearchSpec{Machine: m, App: app, Setting: set})
+			led := newReporter(nil, nil, nil)
+			s, err := newSearchState(context.Background(), "random", SearchSpec{
+				Machine: m, App: app, Setting: set,
+				TelemetryLog: filepath.Join(t.TempDir(), "search.jsonl"),
+			}, led)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tel, err := newSearchTelemetry(filepath.Join(t.TempDir(), "search.jsonl"))
-			if err != nil {
-				t.Fatal(err)
+			redirect(led.tel.sink, w, errw)
+			s.init()
+			for i := 0; i < 2; i++ {
+				s.probe(env.Default(m), "x", "y")
 			}
-			redirect(tel.sink, w, errw)
-			for i := 0; i < 3; i++ {
-				tel.step(s, env.Default(m), 1, false)
-			}
-			tel.done(s, nil)
+			led.finish(nil)
 		}},
 	}
 	for _, tc := range streams {

@@ -9,33 +9,6 @@ import (
 	"omptune/internal/topology"
 )
 
-// TuneStep records one accepted move of the coordinate-descent tuner.
-type TuneStep struct {
-	Variable env.VarName
-	Value    string
-	Seconds  float64
-}
-
-// TuneResult is the outcome of a guided search.
-type TuneResult struct {
-	Best        env.Config
-	BestSeconds float64
-	// DefaultSeconds is the starting point, so Speedup() is comparable to
-	// the study's tables.
-	DefaultSeconds float64
-	Evaluations    int
-	Trace          []TuneStep
-}
-
-// Speedup returns the improvement of the tuned configuration over the
-// default.
-func (r TuneResult) Speedup() float64 {
-	if r.BestSeconds <= 0 {
-		return 0
-	}
-	return r.DefaultSeconds / r.BestSeconds
-}
-
 // Tune performs the search-space-pruned coordinate descent the paper
 // proposes in §VI: vary one variable at a time in the given importance
 // order (most influential first, e.g. from a Fig. 3 heatmap's FeatureRank),
@@ -49,15 +22,16 @@ func (r TuneResult) Speedup() float64 {
 // model, the measured backend runs the application's kernel on a real
 // openmp runtime.
 //
-// Tune is a compatibility wrapper over the "greedy" strategy of the Searcher
-// seam (see search.go): results are identical to the pre-seam implementation
-// under the analytic backend, and the seam's memoizing evaluation cache now
-// spares the descent its repeated probes (the budget accounting still counts
-// them, as before — only the backend work is saved).
-func Tune(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, order []env.VarName, budget int) TuneResult {
+// Tune is a convenience wrapper over the "greedy" strategy of the Searcher
+// seam (see search.go): best configuration, evaluation count and accepted
+// moves (SearchResult.Trajectory) are identical to the pre-seam
+// implementation under the analytic backend, and the seam's memoizing
+// evaluation cache spares the descent its repeated probes (the budget
+// accounting still counts them, as before — only the backend work is saved).
+func Tune(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, order []env.VarName, budget int) SearchResult {
 	res, _ := greedySearcher{}.Search(context.Background(), SearchSpec{
 		Machine: m, App: app, Setting: set, Order: order,
 		Evaluator: ev, Budget: SearchBudget{MaxEvals: budget},
 	})
-	return res.TuneResult()
+	return res
 }

@@ -89,6 +89,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// Linger is the end of a campaign's monitor: it keeps serving for d, so the
+// terminal state can still be scraped, or until ctx is cancelled (Ctrl-C cuts
+// the linger short), then shuts down gracefully.
+func (s *Server) Linger(ctx context.Context, d time.Duration) error {
+	if d > 0 {
+		select {
+		case <-time.After(d):
+		case <-ctx.Done():
+		}
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return s.Shutdown(sctx)
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
@@ -132,7 +147,7 @@ func (s *Server) handleRegions(w http.ResponseWriter, r *http.Request) {
 }
 
 // SetVariability installs the /api/variability payload producer — typically
-// a closure returning []VariabilityCell from the sweep monitor's live noise
+// a closure returning []VariabilityCell from the monitor's live noise
 // observatory. Like the status producer it must be concurrency-safe and
 // cheap; call before Start. When unset the endpoint serves null and the
 // dashboard hides its variability section.

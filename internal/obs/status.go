@@ -1,9 +1,9 @@
 package obs
 
 // Status is the campaign-progress payload served at /api/status and
-// consumed by the dashboard. The sweep monitor in internal/core fills it;
-// it lives here so the dashboard's JavaScript and the producer agree on one
-// schema.
+// consumed by the dashboard. The campaign monitor in internal/core fills it
+// for sweeps and searches alike; it lives here so the dashboard's JavaScript
+// and the producer agree on one schema.
 type Status struct {
 	// State is waiting | running | done | error.
 	State string `json:"state"`
@@ -43,8 +43,8 @@ type Cell struct {
 
 // Region is one row of the /api/regions payload: the live per-region
 // efficiency profile aggregated across every runtime the campaign has
-// measured so far. The producer (the sweep or search monitor in
-// internal/core) fills it from the openmp profiler's report; it lives here
+// measured so far. The producer (the campaign monitor in internal/core)
+// fills it from the openmp profiler's report; it lives here
 // so the dashboard's JavaScript and the producer agree on one schema.
 type Region struct {
 	// Name/File/Line/Level identify the construct: the source location of
@@ -73,7 +73,7 @@ type Region struct {
 // VariabilityCell is one (architecture, application) cell of the
 // /api/variability payload: the live noise observatory aggregated from the
 // series provenance of every measured sample the campaign has produced so
-// far. The sweep monitor in internal/core fills it; it lives here so the
+// far. The campaign monitor in internal/core fills it; it lives here so the
 // dashboard's JavaScript and the producer agree on one schema.
 type VariabilityCell struct {
 	Arch string `json:"arch"`

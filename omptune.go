@@ -199,7 +199,7 @@ type CollectOptions struct {
 	// histograms; serve it over HTTP with NewMonitorServer. Pair it with a
 	// measured Backend whose MeasureOptions.Metrics is Monitor.RuntimeMetrics()
 	// to include the openmp runtime's fork-join / barrier / task histograms.
-	Monitor *SweepMonitor
+	Monitor *Monitor
 }
 
 // ProgressEvent is the structured per-setting progress update of a sweep.
@@ -228,38 +228,29 @@ func Collect(opt CollectOptions) (*Dataset, error) {
 
 // ---- Live monitoring ----------------------------------------------------
 
-// SweepMonitor aggregates live campaign state: a metrics registry with
-// atomic gauges, counters and latency histograms, plus the structured
-// status payload behind the dashboard. Create one with NewSweepMonitor, set
-// it in CollectOptions.Monitor, and serve it with NewMonitorServer.
-type SweepMonitor = core.Monitor
+// Monitor aggregates the live state of one campaign — a sweep or a budgeted
+// search: a metrics registry with gauges, counters and latency histograms,
+// plus the structured status payload behind the dashboard. Create one with
+// NewMonitor, set it in CollectOptions.Monitor or SearchSpec.Monitor, and
+// serve it with NewMonitorServer.
+type Monitor = core.Monitor
 
-// NewSweepMonitor returns a monitor with its metric schema pre-registered.
-func NewSweepMonitor() *SweepMonitor { return core.NewMonitor() }
+// NewMonitor returns a monitor with its metric schema pre-registered.
+func NewMonitor() *Monitor { return core.NewMonitor() }
 
 // MonitorServer is the embedded HTTP monitor: /metrics (Prometheus text
 // exposition), /healthz, /api/status (JSON campaign progress), /api/regions
-// (the live per-region efficiency profile) and / (a self-contained HTML
-// dashboard polling both APIs).
+// (the live per-region efficiency profile), /api/variability (the series-noise
+// observatory; empty under the model backend) and / (a self-contained HTML
+// dashboard polling the APIs).
 type MonitorServer = obs.Server
 
-// monitor is what NewMonitorServer serves; SweepMonitor and SearchMonitor
-// both satisfy it.
-type monitor interface {
-	Registry() *obs.Registry
-	Status() obs.Status
-	Regions() []obs.Region
-}
-
-// NewMonitorServer builds the HTTP monitor for a sweep or search monitor;
-// /api/variability is wired when mon has a noise observatory (sweeps). Call
-// Start(addr) to bind and serve, Shutdown(ctx) for a graceful stop.
-func NewMonitorServer(mon monitor) *MonitorServer {
+// NewMonitorServer builds the HTTP monitor for mon. Call Start(addr) to bind
+// and serve, then Linger(ctx, d) once the campaign ends for a graceful stop.
+func NewMonitorServer(mon *Monitor) *MonitorServer {
 	srv := obs.NewServer(mon.Registry(), func() any { return mon.Status() })
 	srv.SetRegions(func() any { return mon.Regions() })
-	if v, ok := mon.(interface{ Variability() []obs.VariabilityCell }); ok {
-		srv.SetVariability(func() any { return v.Variability() })
-	}
+	srv.SetVariability(func() any { return mon.Variability() })
 	return srv
 }
 
@@ -316,7 +307,7 @@ func WorstTrends(ds *Dataset) []core.WorstTrend { return core.WorstTrends(ds, 0.
 // backend nil means the deterministic analytic model; pass
 // NewMeasuredEvaluator(...) to tune against real kernel execution — the
 // setting the paper's §VI tuner actually targets.
-func Tune(backend Evaluator, m *Machine, app *App, set Setting, order []VarName, budget int) core.TuneResult {
+func Tune(backend Evaluator, m *Machine, app *App, set Setting, order []VarName, budget int) SearchResult {
 	return core.Tune(backend, m, app, set, order, budget)
 }
 
@@ -343,15 +334,6 @@ func SearchStrategies() []string { return core.SearchStrategies() }
 // NewSearcher resolves a strategy by name; the error of an unknown name
 // lists the valid set.
 func NewSearcher(name string) (core.Searcher, error) { return core.NewSearcher(name) }
-
-// SearchMonitor aggregates live search state (best-so-far speedup,
-// evaluations done, cache hits, evaluation latency); set it in
-// SearchSpec.Monitor and serve it with NewMonitorServer.
-type SearchMonitor = core.SearchMonitor
-
-// NewSearchMonitor returns a search monitor with its metric schema
-// pre-registered.
-func NewSearchMonitor() *SearchMonitor { return core.NewSearchMonitor() }
 
 // SearchReport joins a search-telemetry JSONL stream (SearchSpec.
 // TelemetryLog, ompsearch -telemetry) against a sweep dataset's per-group
@@ -433,7 +415,7 @@ func Transfer(ds *Dataset, app string) ([]core.TransferRow, error) {
 
 // RandomSearch is the unguided baseline for Tune: best of `budget` uniform
 // configuration draws on backend (nil = the analytic model).
-func RandomSearch(backend Evaluator, m *Machine, app *App, set Setting, budget int, seedVal uint64) core.TuneResult {
+func RandomSearch(backend Evaluator, m *Machine, app *App, set Setting, budget int, seedVal uint64) SearchResult {
 	return core.RandomSearch(backend, m, app, set, budget, seedVal)
 }
 

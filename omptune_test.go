@@ -203,7 +203,7 @@ func TestFacadeTune(t *testing.T) {
 	if res.Evaluations > 150 {
 		t.Errorf("budget exceeded: %d", res.Evaluations)
 	}
-	if len(res.Trace) == 0 {
+	if len(res.Trajectory) == 0 {
 		t.Error("no accepted tuning steps recorded")
 	}
 	// Importance-guided ordering (library first) must find the win within a
