@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench verify
+.PHONY: build test vet race fuzz bench verify
 
 # build also compiles and vets the benchmark/ module against this checkout:
 # it has its own go.mod, so `go build ./...` alone never sees a facade or
@@ -20,14 +20,25 @@ vet:
 # park/wake paths, the observer hooks and per-thread trace rings (also end to
 # end on real kernels, through cmd/omprun's tests), the metrics registry, the
 # parallel sweep worker pool, the stateless measured backend those workers
-# share, the CSV column table, the model's shared placement cache, the
+# share, the CSV column table, the variable table it and every search probe
+# read, the forests the surrogate fits, the model's shared placement cache, the
 # sweep-to-analysis path of cmd/ompanalyze's tests (full sweeps, budgeted
 # searches, Sobol indices) and the served campaigns of cmd/ompsweep's and
 # cmd/ompsearch's tests (measured workers, the ledger and HTTP scrapes at
 # once) — under the race detector. Keep this green before touching openmp,
 # internal/obs, internal/core or internal/measure.
 race:
-	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./cmd/ompanalyze ./cmd/ompsweep ./cmd/ompsearch ./internal/core ./internal/obs ./internal/sim ./internal/measure ./internal/dataset
+	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./cmd/ompanalyze ./cmd/ompsweep ./cmd/ompsearch ./internal/core ./internal/obs ./internal/sim ./internal/measure ./internal/dataset ./internal/env ./internal/ml
+
+# fuzz runs every Fuzz* target of the packages that parse outside input — the
+# runtime's environment, the study's variables (with the differential between
+# the two), the CSV format — for 5 s each, seed corpora first.
+fuzz:
+	@for pkg in ./openmp ./internal/env ./internal/dataset; do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s $$pkg || exit 1; \
+		done; \
+	done
 
 # bench runs the runtime overhead microbenchmarks with settings pinned for
 # benchstat: save a baseline with `make bench > before.txt`, make changes,

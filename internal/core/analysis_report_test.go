@@ -29,7 +29,7 @@ func TestAnalysisReport(t *testing.T) {
 
 	fmt.Fprintf(&b, "\nTable VII (recommendations):\n")
 	for _, app := range []string{"Nqueens", "CG"} {
-		for _, r := range Recommend(ds, app, RecommendOptions{}) {
+		for _, r := range Recommend(ds, app) {
 			arch := "All"
 			if r.Arch != "" {
 				arch = string(r.Arch)
@@ -39,7 +39,7 @@ func TestAnalysisReport(t *testing.T) {
 	}
 
 	fmt.Fprintf(&b, "\nQ4 worst trends:\n")
-	for i, w := range WorstTrends(ds, 0.05) {
+	for i, w := range WorstTrends(ds) {
 		if i >= 6 {
 			break
 		}

@@ -81,29 +81,12 @@ func Drill(ds *dataset.Dataset, app string, arch topology.Arch, opt ml.LogisticO
 	})
 
 	d.BestLo, d.BestHi = sub.SpeedupRange()
-	for _, r := range Recommend(ds, app, RecommendOptions{}) {
+	for _, r := range Recommend(ds, app) {
 		if r.Arch == "" || r.Arch == arch {
 			d.Recommended = append(d.Recommended, r)
 		}
 	}
 	return d, nil
-}
-
-// TuningOrder returns the drill-down's variables as a search order for
-// Tune, dropping variables whose influence is negligible (< 2%) — the
-// search-space pruning of §VI.
-func (d *DrillDown) TuningOrder() []env.VarName {
-	var out []env.VarName
-	for _, rv := range d.Variables {
-		if rv.Influence < 0.02 {
-			break
-		}
-		out = append(out, rv.Variable)
-	}
-	if len(out) == 0 && len(d.Variables) > 0 {
-		out = append(out, d.Variables[0].Variable)
-	}
-	return out
 }
 
 // String renders the drill-down as a short advisory text.

@@ -107,25 +107,40 @@ func appCode(name string, names []string) float64 {
 	return -1
 }
 
-// featurize builds the design matrix and labels for a dataset subset.
+// featureOf reads one design-matrix cell of a sample. The column's name and
+// the application coding are arguments, not captured, so that every accessor
+// is a static function and resolving a group's columns allocates nothing.
+type featureOf func(s *dataset.Sample, col string, appNames []string) float64
+
+func accessor(col string) featureOf {
+	switch col {
+	case FeatInput:
+		return func(s *dataset.Sample, _ string, _ []string) float64 { return s.Scale }
+	case FeatNT:
+		return func(s *dataset.Sample, _ string, _ []string) float64 { return float64(s.Threads) }
+	case FeatApp:
+		return func(s *dataset.Sample, _ string, appNames []string) float64 { return appCode(s.App, appNames) }
+	case FeatArch:
+		return func(s *dataset.Sample, _ string, _ []string) float64 { return archCode(s.Arch) }
+	default:
+		return func(s *dataset.Sample, col string, _ []string) float64 { return s.Config.Feature(env.VarName(col)) }
+	}
+}
+
+// featurize builds the design matrix and labels for a dataset subset,
+// resolving each column to its accessor once rather than per cell.
 func featurize(ds *dataset.Dataset, cols []string, appNames []string) ([][]float64, []bool) {
+	var buf [16]featureOf // the widest grouping has 11 columns
+	get := buf[:0]
+	for _, c := range cols {
+		get = append(get, accessor(c))
+	}
 	x := make([][]float64, 0, ds.Len())
 	y := make([]bool, 0, ds.Len())
 	for _, s := range ds.Samples {
 		row := make([]float64, len(cols))
-		for j, c := range cols {
-			switch c {
-			case FeatInput:
-				row[j] = s.Scale
-			case FeatNT:
-				row[j] = float64(s.Threads)
-			case FeatApp:
-				row[j] = appCode(s.App, appNames)
-			case FeatArch:
-				row[j] = archCode(s.Arch)
-			default:
-				row[j] = s.Config.Feature(env.VarName(c))
-			}
+		for j, f := range get {
+			row[j] = f(s, cols[j], appNames)
 		}
 		x = append(x, row)
 		y = append(y, s.Optimal())

@@ -38,7 +38,7 @@ func Q2Consistency(ds *dataset.Dataset) []Q2Row {
 				continue
 			}
 			archCount++
-			lifts := valueLift(a, 0.05)
+			lifts := valueLift(a)
 			type vl struct {
 				v    env.VarName
 				lift float64

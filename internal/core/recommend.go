@@ -20,12 +20,21 @@ type Recommendation struct {
 	Lift float64
 }
 
+// The mining of Table VII and §V-Q4: the share of a group's samples, fastest
+// or slowest, examined for over-represented values; the enrichment a value
+// needs to be recommended; and how many variables one architecture adds.
+const (
+	extremeFrac  = 0.05
+	minLift      = 1.35
+	maxVarsAdded = 3
+)
+
 // valueLift computes, for each variable, the enrichment of each value among
-// the `frac` fastest samples of ds.
-func valueLift(ds *dataset.Dataset, frac float64) map[env.VarName]map[string]float64 {
+// the extremeFrac fastest samples of ds.
+func valueLift(ds *dataset.Dataset) map[env.VarName]map[string]float64 {
 	samples := append([]*dataset.Sample(nil), ds.Samples...)
 	sort.Slice(samples, func(i, j int) bool { return samples[i].Speedup() > samples[j].Speedup() })
-	nTop := int(float64(len(samples)) * frac)
+	nTop := int(float64(len(samples)) * extremeFrac)
 	if nTop < 10 {
 		nTop = min(10, len(samples))
 	}
@@ -54,31 +63,11 @@ func valueLift(ds *dataset.Dataset, frac float64) map[env.VarName]map[string]flo
 	return out
 }
 
-// RecommendOptions tunes the mining of Table VII.
-type RecommendOptions struct {
-	TopFrac float64 // fraction of fastest samples examined (default 0.05)
-	MinLift float64 // enrichment needed to report a value (default 1.35)
-	MaxVars int     // at most this many variables per group (default 3)
-}
-
-func (o *RecommendOptions) defaults() {
-	if o.TopFrac <= 0 {
-		o.TopFrac = 0.05
-	}
-	if o.MinLift <= 0 {
-		o.MinLift = 1.35
-	}
-	if o.MaxVars <= 0 {
-		o.MaxVars = 3
-	}
-}
-
 // Recommend mines the best-performing variable/value pairs for one
 // application: first values that are enriched among the fastest
 // configurations on every architecture (the "All" rows of Table VII, like
 // NQueens' KMP_LIBRARY=turnaround), then per-architecture additions.
-func Recommend(ds *dataset.Dataset, app string, opt RecommendOptions) []Recommendation {
-	opt.defaults()
+func Recommend(ds *dataset.Dataset, app string) []Recommendation {
 	sub := ds.ByApp(app)
 	var out []Recommendation
 
@@ -91,7 +80,7 @@ func Recommend(ds *dataset.Dataset, app string, opt RecommendOptions) []Recommen
 			continue
 		}
 		archs = append(archs, arch)
-		perArch[arch] = valueLift(a, opt.TopFrac)
+		perArch[arch] = valueLift(a)
 	}
 	if len(archs) == 0 {
 		return nil
@@ -100,18 +89,13 @@ func Recommend(ds *dataset.Dataset, app string, opt RecommendOptions) []Recommen
 	consistentLift := map[env.VarName]float64{}
 	for _, v := range env.Names() {
 		for val := range perArch[archs[0]][v] {
-			minLift := 1e18
+			lowest := 1e18
 			for _, arch := range archs {
-				l := perArch[arch][v][val]
-				if l < minLift {
-					minLift = l
-				}
+				lowest = min(lowest, perArch[arch][v][val])
 			}
-			if minLift >= opt.MinLift {
+			if lowest >= minLift {
 				consistent[v] = append(consistent[v], val)
-				if minLift > consistentLift[v] {
-					consistentLift[v] = minLift
-				}
+				consistentLift[v] = max(consistentLift[v], lowest)
 			}
 		}
 	}
@@ -135,7 +119,7 @@ func Recommend(ds *dataset.Dataset, app string, opt RecommendOptions) []Recommen
 			var vals []string
 			best := 0.0
 			for val, l := range perArch[arch][v] {
-				if l >= opt.MinLift {
+				if l >= minLift {
 					vals = append(vals, val)
 					if l > best {
 						best = l
@@ -148,9 +132,7 @@ func Recommend(ds *dataset.Dataset, app string, opt RecommendOptions) []Recommen
 			}
 		}
 		sort.Slice(cands, func(i, j int) bool { return cands[i].lift > cands[j].lift })
-		if len(cands) > opt.MaxVars {
-			cands = cands[:opt.MaxVars]
-		}
+		cands = cands[:min(len(cands), maxVarsAdded)]
 		for _, c := range cands {
 			out = append(out, Recommendation{App: app, Arch: arch, Variable: c.v, Values: c.vals, Lift: c.lift})
 		}
@@ -172,17 +154,14 @@ type WorstTrend struct {
 	Lift     float64
 }
 
-// WorstTrends mines the bottom `frac` of samples (by speedup) across the
-// dataset for enriched variable/value pairs. The paper's finding — master
+// WorstTrends mines the bottom extremeFrac of samples (by speedup) across
+// the dataset for enriched variable/value pairs. The paper's finding — master
 // binding onto small places with large thread counts — appears as high
 // lifts for OMP_PROC_BIND=master and fine-grained OMP_PLACES values.
-func WorstTrends(ds *dataset.Dataset, frac float64) []WorstTrend {
-	if frac <= 0 {
-		frac = 0.05
-	}
+func WorstTrends(ds *dataset.Dataset) []WorstTrend {
 	samples := append([]*dataset.Sample(nil), ds.Samples...)
 	sort.Slice(samples, func(i, j int) bool { return samples[i].Speedup() < samples[j].Speedup() })
-	nBot := int(float64(len(samples)) * frac)
+	nBot := int(float64(len(samples)) * extremeFrac)
 	if nBot < 10 {
 		nBot = min(10, len(samples))
 	}

@@ -87,7 +87,7 @@ func TestShapeNQueensTurnaroundEverywhere(t *testing.T) {
 		}
 	}
 	// Table VII: KMP_LIBRARY=turnaround is the all-architecture winner.
-	recs := Recommend(ds, "Nqueens", RecommendOptions{})
+	recs := Recommend(ds, "Nqueens")
 	found := false
 	for _, r := range recs {
 		if r.Arch == "" && r.Variable == env.VarLibrary {
@@ -253,7 +253,7 @@ func TestShapeWorstTrendQ4(t *testing.T) {
 		t.Skip("full sweep in -short mode")
 	}
 	ds := sweepOnce(t)
-	trends := WorstTrends(ds, 0.05)
+	trends := WorstTrends(ds)
 	if len(trends) == 0 {
 		t.Fatal("no worst trends found")
 	}
@@ -369,7 +369,7 @@ func TestShapeCGSkylakeReductionSensitivity(t *testing.T) {
 	ds := sweepOnce(t)
 	// Table VII: CG on Skylake is sensitive to the reduction method and the
 	// allocation alignment.
-	recs := Recommend(ds, "CG", RecommendOptions{})
+	recs := Recommend(ds, "CG")
 	hasRedOrAlign := false
 	for _, r := range recs {
 		if r.Arch == topology.Skylake &&

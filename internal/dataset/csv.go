@@ -7,6 +7,7 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"strings"
 
 	"omptune/internal/env"
 	"omptune/internal/topology"
@@ -48,49 +49,45 @@ type rowParse struct {
 
 // columns is the one definition of the format. Its order is the written
 // column order.
-var columns = []column{
-	textCol("arch", func(s *Sample) *string { return (*string)(&s.Arch) }),
-	textCol("app", func(s *Sample) *string { return &s.App }),
-	textCol("suite", func(s *Sample) *string { return &s.Suite }),
-	textCol("setting", func(s *Sample) *string { return &s.Setting }),
-	{"threads", groupBase,
-		func(s *Sample) string { return strconv.Itoa(s.Threads) },
-		func(p *rowParse, cell string) (err error) { p.s.Threads, err = strconv.Atoi(cell); return err }},
-	floatCol("scale", groupBase, func(s *Sample) *float64 { return &s.Scale }),
-	cfgCol("omp_places", groupBase, env.VarPlaces),
-	cfgCol("omp_proc_bind", groupBase, env.VarProcBind),
-	cfgCol("omp_schedule", groupBase, env.VarSchedule),
-	cfgCol("kmp_library", groupBase, env.VarLibrary),
-	cfgCol("kmp_blocktime", groupBase, env.VarBlocktime),
-	cfgCol("kmp_force_reduction", groupBase, env.VarForceReduction),
-	cfgCol("kmp_align_alloc", groupBase, env.VarAlignAlloc),
-	floatCol("runtime_0", groupBase, func(s *Sample) *float64 { return &s.Runtimes[0] }),
-	floatCol("runtime_1", groupBase, func(s *Sample) *float64 { return &s.Runtimes[1] }),
-	floatCol("runtime_2", groupBase, func(s *Sample) *float64 { return &s.Runtimes[2] }),
-	floatCol("runtime_3", groupBase, func(s *Sample) *float64 { return &s.Runtimes[3] }),
-	floatCol("default_runtime", groupBase, func(s *Sample) *float64 { return &s.DefaultRuntime }),
-	{"speedup", groupBase, func(s *Sample) string { return fmt1(s.Speedup()) }, nil},
-	{"optimal", groupBase, func(s *Sample) string { return strconv.FormatBool(s.Optimal()) }, nil},
+var columns = slices.Concat(
+	[]column{
+		textCol("arch", func(s *Sample) *string { return (*string)(&s.Arch) }),
+		textCol("app", func(s *Sample) *string { return &s.App }),
+		textCol("suite", func(s *Sample) *string { return &s.Suite }),
+		textCol("setting", func(s *Sample) *string { return &s.Setting }),
+		{"threads", groupBase,
+			func(s *Sample) string { return strconv.Itoa(s.Threads) },
+			func(p *rowParse, cell string) (err error) { p.s.Threads, err = strconv.Atoi(cell); return err }},
+		floatCol("scale", groupBase, func(s *Sample) *float64 { return &s.Scale }),
+	},
+	cfgCols(groupBase, env.Names()),
+	[]column{
+		floatCol("runtime_0", groupBase, func(s *Sample) *float64 { return &s.Runtimes[0] }),
+		floatCol("runtime_1", groupBase, func(s *Sample) *float64 { return &s.Runtimes[1] }),
+		floatCol("runtime_2", groupBase, func(s *Sample) *float64 { return &s.Runtimes[2] }),
+		floatCol("runtime_3", groupBase, func(s *Sample) *float64 { return &s.Runtimes[3] }),
+		floatCol("default_runtime", groupBase, func(s *Sample) *float64 { return &s.DefaultRuntime }),
+		{"speedup", groupBase, func(s *Sample) string { return fmt1(s.Speedup()) }, nil},
+		{"optimal", groupBase, func(s *Sample) string { return strconv.FormatBool(s.Optimal()) }, nil},
 
-	{"source", groupSource, (*Sample).SourceName,
-		func(p *rowParse, cell string) error {
-			if cell == "" {
-				return errors.New("empty")
-			}
-			p.s.Source = cell
-			return nil
-		}},
-
-	cfgCol("omp_num_threads", groupNested, env.VarNumThreads),
-	cfgCol("omp_max_active_levels", groupNested, env.VarMaxActiveLevels),
-	cfgCol("omp_thread_limit", groupNested, env.VarThreadLimit),
-
-	{"reps", groupMeta,
-		func(s *Sample) string { return strconv.Itoa(s.RepsRun) },
-		func(p *rowParse, cell string) (err error) { p.s.RepsRun, err = strconv.Atoi(cell); return err }},
-	floatCol("cov", groupMeta, func(s *Sample) *float64 { return &s.CoV }),
-	floatCol("ci", groupMeta, func(s *Sample) *float64 { return &s.CIRel }),
-}
+		{"source", groupSource, (*Sample).SourceName,
+			func(p *rowParse, cell string) error {
+				if cell == "" {
+					return errors.New("empty")
+				}
+				p.s.Source = cell
+				return nil
+			}},
+	},
+	cfgCols(groupNested, env.NestedNames()),
+	[]column{
+		{"reps", groupMeta,
+			func(s *Sample) string { return strconv.Itoa(s.RepsRun) },
+			func(p *rowParse, cell string) (err error) { p.s.RepsRun, err = strconv.Atoi(cell); return err }},
+		floatCol("cov", groupMeta, func(s *Sample) *float64 { return &s.CoV }),
+		floatCol("ci", groupMeta, func(s *Sample) *float64 { return &s.CIRel }),
+	},
+)
 
 func textCol(name string, field func(*Sample) *string) column {
 	return column{name, groupBase,
@@ -107,12 +104,17 @@ func floatCol(name string, g colGroup, field func(*Sample) *float64) column {
 		}}
 }
 
-// cfgCol is a configuration column: written as the configuration's value of
-// v, read back as the environment entry "v=cell" for env.Parse.
-func cfgCol(name string, g colGroup, v env.VarName) column {
-	return column{name, g,
-		func(s *Sample) string { return s.Config.Value(v) },
-		func(p *rowParse, cell string) error { p.environ = append(p.environ, string(v)+"="+cell); return nil }}
+// cfgCols are the configuration columns of the variables vars, one each,
+// named by the variable in lower case: written as the configuration's value
+// of it, read back as the environment entry "VARIABLE=cell" for env.Parse.
+func cfgCols(g colGroup, vars []env.VarName) []column {
+	cols := make([]column, len(vars))
+	for i, v := range vars {
+		cols[i] = column{strings.ToLower(string(v)), g,
+			func(s *Sample) string { return s.Config.Value(v) },
+			func(p *rowParse, cell string) error { p.environ = append(p.environ, string(v)+"="+cell); return nil }}
+	}
+	return cols
 }
 
 // groupNeeded returns the highest column group any sample needs. Dropping the

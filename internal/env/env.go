@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"omptune/internal/topology"
+	"omptune/openmp"
 )
 
 // Schedule is the worksharing-loop schedule kind (OMP_SCHEDULE, §III-3).
@@ -190,70 +191,12 @@ func (c Config) EffectiveBlocktimeMS() int {
 
 // Validate checks every field against its domain on machine m.
 func (c Config) Validate(m *topology.Machine) error {
-	if !contains(PlaceKinds(), c.Places) && c.Places != topology.PlaceThreads && c.Places != topology.PlaceNUMA {
-		return fmt.Errorf("env: invalid OMP_PLACES %q", c.Places)
-	}
-	if !contains(ProcBinds(), c.ProcBind) {
-		return fmt.Errorf("env: invalid OMP_PROC_BIND %q", c.ProcBind)
-	}
-	if !contains(Schedules(), c.Schedule) {
-		return fmt.Errorf("env: invalid OMP_SCHEDULE %q", c.Schedule)
-	}
-	if c.Library != LibSerial && !contains(Libraries(), c.Library) {
-		return fmt.Errorf("env: invalid KMP_LIBRARY %q", c.Library)
-	}
-	if c.BlocktimeMS < BlocktimeInfinite {
-		return fmt.Errorf("env: invalid KMP_BLOCKTIME %d", c.BlocktimeMS)
-	}
-	if !contains(Reductions(), c.ForceReduction) {
-		return fmt.Errorf("env: invalid KMP_FORCE_REDUCTION %q", c.ForceReduction)
-	}
-	if !containsInt(m.AlignAllocValues(), c.AlignAlloc) {
-		return fmt.Errorf("env: invalid KMP_ALIGN_ALLOC %d for %s", c.AlignAlloc, m.Arch)
-	}
-	if c.NumThreadsList != "" {
-		if _, err := ParseNumThreadsList(c.NumThreadsList); err != nil {
-			return err
+	for i := range variables {
+		if row := &variables[i]; !row.valid(c, m) {
+			return row.invalid(row.get(c))
 		}
-	}
-	if c.MaxActiveLevels < 0 {
-		return fmt.Errorf("env: invalid OMP_MAX_ACTIVE_LEVELS %d", c.MaxActiveLevels)
-	}
-	if c.ThreadLimit < 0 {
-		return fmt.Errorf("env: invalid OMP_THREAD_LIMIT %d", c.ThreadLimit)
 	}
 	return nil
-}
-
-// ParseNumThreadsList parses an OMP_NUM_THREADS value list ("4,2"): one
-// positive integer per nesting level, comma-separated. Malformed lists —
-// empty entries, non-integers, values below one — are rejected with an
-// error naming the offending entry.
-func ParseNumThreadsList(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, fmt.Errorf("env: OMP_NUM_THREADS list %q has an empty entry", s)
-		}
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("env: OMP_NUM_THREADS entry %q: want a positive integer", p)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// formatThreadList renders a parsed list back to canonical comma-separated
-// form (no spaces), the representation stored in Config.NumThreadsList.
-func formatThreadList(list []int) string {
-	parts := make([]string, len(list))
-	for i, n := range list {
-		parts[i] = strconv.Itoa(n)
-	}
-	return strings.Join(parts, ",")
 }
 
 // IsDefault reports whether c equals the default configuration on m.
@@ -298,31 +241,13 @@ func (c Config) String() string { return c.Key() }
 // would export before launching an application. Unset variables are omitted,
 // matching how the study drives the real runtime.
 func (c Config) Environ() []string {
-	var out []string
-	if c.NumThreadsList != "" {
-		out = append(out, "OMP_NUM_THREADS="+c.NumThreadsList)
+	out := make([]string, 0, len(variables))
+	for i := range variables {
+		row := &variables[i]
+		if val := row.get(c); !row.optional || val != row.unset {
+			out = append(out, string(row.name)+"="+val)
+		}
 	}
-	if c.MaxActiveLevels != 0 {
-		out = append(out, "OMP_MAX_ACTIVE_LEVELS="+strconv.Itoa(c.MaxActiveLevels))
-	}
-	if c.ThreadLimit != 0 {
-		out = append(out, "OMP_THREAD_LIMIT="+strconv.Itoa(c.ThreadLimit))
-	}
-	if c.Places != topology.PlaceUnset {
-		out = append(out, "OMP_PLACES="+string(c.Places))
-	}
-	if c.ProcBind != BindUnset {
-		out = append(out, "OMP_PROC_BIND="+string(c.ProcBind))
-	}
-	out = append(out,
-		"OMP_SCHEDULE="+string(c.Schedule),
-		"KMP_LIBRARY="+string(c.Library),
-		"KMP_BLOCKTIME="+blocktimeString(c.BlocktimeMS),
-	)
-	if c.ForceReduction != ReductionUnset {
-		out = append(out, "KMP_FORCE_REDUCTION="+string(c.ForceReduction))
-	}
-	out = append(out, "KMP_ALIGN_ALLOC="+strconv.Itoa(c.AlignAlloc))
 	return out
 }
 
@@ -335,54 +260,15 @@ func Parse(m *topology.Machine, environ []string) (Config, error) {
 		if !ok {
 			return Config{}, fmt.Errorf("env: malformed entry %q", kv)
 		}
+		row := lookup(VarName(strings.ToUpper(strings.TrimSpace(key))))
+		if row == nil {
+			continue // foreign variables are ignored, as a real runtime would
+		}
 		val = strings.TrimSpace(strings.ToLower(val))
-		switch strings.ToUpper(strings.TrimSpace(key)) {
-		case "OMP_NUM_THREADS":
-			list, err := ParseNumThreadsList(val)
-			if err != nil {
-				return Config{}, err
-			}
-			c.NumThreadsList = formatThreadList(list)
-		case "OMP_MAX_ACTIVE_LEVELS":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return Config{}, fmt.Errorf("env: invalid OMP_MAX_ACTIVE_LEVELS %q", val)
-			}
-			c.MaxActiveLevels = n
-		case "OMP_THREAD_LIMIT":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return Config{}, fmt.Errorf("env: invalid OMP_THREAD_LIMIT %q", val)
-			}
-			c.ThreadLimit = n
-		case "OMP_PLACES":
-			c.Places = topology.PlaceKind(val)
-		case "OMP_PROC_BIND":
-			c.ProcBind = ProcBind(val)
-		case "OMP_SCHEDULE":
-			c.Schedule = Schedule(val)
-		case "KMP_LIBRARY":
-			c.Library = Library(val)
-		case "KMP_BLOCKTIME":
-			if val == "infinite" {
-				c.BlocktimeMS = BlocktimeInfinite
-			} else {
-				n, err := strconv.Atoi(val)
-				if err != nil || n < 0 {
-					return Config{}, fmt.Errorf("env: invalid KMP_BLOCKTIME %q", val)
-				}
-				c.BlocktimeMS = n
-			}
-		case "KMP_FORCE_REDUCTION":
-			c.ForceReduction = Reduction(val)
-		case "KMP_ALIGN_ALLOC":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return Config{}, fmt.Errorf("env: invalid KMP_ALIGN_ALLOC %q", val)
-			}
-			c.AlignAlloc = n
-		default:
-			// Foreign variables are ignored, as a real runtime would.
+		// An exported nesting variable must carry a value: its unset spelling
+		// is how Set and Values say "not exported", not something to export.
+		if c, ok = row.set(c, val); !ok || row.nested && row.get(c) == row.unset {
+			return Config{}, row.invalid(val)
 		}
 	}
 	if err := c.Validate(m); err != nil {
@@ -418,12 +304,6 @@ func Space(m *topology.Machine) []Config {
 	return out
 }
 
-// SpaceSize returns len(Space(m)) without materializing it.
-func SpaceSize(m *topology.Machine) int {
-	return len(PlaceKinds()) * len(ProcBinds()) * len(Schedules()) *
-		len(Libraries()) * len(Blocktimes()) * len(Reductions()) * len(m.AlignAllocValues())
-}
-
 // VarName identifies one studied environment variable; the order of Names is
 // the canonical feature order used by the analysis and the heatmaps.
 type VarName string
@@ -450,15 +330,20 @@ const (
 )
 
 // Names returns the canonical variable order.
-func Names() []VarName {
-	return []VarName{VarPlaces, VarProcBind, VarSchedule, VarLibrary,
-		VarBlocktime, VarForceReduction, VarAlignAlloc}
-}
+func Names() []VarName { return names(false) }
 
 // NestedNames returns the nesting-axis variable order, appended after
 // Names() when a sweep enables the nesting dimension.
-func NestedNames() []VarName {
-	return []VarName{VarNumThreads, VarMaxActiveLevels, VarThreadLimit}
+func NestedNames() []VarName { return names(true) }
+
+func names(nested bool) []VarName {
+	out := make([]VarName, 0, len(variables))
+	for i := range variables {
+		if variables[i].nested == nested {
+			out = append(out, variables[i].name)
+		}
+	}
+	return out
 }
 
 // NumThreadsLists returns the OMP_NUM_THREADS per-level lists swept when
@@ -489,171 +374,189 @@ func MaxActiveLevelsValues() []int { return []int{0, 2, 3} }
 // (oversubscription headroom for nested teams).
 func ThreadLimits(m *topology.Machine) []int { return []int{0, m.Cores, 2 * m.Cores} }
 
-// Feature returns the naive ordinal encoding of variable v in c (§IV-D uses
-// a naive numeric scheme). The encoding is the index within the swept
-// domain; alignment is encoded as log2(bytes) so the scale stays comparable.
-func (c Config) Feature(v VarName) float64 {
-	switch v {
-	case VarPlaces:
-		return float64(indexOf(PlaceKinds(), c.Places))
-	case VarProcBind:
-		return float64(indexOf(ProcBinds(), c.ProcBind))
-	case VarSchedule:
-		return float64(indexOf(Schedules(), c.Schedule))
-	case VarLibrary:
-		return float64(indexOf(Libraries(), c.Library))
-	case VarBlocktime:
-		return float64(indexOf(Blocktimes(), c.BlocktimeMS))
-	case VarForceReduction:
-		return float64(indexOf(Reductions(), c.ForceReduction))
-	case VarAlignAlloc:
-		return log2i(c.AlignAlloc)
-	case VarNumThreads:
-		// Encoded as the list depth: 0 = unset/flat, 2 = depth-2 split, …
-		// roughly monotone in how much nesting the list enables.
-		if c.NumThreadsList == "" {
-			return 0
-		}
-		return float64(strings.Count(c.NumThreadsList, ",") + 1)
-	case VarMaxActiveLevels:
-		return float64(c.MaxActiveLevels)
-	case VarThreadLimit:
-		return log2i(c.ThreadLimit) // 0 = unset; log keeps the scale comparable
-	default:
-		return -1
-	}
+// variable is everything the package knows about one environment variable.
+// Validate, Parse, Environ, Set, Value, Values and Feature are loops or
+// lookups over the variables table, so adding a variable is a Config field,
+// a row, and a tag in Key. The accessors take the Config by value: through a
+// func value a pointer would move the caller's copy to the heap.
+type variable struct {
+	name   VarName
+	nested bool // on the nesting axis: listed by NestedNames, not Names
+	// An optional variable is left unexported while its Value is unset.
+	optional bool
+	unset    string
+
+	domain func(m *topology.Machine) []string // swept values on m, in sweep order
+	get    func(c Config) string
+	// set parses a lower-cased, trimmed value; ok is false for one that is
+	// not a spelling of the variable's type.
+	set     func(c Config, value string) (_ Config, ok bool)
+	valid   func(c Config, m *topology.Machine) bool
+	feature func(c Config) float64 // see Feature
 }
 
-// Set assigns the given domain value (by string) to variable v, returning an
-// updated copy. It is used by the search-space-pruning tuner.
-func (c Config) Set(v VarName, value string) (Config, error) {
-	value = strings.ToLower(strings.TrimSpace(value))
-	switch v {
-	case VarPlaces:
-		c.Places = topology.PlaceKind(value)
-	case VarProcBind:
-		c.ProcBind = ProcBind(value)
-	case VarSchedule:
-		c.Schedule = Schedule(value)
-	case VarLibrary:
-		c.Library = Library(value)
-	case VarBlocktime:
-		if value == "infinite" {
-			c.BlocktimeMS = BlocktimeInfinite
-		} else {
-			n, err := strconv.Atoi(value)
-			if err != nil {
-				return c, fmt.Errorf("env: bad blocktime %q", value)
+// variables is in Environ order: the nesting axis, then the seven of Names.
+var variables = [...]variable{
+	{name: VarNumThreads, nested: true, optional: true, unset: "",
+		domain: NumThreadsLists,
+		get:    func(c Config) string { return c.NumThreadsList },
+		set: func(c Config, s string) (Config, bool) {
+			if s == "" || s == "unset" {
+				c.NumThreadsList = ""
+				return c, true
 			}
-			c.BlocktimeMS = n
+			list, err := openmp.ParseThreadList(s)
+			c.NumThreadsList = strings.Join(itoas(list), ",") // canonical: no spaces
+			return c, err == nil
+		},
+		valid: func(c Config, _ *topology.Machine) bool {
+			if c.NumThreadsList == "" {
+				return true
+			}
+			_, err := openmp.ParseThreadList(c.NumThreadsList)
+			return err == nil
+		},
+		// The list depth: 0 = unset/flat, 2 = depth-2 split, … roughly
+		// monotone in how much nesting the list enables.
+		feature: func(c Config) float64 {
+			if c.NumThreadsList == "" {
+				return 0
+			}
+			return float64(strings.Count(c.NumThreadsList, ",") + 1)
+		}},
+	{name: VarMaxActiveLevels, nested: true, optional: true, unset: "0",
+		domain:  func(*topology.Machine) []string { return itoas(MaxActiveLevelsValues()) },
+		get:     func(c Config) string { return strconv.Itoa(c.MaxActiveLevels) },
+		set:     func(c Config, s string) (_ Config, ok bool) { c.MaxActiveLevels, ok = atoiCount(s); return c, ok },
+		valid:   func(c Config, _ *topology.Machine) bool { return c.MaxActiveLevels >= 0 },
+		feature: func(c Config) float64 { return float64(c.MaxActiveLevels) }},
+	{name: VarThreadLimit, nested: true, optional: true, unset: "0",
+		domain: func(m *topology.Machine) []string { return itoas(ThreadLimits(m)) },
+		get:    func(c Config) string { return strconv.Itoa(c.ThreadLimit) },
+		set:    func(c Config, s string) (_ Config, ok bool) { c.ThreadLimit, ok = atoiCount(s); return c, ok },
+		valid:  func(c Config, _ *topology.Machine) bool { return c.ThreadLimit >= 0 },
+		// 0 = unset; the logarithm keeps the scale comparable.
+		feature: func(c Config) float64 { return log2i(c.ThreadLimit) }},
+	{name: VarPlaces, optional: true, unset: string(topology.PlaceUnset),
+		domain: func(*topology.Machine) []string { return stringsOf(PlaceKinds()) },
+		get:    func(c Config) string { return string(c.Places) },
+		set:    func(c Config, s string) (Config, bool) { c.Places = topology.PlaceKind(s); return c, true },
+		valid: func(c Config, _ *topology.Machine) bool {
+			return contains(PlaceKinds(), c.Places) || c.Places == topology.PlaceThreads || c.Places == topology.PlaceNUMA
+		},
+		feature: func(c Config) float64 { return float64(indexOf(PlaceKinds(), c.Places)) }},
+	{name: VarProcBind, optional: true, unset: string(BindUnset),
+		domain:  func(*topology.Machine) []string { return stringsOf(ProcBinds()) },
+		get:     func(c Config) string { return string(c.ProcBind) },
+		set:     func(c Config, s string) (Config, bool) { c.ProcBind = ProcBind(s); return c, true },
+		valid:   func(c Config, _ *topology.Machine) bool { return contains(ProcBinds(), c.ProcBind) },
+		feature: func(c Config) float64 { return float64(indexOf(ProcBinds(), c.ProcBind)) }},
+	{name: VarSchedule,
+		domain:  func(*topology.Machine) []string { return stringsOf(Schedules()) },
+		get:     func(c Config) string { return string(c.Schedule) },
+		set:     func(c Config, s string) (Config, bool) { c.Schedule = Schedule(s); return c, true },
+		valid:   func(c Config, _ *topology.Machine) bool { return contains(Schedules(), c.Schedule) },
+		feature: func(c Config) float64 { return float64(indexOf(Schedules(), c.Schedule)) }},
+	{name: VarLibrary,
+		domain: func(*topology.Machine) []string { return stringsOf(Libraries()) },
+		get:    func(c Config) string { return string(c.Library) },
+		set:    func(c Config, s string) (Config, bool) { c.Library = Library(s); return c, true },
+		valid: func(c Config, _ *topology.Machine) bool {
+			return c.Library == LibSerial || contains(Libraries(), c.Library)
+		},
+		feature: func(c Config) float64 { return float64(indexOf(Libraries(), c.Library)) }},
+	{name: VarBlocktime,
+		domain: func(*topology.Machine) []string {
+			out := make([]string, 0, 3)
+			for _, b := range Blocktimes() {
+				out = append(out, blocktimeString(b))
+			}
+			return out
+		},
+		get: func(c Config) string { return blocktimeString(c.BlocktimeMS) },
+		set: func(c Config, s string) (_ Config, ok bool) {
+			if s == "infinite" {
+				c.BlocktimeMS = BlocktimeInfinite
+				return c, true
+			}
+			c.BlocktimeMS, ok = atoiCount(s)
+			return c, ok
+		},
+		valid:   func(c Config, _ *topology.Machine) bool { return c.BlocktimeMS >= BlocktimeInfinite },
+		feature: func(c Config) float64 { return float64(indexOf(Blocktimes(), c.BlocktimeMS)) }},
+	{name: VarForceReduction, optional: true, unset: string(ReductionUnset),
+		domain:  func(*topology.Machine) []string { return stringsOf(Reductions()) },
+		get:     func(c Config) string { return string(c.ForceReduction) },
+		set:     func(c Config, s string) (Config, bool) { c.ForceReduction = Reduction(s); return c, true },
+		valid:   func(c Config, _ *topology.Machine) bool { return contains(Reductions(), c.ForceReduction) },
+		feature: func(c Config) float64 { return float64(indexOf(Reductions(), c.ForceReduction)) }},
+	{name: VarAlignAlloc,
+		domain: func(m *topology.Machine) []string { return itoas(m.AlignAllocValues()) },
+		get:    func(c Config) string { return strconv.Itoa(c.AlignAlloc) },
+		set:    func(c Config, s string) (_ Config, ok bool) { c.AlignAlloc, ok = atoiCount(s); return c, ok },
+		valid:  func(c Config, m *topology.Machine) bool { return containsInt(m.AlignAllocValues(), c.AlignAlloc) },
+		// log2(bytes), so the scale stays comparable with the index encodings.
+		feature: func(c Config) float64 { return log2i(c.AlignAlloc) }},
+}
+
+// lookup returns v's row of the table, nil for a name it does not hold.
+func lookup(v VarName) *variable {
+	for i := range variables {
+		if variables[i].name == v {
+			return &variables[i]
 		}
-	case VarForceReduction:
-		c.ForceReduction = Reduction(value)
-	case VarAlignAlloc:
-		n, err := strconv.Atoi(value)
-		if err != nil {
-			return c, fmt.Errorf("env: bad alignment %q", value)
-		}
-		c.AlignAlloc = n
-	case VarNumThreads:
-		if value == "" || value == "unset" {
-			c.NumThreadsList = ""
-			break
-		}
-		list, err := ParseNumThreadsList(value)
-		if err != nil {
-			return c, err
-		}
-		c.NumThreadsList = formatThreadList(list)
-	case VarMaxActiveLevels:
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 0 {
-			return c, fmt.Errorf("env: bad max active levels %q", value)
-		}
-		c.MaxActiveLevels = n
-	case VarThreadLimit:
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 0 {
-			return c, fmt.Errorf("env: bad thread limit %q", value)
-		}
-		c.ThreadLimit = n
-	default:
+	}
+	return nil
+}
+
+// invalid is the one wording Parse, Set and Validate reject a value with.
+func (row *variable) invalid(value string) error {
+	return fmt.Errorf("env: invalid %s %q", row.name, value)
+}
+
+// Feature returns the naive ordinal encoding of variable v in c (§IV-D uses
+// a naive numeric scheme): the index within the swept domain unless the
+// variable's row says otherwise, -1 for a variable the package does not know.
+func (c Config) Feature(v VarName) float64 {
+	if row := lookup(v); row != nil {
+		return row.feature(c)
+	}
+	return -1
+}
+
+// Set assigns the given value (by string) to variable v, returning an
+// updated copy. It is used by the search-space-pruning tuner. Set accepts
+// what Parse accepts, plus the unset spelling Values lists for a nesting
+// variable; like Parse's, its result is Validate's to check against a
+// machine.
+func (c Config) Set(v VarName, value string) (Config, error) {
+	row := lookup(v)
+	if row == nil {
 		return c, fmt.Errorf("env: unknown variable %q", v)
 	}
-	return c, nil
+	value = strings.ToLower(strings.TrimSpace(value))
+	nc, ok := row.set(c, value)
+	if !ok {
+		return c, row.invalid(value)
+	}
+	return nc, nil
 }
 
 // Values returns the swept string domain of variable v on machine m, in
 // sweep order.
 func Values(m *topology.Machine, v VarName) []string {
-	switch v {
-	case VarPlaces:
-		return stringsOf(PlaceKinds())
-	case VarProcBind:
-		return stringsOf(ProcBinds())
-	case VarSchedule:
-		return stringsOf(Schedules())
-	case VarLibrary:
-		return stringsOf(Libraries())
-	case VarBlocktime:
-		out := make([]string, 0, 3)
-		for _, b := range Blocktimes() {
-			out = append(out, blocktimeString(b))
-		}
-		return out
-	case VarForceReduction:
-		return stringsOf(Reductions())
-	case VarAlignAlloc:
-		out := make([]string, 0, 4)
-		for _, a := range m.AlignAllocValues() {
-			out = append(out, strconv.Itoa(a))
-		}
-		return out
-	case VarNumThreads:
-		return NumThreadsLists(m)
-	case VarMaxActiveLevels:
-		out := make([]string, 0, 3)
-		for _, v := range MaxActiveLevelsValues() {
-			out = append(out, strconv.Itoa(v))
-		}
-		return out
-	case VarThreadLimit:
-		out := make([]string, 0, 3)
-		for _, v := range ThreadLimits(m) {
-			out = append(out, strconv.Itoa(v))
-		}
-		return out
-	default:
-		return nil
+	if row := lookup(v); row != nil {
+		return row.domain(m)
 	}
+	return nil
 }
 
 // Value returns the string value of variable v in configuration c.
 func (c Config) Value(v VarName) string {
-	switch v {
-	case VarPlaces:
-		return string(c.Places)
-	case VarProcBind:
-		return string(c.ProcBind)
-	case VarSchedule:
-		return string(c.Schedule)
-	case VarLibrary:
-		return string(c.Library)
-	case VarBlocktime:
-		return blocktimeString(c.BlocktimeMS)
-	case VarForceReduction:
-		return string(c.ForceReduction)
-	case VarAlignAlloc:
-		return strconv.Itoa(c.AlignAlloc)
-	case VarNumThreads:
-		return c.NumThreadsList
-	case VarMaxActiveLevels:
-		return strconv.Itoa(c.MaxActiveLevels)
-	case VarThreadLimit:
-		return strconv.Itoa(c.ThreadLimit)
-	default:
-		return ""
+	if row := lookup(v); row != nil {
+		return row.get(c)
 	}
+	return ""
 }
 
 func blocktimeString(ms int) string {
@@ -661,6 +564,20 @@ func blocktimeString(ms int) string {
 		return "infinite"
 	}
 	return strconv.Itoa(ms)
+}
+
+// atoiCount parses a non-negative integer.
+func atoiCount(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 0
+}
+
+func itoas(dom []int) []string {
+	out := make([]string, len(dom))
+	for i, n := range dom {
+		out[i] = strconv.Itoa(n)
+	}
+	return out
 }
 
 func contains[T comparable](dom []T, v T) bool { return indexOf(dom, v) >= 0 }

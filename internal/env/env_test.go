@@ -106,9 +106,6 @@ func TestSpaceSizes(t *testing.T) {
 		if len(space) != want {
 			t.Errorf("%s: |space| = %d, want %d", arch, len(space), want)
 		}
-		if SpaceSize(m) != want {
-			t.Errorf("%s: SpaceSize = %d, want %d", arch, SpaceSize(m), want)
-		}
 	}
 }
 

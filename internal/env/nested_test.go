@@ -10,22 +10,8 @@ import (
 	"testing"
 
 	"omptune/internal/topology"
+	"omptune/openmp"
 )
-
-func TestParseNumThreadsList(t *testing.T) {
-	got, err := ParseNumThreadsList("48, 2 ,1")
-	if err != nil {
-		t.Fatalf("ParseNumThreadsList: %v", err)
-	}
-	if fmt.Sprint(got) != "[48 2 1]" {
-		t.Errorf("ParseNumThreadsList = %v, want [48 2 1]", got)
-	}
-	for _, bad := range []string{"", ",", "4,", "4,,2", "4,x", "0", "4,-1"} {
-		if _, err := ParseNumThreadsList(bad); err == nil {
-			t.Errorf("ParseNumThreadsList(%q): want error, got nil", bad)
-		}
-	}
-}
 
 func TestNestedParseRoundTrip(t *testing.T) {
 	m := topology.MustGet(topology.Milan)
@@ -135,7 +121,7 @@ func TestNestedDomainsAndFeatures(t *testing.T) {
 		t.Fatalf("NumThreadsLists = %v, want unset first of 3", lists)
 	}
 	for _, s := range lists[1:] {
-		if _, err := ParseNumThreadsList(s); err != nil {
+		if _, err := openmp.ParseThreadList(s); err != nil {
 			t.Errorf("swept list %q does not parse: %v", s, err)
 		}
 	}

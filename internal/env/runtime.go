@@ -9,29 +9,36 @@ import (
 // Options on machine m — the bridge that lets every Config of the sweep
 // space reach a real openmp.Runtime instead of only the analytic model.
 //
-// The translation mirrors the string-environment path exactly: feeding
-// c.Environ() through openmp.OptionsFromEnviron yields the same Options
-// wherever that path can resolve the value (the abstract topology places —
-// sockets, ll_caches, numa_domains — need a machine model, which is why this
-// bridge exists). NumThreads is set to the machine's core count, the same
-// default a full-machine run would use; callers running a specific setting
-// override it with the setting's thread count.
+// The four kinds and the thread list go through the parsers
+// openmp.OptionsFromEnviron itself uses, so the bridge is the
+// string-environment path wherever that path can resolve the value (the
+// abstract topology places — sockets, ll_caches, numa_domains — need a
+// machine model, which is why this bridge exists). NumThreads is set to the
+// machine's core count, the same default a full-machine run would use;
+// callers running a specific setting override it with the setting's thread
+// count.
 func (c Config) RuntimeOptions(m *topology.Machine) openmp.Options {
+	// Validate guarantees every spelling parses; one that does not leaves the
+	// runtime's zero kind, or the flat default width.
+	schedule, _, _ := openmp.ParseSchedule(string(c.Schedule))
+	bind, _ := openmp.ParseBind(string(c.ProcBind))
+	library, _ := openmp.ParseLibrary(string(c.Library))
+	reduction, _ := openmp.ParseReduction(string(c.ForceReduction))
 	o := openmp.Options{
 		NumThreads:      m.Cores,
-		Schedule:        runtimeSchedule(c.Schedule),
-		Bind:            runtimeBind(c.ProcBind),
-		Library:         runtimeLibrary(c.Library),
+		Schedule:        schedule,
+		Bind:            bind,
+		Library:         library,
 		BlocktimeMS:     c.BlocktimeMS,
-		Reduction:       runtimeReduction(c.ForceReduction),
+		Reduction:       reduction,
 		AlignAlloc:      c.AlignAlloc,
 		MaxActiveLevels: c.MaxActiveLevels,
 		ThreadLimit:     c.ThreadLimit,
 	}
 	if c.NumThreadsList != "" {
-		// Validate guarantees the list parses; level 0 overrides the
-		// machine-wide default and the full list drives nested widths.
-		if list, err := ParseNumThreadsList(c.NumThreadsList); err == nil {
+		// Level 0 overrides the machine-wide default and the full list
+		// drives nested widths.
+		if list, err := openmp.ParseThreadList(c.NumThreadsList); err == nil {
 			o.NumThreads = list[0]
 			if len(list) > 1 {
 				o.ThreadsPerLevel = list
@@ -57,58 +64,4 @@ func (c Config) RuntimeOptions(m *topology.Machine) openmp.Options {
 		o.PlaceDistances = m.PlaceDistanceMatrix(places)
 	}
 	return o
-}
-
-func runtimeSchedule(s Schedule) openmp.ScheduleKind {
-	switch s {
-	case ScheduleDynamic:
-		return openmp.ScheduleDynamic
-	case ScheduleGuided:
-		return openmp.ScheduleGuided
-	case ScheduleAuto:
-		return openmp.ScheduleAuto
-	default:
-		return openmp.ScheduleStatic
-	}
-}
-
-func runtimeBind(b ProcBind) openmp.BindPolicy {
-	switch b {
-	case BindMaster:
-		return openmp.BindMaster
-	case BindClose:
-		return openmp.BindClose
-	case BindSpread:
-		return openmp.BindSpread
-	case BindTrue:
-		return openmp.BindTrue
-	case BindFalse:
-		return openmp.BindNone
-	default:
-		return openmp.BindDefault
-	}
-}
-
-func runtimeLibrary(l Library) openmp.LibraryMode {
-	switch l {
-	case LibTurnaround:
-		return openmp.LibTurnaround
-	case LibSerial:
-		return openmp.LibSerial
-	default:
-		return openmp.LibThroughput
-	}
-}
-
-func runtimeReduction(r Reduction) openmp.ReductionMethod {
-	switch r {
-	case ReductionTree:
-		return openmp.ReductionTree
-	case ReductionCritical:
-		return openmp.ReductionCritical
-	case ReductionAtomic:
-		return openmp.ReductionAtomic
-	default:
-		return openmp.ReductionDefault
-	}
 }

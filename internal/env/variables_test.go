@@ -1,0 +1,141 @@
+package env
+
+// Tests that hold the variables table to being the single definition of a
+// variable: Key (the one per-variable list outside it) covers every row,
+// both entry points apply one rule per variable, and whatever Parse accepts
+// means the same to the runtime's own environment path.
+
+import (
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"omptune/internal/topology"
+	"omptune/openmp"
+)
+
+// TestKeyCoversTable fails for a table row Key has no tag for: two distinct
+// values of the row's swept domain must give two keys.
+func TestKeyCoversTable(t *testing.T) {
+	for _, m := range topology.All() {
+		for _, row := range variables {
+			dom := Values(m, row.name)
+			if len(dom) < 2 || dom[0] == dom[1] {
+				t.Fatalf("%s %s: domain %q lacks two distinct values", m.Arch, row.name, dom)
+			}
+			a, errA := Default(m).Set(row.name, dom[0])
+			b, errB := Default(m).Set(row.name, dom[1])
+			if errA != nil || errB != nil {
+				t.Fatalf("%s %s: Set: %v, %v", m.Arch, row.name, errA, errB)
+			}
+			if a.Key() == b.Key() {
+				t.Errorf("%s %s: values %q and %q share the key %s", m.Arch, row.name, dom[0], dom[1], a.Key())
+			}
+		}
+	}
+}
+
+// TestOneRulePerVariable drives Parse and Set (followed by Validate, as the
+// tuner does) with the same values. The two agree on everything but a
+// nesting variable's unset spelling, which Values lists and Set therefore
+// takes, and which exporting — Parse — rejects; and every rejection, from
+// Parse, Set or Validate, is worded the same.
+func TestOneRulePerVariable(t *testing.T) {
+	m := topology.MustGet(topology.Skylake)
+	type tc struct {
+		value      string
+		parse, set bool
+	}
+	ok, bad, unset := func(v string) tc { return tc{v, true, true} },
+		func(v string) tc { return tc{v, false, false} },
+		func(v string) tc { return tc{v, false, true} }
+	cases := map[VarName][]tc{
+		VarNumThreads: {ok("4,2"), ok(" 4 , 2 "), ok("36"), unset(""), unset("unset"),
+			bad("4,,2"), bad("4,"), bad("0"), bad("many"), bad("4,-1")},
+		VarMaxActiveLevels: {ok("2"), unset("0"), unset("00"), bad("-1"), bad("deep"), bad("")},
+		VarThreadLimit:     {ok("96"), unset("0"), bad("-1"), bad("lots"), bad("")},
+		VarPlaces: {ok("cores"), ok("unset"), ok("Sockets"), ok("numa_domains"), ok("threads"),
+			bad("clouds"), bad("")},
+		VarProcBind:       {ok("spread"), ok("unset"), ok("FALSE"), bad("left"), bad("")},
+		VarSchedule:       {ok("guided"), ok(" AUTO "), bad("fair"), bad("static,4"), bad("")},
+		VarLibrary:        {ok("turnaround"), ok("serial"), bad("interpretive"), bad("")},
+		VarBlocktime:      {ok("0"), ok("200"), ok("1000"), ok("Infinite"), bad("-5"), bad("-1"), bad("forever"), bad("")},
+		VarForceReduction: {ok("tree"), ok("unset"), bad("quantum"), bad("")},
+		VarAlignAlloc:     {ok("64"), ok("512"), bad("96"), bad("-64"), bad("striped"), bad("")},
+	}
+	for _, row := range variables {
+		if len(cases[row.name]) == 0 {
+			t.Errorf("%s: no accept/reject cases", row.name)
+		}
+		for _, c := range cases[row.name] {
+			wantErr := row.invalid(strings.ToLower(strings.TrimSpace(c.value))).Error()
+
+			parsed, err := Parse(m, []string{string(row.name) + "=" + c.value})
+			if (err == nil) != c.parse {
+				t.Errorf("Parse(%s=%q): error %v, want accepted = %v", row.name, c.value, err, c.parse)
+			} else if err != nil && err.Error() != wantErr {
+				t.Errorf("Parse(%s=%q): error %q, want %q", row.name, c.value, err, wantErr)
+			}
+
+			set, err := Default(m).Set(row.name, c.value)
+			if err == nil {
+				err = set.Validate(m)
+			}
+			if (err == nil) != c.set {
+				t.Errorf("Set(%s, %q) + Validate: error %v, want accepted = %v", row.name, c.value, err, c.set)
+			} else if err != nil && err.Error() != wantErr {
+				t.Errorf("Set(%s, %q) + Validate: error %q, want %q", row.name, c.value, err, wantErr)
+			}
+			if c.parse && parsed != set {
+				t.Errorf("%s=%q: Parse gives %s, Set gives %s", row.name, c.value, parsed, set)
+			}
+		}
+	}
+}
+
+// FuzzParse feeds Parse newline-separated environment entries. It must not
+// panic, and what it accepts must be valid, must survive Environ → Parse, and
+// must configure a runtime through RuntimeOptions exactly as the runtime's
+// own string-environment path does from the same entries (OMP_PLACES aside:
+// that path cannot resolve the abstract place kinds, so bind is compared
+// with places unset).
+func FuzzParse(f *testing.F) {
+	m := topology.MustGet(topology.Milan)
+	f.Add(strings.Join(Default(m).Environ(), "\n"))
+	f.Add("OMP_NUM_THREADS= 64 , 2\nOMP_MAX_ACTIVE_LEVELS=2\nOMP_THREAD_LIMIT=128\nOMP_PLACES=ll_caches")
+	f.Add("omp_proc_bind=SPREAD\nKMP_BLOCKTIME=Infinite\nKMP_LIBRARY=serial\nKMP_FORCE_REDUCTION=atomic\nPATH=/bin")
+	f.Add("OMP_NUM_THREADS=4,,2")
+	f.Add("OMP_NUM_THREADS=\nOMP_MAX_ACTIVE_LEVELS=0")
+	f.Add("KMP_BLOCKTIME=-1\nKMP_ALIGN_ALLOC=96")
+	f.Add("OMP_SCHEDULE")
+	f.Fuzz(func(t *testing.T, entries string) {
+		c, err := Parse(m, strings.Split(entries, "\n"))
+		if err != nil {
+			return
+		}
+		if err := c.Validate(m); err != nil {
+			t.Fatalf("Parse accepted %q as %s, which Validate rejects: %v", entries, c, err)
+		}
+		if back, err := Parse(m, c.Environ()); err != nil || back != c {
+			t.Fatalf("%s: Parse(Environ()) = %s, %v", c, back, err)
+		}
+
+		c.Places = topology.PlaceUnset
+		environ := c.Environ()
+		if c.NumThreadsList == "" {
+			environ = append(environ, "OMP_NUM_THREADS="+strconv.Itoa(m.Cores))
+		}
+		ref, err := openmp.OptionsFromEnviron(environ)
+		if err != nil {
+			t.Fatalf("%s: OptionsFromEnviron(%q): %v", c, environ, err)
+		}
+		o := c.RuntimeOptions(m)
+		if o.Schedule != ref.Schedule || o.Bind != ref.Bind || o.Library != ref.Library ||
+			o.BlocktimeMS != ref.BlocktimeMS || o.Reduction != ref.Reduction || o.AlignAlloc != ref.AlignAlloc ||
+			o.NumThreads != ref.NumThreads || !slices.Equal(o.ThreadsPerLevel, ref.ThreadsPerLevel) ||
+			o.MaxActiveLevels != ref.MaxActiveLevels || o.ThreadLimit != ref.ThreadLimit {
+			t.Fatalf("%s: RuntimeOptions %+v disagrees with the environment path %+v", c, o, ref)
+		}
+	})
+}

@@ -3,7 +3,6 @@ package ml
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Regression counterparts of the CART classifier in tree.go, built for the
@@ -14,19 +13,9 @@ import (
 // of Gini impurity; everything is deterministic given the options' Seed, so
 // a seeded search replays identically.
 
-type regNode struct {
-	feature   int
-	threshold float64
-	left      *regNode
-	right     *regNode
-	mean      float64 // prediction at a leaf
-	leaf      bool
-}
-
 // RegTree is a fitted CART regression tree.
 type RegTree struct {
-	root      *regNode
-	nFeatures int
+	root *node
 }
 
 // FitRegTree grows a regression tree on (x, y) by greedy variance-reduction
@@ -37,14 +26,13 @@ func FitRegTree(x [][]float64, y []float64, opt TreeOptions) (*RegTree, error) {
 		return nil, errors.New("ml: bad regression training data")
 	}
 	opt.defaults()
-	t := &RegTree{nFeatures: len(x[0])}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	rng := opt.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-	t.root = t.grow(x, y, idx, opt.MaxDepth, opt, &rng)
-	return t, nil
+	return fitRegTree(x, y, indices(len(x)), opt), nil
+}
+
+// fitRegTree grows a tree on the rows idx of (x, y); opt carries its defaults.
+func fitRegTree(x [][]float64, y []float64, idx []int, opt TreeOptions) *RegTree {
+	rng := treeRNG(opt.Seed)
+	return &RegTree{growReg(x, y, idx, opt.MaxDepth, opt, &rng)}
 }
 
 // sse returns the sum of squared errors around the mean of y[idx].
@@ -63,103 +51,47 @@ func sse(y []float64, idx []int) (mean, s float64) {
 	return mean, s
 }
 
-func (t *RegTree) grow(x [][]float64, y []float64, idx []int, depth int, opt TreeOptions, rng *uint64) *regNode {
+func growReg(x [][]float64, y []float64, idx []int, depth int, opt TreeOptions, rng *uint64) *node {
 	mean, parentSSE := sse(y, idx)
-	leaf := &regNode{leaf: true, mean: mean}
+	leaf := &node{leaf: true, value: mean}
 	if depth == 0 || len(idx) < 2*opt.MinLeaf || parentSSE == 0 {
 		return leaf
 	}
-
-	// Feature subset selection mirrors the classifier's.
-	features := make([]int, 0, t.nFeatures)
-	if opt.MaxFeatures > 0 && opt.MaxFeatures < t.nFeatures {
-		perm := make([]int, t.nFeatures)
-		for i := range perm {
-			perm[i] = i
-		}
-		for i := len(perm) - 1; i > 0; i-- {
-			*rng = *rng*6364136223846793005 + 1442695040888963407
-			j := int((*rng >> 33) % uint64(i+1))
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		features = perm[:opt.MaxFeatures]
-	} else {
-		for f := 0; f < t.nFeatures; f++ {
-			features = append(features, f)
-		}
-	}
-
-	bestGain, bestF := 0.0, -1
-	bestThr := 0.0
-	vals := make([]float64, len(idx))
-	for _, f := range features {
-		for k, i := range idx {
-			vals[k] = x[i][f]
-		}
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
-		if sorted[0] == sorted[len(sorted)-1] {
-			continue
-		}
-		for c := 1; c <= opt.Thresholds; c++ {
-			thr := sorted[len(sorted)*c/(opt.Thresholds+1)]
-			if thr == sorted[0] {
-				continue
-			}
-			var ln, rn int
-			var lSum, lSq, rSum, rSq float64
-			for _, i := range idx {
-				if x[i][f] < thr {
-					ln++
-					lSum += y[i]
-					lSq += y[i] * y[i]
-				} else {
-					rn++
-					rSum += y[i]
-					rSq += y[i] * y[i]
-				}
-			}
-			if ln < opt.MinLeaf || rn < opt.MinLeaf {
-				continue
-			}
-			// SSE = Σy² − (Σy)²/n per side.
-			childSSE := (lSq - lSum*lSum/float64(ln)) + (rSq - rSum*rSum/float64(rn))
-			if gain := parentSSE - childSSE; gain > bestGain+1e-12 {
-				bestGain, bestF, bestThr = gain, f, thr
+	f, thr, _ := bestSplit(x, idx, splitFeatures(len(x[0]), opt, rng), opt, func(f int, thr float64) (float64, bool) {
+		var ln, rn int
+		var lSum, lSq, rSum, rSq float64
+		for _, i := range idx {
+			if x[i][f] < thr {
+				ln++
+				lSum += y[i]
+				lSq += y[i] * y[i]
+			} else {
+				rn++
+				rSum += y[i]
+				rSq += y[i] * y[i]
 			}
 		}
-	}
-	if bestF < 0 {
+		if ln < opt.MinLeaf || rn < opt.MinLeaf {
+			return 0, false
+		}
+		// SSE = Σy² − (Σy)²/n per side.
+		childSSE := (lSq - lSum*lSum/float64(ln)) + (rSq - rSum*rSum/float64(rn))
+		return parentSSE - childSSE, true
+	})
+	if f < 0 {
 		return leaf
 	}
-	var li, ri []int
-	for _, i := range idx {
-		if x[i][bestF] < bestThr {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
-		}
-	}
-	return &regNode{
-		feature:   bestF,
-		threshold: bestThr,
-		left:      t.grow(x, y, li, depth-1, opt, rng),
-		right:     t.grow(x, y, ri, depth-1, opt, rng),
+	li, ri := partition(x, idx, f, thr)
+	return &node{
+		feature:   f,
+		threshold: thr,
+		left:      growReg(x, y, li, depth-1, opt, rng),
+		right:     growReg(x, y, ri, depth-1, opt, rng),
 	}
 }
 
 // Predict returns the tree's estimate for one feature row.
-func (t *RegTree) Predict(row []float64) float64 {
-	n := t.root
-	for !n.leaf {
-		if row[n.feature] < n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.mean
-}
+func (t *RegTree) Predict(row []float64) float64 { return t.root.predict(row) }
 
 // RegForest is a bootstrap-aggregated ensemble of regression trees. The
 // spread of the per-tree predictions doubles as a predictive-uncertainty
@@ -168,40 +100,14 @@ type RegForest struct {
 	Trees []*RegTree
 }
 
-// FitRegForest trains nTrees regression trees on deterministic bootstrap
-// resamples with sqrt(p) feature subsampling per split.
+// FitRegForest trains nTrees regression trees by the recipe of bagged.
 func FitRegForest(x [][]float64, y []float64, nTrees int, opt TreeOptions) (*RegForest, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, errors.New("ml: bad regression training data")
 	}
-	if nTrees <= 0 {
-		nTrees = 20
-	}
-	opt.defaults()
-	if opt.MaxFeatures <= 0 {
-		opt.MaxFeatures = int(math.Sqrt(float64(len(x[0])))) + 1
-	}
-	f := &RegForest{}
-	n := len(x)
-	for t := 0; t < nTrees; t++ {
-		bx := make([][]float64, n)
-		by := make([]float64, n)
-		state := opt.Seed + uint64(t)*0x9e3779b97f4a7c15
-		for i := 0; i < n; i++ {
-			state = state*6364136223846793005 + 1442695040888963407
-			j := int((state >> 33) % uint64(n))
-			bx[i] = x[j]
-			by[i] = y[j]
-		}
-		topt := opt
-		topt.Seed = opt.Seed + uint64(t)*977
-		tree, err := FitRegTree(bx, by, topt)
-		if err != nil {
-			return nil, err
-		}
-		f.Trees = append(f.Trees, tree)
-	}
-	return f, nil
+	return &RegForest{bagged(len(x), len(x[0]), nTrees, opt, func(idx []int, opt TreeOptions) *RegTree {
+		return fitRegTree(x, y, idx, opt)
+	})}, nil
 }
 
 // Predict returns the ensemble-mean estimate for one feature row.

@@ -1,10 +1,6 @@
 package ml
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
+import "errors"
 
 // The paper closes by proposing "the development of non-linear approaches
 // to model such data" (§VI). This file provides that extension: CART-style
@@ -40,19 +36,9 @@ func (o *TreeOptions) defaults() {
 	}
 }
 
-type treeNode struct {
-	feature   int
-	threshold float64
-	left      *treeNode
-	right     *treeNode
-	prob      float64 // P(true) at a leaf
-	leaf      bool
-}
-
 // DecisionTree is a fitted binary CART classifier.
 type DecisionTree struct {
-	root       *treeNode
-	nFeatures  int
+	root       *node
 	importance []float64
 }
 
@@ -62,12 +48,13 @@ func FitTree(x [][]float64, y []bool, opt TreeOptions) (*DecisionTree, error) {
 		return nil, errors.New("ml: bad training data")
 	}
 	opt.defaults()
-	t := &DecisionTree{nFeatures: len(x[0]), importance: make([]float64, len(x[0]))}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	rng := opt.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
+	return fitTree(x, y, indices(len(x)), opt), nil
+}
+
+// fitTree grows a tree on the rows idx of (x, y); opt carries its defaults.
+func fitTree(x [][]float64, y []bool, idx []int, opt TreeOptions) *DecisionTree {
+	t := &DecisionTree{importance: make([]float64, len(x[0]))}
+	rng := treeRNG(opt.Seed)
 	t.root = t.grow(x, y, idx, opt.MaxDepth, opt, &rng)
 	total := 0.0
 	for _, v := range t.importance {
@@ -78,7 +65,7 @@ func FitTree(x [][]float64, y []bool, opt TreeOptions) (*DecisionTree, error) {
 			t.importance[i] /= total
 		}
 	}
-	return t, nil
+	return t
 }
 
 func gini(pos, n int) float64 {
@@ -89,110 +76,54 @@ func gini(pos, n int) float64 {
 	return 2 * p * (1 - p)
 }
 
-func (t *DecisionTree) grow(x [][]float64, y []bool, idx []int, depth int, opt TreeOptions, rng *uint64) *treeNode {
+func (t *DecisionTree) grow(x [][]float64, y []bool, idx []int, depth int, opt TreeOptions, rng *uint64) *node {
 	pos := 0
 	for _, i := range idx {
 		if y[i] {
 			pos++
 		}
 	}
-	leaf := &treeNode{leaf: true, prob: float64(pos) / float64(len(idx))}
+	leaf := &node{leaf: true, value: float64(pos) / float64(len(idx))}
 	if depth == 0 || len(idx) < 2*opt.MinLeaf || pos == 0 || pos == len(idx) {
 		return leaf
 	}
 	parentImp := gini(pos, len(idx))
-
-	// Select the feature subset for this split.
-	features := make([]int, 0, t.nFeatures)
-	if opt.MaxFeatures > 0 && opt.MaxFeatures < t.nFeatures {
-		perm := make([]int, t.nFeatures)
-		for i := range perm {
-			perm[i] = i
-		}
-		for i := len(perm) - 1; i > 0; i-- {
-			*rng = *rng*6364136223846793005 + 1442695040888963407
-			j := int((*rng >> 33) % uint64(i+1))
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		features = perm[:opt.MaxFeatures]
-	} else {
-		for f := 0; f < t.nFeatures; f++ {
-			features = append(features, f)
-		}
-	}
-
-	bestGain, bestF := 0.0, -1
-	bestThr := 0.0
-	vals := make([]float64, len(idx))
-	for _, f := range features {
-		for k, i := range idx {
-			vals[k] = x[i][f]
-		}
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
-		if sorted[0] == sorted[len(sorted)-1] {
-			continue
-		}
-		for c := 1; c <= opt.Thresholds; c++ {
-			thr := sorted[len(sorted)*c/(opt.Thresholds+1)]
-			if thr == sorted[0] {
-				continue
-			}
-			lp, ln, rp, rn := 0, 0, 0, 0
-			for _, i := range idx {
-				if x[i][f] < thr {
-					ln++
-					if y[i] {
-						lp++
-					}
-				} else {
-					rn++
-					if y[i] {
-						rp++
-					}
+	f, thr, gain := bestSplit(x, idx, splitFeatures(len(x[0]), opt, rng), opt, func(f int, thr float64) (float64, bool) {
+		lp, ln, rp, rn := 0, 0, 0, 0
+		for _, i := range idx {
+			if x[i][f] < thr {
+				ln++
+				if y[i] {
+					lp++
+				}
+			} else {
+				rn++
+				if y[i] {
+					rp++
 				}
 			}
-			if ln < opt.MinLeaf || rn < opt.MinLeaf {
-				continue
-			}
-			wImp := (float64(ln)*gini(lp, ln) + float64(rn)*gini(rp, rn)) / float64(len(idx))
-			if gain := parentImp - wImp; gain > bestGain+1e-12 {
-				bestGain, bestF, bestThr = gain, f, thr
-			}
 		}
-	}
-	if bestF < 0 {
+		if ln < opt.MinLeaf || rn < opt.MinLeaf {
+			return 0, false
+		}
+		wImp := (float64(ln)*gini(lp, ln) + float64(rn)*gini(rp, rn)) / float64(len(idx))
+		return parentImp - wImp, true
+	})
+	if f < 0 {
 		return leaf
 	}
-	t.importance[bestF] += bestGain * float64(len(idx))
-	var li, ri []int
-	for _, i := range idx {
-		if x[i][bestF] < bestThr {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
-		}
-	}
-	return &treeNode{
-		feature:   bestF,
-		threshold: bestThr,
+	t.importance[f] += gain * float64(len(idx))
+	li, ri := partition(x, idx, f, thr)
+	return &node{
+		feature:   f,
+		threshold: thr,
 		left:      t.grow(x, y, li, depth-1, opt, rng),
 		right:     t.grow(x, y, ri, depth-1, opt, rng),
 	}
 }
 
 // Prob returns P(optimal | row).
-func (t *DecisionTree) Prob(row []float64) float64 {
-	n := t.root
-	for !n.leaf {
-		if row[n.feature] < n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.prob
-}
+func (t *DecisionTree) Prob(row []float64) float64 { return t.root.predict(row) }
 
 // Accuracy is the 0.5-threshold classification accuracy on (x, y).
 func (t *DecisionTree) Accuracy(x [][]float64, y []bool) float64 {
@@ -219,7 +150,7 @@ func (t *DecisionTree) Importance() []float64 {
 // Depth returns the height of the fitted tree (0 for a stump leaf).
 func (t *DecisionTree) Depth() int { return depthOf(t.root) }
 
-func depthOf(n *treeNode) int {
+func depthOf(n *node) int {
 	if n == nil || n.leaf {
 		return 0
 	}
@@ -235,41 +166,14 @@ type Forest struct {
 	Trees []*DecisionTree
 }
 
-// FitForest trains nTrees CART trees on deterministic bootstrap resamples
-// with sqrt(p) feature subsampling per split — the standard random-forest
-// recipe, stdlib-only and reproducible.
+// FitForest trains nTrees CART trees by the recipe of bagged.
 func FitForest(x [][]float64, y []bool, nTrees int, opt TreeOptions) (*Forest, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, errors.New("ml: bad training data")
 	}
-	if nTrees <= 0 {
-		nTrees = 20
-	}
-	opt.defaults()
-	if opt.MaxFeatures <= 0 {
-		opt.MaxFeatures = int(math.Sqrt(float64(len(x[0])))) + 1
-	}
-	f := &Forest{}
-	n := len(x)
-	for t := 0; t < nTrees; t++ {
-		bx := make([][]float64, n)
-		by := make([]bool, n)
-		state := opt.Seed + uint64(t)*0x9e3779b97f4a7c15
-		for i := 0; i < n; i++ {
-			state = state*6364136223846793005 + 1442695040888963407
-			j := int((state >> 33) % uint64(n))
-			bx[i] = x[j]
-			by[i] = y[j]
-		}
-		topt := opt
-		topt.Seed = opt.Seed + uint64(t)*977
-		tree, err := FitTree(bx, by, topt)
-		if err != nil {
-			return nil, err
-		}
-		f.Trees = append(f.Trees, tree)
-	}
-	return f, nil
+	return &Forest{bagged(len(x), len(x[0]), nTrees, opt, func(idx []int, opt TreeOptions) *DecisionTree {
+		return fitTree(x, y, idx, opt)
+	})}, nil
 }
 
 // Prob returns the ensemble-averaged P(optimal | row).

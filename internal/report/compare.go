@@ -134,20 +134,3 @@ func verdict(ok bool) string {
 	}
 	return "DEVIATES"
 }
-
-// HeatmapCSV writes an influence heatmap in long CSV form
-// (group,feature,influence,accuracy) for external plotting — part of the
-// study's open-data deliverable.
-func HeatmapCSV(w io.Writer, hm *core.Heatmap) error {
-	if _, err := fmt.Fprintln(w, "group,feature,influence,accuracy"); err != nil {
-		return err
-	}
-	for i, label := range hm.RowLabels {
-		for j, f := range hm.Features {
-			if _, err := fmt.Fprintf(w, "%s,%s,%.6g,%.4f\n", label, f, hm.Cells[i][j], hm.Accuracy[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

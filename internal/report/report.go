@@ -94,7 +94,7 @@ func TableVII(w io.Writer, ds *dataset.Dataset, apps []string) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "App\tArch\tVariable\tValue")
 	for _, app := range apps {
-		for _, r := range core.Recommend(ds, app, core.RecommendOptions{}) {
+		for _, r := range core.Recommend(ds, app) {
 			arch := "All"
 			if r.Arch != "" {
 				arch = string(r.Arch)
@@ -119,7 +119,7 @@ func Q1(w io.Writer, ds *dataset.Dataset) error {
 func Q4(w io.Writer, ds *dataset.Dataset) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Variable\tValue\tLift among slowest 5%")
-	for i, t := range core.WorstTrends(ds, 0.05) {
+	for i, t := range core.WorstTrends(ds) {
 		if i >= 8 {
 			break
 		}

@@ -189,26 +189,6 @@ func TestWithinAndVerdict(t *testing.T) {
 	}
 }
 
-func TestHeatmapCSV(t *testing.T) {
-	ds := smallDS(t)
-	hm, err := core.InfluenceHeatmap(ds, core.PerArch, ml.LogisticOptions{Epochs: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := HeatmapCSV(&buf, hm); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	want := len(hm.RowLabels)*len(hm.Features) + 1
-	if len(lines) != want {
-		t.Errorf("HeatmapCSV lines = %d, want %d", len(lines), want)
-	}
-	if lines[0] != "group,feature,influence,accuracy" {
-		t.Errorf("header = %q", lines[0])
-	}
-}
-
 func TestQ2AndQ3Render(t *testing.T) {
 	ds := smallDS(t)
 	var buf bytes.Buffer

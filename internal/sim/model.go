@@ -433,7 +433,7 @@ func EvaluateExact(m *topology.Machine, p *Profile, cfg env.Config, set Setting)
 // effective OMP_MAX_ACTIVE_LEVELS is below 2, and clamped by the
 // OMP_THREAD_LIMIT budget shared across the outer team's concurrent forks.
 func nestedInnerWidth(cfg env.Config, threads int) float64 {
-	list, err := env.ParseNumThreadsList(cfg.NumThreadsList)
+	list, err := openmp.ParseThreadList(cfg.NumThreadsList)
 	if cfg.NumThreadsList == "" || err != nil {
 		list = nil
 	}

@@ -145,14 +145,8 @@ func (m *Machine) CoresPerNUMA() int { return m.Cores / m.NUMANodes }
 // CoresPerLLC returns the number of cores sharing one last-level cache.
 func (m *Machine) CoresPerLLC() int { return m.Cores / m.LLCGroups }
 
-// SocketOf returns the socket index of core.
-func (m *Machine) SocketOf(core int) int { return core / m.CoresPerSocket() }
-
 // NUMANodeOf returns the NUMA node index of core.
 func (m *Machine) NUMANodeOf(core int) int { return core / m.CoresPerNUMA() }
-
-// LLCOf returns the last-level-cache group index of core.
-func (m *Machine) LLCOf(core int) int { return core / m.CoresPerLLC() }
 
 // NUMADistance returns a SLIT-style relative distance between two NUMA
 // nodes: 10 locally, 10*RemoteNUMAFactor within a socket, and

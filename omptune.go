@@ -295,11 +295,11 @@ func Influence(ds *Dataset, g core.Grouping) (*core.Heatmap, error) {
 
 // Recommend mines Table VII-style variable/value suggestions for app.
 func Recommend(ds *Dataset, app string) []core.Recommendation {
-	return core.Recommend(ds, app, core.RecommendOptions{})
+	return core.Recommend(ds, app)
 }
 
 // WorstTrends mines §V-Q4's worst-performance patterns.
-func WorstTrends(ds *Dataset) []core.WorstTrend { return core.WorstTrends(ds, 0.05) }
+func WorstTrends(ds *Dataset) []core.WorstTrend { return core.WorstTrends(ds) }
 
 // Tune runs the §VI guided coordinate-descent search for app on m at the
 // given setting, trying variables in the given order (nil = canonical

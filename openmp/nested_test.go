@@ -382,7 +382,7 @@ func TestParseThreadList(t *testing.T) {
 	if fmt.Sprint(got) != "[4 2 1]" {
 		t.Errorf("ParseThreadList = %v, want [4 2 1]", got)
 	}
-	for _, bad := range []string{"", ",", "1,", "a", "2,0"} {
+	for _, bad := range []string{"", ",", "1,", "4,,2", "a", "4,x", "0", "2,0", "4,-1"} {
 		if _, err := ParseThreadList(bad); err == nil {
 			t.Errorf("ParseThreadList(%q): want error, got nil", bad)
 		}
