@@ -28,7 +28,7 @@ vet:
 # once) — under the race detector. Keep this green before touching openmp,
 # internal/obs, internal/core or internal/measure.
 race:
-	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./cmd/ompanalyze ./cmd/ompsweep ./cmd/ompsearch ./internal/core ./internal/obs ./internal/sim ./internal/measure ./internal/dataset ./internal/env ./internal/ml
+	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./cmd/ompanalyze ./cmd/ompsweep ./cmd/ompsearch ./cmd/ompreport ./internal/core ./internal/obs ./internal/sim ./internal/measure ./internal/dataset ./internal/env ./internal/ml ./internal/report
 
 # fuzz runs every Fuzz* target of the packages that parse outside input — the
 # runtime's environment, the study's variables (with the differential between

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"omptune/internal/core"
 	"omptune/internal/env"
 	"omptune/internal/ml"
 	"omptune/internal/report"
@@ -135,27 +136,33 @@ func BenchmarkFig1_AlignmentViolins(b *testing.B) {
 	}
 }
 
+// benchFig fits one grouping's influence heatmap (60 epochs) and renders it.
+func benchFig(w io.Writer, ds *Dataset, g core.Grouping, render func(io.Writer, *core.Heatmap) error) error {
+	hm, err := core.InfluenceHeatmap(ds, g, ml.LogisticOptions{Epochs: 60})
+	if err != nil {
+		return err
+	}
+	return render(w, hm)
+}
+
 func BenchmarkFig2_HeatmapByApp(b *testing.B) {
 	ds := benchDS(b)
-	opt := ml.LogisticOptions{Epochs: 60}
 	for i := 0; i < b.N; i++ {
-		logOnce(b, i, func(w io.Writer) error { return report.Fig2(w, ds, opt) })
+		logOnce(b, i, func(w io.Writer) error { return benchFig(w, ds, core.PerApp, report.Fig2) })
 	}
 }
 
 func BenchmarkFig3_HeatmapByArch(b *testing.B) {
 	ds := benchDS(b)
-	opt := ml.LogisticOptions{Epochs: 60}
 	for i := 0; i < b.N; i++ {
-		logOnce(b, i, func(w io.Writer) error { return report.Fig3(w, ds, opt) })
+		logOnce(b, i, func(w io.Writer) error { return benchFig(w, ds, core.PerArch, report.Fig3) })
 	}
 }
 
 func BenchmarkFig4_HeatmapByAppArch(b *testing.B) {
 	ds := benchDS(b)
-	opt := ml.LogisticOptions{Epochs: 60}
 	for i := 0; i < b.N; i++ {
-		logOnce(b, i, func(w io.Writer) error { return report.Fig4(w, ds, opt) })
+		logOnce(b, i, func(w io.Writer) error { return benchFig(w, ds, core.PerArchApp, report.Fig4) })
 	}
 }
 

@@ -64,7 +64,6 @@ import (
 
 	"omptune"
 	"omptune/internal/core"
-	"omptune/internal/ml"
 	"omptune/internal/report"
 )
 
@@ -191,8 +190,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *heatmap != "" {
 		ran = true
-		fig, ok := map[string]func(io.Writer, *omptune.Dataset, ml.LogisticOptions) error{
-			"app": report.Fig2, "arch": report.Fig3, "apparch": report.Fig4,
+		fig, ok := map[string]struct {
+			grouping core.Grouping
+			render   func(io.Writer, *core.Heatmap) error
+		}{
+			"app": {core.PerApp, report.Fig2}, "arch": {core.PerArch, report.Fig3}, "apparch": {core.PerArchApp, report.Fig4},
 		}[*heatmap]
 		if !ok {
 			return fmt.Errorf("-heatmap wants app, arch or apparch")
@@ -201,7 +203,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := fig(stdout, ds, ml.LogisticOptions{}); err != nil {
+		hm, err := omptune.Influence(ds, fig.grouping)
+		if err != nil {
+			return err
+		}
+		if err := fig.render(stdout, hm); err != nil {
 			return err
 		}
 	}
@@ -319,7 +325,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			alt = omptune.NewMeasuredEvaluator(measureOpt)
 		}
 		rep, err := omptune.Calibrate(nil, alt, omptune.CalibrationOptions{
-			Arch: m.Arch, AppNames: appNames, ConfigsPerApp: *calCfgs,
+			Arch: m.Arch, Apps: appNames, ConfigsPerApp: *calCfgs,
 		})
 		if err != nil {
 			return err
@@ -423,7 +429,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		d, err := core.Drill(ds, app.Name, m.Arch, ml.LogisticOptions{})
+		d, err := core.Drill(ds, app.Name, m.Arch)
 		if err != nil {
 			return err
 		}

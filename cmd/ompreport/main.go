@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -19,57 +20,64 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "ompreport:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the testable command body: the report (or the -compare table, or
+// the -violin-csv densities) goes to stdout, progress and usage to stderr,
+// and every failure comes back as the error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("ompreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dataPath  = flag.String("data", "", "dataset CSV produced by ompsweep (default: collect now)")
-		violinCSV = flag.String("violin-csv", "", "emit the violin densities of this application as CSV and exit")
-		svgDir    = flag.String("svg-dir", "", "also write figs 1-7 as SVG files into this directory")
-		compare   = flag.Bool("compare", false, "print measured-vs-paper comparison instead of the full report")
+		dataPath  = fs.String("data", "", "dataset CSV produced by ompsweep (default: collect now)")
+		violinCSV = fs.String("violin-csv", "", "emit the violin densities of this application as CSV and exit")
+		svgDir    = fs.String("svg-dir", "", "also write figs 1-7 as SVG files into this directory")
+		compare   = fs.Bool("compare", false, "print measured-vs-paper comparison instead of the full report")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var ds *omptune.Dataset
 	if *dataPath != "" {
 		f, err := os.Open(*dataPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		ds, err = omptune.ReadDatasetCSV(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
-		fmt.Fprintln(os.Stderr, "ompreport: collecting the Table II dataset (pass -data to reuse one)...")
+		fmt.Fprintln(stderr, "ompreport: collecting the Table II dataset (pass -data to reuse one)...")
 		var err error
 		ds, err = omptune.Collect(omptune.CollectOptions{})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	if *violinCSV != "" {
 		if _, err := omptune.ApplicationByName(*violinCSV); err != nil {
-			fatal(err)
+			return err
 		}
-		if err := report.ViolinCSV(os.Stdout, ds, *violinCSV, 128); err != nil {
-			fatal(err)
-		}
-		return
+		return report.ViolinCSV(stdout, ds, *violinCSV, 128)
 	}
 	if *compare {
-		if err := report.CompareWithPaper(os.Stdout, ds); err != nil {
-			fatal(err)
-		}
-		return
+		return report.CompareWithPaper(stdout, ds)
 	}
 	if *svgDir != "" {
 		if err := writeSVGs(*svgDir, ds); err != nil {
-			fatal(err)
+			return err
 		}
+		fmt.Fprintf(stderr, "ompreport: wrote SVG figures to %s\n", *svgDir)
 	}
-	if err := omptune.WriteReport(os.Stdout, ds); err != nil {
-		fatal(err)
-	}
+	return omptune.WriteReport(stdout, ds)
 }
 
 // writeSVGs renders the violin figures (1, 5-7) and the influence heatmaps
@@ -114,7 +122,6 @@ func writeSVGs(dir string, ds *omptune.Dataset) error {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "ompreport: wrote SVG figures to %s\n", dir)
 	return nil
 }
 
@@ -128,9 +135,4 @@ func writeFile(path string, render func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ompreport:", err)
-	os.Exit(1)
 }

@@ -1,0 +1,118 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"omptune"
+)
+
+// reducedCSV collects a thin slice of the Table II campaign — the four
+// applications the fixed tables name, a few percent of each architecture's
+// configurations — and writes it where -data can read it.
+func reducedCSV(t *testing.T) string {
+	t.Helper()
+	ds, err := omptune.Collect(omptune.CollectOptions{
+		Apps:     []string{"Nqueens", "XSbench", "CG", "Alignment"},
+		Fraction: map[omptune.Arch]float64{omptune.A64FX: 0.03, omptune.Skylake: 0.02, omptune.Milan: 0.02},
+	})
+	if err != nil {
+		t.Fatalf("Collect: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "reduced.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := omptune.WriteDatasetCSV(f, ds); err != nil {
+		t.Fatalf("WriteDatasetCSV: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunFromCSV drives every mode of the command on one reduced dataset:
+// the full report (with the SVG figures beside it), the paper comparison and
+// the violin densities.
+func TestRunFromCSV(t *testing.T) {
+	csv := reducedCSV(t)
+	exec := func(args ...string) (stdout, stderr string) {
+		t.Helper()
+		var out, errb bytes.Buffer
+		if err := run(append([]string{"-data", csv}, args...), &out, &errb); err != nil {
+			t.Fatalf("run(-data … %v): %v\nstderr: %s", args, err, errb.String())
+		}
+		return out.String(), errb.String()
+	}
+
+	svgDir := filepath.Join(t.TempDir(), "figs")
+	report, progress := exec("-svg-dir", svgDir)
+	for _, want := range []string{
+		"======== Table I: hardware configuration ========", "Fujitsu A64FX",
+		"======== Table VII: best performing variables and values ========", "turnaround",
+		"======== Q3: best variables per architecture ========", "OMP_WAIT_POLICY share",
+		"Fig 2: feature influence, grouped by application",
+		"Fig 3: feature influence, grouped by architecture",
+		"Fig 4: feature influence, grouped by application-architecture", "CG@milan",
+		"======== Fig 7: RSBench runtime distributions ========",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q", want)
+		}
+	}
+	if !strings.Contains(progress, "wrote SVG figures to "+svgDir) {
+		t.Errorf("stderr does not name the SVG directory: %q", progress)
+	}
+	// BT, Health and RSBench are not in the reduced campaign: their violin
+	// files are skipped, everything else is written as an SVG document.
+	for _, name := range []string{"fig1_alignment.svg", "fig2_by_app.svg", "fig3_by_arch.svg", "fig4_by_app_arch.svg"} {
+		b, err := os.ReadFile(filepath.Join(svgDir, name))
+		if err != nil {
+			t.Errorf("-svg-dir: %v", err)
+		} else if !bytes.HasPrefix(b, []byte("<svg")) && !bytes.HasPrefix(b, []byte("<?xml")) {
+			t.Errorf("%s is not an SVG document: %.40q", name, b)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(svgDir, "fig5_bt.svg")); err == nil {
+		t.Error("-svg-dir wrote fig5_bt.svg for a dataset without BT")
+	}
+
+	compare, _ := exec("-compare")
+	for _, want := range []string{"== Table II: dataset sizes ==", "== Q1: upshot potential ==", "== Table VI: per-app speedup ranges ==", "Nqueens"} {
+		if !strings.Contains(compare, want) {
+			t.Errorf("-compare missing %q:\n%s", want, compare)
+		}
+	}
+	if strings.Contains(compare, "========") {
+		t.Error("-compare also rendered the report")
+	}
+
+	violin, _ := exec("-violin-csv", "Alignment")
+	lines := strings.Split(strings.TrimSpace(violin), "\n")
+	// Three input sizes on three architectures, 128 grid points each.
+	if lines[0] != "arch,setting,runtime_seconds,density" || len(lines) != 1+9*128 {
+		t.Errorf("-violin-csv: header %q, %d lines, want the header + 9×128 rows", lines[0], len(lines))
+	}
+}
+
+func TestRunValidation(t *testing.T) {
+	csv := reducedCSV(t)
+	for name, args := range map[string][]string{
+		"unknown flag":       {"-nope"},
+		"missing dataset":    {"-data", filepath.Join(t.TempDir(), "absent.csv")},
+		"unknown violin app": {"-data", csv, "-violin-csv", "Quake"},
+	} {
+		var out, errb bytes.Buffer
+		if err := run(args, &out, &errb); err == nil {
+			t.Errorf("%s: run(%v) succeeded, want an error", name, args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: wrote %d bytes to stdout before failing", name, out.Len())
+		}
+	}
+}

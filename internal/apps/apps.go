@@ -66,8 +66,8 @@ func register(a *App) *App {
 func All() []*App {
 	out := make([]*App, len(registry))
 	copy(out, registry)
+	rank := map[Suite]int{NPB: 0, BOTS: 1, Proxy: 2}
 	sort.SliceStable(out, func(i, j int) bool {
-		rank := map[Suite]int{NPB: 0, BOTS: 1, Proxy: 2}
 		if rank[out[i].Suite] != rank[out[j].Suite] {
 			return rank[out[i].Suite] < rank[out[j].Suite]
 		}

@@ -37,8 +37,8 @@ import (
 type CalibrationOptions struct {
 	// Arch selects the machine model; empty means A64FX.
 	Arch topology.Arch
-	// AppNames restricts the applications; nil means every app on the arch.
-	AppNames []string
+	// Apps restricts the applications; nil means every app on the arch.
+	Apps []string
 	// ConfigsPerApp bounds the per-app subspace (default included); <= 0
 	// means 24.
 	ConfigsPerApp int
@@ -89,7 +89,7 @@ func Calibrate(ref, alt Evaluator, opt CalibrationOptions) (*CalibrationReport, 
 	if err != nil {
 		return nil, err
 	}
-	appList, err := selectApps(arch, opt.AppNames)
+	appList, err := selectApps(arch, opt.Apps)
 	if err != nil {
 		return nil, err
 	}

@@ -63,7 +63,7 @@ func manifestFor(sc SweepConfig, ev Evaluator, units []*sweepUnit) sweepManifest
 		Version:   manifestVersion,
 		Extended:  sc.Extended,
 		Nested:    sc.Nested,
-		Shard:     sc.ShardSpec,
+		Shard:     sc.Shard,
 		Backend:   orModel(ev).Name(),
 		Fractions: map[string]float64{},
 	}

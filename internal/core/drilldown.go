@@ -44,7 +44,7 @@ type RankedVariable struct {
 
 // Drill runs the three-level analysis for one application on one
 // architecture.
-func Drill(ds *dataset.Dataset, app string, arch topology.Arch, opt ml.LogisticOptions) (*DrillDown, error) {
+func Drill(ds *dataset.Dataset, app string, arch topology.Arch) (*DrillDown, error) {
 	sub := ds.ByApp(app).ByArch(arch)
 	if sub.Len() == 0 {
 		return nil, fmt.Errorf("core: no samples for %s on %s", app, arch)
@@ -52,21 +52,21 @@ func Drill(ds *dataset.Dataset, app string, arch topology.Arch, opt ml.LogisticO
 	d := &DrillDown{App: app, Arch: arch}
 
 	// Level 1: per architecture (Fig 3).
-	fig3, err := InfluenceHeatmap(ds, PerArch, opt)
+	fig3, err := InfluenceHeatmap(ds, PerArch, ml.LogisticOptions{})
 	if err != nil {
 		return nil, err
 	}
 	d.ArchLevelAppInfluence = fig3.RowInfluence(string(arch), FeatApp)
 
 	// Level 2: per application (Fig 2).
-	fig2, err := InfluenceHeatmap(ds, PerApp, opt)
+	fig2, err := InfluenceHeatmap(ds, PerApp, ml.LogisticOptions{})
 	if err != nil {
 		return nil, err
 	}
 	d.AppLevelArchInfluence = fig2.RowInfluence(app, FeatArch)
 
 	// Level 3: the finest grouping, restricted to this app-arch pair.
-	fig4, err := InfluenceHeatmap(sub, PerArchApp, opt)
+	fig4, err := InfluenceHeatmap(sub, PerArchApp, ml.LogisticOptions{})
 	if err != nil {
 		return nil, err
 	}

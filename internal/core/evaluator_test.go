@@ -35,7 +35,7 @@ func (f *fakeEvaluator) EvaluateSeries(m *topology.Machine, app *apps.App, cfg e
 func TestSweepRecordsBackendInSourceColumn(t *testing.T) {
 	fake := &fakeEvaluator{}
 	sc := smallCampaign()
-	sc.Evaluator = fake
+	sc.Backend = fake
 	ds, err := RunSweep(sc)
 	if err != nil {
 		t.Fatalf("RunSweep: %v", err)
@@ -63,7 +63,7 @@ func TestSweepRecordsBackendInSourceColumn(t *testing.T) {
 func TestModelEvaluatorIsByteIdenticalDefault(t *testing.T) {
 	implicit := sweepCSV(t, smallCampaign())
 	explicit := smallCampaign()
-	explicit.Evaluator = ModelEvaluator{}
+	explicit.Backend = ModelEvaluator{}
 	if got := sweepCSV(t, explicit); string(got) != string(implicit) {
 		t.Fatal("explicit ModelEvaluator CSV differs from nil-backend CSV")
 	}
@@ -82,7 +82,7 @@ func TestCheckpointRejectsBackendMismatch(t *testing.T) {
 
 	other := smallCampaign()
 	other.CheckpointDir = dir
-	other.Evaluator = &fakeEvaluator{}
+	other.Backend = &fakeEvaluator{}
 	_, err := RunSweep(other)
 	if err == nil {
 		t.Fatal("model-backed checkpoint resumed under a different backend")
@@ -96,7 +96,7 @@ func TestCheckpointRejectsBackendMismatch(t *testing.T) {
 	// Same spec under the same backend still resumes.
 	same := smallCampaign()
 	same.CheckpointDir = dir
-	same.Evaluator = ModelEvaluator{}
+	same.Backend = ModelEvaluator{}
 	if _, err := RunSweep(same); err != nil {
 		t.Errorf("same-backend resume rejected: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestTuneAndRandomSearchUseBackend(t *testing.T) {
 
 func TestCalibrateModelAgainstItself(t *testing.T) {
 	rep, err := Calibrate(nil, ModelEvaluator{}, CalibrationOptions{
-		Arch: topology.A64FX, AppNames: []string{"XSbench", "Nqueens"}, ConfigsPerApp: 16,
+		Arch: topology.A64FX, Apps: []string{"XSbench", "Nqueens"}, ConfigsPerApp: 16,
 	})
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)
@@ -174,7 +174,7 @@ func TestCalibrateModelAgainstItself(t *testing.T) {
 
 func TestCalibrateAgainstFakeBackendOrdersDiffer(t *testing.T) {
 	rep, err := Calibrate(nil, &fakeEvaluator{}, CalibrationOptions{
-		Arch: topology.Milan, AppNames: []string{"XSbench"}, ConfigsPerApp: 20,
+		Arch: topology.Milan, Apps: []string{"XSbench"}, ConfigsPerApp: 20,
 	})
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)
@@ -196,7 +196,7 @@ func TestCalibrateMeasuredBackend(t *testing.T) {
 	}
 	ev := measure.NewEvaluator(measure.Options{Warmup: 0, TimedReps: 1})
 	rep, err := Calibrate(nil, ev, CalibrationOptions{
-		Arch: topology.A64FX, AppNames: []string{"EP"}, ConfigsPerApp: 4,
+		Arch: topology.A64FX, Apps: []string{"EP"}, ConfigsPerApp: 4,
 	})
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)

@@ -187,7 +187,7 @@ func TestNestedSweepPlanAddsAppsAndSpace(t *testing.T) {
 		}
 	}
 	// Explicit app lists stay exactly as given — nested apps don't tag along.
-	sc.AppNames = []string{"XSbench"}
+	sc.Apps = []string{"XSbench"}
 	units, err = planUnits(sc)
 	if err != nil {
 		t.Fatalf("planUnits: %v", err)
@@ -202,7 +202,7 @@ func TestNestedSweepPlanAddsAppsAndSpace(t *testing.T) {
 func TestNestedSweepProducesNestedConfigs(t *testing.T) {
 	ds, err := RunSweep(SweepConfig{
 		Arches:   []topology.Arch{topology.Milan},
-		AppNames: []string{"LUNest"},
+		Apps:     []string{"LUNest"},
 		Fraction: map[topology.Arch]float64{topology.Milan: 0.02},
 		Nested:   true,
 	})
@@ -282,7 +282,7 @@ func TestMajorityAccuracy(t *testing.T) {
 func TestExtendedSweepIncludesNUMAAndMoreThreads(t *testing.T) {
 	ds, err := RunSweep(SweepConfig{
 		Arches:   []topology.Arch{topology.Milan},
-		AppNames: []string{"XSbench"},
+		Apps:     []string{"XSbench"},
 		Fraction: map[topology.Arch]float64{topology.Milan: 0.05},
 		Extended: true,
 	})
@@ -309,8 +309,14 @@ func TestDrillDownNQueensOnA64FX(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
-	ds := sweepOnce(t)
-	d, err := Drill(ds, "Nqueens", topology.A64FX, ml.LogisticOptions{Epochs: 80})
+	// A fifth of the Table II campaign: the three fits run ml's default
+	// epochs, and the shapes below do not need the other four fifths.
+	ds, err := RunSweep(SweepConfig{Fraction: map[topology.Arch]float64{
+		topology.A64FX: 0.05, topology.Skylake: 0.05, topology.Milan: 0.05}})
+	if err != nil {
+		t.Fatalf("RunSweep: %v", err)
+	}
+	d, err := Drill(ds, "Nqueens", topology.A64FX)
 	if err != nil {
 		t.Fatalf("Drill: %v", err)
 	}
@@ -348,7 +354,7 @@ func TestDrillDownMissingGroup(t *testing.T) {
 		t.Skip("full sweep in -short mode")
 	}
 	ds := sweepOnce(t)
-	if _, err := Drill(ds, "Sort", topology.Milan, ml.LogisticOptions{Epochs: 20}); err == nil {
+	if _, err := Drill(ds, "Sort", topology.Milan); err == nil {
 		t.Error("Sort on Milan is excluded; Drill should error")
 	}
 }

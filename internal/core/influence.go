@@ -211,25 +211,6 @@ func (h *Heatmap) FeatureRank() []string {
 	return out
 }
 
-// MeanInfluence returns the across-rows mean influence of the named
-// feature, or 0 if absent.
-func (h *Heatmap) MeanInfluence(feature string) float64 {
-	for j, f := range h.Features {
-		if f != feature {
-			continue
-		}
-		total := 0.0
-		for _, row := range h.Cells {
-			total += row[j]
-		}
-		if len(h.Cells) == 0 {
-			return 0
-		}
-		return total / float64(len(h.Cells))
-	}
-	return 0
-}
-
 // RowInfluence returns the influence of feature in the named row, or 0.
 func (h *Heatmap) RowInfluence(row, feature string) float64 {
 	for i, r := range h.RowLabels {

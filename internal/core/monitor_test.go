@@ -62,7 +62,7 @@ func TestMonitorLiveSweep(t *testing.T) {
 	probed := false
 	ds, err := RunSweep(SweepConfig{
 		Arches:   []topology.Arch{topology.A64FX},
-		AppNames: []string{"Sort"},
+		Apps:     []string{"Sort"},
 		Fraction: map[topology.Arch]float64{topology.A64FX: 0.05},
 		Monitor:  mon,
 		OnProgress: func(ProgressEvent) {
@@ -141,8 +141,8 @@ func TestMonitorLiveSweep(t *testing.T) {
 func TestMonitorSweepError(t *testing.T) {
 	mon := NewMonitor()
 	_, err := RunSweep(SweepConfig{
-		AppNames: []string{"no-such-app"},
-		Monitor:  mon,
+		Apps:    []string{"no-such-app"},
+		Monitor: mon,
 	})
 	if err == nil {
 		t.Fatal("want error for unknown app")

@@ -19,7 +19,7 @@ import (
 func smallCampaign() SweepConfig {
 	return SweepConfig{
 		Arches:   []topology.Arch{topology.A64FX},
-		AppNames: []string{"Sort"},
+		Apps:     []string{"Sort"},
 		Fraction: map[topology.Arch]float64{topology.A64FX: 0.1},
 	}
 }
@@ -50,7 +50,7 @@ func TestParallelSweepMatchesSerialCSV(t *testing.T) {
 	// Two arches, so merged batches cross an architecture boundary too.
 	multi := SweepConfig{
 		Arches:   []topology.Arch{topology.Milan, topology.A64FX},
-		AppNames: []string{"CG"},
+		Apps:     []string{"CG"},
 		Fraction: map[topology.Arch]float64{topology.Milan: 0.03, topology.A64FX: 0.03},
 	}
 	multiSerial, multiParallel := multi, multi
@@ -180,21 +180,21 @@ func TestCheckpointRejectsDifferentCampaign(t *testing.T) {
 	dir := t.TempDir()
 	sc := smallCampaign()
 	sc.CheckpointDir = dir
-	sc.ShardSpec = "0/2"
+	sc.Shard = "0/2"
 	if _, err := RunSweep(sc); err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
 
 	cases := map[string]func(*SweepConfig){
-		"different shard":    func(s *SweepConfig) { s.ShardSpec = "1/2" },
+		"different shard":    func(s *SweepConfig) { s.Shard = "1/2" },
 		"different fraction": func(s *SweepConfig) { s.Fraction = map[topology.Arch]float64{topology.A64FX: 0.2} },
-		"different apps":     func(s *SweepConfig) { s.AppNames = []string{"CG"} },
+		"different apps":     func(s *SweepConfig) { s.Apps = []string{"CG"} },
 		"extended space":     func(s *SweepConfig) { s.Extended = true },
 	}
 	for name, mutate := range cases {
 		other := smallCampaign()
 		other.CheckpointDir = dir
-		other.ShardSpec = "0/2"
+		other.Shard = "0/2"
 		mutate(&other)
 		if _, err := RunSweep(other); err == nil {
 			t.Errorf("%s: checkpoint from another campaign accepted", name)
@@ -206,7 +206,7 @@ func TestCheckpointRejectsDifferentCampaign(t *testing.T) {
 	// The identical spec still resumes fine.
 	same := smallCampaign()
 	same.CheckpointDir = dir
-	same.ShardSpec = "0/2"
+	same.Shard = "0/2"
 	if _, err := RunSweep(same); err != nil {
 		t.Errorf("identical campaign rejected: %v", err)
 	}

@@ -38,7 +38,7 @@ func Q2Consistency(ds *dataset.Dataset) []Q2Row {
 				continue
 			}
 			archCount++
-			lifts := valueLift(a)
+			lifts := valueLift(a, fastest)
 			type vl struct {
 				v    env.VarName
 				lift float64

@@ -29,11 +29,16 @@ const (
 	maxVarsAdded = 3
 )
 
+// fastest and slowest order samples for valueLift: which extreme to mine.
+func fastest(a, b *dataset.Sample) bool { return a.Speedup() > b.Speedup() }
+func slowest(a, b *dataset.Sample) bool { return a.Speedup() < b.Speedup() }
+
 // valueLift computes, for each variable, the enrichment of each value among
-// the extremeFrac fastest samples of ds.
-func valueLift(ds *dataset.Dataset) map[env.VarName]map[string]float64 {
+// the extremeFrac of ds's samples that come first under before (fastest or
+// slowest), relative to its share of all of ds.
+func valueLift(ds *dataset.Dataset, before func(a, b *dataset.Sample) bool) map[env.VarName]map[string]float64 {
 	samples := append([]*dataset.Sample(nil), ds.Samples...)
-	sort.Slice(samples, func(i, j int) bool { return samples[i].Speedup() > samples[j].Speedup() })
+	sort.Slice(samples, func(i, j int) bool { return before(samples[i], samples[j]) })
 	nTop := int(float64(len(samples)) * extremeFrac)
 	if nTop < 10 {
 		nTop = min(10, len(samples))
@@ -80,7 +85,7 @@ func Recommend(ds *dataset.Dataset, app string) []Recommendation {
 			continue
 		}
 		archs = append(archs, arch)
-		perArch[arch] = valueLift(a)
+		perArch[arch] = valueLift(a, fastest)
 	}
 	if len(archs) == 0 {
 		return nil
@@ -159,28 +164,11 @@ type WorstTrend struct {
 // binding onto small places with large thread counts — appears as high
 // lifts for OMP_PROC_BIND=master and fine-grained OMP_PLACES values.
 func WorstTrends(ds *dataset.Dataset) []WorstTrend {
-	samples := append([]*dataset.Sample(nil), ds.Samples...)
-	sort.Slice(samples, func(i, j int) bool { return samples[i].Speedup() < samples[j].Speedup() })
-	nBot := int(float64(len(samples)) * extremeFrac)
-	if nBot < 10 {
-		nBot = min(10, len(samples))
-	}
-	bottom := samples[:nBot]
 	var out []WorstTrend
-	for _, v := range env.Names() {
-		all := map[string]int{}
-		bot := map[string]int{}
-		for _, s := range samples {
-			all[s.Config.Value(v)]++
-		}
-		for _, s := range bottom {
-			bot[s.Config.Value(v)]++
-		}
-		for val, cAll := range all {
-			pAll := float64(cAll) / float64(len(samples))
-			pBot := float64(bot[val]) / float64(len(bottom))
-			if pAll > 0 && pBot/pAll >= 1.5 {
-				out = append(out, WorstTrend{Variable: v, Value: val, Lift: pBot / pAll})
+	for v, lifts := range valueLift(ds, slowest) {
+		for val, lift := range lifts {
+			if lift >= 1.5 {
+				out = append(out, WorstTrend{Variable: v, Value: val, Lift: lift})
 			}
 		}
 	}

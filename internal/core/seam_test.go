@@ -114,7 +114,7 @@ func TestSearchFailedProbeNeverBestNotRemeasured(t *testing.T) {
 // one series per distinct configuration on each side. A failed series fails
 // the calibration with the backend's error.
 func TestCalibrateAsksEachConfigurationOnce(t *testing.T) {
-	opt := CalibrationOptions{Arch: topology.A64FX, AppNames: []string{"XSbench", "Nqueens"}, ConfigsPerApp: 16}
+	opt := CalibrationOptions{Arch: topology.A64FX, Apps: []string{"XSbench", "Nqueens"}, ConfigsPerApp: 16}
 	ref, alt := &seamBackend{}, &seamBackend{}
 	rep, err := Calibrate(ref, alt, opt)
 	if err != nil {

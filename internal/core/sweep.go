@@ -23,9 +23,9 @@ import (
 type SweepConfig struct {
 	// Arches to collect on; nil means all three.
 	Arches []topology.Arch
-	// AppNames restricts the applications; nil means every app that ran on
-	// the architecture (Table II's 15/13/12 split).
-	AppNames []string
+	// Apps restricts the applications by name; nil means every app that ran
+	// on the architecture (Table II's 15/13/12 split).
+	Apps []string
 	// Fraction is the sampled share of the full configuration space per
 	// architecture. The default (DefaultFractions) reproduces the sample
 	// counts of Table II; 1.0 is the fully exhaustive sweep. The default
@@ -45,7 +45,7 @@ type SweepConfig struct {
 	// Nested enables the nesting tunable axis: the configuration space
 	// gains per-level OMP_NUM_THREADS lists, OMP_MAX_ACTIVE_LEVELS and
 	// OMP_THREAD_LIMIT variants (see NestedSpace), and the nested-parallel
-	// applications (LUNest, TreeNest) join the campaign when AppNames is
+	// applications (LUNest, TreeNest) join the campaign when Apps is
 	// nil. Composable with Extended (the nested variants are added on top).
 	Nested bool
 	// Workers bounds the number of setting batches evaluated concurrently;
@@ -57,17 +57,17 @@ type SweepConfig struct {
 	// directory is created if needed; resuming validates that it belongs to
 	// the same campaign spec.
 	CheckpointDir string
-	// ShardSpec tags the campaign's shard (e.g. "0/4") in the checkpoint
+	// Shard tags the campaign's shard (e.g. "0/4") in the checkpoint
 	// manifest, so a resume with a different shard layout is rejected.
-	ShardSpec string
+	Shard string
 	// Context, when non-nil, cancels the sweep between setting batches;
 	// in-flight batches finish (and are checkpointed) first.
 	Context context.Context
-	// Evaluator is the measurement backend; nil means the analytic model
+	// Backend is the measurement backend; nil means the analytic model
 	// (byte-identical output with pre-seam sweeps). The backend's identity is
 	// recorded in every sample's Source column and in the checkpoint
 	// manifest — resuming a checkpoint under a different backend is rejected.
-	Evaluator Evaluator
+	Backend Evaluator
 	// TelemetryLog, when non-empty, appends a JSONL telemetry stream to this
 	// file: a plan record, a setting_done record per completed batch,
 	// periodic heartbeats carrying workers-busy / throughput / per-arch
@@ -213,11 +213,11 @@ func planUnits(sc SweepConfig) ([]*sweepUnit, error) {
 		if frac < 0 || frac > 1 {
 			return nil, fmt.Errorf("core: fraction %v for %s outside [0, 1]", frac, arch)
 		}
-		appList, err := selectApps(arch, sc.AppNames)
+		appList, err := selectApps(arch, sc.Apps)
 		if err != nil {
 			return nil, err
 		}
-		if sc.Nested && sc.AppNames == nil {
+		if sc.Nested && sc.Apps == nil {
 			appList = append(appList, apps.NestedOnArch(arch)...)
 		}
 		space := env.Space(m)
@@ -308,7 +308,7 @@ func RunSweep(sc SweepConfig) (ds *dataset.Dataset, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ev := orModel(sc.Evaluator)
+	ev := orModel(sc.Backend)
 	// Opened before planning so even a plan-time failure (unknown app, bad
 	// shard spec) reaches the monitor as a terminal error state. The terminal
 	// record reflects how the sweep actually ended, so the deferred finish

@@ -105,7 +105,7 @@ func TestEvalUnitAsksEachSeriesOnceDefaultFirst(t *testing.T) {
 // the key table and kept list planned up front and the samples carved from
 // one slab, a batch allocates per unit, not per sample.
 func TestEvalUnitAllocsPerSample(t *testing.T) {
-	units, err := planUnits(SweepConfig{Arches: []topology.Arch{topology.Milan}, AppNames: []string{"CG"}})
+	units, err := planUnits(SweepConfig{Arches: []topology.Arch{topology.Milan}, Apps: []string{"CG"}})
 	if err != nil {
 		t.Fatalf("planUnits: %v", err)
 	}

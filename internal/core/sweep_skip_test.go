@@ -80,7 +80,7 @@ func TestRunSweepSurvivesMeasurementFailure(t *testing.T) {
 	bad := sampledNonDefault(t, units[0])
 	var skippedSeen int
 	sc := smallCampaign()
-	sc.Evaluator = failing(bad)
+	sc.Backend = failing(bad)
 	sc.OnProgress = func(ev ProgressEvent) { skippedSeen += ev.SettingSkipped }
 	ds, err := RunSweep(sc)
 	if err != nil {

@@ -55,7 +55,7 @@ func TestRunSweepRestrictedAndProgress(t *testing.T) {
 	var progress bytes.Buffer
 	ds, err := RunSweep(SweepConfig{
 		Arches:   []topology.Arch{topology.A64FX},
-		AppNames: []string{"Sort"},
+		Apps:     []string{"Sort"},
 		Fraction: map[topology.Arch]float64{topology.A64FX: 0.1},
 		Progress: &progress,
 	})
@@ -91,7 +91,7 @@ func TestRunSweepUnknownInputs(t *testing.T) {
 	if _, err := RunSweep(SweepConfig{Arches: []topology.Arch{"vax"}}); err == nil {
 		t.Error("unknown arch should error")
 	}
-	if _, err := RunSweep(SweepConfig{AppNames: []string{"Quake"}}); err == nil {
+	if _, err := RunSweep(SweepConfig{Apps: []string{"Quake"}}); err == nil {
 		t.Error("unknown app should error")
 	}
 }
@@ -100,7 +100,7 @@ func TestRunSweepRespectsExclusions(t *testing.T) {
 	// Sort is excluded on Skylake: asking for it there yields nothing.
 	ds, err := RunSweep(SweepConfig{
 		Arches:   []topology.Arch{topology.Skylake},
-		AppNames: []string{"Sort"},
+		Apps:     []string{"Sort"},
 		Fraction: map[topology.Arch]float64{topology.Skylake: 0.05},
 	})
 	if err != nil {

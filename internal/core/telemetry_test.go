@@ -54,7 +54,7 @@ func TestSweepTelemetryRecordStream(t *testing.T) {
 	log := filepath.Join(t.TempDir(), "run.jsonl")
 	ds, err := RunSweep(SweepConfig{
 		Arches:       []topology.Arch{topology.A64FX},
-		AppNames:     []string{"Sort"},
+		Apps:         []string{"Sort"},
 		Fraction:     map[topology.Arch]float64{topology.A64FX: 0.05},
 		TelemetryLog: log,
 		// A long heartbeat period isolates the deterministic records (plan,
@@ -145,7 +145,7 @@ func TestSweepTelemetryErrorRecord(t *testing.T) {
 	cancel() // already cancelled: the sweep must fail after planning
 	_, err := RunSweep(SweepConfig{
 		Arches:            []topology.Arch{topology.A64FX},
-		AppNames:          []string{"Sort"},
+		Apps:              []string{"Sort"},
 		Fraction:          map[topology.Arch]float64{topology.A64FX: 0.05},
 		Context:           ctx,
 		TelemetryLog:      log,
@@ -215,7 +215,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 	campaign := func() SweepConfig {
 		return SweepConfig{
 			Arches:   []topology.Arch{topology.A64FX, topology.Milan},
-			AppNames: []string{"Sort", "Nqueens"},
+			Apps:     []string{"Sort", "Nqueens"},
 			Fraction: map[topology.Arch]float64{topology.A64FX: 0.05, topology.Milan: 0.03},
 			Workers:  2,
 		}
@@ -254,7 +254,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 			return strings.Count(string(journal), "\n"), 0
 		}},
 		{"skipped-sample batch", func(t *testing.T, sc *SweepConfig) (int, int) {
-			sc.Evaluator = failing(sampledNonDefault(t, units[0]))
+			sc.Backend = failing(sampledNonDefault(t, units[0]))
 			return 0, 1
 		}},
 	}

@@ -177,11 +177,11 @@ func TestSweepStampsSeriesMeta(t *testing.T) {
 	mon := NewMonitor()
 	var repsRun, repsFixed int
 	ds, err := RunSweep(SweepConfig{
-		Arches:    []topology.Arch{topology.A64FX},
-		AppNames:  []string{"Sort"},
-		Fraction:  map[topology.Arch]float64{topology.A64FX: 0.05},
-		Evaluator: metaEvaluator{},
-		Monitor:   mon,
+		Arches:   []topology.Arch{topology.A64FX},
+		Apps:     []string{"Sort"},
+		Fraction: map[topology.Arch]float64{topology.A64FX: 0.05},
+		Backend:  metaEvaluator{},
+		Monitor:  mon,
 		OnProgress: func(ev ProgressEvent) {
 			repsRun += ev.SettingRepsRun
 			repsFixed += ev.SettingRepsFixed
@@ -221,7 +221,7 @@ func TestSweepStampsSeriesMeta(t *testing.T) {
 	mon2 := NewMonitor()
 	ds2, err := RunSweep(SweepConfig{
 		Arches:   []topology.Arch{topology.A64FX},
-		AppNames: []string{"Sort"},
+		Apps:     []string{"Sort"},
 		Fraction: map[topology.Arch]float64{topology.A64FX: 0.05},
 		Monitor:  mon2,
 	})

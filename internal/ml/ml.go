@@ -1,14 +1,13 @@
-// Package ml implements the linear-models analysis of §IV-D: ordinary
-// least-squares linear regression (whose poor fit on this data motivates
-// the reformulation), L2-regularized logistic regression used as the
-// classification surrogate, feature standardization, and the
-// weight-normalized coefficient magnitudes that become the influence
-// heatmaps of Figs. 2–4.
+// Package ml implements the linear-models analysis of §IV-D:
+// L2-regularized logistic regression used as the classification surrogate,
+// feature standardization, and the weight-normalized coefficient magnitudes
+// that become the influence heatmaps of Figs. 2–4. (The paper's first
+// attempt, an ordinary least-squares fit whose poor R² motivated the
+// reformulation, is not reproduced.)
 package ml
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -63,112 +62,6 @@ func (s *Standardizer) Apply(x [][]float64) [][]float64 {
 		out[i] = r
 	}
 	return out
-}
-
-// LinearModel is a fitted ordinary-least-squares regression.
-type LinearModel struct {
-	Intercept float64
-	Coef      []float64
-}
-
-// FitLinear solves min ||y - Xb||² by normal equations with Gaussian
-// elimination and partial pivoting; a tiny ridge term keeps the system
-// well-posed when columns are collinear.
-func FitLinear(x [][]float64, y []float64) (*LinearModel, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, errors.New("ml: bad training data")
-	}
-	p := len(x[0]) + 1 // with intercept
-	ata := make([][]float64, p)
-	atb := make([]float64, p)
-	for i := range ata {
-		ata[i] = make([]float64, p)
-	}
-	row := make([]float64, p)
-	for i, xr := range x {
-		row[0] = 1
-		copy(row[1:], xr)
-		for a := 0; a < p; a++ {
-			atb[a] += row[a] * y[i]
-			for b := 0; b < p; b++ {
-				ata[a][b] += row[a] * row[b]
-			}
-		}
-	}
-	for a := 0; a < p; a++ {
-		ata[a][a] += 1e-8
-	}
-	sol, err := solve(ata, atb)
-	if err != nil {
-		return nil, err
-	}
-	return &LinearModel{Intercept: sol[0], Coef: sol[1:]}, nil
-}
-
-// Predict returns the regression value for one feature row.
-func (m *LinearModel) Predict(row []float64) float64 {
-	v := m.Intercept
-	for j, c := range m.Coef {
-		v += c * row[j]
-	}
-	return v
-}
-
-// R2 is the coefficient of determination on (x, y).
-func (m *LinearModel) R2(x [][]float64, y []float64) float64 {
-	if len(y) == 0 {
-		return 0
-	}
-	mean := 0.0
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(len(y))
-	ssRes, ssTot := 0.0, 0.0
-	for i, row := range x {
-		d := y[i] - m.Predict(row)
-		ssRes += d * d
-		t := y[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		return 0
-	}
-	return 1 - ssRes/ssTot
-}
-
-// solve performs Gaussian elimination with partial pivoting.
-func solve(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	for col := 0; col < n; col++ {
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(a[piv][col]) < 1e-14 {
-			return nil, fmt.Errorf("ml: singular system at column %d", col)
-		}
-		a[col], a[piv] = a[piv], a[col]
-		b[col], b[piv] = b[piv], b[col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		v := b[r]
-		for c := r + 1; c < n; c++ {
-			v -= a[r][c] * x[c]
-		}
-		x[r] = v / a[r][r]
-	}
-	return x, nil
 }
 
 // LogisticModel is a fitted binary classifier over standardized features.

@@ -36,55 +36,6 @@ func TestStandardizerErrors(t *testing.T) {
 	}
 }
 
-func TestLinearRecoversPlane(t *testing.T) {
-	// y = 3 + 2a - 5b, exactly.
-	var x [][]float64
-	var y []float64
-	for a := 0.0; a < 5; a++ {
-		for b := 0.0; b < 5; b++ {
-			x = append(x, []float64{a, b})
-			y = append(y, 3+2*a-5*b)
-		}
-	}
-	m, err := FitLinear(x, y)
-	if err != nil {
-		t.Fatalf("FitLinear: %v", err)
-	}
-	if math.Abs(m.Intercept-3) > 1e-6 || math.Abs(m.Coef[0]-2) > 1e-6 || math.Abs(m.Coef[1]+5) > 1e-6 {
-		t.Errorf("fit = %+v, want 3 + 2a - 5b", m)
-	}
-	if r2 := m.R2(x, y); r2 < 0.999999 {
-		t.Errorf("R2 = %v, want ~1", r2)
-	}
-}
-
-func TestLinearPoorFitOnNonlinearData(t *testing.T) {
-	// The paper's §IV-D observation: a linear model cannot explain highly
-	// non-linear response surfaces — R² stays low.
-	var x [][]float64
-	var y []float64
-	for a := -3.0; a <= 3; a += 0.25 {
-		x = append(x, []float64{a})
-		y = append(y, math.Abs(a)) // V-shape
-	}
-	m, err := FitLinear(x, y)
-	if err != nil {
-		t.Fatalf("FitLinear: %v", err)
-	}
-	if r2 := m.R2(x, y); r2 > 0.3 {
-		t.Errorf("R2 = %v on V-shaped data, expected poor fit", r2)
-	}
-}
-
-func TestLinearBadInput(t *testing.T) {
-	if _, err := FitLinear(nil, nil); err == nil {
-		t.Error("empty input should error")
-	}
-	if _, err := FitLinear([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
 func TestLogisticSeparatesHalfPlanes(t *testing.T) {
 	var x [][]float64
 	var y []bool
@@ -166,12 +117,5 @@ func TestInfluenceZeroModel(t *testing.T) {
 	infl := m.Influence()
 	if infl[0] != 0 || infl[1] != 0 {
 		t.Errorf("zero model influence = %v", infl)
-	}
-}
-
-func TestSolveSingular(t *testing.T) {
-	a := [][]float64{{1, 1}, {1, 1}}
-	if _, err := solve(a, []float64{1, 2}); err == nil {
-		t.Error("singular system should error")
 	}
 }

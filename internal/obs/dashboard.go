@@ -305,7 +305,7 @@ const dashboardHTML = `<!DOCTYPE html>
     tbl.className = "regions";
     var hr = tbl.insertRow();
     [["region", "name"], ["lvl"], ["count"], ["thr"], ["wall"],
-     ["par.eff"], ["ld.bal"], ["bar%"], ["sched%"], ["steals"]].forEach(function (h) {
+     ["par.eff"], ["ld.bal"], ["bar%"], ["sched%"], ["stolen%"]].forEach(function (h) {
       var th = document.createElement("th");
       th.textContent = h[0];
       if (h[1]) th.className = h[1];
@@ -325,7 +325,7 @@ const dashboardHTML = `<!DOCTYPE html>
       tr.appendChild(effCell(r.load_balance));
       tr.insertCell().textContent = (100 * r.barrier_wait_share).toFixed(1);
       tr.insertCell().textContent = (100 * r.sched_overhead_share).toFixed(1);
-      tr.insertCell().textContent = r.steal_rate.toFixed(1);
+      tr.insertCell().textContent = (100 * r.steal_rate).toFixed(1);
     });
     var host = $("regions");
     host.textContent = "";

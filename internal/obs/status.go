@@ -53,15 +53,15 @@ type Region struct {
 	File  string `json:"file,omitempty"`
 	Line  int    `json:"line,omitempty"`
 	Level int    `json:"level"`
-	// Count is region instances folded; Threads the team width observed.
+	// Count is region instances folded; Threads the widest team observed.
 	Count   int64 `json:"count"`
 	Threads int   `json:"threads"`
 	// WallSec/ThreadSec are cumulative fork-to-join wall time and its
 	// thread-time integral (wall × team width).
 	WallSec   float64 `json:"wall_sec"`
 	ThreadSec float64 `json:"thread_sec"`
-	// The POP-style derived metrics, each in [0, 1] except StealRate
-	// (steals per region instance).
+	// The POP-style derived metrics, each in [0, 1]; StealRate is tasks
+	// stolen ÷ tasks run (a task is stolen at most once).
 	ParallelEfficiency float64 `json:"parallel_efficiency"`
 	LoadBalance        float64 `json:"load_balance"`
 	BarrierWaitShare   float64 `json:"barrier_wait_share"`

@@ -12,7 +12,6 @@ import (
 
 	"omptune/internal/core"
 	"omptune/internal/dataset"
-	"omptune/internal/ml"
 	"omptune/internal/stats"
 	"omptune/internal/topology"
 )
@@ -192,39 +191,26 @@ func shortFeature(f string) string {
 	return f
 }
 
-// Fig2 renders the per-application influence heatmap.
-func Fig2(w io.Writer, ds *dataset.Dataset, opt ml.LogisticOptions) error {
-	hm, err := core.InfluenceHeatmap(ds, core.PerApp, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Fig 2: feature influence, grouped by application (darker = larger)")
-	return Heatmap(w, hm)
+// Fig2 renders the per-application influence heatmap from its fit
+// (core.InfluenceHeatmap over core.PerApp).
+func Fig2(w io.Writer, hm *core.Heatmap) error {
+	return influenceFig(w, "Fig 2", "application", hm)
 }
 
-// Fig3 renders the per-architecture influence heatmap.
-func Fig3(w io.Writer, ds *dataset.Dataset, opt ml.LogisticOptions) error {
-	hm, err := core.InfluenceHeatmap(ds, core.PerArch, opt)
-	if err != nil {
-		return err
-	}
-	return Fig3From(w, hm)
+// Fig3 renders the per-architecture influence heatmap (core.PerArch) — the
+// fit Q3 ranks, so a caller rendering both fits it once.
+func Fig3(w io.Writer, hm *core.Heatmap) error {
+	return influenceFig(w, "Fig 3", "architecture", hm)
 }
 
-// Fig3From is Fig3 from an already fitted per-architecture heatmap, so a
-// caller that also renders Q3 (which ranks the same fit) fits it once.
-func Fig3From(w io.Writer, hm *core.Heatmap) error {
-	fmt.Fprintln(w, "Fig 3: feature influence, grouped by architecture (darker = larger)")
-	return Heatmap(w, hm)
+// Fig4 renders the per-application-architecture influence heatmap
+// (core.PerArchApp).
+func Fig4(w io.Writer, hm *core.Heatmap) error {
+	return influenceFig(w, "Fig 4", "application-architecture", hm)
 }
 
-// Fig4 renders the per-application-architecture influence heatmap.
-func Fig4(w io.Writer, ds *dataset.Dataset, opt ml.LogisticOptions) error {
-	hm, err := core.InfluenceHeatmap(ds, core.PerArchApp, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Fig 4: feature influence, grouped by application-architecture (darker = larger)")
+func influenceFig(w io.Writer, fig, grouping string, hm *core.Heatmap) error {
+	fmt.Fprintf(w, "%s: feature influence, grouped by %s (darker = larger)\n", fig, grouping)
 	return Heatmap(w, hm)
 }
 
@@ -344,19 +330,10 @@ func Q2(w io.Writer, ds *dataset.Dataset) error {
 	return tw.Flush()
 }
 
-// Q3 prints the §V-Q3 analysis: the per-architecture variable ranking and
-// the share addressable through the derived OMP_WAIT_POLICY.
-func Q3(w io.Writer, ds *dataset.Dataset, opt ml.LogisticOptions) error {
-	hm, err := core.InfluenceHeatmap(ds, core.PerArch, opt)
-	if err != nil {
-		return err
-	}
-	return Q3From(w, hm)
-}
-
-// Q3From is Q3 from an already fitted per-architecture heatmap (see
-// Fig3From).
-func Q3From(w io.Writer, hm *core.Heatmap) error {
+// Q3 prints the §V-Q3 analysis from the fitted per-architecture heatmap:
+// the per-architecture variable ranking and the share addressable through
+// the derived OMP_WAIT_POLICY.
+func Q3(w io.Writer, hm *core.Heatmap) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Architecture\tVariables (descending influence)\tOMP_WAIT_POLICY share")
 	for _, r := range core.Q3BestVariables(hm) {

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func smallDS(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	frac := map[topology.Arch]float64{topology.A64FX: 0.15, topology.Skylake: 0.1, topology.Milan: 0.1}
 	ds, err := core.RunSweep(core.SweepConfig{
-		AppNames: []string{"Alignment", "XSbench", "CG"},
+		Apps:     []string{"Alignment", "XSbench", "CG"},
 		Fraction: frac,
 	})
 	if err != nil {
@@ -71,29 +72,29 @@ func TestTablesRenderFromDataset(t *testing.T) {
 
 func TestHeatmapRendering(t *testing.T) {
 	ds := smallDS(t)
-	var buf bytes.Buffer
-	if err := Fig3(&buf, ds, ml.LogisticOptions{Epochs: 40}); err != nil {
-		t.Fatalf("Fig3: %v", err)
+	render := func(g core.Grouping, fig func(io.Writer, *core.Heatmap) error) string {
+		t.Helper()
+		hm, err := core.InfluenceHeatmap(ds, g, ml.LogisticOptions{Epochs: 40})
+		if err != nil {
+			t.Fatalf("InfluenceHeatmap(%v): %v", g, err)
+		}
+		var buf bytes.Buffer
+		if err := fig(&buf, hm); err != nil {
+			t.Fatalf("rendering grouping %v: %v", g, err)
+		}
+		return buf.String()
 	}
-	out := buf.String()
+	out := render(core.PerArch, Fig3)
 	for _, want := range []string{"Fig 3", "bind", "threads", "a64fx", "milan", "skylake"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Fig3 output missing %q:\n%s", want, out)
 		}
 	}
-	var buf2 bytes.Buffer
-	if err := Fig2(&buf2, ds, ml.LogisticOptions{Epochs: 40}); err != nil {
-		t.Fatalf("Fig2: %v", err)
-	}
-	if !strings.Contains(buf2.String(), "arch") {
+	if out := render(core.PerApp, Fig2); !strings.Contains(out, "arch") {
 		t.Error("Fig2 should include the Architecture column")
 	}
-	var buf4 bytes.Buffer
-	if err := Fig4(&buf4, ds, ml.LogisticOptions{Epochs: 40}); err != nil {
-		t.Fatalf("Fig4: %v", err)
-	}
-	if !strings.Contains(buf4.String(), "CG@milan") {
-		t.Errorf("Fig4 should have app@arch rows:\n%s", buf4.String())
+	if out := render(core.PerArchApp, Fig4); !strings.Contains(out, "CG@milan") {
+		t.Errorf("Fig4 should have app@arch rows:\n%s", out)
 	}
 }
 
@@ -200,8 +201,12 @@ func TestQ2AndQ3Render(t *testing.T) {
 			t.Errorf("Q2 missing %q:\n%s", want, buf.String())
 		}
 	}
+	hm, err := core.InfluenceHeatmap(ds, core.PerArch, ml.LogisticOptions{Epochs: 30})
+	if err != nil {
+		t.Fatalf("InfluenceHeatmap: %v", err)
+	}
 	var buf3 bytes.Buffer
-	if err := Q3(&buf3, ds, ml.LogisticOptions{Epochs: 30}); err != nil {
+	if err := Q3(&buf3, hm); err != nil {
 		t.Fatalf("Q3: %v", err)
 	}
 	for _, want := range []string{"a64fx", "WAIT_POLICY", "descending influence"} {

@@ -21,9 +21,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// Reset returns the accumulator to its zero state.
-func (w *Welford) Reset() { *w = Welford{} }
-
 // N returns the number of observations folded in so far.
 func (w *Welford) N() int { return w.n }
 

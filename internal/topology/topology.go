@@ -142,9 +142,6 @@ func (m *Machine) CoresPerSocket() int { return m.Cores / m.Sockets }
 // CoresPerNUMA returns the number of cores in each NUMA node.
 func (m *Machine) CoresPerNUMA() int { return m.Cores / m.NUMANodes }
 
-// CoresPerLLC returns the number of cores sharing one last-level cache.
-func (m *Machine) CoresPerLLC() int { return m.Cores / m.LLCGroups }
-
 // NUMANodeOf returns the NUMA node index of core.
 func (m *Machine) NUMANodeOf(core int) int { return core / m.CoresPerNUMA() }
 

@@ -69,8 +69,8 @@ func TestDerivedGroupSizes(t *testing.T) {
 		if m.CoresPerNUMA()*m.NUMANodes != m.Cores {
 			t.Errorf("%s: cores per NUMA %d does not divide %d cores", m.Arch, m.CoresPerNUMA(), m.Cores)
 		}
-		if m.CoresPerLLC()*m.LLCGroups != m.Cores {
-			t.Errorf("%s: cores per LLC %d does not divide %d cores", m.Arch, m.CoresPerLLC(), m.Cores)
+		if m.Cores%m.LLCGroups != 0 {
+			t.Errorf("%s: %d LLC groups do not divide %d cores", m.Arch, m.LLCGroups, m.Cores)
 		}
 	}
 }

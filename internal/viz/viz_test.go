@@ -15,7 +15,7 @@ import (
 func vizDS(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	ds, err := core.RunSweep(core.SweepConfig{
-		AppNames: []string{"Alignment"},
+		Apps:     []string{"Alignment"},
 		Fraction: map[topology.Arch]float64{topology.A64FX: 0.1, topology.Skylake: 0.06, topology.Milan: 0.06},
 	})
 	if err != nil {

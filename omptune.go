@@ -18,10 +18,8 @@
 package omptune
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"omptune/internal/apps"
 	"omptune/internal/core"
@@ -140,91 +138,18 @@ func Calibrate(ref, alt Evaluator, opt CalibrationOptions) (*core.CalibrationRep
 }
 
 // CollectOptions configures a data-collection campaign; the zero value
-// reproduces the paper's full dataset (Table II).
-type CollectOptions struct {
-	// Arches restricts collection; nil = all three.
-	Arches []Arch
-	// Apps restricts the applications by name; nil = all that ran on the
-	// architecture.
-	Apps []string
-	// Fraction overrides the sampled share of the configuration space per
-	// architecture (nil = Table II-matching defaults; set to 1.0 for the
-	// fully exhaustive sweep).
-	Fraction map[Arch]float64
-	// Progress receives a formatted line per completed setting when
-	// non-nil.
-	Progress io.Writer
-	// OnProgress receives the structured progress event per completed
-	// setting when non-nil (settings done/total, samples/sec, ETA).
-	OnProgress func(ProgressEvent)
-	// Extended enables the future-work coverage: numa_domains places and
-	// six thread counts for the thread-varied applications.
-	Extended bool
-	// Nested enables the nesting tunable axis: per-level OMP_NUM_THREADS
-	// lists, OMP_MAX_ACTIVE_LEVELS and OMP_THREAD_LIMIT join the swept
-	// configuration space and the nested-parallel
-	// applications (LUNest, TreeNest) join the campaign when Apps is nil.
-	// Composable with Extended.
-	Nested bool
-	// Workers bounds how many setting batches are evaluated concurrently;
-	// <= 0 means runtime.NumCPU(). The sample order — and therefore the CSV
-	// output — is identical for every worker count.
-	Workers int
-	// CheckpointDir, when non-empty, journals completed settings so an
-	// interrupted campaign resumes without recomputation.
-	CheckpointDir string
-	// Shard tags the campaign's shard spec in the checkpoint manifest; a
-	// resume under a different shard layout is rejected.
-	Shard string
-	// Context cancels the sweep between settings when non-nil; in-flight
-	// settings finish (and checkpoint) first.
-	Context context.Context
-	// Backend is the measurement backend; nil means the analytic model
-	// (byte-identical output with earlier releases). Pass
-	// NewMeasuredEvaluator(...) to collect real kernel runtimes instead. The
-	// backend identity is recorded in each sample's Source column and in the
-	// checkpoint manifest; resuming a checkpoint under a different backend
-	// is rejected.
-	Backend Evaluator
-	// TelemetryLog, when non-empty, appends a JSONL telemetry stream of the
-	// campaign to this file: plan, per-setting completion, periodic
-	// heartbeats with workers-busy / throughput / per-arch completion
-	// gauges, and a terminal done-or-error record. Suited to tail -f and jq
-	// while a long campaign runs.
-	TelemetryLog string
-	// TelemetryInterval is the heartbeat period of the telemetry stream;
-	// zero means 30 seconds.
-	TelemetryInterval time.Duration
-	// Monitor, when non-nil, receives live campaign gauges and latency
-	// histograms; serve it over HTTP with NewMonitorServer. Pair it with a
-	// measured Backend whose MeasureOptions.Metrics is Monitor.RuntimeMetrics()
-	// to include the openmp runtime's fork-join / barrier / task histograms.
-	Monitor *Monitor
-}
+// reproduces the paper's full dataset (Table II). Pass
+// NewMeasuredEvaluator(...) as Backend to collect real kernel runtimes, and
+// pair a Monitor with a measured Backend whose MeasureOptions.Metrics is
+// Monitor.RuntimeMetrics() to include the openmp runtime's fork-join /
+// barrier / task histograms.
+type CollectOptions = core.SweepConfig
 
 // ProgressEvent is the structured per-setting progress update of a sweep.
 type ProgressEvent = core.ProgressEvent
 
 // Collect runs the sweep of §IV and returns the enriched dataset.
-func Collect(opt CollectOptions) (*Dataset, error) {
-	return core.RunSweep(core.SweepConfig{
-		Arches:            opt.Arches,
-		AppNames:          opt.Apps,
-		Fraction:          opt.Fraction,
-		Progress:          opt.Progress,
-		OnProgress:        opt.OnProgress,
-		Extended:          opt.Extended,
-		Nested:            opt.Nested,
-		Workers:           opt.Workers,
-		CheckpointDir:     opt.CheckpointDir,
-		ShardSpec:         opt.Shard,
-		Context:           opt.Context,
-		Evaluator:         opt.Backend,
-		TelemetryLog:      opt.TelemetryLog,
-		TelemetryInterval: opt.TelemetryInterval,
-		Monitor:           opt.Monitor,
-	})
-}
+func Collect(opt CollectOptions) (*Dataset, error) { return core.RunSweep(opt) }
 
 // ---- Live monitoring ----------------------------------------------------
 
@@ -350,18 +275,19 @@ func ReadDatasetCSV(r io.Reader) (*Dataset, error) { return dataset.ReadCSV(r) }
 
 // WriteReport renders every table and figure of the paper from ds.
 func WriteReport(w io.Writer, ds *Dataset) error {
-	// Q3 ranks and Fig 3 draws the same per-architecture fit (the costliest
-	// single step of the report); whichever renders first fits it.
-	var perArch *core.Heatmap
-	withPerArch := func(render func(io.Writer, *core.Heatmap) error) error {
-		if perArch == nil {
-			hm, err := core.InfluenceHeatmap(ds, core.PerArch, ml.LogisticOptions{})
+	// The section that first needs a grouping's fit pays for it; Q3 ranks
+	// and Fig 3 draws the same per-architecture one (the costliest single
+	// step of the report).
+	fits := map[core.Grouping]*core.Heatmap{}
+	fitted := func(g core.Grouping, render func(io.Writer, *core.Heatmap) error) error {
+		if fits[g] == nil {
+			hm, err := Influence(ds, g)
 			if err != nil {
 				return err
 			}
-			perArch = hm
+			fits[g] = hm
 		}
-		return render(w, perArch)
+		return render(w, fits[g])
 	}
 	sections := []struct {
 		title  string
@@ -376,12 +302,12 @@ func WriteReport(w io.Writer, ds *Dataset) error {
 		{"Table VII: best performing variables and values", func() error { return report.TableVII(w, ds, []string{"Nqueens", "CG"}) }},
 		{"Q1: upshot potential per architecture", func() error { return report.Q1(w, ds) }},
 		{"Q2: variable-set consistency across architectures", func() error { return report.Q2(w, ds) }},
-		{"Q3: best variables per architecture", func() error { return withPerArch(report.Q3From) }},
+		{"Q3: best variables per architecture", func() error { return fitted(core.PerArch, report.Q3) }},
 		{"Q4: worst-performance trends", func() error { return report.Q4(w, ds) }},
 		{"Fig 1: Alignment runtime distributions", func() error { return report.Fig1(w, ds) }},
-		{"Fig 2: influence per application", func() error { return report.Fig2(w, ds, ml.LogisticOptions{}) }},
-		{"Fig 3: influence per architecture", func() error { return withPerArch(report.Fig3From) }},
-		{"Fig 4: influence per application-architecture", func() error { return report.Fig4(w, ds, ml.LogisticOptions{}) }},
+		{"Fig 2: influence per application", func() error { return fitted(core.PerApp, report.Fig2) }},
+		{"Fig 3: influence per architecture", func() error { return fitted(core.PerArch, report.Fig3) }},
+		{"Fig 4: influence per application-architecture", func() error { return fitted(core.PerArchApp, report.Fig4) }},
 		{"Fig 5: BT runtime distributions", func() error { return report.Fig5(w, ds) }},
 		{"Fig 6: Health runtime distributions", func() error { return report.Fig6(w, ds) }},
 		{"Fig 7: RSBench runtime distributions", func() error { return report.Fig7(w, ds) }},

@@ -241,10 +241,10 @@ func BenchmarkOverheadTracing(b *testing.B) {
 // same nil checks) with profiling fully enabled
 // (per-thread shard stamps at start/arrive plus the primary-thread fold into
 // the aggregate table at join) on bare region dispatch and a
-// dynamic-schedule loop. Both modes must stay allocation-free: the fold
-// resolves the construct PC against a fixed-size open-addressed table, so
-// steady state is 0 allocs/op with profiling on, and region dispatch keeps
-// its usual alloc profile with profiling off.
+// dynamic-schedule loop. Both modes must stay allocation-free: only a call
+// site's first fold allocates (its table row), so steady state is 0
+// allocs/op with profiling on, and region dispatch keeps its usual alloc
+// profile with profiling off.
 func BenchmarkOverheadProfiling(b *testing.B) {
 	modes := []struct {
 		name     string

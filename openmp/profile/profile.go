@@ -6,7 +6,8 @@
 // nesting level, so LUNest/TreeNest inner regions never alias their
 // enclosing region's numbers.
 //
-// Data flows in three stages, none of which allocates on the hot path:
+// The per-region record is one type, Sums, and it is added to in one place,
+// Sums.add. Data flows in three stages:
 //
 //  1. While a region runs, each thread writes timestamps and counters into
 //     its own padded scratch slot — one slot per (global thread id, nesting
@@ -14,12 +15,18 @@
 //     sharing.
 //  2. At region quiescence (the primary thread has passed the join barrier,
 //     so every worker's scratch writes happen-before by the barrier's
-//     release/acquire edges) the primary folds the team's scratch into the
-//     region's table entry: busy time from the arrival stamps, barrier wait
-//     as fold-time minus arrival, arrival imbalance as the arrival spread.
-//  3. The table is a fixed-capacity open-addressed map whose entries are
-//     claimed by CAS on the packed (pc, level) key and accumulated with
-//     atomic adds, so concurrent folds from nested teams never lock.
+//     release/acquire edges) the primary folds the team's scratch into one
+//     Sums: busy time from the arrival stamps, barrier wait as fold-time
+//     minus arrival, arrival imbalance as the arrival spread.
+//  3. That Sums is added to the region's row of the table, a map from the
+//     packed (pc, level) key to *Sums under one mutex — one short critical
+//     section per region instance, shared only with folds of nested teams
+//     and with Snapshot, which copies the rows under the same lock.
+//
+// A key's first fold allocates its row; every later fold of it allocates
+// nothing, so steady state is 0 allocs per region with the profiler on. The
+// table holds at most tableSize rows; folds of further keys are counted in
+// Report.Dropped.
 //
 // Scratch slots carry the region id they were stamped for; a fold skips
 // (and counts as missing) any slot whose stamp does not match, which makes
@@ -34,7 +41,9 @@ package profile
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -44,34 +53,81 @@ const (
 	// deeper than this are counted in Report.Dropped instead of recorded.
 	MaxLevels = 8
 
-	// tableSize is the fixed region-table capacity (power of two). Distinct
-	// (call site, level) pairs beyond it are counted in Dropped.
+	// tableSize is the region-table capacity. Distinct (call site, level)
+	// pairs beyond it are counted in Dropped.
 	tableSize = 512
-	tableMask = tableSize - 1
 )
+
+// Sums is the per-region record: the raw accumulators of one (call site,
+// level) over every instance folded so far. It is what a thread's scratch
+// slot counts into, what a fold adds to the table, what an Aggregator merges
+// across runtimes and what a RegionProfile reports; the derived metrics are
+// functions of it (RegionProfile.finalize).
+type Sums struct {
+	Count   int64 `json:"count"`             // region instances
+	Threads int   `json:"threads"`           // widest team seen
+	Samples int64 `json:"samples"`           // thread-samples attributed
+	Missing int64 `json:"missing,omitempty"` // thread-samples discarded (stale stamp, unknown gtid)
+
+	WallNS        int64 `json:"wall_ns"`         // Σ fork-to-join wall
+	ThreadNS      int64 `json:"thread_ns"`       // Σ wall × attributed threads
+	BusyNS        int64 `json:"busy_ns"`         // Σ implicit-task time (start→arrival)
+	MaxBusyNS     int64 `json:"max_busy_ns"`     // Σ per-region max thread busy
+	ImbalanceNS   int64 `json:"imbalance_ns"`    // Σ per-region arrival spread (max−min)
+	SchedNS       int64 `json:"sched_ns"`        // Σ chunk-claim overhead
+	ExplicitBarNS int64 `json:"explicit_bar_ns"` // Σ mid-region barrier wait
+	FinalBarNS    int64 `json:"final_bar_ns"`    // Σ end-of-region barrier wait (fold − arrival)
+
+	Chunks       int64 `json:"chunks"`
+	TasksCreated int64 `json:"tasks_created"`
+	TasksRun     int64 `json:"tasks_run"`
+	TasksStolen  int64 `json:"tasks_stolen"`
+	StealBatches int64 `json:"steal_batches"`
+	StealsLocal  int64 `json:"steals_local"`
+	StealsRemote int64 `json:"steals_remote"`
+	Parks        int64 `json:"parks"`
+	Wakes        int64 `json:"wakes"`
+}
+
+// add merges o into s: every field sums except Threads, which keeps the
+// widest team seen.
+func (s *Sums) add(o *Sums) {
+	s.Count += o.Count
+	s.Threads = max(s.Threads, o.Threads)
+	s.Samples += o.Samples
+	s.Missing += o.Missing
+	s.WallNS += o.WallNS
+	s.ThreadNS += o.ThreadNS
+	s.BusyNS += o.BusyNS
+	s.MaxBusyNS += o.MaxBusyNS
+	s.ImbalanceNS += o.ImbalanceNS
+	s.SchedNS += o.SchedNS
+	s.ExplicitBarNS += o.ExplicitBarNS
+	s.FinalBarNS += o.FinalBarNS
+	s.Chunks += o.Chunks
+	s.TasksCreated += o.TasksCreated
+	s.TasksRun += o.TasksRun
+	s.TasksStolen += o.TasksStolen
+	s.StealBatches += o.StealBatches
+	s.StealsLocal += o.StealsLocal
+	s.StealsRemote += o.StealsRemote
+	s.Parks += o.Parks
+	s.Wakes += o.Wakes
+}
 
 // scratch is one thread's private recording slot for one nesting level:
 // owner-written plain fields, read by the team primary only after the
-// end-of-region barrier's happens-before edge. Padded to two cache lines so
-// adjacent global thread ids never false-share.
+// end-of-region barrier's happens-before edge. The recorders count into sums
+// (overheads, chunks, tasks, steals, parks); the fields a fold derives from
+// the stamps stay zero here. Padded to four cache lines so adjacent global
+// thread ids never false-share.
 type scratch struct {
 	region   uint64 // region id this slot was stamped for (fold guard)
 	startNS  int64  // implicit-task start (ThreadStart)
 	arriveNS int64  // arrival at the end-of-region barrier (ThreadArrive)
+	sums     Sums
 
-	barrierNS    int64 // explicit (mid-region) barrier wait
-	schedNS      int64 // worksharing chunk-claim overhead
-	chunks       int64
-	tasksCreated int64
-	tasksRun     int64
-	tasksStolen  int64
-	stealBatches int64
-	stealsLocal  int64
-	stealsRemote int64
-	parks        int64
-	wakes        int64
-
-	_ [128 - 14*8]byte
+	_ [256 - 24*8]byte
 }
 
 // shard holds one global thread id's scratch slots, one per nesting level.
@@ -82,46 +138,74 @@ type shard struct {
 	levels [MaxLevels]scratch
 }
 
-// entry is one region's accumulator row. The key packs (pc << 8 | level+1)
-// so zero means empty; all counters are atomic adds, allowing concurrent
-// folds from nested teams.
-type entry struct {
-	key atomic.Uint64
+// table is the region table of a Profiler or an Aggregator: one row of Sums
+// per packed (call site, level) key, at most tableSize of them, under one
+// lock. dropped counts what was not attributed — folds that found the table
+// full and, for a profiler, regions nested too deep.
+type table struct {
+	mu      sync.Mutex
+	rows    map[uint64]*Sums
+	dropped atomic.Uint64
+}
 
-	count   atomic.Int64 // region instances folded
-	threads atomic.Int64 // last team width observed
-	samples atomic.Int64 // thread-samples attributed
-	missing atomic.Int64 // thread-samples skipped (stale stamp, unknown gtid)
+// add merges one region's sums into its row, allocating the row at the key's
+// first fold; past capacity the fold is dropped and counted.
+func (t *table) add(key uint64, s *Sums) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	row := t.rows[key]
+	if row == nil {
+		if len(t.rows) >= tableSize {
+			t.dropped.Add(1)
+			return
+		}
+		if t.rows == nil {
+			t.rows = make(map[uint64]*Sums)
+		}
+		row = new(Sums)
+		t.rows[key] = row
+	}
+	row.add(s)
+}
 
-	wallNS    atomic.Int64 // Σ region wall time (fork to fold)
-	threadNS  atomic.Int64 // Σ wall × attributed samples
-	busyNS    atomic.Int64 // Σ per-thread implicit-task time (start→arrival)
-	maxBusyNS atomic.Int64 // Σ per-region max per-thread busy
-	imbalNS   atomic.Int64 // Σ per-region arrival spread (max−min)
-	schedNS   atomic.Int64
-	xbarNS    atomic.Int64 // explicit barrier waits
-	finalNS   atomic.Int64 // end-of-region barrier waits (fold − arrival)
+// Snapshot renders the table into a Report, resolving call sites to
+// function names and source lines. Cold path: safe to call while folds
+// continue; each row is copied whole under the table's lock, so a row never
+// mixes two folds. Rows of equal thread-time and level keep key order.
+func (t *table) Snapshot() *Report {
+	type keyed struct {
+		key  uint64
+		sums Sums
+	}
+	t.mu.Lock()
+	rows := make([]keyed, 0, len(t.rows))
+	for key, row := range t.rows {
+		rows = append(rows, keyed{key, *row})
+	}
+	t.mu.Unlock()
+	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
 
-	chunks       atomic.Int64
-	tasksCreated atomic.Int64
-	tasksRun     atomic.Int64
-	tasksStolen  atomic.Int64
-	stealBatches atomic.Int64
-	stealsLocal  atomic.Int64
-	stealsRemote atomic.Int64
-	parks        atomic.Int64
-	wakes        atomic.Int64
+	r := &Report{Dropped: t.dropped.Load(), Regions: make([]RegionProfile, len(rows))}
+	for i, row := range rows {
+		pc := uintptr(row.key >> 8)
+		rp := &r.Regions[i]
+		*rp = RegionProfile{PC: fmt.Sprintf("%#x", pc), Level: int(row.key & 0xff), Sums: row.sums}
+		rp.Name, rp.File, rp.Line = resolvePC(pc)
+		rp.finalize()
+	}
+	r.sort()
+	return r
 }
 
 // Profiler collects per-region efficiency data for one runtime. Create one
 // with New sized for the runtime's live global thread ids (Runtime.StartProfile
-// does, and attaches it), and snapshot with Runtime.Profile. All recording methods are safe for concurrent use under
-// the ownership rules above and never allocate.
+// does, and attaches it), and snapshot with Runtime.Profile. All recording
+// methods are safe for concurrent use under the ownership rules above; none
+// allocates but a call site's first Fold (its table row).
 type Profiler struct {
-	start   time.Time
-	shards  []shard
-	table   [tableSize]entry
-	dropped atomic.Uint64
+	start  time.Time
+	shards []shard
+	table
 }
 
 // New builds a profiler with scratch slots for global thread ids
@@ -171,35 +255,35 @@ func (p *Profiler) ThreadArrive(gtid, level int) {
 // AddBarrier accumulates an explicit (mid-region) barrier wait.
 func (p *Profiler) AddBarrier(gtid, level int, d int64) {
 	if sc := p.sc(gtid, level); sc != nil {
-		sc.barrierNS += d
+		sc.sums.ExplicitBarNS += d
 	}
 }
 
 // AddSched accumulates worksharing chunk-claim overhead.
 func (p *Profiler) AddSched(gtid, level int, d int64) {
 	if sc := p.sc(gtid, level); sc != nil {
-		sc.schedNS += d
+		sc.sums.SchedNS += d
 	}
 }
 
 // AddChunk counts one dispatched worksharing chunk.
 func (p *Profiler) AddChunk(gtid, level int) {
 	if sc := p.sc(gtid, level); sc != nil {
-		sc.chunks++
+		sc.sums.Chunks++
 	}
 }
 
 // TaskCreated counts one explicit task spawn.
 func (p *Profiler) TaskCreated(gtid, level int) {
 	if sc := p.sc(gtid, level); sc != nil {
-		sc.tasksCreated++
+		sc.sums.TasksCreated++
 	}
 }
 
 // TaskRan counts one explicit task execution.
 func (p *Profiler) TaskRan(gtid, level int) {
 	if sc := p.sc(gtid, level); sc != nil {
-		sc.tasksRun++
+		sc.sums.TasksRun++
 	}
 }
 
@@ -217,13 +301,13 @@ func (p *Profiler) TaskStolen(gtid, level, n, locality int) {
 	if sc == nil {
 		return
 	}
-	sc.tasksStolen += int64(n)
-	sc.stealBatches++
+	sc.sums.TasksStolen += int64(n)
+	sc.sums.StealBatches++
 	switch locality {
 	case StealLocal:
-		sc.stealsLocal += int64(n)
+		sc.sums.StealsLocal += int64(n)
 	case StealRemote:
-		sc.stealsRemote += int64(n)
+		sc.sums.StealsRemote += int64(n)
 	}
 }
 
@@ -232,43 +316,23 @@ func (p *Profiler) TaskStolen(gtid, level, n, locality int) {
 // has folded); their time is covered by the barrier-wait metric instead.
 func (p *Profiler) Park(gtid, level int) {
 	if sc := p.sc(gtid, level); sc != nil {
-		sc.parks++
+		sc.sums.Parks++
 	}
 }
 
 // Wake counts the wakeup matching a Park.
 func (p *Profiler) Wake(gtid, level int) {
 	if sc := p.sc(gtid, level); sc != nil {
-		sc.wakes++
+		sc.sums.Wakes++
 	}
 }
 
-// packKey builds the table key for a call site and level; +1 keeps a zero
-// pc at level 0 distinct from the empty-slot sentinel.
+// packKey builds the table key for a call site and level.
 func packKey(pc uintptr, level int) uint64 {
-	return uint64(pc)<<8 | uint64(level+1)
+	return uint64(pc)<<8 | uint64(level)
 }
 
-// slot finds or CAS-claims the table entry for key, probing linearly from
-// the key's hash. Returns nil when the table is full.
-func (p *Profiler) slot(key uint64) *entry {
-	h := key * 0x9e3779b97f4a7c15
-	for i := uint64(0); i < tableSize; i++ {
-		e := &p.table[(h+i)&tableMask]
-		k := e.key.Load()
-		if k == key {
-			return e
-		}
-		if k == 0 {
-			if e.key.CompareAndSwap(0, key) || e.key.Load() == key {
-				return e
-			}
-		}
-	}
-	return nil
-}
-
-// Fold merges one finished region instance into its table entry. It must be
+// Fold merges one finished region instance into its table row. It must be
 // called by the region's primary thread after it has passed the join
 // barrier (region quiescence): every worker's scratch writes then
 // happen-before this read. gtids lists the team's global thread ids in
@@ -279,131 +343,32 @@ func (p *Profiler) Fold(pc uintptr, level int, region uint64, gtids []int32, for
 		return
 	}
 	now := p.Now()
-	wall := now - forkNS
-	if wall < 0 {
-		wall = 0
-	}
+	wall := max(now-forkNS, 0)
 
-	var busy, maxBusy, minArr, maxArr, sched, xbar, final int64
-	var chunks, tcre, trun, tstl, tbat, tloc, trem, parks, wakes int64
-	samples, missing := 0, 0
+	s := Sums{Count: 1, Threads: len(gtids), WallNS: wall}
+	var minArr, maxArr int64
 	for _, g := range gtids {
 		sc := p.sc(int(g), level)
 		if sc == nil || sc.region != region {
-			missing++
+			s.Missing++
 			continue
 		}
-		b := sc.arriveNS - sc.startNS
-		if b < 0 {
-			b = 0
-		}
-		w := now - sc.arriveNS
-		if w < 0 {
-			w = 0
-		}
-		if samples == 0 || sc.arriveNS < minArr {
+		busy := max(sc.arriveNS-sc.startNS, 0)
+		if s.Samples == 0 || sc.arriveNS < minArr {
 			minArr = sc.arriveNS
 		}
-		if samples == 0 || sc.arriveNS > maxArr {
+		if s.Samples == 0 || sc.arriveNS > maxArr {
 			maxArr = sc.arriveNS
 		}
-		if b > maxBusy {
-			maxBusy = b
-		}
-		busy += b
-		final += w
-		sched += sc.schedNS
-		xbar += sc.barrierNS
-		chunks += sc.chunks
-		tcre += sc.tasksCreated
-		trun += sc.tasksRun
-		tstl += sc.tasksStolen
-		tbat += sc.stealBatches
-		tloc += sc.stealsLocal
-		trem += sc.stealsRemote
-		parks += sc.parks
-		wakes += sc.wakes
-		samples++
+		s.add(&sc.sums) // what the thread's recorders counted
+		s.BusyNS += busy
+		s.MaxBusyNS = max(s.MaxBusyNS, busy)
+		s.FinalBarNS += max(now-sc.arriveNS, 0)
+		s.Samples++
 	}
-
-	e := p.slot(packKey(pc, level))
-	if e == nil {
-		p.dropped.Add(1)
-		return
-	}
-	e.count.Add(1)
-	e.threads.Store(int64(len(gtids)))
-	e.samples.Add(int64(samples))
-	e.missing.Add(int64(missing))
-	e.wallNS.Add(wall)
-	e.threadNS.Add(wall * int64(samples))
-	e.busyNS.Add(busy)
-	e.maxBusyNS.Add(maxBusy)
-	if samples > 0 {
-		e.imbalNS.Add(maxArr - minArr)
-	}
-	e.schedNS.Add(sched)
-	e.xbarNS.Add(xbar)
-	e.finalNS.Add(final)
-	e.chunks.Add(chunks)
-	e.tasksCreated.Add(tcre)
-	e.tasksRun.Add(trun)
-	e.tasksStolen.Add(tstl)
-	e.stealBatches.Add(tbat)
-	e.stealsLocal.Add(tloc)
-	e.stealsRemote.Add(trem)
-	e.parks.Add(parks)
-	e.wakes.Add(wakes)
-}
-
-// Snapshot renders the table into a Report, resolving call sites to
-// function names and source lines. Cold path: safe to call while profiling
-// continues, with the same torn-read contract as Runtime.Stats — counters
-// are individually atomic, a snapshot taken at region quiescence is exact.
-func (p *Profiler) Snapshot() *Report {
-	r := &Report{Dropped: p.dropped.Load()}
-	for i := range p.table {
-		e := &p.table[i]
-		key := e.key.Load()
-		if key == 0 {
-			continue
-		}
-		pc := uintptr(key >> 8)
-		level := int(key&0xff) - 1
-		rp := RegionProfile{
-			PC:    fmt.Sprintf("%#x", pc),
-			Level: level,
-
-			Count:   e.count.Load(),
-			Threads: int(e.threads.Load()),
-			Samples: e.samples.Load(),
-			Missing: e.missing.Load(),
-
-			WallNS:        e.wallNS.Load(),
-			ThreadNS:      e.threadNS.Load(),
-			BusyNS:        e.busyNS.Load(),
-			MaxBusyNS:     e.maxBusyNS.Load(),
-			ImbalanceNS:   e.imbalNS.Load(),
-			SchedNS:       e.schedNS.Load(),
-			ExplicitBarNS: e.xbarNS.Load(),
-			FinalBarNS:    e.finalNS.Load(),
-
-			Chunks:       e.chunks.Load(),
-			TasksCreated: e.tasksCreated.Load(),
-			TasksRun:     e.tasksRun.Load(),
-			TasksStolen:  e.tasksStolen.Load(),
-			StealBatches: e.stealBatches.Load(),
-			StealsLocal:  e.stealsLocal.Load(),
-			StealsRemote: e.stealsRemote.Load(),
-			Parks:        e.parks.Load(),
-			Wakes:        e.wakes.Load(),
-		}
-		rp.Name, rp.File, rp.Line = resolvePC(pc)
-		rp.finalize()
-		r.Regions = append(r.Regions, rp)
-	}
-	r.sort()
-	return r
+	s.ThreadNS = wall * s.Samples
+	s.ImbalanceNS = maxArr - minArr
+	p.add(packKey(pc, level), &s)
 }
 
 // resolvePC maps a Parallel call-site pc to (function, file, line), with

@@ -135,7 +135,7 @@ func TestReportDerivedDegenerate(t *testing.T) {
 		t.Errorf("degenerate finalize produced nonzero metrics: %+v", rp)
 	}
 	// Perfectly balanced: busy == thread-time, no overheads.
-	rp = RegionProfile{Count: 2, Samples: 8, ThreadNS: 8000, BusyNS: 8000, MaxBusyNS: 2000}
+	rp = RegionProfile{Sums: Sums{Count: 2, Samples: 8, ThreadNS: 8000, BusyNS: 8000, MaxBusyNS: 2000}}
 	rp.finalize()
 	if rp.ParallelEfficiency != 1 || rp.LoadBalance != 1 {
 		t.Errorf("balanced region: pe=%v lb=%v, want 1/1", rp.ParallelEfficiency, rp.LoadBalance)

@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 )
 
-// RegionProfile is one region's aggregated profile: raw accumulator sums
-// plus the POP-style efficiency metrics derived from them. The raw fields
-// are authoritative — merging two profiles adds the raw sums and re-derives.
+// RegionProfile is one region's aggregated profile: its identity, its Sums
+// and the POP-style efficiency metrics derived from them. The Sums are
+// authoritative — merging two profiles adds them and re-derives.
 type RegionProfile struct {
 	// Name/File/Line identify the construct: the function containing the
 	// Parallel/ParallelFor call and its source position. PC is the raw call
@@ -22,29 +22,7 @@ type RegionProfile struct {
 	PC    string `json:"pc,omitempty"`
 	Level int    `json:"level"`
 
-	Count   int64 `json:"count"`             // region instances
-	Threads int   `json:"threads"`           // team width (last observed)
-	Samples int64 `json:"samples"`           // thread-samples attributed
-	Missing int64 `json:"missing,omitempty"` // thread-samples discarded
-
-	WallNS        int64 `json:"wall_ns"`         // Σ fork-to-join wall
-	ThreadNS      int64 `json:"thread_ns"`       // Σ wall × attributed threads
-	BusyNS        int64 `json:"busy_ns"`         // Σ implicit-task time
-	MaxBusyNS     int64 `json:"max_busy_ns"`     // Σ per-region max thread busy
-	ImbalanceNS   int64 `json:"imbalance_ns"`    // Σ per-region arrival spread
-	SchedNS       int64 `json:"sched_ns"`        // Σ chunk-claim overhead
-	ExplicitBarNS int64 `json:"explicit_bar_ns"` // Σ mid-region barrier wait
-	FinalBarNS    int64 `json:"final_bar_ns"`    // Σ end-of-region barrier wait
-
-	Chunks       int64 `json:"chunks"`
-	TasksCreated int64 `json:"tasks_created"`
-	TasksRun     int64 `json:"tasks_run"`
-	TasksStolen  int64 `json:"tasks_stolen"`
-	StealBatches int64 `json:"steal_batches"`
-	StealsLocal  int64 `json:"steals_local"`
-	StealsRemote int64 `json:"steals_remote"`
-	Parks        int64 `json:"parks"`
-	Wakes        int64 `json:"wakes"`
+	Sums
 
 	// Derived metrics (see finalize):
 	ParallelEfficiency float64 `json:"parallel_efficiency"`
@@ -98,33 +76,6 @@ func (rp *RegionProfile) finalize() {
 	if c := rp.StealsLocal + rp.StealsRemote; c > 0 {
 		rp.StealLocalFrac = float64(rp.StealsLocal) / float64(c)
 	}
-}
-
-// accumulate adds o's raw sums into rp (merge of the same region key).
-func (rp *RegionProfile) accumulate(o *RegionProfile) {
-	rp.Count += o.Count
-	if o.Threads > rp.Threads {
-		rp.Threads = o.Threads
-	}
-	rp.Samples += o.Samples
-	rp.Missing += o.Missing
-	rp.WallNS += o.WallNS
-	rp.ThreadNS += o.ThreadNS
-	rp.BusyNS += o.BusyNS
-	rp.MaxBusyNS += o.MaxBusyNS
-	rp.ImbalanceNS += o.ImbalanceNS
-	rp.SchedNS += o.SchedNS
-	rp.ExplicitBarNS += o.ExplicitBarNS
-	rp.FinalBarNS += o.FinalBarNS
-	rp.Chunks += o.Chunks
-	rp.TasksCreated += o.TasksCreated
-	rp.TasksRun += o.TasksRun
-	rp.TasksStolen += o.TasksStolen
-	rp.StealBatches += o.StealBatches
-	rp.StealsLocal += o.StealsLocal
-	rp.StealsRemote += o.StealsRemote
-	rp.Parks += o.Parks
-	rp.Wakes += o.Wakes
 }
 
 func clamp01(v float64) float64 {
@@ -237,51 +188,27 @@ func foldedFrame(rp *RegionProfile) string {
 }
 
 // Aggregator merges region profiles from many runtimes (one per measured
-// sweep configuration) into a single cross-runtime view, keyed like the
-// profiler table by (call site, level) — call sites are process-stable, so
-// the same kernel region folds onto one row across configurations.
-type Aggregator struct {
-	mu      sync.Mutex
-	regions map[string]*RegionProfile // key: PC|level
-	dropped uint64
-}
+// sweep configuration) into a single cross-runtime view. It is the
+// profiler's table fed whole reports instead of single folds, keyed the same
+// way by (call site, level) — call sites are process-stable, so the same
+// kernel region folds onto one row across configurations, and Snapshot
+// resolves names from them as a profiler's does.
+type Aggregator struct{ table }
 
 // NewAggregator builds an empty aggregator.
-func NewAggregator() *Aggregator {
-	return &Aggregator{regions: make(map[string]*RegionProfile)}
-}
+func NewAggregator() *Aggregator { return new(Aggregator) }
 
 // Fold merges one runtime's report into the aggregate.
 func (a *Aggregator) Fold(r *Report) {
 	if r == nil {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.dropped += r.Dropped
+	a.dropped.Add(r.Dropped)
 	for i := range r.Regions {
 		rp := &r.Regions[i]
-		key := fmt.Sprintf("%s|%d", rp.PC, rp.Level)
-		if cur, ok := a.regions[key]; ok {
-			cur.accumulate(rp)
-		} else {
-			cp := *rp
-			a.regions[key] = &cp
-		}
+		// Snapshot wrote PC as "%#x"; a row without one folds onto call site 0,
+		// which resolves to "unknown".
+		pc, _ := strconv.ParseUint(rp.PC, 0, 64)
+		a.add(packKey(uintptr(pc), rp.Level), &rp.Sums)
 	}
-}
-
-// Snapshot renders the merged aggregate as a Report with freshly derived
-// metrics.
-func (a *Aggregator) Snapshot() *Report {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := &Report{Dropped: a.dropped}
-	for _, rp := range a.regions {
-		cp := *rp
-		cp.finalize()
-		r.Regions = append(r.Regions, cp)
-	}
-	r.sort()
-	return r
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -96,11 +98,11 @@ type LevelMetrics struct {
 	TotalWall time.Duration `json:"total_wall_ns"`
 }
 
-// regionAcc accumulates one region's events during the scan.
+// regionAcc is one region during the scan: the metrics its events count into
+// directly, plus the state only the scan needs — stamps and per-thread maps
+// that finish reduces into the rest of m.
 type regionAcc struct {
-	gen          uint64
-	level        int
-	threads      int
+	m            RegionMetrics
 	forkTS       int64
 	joinTS       int64
 	hasFork      bool
@@ -108,24 +110,79 @@ type regionAcc struct {
 	implicit     map[int32]bool
 	barrierEnter map[int32]int64 // pending enter per tid
 	lastEnter    map[int32]int64 // latest barrier arrival per tid
-	barrierWait  int64
 	chunks       map[int32]int
-	created      int
-	run          int
-	stolen       int
-	stealBatches int
-	stealsLocal  int
-	stealsRemote int
 }
 
 func newRegionAcc(gen uint64) *regionAcc {
 	return &regionAcc{
-		gen:          gen,
+		m:            RegionMetrics{Gen: gen},
 		implicit:     map[int32]bool{},
 		barrierEnter: map[int32]int64{},
 		lastEnter:    map[int32]int64{},
 		chunks:       map[int32]int{},
 	}
+}
+
+// finish derives what the scan could not count directly — team width when
+// the fork was not traced, wall, the per-thread chunk histogram, arrival
+// imbalance, wait share — and returns the finished metrics. imbalanced
+// reports whether at least two threads reached a barrier, i.e. whether
+// Imbalance is a measurement.
+func (a *regionAcc) finish(threads int) (m RegionMetrics, imbalanced bool) {
+	m = a.m
+	if m.Threads == 0 {
+		m.Threads = len(a.implicit)
+	}
+	if a.hasFork && a.hasJoin {
+		m.Wall = time.Duration(a.joinTS - a.forkTS)
+	}
+	m.ChunksPerThread = make([]int, threads)
+	for tid, n := range a.chunks {
+		if int(tid) < threads {
+			m.ChunksPerThread[tid] += n
+		}
+		m.Chunks += n
+	}
+	if imbalanced = len(a.lastEnter) >= 2; imbalanced {
+		minTS, maxTS := int64(math.MaxInt64), int64(math.MinInt64)
+		for _, ts := range a.lastEnter {
+			minTS, maxTS = min(minTS, ts), max(maxTS, ts)
+		}
+		m.Imbalance = time.Duration(maxTS - minTS)
+	}
+	if m.Wall > 0 && m.Threads > 0 {
+		m.WaitShare = float64(m.BarrierWait) / (float64(m.Threads) * float64(m.Wall))
+	}
+	return m, imbalanced
+}
+
+// add appends one finished region and counts it into the whole-trace totals
+// and its level's row (Levels is indexed by level until Summarize compacts
+// it).
+func (s *Summary) add(m RegionMetrics) {
+	s.Regions = append(s.Regions, m)
+	s.TotalWall += m.Wall
+	s.TotalBarrierWait += m.BarrierWait
+	s.Chunks += m.Chunks
+	for tid, n := range m.ChunksPerThread {
+		s.ChunksPerThread[tid] += n
+	}
+	s.TasksCreated += m.TasksCreated
+	s.TasksRun += m.TasksRun
+	s.TasksStolen += m.TasksStolen
+	s.StealBatches += m.StealBatches
+	s.StealsLocal += m.StealsLocal
+	s.StealsRemote += m.StealsRemote
+	if m.Level > 0 {
+		s.NestedRegions++
+	}
+	for len(s.Levels) <= m.Level {
+		s.Levels = append(s.Levels, LevelMetrics{Level: len(s.Levels)})
+	}
+	lm := &s.Levels[m.Level]
+	lm.Regions++
+	lm.MaxThreads = max(lm.MaxThreads, m.Threads)
+	lm.TotalWall += m.Wall
 }
 
 // Summarize derives per-region metrics from a collected trace. Incomplete
@@ -145,50 +202,48 @@ func Summarize(d Data) *Summary {
 	for _, e := range d.Events {
 		// Park/wake events are between-regions instants; everything else
 		// belongs to a region and carries its nesting level.
-		if e.Kind != KindPark && e.Kind != KindWake {
-			acc(e.Region).level = int(e.Level)
+		switch e.Kind {
+		case KindPark:
+			s.Parks++
+			continue
+		case KindWake:
+			s.Wakes++
+			continue
 		}
+		a := acc(e.Region)
+		a.m.Level = int(e.Level)
 		switch e.Kind {
 		case KindRegionFork:
-			a := acc(e.Region)
 			a.forkTS, a.hasFork = e.TS, true
-			a.threads = int(e.Arg)
+			a.m.Threads = int(e.Arg)
 		case KindRegionJoin:
-			a := acc(e.Region)
 			a.joinTS, a.hasJoin = e.TS, true
 		case KindImplicitBegin:
-			acc(e.Region).implicit[e.Tid] = true
+			a.implicit[e.Tid] = true
 		case KindBarrierEnter:
-			a := acc(e.Region)
 			a.barrierEnter[e.Tid] = e.TS
 			a.lastEnter[e.Tid] = e.TS
 		case KindBarrierLeave:
-			a := acc(e.Region)
 			if enter, ok := a.barrierEnter[e.Tid]; ok {
-				a.barrierWait += e.TS - enter
+				a.m.BarrierWait += time.Duration(e.TS - enter)
 				delete(a.barrierEnter, e.Tid)
 			}
 		case KindChunk:
-			acc(e.Region).chunks[e.Tid]++
+			a.chunks[e.Tid]++
 		case KindTaskCreate:
-			acc(e.Region).created++
+			a.m.TasksCreated++
 		case KindTaskBegin:
-			acc(e.Region).run++
+			a.m.TasksRun++
 		case KindTaskSteal:
-			a := acc(e.Region)
 			batch := e.StealBatch()
-			a.stolen += batch
-			a.stealBatches++
+			a.m.TasksStolen += batch
+			a.m.StealBatches++
 			switch e.StealLocality() {
 			case StealLocalityLocal:
-				a.stealsLocal += batch
+				a.m.StealsLocal += batch
 			case StealLocalityRemote:
-				a.stealsRemote += batch
+				a.m.StealsRemote += batch
 			}
-		case KindPark:
-			s.Parks++
-		case KindWake:
-			s.Wakes++
 		}
 	}
 
@@ -202,89 +257,19 @@ func Summarize(d Data) *Summary {
 	var aggThreadTime time.Duration
 	var imbalanceSum time.Duration
 	imbalanced := 0
-	levels := map[int]*LevelMetrics{}
 	for _, gen := range gens {
-		a := regions[gen]
-		m := RegionMetrics{
-			Gen:          a.gen,
-			Level:        a.level,
-			Threads:      a.threads,
-			BarrierWait:  time.Duration(a.barrierWait),
-			TasksCreated: a.created,
-			TasksRun:     a.run,
-			TasksStolen:  a.stolen,
-			StealBatches: a.stealBatches,
-			StealsLocal:  a.stealsLocal,
-			StealsRemote: a.stealsRemote,
-		}
-		if m.Threads == 0 {
-			m.Threads = len(a.implicit)
-		}
-		if a.hasFork && a.hasJoin {
-			m.Wall = time.Duration(a.joinTS - a.forkTS)
-		}
-		m.ChunksPerThread = make([]int, d.Threads)
-		for tid, n := range a.chunks {
-			if int(tid) < len(m.ChunksPerThread) {
-				m.ChunksPerThread[tid] += n
-				s.ChunksPerThread[tid] += n
-			}
-			m.Chunks += n
-		}
-		if len(a.lastEnter) >= 2 {
-			var minTS, maxTS int64
-			first := true
-			for _, ts := range a.lastEnter {
-				if first {
-					minTS, maxTS, first = ts, ts, false
-					continue
-				}
-				if ts < minTS {
-					minTS = ts
-				}
-				if ts > maxTS {
-					maxTS = ts
-				}
-			}
-			m.Imbalance = time.Duration(maxTS - minTS)
+		m, hasImbalance := regions[gen].finish(d.Threads)
+		if hasImbalance {
 			imbalanceSum += m.Imbalance
 			imbalanced++
-			if m.Imbalance > s.MaxImbalance {
-				s.MaxImbalance = m.Imbalance
-			}
+			s.MaxImbalance = max(s.MaxImbalance, m.Imbalance)
 		}
 		if m.Wall > 0 && m.Threads > 0 {
-			m.WaitShare = float64(m.BarrierWait) / (float64(m.Threads) * float64(m.Wall))
 			aggThreadTime += time.Duration(m.Threads) * m.Wall
 		}
-		s.TotalWall += m.Wall
-		s.TotalBarrierWait += m.BarrierWait
-		s.Chunks += m.Chunks
-		s.TasksCreated += m.TasksCreated
-		s.TasksRun += m.TasksRun
-		s.TasksStolen += m.TasksStolen
-		s.StealBatches += m.StealBatches
-		s.StealsLocal += m.StealsLocal
-		s.StealsRemote += m.StealsRemote
-		if m.Level > 0 {
-			s.NestedRegions++
-		}
-		lm := levels[m.Level]
-		if lm == nil {
-			lm = &LevelMetrics{Level: m.Level}
-			levels[m.Level] = lm
-		}
-		lm.Regions++
-		if m.Threads > lm.MaxThreads {
-			lm.MaxThreads = m.Threads
-		}
-		lm.TotalWall += m.Wall
-		s.Regions = append(s.Regions, m)
+		s.add(m)
 	}
-	for _, lm := range levels {
-		s.Levels = append(s.Levels, *lm)
-	}
-	sort.Slice(s.Levels, func(i, j int) bool { return s.Levels[i].Level < s.Levels[j].Level })
+	s.Levels = slices.DeleteFunc(s.Levels, func(lm LevelMetrics) bool { return lm.Regions == 0 })
 	if aggThreadTime > 0 {
 		s.WaitShare = float64(s.TotalBarrierWait) / float64(aggThreadTime)
 	}
@@ -372,28 +357,18 @@ func (s *Summary) String() string {
 // perThread renders a per-thread count breakdown when it is interesting
 // (more than one thread saw work).
 func perThread(counts []int) string {
-	active := 0
-	minC, maxC, sum := 0, 0, 0
+	sum, active := 0, 0
 	for _, c := range counts {
 		sum += c
-		if c > maxC {
-			maxC = c
+		if c > 0 {
+			active++
 		}
 	}
 	if sum == 0 || len(counts) < 2 {
 		return ""
 	}
-	minC = counts[0]
-	for _, c := range counts {
-		if c < minC {
-			minC = c
-		}
-		if c > 0 {
-			active++
-		}
-	}
 	return fmt.Sprintf(" (per thread min %d / mean %.1f / max %d, %d/%d threads active)",
-		minC, float64(sum)/float64(len(counts)), maxC, active, len(counts))
+		slices.Min(counts), float64(sum)/float64(len(counts)), slices.Max(counts), active, len(counts))
 }
 
 func round(d time.Duration) time.Duration {
