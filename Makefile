@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz bench verify
+.PHONY: build test vet race flake fuzz bench verify
 
 # build also compiles and vets the benchmark/ module against this checkout:
 # it has its own go.mod, so `go build ./...` alone never sees a facade or
@@ -30,6 +30,15 @@ vet:
 race:
 	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./cmd/ompanalyze ./cmd/ompsweep ./cmd/ompsearch ./cmd/ompreport ./internal/core ./internal/obs ./internal/sim ./internal/measure ./internal/dataset ./internal/env ./internal/ml ./internal/report
 
+# flake runs the runtime's tests twenty times at GOMAXPROCS 1, 2 and 4 beside
+# a CPU hog (one busy shell loop: on a 2-vCPU box the second vCPU is gone for
+# the whole run), the load under which tier-1 must stay green. Every wait in
+# openmp/ goes through one spin loop and one parker; a lost wakeup shows here
+# as a hang or a Sleeps != Wakeups failure.
+flake:
+	@( while :; do :; done ) & hog=$$!; trap 'kill $$hog' EXIT; \
+	$(GO) test -count=20 -cpu=1,2,4 ./openmp/...
+
 # fuzz runs every Fuzz* target of the packages that parse outside input — the
 # runtime's environment, the study's variables (with the differential between
 # the two), the CSV format — for 5 s each, seed corpora first.
@@ -57,4 +66,4 @@ bench:
 # verify is the pre-merge gate (build, reached through test, includes the
 # benchmark/ module; the measured, live-monitor and variability smokes are Go
 # tests in cmd/ompsweep).
-verify: race test
+verify: race flake test

@@ -1,7 +1,6 @@
 package openmp
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -97,9 +96,7 @@ func (r *constructRing) instance(seq int64, create func() any) (any, *constructS
 			if st, ok := r.overflowLookup(seq); ok {
 				return st, nil
 			}
-			for !slot.ready.Load() {
-				runtime.Gosched()
-			}
+			waitPolicy{}.spin(slot.ready.Load)
 			return slot.state, slot
 		case cur&1 == 1:
 			// Slot busy with a different construct: overflow to the map.

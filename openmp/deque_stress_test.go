@@ -135,7 +135,7 @@ func TestTaskWaitParksUnderThroughputPolicy(t *testing.T) {
 		t.Error("TaskWait with blocktime 0 never parked — busy-wait regression")
 	}
 	if wakeups == 0 {
-		t.Error("parked TaskWait was never woken by the completion broadcast")
+		t.Error("parked TaskWait was never woken by the task's completion")
 	}
 }
 

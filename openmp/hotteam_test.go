@@ -13,14 +13,16 @@ import (
 )
 
 // TestParallelSteadyStateZeroAlloc is the headline acceptance criterion:
-// once the hot team is warm, dispatching a region allocates nothing. The
-// turnaround policy keeps every wait on the spin path (the park path
-// allocates its wake channel, and AllocsPerRun counts allocations from all
-// goroutines, workers included). The other cases are the remaining
-// operations the micro-benchmarks report at 0 allocs/op, pinned here so the
-// property is a test and not a number in a benchmark log. The first cases
-// run with Runtime.hooks nil; the last ones repeat the region with each
-// observer attached alone and with all three.
+// once the hot team is warm, dispatching a region allocates nothing. Most
+// cases run under turnaround, where every wait spins; the park cases repeat a
+// region and a barrier under KMP_LIBRARY=throughput with KMP_BLOCKTIME=0,
+// where every wait parks — on the thread's parker, whose token channel is
+// made once, so sleeping allocates nothing either (AllocsPerRun counts
+// allocations from all goroutines, workers included). The other cases are the
+// remaining operations the micro-benchmarks report at 0 allocs/op, pinned
+// here so the property is a test and not a number in a benchmark log. The
+// first cases run with Runtime.hooks nil; the last ones repeat the region
+// with each observer attached alone and with all three.
 func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 	region := func(body func(*Runtime) func(*Thread)) func(*Runtime) func() {
 		return func(rt *Runtime) func() {
@@ -36,12 +38,23 @@ func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 	})
 	type pin struct {
 		name    string
+		park    bool // throughput, zero blocktime instead of turnaround
 		mutate  func(*Options)
 		op      func(*Runtime) func() // builds the measured operation
 		observe int                   // index into observerSets; 0 attaches nothing
 	}
 	cases := []pin{
 		{name: "empty region", op: empty},
+		// BenchmarkOverheadParallel and BenchmarkOverheadBarrier,
+		// policy=throughput: the parallel_park and barrier_park cells.
+		{name: "empty region, park", park: true, op: empty},
+		{name: "explicit barrier, park", park: true, op: region(func(*Runtime) func(*Thread) {
+			return func(th *Thread) {
+				for i := 0; i < 4; i++ {
+					th.Barrier()
+				}
+			}
+		})},
 		// BenchmarkOuterOnlyRegression: nesting configured but never used
 		// may not tax the flat dispatch.
 		{name: "nesting configured, unused", mutate: func(o *Options) {
@@ -88,6 +101,9 @@ func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := optsN(4)
 			o.Library = LibTurnaround
+			if tc.park {
+				o.Library = LibThroughput // optsN's blocktime is 0
+			}
 			if tc.mutate != nil {
 				tc.mutate(&o)
 			}
@@ -106,29 +122,37 @@ func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 
 // A static worksharing loop needs no shared construct state, so a whole
 // region containing one stays allocation-free too — blocked (chunk 0) and
-// round-robin chunked alike (BenchmarkOverheadFor sched=static, static_c8).
+// round-robin chunked alike (BenchmarkOverheadFor sched=static, static_c8),
+// with its waits spinning (turnaround) or parking (throughput, blocktime 0).
 func TestParallelStaticForZeroAlloc(t *testing.T) {
-	for _, chunk := range []int{0, 8} {
-		for _, set := range observerSets {
-			o := optsN(4)
-			o.Library = LibTurnaround
-			o.Schedule, o.ChunkSize = ScheduleStatic, chunk
-			rt := testRuntime(t, o)
-			attachObservers(t, rt, set)
-			var sink atomic.Int64
-			iter := func(i int) {
-				if i == 0 {
-					sink.Add(1)
-				}
-			}
-			body := func(th *Thread) { th.For(256, iter) }
-			for i := 0; i < 10; i++ {
-				rt.Parallel(body)
-			}
-			if allocs := testing.AllocsPerRun(100, func() { rt.Parallel(body) }); allocs != 0 {
-				t.Errorf("static-for region, chunk %d, %s: %.1f allocs/op, want 0", chunk, set.name, allocs)
+	for _, lib := range []LibraryMode{LibTurnaround, LibThroughput} {
+		for _, chunk := range []int{0, 8} {
+			for _, set := range observerSets {
+				staticForZeroAlloc(t, lib, chunk, set)
 			}
 		}
+	}
+}
+
+func staticForZeroAlloc(t *testing.T, lib LibraryMode, chunk int, set observerSet) {
+	t.Helper()
+	o := optsN(4)
+	o.Library = lib // optsN's blocktime is 0
+	o.Schedule, o.ChunkSize = ScheduleStatic, chunk
+	rt := testRuntime(t, o)
+	attachObservers(t, rt, set)
+	var sink atomic.Int64
+	iter := func(i int) {
+		if i == 0 {
+			sink.Add(1)
+		}
+	}
+	body := func(th *Thread) { th.For(256, iter) }
+	for i := 0; i < 10; i++ {
+		rt.Parallel(body)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rt.Parallel(body) }); allocs != 0 {
+		t.Errorf("static-for region, %s, chunk %d, %s: %.1f allocs/op, want 0", lib, chunk, set.name, allocs)
 	}
 }
 
@@ -199,64 +223,49 @@ func TestConstructRingStress(t *testing.T) {
 	}
 }
 
-// TestBarrierParkWake unit-tests the wait-policy barrier with a zero
-// blocktime: waiters that arrive early park, and the generation's releaser
-// wakes every one of them — across many reused generations.
-func TestBarrierParkWake(t *testing.T) {
-	var b barrier
-	b.init(3, 0) // zero budget: park immediately
-	shards := make([]statShard, 3)
-	for it := 0; it < 50; it++ {
+// barrierRounds runs rounds of a 3-thread explicit barrier, thread 0
+// arriving late, on a team whose runtime has no pooled workers: every
+// Sleep/Wakeup it returns is a barrier wait.
+func barrierRounds(t *testing.T, o Options, rounds int) Stats {
+	rt := testRuntime(t, o)
+	tm := newTransientTeam(rt, 3)
+	for r := 0; r < rounds; r++ {
 		var wg sync.WaitGroup
-		for i := 0; i < 3; i++ {
+		for i := range tm.threads {
 			wg.Add(1)
-			go func(i int) {
+			go func(th *Thread) {
 				defer wg.Done()
-				if i == 0 {
+				if th.ID() == 0 {
 					time.Sleep(200 * time.Microsecond) // let the others park
 				}
-				b.wait(&shards[i])
-			}(i)
+				th.Barrier()
+			}(&tm.threads[i])
 		}
 		wg.Wait()
 	}
-	var sleeps, wakeups uint64
-	for i := range shards {
-		sleeps += shards[i].sleeps.Load()
-		wakeups += shards[i].wakeups.Load()
-	}
-	if sleeps == 0 {
+	return rt.Stats()
+}
+
+// TestBarrierParkWake: with a zero blocktime, waiters that arrive early park,
+// and the generation's releaser wakes every one of them — across many reused
+// generations.
+func TestBarrierParkWake(t *testing.T) {
+	s := barrierRounds(t, optsN(1), 50)
+	if s.Sleeps == 0 {
 		t.Error("no barrier waiter ever parked despite a zero blocktime")
 	}
-	if sleeps != wakeups {
-		t.Errorf("sleeps = %d but wakeups = %d; every park must be woken", sleeps, wakeups)
+	if s.Sleeps != s.Wakeups {
+		t.Errorf("sleeps = %d but wakeups = %d; every park must be woken", s.Sleeps, s.Wakeups)
 	}
 }
 
 // In turnaround mode barrier waiters spin and never park, whatever the
 // arrival skew.
 func TestBarrierTurnaroundNeverParks(t *testing.T) {
-	var b barrier
-	b.init(3, BlocktimeInfinite)
-	shards := make([]statShard, 3)
-	for it := 0; it < 10; it++ {
-		var wg sync.WaitGroup
-		for i := 0; i < 3; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if i == 0 {
-					time.Sleep(200 * time.Microsecond)
-				}
-				b.wait(&shards[i])
-			}(i)
-		}
-		wg.Wait()
-	}
-	for i := range shards {
-		if s := shards[i].sleeps.Load(); s != 0 {
-			t.Errorf("waiter %d parked %d times in turnaround mode, want 0", i, s)
-		}
+	o := optsN(1)
+	o.Library = LibTurnaround
+	if s := barrierRounds(t, o, 10); s.Sleeps != 0 {
+		t.Errorf("barrier waiters parked %d times in turnaround mode, want 0", s.Sleeps)
 	}
 }
 

@@ -1,9 +1,6 @@
 package openmp
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Ordered serializes per-iteration regions in iteration order inside a
 // worksharing loop — the OpenMP ordered construct.
@@ -32,9 +29,7 @@ func (th *Thread) ForOrdered(n int, body func(i int, ord *Ordered)) {
 // iteration's ordered region has finished, executes fn, and releases
 // iteration i+1.
 func (o *Ordered) Do(i int, fn func()) {
-	for o.next.Load() != int64(i) {
-		runtime.Gosched()
-	}
+	waitPolicy{}.spin(func() bool { return o.next.Load() == int64(i) })
 	fn()
 	o.next.Store(int64(i) + 1)
 }

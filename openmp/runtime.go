@@ -2,10 +2,8 @@ package openmp
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // budgetUnlimited is the contention-group thread budget used when
@@ -21,8 +19,9 @@ const budgetUnlimited = 1 << 30
 // structs, construct ring and task pool are allocated once at New and reused
 // by every region. Regions are dispatched to workers through a per-team
 // generation counter — the dispatcher bumps the team's gen and workers
-// observe the new generation on their spin path, so a steady-state Parallel
-// call performs no allocations and no channel operations.
+// observe the new generation on their spin path (or are unparked), so a
+// steady-state Parallel call performs no allocations, and no channel
+// operations while the workers spin.
 //
 // Nested parallelism is real: Thread.Parallel forks an inner region whose
 // team comes from a per-level hot-team cache (each Thread caches the inner
@@ -39,7 +38,8 @@ const budgetUnlimited = 1 << 30
 type Runtime struct {
 	opts      Options
 	bind      BindPolicy
-	placement []int // thread -> place index; nil when unbound
+	placement []int      // thread -> place index; nil when unbound
+	wait      waitPolicy // KMP_LIBRARY and KMP_BLOCKTIME, resolved once
 
 	regionMu sync.Mutex
 	wg       sync.WaitGroup // every worker of every team, for Close
@@ -50,9 +50,9 @@ type Runtime struct {
 	// instead of deadlocking on regionMu (which the outer region holds).
 	regionActive atomic.Bool
 
-	// shutdown tells workers returning from await to exit instead of
-	// running a region; Close raises it and bumps every live team's gen to
-	// release them.
+	// shutdown tells workers returning from their between-region wait to
+	// exit instead of running a region; Close raises it and advances every
+	// live team's gen to release them.
 	shutdown atomic.Bool
 
 	hot *Team
@@ -113,8 +113,8 @@ type Runtime struct {
 //     matched by a wake, including the shutdown wake).
 type Stats struct {
 	Regions     uint64 // parallel regions executed (all nesting levels)
-	Sleeps      uint64 // times an idle worker, barrier waiter or task waiter exhausted its blocktime and slept
-	Wakeups     uint64 // times a slept worker, barrier waiter or task waiter was woken
+	Sleeps      uint64 // parks: a waiter between regions, at a barrier, in a task wait or on a Lock outwaited its blocktime and slept
+	Wakeups     uint64 // wakes of those parks
 	TasksRun    uint64 // explicit tasks executed
 	TasksStolen uint64 // tasks first taken from their spawner's deque by another thread
 	Chunks      uint64 // worksharing chunks dispatched
@@ -247,6 +247,7 @@ func New(opts Options) (*Runtime, error) {
 	rt := &Runtime{
 		opts: opts,
 		bind: opts.effectiveBind(),
+		wait: opts.waitPolicy(),
 	}
 	n := rt.NumThreads()
 	rt.stats.shards = make([]statShard, n+1)
@@ -413,14 +414,11 @@ func (rt *Runtime) Close() {
 	rt.closed = true
 	// Order matters: shutdown is raised before the gen bumps, so any worker
 	// released by a bump observes it and exits. regionMu being free means
-	// no outer region is active, hence every inner worker is idle in await
-	// too — the bumps release all of them exactly once.
+	// no outer region is active, hence every inner worker is idle between
+	// regions too — the bumps release all of them exactly once.
 	rt.shutdown.Store(true)
 	for _, tm := range rt.liveTeams() {
-		tm.gen.Add(1)
-		for _, w := range tm.workers {
-			w.wakeIfParked()
-		}
+		tm.advance()
 	}
 	rt.wg.Wait()
 }
@@ -491,106 +489,6 @@ func (rt *Runtime) criticalFor(name string) *sync.Mutex {
 	}
 	mu, _ := rt.criticals.LoadOrStore(name, &sync.Mutex{})
 	return mu.(*sync.Mutex)
-}
-
-// worker is one pooled thread of one team (outer or nested). Between
-// regions it waits for its team's region generation to advance according to
-// the wait policy: spin while the blocktime budget lasts, then park on the
-// wake channel until the dispatcher posts a token.
-type worker struct {
-	tm     *Team
-	slot   int    // index into tm.threads
-	seen   uint64 // last team generation executed
-	parked atomic.Bool
-	wake   chan struct{} // 1-buffered wake tokens
-}
-
-func (w *worker) loop() {
-	rt := w.tm.rt
-	defer w.tm.wg.Done()
-	defer rt.wg.Done()
-	for {
-		w.await()
-		if rt.shutdown.Load() || w.tm.retired.Load() {
-			return
-		}
-		w.tm.run(w.slot)
-	}
-}
-
-// await blocks until the team's region generation advances past the last
-// region this worker executed, per the KMP_BLOCKTIME / KMP_LIBRARY wait
-// policy. With an infinite budget (turnaround mode or
-// KMP_BLOCKTIME=infinite) the worker spins — yielding the processor but
-// never blocking. With a zero budget it parks immediately. Otherwise it
-// spins until the budget expires and then parks; being woken from a park is
-// the expensive path the paper's turnaround-mode findings hinge on.
-//
-// A worker can lag at most one generation behind: a region's end barrier
-// cannot pass without every worker, so tm.gen is at most seen+1 here.
-func (w *worker) await() {
-	tm := w.tm
-	rt := tm.rt
-	next := w.seen + 1
-	bt := rt.opts.effectiveBlocktimeMS()
-	if bt != 0 {
-		var deadline time.Time
-		if bt > 0 {
-			deadline = time.Now().Add(time.Duration(bt) * time.Millisecond)
-		}
-		for spins := 0; ; spins++ {
-			if tm.gen.Load() >= next {
-				w.seen = next
-				return
-			}
-			if bt > 0 && spins&63 == 63 && time.Now().After(deadline) {
-				break
-			}
-			runtime.Gosched()
-		}
-	}
-	th := &tm.threads[w.slot]
-	for {
-		// Drain any stale token so a park cannot be satisfied by a wake
-		// meant for an earlier generation.
-		select {
-		case <-w.wake:
-		default:
-		}
-		w.parked.Store(true)
-		// Re-check after advertising the park: either this load sees the
-		// dispatched generation (work raced in during the last spins — no
-		// sleep happened, so none is counted), or the dispatcher's
-		// parked.Load() sees true and posts a token. Never neither.
-		if tm.gen.Load() >= next {
-			w.parked.Store(false)
-			w.seen = next
-			return
-		}
-		h := rt.hooks.Load()
-		if h != nil {
-			h.park(th)
-		}
-		th.stats.sleeps.Add(1)
-		<-w.wake
-		th.stats.wakeups.Add(1)
-		if h != nil {
-			h.wake(th)
-		}
-		w.parked.Store(false)
-	}
-}
-
-// wakeIfParked posts a wake token if the worker has advertised a park. The
-// send is non-blocking: a token already in the buffer serves the same
-// purpose.
-func (w *worker) wakeIfParked() {
-	if w.parked.Load() {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // String summarizes the runtime configuration.

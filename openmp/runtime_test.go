@@ -5,13 +5,20 @@ import (
 	"testing"
 )
 
+// testRuntime builds a runtime closed at the end of the test, when the Close
+// invariant of the Stats contract — Sleeps == Wakeups — is checked.
 func testRuntime(t *testing.T, opts Options) *Runtime {
 	t.Helper()
 	rt, err := New(opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(rt.Close)
+	t.Cleanup(func() {
+		rt.Close()
+		if s := rt.Stats(); s.Sleeps != s.Wakeups {
+			t.Errorf("after Close: Sleeps %d != Wakeups %d", s.Sleeps, s.Wakeups)
+		}
+	})
 	return rt
 }
 

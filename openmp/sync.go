@@ -1,82 +1,36 @@
 package openmp
 
-import (
-	"runtime"
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Lock is an OpenMP-style simple lock (omp_init_lock / omp_set_lock /
-// omp_unset_lock). Acquisition follows the runtime's wait policy: the
-// caller spins for the configured blocktime and then parks, exactly like a
-// worker waiting for a region. The zero value is unlocked but not attached
-// to a runtime; use Runtime.NewLock to get wait-policy-aware behaviour.
+// omp_unset_lock). A contended Lock waits like every other wait in the
+// runtime: it spins per the wait policy, then parks until an Unlock wakes it,
+// so under KMP_BLOCKTIME=0 a contender parks as soon as its re-check fails.
+// Its parks count in Stats.Sleeps/Wakeups but reach neither the trace nor the
+// profile. The zero value is an unlocked pure spin lock attached to no
+// runtime; use Runtime.NewLock for wait-policy-aware behaviour.
 type Lock struct {
-	state   atomic.Int32
-	waiters atomic.Int32  // goroutines at or past the park decision
-	parked  chan struct{} // buffered wake token channel
-	stats   *statShard    // sleep/wakeup accounting; nil for zero-value locks
-	// spinForever mirrors KMP_LIBRARY=turnaround / KMP_BLOCKTIME=infinite.
-	spinForever bool
-	blocktime   time.Duration
+	state  atomic.Int32
+	parker parker     // shared by the contenders
+	wait   waitPolicy // zero value: spin forever
+	stats  *statShard // sleep/wakeup accounting; nil for zero-value locks
 }
 
 // NewLock returns a lock honouring the runtime's wait policy.
 func (rt *Runtime) NewLock() *Lock {
-	bt := rt.opts.effectiveBlocktimeMS()
-	l := &Lock{parked: make(chan struct{}, 1), stats: rt.stats.misc()}
-	if bt == BlocktimeInfinite {
-		l.spinForever = true
-	} else {
-		l.blocktime = time.Duration(bt) * time.Millisecond
-	}
+	l := &Lock{wait: rt.wait, stats: rt.stats.misc()}
+	l.parker.token = make(chan struct{}, 1)
 	return l
 }
 
 // Lock acquires the lock, spinning within the blocktime budget and then
 // sleeping until a release wakes it.
 func (l *Lock) Lock() {
-	if l.state.CompareAndSwap(0, 1) {
+	if l.TryLock() {
 		return
 	}
-	var deadline time.Time
-	if !l.spinForever {
-		deadline = time.Now().Add(l.blocktime)
-	}
-	for spins := 0; ; spins++ {
-		if l.state.CompareAndSwap(0, 1) {
-			return
-		}
-		if !l.spinForever && spins&63 == 63 && time.Now().After(deadline) {
-			break
-		}
-		runtime.Gosched()
-	}
-	// Parked path: the blocktime budget is exhausted, so block on the wake
-	// channel until a release hands us a token — the same sleep/wake cycle
-	// workers use between regions (KMP_LIBRARY=throughput semantics).
-	if l.parked == nil {
-		// Zero-value lock: degrade to a pure spin.
-		for !l.state.CompareAndSwap(0, 1) {
-			runtime.Gosched()
-		}
-		return
-	}
-	// Register before the acquisition attempt: Unlock reads waiters after
-	// clearing state, so either our CAS sees the cleared state or Unlock
-	// sees our registration and posts a token — never neither.
-	l.waiters.Add(1)
-	for {
-		if l.state.CompareAndSwap(0, 1) {
-			l.waiters.Add(-1)
-			return
-		}
-		if l.stats != nil {
-			l.stats.sleeps.Add(1)
-		}
-		<-l.parked
-		if l.stats != nil {
-			l.stats.wakeups.Add(1)
+	if !l.wait.spin(l.TryLock) {
+		for !l.parker.park(1, l.TryLock, l.stats, nil, nil) {
 		}
 	}
 }
@@ -89,14 +43,8 @@ func (l *Lock) Unlock() {
 	if l.state.Swap(0) != 1 {
 		panic("openmp: Unlock of unlocked Lock")
 	}
-	if l.parked != nil && l.waiters.Load() > 0 {
-		// Non-blocking: a token already in the buffer serves the same
-		// purpose, and waiters that acquired during the spin phase must not
-		// leave Unlock stuck behind a full channel.
-		select {
-		case l.parked <- struct{}{}:
-		default:
-		}
+	if l.parker.waiting.Load() > 0 {
+		l.parker.post()
 	}
 }
 

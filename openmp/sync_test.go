@@ -1,7 +1,7 @@
 package openmp
 
 import (
-	"sync"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -118,44 +118,110 @@ func TestLockTurnaroundNeverParks(t *testing.T) {
 	}
 }
 
-// TestLockParkWakeHammer drives many goroutines across the blocktime→park
-// transition at once; run under -race it checks the waiter accounting and
-// token hand-off for data races and lost wakeups.
-func TestLockParkWakeHammer(t *testing.T) {
-	o := optsN(1)
-	o.Library = LibThroughput
-	o.BlocktimeMS = 0
-	rt := testRuntime(t, o)
-	l := rt.NewLock()
-	const goroutines, iters = 8, 150
-	counter := 0
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				l.Lock()
-				counter++
-				if i%16 == 0 {
-					// Hold the lock long enough that contenders blow their
-					// zero blocktime and take the park path.
-					time.Sleep(50 * time.Microsecond)
-				}
-				l.Unlock()
+// TestWaitHammer drives every wait site across the spin→park transition at
+// KMP_BLOCKTIME=0 — between regions, at a barrier, in a task wait, on a Lock
+// — on 2, 3 and 4 threads with random arrival skew. Under -race it checks the
+// parker's advertise/re-check/block pairing for data races and lost wakeups:
+// a lost wakeup hangs its row, which the deadline turns into a failure. Every
+// row must count exactly its units of work (the lock row's read-then-write
+// loses updates without exclusion), park at least once, and leave Sleeps ==
+// Wakeups after Close.
+func TestWaitHammer(t *testing.T) {
+	skew := func() {
+		if d := rand.Intn(4); d > 0 {
+			time.Sleep(time.Duration(d) * 25 * time.Microsecond)
+		}
+	}
+	rows := []struct {
+		name string
+		per  int // units each thread counts per region
+		body func(rt *Runtime, units *atomic.Int64) func(*Thread)
+		// parked reads the sleeps the row's own site took; nil: all of them.
+		parked func(rt *Runtime) uint64
+	}{
+		{name: "between regions", per: 1, body: func(_ *Runtime, units *atomic.Int64) func(*Thread) {
+			return func(*Thread) {
+				skew()
+				units.Add(1)
 			}
-		}()
+		}},
+		{name: "barrier", per: 4, body: func(_ *Runtime, units *atomic.Int64) func(*Thread) {
+			return func(th *Thread) {
+				for i := 0; i < 4; i++ {
+					skew()
+					th.Barrier()
+					units.Add(1)
+				}
+			}
+		}},
+		{name: "task wait", per: 2, body: func(_ *Runtime, units *atomic.Int64) func(*Thread) {
+			return func(th *Thread) {
+				for i := 0; i < 2; i++ {
+					th.Task(func(*Thread) {
+						skew()
+						units.Add(1)
+					})
+				}
+				skew()
+				th.TaskWait()
+			}
+		}},
+		{name: "lock", per: 8, body: func(rt *Runtime, units *atomic.Int64) func(*Thread) {
+			l := rt.NewLock()
+			return func(*Thread) {
+				for i := 0; i < 8; i++ {
+					l.Lock()
+					v := units.Load()
+					if rand.Intn(4) == 0 {
+						skew() // hold the lock long enough that contenders park
+					}
+					units.Store(v + 1)
+					l.Unlock()
+				}
+			}
+		}, parked: func(rt *Runtime) uint64 { return rt.stats.misc().sleeps.Load() }},
 	}
-	wg.Wait()
-	if counter != goroutines*iters {
-		t.Errorf("counter = %d, want %d (lost update — exclusion broken)", counter, goroutines*iters)
-	}
-	st := rt.Stats()
-	if st.Sleeps == 0 {
-		t.Error("hammer never parked: Stats().Sleeps = 0 (park path untested)")
-	}
-	if st.Wakeups == 0 {
-		t.Error("parked waiters woke without accounting: Stats().Wakeups = 0")
+	const regions = 40
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var parked uint64
+			for n := 2; n <= 4; n++ {
+				o := optsN(n)
+				o.Library = LibThroughput
+				rt := MustNew(o) // not testRuntime: a hung row must not hang Close
+				var units atomic.Int64
+				body := row.body(rt, &units)
+				want := int64(regions * n * row.per)
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					for r := 0; r < regions; r++ {
+						rt.Parallel(body)
+					}
+				}()
+				select {
+				case <-done:
+				case <-time.After(time.Minute):
+					t.Fatalf("%d threads: stuck at %d of %d units — a lost wakeup", n, units.Load(), want)
+				}
+				rt.Close()
+				if got := units.Load(); got != want {
+					t.Errorf("%d threads: %d units, want %d", n, got, want)
+				}
+				s := rt.Stats()
+				if s.Sleeps != s.Wakeups {
+					t.Errorf("%d threads, after Close: Sleeps %d != Wakeups %d", n, s.Sleeps, s.Wakeups)
+				}
+				if row.parked != nil {
+					parked += row.parked(rt)
+				} else {
+					parked += s.Sleeps
+				}
+			}
+			if parked == 0 {
+				t.Error("nothing parked at KMP_BLOCKTIME=0: the park path went untested")
+			}
+		})
 	}
 }
 

@@ -2,9 +2,7 @@ package openmp
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // task is one explicit task, allocated per spawn and kept within the 32-byte
@@ -27,63 +25,25 @@ type task struct {
 // taskPool is the team's work-stealing task scheduler: one Chase–Lev deque
 // per thread, LIFO for the owner (depth-first, cache-friendly) and FIFO for
 // thieves (steals the oldest, largest-granularity work, in half-batches).
-// Idle threads waiting for task activity follow the same KMP_BLOCKTIME
-// spin-then-park discipline as the team barrier: spin within the budget,
-// then park on the pool's broadcast until a task is pushed or completes.
+// Idle threads waiting for task activity spin and park like every other wait
+// (taskWaitLoop); a push or a completion unparks the team's task waiters.
 type taskPool struct {
 	deques  []taskDeque
 	pending atomic.Int64
-
-	spinForever bool
-	blocktime   time.Duration
-
-	mu   sync.Mutex
-	cond sync.Cond
-	// waiters counts threads parked (or about to park) in cond.Wait. It is
-	// written only under mu but read with an atomic load on the push and
-	// completion paths, so producers skip the lock entirely while nobody
-	// waits.
-	waiters atomic.Int32
 }
 
-func newTaskPool(n, blocktimeMS int) *taskPool {
+func newTaskPool(n int) *taskPool {
 	p := &taskPool{deques: make([]taskDeque, n)}
 	for i := range p.deques {
 		p.deques[i].init(initialDequeCap)
 	}
-	if blocktimeMS == BlocktimeInfinite {
-		p.spinForever = true
-	} else {
-		p.blocktime = time.Duration(blocktimeMS) * time.Millisecond
-	}
-	p.cond.L = &p.mu
 	return p
 }
 
-// wakeWaiters wakes every thread parked for task activity. Called after a
-// task is pushed (new work to steal) and after a task completes (a TaskWait
-// or drain condition may now hold). The fast path is one atomic load: while
-// nobody is parked, producers never touch the lock.
-//
-// Pairing argument (no lost wakeups): a parker increments waiters under mu
-// and then re-checks its exit condition and every deque before blocking.
-// Both sides use sequentially consistent atomics, so either the parker's
-// re-check observes the producer's push/completion (and does not block), or
-// the producer's waiters load observes the parker (and broadcasts — under
-// mu, so the broadcast cannot slip between the parker's re-check and its
-// Wait).
-func (p *taskPool) wakeWaiters() {
-	if p.waiters.Load() == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
 // anyQueued reports whether any deque currently holds a stealable task.
-// Cold-path only (the park re-check); a transiently negative size during an
-// owner's popBack reads as empty, which is correct — that element is taken.
+// Idle task waiters poll it (taskWaitLoop); a transiently negative size
+// during an owner's popBack reads as empty, which is correct — that element
+// is taken.
 func (p *taskPool) anyQueued() bool {
 	for i := range p.deques {
 		d := &p.deques[i]
@@ -283,9 +243,10 @@ func (d *taskDeque) stealBatch(own *taskDeque) (first *task, n, fresh int) {
 // Task spawns an explicit task executing fn. The task becomes a child of
 // the thread's current task (the implicit region task at the top level), is
 // queued on the spawning thread's deque, and may be executed by any team
-// thread. Tasks run when threads are idle: inside TaskWait, at explicit
-// barriers is not implied — draining happens in TaskWait and at the
-// implicit end-of-region barrier.
+// thread. Queued tasks run in TaskWait, TaskGroup and the drain before the
+// end-of-region barrier; a barrier itself is not a task scheduling point —
+// a thread already waiting at one does not come back for tasks pushed later
+// (a deviation from the spec, DESIGN.md "One wait").
 func (th *Thread) Task(fn func(*Thread)) {
 	t := &task{fn: fn, parent: th.curTask, group: th.curGroup}
 	th.curTask.children.Add(1)
@@ -295,7 +256,7 @@ func (th *Thread) Task(fn func(*Thread)) {
 	pool := th.team.pool
 	pool.pending.Add(1)
 	pool.deques[th.id].push(t)
-	pool.wakeWaiters()
+	th.team.unpark(siteTasks)
 	if h := th.team.hooks; h != nil {
 		h.taskCreate(th)
 	}
@@ -323,66 +284,19 @@ func (th *Thread) drainTasks() {
 	th.taskWaitLoop(func() bool { return th.team.pool.pending.Load() <= 0 })
 }
 
-// taskWaitLoop executes queued tasks until done holds, applying the
-// KMP_BLOCKTIME wait-policy discipline to idle gaps exactly like the team
-// barrier: after a failed scan the thread spins (yielding) within the
-// blocktime budget, then parks on the pool's broadcast until a task is
-// pushed or completes. Turnaround mode and KMP_BLOCKTIME=infinite spin
-// forever; a zero blocktime parks after the first failed scan. Parks and
-// wakes are charged to the thread's stats shard, so Stats.Sleeps/Wakeups
-// reflect task waits exactly like barrier and between-region waits.
+// taskWaitLoop executes queued tasks until done holds. Between tasks the
+// thread waits like every other wait in the runtime, for done or for a queued
+// task to steal: it spins per the wait policy, then parks (siteTasks) until a
+// push or a completion unparks it. Parks count in Stats.Sleeps/Wakeups and
+// reach the trace and the profile.
 func (th *Thread) taskWaitLoop(done func() bool) {
 	pool := th.team.pool
-	var deadline time.Time
-	spinning := false
+	ready := func() bool { return done() || pool.anyQueued() }
 	for !done() {
-		if th.runOneTask() {
-			spinning = false
-			continue
+		if !th.runOneTask() && !th.team.rt.wait.spin(ready) {
+			th.park(siteTasks, ready)
 		}
-		if pool.spinForever {
-			runtime.Gosched()
-			continue
-		}
-		if pool.blocktime > 0 {
-			if !spinning {
-				spinning = true
-				deadline = time.Now().Add(pool.blocktime)
-			}
-			if time.Now().Before(deadline) {
-				runtime.Gosched()
-				continue
-			}
-		}
-		th.parkForTasks(done)
-		spinning = false
 	}
-}
-
-// parkForTasks blocks the thread until task activity (a push or a
-// completion) is broadcast. The re-check after advertising the park is what
-// prevents lost wakeups — see taskPool.wakeWaiters.
-func (th *Thread) parkForTasks(done func() bool) {
-	pool := th.team.pool
-	pool.mu.Lock()
-	pool.waiters.Add(1)
-	if done() || pool.anyQueued() {
-		pool.waiters.Add(-1)
-		pool.mu.Unlock()
-		return
-	}
-	h := th.team.hooks
-	if h != nil {
-		h.park(th)
-	}
-	th.stats.sleeps.Add(1)
-	pool.cond.Wait()
-	th.stats.wakeups.Add(1)
-	if h != nil {
-		h.wake(th)
-	}
-	pool.waiters.Add(-1)
-	pool.mu.Unlock()
 }
 
 // runOneTask executes one queued task if any is available: first the
@@ -415,7 +329,7 @@ func (th *Thread) runOneTask() bool {
 	}
 	pool.pending.Add(-1)
 	th.stats.tasksRun.Add(1)
-	pool.wakeWaiters()
+	th.team.unpark(siteTasks)
 	return true
 }
 
@@ -475,7 +389,7 @@ func (th *Thread) stealFrom(victim int) *task {
 	if n > 1 {
 		// The surplus landed on this thread's deque: other idle threads can
 		// steal it in turn.
-		pool.wakeWaiters()
+		tm.unpark(siteTasks)
 	}
 	if fresh == 0 {
 		return first

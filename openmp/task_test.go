@@ -196,6 +196,44 @@ func TestTaskStealingHappensAcrossThreads(t *testing.T) {
 	checkStealInvariants(t, rt.Stats(), false)
 }
 
+// TestEndBarrierIsNotATaskSchedulingPoint pins a stated deviation from the
+// spec (DESIGN.md "One wait"): a thread that reached the end-of-region barrier
+// with nothing pending — spinning or parked there — does not come back for
+// tasks a teammate pushes afterwards, so those run on their producer alone.
+// TasksRun stays exact either way.
+func TestEndBarrierIsNotATaskSchedulingPoint(t *testing.T) {
+	for _, lib := range []LibraryMode{LibThroughput, LibTurnaround} {
+		o := taskOpts(2)
+		o.Library = lib
+		rt := testRuntime(t, o)
+		const tasks = 50
+		var elsewhere atomic.Int32
+		before := rt.Stats()
+		rt.Parallel(func(th *Thread) {
+			if th.ID() != 0 {
+				return // straight to the end barrier
+			}
+			for th.team.bar.count.Load() != 1 {
+				runtime.Gosched() // until thread 1 has arrived
+			}
+			for i := 0; i < tasks; i++ {
+				th.Task(func(c *Thread) {
+					if c.ID() != 0 {
+						elsewhere.Add(1)
+					}
+				})
+			}
+		})
+		d := rt.Stats().Sub(before)
+		if n := elsewhere.Load(); n != 0 {
+			t.Errorf("%s: %d tasks ran on the thread waiting at the end barrier, want 0", lib, n)
+		}
+		if d.TasksRun != tasks || d.TasksStolen != 0 {
+			t.Errorf("%s: TasksRun %d, TasksStolen %d, want %d and 0", lib, d.TasksRun, d.TasksStolen, tasks)
+		}
+	}
+}
+
 func TestTasksFromAllThreads(t *testing.T) {
 	rt := testRuntime(t, taskOpts(4))
 	var ran atomic.Int32

@@ -1,27 +1,21 @@
 package openmp
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // TaskGroup waits for ALL tasks spawned inside body (by any thread, at any
 // nesting depth) to complete before returning — the OpenMP taskgroup
 // construct, which is deeper than TaskWait's direct-children semantics.
 //
 // Implementation: tasks created while a group is active carry a group
-// counter that descendant spawns inherit.
+// counter that descendant spawns inherit; the encountering thread waits for
+// it to drain the way TaskWait waits for children.
 func (th *Thread) TaskGroup(body func(*Thread)) {
 	g := &taskGroup{}
 	prev := th.curGroup
 	th.curGroup = g
 	body(th)
 	th.curGroup = prev
-	for g.pending.Load() > 0 {
-		if !th.runOneTask() {
-			runtime.Gosched()
-		}
-	}
+	th.taskWaitLoop(func() bool { return g.pending.Load() <= 0 })
 }
 
 type taskGroup struct {

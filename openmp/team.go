@@ -1,11 +1,9 @@
 package openmp
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Team is one fork–join instance: n threads executing the same region body.
@@ -49,14 +47,13 @@ type Team struct {
 	hooks *hooks
 
 	// gen is the per-team region-generation counter this team's workers
-	// await on. Per-team — not runtime-global — so dispatching an inner
+	// wait on. Per-team — not runtime-global — so dispatching an inner
 	// region can never phantom-wake another team's spinning workers.
 	gen atomic.Uint64
 
-	// workers are this team's n-1 pooled goroutines (thread 0 is the
-	// dispatcher's goroutine); wg tracks them for retire, and retired
-	// tells them to exit on their next wakeup.
-	workers []*worker
+	// wg tracks the team's n-1 pooled worker goroutines (thread 0 is the
+	// dispatcher's goroutine) for retire, and retired tells them to exit on
+	// their next wakeup.
 	wg      sync.WaitGroup
 	retired atomic.Bool
 	// reserved is the OMP_THREAD_LIMIT budget this cached team holds
@@ -93,19 +90,19 @@ func newTeam(rt *Runtime, n int) *Team {
 		rt:      rt,
 		n:       n,
 		threads: make([]Thread, n),
-		pool:    newTaskPool(n, rt.opts.effectiveBlocktimeMS()),
+		pool:    newTaskPool(n),
 	}
 	tm.gtids = make([]int32, n)
 	for i := range tm.threads {
 		th := &tm.threads[i]
 		th.team = tm
 		th.id = i
+		th.parker.token = make(chan struct{}, 1)
 		th.gtid = int32(i)
 		th.stats = rt.stats.shard(i)
 		tm.gtids[i] = th.gtid
 	}
 	tm.stealOrder, tm.stealLocal = buildStealOrder(rt.placement, rt.opts.PlaceDistances, n)
-	tm.bar.init(n, rt.opts.effectiveBlocktimeMS())
 	return tm
 }
 
@@ -123,7 +120,7 @@ func newNestedTeam(rt *Runtime, parent *Thread, n int) *Team {
 		level:        parent.team.level + 1,
 		activeLevels: parent.team.activeLevels,
 		threads:      make([]Thread, n),
-		pool:         newTaskPool(n, rt.opts.effectiveBlocktimeMS()),
+		pool:         newTaskPool(n),
 	}
 	if n > 1 {
 		tm.activeLevels++
@@ -133,6 +130,7 @@ func newNestedTeam(rt *Runtime, parent *Thread, n int) *Team {
 		th := &tm.threads[i]
 		th.team = tm
 		th.id = i
+		th.parker.token = make(chan struct{}, 1)
 		th.stats = &block.shards[i]
 		if i == 0 {
 			th.gtid = parent.gtid
@@ -141,7 +139,6 @@ func newNestedTeam(rt *Runtime, parent *Thread, n int) *Team {
 		}
 		tm.gtids[i] = th.gtid
 	}
-	tm.bar.init(n, rt.opts.effectiveBlocktimeMS())
 	rt.stats.registerNested(block)
 	rt.registerTeam(tm)
 	tm.spawnWorkers()
@@ -160,30 +157,52 @@ func newTransientTeam(rt *Runtime, n int) *Team {
 		level:        1,
 		activeLevels: 1,
 		threads:      make([]Thread, n),
-		pool:         newTaskPool(n, rt.opts.effectiveBlocktimeMS()),
+		pool:         newTaskPool(n),
 	}
 	for i := range tm.threads {
 		th := &tm.threads[i]
 		th.team = tm
 		th.id = i
+		th.parker.token = make(chan struct{}, 1)
 		th.gtid = -1
 		th.stats = rt.stats.misc()
 	}
-	tm.bar.init(n, rt.opts.effectiveBlocktimeMS())
 	return tm
 }
 
 // spawnWorkers starts the team's n-1 worker goroutines (thread slots 1..n-1).
 func (tm *Team) spawnWorkers() {
-	rt := tm.rt
-	tm.workers = make([]*worker, tm.n-1)
-	for i := range tm.workers {
-		w := &worker{tm: tm, slot: i + 1, wake: make(chan struct{}, 1)}
-		tm.workers[i] = w
-		rt.wg.Add(1)
+	for slot := 1; slot < tm.n; slot++ {
+		tm.rt.wg.Add(1)
 		tm.wg.Add(1)
-		go w.loop()
+		go tm.work(slot)
 	}
+}
+
+// work is the life of the pooled worker in thread slot: between regions it
+// waits (siteRegion) for the team's generation to pass the last region it
+// ran, runs the next one, and exits once Close or retire advances it. A
+// worker lags at most one generation: a region's end barrier cannot pass
+// without it.
+func (tm *Team) work(slot int) {
+	rt := tm.rt
+	defer tm.wg.Done()
+	defer rt.wg.Done()
+	th := &tm.threads[slot]
+	for seen := uint64(0); ; seen++ {
+		th.wait(siteRegion, func() bool { return tm.gen.Load() > seen })
+		if rt.shutdown.Load() || tm.retired.Load() {
+			return
+		}
+		tm.run(slot)
+	}
+}
+
+// advance publishes the team's next generation and unparks its waiting
+// workers: a region's dispatch, or the release Close and retire ask for.
+func (tm *Team) advance() {
+	tm.gen.Add(1)
+	tm.unpark(siteRegion)
 }
 
 // dispatchRegion runs one region on the team with the calling goroutine as
@@ -210,12 +229,8 @@ func (tm *Team) dispatchRegion(body func(*Thread), counted bool, pc uintptr) {
 		forkAt = h.regionFork(tm)
 	}
 	// Publish the region: the gen bump is the release edge workers acquire
-	// tm.body, tm.regionID and tm.hooks through; parked workers additionally
-	// get a wake token.
-	tm.gen.Add(1)
-	for _, w := range tm.workers {
-		w.wakeIfParked()
-	}
+	// tm.body, tm.regionID and tm.hooks through.
+	tm.advance()
 	tm.run(0)
 	// The end-of-region barrier doubles as the join: every worker has
 	// finished the body (its last tm accesses precede its barrier arrival,
@@ -232,10 +247,7 @@ func (tm *Team) dispatchRegion(body func(*Thread), counted bool, pc uintptr) {
 // guarantees — the forking thread is the team's own thread 0.
 func (tm *Team) retire() {
 	tm.retired.Store(true)
-	tm.gen.Add(1)
-	for _, w := range tm.workers {
-		w.wakeIfParked()
-	}
+	tm.advance()
 	tm.wg.Wait()
 	tm.rt.releaseThreads(tm.reserved)
 	tm.reserved = 0
@@ -319,7 +331,7 @@ func (tm *Team) barrierWait(th *Thread, explicit bool) {
 	if h != nil {
 		enterAt = h.barrierEnter(th, explicit)
 	}
-	tm.bar.wait(th.stats)
+	tm.arrive(th)
 	if h != nil {
 		h.barrierLeave(th, explicit, enterAt)
 	}
@@ -341,19 +353,16 @@ func (tm *Team) release(h *constructSlot, seq int64) {
 
 // Thread is the per-thread view of a parallel region, passed to the region
 // body. It is not safe to share a Thread between goroutines. Threads are
-// cache-line padded: they live in the hot team's contiguous array and their
-// mutable fields (seq, stealAt, curTask) are written region after region.
+// cache-line padded: they live in the hot team's contiguous array. The first
+// line holds what teammates read — the parker every task push and completion
+// scans — beside fields set once; the second the mutable fields (seq,
+// stealAt, curTask) written region after region.
 type Thread struct {
-	team     *Team
-	id       int
-	gtid     int32  // global thread id (trace-ring index); -1 = untraced
-	regionID uint64 // region of the implicit task being run, 0 between regions; see hooks.emit
-	seq      int64  // worksharing constructs encountered, team-lifetime monotonic
-	curTask  *task
-	curGroup *taskGroup // innermost active taskgroup, nil outside one
-	stealAt  int        // last productive steal victim (scan start position)
-	spawns   int        // tasks spawned; every 32nd spawn is a yield point
-	stats    *statShard // this thread's stats shard
+	team   *Team
+	id     int
+	gtid   int32      // global thread id (trace-ring index); -1 = untraced
+	parker parker     // the one place this thread sleeps (wait.go)
+	stats  *statShard // this thread's stats shard
 
 	// inner is this thread's cached nested hot team — the per-level
 	// hot-team cache. It is built (and its budget reserved) on the first
@@ -362,7 +371,14 @@ type Thread struct {
 	// goroutines; innerWant remembers the width it was built for.
 	inner     *Team
 	innerWant int
-	_         [2*cacheLineSize - 96]byte
+
+	regionID uint64 // region of the implicit task being run, 0 between regions; see hooks.emit
+	seq      int64  // worksharing constructs encountered, team-lifetime monotonic
+	curTask  *task
+	curGroup *taskGroup // innermost active taskgroup, nil outside one
+	stealAt  int        // last productive steal victim (scan start position)
+	spawns   int        // tasks spawned; every 32nd spawn is a yield point
+	_        [2*cacheLineSize - 112]byte
 }
 
 // ID returns the thread number within the team (0 = primary).
@@ -485,114 +501,31 @@ func (th *Thread) Critical(name string, fn func()) {
 	fn()
 }
 
-// barrier is a generation-counting (sense-reversing) barrier that honours
-// the runtime's wait policy: waiters spin within the KMP_BLOCKTIME budget
-// (forever in turnaround mode) and then park on a broadcast channel until
-// the last arriver releases the generation. Parks and wakes are charged to
-// the waiting thread's stats shard, so Stats.Sleeps/Wakeups reflect barrier
-// waits exactly like between-region worker waits. The hot counters (count,
-// gen) sit on separate cache lines so arrivals don't false-share with
-// release polling.
+// barrier is the team's generation-counting (sense-reversing) barrier: the
+// last arriver opens the next generation and unparks the waiters parked at
+// it; the others wait for the generation to move (Thread.wait at
+// siteBarrier). count and gen sit on separate cache lines so arrivals don't
+// false-share with release polling.
 type barrier struct {
-	n           int32
-	spinForever bool
-	blocktime   time.Duration
-
 	_     [cacheLineSize]byte
 	count atomic.Int32
 	_     [cacheLineSize - 4]byte
 	gen   atomic.Uint64
 	_     [cacheLineSize - 8]byte
-	park  atomic.Pointer[barrierGen]
 }
 
-// barrierGen is one generation's park point: a broadcast channel closed by
-// whoever CASes it out of the barrier's park slot — either the generation's
-// releaser, or a later-generation parker displacing a stale entry (whose
-// generation is then already released). This ownership rule means every
-// installed entry is closed exactly once and no parked waiter can be
-// stranded by the releaser reading the park slot before the entry lands:
-// the parker re-checks the generation after installing and only blocks if
-// the generation is still open, in which case the releaser's later load is
-// guaranteed to observe the entry (or a displacing successor that closed
-// it).
-type barrierGen struct {
-	gen uint64
-	ch  chan struct{}
-}
-
-func (b *barrier) init(n int, blocktimeMS int) {
-	b.n = int32(n)
-	if blocktimeMS == BlocktimeInfinite {
-		b.spinForever = true
-	} else {
-		b.blocktime = time.Duration(blocktimeMS) * time.Millisecond
-	}
-}
-
-func (b *barrier) wait(sh *statShard) {
-	if b.n <= 1 {
+// arrive passes th through the team barrier.
+func (tm *Team) arrive(th *Thread) {
+	if tm.n <= 1 {
 		return
 	}
+	b := &tm.bar
 	gen := b.gen.Load()
-	if b.count.Add(1) == b.n {
-		// Last arriver: open the next generation and wake this one's
-		// parked waiters, if an entry for it is installed.
+	if b.count.Add(1) == int32(tm.n) {
 		b.count.Store(0)
 		b.gen.Add(1)
-		if p := b.park.Load(); p != nil && p.gen == gen {
-			if b.park.CompareAndSwap(p, nil) {
-				close(p.ch)
-			}
-			// CAS failure means a parker displaced (and closed) p.
-		}
+		tm.unpark(siteBarrier)
 		return
 	}
-	if b.spinForever {
-		for b.gen.Load() == gen {
-			runtime.Gosched()
-		}
-		return
-	}
-	if b.blocktime > 0 {
-		deadline := time.Now().Add(b.blocktime)
-		for spins := 0; b.gen.Load() == gen; spins++ {
-			if spins&63 == 63 && time.Now().After(deadline) {
-				break
-			}
-			runtime.Gosched()
-		}
-	}
-	b.parkWait(gen, sh)
-}
-
-// parkWait blocks until generation gen is released, installing (or joining)
-// the generation's broadcast entry.
-func (b *barrier) parkWait(gen uint64, sh *statShard) {
-	for b.gen.Load() == gen {
-		p := b.park.Load()
-		if p == nil || p.gen != gen {
-			np := &barrierGen{gen: gen, ch: make(chan struct{})}
-			if !b.park.CompareAndSwap(p, np) {
-				continue
-			}
-			if p != nil {
-				// Displaced a stale entry: its generation was already
-				// released (or is newer and will re-install), so waking its
-				// waiters is required and harmless.
-				close(p.ch)
-			}
-			p = np
-		}
-		// Re-check after the entry is visible: if the generation was
-		// released while installing, the releaser may have missed the
-		// entry — do not block (and do not count a sleep that never
-		// happened; the entry itself is closed by a future displacer).
-		if b.gen.Load() != gen {
-			return
-		}
-		sh.sleeps.Add(1)
-		<-p.ch
-		sh.wakeups.Add(1)
-	}
+	th.wait(siteBarrier, func() bool { return b.gen.Load() != gen })
 }
