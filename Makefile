@@ -57,11 +57,12 @@ fuzz:
 # BENCH selects the benchmarks (regexp); default covers the EPCC-style
 # overhead suite plus the whole-operation benchmarks it complements. The
 # campaign side rides along: the model sweep's throughput and the
-# configuration-key cost behind it, with their allocation counts.
+# configuration-key cost behind it, and one logistic fit of the influence
+# heatmaps (50,000 x 10, 300 epochs), with their allocation counts.
 BENCH ?= .
 bench:
 	$(GO) test ./openmp -run '^$$' -bench '$(BENCH)' -benchtime=300ms -count=5 -benchmem
-	$(GO) test . -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey' -benchtime=300ms -count=5
+	$(GO) test . ./internal/ml -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|FitLogistic' -benchtime=300ms -count=5 -benchmem
 
 # verify is the pre-merge gate (build, reached through test, includes the
 # benchmark/ module; the measured, live-monitor and variability smokes are Go

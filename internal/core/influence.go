@@ -49,20 +49,17 @@ func (g Grouping) features() []string {
 }
 
 // eachRow calls fit once per heatmap row of the grouping, in label order,
-// with the row's samples in dataset order.
+// with the row's samples in dataset order. One walk splits the dataset into
+// all of its rows.
 func (g Grouping) eachRow(ds *dataset.Dataset, fit func(label string, sub *dataset.Dataset) error) error {
-	seen := map[string]bool{}
-	var labels []string
-	for _, grp := range ds.Groups() {
-		if l := g.label(&grp); !seen[l] {
-			seen[l] = true
-			labels = append(labels, l)
-		}
+	rows := ds.Split(g.label)
+	labels := make([]string, 0, len(rows))
+	for l := range rows {
+		labels = append(labels, l)
 	}
 	sort.Strings(labels)
 	for _, label := range labels {
-		sub := ds.Where(func(grp *dataset.Group) bool { return g.label(grp) == label })
-		if err := fit(label, sub); err != nil {
+		if err := fit(label, rows[label]); err != nil {
 			return err
 		}
 	}
@@ -128,22 +125,25 @@ func accessor(col string) featureOf {
 }
 
 // featurize builds the design matrix and labels for a dataset subset,
-// resolving each column to its accessor once rather than per cell.
+// resolving each column to its accessor once rather than per cell. The rows
+// share one backing array.
 func featurize(ds *dataset.Dataset, cols []string, appNames []string) ([][]float64, []bool) {
 	var buf [16]featureOf // the widest grouping has 11 columns
 	get := buf[:0]
 	for _, c := range cols {
 		get = append(get, accessor(c))
 	}
-	x := make([][]float64, 0, ds.Len())
-	y := make([]bool, 0, ds.Len())
-	for _, s := range ds.Samples {
-		row := make([]float64, len(cols))
+	p := len(cols)
+	cells := make([]float64, ds.Len()*p)
+	x := make([][]float64, ds.Len())
+	y := make([]bool, ds.Len())
+	for i, s := range ds.Samples {
+		row := cells[i*p : (i+1)*p : (i+1)*p]
 		for j, f := range get {
 			row[j] = f(s, cols[j], appNames)
 		}
-		x = append(x, row)
-		y = append(y, s.Optimal())
+		x[i] = row
+		y[i] = s.Optimal()
 	}
 	return x, y
 }

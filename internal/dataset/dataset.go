@@ -147,58 +147,92 @@ type groupID struct {
 
 func (s *Sample) groupID() groupID { return groupID{s.Arch, s.App, s.Setting} }
 
-// eachRun calls fn for every maximal run of consecutive samples of one
-// group, in dataset order. A sweep writes each group as one run, so callers
-// pay their per-group work (a map lookup) once per group, not per sample.
-func (d *Dataset) eachRun(fn func(id groupID, run []*Sample)) {
-	for i := 0; i < len(d.Samples); {
-		id := d.Samples[i].groupID()
-		j := i + 1
-		for j < len(d.Samples) && d.Samples[j].groupID() == id {
-			j++
-		}
-		fn(id, d.Samples[i:j:j])
-		i = j
-	}
-}
-
 // Groups returns the dataset's (arch, app, setting) groups in first-seen
 // order, each with its samples in dataset order. A group stored as one run
 // shares the dataset's backing array; a group split across runs gets a copy.
 // Nothing is cached: a Dataset is a plain slice callers may append to, and
 // one call is a single pass.
 func (d *Dataset) Groups() []Group {
-	var groups []Group
-	index := make(map[groupID]int)
-	d.eachRun(func(id groupID, run []*Sample) {
-		if i, ok := index[id]; ok {
-			groups[i].Samples = append(groups[i].Samples, run...)
-			return
-		}
-		index[id] = len(groups)
-		groups = append(groups, Group{Arch: id.arch, App: id.app, Setting: id.setting, Samples: run})
-	})
+	groups, _ := d.groupRuns()
 	return groups
+}
+
+// run is one maximal run of consecutive samples of one group, and the index
+// of that group.
+type run struct {
+	samples []*Sample
+	group   int
+}
+
+// groupRuns is the one pass behind Groups, Where and Split: the groups as
+// Groups returns them, and every run in dataset order with its group's index,
+// so a selection emits runs without walking the samples again. A sweep
+// writes each group as one run, so the map lookup happens once per group,
+// not per sample.
+func (d *Dataset) groupRuns() ([]Group, []run) {
+	var groups []Group
+	var runs []run
+	index := make(map[groupID]int)
+	for i := 0; i < len(d.Samples); {
+		id := d.Samples[i].groupID()
+		j := i + 1
+		for j < len(d.Samples) && d.Samples[j].groupID() == id {
+			j++
+		}
+		samples := d.Samples[i:j:j]
+		g, ok := index[id]
+		if ok {
+			groups[g].Samples = append(groups[g].Samples, samples...)
+		} else {
+			g = len(groups)
+			index[id] = g
+			groups = append(groups, Group{Arch: id.arch, App: id.app, Setting: id.setting, Samples: samples})
+		}
+		runs = append(runs, run{samples, g})
+		i = j
+	}
+	return groups, runs
 }
 
 // Where returns the samples of the groups match accepts, in dataset order.
 // match runs once per group and sees the whole group.
 func (d *Dataset) Where(match func(*Group) bool) *Dataset {
-	groups := d.Groups()
-	keep := make(map[groupID]bool, len(groups))
+	groups, runs := d.groupRuns()
+	keep := make([]bool, len(groups))
 	n := 0
 	for i := range groups {
-		if g := &groups[i]; match(g) {
-			keep[groupID{g.Arch, g.App, g.Setting}] = true
-			n += len(g.Samples)
+		if keep[i] = match(&groups[i]); keep[i] {
+			n += len(groups[i].Samples)
 		}
 	}
 	out := &Dataset{Samples: make([]*Sample, 0, n)}
-	d.eachRun(func(id groupID, run []*Sample) {
-		if keep[id] {
-			out.Samples = append(out.Samples, run...)
+	for _, r := range runs {
+		if keep[r.group] {
+			out.Samples = append(out.Samples, r.samples...)
 		}
-	})
+	}
+	return out
+}
+
+// Split partitions the samples by the label of their group: for each
+// distinct label l it holds exactly what Where(label == l) returns, in
+// dataset order, from one pass. label runs once per group.
+func (d *Dataset) Split(label func(*Group) string) map[string]*Dataset {
+	groups, runs := d.groupRuns()
+	labels := make([]string, len(groups))
+	sizes := make(map[string]int)
+	for i := range groups {
+		labels[i] = label(&groups[i])
+		sizes[labels[i]] += len(groups[i].Samples)
+	}
+	out := make(map[string]*Dataset, len(sizes))
+	for l, n := range sizes {
+		out[l] = &Dataset{Samples: make([]*Sample, 0, n)}
+	}
+	for _, r := range runs {
+		sub := out[labels[r.group]]
+		sub.Samples = append(sub.Samples, r.samples...)
+	}
 	return out
 }
 

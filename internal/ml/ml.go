@@ -12,7 +12,8 @@ import (
 )
 
 // Standardizer rescales features to zero mean and unit variance, fitted on
-// a training matrix. Constant columns are left centred but unscaled.
+// a training matrix. Constant columns are left centred but unscaled: their
+// Mean is the constant itself and their Std is 1, so they standardise to 0.
 type Standardizer struct {
 	Mean, Std []float64
 }
@@ -43,25 +44,30 @@ func FitStandardizer(x [][]float64) (*Standardizer, error) {
 		}
 	}
 	for j := range s.Std {
+		if constantColumn(x, j) {
+			// Summed, n copies of a non-integer average to a neighbour of
+			// it (1,000 × 0.1 gives 0.09999999999999859), the deviations
+			// are not 0, and the column would standardise to ≈ 1: a second
+			// intercept. Take the constant itself.
+			s.Mean[j], s.Std[j] = x[0][j], 1
+			continue
+		}
 		s.Std[j] = math.Sqrt(s.Std[j] / n)
 		if s.Std[j] == 0 {
-			s.Std[j] = 1 // constant column: centre only
+			s.Std[j] = 1 // variation below float64 resolution: centre only
 		}
 	}
 	return s, nil
 }
 
-// Apply returns a standardized copy of X.
-func (s *Standardizer) Apply(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		r := make([]float64, len(row))
-		for j, v := range row {
-			r[j] = (v - s.Mean[j]) / s.Std[j]
+// constantColumn reports whether every value of column j equals the first.
+func constantColumn(x [][]float64, j int) bool {
+	for _, row := range x[1:] {
+		if row[j] != x[0][j] {
+			return false
 		}
-		out[i] = r
 	}
-	return out
+	return true
 }
 
 // LogisticModel is a fitted binary classifier over standardized features.
@@ -100,31 +106,76 @@ func FitLogistic(x [][]float64, y []bool, opt LogisticOptions) (*LogisticModel, 
 	if err != nil {
 		return nil, err
 	}
-	xs := scaler.Apply(x)
-	p := len(xs[0])
-	n := float64(len(xs))
+	// One flat row-major block of standardised rows and the labels as 0/1,
+	// built once; the epochs below allocate nothing.
+	rows, p := len(x), len(x[0])
+	xs := make([]float64, rows*p)
+	ts := make([]float64, rows)
+	for i, row := range x {
+		r := xs[i*p:][:p]
+		for j, v := range row {
+			r[j] = (v - scaler.Mean[j]) / scaler.Std[j]
+		}
+		if y[i] {
+			ts[i] = 1
+		}
+	}
+	n := float64(rows)
 	w := make([]float64, p)
 	b := 0.0
 	gw := make([]float64, p)
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
-		for j := range gw {
-			gw[j] = 0
-		}
+		clear(gw)
 		gb := 0.0
-		for i, row := range xs {
+		i := 0
+		// Four rows at a time: their dot products are independent, so they
+		// overlap, while every sum — each z, gb and each gw[j] — still adds
+		// the same terms in row order as the one-row tail below.
+		for ; i+4 <= rows; i += 4 {
+			// Each slice is resliced to [:p] so its length is provably that
+			// of w and gw, and the inner loops carry no bounds checks.
+			blk := xs[i*p:]
+			r0, r1, r2, r3 := blk[:p], blk[p:][:p], blk[2*p:][:p], blk[3*p:][:p]
+			t := ts[i:][:4]
+			z0, z1, z2, z3 := b, b, b, b
+			for j, wj := range w {
+				z0 += wj * r0[j]
+				z1 += wj * r1[j]
+				z2 += wj * r2[j]
+				z3 += wj * r3[j]
+			}
+			// The four exponentials first: the calls leave the divisions
+			// of sigmoidOf free to overlap.
+			a0 := math.Exp(-math.Abs(z0))
+			a1 := math.Exp(-math.Abs(z1))
+			a2 := math.Exp(-math.Abs(z2))
+			a3 := math.Exp(-math.Abs(z3))
+			e0 := t[0] - sigmoidOf(z0, a0)
+			e1 := t[1] - sigmoidOf(z1, a1)
+			e2 := t[2] - sigmoidOf(z2, a2)
+			e3 := t[3] - sigmoidOf(z3, a3)
+			gb += e0
+			gb += e1
+			gb += e2
+			gb += e3
+			for j, g := range gw {
+				g += e0 * r0[j]
+				g += e1 * r1[j]
+				g += e2 * r2[j]
+				g += e3 * r3[j]
+				gw[j] = g
+			}
+		}
+		for ; i < rows; i++ {
+			r := xs[i*p:][:p]
 			z := b
-			for j, v := range row {
-				z += w[j] * v
+			for j, wj := range w {
+				z += wj * r[j]
 			}
-			pr := sigmoid(z)
-			t := 0.0
-			if y[i] {
-				t = 1
-			}
-			e := t - pr
+			e := ts[i] - sigmoid(z)
 			gb += e
-			for j, v := range row {
-				gw[j] += e * v
+			for j := range gw {
+				gw[j] += e * r[j]
 			}
 		}
 		b += opt.LR * gb / n
@@ -135,12 +186,21 @@ func FitLogistic(x [][]float64, y []bool, opt LogisticOptions) (*LogisticModel, 
 	return &LogisticModel{Intercept: b, Coef: w, Scaler: scaler}, nil
 }
 
-func sigmoid(z float64) float64 {
-	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
+// sigmoid is 1/(1+e^-z) without overflow.
+func sigmoid(z float64) float64 { return sigmoidOf(z, math.Exp(-math.Abs(z))) }
+
+// sigmoidOf is sigmoid(z) given a = exp(-|z|). exp(-|z|) is exactly exp(-z)
+// for z ≥ 0 and exp(z) below, so this is 1/(1+exp(-z)) or exp(z)/(1+exp(z))
+// to the bit. Unlike sigmoid it is small enough to inline, which the fit
+// kernel relies on.
+func sigmoidOf(z, a float64) float64 {
+	// The numerator is a where z's sign bit is set and 1 elsewhere, picked
+	// by a mask: the compiler turns an if on a float into a branch, which
+	// mispredicts whenever the sign of z does. z = -0 takes a = exp(0) = 1,
+	// which is the 1 that z ≥ 0 would take.
+	neg := -(math.Float64bits(z) >> 63)
+	num := math.Float64frombits(math.Float64bits(a)&neg | math.Float64bits(1)&^neg)
+	return num / (1 + a)
 }
 
 // Prob returns P(optimal | row) for a raw (unstandardized) feature row.

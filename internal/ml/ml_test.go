@@ -1,10 +1,67 @@
 package ml
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// design is a seeded n × 10 design matrix with a noisy linear boundary over
+// columns of different scales and offsets; column 9 is the constant 3.
+func design(n int, seed int64) ([][]float64, []bool) {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([][]float64, n)
+	y := make([]bool, n)
+	for i := range x {
+		row := make([]float64, 10)
+		for j := 0; j < 9; j++ {
+			row[j] = rng.NormFloat64()*float64(j+1) + float64(j)
+		}
+		row[9] = 3
+		x[i] = row
+		y[i] = row[0]-0.25*(row[3]-3)+0.1*row[6]+0.5*rng.NormFloat64() > 0.6
+	}
+	return x, y
+}
+
+// bitsHash is the hex SHA-256 of the IEEE-754 bits of vs, in order.
+func bitsHash(vs ...[]float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range vs {
+		for _, f := range v {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+			h.Write(b[:])
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// fitBitsSHA256 pins every bit a fit produces on design(1003, 1): the
+// intercept, the coefficients, the scaler and the probability of every row.
+// 1,003 rows leave a tail of three behind any 4-row blocking. A kernel change
+// that reorders one sum moves this hash.
+const fitBitsSHA256 = "3c842657a01b2207f7bc51542e3b5ca75ca800728c3add77fd500c28b318692d"
+
+func TestFitLogisticBits(t *testing.T) {
+	x, y := design(1003, 1)
+	m, err := FitLogistic(x, y, LogisticOptions{})
+	if err != nil {
+		t.Fatalf("FitLogistic: %v", err)
+	}
+	probs := make([]float64, len(x))
+	for i, row := range x {
+		probs[i] = m.Prob(row)
+	}
+	got := bitsHash([]float64{m.Intercept}, m.Coef, m.Scaler.Mean, m.Scaler.Std, probs)
+	if got != fitBitsSHA256 {
+		t.Errorf("fit bits sha256 %s, want %s", got, fitBitsSHA256)
+	}
+}
 
 func TestStandardizer(t *testing.T) {
 	x := [][]float64{{1, 10}, {2, 10}, {3, 10}}
@@ -18,12 +75,41 @@ func TestStandardizer(t *testing.T) {
 	if s.Std[1] != 1 {
 		t.Errorf("constant column std should fall back to 1, got %v", s.Std[1])
 	}
-	xs := s.Apply(x)
-	if xs[0][0] >= 0 || xs[2][0] <= 0 || xs[1][0] != 0 {
-		t.Errorf("standardized column wrong: %v", xs)
+	std := func(i, j int) float64 { return (x[i][j] - s.Mean[j]) / s.Std[j] }
+	if std(0, 0) >= 0 || std(2, 0) <= 0 || std(1, 0) != 0 {
+		t.Errorf("standardized column wrong: %v %v %v", std(0, 0), std(1, 0), std(2, 0))
 	}
-	if xs[0][1] != 0 {
-		t.Errorf("constant column should centre to 0: %v", xs[0][1])
+	if std(0, 1) != 0 {
+		t.Errorf("constant column should centre to 0: %v", std(0, 1))
+	}
+}
+
+// A constant column whose value is not an integer sums to a mean that is off
+// by rounding; it must still standardise to 0 and take no influence, not act
+// as a second intercept.
+func TestConstantNonIntegerColumnNoInfluence(t *testing.T) {
+	for _, c := range []float64{0.1, 0.3, 0.7, 1.1} {
+		var x [][]float64
+		var y []bool
+		for i := 0; i < 1000; i++ {
+			a := float64(i%40) - 19.5
+			x = append(x, []float64{a, c})
+			y = append(y, a > 0)
+		}
+		s, err := FitStandardizer(x)
+		if err != nil {
+			t.Fatalf("FitStandardizer: %v", err)
+		}
+		if s.Mean[1] != c || s.Std[1] != 1 {
+			t.Errorf("constant %v: mean %v std %v, want %v and 1", c, s.Mean[1], s.Std[1], c)
+		}
+		m, err := FitLogistic(x, y, LogisticOptions{})
+		if err != nil {
+			t.Fatalf("FitLogistic: %v", err)
+		}
+		if infl := m.Influence(); infl[1] != 0 {
+			t.Errorf("constant %v: influence %v, want exactly 0", c, infl)
+		}
 	}
 }
 
@@ -112,10 +198,64 @@ func TestSigmoidStable(t *testing.T) {
 	}
 }
 
+// The masked sigmoid is the two-branch textbook form to the bit.
+func TestSigmoidMatchesTwoBranchForm(t *testing.T) {
+	ref := func(z float64) float64 {
+		if z >= 0 {
+			return 1 / (1 + math.Exp(-z))
+		}
+		e := math.Exp(z)
+		return e / (1 + e)
+	}
+	zs := []float64{0, math.Copysign(0, -1), 1e-300, -1e-300, 0.5, -0.5, 36.7, -36.7, 709, -709, 745.2, -745.2, math.Inf(1), math.Inf(-1)}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 10000; i++ {
+		zs = append(zs, rng.NormFloat64()*float64(1+i%40))
+	}
+	for _, z := range zs {
+		if got, want := sigmoid(z), ref(z); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("sigmoid(%v) = %v, two-branch form %v", z, got, want)
+		}
+	}
+}
+
 func TestInfluenceZeroModel(t *testing.T) {
 	m := &LogisticModel{Coef: []float64{0, 0}}
 	infl := m.Influence()
 	if infl[0] != 0 || infl[1] != 0 {
 		t.Errorf("zero model influence = %v", infl)
+	}
+}
+
+// The fit's allocations are its outputs and one flat block, so their count
+// grows neither with the rows nor with the epochs.
+func TestFitLogisticAllocsConstant(t *testing.T) {
+	allocs := func(n, epochs int) float64 {
+		x, y := design(n, 2)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := FitLogistic(x, y, LogisticOptions{Epochs: epochs}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(1000, 5)
+	if a := allocs(4000, 5); a != base {
+		t.Errorf("FitLogistic allocs: %v at 1k rows, %v at 4k rows, want equal", base, a)
+	}
+	if a := allocs(1000, 50); a != base {
+		t.Errorf("FitLogistic allocs: %v at 5 epochs, %v at 50, want equal", base, a)
+	}
+}
+
+// BenchmarkFitLogistic times one full-batch fit (300 epochs) of a seeded
+// 50,000 × 10 design — the shape of one influence-heatmap row.
+func BenchmarkFitLogistic(b *testing.B) {
+	x, y := design(50000, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitLogistic(x, y, LogisticOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,7 +3,9 @@ package omptune
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -183,6 +185,34 @@ func TestWriteReportGolden(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != reportSHA256 {
 		t.Errorf("%d samples, report %d bytes, sha256 %s, want %s", ds.Len(), buf.Len(), got, reportSHA256)
+	}
+}
+
+// heatmapBitsSHA256 pins the IEEE-754 bits of every cell and accuracy of the
+// three influence heatmaps over facadeDS — finer than the report, which
+// prints them rounded.
+const heatmapBitsSHA256 = "77103d6e70034cbafc80c1edb0a9f28e7b6c23ee9fac285830d8bd4cddc58266"
+
+func TestInfluenceBits(t *testing.T) {
+	ds := facadeDS(t)
+	h := sha256.New()
+	put := func(f float64) {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)))
+	}
+	for _, g := range []core.Grouping{PerArchApp, PerApp, PerArch} {
+		hm, err := Influence(ds, g)
+		if err != nil {
+			t.Fatalf("Influence(%v): %v", g, err)
+		}
+		for i, row := range hm.Cells {
+			for _, c := range row {
+				put(c)
+			}
+			put(hm.Accuracy[i])
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != heatmapBitsSHA256 {
+		t.Errorf("heatmap bits sha256 %s, want %s", got, heatmapBitsSHA256)
 	}
 }
 
