@@ -89,13 +89,13 @@ func TestDequeOwnerPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTaskLoopSteadyStateAllocs is the regression test for the popFront
+// TestTaskSpawnSteadyStateAllocs is the regression test for the popFront
 // memory churn: the old slice-backed deque front-sliced its backing array on
 // every steal, so steady producer/consumer phases re-grew the array each
 // region. The ring reuses its slots: a long spawn/steal region must cost
 // exactly its task structs (one allocation per spawn) plus nothing from the
 // deque.
-func TestTaskLoopSteadyStateAllocs(t *testing.T) {
+func TestTaskSpawnSteadyStateAllocs(t *testing.T) {
 	const spawns = 512
 	rt := testRuntime(t, taskOpts(4))
 	var ran atomic.Int64

@@ -10,6 +10,7 @@ func FuzzParsePlaces(f *testing.F) {
 		"", "cores", "threads", "cores(8)", "{0,1},{2,3}", "{0:4}",
 		"{0:4},{4:4}", "sockets", "{}", "{-1}", "{0,1", "cores(0)",
 		"{0:0}", "{9999999}", "{,}", "moon(3)", "{0},{0}",
+		"{9223372036854775807:2}", "threads(3", "{0:100000000000}",
 	} {
 		f.Add(seed)
 	}

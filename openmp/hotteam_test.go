@@ -1,11 +1,12 @@
 package openmp
 
 // Tests for the hot-team fork–join paths: steady-state allocation-freedom,
-// the lock-free construct ring (including its overflow fallback), the
+// the lock-free construct ring (including a thread's bounded lead), the
 // wait-policy-aware barrier, sharded stats aggregation, and critical-section
 // lock caching. Nested-parallelism behaviour is covered in nested_test.go.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,46 +157,46 @@ func staticForZeroAlloc(t *testing.T, lib LibraryMode, chunk int, set observerSe
 	}
 }
 
-// TestConstructRingOverflow drives one thread more than constructRingSize
-// nowait constructs ahead of its gated teammate, forcing the overflow-map
-// fallback, then verifies every construct still ran exactly once and the
-// map fully drained.
+// TestConstructRingOverflow runs one thread 3 × constructRingSize nowait
+// Singles while its teammate starts late. The ring is the only construct
+// store, so after passing construct k a thread may be at most
+// constructRingSize constructs ahead of the one its teammate has entered: the
+// next construct waits for its slot's previous occupant to be released. Every
+// body must still run exactly once.
 func TestConstructRingOverflow(t *testing.T) {
 	rt := testRuntime(t, optsN(2))
-	const constructs = constructRingSize + 16
-	gate := make(chan struct{})
+	const constructs = 3 * constructRingSize
 	var ran atomic.Int32
+	var entered [2]atomic.Int64 // constructs each thread has entered
 	rt.Parallel(func(th *Thread) {
-		if th.ID() != 0 {
-			<-gate
+		me, other := th.ID(), 1-th.ID()
+		if me == 1 {
+			// Start once thread 0 is past the ring's reach, or has stalled.
+			deadline := time.Now().Add(time.Second)
+			for entered[0].Load() <= constructRingSize && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
 		}
-		for k := 0; k < constructs; k++ {
+		lead, at := int64(0), int64(0)
+		for k := int64(1); k <= constructs; k++ {
+			entered[me].Store(k)
 			th.Single(func() { ran.Add(1) })
+			if d := k - entered[other].Load(); d > lead {
+				lead, at = d, k
+			}
 		}
-		if th.ID() == 0 {
-			close(gate)
+		if lead > constructRingSize {
+			t.Errorf("thread %d passed construct %d, %d ahead of its teammate; the ring holds %d",
+				me, at, lead, constructRingSize)
 		}
 	})
 	if got := ran.Load(); got != constructs {
 		t.Errorf("%d Single bodies ran, want %d", got, constructs)
 	}
-	r := &rt.hot.ring
-	r.mu.Lock()
-	overflows, live := r.overflows, len(r.overflow)
-	r.mu.Unlock()
-	if overflows == 0 {
-		t.Error("expected at least one overflow-map routing")
-	}
-	if live != 0 {
-		t.Errorf("%d overflow entries leaked after the region", live)
-	}
-	if gate := r.overflowLive.Load(); gate != 0 {
-		t.Errorf("overflowLive = %d after full release, want 0", gate)
-	}
 }
 
 // TestConstructRingStress hammers the ring with mixed nowait constructs
-// across many regions; run under -race it checks the claim/publish/undo
+// across many regions; run under -race it checks the claim/publish/release
 // protocol's happens-before edges, and the sums check construct identity
 // (a duplicated or cross-wired instance would double- or under-count).
 func TestConstructRingStress(t *testing.T) {

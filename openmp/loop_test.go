@@ -130,8 +130,8 @@ func TestForGuidedChunksShrink(t *testing.T) {
 	if prev != n-1 {
 		t.Fatalf("last iteration = %d, want %d", prev, n-1)
 	}
-	if rt.Stats().Chunks < 6 {
-		t.Errorf("guided on 64 iters used %d chunks, want >= 6 (32,16,8,4,2,1,1)", rt.Stats().Chunks)
+	if got := rt.Stats().Chunks; got != 7 {
+		t.Errorf("guided on 64 iters used %d chunks, want 7 (32,16,8,4,2,1,1)", got)
 	}
 }
 
@@ -192,10 +192,40 @@ func TestForPropertyAllSchedulesAllSizes(t *testing.T) {
 	}
 }
 
+// TestLoopChunkAccounting checks Stats().Chunks for one For against the
+// closed form of each schedule: the static block partition hands min(n, T)
+// threads a non-empty block, static chunks and dynamic claims cut
+// ceil(n / max(c, 1)) chunks, and guided follows its own recurrence. Guided's
+// count is exact whatever the interleaving: each successful claim takes
+// rem -> rem - size(rem), so the chain of remainders is fixed.
 func TestLoopChunkAccounting(t *testing.T) {
-	rt := testRuntime(t, loopOpts(2, ScheduleDynamic, 10))
-	rt.ParallelFor(100, func(i int) {})
-	if got := rt.Stats().Chunks; got != 10 {
-		t.Errorf("dynamic 100/10: chunks = %d, want 10", got)
+	ceilDiv := func(n, c int) int { return (n + c - 1) / c }
+	want := func(sched ScheduleKind, c, nt, n int) int {
+		switch {
+		case sched == ScheduleGuided:
+			chunks := 0
+			for rem := n; rem > 0; chunks++ {
+				rem -= min(max(rem/(2*nt), c, 1), rem)
+			}
+			return chunks
+		case sched == ScheduleStatic && c == 0:
+			return min(n, nt)
+		default:
+			return ceilDiv(n, max(c, 1))
+		}
+	}
+	for _, sched := range []ScheduleKind{ScheduleStatic, ScheduleDynamic, ScheduleGuided} {
+		for _, c := range []int{0, 1, 7, 10} {
+			for nt := 1; nt <= 4; nt++ {
+				rt := testRuntime(t, loopOpts(nt, sched, c))
+				for _, n := range []int{0, 1, 3, 7, 64, 100, 1000} {
+					before := rt.Stats()
+					rt.ParallelFor(n, func(int) {})
+					if got, w := rt.Stats().Sub(before).Chunks, want(sched, c, nt, n); got != uint64(w) {
+						t.Errorf("%s chunk=%d T=%d n=%d: %d chunks, want %d", sched, c, nt, n, got, w)
+					}
+				}
+			}
+		}
 	}
 }

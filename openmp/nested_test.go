@@ -306,25 +306,6 @@ func TestNestedSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestInnerTeamRebuildOnWidthChange forks at two different widths from the
-// same thread: the cache must retire and rebuild, and both forks must see
-// their requested width.
-func TestInnerTeamRebuildOnWidthChange(t *testing.T) {
-	rt := testRuntime(t, nestedOpts(1, 4))
-	var got []int
-	rt.Parallel(func(th *Thread) {
-		for _, w := range []int{2, 3, 2} {
-			th.ParallelN(w, func(ith *Thread) {
-				ith.Master(func() { got = append(got, ith.NumThreads()) })
-			})
-		}
-	})
-	want := []int{2, 3, 2}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("inner widths %v, want %v", got, want)
-	}
-}
-
 func TestOptionsNestingEnviron(t *testing.T) {
 	o, err := OptionsFromEnviron([]string{
 		"OMP_NUM_THREADS=4,2",

@@ -2,6 +2,7 @@ package openmp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,6 +15,13 @@ import (
 type PlaceSpec struct {
 	Cores []int
 }
+
+// maxPlaceUnits bounds how many execution units one OMP_PLACES value may
+// expand to. The largest modelled machine has 96 cores and the largest
+// shared-memory nodes a few thousand hardware threads, so no real place list
+// comes near it, while a value such as {0:100000000000} is rejected before
+// anything is built for it.
+const maxPlaceUnits = 1 << 16
 
 // ParsePlaces parses an OMP_PLACES value. Supported forms:
 //
@@ -35,9 +43,9 @@ func ParsePlaces(s string) ([]PlaceSpec, error) {
 		name, countStr, hasCount := strings.Cut(s, "(")
 		count := 0
 		if hasCount {
-			countStr = strings.TrimSuffix(countStr, ")")
-			n, err := strconv.Atoi(countStr)
-			if err != nil || n < 1 {
+			digits, closed := strings.CutSuffix(countStr, ")")
+			n, err := strconv.Atoi(digits)
+			if !closed || err != nil || n < 1 || n > maxPlaceUnits {
 				return nil, fmt.Errorf("openmp: invalid place count %q", countStr)
 			}
 			count = n
@@ -59,6 +67,7 @@ func ParsePlaces(s string) ([]PlaceSpec, error) {
 		}
 	}
 	var places []PlaceSpec
+	units := 0
 	for _, part := range splitPlaceList(s) {
 		part = strings.TrimSpace(part)
 		if !strings.HasPrefix(part, "{") || !strings.HasSuffix(part, "}") {
@@ -70,9 +79,14 @@ func ParsePlaces(s string) ([]PlaceSpec, error) {
 			startStr, lenStr, _ := strings.Cut(inner, ":")
 			start, err1 := strconv.Atoi(strings.TrimSpace(startStr))
 			n, err2 := strconv.Atoi(strings.TrimSpace(lenStr))
-			if err1 != nil || err2 != nil || n < 1 || start < 0 {
+			// The interval's last unit, start+n-1, must fit in an int.
+			if err1 != nil || err2 != nil || n < 1 || start < 0 || start > math.MaxInt-(n-1) {
 				return nil, fmt.Errorf("openmp: malformed place interval %q", part)
 			}
+			if n > maxPlaceUnits-units {
+				return nil, fmt.Errorf("openmp: places value %q expands to more than %d units", s, maxPlaceUnits)
+			}
+			units += n
 			for i := 0; i < n; i++ {
 				cores = append(cores, start+i)
 			}

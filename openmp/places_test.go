@@ -1,7 +1,9 @@
 package openmp
 
 import (
+	"math"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -54,6 +56,49 @@ func TestParsePlacesErrors(t *testing.T) {
 	for _, s := range bad {
 		if _, err := ParsePlaces(s); err == nil {
 			t.Errorf("ParsePlaces(%q): want error", s)
+		}
+	}
+}
+
+// TestParsePlacesBounds rejects values that would wrap a core id, leave a
+// count unclosed, or expand to more than maxPlaceUnits units, and accepts the
+// largest values on the right side of each bound.
+func TestParsePlacesBounds(t *testing.T) {
+	maxInt := strconv.Itoa(math.MaxInt)
+	for _, tc := range []struct {
+		in    string
+		units int // total units on success; -1 = must fail
+	}{
+		{"{" + maxInt + ":2}", -1},
+		{"{" + maxInt + ":1}", 1},
+		{"{" + strconv.Itoa(math.MaxInt-1) + ":2}", 2},
+		{"threads(3", -1},
+		{"cores(3", -1},
+		{"cores(3)", 3},
+		{"{0:100000000000}", -1},
+		{"cores(100000000000)", -1},
+		{"threads(" + strconv.Itoa(maxPlaceUnits+1) + ")", -1},
+		{"threads(" + strconv.Itoa(maxPlaceUnits) + ")", maxPlaceUnits},
+		{"{0:" + strconv.Itoa(maxPlaceUnits) + "}", maxPlaceUnits},
+		{"{0:" + strconv.Itoa(maxPlaceUnits) + "},{0:1}", -1},
+	} {
+		places, err := ParsePlaces(tc.in)
+		if tc.units < 0 {
+			if err == nil {
+				t.Errorf("ParsePlaces(%.40q): want error", tc.in)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParsePlaces(%.40q): %v", tc.in, err)
+			continue
+		}
+		units := 0
+		for _, p := range places {
+			units += len(p.Cores)
+		}
+		if units != tc.units {
+			t.Errorf("ParsePlaces(%.40q) has %d units, want %d", tc.in, units, tc.units)
 		}
 	}
 }

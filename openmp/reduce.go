@@ -15,11 +15,6 @@ func (th *Thread) ReduceSum(local float64) float64 {
 	return th.reduce(local, 0, func(a, b float64) float64 { return a + b })
 }
 
-// ReduceMax combines by maximum.
-func (th *Thread) ReduceMax(local float64) float64 {
-	return th.reduce(local, math.Inf(-1), math.Max)
-}
-
 // ReduceMin combines by minimum.
 func (th *Thread) ReduceMin(local float64) float64 {
 	return th.reduce(local, math.Inf(1), math.Min)

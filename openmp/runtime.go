@@ -71,8 +71,8 @@ type Runtime struct {
 	// budget is the remaining OMP_THREAD_LIMIT headroom for nested-team
 	// workers: ThreadLimit minus the outer team, budgetUnlimited when the
 	// limit is unset. Nested forks reserve from it with CAS
-	// (reserveThreads) and cached teams keep their reservation until
-	// retired, so steady-state nested dispatch touches no global atomics.
+	// (reserveThreads) and cached teams keep their reservation until Close,
+	// so steady-state nested dispatch touches no global atomics.
 	budget atomic.Int64
 
 	// teams registers every live team (the hot team and all cached nested
@@ -330,13 +330,6 @@ func (rt *Runtime) reserveThreads(want int) int {
 		if rt.budget.CompareAndSwap(cur, cur-grant) {
 			return int(grant)
 		}
-	}
-}
-
-// releaseThreads returns a reservation to the budget (team retirement).
-func (rt *Runtime) releaseThreads(n int) {
-	if n > 0 {
-		rt.budget.Add(int64(n))
 	}
 }
 

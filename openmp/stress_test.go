@@ -17,7 +17,7 @@ type stressProgram struct {
 }
 
 type stressOp struct {
-	kind  int // 0=For 1=ForNowait+Barrier 2=Single 3=Tasks 4=Reduce 5=Sections 6=Critical 7=TaskLoop
+	kind  int // 0=For 1=ForNowait+Barrier 2=Single 3=Tasks 4=Reduce 5=Critical
 	size  int
 	extra int
 }
@@ -29,7 +29,7 @@ func buildProgram(seed uint64, maxOps int) stressProgram {
 	for i := 0; i < n; i++ {
 		state = state*6364136223846793005 + 1442695040888963407
 		p.ops = append(p.ops, stressOp{
-			kind:  int((state >> 33) % 8),
+			kind:  int((state >> 33) % 6),
 			size:  int((state>>13)%97) + 1,
 			extra: int((state >> 3) % 7),
 		})
@@ -50,12 +50,8 @@ func (p stressProgram) expected(teamSize int) int64 {
 			total += int64(op.size % 20)
 		case 4: // reduction: team sum of thread ids = n(n-1)/2, checked live
 			total += int64(teamSize * (teamSize - 1) / 2)
-		case 5: // sections: one per section
-			total += int64(op.extra)
-		case 6: // critical: one per thread
+		case 5: // critical: one per thread
 			total += int64(teamSize)
-		case 7: // taskloop
-			total += int64(op.size)
 		}
 	}
 	return total
@@ -90,18 +86,7 @@ func (p stressProgram) run(rt *Runtime, account *atomic.Int64, t *testing.T) {
 				th.Master(func() { account.Add(int64(want)) })
 				th.Barrier()
 			case 5:
-				fns := make([]func(), op.extra)
-				for k := range fns {
-					fns[k] = func() { account.Add(1) }
-				}
-				th.Sections(fns...)
-			case 6:
 				th.Critical("stress", func() { account.Add(1) })
-				th.Barrier()
-			case 7:
-				th.Single(func() {
-					th.TaskLoop(op.size, op.extra+1, func(i int) { account.Add(1) })
-				})
 				th.Barrier()
 			}
 		}

@@ -47,70 +47,3 @@ func (l *Lock) Unlock() {
 		l.parker.post()
 	}
 }
-
-// NestLock is an OpenMP nestable lock (omp_init_nest_lock): the owning
-// thread may re-acquire it, tracking a nesting depth. Ownership is per
-// Thread, as in OpenMP, not per goroutine.
-type NestLock struct {
-	inner *Lock
-	owner atomic.Int64 // thread id + 1; 0 = unowned
-	depth int
-}
-
-// NewNestLock returns a nestable lock honouring the runtime's wait policy.
-func (rt *Runtime) NewNestLock() *NestLock {
-	return &NestLock{inner: rt.NewLock()}
-}
-
-// Lock acquires the nest lock for thread th, or deepens the nesting if th
-// already owns it. It returns the resulting nesting depth.
-func (nl *NestLock) Lock(th *Thread) int {
-	id := int64(th.ID()) + 1
-	if nl.owner.Load() == id {
-		nl.depth++
-		return nl.depth
-	}
-	nl.inner.Lock()
-	nl.owner.Store(id)
-	nl.depth = 1
-	return 1
-}
-
-// Unlock releases one nesting level, fully releasing the lock at depth 0.
-// It returns the remaining depth.
-func (nl *NestLock) Unlock(th *Thread) int {
-	id := int64(th.ID()) + 1
-	if nl.owner.Load() != id {
-		panic("openmp: NestLock.Unlock by non-owner thread")
-	}
-	nl.depth--
-	if nl.depth == 0 {
-		nl.owner.Store(0)
-		nl.inner.Unlock()
-		return 0
-	}
-	return nl.depth
-}
-
-// Sections executes each function on exactly one team thread, distributed
-// first-come-first-served like an OpenMP sections construct, and barriers
-// at the end. Every team thread must call Sections (it is a worksharing
-// construct).
-func (th *Thread) Sections(fns ...func()) {
-	seq := th.nextSeq()
-	if len(fns) == 0 {
-		th.Barrier()
-		return
-	}
-	st, h := th.team.instance(seq, func() any { return new(atomic.Int64) })
-	cur := st.(*atomic.Int64)
-	for {
-		i := int(cur.Add(1)) - 1
-		if i >= len(fns) {
-			break
-		}
-		fns[i]()
-	}
-	th.Barrier()
-	th.team.release(h, seq)
-}

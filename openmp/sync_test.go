@@ -224,164 +224,3 @@ func TestWaitHammer(t *testing.T) {
 		})
 	}
 }
-
-func TestNestLockReentrancy(t *testing.T) {
-	rt := testRuntime(t, optsN(2))
-	nl := rt.NewNestLock()
-	rt.Parallel(func(th *Thread) {
-		if d := nl.Lock(th); d != 1 {
-			t.Errorf("first Lock depth = %d, want 1", d)
-		}
-		if d := nl.Lock(th); d != 2 {
-			t.Errorf("nested Lock depth = %d, want 2", d)
-		}
-		if d := nl.Unlock(th); d != 1 {
-			t.Errorf("first Unlock depth = %d, want 1", d)
-		}
-		if d := nl.Unlock(th); d != 0 {
-			t.Errorf("final Unlock depth = %d, want 0", d)
-		}
-	})
-}
-
-func TestNestLockCrossThreadExclusion(t *testing.T) {
-	rt := testRuntime(t, optsN(4))
-	nl := rt.NewNestLock()
-	counter := 0
-	rt.Parallel(func(th *Thread) {
-		for i := 0; i < 100; i++ {
-			nl.Lock(th)
-			nl.Lock(th) // nested
-			counter++
-			nl.Unlock(th)
-			nl.Unlock(th)
-		}
-	})
-	if counter != 400 {
-		t.Errorf("counter = %d, want 400", counter)
-	}
-}
-
-func TestSectionsEachRunsOnce(t *testing.T) {
-	rt := testRuntime(t, optsN(3))
-	var counts [5]atomic.Int32
-	rt.Parallel(func(th *Thread) {
-		th.Sections(
-			func() { counts[0].Add(1) },
-			func() { counts[1].Add(1) },
-			func() { counts[2].Add(1) },
-			func() { counts[3].Add(1) },
-			func() { counts[4].Add(1) },
-		)
-		// Implicit barrier: all sections done when any thread proceeds.
-		for i := range counts {
-			if counts[i].Load() != 1 {
-				t.Errorf("after Sections, section %d ran %d times", i, counts[i].Load())
-			}
-		}
-	})
-}
-
-func TestSectionsEmptyAndRepeated(t *testing.T) {
-	rt := testRuntime(t, optsN(2))
-	var ran atomic.Int32
-	rt.Parallel(func(th *Thread) {
-		th.Sections()
-		th.Sections(func() { ran.Add(1) })
-		th.Sections(func() { ran.Add(1) }, func() { ran.Add(1) })
-	})
-	if got := ran.Load(); got != 3 {
-		t.Errorf("ran = %d, want 3", got)
-	}
-}
-
-func TestTaskGroupWaitsForDescendants(t *testing.T) {
-	rt := testRuntime(t, optsN(4))
-	var done atomic.Int32
-	rt.Parallel(func(th *Thread) {
-		th.Single(func() {
-			th.TaskGroup(func(g *Thread) {
-				for i := 0; i < 5; i++ {
-					g.Task(func(child *Thread) {
-						child.Task(func(*Thread) { done.Add(1) }) // grandchild
-						done.Add(1)
-					})
-				}
-			})
-			// Unlike TaskWait, TaskGroup awaits grandchildren too.
-			if got := done.Load(); got != 10 {
-				t.Errorf("TaskGroup returned with %d/10 descendants done", got)
-			}
-		})
-	})
-}
-
-func TestTaskGroupNested(t *testing.T) {
-	rt := testRuntime(t, optsN(3))
-	var inner, outer atomic.Int32
-	rt.Parallel(func(th *Thread) {
-		th.Single(func() {
-			th.TaskGroup(func(g *Thread) {
-				g.Task(func(t1 *Thread) {
-					t1.TaskGroup(func(g2 *Thread) {
-						g2.Task(func(*Thread) { inner.Add(1) })
-					})
-					if inner.Load() != 1 {
-						t.Error("inner TaskGroup returned early")
-					}
-					outer.Add(1)
-				})
-			})
-		})
-	})
-	if outer.Load() != 1 || inner.Load() != 1 {
-		t.Errorf("outer=%d inner=%d, want 1 1", outer.Load(), inner.Load())
-	}
-}
-
-func TestTaskLoopCoversRange(t *testing.T) {
-	rt := testRuntime(t, optsN(4))
-	const n = 1000
-	hits := make([]int32, n)
-	rt.Parallel(func(th *Thread) {
-		th.Single(func() {
-			th.TaskLoop(n, 0, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		})
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("iteration %d ran %d times", i, h)
-		}
-	}
-}
-
-func TestTaskLoopExplicitGrainAndEdgeCases(t *testing.T) {
-	rt := testRuntime(t, optsN(2))
-	var ran atomic.Int32
-	rt.Parallel(func(th *Thread) {
-		th.Single(func() {
-			th.TaskLoop(0, 4, func(i int) { ran.Add(1) })   // empty
-			th.TaskLoop(3, 100, func(i int) { ran.Add(1) }) // more tasks than iters
-			th.TaskLoop(10, 2, func(i int) { ran.Add(1) })  // explicit num_tasks
-		})
-	})
-	if got := ran.Load(); got != 13 {
-		t.Errorf("ran = %d, want 13", got)
-	}
-}
-
-func TestFor2DCoversSpace(t *testing.T) {
-	rt := testRuntime(t, optsN(3))
-	const n, m = 20, 30
-	var hits [n][m]int32
-	rt.Parallel(func(th *Thread) {
-		th.For2D(n, m, func(i, j int) { atomic.AddInt32(&hits[i][j], 1) })
-	})
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			if hits[i][j] != 1 {
-				t.Fatalf("(%d,%d) ran %d times", i, j, hits[i][j])
-			}
-		}
-	}
-}

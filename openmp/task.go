@@ -5,15 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// task is one explicit task, allocated per spawn and kept within the 32-byte
+// task is one explicit task, allocated per spawn and kept within the 24-byte
 // size class. children counts direct child tasks that have not yet completed
 // (live heap objects, so 32 bits hold it), which is what TaskWait blocks on.
 type task struct {
-	fn     func(*Thread)
-	parent *task
-	// group is the innermost enclosing taskgroup at spawn time, inherited
-	// by descendants so TaskGroup can await the whole subtree.
-	group    *taskGroup
+	fn       func(*Thread)
+	parent   *task
 	children atomic.Int32
 	// stolen is set by the first thief to claim the task, so a steal counts
 	// once however often batch surplus moves on (Stats.TasksStolen). Plain:
@@ -243,16 +240,13 @@ func (d *taskDeque) stealBatch(own *taskDeque) (first *task, n, fresh int) {
 // Task spawns an explicit task executing fn. The task becomes a child of
 // the thread's current task (the implicit region task at the top level), is
 // queued on the spawning thread's deque, and may be executed by any team
-// thread. Queued tasks run in TaskWait, TaskGroup and the drain before the
-// end-of-region barrier; a barrier itself is not a task scheduling point —
-// a thread already waiting at one does not come back for tasks pushed later
-// (a deviation from the spec, DESIGN.md "One wait").
+// thread. Queued tasks run in TaskWait and in the drain before the
+// end-of-region barrier; a barrier itself is not a task scheduling point — a
+// thread already waiting at one does not come back for tasks pushed later (a
+// deviation from the spec, DESIGN.md "One wait").
 func (th *Thread) Task(fn func(*Thread)) {
-	t := &task{fn: fn, parent: th.curTask, group: th.curGroup}
+	t := &task{fn: fn, parent: th.curTask}
 	th.curTask.children.Add(1)
-	if t.group != nil {
-		t.group.pending.Add(1)
-	}
 	pool := th.team.pool
 	pool.pending.Add(1)
 	pool.deques[th.id].push(t)
@@ -312,8 +306,8 @@ func (th *Thread) runOneTask() bool {
 		return false
 	}
 	h := th.team.hooks
-	prevTask, prevGroup := th.curTask, th.curGroup
-	th.curTask, th.curGroup = t, t.group
+	prevTask := th.curTask
+	th.curTask = t
 	var beginAt int64
 	if h != nil {
 		beginAt = h.taskBegin(th)
@@ -322,11 +316,8 @@ func (th *Thread) runOneTask() bool {
 	if h != nil {
 		h.taskEnd(th, beginAt)
 	}
-	th.curTask, th.curGroup = prevTask, prevGroup
+	th.curTask = prevTask
 	t.parent.children.Add(-1)
-	if t.group != nil {
-		t.group.pending.Add(-1)
-	}
 	pool.pending.Add(-1)
 	th.stats.tasksRun.Add(1)
 	th.team.unpark(siteTasks)

@@ -265,9 +265,22 @@ func TestTaskSpawningInsideLoop(t *testing.T) {
 
 // Every Task call allocates one task, so its size class is what the task
 // constructs pay the allocator and the collector per operation.
-func TestTaskFitsThe32ByteClass(t *testing.T) {
-	if got := unsafe.Sizeof(task{}); got > 32 {
-		t.Errorf("task is %d bytes, want at most 32", got)
+func TestTaskFitsThe24ByteClass(t *testing.T) {
+	if got := unsafe.Sizeof(task{}); got > 24 {
+		t.Errorf("task is %d bytes, want at most 24", got)
+	}
+}
+
+// A team's Threads sit side by side in one array: each must span exactly two
+// cache lines, the first holding what teammates read, the second what the
+// thread itself writes region after region.
+func TestThreadIsTwoCacheLines(t *testing.T) {
+	var th Thread
+	if got := unsafe.Sizeof(th); got != 2*cacheLineSize {
+		t.Errorf("Thread is %d bytes, want %d", got, 2*cacheLineSize)
+	}
+	if got := unsafe.Offsetof(th.regionID); got != cacheLineSize {
+		t.Errorf("Thread's mutable fields start at byte %d, want %d", got, cacheLineSize)
 	}
 }
 

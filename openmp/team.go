@@ -2,7 +2,6 @@ package openmp
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -17,8 +16,7 @@ import (
 // per forking Thread (see Thread.Parallel). A team's Thread structs,
 // construct ring and task pool are allocated once and reused by every
 // region it runs, so steady-state fork–join at any nesting level performs
-// no allocations. Only ParallelN sub-teams and serialized nested fallbacks
-// are built per call.
+// no allocations. Only serialized nested fallbacks are built per call.
 //
 // Every team is its own contention group: its barrier, construct ring,
 // task deques and steal scans reference only tm.threads, so inner-team
@@ -36,10 +34,9 @@ type Team struct {
 	// OMP_MAX_ACTIVE_LEVELS to decide whether to serialize.
 	activeLevels int
 
-	// regionID identifies the team's currently-running region (stamped
-	// from rt.regionSeq by dispatchRegion, or inherited by ParallelN
-	// sub-teams). Workers read it after acquiring gen, which
-	// happens-after the dispatcher's store.
+	// regionID identifies the team's currently-running region, stamped
+	// from rt.regionSeq by dispatchRegion. Workers read it after acquiring
+	// gen, which happens-after the dispatcher's store.
 	regionID uint64
 
 	// hooks is the observer snapshot the current region forked with (nil:
@@ -50,15 +47,6 @@ type Team struct {
 	// wait on. Per-team — not runtime-global — so dispatching an inner
 	// region can never phantom-wake another team's spinning workers.
 	gen atomic.Uint64
-
-	// wg tracks the team's n-1 pooled worker goroutines (thread 0 is the
-	// dispatcher's goroutine) for retire, and retired tells them to exit on
-	// their next wakeup.
-	wg      sync.WaitGroup
-	retired atomic.Bool
-	// reserved is the OMP_THREAD_LIMIT budget this cached team holds
-	// (released at retirement).
-	reserved int
 
 	threads []Thread
 	ring    constructRing
@@ -83,8 +71,8 @@ type Team struct {
 }
 
 // newTeam builds a level-0 team shell over the runtime's base stat shards;
-// the region body is assigned per region by the dispatcher (Parallel or
-// ParallelN) before any thread calls run.
+// the region body is assigned per region by dispatchRegion before any thread
+// calls run.
 func newTeam(rt *Runtime, n int) *Team {
 	tm := &Team{
 		rt:      rt,
@@ -174,24 +162,21 @@ func newTransientTeam(rt *Runtime, n int) *Team {
 func (tm *Team) spawnWorkers() {
 	for slot := 1; slot < tm.n; slot++ {
 		tm.rt.wg.Add(1)
-		tm.wg.Add(1)
 		go tm.work(slot)
 	}
 }
 
 // work is the life of the pooled worker in thread slot: between regions it
 // waits (siteRegion) for the team's generation to pass the last region it
-// ran, runs the next one, and exits once Close or retire advances it. A
-// worker lags at most one generation: a region's end barrier cannot pass
-// without it.
+// ran, runs the next one, and exits once Close advances it. A worker lags at
+// most one generation: a region's end barrier cannot pass without it.
 func (tm *Team) work(slot int) {
 	rt := tm.rt
-	defer tm.wg.Done()
 	defer rt.wg.Done()
 	th := &tm.threads[slot]
 	for seen := uint64(0); ; seen++ {
 		th.wait(siteRegion, func() bool { return tm.gen.Load() > seen })
-		if rt.shutdown.Load() || tm.retired.Load() {
+		if rt.shutdown.Load() {
 			return
 		}
 		tm.run(slot)
@@ -199,7 +184,7 @@ func (tm *Team) work(slot int) {
 }
 
 // advance publishes the team's next generation and unparks its waiting
-// workers: a region's dispatch, or the release Close and retire ask for.
+// workers: a region's dispatch, or the release Close asks for.
 func (tm *Team) advance() {
 	tm.gen.Add(1)
 	tm.unpark(siteRegion)
@@ -239,18 +224,6 @@ func (tm *Team) dispatchRegion(body func(*Thread), counted bool, pc uintptr) {
 		h.regionJoin(tm, pc, forkAt)
 	}
 	tm.body, tm.hooks = nil, nil
-}
-
-// retire releases a cached inner team: its workers exit on the next gen
-// bump, their budget reservation returns to the pool. Must only be called
-// while the team is idle (between its regions), which Thread.innerTeam
-// guarantees — the forking thread is the team's own thread 0.
-func (tm *Team) retire() {
-	tm.retired.Store(true)
-	tm.advance()
-	tm.wg.Wait()
-	tm.rt.releaseThreads(tm.reserved)
-	tm.reserved = 0
 }
 
 // buildStealOrder precomputes each thread's distance-sorted victim order
@@ -300,7 +273,6 @@ func buildStealOrder(placement []int, dist [][]float64, n int) ([][]int32, [][]b
 func (tm *Team) run(tid int) {
 	th := &tm.threads[tid]
 	th.curTask = &tm.rootTask
-	th.curGroup = nil
 	th.regionID = tm.regionID
 	// th.seq is deliberately NOT reset: construct sequence numbers stay
 	// unique for the team's lifetime, which the construct ring's slot
@@ -348,7 +320,7 @@ func (tm *Team) instance(seq int64, create func() any) (any, *constructSlot) {
 // instance once every team thread has released it, keeping construct state
 // bounded for long-running applications.
 func (tm *Team) release(h *constructSlot, seq int64) {
-	tm.ring.release(h, seq, int32(tm.n))
+	h.release(seq, int32(tm.n))
 }
 
 // Thread is the per-thread view of a parallel region, passed to the region
@@ -365,20 +337,20 @@ type Thread struct {
 	stats  *statShard // this thread's stats shard
 
 	// inner is this thread's cached nested hot team — the per-level
-	// hot-team cache. It is built (and its budget reserved) on the first
-	// nested fork and reused by every subsequent fork of the same width,
-	// so steady-state nested fork–join allocates nothing and re-spawns no
-	// goroutines; innerWant remembers the width it was built for.
-	inner     *Team
-	innerWant int
+	// hot-team cache. It is built on the first nested fork and reused by
+	// every later one, so steady-state nested fork–join allocates nothing and
+	// re-spawns no goroutines. Its width depends only on the options and the
+	// team's activeLevels, so it never changes, and the team keeps its
+	// OMP_THREAD_LIMIT grant until Close.
+	inner *Team
+	_     [cacheLineSize - 56]byte
 
 	regionID uint64 // region of the implicit task being run, 0 between regions; see hooks.emit
 	seq      int64  // worksharing constructs encountered, team-lifetime monotonic
 	curTask  *task
-	curGroup *taskGroup // innermost active taskgroup, nil outside one
-	stealAt  int        // last productive steal victim (scan start position)
-	spawns   int        // tasks spawned; every 32nd spawn is a yield point
-	_        [2*cacheLineSize - 112]byte
+	stealAt  int // last productive steal victim (scan start position)
+	spawns   int // tasks spawned; every 32nd spawn is a yield point
+	_        [cacheLineSize - 40]byte
 }
 
 // ID returns the thread number within the team (0 = primary).
@@ -404,55 +376,30 @@ func (th *Thread) Runtime() *Runtime { return th.team.rt }
 // team is cached on this thread, so steady-state nested fork–join is
 // allocation-free. Returns after the inner region's end barrier.
 func (th *Thread) Parallel(body func(*Thread)) {
-	th.innerTeam(0).dispatchRegion(body, true, th.team.rt.callerPC())
+	th.innerTeam().dispatchRegion(body, true, th.team.rt.callerPC())
 }
 
-// ParallelN is Parallel with a num_threads clause: it requests width n for
-// the inner team (still subject to the active-level limit and the thread
-// budget). n < 1 falls back to the per-level default.
-func (th *Thread) ParallelN(n int, body func(*Thread)) {
-	th.innerTeam(n).dispatchRegion(body, true, th.team.rt.callerPC())
-}
-
-// innerTeam returns this thread's cached inner team for the requested
-// width, building (or rebuilding, when the resolved width changed) it on
-// demand. Width resolution: explicit request, else the OMP_NUM_THREADS
-// list entry for the next level; then 1 if the active-level limit is
-// reached; then clamped to 1 + whatever OMP_THREAD_LIMIT budget remains.
-func (th *Thread) innerTeam(request int) *Team {
-	rt := th.team.rt
-	want := request
-	if want <= 0 {
-		want = rt.opts.widthForLevel(th.team.level + 1)
+// innerTeam returns this thread's cached inner team, building it on the
+// first fork. Width resolution: the OMP_NUM_THREADS list entry for the next
+// level; then 1 if the active-level limit is reached; then clamped to 1 +
+// whatever OMP_THREAD_LIMIT budget remains.
+func (th *Thread) innerTeam() *Team {
+	if th.inner != nil {
+		return th.inner
 	}
+	rt := th.team.rt
+	want := rt.opts.widthForLevel(th.team.level + 1)
 	if want < 1 ||
 		rt.opts.Library == LibSerial ||
 		th.team.activeLevels >= rt.opts.effectiveMaxActiveLevels() {
 		want = 1
 	}
-	if th.inner != nil && th.innerWant == want {
-		return th.inner
-	}
-	th.retireInner()
 	granted := 1 // the forking thread itself is free
 	if want > 1 {
 		granted += rt.reserveThreads(want - 1)
 	}
-	tm := newNestedTeam(rt, th, granted)
-	tm.reserved = granted - 1
-	th.inner, th.innerWant = tm, want
-	return tm
-}
-
-// retireInner drops this thread's cached inner team, releasing its workers
-// and budget reservation.
-func (th *Thread) retireInner() {
-	if th.inner == nil {
-		return
-	}
-	th.inner.retire()
-	th.inner = nil
-	th.innerWant = 0
+	th.inner = newNestedTeam(rt, th, granted)
+	return th.inner
 }
 
 // Place returns the place index this thread is bound to, or -1 when

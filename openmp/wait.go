@@ -53,7 +53,7 @@ func (w waitPolicy) spin(cond func() bool) bool {
 // Wait sites: where a parked Thread waits, advertised in its parker so that
 // each waker posts only to its own waiters.
 const (
-	siteRegion  int32 = 1 // between regions: dispatch, retire and Close unpark
+	siteRegion  int32 = 1 // between regions: dispatch and Close unpark
 	siteBarrier int32 = 2 // at a team barrier: its release unparks
 	siteTasks   int32 = 3 // in a task wait: task pushes and completions unpark
 )
