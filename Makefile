@@ -41,9 +41,11 @@ flake:
 
 # fuzz runs every Fuzz* target of the packages that parse outside input — the
 # runtime's environment, the study's variables (with the differential between
-# the two), the CSV format — for 5 s each, seed corpora first.
+# the two), the CSV format — and of internal/ml, whose CART split kernel is
+# held node-for-node to a frozen reference grower, for 5 s each, seed corpora
+# first.
 fuzz:
-	@for pkg in ./openmp ./internal/env ./internal/dataset; do \
+	@for pkg in ./openmp ./internal/env ./internal/dataset ./internal/ml; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s $$pkg || exit 1; \
 		done; \
@@ -57,12 +59,13 @@ fuzz:
 # BENCH selects the benchmarks (regexp); default covers the EPCC-style
 # overhead suite plus the whole-operation benchmarks it complements. The
 # campaign side rides along: the model sweep's throughput and the
-# configuration-key cost behind it, and one logistic fit of the influence
-# heatmaps (50,000 x 10, 300 epochs), with their allocation counts.
+# configuration-key cost behind it, one logistic fit of the influence
+# heatmaps (50,000 x 10, 300 epochs) and one fit of the surrogate search's
+# regression forest (300 x 7, 12 trees), with their allocation counts.
 BENCH ?= .
 bench:
 	$(GO) test ./openmp -run '^$$' -bench '$(BENCH)' -benchtime=300ms -count=5 -benchmem
-	$(GO) test . ./internal/ml -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|FitLogistic' -benchtime=300ms -count=5 -benchmem
+	$(GO) test . ./internal/ml -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|FitLogistic|FitRegForest' -benchtime=300ms -count=5 -benchmem
 
 # verify is the pre-merge gate (build, reached through test, includes the
 # benchmark/ module; the measured, live-monitor and variability smokes are Go

@@ -25,7 +25,13 @@ func TestCompareModelsForestDominatesLinear(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
+	// The forest accuracies are pinned exactly: a split kernel that moves
+	// one node of one tree moves them.
+	wantForest := map[string]float64{"a64fx": 0.9874454148471615, "milan": 0.9519701261910893, "skylake": 0.9660161954068764}
 	for _, r := range rows {
+		if r.ForestAcc != wantForest[r.Group] {
+			t.Errorf("%s: forest accuracy %v, pinned %v", r.Group, r.ForestAcc, wantForest[r.Group])
+		}
 		if r.ForestAcc < r.LogisticAcc-0.02 {
 			t.Errorf("%s: forest %v should not lose to logistic %v", r.Group, r.ForestAcc, r.LogisticAcc)
 		}
@@ -71,6 +77,20 @@ func TestTransferReflectsArchitectureDependence(t *testing.T) {
 	for _, r := range xs {
 		if r.HeldOut == topology.Milan && r.Accuracy > r.Majority+0.15 {
 			t.Errorf("XSbench held-out Milan: accuracy %v vs majority %v — should not transfer well", r.Accuracy, r.Majority)
+		}
+	}
+	// Held-out accuracies, pinned exactly (a64fx, skylake, milan order).
+	for _, c := range []struct {
+		rows []TransferRow
+		want []float64
+	}{
+		{nq, []float64{1, 0.9851063829787234, 0.9426102656693319}},
+		{xs, []float64{0.6334606986899564, 0.7472454533386433, 0.446819469482359}},
+	} {
+		for i, r := range c.rows {
+			if r.Accuracy != c.want[i] {
+				t.Errorf("%s held-out %s: accuracy %v, pinned %v", r.App, r.HeldOut, r.Accuracy, c.want[i])
+			}
 		}
 	}
 }

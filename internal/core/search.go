@@ -162,8 +162,9 @@ type searchState struct {
 	spec  SearchSpec
 	ev    Evaluator
 	cache *EvalCache
-	space []env.Config
-	order []env.VarName
+	// sampled is the candidate pool once space has resolved it.
+	sampled []env.Config
+	order   []env.VarName
 
 	maxEvals int
 	deadline time.Time
@@ -184,10 +185,6 @@ func newSearchState(ctx context.Context, strategy string, spec SearchSpec, led *
 	if s.cache == nil {
 		s.cache = NewEvalCache()
 	}
-	s.space = spec.Space
-	if len(s.space) == 0 {
-		s.space = env.Space(spec.Machine)
-	}
 	s.order = spec.Order
 	if len(s.order) == 0 {
 		s.order = env.Names()
@@ -207,6 +204,20 @@ func newSearchState(ctx context.Context, strategy string, spec SearchSpec, led *
 		s.deadline = start.Add(spec.Budget.MaxTime)
 	}
 	return s, nil
+}
+
+// space returns the candidate pool of the space-sampling strategies: spec's
+// Space, or env.Space(Machine). It is built on first use, because the
+// descents (greedy, anneal) never sample it and building it costs more than
+// their whole search.
+func (s *searchState) space() []env.Config {
+	if s.sampled == nil {
+		s.sampled = s.spec.Space
+		if len(s.sampled) == 0 {
+			s.sampled = env.Space(s.spec.Machine)
+		}
+	}
+	return s.sampled
 }
 
 // runSearch wraps a strategy body with state setup and teardown; it is the

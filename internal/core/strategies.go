@@ -12,7 +12,6 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
 
 	"omptune/internal/env"
 	"omptune/internal/ml"
@@ -97,8 +96,9 @@ func (randomSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResult
 	return runSearch(ctx, "random", spec, func(s *searchState) {
 		s.init()
 		rng := newLCG(spec.Seed)
+		space := s.space()
 		for !s.exhausted() {
-			cfg := s.space[rng.intn(len(s.space))]
+			cfg := space[rng.intn(len(space))]
 			s.probeConfig(cfg, "random")
 		}
 	})
@@ -116,8 +116,9 @@ func (restartSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResul
 		s.init()
 		s.descend(s.res.Best, s.res.BestSeconds)
 		rng := newLCG(spec.Seed ^ hash64("restart"))
+		space := s.space()
 		for !s.exhausted() {
-			cfg := s.space[rng.intn(len(s.space))]
+			cfg := space[rng.intn(len(space))]
 			sec := s.probeConfig(cfg, "restart")
 			if s.exhausted() {
 				return
@@ -196,86 +197,105 @@ func (surrogateSearcher) Name() string { return "surrogate" }
 func (surrogateSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResult, error) {
 	return runSearch(ctx, "surrogate", spec, func(s *searchState) {
 		s.init()
-		rng := newLCG(spec.Seed ^ hash64("surrogate"))
-		names := env.Names()
-		feats := func(c env.Config) []float64 {
-			row := make([]float64, len(names))
-			for i, v := range names {
-				row[i] = c.Feature(v)
-			}
-			return row
-		}
-		seen := make(map[env.Config]bool)
-		var x [][]float64
-		var y []float64
-		add := func(c env.Config, sec float64) {
-			x = append(x, feats(c))
-			y = append(y, sec/s.res.DefaultSeconds)
-			seen[c] = true
-		}
-		add(s.res.Best, s.res.DefaultSeconds)
-		// drawUnseen probes one fresh random configuration — the warm-up move
-		// and the fallback when the model round has nothing new to propose.
-		drawUnseen := func() bool {
-			cfg := s.space[rng.intn(len(s.space))]
-			if seen[cfg] {
-				return false
-			}
-			add(cfg, s.probeConfig(cfg, "explore"))
-			return true
-		}
-		for i := 0; i < surrogateWarmup && !s.exhausted(); i++ {
-			drawUnseen()
-		}
-		idle := 0
-		for !s.exhausted() {
-			before := s.res.Evaluations
-			forest, err := ml.FitRegForest(x, y, surrogateTrees,
-				ml.TreeOptions{MaxDepth: 6, MinLeaf: 2, Seed: spec.Seed + uint64(len(y))})
-			if err != nil {
-				drawUnseen()
-			} else {
-				bestNorm := s.res.BestSeconds / s.res.DefaultSeconds
-				type scored struct {
-					cfg env.Config
-					ei  float64
-				}
-				var pool []scored
-				inPool := make(map[env.Config]bool)
-				for i := 0; i < surrogatePool; i++ {
-					cfg := s.space[rng.intn(len(s.space))]
-					if seen[cfg] || inPool[cfg] {
-						continue
-					}
-					inPool[cfg] = true
-					mu, sd := forest.PredictStd(feats(cfg))
-					pool = append(pool, scored{cfg, expectedImprovement(bestNorm, mu, sd)})
-				}
-				sort.SliceStable(pool, func(i, j int) bool { return pool[i].ei > pool[j].ei })
-				if len(pool) > surrogateBatch {
-					pool = pool[:surrogateBatch]
-				}
-				if len(pool) == 0 {
-					drawUnseen()
-				}
-				for _, p := range pool {
-					if s.exhausted() {
-						return
-					}
-					add(p.cfg, s.probeConfig(p.cfg, "surrogate"))
-				}
-			}
-			// A space smaller than the budget eventually leaves nothing
-			// unseen; stop instead of spinning on empty rounds.
-			if s.res.Evaluations == before {
-				if idle++; idle > 32 {
-					return
-				}
-			} else {
-				idle = 0
-			}
-		}
+		surrogateSearch(s)
 	})
+}
+
+// surrogateSearch runs the surrogate strategy on s, whose default
+// configuration has been measured, and returns every configuration it
+// probed and the forest's training rows: the probes that returned a runtime.
+func surrogateSearch(s *searchState) (seen map[env.Config]bool, x [][]float64, y []float64) {
+	rng := newLCG(s.spec.Seed ^ hash64("surrogate"))
+	space := s.space()
+	names := env.Names()
+	feats := func(c env.Config, row []float64) []float64 {
+		for i, v := range names {
+			row[i] = c.Feature(v)
+		}
+		return row
+	}
+	seen = make(map[env.Config]bool, min(s.maxEvals, len(space)))
+	// add records a probe. A failed one (NaN seconds) is seen, so it is
+	// never proposed again, but it is no training row: a NaN target would
+	// make every tree whose bootstrap draws it a NaN leaf, and every
+	// prediction NaN.
+	add := func(c env.Config, sec float64) {
+		seen[c] = true
+		if norm := sec / s.res.DefaultSeconds; !math.IsNaN(norm) {
+			x = append(x, feats(c, make([]float64, len(names))))
+			y = append(y, norm)
+		}
+	}
+	add(s.res.Best, s.res.DefaultSeconds)
+	// drawUnseen probes one fresh random configuration — the warm-up move
+	// and the fallback when the model round has nothing new to propose.
+	drawUnseen := func() {
+		if cfg := space[rng.intn(len(space))]; !seen[cfg] {
+			add(cfg, s.probeConfig(cfg, "explore"))
+		}
+	}
+	for i := 0; i < surrogateWarmup && !s.exhausted(); i++ {
+		drawUnseen()
+	}
+	type scored struct {
+		cfg env.Config
+		ei  float64
+	}
+	inPool := make(map[env.Config]bool, surrogatePool)
+	row := make([]float64, len(names))
+	top := make([]scored, 0, surrogateBatch)
+	idle := 0
+	for !s.exhausted() {
+		before := s.res.Evaluations
+		forest, err := ml.FitRegForest(x, y, surrogateTrees,
+			ml.TreeOptions{MaxDepth: 6, MinLeaf: 2, Seed: s.spec.Seed + uint64(len(y))})
+		if err != nil {
+			drawUnseen()
+		} else {
+			bestNorm := s.res.BestSeconds / s.res.DefaultSeconds
+			clear(inPool)
+			top = top[:0]
+			for i := 0; i < surrogatePool; i++ {
+				cfg := space[rng.intn(len(space))]
+				if seen[cfg] || inPool[cfg] {
+					continue
+				}
+				inPool[cfg] = true
+				mu, sd := forest.PredictStd(feats(cfg, row))
+				// Keep the surrogateBatch best by EI, ties in draw order:
+				// exactly the prefix a stable sort of the pool would give.
+				c := scored{cfg, expectedImprovement(bestNorm, mu, sd)}
+				p := len(top)
+				for p > 0 && top[p-1].ei < c.ei {
+					p--
+				}
+				if p < surrogateBatch {
+					top = append(top[:min(len(top), surrogateBatch-1)], scored{})
+					copy(top[p+1:], top[p:])
+					top[p] = c
+				}
+			}
+			if len(top) == 0 {
+				drawUnseen()
+			}
+			for _, p := range top {
+				if s.exhausted() {
+					return seen, x, y
+				}
+				add(p.cfg, s.probeConfig(p.cfg, "surrogate"))
+			}
+		}
+		// A space smaller than the budget eventually leaves nothing
+		// unseen; stop instead of spinning on empty rounds.
+		if s.res.Evaluations == before {
+			if idle++; idle > 32 {
+				return seen, x, y
+			}
+		} else {
+			idle = 0
+		}
+	}
+	return seen, x, y
 }
 
 // expectedImprovement is the standard EI acquisition for minimization: how

@@ -26,13 +26,8 @@ func FitRegTree(x [][]float64, y []float64, opt TreeOptions) (*RegTree, error) {
 		return nil, errors.New("ml: bad regression training data")
 	}
 	opt.defaults()
-	return fitRegTree(x, y, indices(len(x)), opt), nil
-}
-
-// fitRegTree grows a tree on the rows idx of (x, y); opt carries its defaults.
-func fitRegTree(x [][]float64, y []float64, idx []int, opt TreeOptions) *RegTree {
-	rng := treeRNG(opt.Seed)
-	return &RegTree{growReg(x, y, idx, opt.MaxDepth, opt, &rng)}
+	g := newRegGrower(x, y, opt)
+	return g.fit(indices(len(x)), opt), nil
 }
 
 // sse returns the sum of squared errors around the mean of y[idx].
@@ -51,43 +46,73 @@ func sse(y []float64, idx []int) (mean, s float64) {
 	return mean, s
 }
 
-func growReg(x [][]float64, y []float64, idx []int, depth int, opt TreeOptions, rng *uint64) *node {
-	mean, parentSSE := sse(y, idx)
-	leaf := &node{leaf: true, value: mean}
-	if depth == 0 || len(idx) < 2*opt.MinLeaf || parentSSE == 0 {
-		return leaf
+// regGrower is the scaffold with the regressor's per-threshold sums.
+type regGrower struct {
+	grower
+	y    []float64
+	sums []regSums
+}
+
+// regSums are Σy and Σy² left and right of one threshold.
+type regSums struct{ lSum, lSq, rSum, rSq float64 }
+
+func newRegGrower(x [][]float64, y []float64, opt TreeOptions) *regGrower {
+	return &regGrower{grower: newGrower(x, opt), y: y, sums: make([]regSums, opt.Thresholds)}
+}
+
+// fit grows one tree on the rows idx; opt carries its defaults.
+func (g *regGrower) fit(idx []int, opt TreeOptions) *RegTree {
+	g.start(opt)
+	return &RegTree{g.grow(idx, opt.MaxDepth)}
+}
+
+func (g *regGrower) grow(idx []int, depth int) *node {
+	mean, parentSSE := sse(g.y, idx)
+	if depth == 0 || len(idx) < 2*g.opt.MinLeaf || parentSSE == 0 {
+		return g.newNode(node{leaf: true, value: mean})
 	}
-	f, thr, _ := bestSplit(x, idx, splitFeatures(len(x[0]), opt, rng), opt, func(f int, thr float64) (float64, bool) {
-		var ln, rn int
-		var lSum, lSq, rSum, rSq float64
+	bestF, bestR, bestGain := -1, int32(0), 0.0
+	for _, f := range g.splitFeatures() {
+		thr := g.thresholds(idx, f)
+		if len(thr) == 0 {
+			continue
+		}
+		sums := g.sums[:len(thr)]
+		clear(sums)
+		rank := g.cols.rank[f]
 		for _, i := range idx {
-			if x[i][f] < thr {
-				ln++
-				lSum += y[i]
-				lSq += y[i] * y[i]
-			} else {
-				rn++
-				rSum += y[i]
-				rSq += y[i] * y[i]
+			k := g.below[rank[i]]
+			yi := g.y[i]
+			right, left := sums[:k], sums[k:]
+			for j := range right {
+				right[j].rSum += yi
+				right[j].rSq += yi * yi
+			}
+			for j := range left {
+				left[j].lSum += yi
+				left[j].lSq += yi * yi
 			}
 		}
-		if ln < opt.MinLeaf || rn < opt.MinLeaf {
-			return 0, false
+		for j, r := range thr {
+			s, nl := &sums[j], g.nLeft[j]
+			nr := len(idx) - nl
+			// SSE = Σy² − (Σy)²/n per side.
+			childSSE := (s.lSq - s.lSum*s.lSum/float64(nl)) + (s.rSq - s.rSum*s.rSum/float64(nr))
+			if gain := parentSSE - childSSE; gain > bestGain+1e-12 {
+				bestF, bestR, bestGain = f, r, gain
+			}
 		}
-		// SSE = Σy² − (Σy)²/n per side.
-		childSSE := (lSq - lSum*lSum/float64(ln)) + (rSq - rSum*rSum/float64(rn))
-		return parentSSE - childSSE, true
+	}
+	if bestF < 0 {
+		return g.newNode(node{leaf: true, value: mean})
+	}
+	li, ri := g.partition(idx, bestF, bestR)
+	return g.newNode(node{
+		feature:   bestF,
+		threshold: g.cols.values[bestF][bestR],
+		left:      g.grow(li, depth-1),
+		right:     g.grow(ri, depth-1),
 	})
-	if f < 0 {
-		return leaf
-	}
-	li, ri := partition(x, idx, f, thr)
-	return &node{
-		feature:   f,
-		threshold: thr,
-		left:      growReg(x, y, li, depth-1, opt, rng),
-		right:     growReg(x, y, ri, depth-1, opt, rng),
-	}
 }
 
 // Predict returns the tree's estimate for one feature row.
@@ -100,14 +125,15 @@ type RegForest struct {
 	Trees []*RegTree
 }
 
-// FitRegForest trains nTrees regression trees by the recipe of bagged.
+// FitRegForest trains nTrees regression trees by the recipe of bagged, all
+// grown through one scaffold that ranks x once.
 func FitRegForest(x [][]float64, y []float64, nTrees int, opt TreeOptions) (*RegForest, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, errors.New("ml: bad regression training data")
 	}
-	return &RegForest{bagged(len(x), len(x[0]), nTrees, opt, func(idx []int, opt TreeOptions) *RegTree {
-		return fitRegTree(x, y, idx, opt)
-	})}, nil
+	opt.defaults()
+	g := newRegGrower(x, y, opt)
+	return &RegForest{bagged(len(x), len(x[0]), nTrees, opt, g.fit)}, nil
 }
 
 // Predict returns the ensemble-mean estimate for one feature row.
@@ -118,17 +144,25 @@ func (f *RegForest) Predict(row []float64) float64 {
 
 // PredictStd returns the ensemble mean and the standard deviation of the
 // per-tree predictions — a cheap stand-in for posterior uncertainty that the
-// expected-improvement acquisition in the surrogate searcher consumes.
+// expected-improvement acquisition in the surrogate searcher consumes. Each
+// tree is walked once.
 func (f *RegForest) PredictStd(row []float64) (mean, std float64) {
 	if len(f.Trees) == 0 {
 		return 0, 0
 	}
+	var stack [32]float64
+	preds := stack[:0]
+	if len(f.Trees) > len(stack) {
+		preds = make([]float64, 0, len(f.Trees))
+	}
 	for _, t := range f.Trees {
-		mean += t.Predict(row)
+		p := t.Predict(row)
+		preds = append(preds, p)
+		mean += p
 	}
 	mean /= float64(len(f.Trees))
-	for _, t := range f.Trees {
-		d := t.Predict(row) - mean
+	for _, p := range preds {
+		d := p - mean
 		std += d * d
 	}
 	std = math.Sqrt(std / float64(len(f.Trees)))

@@ -48,14 +48,29 @@ func FitTree(x [][]float64, y []bool, opt TreeOptions) (*DecisionTree, error) {
 		return nil, errors.New("ml: bad training data")
 	}
 	opt.defaults()
-	return fitTree(x, y, indices(len(x)), opt), nil
+	g := newClassGrower(x, y, opt)
+	return g.fit(indices(len(x)), opt), nil
 }
 
-// fitTree grows a tree on the rows idx of (x, y); opt carries its defaults.
-func fitTree(x [][]float64, y []bool, idx []int, opt TreeOptions) *DecisionTree {
-	t := &DecisionTree{importance: make([]float64, len(x[0]))}
-	rng := treeRNG(opt.Seed)
-	t.root = t.grow(x, y, idx, opt.MaxDepth, opt, &rng)
+// classGrower is the scaffold with the classifier's per-threshold count of
+// positives left of it.
+type classGrower struct {
+	grower
+	y          []bool
+	lp         []int
+	importance []float64 // the tree being grown's
+}
+
+func newClassGrower(x [][]float64, y []bool, opt TreeOptions) *classGrower {
+	return &classGrower{grower: newGrower(x, opt), y: y, lp: make([]int, opt.Thresholds)}
+}
+
+// fit grows one tree on the rows idx; opt carries its defaults.
+func (g *classGrower) fit(idx []int, opt TreeOptions) *DecisionTree {
+	g.start(opt)
+	t := &DecisionTree{importance: make([]float64, len(g.features))}
+	g.importance = t.importance
+	t.root = g.grow(idx, opt.MaxDepth)
 	total := 0.0
 	for _, v := range t.importance {
 		total += v
@@ -76,50 +91,55 @@ func gini(pos, n int) float64 {
 	return 2 * p * (1 - p)
 }
 
-func (t *DecisionTree) grow(x [][]float64, y []bool, idx []int, depth int, opt TreeOptions, rng *uint64) *node {
+func (g *classGrower) grow(idx []int, depth int) *node {
 	pos := 0
 	for _, i := range idx {
-		if y[i] {
+		if g.y[i] {
 			pos++
 		}
 	}
-	leaf := &node{leaf: true, value: float64(pos) / float64(len(idx))}
-	if depth == 0 || len(idx) < 2*opt.MinLeaf || pos == 0 || pos == len(idx) {
-		return leaf
+	value := float64(pos) / float64(len(idx))
+	if depth == 0 || len(idx) < 2*g.opt.MinLeaf || pos == 0 || pos == len(idx) {
+		return g.newNode(node{leaf: true, value: value})
 	}
 	parentImp := gini(pos, len(idx))
-	f, thr, gain := bestSplit(x, idx, splitFeatures(len(x[0]), opt, rng), opt, func(f int, thr float64) (float64, bool) {
-		lp, ln, rp, rn := 0, 0, 0, 0
+	bestF, bestR, bestGain := -1, int32(0), 0.0
+	for _, f := range g.splitFeatures() {
+		thr := g.thresholds(idx, f)
+		if len(thr) == 0 {
+			continue
+		}
+		lp := g.lp[:len(thr)]
+		clear(lp)
+		rank := g.cols.rank[f]
 		for _, i := range idx {
-			if x[i][f] < thr {
-				ln++
-				if y[i] {
-					lp++
-				}
-			} else {
-				rn++
-				if y[i] {
-					rp++
+			if g.y[i] {
+				left := lp[g.below[rank[i]]:]
+				for j := range left {
+					left[j]++
 				}
 			}
 		}
-		if ln < opt.MinLeaf || rn < opt.MinLeaf {
-			return 0, false
+		for j, r := range thr {
+			nl := g.nLeft[j]
+			nr := len(idx) - nl
+			wImp := (float64(nl)*gini(lp[j], nl) + float64(nr)*gini(pos-lp[j], nr)) / float64(len(idx))
+			if gain := parentImp - wImp; gain > bestGain+1e-12 {
+				bestF, bestR, bestGain = f, r, gain
+			}
 		}
-		wImp := (float64(ln)*gini(lp, ln) + float64(rn)*gini(rp, rn)) / float64(len(idx))
-		return parentImp - wImp, true
+	}
+	if bestF < 0 {
+		return g.newNode(node{leaf: true, value: value})
+	}
+	g.importance[bestF] += bestGain * float64(len(idx))
+	li, ri := g.partition(idx, bestF, bestR)
+	return g.newNode(node{
+		feature:   bestF,
+		threshold: g.cols.values[bestF][bestR],
+		left:      g.grow(li, depth-1),
+		right:     g.grow(ri, depth-1),
 	})
-	if f < 0 {
-		return leaf
-	}
-	t.importance[f] += gain * float64(len(idx))
-	li, ri := partition(x, idx, f, thr)
-	return &node{
-		feature:   f,
-		threshold: thr,
-		left:      t.grow(x, y, li, depth-1, opt, rng),
-		right:     t.grow(x, y, ri, depth-1, opt, rng),
-	}
 }
 
 // Prob returns P(optimal | row).
@@ -166,14 +186,15 @@ type Forest struct {
 	Trees []*DecisionTree
 }
 
-// FitForest trains nTrees CART trees by the recipe of bagged.
+// FitForest trains nTrees CART trees by the recipe of bagged, all grown
+// through one scaffold that ranks x once.
 func FitForest(x [][]float64, y []bool, nTrees int, opt TreeOptions) (*Forest, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, errors.New("ml: bad training data")
 	}
-	return &Forest{bagged(len(x), len(x[0]), nTrees, opt, func(idx []int, opt TreeOptions) *DecisionTree {
-		return fitTree(x, y, idx, opt)
-	})}, nil
+	opt.defaults()
+	g := newClassGrower(x, y, opt)
+	return &Forest{bagged(len(x), len(x[0]), nTrees, opt, g.fit)}, nil
 }
 
 // Prob returns the ensemble-averaged P(optimal | row).
