@@ -221,3 +221,55 @@ func TestEvaluatorProfileAggregation(t *testing.T) {
 		t.Errorf("second series did not grow the aggregate: %d then %d", total, total2)
 	}
 }
+
+// TestScheduleReachesChunkClaims: every OMP_SCHEDULE value of the swept space
+// reaches the runtime's loop claims. A one-loop kernel runs through Run on
+// each value's RuntimeOptions, and every rep's Chunks delta must equal the
+// value's closed form (openmp's TestLoopChunkAccounting, with the sweep's
+// default chunk): static hands min(n, T) threads one block, dynamic claims n
+// one-iteration chunks, guided follows its remainder chain, and auto is
+// static.
+func TestScheduleReachesChunkClaims(t *testing.T) {
+	m := topology.MustGet(topology.A64FX)
+	const n, threads = 1000, 4
+	kernel := func(rt *openmp.Runtime, _ float64) float64 {
+		rt.ParallelFor(n, func(int) {})
+		return 1
+	}
+	want := func(schedule string) uint64 {
+		switch schedule {
+		case "dynamic":
+			return n
+		case "guided":
+			chunks := uint64(0)
+			for rem := n; rem > 0; chunks++ {
+				rem -= min(max(rem/(2*threads), 1), rem)
+			}
+			return chunks
+		default:
+			return min(n, threads)
+		}
+	}
+	for _, v := range env.Values(m, env.VarSchedule) {
+		cfg, err := env.Default(m).Set(env.VarSchedule, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := cfg.RuntimeOptions(m)
+		opts.NumThreads = threads
+		rt, err := openmp.New(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		s := Run(rt, kernel, 1, 1, 3)
+		rt.Close()
+		if len(s.RepStats) != 3 {
+			t.Fatalf("%s: %d rep stats, want 3", v, len(s.RepStats))
+		}
+		for i, st := range s.RepStats {
+			if st.Chunks != want(v) {
+				t.Errorf("OMP_SCHEDULE=%s rep %d: %d chunks, want %d", v, i, st.Chunks, want(v))
+			}
+		}
+	}
+}

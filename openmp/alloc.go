@@ -36,7 +36,7 @@ func AlignedFloat64s(n, align int) []float64 {
 }
 
 // Alignment reports the largest power-of-two alignment (up to 4096) of the
-// first element of b. It returns 0 for an empty slice.
+// address p. It returns 0 for a nil pointer.
 func Alignment(p unsafe.Pointer) int {
 	if p == nil {
 		return 0

@@ -1,11 +1,14 @@
 package openmp
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // cacheLineSize is the padding granularity used to keep independently
-// mutated hot words (construct slots, stats shards, barrier counters, loop
-// cursors) on separate cache lines. 64 bytes covers x86; the A64FX's 256-byte
-// lines are modeled by KMP_ALIGN_ALLOC, not by struct layout.
+// mutated hot words (construct slots, stats shards, barrier counters) on
+// separate cache lines. 64 bytes covers x86; the A64FX's 256-byte lines are
+// modeled by KMP_ALIGN_ALLOC, not by struct layout.
 const cacheLineSize = 64
 
 // constructRingSize is the number of construct slots per team. A thread can
@@ -23,17 +26,23 @@ const constructRingSize = 64
 // never reset between regions), which is what makes the claimed word an
 // unambiguous identity: claimed == seq<<1|1 can only ever mean construct
 // seq, never a recycled number.
+//
+// word is the active construct's whole shared state — a Single's winner
+// flag, a dynamic or guided loop's count of iterations handed out, an atomic
+// or critical reduction's accumulator — and mu is the critical reduction's
+// lock. The last release zeroes word before it frees the slot, so every
+// construct starts from zero and no construct publishes anything on entry.
 type constructSlot struct {
 	claimed atomic.Int64
 	done    atomic.Int32 // releases of the active construct
-	ready   atomic.Bool  // state has been published by the claimer
-	state   any
+	word    atomic.Uint64
+	mu      sync.Mutex
 	_       [cacheLineSize - 32]byte // one slot per cache line
 }
 
 // constructRing is a team's one construct-state store: a fixed ring of
 // atomically claimed slots indexed by construct sequence number. The
-// steady-state instance path is one CAS plus one atomic load; release is one
+// steady-state enter path is one CAS or one atomic load; release is one
 // atomic add.
 //
 // Construct seq uses slot seq mod constructRingSize, whose previous occupant
@@ -44,50 +53,42 @@ type constructSlot struct {
 // thread could not be this far ahead), a nowait Single and a dynamic or
 // guided chunk claim never wait on a teammate, and OpenMP forbids a
 // worksharing region inside a critical one, so the teammate always reaches
-// its release. Both waits spin under the zero policy, never parking, because
-// neither a claimer's publish nor a teammate's release posts to a parker.
+// its release. The wait spins under the zero policy, never parking, because
+// a teammate's release posts to no parker.
 type constructRing struct {
 	slots [constructRingSize]constructSlot
 }
 
-// instance returns the shared state for the construct with sequence number
-// seq, creating it with create on first arrival; create runs exactly once
-// per construct across the team. The returned slot must be passed to
-// release.
-func (r *constructRing) instance(seq int64, create func() any) (any, *constructSlot) {
+// enter returns the slot of the construct with sequence number seq, claiming
+// it on first arrival. Every team thread must pass the slot to release.
+func (r *constructRing) enter(seq int64) *constructSlot {
 	slot := &r.slots[seq&(constructRingSize-1)]
 	want := seq<<1 | 1
 	for {
 		cur := slot.claimed.Load()
 		switch {
 		case cur == want:
-			// seq holds the slot: wait for the claimer to publish.
-			waitPolicy{}.spin(slot.ready.Load)
-			return slot.state, slot
+			return slot
 		case cur&1 == 1:
 			// The slot's previous construct is still active: wait until a
 			// teammate's release frees it.
 			waitPolicy{}.spin(func() bool { return slot.claimed.Load() != cur })
-		default:
-			// Slot inactive: claim it.
-			if !slot.claimed.CompareAndSwap(cur, want) {
-				continue
-			}
-			slot.done.Store(0)
-			slot.state = create()
-			slot.ready.Store(true)
-			return slot.state, slot
+		case slot.claimed.CompareAndSwap(cur, want):
+			return slot
 		}
 	}
 }
 
-// release marks the calling thread done with construct seq, the slot's
-// active construct, and frees the slot once every one of the n team threads
-// has released it.
-func (slot *constructSlot) release(seq int64, n int32) {
-	if slot.done.Add(1) == n {
-		slot.state = nil
-		slot.ready.Store(false)
-		slot.claimed.Store(seq << 1) // inactive: claimable again
+// release marks the calling thread done with the slot's active construct and,
+// once every one of the n team threads has released it, zeroes the slot's
+// state and frees it. The zeroing happens before the claimed store, which
+// happens before the next claimant's CAS, which happens before any teammate
+// loads the claimed word it wrote: whoever enters the slot next sees a zero
+// word.
+func (slot *constructSlot) release(n int) {
+	if slot.done.Add(1) == int32(n) {
+		slot.word.Store(0)
+		slot.done.Store(0)
+		slot.claimed.Add(-1) // clear the active bit: claimable again
 	}
 }

@@ -22,8 +22,9 @@ import (
 // allocations from all goroutines, workers included). The other cases are the
 // remaining operations the micro-benchmarks report at 0 allocs/op, pinned
 // here so the property is a test and not a number in a benchmark log. The
-// first cases run with Runtime.hooks nil; the last ones repeat the region
-// with each observer attached alone and with all three.
+// first cases run with Runtime.hooks nil; the loop-region cases repeat a
+// region with each observer attached alone and with all three, and the ring
+// constructs run under every pairing of wait policy and observer set.
 func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 	region := func(body func(*Runtime) func(*Thread)) func(*Runtime) func() {
 		return func(rt *Runtime) func() {
@@ -98,6 +99,49 @@ func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 	for i := 1; i < len(observerSets); i++ {
 		cases = append(cases, pin{name: "loop region, " + observerSets[i].name, op: loop, observe: i})
 	}
+	// The ring constructs (BenchmarkOverheadFor dynamic_c1, dynamic_c8 and
+	// guided, BenchmarkOverheadSingle, BenchmarkOverheadReduce) keep their
+	// shared state in their ring slot, and the tree reduction in its team's
+	// buffer. Each region enters one or more of them, so the measured regions
+	// wrap the ring: slot reuse allocates nothing either, waits spinning or
+	// parking, hooks nil or attached.
+	schedule := func(kind ScheduleKind, chunk int) func(*Options) {
+		return func(o *Options) { o.Schedule, o.ChunkSize = kind, chunk }
+	}
+	reduction := func(m ReductionMethod) func(*Options) {
+		return func(o *Options) { o.Reduction = m }
+	}
+	forBody := func(th *Thread) { th.For(64, func(int) {}) }
+	reduceBody := func(th *Thread) { th.ReduceSum(1) }
+	constructs := []struct {
+		name   string
+		mutate func(*Options)
+		body   func(*Thread)
+	}{
+		{"dynamic_c1", schedule(ScheduleDynamic, 1), forBody},
+		{"dynamic_c8", schedule(ScheduleDynamic, 8), forBody},
+		{"guided", schedule(ScheduleGuided, 0), forBody},
+		{"single", nil, func(th *Thread) {
+			for i := 0; i < 4; i++ {
+				th.Single(func() {})
+			}
+		}},
+		{"reduce tree", reduction(ReductionTree), reduceBody},
+		{"reduce atomic", reduction(ReductionAtomic), reduceBody},
+		{"reduce critical", reduction(ReductionCritical), reduceBody},
+	}
+	for _, c := range constructs {
+		op := region(func(*Runtime) func(*Thread) { return c.body })
+		for _, park := range []bool{false, true} {
+			for i, set := range observerSets {
+				name := c.name + ", " + set.name
+				if park {
+					name += ", park"
+				}
+				cases = append(cases, pin{name: name, park: park, mutate: c.mutate, op: op, observe: i})
+			}
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := optsN(4)
@@ -157,48 +201,66 @@ func staticForZeroAlloc(t *testing.T, lib LibraryMode, chunk int, set observerSe
 	}
 }
 
-// TestConstructRingOverflow runs one thread 3 × constructRingSize nowait
-// Singles while its teammate starts late. The ring is the only construct
-// store, so after passing construct k a thread may be at most
-// constructRingSize constructs ahead of the one its teammate has entered: the
-// next construct waits for its slot's previous occupant to be released. Every
-// body must still run exactly once.
+// TestConstructRingOverflow runs one thread through 3 × constructRingSize
+// nowait constructs — Singles alternating with dynamic or guided loops —
+// while its teammate starts late. The ring is the only construct store, so
+// after passing construct k a thread may be at most constructRingSize
+// constructs ahead of the one its teammate has entered: the next construct
+// waits for its slot's previous occupant to be released. Every Single body
+// must still run exactly once, and every loop cover its range exactly once,
+// from the zeroed word of a reused slot.
 func TestConstructRingOverflow(t *testing.T) {
-	rt := testRuntime(t, optsN(2))
-	const constructs = 3 * constructRingSize
-	var ran atomic.Int32
-	var entered [2]atomic.Int64 // constructs each thread has entered
-	rt.Parallel(func(th *Thread) {
-		me, other := th.ID(), 1-th.ID()
-		if me == 1 {
-			// Start once thread 0 is past the ring's reach, or has stalled.
-			deadline := time.Now().Add(time.Second)
-			for entered[0].Load() <= constructRingSize && time.Now().Before(deadline) {
-				runtime.Gosched()
+	for _, sched := range []ScheduleKind{ScheduleDynamic, ScheduleGuided} {
+		o := optsN(2)
+		o.Schedule = sched
+		rt := testRuntime(t, o)
+		const steps, iters = 3 * constructRingSize / 2, 16 // one Single and one loop a step
+		var ran atomic.Int32
+		var hits [steps][iters]atomic.Int32
+		var entered [2]atomic.Int64 // constructs each thread has entered
+		rt.Parallel(func(th *Thread) {
+			me, other := th.ID(), 1-th.ID()
+			if me == 1 {
+				// Start once thread 0 is past the ring's reach, or has stalled.
+				deadline := time.Now().Add(time.Second)
+				for entered[0].Load() <= constructRingSize && time.Now().Before(deadline) {
+					runtime.Gosched()
+				}
+			}
+			lead, at := int64(0), int64(0)
+			pass := func(k int64, construct func()) {
+				entered[me].Store(k)
+				construct()
+				if d := k - entered[other].Load(); d > lead {
+					lead, at = d, k
+				}
+			}
+			for s := range steps {
+				pass(int64(2*s+1), func() { th.Single(func() { ran.Add(1) }) })
+				pass(int64(2*s+2), func() { th.ForNowait(iters, func(i int) { hits[s][i].Add(1) }) })
+			}
+			if lead > constructRingSize {
+				t.Errorf("%s: thread %d passed construct %d, %d ahead of its teammate; the ring holds %d",
+					sched, me, at, lead, constructRingSize)
+			}
+		})
+		if got := ran.Load(); got != steps {
+			t.Errorf("%s: %d Single bodies ran, want %d", sched, got, steps)
+		}
+		for s := range hits {
+			for i := range hits[s] {
+				if got := hits[s][i].Load(); got != 1 {
+					t.Errorf("%s: loop %d ran iteration %d %d times, want 1", sched, s, i, got)
+				}
 			}
 		}
-		lead, at := int64(0), int64(0)
-		for k := int64(1); k <= constructs; k++ {
-			entered[me].Store(k)
-			th.Single(func() { ran.Add(1) })
-			if d := k - entered[other].Load(); d > lead {
-				lead, at = d, k
-			}
-		}
-		if lead > constructRingSize {
-			t.Errorf("thread %d passed construct %d, %d ahead of its teammate; the ring holds %d",
-				me, at, lead, constructRingSize)
-		}
-	})
-	if got := ran.Load(); got != constructs {
-		t.Errorf("%d Single bodies ran, want %d", got, constructs)
 	}
 }
 
 // TestConstructRingStress hammers the ring with mixed nowait constructs
-// across many regions; run under -race it checks the claim/publish/release
-// protocol's happens-before edges, and the sums check construct identity
-// (a duplicated or cross-wired instance would double- or under-count).
+// across many regions; run under -race it checks the claim/release protocol's
+// happens-before edges, and the sums check construct identity and the zeroed
+// word (a duplicated, cross-wired or stale slot would double- or under-count).
 func TestConstructRingStress(t *testing.T) {
 	o := optsN(4)
 	o.Schedule = ScheduleDynamic

@@ -1,7 +1,5 @@
 package openmp
 
-import "sync/atomic"
-
 // For executes body for every iteration in [0, n), dividing iterations
 // among the team per the configured schedule, then waits at the implicit
 // barrier that ends an OpenMP worksharing loop. Every team thread must call
@@ -15,21 +13,14 @@ func (th *Thread) For(n int, body func(i int)) {
 // OpenMP `nowait` clause.
 func (th *Thread) ForNowait(n int, body func(i int)) {
 	if n <= 0 {
-		th.nextSeq() // keep construct sequence aligned across threads
 		return
 	}
 	opts := th.team.rt.opts
 	switch opts.Schedule {
-	case ScheduleStatic, ScheduleAuto:
-		// LLVM/OpenMP resolves auto to static.
-		th.nextSeq()
-		th.forStatic(n, opts.ChunkSize, body)
-	case ScheduleDynamic:
-		th.forDynamic(n, opts.ChunkSize, body)
-	case ScheduleGuided:
-		th.forGuided(n, opts.ChunkSize, body)
+	case ScheduleDynamic, ScheduleGuided:
+		th.forClaimed(n, max(opts.ChunkSize, 1), opts.Schedule == ScheduleGuided, body)
 	default:
-		th.nextSeq()
+		// Static; LLVM/OpenMP resolves auto to static.
 		th.forStatic(n, opts.ChunkSize, body)
 	}
 }
@@ -55,65 +46,18 @@ func (th *Thread) forStatic(n, chunk int, body func(i int)) {
 	}
 }
 
-// dynLoop's cursor is the single hottest shared word in a dynamic loop —
-// every chunk grab of every thread CASes it — so it gets a cache line to
-// itself rather than sharing one with whatever the allocator placed next to
-// it.
-type dynLoop struct {
-	next atomic.Int64
-	_    [cacheLineSize - 8]byte
-}
-
-// forDynamic hands out fixed-size chunks from a shared counter,
-// first-come-first-served.
-func (th *Thread) forDynamic(n, chunk int, body func(i int)) {
-	chunk = max(chunk, 1)
-	th.claimLoop(func() any { return new(dynLoop) }, func(st any) (lo, hi int) {
-		lo = int(st.(*dynLoop).next.Add(int64(chunk))) - chunk
-		return lo, min(lo+chunk, n)
-	}, body)
-}
-
-type guidedLoop struct {
-	remaining atomic.Int64
-	_         [cacheLineSize - 8]byte
-}
-
-// forGuided hands out exponentially shrinking chunks: each grab takes
-// remaining/(2*nthreads), clamped below by the chunk size (default 1).
-func (th *Thread) forGuided(n, minChunk int, body func(i int)) {
-	nt := int64(th.team.n)
-	th.claimLoop(func() any {
-		g := new(guidedLoop)
-		g.remaining.Store(int64(n))
-		return g
-	}, func(st any) (lo, hi int) {
-		g := st.(*guidedLoop)
-		for {
-			rem := g.remaining.Load()
-			if rem <= 0 {
-				return n, n
-			}
-			c := min(max(rem/(2*nt), int64(minChunk), 1), rem)
-			if g.remaining.CompareAndSwap(rem, rem-c) {
-				lo = n - int(rem)
-				return lo, lo + int(c)
-			}
-		}
-	}, body)
-}
-
-// claimLoop runs a dynamically scheduled loop: the construct's shared state
-// comes from create, claim takes the next chunk [lo, hi) from it — empty once
-// the loop is exhausted — and body runs over each chunk. All that lies between
-// two chunk bodies (instance lookup, cursor CAS, retries) is one claim span.
-func (th *Thread) claimLoop(create func() any, claim func(st any) (lo, hi int), body func(i int)) {
-	seq := th.nextSeq()
+// forClaimed runs a dynamically scheduled loop: each thread claims chunks of
+// at least chunk iterations from the construct's slot word, which counts the
+// iterations handed out, until the loop is exhausted. Dynamic chunks are
+// chunk-sized, first-come-first-served; guided ones shrink exponentially, each
+// taking rem/(2*nthreads) of the rem iterations left. All that lies between
+// two chunk bodies (slot lookup, claim, CAS retries) is one claim span.
+func (th *Thread) forClaimed(n, chunk int, guided bool, body func(i int)) {
 	h := th.team.hooks
 	claimAt := h.claimStart()
-	st, slot := th.team.instance(seq, create)
+	slot := th.enter()
 	for {
-		lo, hi := claim(st)
+		lo, hi := slot.claim(n, chunk, th.team.n, guided)
 		th.chunkTaken(hi-lo, claimAt)
 		if lo >= hi {
 			break
@@ -123,7 +67,28 @@ func (th *Thread) claimLoop(create func() any, claim func(st any) (lo, hi int), 
 		}
 		claimAt = h.claimStart()
 	}
-	th.team.release(slot, seq)
+	slot.release(th.team.n)
+}
+
+// claim takes the loop's next chunk [lo, hi) from the slot word, the count
+// of iterations handed out of n; the chunk is empty once the loop is
+// exhausted. guided sizes it by the remainder across nt threads.
+func (slot *constructSlot) claim(n, chunk, nt int, guided bool) (lo, hi int) {
+	if !guided {
+		lo = int(slot.word.Add(uint64(chunk))) - chunk
+		return lo, min(lo+chunk, n)
+	}
+	for {
+		taken := slot.word.Load()
+		rem := n - int(taken)
+		if rem <= 0 {
+			return n, n
+		}
+		c := min(max(rem/(2*nt), chunk), rem)
+		if slot.word.CompareAndSwap(taken, taken+uint64(c)) {
+			return int(taken), int(taken) + c
+		}
+	}
 }
 
 // chunkTaken accounts one chunk claim, begun at claimAt, that handed this

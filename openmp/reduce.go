@@ -1,10 +1,6 @@
 package openmp
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // ReduceSum combines each thread's local value by addition and returns the
 // team-wide sum to every thread. Like an OpenMP reduction clause it is a
@@ -20,90 +16,59 @@ func (th *Thread) ReduceMin(local float64) float64 {
 	return th.reduce(local, math.Inf(1), math.Min)
 }
 
-// atomicCell is a CAS-combined accumulator, the "atomic" reduction method.
-type atomicCell struct {
-	bits atomic.Uint64
-}
-
-func (c *atomicCell) fold(v float64, op func(a, b float64) float64) {
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(op(math.Float64frombits(old), v))
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
+// treeBuffer allocates a team's tree-reduction buffer: one padded,
+// align-aligned stride per thread, so that at or above the cache-line size
+// threads never share a line. Teams whose reductions take another method
+// (or none: a one-thread team) get nil.
+func treeBuffer(o Options, n int) []float64 {
+	if n < 2 || o.effectiveReduction(n) != ReductionTree {
+		return nil
 	}
-}
-
-// critCell is a lock-combined accumulator, the "critical" reduction method.
-type critCell struct {
-	mu  sync.Mutex
-	val float64
-}
-
-// treeCell holds padded per-thread slots combined pairwise in log2 rounds,
-// the "tree" reduction method. The slot stride honours KMP_ALIGN_ALLOC so
-// that, at or above the cache-line size, threads never share a line.
-type treeCell struct {
-	slots  []float64
-	stride int
+	return AlignedFloat64s(n*padStride(o.AlignAlloc), o.AlignAlloc)
 }
 
 func (th *Thread) reduce(local, identity float64, op func(a, b float64) float64) float64 {
 	n := th.team.n
-	method := th.team.rt.opts.effectiveReduction(n)
 	if n == 1 {
 		// Special code path: no synchronization needed (§III-6).
-		th.nextSeq()
 		return local
 	}
-	seq := th.nextSeq()
-	switch method {
-	case ReductionAtomic:
-		st, h := th.team.instance(seq, func() any {
-			c := new(atomicCell)
-			c.bits.Store(math.Float64bits(identity))
-			return c
-		})
-		cell := st.(*atomicCell)
-		cell.fold(local, op)
-		th.Barrier()
-		out := math.Float64frombits(cell.bits.Load())
-		th.Barrier() // all threads read before the instance is released
-		th.team.release(h, seq)
-		return out
-
-	case ReductionCritical:
-		st, h := th.team.instance(seq, func() any { return &critCell{val: identity} })
-		cell := st.(*critCell)
-		cell.mu.Lock()
-		cell.val = op(cell.val, local)
-		cell.mu.Unlock()
-		th.Barrier()
-		out := cell.val
-		th.Barrier()
-		th.team.release(h, seq)
-		return out
-
-	default: // ReductionTree
-		align := th.team.rt.opts.AlignAlloc
-		st, h := th.team.instance(seq, func() any {
-			stride := padStride(align)
-			return &treeCell{slots: AlignedFloat64s(n*stride, align), stride: stride}
-		})
-		cell := st.(*treeCell)
-		cell.slots[th.id*cell.stride] = local
+	method := th.team.rt.opts.effectiveReduction(n)
+	if method == ReductionTree {
+		// Pairwise in log2 rounds over the team's buffer.
+		buf, stride := th.team.tree, padStride(th.team.rt.opts.AlignAlloc)
+		buf[th.id*stride] = local
 		th.Barrier()
 		for step := 1; step < n; step <<= 1 {
 			if th.id%(2*step) == 0 && th.id+step < n {
-				a := &cell.slots[th.id*cell.stride]
-				*a = op(*a, cell.slots[(th.id+step)*cell.stride])
+				a := &buf[th.id*stride]
+				*a = op(*a, buf[(th.id+step)*stride])
 			}
 			th.Barrier()
 		}
-		out := cell.slots[0]
-		th.Barrier()
-		th.team.release(h, seq)
+		out := buf[0]
+		th.Barrier() // all threads read before the next reduction writes
 		return out
 	}
+	// Atomic and critical fold into the slot word, which holds bits(acc) XOR
+	// bits(identity) so that the zero word a construct starts from reads as
+	// the identity.
+	slot := th.enter()
+	id := math.Float64bits(identity)
+	fold := func(w uint64) uint64 {
+		return math.Float64bits(op(math.Float64frombits(w^id), local)) ^ id
+	}
+	if method == ReductionCritical {
+		slot.mu.Lock()
+		slot.word.Store(fold(slot.word.Load()))
+		slot.mu.Unlock()
+	} else {
+		for old := slot.word.Load(); !slot.word.CompareAndSwap(old, fold(old)); old = slot.word.Load() {
+		}
+	}
+	th.Barrier()
+	out := math.Float64frombits(slot.word.Load() ^ id)
+	th.Barrier() // all threads read before the slot is released
+	slot.release(n)
+	return out
 }

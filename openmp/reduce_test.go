@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func reduceOpts(n int, method ReductionMethod) Options {
@@ -42,31 +43,74 @@ func TestReduceSumAllMethods(t *testing.T) {
 }
 
 // TestReduceMaxMin checks the non-additive combiner, ReduceMin, under every
-// method.
+// method, and both combiners on identity edge inputs, to the bit: atomic and
+// critical reductions fold into a slot word that starts as the identity, so
+// they must match a serial fold seeded with it. The tree combines the threads'
+// values alone, so a sum of −0.0s stays −0.0 there.
 func TestReduceMaxMin(t *testing.T) {
+	inf, negZero := math.Inf(1), math.Copysign(0, -1)
+	cases := []struct {
+		name     string
+		min      bool // ReduceMin, else ReduceSum
+		identity float64
+		in       [4]float64
+	}{
+		{"min", true, inf, [4]float64{-15, -5, 5, 15}},
+		{"min of +Inf", true, inf, [4]float64{inf, inf, inf, inf}},
+		{"sum of -0", false, 0, [4]float64{negZero, negZero, negZero, negZero}},
+	}
 	for _, m := range []ReductionMethod{ReductionTree, ReductionCritical, ReductionAtomic} {
 		rt := testRuntime(t, reduceOpts(4, m))
-		var gotMin float64
-		rt.Parallel(func(th *Thread) {
-			mn := th.ReduceMin(float64(th.ID()*10 - 15)) // -15, -5, 5, 15
-			th.Master(func() { gotMin = mn })
-		})
-		if gotMin != -15 {
-			t.Errorf("%s: min = %v, want -15", m, gotMin)
+		for _, c := range cases {
+			op := func(a, b float64) float64 { return a + b }
+			if c.min {
+				op = math.Min
+			}
+			want := c.identity
+			if m == ReductionTree {
+				want = c.in[0]
+				for _, v := range c.in[1:] {
+					want = op(want, v)
+				}
+			} else {
+				for _, v := range c.in {
+					want = op(want, v)
+				}
+			}
+			var got float64
+			rt.Parallel(func(th *Thread) {
+				v := c.in[th.ID()]
+				if c.min {
+					v = th.ReduceMin(v)
+				} else {
+					v = th.ReduceSum(v)
+				}
+				th.Master(func() { got = v })
+			})
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s, %s: got %v (%#x), want %v (%#x)", m, c.name,
+					got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
 	}
 }
 
+// TestReduceRepeatedConstructs runs each method for more than twice the
+// ring's length of rounds in one region, so the atomic and critical
+// reductions reuse every slot (and the tree its team buffer) again and again.
 func TestReduceRepeatedConstructs(t *testing.T) {
-	rt := testRuntime(t, reduceOpts(4, ReductionTree))
-	rt.Parallel(func(th *Thread) {
-		for round := 1; round <= 20; round++ {
-			got := th.ReduceSum(float64(round))
-			if want := float64(4 * round); got != want {
-				t.Errorf("round %d: sum = %v, want %v", round, got, want)
+	const rounds = 2*constructRingSize + 20
+	for _, m := range []ReductionMethod{ReductionTree, ReductionCritical, ReductionAtomic} {
+		rt := testRuntime(t, reduceOpts(4, m))
+		rt.Parallel(func(th *Thread) {
+			for round := 1; round <= rounds; round++ {
+				got := th.ReduceSum(float64(round))
+				if want := float64(4 * round); got != want {
+					t.Errorf("%s round %d: sum = %v, want %v", m, round, got, want)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func TestReduceSingleThreadShortCircuits(t *testing.T) {
@@ -144,6 +188,9 @@ func TestReduceMixedWithLoops(t *testing.T) {
 	}
 }
 
+// TestTreeReductionSlotsAreAligned: the team's tree buffer starts on a
+// KMP_ALIGN_ALLOC boundary and its per-thread stride spans at least that
+// many bytes, so no two threads' slots share an aligned block.
 func TestTreeReductionSlotsAreAligned(t *testing.T) {
 	for _, align := range []int{64, 128, 256, 512} {
 		o := reduceOpts(4, ReductionTree)
@@ -156,6 +203,12 @@ func TestTreeReductionSlotsAreAligned(t *testing.T) {
 		})
 		if got != 4 {
 			t.Errorf("align=%d: sum = %v, want 4", align, got)
+		}
+		if a := Alignment(unsafe.Pointer(&rt.hot.tree[0])); a < align {
+			t.Errorf("align=%d: tree buffer is %d-byte aligned", align, a)
+		}
+		if stride := padStride(align); stride*8 < align {
+			t.Errorf("align=%d: stride %d float64s spans fewer bytes", align, stride)
 		}
 	}
 }

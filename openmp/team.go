@@ -6,7 +6,7 @@ import (
 )
 
 // Team is one fork–join instance: n threads executing the same region body.
-// Shared construct state (loop descriptors, reduction cells, single
+// Shared construct state (loop cursors, reduction accumulators, single
 // winners) is keyed by a per-thread construct sequence number, which
 // requires — exactly as OpenMP does — that all threads of a team encounter
 // the team's worksharing constructs in the same order.
@@ -52,6 +52,12 @@ type Team struct {
 	ring    constructRing
 	bar     barrier
 
+	// tree is the tree reduction's buffer, padStride(KMP_ALIGN_ALLOC)
+	// float64s per thread on a KMP_ALIGN_ALLOC boundary; nil unless the
+	// team's reductions resolve to the tree method. Every reduction ends
+	// behind a barrier, so each one reuses it.
+	tree []float64
+
 	// gtids lists the team threads' global ids in thread order, precomputed
 	// so the profiler fold at region quiescence walks them without
 	// allocating. nil for transient serialized teams, which are unprofiled
@@ -79,6 +85,7 @@ func newTeam(rt *Runtime, n int) *Team {
 		n:       n,
 		threads: make([]Thread, n),
 		pool:    newTaskPool(n),
+		tree:    treeBuffer(rt.opts, n),
 	}
 	tm.gtids = make([]int32, n)
 	for i := range tm.threads {
@@ -109,6 +116,7 @@ func newNestedTeam(rt *Runtime, parent *Thread, n int) *Team {
 		activeLevels: parent.team.activeLevels,
 		threads:      make([]Thread, n),
 		pool:         newTaskPool(n),
+		tree:         treeBuffer(rt.opts, n),
 	}
 	if n > 1 {
 		tm.activeLevels++
@@ -146,6 +154,7 @@ func newTransientTeam(rt *Runtime, n int) *Team {
 		activeLevels: 1,
 		threads:      make([]Thread, n),
 		pool:         newTaskPool(n),
+		tree:         treeBuffer(rt.opts, n),
 	}
 	for i := range tm.threads {
 		th := &tm.threads[i]
@@ -309,20 +318,6 @@ func (tm *Team) barrierWait(th *Thread, explicit bool) {
 	}
 }
 
-// instance returns the shared state for the construct with sequence number
-// seq, creating it with create on first arrival. The returned handle must be
-// passed back to release.
-func (tm *Team) instance(seq int64, create func() any) (any, *constructSlot) {
-	return tm.ring.instance(seq, create)
-}
-
-// release marks the calling thread done with construct seq and frees the
-// instance once every team thread has released it, keeping construct state
-// bounded for long-running applications.
-func (tm *Team) release(h *constructSlot, seq int64) {
-	h.release(seq, int32(tm.n))
-}
-
 // Thread is the per-thread view of a parallel region, passed to the region
 // body. It is not safe to share a Thread between goroutines. Threads are
 // cache-line padded: they live in the hot team's contiguous array. The first
@@ -346,7 +341,7 @@ type Thread struct {
 	_     [cacheLineSize - 56]byte
 
 	regionID uint64 // region of the implicit task being run, 0 between regions; see hooks.emit
-	seq      int64  // worksharing constructs encountered, team-lifetime monotonic
+	seq      int64  // ring constructs entered, team-lifetime monotonic
 	curTask  *task
 	stealAt  int // last productive steal victim (scan start position)
 	spawns   int // tasks spawned; every 32nd spawn is a yield point
@@ -412,10 +407,11 @@ func (th *Thread) Place() int {
 	return p[th.id]
 }
 
-// nextSeq advances the thread's construct counter.
-func (th *Thread) nextSeq() int64 {
+// enter advances th's construct sequence and enters that construct's ring
+// slot; th passes the slot back to release when it is done with it.
+func (th *Thread) enter() *constructSlot {
 	th.seq++
-	return th.seq
+	return th.team.ring.enter(th.seq)
 }
 
 // Barrier blocks until every thread of the team has called it (inner-team
@@ -432,12 +428,11 @@ func (th *Thread) Master(fn func()) {
 // Single runs fn on the first thread to arrive at this construct; the other
 // threads skip it. Nowait semantics: no implied barrier.
 func (th *Thread) Single(fn func()) {
-	seq := th.nextSeq()
-	st, h := th.team.instance(seq, func() any { return new(atomic.Bool) })
-	if st.(*atomic.Bool).CompareAndSwap(false, true) {
+	slot := th.enter()
+	if slot.word.CompareAndSwap(0, 1) {
 		fn()
 	}
-	th.team.release(h, seq)
+	slot.release(th.team.n)
 }
 
 // Critical runs fn under the process-wide named critical-section lock.
