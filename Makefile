@@ -60,12 +60,13 @@ fuzz:
 # overhead suite plus the whole-operation benchmarks it complements. The
 # campaign side rides along: the model sweep's throughput and the
 # configuration-key cost behind it, one logistic fit of the influence
-# heatmaps (50,000 x 10, 300 epochs) and one fit of the surrogate search's
-# regression forest (300 x 7, 12 trees), with their allocation counts.
+# heatmaps (50,000 x 10, 300 epochs), one fit of the surrogate search's
+# regression forest (300 x 7, 12 trees) and one write and one read of a
+# 20,000-row dataset CSV, with their allocation counts.
 BENCH ?= .
 bench:
 	$(GO) test ./openmp -run '^$$' -bench '$(BENCH)' -benchtime=300ms -count=5 -benchmem
-	$(GO) test . ./internal/ml -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|FitLogistic|FitRegForest' -benchtime=300ms -count=5 -benchmem
+	$(GO) test . ./internal/ml ./internal/dataset -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|FitLogistic|FitRegForest|WriteCSV|ReadCSV' -benchtime=300ms -count=5 -benchmem
 
 # verify is the pre-merge gate (build, reached through test, includes the
 # benchmark/ module; the measured, live-monitor and variability smokes are Go

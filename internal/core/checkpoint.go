@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -127,6 +128,9 @@ type checkpoint struct {
 	mu      sync.Mutex
 	journal *os.File
 	have    map[int]journalEntry
+	// segments reads every segment load restores, so a resume parses each
+	// configuration once. load runs on the sweep's planning goroutine alone.
+	segments *dataset.CSVReader
 }
 
 // openCheckpoint creates or resumes the checkpoint directory, validating an
@@ -157,7 +161,7 @@ func openCheckpoint(dir string, man sweepManifest) (*checkpoint, error) {
 		return nil, fmt.Errorf("core: reading checkpoint manifest: %w", err)
 	}
 
-	ck := &checkpoint{dir: dir, have: map[int]journalEntry{}}
+	ck := &checkpoint{dir: dir, have: map[int]journalEntry{}, segments: dataset.NewCSVReader()}
 	jPath := filepath.Join(dir, "journal.jsonl")
 	if f, err := os.Open(jPath); err == nil {
 		sc := bufio.NewScanner(f)
@@ -206,7 +210,7 @@ func (ck *checkpoint) load(u *sweepUnit) ([]*dataset.Sample, bool, error) {
 		return nil, false, fmt.Errorf("core: checkpoint segment for %s: %w", e.Key, err)
 	}
 	defer f.Close()
-	ds, err := dataset.ReadCSV(f)
+	ds, err := ck.segments.ReadCSV(f)
 	if err != nil {
 		return nil, false, fmt.Errorf("core: checkpoint segment for %s: %w", e.Key, err)
 	}
@@ -220,11 +224,11 @@ func (ck *checkpoint) load(u *sweepUnit) ([]*dataset.Sample, bool, error) {
 // journal record, so the journal never references a missing segment.
 func (ck *checkpoint) save(u *sweepUnit, samples []*dataset.Sample) error {
 	name := fmt.Sprintf("unit-%05d.csv", u.index)
-	var buf strings.Builder
+	var buf bytes.Buffer
 	if err := (&dataset.Dataset{Samples: samples}).WriteCSV(&buf); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(ck.dir, name), []byte(buf.String())); err != nil {
+	if err := writeFileAtomic(filepath.Join(ck.dir, name), buf.Bytes()); err != nil {
 		return fmt.Errorf("core: writing checkpoint segment: %w", err)
 	}
 	e := journalEntry{Unit: u.index, Key: u.key(), Samples: len(samples), File: name}

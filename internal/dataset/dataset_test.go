@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
 	"strings"
 	"testing"
@@ -215,6 +216,8 @@ func TestCSVHeaderAndFormat(t *testing.T) {
 const (
 	baseHeader = "arch,app,suite,setting,threads,scale,omp_places,omp_proc_bind,omp_schedule,kmp_library,kmp_blocktime,kmp_force_reduction,kmp_align_alloc,runtime_0,runtime_1,runtime_2,runtime_3,default_runtime,speedup,optimal"
 	baseRow    = "a64fx,CG,NPB,small,48,1,unset,unset,static,throughput,200,unset,256,1,1,1,1,1,1,false"
+	// milanAlign64 is baseRow on Milan with a 64-byte KMP_ALIGN_ALLOC.
+	milanAlign64 = "milan,CG,NPB,small,48,1,unset,unset,static,throughput,200,unset,64,1,1,1,1,1,1,false"
 )
 
 func TestReadCSVErrors(t *testing.T) {
@@ -239,9 +242,14 @@ func TestReadCSVErrors(t *testing.T) {
 		"zero default_runtime": baseHeader + "\n" + strings.Replace(baseRow, "1,1,false", "0,1,false", 1) + "\n",
 		"NaN default_runtime":  baseHeader + "\n" + strings.Replace(baseRow, "1,1,false", "NaN,1,false", 1) + "\n",
 		"NaN cov":              baseHeader + ",reps,cov,ci\n" + baseRow + ",2,NaN,0.1\n",
+		// Configurations parse once per machine and cells, not once per
+		// cells: 64-byte alignment is valid on Milan, not on A64FX.
+		"config valid on another machine": baseHeader + "\n" + milanAlign64 + "\n" + strings.Replace(milanAlign64, "milan", "a64fx", 1) + "\n",
 	}
-	if _, err := ReadCSV(strings.NewReader(baseHeader + "\n" + baseRow + "\n")); err != nil {
-		t.Fatalf("the row every case corrupts does not read: %v", err)
+	for _, good := range []string{baseRow, milanAlign64} {
+		if _, err := ReadCSV(strings.NewReader(baseHeader + "\n" + good + "\n")); err != nil {
+			t.Fatalf("a row the cases corrupt does not read: %v", err)
+		}
 	}
 	for name, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
@@ -281,7 +289,8 @@ func TestReadCSVResolvesColumnsByName(t *testing.T) {
 }
 
 // FuzzReadCSV: the reader never panics, and whatever it accepts is a valid
-// dataset that the writer can emit and the reader takes back unchanged —
+// dataset that the writer emits as encoding/csv would and the reader takes
+// back unchanged —
 // exactly so from the second pass on (the first may round floats to the
 // format's 10 significant digits).
 func FuzzReadCSV(f *testing.F) {
@@ -309,6 +318,9 @@ func FuzzReadCSV(f *testing.F) {
 			t.Fatalf("accepted dataset fails Validate: %v", err)
 		}
 		w1 := regenerate(t, d1)
+		if records, err := csv.NewReader(bytes.NewReader(w1)).ReadAll(); err != nil || !bytes.Equal(encodingCSV(t, records), w1) {
+			t.Fatalf("writer output is not what encoding/csv writes for its cells (%v):\n%q", err, w1)
+		}
 		d2, err := ReadCSV(bytes.NewReader(w1))
 		if err != nil {
 			t.Fatalf("reader rejects the writer's output: %v\n%s", err, w1)
@@ -422,7 +434,13 @@ func TestCSVNestedConfigRoundTrip(t *testing.T) {
 	nested.Config.MaxActiveLevels = 2
 	nested.Config.ThreadLimit = 16
 	flat := mkSample(topology.Milan, "LUNest", "small", 1.1)
-	ds := &Dataset{Samples: []*Sample{nested, flat}}
+	// The same cell in different nesting columns, the others blank: two
+	// configurations the reader's parse memo must keep apart.
+	levels := mkSample(topology.Milan, "LUNest", "small", 1.2)
+	levels.Config.MaxActiveLevels = 2
+	limit := mkSample(topology.Milan, "LUNest", "small", 1.2)
+	limit.Config.ThreadLimit = 2
+	ds := &Dataset{Samples: []*Sample{nested, flat, levels, limit}}
 	var buf bytes.Buffer
 	if err := ds.WriteCSV(&buf); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
@@ -435,11 +453,10 @@ func TestCSVNestedConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadCSV: %v", err)
 	}
-	if got := back.Samples[0].Config; got != nested.Config {
-		t.Errorf("nested config round-trip = %+v, want %+v", got, nested.Config)
-	}
-	if got := back.Samples[1].Config; got != flat.Config {
-		t.Errorf("flat config round-trip = %+v, want %+v", got, flat.Config)
+	for i, s := range ds.Samples {
+		if got := back.Samples[i].Config; got != s.Config {
+			t.Errorf("sample %d config round-trip = %+v, want %+v", i, got, s.Config)
+		}
 	}
 	if back.Samples[0].Config.Key() == back.Samples[1].Config.Key() {
 		t.Error("nested and flat configs collapsed to the same key after round-trip")
