@@ -34,10 +34,11 @@ race:
 # a CPU hog (one busy shell loop: on a 2-vCPU box the second vCPU is gone for
 # the whole run), the load under which tier-1 must stay green. Every wait in
 # openmp/ goes through one spin loop and one parker; a lost wakeup shows here
-# as a hang or a Sleeps != Wakeups failure.
+# as a hang or a Sleeps != Wakeups failure. The ./openmp binary takes close
+# to go test's default 10-minute timeout on a 2-vCPU box, hence -timeout.
 flake:
 	@( while :; do :; done ) & hog=$$!; trap 'kill $$hog' EXIT; \
-	$(GO) test -count=20 -cpu=1,2,4 ./openmp/...
+	$(GO) test -timeout 20m -count=20 -cpu=1,2,4 ./openmp/...
 
 # fuzz runs every Fuzz* target of the packages that parse outside input — the
 # runtime's environment, the study's variables (with the differential between

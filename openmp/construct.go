@@ -53,8 +53,8 @@ type constructSlot struct {
 // thread could not be this far ahead), a nowait Single and a dynamic or
 // guided chunk claim never wait on a teammate, and OpenMP forbids a
 // worksharing region inside a critical one, so the teammate always reaches
-// its release. The wait spins under the zero policy, never parking, because
-// a teammate's release posts to no parker.
+// its release. The wait spins under the zero policy, yielding between polls
+// and never parking, because a teammate's release posts to no parker.
 type constructRing struct {
 	slots [constructRingSize]constructSlot
 }

@@ -92,10 +92,11 @@ func (slot *constructSlot) claim(n, chunk, nt int, guided bool) (lo, hi int) {
 }
 
 // chunkTaken accounts one chunk claim, begun at claimAt, that handed this
-// thread iters iterations (none: the loop was exhausted).
+// thread iters iterations (none: the loop was exhausted). The count goes to
+// th.chunks, which Team.run folds into the stats shard.
 func (th *Thread) chunkTaken(iters int, claimAt int64) {
 	if iters > 0 {
-		th.stats.chunks.Add(1)
+		th.chunks++
 	}
 	if h := th.team.hooks; h != nil {
 		h.chunk(th, iters, claimAt)

@@ -458,6 +458,28 @@ func (o Options) widthForLevel(level int) int {
 	return o.ThreadsPerLevel[len(o.ThreadsPerLevel)-1]
 }
 
+// peakThreads is how many threads a runtime whose outer team is n wide runs
+// at once when every nesting level OMP_MAX_ACTIVE_LEVELS allows forks its
+// requested width, capped by OMP_THREAD_LIMIT. Its only use is the wait
+// policy's oversubscription test, where a miscount costs a bounded spin.
+func (o Options) peakThreads(n int) int {
+	levels := o.effectiveMaxActiveLevels()
+	if o.Library == LibSerial {
+		levels = 1
+	}
+	for level := 1; level < levels && n <= budgetUnlimited; level++ {
+		w := o.widthForLevel(level)
+		if w == 1 && level >= len(o.ThreadsPerLevel) {
+			break // every deeper level is as narrow
+		}
+		n *= min(w, budgetUnlimited)
+	}
+	if o.ThreadLimit > 0 {
+		n = min(n, o.ThreadLimit)
+	}
+	return n
+}
+
 // effectiveReduction resolves ReductionDefault with the runtime heuristic.
 func (o Options) effectiveReduction(threads int) ReductionMethod {
 	if o.Reduction != ReductionDefault {

@@ -13,6 +13,8 @@ package openmp
 // as recorded in EXPERIMENTS.md.
 
 import (
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -28,19 +30,42 @@ var waitPolicies = []struct {
 	{"policy=turnaround", func(o *Options) { o.Library = LibTurnaround }},
 }
 
+// forWidths runs bench as one sub-benchmark per team width, with mutate's
+// options at that width: T = 4 and T = GOMAXPROCS. On a box with fewer than
+// four Ps, T = 4 is oversubscribed and every wait yields from its first
+// poll; at T = GOMAXPROCS the threads fit and waits poll tight first
+// (wait.go).
+func forWidths(b *testing.B, mutate func(*Options), bench func(b *testing.B, rt *Runtime)) {
+	widths := []int{4}
+	if p := runtime.GOMAXPROCS(0); p != 4 {
+		widths = append(widths, p)
+	}
+	for _, w := range widths {
+		b.Run(fmt.Sprintf("threads=%d", w), func(b *testing.B) {
+			bench(b, benchRuntime(b, func(o *Options) {
+				o.NumThreads = w
+				if mutate != nil {
+					mutate(o)
+				}
+			}))
+		})
+	}
+}
+
 // BenchmarkOverheadParallel measures bare region dispatch: an empty body on
 // a warm hot team. The steady state must be 0 allocs/op.
 func BenchmarkOverheadParallel(b *testing.B) {
 	for _, p := range waitPolicies {
 		b.Run(p.name, func(b *testing.B) {
-			rt := benchRuntime(b, p.mutate)
-			body := func(*Thread) {}
-			rt.Parallel(body)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			forWidths(b, p.mutate, func(b *testing.B, rt *Runtime) {
+				body := func(*Thread) {}
 				rt.Parallel(body)
-			}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rt.Parallel(body)
+				}
+			})
 		})
 	}
 }
@@ -50,13 +75,14 @@ func BenchmarkOverheadParallel(b *testing.B) {
 func BenchmarkOverheadBarrier(b *testing.B) {
 	for _, p := range waitPolicies {
 		b.Run(p.name, func(b *testing.B) {
-			rt := benchRuntime(b, p.mutate)
-			b.ReportAllocs()
-			b.ResetTimer()
-			rt.Parallel(func(th *Thread) {
-				for i := 0; i < b.N; i++ {
-					th.Barrier()
-				}
+			forWidths(b, p.mutate, func(b *testing.B, rt *Runtime) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				rt.Parallel(func(th *Thread) {
+					for i := 0; i < b.N; i++ {
+						th.Barrier()
+					}
+				})
 			})
 		})
 	}
@@ -80,22 +106,23 @@ func BenchmarkOverheadFor(b *testing.B) {
 	}
 	for _, s := range schedules {
 		b.Run(s.name, func(b *testing.B) {
-			rt := benchRuntime(b, func(o *Options) {
+			forWidths(b, func(o *Options) {
 				o.Schedule = s.sched
 				o.ChunkSize = s.chunk
 				o.Library = LibTurnaround
-			})
-			var sink atomic.Int64
-			iter := func(j int) {
-				if j == 0 {
-					sink.Add(1)
+			}, func(b *testing.B, rt *Runtime) {
+				var sink atomic.Int64
+				iter := func(j int) {
+					if j == 0 {
+						sink.Add(1)
+					}
 				}
-			}
-			b.ResetTimer()
-			rt.Parallel(func(th *Thread) {
-				for i := 0; i < b.N; i++ {
-					th.For(128, iter)
-				}
+				b.ResetTimer()
+				rt.Parallel(func(th *Thread) {
+					for i := 0; i < b.N; i++ {
+						th.For(128, iter)
+					}
+				})
 			})
 		})
 	}

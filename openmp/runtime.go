@@ -2,6 +2,7 @@ package openmp
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -39,7 +40,7 @@ type Runtime struct {
 	opts      Options
 	bind      BindPolicy
 	placement []int      // thread -> place index; nil when unbound
-	wait      waitPolicy // KMP_LIBRARY and KMP_BLOCKTIME, resolved once
+	wait      waitPolicy // KMP_LIBRARY, KMP_BLOCKTIME and GOMAXPROCS, resolved once
 
 	regionMu sync.Mutex
 	wg       sync.WaitGroup // every worker of every team, for Close
@@ -244,12 +245,9 @@ func New(opts Options) (*Runtime, error) {
 	if opts.ThreadLimit > 0 && opts.NumThreads > opts.ThreadLimit {
 		opts.NumThreads = opts.ThreadLimit
 	}
-	rt := &Runtime{
-		opts: opts,
-		bind: opts.effectiveBind(),
-		wait: opts.waitPolicy(),
-	}
+	rt := &Runtime{opts: opts, bind: opts.effectiveBind()}
 	n := rt.NumThreads()
+	rt.wait = opts.waitPolicy(opts.peakThreads(n), runtime.GOMAXPROCS(0))
 	rt.stats.shards = make([]statShard, n+1)
 	rt.placement = AssignPlaces(len(opts.Places), rt.bind, opts.NumThreads, 0)
 	rt.nextGtid.Store(int64(n))

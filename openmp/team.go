@@ -296,6 +296,12 @@ func (tm *Team) run(tid int) {
 	}
 	tm.body(th)
 	th.drainTasks()
+	// The chunks the region handed this thread reach its stats shard in one
+	// atomic add, before the barrier that makes Stats.Chunks exact.
+	if th.chunks != 0 {
+		th.stats.chunks.Add(th.chunks)
+		th.chunks = 0
+	}
 	tm.barrierWait(th, false)
 	if h != nil {
 		h.implicitEnd(th)
@@ -343,9 +349,10 @@ type Thread struct {
 	regionID uint64 // region of the implicit task being run, 0 between regions; see hooks.emit
 	seq      int64  // ring constructs entered, team-lifetime monotonic
 	curTask  *task
-	stealAt  int // last productive steal victim (scan start position)
-	spawns   int // tasks spawned; every 32nd spawn is a yield point
-	_        [cacheLineSize - 40]byte
+	stealAt  int    // last productive steal victim (scan start position)
+	spawns   int    // tasks spawned; every 32nd spawn is a yield point
+	chunks   uint64 // chunks of the running region, not yet in stats
+	_        [cacheLineSize - 48]byte
 }
 
 // ID returns the thread number within the team (0 = primary).

@@ -6,26 +6,47 @@ import (
 	"time"
 )
 
-// waitPolicy is KMP_LIBRARY and KMP_BLOCKTIME resolved once, at New: a
-// waiting thread either spins forever (turnaround, KMP_BLOCKTIME=infinite)
-// or spins for budget and then parks (throughput; a zero budget parks at
-// once). The zero value spins forever — what a zero-value Lock and the
-// runtime's short hand-offs, which have no waker, want.
+// waitPolicy is KMP_LIBRARY, KMP_BLOCKTIME and GOMAXPROCS resolved once, at
+// New: a waiting thread either spins forever (turnaround,
+// KMP_BLOCKTIME=infinite) or spins for budget and then parks (throughput; a
+// zero budget parks at once). tight is how many polls the spin makes back to
+// back before it starts yielding between them. The zero value spins forever, yielding
+// between polls — what a zero-value Lock and the construct ring's full-slot
+// hand-off, which have no waker, want.
 type waitPolicy struct {
 	parks  bool
 	budget time.Duration
+	tight  int
 }
 
-func (o Options) waitPolicy() waitPolicy {
-	bt := o.effectiveBlocktimeMS()
-	if bt == BlocktimeInfinite {
-		return waitPolicy{}
+// The spin's tight phase, after libomp's __kmp_wait_template: spinTight
+// polls, separated by an empty loop that doubles from one to spinBackoff
+// iterations (a few microseconds in all), before the spin yields the
+// processor between polls.
+const (
+	spinTight   = 128
+	spinBackoff = 32
+)
+
+// waitPolicy resolves the options for a runtime that runs up to threads
+// threads at once on procs Ps (GOMAXPROCS, read once by New). An
+// oversubscribed runtime gets no tight phase — libomp's KMP_USE_YIELD=1 rule —
+// because a waiter that polls without yielding there holds the P its waker
+// needs until the scheduler preempts it, 10 ms later.
+func (o Options) waitPolicy(threads, procs int) waitPolicy {
+	var w waitPolicy
+	if threads <= procs {
+		w.tight = spinTight
 	}
-	return waitPolicy{parks: true, budget: time.Duration(bt) * time.Millisecond}
+	if bt := o.effectiveBlocktimeMS(); bt != BlocktimeInfinite {
+		w.parks, w.budget = true, time.Duration(bt)*time.Millisecond
+	}
+	return w
 }
 
-// spin is the runtime's one spin loop: it polls cond, yielding the processor
-// between polls, until cond holds (true) or the budget is spent (false). It
+// spin is the runtime's one spin loop: it polls cond until cond holds (true)
+// or the budget is spent (false). The first w.tight polls follow each other
+// after a short backoff; every later poll follows a runtime.Gosched. It
 // reads the clock once every 64 polls, polls once under a zero budget, and
 // never gives up under a policy that does not park.
 func (w waitPolicy) spin(cond func() bool) bool {
@@ -39,8 +60,15 @@ func (w waitPolicy) spin(cond func() bool) bool {
 	if w.parks {
 		deadline = time.Now().Add(w.budget)
 	}
+	backoff := 1
 	for polls := 1; ; polls++ {
-		runtime.Gosched()
+		if polls <= w.tight {
+			for i := 0; i < backoff; i++ {
+			}
+			backoff = min(2*backoff, spinBackoff)
+		} else {
+			runtime.Gosched()
+		}
 		if cond() {
 			return true
 		}
@@ -138,8 +166,12 @@ func (th *Thread) park(site int32, cond func() bool) bool {
 }
 
 // unpark wakes the team's threads parked at site, one thread at a time, as
-// libomp's linear barrier release does.
+// libomp's linear barrier release does. Under a policy that never parks no
+// thread can be parked, so it reads no parker.
 func (tm *Team) unpark(site int32) {
+	if !tm.rt.wait.parks {
+		return
+	}
 	for i := range tm.threads {
 		if p := &tm.threads[i].parker; p.waiting.Load() == site {
 			p.post()
