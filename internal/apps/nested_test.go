@@ -84,8 +84,5 @@ func TestNestedKernelsForkNestedRegions(t *testing.T) {
 		if st.NestedRegions == 0 {
 			t.Errorf("%s ran no nested regions", a.Name)
 		}
-		if lvl1 := rt.LevelStats(1); lvl1.Regions == 0 {
-			t.Errorf("%s: no level-1 regions in LevelStats", a.Name)
-		}
 	}
 }

@@ -8,13 +8,14 @@ import (
 
 // foldTestReport produces a one-region profiler report to feed an aggregator.
 func foldTestReport() *profile.Report {
-	p := profile.New(2)
+	p := profile.New()
 	fork := p.Now()
-	for _, g := range []int{0, 1} {
-		p.ThreadStart(g, 0, 1)
-		p.ThreadArrive(g, 0)
+	slots := make([]profile.Scratch, 2)
+	for i := range slots {
+		slots[i] = profile.Scratch{Region: 1, StartNS: p.Now()}
+		slots[i].ArriveNS = p.Now()
 	}
-	p.Fold(0x1234, 0, 1, []int32{0, 1}, fork)
+	p.Fold(0x1234, 0, 1, fork, slots)
 	return p.Snapshot()
 }
 

@@ -94,26 +94,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is a point-in-time copy of a histogram: mergeable
-// across shards (per-worker or per-campaign histograms combine by bucket
-// addition) and queryable for quantiles.
+// HistogramSnapshot is a point-in-time copy of a histogram, queryable for
+// quantiles.
 type HistogramSnapshot struct {
 	Counts []uint64 // len histBuckets
 	Count  uint64
 	Sum    int64 // nanoseconds
-}
-
-// Merge adds other's observations into s. Histograms share one fixed bucket
-// layout, so merging is exact, commutative and associative.
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
-	if len(s.Counts) == 0 {
-		s.Counts = make([]uint64, histBuckets)
-	}
-	for i, c := range other.Counts {
-		s.Counts[i] += c
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of the recorded

@@ -120,37 +120,6 @@ func exactQuantile(vals []int64, q float64) int64 {
 	return s[rank-1]
 }
 
-func TestMergeMatchesCombinedObservation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
-	for i := 0; i < 300; i++ {
-		v := time.Duration(rng.Int63n(int64(time.Second)))
-		all.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	m := a.Snapshot()
-	m.Merge(b.Snapshot())
-	want := all.Snapshot()
-	if m.Count != want.Count || m.Sum != want.Sum {
-		t.Fatalf("merged count/sum = %d/%d, want %d/%d", m.Count, m.Sum, want.Count, want.Sum)
-	}
-	for i := range m.Counts {
-		if m.Counts[i] != want.Counts[i] {
-			t.Fatalf("bucket %d: merged %d, want %d", i, m.Counts[i], want.Counts[i])
-		}
-	}
-	// Merge into an empty snapshot works too.
-	var z HistogramSnapshot
-	z.Merge(want)
-	if z.Quantile(0.5) != want.Quantile(0.5) {
-		t.Error("merge into zero snapshot changed the distribution")
-	}
-}
-
 func TestObserveNegativeClampsAndEmpty(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(-time.Second)

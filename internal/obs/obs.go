@@ -1,15 +1,15 @@
 // Package obs is the live-observability layer of the study engine: a
-// dependency-free metrics registry (atomic counters, gauges and log-linear
-// latency histograms), a Prometheus text-format exposition encoder, and an
-// embedded HTTP monitor that serves /metrics, /healthz, /api/status and a
-// self-contained HTML dashboard while a campaign runs.
+// dependency-free metrics registry (atomic counters, scrape-time gauges and
+// log-linear latency histograms), a Prometheus text-format exposition
+// encoder, and an embedded HTTP monitor that serves /metrics, /healthz,
+// /api/status and a self-contained HTML dashboard while a campaign runs.
 //
 // The paper's 240k-sample campaigns run for days; Cui et al. (PAPERS.md)
 // show that run-to-run variability — not just the median — decides whether
 // a tuning verdict is trustworthy. The registry therefore treats latency as
 // a distribution, not a mean: Histogram.Observe is allocation-free on the
 // hot path (it is called from the openmp runtime's region dispatch), and
-// snapshots are mergeable and expose arbitrary quantiles.
+// snapshots expose arbitrary quantiles.
 //
 // Instruments are identified by a metric name plus an optional fixed label
 // set, exactly as in the Prometheus data model. Registering the same
@@ -19,7 +19,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,35 +59,12 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is an instantaneous float64 value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64 // math.Float64bits encoding
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (CAS loop; safe for concurrent adders).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // instrument is one registered metric: an instrument value plus its label
 // pairs. Exactly one of the value fields is set, matching the family type.
 type instrument struct {
 	labels    []string // k1, v1, k2, v2, sorted by key
 	labelKey  string   // canonical serialization, the dedup key
 	counter   *Counter
-	gauge     *Gauge
 	gaugeFunc func() float64
 	hist      *Histogram
 }
@@ -128,20 +104,12 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return inst.counter
 }
 
-// Gauge registers (or returns the existing) gauge.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	inst := r.register(name, help, typeGauge, labels, func() *instrument {
-		return &instrument{gauge: &Gauge{}}
-	})
-	return inst.gauge
-}
-
 // GaugeFunc registers a gauge whose value is computed by fn at scrape time
 // (for derived values like elapsed seconds). fn must be safe to call
 // concurrently with everything else. Re-registering replaces the function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	inst := r.register(name, help, typeGauge, labels, func() *instrument {
-		return &instrument{}
+		return &instrument{gaugeFunc: fn} // never visible without its function
 	})
 	fam := r.family(name)
 	fam.mu.Lock()

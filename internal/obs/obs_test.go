@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -15,11 +14,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("omptune_test_level", "level")
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
+	// A gauge is a function read at scrape time; re-registering replaces it.
+	r.GaugeFunc("omptune_test_level", "level", func() float64 { return 2.5 })
+	r.GaugeFunc("omptune_test_level", "level", func() float64 { return 1.5 })
+	if got, want := promString(t, r), "omptune_test_level 1.5\n"; !containsLine(got, want) {
+		t.Fatalf("exposition missing %q:\n%s", want, got)
 	}
 }
 
@@ -50,7 +49,7 @@ func TestRegisterTypeMismatchPanics(t *testing.T) {
 			t.Fatal("registering a gauge under a counter name did not panic")
 		}
 	}()
-	r.Gauge("omptune_test_total", "")
+	r.GaugeFunc("omptune_test_total", "", func() float64 { return 0 })
 }
 
 func TestInvalidNamesPanic(t *testing.T) {
@@ -96,7 +95,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			arch := []string{"a64fx", "milan", "skylake"}[w%3]
 			for i := 0; i < iters; i++ {
 				r.Counter("omptune_conc_total", "", "arch", arch).Inc()
-				r.Gauge("omptune_conc_level", "").Add(1)
+				r.GaugeFunc("omptune_conc_level", "", func() float64 { return float64(i) })
 				r.Histogram("omptune_conc_seconds", "").Observe(time.Duration(i) * time.Microsecond)
 			}
 		}()
@@ -121,28 +120,10 @@ func TestRegistryConcurrency(t *testing.T) {
 	if want := uint64(workers * iters); total != want {
 		t.Fatalf("counter total = %d, want %d", total, want)
 	}
-	if got := r.Gauge("omptune_conc_level", "").Value(); got != float64(workers*iters) {
-		t.Fatalf("gauge = %v, want %v", got, workers*iters)
+	if got, want := promString(t, r), "omptune_conc_level 1999\n"; !containsLine(got, want) {
+		t.Fatalf("exposition missing %q:\n%s", want, got)
 	}
 	if got := r.Histogram("omptune_conc_seconds", "").Count(); got != uint64(workers*iters) {
 		t.Fatalf("histogram count = %d, want %d", got, workers*iters)
-	}
-}
-
-func TestGaugeAddConcurrent(t *testing.T) {
-	var g Gauge
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				g.Add(0.5)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := g.Value(); math.Abs(got-2000) > 1e-9 {
-		t.Fatalf("gauge = %v, want 2000", got)
 	}
 }

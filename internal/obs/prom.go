@@ -56,13 +56,10 @@ func writeInstrument(w *bufio.Writer, fam *family, inst *instrument) {
 	case typeCounter:
 		writeSample(w, fam.name, inst.labels, "", "", formatUint(inst.counter.Value()))
 	case typeGauge:
-		v := 0.0
-		if inst.gaugeFunc != nil {
-			v = inst.gaugeFunc()
-		} else {
-			v = inst.gauge.Value()
-		}
-		writeSample(w, fam.name, inst.labels, "", "", formatFloat(v))
+		fam.mu.Lock() // GaugeFunc may be replacing the function
+		fn := inst.gaugeFunc
+		fam.mu.Unlock()
+		writeSample(w, fam.name, inst.labels, "", "", formatFloat(fn()))
 	case typeHistogram:
 		s := inst.hist.Snapshot()
 		var cum uint64

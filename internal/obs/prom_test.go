@@ -30,7 +30,7 @@ func TestGoldenExposition(t *testing.T) {
 	h.Observe(10 * time.Millisecond)
 	r.Counter("omptune_samples_total", "samples evaluated", "arch", "a64fx").Add(3)
 	r.Counter("omptune_samples_total", "samples evaluated", "arch", "milan").Add(1)
-	r.Gauge("omptune_workers", "worker goroutines").Set(4)
+	r.GaugeFunc("omptune_workers", "worker goroutines", func() float64 { return 4 })
 
 	const want = `# HELP omptune_eval_seconds per-setting evaluation latency
 # TYPE omptune_eval_seconds histogram

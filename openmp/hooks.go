@@ -31,14 +31,6 @@ type hooks struct {
 	epoch time.Time // anchors now() while no profiler is attached
 }
 
-// Steal-victim locality classes; profile.Steal* and trace.StealLocality*
-// number them identically.
-const (
-	stealUnknown = profile.StealUnknown
-	stealLocal   = profile.StealLocal
-	stealRemote  = profile.StealRemote
-)
-
 // now reads the snapshot's clock in nanoseconds — the profiler's while one is
 // attached, since Fold takes its fork stamp on that clock.
 func (h *hooks) now() int64 {
@@ -46,6 +38,22 @@ func (h *hooks) now() int64 {
 		return h.prof.Now()
 	}
 	return int64(time.Since(h.epoch))
+}
+
+// Steal-victim locality classes, numbered as the trace packs them.
+const (
+	stealUnknown = trace.StealLocalityUnknown
+	stealLocal   = trace.StealLocalityLocal
+	stealRemote  = trace.StealLocalityRemote
+)
+
+// slot returns th's profile slot while a profiler is attached, nil otherwise
+// and on the transient serialized team, which has none.
+func (h *hooks) slot(th *Thread) *profile.Scratch {
+	if h.prof == nil || th.team.prof == nil {
+		return nil
+	}
+	return &th.team.prof[th.id]
 }
 
 // emit traces one event of th's current region. The id is the thread's
@@ -70,13 +78,13 @@ func (h *hooks) regionFork(tm *Team) (forkAt int64) {
 }
 
 // regionJoin closes it after the primary has passed the join barrier, which
-// ordered every worker's profiler scratch writes before the fold.
+// ordered every worker's profile slot writes before the fold.
 func (h *hooks) regionJoin(tm *Team, pc uintptr, forkAt int64) {
 	if h.met.Region != nil {
 		h.met.Region.Observe(time.Duration(h.now() - forkAt))
 	}
-	if h.prof != nil && tm.gtids != nil { // transient serialized teams have no gtids
-		h.prof.Fold(pc, tm.level, tm.regionID, tm.gtids, forkAt)
+	if h.prof != nil && tm.prof != nil { // the transient serialized team has no slots
+		h.prof.Fold(pc, tm.level, tm.regionID, forkAt, tm.prof)
 	}
 	if h.tr != nil {
 		h.tr.Emit(int(tm.threads[0].gtid), tm.level, trace.KindRegionJoin, tm.regionID, 0)
@@ -87,8 +95,8 @@ func (h *hooks) regionJoin(tm *Team, pc uintptr, forkAt int64) {
 // arrival is barrierEnter at the end-of-region barrier. The profiler stamps
 // begin and arrival; the fold derives busy time and the final wait from them.
 func (h *hooks) implicitBegin(th *Thread) {
-	if h.prof != nil {
-		h.prof.ThreadStart(int(th.gtid), th.team.level, th.regionID)
+	if sc := h.slot(th); sc != nil {
+		*sc = profile.Scratch{Region: th.regionID, StartNS: h.prof.Now()}
 	}
 	h.emit(th, trace.KindImplicitBegin, 0)
 }
@@ -100,8 +108,8 @@ func (h *hooks) implicitEnd(th *Thread) { h.emit(th, trace.KindImplicitEnd, 0) }
 // completes inside the region, so self-timing is race-free; of the
 // end-of-region one it takes the arrival and lets the fold derive the wait.
 func (h *hooks) barrierEnter(th *Thread, explicit bool) (enterAt int64) {
-	if !explicit && h.prof != nil {
-		h.prof.ThreadArrive(int(th.gtid), th.team.level)
+	if sc := h.slot(th); sc != nil && !explicit {
+		sc.ArriveNS = h.prof.Now()
 	}
 	h.emit(th, trace.KindBarrierEnter, 0)
 	if h.met.BarrierWait != nil || explicit && h.prof != nil {
@@ -114,8 +122,8 @@ func (h *hooks) barrierLeave(th *Thread, explicit bool, enterAt int64) {
 	if h.met.BarrierWait != nil {
 		h.met.BarrierWait.Observe(time.Duration(h.now() - enterAt))
 	}
-	if explicit && h.prof != nil {
-		h.prof.AddBarrier(int(th.gtid), th.team.level, h.now()-enterAt)
+	if sc := h.slot(th); sc != nil && explicit {
+		sc.Sums.ExplicitBarNS += h.now() - enterAt
 	}
 	h.emit(th, trace.KindBarrierLeave, 0)
 }
@@ -133,22 +141,23 @@ func (h *hooks) claimStart() (claimAt int64) {
 // chunk closes the claim begun at claimAt (zero for static chunks, which are
 // computed, not claimed) and records the iters iterations it handed to th.
 func (h *hooks) chunk(th *Thread, iters int, claimAt int64) {
-	if h.prof != nil && claimAt != 0 {
-		h.prof.AddSched(int(th.gtid), th.team.level, h.prof.Now()-claimAt)
+	sc := h.slot(th)
+	if sc != nil && claimAt != 0 {
+		sc.Sums.SchedNS += h.prof.Now() - claimAt
 	}
 	if iters <= 0 {
 		return
 	}
 	h.emit(th, trace.KindChunk, int64(iters))
-	if h.prof != nil {
-		h.prof.AddChunk(int(th.gtid), th.team.level)
+	if sc != nil {
+		sc.Sums.Chunks++
 	}
 }
 
 func (h *hooks) taskCreate(th *Thread) {
 	h.emit(th, trace.KindTaskCreate, 0)
-	if h.prof != nil {
-		h.prof.TaskCreated(int(th.gtid), th.team.level)
+	if sc := h.slot(th); sc != nil {
+		sc.Sums.TasksCreated++
 	}
 }
 
@@ -167,18 +176,25 @@ func (h *hooks) taskEnd(th *Thread, beginAt int64) {
 		h.met.TaskRun.Observe(time.Duration(h.now() - beginAt))
 	}
 	h.emit(th, trace.KindTaskEnd, 0)
-	if h.prof != nil {
-		h.prof.TaskRan(int(th.gtid), th.team.level)
+	if sc := h.slot(th); sc != nil {
+		sc.Sums.TasksRun++
 	}
 }
 
 // taskSteal records one steal visit by th that took n not-yet-stolen tasks
 // (see Stats.TasksStolen) from victim, whose locality class is class.
-func (h *hooks) taskSteal(th *Thread, victim, n, class int) {
-	if h.prof != nil {
-		h.prof.TaskStolen(int(th.gtid), th.team.level, n, class)
+func (h *hooks) taskSteal(th *Thread, victim, n int, class trace.StealLocality) {
+	if sc := h.slot(th); sc != nil {
+		sc.Sums.TasksStolen += int64(n)
+		sc.Sums.StealBatches++
+		switch class {
+		case stealLocal:
+			sc.Sums.StealsLocal += int64(n)
+		case stealRemote:
+			sc.Sums.StealsRemote += int64(n)
+		}
 	}
-	h.emit(th, trace.KindTaskSteal, trace.StealArg(victim, n, trace.StealLocality(class)))
+	h.emit(th, trace.KindTaskSteal, trace.StealArg(victim, n, class))
 }
 
 // park and wake bracket a blocked wait. A task-wait park ends inside its
@@ -186,14 +202,14 @@ func (h *hooks) taskSteal(th *Thread, victim, n, class int) {
 // regions (region id zero) may outlive the fold and is traced only.
 func (h *hooks) park(th *Thread) {
 	h.emit(th, trace.KindPark, 0)
-	if h.prof != nil && th.regionID != 0 {
-		h.prof.Park(int(th.gtid), th.team.level)
+	if sc := h.slot(th); sc != nil && th.regionID != 0 {
+		sc.Sums.Parks++
 	}
 }
 
 func (h *hooks) wake(th *Thread) {
-	if h.prof != nil && th.regionID != 0 {
-		h.prof.Wake(int(th.gtid), th.team.level)
+	if sc := h.slot(th); sc != nil && th.regionID != 0 {
+		sc.Sums.Wakes++
 	}
 	h.emit(th, trace.KindWake, 0)
 }
@@ -273,13 +289,12 @@ func (th *Thread) flushNested() {
 	}
 }
 
-// StartProfile enables the per-region efficiency profiler. As with
-// StartTrace, scratch slots cover the global thread ids live at this point;
-// workers created later are counted as missing samples, so fork nested
-// regions once before profiling. While enabled a Parallel call additionally
-// pays one caller-PC capture, per-thread timestamp stamps and one fold at
-// region quiescence — still zero allocations. Profiling a runtime that is
-// already profiling or closed is an error.
+// StartProfile enables the per-region efficiency profiler. Every team
+// records into the profile slots it was built with, so nested teams forked
+// before or after this call are profiled whole. While enabled a Parallel
+// call additionally pays one caller-PC capture, per-thread timestamp stamps
+// and one fold at region quiescence — still zero allocations. Profiling a
+// runtime that is already profiling or closed is an error.
 func (rt *Runtime) StartProfile() error {
 	rt.regionMu.Lock()
 	defer rt.regionMu.Unlock()
@@ -289,7 +304,7 @@ func (rt *Runtime) StartProfile() error {
 	if h := rt.hooks.Load(); h != nil && h.prof != nil {
 		return errors.New("openmp: StartProfile while already profiling")
 	}
-	rt.editHooks(func(h *hooks) { h.prof = profile.New(int(rt.nextGtid.Load())) })
+	rt.editHooks(func(h *hooks) { h.prof = profile.New() })
 	return nil
 }
 

@@ -291,7 +291,7 @@ func TestConstructRingStress(t *testing.T) {
 // Sleep/Wakeup it returns is a barrier wait.
 func barrierRounds(t *testing.T, o Options, rounds int) Stats {
 	rt := testRuntime(t, o)
-	tm := newTransientTeam(rt, 3)
+	tm := newTeam(rt, nil, 3, true)
 	for r := 0; r < rounds; r++ {
 		var wg sync.WaitGroup
 		for i := range tm.threads {

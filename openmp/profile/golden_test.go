@@ -79,8 +79,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestTableConcurrentFolds folds from many goroutines at once — each on its
-// own gtid, as nested team primaries do — onto shared and private
+// TestTableConcurrentFolds folds from many goroutines at once — each with
+// its own slots, as nested team primaries do — onto shared and private
 // (pc, level) keys while another goroutine snapshots, and checks that no
 // fold is lost: every row's sums are exact, and past capacity every fold of
 // a key that found no row is counted in Dropped.
@@ -89,16 +89,20 @@ func TestTableConcurrentFolds(t *testing.T) {
 		folders = 8
 		rounds  = 25
 	)
-	// fold is one region instance on goroutine g's own scratch slot: two
-	// chunks and 10 ns of claim overhead, so the row sums are known.
+	// fold is one region instance on a one-thread team owned by goroutine g:
+	// two chunks and 10 ns of claim overhead, so the row sums are known.
+	slots := make([][]Scratch, folders)
+	for g := range slots {
+		slots[g] = make([]Scratch, 1)
+	}
 	fold := func(p *Profiler, g int, pc uintptr, level int, region uint64) {
 		fork := p.Now()
-		p.ThreadStart(g, level, region)
-		p.AddChunk(g, level)
-		p.AddChunk(g, level)
-		p.AddSched(g, level, 10)
-		p.ThreadArrive(g, level)
-		p.Fold(pc, level, region, []int32{int32(g)}, fork)
+		sc := &slots[g][0]
+		*sc = Scratch{Region: region, StartNS: p.Now()}
+		sc.Sums.Chunks += 2
+		sc.Sums.SchedNS += 10
+		sc.ArriveNS = p.Now()
+		p.Fold(pc, level, region, fork, slots[g])
 	}
 	// run starts the folders plus a snapshotter that polls until they finish.
 	run := func(p *Profiler, body func(g int)) {
@@ -132,7 +136,7 @@ func TestTableConcurrentFolds(t *testing.T) {
 
 	t.Run("sums", func(t *testing.T) {
 		const private = 20
-		p := New(folders)
+		p := New()
 		run(p, func(g int) {
 			for r := 0; r < rounds; r++ {
 				for _, pc := range []uintptr{0x100, 0x200} { // shared by every folder
@@ -168,7 +172,7 @@ func TestTableConcurrentFolds(t *testing.T) {
 	// interleaving.
 	t.Run("capacity", func(t *testing.T) {
 		const over = 10 // keys per folder beyond an even share of the table
-		p := New(folders)
+		p := New()
 		run(p, func(g int) {
 			for r := 0; r < rounds; r++ {
 				for i := 0; i < tableSize/folders+over; i++ {

@@ -10,9 +10,9 @@
 // Sums.add. Data flows in three stages:
 //
 //  1. While a region runs, each thread writes timestamps and counters into
-//     its own padded scratch slot — one slot per (global thread id, nesting
-//     level), owner-written only, so recording is plain stores with no
-//     sharing.
+//     its own padded Scratch slot, which its team owns (one per thread,
+//     built with the team, so every thread of every team has one) —
+//     owner-written only, so recording is plain stores with no sharing.
 //  2. At region quiescence (the primary thread has passed the join barrier,
 //     so every worker's scratch writes happen-before by the barrier's
 //     release/acquire edges) the primary folds the team's scratch into one
@@ -29,9 +29,10 @@
 // Report.Dropped.
 //
 // Scratch slots carry the region id they were stamped for; a fold skips
-// (and counts as missing) any slot whose stamp does not match, which makes
-// mid-region attach/detach of the profiler safe — stale data is discarded,
-// never misattributed.
+// (and counts as missing) any slot whose stamp does not match, so a thread
+// that did not stamp the region it is folded for — a fault, since the
+// runtime hands every region one observer snapshot — is discarded, never
+// misattributed.
 //
 // Snapshot resolves construct PCs to function names and source lines (cold
 // path, allocates freely) and derives the efficiency metrics; Report can
@@ -48,15 +49,9 @@ import (
 	"time"
 )
 
-const (
-	// MaxLevels bounds the nesting depth the profiler attributes; regions
-	// deeper than this are counted in Report.Dropped instead of recorded.
-	MaxLevels = 8
-
-	// tableSize is the region-table capacity. Distinct (call site, level)
-	// pairs beyond it are counted in Dropped.
-	tableSize = 512
-)
+// tableSize is the region-table capacity. Distinct (call site, level) pairs
+// beyond it are counted in Dropped.
+const tableSize = 512
 
 // Sums is the per-region record: the raw accumulators of one (call site,
 // level) over every instance folded so far. It is what a thread's scratch
@@ -67,7 +62,7 @@ type Sums struct {
 	Count   int64 `json:"count"`             // region instances
 	Threads int   `json:"threads"`           // widest team seen
 	Samples int64 `json:"samples"`           // thread-samples attributed
-	Missing int64 `json:"missing,omitempty"` // thread-samples discarded (stale stamp, unknown gtid)
+	Missing int64 `json:"missing,omitempty"` // thread-samples discarded (stale stamp)
 
 	WallNS        int64 `json:"wall_ns"`         // Σ fork-to-join wall
 	ThreadNS      int64 `json:"thread_ns"`       // Σ wall × attributed threads
@@ -115,33 +110,26 @@ func (s *Sums) add(o *Sums) {
 	s.Wakes += o.Wakes
 }
 
-// scratch is one thread's private recording slot for one nesting level:
-// owner-written plain fields, read by the team primary only after the
-// end-of-region barrier's happens-before edge. The recorders count into sums
-// (overheads, chunks, tasks, steals, parks); the fields a fold derives from
-// the stamps stay zero here. Padded to four cache lines so adjacent global
-// thread ids never false-share.
-type scratch struct {
-	region   uint64 // region id this slot was stamped for (fold guard)
-	startNS  int64  // implicit-task start (ThreadStart)
-	arriveNS int64  // arrival at the end-of-region barrier (ThreadArrive)
-	sums     Sums
+// Scratch is one thread's recording slot for the region its team is running:
+// a team owns one per thread (openmp's Team.prof), the thread writes only its
+// own, and the team primary reads them all only after the end-of-region
+// barrier's happens-before edge. The runtime counts into Sums (overheads,
+// chunks, tasks, steals, parks); the fields a fold derives from the stamps
+// stay zero there. Padded to four cache lines so neighbouring threads'
+// slots never false-share.
+type Scratch struct {
+	Region   uint64 // region id the slot was stamped for (fold guard)
+	StartNS  int64  // implicit-task start
+	ArriveNS int64  // arrival at the end-of-region barrier
+	Sums     Sums
 
 	_ [256 - 24*8]byte
-}
-
-// shard holds one global thread id's scratch slots, one per nesting level.
-// An inner team's thread 0 reuses its parent's gtid (one goroutine), which
-// is exactly why slots are per level: the goroutine records its outer region
-// at level 0 and its nested region at level 1 without clobbering either.
-type shard struct {
-	levels [MaxLevels]scratch
 }
 
 // table is the region table of a Profiler or an Aggregator: one row of Sums
 // per packed (call site, level) key, at most tableSize of them, under one
 // lock. dropped counts what was not attributed — folds that found the table
-// full and, for a profiler, regions nested too deep.
+// full and, for a profiler, levels the key cannot hold.
 type table struct {
 	mu      sync.Mutex
 	rows    map[uint64]*Sums
@@ -198,134 +186,20 @@ func (t *table) Snapshot() *Report {
 }
 
 // Profiler collects per-region efficiency data for one runtime. Create one
-// with New sized for the runtime's live global thread ids (Runtime.StartProfile
-// does, and attaches it), and snapshot with Runtime.Profile. All recording
-// methods are safe for concurrent use under the ownership rules above; none
-// allocates but a call site's first Fold (its table row).
+// with New (Runtime.StartProfile does, and attaches it) and snapshot with
+// Runtime.Profile. The runtime records into its teams' Scratch slots on this
+// profiler's clock and hands each finished region to Fold; nothing allocates
+// but a call site's first Fold (its table row).
 type Profiler struct {
-	start  time.Time
-	shards []shard
+	start time.Time
 	table
 }
 
-// New builds a profiler with scratch slots for global thread ids
-// [0, threads). Threads created after the profiler (inner-team workers of
-// not-yet-forked nested teams) have no slot and are counted as missing —
-// run nested regions once before attaching, exactly like StartTrace.
-func New(threads int) *Profiler {
-	if threads < 1 {
-		threads = 1
-	}
-	return &Profiler{
-		start:  time.Now(),
-		shards: make([]shard, threads),
-	}
-}
+// New builds a profiler whose clock starts now.
+func New() *Profiler { return &Profiler{start: time.Now()} }
 
 // Now returns the profiler's monotonic clock reading in nanoseconds.
 func (p *Profiler) Now() int64 { return int64(time.Since(p.start)) }
-
-// sc returns the scratch slot for (gtid, level), or nil when either is out
-// of range (untraced gtid -1, too-deep nesting).
-func (p *Profiler) sc(gtid, level int) *scratch {
-	if uint(gtid) >= uint(len(p.shards)) || uint(level) >= MaxLevels {
-		return nil
-	}
-	return &p.shards[gtid].levels[level]
-}
-
-// ThreadStart stamps the begin of a thread's implicit task for one region:
-// it zeroes the slot's per-region fields and records the region id the fold
-// will validate against.
-func (p *Profiler) ThreadStart(gtid, level int, region uint64) {
-	sc := p.sc(gtid, level)
-	if sc == nil {
-		return
-	}
-	*sc = scratch{region: region, startNS: p.Now()}
-}
-
-// ThreadArrive stamps the thread's arrival at the end-of-region barrier.
-func (p *Profiler) ThreadArrive(gtid, level int) {
-	if sc := p.sc(gtid, level); sc != nil {
-		sc.arriveNS = p.Now()
-	}
-}
-
-// AddBarrier accumulates an explicit (mid-region) barrier wait.
-func (p *Profiler) AddBarrier(gtid, level int, d int64) {
-	if sc := p.sc(gtid, level); sc != nil {
-		sc.sums.ExplicitBarNS += d
-	}
-}
-
-// AddSched accumulates worksharing chunk-claim overhead.
-func (p *Profiler) AddSched(gtid, level int, d int64) {
-	if sc := p.sc(gtid, level); sc != nil {
-		sc.sums.SchedNS += d
-	}
-}
-
-// AddChunk counts one dispatched worksharing chunk.
-func (p *Profiler) AddChunk(gtid, level int) {
-	if sc := p.sc(gtid, level); sc != nil {
-		sc.sums.Chunks++
-	}
-}
-
-// TaskCreated counts one explicit task spawn.
-func (p *Profiler) TaskCreated(gtid, level int) {
-	if sc := p.sc(gtid, level); sc != nil {
-		sc.sums.TasksCreated++
-	}
-}
-
-// TaskRan counts one explicit task execution.
-func (p *Profiler) TaskRan(gtid, level int) {
-	if sc := p.sc(gtid, level); sc != nil {
-		sc.sums.TasksRun++
-	}
-}
-
-// Locality classes for TaskStolen, matching the trace package's split.
-const (
-	StealUnknown = iota
-	StealLocal
-	StealRemote
-)
-
-// TaskStolen counts one steal visit that took n not-yet-stolen tasks from a
-// victim of the given locality class (openmp.Stats defines what counts).
-func (p *Profiler) TaskStolen(gtid, level, n, locality int) {
-	sc := p.sc(gtid, level)
-	if sc == nil {
-		return
-	}
-	sc.sums.TasksStolen += int64(n)
-	sc.sums.StealBatches++
-	switch locality {
-	case StealLocal:
-		sc.sums.StealsLocal += int64(n)
-	case StealRemote:
-		sc.sums.StealsRemote += int64(n)
-	}
-}
-
-// Park counts one in-region task-wait park; Wake its wakeup. End-of-region
-// barrier parks are not counted here (a worker may park after the primary
-// has folded); their time is covered by the barrier-wait metric instead.
-func (p *Profiler) Park(gtid, level int) {
-	if sc := p.sc(gtid, level); sc != nil {
-		sc.sums.Parks++
-	}
-}
-
-// Wake counts the wakeup matching a Park.
-func (p *Profiler) Wake(gtid, level int) {
-	if sc := p.sc(gtid, level); sc != nil {
-		sc.sums.Wakes++
-	}
-}
 
 // packKey builds the table key for a call site and level.
 func packKey(pc uintptr, level int) uint64 {
@@ -335,35 +209,37 @@ func packKey(pc uintptr, level int) uint64 {
 // Fold merges one finished region instance into its table row. It must be
 // called by the region's primary thread after it has passed the join
 // barrier (region quiescence): every worker's scratch writes then
-// happen-before this read. gtids lists the team's global thread ids in
-// thread order; forkNS is the profiler-clock reading taken at dispatch.
-func (p *Profiler) Fold(pc uintptr, level int, region uint64, gtids []int32, forkNS int64) {
-	if uint(level) >= MaxLevels {
+// happen-before this read. slots are the team's Scratch slots in thread
+// order; forkNS is the profiler-clock reading taken at dispatch. A slot not
+// stamped for region is counted as missing, never attributed, and a level
+// that does not fit the key's low 8 bits is counted in Dropped.
+func (p *Profiler) Fold(pc uintptr, level int, region uint64, forkNS int64, slots []Scratch) {
+	if uint(level) > 0xff {
 		p.dropped.Add(1)
 		return
 	}
 	now := p.Now()
 	wall := max(now-forkNS, 0)
 
-	s := Sums{Count: 1, Threads: len(gtids), WallNS: wall}
+	s := Sums{Count: 1, Threads: len(slots), WallNS: wall}
 	var minArr, maxArr int64
-	for _, g := range gtids {
-		sc := p.sc(int(g), level)
-		if sc == nil || sc.region != region {
+	for i := range slots {
+		sc := &slots[i]
+		if sc.Region != region {
 			s.Missing++
 			continue
 		}
-		busy := max(sc.arriveNS-sc.startNS, 0)
-		if s.Samples == 0 || sc.arriveNS < minArr {
-			minArr = sc.arriveNS
+		busy := max(sc.ArriveNS-sc.StartNS, 0)
+		if s.Samples == 0 || sc.ArriveNS < minArr {
+			minArr = sc.ArriveNS
 		}
-		if s.Samples == 0 || sc.arriveNS > maxArr {
-			maxArr = sc.arriveNS
+		if s.Samples == 0 || sc.ArriveNS > maxArr {
+			maxArr = sc.ArriveNS
 		}
-		s.add(&sc.sums) // what the thread's recorders counted
+		s.add(&sc.Sums) // what the runtime counted for the thread
 		s.BusyNS += busy
 		s.MaxBusyNS = max(s.MaxBusyNS, busy)
-		s.FinalBarNS += max(now-sc.arriveNS, 0)
+		s.FinalBarNS += max(now-sc.ArriveNS, 0)
 		s.Samples++
 	}
 	s.ThreadNS = wall * s.Samples

@@ -8,36 +8,36 @@ import (
 	"testing"
 )
 
-// foldOne simulates one region instance: start/arrive stamps for each gtid,
-// then the primary fold.
-func foldOne(p *Profiler, pc uintptr, level int, region uint64, gtids []int32) {
+// foldOne simulates one region instance of a team of width threads: start
+// and arrive stamps in each thread's slot, then the primary fold.
+func foldOne(p *Profiler, pc uintptr, level int, region uint64, threads int) {
 	fork := p.Now()
-	for _, g := range gtids {
-		p.ThreadStart(int(g), level, region)
-		p.ThreadArrive(int(g), level)
+	slots := make([]Scratch, threads)
+	for i := range slots {
+		slots[i] = Scratch{Region: region, StartNS: p.Now()}
+		slots[i].ArriveNS = p.Now()
 	}
-	p.Fold(pc, level, region, gtids, fork)
+	p.Fold(pc, level, region, fork, slots)
 }
 
 func TestFoldBasic(t *testing.T) {
-	p := New(4)
-	gtids := []int32{0, 1, 2, 3}
+	p := New()
+	slots := make([]Scratch, 4)
 	fork := p.Now()
-	for _, g := range gtids {
-		p.ThreadStart(int(g), 0, 7) // region begin zeroes each slot
+	for i := range slots {
+		slots[i] = Scratch{Region: 7, StartNS: p.Now()} // region begin zeroes each slot
 	}
-	p.AddSched(0, 0, 100)
-	p.AddChunk(0, 0)
-	p.TaskCreated(0, 0)
-	p.TaskRan(0, 0)
-	p.TaskStolen(1, 0, 3, StealLocal)
-	p.TaskStolen(1, 0, 2, StealRemote)
-	p.Park(2, 0)
-	p.Wake(2, 0)
-	for _, g := range gtids {
-		p.ThreadArrive(int(g), 0)
+	slots[0].Sums.SchedNS += 100
+	slots[0].Sums.Chunks++
+	slots[0].Sums.TasksCreated++
+	slots[0].Sums.TasksRun++
+	slots[1].Sums = Sums{TasksStolen: 5, StealBatches: 2, StealsLocal: 3, StealsRemote: 2} // visits of 3 local, 2 remote
+	slots[2].Sums.Parks++
+	slots[2].Sums.Wakes++
+	for i := range slots {
+		slots[i].ArriveNS = p.Now()
 	}
-	p.Fold(0x1234, 0, 7, gtids, fork)
+	p.Fold(0x1234, 0, 7, fork, slots)
 
 	rep := p.Snapshot()
 	if len(rep.Regions) != 1 {
@@ -62,60 +62,48 @@ func TestFoldBasic(t *testing.T) {
 }
 
 func TestFoldStaleRegionGuard(t *testing.T) {
-	p := New(2)
-	gtids := []int32{0, 1}
-	// Thread 1's scratch carries a stale region id: its sample must be
+	p := New()
+	// Thread 1's slot carries a stale region id: its sample must be
 	// discarded, not misattributed.
-	p.ThreadStart(0, 0, 9)
-	p.ThreadArrive(0, 0)
-	p.ThreadStart(1, 0, 8)
-	p.ThreadArrive(1, 0)
-	p.Fold(0x1, 0, 9, gtids, 0)
+	slots := []Scratch{{Region: 9}, {Region: 8}}
+	for i := range slots {
+		slots[i].StartNS = p.Now()
+		slots[i].ArriveNS = p.Now()
+	}
+	p.Fold(0x1, 0, 9, 0, slots)
 	rp := p.Snapshot().Regions[0]
 	if rp.Samples != 1 || rp.Missing != 1 {
 		t.Errorf("samples/missing = %d/%d, want 1/1", rp.Samples, rp.Missing)
 	}
 }
 
-func TestFoldUnknownGtidAndDeepLevel(t *testing.T) {
-	p := New(2)
-	// gtid -1 (untraced) and gtid beyond the shard count are missing.
-	foldOne(p, 0x1, 0, 1, []int32{0, -1, 99})
-	rp := p.Snapshot().Regions[0]
-	if rp.Samples != 1 || rp.Missing != 2 {
-		t.Errorf("samples/missing = %d/%d, want 1/2", rp.Samples, rp.Missing)
-	}
-	// Hot-path recorders must tolerate out-of-range ids silently.
-	p.AddSched(-1, 0, 5)
-	p.AddChunk(0, MaxLevels+3)
-	// A region deeper than MaxLevels is dropped, not recorded.
-	p.Fold(0x2, MaxLevels, 2, []int32{0}, 0)
-	rep := p.Snapshot()
-	if rep.Dropped != 1 {
-		t.Errorf("Dropped = %d, want 1", rep.Dropped)
-	}
-	if len(rep.Regions) != 1 {
-		t.Errorf("deep region was recorded: %d rows", len(rep.Regions))
-	}
-}
-
 func TestLevelKeysDistinct(t *testing.T) {
-	p := New(2)
-	foldOne(p, 0xabc, 0, 1, []int32{0, 1})
-	foldOne(p, 0xabc, 1, 2, []int32{0, 1})
-	rep := p.Snapshot()
-	if len(rep.Regions) != 2 {
-		t.Fatalf("same pc at two levels collapsed: %d rows, want 2", len(rep.Regions))
+	p := New()
+	levels := []int{0, 1, 8, 255} // any depth the key's level byte holds
+	for _, level := range levels {
+		foldOne(p, 0xabc, level, uint64(level+1), 2)
 	}
-	if rep.Regions[0].Level == rep.Regions[1].Level {
-		t.Error("both rows have the same level")
+	foldOne(p, 0xabc, 256, 1, 2) // does not fit the level byte: dropped
+	rep := p.Snapshot()
+	if len(rep.Regions) != len(levels) || rep.Dropped != 1 {
+		t.Fatalf("rows/dropped = %d/%d, want %d/1 (same pc at distinct levels must not collapse)",
+			len(rep.Regions), rep.Dropped, len(levels))
+	}
+	seen := map[int]bool{}
+	for _, rp := range rep.Regions {
+		seen[rp.Level] = true
+	}
+	for _, level := range levels {
+		if !seen[level] {
+			t.Errorf("no row at level %d: %+v", level, rep.Regions)
+		}
 	}
 }
 
 func TestTableFullDrops(t *testing.T) {
-	p := New(1)
+	p := New()
 	for i := 0; i < tableSize+10; i++ {
-		foldOne(p, uintptr(0x1000+i*16), 0, uint64(i+1), []int32{0})
+		foldOne(p, uintptr(0x1000+i*16), 0, uint64(i+1), 1)
 	}
 	rep := p.Snapshot()
 	if len(rep.Regions) != tableSize {
@@ -143,8 +131,8 @@ func TestReportDerivedDegenerate(t *testing.T) {
 }
 
 func TestWriteFoldedWellFormed(t *testing.T) {
-	p := New(2)
-	foldOne(p, 0x1, 0, 1, []int32{0, 1})
+	p := New()
+	foldOne(p, 0x1, 0, 1, 2)
 	rep := p.Snapshot()
 	rep.Regions[0].SchedNS = 100
 	rep.Regions[0].ExplicitBarNS = 200
@@ -177,8 +165,8 @@ func TestWriteFoldedWellFormed(t *testing.T) {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	p := New(2)
-	foldOne(p, 0x5, 0, 1, []int32{0, 1})
+	p := New()
+	foldOne(p, 0x5, 0, 1, 2)
 	var buf bytes.Buffer
 	if err := p.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -193,11 +181,11 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 func TestAggregatorMerge(t *testing.T) {
-	p1, p2 := New(2), New(2)
-	foldOne(p1, 0x10, 0, 1, []int32{0, 1})
-	foldOne(p1, 0x10, 0, 2, []int32{0, 1})
-	foldOne(p2, 0x10, 0, 1, []int32{0, 1}) // same construct, other runtime
-	foldOne(p2, 0x20, 1, 2, []int32{0})    // distinct construct
+	p1, p2 := New(), New()
+	foldOne(p1, 0x10, 0, 1, 2)
+	foldOne(p1, 0x10, 0, 2, 2)
+	foldOne(p2, 0x10, 0, 1, 2) // same construct, other runtime
+	foldOne(p2, 0x20, 1, 2, 1) // distinct construct
 
 	agg := NewAggregator()
 	agg.Fold(p1.Snapshot())
@@ -220,9 +208,9 @@ func TestAggregatorMerge(t *testing.T) {
 }
 
 func TestSnapshotSorted(t *testing.T) {
-	p := New(1)
-	foldOne(p, 0x100, 0, 1, []int32{0})
-	foldOne(p, 0x200, 0, 2, []int32{0})
+	p := New()
+	foldOne(p, 0x100, 0, 1, 1)
+	foldOne(p, 0x200, 0, 2, 1)
 	rep := p.Snapshot()
 	for i := 1; i < len(rep.Regions); i++ {
 		if rep.Regions[i-1].ThreadNS < rep.Regions[i].ThreadNS {

@@ -166,7 +166,7 @@ func TestProfileNestedAttribution(t *testing.T) {
 		ith.Barrier()
 	}
 	body := func(th *Thread) { th.Parallel(innerBody) }
-	rt.Parallel(body) // warmup builds the inner hot teams (gtids assigned)
+	rt.Parallel(body) // builds the inner hot teams before profiling starts
 
 	if err := rt.StartProfile(); err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestProfileNestedAttribution(t *testing.T) {
 		t.Errorf("inner Threads = %d, want 2", inner.Threads)
 	}
 	if inner.Missing != 0 {
-		t.Errorf("inner Missing = %d, want 0 (inner teams were warmed before StartProfile)", inner.Missing)
+		t.Errorf("inner Missing = %d, want 0", inner.Missing)
 	}
 	// The worksharing loop runs on the inner team only: its chunks must not
 	// leak into the outer row.
@@ -204,9 +204,68 @@ func TestProfileNestedAttribution(t *testing.T) {
 	}
 }
 
+// TestProfileColdNestedTeamWhole: a nested team first forked after
+// StartProfile records into the slots it was built with, so every one of
+// its threads is counted — no warm-up run before profiling.
+func TestProfileColdNestedTeamWhole(t *testing.T) {
+	rt := testRuntime(t, nestedOpts(2, 2))
+	if err := rt.StartProfile(); err != nil {
+		t.Fatal(err)
+	}
+	const reps = 3
+	for i := 0; i < reps; i++ {
+		rt.Parallel(func(th *Thread) {
+			th.Parallel(func(ith *Thread) { ith.For(8, func(int) {}) })
+		})
+	}
+	inner := findRegion(rt.Profile(), 1)
+	if inner == nil {
+		t.Fatalf("no level-1 row:\n%s", rt.Profile())
+	}
+	if inner.Count != reps*2 || inner.Threads != 2 {
+		t.Errorf("inner count/threads = %d/%d, want %d/2", inner.Count, inner.Threads, reps*2)
+	}
+	if inner.Samples != inner.Count*int64(inner.Threads) || inner.Missing != 0 {
+		t.Errorf("inner samples/missing = %d/%d, want %d/0",
+			inner.Samples, inner.Missing, inner.Count*int64(inner.Threads))
+	}
+}
+
+// TestProfileDeepNesting: a region nested nine levels deep gets its own row
+// like any other level, and nothing is dropped.
+func TestProfileDeepNesting(t *testing.T) {
+	const depth = 9
+	rt := testRuntime(t, nestedOpts(2, 2))
+	if err := rt.StartProfile(); err != nil {
+		t.Fatal(err)
+	}
+	var fork func(th *Thread)
+	fork = func(th *Thread) {
+		if th.Level() < depth {
+			th.Parallel(fork)
+		}
+	}
+	rt.Parallel(fork)
+	rep := rt.Profile()
+	if rep.Dropped != 0 {
+		t.Errorf("Dropped = %d, want 0", rep.Dropped)
+	}
+	for level := 0; level <= depth; level++ {
+		rp := findRegion(rep, level)
+		if rp == nil {
+			t.Errorf("no row at level %d:\n%s", level, rep)
+			continue
+		}
+		if rp.Missing != 0 || rp.Samples != rp.Count*int64(rp.Threads) {
+			t.Errorf("level %d: samples/missing = %d/%d, want %d/0",
+				level, rp.Samples, rp.Missing, rp.Count*int64(rp.Threads))
+		}
+	}
+}
+
 // TestProfileSerializedNestedUnprofiled: the no-context serialized fallback
-// (Runtime.Parallel inside an active region) has no profiler thread ids and
-// must be skipped without polluting the table.
+// (Runtime.Parallel inside an active region) has no profile slots and must
+// be skipped without polluting the table.
 func TestProfileSerializedNestedUnprofiled(t *testing.T) {
 	rt := testRuntime(t, testMetricsOpts(2))
 	if err := rt.StartProfile(); err != nil {

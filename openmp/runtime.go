@@ -194,31 +194,22 @@ func (sh *statShard) addInto(out *Stats) {
 // rtStats shards the activity counters per thread: shard i of the base
 // block belongs to outer-team thread i, and one extra trailing shard
 // absorbs sources not tied to a team thread (runtime locks, serialized
-// nested fallbacks). Each nested team contributes its own level-tagged
-// shard block, registered once at team construction (mutex-guarded append —
-// construction is the cold path; the per-thread increments stay
-// uncontended). Stats() aggregates across all blocks.
+// nested fallbacks). Each nested team contributes its own shard block,
+// registered once at team construction (mutex-guarded append — construction
+// is the cold path; the per-thread increments stay uncontended). Stats()
+// aggregates across all blocks.
 type rtStats struct {
 	shards []statShard
 
 	mu     sync.Mutex
-	nested []*nestedShards
+	nested [][]statShard
 }
-
-// nestedShards is one nested team's counter block, tagged with the team's
-// nesting level for LevelStats.
-type nestedShards struct {
-	level  int
-	shards []statShard
-}
-
-func (s *rtStats) shard(i int) *statShard { return &s.shards[i] }
 
 // misc returns the shard for accounting outside any team thread.
 func (s *rtStats) misc() *statShard { return &s.shards[len(s.shards)-1] }
 
 // registerNested adds a nested team's shard block to the aggregation set.
-func (s *rtStats) registerNested(b *nestedShards) {
+func (s *rtStats) registerNested(b []statShard) {
 	s.mu.Lock()
 	s.nested = append(s.nested, b)
 	s.mu.Unlock()
@@ -227,7 +218,7 @@ func (s *rtStats) registerNested(b *nestedShards) {
 // nestedBlocks snapshots the registered block list. The slice header is
 // copied under the mutex; blocks already in it are never mutated, so the
 // caller may read them lock-free.
-func (s *rtStats) nestedBlocks() []*nestedShards {
+func (s *rtStats) nestedBlocks() [][]statShard {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.nested
@@ -256,12 +247,7 @@ func New(opts Options) (*Runtime, error) {
 	} else {
 		rt.budget.Store(budgetUnlimited)
 	}
-	rt.hot = newTeam(rt, n)
-	if n > 1 {
-		rt.hot.activeLevels = 1
-	}
-	rt.registerTeam(rt.hot)
-	rt.hot.spawnWorkers()
+	rt.hot = newTeam(rt, nil, n, false)
 	return rt, nil
 }
 
@@ -340,31 +326,8 @@ func (rt *Runtime) Stats() Stats {
 		rt.stats.shards[i].addInto(&out)
 	}
 	for _, b := range rt.stats.nestedBlocks() {
-		for i := range b.shards {
-			b.shards[i].addInto(&out)
-		}
-	}
-	return out
-}
-
-// LevelStats returns the counters attributable to one nesting level: level
-// 0 is the outer team (including the runtime-misc shard, which also absorbs
-// serialized width-1 nested fallbacks), level 1 the teams forked from
-// inside level-0 regions, and so on. The same torn-read contract as Stats
-// applies.
-func (rt *Runtime) LevelStats(level int) Stats {
-	var out Stats
-	if level == 0 {
-		for i := range rt.stats.shards {
-			rt.stats.shards[i].addInto(&out)
-		}
-	}
-	for _, b := range rt.stats.nestedBlocks() {
-		if b.level != level {
-			continue
-		}
-		for i := range b.shards {
-			b.shards[i].addInto(&out)
+		for i := range b {
+			b[i].addInto(&out)
 		}
 	}
 	return out
@@ -437,7 +400,7 @@ func (rt *Runtime) parallel(pc uintptr, body func(th *Thread)) {
 		// (everything collapses to serial execution); counters land on the
 		// misc shard, and without a global thread id the region is neither
 		// traced nor profiled.
-		newTransientTeam(rt, 1).dispatchRegion(body, true, pc)
+		newTeam(rt, nil, 1, true).dispatchRegion(body, true, pc)
 		return
 	}
 	rt.regionMu.Lock()

@@ -3,6 +3,8 @@ package openmp
 import (
 	"sort"
 	"sync/atomic"
+
+	"omptune/openmp/profile"
 )
 
 // Team is one fork–join instance: n threads executing the same region body.
@@ -58,11 +60,11 @@ type Team struct {
 	// behind a barrier, so each one reuses it.
 	tree []float64
 
-	// gtids lists the team threads' global ids in thread order, precomputed
-	// so the profiler fold at region quiescence walks them without
-	// allocating. nil for transient serialized teams, which are unprofiled
-	// (their gtid is -1).
-	gtids []int32
+	// prof holds one profile slot per thread, indexed by thread id: each
+	// thread writes only its own while a profiler is attached, and the
+	// primary folds them all at region quiescence. nil for the transient
+	// serialized team, which is unprofiled.
+	prof []profile.Scratch
 
 	pool     *taskPool
 	rootTask task
@@ -76,10 +78,23 @@ type Team struct {
 	stealLocal [][]bool
 }
 
-// newTeam builds a level-0 team shell over the runtime's base stat shards;
-// the region body is assigned per region by dispatchRegion before any thread
-// calls run.
-func newTeam(rt *Runtime, n int) *Team {
+// newTeam builds a width-n team; the region body is assigned per region by
+// dispatchRegion before any thread calls run. parent is the thread forking a
+// nested team, nil for the outer hot team. The hot team's threads take
+// global thread ids 0..n-1 and the runtime's base stat shards. A nested team
+// sits one level below its parent's, gets its own registered shard block,
+// and gives its workers fresh global thread ids while thread 0 — the
+// parent's goroutine — keeps the parent's (one goroutine owns exactly one
+// trace ring). Both register with the runtime (Close, Stats), get profile
+// slots and spawn their workers at once, so caching a nested team on its
+// parent makes later same-width forks allocation-free.
+//
+// transient builds instead the throwaway team of the serialized nested
+// fallback (Runtime.Parallel inside an active region): level 1 inside the
+// active outer level, counters on the misc shard, unregistered, unprofiled
+// and untraced (gtid -1: the calling goroutine may already own a ring at
+// another level, and a second producer on it is forbidden).
+func newTeam(rt *Runtime, parent *Thread, n int, transient bool) *Team {
 	tm := &Team{
 		rt:      rt,
 		n:       n,
@@ -87,83 +102,43 @@ func newTeam(rt *Runtime, n int) *Team {
 		pool:    newTaskPool(n),
 		tree:    treeBuffer(rt.opts, n),
 	}
-	tm.gtids = make([]int32, n)
-	for i := range tm.threads {
-		th := &tm.threads[i]
-		th.team = tm
-		th.id = i
-		th.parker.token = make(chan struct{}, 1)
-		th.gtid = int32(i)
-		th.stats = rt.stats.shard(i)
-		tm.gtids[i] = th.gtid
-	}
-	tm.stealOrder, tm.stealLocal = buildStealOrder(rt.placement, rt.opts.PlaceDistances, n)
-	return tm
-}
-
-// newNestedTeam builds an inner team of width n forked by parent, with its
-// own level-tagged stat-shard block and fresh global thread ids for its
-// workers (thread 0 is the parent's goroutine and keeps the parent's gtid —
-// one goroutine owns exactly one trace ring). The team registers with the
-// runtime (Close, Stats) and spawns its workers immediately, so caching it
-// on the parent makes subsequent same-width forks allocation-free.
-func newNestedTeam(rt *Runtime, parent *Thread, n int) *Team {
-	block := &nestedShards{level: parent.team.level + 1, shards: make([]statShard, n)}
-	tm := &Team{
-		rt:           rt,
-		n:            n,
-		level:        parent.team.level + 1,
-		activeLevels: parent.team.activeLevels,
-		threads:      make([]Thread, n),
-		pool:         newTaskPool(n),
-		tree:         treeBuffer(rt.opts, n),
+	shards := rt.stats.shards
+	switch {
+	case transient:
+		tm.level, tm.activeLevels = 1, 1
+	case parent != nil:
+		tm.level, tm.activeLevels = parent.team.level+1, parent.team.activeLevels
+		shards = make([]statShard, n)
+		rt.stats.registerNested(shards)
 	}
 	if n > 1 {
 		tm.activeLevels++
 	}
-	tm.gtids = make([]int32, n)
 	for i := range tm.threads {
 		th := &tm.threads[i]
 		th.team = tm
 		th.id = i
 		th.parker.token = make(chan struct{}, 1)
-		th.stats = &block.shards[i]
-		if i == 0 {
-			th.gtid = parent.gtid
-		} else {
-			th.gtid = int32(rt.nextGtid.Add(1) - 1)
+		switch {
+		case transient:
+			th.gtid, th.stats = -1, rt.stats.misc()
+		case parent == nil:
+			th.gtid, th.stats = int32(i), &shards[i]
+		case i == 0:
+			th.gtid, th.stats = parent.gtid, &shards[i]
+		default:
+			th.gtid, th.stats = int32(rt.nextGtid.Add(1)-1), &shards[i]
 		}
-		tm.gtids[i] = th.gtid
 	}
-	rt.stats.registerNested(block)
+	if transient {
+		return tm
+	}
+	if parent == nil {
+		tm.stealOrder, tm.stealLocal = buildStealOrder(rt.placement, rt.opts.PlaceDistances, n)
+	}
+	tm.prof = make([]profile.Scratch, n)
 	rt.registerTeam(tm)
 	tm.spawnWorkers()
-	return tm
-}
-
-// newTransientTeam builds a throwaway width-n team for the serialized
-// nested fallback (Runtime.Parallel inside an active region): level 1,
-// counters on the misc shard, no trace ring (gtid -1: the calling goroutine
-// may already own a ring at another level, and a second producer on it is
-// forbidden).
-func newTransientTeam(rt *Runtime, n int) *Team {
-	tm := &Team{
-		rt:           rt,
-		n:            n,
-		level:        1,
-		activeLevels: 1,
-		threads:      make([]Thread, n),
-		pool:         newTaskPool(n),
-		tree:         treeBuffer(rt.opts, n),
-	}
-	for i := range tm.threads {
-		th := &tm.threads[i]
-		th.team = tm
-		th.id = i
-		th.parker.token = make(chan struct{}, 1)
-		th.gtid = -1
-		th.stats = rt.stats.misc()
-	}
 	return tm
 }
 
@@ -400,7 +375,7 @@ func (th *Thread) innerTeam() *Team {
 	if want > 1 {
 		granted += rt.reserveThreads(want - 1)
 	}
-	th.inner = newNestedTeam(rt, th, granted)
+	th.inner = newTeam(rt, th, granted, false)
 	return th.inner
 }
 
