@@ -20,8 +20,9 @@ vet:
 # park/wake paths, the observer hooks and per-thread trace rings (also end to
 # end on real kernels, through cmd/omprun's tests), the metrics registry, the
 # parallel sweep worker pool, the stateless measured backend those workers
-# share, the CSV column table, the variable table it and every search probe
-# read, the forests the surrogate fits, the model's shared placement cache, the
+# share, the per-machine configuration tables (built on first use, then read
+# by every sweep plan, calibration and sampling search), the CSV column
+# table, the variable table it and every search probe read, the forests the surrogate fits, the model's shared placement cache, the
 # sweep-to-analysis path of cmd/ompanalyze's tests (full sweeps, budgeted
 # searches, Sobol indices) and the served campaigns of cmd/ompsweep's and
 # cmd/ompsearch's tests (measured workers, the ledger and HTTP scrapes at
@@ -60,14 +61,15 @@ fuzz:
 # BENCH selects the benchmarks (regexp); default covers the EPCC-style
 # overhead suite plus the whole-operation benchmarks it complements. The
 # campaign side rides along: the model sweep's throughput and the
-# configuration-key cost behind it, one logistic fit of the influence
+# configuration-key cost behind it, each search strategy on one problem per
+# machine (300 evaluations, us/eval), one logistic fit of the influence
 # heatmaps (50,000 x 10, 300 epochs), one fit of the surrogate search's
 # regression forest (300 x 7, 12 trees) and one write and one read of a
 # 20,000-row dataset CSV, with their allocation counts.
 BENCH ?= .
 bench:
 	$(GO) test ./openmp -run '^$$' -bench '$(BENCH)' -benchtime=300ms -count=5 -benchmem
-	$(GO) test . ./internal/ml ./internal/dataset -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|FitLogistic|FitRegForest|WriteCSV|ReadCSV' -benchtime=300ms -count=5 -benchmem
+	$(GO) test . ./internal/core ./internal/ml ./internal/dataset -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|Search|FitLogistic|FitRegForest|WriteCSV|ReadCSV' -benchtime=300ms -count=5 -benchmem
 
 # verify is the pre-merge gate (build, reached through test, includes the
 # benchmark/ module; the measured, live-monitor and variability smokes are Go

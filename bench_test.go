@@ -34,9 +34,9 @@ func BenchmarkTableII_SweepThroughput(b *testing.B) {
 	b.ReportMetric(float64(samples)/float64(b.N), "samples/op")
 }
 
-// BenchmarkEnvConfigKey times building one configuration key — the sweep
-// keys every configuration of the space once per plan, a search once per
-// probe.
+// BenchmarkEnvConfigKey times building one configuration key — each
+// machine's configuration table keys the study space once per process, a
+// descent keys each lattice move it probes.
 func BenchmarkEnvConfigKey(b *testing.B) {
 	b.ReportAllocs()
 	space := env.Space(topology.MustGet(topology.Milan))

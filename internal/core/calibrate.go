@@ -101,8 +101,8 @@ func Calibrate(ref, alt Evaluator, opt CalibrationOptions) (*CalibrationReport, 
 		perApp = 24
 	}
 
-	space := env.Space(m)
-	def := env.Default(m)
+	table := machineTable(m)
+	def := table.defCfg
 	rep := &CalibrationReport{Reference: ref.Name(), Alternate: alt.Name(), Arch: arch}
 
 	// Per-variable accumulators: normalized runtimes of every one-at-a-time
@@ -117,7 +117,7 @@ func Calibrate(ref, alt Evaluator, opt CalibrationOptions) (*CalibrationReport, 
 	refMemo, altMemo := NewEvalCache(), NewEvalCache()
 	for _, app := range appList {
 		set := calibrationSetting(app, m)
-		cfgs := calibrationSubspace(app.Name, arch, set.Label, space, def, perApp, opt.Seed)
+		cfgs := calibrationSubspace(app.Name, arch, set.Label, table, perApp, opt.Seed)
 		// A failed series fails the calibration, which has no use for a
 		// partial pairing; nothing is measured after the first failure.
 		var failed error
@@ -195,21 +195,21 @@ func calibrationSetting(app *apps.App, m *topology.Machine) sim.Setting {
 // by hash and keeps the n−1 lowest, with the default always first. The hash
 // keying mirrors the sweep's sampling rule (keepKey) so different apps
 // exercise different corners of the space.
-func calibrationSubspace(appName string, arch topology.Arch, setting string, space []env.Config, def env.Config, n int, seed uint64) []env.Config {
+func calibrationSubspace(appName string, arch topology.Arch, setting string, t *configTable, n int, seed uint64) []env.Config {
 	type ranked struct {
 		h   uint64
 		cfg env.Config
 	}
 	var rs []ranked
-	for _, cfg := range space {
-		if cfg == def {
+	for i, cfg := range t.space {
+		if cfg == t.defCfg {
 			continue
 		}
-		h := hash64(fmt.Sprintf("cal|%d|%s|%s|%s|%s", seed, appName, arch, setting, cfg.Key()))
+		h := hash64(fmt.Sprintf("cal|%d|%s|%s|%s|%s", seed, appName, arch, setting, t.keys[i]))
 		rs = append(rs, ranked{h, cfg})
 	}
 	sort.Slice(rs, func(i, j int) bool { return rs[i].h < rs[j].h })
-	out := []env.Config{def}
+	out := []env.Config{t.defCfg}
 	for _, r := range rs {
 		if len(out) >= n {
 			break

@@ -55,9 +55,10 @@ type SearchSpec struct {
 	Machine *topology.Machine
 	App     *apps.App
 	Setting sim.Setting
-	// Space is the candidate pool for space-sampling strategies (random,
-	// restart starts, annealing's implicit lattice, surrogate proposals);
-	// nil means env.Space(Machine).
+	// Space is the candidate pool of the space-sampling strategies (random
+	// draws, restart starts, surrogate proposals); nil means
+	// env.Space(Machine). The descents (greedy, anneal) move along the
+	// lattice and never read it.
 	Space []env.Config
 	// Order is the coordinate order of the greedy descents (most influential
 	// first, e.g. from a heatmap's FeatureRank); nil means the canonical
@@ -162,9 +163,9 @@ type searchState struct {
 	spec  SearchSpec
 	ev    Evaluator
 	cache *EvalCache
-	// sampled is the candidate pool once space has resolved it.
-	sampled []env.Config
-	order   []env.VarName
+	// tab is the candidate pool's table once table has resolved it.
+	tab   *configTable
+	order []env.VarName
 
 	maxEvals int
 	deadline time.Time
@@ -206,18 +207,20 @@ func newSearchState(ctx context.Context, strategy string, spec SearchSpec, led *
 	return s, nil
 }
 
-// space returns the candidate pool of the space-sampling strategies: spec's
-// Space, or env.Space(Machine). It is built on first use, because the
-// descents (greedy, anneal) never sample it and building it costs more than
-// their whole search.
-func (s *searchState) space() []env.Config {
-	if s.sampled == nil {
-		s.sampled = s.spec.Space
-		if len(s.sampled) == 0 {
-			s.sampled = env.Space(s.spec.Machine)
+// table returns the candidate pool of the space-sampling strategies: the
+// machine's shared table of env.Space, or a table of spec's Space built for
+// this search. It is resolved on first use, because the descents (greedy,
+// anneal) never sample the pool.
+func (s *searchState) table() *configTable {
+	if s.tab == nil {
+		if len(s.spec.Space) == 0 {
+			s.tab = machineTable(s.spec.Machine)
+		} else {
+			s.tab = newConfigTable(s.spec.Space, env.Default(s.spec.Machine))
+			s.tab.aliasRepeats()
 		}
 	}
-	return s.sampled
+	return s.tab
 }
 
 // runSearch wraps a strategy body with state setup and teardown; it is the
@@ -273,12 +276,11 @@ func (s *searchState) probe(cfg env.Config, variable, value string) float64 {
 	return s.probeKeyed(cfg, cfg.Key(), variable, value)
 }
 
-// probeConfig is probe for a move that draws a whole configuration: the
-// step is labelled with the configuration's key, built once for the label,
-// the cache and the backend.
-func (s *searchState) probeConfig(cfg env.Config, move string) float64 {
-	key := cfg.Key()
-	return s.probeKeyed(cfg, key, move, key)
+// probeAt is probe for a move that draws a whole configuration, position i
+// of the candidate table: the step is labelled with the table's key, which
+// also serves the cache and the backend.
+func (s *searchState) probeAt(i int, move string) float64 {
+	return s.probeKeyed(s.tab.space[i], s.tab.keys[i], move, s.tab.keys[i])
 }
 
 func (s *searchState) probeKeyed(cfg env.Config, key, variable, value string) float64 {

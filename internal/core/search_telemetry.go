@@ -74,7 +74,7 @@ func (s *searchState) openTelemetry(path string) error {
 	sink.emit(s.record(searchRecord{
 		Type:        "search_plan",
 		Backend:     s.ev.Name(),
-		SpaceSize:   len(s.space()),
+		SpaceSize:   len(s.table().space),
 		BudgetEvals: s.maxEvals,
 		BudgetSec:   s.spec.Budget.MaxTime.Seconds(),
 		Seed:        s.spec.Seed,
@@ -110,7 +110,7 @@ func (s *searchState) stepRecord(evals int, best float64, key string, sec float6
 func (s *searchState) doneRecord(st ledgerView) jsonlRecord {
 	rec := s.record(searchRecord{
 		Type:        "search_done",
-		SpaceSize:   len(s.space()),
+		SpaceSize:   len(s.table().space),
 		Evaluations: st.SamplesDone,
 		CacheHits:   st.cacheHits,
 		BestConfig:  s.res.Best.Key(),

@@ -459,9 +459,9 @@ func TestSearchMonitorGauges(t *testing.T) {
 
 // TestSearchProbeNoObserverAllocs holds the hot path of every search the
 // benchmark's search_tune runs: with no telemetry log and no monitor a cached
-// probe allocates what it did before the ledger took over the reporting — the
-// configuration key and its label, 2 allocations, measured at the parent
-// commit with this same body.
+// probe of a table position allocates only the cache's lookup key. The
+// configuration key and step label come from the table; building them per
+// probe cost a second allocation.
 func TestSearchProbeNoObserverAllocs(t *testing.T) {
 	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
 	s, err := newSearchState(context.Background(), "random", SearchSpec{Machine: m, App: app, Setting: set}, newReporter(nil, nil, nil))
@@ -469,10 +469,10 @@ func TestSearchProbeNoObserverAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.init()
-	cfg := env.Space(m)[1]
-	s.probeConfig(cfg, "random")
-	if got := testing.AllocsPerRun(200, func() { s.probeConfig(cfg, "random") }); got != 2 {
-		t.Errorf("cached probe with no observers: %v allocations, want 2", got)
+	s.table()
+	s.probeAt(1, "random")
+	if got := testing.AllocsPerRun(200, func() { s.probeAt(1, "random") }); got != 1 {
+		t.Errorf("cached probe with no observers: %v allocations, want 1", got)
 	}
 }
 
@@ -546,5 +546,38 @@ func TestSearchReportJoinsSweep(t *testing.T) {
 	}
 	if _, err := SearchReport(strings.NewReader("{bad json"), ds); err == nil {
 		t.Error("malformed telemetry accepted")
+	}
+}
+
+// BenchmarkSearch times each strategy on one problem per machine — Nqueens
+// at its first setting, 300 evaluations, a fresh EvalCache per search — so
+// an op is three searches; us/eval divides the time by their evaluations.
+func BenchmarkSearch(b *testing.B) {
+	app, err := apps.ByName("Nqueens")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range SearchStrategies() {
+		searcher, err := NewSearcher(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			evals := 0
+			for i := 0; i < b.N; i++ {
+				for _, m := range topology.All() {
+					res, err := searcher.Search(context.Background(), SearchSpec{
+						Machine: m, App: app, Setting: app.Settings(m)[0], Seed: 1,
+						Budget: SearchBudget{MaxEvals: 300}, Cache: NewEvalCache(),
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					evals += res.Evaluations
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(evals), "us/eval")
+		})
 	}
 }

@@ -96,10 +96,9 @@ func (randomSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResult
 	return runSearch(ctx, "random", spec, func(s *searchState) {
 		s.init()
 		rng := newLCG(spec.Seed)
-		space := s.space()
+		n := len(s.table().space)
 		for !s.exhausted() {
-			cfg := space[rng.intn(len(space))]
-			s.probeConfig(cfg, "random")
+			s.probeAt(rng.intn(n), "random")
 		}
 	})
 }
@@ -116,14 +115,14 @@ func (restartSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResul
 		s.init()
 		s.descend(s.res.Best, s.res.BestSeconds)
 		rng := newLCG(spec.Seed ^ hash64("restart"))
-		space := s.space()
+		t := s.table()
 		for !s.exhausted() {
-			cfg := space[rng.intn(len(space))]
-			sec := s.probeConfig(cfg, "restart")
+			i := rng.intn(len(t.space))
+			sec := s.probeAt(i, "restart")
 			if s.exhausted() {
 				return
 			}
-			s.descend(cfg, sec)
+			s.descend(t.space[i], sec)
 		}
 	})
 }
@@ -201,48 +200,59 @@ func (surrogateSearcher) Search(ctx context.Context, spec SearchSpec) (SearchRes
 	})
 }
 
+// indexSet is a set of positions in a configuration table.
+type indexSet []uint64
+
+func newIndexSet(n int) indexSet { return make(indexSet, (n+63)/64) }
+
+func (s indexSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
+
+func (s indexSet) add(i int) { s[i/64] |= 1 << (i % 64) }
+
 // surrogateSearch runs the surrogate strategy on s, whose default
-// configuration has been measured, and returns every configuration it
-// probed and the forest's training rows: the probes that returned a runtime.
-func surrogateSearch(s *searchState) (seen map[env.Config]bool, x [][]float64, y []float64) {
+// configuration has been measured, and returns the table positions it
+// probed (the default's included when the pool holds it) and the forest's
+// training rows: the default's and those of the probes that returned a
+// runtime. A position stands for the first one holding its configuration.
+func surrogateSearch(s *searchState) (seen indexSet, x [][]float64, y []float64) {
 	rng := newLCG(s.spec.Seed ^ hash64("surrogate"))
-	space := s.space()
-	names := env.Names()
-	feats := func(c env.Config, row []float64) []float64 {
-		for i, v := range names {
-			row[i] = c.Feature(v)
-		}
-		return row
-	}
-	seen = make(map[env.Config]bool, min(s.maxEvals, len(space)))
-	// add records a probe. A failed one (NaN seconds) is seen, so it is
-	// never proposed again, but it is no training row: a NaN target would
-	// make every tree whose bootstrap draws it a NaN leaf, and every
-	// prediction NaN.
-	add := func(c env.Config, sec float64) {
-		seen[c] = true
+	t := s.table()
+	n := len(t.space)
+	seen = newIndexSet(n)
+	// add records a probe of position i. A failed one (NaN seconds) is
+	// seen, so it is never proposed again, but train makes it no training
+	// row: a NaN target would make every tree whose bootstrap draws it a
+	// NaN leaf, and every prediction NaN.
+	train := func(row []float64, sec float64) {
 		if norm := sec / s.res.DefaultSeconds; !math.IsNaN(norm) {
-			x = append(x, feats(c, make([]float64, len(names))))
+			x = append(x, row)
 			y = append(y, norm)
 		}
 	}
-	add(s.res.Best, s.res.DefaultSeconds)
+	add := func(i int, sec float64) {
+		seen.add(i)
+		train(t.row(i), sec)
+	}
+	if t.defIdx >= 0 {
+		add(t.defIdx, s.res.DefaultSeconds)
+	} else { // a pool without the default still trains on it
+		train(featureRow(t.defCfg, make([]float64, len(tableFeatures))), s.res.DefaultSeconds)
+	}
 	// drawUnseen probes one fresh random configuration — the warm-up move
 	// and the fallback when the model round has nothing new to propose.
 	drawUnseen := func() {
-		if cfg := space[rng.intn(len(space))]; !seen[cfg] {
-			add(cfg, s.probeConfig(cfg, "explore"))
+		if i := t.canon(rng.intn(n)); !seen.has(i) {
+			add(i, s.probeAt(i, "explore"))
 		}
 	}
 	for i := 0; i < surrogateWarmup && !s.exhausted(); i++ {
 		drawUnseen()
 	}
 	type scored struct {
-		cfg env.Config
-		ei  float64
+		i  int
+		ei float64
 	}
-	inPool := make(map[env.Config]bool, surrogatePool)
-	row := make([]float64, len(names))
+	inPool := newIndexSet(n)
 	top := make([]scored, 0, surrogateBatch)
 	idle := 0
 	for !s.exhausted() {
@@ -255,16 +265,16 @@ func surrogateSearch(s *searchState) (seen map[env.Config]bool, x [][]float64, y
 			bestNorm := s.res.BestSeconds / s.res.DefaultSeconds
 			clear(inPool)
 			top = top[:0]
-			for i := 0; i < surrogatePool; i++ {
-				cfg := space[rng.intn(len(space))]
-				if seen[cfg] || inPool[cfg] {
+			for range surrogatePool {
+				i := t.canon(rng.intn(n))
+				if seen.has(i) || inPool.has(i) {
 					continue
 				}
-				inPool[cfg] = true
-				mu, sd := forest.PredictStd(feats(cfg, row))
+				inPool.add(i)
+				mu, sd := forest.PredictStd(t.row(i))
 				// Keep the surrogateBatch best by EI, ties in draw order:
 				// exactly the prefix a stable sort of the pool would give.
-				c := scored{cfg, expectedImprovement(bestNorm, mu, sd)}
+				c := scored{i, expectedImprovement(bestNorm, mu, sd)}
 				p := len(top)
 				for p > 0 && top[p-1].ei < c.ei {
 					p--
@@ -282,7 +292,7 @@ func surrogateSearch(s *searchState) (seen map[env.Config]bool, x [][]float64, y
 				if s.exhausted() {
 					return seen, x, y
 				}
-				add(p.cfg, s.probeConfig(p.cfg, "surrogate"))
+				add(p.i, s.probeAt(p.i, "surrogate"))
 			}
 		}
 		// A space smaller than the budget eventually leaves nothing

@@ -42,31 +42,55 @@ func hashSearchResult(h hash.Hash, r SearchResult) {
 	}
 }
 
+// samplingGoldenSHA256 pins restart's and random's SearchResults on the same
+// nine problems × three seeds at 300 evaluations: every draw from the
+// configuration table and every descent from a drawn start.
+const samplingGoldenSHA256 = "360c1863e750be88d6835c5ac510dc65834c7a251cbcf1b7e2c131102e7f78e2"
+
+// searchGoldenHash runs each strategy on the benchmark's nine search
+// problems × seeds 1–3 at 300 evaluations under the analytic backend and
+// returns the sha256 of every result, in that order.
+func searchGoldenHash(t *testing.T, strategies ...Searcher) string {
+	t.Helper()
+	h := sha256.New()
+	for _, searcher := range strategies {
+		for _, m := range topology.All() {
+			for _, name := range []string{"Nqueens", "CG", "XSbench"} {
+				app, err := apps.ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for seed := uint64(1); seed <= 3; seed++ {
+					res, err := searcher.Search(context.Background(), SearchSpec{
+						Machine: m, App: app, Setting: app.Settings(m)[0], Seed: seed,
+						Budget: SearchBudget{MaxEvals: 300},
+					})
+					if err != nil {
+						t.Fatalf("%s %s/%s seed %d: %v", searcher.Name(), m.Arch, name, seed, err)
+					}
+					hashSearchResult(h, res)
+				}
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
 func TestSurrogateGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27 surrogate searches at 300 evaluations")
 	}
-	h := sha256.New()
-	for _, m := range topology.All() {
-		for _, name := range []string{"Nqueens", "CG", "XSbench"} {
-			app, err := apps.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for seed := uint64(1); seed <= 3; seed++ {
-				res, err := surrogateSearcher{}.Search(context.Background(), SearchSpec{
-					Machine: m, App: app, Setting: app.Settings(m)[0], Seed: seed,
-					Budget: SearchBudget{MaxEvals: 300},
-				})
-				if err != nil {
-					t.Fatalf("%s/%s seed %d: %v", m.Arch, name, seed, err)
-				}
-				hashSearchResult(h, res)
-			}
-		}
-	}
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != surrogateGoldenSHA256 {
+	if got := searchGoldenHash(t, surrogateSearcher{}); got != surrogateGoldenSHA256 {
 		t.Errorf("surrogate results sha256 %s, want %s", got, surrogateGoldenSHA256)
+	}
+}
+
+func TestSamplingSearchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("54 restart and random searches at 300 evaluations")
+	}
+	if got := searchGoldenHash(t, restartSearcher{}, randomSearcher{}); got != samplingGoldenSHA256 {
+		t.Errorf("restart and random results sha256 %s, want %s", got, samplingGoldenSHA256)
 	}
 }
 
@@ -80,7 +104,8 @@ func TestSurrogateFailedProbeIsNoTrainingRow(t *testing.T) {
 	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
 	const seed = 2
 	space := env.Space(m)
-	bad := space[newLCG(seed^hash64("surrogate")).intn(len(space))]
+	badIdx := newLCG(seed ^ hash64("surrogate")).intn(len(space))
+	bad := space[badIdx]
 	ev := failing(bad)
 	s, err := newSearchState(context.Background(), "surrogate", SearchSpec{
 		Machine: m, App: app, Setting: set, Seed: seed,
@@ -94,11 +119,17 @@ func TestSurrogateFailedProbeIsNoTrainingRow(t *testing.T) {
 	if n := ev.timesAsked()[askedSeries{app.Name, set.Label, bad, bad.Key()}]; n != 1 {
 		t.Fatalf("failing configuration measured %d times, want once, in the warm-up", n)
 	}
-	if !seen[bad] {
+	if !seen.has(badIdx) {
 		t.Error("failed configuration is not seen: a later round may propose it again")
 	}
-	if len(x) != len(y) || len(y) != len(seen)-1 {
-		t.Errorf("%d training rows, %d targets, %d seen: want every seen configuration but the failed one", len(x), len(y), len(seen))
+	nSeen := 0
+	for i := range space {
+		if seen.has(i) {
+			nSeen++
+		}
+	}
+	if len(x) != len(y) || len(y) != nSeen-1 {
+		t.Errorf("%d training rows, %d targets, %d seen: want every seen configuration but the failed one", len(x), len(y), nSeen)
 	}
 	for i, v := range y {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

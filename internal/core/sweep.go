@@ -133,28 +133,6 @@ func keepKey(prefix uint64, key string, frac float64) bool {
 	return frac >= 1 || float64(fnvFinish(fnv1a(prefix, key))>>11)/(1<<53) < frac
 }
 
-// configTable is an architecture's sweep space with what every unit on it
-// needs per configuration, built once at plan time and shared read-only by
-// the arch's units: keys[i] is space[i].Key(), defIdx the position of the
-// default configuration defCfg (-1 when the space lacks it).
-type configTable struct {
-	space  []env.Config
-	keys   []string
-	defCfg env.Config
-	defIdx int
-}
-
-func newConfigTable(space []env.Config, defCfg env.Config) *configTable {
-	t := &configTable{space: space, keys: make([]string, len(space)), defCfg: defCfg, defIdx: -1}
-	for i, cfg := range space {
-		t.keys[i] = cfg.Key()
-		if t.defIdx < 0 && cfg == defCfg {
-			t.defIdx = i
-		}
-	}
-	return t
-}
-
 // sweepUnit is one (arch, app, setting) batch — the unit of parallelism and
 // of checkpointing. All configurations of a setting stay in one unit,
 // mirroring the batching rationale of §IV-B: relative performance within a
@@ -220,14 +198,21 @@ func planUnits(sc SweepConfig) ([]*sweepUnit, error) {
 		if sc.Nested && sc.Apps == nil {
 			appList = append(appList, apps.NestedOnArch(arch)...)
 		}
-		space := env.Space(m)
-		if sc.Extended {
-			space = ExtendedSpace(m)
+		// The arch's units share one table; the study space's is the
+		// machine's own, built once per process.
+		var table *configTable
+		if sc.Extended || sc.Nested {
+			space := env.Space(m)
+			if sc.Extended {
+				space = ExtendedSpace(m)
+			}
+			if sc.Nested {
+				space = append(space, nestedVariants(m)...)
+			}
+			table = newConfigTable(space, env.Default(m))
+		} else {
+			table = machineTable(m)
 		}
-		if sc.Nested {
-			space = append(append([]env.Config(nil), space...), nestedVariants(m)...)
-		}
-		table := newConfigTable(space, env.Default(m))
 		for _, app := range appList {
 			settings := app.Settings(m)
 			if sc.Extended && !app.VariesInput {

@@ -1,0 +1,127 @@
+package core
+
+import (
+	"sync"
+
+	"omptune/internal/env"
+	"omptune/internal/topology"
+)
+
+// configTable is a configuration space with what every consumer needs per
+// configuration: keys[i] is space[i].Key(), row(i) its env.Names()
+// features, defIdx the position of the default configuration defCfg (-1
+// when the space lacks it). newConfigTable, and aliasRepeats for a
+// caller's pool, build it; it is read-only from then on.
+//
+// The study's space on a registered machine has one table per process
+// (machineTable), shared by the sweep plan, Calibrate and every
+// space-sampling search. Extended and nested sweeps and a caller's search
+// pool build their own through newConfigTable.
+type configTable struct {
+	space []env.Config
+	keys  []string
+	// feats holds the feature rows back to back, tableFeatures wide.
+	feats  []float64
+	defCfg env.Config
+	defIdx int
+	// first maps each position to the first position holding the same
+	// configuration; nil when no configuration repeats (see aliasRepeats).
+	first []int32
+}
+
+// tableFeatures is the feature order of a table row: the surrogate's
+// training and candidate rows.
+var tableFeatures = env.Names()
+
+// newConfigTable builds the table of space. Its space is capacity-clipped,
+// so a caller that appends to it copies instead of writing into the table.
+func newConfigTable(space []env.Config, defCfg env.Config) *configTable {
+	nf := len(tableFeatures)
+	t := &configTable{
+		space: space[:len(space):len(space)], keys: make([]string, len(space)),
+		feats: make([]float64, len(space)*nf), defCfg: defCfg, defIdx: -1,
+	}
+	for i, cfg := range space {
+		t.keys[i] = cfg.Key()
+		featureRow(cfg, t.feats[i*nf:(i+1)*nf])
+		if t.defIdx < 0 && cfg == defCfg {
+			t.defIdx = i
+		}
+	}
+	return t
+}
+
+// featureRow writes cfg's tableFeatures into row and returns it.
+func featureRow(cfg env.Config, row []float64) []float64 {
+	for k, v := range tableFeatures {
+		row[k] = cfg.Feature(v)
+	}
+	return row
+}
+
+// row returns configuration i's feature row, capacity-clipped like space.
+func (t *configTable) row(i int) []float64 {
+	nf := len(tableFeatures)
+	return t.feats[i*nf : (i+1)*nf : (i+1)*nf]
+}
+
+// aliasRepeats fills first when some configuration occurs twice, so a
+// caller's pool with repeats still has each configuration seen once. The
+// study's space repeats none and never needs it.
+func (t *configTable) aliasRepeats() {
+	at := make(map[string]int32, len(t.keys))
+	for i, key := range t.keys {
+		j, ok := at[key]
+		if !ok {
+			at[key] = int32(i)
+			continue
+		}
+		if t.first == nil {
+			t.first = make([]int32, len(t.keys))
+			for k := range t.first {
+				t.first[k] = int32(k)
+			}
+		}
+		t.first[i] = j
+	}
+}
+
+// canon returns the first position holding configuration i.
+func (t *configTable) canon(i int) int {
+	if t.first != nil {
+		return int(t.first[i])
+	}
+	return i
+}
+
+// tableMemo holds the study space's table of every registered machine used
+// so far; machineTables is the process's.
+type tableMemo struct {
+	mu        sync.Mutex
+	byMachine map[*topology.Machine]*configTable
+}
+
+var machineTables tableMemo
+
+// machineTable returns the table of env.Space(m): built on first use and
+// shared from then on when m is the registered model of its arch. A machine
+// value that is not the registered one (a modified copy) gets a table of
+// its own every call.
+func machineTable(m *topology.Machine) *configTable { return machineTables.get(m) }
+
+func (tm *tableMemo) get(m *topology.Machine) *configTable {
+	if reg, err := topology.Get(m.Arch); err != nil || reg != m {
+		return newConfigTable(env.Space(m), env.Default(m))
+	}
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	t := tm.byMachine[m]
+	if t == nil {
+		t = newConfigTable(env.Space(m), env.Default(m))
+		if tm.byMachine == nil {
+			tm.byMachine = map[*topology.Machine]*configTable{}
+		}
+		tm.byMachine[m] = t
+	}
+	return t
+}

@@ -1,0 +1,161 @@
+package core
+
+import (
+	"context"
+	"sort"
+	"sync"
+	"testing"
+
+	"omptune/internal/env"
+	"omptune/internal/topology"
+)
+
+// TestMachineTableShared: every use on one registered machine reads one
+// table, whose space a caller cannot grow in place.
+func TestMachineTableShared(t *testing.T) {
+	m := topology.MustGet(topology.Skylake)
+	a, b := machineTable(m), machineTable(m)
+	if a != b {
+		t.Fatal("two uses of one machine built two tables")
+	}
+	if cap(a.space) != len(a.space) {
+		t.Errorf("space has capacity %d beyond its %d configurations: an append would write into the shared table", cap(a.space), len(a.space))
+	}
+	if r := a.row(0); cap(r) != len(r) {
+		t.Errorf("feature row has capacity %d beyond its %d features", cap(r), len(r))
+	}
+	cp := *m
+	if machineTable(&cp) == a {
+		t.Error("a copy of the registered machine shares its table")
+	}
+}
+
+// TestMachineTableContract: on every machine the table is env.Space with its
+// keys, feature rows and default position, and repeats no configuration.
+func TestMachineTableContract(t *testing.T) {
+	for _, m := range topology.All() {
+		tab := machineTable(m)
+		space := env.Space(m)
+		if len(tab.space) != len(space) || len(tab.keys) != len(space) || len(tab.feats) != len(space)*len(env.Names()) {
+			t.Fatalf("%s: %d configurations, %d keys, %d feature values for a %d-configuration space",
+				m.Arch, len(tab.space), len(tab.keys), len(tab.feats), len(space))
+		}
+		for i, cfg := range space {
+			if tab.space[i] != cfg || tab.keys[i] != cfg.Key() {
+				t.Fatalf("%s: position %d holds %q, want %q", m.Arch, i, tab.keys[i], cfg.Key())
+			}
+			for k, v := range env.Names() {
+				if got, want := tab.row(i)[k], cfg.Feature(v); got != want {
+					t.Fatalf("%s: position %d feature %s = %v, want %v", m.Arch, i, v, got, want)
+				}
+			}
+		}
+		if def := env.Default(m); tab.defCfg != def || tab.defIdx < 0 || space[tab.defIdx] != def {
+			t.Errorf("%s: defIdx %d does not locate the default", m.Arch, tab.defIdx)
+		}
+		tab.aliasRepeats()
+		if tab.first != nil {
+			t.Errorf("%s: the study space repeats a configuration", m.Arch)
+		}
+	}
+}
+
+// TestMachineTableConcurrentFirstUse: goroutines that make the first use of
+// a machine's table at once all get the one table.
+func TestMachineTableConcurrentFirstUse(t *testing.T) {
+	var memo tableMemo
+	m := topology.MustGet(topology.A64FX)
+	got := make([]*configTable, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[g] = memo.get(m)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, tab := range got {
+		if tab != got[0] {
+			t.Fatalf("goroutine %d got a table of its own", g)
+		}
+	}
+	if len(got[0].space) != len(env.Space(m)) {
+		t.Errorf("table of %d configurations, want %d", len(got[0].space), len(env.Space(m)))
+	}
+}
+
+// TestSearchCustomPool: a caller's pool — the 24 fastest configurations,
+// without the default, one of them listed twice, smaller than the budget —
+// is all the sampling strategies draw from. The surrogate probes each of its
+// configurations once and then runs out of candidates.
+func TestSearchCustomPool(t *testing.T) {
+	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
+	def := env.Default(m)
+	cache := NewEvalCache()
+	var ranked []env.Config
+	for _, cfg := range env.Space(m) {
+		if cfg != def {
+			ranked = append(ranked, cfg)
+		}
+	}
+	sort.SliceStable(ranked, func(i, j int) bool {
+		a, _ := cache.Mean(ModelEvaluator{}, m, app, ranked[i], set)
+		b, _ := cache.Mean(ModelEvaluator{}, m, app, ranked[j], set)
+		return a < b
+	})
+	pool := append(ranked[:24:24], ranked[3])
+	inPool := map[env.Config]bool{}
+	for _, cfg := range pool {
+		inPool[cfg] = true
+	}
+	const budget = 100
+	for _, name := range []string{"random", "restart", "surrogate"} {
+		searcher, err := NewSearcher(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := failing()
+		res, err := searcher.Search(context.Background(), SearchSpec{
+			Machine: m, App: app, Setting: set, Space: pool, Seed: 3,
+			Evaluator: ev, Budget: SearchBudget{MaxEvals: budget},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch name {
+		case "random", "surrogate":
+			for _, a := range ev.asked {
+				if a.cfg != def && !inPool[a.cfg] {
+					t.Errorf("%s probed %s, outside the pool", name, a.key)
+				}
+			}
+		case "restart":
+			starts := 0
+			for _, st := range res.Trajectory {
+				if st.Variable == "restart" {
+					starts++
+					if !inPool[st.Config] {
+						t.Errorf("restart started from %s, outside the pool", st.Value)
+					}
+				}
+			}
+			if starts == 0 {
+				t.Errorf("no restart start on the trajectory %+v", res.Trajectory)
+			}
+		}
+		if name != "surrogate" {
+			if res.Evaluations != budget {
+				t.Errorf("%s: %d evaluations, want the budget %d", name, res.Evaluations, budget)
+			}
+			continue
+		}
+		if want := 1 + len(inPool); res.Evaluations != want || res.CacheHits != 0 || len(ev.asked) != want {
+			t.Errorf("surrogate: %d evaluations, %d cache hits, %d series; want the default and each of the %d pool configurations once",
+				res.Evaluations, res.CacheHits, len(ev.asked), len(inPool))
+		}
+	}
+}
