@@ -8,6 +8,7 @@ package ml
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -18,18 +19,22 @@ type Standardizer struct {
 	Mean, Std []float64
 }
 
-// FitStandardizer computes per-column statistics of X.
+// FitStandardizer computes per-column statistics of X. It rejects a NaN or
+// an infinity, which would make every statistic and coefficient NaN.
 func FitStandardizer(x [][]float64) (*Standardizer, error) {
 	if len(x) == 0 {
 		return nil, errors.New("ml: empty design matrix")
 	}
 	cols := len(x[0])
 	s := &Standardizer{Mean: make([]float64, cols), Std: make([]float64, cols)}
-	for _, row := range x {
+	for i, row := range x {
 		if len(row) != cols {
 			return nil, errors.New("ml: ragged design matrix")
 		}
 		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("ml: non-finite value in design matrix (row %d, column %d)", i, j)
+			}
 			s.Mean[j] += v
 		}
 	}
@@ -88,6 +93,13 @@ type LogisticOptions struct {
 // gradient ascent on standardized features. Labels are booleans ("optimal"
 // vs "sub-optimal" in the study).
 func FitLogistic(x [][]float64, y []bool, opt LogisticOptions) (*LogisticModel, error) {
+	return fitLogistic(x, y, opt, useLanes)
+}
+
+// fitLogistic is FitLogistic on the lane kernel where lanes is set and the
+// design's width fits it, on the portable kernel elsewhere. Both give the
+// same bits.
+func fitLogistic(x [][]float64, y []bool, opt LogisticOptions, lanes bool) (*LogisticModel, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, errors.New("ml: bad training data")
 	}
@@ -106,84 +118,132 @@ func FitLogistic(x [][]float64, y []bool, opt LogisticOptions) (*LogisticModel, 
 	if err != nil {
 		return nil, err
 	}
-	// One flat row-major block of standardised rows and the labels as 0/1,
-	// built once; the epochs below allocate nothing.
-	rows, p := len(x), len(x[0])
-	xs := make([]float64, rows*p)
-	ts := make([]float64, rows)
-	for i, row := range x {
-		r := xs[i*p:][:p]
-		for j, v := range row {
-			r[j] = (v - scaler.Mean[j]) / scaler.Std[j]
-		}
-		if y[i] {
-			ts[i] = 1
-		}
-	}
-	n := float64(rows)
-	w := make([]float64, p)
+	d := newFitData(x, y, scaler, lanes)
+	n := float64(len(x))
+	w := make([]float64, d.p)
 	b := 0.0
-	gw := make([]float64, p)
+	gw := make([]float64, d.p)
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
 		clear(gw)
-		gb := 0.0
-		i := 0
-		// Four rows at a time: their dot products are independent, so they
-		// overlap, while every sum — each z, gb and each gw[j] — still adds
-		// the same terms in row order as the one-row tail below.
-		for ; i+4 <= rows; i += 4 {
-			// Each slice is resliced to [:p] so its length is provably that
-			// of w and gw, and the inner loops carry no bounds checks.
-			blk := xs[i*p:]
-			r0, r1, r2, r3 := blk[:p], blk[p:][:p], blk[2*p:][:p], blk[3*p:][:p]
-			t := ts[i:][:4]
-			z0, z1, z2, z3 := b, b, b, b
-			for j, wj := range w {
-				z0 += wj * r0[j]
-				z1 += wj * r1[j]
-				z2 += wj * r2[j]
-				z3 += wj * r3[j]
-			}
-			// The four exponentials first: the calls leave the divisions
-			// of sigmoidOf free to overlap.
-			a0 := math.Exp(-math.Abs(z0))
-			a1 := math.Exp(-math.Abs(z1))
-			a2 := math.Exp(-math.Abs(z2))
-			a3 := math.Exp(-math.Abs(z3))
-			e0 := t[0] - sigmoidOf(z0, a0)
-			e1 := t[1] - sigmoidOf(z1, a1)
-			e2 := t[2] - sigmoidOf(z2, a2)
-			e3 := t[3] - sigmoidOf(z3, a3)
-			gb += e0
-			gb += e1
-			gb += e2
-			gb += e3
-			for j, g := range gw {
-				g += e0 * r0[j]
-				g += e1 * r1[j]
-				g += e2 * r2[j]
-				g += e3 * r3[j]
-				gw[j] = g
-			}
-		}
-		for ; i < rows; i++ {
-			r := xs[i*p:][:p]
-			z := b
-			for j, wj := range w {
-				z += wj * r[j]
-			}
-			e := ts[i] - sigmoid(z)
-			gb += e
-			for j := range gw {
-				gw[j] += e * r[j]
-			}
-		}
+		gb := d.epoch(w, b, gw)
 		b += opt.LR * gb / n
 		for j := range w {
 			w[j] += opt.LR * (gw[j]/n - opt.L2*w[j])
 		}
 	}
 	return &LogisticModel{Intercept: b, Coef: w, Scaler: scaler}, nil
+}
+
+// fitData is a fit's standardised rows and 0/1 labels, built once per fit in
+// the layout its epoch kernel reads; the epochs allocate nothing.
+type fitData struct {
+	xs     []float64 // row i is xs[i*stride:][:p]
+	ts     []float64
+	p      int
+	stride int // p, or p rounded up to a multiple of 4 for the lane kernel
+	// lanes selects the lane kernel, which also reads panel: each 4-row
+	// block's columns in turn, a column's four values side by side.
+	lanes bool
+	panel []float64
+}
+
+func newFitData(x [][]float64, y []bool, sc *Standardizer, lanes bool) fitData {
+	rows, p := len(x), len(sc.Mean)
+	d := fitData{ts: make([]float64, rows), p: p, stride: p, lanes: lanes && p >= 1 && p <= maxLaneWidth}
+	if d.lanes {
+		d.stride = (p + 3) &^ 3
+	}
+	d.xs = make([]float64, rows*d.stride)
+	for i, row := range x {
+		r := d.xs[i*d.stride:][:p]
+		for j, v := range row {
+			r[j] = (v - sc.Mean[j]) / sc.Std[j]
+		}
+		if y[i] {
+			d.ts[i] = 1
+		}
+	}
+	if d.lanes {
+		d.panel = make([]float64, rows/4*4*p)
+		for i := 0; i+4 <= rows; i += 4 {
+			blk := d.panel[i*p:][:4*p]
+			for l := 0; l < 4; l++ {
+				for j, v := range d.xs[(i+l)*d.stride:][:p] {
+					blk[4*j+l] = v
+				}
+			}
+		}
+	}
+	return d
+}
+
+// epoch adds one epoch's weight gradient to gw and returns its intercept
+// gradient, for the model (w, b).
+func (d *fitData) epoch(w []float64, b float64, gw []float64) float64 {
+	if d.lanes {
+		return d.laneEpoch(w, b, gw)
+	}
+	return d.rowEpoch(0, len(d.ts), w, b, 0, gw)
+}
+
+// rowEpoch is the portable kernel over rows [lo, hi): it adds their terms to
+// gw and returns gb plus theirs. Products are converted to float64 so that
+// no compiler fuses them into the sums, which would round differently.
+func (d *fitData) rowEpoch(lo, hi int, w []float64, b, gb float64, gw []float64) float64 {
+	p, s, xs, ts := d.p, d.stride, d.xs, d.ts
+	w, gw = w[:p], gw[:p]
+	i := lo
+	// Four rows at a time: their dot products are independent, so they
+	// overlap, while every sum — each z, gb and each gw[j] — still adds
+	// the same terms in row order as the one-row tail below.
+	for ; i+4 <= hi; i += 4 {
+		// Each slice is resliced to [:p] so its length is provably that
+		// of w and gw, and the inner loops carry no bounds checks.
+		blk := xs[i*s:]
+		r0, r1, r2, r3 := blk[:p], blk[s:][:p], blk[2*s:][:p], blk[3*s:][:p]
+		t := ts[i:][:4]
+		z0, z1, z2, z3 := b, b, b, b
+		for j, wj := range w {
+			z0 += float64(wj * r0[j])
+			z1 += float64(wj * r1[j])
+			z2 += float64(wj * r2[j])
+			z3 += float64(wj * r3[j])
+		}
+		// The four exponentials first: the calls leave the divisions
+		// of sigmoidOf free to overlap.
+		a0 := math.Exp(-math.Abs(z0))
+		a1 := math.Exp(-math.Abs(z1))
+		a2 := math.Exp(-math.Abs(z2))
+		a3 := math.Exp(-math.Abs(z3))
+		e0 := t[0] - sigmoidOf(z0, a0)
+		e1 := t[1] - sigmoidOf(z1, a1)
+		e2 := t[2] - sigmoidOf(z2, a2)
+		e3 := t[3] - sigmoidOf(z3, a3)
+		gb += e0
+		gb += e1
+		gb += e2
+		gb += e3
+		for j, g := range gw {
+			g += float64(e0 * r0[j])
+			g += float64(e1 * r1[j])
+			g += float64(e2 * r2[j])
+			g += float64(e3 * r3[j])
+			gw[j] = g
+		}
+	}
+	for ; i < hi; i++ {
+		r := xs[i*s:][:p]
+		z := b
+		for j, wj := range w {
+			z += float64(wj * r[j])
+		}
+		e := ts[i] - sigmoid(z)
+		gb += e
+		for j := range gw {
+			gw[j] += float64(e * r[j])
+		}
+	}
+	return gb
 }
 
 // sigmoid is 1/(1+e^-z) without overflow.

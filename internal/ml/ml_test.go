@@ -120,6 +120,18 @@ func TestStandardizerErrors(t *testing.T) {
 	if _, err := FitStandardizer([][]float64{{1, 2}, {1}}); err == nil {
 		t.Error("ragged matrix should error")
 	}
+	// One NaN or infinity used to make every coefficient NaN, silently.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x, y := design(100, 1)
+		x[5][2] = v
+		const want = "ml: non-finite value in design matrix (row 5, column 2)"
+		if _, err := FitStandardizer(x); err == nil || err.Error() != want {
+			t.Errorf("FitStandardizer with %v: error %v, want %q", v, err, want)
+		}
+		if m, err := FitLogistic(x, y, LogisticOptions{}); err == nil {
+			t.Errorf("FitLogistic with %v: model %+v, want an error", v, m)
+		}
+	}
 }
 
 func TestLogisticSeparatesHalfPlanes(t *testing.T) {
@@ -248,14 +260,24 @@ func TestFitLogisticAllocsConstant(t *testing.T) {
 }
 
 // BenchmarkFitLogistic times one full-batch fit (300 epochs) of a seeded
-// 50,000 × 10 design — the shape of one influence-heatmap row.
+// 50,000 × 10 design — the shape of one influence-heatmap row — on the lane
+// kernel (simd, skipped where it is unavailable) and on the portable one.
 func BenchmarkFitLogistic(b *testing.B) {
 	x, y := design(50000, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FitLogistic(x, y, LogisticOptions{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, k := range []struct {
+		name  string
+		lanes bool
+	}{{"simd", true}, {"portable", false}} {
+		b.Run(k.name, func(b *testing.B) {
+			if k.lanes && !useLanes {
+				b.Skip("lane kernel unavailable")
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := fitLogistic(x, y, LogisticOptions{}, k.lanes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
