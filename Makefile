@@ -24,8 +24,9 @@ vet:
 
 # race exercises the concurrency-sensitive packages — the hot-team region
 # dispatch, the lock-free construct ring, the wait-policy barrier and lock
-# park/wake paths, the observer hooks and per-thread trace rings (also end to
-# end on real kernels, through cmd/omprun's tests), the metrics registry, the
+# park/wake paths, the observer hooks and the trace rings each team hands its
+# threads, cold nested teams included (also end to end on real kernels,
+# through cmd/omprun's tests), the metrics registry, the
 # parallel sweep worker pool, the stateless measured backend those workers
 # share, the per-machine configuration tables (built on first use, then read
 # by every sweep plan, calibration and sampling search), the CSV column
@@ -50,11 +51,12 @@ flake:
 
 # fuzz runs every Fuzz* target of the packages that parse outside input — the
 # runtime's environment, the study's variables (with the differential between
-# the two), the CSV format — and of internal/ml, whose CART split kernel is
-# held node-for-node to a frozen reference grower and whose two logistic fit
-# kernels are held to each other's bits, for 5 s each, seed corpora first.
+# the two), the CSV format, the search telemetry that ompanalyze -searchreport
+# reads — and of internal/ml, whose CART split kernel is held node-for-node to
+# a frozen reference grower and whose two logistic fit kernels are held to
+# each other's bits, for 5 s each, seed corpora first.
 fuzz:
-	@for pkg in ./openmp ./internal/env ./internal/dataset ./internal/ml; do \
+	@for pkg in ./openmp ./internal/env ./internal/dataset ./internal/core ./internal/ml; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s $$pkg || exit 1; \
 		done; \

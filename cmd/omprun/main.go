@@ -40,7 +40,9 @@
 // file. -trace-summary-json emits the same summary as one JSON object on
 // stderr (durations in integer nanoseconds) for scripted consumers — the
 // command's own tests parse it instead of the human table. -trace-buf sizes the
-// per-thread event rings.
+// per-thread event rings, at most trace.MaxBufferSize (2^24) events each; a
+// larger size is an error. Every thread of every team is traced, nested
+// teams first forked during the timed repetitions included.
 //
 // -profile enables the streaming per-region efficiency profiler for the
 // timed repetitions (warmup runs stay unprofiled) and prints the POP-style
@@ -120,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the timed runs to this file")
 		traceSum  = fs.Bool("trace-summary", false, "print derived per-region trace metrics to stderr (implies tracing)")
 		traceSumJ = fs.Bool("trace-summary-json", false, "print the trace summary as JSON on stderr (implies tracing)")
-		traceBuf  = fs.Int("trace-buf", 0, "per-thread trace ring capacity in events (0 = default)")
+		traceBuf  = fs.Int("trace-buf", 0, "per-thread trace ring capacity in events (0 = default, at most 2^24)")
 		profSum   = fs.Bool("profile", false, "print the per-region efficiency profile to stderr (implies profiling)")
 		profJSON  = fs.String("profile-json", "", "write the per-region efficiency profile as JSON to this file")
 		profFold  = fs.String("profile-folded", "", "write the profile as folded stacks (flamegraph.pl input) to this file")

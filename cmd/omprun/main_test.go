@@ -79,24 +79,26 @@ func TestTracedTaskKernel(t *testing.T) {
 // TestTracedNestedKernel runs a nested-parallel application (blocked LU with
 // a depth-2 region per trailing update) under a per-level thread list and
 // checks that nesting happened as configured: two levels, nested regions,
-// widths 4 outer and 2 inner, nothing dropped. The warmup run matters — it
-// creates the inner teams before tracing starts, so their threads have
-// rings when the timed repetitions are traced.
+// widths 4 outer and 2 inner, nothing dropped. With no warmup run the inner
+// teams are first built while traced, and take their rings then.
 func TestTracedNestedKernel(t *testing.T) {
-	s := summaryJSON(t, omprun(t, "-app", "LUNest", "-scale", "0.5",
-		"-set", "OMP_NUM_THREADS=4,2,OMP_MAX_ACTIVE_LEVELS=2,KMP_BLOCKTIME=0",
-		"-warmup", "1", "-reps", "2", "-trace-summary-json"))
-	if s.Dropped != 0 {
-		t.Errorf("dropped %d events", s.Dropped)
-	}
-	if s.NestedRegions <= 0 {
-		t.Error("no nested regions")
-	}
-	if len(s.Levels) < 2 {
-		t.Fatalf("levels = %+v, want at least 2", s.Levels)
-	}
-	if s.Levels[0].MaxThreads != 4 || s.Levels[1].MaxThreads != 2 {
-		t.Errorf("team widths = %d outer, %d inner, want 4 and 2", s.Levels[0].MaxThreads, s.Levels[1].MaxThreads)
+	for _, warmup := range []string{"1", "0"} {
+		s := summaryJSON(t, omprun(t, "-app", "LUNest", "-scale", "0.5",
+			"-set", "OMP_NUM_THREADS=4,2,OMP_MAX_ACTIVE_LEVELS=2,KMP_BLOCKTIME=0",
+			"-warmup", warmup, "-reps", "2", "-trace-summary-json"))
+		if s.Dropped != 0 {
+			t.Errorf("warmup %s: dropped %d events", warmup, s.Dropped)
+		}
+		if s.NestedRegions <= 0 {
+			t.Errorf("warmup %s: no nested regions", warmup)
+		}
+		if len(s.Levels) < 2 {
+			t.Fatalf("warmup %s: levels = %+v, want at least 2", warmup, s.Levels)
+		}
+		if s.Levels[0].MaxThreads != 4 || s.Levels[1].MaxThreads != 2 {
+			t.Errorf("warmup %s: team widths = %d outer, %d inner, want 4 and 2",
+				warmup, s.Levels[0].MaxThreads, s.Levels[1].MaxThreads)
+		}
 	}
 }
 
@@ -164,6 +166,7 @@ func TestRunValidation(t *testing.T) {
 		{[]string{"-app", "EP", "-reps", "0"}, "-reps 0"},
 		{[]string{"-app", "EP", "-warmup", "-1"}, "-warmup -1"},
 		{[]string{"-app", "EP", "-set", "OMP_SCHEDULE=sideways"}, "sideways"},
+		{[]string{"-app", "EP", "-trace-summary", "-trace-buf", "4611686018427387905"}, "exceeds the maximum"},
 	} {
 		var out, errb bytes.Buffer
 		err := run(tc.args, &out, &errb)

@@ -2,6 +2,7 @@ package openmp
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"time"
 
@@ -59,17 +60,19 @@ func (h *hooks) slot(th *Thread) *profile.Scratch {
 // emit traces one event of th's current region. The id is the thread's
 // (stamped at implicit-task begin, zero between regions), not the team's: a
 // worker closes its end-of-region spans after the team may be restamped.
+// Rings are read only once the snapshot shows a tracer (StartTrace hands
+// them out before it publishes one); the transient serialized team has none.
 func (h *hooks) emit(th *Thread, k trace.Kind, arg int64) {
-	if h.tr != nil {
-		h.tr.Emit(int(th.gtid), th.team.level, k, th.regionID, arg)
+	if h.tr != nil && th.ring != nil {
+		h.tr.Emit(th.ring, th.team.level, k, th.regionID, arg)
 	}
 }
 
 // regionFork opens a region on its primary thread before the generation bump:
 // the fork event precedes every worker event, the stamp covers the wakes.
 func (h *hooks) regionFork(tm *Team) (forkAt int64) {
-	if h.tr != nil {
-		h.tr.Emit(int(tm.threads[0].gtid), tm.level, trace.KindRegionFork, tm.regionID, int64(tm.n))
+	if r := tm.threads[0].ring; h.tr != nil && r != nil {
+		h.tr.Emit(r, tm.level, trace.KindRegionFork, tm.regionID, int64(tm.n))
 	}
 	if h.met.Region != nil || h.prof != nil {
 		forkAt = h.now()
@@ -86,8 +89,8 @@ func (h *hooks) regionJoin(tm *Team, pc uintptr, forkAt int64) {
 	if h.prof != nil && tm.prof != nil { // the transient serialized team has no slots
 		h.prof.Fold(pc, tm.level, tm.regionID, forkAt, tm.prof)
 	}
-	if h.tr != nil {
-		h.tr.Emit(int(tm.threads[0].gtid), tm.level, trace.KindRegionJoin, tm.regionID, 0)
+	if r := tm.threads[0].ring; h.tr != nil && r != nil {
+		h.tr.Emit(r, tm.level, trace.KindRegionJoin, tm.regionID, 0)
 	}
 }
 
@@ -233,13 +236,13 @@ func (rt *Runtime) editHooks(edit func(h *hooks)) {
 }
 
 // StartTrace enables OMPT-style event tracing with the given per-thread
-// ring capacity in events (0 means trace.DefaultBufferSize). Rings are
-// preallocated here, one per global thread id live at this point — outer
-// threads plus every cached inner-team worker; workers created later have no
-// ring and trace nothing, so fork nested regions once (a warmup run) before
-// tracing. An emit costs one timestamp read and one ring store, and a full
-// ring drops new events rather than blocking. Tracing a runtime that is
-// already tracing or closed is an error.
+// ring capacity in events (0 means trace.DefaultBufferSize; more than
+// trace.MaxBufferSize is an error). Every thread of every live team gets its
+// ring here, and a nested team first forked while tracing gets its rings
+// when it is built, so every team is traced whole. An emit costs one
+// timestamp read and one ring store, and a full ring drops new events
+// rather than blocking. Tracing a runtime that is already tracing or closed
+// is an error.
 func (rt *Runtime) StartTrace(eventsPerThread int) error {
 	rt.regionMu.Lock()
 	defer rt.regionMu.Unlock()
@@ -249,7 +252,16 @@ func (rt *Runtime) StartTrace(eventsPerThread int) error {
 	if h := rt.hooks.Load(); h != nil && h.tr != nil {
 		return errors.New("openmp: StartTrace while already tracing")
 	}
-	rt.editHooks(func(h *hooks) { h.tr = trace.New(int(rt.nextGtid.Load()), eventsPerThread) })
+	tr, err := trace.New(eventsPerThread)
+	if err != nil {
+		return fmt.Errorf("openmp: StartTrace: %w", err)
+	}
+	// The registry lists a parent's team before its nested teams, so a
+	// parent's ring exists by the time its inner thread 0 shares it.
+	for _, tm := range rt.liveTeams() {
+		tm.takeRings(tr)
+	}
+	rt.editHooks(func(h *hooks) { h.tr = tr })
 	return nil
 }
 
@@ -259,12 +271,13 @@ func (rt *Runtime) StartTrace(eventsPerThread int) error {
 // A worker emits its end-of-region BarrierLeave/ImplicitEnd after the
 // primary thread has already passed the join barrier, so those records can
 // still be in flight when Parallel returns. StopTrace therefore detaches the
-// tracer and then dispatches one uncounted no-op flush region that recurses
-// into every cached inner team: each worker's pending emits precede its
-// flush-barrier arrival, which precedes its dispatcher's barrier pass, so
-// when the flush returns every traced event has been published to its ring.
-// Workers parking after the flush may race the drain with park/wake instants
-// (the rings are SPSC, so that is safe); such stragglers are not collected.
+// tracer and then dispatches one uncounted no-op flush region on each
+// registered team in turn: each worker's pending emits precede its
+// flush-barrier arrival, which precedes the dispatcher's barrier pass, so
+// when the flushes return every traced event has been published to its
+// ring. A worker parking after its flush loads the detached snapshot and
+// emits nothing, so StopTrace then drops every thread's ring: nothing keeps
+// the stopped tracer's rings alive.
 func (rt *Runtime) StopTrace() trace.Data {
 	rt.regionMu.Lock()
 	defer rt.regionMu.Unlock()
@@ -273,20 +286,20 @@ func (rt *Runtime) StopTrace() trace.Data {
 	if tr == nil {
 		return trace.Data{}
 	}
+	teams := rt.liveTeams()
 	if !rt.closed {
 		rt.regionActive.Store(true)
-		rt.hot.dispatchRegion(func(th *Thread) { th.flushNested() }, false, 0)
+		for _, tm := range teams {
+			tm.dispatchRegion(func(*Thread) {}, false, 0)
+		}
 		rt.regionActive.Store(false)
 	}
-	return tr.Collect()
-}
-
-// flushNested dispatches the recursive no-op flush through this thread's
-// cached inner team, if any (see StopTrace).
-func (th *Thread) flushNested() {
-	if th.inner != nil {
-		th.inner.dispatchRegion(func(ith *Thread) { ith.flushNested() }, false, 0)
+	for _, tm := range teams {
+		for i := range tm.threads {
+			tm.threads[i].ring = nil
+		}
 	}
+	return tr.Collect()
 }
 
 // StartProfile enables the per-region efficiency profiler. Every team

@@ -1,7 +1,7 @@
 package openmp
 
-// Nested-parallelism correctness: depth-2/3 fork–join, per-level global
-// thread-id uniqueness, Stats coherence across levels, the
+// Nested-parallelism correctness: depth-2/3 fork–join, per-level trace-ring
+// identity, Stats coherence across levels and teams, the
 // OMP_THREAD_LIMIT budget's graceful serialization, the serialized
 // Runtime.Parallel-inside-a-region fallback, steady-state allocation
 // freedom of cached inner teams, and the nesting-knob environment parsing.
@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"omptune/openmp/trace"
 )
 
 // nestedOpts configures an outer team of n threads with the given
@@ -80,48 +82,80 @@ func TestNestedForkJoinDepth3(t *testing.T) {
 	}
 }
 
-// TestNestedThreadIDUniqueness checks the global-thread-id invariants: an
-// inner team's thread 0 shares its parent's goroutine (and gtid), every
-// inner worker has a fresh gtid disjoint from the outer team's 0..n-1, and
-// no two concurrently-live workers share a gtid.
-func TestNestedThreadIDUniqueness(t *testing.T) {
+// TestNestedRingIdentity checks who writes to which trace ring, for inner
+// teams built before StartTrace (warm) and while tracing (cold): an inner
+// team's thread 0 runs on its parent's goroutine and shares its parent's
+// ring, every inner worker has a ring of its own, distinct from every other
+// worker's and disjoint from the outer team's, the outer team's threads
+// write tids 0..n-1, and StopTrace leaves no thread holding a ring.
+func TestNestedRingIdentity(t *testing.T) {
 	const outerN = 3
-	rt := testRuntime(t, nestedOpts(outerN, 2))
-	var mu sync.Mutex
-	type rec struct{ level, id, gtid int }
-	var recs []rec
-	rt.Parallel(func(th *Thread) {
-		parentGtid := int(th.gtid)
-		th.Parallel(func(ith *Thread) {
-			mu.Lock()
-			recs = append(recs, rec{ith.Level(), ith.ID(), int(ith.gtid)})
-			if ith.ID() == 0 && int(ith.gtid) != parentGtid {
-				t.Errorf("inner thread 0 gtid %d, want parent's %d", ith.gtid, parentGtid)
+	for _, warm := range []bool{true, false} {
+		t.Run(map[bool]string{true: "warm", false: "cold"}[warm], func(t *testing.T) {
+			rt := testRuntime(t, nestedOpts(outerN, 2))
+			fork := func(th *Thread) { th.Parallel(func(*Thread) {}) }
+			if warm {
+				rt.Parallel(fork)
 			}
-			mu.Unlock()
+			if err := rt.StartTrace(1 << 10); err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			type rec struct {
+				id           int
+				ring, parent *trace.Ring
+			}
+			var recs []rec
+			outer := map[*trace.Ring]bool{}
+			rt.Parallel(func(th *Thread) {
+				mu.Lock()
+				outer[th.ring] = true
+				mu.Unlock()
+				th.Parallel(func(ith *Thread) {
+					mu.Lock()
+					recs = append(recs, rec{ith.ID(), ith.ring, th.ring})
+					mu.Unlock()
+				})
+			})
+			d := rt.StopTrace()
+
+			if len(outer) != outerN || outer[nil] {
+				t.Fatalf("outer team wrote to %d distinct rings (nil among them: %v), want %d",
+					len(outer), outer[nil], outerN)
+			}
+			if len(recs) != outerN*2 {
+				t.Fatalf("recorded %d inner threads, want %d", len(recs), outerN*2)
+			}
+			workers := map[*trace.Ring]bool{}
+			for _, r := range recs {
+				switch {
+				case r.id == 0 && r.ring != r.parent:
+					t.Errorf("inner thread 0 writes to ring %p, want its parent's %p", r.ring, r.parent)
+				case r.id == 0:
+				case r.ring == nil || outer[r.ring]:
+					t.Errorf("inner worker ring %p is nil or an outer thread's", r.ring)
+				case workers[r.ring]:
+					t.Errorf("inner worker ring %p handed to two workers", r.ring)
+				default:
+					workers[r.ring] = true
+				}
+			}
+			if d.Threads != outerN+len(workers) {
+				t.Errorf("trace covers %d rings, want %d outer + %d inner workers", d.Threads, outerN, len(workers))
+			}
+			for _, e := range d.Events {
+				if e.Level == 0 && (e.Tid < 0 || e.Tid >= outerN) {
+					t.Fatalf("outer event %v on tid %d, want one of 0..%d", e.Kind, e.Tid, outerN-1)
+				}
+			}
+			for _, tm := range rt.liveTeams() {
+				for i := range tm.threads {
+					if tm.threads[i].ring != nil {
+						t.Fatalf("level-%d thread %d still holds a ring after StopTrace", tm.level, i)
+					}
+				}
+			}
 		})
-	})
-	workerGtids := map[int]bool{}
-	for _, r := range recs {
-		if r.level != 1 {
-			t.Fatalf("record at level %d, want 1", r.level)
-		}
-		if r.id == 0 {
-			if r.gtid < 0 || r.gtid >= outerN {
-				t.Errorf("inner thread 0 gtid %d outside outer range [0,%d)", r.gtid, outerN)
-			}
-			continue
-		}
-		if r.gtid < outerN {
-			t.Errorf("inner worker gtid %d collides with outer range [0,%d)", r.gtid, outerN)
-		}
-		if workerGtids[r.gtid] {
-			t.Errorf("inner worker gtid %d assigned twice", r.gtid)
-		}
-		workerGtids[r.gtid] = true
-	}
-	if len(recs) != outerN*2 {
-		t.Errorf("recorded %d inner threads, want %d", len(recs), outerN*2)
 	}
 }
 
@@ -144,6 +178,62 @@ func TestNestedStatsCoherence(t *testing.T) {
 	}
 	if d.NestedRegions != wantInner {
 		t.Errorf("NestedRegions delta %d, want %d", d.NestedRegions, wantInner)
+	}
+
+	// Across teams: counters land on the shards of teams built before,
+	// during and after a StartTrace/StopTrace cycle, on the misc shard for a
+	// transient serialized region and a contended Lock, and Stats sums all
+	// of them. Every leaf region runs one static loop (one chunk per
+	// thread) and one task.
+	rt = testRuntime(t, nestedOpts(2, 2, 2, 2))
+	leaf := func(th *Thread) {
+		th.For(64, func(int) {})
+		if th.ID() == 0 {
+			th.Task(func(*Thread) {})
+		}
+	}
+	var deep func(depth int) func(*Thread)
+	deep = func(depth int) func(*Thread) {
+		if depth == 0 {
+			return leaf
+		}
+		inner := deep(depth - 1)
+		return func(th *Thread) { th.Parallel(inner) }
+	}
+	lock := rt.NewLock()
+	var held int
+	base = rt.Stats()
+	rt.Parallel(deep(1)) // builds the level-1 teams: 1 + 2 regions, 2 leaves
+	if err := rt.StartTrace(0); err != nil {
+		t.Fatal(err)
+	}
+	rt.Parallel(deep(2)) // builds the level-2 teams while traced: 1 + 2 + 4, 4 leaves
+	rt.StopTrace()
+	rt.Parallel(deep(3)) // builds the level-3 teams: 1 + 2 + 4 + 8, 8 leaves
+	rt.Parallel(func(th *Thread) {
+		if th.ID() == 0 {
+			rt.Parallel(leaf) // transient serialized: 1 nested region, width 1
+		}
+		for i := 0; i < 64; i++ {
+			lock.Lock()
+			held++
+			lock.Unlock()
+		}
+	})
+	const regions, leaves, leafThreads = 3 + 7 + 15 + 2, 2 + 4 + 8, 2*(2+4+8) + 1
+	d = rt.Stats().Sub(base)
+	want := Stats{Regions: regions, NestedRegions: regions - 4, Chunks: leafThreads, TasksRun: leaves + 1}
+	got := Stats{Regions: d.Regions, NestedRegions: d.NestedRegions, Chunks: d.Chunks, TasksRun: d.TasksRun}
+	if got != want {
+		t.Errorf("across teams: Stats delta %+v, want %+v", got, want)
+	}
+	if held != 2*64 {
+		t.Errorf("lock held %d times, want %d", held, 2*64)
+	}
+	rt.Close()
+	if s := rt.Stats(); s.Sleeps != s.Wakeups || s.Sub(base).Regions != regions {
+		t.Errorf("after Close: Sleeps %d, Wakeups %d, %d regions — want equal and %d",
+			s.Sleeps, s.Wakeups, s.Sub(base).Regions, regions)
 	}
 }
 

@@ -163,8 +163,6 @@ func TestObserversAgree(t *testing.T) {
 				onThief.Store(false)
 				rt.Parallel(mix)
 			}
-			run() // warm-up: builds the inner teams before rings and slots are sized
-
 			var sinks observerSinks
 			if err := rt.StartTrace(0); err != nil {
 				t.Fatalf("StartTrace: %v", err)
@@ -200,7 +198,7 @@ func TestObserversAgree(t *testing.T) {
 			sum := trace.Summarize(data)
 			tot := reportTotals(rep)
 			if tot.Missing != 0 {
-				t.Errorf("profile missed %d thread samples, want 0 (teams were warm)", tot.Missing)
+				t.Errorf("profile missed %d thread samples, want 0", tot.Missing)
 			}
 			for _, c := range []struct {
 				what            string

@@ -63,12 +63,6 @@ type Runtime struct {
 	// their enclosing region's records.
 	regionSeq atomic.Uint64
 
-	// nextGtid hands out global thread ids to inner-team workers. Outer
-	// threads own ids 0..n-1; an inner team's thread 0 is its parent's
-	// goroutine and reuses the parent's gtid (one goroutine = one trace
-	// ring), while inner workers draw fresh ids here.
-	nextGtid atomic.Int64
-
 	// budget is the remaining OMP_THREAD_LIMIT headroom for nested-team
 	// workers: ThreadLimit minus the outer team, budgetUnlimited when the
 	// limit is unset. Nested forks reserve from it with CAS
@@ -76,15 +70,18 @@ type Runtime struct {
 	// so steady-state nested dispatch touches no global atomics.
 	budget atomic.Int64
 
-	// teams registers every live team (the hot team and all cached nested
-	// teams) so Close can release their workers and StartTrace can size
-	// its rings.
+	// teams registers every live team — the hot team first, then each
+	// cached nested team after its parent's — and is the one way the
+	// runtime reaches its threads: Close releases their workers, Stats sums
+	// their shards, StartTrace hands them rings and StopTrace flushes them.
 	teamsMu sync.Mutex
 	teams   []*Team
 
 	criticals sync.Map // name -> *sync.Mutex
 
-	stats rtStats
+	// misc is the stats shard of what runs on no team's own shards: Lock
+	// parks and the transient serialized team.
+	misc statShard
 
 	// hooks is the one observer seam (hooks.go): the snapshot of attached
 	// consumers, nil while all are off; hooksMu serializes its swaps.
@@ -191,39 +188,6 @@ func (sh *statShard) addInto(out *Stats) {
 	out.NestedRegions += sh.nestedRegions.Load()
 }
 
-// rtStats shards the activity counters per thread: shard i of the base
-// block belongs to outer-team thread i, and one extra trailing shard
-// absorbs sources not tied to a team thread (runtime locks, serialized
-// nested fallbacks). Each nested team contributes its own shard block,
-// registered once at team construction (mutex-guarded append — construction
-// is the cold path; the per-thread increments stay uncontended). Stats()
-// aggregates across all blocks.
-type rtStats struct {
-	shards []statShard
-
-	mu     sync.Mutex
-	nested [][]statShard
-}
-
-// misc returns the shard for accounting outside any team thread.
-func (s *rtStats) misc() *statShard { return &s.shards[len(s.shards)-1] }
-
-// registerNested adds a nested team's shard block to the aggregation set.
-func (s *rtStats) registerNested(b []statShard) {
-	s.mu.Lock()
-	s.nested = append(s.nested, b)
-	s.mu.Unlock()
-}
-
-// nestedBlocks snapshots the registered block list. The slice header is
-// copied under the mutex; blocks already in it are never mutated, so the
-// caller may read them lock-free.
-func (s *rtStats) nestedBlocks() [][]statShard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nested
-}
-
 // New validates opts and starts NumThreads-1 worker goroutines (the caller
 // of Parallel acts as thread 0). Serial mode starts no workers. When
 // OMP_THREAD_LIMIT is smaller than the requested team, the team is clamped
@@ -239,9 +203,7 @@ func New(opts Options) (*Runtime, error) {
 	rt := &Runtime{opts: opts, bind: opts.effectiveBind()}
 	n := rt.NumThreads()
 	rt.wait = opts.waitPolicy(opts.peakThreads(n), runtime.GOMAXPROCS(0))
-	rt.stats.shards = make([]statShard, n+1)
 	rt.placement = AssignPlaces(len(opts.Places), rt.bind, opts.NumThreads, 0)
-	rt.nextGtid.Store(int64(n))
 	if opts.ThreadLimit > 0 {
 		rt.budget.Store(int64(opts.ThreadLimit - n))
 	} else {
@@ -283,14 +245,15 @@ func (rt *Runtime) Placement() []int {
 	return out
 }
 
-// registerTeam adds a team to the live-team registry (Close, StartTrace).
+// registerTeam adds a team to the live-team registry.
 func (rt *Runtime) registerTeam(tm *Team) {
 	rt.teamsMu.Lock()
 	rt.teams = append(rt.teams, tm)
 	rt.teamsMu.Unlock()
 }
 
-// liveTeams snapshots the registry.
+// liveTeams snapshots the registry. Teams are only ever appended, so the
+// caller may walk the snapshot lock-free.
 func (rt *Runtime) liveTeams() []*Team {
 	rt.teamsMu.Lock()
 	defer rt.teamsMu.Unlock()
@@ -317,17 +280,15 @@ func (rt *Runtime) reserveThreads(want int) int {
 	}
 }
 
-// Stats returns a snapshot of the activity counters, aggregated across the
-// per-thread shards of every team (outer and nested). See the Stats type
-// for when the snapshot is exact and when it may be torn.
+// Stats returns a snapshot of the activity counters: the misc shard plus
+// the per-thread shards of every live team (outer and nested). See the
+// Stats type for when the snapshot is exact and when it may be torn.
 func (rt *Runtime) Stats() Stats {
 	var out Stats
-	for i := range rt.stats.shards {
-		rt.stats.shards[i].addInto(&out)
-	}
-	for _, b := range rt.stats.nestedBlocks() {
-		for i := range b {
-			b[i].addInto(&out)
+	rt.misc.addInto(&out)
+	for _, tm := range rt.liveTeams() {
+		for i := range tm.stats {
+			tm.stats[i].addInto(&out)
 		}
 	}
 	return out
@@ -398,8 +359,8 @@ func (rt *Runtime) parallel(pc uintptr, body func(th *Thread)) {
 		// nested path must not touch it. This cold fallback runs body on a
 		// transient width-1 team that keeps the full Thread surface usable
 		// (everything collapses to serial execution); counters land on the
-		// misc shard, and without a global thread id the region is neither
-		// traced nor profiled.
+		// misc shard, and with neither a ring nor profile slots the region
+		// is neither traced nor profiled.
 		newTeam(rt, nil, 1, true).dispatchRegion(body, true, pc)
 		return
 	}

@@ -21,7 +21,7 @@ type Lock struct {
 
 // NewLock returns a lock honouring the runtime's wait policy.
 func (rt *Runtime) NewLock() *Lock {
-	l := &Lock{wait: rt.wait, stats: rt.stats.misc()}
+	l := &Lock{wait: rt.wait, stats: &rt.misc}
 	l.wait.tight = 0
 	l.parker.token = make(chan struct{}, 1)
 	return l

@@ -179,7 +179,7 @@ func TestWaitHammer(t *testing.T) {
 					l.Unlock()
 				}
 			}
-		}, parked: func(rt *Runtime) uint64 { return rt.stats.misc().sleeps.Load() }},
+		}, parked: func(rt *Runtime) uint64 { return rt.misc.sleeps.Load() }},
 	}
 	const regions = 40
 	for _, row := range rows {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"omptune/openmp/profile"
+	"omptune/openmp/trace"
 )
 
 // Team is one fork–join instance: n threads executing the same region body.
@@ -29,6 +30,9 @@ type Team struct {
 	n    int
 	body func(*Thread)
 
+	// parent is the thread that forked the team, nil for the outer hot team
+	// and the transient serialized team.
+	parent *Thread
 	// level is the team's nesting depth: 0 for the outer hot team.
 	level int
 	// activeLevels counts the active (width > 1) levels enclosing and
@@ -65,6 +69,10 @@ type Team struct {
 	// primary folds them all at region quiescence. nil for the transient
 	// serialized team, which is unprofiled.
 	prof []profile.Scratch
+	// stats holds one stats shard per thread, indexed by thread id; Stats
+	// sums them across the team registry. nil for the transient serialized
+	// team, whose thread counts on the runtime's misc shard.
+	stats []statShard
 
 	pool     *taskPool
 	rootTask task
@@ -80,36 +88,31 @@ type Team struct {
 
 // newTeam builds a width-n team; the region body is assigned per region by
 // dispatchRegion before any thread calls run. parent is the thread forking a
-// nested team, nil for the outer hot team. The hot team's threads take
-// global thread ids 0..n-1 and the runtime's base stat shards. A nested team
-// sits one level below its parent's, gets its own registered shard block,
-// and gives its workers fresh global thread ids while thread 0 — the
-// parent's goroutine — keeps the parent's (one goroutine owns exactly one
-// trace ring). Both register with the runtime (Close, Stats), get profile
-// slots and spawn their workers at once, so caching a nested team on its
-// parent makes later same-width forks allocation-free.
+// nested team, nil for the outer hot team; a nested team sits one level
+// below its parent's. Either owns its threads' stats shards and profile
+// slots, takes trace rings when its parent's region is traced (takeRings),
+// registers with the runtime and spawns its workers at once, so caching a
+// nested team on its parent makes later same-width forks allocation-free.
 //
 // transient builds instead the throwaway team of the serialized nested
 // fallback (Runtime.Parallel inside an active region): level 1 inside the
 // active outer level, counters on the misc shard, unregistered, unprofiled
-// and untraced (gtid -1: the calling goroutine may already own a ring at
-// another level, and a second producer on it is forbidden).
+// and untraced (the calling goroutine may already own a ring at another
+// level, and a second producer on it is forbidden).
 func newTeam(rt *Runtime, parent *Thread, n int, transient bool) *Team {
 	tm := &Team{
 		rt:      rt,
 		n:       n,
+		parent:  parent,
 		threads: make([]Thread, n),
 		pool:    newTaskPool(n),
 		tree:    treeBuffer(rt.opts, n),
 	}
-	shards := rt.stats.shards
 	switch {
 	case transient:
 		tm.level, tm.activeLevels = 1, 1
 	case parent != nil:
 		tm.level, tm.activeLevels = parent.team.level+1, parent.team.activeLevels
-		shards = make([]statShard, n)
-		rt.stats.registerNested(shards)
 	}
 	if n > 1 {
 		tm.activeLevels++
@@ -119,27 +122,42 @@ func newTeam(rt *Runtime, parent *Thread, n int, transient bool) *Team {
 		th.team = tm
 		th.id = i
 		th.parker.token = make(chan struct{}, 1)
-		switch {
-		case transient:
-			th.gtid, th.stats = -1, rt.stats.misc()
-		case parent == nil:
-			th.gtid, th.stats = int32(i), &shards[i]
-		case i == 0:
-			th.gtid, th.stats = parent.gtid, &shards[i]
-		default:
-			th.gtid, th.stats = int32(rt.nextGtid.Add(1)-1), &shards[i]
-		}
+		th.stats = &rt.misc
 	}
 	if transient {
 		return tm
 	}
+	tm.stats = make([]statShard, n)
+	tm.prof = make([]profile.Scratch, n)
+	for i := range tm.threads {
+		tm.threads[i].stats = &tm.stats[i]
+	}
 	if parent == nil {
 		tm.stealOrder, tm.stealLocal = buildStealOrder(rt.placement, rt.opts.PlaceDistances, n)
+	} else if h := parent.team.hooks; h != nil && h.tr != nil {
+		tm.takeRings(h.tr)
 	}
-	tm.prof = make([]profile.Scratch, n)
 	rt.registerTeam(tm)
 	tm.spawnWorkers()
 	return tm
+}
+
+// takeRings hands the team's threads rings from tr. A nested team's thread 0
+// runs on its parent's goroutine and shares its parent's ring, so each ring
+// keeps one producer; a team under a ringless (transient) parent stays
+// untraced.
+func (tm *Team) takeRings(tr *trace.Tracer) {
+	first := 0
+	if tm.parent != nil {
+		if tm.parent.ring == nil {
+			return
+		}
+		tm.threads[0].ring = tm.parent.ring
+		first = 1
+	}
+	for i := first; i < tm.n; i++ {
+		tm.threads[i].ring = tr.NewRing()
+	}
 }
 
 // spawnWorkers starts the team's n-1 worker goroutines (thread slots 1..n-1).
@@ -308,9 +326,9 @@ func (tm *Team) barrierWait(th *Thread, explicit bool) {
 type Thread struct {
 	team   *Team
 	id     int
-	gtid   int32      // global thread id (trace-ring index); -1 = untraced
-	parker parker     // the one place this thread sleeps (wait.go)
-	stats  *statShard // this thread's stats shard
+	ring   *trace.Ring // this thread's trace ring while traced, else nil
+	parker parker      // the one place this thread sleeps (wait.go)
+	stats  *statShard  // this thread's stats shard
 
 	// inner is this thread's cached nested hot team — the per-level
 	// hot-team cache. It is built on the first nested fork and reused by

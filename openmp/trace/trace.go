@@ -23,7 +23,10 @@
 package trace
 
 import (
+	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -110,9 +113,10 @@ type Event struct {
 	// get ids distinct from their enclosing region), 0 for events before the
 	// first region.
 	Region uint64
-	// Tid is the global thread id that emitted the event. Outer-team
-	// threads keep their team-local ids; inner-team workers get fresh ids
-	// past the outer team, so every goroutine owns exactly one ring.
+	// Tid numbers the ring the event was written to, in the order the
+	// tracer handed rings out: the outer team's threads hold 0..n-1, an
+	// inner team's workers hold their own rings and its thread 0 writes to
+	// its parent's, so every goroutine owns exactly one ring.
 	Tid int32
 	// Kind is the event kind.
 	Kind Kind
@@ -180,12 +184,12 @@ func (e Event) StealLocality() StealLocality {
 // words, matching the openmp package's layout convention.
 const cacheLine = 64
 
-// ring is one thread's event buffer: a power-of-two single-producer
+// Ring is one thread's event buffer: a power-of-two single-producer
 // single-consumer queue. The producer (the owning thread) writes buf[head]
 // and publishes with a head store; the consumer reads buf[tail] and frees
 // the slot with a tail store. A full ring drops the new event — tracing
 // must never block or resize on the hot path — and counts the drop.
-type ring struct {
+type Ring struct {
 	buf  []Event
 	mask uint64
 	_    [cacheLine - 32]byte
@@ -200,101 +204,91 @@ type ring struct {
 	_       [cacheLine - 8]byte
 }
 
-func (r *ring) init(capacity int) {
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	r.buf = make([]Event, n)
-	r.mask = uint64(n - 1)
+// DefaultBufferSize is the per-thread ring capacity (in events) used when a
+// caller asks for 0.
+const DefaultBufferSize = 1 << 16
+
+// MaxBufferSize is the largest per-thread ring capacity New accepts: 2^24
+// events, 512 MiB of ring per thread.
+const MaxBufferSize = 1 << 24
+
+// Tracer collects events from one runtime's threads. Create one per tracing
+// session (openmp.Runtime.StartTrace does) and hand each producing thread
+// its own ring with NewRing; a ring is allocated whole when it is handed
+// out, so Emit never allocates.
+type Tracer struct {
+	start time.Time
+	size  int // events per ring, a power of two
+
+	mu    sync.Mutex // guards rings: NewRing may race a drain
+	rings []*Ring
 }
 
-// emit appends one event, or counts a drop when the ring is full.
-func (r *ring) emit(e Event) {
+// New returns a tracer whose rings hold eventsPerThread events each,
+// rounded up to a power of two; 0 or less means DefaultBufferSize, more
+// than MaxBufferSize is an error.
+func New(eventsPerThread int) (*Tracer, error) {
+	if eventsPerThread <= 0 {
+		eventsPerThread = DefaultBufferSize
+	}
+	if eventsPerThread > MaxBufferSize {
+		return nil, fmt.Errorf("trace: ring capacity %d events exceeds the maximum %d", eventsPerThread, MaxBufferSize)
+	}
+	return &Tracer{start: time.Now(), size: 1 << bits.Len(uint(eventsPerThread-1))}, nil
+}
+
+// NewRing allocates a ring for one producing thread. Rings are numbered in
+// the order they are handed out, and that number is the Tid of their events.
+func (t *Tracer) NewRing() *Ring {
+	r := &Ring{buf: make([]Event, t.size), mask: uint64(t.size - 1)}
+	t.mu.Lock()
+	t.rings = append(t.rings, r)
+	t.mu.Unlock()
+	return r
+}
+
+// snapshot returns the rings handed out so far.
+func (t *Tracer) snapshot() []*Ring {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.rings
+}
+
+// Emit records one event on ring r, stamped with the nesting level of the
+// emitting region. It is allocation-free and never blocks; events emitted
+// while the ring is full are dropped and counted. Only r's own thread may
+// call it (the single producer of its ring).
+func (t *Tracer) Emit(r *Ring, level int, k Kind, region uint64, arg int64) {
 	head := r.head.Load()
 	if head-r.tail.Load() >= uint64(len(r.buf)) {
 		r.dropped.Add(1)
 		return
 	}
-	r.buf[head&r.mask] = e
-	r.head.Store(head + 1) // release: publishes the slot to the consumer
-}
-
-// drainAppend moves every published event into dst, oldest first.
-func (r *ring) drainAppend(dst []Event) []Event {
-	head := r.head.Load() // acquire: slots below head are fully written
-	for tail := r.tail.Load(); tail != head; tail++ {
-		dst = append(dst, r.buf[tail&r.mask])
-		// The slot must be copied out before the producer may reuse it.
-		r.tail.Store(tail + 1)
-	}
-	return dst
-}
-
-// DefaultBufferSize is the per-thread ring capacity (in events) used when a
-// caller asks for 0.
-const DefaultBufferSize = 1 << 16
-
-// Tracer collects events from one runtime's team. Create one per tracing
-// session (openmp.Runtime.StartTrace does); rings are preallocated at
-// construction so Emit never allocates.
-type Tracer struct {
-	start time.Time
-	rings []ring
-}
-
-// New returns a tracer with one ring per thread id in [0, threads) — pass
-// the runtime's live global-thread-id count so inner-team workers get rings
-// too — with eventsPerThread ring capacity per thread (rounded up to a
-// power of two; 0 means DefaultBufferSize).
-func New(threads, eventsPerThread int) *Tracer {
-	if threads < 1 {
-		threads = 1
-	}
-	if eventsPerThread <= 0 {
-		eventsPerThread = DefaultBufferSize
-	}
-	t := &Tracer{start: time.Now(), rings: make([]ring, threads)}
-	for i := range t.rings {
-		t.rings[i].init(eventsPerThread)
-	}
-	return t
-}
-
-// Threads returns the number of per-thread rings.
-func (t *Tracer) Threads() int { return len(t.rings) }
-
-// Start returns the wall-clock anchor of timestamp zero.
-func (t *Tracer) Start() time.Time { return t.start }
-
-// Emit records one event on thread tid's ring, stamped with the nesting
-// level of the emitting region. It is allocation-free and never blocks;
-// events emitted while the ring is full are dropped and counted. Emit must
-// only be called by tid's own goroutine (the single producer of its ring).
-// Out-of-range tids are ignored — in particular, inner-team workers created
-// after the tracer (their rings don't exist) silently trace nothing instead
-// of corrupting a foreign ring.
-func (t *Tracer) Emit(tid, level int, k Kind, region uint64, arg int64) {
-	if tid < 0 || tid >= len(t.rings) {
-		return
-	}
-	t.rings[tid].emit(Event{
+	r.buf[head&r.mask] = Event{
 		TS:     int64(time.Since(t.start)),
 		Arg:    arg,
 		Region: region,
-		Tid:    int32(tid),
 		Kind:   k,
 		Level:  uint8(level),
-	})
+	}
+	r.head.Store(head + 1) // release: publishes the slot to the consumer
 }
 
 // DrainAppend moves every published event from all rings into dst (per-ring
-// FIFO order, rings concatenated) and returns the extended slice. It is the
-// single-consumer side of the rings: at most one goroutine may drain at a
-// time, concurrently with producers.
+// FIFO order, rings concatenated, each event stamped with its ring's number)
+// and returns the extended slice. It is the single-consumer side of the
+// rings: at most one goroutine may drain at a time, concurrently with
+// producers.
 func (t *Tracer) DrainAppend(dst []Event) []Event {
-	for i := range t.rings {
-		dst = t.rings[i].drainAppend(dst)
+	for i, r := range t.snapshot() {
+		head := r.head.Load() // acquire: slots below head are fully written
+		for tail := r.tail.Load(); tail != head; tail++ {
+			e := r.buf[tail&r.mask]
+			e.Tid = int32(i)
+			dst = append(dst, e)
+			// The slot must be copied out before the producer may reuse it.
+			r.tail.Store(tail + 1)
+		}
 	}
 	return dst
 }
@@ -303,8 +297,8 @@ func (t *Tracer) DrainAppend(dst []Event) []Event {
 // all threads.
 func (t *Tracer) Dropped() uint64 {
 	var n uint64
-	for i := range t.rings {
-		n += t.rings[i].dropped.Load()
+	for _, r := range t.snapshot() {
+		n += r.dropped.Load()
 	}
 	return n
 }
@@ -314,7 +308,8 @@ type Data struct {
 	// Events in non-decreasing timestamp order; events with equal
 	// timestamps keep their per-thread emission order.
 	Events []Event
-	// Threads is the team size the tracer covered.
+	// Threads is the number of rings the tracer handed out: event Tids
+	// run over [0, Threads).
 	Threads int
 	// Dropped counts events lost to full rings; when nonzero, span pairs
 	// may be incomplete.
@@ -328,5 +323,5 @@ type Data struct {
 func (t *Tracer) Collect() Data {
 	evs := t.DrainAppend(nil)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
-	return Data{Events: evs, Threads: len(t.rings), Dropped: t.Dropped(), Start: t.start}
+	return Data{Events: evs, Threads: len(t.snapshot()), Dropped: t.Dropped(), Start: t.start}
 }

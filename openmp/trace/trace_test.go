@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -11,11 +12,12 @@ import (
 // TestRingWrapAround fills a ring past capacity without draining: the ring
 // must retain the oldest events FIFO, drop the rest, and count every drop.
 func TestRingWrapAround(t *testing.T) {
-	tr := New(1, 8) // rounded to 8
-	capacity := len(tr.rings[0].buf)
+	tr := mustNew(t, 8) // rounded to 8
+	r := tr.NewRing()
+	capacity := len(r.buf)
 	total := 3 * capacity
 	for i := 0; i < total; i++ {
-		tr.Emit(0, 0, KindChunk, 1, int64(i))
+		tr.Emit(r, 0, KindChunk, 1, int64(i))
 	}
 	evs := tr.DrainAppend(nil)
 	if len(evs) != capacity {
@@ -30,7 +32,7 @@ func TestRingWrapAround(t *testing.T) {
 		t.Errorf("Dropped() = %d, want %d", got, want)
 	}
 	// After a drain the ring accepts new events again.
-	tr.Emit(0, 0, KindChunk, 2, 99)
+	tr.Emit(r, 0, KindChunk, 2, 99)
 	if evs := tr.DrainAppend(nil); len(evs) != 1 || evs[0].Arg != 99 {
 		t.Errorf("post-drain emit: drained %v, want one event with arg 99", evs)
 	}
@@ -42,16 +44,17 @@ func TestRingWrapAround(t *testing.T) {
 // FIFO order) or counted as dropped.
 func TestRingConcurrentFillDrain(t *testing.T) {
 	const threads, perThread = 4, 5000
-	tr := New(threads, 64) // small rings force wrap-around pressure
+	tr := mustNew(t, 64) // small rings force wrap-around pressure
 	var wg sync.WaitGroup
 	for tid := 0; tid < threads; tid++ {
 		wg.Add(1)
-		go func(tid int) {
+		r := tr.NewRing()
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perThread; i++ {
-				tr.Emit(tid, 0, KindChunk, uint64(tid), int64(i))
+				tr.Emit(r, 0, KindChunk, uint64(tid), int64(i))
 			}
-		}(tid)
+		}()
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -271,12 +274,13 @@ func TestValidateChromeRejects(t *testing.T) {
 // TestCollectSortsByTimestamp interleaves two rings with crossing
 // timestamps; Collect must merge them into non-decreasing TS order.
 func TestCollectSortsByTimestamp(t *testing.T) {
-	tr := New(2, 16)
-	tr.Emit(0, 0, KindChunk, 1, 0)
+	tr := mustNew(t, 16)
+	r0, r1 := tr.NewRing(), tr.NewRing()
+	tr.Emit(r0, 0, KindChunk, 1, 0)
 	time.Sleep(time.Millisecond)
-	tr.Emit(1, 0, KindChunk, 1, 1)
+	tr.Emit(r1, 0, KindChunk, 1, 1)
 	time.Sleep(time.Millisecond)
-	tr.Emit(0, 0, KindChunk, 1, 2)
+	tr.Emit(r0, 0, KindChunk, 1, 2)
 	d := tr.Collect()
 	if len(d.Events) != 3 {
 		t.Fatalf("collected %d events, want 3", len(d.Events))
@@ -289,16 +293,52 @@ func TestCollectSortsByTimestamp(t *testing.T) {
 	if d.Threads != 2 || d.Dropped != 0 {
 		t.Errorf("Data threads/dropped = %d/%d, want 2/0", d.Threads, d.Dropped)
 	}
+	for _, e := range d.Events {
+		if want := int32(e.Arg % 2); e.Tid != want {
+			t.Errorf("event %d has tid %d, want %d (rings number in hand-out order)", e.Arg, e.Tid, want)
+		}
+	}
+}
+
+// mustNew is New for capacities the test knows are valid.
+func mustNew(t testing.TB, eventsPerThread int) *Tracer {
+	t.Helper()
+	tr, err := New(eventsPerThread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestNewRejectsHugeRings: a capacity past MaxBufferSize is an error, found
+// before anything is allocated; MaxBufferSize itself and 0 (the default)
+// are not.
+func TestNewRejectsHugeRings(t *testing.T) {
+	for _, n := range []int{MaxBufferSize + 1, 1<<62 + 1, math.MaxInt} {
+		if _, err := New(n); err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
+			t.Errorf("New(%d): err = %v, want the maximum-capacity error", n, err)
+		}
+	}
+	for n, want := range map[int]int{0: DefaultBufferSize, -1: DefaultBufferSize, 5: 8, MaxBufferSize: MaxBufferSize} {
+		tr, err := New(n)
+		if err != nil {
+			t.Fatalf("New(%d): %v", n, err)
+		}
+		if tr.size != want {
+			t.Errorf("New(%d): ring size %d, want %d", n, tr.size, want)
+		}
+	}
 }
 
 // BenchmarkEmit measures the enabled-path cost of one event record.
 func BenchmarkEmit(b *testing.B) {
-	tr := New(1, 1<<20)
+	tr := mustNew(b, 1<<20)
+	r := tr.NewRing()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if i&(1<<19-1) == 0 {
-			tr.rings[0].tail.Store(tr.rings[0].head.Load()) // keep the ring from filling
+			r.tail.Store(r.head.Load()) // keep the ring from filling
 		}
-		tr.Emit(0, 0, KindChunk, 1, int64(i))
+		tr.Emit(r, 0, KindChunk, 1, int64(i))
 	}
 }

@@ -7,6 +7,8 @@ package openmp
 
 import (
 	"bytes"
+	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,6 +105,115 @@ func TestTraceCapturesRegionEvents(t *testing.T) {
 		t.Fatalf("ValidateChrome: %v", err)
 	} else if n != len(d.Events) {
 		t.Errorf("validated %d events, want %d", n, len(d.Events))
+	}
+}
+
+// TestTraceColdNestedTeamWhole: a nested team first forked after StartTrace
+// takes its rings when it is built, so every one of its threads is traced —
+// no warm-up run before tracing.
+func TestTraceColdNestedTeamWhole(t *testing.T) {
+	rt := testRuntime(t, nestedOpts(2, 2))
+	if err := rt.StartTrace(0); err != nil {
+		t.Fatal(err)
+	}
+	const reps = 3
+	for i := 0; i < reps; i++ {
+		rt.Parallel(func(th *Thread) {
+			th.Parallel(func(ith *Thread) { ith.For(8, func(int) {}) })
+		})
+	}
+	d := rt.StopTrace()
+	if d.Dropped != 0 {
+		t.Fatalf("Dropped = %d, want 0", d.Dropped)
+	}
+
+	// Per inner region and kind, the threads that emitted it: both inner
+	// threads open and close their implicit task and pass two barriers
+	// (the loop's and the region's end).
+	type key struct {
+		region uint64
+		kind   trace.Kind
+	}
+	tids := map[key]map[int32]int{}
+	for _, e := range d.Events {
+		if e.Level != 1 {
+			continue
+		}
+		k := key{e.Region, e.Kind}
+		if tids[k] == nil {
+			tids[k] = map[int32]int{}
+		}
+		tids[k][e.Tid]++
+	}
+	var inner []uint64
+	for k := range tids {
+		if k.kind == trace.KindRegionFork {
+			inner = append(inner, k.region)
+		}
+	}
+	if len(inner) != reps*2 {
+		t.Fatalf("traced %d inner regions, want %d", len(inner), reps*2)
+	}
+	for _, region := range inner {
+		for kind, per := range map[trace.Kind]int{
+			trace.KindImplicitBegin: 1, trace.KindImplicitEnd: 1,
+			trace.KindBarrierEnter: 2, trace.KindBarrierLeave: 2,
+		} {
+			got := tids[key{region, kind}]
+			if len(got) != 2 {
+				t.Errorf("region %d: %v from %d threads %v, want 2", region, kind, len(got), got)
+			}
+			for tid, n := range got {
+				if n != per {
+					t.Errorf("region %d: tid %d emitted %d %v, want %d", region, tid, n, kind, per)
+				}
+			}
+		}
+	}
+
+	s := trace.Summarize(d)
+	if len(s.Levels) != 2 || s.Levels[1].Regions != reps*2 || s.Levels[1].MaxThreads != 2 {
+		t.Errorf("summary levels %+v, want a level-1 row of %d regions, 2 threads wide", s.Levels, reps*2)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.ValidateChrome(&buf, true); err != nil {
+		t.Errorf("ValidateChrome(strictPairs): %v", err)
+	}
+}
+
+// TestStartTraceRejectsHugeRings: a ring capacity past trace.MaxBufferSize
+// is an error returned at once, and the runtime stays usable and untraced.
+func TestStartTraceRejectsHugeRings(t *testing.T) {
+	rt := testRuntime(t, nestedOpts(2, 2))
+	for _, n := range []int{1<<62 + 1, math.MaxInt} {
+		done := make(chan error, 1)
+		go func() { done <- rt.StartTrace(n) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("StartTrace(%d) succeeded", n)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("StartTrace(%d) did not return", n)
+		}
+	}
+	if h := rt.hooks.Load(); h != nil {
+		t.Errorf("a rejected StartTrace left hooks %+v attached", h)
+	}
+	var ran atomic.Int32
+	rt.Parallel(func(th *Thread) { th.Parallel(func(*Thread) { ran.Add(1) }) })
+	if ran.Load() != 4 {
+		t.Errorf("after rejected StartTrace: inner bodies ran %d times, want 4", ran.Load())
+	}
+	if err := rt.StartTrace(trace.MaxBufferSize >> 10); err != nil {
+		t.Fatalf("StartTrace within the maximum: %v", err)
+	}
+	rt.Parallel(func(*Thread) {})
+	if d := rt.StopTrace(); len(d.Events) == 0 || d.Dropped != 0 {
+		t.Errorf("traced region after the rejections: %d events, %d dropped", len(d.Events), d.Dropped)
 	}
 }
 
