@@ -74,12 +74,13 @@ fuzz:
 # machine (300 evaluations, us/eval), one logistic fit of the influence
 # heatmaps (50,000 x 10, 300 epochs) on each of its two kernels (simd,
 # portable), one fit of the surrogate search's regression forest (300 x 7,
-# 12 trees) and one write and one read of a 20,000-row dataset CSV, with
-# their allocation counts.
+# 12 trees), one write and one read of a 20,000-row dataset CSV and one
+# report pass over the facade's 24,497-sample dataset, with their
+# allocation counts.
 BENCH ?= .
 bench:
 	$(GO) test ./openmp -run '^$$' -bench '$(BENCH)' -benchtime=300ms -count=5 -benchmem
-	$(GO) test . ./internal/core ./internal/ml ./internal/dataset -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|Search|FitLogistic|FitRegForest|WriteCSV|ReadCSV' -benchtime=300ms -count=5 -benchmem
+	$(GO) test . ./internal/core ./internal/ml ./internal/dataset -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|Search|FitLogistic|FitRegForest|WriteCSV|ReadCSV|WriteReport' -benchtime=300ms -count=5 -benchmem
 
 # verify is the pre-merge gate (build, reached through test, includes the
 # benchmark/ module; the measured, live-monitor and variability smokes are Go

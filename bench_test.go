@@ -1,11 +1,13 @@
 package omptune
 
 // Campaign-side microbenchmarks that `make bench` runs beside the runtime's:
-// the model sweep's sample throughput and the configuration-key cost behind
-// it. Tables and figures are timed end to end by the benchmark/ module's
+// the model sweep's sample throughput, the configuration-key cost behind
+// it, and one report pass over the facade dataset. Tables and figures over
+// the full campaign are timed end to end by the benchmark/ module's
 // paper_pipeline workload.
 
 import (
+	"io"
 	"testing"
 
 	"omptune/internal/env"
@@ -46,5 +48,19 @@ func BenchmarkEnvConfigKey(b *testing.B) {
 	}
 	if n == 0 {
 		b.Fatal("empty keys")
+	}
+}
+
+// BenchmarkWriteReport times one WriteReport pass — its frame, every table,
+// question and figure, the three influence fits — over the facade test
+// dataset (24,497 samples, 4 applications).
+func BenchmarkWriteReport(b *testing.B) {
+	ds := facadeDS(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteReport(io.Discard, ds); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -20,28 +20,62 @@ type UpshotSummary struct {
 }
 
 // Upshot computes the Q1 summary for every architecture in the dataset.
-func Upshot(ds *dataset.Dataset) []UpshotSummary {
+func Upshot(ds *dataset.Dataset) []UpshotSummary { return NewFrame(ds).Upshot() }
+
+// Upshot is Upshot over the frame's dataset.
+func (f *Frame) Upshot() []UpshotSummary {
 	var out []UpshotSummary
 	for _, arch := range topology.Arches() {
-		sub := ds.ByArch(arch)
-		if sub.Len() == 0 {
+		best := f.bests(onArch(arch))
+		if len(best) == 0 {
 			continue
 		}
-		lo, hi := sub.SpeedupRange()
+		lo, hi := dataset.RangeOf(best)
 		out = append(out, UpshotSummary{
 			Arch: arch, MinBest: lo, MaxBest: hi,
-			MedianBest: sub.MedianBestSpeedup(),
-			Settings:   len(sub.Groups()),
+			Settings:   len(best),
+			MedianBest: dataset.MedianOf(best),
 		})
 	}
 	return out
+}
+
+// SizeRow is one row of Table II: the applications and samples one
+// architecture contributes.
+type SizeRow struct {
+	Arch          topology.Arch
+	Apps, Samples int
+}
+
+// TableII returns the dataset's size on every architecture, in
+// topology.Arches order, absent architectures included.
+func (f *Frame) TableII() []SizeRow {
+	var rows []SizeRow
+	for _, arch := range topology.Arches() {
+		var groups []dataset.Group
+		n := 0
+		for _, g := range f.groups {
+			if g.Arch == arch {
+				groups = append(groups, g)
+				n += len(g.Samples)
+			}
+		}
+		rows = append(rows, SizeRow{Arch: arch, Apps: len(dataset.AppsOf(groups)), Samples: n})
+	}
+	return rows
 }
 
 // SettingGroups returns app's groups in figure order — architectures as
 // topology.Arches lists them, settings by label within each: the cells of
 // Tables III/IV and of the violin figures.
 func SettingGroups(ds *dataset.Dataset, app string) []dataset.Group {
-	groups := ds.Groups()
+	return settingGroups(ds.Groups(), app)
+}
+
+// SettingGroups is SettingGroups over the frame's dataset.
+func (f *Frame) SettingGroups(app string) []dataset.Group { return settingGroups(f.groups, app) }
+
+func settingGroups(groups []dataset.Group, app string) []dataset.Group {
 	var out []dataset.Group
 	for _, arch := range topology.Arches() {
 		n := len(out)
@@ -71,8 +105,13 @@ type WilcoxonRow struct {
 // WilcoxonTable reproduces Table III for one application and setting label
 // across all architectures: consecutive run pairs (R0,R1), (R1,R2), (R2,R3).
 func WilcoxonTable(ds *dataset.Dataset, app, setting string) []WilcoxonRow {
+	return NewFrame(ds).WilcoxonTable(app, setting)
+}
+
+// WilcoxonTable is WilcoxonTable over the frame's dataset.
+func (f *Frame) WilcoxonTable(app, setting string) []WilcoxonRow {
 	var rows []WilcoxonRow
-	for _, g := range SettingGroups(ds, app) {
+	for _, g := range f.SettingGroups(app) {
 		if g.Setting != setting {
 			continue
 		}
@@ -111,9 +150,9 @@ type RuntimeStatRow struct {
 
 // RuntimeStats reproduces Table IV for one application and setting label
 // (the paper tabulates the first three run indices).
-func RuntimeStats(ds *dataset.Dataset, app, setting string, reps int) []RuntimeStatRow {
+func (f *Frame) RuntimeStats(app, setting string, reps int) []RuntimeStatRow {
 	var rows []RuntimeStatRow
-	for _, g := range SettingGroups(ds, app) {
+	for _, g := range f.SettingGroups(app) {
 		if g.Setting != setting {
 			continue
 		}
@@ -138,15 +177,15 @@ type SpeedupRangeRow struct {
 }
 
 // TableV returns per-(app, arch) best-speedup ranges for the given apps.
-func TableV(ds *dataset.Dataset, appNames []string) []SpeedupRangeRow {
+func (f *Frame) TableV(appNames []string) []SpeedupRangeRow {
 	var rows []SpeedupRangeRow
 	for _, app := range appNames {
 		for _, arch := range topology.Arches() {
-			sub := ds.ByApp(app).ByArch(arch)
-			if sub.Len() == 0 {
+			best := f.bests(ofAppOnArch(app, arch))
+			if len(best) == 0 {
 				continue
 			}
-			lo, hi := sub.SpeedupRange()
+			lo, hi := dataset.RangeOf(best)
 			rows = append(rows, SpeedupRangeRow{App: app, Arch: arch, Lo: lo, Hi: hi})
 		}
 	}
@@ -155,10 +194,10 @@ func TableV(ds *dataset.Dataset, appNames []string) []SpeedupRangeRow {
 
 // TableVI returns the per-application best-speedup range across all
 // architectures and settings, sorted by application name as in the paper.
-func TableVI(ds *dataset.Dataset) []SpeedupRangeRow {
+func (f *Frame) TableVI() []SpeedupRangeRow {
 	var rows []SpeedupRangeRow
-	for _, app := range ds.Apps() {
-		lo, hi := ds.ByApp(app).SpeedupRange()
+	for _, app := range f.apps {
+		lo, hi := dataset.RangeOf(f.bests(ofApp(app)))
 		rows = append(rows, SpeedupRangeRow{App: app, Lo: lo, Hi: hi})
 	}
 	return rows

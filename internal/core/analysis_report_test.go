@@ -23,7 +23,7 @@ func TestAnalysisReport(t *testing.T) {
 	}
 
 	fmt.Fprintf(&b, "\nTable IV (runtime stats, alignment-small):\n")
-	for _, r := range RuntimeStats(ds, "Alignment", "small", 3) {
+	for _, r := range NewFrame(ds).RuntimeStats("Alignment", "small", 3) {
 		fmt.Fprintf(&b, "  %-26s Runtime_%d mean=%.3f std=%.3f\n", r.Group, r.Rep, r.Mean, r.Std)
 	}
 

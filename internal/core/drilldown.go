@@ -45,28 +45,29 @@ type RankedVariable struct {
 // Drill runs the three-level analysis for one application on one
 // architecture.
 func Drill(ds *dataset.Dataset, app string, arch topology.Arch) (*DrillDown, error) {
-	sub := ds.ByApp(app).ByArch(arch)
-	if sub.Len() == 0 {
+	f := NewFrame(ds)
+	best := f.bests(ofAppOnArch(app, arch))
+	if len(best) == 0 {
 		return nil, fmt.Errorf("core: no samples for %s on %s", app, arch)
 	}
 	d := &DrillDown{App: app, Arch: arch}
 
 	// Level 1: per architecture (Fig 3).
-	fig3, err := InfluenceHeatmap(ds, PerArch, ml.LogisticOptions{})
+	fig3, err := f.InfluenceHeatmap(PerArch, ml.LogisticOptions{})
 	if err != nil {
 		return nil, err
 	}
 	d.ArchLevelAppInfluence = fig3.RowInfluence(string(arch), FeatApp)
 
 	// Level 2: per application (Fig 2).
-	fig2, err := InfluenceHeatmap(ds, PerApp, ml.LogisticOptions{})
+	fig2, err := f.InfluenceHeatmap(PerApp, ml.LogisticOptions{})
 	if err != nil {
 		return nil, err
 	}
 	d.AppLevelArchInfluence = fig2.RowInfluence(app, FeatArch)
 
 	// Level 3: the finest grouping, restricted to this app-arch pair.
-	fig4, err := InfluenceHeatmap(sub, PerArchApp, ml.LogisticOptions{})
+	fig4, err := InfluenceHeatmap(ds.ByApp(app).ByArch(arch), PerArchApp, ml.LogisticOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -80,8 +81,8 @@ func Drill(ds *dataset.Dataset, app string, arch topology.Arch) (*DrillDown, err
 		return d.Variables[i].Influence > d.Variables[j].Influence
 	})
 
-	d.BestLo, d.BestHi = sub.SpeedupRange()
-	for _, r := range Recommend(ds, app) {
+	d.BestLo, d.BestHi = dataset.RangeOf(best)
+	for _, r := range f.Recommend(app) {
 		if r.Arch == "" || r.Arch == arch {
 			d.Recommended = append(d.Recommended, r)
 		}

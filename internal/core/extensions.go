@@ -35,31 +35,27 @@ type ModelComparison struct {
 // strategy and reports their training accuracies next to the majority
 // baseline — quantifying how much the linear restriction costs (§VI).
 func CompareModels(ds *dataset.Dataset, g Grouping, logOpt ml.LogisticOptions, treeOpt ml.TreeOptions, nTrees int) ([]ModelComparison, error) {
-	appNames := ds.Apps()
-	cols := g.features()
+	f := NewFrame(ds)
+	labels, sels := f.rows(g)
 	var out []ModelComparison
-	err := g.eachRow(ds, func(label string, sub *dataset.Dataset) error {
-		x, y := featurize(sub, cols, appNames)
+	for i, label := range labels {
+		x, y := f.design(sels[i], g)
 		mc := ModelComparison{Group: label, Samples: len(x), MajorityAcc: majorityAccuracy(y)}
 		if hasBothClasses(y) {
 			lm, err := ml.FitLogistic(x, y, logOpt)
 			if err != nil {
-				return fmt.Errorf("core: %s logistic: %w", label, err)
+				return nil, fmt.Errorf("core: %s logistic: %w", label, err)
 			}
 			mc.LogisticAcc = lm.Accuracy(x, y)
 			fm, err := ml.FitForest(x, y, nTrees, treeOpt)
 			if err != nil {
-				return fmt.Errorf("core: %s forest: %w", label, err)
+				return nil, fmt.Errorf("core: %s forest: %w", label, err)
 			}
 			mc.ForestAcc = fm.Accuracy(x, y)
 		} else {
 			mc.LogisticAcc, mc.ForestAcc = 1, 1
 		}
 		out = append(out, mc)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -98,20 +94,21 @@ type TransferRow struct {
 // the architecture code (the held-out value would be unseen); the forest
 // model is used since it dominates the linear one in-sample.
 func Transfer(ds *dataset.Dataset, app string, treeOpt ml.TreeOptions, nTrees int) ([]TransferRow, error) {
-	sub := ds.ByApp(app)
-	cols := baseFeatures()
+	f := NewFrame(ds)
 	var rows []TransferRow
 	for _, held := range topology.Arches() {
-		test := sub.ByArch(held)
-		if test.Len() == 0 {
+		test := f.where(ofAppOnArch(app, held))
+		if test.len() == 0 {
 			continue
 		}
-		train := sub.Where(func(g *dataset.Group) bool { return g.Arch != held })
-		if train.Len() == 0 {
+		train := f.where(func(g *dataset.Group) bool { return g.App == app && g.Arch != held })
+		if train.len() == 0 {
 			continue
 		}
-		xTr, yTr := featurize(train, cols, nil)
-		xTe, yTe := featurize(test, cols, nil)
+		// PerArchApp's columns are the base features alone: no architecture
+		// code, whose held-out value the model would never have seen.
+		xTr, yTr := f.design(train, PerArchApp)
+		xTe, yTe := f.design(test, PerArchApp)
 		row := TransferRow{App: app, HeldOut: held, Majority: majorityAccuracy(yTe)}
 		if hasBothClasses(yTr) {
 			fm, err := ml.FitForest(xTr, yTr, nTrees, treeOpt)

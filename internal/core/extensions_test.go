@@ -384,7 +384,7 @@ func TestQ2ConsistencyShapes(t *testing.T) {
 		t.Skip("full sweep in -short mode")
 	}
 	ds := sweepOnce(t)
-	rows := Q2Consistency(ds)
+	rows := NewFrame(ds).Q2Consistency()
 	if len(rows) != 15 {
 		t.Fatalf("Q2 rows = %d, want 15", len(rows))
 	}

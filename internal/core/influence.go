@@ -48,22 +48,43 @@ func (g Grouping) features() []string {
 	}
 }
 
-// eachRow calls fit once per heatmap row of the grouping, in label order,
-// with the row's samples in dataset order. One walk splits the dataset into
-// all of its rows.
-func (g Grouping) eachRow(ds *dataset.Dataset, fit func(label string, sub *dataset.Dataset) error) error {
-	rows := ds.Split(g.label)
-	labels := make([]string, 0, len(rows))
-	for l := range rows {
-		labels = append(labels, l)
+// context returns grp's context-feature cell under the grouping, the
+// design matrix's last column, and whether the grouping has one. apps is the
+// Application feature's coding.
+func (g Grouping) context(grp *dataset.Group, apps []string) (float64, bool) {
+	switch g {
+	case PerApp:
+		return archCode(grp.Arch), true
+	case PerArch:
+		return appCode(grp.App, apps), true
+	default:
+		return 0, false
 	}
-	sort.Strings(labels)
-	for _, label := range labels {
-		if err := fit(label, rows[label]); err != nil {
-			return err
+}
+
+// rows splits the frame into the grouping's heatmap rows: the labels in
+// order, and each row's selection — its samples in dataset order.
+func (f *Frame) rows(g Grouping) ([]string, []selection) {
+	label := make([]string, len(f.groups))
+	index := map[string]int{}
+	var labels []string
+	for i := range f.groups {
+		label[i] = g.label(&f.groups[i])
+		if _, ok := index[label[i]]; !ok {
+			index[label[i]] = 0
+			labels = append(labels, label[i])
 		}
 	}
-	return nil
+	sort.Strings(labels)
+	for i, l := range labels {
+		index[l] = i
+	}
+	sels := make([]selection, len(labels))
+	for _, r := range f.runs {
+		k := index[label[r.Group]]
+		sels[k] = append(sels[k], r)
+	}
+	return labels, sels
 }
 
 // Feature column labels used in the heatmaps.
@@ -104,46 +125,30 @@ func appCode(name string, names []string) float64 {
 	return -1
 }
 
-// featureOf reads one design-matrix cell of a sample. The column's name and
-// the application coding are arguments, not captured, so that every accessor
-// is a static function and resolving a group's columns allocates nothing.
-type featureOf func(s *dataset.Sample, col string, appNames []string) float64
-
-func accessor(col string) featureOf {
-	switch col {
-	case FeatInput:
-		return func(s *dataset.Sample, _ string, _ []string) float64 { return s.Scale }
-	case FeatNT:
-		return func(s *dataset.Sample, _ string, _ []string) float64 { return float64(s.Threads) }
-	case FeatApp:
-		return func(s *dataset.Sample, _ string, appNames []string) float64 { return appCode(s.App, appNames) }
-	case FeatArch:
-		return func(s *dataset.Sample, _ string, _ []string) float64 { return archCode(s.Arch) }
-	default:
-		return func(s *dataset.Sample, col string, _ []string) float64 { return s.Config.Feature(env.VarName(col)) }
-	}
-}
-
-// featurize builds the design matrix and labels for a dataset subset,
-// resolving each column to its accessor once rather than per cell. The rows
-// share one backing array.
-func featurize(ds *dataset.Dataset, cols []string, appNames []string) ([][]float64, []bool) {
-	var buf [16]featureOf // the widest grouping has 11 columns
-	get := buf[:0]
-	for _, c := range cols {
-		get = append(get, accessor(c))
-	}
-	p := len(cols)
-	cells := make([]float64, ds.Len()*p)
-	x := make([][]float64, ds.Len())
-	y := make([]bool, ds.Len())
-	for i, s := range ds.Samples {
-		row := cells[i*p : (i+1)*p : (i+1)*p]
-		for j, f := range get {
-			row[j] = f(s, cols[j], appNames)
+// design gathers the design matrix and labels of sel's samples under the
+// grouping: the sample's input scale and thread count, its configuration's
+// feature row and the group's context cell. The rows share one backing
+// array; a label is Sample.Optimal's expression over the speedup column.
+func (f *Frame) design(sel selection, g Grouping) ([][]float64, []bool) {
+	nv, p := len(tableFeatures), len(g.features())
+	n := sel.len()
+	cells := make([]float64, n*p)
+	x := make([][]float64, n)
+	y := make([]bool, n)
+	i := 0
+	for _, r := range sel {
+		ctx, hasCtx := g.context(&f.groups[r.Group], f.apps)
+		for q := r.Lo; q < r.Hi; q++ {
+			row := cells[i*p : (i+1)*p : (i+1)*p]
+			s, c := f.samples[q], int(f.config[q])
+			row[0], row[1] = s.Scale, float64(s.Threads)
+			copy(row[2:], f.feats[c*nv:(c+1)*nv])
+			if hasCtx {
+				row[p-1] = ctx
+			}
+			x[i], y[i] = row, f.speedup[q] > dataset.OptimalThreshold
+			i++
 		}
-		x[i] = row
-		y[i] = s.Optimal()
 	}
 	return x, y
 }
@@ -163,10 +168,15 @@ type Heatmap struct {
 // of the requested grouping: Fig. 2 (PerApp), Fig. 3 (PerArch) or
 // Fig. 4 (PerArchApp).
 func InfluenceHeatmap(ds *dataset.Dataset, g Grouping, opt ml.LogisticOptions) (*Heatmap, error) {
-	appNames := ds.Apps()
+	return NewFrame(ds).InfluenceHeatmap(g, opt)
+}
+
+// InfluenceHeatmap is InfluenceHeatmap over the frame's dataset.
+func (f *Frame) InfluenceHeatmap(g Grouping, opt ml.LogisticOptions) (*Heatmap, error) {
 	hm := &Heatmap{Features: g.features()}
-	err := g.eachRow(ds, func(label string, sub *dataset.Dataset) error {
-		x, y := featurize(sub, hm.Features, appNames)
+	labels, sels := f.rows(g)
+	for i, label := range labels {
+		x, y := f.design(sels[i], g)
 		cells, acc := make([]float64, len(hm.Features)), 1.0
 		// A group where nothing (or everything) beats the default has no
 		// decision boundary; report zero influence, as the paper's missing
@@ -174,17 +184,13 @@ func InfluenceHeatmap(ds *dataset.Dataset, g Grouping, opt ml.LogisticOptions) (
 		if hasBothClasses(y) {
 			model, err := ml.FitLogistic(x, y, opt)
 			if err != nil {
-				return fmt.Errorf("core: group %s: %w", label, err)
+				return nil, fmt.Errorf("core: group %s: %w", label, err)
 			}
 			cells, acc = model.Influence(), model.Accuracy(x, y)
 		}
 		hm.RowLabels = append(hm.RowLabels, label)
 		hm.Cells = append(hm.Cells, cells)
 		hm.Accuracy = append(hm.Accuracy, acc)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return hm, nil
 }

@@ -8,10 +8,10 @@ import (
 	"omptune/internal/topology"
 )
 
-// TestEachRowMatchesWhere checks the one-walk split against Where on a
-// dataset whose a64fx/CG/small group is split across two runs: every row of
-// every grouping holds exactly the samples Where keeps for its label, in the
-// same order, and the rows come in label order.
+// TestEachRowMatchesWhere checks the frame's heatmap rows against Where on
+// a dataset whose a64fx/CG/small group is split across two runs: every row
+// of every grouping holds exactly the samples Where keeps for its label, in
+// the same order, and the rows come in label order.
 func TestEachRowMatchesWhere(t *testing.T) {
 	layout := []struct {
 		arch         topology.Arch
@@ -30,26 +30,23 @@ func TestEachRowMatchesWhere(t *testing.T) {
 			ds.Samples = append(ds.Samples, &dataset.Sample{Arch: run.arch, App: run.app, Setting: run.setting})
 		}
 	}
+	f := NewFrame(ds)
 	for _, g := range []Grouping{PerArchApp, PerApp, PerArch} {
-		var labels []string
+		labels, sels := f.rows(g)
 		total := 0
-		err := g.eachRow(ds, func(label string, sub *dataset.Dataset) error {
-			labels = append(labels, label)
-			total += sub.Len()
+		for k, label := range labels {
+			sub := selected(f, sels[k])
+			total += len(sub)
 			want := ds.Where(func(grp *dataset.Group) bool { return g.label(grp) == label })
-			if sub.Len() != want.Len() {
-				t.Errorf("grouping %d row %s: %d samples, Where keeps %d", g, label, sub.Len(), want.Len())
-				return nil
+			if len(sub) != want.Len() {
+				t.Errorf("grouping %d row %s: %d samples, Where keeps %d", g, label, len(sub), want.Len())
+				continue
 			}
 			for i := range want.Samples {
-				if sub.Samples[i] != want.Samples[i] {
+				if sub[i] != want.Samples[i] {
 					t.Errorf("grouping %d row %s: sample %d differs from Where's", g, label, i)
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 		if !sort.StringsAreSorted(labels) {
 			t.Errorf("grouping %d: rows %v not in label order", g, labels)

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"omptune/internal/dataset"
 	"omptune/internal/env"
 	"omptune/internal/topology"
 )
@@ -24,29 +23,28 @@ type Q2Row struct {
 	Jaccard float64
 }
 
-// Q2Consistency computes the Q2 analysis for every application in ds.
-func Q2Consistency(ds *dataset.Dataset) []Q2Row {
+// Q2Consistency computes the Q2 analysis for every application in the
+// frame's dataset.
+func (f *Frame) Q2Consistency() []Q2Row {
 	var rows []Q2Row
-	for _, app := range ds.Apps() {
-		sub := ds.ByApp(app)
+	for _, app := range f.apps {
 		row := Q2Row{App: app, PerArchTop: map[topology.Arch][]env.VarName{}}
 		union := map[env.VarName]int{}
 		archCount := 0
 		for _, arch := range topology.Arches() {
-			a := sub.ByArch(arch)
-			if a.Len() == 0 {
+			if !f.has(ofAppOnArch(app, arch)) {
 				continue
 			}
 			archCount++
-			lifts := valueLift(a, fastest)
+			lifts := f.fastestLifts(app, arch)
 			type vl struct {
 				v    env.VarName
 				lift float64
 			}
 			var ranked []vl
-			for _, v := range env.Names() {
+			for k, v := range env.Names() {
 				best := 0.0
-				for _, l := range lifts[v] {
+				for _, l := range lifts[k] {
 					if l > best {
 						best = l
 					}

@@ -29,84 +29,113 @@ const (
 	maxVarsAdded = 3
 )
 
-// fastest and slowest order samples for valueLift: which extreme to mine.
-func fastest(a, b *dataset.Sample) bool { return a.Speedup() > b.Speedup() }
-func slowest(a, b *dataset.Sample) bool { return a.Speedup() < b.Speedup() }
+// fastest and slowest order speedups for valueLift: which extreme to mine.
+func fastest(a, b float64) bool { return a > b }
+func slowest(a, b float64) bool { return a < b }
 
-// valueLift computes, for each variable, the enrichment of each value among
-// the extremeFrac of ds's samples that come first under before (fastest or
-// slowest), relative to its share of all of ds.
-func valueLift(ds *dataset.Dataset, before func(a, b *dataset.Sample) bool) map[env.VarName]map[string]float64 {
-	samples := append([]*dataset.Sample(nil), ds.Samples...)
-	sort.Slice(samples, func(i, j int) bool { return before(samples[i], samples[j]) })
-	nTop := int(float64(len(samples)) * extremeFrac)
-	if nTop < 10 {
-		nTop = min(10, len(samples))
+// valueLift computes, for each variable (env.Names order), the enrichment
+// of each value among the extremeFrac of sel's samples that come first
+// under before (fastest or slowest), relative to its share of all of sel:
+// lifts[k][id] for value id of variable k, 0 where sel lacks the value.
+//
+// The extreme set is the prefix sort.Slice leaves over sel in dataset
+// order. Speedups tie across the cut in most (application, architecture)
+// slices of the study's dataset, so which tied samples count is that sort's
+// choice. sort.Slice's permutation depends only on the length and the
+// comparator's answers, so sorting an index array by the same comparison of
+// the same speedups picks the same samples as sorting the samples did.
+func (f *Frame) valueLift(sel selection, before func(a, b float64) bool) [][]float64 {
+	n := sel.len()
+	sp, config, order := make([]float64, 0, n), make([]int32, 0, n), make([]int32, n)
+	for _, r := range sel {
+		sp = append(sp, f.speedup[r.Lo:r.Hi]...)
+		config = append(config, f.config[r.Lo:r.Hi]...)
 	}
-	top := samples[:nTop]
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return before(sp[order[i]], sp[order[j]]) })
+	nTop := int(float64(n) * extremeFrac)
+	if nTop < 10 {
+		nTop = min(10, n)
+	}
 
-	out := make(map[env.VarName]map[string]float64)
-	for _, v := range env.Names() {
-		all := map[string]int{}
-		topCount := map[string]int{}
-		for _, s := range samples {
-			all[s.Config.Value(v)]++
+	// Count by configuration, then fold each configuration's counts into
+	// its values once.
+	nv := len(f.names)
+	nc := len(f.values) / nv
+	all, top := make([]int, nc), make([]int, nc)
+	for i, o := range order {
+		all[config[o]]++
+		if i < nTop {
+			top[config[o]]++
 		}
-		for _, s := range top {
-			topCount[s.Config.Value(v)]++
-		}
-		lifts := map[string]float64{}
-		for val, cAll := range all {
-			pAll := float64(cAll) / float64(len(samples))
-			pTop := float64(topCount[val]) / float64(len(top))
-			if pAll > 0 {
-				lifts[val] = pTop / pAll
+	}
+	lifts := make([][]float64, nv)
+	for k := range lifts {
+		cAll, cTop := make([]int, len(f.names[k])), make([]int, len(f.names[k]))
+		for c, cnt := range all {
+			if cnt > 0 {
+				id := f.values[c*nv+k]
+				cAll[id] += cnt
+				cTop[id] += top[c]
 			}
 		}
-		out[v] = lifts
+		lifts[k] = make([]float64, len(cAll))
+		for id, c := range cAll {
+			if c > 0 {
+				pAll := float64(c) / float64(n)
+				pTop := float64(cTop[id]) / float64(nTop)
+				lifts[k][id] = pTop / pAll
+			}
+		}
 	}
-	return out
+	return lifts
 }
 
 // Recommend mines the best-performing variable/value pairs for one
 // application: first values that are enriched among the fastest
 // configurations on every architecture (the "All" rows of Table VII, like
-// NQueens' KMP_LIBRARY=turnaround), then per-architecture additions.
-func Recommend(ds *dataset.Dataset, app string) []Recommendation {
-	sub := ds.ByApp(app)
+// NQueens' KMP_LIBRARY=turnaround), then per-architecture additions. Rows
+// of equal lift keep env.Names order.
+func Recommend(ds *dataset.Dataset, app string) []Recommendation { return NewFrame(ds).Recommend(app) }
+
+// Recommend is Recommend over the frame's dataset.
+func (f *Frame) Recommend(app string) []Recommendation {
 	var out []Recommendation
 
 	// Which (variable, value) pairs clear the lift bar on every arch?
-	perArch := map[topology.Arch]map[env.VarName]map[string]float64{}
+	perArch := map[topology.Arch][][]float64{}
 	var archs []topology.Arch
 	for _, arch := range topology.Arches() {
-		a := sub.ByArch(arch)
-		if a.Len() == 0 {
+		if !f.has(ofAppOnArch(app, arch)) {
 			continue
 		}
 		archs = append(archs, arch)
-		perArch[arch] = valueLift(a, fastest)
+		perArch[arch] = f.fastestLifts(app, arch)
 	}
 	if len(archs) == 0 {
 		return nil
 	}
-	consistent := map[env.VarName][]string{}
-	consistentLift := map[env.VarName]float64{}
-	for _, v := range env.Names() {
-		for val := range perArch[archs[0]][v] {
+	names := env.Names()
+	consistent := make([]bool, len(names))
+	for k, v := range names {
+		var vals []string
+		lift := 0.0
+		for id := range f.names[k] {
 			lowest := 1e18
 			for _, arch := range archs {
-				lowest = min(lowest, perArch[arch][v][val])
+				lowest = min(lowest, perArch[arch][k][id])
 			}
 			if lowest >= minLift {
-				consistent[v] = append(consistent[v], val)
-				consistentLift[v] = max(consistentLift[v], lowest)
+				vals = append(vals, f.names[k][id])
+				lift = max(lift, lowest)
 			}
 		}
-	}
-	for v, vals := range consistent {
-		sort.Strings(vals)
-		out = append(out, Recommendation{App: app, Variable: v, Values: vals, Lift: consistentLift[v]})
+		if len(vals) > 0 {
+			consistent[k] = true
+			out = append(out, Recommendation{App: app, Variable: v, Values: vals, Lift: lift})
+		}
 	}
 
 	// Per-architecture additions beyond the consistent set.
@@ -117,26 +146,25 @@ func Recommend(ds *dataset.Dataset, app string) []Recommendation {
 			lift float64
 		}
 		var cands []cand
-		for _, v := range env.Names() {
-			if len(consistent[v]) > 0 {
+		for k, v := range names {
+			if consistent[k] {
 				continue
 			}
 			var vals []string
 			best := 0.0
-			for val, l := range perArch[arch][v] {
+			for id, l := range perArch[arch][k] {
 				if l >= minLift {
-					vals = append(vals, val)
+					vals = append(vals, f.names[k][id])
 					if l > best {
 						best = l
 					}
 				}
 			}
 			if len(vals) > 0 {
-				sort.Strings(vals)
 				cands = append(cands, cand{v, vals, best})
 			}
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].lift > cands[j].lift })
+		sort.SliceStable(cands, func(i, j int) bool { return cands[i].lift > cands[j].lift })
 		cands = cands[:min(len(cands), maxVarsAdded)]
 		for _, c := range cands {
 			out = append(out, Recommendation{App: app, Arch: arch, Variable: c.v, Values: c.vals, Lift: c.lift})
@@ -162,16 +190,21 @@ type WorstTrend struct {
 // WorstTrends mines the bottom extremeFrac of samples (by speedup) across
 // the dataset for enriched variable/value pairs. The paper's finding — master
 // binding onto small places with large thread counts — appears as high
-// lifts for OMP_PROC_BIND=master and fine-grained OMP_PLACES values.
-func WorstTrends(ds *dataset.Dataset) []WorstTrend {
+// lifts for OMP_PROC_BIND=master and fine-grained OMP_PLACES values. Pairs
+// of equal lift keep env.Names order, then value order.
+func WorstTrends(ds *dataset.Dataset) []WorstTrend { return NewFrame(ds).WorstTrends() }
+
+// WorstTrends is WorstTrends over the frame's dataset.
+func (f *Frame) WorstTrends() []WorstTrend {
 	var out []WorstTrend
-	for v, lifts := range valueLift(ds, slowest) {
-		for val, lift := range lifts {
+	lifts := f.valueLift(f.runs, slowest)
+	for k, v := range env.Names() {
+		for id, lift := range lifts[k] {
 			if lift >= 1.5 {
-				out = append(out, WorstTrend{Variable: v, Value: val, Lift: lift})
+				out = append(out, WorstTrend{Variable: v, Value: f.names[k][id], Lift: lift})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Lift > out[j].Lift })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Lift > out[j].Lift })
 	return out
 }

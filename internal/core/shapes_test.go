@@ -220,7 +220,7 @@ func TestShapeRuntimeStatsTableIV(t *testing.T) {
 		t.Skip("full sweep in -short mode")
 	}
 	ds := sweepOnce(t)
-	rows := RuntimeStats(ds, "Alignment", "small", 3)
+	rows := NewFrame(ds).RuntimeStats("Alignment", "small", 3)
 	get := func(arch string, rep int) RuntimeStatRow {
 		for _, r := range rows {
 			if r.Group == arch+"-Alignment-small" && r.Rep == rep {

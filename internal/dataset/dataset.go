@@ -153,25 +153,25 @@ func (s *Sample) groupID() groupID { return groupID{s.Arch, s.App, s.Setting} }
 // Nothing is cached: a Dataset is a plain slice callers may append to, and
 // one call is a single pass.
 func (d *Dataset) Groups() []Group {
-	groups, _ := d.groupRuns()
+	groups, _ := d.Runs()
 	return groups
 }
 
-// run is one maximal run of consecutive samples of one group, and the index
-// of that group.
-type run struct {
-	samples []*Sample
-	group   int
+// Run is one maximal run of consecutive samples of one group: positions
+// [Lo, Hi) of Samples, all in group Group (an index into the groups Runs
+// returns).
+type Run struct {
+	Lo, Hi, Group int
 }
 
-// groupRuns is the one pass behind Groups, Where and Split: the groups as
-// Groups returns them, and every run in dataset order with its group's index,
-// so a selection emits runs without walking the samples again. A sweep
-// writes each group as one run, so the map lookup happens once per group,
-// not per sample.
-func (d *Dataset) groupRuns() ([]Group, []run) {
+// Runs is the one pass behind Groups, Where and core's analysis frame: the
+// groups as Groups returns them, and every run in dataset order, so a
+// selection emits runs without walking the samples again. A sweep writes
+// each group as one run, so the map lookup happens once per group, not per
+// sample.
+func (d *Dataset) Runs() ([]Group, []Run) {
 	var groups []Group
-	var runs []run
+	var runs []Run
 	index := make(map[groupID]int)
 	for i := 0; i < len(d.Samples); {
 		id := d.Samples[i].groupID()
@@ -188,7 +188,7 @@ func (d *Dataset) groupRuns() ([]Group, []run) {
 			index[id] = g
 			groups = append(groups, Group{Arch: id.arch, App: id.app, Setting: id.setting, Samples: samples})
 		}
-		runs = append(runs, run{samples, g})
+		runs = append(runs, Run{i, j, g})
 		i = j
 	}
 	return groups, runs
@@ -197,7 +197,7 @@ func (d *Dataset) groupRuns() ([]Group, []run) {
 // Where returns the samples of the groups match accepts, in dataset order.
 // match runs once per group and sees the whole group.
 func (d *Dataset) Where(match func(*Group) bool) *Dataset {
-	groups, runs := d.groupRuns()
+	groups, runs := d.Runs()
 	keep := make([]bool, len(groups))
 	n := 0
 	for i := range groups {
@@ -207,31 +207,9 @@ func (d *Dataset) Where(match func(*Group) bool) *Dataset {
 	}
 	out := &Dataset{Samples: make([]*Sample, 0, n)}
 	for _, r := range runs {
-		if keep[r.group] {
-			out.Samples = append(out.Samples, r.samples...)
+		if keep[r.Group] {
+			out.Samples = append(out.Samples, d.Samples[r.Lo:r.Hi]...)
 		}
-	}
-	return out
-}
-
-// Split partitions the samples by the label of their group: for each
-// distinct label l it holds exactly what Where(label == l) returns, in
-// dataset order, from one pass. label runs once per group.
-func (d *Dataset) Split(label func(*Group) string) map[string]*Dataset {
-	groups, runs := d.groupRuns()
-	labels := make([]string, len(groups))
-	sizes := make(map[string]int)
-	for i := range groups {
-		labels[i] = label(&groups[i])
-		sizes[labels[i]] += len(groups[i].Samples)
-	}
-	out := make(map[string]*Dataset, len(sizes))
-	for l, n := range sizes {
-		out[l] = &Dataset{Samples: make([]*Sample, 0, n)}
-	}
-	for _, r := range runs {
-		sub := out[labels[r.group]]
-		sub.Samples = append(sub.Samples, r.samples...)
 	}
 	return out
 }
@@ -247,10 +225,13 @@ func (d *Dataset) ByApp(app string) *Dataset {
 }
 
 // Apps returns the dataset's distinct applications, sorted by name.
-func (d *Dataset) Apps() []string {
+func (d *Dataset) Apps() []string { return AppsOf(d.Groups()) }
+
+// AppsOf returns the distinct applications of groups, sorted by name.
+func AppsOf(groups []Group) []string {
 	seen := make(map[string]bool)
 	var out []string
-	for _, g := range d.Groups() {
+	for _, g := range groups {
 		if !seen[g.App] {
 			seen[g.App] = true
 			out = append(out, g.App)
@@ -285,9 +266,17 @@ func (d *Dataset) bestSpeedups() []float64 {
 // SpeedupRange returns the minimum and maximum best-speedup across the
 // dataset's settings — the quantity tabulated per application (Table VI)
 // and per application×architecture (Table V).
-func (d *Dataset) SpeedupRange() (lo, hi float64) {
+func (d *Dataset) SpeedupRange() (lo, hi float64) { return RangeOf(d.bestSpeedups()) }
+
+// MedianBestSpeedup returns the median of the per-setting best speedups,
+// the per-architecture "median improvement" of §V-Q1.
+func (d *Dataset) MedianBestSpeedup() float64 { return MedianOf(d.bestSpeedups()) }
+
+// RangeOf returns the minimum and maximum of per-setting best speedups, or
+// 0, 0 for none.
+func RangeOf(best []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, sp := range d.bestSpeedups() {
+	for _, sp := range best {
 		if sp < lo {
 			lo = sp
 		}
@@ -301,19 +290,18 @@ func (d *Dataset) SpeedupRange() (lo, hi float64) {
 	return lo, hi
 }
 
-// MedianBestSpeedup returns the median of the per-setting best speedups,
-// the per-architecture "median improvement" of §V-Q1.
-func (d *Dataset) MedianBestSpeedup() float64 {
-	sp := d.bestSpeedups()
-	if len(sp) == 0 {
+// MedianOf returns the median of per-setting best speedups, or 0 for none.
+// It sorts best in place.
+func MedianOf(best []float64) float64 {
+	if len(best) == 0 {
 		return 0
 	}
-	sort.Float64s(sp)
-	n := len(sp)
+	sort.Float64s(best)
+	n := len(best)
 	if n%2 == 1 {
-		return sp[n/2]
+		return best[n/2]
 	}
-	return (sp[n/2-1] + sp[n/2]) / 2
+	return (best[n/2-1] + best[n/2]) / 2
 }
 
 // RuntimeColumn extracts repetition rep's runtime for every sample of the

@@ -107,36 +107,6 @@ func TestWhereKeepsDatasetOrder(t *testing.T) {
 	}
 }
 
-func TestSplitMatchesWhere(t *testing.T) {
-	ds := interleaved()
-	for name, label := range map[string]func(*Group) string{
-		"arch":    func(g *Group) string { return string(g.Arch) },
-		"app":     func(g *Group) string { return g.App },
-		"setting": func(g *Group) string { return g.Setting },
-		"one":     func(*Group) string { return "" },
-	} {
-		calls := 0
-		parts := ds.Split(func(g *Group) string { calls++; return label(g) })
-		if calls != 5 {
-			t.Errorf("%s: label ran %d times, want once per group (5)", name, calls)
-		}
-		total := 0
-		for l, sub := range parts {
-			want := ds.Where(func(g *Group) bool { return label(g) == l })
-			if !sameSamples(sub.Samples, want.Samples) {
-				t.Errorf("%s: part %q differs from Where", name, l)
-			}
-			total += sub.Len()
-		}
-		if total != ds.Len() {
-			t.Errorf("%s: parts hold %d samples, dataset %d", name, total, ds.Len())
-		}
-	}
-	if got := (&Dataset{}).Split(func(*Group) string { return "" }); len(got) != 0 {
-		t.Errorf("empty dataset split into %d parts", len(got))
-	}
-}
-
 func TestGroupsFirstSeenOrderEverySampleOnce(t *testing.T) {
 	ds := interleaved()
 	before := append([]*Sample(nil), ds.Samples...)

@@ -64,21 +64,20 @@ var PaperTableII = map[topology.Arch]struct{ Apps, Samples int }{
 // artifacts (Tables II, V, VI and the Q1 summary) with a per-row shape
 // verdict — the executable form of EXPERIMENTS.md.
 func CompareWithPaper(w io.Writer, ds *dataset.Dataset) error {
+	f := core.NewFrame(ds)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 
 	fmt.Fprintln(tw, "== Table II: dataset sizes ==")
 	fmt.Fprintln(tw, "arch\tpaper apps/samples\tmeasured apps/samples\twithin 3%")
-	for _, arch := range topology.Arches() {
-		p := PaperTableII[arch]
-		sub := ds.ByArch(arch)
-		apps := len(sub.Apps())
-		ok := within(float64(sub.Len()), float64(p.Samples), 0.03) && apps == p.Apps
-		fmt.Fprintf(tw, "%s\t%d / %d\t%d / %d\t%s\n", arch, p.Apps, p.Samples, apps, sub.Len(), verdict(ok))
+	for _, r := range f.TableII() {
+		p := PaperTableII[r.Arch]
+		ok := within(float64(r.Samples), float64(p.Samples), 0.03) && r.Apps == p.Apps
+		fmt.Fprintf(tw, "%s\t%d / %d\t%d / %d\t%s\n", r.Arch, p.Apps, p.Samples, r.Apps, r.Samples, verdict(ok))
 	}
 
 	fmt.Fprintln(tw, "\n== Q1: upshot potential ==")
 	fmt.Fprintln(tw, "arch\tpaper median/max\tmeasured median/max\tshape")
-	for _, u := range core.Upshot(ds) {
+	for _, u := range f.Upshot() {
 		p := PaperQ1[u.Arch]
 		// Shape: median within 0.1x, max within 35%.
 		ok := within(u.MedianBest, p.Median, 0.10) && within(u.MaxBest, p.Max, 0.35)
@@ -87,26 +86,19 @@ func CompareWithPaper(w io.Writer, ds *dataset.Dataset) error {
 
 	fmt.Fprintln(tw, "\n== Table V: per-app-arch speedup ranges ==")
 	fmt.Fprintln(tw, "app\tarch\tpaper\tmeasured\tshape")
-	for _, app := range []string{"Alignment", "XSbench"} {
-		for _, arch := range topology.Arches() {
-			p, ok := PaperTableV[app][arch]
-			if !ok {
-				continue
-			}
-			sub := ds.ByApp(app).ByArch(arch)
-			if sub.Len() == 0 {
-				continue
-			}
-			lo, hi := sub.SpeedupRange()
-			// Shape: the high end lands within 40% (or both are marginal).
-			good := within(hi, p[1], 0.40) || (hi < 1.12 && p[1] < 1.12)
-			fmt.Fprintf(tw, "%s\t%s\t%.3f - %.3f\t%.3f - %.3f\t%s\n", app, arch, p[0], p[1], lo, hi, verdict(good))
+	for _, r := range f.TableV([]string{"Alignment", "XSbench"}) {
+		p, ok := PaperTableV[r.App][r.Arch]
+		if !ok {
+			continue
 		}
+		// Shape: the high end lands within 40% (or both are marginal).
+		good := within(r.Hi, p[1], 0.40) || (r.Hi < 1.12 && p[1] < 1.12)
+		fmt.Fprintf(tw, "%s\t%s\t%.3f - %.3f\t%.3f - %.3f\t%s\n", r.App, r.Arch, p[0], p[1], r.Lo, r.Hi, verdict(good))
 	}
 
 	fmt.Fprintln(tw, "\n== Table VI: per-app speedup ranges ==")
 	fmt.Fprintln(tw, "app\tpaper\tmeasured\tshape")
-	for _, row := range core.TableVI(ds) {
+	for _, row := range f.TableVI() {
 		p, ok := PaperTableVI[row.App]
 		if !ok {
 			continue

@@ -33,21 +33,20 @@ func TableI(w io.Writer) error {
 
 // TableII prints the dataset description (samples and applications per
 // architecture).
-func TableII(w io.Writer, ds *dataset.Dataset) error {
+func TableII(w io.Writer, f *core.Frame) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Architecture\tApplications\t#Samples")
-	for _, arch := range topology.Arches() {
-		sub := ds.ByArch(arch)
-		fmt.Fprintf(tw, "%s\t%d\t%d\n", topology.MustGet(arch).Name, len(sub.Apps()), sub.Len())
+	for _, r := range f.TableII() {
+		fmt.Fprintf(tw, "%s\t%d\t%d\n", topology.MustGet(r.Arch).Name, r.Apps, r.Samples)
 	}
 	return tw.Flush()
 }
 
 // TableIII prints the Wilcoxon consistency table for one app and setting.
-func TableIII(w io.Writer, ds *dataset.Dataset, app, setting string) error {
+func TableIII(w io.Writer, f *core.Frame, app, setting string) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Architecture-Benchmark\tPair\tTest Stat\tp-value")
-	for _, r := range core.WilcoxonTable(ds, app, setting) {
+	for _, r := range f.WilcoxonTable(app, setting) {
 		p := fmt.Sprintf("%.3g", r.PValue)
 		if r.Degenerate {
 			p = "1.0 (ties)"
@@ -58,30 +57,30 @@ func TableIII(w io.Writer, ds *dataset.Dataset, app, setting string) error {
 }
 
 // TableIV prints the per-run-index runtime statistics table.
-func TableIV(w io.Writer, ds *dataset.Dataset, app, setting string) error {
+func TableIV(w io.Writer, f *core.Frame, app, setting string) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Architecture-Application\tRuntime Idx\tMean (sec)\tStd Dev (sec)")
-	for _, r := range core.RuntimeStats(ds, app, setting, 3) {
+	for _, r := range f.RuntimeStats(app, setting, 3) {
 		fmt.Fprintf(tw, "%s\tRuntime_%d\t%.3f\t%.3f\n", strings.ToLower(r.Group), r.Rep, r.Mean, r.Std)
 	}
 	return tw.Flush()
 }
 
 // TableV prints per-application, per-architecture speedup ranges.
-func TableV(w io.Writer, ds *dataset.Dataset, apps []string) error {
+func TableV(w io.Writer, f *core.Frame, apps []string) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Application\tArchitecture\tSpeedup Range (x)")
-	for _, r := range core.TableV(ds, apps) {
+	for _, r := range f.TableV(apps) {
 		fmt.Fprintf(tw, "%s\t%s\t%.3f - %.3f\n", r.App, r.Arch, r.Lo, r.Hi)
 	}
 	return tw.Flush()
 }
 
 // TableVI prints the per-application speedup ranges across architectures.
-func TableVI(w io.Writer, ds *dataset.Dataset) error {
+func TableVI(w io.Writer, f *core.Frame) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Application\tSpeedup Range (x)")
-	for _, r := range core.TableVI(ds) {
+	for _, r := range f.TableVI() {
 		fmt.Fprintf(tw, "%s\t%.3f - %.3f\n", r.App, r.Lo, r.Hi)
 	}
 	return tw.Flush()
@@ -89,11 +88,11 @@ func TableVI(w io.Writer, ds *dataset.Dataset) error {
 
 // TableVII prints the mined best-performing variables and values for the
 // given applications.
-func TableVII(w io.Writer, ds *dataset.Dataset, apps []string) error {
+func TableVII(w io.Writer, f *core.Frame, apps []string) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "App\tArch\tVariable\tValue")
 	for _, app := range apps {
-		for _, r := range core.Recommend(ds, app) {
+		for _, r := range f.Recommend(app) {
 			arch := "All"
 			if r.Arch != "" {
 				arch = string(r.Arch)
@@ -105,20 +104,20 @@ func TableVII(w io.Writer, ds *dataset.Dataset, apps []string) error {
 }
 
 // Q1 prints the upshot summary of §V-Q1.
-func Q1(w io.Writer, ds *dataset.Dataset) error {
+func Q1(w io.Writer, f *core.Frame) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Architecture\tBest-Speedup Range (x)\tMedian (x)\tSettings")
-	for _, u := range core.Upshot(ds) {
+	for _, u := range f.Upshot() {
 		fmt.Fprintf(tw, "%s\t%.3f - %.3f\t%.3f\t%d\n", u.Arch, u.MinBest, u.MaxBest, u.MedianBest, u.Settings)
 	}
 	return tw.Flush()
 }
 
 // Q4 prints the worst-performance trend analysis of §V-Q4.
-func Q4(w io.Writer, ds *dataset.Dataset) error {
+func Q4(w io.Writer, f *core.Frame) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Variable\tValue\tLift among slowest 5%")
-	for i, t := range core.WorstTrends(ds) {
+	for i, t := range f.WorstTrends() {
 		if i >= 8 {
 			break
 		}
@@ -287,24 +286,24 @@ func ViolinCSV(w io.Writer, ds *dataset.Dataset, app string, points int) error {
 
 // Fig1 renders the Alignment violins of Fig. 1 (three input sizes on each
 // architecture).
-func Fig1(w io.Writer, ds *dataset.Dataset) error {
-	return violinFigure(w, ds, "Alignment", "Fig 1")
+func Fig1(w io.Writer, f *core.Frame) error {
+	return violinFigure(w, f, "Alignment", "Fig 1")
 }
 
 // Fig5 renders the BT violins of Fig. 5.
-func Fig5(w io.Writer, ds *dataset.Dataset) error { return violinFigure(w, ds, "BT", "Fig 5") }
+func Fig5(w io.Writer, f *core.Frame) error { return violinFigure(w, f, "BT", "Fig 5") }
 
 // Fig6 renders the Health violins of Fig. 6.
-func Fig6(w io.Writer, ds *dataset.Dataset) error { return violinFigure(w, ds, "Health", "Fig 6") }
+func Fig6(w io.Writer, f *core.Frame) error { return violinFigure(w, f, "Health", "Fig 6") }
 
 // Fig7 renders the RSBench violins of Fig. 7.
-func Fig7(w io.Writer, ds *dataset.Dataset) error {
-	return violinFigure(w, ds, "RSBench", "Fig 7")
+func Fig7(w io.Writer, f *core.Frame) error {
+	return violinFigure(w, f, "RSBench", "Fig 7")
 }
 
-func violinFigure(w io.Writer, ds *dataset.Dataset, app, caption string) error {
+func violinFigure(w io.Writer, f *core.Frame, app, caption string) error {
 	fmt.Fprintf(w, "%s: runtime distributions of the %s benchmark across the search space\n", caption, app)
-	for _, g := range core.SettingGroups(ds, app) {
+	for _, g := range f.SettingGroups(app) {
 		fmt.Fprintln(w)
 		violin(w, &g, 20)
 	}
@@ -313,10 +312,10 @@ func violinFigure(w io.Writer, ds *dataset.Dataset, app, caption string) error {
 
 // Q2 prints the §V-Q2 analysis: whether the same environment variables
 // define the upshot for an application on every architecture.
-func Q2(w io.Writer, ds *dataset.Dataset) error {
+func Q2(w io.Writer, f *core.Frame) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Application\tConsistent Variables\tOverlap (Jaccard)")
-	for _, r := range core.Q2Consistency(ds) {
+	for _, r := range f.Q2Consistency() {
 		vars := make([]string, 0, len(r.Consistent))
 		for _, v := range r.Consistent {
 			vars = append(vars, string(v))

@@ -41,20 +41,20 @@ func TestTableIContainsTableIFacts(t *testing.T) {
 }
 
 func TestTablesRenderFromDataset(t *testing.T) {
-	ds := smallDS(t)
+	f := core.NewFrame(smallDS(t))
 	checks := []struct {
 		name string
 		fn   func(*bytes.Buffer) error
 		want []string
 	}{
-		{"TableII", func(b *bytes.Buffer) error { return TableII(b, ds) }, []string{"#Samples", "A64FX"}},
-		{"TableIII", func(b *bytes.Buffer) error { return TableIII(b, ds, "Alignment", "small") }, []string{"R0, R1", "p-value", "milan-alignment-small"}},
-		{"TableIV", func(b *bytes.Buffer) error { return TableIV(b, ds, "Alignment", "small") }, []string{"Runtime_0", "Mean"}},
-		{"TableV", func(b *bytes.Buffer) error { return TableV(b, ds, []string{"Alignment", "XSbench"}) }, []string{"Alignment", "XSbench", "milan"}},
-		{"TableVI", func(b *bytes.Buffer) error { return TableVI(b, ds) }, []string{"Speedup Range", "CG"}},
-		{"TableVII", func(b *bytes.Buffer) error { return TableVII(b, ds, []string{"CG"}) }, []string{"CG", "Variable"}},
-		{"Q1", func(b *bytes.Buffer) error { return Q1(b, ds) }, []string{"Median", "a64fx"}},
-		{"Q4", func(b *bytes.Buffer) error { return Q4(b, ds) }, []string{"master", "Lift"}},
+		{"TableII", func(b *bytes.Buffer) error { return TableII(b, f) }, []string{"#Samples", "A64FX"}},
+		{"TableIII", func(b *bytes.Buffer) error { return TableIII(b, f, "Alignment", "small") }, []string{"R0, R1", "p-value", "milan-alignment-small"}},
+		{"TableIV", func(b *bytes.Buffer) error { return TableIV(b, f, "Alignment", "small") }, []string{"Runtime_0", "Mean"}},
+		{"TableV", func(b *bytes.Buffer) error { return TableV(b, f, []string{"Alignment", "XSbench"}) }, []string{"Alignment", "XSbench", "milan"}},
+		{"TableVI", func(b *bytes.Buffer) error { return TableVI(b, f) }, []string{"Speedup Range", "CG"}},
+		{"TableVII", func(b *bytes.Buffer) error { return TableVII(b, f, []string{"CG"}) }, []string{"CG", "Variable"}},
+		{"Q1", func(b *bytes.Buffer) error { return Q1(b, f) }, []string{"Median", "a64fx"}},
+		{"Q4", func(b *bytes.Buffer) error { return Q4(b, f) }, []string{"master", "Lift"}},
 	}
 	for _, c := range checks {
 		var buf bytes.Buffer
@@ -116,7 +116,7 @@ func TestViolinRendering(t *testing.T) {
 func TestFig1RendersAllArchesAndSizes(t *testing.T) {
 	ds := smallDS(t)
 	var buf bytes.Buffer
-	if err := Fig1(&buf, ds); err != nil {
+	if err := Fig1(&buf, core.NewFrame(ds)); err != nil {
 		t.Fatalf("Fig1: %v", err)
 	}
 	out := buf.String()
@@ -193,7 +193,7 @@ func TestWithinAndVerdict(t *testing.T) {
 func TestQ2AndQ3Render(t *testing.T) {
 	ds := smallDS(t)
 	var buf bytes.Buffer
-	if err := Q2(&buf, ds); err != nil {
+	if err := Q2(&buf, core.NewFrame(ds)); err != nil {
 		t.Fatalf("Q2: %v", err)
 	}
 	for _, want := range []string{"Application", "Jaccard", "CG"} {

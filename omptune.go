@@ -275,13 +275,14 @@ func ReadDatasetCSV(r io.Reader) (*Dataset, error) { return dataset.ReadCSV(r) }
 
 // WriteReport renders every table and figure of the paper from ds.
 func WriteReport(w io.Writer, ds *Dataset) error {
-	// The section that first needs a grouping's fit pays for it; Q3 ranks
-	// and Fig 3 draws the same per-architecture one (the costliest single
-	// step of the report).
+	// Every section reads one frame of ds. The section that first needs a
+	// grouping's fit pays for it; Q3 ranks and Fig 3 draws the same
+	// per-architecture one (the costliest single step of the report).
+	f := core.NewFrame(ds)
 	fits := map[core.Grouping]*core.Heatmap{}
 	fitted := func(g core.Grouping, render func(io.Writer, *core.Heatmap) error) error {
 		if fits[g] == nil {
-			hm, err := Influence(ds, g)
+			hm, err := f.InfluenceHeatmap(g, ml.LogisticOptions{})
 			if err != nil {
 				return err
 			}
@@ -294,23 +295,23 @@ func WriteReport(w io.Writer, ds *Dataset) error {
 		render func() error
 	}{
 		{"Table I: hardware configuration", func() error { return report.TableI(w) }},
-		{"Table II: dataset description", func() error { return report.TableII(w, ds) }},
-		{"Table III: Wilcoxon run-consistency (Alignment, small)", func() error { return report.TableIII(w, ds, "Alignment", "small") }},
-		{"Table IV: runtime statistics per run index (Alignment, small)", func() error { return report.TableIV(w, ds, "Alignment", "small") }},
-		{"Table V: speedup ranges per application and architecture", func() error { return report.TableV(w, ds, []string{"Alignment", "XSbench"}) }},
-		{"Table VI: speedup ranges per application", func() error { return report.TableVI(w, ds) }},
-		{"Table VII: best performing variables and values", func() error { return report.TableVII(w, ds, []string{"Nqueens", "CG"}) }},
-		{"Q1: upshot potential per architecture", func() error { return report.Q1(w, ds) }},
-		{"Q2: variable-set consistency across architectures", func() error { return report.Q2(w, ds) }},
+		{"Table II: dataset description", func() error { return report.TableII(w, f) }},
+		{"Table III: Wilcoxon run-consistency (Alignment, small)", func() error { return report.TableIII(w, f, "Alignment", "small") }},
+		{"Table IV: runtime statistics per run index (Alignment, small)", func() error { return report.TableIV(w, f, "Alignment", "small") }},
+		{"Table V: speedup ranges per application and architecture", func() error { return report.TableV(w, f, []string{"Alignment", "XSbench"}) }},
+		{"Table VI: speedup ranges per application", func() error { return report.TableVI(w, f) }},
+		{"Table VII: best performing variables and values", func() error { return report.TableVII(w, f, []string{"Nqueens", "CG"}) }},
+		{"Q1: upshot potential per architecture", func() error { return report.Q1(w, f) }},
+		{"Q2: variable-set consistency across architectures", func() error { return report.Q2(w, f) }},
 		{"Q3: best variables per architecture", func() error { return fitted(core.PerArch, report.Q3) }},
-		{"Q4: worst-performance trends", func() error { return report.Q4(w, ds) }},
-		{"Fig 1: Alignment runtime distributions", func() error { return report.Fig1(w, ds) }},
+		{"Q4: worst-performance trends", func() error { return report.Q4(w, f) }},
+		{"Fig 1: Alignment runtime distributions", func() error { return report.Fig1(w, f) }},
 		{"Fig 2: influence per application", func() error { return fitted(core.PerApp, report.Fig2) }},
 		{"Fig 3: influence per architecture", func() error { return fitted(core.PerArch, report.Fig3) }},
 		{"Fig 4: influence per application-architecture", func() error { return fitted(core.PerArchApp, report.Fig4) }},
-		{"Fig 5: BT runtime distributions", func() error { return report.Fig5(w, ds) }},
-		{"Fig 6: Health runtime distributions", func() error { return report.Fig6(w, ds) }},
-		{"Fig 7: RSBench runtime distributions", func() error { return report.Fig7(w, ds) }},
+		{"Fig 5: BT runtime distributions", func() error { return report.Fig5(w, f) }},
+		{"Fig 6: Health runtime distributions", func() error { return report.Fig6(w, f) }},
+		{"Fig 7: RSBench runtime distributions", func() error { return report.Fig7(w, f) }},
 	}
 	for _, s := range sections {
 		if _, err := fmt.Fprintf(w, "\n======== %s ========\n", s.title); err != nil {

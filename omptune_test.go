@@ -188,6 +188,38 @@ func TestWriteReportGolden(t *testing.T) {
 	}
 }
 
+// fullReportSHA256 is the SHA-256 of WriteReport over the full default
+// campaign read back from its CSV (244,305 samples, 26,824 bytes), the
+// dataset ompreport -data and the benchmark's paper_pipeline report from:
+// all 15 applications, every Table VI and Q2 row and Figs 5–7, which the
+// facade dataset lacks.
+const fullReportSHA256 = "f51b5de7d41c70f28b6fe3cfd3b0a674c145f2e2cd3358a4377363b2c217a325"
+
+func TestWriteReportFullGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full campaign and report in -short mode")
+	}
+	ds, err := Collect(CollectOptions{})
+	if err != nil {
+		t.Fatalf("Collect: %v", err)
+	}
+	var csv bytes.Buffer
+	if err := WriteDatasetCSV(&csv, ds); err != nil {
+		t.Fatalf("WriteDatasetCSV: %v", err)
+	}
+	back, err := ReadDatasetCSV(&csv)
+	if err != nil {
+		t.Fatalf("ReadDatasetCSV: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, back); err != nil {
+		t.Fatalf("WriteReport: %v", err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != fullReportSHA256 {
+		t.Errorf("%d samples, report %d bytes, sha256 %s, want %s", back.Len(), buf.Len(), got, fullReportSHA256)
+	}
+}
+
 // heatmapBitsSHA256 pins the IEEE-754 bits of every cell and accuracy of the
 // three influence heatmaps over facadeDS — finer than the report, which
 // prints them rounded.
