@@ -10,6 +10,9 @@ GO ?= go
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
+# arm64 fuses x*y+z into one rounding where amd64 rounds twice, so a fused product in internal/ml would move its bits by GOARCH: write float64(x*y).
+	@asm=$$(GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S ./internal/ml 2>&1) || { echo "$$asm" >&2; exit 1; }; \
+	! echo "$$asm" | grep -E '\bFN?M(ADD|SUB)D\b'
 	$(GO) vet ./internal/ml
 	cd benchmark && GOWORK=off GOFLAGS=-mod=mod $(GO) build -o /dev/null ./... && GOWORK=off GOFLAGS=-mod=mod $(GO) vet ./...
 

@@ -19,7 +19,7 @@ import (
 // repeated threshold is scored once, which changes nothing because a repeat
 // scores the same gain and only a gain above the best by 1e-12 replaces it;
 // and each threshold's left and right sums still accumulate in row order,
-// duplicates included. Features must not be NaN.
+// duplicates included. The fits reject a NaN or an infinite feature.
 
 type node struct {
 	feature   int
@@ -153,22 +153,24 @@ func (g *grower) thresholds(idx []int, f int) []int32 {
 		g.count[rank[i]]++
 	}
 	// Quantile c sits at position n*c/(T+1) of the sorted column: the rank
-	// whose cumulative count first exceeds that position. MinLeaf is at
-	// least 1, so the minimum never qualifies.
+	// whose cumulative count first exceeds that position. A rank holding
+	// one quantile or several is taken once, and the walk jumps to the
+	// first quantile past it, c = ceil(cum*(T+1)/n); quantile T+1 sits at
+	// n, which no rank exceeds. MinLeaf is at least 1, so the minimum never
+	// qualifies.
 	n, t, minLeaf := len(idx), g.opt.Thresholds, g.opt.MinLeaf
 	thr := g.thr[:0]
-	c, at, cum, last := 1, n/(t+1), 0, int32(-1)
-	for r := int32(0); cum < n; r++ {
+	at := n / (t + 1)
+	for r, cum := int32(0), 0; cum < n; r++ {
 		left := cum
 		cum += int(g.count[r])
 		g.count[r] = 0
-		for c <= t && at < cum {
-			if r != last && left >= minLeaf && n-left >= minLeaf {
+		if at < cum {
+			if left >= minLeaf && n-left >= minLeaf {
 				g.nLeft[len(thr)] = left
 				thr = append(thr, r)
 			}
-			last = r
-			c++
+			c := (cum*(t+1) + n - 1) / n
 			at = n * c / (t + 1)
 		}
 		g.below[r] = int32(len(thr))

@@ -69,7 +69,7 @@ func refSSE(y []float64, idx []int) (mean, s float64) {
 	mean /= float64(len(idx))
 	for _, i := range idx {
 		d := y[i] - mean
-		s += d * d
+		s += float64(d * d)
 	}
 	return mean, s
 }
@@ -87,11 +87,11 @@ func refGrowReg(x [][]float64, y []float64, idx []int, depth int, opt TreeOption
 			if x[i][f] < thr {
 				ln++
 				lSum += y[i]
-				lSq += y[i] * y[i]
+				lSq += float64(y[i] * y[i])
 			} else {
 				rn++
 				rSum += y[i]
-				rSq += y[i] * y[i]
+				rSq += float64(y[i] * y[i])
 			}
 		}
 		if ln < opt.MinLeaf || rn < opt.MinLeaf {
@@ -142,13 +142,13 @@ func refGrowClass(x [][]float64, y []bool, idx []int, depth int, opt TreeOptions
 		if ln < opt.MinLeaf || rn < opt.MinLeaf {
 			return 0, false
 		}
-		wImp := (float64(ln)*gini(lp, ln) + float64(rn)*gini(rp, rn)) / float64(len(idx))
+		wImp := (float64(float64(ln)*gini(lp, ln)) + float64(float64(rn)*gini(rp, rn))) / float64(len(idx))
 		return parentImp - wImp, true
 	})
 	if f < 0 {
 		return leaf
 	}
-	importance[f] += gain * float64(len(idx))
+	importance[f] += float64(gain * float64(len(idx)))
 	li, ri := refPartition(x, idx, f, thr)
 	return &node{
 		feature:   f,

@@ -31,7 +31,11 @@ func sameTree(got, want *node, path string) error {
 
 // splitData draws n rows of p features of one kind — "discrete" (a few
 // levels per feature), "continuous" (uniform) or "ties" (two levels, one of
-// them nine times in ten) — with a nonlinear target.
+// them nine times in ten) — with a nonlinear target, or of kind "signed":
+// discrete features and that target with either sign, −0 one row in ten,
+// and a magnitude near 2^−40 or near 2^40 as the first feature is 0 or 1,
+// so a node's sums mix signs and both scales. A node of tiny rows alone is
+// a leaf, below the gain floor; TestSplitSums holds its sums directly.
 func splitData(kind string, n, p int, seed uint64) ([][]float64, []float64) {
 	state := seed*0x9e3779b97f4a7c15 + 1
 	next := func() float64 {
@@ -44,7 +48,7 @@ func splitData(kind string, n, p int, seed uint64) ([][]float64, []float64) {
 		x[i] = make([]float64, p)
 		for f := range x[i] {
 			switch kind {
-			case "discrete":
+			case "discrete", "signed":
 				x[i][f] = math.Floor(next() * float64(2+f%5))
 			case "continuous":
 				x[i][f] = next()
@@ -56,9 +60,22 @@ func splitData(kind string, n, p int, seed uint64) ([][]float64, []float64) {
 				}
 			}
 		}
-		y[i] = 0.3*next() + x[i][0]*x[i][p-1]
+		y[i] = float64(0.3*next()) + float64(x[i][0]*x[i][p-1])
 		if x[i][1%p] > x[i][0] {
 			y[i] += 1
+		}
+		if kind == "signed" {
+			switch u := next(); {
+			case u < 0.1:
+				y[i] = math.Copysign(0, -1)
+			case u < 0.55:
+				y[i] = -y[i]
+			}
+			e := int(next()*8) - 40
+			if x[i][0] > 0 {
+				e += 73
+			}
+			y[i] = math.Ldexp(y[i], e)
 		}
 	}
 	return x, y
@@ -153,9 +170,10 @@ func checkClassifier(x [][]float64, yr []float64, opt TreeOptions) error {
 
 // TestSplitKernelMatchesReference holds the column scaffold node-for-node
 // equal to the sort-per-node grower it replaced, on discrete, continuous and
-// heavily tied data, with every feature per split and with a random subset.
+// heavily tied data and on signed targets of every scale, with every feature
+// per split and with a random subset.
 func TestSplitKernelMatchesReference(t *testing.T) {
-	for _, kind := range []string{"discrete", "continuous", "ties"} {
+	for _, kind := range []string{"discrete", "continuous", "ties", "signed"} {
 		for _, n := range []int{7, 60, 300} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				x, y := splitData(kind, n, 7, seed)
@@ -178,11 +196,16 @@ func TestSplitKernelMatchesReference(t *testing.T) {
 
 // FuzzSplitKernel is the differential of TestSplitKernelMatchesReference
 // over fuzzed shapes, options and values drawn from a small alphabet, so
-// ties and repeated quantiles are the common case.
+// ties and repeated quantiles are the common case. Targets are a byte over
+// 17; with the top bit of data[5] set they take either sign instead, −0
+// among them, at a scale from 2^−40 to 2^33 per input and up to 2^7 apart
+// per row.
 func FuzzSplitKernel(f *testing.F) {
 	f.Add([]byte{20, 3, 2, 4, 1, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{64, 5, 1, 16, 6, 2, 9, 9, 9, 9, 1, 9, 9, 9, 2, 200, 3})
 	f.Add([]byte{9, 1, 4, 1, 3, 0, 255, 0, 255, 7})
+	// Signed targets whose split turns on the order a sum adds its rows in.
+	f.Add([]byte("\tX010\xf6\xfe\x04\x01\x04\x01b\x03\a"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
 			return
@@ -206,6 +229,7 @@ func FuzzSplitKernel(f *testing.F) {
 			at++
 			return b ^ byte(at/len(vals))
 		}
+		signed, scale := data[5]&0x80 != 0, int(data[5]&0x7f)%74-40
 		x := make([][]float64, n)
 		y := make([]float64, n)
 		for i := range x {
@@ -213,7 +237,15 @@ func FuzzSplitKernel(f *testing.F) {
 			for j := range x[i] {
 				x[i][j] = float64(draw()%7) * 0.25
 			}
-			y[i] = float64(draw()) / 17
+			if !signed {
+				y[i] = float64(draw()) / 17
+				continue
+			}
+			b := draw()
+			y[i] = math.Ldexp(float64(b>>1)/17, scale+int(draw()%8))
+			if b&1 != 0 {
+				y[i] = -y[i]
+			}
 		}
 		if err := checkRegressor(x, y, opt); err != nil {
 			t.Fatalf("regressor %+v: %v", opt, err)
@@ -222,6 +254,50 @@ func FuzzSplitKernel(f *testing.F) {
 			t.Fatalf("classifier %+v: %v", opt, err)
 		}
 	})
+}
+
+// TestCARTFitsRejectBadDesign holds the four CART fits to FitStandardizer's
+// checks: a ragged design, a NaN and an infinite feature are each an error
+// in its words, not a panic or a split on a value no comparison orders.
+func TestCARTFitsRejectBadDesign(t *testing.T) {
+	fits := []struct {
+		name string
+		fit  func(x [][]float64) error
+	}{
+		{"FitTree", func(x [][]float64) error {
+			_, err := FitTree(x, []bool{true, false, true, false}, TreeOptions{MinLeaf: 1})
+			return err
+		}},
+		{"FitForest", func(x [][]float64) error {
+			_, err := FitForest(x, []bool{true, false, true, false}, 3, TreeOptions{MinLeaf: 1})
+			return err
+		}},
+		{"FitRegTree", func(x [][]float64) error {
+			_, err := FitRegTree(x, []float64{1, -2, 3, -4}, TreeOptions{MinLeaf: 1})
+			return err
+		}},
+		{"FitRegForest", func(x [][]float64) error {
+			_, err := FitRegForest(x, []float64{1, -2, 3, -4}, 3, TreeOptions{MinLeaf: 1})
+			return err
+		}},
+	}
+	designs := map[string][][]float64{
+		"ragged": {{1, 2}, {3}, {5, 6}, {7, 8}},
+		"NaN":    {{1, 2}, {3, 4}, {5, math.NaN()}, {7, 8}},
+		"+Inf":   {{1, 2}, {3, 4}, {5, 6}, {math.Inf(1), 8}},
+		"-Inf":   {{1, math.Inf(-1)}, {3, 4}, {5, 6}, {7, 8}},
+	}
+	for what, x := range designs {
+		_, want := FitStandardizer(x)
+		if want == nil {
+			t.Fatalf("FitStandardizer accepted the %s design", what)
+		}
+		for _, f := range fits {
+			if err := f.fit(x); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s on the %s design: error %v, want %q", f.name, what, err, want)
+			}
+		}
+	}
 }
 
 // BenchmarkFitRegForest fits the surrogate search's forest at the size it
@@ -240,7 +316,7 @@ func BenchmarkFitRegForest(b *testing.B) {
 		for k, v := range names {
 			x[i][k] = cfg.Feature(v)
 		}
-		y[i] = 1 + 0.1*x[i][0] - 0.05*x[i][1]*x[i][2] + float64(state>>60)/64
+		y[i] = 1 + float64(0.1*x[i][0]) - float64(0.05*x[i][1]*x[i][2]) + float64(float64(state>>60)/64)
 	}
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {

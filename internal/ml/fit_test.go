@@ -105,7 +105,7 @@ func TestFitKernelsAgree(t *testing.T) {
 		for _, row := range x[blk : blk+4] {
 			z := b
 			for j, v := range row {
-				z += w[j] * v
+				z += float64(w[j] * v)
 			}
 			out = out || -math.Abs(z) < -708
 		}

@@ -4,6 +4,10 @@
 // that become the influence heatmaps of Figs. 2–4. (The paper's first
 // attempt, an ordinary least-squares fit whose poor R² motivated the
 // reformulation, is not reproduced.)
+//
+// A product that meets a sum is written float64(x*y): the explicit
+// conversion rounds it, so no architecture fuses it into a multiply-add
+// (arm64 would) and every fit gives the same bits on every GOARCH.
 package ml
 
 import (
@@ -22,19 +26,13 @@ type Standardizer struct {
 // FitStandardizer computes per-column statistics of X. It rejects a NaN or
 // an infinity, which would make every statistic and coefficient NaN.
 func FitStandardizer(x [][]float64) (*Standardizer, error) {
-	if len(x) == 0 {
-		return nil, errors.New("ml: empty design matrix")
+	if err := checkDesign(x); err != nil {
+		return nil, err
 	}
 	cols := len(x[0])
 	s := &Standardizer{Mean: make([]float64, cols), Std: make([]float64, cols)}
-	for i, row := range x {
-		if len(row) != cols {
-			return nil, errors.New("ml: ragged design matrix")
-		}
+	for _, row := range x {
 		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("ml: non-finite value in design matrix (row %d, column %d)", i, j)
-			}
 			s.Mean[j] += v
 		}
 	}
@@ -45,7 +43,7 @@ func FitStandardizer(x [][]float64) (*Standardizer, error) {
 	for _, row := range x {
 		for j, v := range row {
 			d := v - s.Mean[j]
-			s.Std[j] += d * d
+			s.Std[j] += float64(d * d)
 		}
 	}
 	for j := range s.Std {
@@ -63,6 +61,26 @@ func FitStandardizer(x [][]float64) (*Standardizer, error) {
 		}
 	}
 	return s, nil
+}
+
+// checkDesign rejects what every fit in the package rejects: an empty design
+// matrix, a ragged one, and a NaN or an infinity, which would make every
+// statistic, coefficient and split comparison meaningless.
+func checkDesign(x [][]float64) error {
+	if len(x) == 0 {
+		return errors.New("ml: empty design matrix")
+	}
+	for i, row := range x {
+		if len(row) != len(x[0]) {
+			return errors.New("ml: ragged design matrix")
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("ml: non-finite value in design matrix (row %d, column %d)", i, j)
+			}
+		}
+	}
+	return nil
 }
 
 // constantColumn reports whether every value of column j equals the first.
@@ -128,7 +146,7 @@ func fitLogistic(x [][]float64, y []bool, opt LogisticOptions, lanes bool) (*Log
 		gb := d.epoch(w, b, gw)
 		b += opt.LR * gb / n
 		for j := range w {
-			w[j] += opt.LR * (gw[j]/n - opt.L2*w[j])
+			w[j] += float64(opt.LR * (gw[j]/n - float64(opt.L2*w[j])))
 		}
 	}
 	return &LogisticModel{Intercept: b, Coef: w, Scaler: scaler}, nil

@@ -19,11 +19,11 @@ func design(n int, seed int64) ([][]float64, []bool) {
 	for i := range x {
 		row := make([]float64, 10)
 		for j := 0; j < 9; j++ {
-			row[j] = rng.NormFloat64()*float64(j+1) + float64(j)
+			row[j] = float64(rng.NormFloat64()*float64(j+1)) + float64(j)
 		}
 		row[9] = 3
 		x[i] = row
-		y[i] = row[0]-0.25*(row[3]-3)+0.1*row[6]+0.5*rng.NormFloat64() > 0.6
+		y[i] = row[0]-float64(0.25*(row[3]-3))+float64(0.1*row[6])+float64(0.5*rng.NormFloat64()) > 0.6
 	}
 	return x, y
 }
@@ -140,7 +140,7 @@ func TestLogisticSeparatesHalfPlanes(t *testing.T) {
 	for a := -2.0; a <= 2; a += 0.2 {
 		for b := -2.0; b <= 2; b += 0.2 {
 			x = append(x, []float64{a, b})
-			y = append(y, a+0.5*b > 0.3)
+			y = append(y, a+float64(0.5*b) > 0.3)
 		}
 	}
 	m, err := FitLogistic(x, y, LogisticOptions{})

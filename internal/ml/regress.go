@@ -25,6 +25,9 @@ func FitRegTree(x [][]float64, y []float64, opt TreeOptions) (*RegTree, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, errors.New("ml: bad regression training data")
 	}
+	if err := checkDesign(x); err != nil {
+		return nil, err
+	}
 	opt.defaults()
 	g := newRegGrower(x, y, opt)
 	return g.fit(indices(len(x)), opt), nil
@@ -41,23 +44,29 @@ func sse(y []float64, idx []int) (mean, s float64) {
 	mean /= float64(len(idx))
 	for _, i := range idx {
 		d := y[i] - mean
-		s += d * d
+		s += float64(d * d)
 	}
 	return mean, s
 }
 
-// regGrower is the scaffold with the regressor's per-threshold sums.
+// regGrower is the scaffold with the regressor's rows as its split scan
+// reads them.
 type regGrower struct {
 	grower
 	y    []float64
-	sums []regSums
+	rows []scanRow // the node's rows, in idx order
 }
 
-// regSums are Σy and Σy² left and right of one threshold.
-type regSums struct{ lSum, lSq, rSum, rSq float64 }
+// scanRow is one row of a node as the split scan reads it: the bits of its
+// target and of the target's square, gathered once per node, and the first
+// of the scanned feature's thresholds it lies left of, once per feature.
+type scanRow struct {
+	y, sq uint64
+	below int32
+}
 
 func newRegGrower(x [][]float64, y []float64, opt TreeOptions) *regGrower {
-	return &regGrower{grower: newGrower(x, opt), y: y, sums: make([]regSums, opt.Thresholds)}
+	return &regGrower{grower: newGrower(x, opt), y: y, rows: make([]scanRow, len(x))}
 }
 
 // fit grows one tree on the rows idx; opt carries its defaults.
@@ -71,33 +80,27 @@ func (g *regGrower) grow(idx []int, depth int) *node {
 	if depth == 0 || len(idx) < 2*g.opt.MinLeaf || parentSSE == 0 {
 		return g.newNode(node{leaf: true, value: mean})
 	}
+	rows := g.rows[:len(idx)]
+	for k, i := range idx {
+		yi := g.y[i]
+		rows[k].y, rows[k].sq = math.Float64bits(yi), math.Float64bits(float64(yi*yi))
+	}
 	bestF, bestR, bestGain := -1, int32(0), 0.0
 	for _, f := range g.splitFeatures() {
 		thr := g.thresholds(idx, f)
 		if len(thr) == 0 {
 			continue
 		}
-		sums := g.sums[:len(thr)]
-		clear(sums)
 		rank := g.cols.rank[f]
-		for _, i := range idx {
-			k := g.below[rank[i]]
-			yi := g.y[i]
-			right, left := sums[:k], sums[k:]
-			for j := range right {
-				right[j].rSum += yi
-				right[j].rSq += yi * yi
-			}
-			for j := range left {
-				left[j].lSum += yi
-				left[j].lSq += yi * yi
-			}
+		for k, i := range idx {
+			rows[k].below = g.below[rank[i]]
 		}
 		for j, r := range thr {
-			s, nl := &sums[j], g.nLeft[j]
+			lSum, lSq, rSum, rSq := splitSums(rows, int32(j))
+			nl := g.nLeft[j]
 			nr := len(idx) - nl
 			// SSE = Σy² − (Σy)²/n per side.
-			childSSE := (s.lSq - s.lSum*s.lSum/float64(nl)) + (s.rSq - s.rSum*s.rSum/float64(nr))
+			childSSE := (lSq - lSum*lSum/float64(nl)) + (rSq - rSum*rSum/float64(nr))
 			if gain := parentSSE - childSSE; gain > bestGain+1e-12 {
 				bestF, bestR, bestGain = f, r, gain
 			}
@@ -115,6 +118,23 @@ func (g *regGrower) grow(idx []int, depth int) *node {
 	})
 }
 
+// splitSums returns Σy and Σy² of the rows left of threshold j and of those
+// right of it. Every row adds into all four sums, in row order: its own
+// value on its side, +0 on the other, chosen by a mask rather than a branch.
+// Adding +0 changes no sum but −0, and a sum that starts at +0 is never −0
+// (x + y is −0 only when both are), so each sum is the one the rows of its
+// side alone would give.
+func splitSums(rows []scanRow, j int32) (lSum, lSq, rSum, rSq float64) {
+	for _, r := range rows {
+		right := uint64(int64(j-r.below) >> 63) // all ones when j < below
+		lSum += math.Float64frombits(r.y &^ right)
+		lSq += math.Float64frombits(r.sq &^ right)
+		rSum += math.Float64frombits(r.y & right)
+		rSq += math.Float64frombits(r.sq & right)
+	}
+	return lSum, lSq, rSum, rSq
+}
+
 // Predict returns the tree's estimate for one feature row.
 func (t *RegTree) Predict(row []float64) float64 { return t.root.predict(row) }
 
@@ -130,6 +150,9 @@ type RegForest struct {
 func FitRegForest(x [][]float64, y []float64, nTrees int, opt TreeOptions) (*RegForest, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, errors.New("ml: bad regression training data")
+	}
+	if err := checkDesign(x); err != nil {
+		return nil, err
 	}
 	opt.defaults()
 	g := newRegGrower(x, y, opt)
@@ -163,7 +186,7 @@ func (f *RegForest) PredictStd(row []float64) (mean, std float64) {
 	mean /= float64(len(f.Trees))
 	for _, p := range preds {
 		d := p - mean
-		std += d * d
+		std += float64(d * d)
 	}
 	std = math.Sqrt(std / float64(len(f.Trees)))
 	return mean, std

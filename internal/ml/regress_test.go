@@ -21,7 +21,7 @@ func regSample(n int) (x [][]float64, y []float64) {
 		if row[0] > 0.5 {
 			v += 1.0
 		}
-		v += 0.5 * row[1] * row[2]
+		v += float64(0.5 * row[1] * row[2])
 		x = append(x, row)
 		y = append(y, v)
 	}
@@ -44,7 +44,7 @@ func TestRegTreeFitsStep(t *testing.T) {
 	mse := 0.0
 	for i, row := range x {
 		d := tree.Predict(row) - y[i]
-		mse += d * d
+		mse += float64(d * d)
 	}
 	mse /= float64(len(x))
 	if mse > 0.05 {
@@ -91,6 +91,54 @@ func TestRegFitRejectsBadData(t *testing.T) {
 	}
 	if _, err := FitRegForest([][]float64{{1}}, []float64{1, 2}, 3, TreeOptions{}); err == nil {
 		t.Error("FitRegForest accepted mismatched data")
+	}
+}
+
+// TestSplitSums holds the masked split sums bit for bit to a loop that adds
+// only each side's rows, in row order, for every threshold: on signed
+// targets, −0, ±Inf and NaN among them, at magnitudes from 2^−40 to 2^40 —
+// sums too small for any tree split to show. A NaN sum need only be NaN: Go
+// leaves its payload to the operand order the compiler picks.
+func TestSplitSums(t *testing.T) {
+	state := uint64(7)
+	next := func() uint64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return state >> 33
+	}
+	special := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	for trial := 0; trial < 2000; trial++ {
+		n, nThr := 1+int(next()%40), 1+int(next()%6)
+		rows := make([]scanRow, n)
+		for k := range rows {
+			y := math.Ldexp(float64(next()%1000+1)/1000, int(next()%81)-40)
+			if next()%2 == 0 {
+				y = -y
+			}
+			if trial%4 == 0 && next()%8 == 0 {
+				y = special[next()%4]
+			} else if next()%10 == 0 {
+				y = math.Copysign(0, -1)
+			}
+			rows[k] = scanRow{math.Float64bits(y), math.Float64bits(float64(y * y)), int32(next() % uint64(nThr+1))}
+		}
+		for j := int32(0); j < int32(nThr); j++ {
+			var want [4]float64 // Σy, Σy² left; Σy, Σy² right
+			for _, r := range rows {
+				side := 0
+				if j < r.below {
+					side = 2
+				}
+				want[side] += math.Float64frombits(r.y)
+				want[side+1] += math.Float64frombits(r.sq)
+			}
+			lSum, lSq, rSum, rSq := splitSums(rows, j)
+			for k, got := range [4]float64{lSum, lSq, rSum, rSq} {
+				if math.Float64bits(got) != math.Float64bits(want[k]) && !(math.IsNaN(got) && math.IsNaN(want[k])) {
+					t.Fatalf("trial %d threshold %d sum %d: %x, want %x", trial, j, k,
+						math.Float64bits(got), math.Float64bits(want[k]))
+				}
+			}
+		}
 	}
 }
 

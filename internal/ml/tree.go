@@ -47,6 +47,9 @@ func FitTree(x [][]float64, y []bool, opt TreeOptions) (*DecisionTree, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, errors.New("ml: bad training data")
 	}
+	if err := checkDesign(x); err != nil {
+		return nil, err
+	}
 	opt.defaults()
 	g := newClassGrower(x, y, opt)
 	return g.fit(indices(len(x)), opt), nil
@@ -123,7 +126,7 @@ func (g *classGrower) grow(idx []int, depth int) *node {
 		for j, r := range thr {
 			nl := g.nLeft[j]
 			nr := len(idx) - nl
-			wImp := (float64(nl)*gini(lp[j], nl) + float64(nr)*gini(pos-lp[j], nr)) / float64(len(idx))
+			wImp := (float64(float64(nl)*gini(lp[j], nl)) + float64(float64(nr)*gini(pos-lp[j], nr))) / float64(len(idx))
 			if gain := parentImp - wImp; gain > bestGain+1e-12 {
 				bestF, bestR, bestGain = f, r, gain
 			}
@@ -132,7 +135,7 @@ func (g *classGrower) grow(idx []int, depth int) *node {
 	if bestF < 0 {
 		return g.newNode(node{leaf: true, value: value})
 	}
-	g.importance[bestF] += bestGain * float64(len(idx))
+	g.importance[bestF] += float64(bestGain * float64(len(idx)))
 	li, ri := g.partition(idx, bestF, bestR)
 	return g.newNode(node{
 		feature:   bestF,
@@ -191,6 +194,9 @@ type Forest struct {
 func FitForest(x [][]float64, y []bool, nTrees int, opt TreeOptions) (*Forest, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, errors.New("ml: bad training data")
+	}
+	if err := checkDesign(x); err != nil {
+		return nil, err
 	}
 	opt.defaults()
 	g := newClassGrower(x, y, opt)
