@@ -10,9 +10,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
-# arm64 fuses x*y+z into one rounding where amd64 rounds twice, so a fused product in internal/ml would move its bits by GOARCH: write float64(x*y).
-	@asm=$$(GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S ./internal/ml 2>&1) || { echo "$$asm" >&2; exit 1; }; \
-	! echo "$$asm" | grep -E '\bFN?M(ADD|SUB)D\b'
+# arm64 fuses x*y+z into one rounding where amd64 rounds twice, so a fused product in internal/ml or internal/sim would move its bits by GOARCH: write float64(x*y).
+	@for pkg in ./internal/ml ./internal/sim; do \
+		asm=$$(GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S $$pkg 2>&1) || { echo "$$asm" >&2; exit 1; }; \
+		! echo "$$asm" | grep -E '\bFN?M(ADD|SUB)D\b' || exit 1; \
+	done
 	$(GO) vet ./internal/ml
 	cd benchmark && GOWORK=off GOFLAGS=-mod=mod $(GO) build -o /dev/null ./... && GOWORK=off GOFLAGS=-mod=mod $(GO) vet ./...
 
@@ -74,7 +76,9 @@ fuzz:
 # overhead suite plus the whole-operation benchmarks it complements. The
 # campaign side rides along: the model sweep's throughput and the
 # configuration-key cost behind it, each search strategy on one problem per
-# machine (300 evaluations, us/eval), one logistic fit of the influence
+# machine (300 evaluations, us/eval), one-shot sim.Evaluate calls and
+# Bound.Series on a bound problem (the model's cost without and with the
+# problem bound once), one logistic fit of the influence
 # heatmaps (50,000 x 10, 300 epochs) on each of its two kernels (simd,
 # portable), one fit of the surrogate search's regression forest (300 x 7,
 # 12 trees), one write and one read of a 20,000-row dataset CSV and one
@@ -83,7 +87,7 @@ fuzz:
 BENCH ?= .
 bench:
 	$(GO) test ./openmp -run '^$$' -bench '$(BENCH)' -benchtime=300ms -count=5 -benchmem
-	$(GO) test . ./internal/core ./internal/ml ./internal/dataset -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|Search|FitLogistic|FitRegForest|WriteCSV|ReadCSV|WriteReport' -benchtime=300ms -count=5 -benchmem
+	$(GO) test . ./internal/core ./internal/sim ./internal/ml ./internal/dataset -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|Search|Evaluate|BoundSeries|FitLogistic|FitRegForest|WriteCSV|ReadCSV|WriteReport' -benchtime=300ms -count=5 -benchmem
 
 # verify is the pre-merge gate (build, reached through test, includes the
 # benchmark/ module; the measured, live-monitor and variability smokes are Go

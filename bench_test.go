@@ -37,8 +37,9 @@ func BenchmarkTableII_SweepThroughput(b *testing.B) {
 }
 
 // BenchmarkEnvConfigKey times building one configuration key — each
-// machine's configuration table keys the study space once per process, a
-// descent keys each lattice move it probes.
+// machine's configuration table keys the study space once per process, and
+// a search keys a lattice move only when the cache misses it or an observer
+// watches the probe.
 func BenchmarkEnvConfigKey(b *testing.B) {
 	b.ReportAllocs()
 	space := env.Space(topology.MustGet(topology.Milan))

@@ -112,33 +112,37 @@ func Calibrate(ref, alt Evaluator, opt CalibrationOptions) (*CalibrationReport, 
 
 	// Backends are stateless, and the default is asked for twice per app (as
 	// the normalizer and as the subspace's first member) while a one-at-a-time
-	// deviation may also sit in the sampled subspace: one memo per backend
-	// (cache keys do not name it) keeps that to one series per configuration.
+	// deviation may also sit in the sampled subspace: a memo keeps that to one
+	// series per configuration. Each backend gets its own, since the two may
+	// share a name (two measured option sets) and a cache tells problems
+	// apart by the backend's name.
 	refMemo, altMemo := NewEvalCache(), NewEvalCache()
 	for _, app := range appList {
 		set := calibrationSetting(app, m)
 		cfgs := calibrationSubspace(app.Name, arch, set.Label, table, perApp, opt.Seed)
+		refProb := refMemo.bindProblem(ref, m, app, set)
+		altProb := altMemo.bindProblem(alt, m, app, set)
 		// A failed series fails the calibration, which has no use for a
 		// partial pairing; nothing is measured after the first failure.
 		var failed error
-		mean := func(memo *EvalCache, ev Evaluator, cfg env.Config) float64 {
+		mean := func(p *boundProblem, cfg env.Config) float64 {
 			if failed != nil {
 				return math.NaN()
 			}
-			sec, _, err := memo.mean(ev, m, app, cfg, cfg.Key(), set)
+			sec, _, _, err := p.mean(&cfg, "")
 			failed = err
 			return sec
 		}
-		refDef := mean(refMemo, ref, def)
-		altDef := mean(altMemo, alt, def)
+		refDef := mean(&refProb, def)
+		altDef := mean(&altProb, def)
 		if failed == nil && (refDef <= 0 || altDef <= 0) {
 			failed = fmt.Errorf("non-positive default runtime for %s on %s", app.Name, arch)
 		}
 		refN := make([]float64, len(cfgs))
 		altN := make([]float64, len(cfgs))
 		for i, cfg := range cfgs {
-			refN[i] = mean(refMemo, ref, cfg) / refDef
-			altN[i] = mean(altMemo, alt, cfg) / altDef
+			refN[i] = mean(&refProb, cfg) / refDef
+			altN[i] = mean(&altProb, cfg) / altDef
 		}
 		rep.Apps = append(rep.Apps, AppCalibration{
 			App: app.Name, Setting: set.Label, Configs: len(cfgs),
@@ -155,8 +159,8 @@ func Calibrate(ref, alt Evaluator, opt CalibrationOptions) (*CalibrationReport, 
 				if err != nil || cand.Validate(m) != nil {
 					continue
 				}
-				varRef[v] = append(varRef[v], mean(refMemo, ref, cand)/refDef)
-				varAlt[v] = append(varAlt[v], mean(altMemo, alt, cand)/altDef)
+				varRef[v] = append(varRef[v], mean(&refProb, cand)/refDef)
+				varAlt[v] = append(varAlt[v], mean(&altProb, cand)/altDef)
 			}
 		}
 		if failed != nil {

@@ -10,28 +10,55 @@ import (
 )
 
 // EvalCache memoizes the tuning objective — the mean runtime of one
-// (architecture, application, setting, configuration) — and is the one memo in
-// the system: backends are stateless, so whoever may ask for a configuration
-// twice asks through a cache. Every strategy behind the Searcher seam does
-// (the greedy tuner re-probing last pass's values, a random walk drawing a
-// duplicate, annealing circling back), and so does Calibrate; a revisit costs
-// a map lookup instead of a series. For the measured backend memoization pins
-// a configuration to its first measured series, and a series that failed is
-// remembered as NaN — it never compares below a best and is not run again.
+// configuration of one problem — and is the one memo in the system: backends
+// are stateless, so whoever may ask for a configuration twice asks through a
+// cache. Every strategy behind the Searcher seam does (the greedy tuner
+// re-probing last pass's values, a random walk drawing a duplicate, annealing
+// circling back), and so do Calibrate and BestNUMAPlacement; a revisit costs
+// a bitset test and an array load instead of a series. For the measured
+// backend memoization pins a configuration to its first measured series, and
+// a series that failed is remembered as NaN — it never compares below a best
+// and is not run again.
 //
-// A cache may be shared across searches (e.g. several strategies on the same
-// app/arch/setting) because keys carry the full evaluation identity; it must
-// not be shared across backends, since the key does not include the backend
-// name.
+// A problem is a machine value, an application, a setting and the name of
+// the backend that measures it. Each problem the cache has seen holds one
+// block: a slot per position of the machine's study space (see spaceIndex),
+// allocated on the problem's first probe, and a map by value for the
+// configurations outside that space. Because the problem names all four
+// parts, a cache may be shared across searches, machines and backends
+// without one problem answering another's probes.
 type EvalCache struct {
-	mu   sync.Mutex
-	m    map[string]float64
-	hits int64
+	mu     sync.Mutex
+	blocks map[problemID]*evalBlock
+	// last is the problem block resolved last: a caller probing one problem
+	// through Mean finds it without hashing the problem.
+	last   *evalBlock
+	lastID problemID
+	hits   int64
+	n      int // distinct configurations held
+}
+
+// problemID identifies one problem's block. Machine and application are
+// compared by identity: a modified copy of a registered machine is another
+// problem.
+type problemID struct {
+	m       *topology.Machine
+	app     *apps.App
+	set     sim.Setting
+	backend string
+}
+
+// evalBlock holds one problem's stored means; the cache's mu guards it.
+type evalBlock struct {
+	space spaceIndex
+	slots []float64 // by study-space position, valid where has is set
+	has   indexSet
+	off   map[env.Config]float64 // configurations without a position
 }
 
 // NewEvalCache returns an empty evaluation cache.
 func NewEvalCache() *EvalCache {
-	return &EvalCache{m: make(map[string]float64)}
+	return &EvalCache{blocks: make(map[problemID]*evalBlock)}
 }
 
 // Mean returns the mean runtime of app on machine mc under cfg at the given
@@ -39,35 +66,81 @@ func NewEvalCache() *EvalCache {
 // value afterwards. hit reports whether the value came from the cache. A
 // failed series reads as NaN.
 func (c *EvalCache) Mean(ev Evaluator, mc *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting) (sec float64, hit bool) {
-	sec, hit, _ = c.mean(ev, mc, app, cfg, cfg.Key(), set)
-	return sec, hit
+	b := c.block(mc, app, set, ev.Name())
+	pos := b.space.pos(&cfg)
+	if sec, hit = c.lookup(b, &cfg, pos); hit {
+		return sec, true
+	}
+	ps := bindSeries(ev, mc, app, set)
+	sec, _ = c.fill(b, &ps, &cfg, pos, cfg.Key())
+	return sec, false
 }
 
-// mean is Mean for a caller that already holds cfgKey = cfg.Key(): a search
-// probe builds the key once for the cache, the backend and its step label.
-// err is the backend's, returned on the one miss that ran the failed series.
-func (c *EvalCache) mean(ev Evaluator, mc *topology.Machine, app *apps.App, cfg env.Config, cfgKey string, set sim.Setting) (sec float64, hit bool, err error) {
-	key := string(mc.Arch) + "|" + app.Name + "|" + set.Label + "|" + cfgKey
+// block returns the problem's block, allocating it on the problem's first
+// probe. A caller that probes one problem many times resolves it once.
+func (c *EvalCache) block(m *topology.Machine, app *apps.App, set sim.Setting, backend string) *evalBlock {
+	id := problemID{m, app, set, backend}
 	c.mu.Lock()
-	if v, ok := c.m[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return v, true, nil
+	defer c.mu.Unlock()
+	if c.last != nil && c.lastID == id {
+		return c.last
 	}
-	c.mu.Unlock()
-	// Computed outside the lock: a measured-backend evaluation can take
-	// seconds, and holding the lock would serialize unrelated keys. Searches
-	// are sequential today, so the benign race (two goroutines computing the
-	// same key; first store wins) costs nothing.
-	sec, err = meanRuntime(ev, mc, app, cfg, cfgKey, set)
+	b := c.blocks[id]
+	if b == nil {
+		b = &evalBlock{space: newSpaceIndex(m)}
+		b.slots = make([]float64, b.space.size)
+		b.has = newIndexSet(b.space.size)
+		c.blocks[id] = b
+	}
+	c.last, c.lastID = b, id
+	return b
+}
+
+// lookup returns the stored mean of cfg, at position pos of b's space (-1
+// for none), and counts the hit.
+func (c *EvalCache) lookup(b *evalBlock, cfg *env.Config, pos int) (sec float64, ok bool) {
 	c.mu.Lock()
-	if v, ok := c.m[key]; ok {
-		sec = v
+	if pos >= 0 {
+		if ok = b.has.has(pos); ok {
+			sec = b.slots[pos]
+		}
 	} else {
-		c.m[key] = sec
+		sec, ok = b.off[*cfg]
+	}
+	if ok {
+		c.hits++
 	}
 	c.mu.Unlock()
-	return sec, false, err
+	return sec, ok
+}
+
+// fill runs the series of cfg (key = cfg.Key()) on a lookup's miss and
+// stores its mean, NaN for a failed series; err is the backend's. The series
+// runs outside the lock: a measured-backend evaluation can take seconds, and
+// holding the lock would serialize unrelated problems. Searches are
+// sequential today, so the benign race (two goroutines computing the same
+// configuration; first store wins) costs nothing.
+func (c *EvalCache) fill(b *evalBlock, ps *problemSeries, cfg *env.Config, pos int, key string) (sec float64, err error) {
+	sec, err = ps.mean(*cfg, key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if pos >= 0 {
+		if b.has.has(pos) {
+			return b.slots[pos], err
+		}
+		b.has.add(pos)
+		b.slots[pos] = sec
+	} else {
+		if v, ok := b.off[*cfg]; ok {
+			return v, err
+		}
+		if b.off == nil {
+			b.off = make(map[env.Config]float64)
+		}
+		b.off[*cfg] = sec
+	}
+	c.n++
+	return sec, err
 }
 
 // Hits returns how many lookups were answered from the cache.
@@ -77,9 +150,40 @@ func (c *EvalCache) Hits() int64 {
 	return c.hits
 }
 
-// Len returns how many distinct configurations the cache holds.
+// Len returns how many distinct configurations the cache holds, over all
+// its problems.
 func (c *EvalCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
+	return c.n
+}
+
+// boundProblem is one problem as a caller that probes it many times holds
+// it: its block of a cache and its series, both resolved once.
+type boundProblem struct {
+	cache *EvalCache
+	blk   *evalBlock
+	ps    problemSeries
+}
+
+// bindProblem resolves app on m at set under ev against c.
+func (c *EvalCache) bindProblem(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting) boundProblem {
+	return boundProblem{c, c.block(m, app, set, ev.Name()), bindSeries(ev, m, app, set)}
+}
+
+// mean is the cached objective of cfg. key is cfg.Key(), or "" when the
+// caller has not built it: the key is built only on a miss, where the
+// backend and the series seed need it, and returned either way ("" on a
+// hit the caller did not key). err is the backend's, returned on the one
+// miss that ran the failed series.
+func (p *boundProblem) mean(cfg *env.Config, key string) (sec float64, _ string, hit bool, err error) {
+	pos := p.blk.space.pos(cfg)
+	if sec, hit = p.cache.lookup(p.blk, cfg, pos); hit {
+		return sec, key, true, nil
+	}
+	if key == "" {
+		key = cfg.Key()
+	}
+	sec, err = p.cache.fill(p.blk, &p.ps, cfg, pos, key)
+	return sec, key, false, err
 }

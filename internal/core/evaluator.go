@@ -69,15 +69,46 @@ func orModel(ev Evaluator) Evaluator {
 	return ev
 }
 
-// meanRuntime is the tuning and calibration objective: the mean of the
-// repeated measurements, the very quantity the study's speedups use. key must
-// be cfg.Key().
-func meanRuntime(ev Evaluator, m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) (float64, error) {
-	series, _, err := ev.EvaluateSeries(m, app, cfg, key, set)
+// problemSeries is how core evaluates configurations of one (machine, app,
+// setting) problem under one backend: for ModelEvaluator through the
+// problem's sim.Bound, bound once by bindSeries, for any other backend
+// through its EvaluateSeries. The sweep, the searches, Calibrate and
+// BestNUMAPlacement evaluate only through it.
+type problemSeries struct {
+	ev    Evaluator
+	m     *topology.Machine
+	app   *apps.App
+	set   sim.Setting
+	model bool // ev is the model: bound answers
+	bound sim.Bound
+}
+
+func bindSeries(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting) problemSeries {
+	ps := problemSeries{ev: ev, m: m, app: app, set: set}
+	if _, ok := ev.(ModelEvaluator); ok {
+		ps.model, ps.bound = true, sim.Bind(m, app.Profile, set)
+	}
+	return ps
+}
+
+// series returns cfg's series, with EvaluateSeries' results; key must be
+// cfg.Key().
+func (ps *problemSeries) series(cfg env.Config, key string) ([sim.Reps]float64, dataset.SeriesMeta, error) {
+	if ps.model {
+		return ps.bound.Series(cfg, key), dataset.SeriesMeta{}, nil
+	}
+	return ps.ev.EvaluateSeries(ps.m, ps.app, cfg, key, ps.set)
+}
+
+// mean is the tuning and calibration objective: the mean of cfg's repeated
+// measurements, the very quantity the study's speedups use; NaN for a
+// failed series. key must be cfg.Key().
+func (ps *problemSeries) mean(cfg env.Config, key string) (float64, error) {
+	runs, _, err := ps.series(cfg, key)
 	if err != nil {
 		return math.NaN(), err
 	}
-	return (&dataset.Sample{Runtimes: series}).MeanRuntime(), nil
+	return (&dataset.Sample{Runtimes: runs}).MeanRuntime(), nil
 }
 
 // reportSkipped surfaces a failed series on stderr. Every caller then carries

@@ -218,9 +218,9 @@ func ExtendedThreadSettings(m *topology.Machine) []sim.Setting {
 // the experiment the paper left for future work. The ev backend decides
 // what an evaluation measures (nil = analytic model).
 func BestNUMAPlacement(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting) (env.Config, float64) {
-	ev = orModel(ev)
+	ps := bindSeries(orModel(ev), m, app, set)
 	measure := func(cfg env.Config) float64 {
-		sec, err := meanRuntime(ev, m, app, cfg, cfg.Key(), set)
+		sec, err := ps.mean(cfg, cfg.Key())
 		if err != nil {
 			reportSkipped(err) // sec is NaN: never the best
 		}

@@ -291,11 +291,8 @@ func (r *reporter) pace(elapsed time.Duration) {
 // probed records one search evaluation begun at started. The counts are
 // s.res's, pushed as absolute values from the one place that counts them; the
 // search_step record and the monitor's probe latency fan out under out like a
-// batch does. An unobserved search returns before any lock.
+// batch does. searchState.observe calls it only for an observed search.
 func (r *reporter) probed(s *searchState, key string, sec float64, hit bool, started time.Time) {
-	if r.unobserved() {
-		return
-	}
 	r.out.Lock()
 	defer r.out.Unlock()
 

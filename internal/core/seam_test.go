@@ -74,8 +74,9 @@ func TestSearchFailedProbeNeverBestNotRemeasured(t *testing.T) {
 	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
 	space := env.Space(m)
 	bad, badSec := env.Config{}, math.Inf(1)
+	ps := bindSeries(ModelEvaluator{}, m, app, set)
 	for _, cfg := range space {
-		if sec, _ := meanRuntime(ModelEvaluator{}, m, app, cfg, cfg.Key(), set); sec < badSec {
+		if sec, _ := ps.mean(cfg, cfg.Key()); sec < badSec {
 			bad, badSec = cfg, sec
 		}
 	}

@@ -163,6 +163,8 @@ type searchState struct {
 	spec  SearchSpec
 	ev    Evaluator
 	cache *EvalCache
+	// prob is the search's problem on cache, resolved by init.
+	prob boundProblem
 	// tab is the candidate pool's table once table has resolved it.
 	tab   *configTable
 	order []env.VarName
@@ -243,62 +245,87 @@ func runSearch(ctx context.Context, strategy string, spec SearchSpec, body func(
 
 // init measures the default configuration — the first evaluation of every
 // strategy and the denominator of every speedup, exactly as the pre-seam
-// tuners did.
+// tuners did. It resolves the search's problem first: its block of the cache
+// and, for the model, its sim.Bound.
 func (s *searchState) init() {
+	s.prob = s.cache.bindProblem(s.ev, s.spec.Machine, s.spec.App, s.spec.Setting)
 	def := env.Default(s.spec.Machine)
-	key := def.Key()
-	t0 := time.Now()
-	sec, hit := s.mean(def, key)
+	t0 := s.clock()
+	sec, key, hit := s.mean(&def, "")
 	s.res.Evaluations = 1
 	if hit {
 		s.res.CacheHits++
 	}
 	s.res.Best, s.res.BestSeconds, s.res.DefaultSeconds = def, sec, sec
-	s.led.probed(s, key, sec, hit, t0)
+	s.observe(&def, key, sec, hit, t0)
 }
 
-// mean is the cache-routed objective. A failed series is reported on the miss
-// that ran it and reads as NaN then and on every revisit, so it is counted
-// against the budget like any probe but never becomes the best.
-func (s *searchState) mean(cfg env.Config, key string) (sec float64, hit bool) {
-	sec, hit, err := s.cache.mean(s.ev, s.spec.Machine, s.spec.App, cfg, key, s.spec.Setting)
+// mean is the cache-routed objective; key is as boundProblem.mean takes and
+// returns it. A failed series is reported on the miss that ran it and reads
+// as NaN then and on every revisit, so it is counted against the budget like
+// any probe but never becomes the best.
+func (s *searchState) mean(cfg *env.Config, key string) (sec float64, _ string, hit bool) {
+	sec, key, hit, err := s.prob.mean(cfg, key)
 	if err != nil {
 		reportSkipped(err)
 	}
-	return sec, hit
+	return sec, key, hit
+}
+
+// clock returns the start of a probe an observer will time; an unobserved
+// search takes no timestamp.
+func (s *searchState) clock() time.Time {
+	if s.led.unobserved() {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observe reports a probe begun at started to the ledger, building the
+// configuration's key if the probe did not need it. An unobserved search
+// builds nothing.
+func (s *searchState) observe(cfg *env.Config, key string, sec float64, hit bool, started time.Time) {
+	if s.led.unobserved() {
+		return
+	}
+	if key == "" {
+		key = cfg.Key()
+	}
+	s.led.probed(s, key, sec, hit, started)
 }
 
 // probe evaluates one candidate: it spends one budget unit, consults the
 // cache, folds an improvement into the best-so-far trajectory (labelled with
 // the move that produced it), and reports the probe to the ledger. The caller
-// must have checked exhausted() first.
+// must have checked exhausted() first. The candidate's key is built only if
+// the cache misses or an observer watches.
 func (s *searchState) probe(cfg env.Config, variable, value string) float64 {
-	return s.probeKeyed(cfg, cfg.Key(), variable, value)
+	return s.probeKeyed(&cfg, "", variable, value)
 }
 
 // probeAt is probe for a move that draws a whole configuration, position i
 // of the candidate table: the step is labelled with the table's key, which
-// also serves the cache and the backend.
+// also serves the backend and the observers.
 func (s *searchState) probeAt(i int, move string) float64 {
-	return s.probeKeyed(s.tab.space[i], s.tab.keys[i], move, s.tab.keys[i])
+	return s.probeKeyed(&s.tab.space[i], s.tab.keys[i], move, s.tab.keys[i])
 }
 
-func (s *searchState) probeKeyed(cfg env.Config, key, variable, value string) float64 {
-	t0 := time.Now()
-	sec, hit := s.mean(cfg, key)
+func (s *searchState) probeKeyed(cfg *env.Config, key, variable, value string) float64 {
+	t0 := s.clock()
+	sec, key, hit := s.mean(cfg, key)
 	s.res.Evaluations++
 	if hit {
 		s.res.CacheHits++
 	}
 	if sec < s.res.BestSeconds {
-		s.res.Best = cfg
+		s.res.Best = *cfg
 		s.res.BestSeconds = sec
 		s.res.Trajectory = append(s.res.Trajectory, SearchStep{
 			Eval: s.res.Evaluations, Variable: variable, Value: value,
-			Config: cfg, Seconds: sec, Speedup: s.res.DefaultSeconds / sec,
+			Config: *cfg, Seconds: sec, Speedup: s.res.DefaultSeconds / sec,
 		})
 	}
-	s.led.probed(s, key, sec, hit, t0)
+	s.observe(cfg, key, sec, hit, t0)
 	return sec
 }
 

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,6 +36,16 @@ type legacyResult struct {
 	Trace          []legacyStep
 }
 
+// legacyMean is the objective the legacy copies below measure with, as the
+// pre-seam code computed it: one EvaluateSeries of the backend, unbound.
+func legacyMean(ev Evaluator, m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) (float64, error) {
+	series, _, err := ev.EvaluateSeries(m, app, cfg, key, set)
+	if err != nil {
+		return math.NaN(), err
+	}
+	return (&dataset.Sample{Runtimes: series}).MeanRuntime(), nil
+}
+
 // asLegacy projects a SearchResult onto the pre-seam shape, field for field.
 func asLegacy(r SearchResult) legacyResult {
 	l := legacyResult{Best: r.Best, BestSeconds: r.BestSeconds, DefaultSeconds: r.DefaultSeconds, Evaluations: r.Evaluations}
@@ -57,7 +69,7 @@ func legacyTune(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Settin
 	}
 	ev = orModel(ev)
 	measure := func(cfg env.Config) float64 {
-		sec, _ := meanRuntime(ev, m, app, cfg, cfg.Key(), set)
+		sec, _ := legacyMean(ev, m, app, cfg, cfg.Key(), set)
 		return sec
 	}
 	res := legacyResult{Best: env.Default(m)}
@@ -102,7 +114,7 @@ func legacyRandomSearch(ev Evaluator, m *topology.Machine, app *apps.App, set si
 	}
 	ev = orModel(ev)
 	measure := func(cfg env.Config) float64 {
-		sec, _ := meanRuntime(ev, m, app, cfg, cfg.Key(), set)
+		sec, _ := legacyMean(ev, m, app, cfg, cfg.Key(), set)
 		return sec
 	}
 	space := env.Space(m)
@@ -312,6 +324,80 @@ func TestSharedCacheAcrossSearches(t *testing.T) {
 	}
 }
 
+// TestSharedCacheKeepsProblemsApart: a problem is its machine value, app,
+// setting and backend, so one cache shared by two machine values of one arch
+// (the registered model and a modified copy) and by two backends answers
+// each problem with its own values, on the study space's slots and on a
+// nested configuration outside it alike.
+func TestSharedCacheKeepsProblemsApart(t *testing.T) {
+	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
+	fast := *m
+	fast.ClockGHz *= 2
+	nested := env.Default(m)
+	nested.NumThreadsList, nested.MaxActiveLevels = "4,2", 2
+	cache := NewEvalCache()
+	for _, cfg := range []env.Config{env.Default(m), env.Space(m)[7], nested} {
+		type asked struct {
+			ev Evaluator
+			m  *topology.Machine
+		}
+		fake := &fakeEvaluator{}
+		problems := []asked{{ModelEvaluator{}, m}, {ModelEvaluator{}, &fast}, {fake, m}, {fake, &fast}}
+		want := make([]float64, len(problems))
+		for i, p := range problems {
+			want[i], _ = NewEvalCache().Mean(p.ev, p.m, app, cfg, set)
+			if got, hit := cache.Mean(p.ev, p.m, app, cfg, set); hit || got != want[i] {
+				t.Errorf("%s, problem %d: first probe %v (hit %v), want %v from its own backend", cfg, i, got, hit, want[i])
+			}
+		}
+		if want[0] == want[1] || want[0] == want[2] {
+			t.Fatalf("%s: problems evaluate alike (%v), the test cannot tell them apart", cfg, want)
+		}
+		for i, p := range problems {
+			if got, hit := cache.Mean(p.ev, p.m, app, cfg, set); !hit || got != want[i] {
+				t.Errorf("%s, problem %d: revisit %v (hit %v), want cached %v", cfg, i, got, hit, want[i])
+			}
+		}
+	}
+	if got := cache.Len(); got != 12 {
+		t.Errorf("Len = %d, want 3 configurations x 4 problems", got)
+	}
+}
+
+// TestSharedCacheConcurrentSearches: searches on several goroutines share
+// one cache across two problems, creating blocks and filling slots at once
+// (run under -race by make race), and each finds what it finds alone.
+func TestSharedCacheConcurrentSearches(t *testing.T) {
+	cache := NewEvalCache()
+	var specs []SearchSpec
+	for _, name := range []string{"Nqueens", "CG"} {
+		m, app, set := searchApp(t, topology.A64FX, name)
+		specs = append(specs, SearchSpec{Machine: m, App: app, Setting: set, Seed: 9, Budget: SearchBudget{MaxEvals: 120}})
+	}
+	want := make([]SearchResult, len(specs))
+	for i, spec := range specs {
+		var err error
+		if want[i], err = (annealSearcher{}).Search(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		spec := specs[g%len(specs)]
+		spec.Cache = cache
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, err := (annealSearcher{}).Search(context.Background(), spec)
+			if err != nil || got.Best != want[i].Best || got.BestSeconds != want[i].BestSeconds {
+				t.Errorf("search %d over the shared cache found %s at %v (err %v), alone %s at %v",
+					i, got.Best, got.BestSeconds, err, want[i].Best, want[i].BestSeconds)
+			}
+		}(g % len(specs))
+	}
+	wg.Wait()
+}
+
 func TestSearchMaxTimeBound(t *testing.T) {
 	m, app, set := searchApp(t, topology.A64FX, "Sort")
 	start := time.Now()
@@ -459,9 +545,9 @@ func TestSearchMonitorGauges(t *testing.T) {
 
 // TestSearchProbeNoObserverAllocs holds the hot path of every search the
 // benchmark's search_tune runs: with no telemetry log and no monitor a cached
-// probe of a table position allocates only the cache's lookup key. The
-// configuration key and step label come from the table; building them per
-// probe cost a second allocation.
+// probe allocates nothing. The cache addresses the configuration by its
+// study-space position, the step label comes from the table, and no key is
+// built for a hit nobody observes.
 func TestSearchProbeNoObserverAllocs(t *testing.T) {
 	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
 	s, err := newSearchState(context.Background(), "random", SearchSpec{Machine: m, App: app, Setting: set}, newReporter(nil, nil, nil))
@@ -471,8 +557,12 @@ func TestSearchProbeNoObserverAllocs(t *testing.T) {
 	s.init()
 	s.table()
 	s.probeAt(1, "random")
-	if got := testing.AllocsPerRun(200, func() { s.probeAt(1, "random") }); got != 1 {
-		t.Errorf("cached probe with no observers: %v allocations, want 1", got)
+	if got := testing.AllocsPerRun(200, func() { s.probeAt(1, "random") }); got != 0 {
+		t.Errorf("cached table probe with no observers: %v allocations, want 0", got)
+	}
+	cfg := s.tab.space[1]
+	if got := testing.AllocsPerRun(200, func() { s.probe(cfg, "schedule", "dynamic") }); got != 0 {
+		t.Errorf("cached lattice probe with no observers: %v allocations, want 0", got)
 	}
 }
 

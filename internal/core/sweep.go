@@ -249,14 +249,15 @@ func evalUnit(u *sweepUnit, ev Evaluator) (out []*dataset.Sample, skipped int, e
 		Setting: u.set.Label, Threads: u.set.Threads, Scale: u.set.Scale,
 		Source: ev.Name(),
 	}
+	ps := bindSeries(ev, u.m, u.app, u.set)
 	fill := func(s *dataset.Sample, i int32) bool {
-		series, meta, err := ev.EvaluateSeries(u.m, u.app, u.space[i], u.keys[i], u.set)
+		runs, meta, err := ps.series(u.space[i], u.keys[i])
 		if err != nil {
 			reportSkipped(err)
 			return false
 		}
 		*s = proto
-		s.Config, s.Runtimes = u.space[i], series
+		s.Config, s.Runtimes = u.space[i], runs
 		s.RepsRun, s.CoV, s.CIRel = meta.Reps, meta.CoV, meta.CIRel
 		return true
 	}

@@ -60,6 +60,51 @@ func TestMachineTableContract(t *testing.T) {
 	}
 }
 
+// TestSpaceIndexPosition: on every machine, and on a machine outside the
+// registry, the position computed from a configuration's fields is its index
+// in env.Space, and a configuration outside the space — a nesting field set
+// or a value the sweep does not take — has none.
+func TestSpaceIndexPosition(t *testing.T) {
+	custom := *topology.MustGet(topology.Milan)
+	custom.Arch, custom.CacheLineBytes = "custom", 256
+	for _, m := range append(topology.All(), &custom) {
+		x := newSpaceIndex(m)
+		space := env.Space(m)
+		if x.size != len(space) {
+			t.Fatalf("%s: size %d, space %d", m.Arch, x.size, len(space))
+		}
+		for i, cfg := range space {
+			if got := x.pos(&cfg); got != i {
+				t.Fatalf("%s: %s at position %d, want %d", m.Arch, cfg, got, i)
+			}
+		}
+		outside := func(what string, edit func(*env.Config)) {
+			cfg := space[len(space)-1]
+			edit(&cfg)
+			if got := x.pos(&cfg); got != -1 {
+				t.Errorf("%s: %s (%s) has position %d, want none", m.Arch, what, cfg, got)
+			}
+		}
+		outside("nested list", func(c *env.Config) { c.NumThreadsList = "4,2" })
+		outside("max active levels", func(c *env.Config) { c.MaxActiveLevels = 2 })
+		outside("thread limit", func(c *env.Config) { c.ThreadLimit = m.Cores })
+		outside("numa places", func(c *env.Config) { c.Places = topology.PlaceNUMA })
+		outside("serial library", func(c *env.Config) { c.Library = env.LibSerial })
+		outside("blocktime 50", func(c *env.Config) { c.BlocktimeMS = 50 })
+		outside("align 32", func(c *env.Config) { c.AlignAlloc = 32 })
+		for _, cfg := range ExtendedSpace(m)[len(space):] {
+			if got := x.pos(&cfg); got != -1 {
+				t.Fatalf("%s: extended %s has position %d, want none", m.Arch, cfg, got)
+			}
+		}
+		for _, cfg := range nestedVariants(m) {
+			if got := x.pos(&cfg); got != -1 {
+				t.Fatalf("%s: nested %s has position %d, want none", m.Arch, cfg, got)
+			}
+		}
+	}
+}
+
 // TestMachineTableConcurrentFirstUse: goroutines that make the first use of
 // a machine's table at once all get the one table.
 func TestMachineTableConcurrentFirstUse(t *testing.T) {

@@ -207,11 +207,18 @@ func (c Config) IsDefault(m *topology.Machine) bool { return c == Default(m) }
 // so flat configurations keep their pre-nesting keys (existing datasets
 // stay joinable).
 //
-// The sweep plan and every search probe key configurations, so the key is
-// appended into a stack buffer: the returned string is the only allocation.
+// The key is appended into a stack buffer: the returned string is the only
+// allocation.
 func (c Config) Key() string {
 	var buf [192]byte // the longest nested-space key is ~130 bytes
-	b := append(append(buf[:0], "places="...), c.Places...)
+	return string(c.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's bytes to b and returns the extended slice, for a
+// caller that only reads the key (the model hashes it into a series seed)
+// and need not allocate it.
+func (c Config) AppendKey(b []byte) []byte {
+	b = append(append(b, "places="...), c.Places...)
 	b = append(append(b, "|bind="...), c.ProcBind...)
 	b = append(append(b, "|sched="...), c.Schedule...)
 	b = append(append(b, "|lib="...), c.Library...)
@@ -231,7 +238,7 @@ func (c Config) Key() string {
 	if c.ThreadLimit != 0 {
 		b = strconv.AppendInt(append(b, "|threadlimit="...), int64(c.ThreadLimit), 10)
 	}
-	return string(b)
+	return b
 }
 
 // String implements fmt.Stringer with the Key representation.

@@ -209,11 +209,215 @@ func avgDist(m *topology.Machine) float64 {
 	return total / (10 * float64(m.NUMANodes))
 }
 
-// series is everything about one (machine, application, configuration,
-// setting) that does not depend on the repetition: the noise-free runtime,
-// the identity seed and the config-persistent noise factor. Evaluate and
-// EvaluateSeries both draw repetitions from it, so there is one noise
-// formula.
+// Bound is one (machine, application, setting) problem with every term of
+// the model that does not read the configuration computed once: the work
+// growth, the Amdahl split, the affinity penalty, the schedule overheads,
+// the bandwidth and fork/join constants, the tasking costs and the noise
+// identity. Series evaluates one configuration of the problem. Evaluate,
+// EvaluateSeries and EvaluateExact bind for their one call, so the model
+// has one formula. Bind makes a Bound (the zero value is not one); it is
+// read-only from then on and safe for concurrent use.
+type Bound struct {
+	m     *topology.Machine
+	p     *Profile
+	scale float64 // the setting's input scale
+	// oneShot marks a binding for a single configuration: the schedule
+	// overheads and the unbound memory factor are then left to exact, which
+	// computes them only for a configuration that uses them.
+	oneShot bool
+
+	threads    int
+	fthreads   float64 // float64(threads)
+	clockAdj   float64
+	serialSec  float64
+	parCPU     float64 // (1 - SerialFrac) * totalCPU
+	scatter    float64
+	affUnbound float64 // 1 + affinity
+	affBound   float64 // affinity * 0.6
+
+	itersTotal   float64
+	schedDynamic float64 // the dynamic schedule's chunk overhead, unless oneShot
+	schedGuided  float64 // the guided schedule's, unless oneShot
+	imbDynamic   float64 // 0.08 * Imbalance
+	imbGuided    float64 // 0.15 * Imbalance
+
+	traffic    float64
+	perCoreBW  float64
+	unboundMem float64 // the unbound memory factor when traffic > 0, unless oneShot
+
+	stages    float64 // log2(threads + 1)
+	forkFixed float64 // forkBaseSec + forkPerThreadSec * threads
+	barStages float64 // barrierStageSec * stages
+	wakeZero  float64 // wake cascade per run at blocktime 0
+	wakeSome  float64 // at a positive blocktime
+
+	task       bool    // the profile spawns explicit tasks
+	tasksIdle  float64 // tasks * TaskIdleFactor
+	idleDiv    float64 // threads^0.7
+	eventSpin  float64 // per idle event at an infinite blocktime
+	eventZero  float64 // at blocktime 0
+	eventYield float64 // at a finite positive blocktime: the yield cost
+	spawn      float64
+
+	nestForks float64 // NestedRegions * grow
+	nestCores float64 // max(1, cores / threads): what an inner team can widen into
+
+	redScale    float64 // ReductionsPerRun * grow
+	redTree     float64
+	redCritical float64
+	redAtomic   float64
+
+	// The noise identity: seed(hash(app), hash(arch)) and hash(label), which
+	// a configuration's key completes into its series seed.
+	prefix uint64
+	label  uint64
+	drift  []float64 // per-run-index multipliers; nil means none
+	repSig float64
+}
+
+// Bind computes the configuration-free terms of app p on machine m at the
+// given setting, for a caller that evaluates many configurations of that
+// problem (a sweep unit, a search).
+func Bind(m *topology.Machine, p *Profile, set Setting) Bound {
+	var b Bound
+	b.bindModel(m, p, set, false)
+	b.bindNoise(set)
+	return b
+}
+
+// bindModel computes the noise-free terms into the zero b. A oneShot
+// binding skips the terms only some configurations read (see
+// Bound.oneShot); every other term is computed under the same profile
+// conditions the model applies.
+func (b *Bound) bindModel(m *topology.Machine, p *Profile, set Setting, oneShot bool) {
+	threads := set.Threads
+	if threads < 1 {
+		threads = 1
+	}
+	ft := float64(threads)
+	grow := math.Pow(set.Scale, p.WorkGrowth)
+	clockAdj := 2.4 / m.ClockGHz
+	b.m, b.p, b.scale, b.oneShot = m, p, set.Scale, oneShot
+	b.threads, b.fthreads, b.clockAdj = threads, ft, clockAdj
+	b.scatter = lookup(osScatter, m.Arch, 0.10)
+
+	// --- CPU work (Amdahl + affinity). ------------------------------------
+	coreRate := m.ClockGHz * 1e9 * p.ipc(m.Arch)
+	totalCPU := p.CPUWorkGOps * 1e9 * grow / coreRate
+	b.serialSec = p.SerialFrac * totalCPU
+	b.parCPU = (1 - p.SerialFrac) * totalCPU
+	// Migrations cost warm cache state. For loop-parallel codes they
+	// mostly happen while idle cores exist, so the penalty scales with the
+	// unused fraction of the machine (a fully loaded machine gives the OS
+	// nowhere to go). Task-parallel codes move work through stealing
+	// regardless, so a flat fraction always applies. Bound teams keep a
+	// residue proportional to their place width: threads still wander
+	// within a socket-sized place, but not within a single-core one.
+	idleFrac := 0.3
+	if p.Class == LoopParallel {
+		util := ft / float64(m.Cores)
+		idleFrac = math.Max(0.03, 1.03-util)
+	}
+	affinity := b.scatter * p.CacheSens * lookup(cacheTerm, m.Arch, 0.5) * idleFrac
+	b.affUnbound, b.affBound = 1+float64(affinity), affinity*0.6
+
+	// --- Worksharing schedule: chunk overhead. ----------------------------
+	b.itersTotal = p.ItersPerRegion * p.Regions * grow
+	if !oneShot {
+		b.schedDynamic, b.schedGuided = b.dynamicOver(), b.guidedOver()
+	}
+	b.imbDynamic, b.imbGuided = 0.08*p.Imbalance, 0.15*p.Imbalance
+
+	// --- Memory. -----------------------------------------------------------
+	b.traffic = p.MemTrafficGB * grow
+	if b.traffic > 0 {
+		b.perCoreBW = 2.2 * m.MemBWGBs / float64(m.Cores)
+		if !oneShot {
+			b.unboundMem = b.unboundMemFactor()
+		}
+	}
+
+	// --- Fork/join, barriers, and the wait policy. ------------------------
+	b.stages = math.Log2(ft + 1)
+	b.forkFixed = forkBaseSec + float64(forkPerThreadSec*ft)
+	b.barStages = barrierStageSec * b.stages
+	// Workers sleep between every region at blocktime 0, so each fork pays
+	// a wake cascade; back-to-back regions rarely exceed a positive budget,
+	// and only a small fraction of forks still find sleeping workers.
+	b.wakeZero = p.Regions * m.WakeupMicros * 1e-6 * (1 + b.stages)
+	b.wakeSome = 0.02 * p.Regions * m.WakeupMicros * 1e-6 * (1 + b.stages)
+
+	// --- Explicit tasking: spawn cost and idle-event cost. ----------------
+	if b.task = p.Class == TaskParallel && p.Tasks > 0; b.task {
+		tasks := p.Tasks * grow
+		yield := lookup(yieldEventCost, m.Arch, 1.0e-6)
+		b.eventSpin = spinEventSec * clockAdj
+		b.eventZero = float64(0.25*m.WakeupMicros*1e-6) + float64(0.75*yield)
+		b.eventYield = yield
+		// Idle events sit on task critical paths, so they only partially
+		// parallelize away (empirically ~threads^0.7); spawn overhead is
+		// embarrassingly parallel.
+		b.tasksIdle = tasks * p.TaskIdleFactor
+		b.idleDiv = math.Pow(ft, 0.7)
+		b.spawn = tasks * taskSpawnSec * clockAdj / ft
+	}
+
+	// --- Nested parallelism and reductions. --------------------------------
+	if p.NestedRegions > 0 {
+		b.nestForks = p.NestedRegions * grow
+		b.nestCores = math.Max(1, float64(m.Cores)/ft)
+	}
+	if p.ReductionsPerRun > 0 {
+		sockets := float64(m.Sockets)
+		b.redScale = p.ReductionsPerRun * grow
+		b.redTree = math.Ceil(b.stages) * treeStageSec
+		b.redCritical = ft * critHandoffSec * (1 + float64(0.4*(sockets-1)))
+		b.redAtomic = ft * atomicOpSec * (1 + float64(0.6*(sockets-1)))
+	}
+}
+
+// bindNoise computes the noise identity of the bound problem.
+func (b *Bound) bindNoise(set Setting) {
+	b.prefix = seed(hashString(b.p.Name), hashString(string(b.m.Arch)))
+	b.label = hashString(set.Label)
+	b.drift = runDrift[string(b.m.Arch)]
+	b.repSig = repSigma(string(b.m.Arch))
+}
+
+// dynamicOver is the dynamic schedule's chunk overhead: one shared-counter
+// grab per iteration, contended by the team.
+func (b *Bound) dynamicOver() float64 {
+	contention := 1 + float64(b.fthreads/64)
+	return b.itersTotal * chunkDispatchSec * b.clockAdj * contention / b.fthreads
+}
+
+// guidedOver is the guided schedule's chunk overhead: chunks shrink
+// geometrically, so their count grows with the log of the trip count.
+func (b *Bound) guidedOver() float64 {
+	p, ft := b.p, b.fthreads
+	chunks := p.Regions * 2 * ft * math.Log(p.ItersPerRegion/ft+2)
+	return chunks * chunkDispatchSec * b.clockAdj / ft
+}
+
+// unboundMemFactor is the memory-time factor of an unbound team. Migrated
+// threads lose first-touch locality: remote latency plus concentration of
+// traffic away from the data's home nodes. The effect grows with the input:
+// small problems live in cache, big ones expose the full page-placement
+// damage.
+func (b *Bound) unboundMemFactor() float64 {
+	m, p := b.m, b.p
+	firstTouchLoss := float64((1 - 1/float64(m.NUMANodes)) * 0.8)
+	sizeFactor := 1.0
+	if p.MemSizeExp > 0 {
+		sizeFactor = math.Min(1.2, math.Pow(b.scale/2.5, p.MemSizeExp))
+	}
+	return 1 + float64(b.scatter*sizeFactor*p.MemSens*((avgDist(m)-1)+firstTouchLoss))
+}
+
+// series is everything about one configuration of a bound problem that does
+// not depend on the repetition: the noise-free runtime, the identity seed
+// and the config-persistent noise factor. Every evaluation draws its
+// repetitions from it, so there is one noise formula.
 type series struct {
 	exact   float64
 	base    uint64
@@ -222,17 +426,16 @@ type series struct {
 	repSig  float64
 }
 
-// newSeries does the per-configuration work once. key must be cfg.Key();
-// callers that already hold it (the sweep's key table, a search probe) pass
-// it in rather than have it rebuilt.
-func newSeries(m *topology.Machine, p *Profile, cfg env.Config, key string, set Setting) series {
-	base := seed(hashString(p.Name), hashString(string(m.Arch)), hashString(key), hashString(set.Label))
+// series does the per-configuration work once. keyHash must be
+// hashString(cfg.Key()).
+func (b *Bound) series(cfg *env.Config, keyHash uint64) series {
+	base := splitmix64(splitmix64(b.prefix^keyHash) ^ b.label)
 	return series{
-		exact:   EvaluateExact(m, p, cfg, set),
+		exact:   b.exact(cfg),
 		base:    base,
-		persist: 1 + m.NoiseSigma*gauss(base),
-		drift:   runDrift[string(m.Arch)],
-		repSig:  repSigma(string(m.Arch)),
+		persist: 1 + float64(b.m.NoiseSigma*gauss(base)),
+		drift:   b.drift,
+		repSig:  b.repSig,
 	}
 }
 
@@ -244,148 +447,130 @@ func (s series) at(rep int) float64 {
 	if s.drift != nil {
 		drift = s.drift[rep%Reps]
 	}
-	t := quantize(s.exact * (drift * s.persist * (1 + s.repSig*gauss(seed(s.base, uint64(rep))))))
+	t := quantize(s.exact * (drift * s.persist * (1 + float64(s.repSig*gauss(seed(s.base, uint64(rep)))))))
 	if t < 0.001 {
 		t = 0.001
 	}
 	return t
 }
 
-// Evaluate returns the simulated runtime, in seconds, of application p on
-// machine m under configuration cfg at the given setting, for repetition
-// rep in [0, Reps). The result is deterministic in its arguments.
-func Evaluate(m *topology.Machine, p *Profile, cfg env.Config, set Setting, rep int) float64 {
-	return newSeries(m, p, cfg, cfg.Key(), set).at(rep)
-}
-
-// EvaluateSeries returns Evaluate for every repetition, bit for bit, doing
-// the repetition-independent work (the model, the key hash, the persistent
-// noise) once instead of Reps times. key must be cfg.Key().
-func EvaluateSeries(m *topology.Machine, p *Profile, cfg env.Config, key string, set Setting) (out [Reps]float64) {
-	s := newSeries(m, p, cfg, key, set)
+// Series returns the Reps runtimes, in seconds, of configuration cfg of the
+// bound problem; key must be cfg.Key(). Slot rep is Evaluate's repetition
+// rep, bit for bit.
+func (b *Bound) Series(cfg env.Config, key string) (out [Reps]float64) {
+	s := b.series(&cfg, hashString(key))
 	for rep := range out {
 		out[rep] = s.at(rep)
 	}
 	return out
 }
 
+// Evaluate returns the simulated runtime, in seconds, of application p on
+// machine m under configuration cfg at the given setting, for repetition
+// rep in [0, Reps). The result is deterministic in its arguments.
+func Evaluate(m *topology.Machine, p *Profile, cfg env.Config, set Setting, rep int) float64 {
+	var b Bound
+	b.bindModel(m, p, set, true)
+	b.bindNoise(set)
+	var key [192]byte // as in env.Config.Key: the key is hashed, not kept
+	return b.series(&cfg, hashString(cfg.AppendKey(key[:0]))).at(rep)
+}
+
+// EvaluateSeries returns Evaluate for every repetition, bit for bit, doing
+// the repetition-independent work (the model, the key hash, the persistent
+// noise) once instead of Reps times. key must be cfg.Key().
+func EvaluateSeries(m *topology.Machine, p *Profile, cfg env.Config, key string, set Setting) [Reps]float64 {
+	var b Bound
+	b.bindModel(m, p, set, true)
+	b.bindNoise(set)
+	return b.Series(cfg, key)
+}
+
 // EvaluateExact is Evaluate without measurement noise, drift or
 // quantization: the model's "true" runtime, used by tests and the
 // autotuning example.
 func EvaluateExact(m *topology.Machine, p *Profile, cfg env.Config, set Setting) float64 {
-	threads := set.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	grow := math.Pow(set.Scale, p.WorkGrowth)
-	clockAdj := 2.4 / m.ClockGHz
-	pl := placement(m, cfg, threads)
-	scatter := lookup(osScatter, m.Arch, 0.10)
+	var b Bound
+	b.bindModel(m, p, set, true)
+	return b.exact(&cfg)
+}
 
-	// --- CPU work (Amdahl + oversubscription + affinity). -----------------
-	coreRate := m.ClockGHz * 1e9 * p.ipc(m.Arch)
-	totalCPU := p.CPUWorkGOps * 1e9 * grow / coreRate
-	serialSec := p.SerialFrac * totalCPU
-	effThreads := float64(threads) / pl.oversub
-	cpuSec := (1 - p.SerialFrac) * totalCPU / effThreads
-	// Migrations cost warm cache state. For loop-parallel codes they
-	// mostly happen while idle cores exist, so the penalty scales with the
-	// unused fraction of the machine (a fully loaded machine gives the OS
-	// nowhere to go). Task-parallel codes move work through stealing
-	// regardless, so a flat fraction always applies. Bound teams keep a
-	// residue proportional to their place width: threads still wander
-	// within a socket-sized place, but not within a single-core one.
-	idleFrac := 0.3
-	if p.Class == LoopParallel {
-		util := float64(threads) / float64(m.Cores)
-		idleFrac = math.Max(0.03, 1.03-util)
-	}
-	affinity := scatter * p.CacheSens * lookup(cacheTerm, m.Arch, 0.5) * idleFrac
+// exact is the noise-free runtime of configuration cfg of the bound
+// problem: the terms that read the configuration, over the bound ones.
+func (b *Bound) exact(cfg *env.Config) float64 {
+	m, p, threads := b.m, b.p, b.threads
+	pl := placement(m, *cfg, threads)
+
+	// --- CPU work: oversubscription and affinity. -------------------------
+	effThreads := b.fthreads / pl.oversub
+	cpuSec := b.parCPU / effThreads
 	if pl.unbound {
-		cpuSec *= 1 + affinity
+		cpuSec *= b.affUnbound
 	} else {
-		cpuSec *= 1 + affinity*0.6*pl.spanFrac
+		cpuSec *= 1 + float64(b.affBound*pl.spanFrac)
 	}
 
 	// --- Worksharing schedule: chunk overhead and residual imbalance. -----
-	itersTotal := p.ItersPerRegion * p.Regions * grow
 	imbalance, schedOver := 0.0, 0.0
 	switch cfg.Schedule {
 	case env.ScheduleStatic, env.ScheduleAuto: // LLVM resolves auto to static
 		imbalance = p.Imbalance * cpuSec
 	case env.ScheduleDynamic:
-		contention := 1 + float64(threads)/64
-		schedOver = itersTotal * chunkDispatchSec * clockAdj * contention / float64(threads)
-		imbalance = 0.08 * p.Imbalance * cpuSec
+		if schedOver = b.schedDynamic; b.oneShot {
+			schedOver = b.dynamicOver()
+		}
+		imbalance = b.imbDynamic * cpuSec
 	case env.ScheduleGuided:
-		chunks := p.Regions * 2 * float64(threads) * math.Log(p.ItersPerRegion/float64(threads)+2)
-		schedOver = chunks * chunkDispatchSec * clockAdj / float64(threads)
-		imbalance = 0.15 * p.Imbalance * cpuSec
+		if schedOver = b.schedGuided; b.oneShot {
+			schedOver = b.guidedOver()
+		}
+		imbalance = b.imbGuided * cpuSec
 	}
 
 	// --- Memory (bandwidth share, latency locality). ----------------------
-	traffic := p.MemTrafficGB * grow
 	memSec := 0.0
-	if traffic > 0 {
+	if b.traffic > 0 {
 		bwShare := 1.0
 		if !pl.unbound {
 			bwShare = float64(pl.nodesUsed) / float64(m.NUMANodes)
 		}
-		perCoreBW := 2.2 * m.MemBWGBs / float64(m.Cores)
-		effBW := math.Min(m.MemBWGBs*bwShare, perCoreBW*effThreads)
-		memSec = traffic / effBW
+		effBW := math.Min(m.MemBWGBs*bwShare, b.perCoreBW*effThreads)
+		memSec = b.traffic / effBW
 		if pl.unbound {
-			// Migrated threads lose first-touch locality: remote latency plus
-			// concentration of traffic away from the data's home nodes. The
-			// effect grows with the input: small problems live in cache, big
-			// ones expose the full page-placement damage.
-			firstTouchLoss := (1 - 1/float64(m.NUMANodes)) * 0.8
-			sizeFactor := 1.0
-			if p.MemSizeExp > 0 {
-				sizeFactor = math.Min(1.2, math.Pow(set.Scale/2.5, p.MemSizeExp))
+			f := b.unboundMem
+			if b.oneShot {
+				f = b.unboundMemFactor()
 			}
-			memSec *= 1 + scatter*sizeFactor*p.MemSens*((avgDist(m)-1)+firstTouchLoss)
+			memSec *= f
 		}
 	}
 
 	// --- Fork/join, barriers, and the wait policy. ------------------------
-	stages := math.Log2(float64(threads) + 1)
 	af := alignFactor(m, cfg.AlignAlloc)
-	barrierAdj := 1 + (af-1)*0.5 // runtime flags share the same allocator
-	forkSec := p.Regions * (forkBaseSec + forkPerThreadSec*float64(threads) +
-		barrierStageSec*stages*barrierAdj) * clockAdj
+	barrierAdj := 1 + float64((af-1)*0.5) // runtime flags share the same allocator
+	forkSec := float64(p.Regions * (b.forkFixed + float64(b.barStages*barrierAdj)) * b.clockAdj)
 
+	bt := cfg.EffectiveBlocktimeMS()
 	wakeSec := 0.0
-	switch bt := cfg.EffectiveBlocktimeMS(); {
+	switch {
 	case bt == 0:
-		// Workers sleep between every region; each fork pays a wake cascade.
-		wakeSec = p.Regions * m.WakeupMicros * 1e-6 * (1 + stages)
+		wakeSec = b.wakeZero
 	case bt > 0:
-		// Back-to-back regions rarely exceed the 200 ms budget; a small
-		// fraction of forks still find sleeping workers.
-		wakeSec = 0.02 * p.Regions * m.WakeupMicros * 1e-6 * (1 + stages)
+		wakeSec = b.wakeSome
 	}
 
 	// --- Explicit tasking: spawn cost and idle-event cost. ----------------
 	taskSec := 0.0
-	if p.Class == TaskParallel && p.Tasks > 0 {
-		tasks := p.Tasks * grow
-		yield := lookup(yieldEventCost, m.Arch, 1.0e-6)
-		var perEvent float64
-		switch bt := cfg.EffectiveBlocktimeMS(); {
-		case bt == env.BlocktimeInfinite:
-			perEvent = spinEventSec * clockAdj
-		case bt == 0:
-			perEvent = 0.25*m.WakeupMicros*1e-6 + 0.75*yield
-		default:
-			perEvent = yield
+	if b.task {
+		perEvent := b.eventYield
+		switch bt {
+		case env.BlocktimeInfinite:
+			perEvent = b.eventSpin
+		case 0:
+			perEvent = b.eventZero
 		}
-		// Idle events sit on task critical paths, so they only partially
-		// parallelize away (empirically ~threads^0.7); spawn overhead is
-		// embarrassingly parallel.
-		idle := tasks * p.TaskIdleFactor * perEvent / math.Pow(float64(threads), 0.7)
-		spawn := tasks * taskSpawnSec * clockAdj / float64(threads)
-		taskSec = (idle + spawn) * pl.oversub
+		idle := b.tasksIdle * perEvent / b.idleDiv
+		taskSec = (idle + b.spawn) * pl.oversub
 	}
 
 	// --- Nested parallelism. ----------------------------------------------
@@ -393,38 +578,36 @@ func EvaluateExact(m *topology.Machine, p *Profile, cfg env.Config, set Setting)
 	// term entirely, so pre-nesting sweeps evaluate byte-identically.
 	nestSec := 0.0
 	if p.NestedRegions > 0 {
-		innerW := nestedInnerWidth(cfg, threads)
-		forks := p.NestedRegions * grow
+		innerW := nestedInnerWidth(*cfg, threads)
 		// Each outer thread forks its own inner regions concurrently, so the
 		// per-fork cost (base + per-inner-thread + inner join barrier)
 		// amortizes across the outer team.
 		innerStages := math.Log2(innerW + 1)
-		nestSec = forks * (forkBaseSec + forkPerThreadSec*innerW +
-			barrierStageSec*innerStages*barrierAdj) * clockAdj / float64(threads)
+		nestSec = b.nestForks * (forkBaseSec + float64(forkPerThreadSec*innerW) +
+			float64(barrierStageSec*innerStages*barrierAdj)) * b.clockAdj / b.fthreads
 		// The nested share of the parallel work speeds up by the inner width,
 		// but only idle cores can carry it: with the outer team already
 		// filling the machine, wider inner teams just oversubscribe.
-		innerSpeed := math.Min(innerW, math.Max(1, float64(m.Cores)/float64(threads)))
-		nestSec += cpuSec * p.NestedFrac * (1/innerSpeed - 1)
+		innerSpeed := math.Min(innerW, b.nestCores)
+		nestSec += float64(cpuSec * p.NestedFrac * (1/innerSpeed - 1))
 	}
 
 	// --- Reductions. -------------------------------------------------------
 	redSec := 0.0
 	if p.ReductionsPerRun > 0 {
 		var perRed float64
-		sockets := float64(m.Sockets)
 		switch cfg.EffectiveReduction(threads) {
 		case env.ReductionTree:
-			perRed = math.Ceil(math.Log2(float64(threads)+1)) * treeStageSec
+			perRed = b.redTree
 		case env.ReductionCritical:
-			perRed = float64(threads) * critHandoffSec * (1 + 0.4*(sockets-1))
+			perRed = b.redCritical
 		case env.ReductionAtomic:
-			perRed = float64(threads) * atomicOpSec * (1 + 0.6*(sockets-1))
+			perRed = b.redAtomic
 		}
-		redSec = p.ReductionsPerRun * grow * perRed * clockAdj * af
+		redSec = b.redScale * perRed * b.clockAdj * af
 	}
 
-	return serialSec + cpuSec + imbalance + schedOver + memSec + forkSec + wakeSec + taskSec + redSec + nestSec
+	return b.serialSec + cpuSec + imbalance + schedOver + memSec + forkSec + wakeSec + taskSec + redSec + nestSec
 }
 
 // nestedInnerWidth resolves the inner-team width a configuration grants a

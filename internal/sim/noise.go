@@ -29,8 +29,9 @@ func splitmix64(x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// hashString folds a string into a 64-bit seed (FNV-1a then scrambled).
-func hashString(s string) uint64 {
+// hashString folds a string, or the bytes of one, into a 64-bit seed
+// (FNV-1a then scrambled).
+func hashString[T string | []byte](s T) uint64 {
 	var h uint64 = 0xcbf29ce484222325
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

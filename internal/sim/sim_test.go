@@ -290,10 +290,10 @@ func TestRNGHelpers(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g := gauss(splitmix64(uint64(i)))
 		sum += g
-		sum2 += g * g
+		sum2 += float64(g * g)
 	}
 	mean := sum / float64(n)
-	variance := sum2/float64(n) - mean*mean
+	variance := sum2/float64(n) - float64(mean*mean)
 	if math.Abs(mean) > 0.05 {
 		t.Errorf("gauss mean %v, want ~0", mean)
 	}

@@ -131,6 +131,41 @@ func TestTaskWaitOnlyWaitsDirectChildren(t *testing.T) {
 	}
 }
 
+// TestTopLevelTaskWaitIgnoresTeammatesTasks: each thread runs its own
+// implicit task, so a TaskWait outside any explicit task waits for the
+// calling thread's children only. Thread 0 spawns a task that blocks until
+// thread 1's TaskWait returns; thread 1 has no children, so its TaskWait must
+// return at once. Were the implicit task shared by the team, the two would
+// wait on each other: the task gives up after a timeout and releases the
+// region, so the test fails instead of hanging.
+func TestTopLevelTaskWaitIgnoresTeammatesTasks(t *testing.T) {
+	rt := testRuntime(t, taskOpts(2))
+	var spawned, timedOut atomic.Bool
+	returned := make(chan struct{})
+	rt.Parallel(func(th *Thread) {
+		switch th.ID() {
+		case 0:
+			th.Task(func(*Thread) {
+				select {
+				case <-returned:
+				case <-time.After(10 * time.Second):
+					timedOut.Store(true)
+				}
+			})
+			spawned.Store(true)
+		case 1:
+			for !spawned.Load() {
+				runtime.Gosched()
+			}
+			th.TaskWait()
+			close(returned)
+		}
+	})
+	if timedOut.Load() {
+		t.Fatal("thread 1's TaskWait, with no children of its own, waited for thread 0's task")
+	}
+}
+
 func TestNestedTaskWait(t *testing.T) {
 	rt := testRuntime(t, taskOpts(4))
 	var sum atomic.Int64

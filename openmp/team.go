@@ -74,8 +74,12 @@ type Team struct {
 	// team, whose thread counts on the runtime's misc shard.
 	stats []statShard
 
-	pool     *taskPool
-	rootTask task
+	pool *taskPool
+	// implicit holds one implicit-task descriptor per thread, indexed by
+	// thread id: a task spawned outside any explicit task is a child of its
+	// spawning thread's, so a top-level TaskWait waits for that thread's
+	// children only, never for its teammates' (OpenMP's binding rule).
+	implicit []task
 
 	// stealOrder[i] is thread i's victim scan order, sorted by the NUMA
 	// distance from i's bound place (ring order within a distance class);
@@ -101,12 +105,13 @@ type Team struct {
 // level, and a second producer on it is forbidden).
 func newTeam(rt *Runtime, parent *Thread, n int, transient bool) *Team {
 	tm := &Team{
-		rt:      rt,
-		n:       n,
-		parent:  parent,
-		threads: make([]Thread, n),
-		pool:    newTaskPool(n),
-		tree:    treeBuffer(rt.opts, n),
+		rt:       rt,
+		n:        n,
+		parent:   parent,
+		threads:  make([]Thread, n),
+		pool:     newTaskPool(n),
+		implicit: make([]task, n),
+		tree:     treeBuffer(rt.opts, n),
 	}
 	switch {
 	case transient:
@@ -274,7 +279,7 @@ func buildStealOrder(placement []int, dist [][]float64, n int) ([][]int32, [][]b
 // has finished the region.
 func (tm *Team) run(tid int) {
 	th := &tm.threads[tid]
-	th.curTask = &tm.rootTask
+	th.curTask = &tm.implicit[tid]
 	th.regionID = tm.regionID
 	// th.seq is deliberately NOT reset: construct sequence numbers stay
 	// unique for the team's lifetime, which the construct ring's slot
