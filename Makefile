@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race flake fuzz bench verify
+.PHONY: build test vet race flake fuzz bench bench-record verify
 
 # build also compiles and vets the benchmark/ module against this checkout:
 # it has its own go.mod, so `go build ./...` alone never sees a facade or
@@ -10,8 +10,8 @@ GO ?= go
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
-# arm64 fuses x*y+z into one rounding where amd64 rounds twice, so a fused product in internal/ml or internal/sim would move its bits by GOARCH: write float64(x*y).
-	@for pkg in ./internal/ml ./internal/sim; do \
+# arm64 fuses x*y+z into one rounding where amd64 rounds twice, so a fused product in internal/ml, internal/sim or internal/stats would move its bits by GOARCH: write float64(x*y).
+	@for pkg in ./internal/ml ./internal/sim ./internal/stats; do \
 		asm=$$(GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S $$pkg 2>&1) || { echo "$$asm" >&2; exit 1; }; \
 		! echo "$$asm" | grep -E '\bFN?M(ADD|SUB)D\b' || exit 1; \
 	done
@@ -88,6 +88,28 @@ BENCH ?= .
 bench:
 	$(GO) test ./openmp -run '^$$' -bench '$(BENCH)' -benchtime=300ms -count=5 -benchmem
 	$(GO) test . ./internal/core ./internal/sim ./internal/ml ./internal/dataset -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|Search|Evaluate|BoundSeries|FitLogistic|FitRegForest|WriteCSV|ReadCSV|WriteReport' -benchtime=300ms -count=5 -benchmem
+
+# bench-record runs one untraced 20 s pass of a benchmark workload and appends
+# one JSON line to BENCH_<workload>.json (OUT overrides the file): the workload
+# and seed, the commit measured and its parent, the benchmark's host line and
+# its result object, also when a check failed (correct: false). A tree with uncommitted changes (BENCH_*.json aside) is
+# recorded as commit <HEAD>-dirty with parent <HEAD>. Alternate parent and
+# change runs on one box, e.g. from a clone of the parent:
+#   make -f $$REPO/Makefile bench-record W=paper_pipeline SEED=1 OUT=$$REPO/BENCH_paper_pipeline.json
+W ?= paper_pipeline
+SEED ?= 1
+OUT ?= BENCH_$(W).json
+bench-record:
+	@set -e; out=$$(bash benchmark/run.sh --workload $(W) --seed $(SEED) --seconds 20 --trace 0) || true; \
+	case "$$(echo "$$out" | tail -n 1)" in "{"*) ;; *) echo "bench-record: no result object" >&2; exit 1;; esac; \
+	head=$$(git rev-parse --short=12 HEAD); \
+	if [ -n "$$(git status --porcelain -- . ':!BENCH_*.json')" ]; then commit=$$head-dirty; parent=$$head; \
+	else commit=$$head; parent=$$(git rev-parse --short=12 HEAD^); fi; \
+	host=$$(echo "$$out" | awk '$$1 == "host" { for (i = 2; i <= NF; i++) { split($$i, kv, "="); \
+		v = kv[2] ~ /^[0-9.]+$$/ && kv[1] != "commit" ? kv[2] : "\"" kv[2] "\""; printf "%s\"%s\":%s", (i > 2 ? "," : ""), kv[1], v } }'); \
+	printf '{"workload":"%s","seed":%s,"date":"%s","commit":"%s","parent":"%s","host":{%s},"result":%s}\n' \
+		$(W) $(SEED) "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" $$commit $$parent "$$host" "$$(echo "$$out" | tail -n 1)" >> $(OUT); \
+	tail -n 1 $(OUT)
 
 # verify is the pre-merge gate (build, reached through test, includes the
 # benchmark/ module; the measured, live-monitor and variability smokes are Go

@@ -197,7 +197,7 @@ func calibrationSetting(app *apps.App, m *topology.Machine) sim.Setting {
 
 // calibrationSubspace deterministically ranks the non-default configurations
 // by hash and keeps the n−1 lowest, with the default always first. The hash
-// keying mirrors the sweep's sampling rule (keepKey) so different apps
+// keying mirrors the sweep's sampling rule (keepHash) so different apps
 // exercise different corners of the space.
 func calibrationSubspace(appName string, arch topology.Arch, setting string, t *configTable, n int, seed uint64) []env.Config {
 	type ranked struct {

@@ -72,8 +72,8 @@ func withoutDefault(u *sweepUnit) *sweepUnit {
 		}
 	}
 	broken := *u
-	broken.configTable = newConfigTable(filtered, u.defCfg)
-	broken.sample()
+	broken.configTable, broken.kept = newConfigTable(filtered, u.defCfg), nil
+	sampleUnits([]*sweepUnit{&broken})
 	return &broken
 }
 

@@ -83,7 +83,7 @@ type SweepConfig struct {
 	Monitor *Monitor
 }
 
-// DefaultFractions yields, with the sampling rule of keepKey, dataset
+// DefaultFractions yields, with the sampling rule of keepHash, dataset
 // sizes matching Table II: ~53.8k on A64FX, ~99.7k on Milan, ~90.2k on
 // Skylake. (The paper's counts are what survived its data cleaning; the
 // fraction plays that role here.)
@@ -126,11 +126,12 @@ func samplePrefix(appName string, arch topology.Arch, setting string) uint64 {
 	return fnv1a(fnv1a(h, setting), "|")
 }
 
-// keepKey deterministically decides whether the configuration with the given
-// Key() is part of the sampled sweep of the unit with the given prefix: the
-// hash of "app|arch|setting|key", mapped to [0, 1), falls below frac.
-func keepKey(prefix uint64, key string, frac float64) bool {
-	return frac >= 1 || float64(fnvFinish(fnv1a(prefix, key))>>11)/(1<<53) < frac
+// keepHash reports whether the configuration whose sampling hash state is h
+// (the unit's prefix continued over the configuration's Key()) is part of
+// the sampled sweep: the hash of "app|arch|setting|key", mapped to [0, 1),
+// falls below frac.
+func keepHash(h uint64, frac float64) bool {
+	return frac >= 1 || float64(fnvFinish(h)>>11)/(1<<53) < frac
 }
 
 // sweepUnit is one (arch, app, setting) batch — the unit of parallelism and
@@ -153,18 +154,37 @@ func (u *sweepUnit) key() string {
 	return string(u.arch) + "/" + u.app.Name + "/" + u.set.Label
 }
 
-// sample applies the deterministic sampling rule to the unit's table without
-// evaluating anything: the plan knows every unit's exact sample set, hence
-// exact progress totals, up front, and evalUnit walks only what is kept.
-func (u *sweepUnit) sample() {
-	prefix := samplePrefix(u.app.Name, u.arch, u.set.Label)
-	var kept []int32
-	for i, key := range u.keys {
-		if i == u.defIdx || keepKey(prefix, key, u.frac) {
-			kept = append(kept, int32(i))
+// sampleUnits applies the deterministic sampling rule to units that share
+// one table, without evaluating anything: the plan knows every unit's exact
+// sample set, hence exact progress totals, up front, and evalUnit walks only
+// what is kept. FNV-1a is one dependent xor-and-multiply per byte, so the
+// units go four at a time, their four chains advancing together over each
+// key's bytes; every chain takes the steps it would alone.
+func sampleUnits(units []*sweepUnit) {
+	const prime = 0x100000001b3
+	for ; len(units) > 0; units = units[min(4, len(units)):] {
+		g := units[:min(4, len(units))]
+		var h [4]uint64
+		for j, u := range g {
+			h[j] = samplePrefix(u.app.Name, u.arch, u.set.Label)
+		}
+		for i, key := range g[0].keys {
+			a, b, c, d := h[0], h[1], h[2], h[3]
+			for k := 0; k < len(key); k++ {
+				x := uint64(key[k])
+				a, b, c, d = (a^x)*prime, (b^x)*prime, (c^x)*prime, (d^x)*prime
+			}
+			states := [4]uint64{a, b, c, d}
+			for j, u := range g {
+				if i == u.defIdx || keepHash(states[j], u.frac) {
+					u.kept = append(u.kept, int32(i))
+				}
+			}
+		}
+		for _, u := range g {
+			u.cfgCount = len(u.kept)
 		}
 	}
-	u.kept, u.cfgCount = kept, len(kept)
 }
 
 // planUnits enumerates the campaign deterministically (arch → app →
@@ -213,6 +233,7 @@ func planUnits(sc SweepConfig) ([]*sweepUnit, error) {
 		} else {
 			table = machineTable(m)
 		}
+		first := len(units)
 		for _, app := range appList {
 			settings := app.Settings(m)
 			if sc.Extended && !app.VariesInput {
@@ -223,10 +244,10 @@ func planUnits(sc SweepConfig) ([]*sweepUnit, error) {
 					index: len(units), arch: arch, m: m, app: app, set: set,
 					frac: frac, configTable: table,
 				}
-				u.sample()
 				units = append(units, u)
 			}
 		}
+		sampleUnits(units[first:])
 	}
 	return units, nil
 }

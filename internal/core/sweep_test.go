@@ -14,7 +14,7 @@ import (
 // keepConfig is the sampling rule as the plan applies it, for one
 // configuration: the unit's prefix state continued over the config's key.
 func keepConfig(appName string, arch topology.Arch, setting string, cfg env.Config, frac float64) bool {
-	return keepKey(samplePrefix(appName, arch, setting), cfg.Key(), frac)
+	return keepHash(fnv1a(samplePrefix(appName, arch, setting), cfg.Key()), frac)
 }
 
 func TestKeepConfigDeterministicAndProportional(t *testing.T) {

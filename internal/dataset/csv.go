@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"encoding/binary"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -106,7 +105,7 @@ func floatCol(name string, g colGroup, field func(*Sample) *float64) column {
 
 // cfgCols are the configuration columns of the variables vars, one each,
 // named by the variable in lower case: written as the configuration's value
-// of it, read back as the environment entry "VARIABLE=cell" for env.Parse.
+// of it, read back as the assignment of the cell to it (see finish).
 func cfgCols(g colGroup, vars []env.VarName) []column {
 	cols := make([]column, len(vars))
 	for i, v := range vars {
@@ -250,6 +249,8 @@ func resolveHeader(header []string) ([]*column, error) {
 // one CSVReader, parse each configuration once, not once per setting. A
 // CSVReader is not safe for concurrent use.
 type CSVReader struct {
+	rec recordReader
+
 	// The row being read: its sample, its configuration cells (which parse
 	// only with the row's machine) and how many of the three provenance
 	// cells are set.
@@ -259,12 +260,14 @@ type CSVReader struct {
 
 	key     []byte // the row's machine and configuration cells, the configs key
 	configs map[string]env.Config
+	assign  []env.Assignment // a first-seen configuration's interned cells
 	strs    map[string]string
 	block   []Sample
 	carved  int
 }
 
 // cfgCell is one configuration cell: the variable cfgVars[k], as written.
+// The cell is a view of the record, like every cell a column reads.
 type cfgCell struct {
 	k    int
 	cell string
@@ -275,8 +278,9 @@ func NewCSVReader() *CSVReader {
 	return &CSVReader{configs: make(map[string]env.Config), strs: make(map[string]string)}
 }
 
-// intern returns the reader's one copy of cell. The record cell is a view of
-// the whole row, which a sample must not keep alive.
+// intern returns the reader's one copy of cell. The cell is a view of the
+// record, which the next record overwrites: whatever a sample or a
+// configuration keeps goes through here.
 func (p *CSVReader) intern(cell string) string {
 	if s, ok := p.strs[cell]; ok {
 		return s
@@ -313,11 +317,11 @@ func (p *CSVReader) finish() error {
 		if err != nil {
 			return err
 		}
-		environ := make([]string, len(p.cfg))
-		for i, c := range p.cfg {
-			environ[i] = string(cfgVars[c.k]) + "=" + c.cell
+		p.assign = p.assign[:0]
+		for _, c := range p.cfg {
+			p.assign = append(p.assign, env.Assignment{Name: cfgVars[c.k], Value: p.intern(c.cell)})
 		}
-		if cfg, err = env.Parse(m, environ); err != nil {
+		if cfg, err = env.ParseAssignments(m, p.assign); err != nil {
 			return fmt.Errorf("config: %w", err)
 		}
 		p.configs[string(p.key)] = cfg
@@ -340,17 +344,22 @@ func ReadCSV(r io.Reader) (*Dataset, error) { return NewCSVReader().ReadCSV(r) }
 // ReadCSV parses a dataset previously written by WriteCSV, resolving columns
 // by header name. Files without an optional group — every CSV produced before
 // the group existed — read back with its fields unset (Source defaulting to
-// "model"). The rows stream through one reused record. The returned dataset
-// has passed Validate.
+// "model"). The rows stream through one record reader (see recordReader),
+// which rejects what encoding/csv rejects, rows of uneven length included.
+// The returned dataset has passed Validate.
 func (p *CSVReader) ReadCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r) // also rejects rows of uneven length
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	rec := &p.rec
+	rec.reset(r)
+	err := rec.read()
 	if err == io.EOF {
 		return nil, fmt.Errorf("dataset: empty file")
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
+	}
+	header := make([]string, len(rec.ends))
+	for i := range header {
+		header[i] = rec.cell(i)
 	}
 	cols, err := resolveHeader(header)
 	if err != nil {
@@ -358,7 +367,7 @@ func (p *CSVReader) ReadCSV(r io.Reader) (*Dataset, error) {
 	}
 	d := &Dataset{}
 	for ln := 2; ; ln++ {
-		row, err := cr.Read()
+		err := rec.read()
 		if err == io.EOF {
 			break
 		}
@@ -366,8 +375,8 @@ func (p *CSVReader) ReadCSV(r io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: %w", err)
 		}
 		p.next()
-		for i, cell := range row {
-			c := cols[i]
+		for i, c := range cols {
+			cell := rec.cell(i)
 			// A blank nesting or provenance cell means the row has none.
 			if c.read == nil || cell == "" && c.group >= groupNested {
 				continue

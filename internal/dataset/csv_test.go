@@ -77,9 +77,9 @@ func codecDataset(rows, configs int) *Dataset {
 
 // TestCSVCodecAllocs pins the codec's allocations. Writing appends every
 // cell into one buffer and renders each distinct configuration once:
-// nothing per row. Reading streams one reused record (encoding/csv's one
-// string per row), interns the text cells, carves samples from growing
-// blocks and parses each distinct configuration once.
+// nothing per row. Reading splits each record into views of one reused
+// buffer, interns the text cells, carves samples from growing blocks and
+// parses each distinct configuration once: nothing per row either.
 func TestCSVCodecAllocs(t *testing.T) {
 	const rows, configs = 4000, 40
 	ds := codecDataset(rows, configs)
@@ -100,18 +100,26 @@ func TestCSVCodecAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// One record string a row; per distinct configuration one env.Parse
-	// (its environment entries, the key, the map share); the blocks and the
-	// sample slice grow geometrically.
-	if limit := float64(rows + 12*configs + 60); read > limit {
+	// Per distinct configuration its key and a map growth share; the input
+	// buffer, the interned text, and the blocks and the sample slice, which
+	// grow geometrically.
+	if limit := float64(2*configs + 100); read > limit {
 		t.Errorf("ReadCSV of %d rows over %d configurations: %.0f allocations, want <= %.0f", rows, configs, read, limit)
 	}
+}
 
-	// A CSVReader that has read a file finds its configurations parsed and
-	// its text interned when the next file repeats them, as a campaign's
-	// checkpoint segments do, and reads the same samples a fresh one does.
+// TestCSVReaderParsesConfigsOnce: a CSVReader that has read a file finds its
+// configurations parsed and its text interned when the next file repeats
+// them, as a campaign's checkpoint segments do on resume: it parses no
+// configuration again, and reads the same samples a fresh one does. What the
+// first file's samples keep outlives the records that later reads overwrite.
+func TestCSVReaderParsesConfigsOnce(t *testing.T) {
+	const rows, configs = 4000, 400
+	file := regenerate(t, codecDataset(rows, configs))
+	segment := regenerate(t, codecDataset(configs, configs))
 	r := NewCSVReader()
-	if _, err := r.ReadCSV(bytes.NewReader(regenerate(t, codecDataset(configs, configs)))); err != nil {
+	first, err := r.ReadCSV(bytes.NewReader(segment))
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back *Dataset
@@ -121,16 +129,22 @@ func TestCSVCodecAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if limit := float64(rows + 60); again > limit {
-		t.Errorf("ReadCSV of %d rows through a reader that has seen their configurations: %.0f allocations, want <= %.0f", rows, again, limit)
+	// A configuration parsed again would cost at least its key.
+	if limit := 40.0; again > limit {
+		t.Errorf("ReadCSV of %d rows through a reader that has seen their %d configurations: %.0f allocations, want <= %.0f", rows, configs, again, limit)
 	}
-	fresh, err := ReadCSV(bytes.NewReader(file))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fresh.Samples {
-		if *back.Samples[i] != *fresh.Samples[i] {
-			t.Fatalf("sample %d through a used reader:\n%+v\nfresh:\n%+v", i, *back.Samples[i], *fresh.Samples[i])
+	for _, c := range []struct {
+		file []byte
+		got  *Dataset
+	}{{file, back}, {segment, first}} {
+		fresh, err := ReadCSV(bytes.NewReader(c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range fresh.Samples {
+			if *c.got.Samples[i] != *fresh.Samples[i] {
+				t.Fatalf("sample %d through a used reader:\n%+v\nfresh:\n%+v", i, *c.got.Samples[i], *fresh.Samples[i])
+			}
 		}
 	}
 }

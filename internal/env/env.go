@@ -259,21 +259,44 @@ func (c Config) Environ() []string {
 }
 
 // Parse builds a Config from KEY=VALUE pairs (or a process-style environment
-// slice), applying the default rules of Default(m) for absent keys.
+// slice), applying the default rules of Default(m) for absent keys. A
+// malformed entry is reported before any value is read.
 func Parse(m *topology.Machine, environ []string) (Config, error) {
-	c := Default(m)
-	for _, kv := range environ {
+	as := make([]Assignment, len(environ))
+	for i, kv := range environ {
 		key, val, ok := strings.Cut(kv, "=")
 		if !ok {
 			return Config{}, fmt.Errorf("env: malformed entry %q", kv)
 		}
-		row := lookup(VarName(strings.ToUpper(strings.TrimSpace(key))))
+		as[i] = Assignment{VarName(key), val}
+	}
+	return ParseAssignments(m, as)
+}
+
+// An Assignment is one exported variable: its name and its value.
+type Assignment struct {
+	Name  VarName
+	Value string
+}
+
+// ParseAssignments builds a Config from assignments applied in order, with
+// the default rules of Default(m) for absent variables. Names and values are
+// trimmed, names upper-cased and values lower-cased; names the package does
+// not know are ignored, as a real runtime ignores foreign variables. The
+// Config keeps the value strings themselves (Places, ProcBind, …), so a
+// caller passes strings it will not overwrite. Parse is ParseAssignments
+// over KEY=VALUE entries.
+func ParseAssignments(m *topology.Machine, as []Assignment) (Config, error) {
+	c := Default(m)
+	for _, a := range as {
+		row := lookup(VarName(strings.ToUpper(strings.TrimSpace(string(a.Name)))))
 		if row == nil {
-			continue // foreign variables are ignored, as a real runtime would
+			continue
 		}
-		val = strings.TrimSpace(strings.ToLower(val))
+		val := strings.TrimSpace(strings.ToLower(a.Value))
 		// An exported nesting variable must carry a value: its unset spelling
 		// is how Set and Values say "not exported", not something to export.
+		var ok bool
 		if c, ok = row.set(c, val); !ok || row.nested && row.get(c) == row.unset {
 			return Config{}, row.invalid(val)
 		}

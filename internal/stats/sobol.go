@@ -91,7 +91,7 @@ func Sobol(levels []int, f func(idx []int) float64, n int, seed int64) (SobolRes
 	mean /= float64(2 * n)
 	for j := 0; j < n; j++ {
 		da, db := fa[j]-mean, fb[j]-mean
-		m2 += da*da + db*db
+		m2 += float64(da*da) + float64(db*db)
 	}
 	variance := m2 / float64(2*n)
 
@@ -111,9 +111,9 @@ func Sobol(levels []int, f func(idx []int) float64, n int, seed int64) (SobolRes
 			copy(buf, a[j])
 			buf[i] = b[j][i]
 			fab := f(buf)
-			first += fb[j] * (fab - fa[j])
+			first += float64(fb[j] * (fab - fa[j]))
 			d := fa[j] - fab
-			total += d * d
+			total += float64(d * d)
 		}
 		res.First[i] = first / (float64(n) * variance)
 		res.Total[i] = total / (2 * float64(n) * variance)

@@ -22,11 +22,11 @@ func TestSobolIshigami(t *testing.T) {
 		tol   = 0.05
 	)
 	mid := func(idx int) float64 { // midpoint of cell idx in [−π, π]
-		return -math.Pi + (float64(idx)+0.5)*(2*math.Pi/cells)
+		return -math.Pi + float64((float64(idx)+0.5)*(2*math.Pi/cells))
 	}
 	f := func(idx []int) float64 {
 		x1, x2, x3 := mid(idx[0]), mid(idx[1]), mid(idx[2])
-		return math.Sin(x1) + a*math.Sin(x2)*math.Sin(x2) + b*math.Pow(x3, 4)*math.Sin(x1)
+		return math.Sin(x1) + float64(a*math.Sin(x2)*math.Sin(x2)) + float64(b*math.Pow(x3, 4)*math.Sin(x1))
 	}
 
 	res, err := Sobol([]int{cells, cells, cells}, f, n, 1)

@@ -19,7 +19,8 @@ func Mean(xs []float64) float64 {
 	for _, x := range xs {
 		s += x
 	}
-	return s / float64(len(xs))
+	// Inlined with a power-of-two length, the division is a product.
+	return float64(s / float64(len(xs)))
 }
 
 // StdDev returns the population standard deviation of xs.
@@ -31,7 +32,7 @@ func StdDev(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }
@@ -50,13 +51,13 @@ func Quantile(xs []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[len(sorted)-1]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // Median returns the 0.5 quantile.
@@ -138,7 +139,7 @@ func Wilcoxon(a, b []float64) (WilcoxonResult, error) {
 			ranks[k] = avg
 		}
 		t := float64(j - i)
-		tieTerm += t*t*t - t
+		tieTerm += float64(t*t*t) - t
 		i = j
 	}
 	wPlus := 0.0
@@ -148,7 +149,7 @@ func Wilcoxon(a, b []float64) (WilcoxonResult, error) {
 		}
 	}
 	nf := float64(n)
-	mean := nf * (nf + 1) / 4
+	mean := float64(nf * (nf + 1) / 4)
 	variance := nf*(nf+1)*(2*nf+1)/24 - tieTerm/48
 	if variance <= 0 {
 		return WilcoxonResult{Statistic: wPlus, N: n}, ErrDegenerate
@@ -173,7 +174,7 @@ func Wilcoxon(a, b []float64) (WilcoxonResult, error) {
 
 // normalSF is the standard normal survival function 1 - Φ(x).
 func normalSF(x float64) float64 {
-	return 0.5 * math.Erfc(x/math.Sqrt2)
+	return float64(0.5 * math.Erfc(x/math.Sqrt2))
 }
 
 // Violin summarizes a distribution for violin plotting: a kernel density
@@ -201,18 +202,18 @@ func ViolinOf(xs []float64, points int) Violin {
 	}
 	h := 0.9 * sigma * math.Pow(float64(len(xs)), -0.2)
 	if h <= 0 {
-		h = math.Max(1e-9, math.Abs(d.Mean)*0.01+1e-9)
+		h = math.Max(1e-9, float64(math.Abs(d.Mean)*0.01)+1e-9)
 	}
 	v := Violin{Grid: make([]float64, points), Density: make([]float64, points), Desc: d}
 	span := d.Max - d.Min
 	if span == 0 {
 		span = h * 6
 	}
-	lo := d.Min - 0.05*span
+	lo := d.Min - float64(0.05*span)
 	step := (span * 1.1) / float64(points-1)
 	norm := 1 / (float64(len(xs)) * h * math.Sqrt(2*math.Pi))
 	for i := 0; i < points; i++ {
-		g := lo + float64(i)*step
+		g := lo + float64(float64(i)*step)
 		v.Grid[i] = g
 		dens := 0.0
 		for _, x := range xs {
@@ -263,9 +264,9 @@ func Spearman(a, b []float64) float64 {
 	var cov, va, vb float64
 	for i := range ra {
 		da, db := ra[i]-ma, rb[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
+		cov += float64(da * db)
+		va += float64(da * da)
+		vb += float64(db * db)
 	}
 	if va == 0 || vb == 0 {
 		return math.NaN()

@@ -204,7 +204,7 @@ func TestViolinDensityIntegratesToOne(t *testing.T) {
 	}
 	integral := 0.0
 	for i := 1; i < len(v.Grid); i++ {
-		integral += (v.Density[i] + v.Density[i-1]) / 2 * (v.Grid[i] - v.Grid[i-1])
+		integral += float64((v.Density[i] + v.Density[i-1]) / 2 * (v.Grid[i] - v.Grid[i-1]))
 	}
 	if integral < 0.85 || integral > 1.1 {
 		t.Errorf("density integrates to %v, want ~1", integral)

@@ -18,7 +18,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // N returns the number of observations folded in so far.
@@ -54,7 +54,7 @@ func (w *Welford) CIHalfWidth(confidence float64) float64 {
 	if w.n < 2 {
 		return 0
 	}
-	t := TQuantile(0.5+confidence/2, w.n-1)
+	t := TQuantile(0.5+float64(confidence/2), w.n-1)
 	return t * w.StdDev() / math.Sqrt(float64(w.n))
 }
 
@@ -86,15 +86,15 @@ func TQuantile(p float64, df int) float64 {
 		return 2 * d * math.Sqrt(2/(4*p*(1-p)))
 	}
 	// Cornish-Fisher expansion as the Newton starting point.
-	z := math.Sqrt2 * math.Erfinv(2*p-1)
+	z := float64(math.Sqrt2 * math.Erfinv(2*p-1))
 	v := float64(df)
-	z3 := z * z * z
-	z5 := z3 * z * z
-	z7 := z5 * z * z
+	z3 := float64(z * z * z)
+	z5 := float64(z3 * z * z)
+	z7 := float64(z5 * z * z)
 	t := z +
 		(z3+z)/(4*v) +
-		(5*z5+16*z3+3*z)/(96*v*v) +
-		(3*z7+19*z5+17*z3-15*z)/(384*v*v*v)
+		(float64(5*z5)+float64(16*z3)+float64(3*z))/(96*v*v) +
+		(float64(3*z7)+float64(19*z5)+float64(17*z3)-float64(15*z))/(384*v*v*v)
 	// Newton iterations against the exact CDF; the pdf is the derivative.
 	for i := 0; i < 8; i++ {
 		diff := tCDF(t, df) - p
@@ -122,23 +122,23 @@ func tCDF(t float64, df int) float64 {
 		// A = 2/pi * (theta + sin*(cos + 2/3 cos^3 + ... )).
 		sum, term := 0.0, cos
 		for j := 3; j <= df-2; j += 2 {
-			term *= float64(j-1) / float64(j) * cos2
+			term = float64(term * (float64(j-1) / float64(j) * cos2))
 			sum += term
 		}
 		if df >= 3 {
 			sum += cos
 		}
-		a = 2 / math.Pi * (theta + sin*sum)
+		a = 2 / math.Pi * (theta + float64(sin*sum))
 	} else {
 		// A = sin*(1 + 1/2 cos^2 + 3/8 cos^4 + ... ).
 		sum, term := 1.0, 1.0
 		for j := 2; j <= df-2; j += 2 {
-			term *= float64(j-1) / float64(j) * cos2
+			term = float64(term * (float64(j-1) / float64(j) * cos2))
 			sum += term
 		}
 		a = sin * sum
 	}
-	return 0.5 + a/2
+	return 0.5 + float64(a/2)
 }
 
 // tPDF is the Student-t density for integer df.

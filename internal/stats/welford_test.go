@@ -15,7 +15,7 @@ func sampleStdDev(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)-1))
 }
@@ -31,7 +31,7 @@ func TestWelfordMatchesBatch(t *testing.T) {
 		xs := make([]float64, n)
 		var w Welford
 		for i := range xs {
-			xs[i] = scale * (1 + 0.3*rng.NormFloat64())
+			xs[i] = float64(scale * (1 + float64(0.3*rng.NormFloat64())))
 			w.Add(xs[i])
 		}
 		if w.N() != n {

@@ -207,9 +207,15 @@ func TestWriteReportFullGolden(t *testing.T) {
 	if err := WriteDatasetCSV(&csv, ds); err != nil {
 		t.Fatalf("WriteDatasetCSV: %v", err)
 	}
-	back, err := ReadDatasetCSV(&csv)
+	var back *Dataset
+	allocs := testing.AllocsPerRun(1, func() { back, err = ReadDatasetCSV(bytes.NewReader(csv.Bytes())) })
 	if err != nil {
 		t.Fatalf("ReadDatasetCSV: %v", err)
+	}
+	// Nothing per row: per distinct configuration (23,040) its key, plus the
+	// blocks, the sample slice and the maps, which grow geometrically.
+	if allocs > 25000 {
+		t.Errorf("ReadDatasetCSV of %d samples: %.0f allocations, want <= 25,000", back.Len(), allocs)
 	}
 	var buf bytes.Buffer
 	if err := WriteReport(&buf, back); err != nil {
