@@ -178,7 +178,7 @@ func CompareDatasets(oldDS, newDS *dataset.Dataset, opt CompareOptions) (*Compar
 					continue
 				}
 				tau2 := opt.CIRelThreshold * opt.CIRelThreshold
-				w = 1 / (1 + (p.oldS.CIRel*p.oldS.CIRel+p.newS.CIRel*p.newS.CIRel)/tau2)
+				w = 1 / (1 + (float64(p.oldS.CIRel*p.oldS.CIRel)+float64(p.newS.CIRel*p.newS.CIRel))/tau2)
 			} else if repCoV(p.oldS) > opt.CoVThreshold || repCoV(p.newS) > opt.CoVThreshold {
 				g.Noisy++
 				continue
@@ -187,7 +187,7 @@ func CompareDatasets(oldDS, newDS *dataset.Dataset, opt CompareOptions) (*Compar
 			oldMeans = append(oldMeans, om)
 			newMeans = append(newMeans, nm)
 			if om > 0 && nm > 0 {
-				logSum += w * math.Log(nm/om)
+				logSum += float64(w * math.Log(nm/om))
 				wSum += w
 			}
 		}
@@ -213,14 +213,14 @@ func CompareDatasets(oldDS, newDS *dataset.Dataset, opt CompareOptions) (*Compar
 
 // repCoV is the repetition coefficient of variation of one sample's R0..R3.
 func repCoV(s *dataset.Sample) float64 {
-	m := s.MeanRuntime()
+	m := float64(s.MeanRuntime()) // rounded, or arm64 fuses its ×0.25 into r - m
 	if m <= 0 {
 		return math.Inf(1)
 	}
 	v := 0.0
 	for _, r := range s.Runtimes {
 		d := r - m
-		v += d * d
+		v += float64(d * d)
 	}
 	v /= float64(len(s.Runtimes))
 	return math.Sqrt(v) / m

@@ -24,7 +24,7 @@ func cmpSample(arch, app, setting string, align int, mean, spread float64) *data
 		if i%2 == 1 {
 			sign = -1
 		}
-		s.Runtimes[i] = mean * (1 + sign*spread)
+		s.Runtimes[i] = mean * (1 + float64(sign*spread))
 	}
 	return s
 }
@@ -35,7 +35,7 @@ func cmpSample(arch, app, setting string, align int, mean, spread float64) *data
 func cmpDataset(arch, app string, nCfg int, base, factor, spread float64) *dataset.Dataset {
 	ds := &dataset.Dataset{}
 	for i := 0; i < nCfg; i++ {
-		mean := base * (1 + 0.05*float64(i)) * factor
+		mean := base * (1 + float64(0.05*float64(i))) * factor
 		ds.Samples = append(ds.Samples, cmpSample(arch, app, "24/1.0", 8*(i+1), mean, spread))
 	}
 	return ds

@@ -27,7 +27,7 @@ func (f *fakeEvaluator) EvaluateSeries(m *topology.Machine, app *apps.App, cfg e
 	f.calls.Add(1)
 	h := hash64(app.Name + "|" + key + "|" + set.Label)
 	for rep := range out {
-		out[rep] = 1 + float64(h%1000)/1000 + float64(rep)*0.001
+		out[rep] = 1 + float64(h%1000)/1000 + float64(float64(rep)*0.001)
 	}
 	return out, dataset.SeriesMeta{}, nil
 }

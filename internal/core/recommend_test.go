@@ -7,6 +7,7 @@ import (
 	"omptune/internal/dataset"
 	"omptune/internal/env"
 	"omptune/internal/topology"
+	"omptune/openmp"
 )
 
 // equalLifts builds one application on one architecture where
@@ -19,7 +20,7 @@ func equalLifts() *dataset.Dataset {
 	for i := 0; i < 20; i++ {
 		cfg, rt := env.Default(m), 2.0
 		if i%2 == 0 {
-			cfg.Schedule, cfg.Library, rt = env.ScheduleDynamic, env.LibTurnaround, 0.5
+			cfg.Schedule, cfg.Library, rt = openmp.ScheduleDynamic, openmp.LibTurnaround, 0.5
 		}
 		s := &dataset.Sample{Arch: m.Arch, App: "Nqueens", Setting: "small", Threads: m.Cores, Scale: 1,
 			Config: cfg, DefaultRuntime: 1}

@@ -9,6 +9,7 @@ import (
 	"omptune/internal/env"
 	"omptune/internal/ml"
 	"omptune/internal/topology"
+	"omptune/openmp"
 )
 
 // These tests assert the qualitative findings ("shapes") of the paper's
@@ -107,7 +108,7 @@ func TestShapeNQueensTurnaroundEverywhere(t *testing.T) {
 	// (the paper notes OMP_WAIT_POLICY is derived from the two together).
 	for _, arch := range topology.Arches() {
 		for _, g := range ds.ByApp("Nqueens").ByArch(arch).Groups() {
-			if s := g.Best(); s.Config.EffectiveBlocktimeMS() != env.BlocktimeInfinite {
+			if s := g.Best(); s.Config.EffectiveBlocktimeMS() != openmp.BlocktimeInfinite {
 				t.Errorf("%s: best NQueens config at %s is %s — want a spinning wait policy", arch, s.SettingKey(), s.Config)
 			}
 		}
@@ -132,7 +133,7 @@ func TestShapeXSBenchMilanOutlier(t *testing.T) {
 	}
 	// The Milan win comes from binding: the best Milan config must be bound.
 	for _, g := range ds.ByApp("XSbench").ByArch(topology.Milan).Groups() {
-		if s := g.Best(); s.Speedup() > 1.5 && s.Config.EffectiveBind() == env.BindFalse {
+		if s := g.Best(); s.Speedup() > 1.5 && s.Config.EffectiveBind() == openmp.BindNone {
 			t.Errorf("best XSbench Milan config at %s is unbound: %s", s.SettingKey(), s.Config)
 		}
 	}

@@ -160,10 +160,12 @@ func SobolSensitivity(ds *dataset.Dataset, n int, seed int64) (*SobolReport, err
 		cnt := make(map[string]int, len(sub.Samples))
 		groupMean := 0.0
 		for _, s := range sub.Samples {
-			k := s.Config.Key()
-			resp[k] += s.MeanRuntime()
+			// MeanRuntime divides by 4, a multiply that arm64 would fuse
+			// into the sum: float64() rounds it first, as amd64 does.
+			k, mean := s.Config.Key(), float64(s.MeanRuntime())
+			resp[k] += mean
 			cnt[k]++
-			groupMean += s.MeanRuntime()
+			groupMean += mean
 		}
 		groupMean /= float64(len(sub.Samples))
 		for k, c := range cnt {

@@ -33,7 +33,7 @@ func sobolDataset(t *testing.T) *dataset.Dataset {
 			Arch: m.Arch, App: "nqueens", Setting: "t48",
 			Threads: 48, Config: cfg, DefaultRuntime: 10,
 		}
-		mean := 10.0 + 4.0*float64(si) + 0.5*float64(bi)
+		mean := 10.0 + float64(4.0*float64(si)) + float64(0.5*float64(bi))
 		for i := range s.Runtimes {
 			s.Runtimes[i] = mean
 		}

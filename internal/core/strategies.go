@@ -322,5 +322,5 @@ func expectedImprovement(best, mu, sd float64) float64 {
 	z := (best - mu) / sd
 	cdf := 0.5 * (1 + math.Erf(z/math.Sqrt2))
 	pdf := math.Exp(-z*z/2) / math.Sqrt(2*math.Pi)
-	return (best-mu)*cdf + sd*pdf
+	return float64((best-mu)*cdf) + float64(sd*pdf)
 }

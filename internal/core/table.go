@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"omptune/internal/env"
@@ -138,49 +137,48 @@ type spaceIndex struct {
 	size   int   // len(env.Space(m))
 }
 
-// The six machine-independent domains of env.Space, as digit tables.
+// The six machine-independent domains of env.Space, in domain order.
 var (
-	placeDigits     = newDigitTable(env.PlaceKinds())
-	bindDigits      = newDigitTable(env.ProcBinds())
-	scheduleDigits  = newDigitTable(env.Schedules())
-	libraryDigits   = newDigitTable(env.Libraries())
-	reductionDigits = newDigitTable(env.Reductions())
-	blocktimes      = env.Blocktimes()
+	places     = env.PlaceKinds()
+	binds      = env.ProcBinds()
+	schedules  = env.Schedules()
+	libraries  = env.Libraries()
+	blocktimes = env.Blocktimes()
+	reductions = env.Reductions()
 )
 
 func newSpaceIndex(m *topology.Machine) spaceIndex {
 	aligns := m.AlignAllocValues()
-	return spaceIndex{aligns, len(placeDigits.dom) * len(bindDigits.dom) * len(scheduleDigits.dom) *
-		len(libraryDigits.dom) * len(blocktimes) * len(reductionDigits.dom) * len(aligns)}
+	return spaceIndex{aligns, len(places) * len(binds) * len(schedules) *
+		len(libraries) * len(blocktimes) * len(reductions) * len(aligns)}
 }
 
 // pos returns c's position, or -1 for a configuration outside the space: a
 // nesting field set, or a value the sweep does not take. A probe computes it
 // on every lookup, of configurations in random order, so no digit branches
-// on which value it meets: each is a table load and a comparison that every
-// configuration of the space passes.
+// on which value it meets: each scans its whole domain.
 func (x spaceIndex) pos(c *env.Config) int {
 	if c.NumThreadsList != "" || c.MaxActiveLevels != 0 || c.ThreadLimit != 0 {
 		return -1
 	}
-	place, bind := placeDigits.digit(c.Places), bindDigits.digit(c.ProcBind)
-	sched, lib := scheduleDigits.digit(c.Schedule), libraryDigits.digit(c.Library)
-	bt, red := intDigit(blocktimes, c.BlocktimeMS), reductionDigits.digit(c.ForceReduction)
-	align := intDigit(x.aligns, c.AlignAlloc)
+	place, bind := digit(places, c.Places), digit(binds, c.ProcBind)
+	sched, lib := digit(schedules, c.Schedule), digit(libraries, c.Library)
+	bt, red := digit(blocktimes, c.BlocktimeMS), digit(reductions, c.ForceReduction)
+	align := digit(x.aligns, c.AlignAlloc)
 	if place|bind|sched|lib|bt|red|align < 0 {
 		return -1
 	}
 	pos := place
-	pos = pos*len(bindDigits.dom) + bind
-	pos = pos*len(scheduleDigits.dom) + sched
-	pos = pos*len(libraryDigits.dom) + lib
+	pos = pos*len(binds) + bind
+	pos = pos*len(schedules) + sched
+	pos = pos*len(libraries) + lib
 	pos = pos*len(blocktimes) + bt
-	pos = pos*len(reductionDigits.dom) + red
+	pos = pos*len(reductions) + red
 	return pos*len(x.aligns) + align
 }
 
-// intDigit returns v's index in dom, -1 when dom lacks it.
-func intDigit(dom []int, v int) int {
+// digit returns v's index in dom, -1 when dom lacks it.
+func digit[T ~int](dom []T, v T) int {
 	d := -1
 	for i, w := range dom {
 		if w == v {
@@ -188,48 +186,4 @@ func intDigit(dom []int, v int) int {
 		}
 	}
 	return d
-}
-
-// digitTable finds a value's index in a small string domain with one table
-// load and one comparison: the byte at offset at tells the domain's values
-// apart, and slot maps it to the index.
-type digitTable[T ~string] struct {
-	dom  []T
-	at   int
-	slot [256]int8
-}
-
-// newDigitTable builds the table of dom at the first byte offset that tells
-// its values apart; it panics on a domain no single offset separates.
-func newDigitTable[T ~string](dom []T) *digitTable[T] {
-	for at := 0; at < 64; at++ {
-		t := &digitTable[T]{dom: dom, at: at}
-		for i := range t.slot {
-			t.slot[i] = -1
-		}
-		ok := true
-		for i, v := range dom {
-			if len(v) <= at || t.slot[v[at]] >= 0 {
-				ok = false
-				break
-			}
-			t.slot[v[at]] = int8(i)
-		}
-		if ok {
-			return t
-		}
-	}
-	panic(fmt.Sprintf("core: no byte offset tells the domain %v apart", dom))
-}
-
-// digit returns v's index in the domain, -1 for a value outside it.
-func (t *digitTable[T]) digit(v T) int {
-	if len(v) <= t.at {
-		return -1
-	}
-	d := t.slot[v[t.at]]
-	if d < 0 || t.dom[d] != v {
-		return -1
-	}
-	return int(d)
 }

@@ -8,6 +8,7 @@ import (
 
 	"omptune/internal/env"
 	"omptune/internal/topology"
+	"omptune/openmp"
 )
 
 // TestMachineTableShared: every use on one registered machine reads one
@@ -89,7 +90,7 @@ func TestSpaceIndexPosition(t *testing.T) {
 		outside("max active levels", func(c *env.Config) { c.MaxActiveLevels = 2 })
 		outside("thread limit", func(c *env.Config) { c.ThreadLimit = m.Cores })
 		outside("numa places", func(c *env.Config) { c.Places = topology.PlaceNUMA })
-		outside("serial library", func(c *env.Config) { c.Library = env.LibSerial })
+		outside("serial library", func(c *env.Config) { c.Library = openmp.LibSerial })
 		outside("blocktime 50", func(c *env.Config) { c.BlocktimeMS = 50 })
 		outside("align 32", func(c *env.Config) { c.AlignAlloc = 32 })
 		for _, cfg := range ExtendedSpace(m)[len(space):] {

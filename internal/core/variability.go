@@ -116,8 +116,8 @@ func Variability(ds *dataset.Dataset) *VariabilityReport {
 			g.RepsRun += s.RepsRun
 			g.RepsFixed += sim.Reps
 			perRep := s.MeanRuntime()
-			g.TimeRunSec += float64(s.RepsRun) * perRep
-			g.TimeFixedSec += float64(sim.Reps) * perRep
+			g.TimeRunSec += float64(float64(s.RepsRun) * perRep)
+			g.TimeFixedSec += float64(float64(sim.Reps) * perRep)
 		}
 		if g.WithMeta > 0 {
 			g.CoVP50 = stats.Quantile(covs, 0.50)

@@ -77,7 +77,7 @@ func TestCompareNoiseWeighting(t *testing.T) {
 	if g.Noisy != 0 || g.NoiseAware != 2 {
 		t.Fatalf("noisy/noise-aware = %d/%d, want 0/2", g.Noisy, g.NoiseAware)
 	}
-	want := math.Exp((1*math.Log(1.0) + (1.0/3)*math.Log(1.2)) / (1 + 1.0/3))
+	want := math.Exp((float64(1*math.Log(1.0)) + float64((1.0/3)*math.Log(1.2))) / (1 + 1.0/3))
 	if math.Abs(g.MeanRatio-want) > 1e-12 {
 		t.Fatalf("MeanRatio = %v, want weighted geomean %v", g.MeanRatio, want)
 	}

@@ -2,11 +2,12 @@
 // paper (§III): OMP_PLACES, OMP_PROC_BIND, OMP_SCHEDULE, KMP_LIBRARY,
 // KMP_BLOCKTIME, KMP_FORCE_REDUCTION and KMP_ALIGN_ALLOC.
 //
-// A Config holds one value assignment. The package knows each variable's
-// value domain (per architecture where it matters), the default-derivation
-// rules of the real runtime — e.g. OMP_PROC_BIND defaulting to spread once
-// OMP_PLACES is set, or the thread-count-dependent reduction heuristic — and
-// can enumerate the full cartesian sweep space used for data collection.
+// A Config holds one value assignment in the openmp runtime's own kinds. The
+// package knows each variable's value domain (per architecture where it
+// matters), applies the runtime's default-derivation rules — e.g.
+// OMP_PROC_BIND defaulting to spread once OMP_PLACES is set, or the
+// thread-count-dependent reduction heuristic — which live on those kinds,
+// and can enumerate the full cartesian sweep space used for data collection.
 package env
 
 import (
@@ -19,86 +20,47 @@ import (
 	"omptune/openmp"
 )
 
-// Schedule is the worksharing-loop schedule kind (OMP_SCHEDULE, §III-3).
-type Schedule string
-
-// Schedule kinds. The paper sweeps all four and no chunk sizes.
-const (
-	ScheduleStatic  Schedule = "static"
-	ScheduleDynamic Schedule = "dynamic"
-	ScheduleGuided  Schedule = "guided"
-	ScheduleAuto    Schedule = "auto"
-)
-
-// Schedules returns the OMP_SCHEDULE domain.
-func Schedules() []Schedule {
-	return []Schedule{ScheduleStatic, ScheduleDynamic, ScheduleGuided, ScheduleAuto}
+// Schedules returns the OMP_SCHEDULE domain: the paper sweeps all four kinds
+// and no chunk sizes (§III-3).
+func Schedules() []openmp.ScheduleKind {
+	return []openmp.ScheduleKind{openmp.ScheduleStatic, openmp.ScheduleDynamic, openmp.ScheduleGuided, openmp.ScheduleAuto}
 }
 
-// ProcBind is the thread affinity policy (OMP_PROC_BIND, §III-2).
-type ProcBind string
-
-// ProcBind values. BindUnset resolves to BindFalse unless OMP_PLACES is set,
-// in which case it resolves to BindSpread.
-const (
-	BindUnset  ProcBind = "unset"
-	BindMaster ProcBind = "master"
-	BindClose  ProcBind = "close"
-	BindSpread ProcBind = "spread"
-	BindTrue   ProcBind = "true"
-	BindFalse  ProcBind = "false"
-)
-
-// ProcBinds returns the OMP_PROC_BIND domain swept by the paper. The order
-// is the feature encoding order (§IV-D's naive numeric scheme): it runs
+// ProcBinds returns the OMP_PROC_BIND domain swept by the paper (§III-2). The
+// order is the feature encoding order (§IV-D's naive numeric scheme): it runs
 // from the binding that concentrates threads hardest (master) through the
 // unbound settings to the spreading policies, so that the encoded value is
 // roughly monotone in how well the policy distributes a team.
-func ProcBinds() []ProcBind {
-	return []ProcBind{BindMaster, BindFalse, BindUnset, BindClose, BindTrue, BindSpread}
+func ProcBinds() []openmp.BindPolicy {
+	return []openmp.BindPolicy{
+		openmp.BindMaster, openmp.BindNone, openmp.BindDefault, openmp.BindClose, openmp.BindTrue, openmp.BindSpread,
+	}
 }
 
-// Library selects the runtime execution mode (KMP_LIBRARY, §III-4).
-type Library string
-
-// Library values. Serial exists in the real runtime but is excluded from the
-// sweep because it forces serial execution.
-const (
-	LibSerial     Library = "serial"
-	LibThroughput Library = "throughput"
-	LibTurnaround Library = "turnaround"
-)
-
-// Libraries returns the KMP_LIBRARY domain swept by the paper.
-func Libraries() []Library { return []Library{LibThroughput, LibTurnaround} }
-
-// Reduction selects the cross-thread reduction method
-// (KMP_FORCE_REDUCTION, §III-6).
-type Reduction string
-
-// Reduction methods. ReductionUnset lets a heuristic pick at runtime.
-const (
-	ReductionUnset    Reduction = "unset"
-	ReductionTree     Reduction = "tree"
-	ReductionCritical Reduction = "critical"
-	ReductionAtomic   Reduction = "atomic"
-)
-
-// Reductions returns the KMP_FORCE_REDUCTION domain swept by the paper.
-func Reductions() []Reduction {
-	return []Reduction{ReductionUnset, ReductionTree, ReductionCritical, ReductionAtomic}
+// Libraries returns the KMP_LIBRARY domain swept by the paper (§III-4).
+// Serial exists in the runtime but is excluded from the sweep because it
+// forces serial execution.
+func Libraries() []openmp.LibraryMode {
+	return []openmp.LibraryMode{openmp.LibThroughput, openmp.LibTurnaround}
 }
 
-// BlocktimeInfinite is the KMP_BLOCKTIME sentinel preventing worker threads
-// from ever sleeping.
-const BlocktimeInfinite = -1
+// Reductions returns the KMP_FORCE_REDUCTION domain swept by the paper
+// (§III-6).
+func Reductions() []openmp.ReductionMethod {
+	return []openmp.ReductionMethod{
+		openmp.ReductionDefault, openmp.ReductionTree, openmp.ReductionCritical, openmp.ReductionAtomic,
+	}
+}
 
-// DefaultBlocktimeMS is the runtime's default KMP_BLOCKTIME (§III-5).
-const DefaultBlocktimeMS = 200
+// The runtime's default KMP_LIBRARY mode and KMP_BLOCKTIME (§III-4, §III-5).
+const (
+	LibThroughput      = openmp.LibThroughput
+	DefaultBlocktimeMS = openmp.DefaultBlocktimeMS
+)
 
 // Blocktimes returns the KMP_BLOCKTIME values swept by the paper:
 // 0, 200 and infinite.
-func Blocktimes() []int { return []int{0, DefaultBlocktimeMS, BlocktimeInfinite} }
+func Blocktimes() []int { return []int{0, DefaultBlocktimeMS, openmp.BlocktimeInfinite} }
 
 // PlaceKinds returns the OMP_PLACES domain swept by the paper. The threads
 // and numa_domains values are excluded (§III-1: no SMT machines, no hwloc).
@@ -110,17 +72,19 @@ func PlaceKinds() []topology.PlaceKind {
 
 // Config is one assignment to the seven studied environment variables, plus
 // the optional nesting axis (per-level thread lists, active-level and
-// thread-limit bounds). The nesting fields are scalars with zero meaning
-// "unset" so Config stays comparable (IsDefault, dataset join keys) and a
-// flat Config renders byte-identically to the pre-nesting format.
+// thread-limit bounds). The four kinds are the openmp runtime's own, so each
+// spelling is its String() and each default rule its method. The nesting
+// fields are scalars with zero meaning "unset" so Config stays comparable
+// (dataset join keys) and a flat Config renders byte-identically to the
+// pre-nesting format.
 type Config struct {
-	Places         topology.PlaceKind // OMP_PLACES
-	ProcBind       ProcBind           // OMP_PROC_BIND
-	Schedule       Schedule           // OMP_SCHEDULE (kind only, no chunk)
-	Library        Library            // KMP_LIBRARY
-	BlocktimeMS    int                // KMP_BLOCKTIME; BlocktimeInfinite = never sleep
-	ForceReduction Reduction          // KMP_FORCE_REDUCTION
-	AlignAlloc     int                // KMP_ALIGN_ALLOC in bytes
+	Places         topology.PlaceKind     // OMP_PLACES
+	ProcBind       openmp.BindPolicy      // OMP_PROC_BIND
+	Schedule       openmp.ScheduleKind    // OMP_SCHEDULE (kind only, no chunk)
+	Library        openmp.LibraryMode     // KMP_LIBRARY
+	BlocktimeMS    int                    // KMP_BLOCKTIME; openmp.BlocktimeInfinite = never sleep
+	ForceReduction openmp.ReductionMethod // KMP_FORCE_REDUCTION
+	AlignAlloc     int                    // KMP_ALIGN_ALLOC in bytes
 
 	// NumThreadsList is the OMP_NUM_THREADS per-level list as its canonical
 	// comma-separated string ("4,2"); empty means unset (the machine-wide
@@ -140,54 +104,30 @@ type Config struct {
 func Default(m *topology.Machine) Config {
 	return Config{
 		Places:         topology.PlaceUnset,
-		ProcBind:       BindUnset,
-		Schedule:       ScheduleStatic,
-		Library:        LibThroughput,
+		ProcBind:       openmp.BindDefault,
+		Schedule:       openmp.ScheduleStatic,
+		Library:        openmp.LibThroughput,
 		BlocktimeMS:    DefaultBlocktimeMS,
-		ForceReduction: ReductionUnset,
+		ForceReduction: openmp.ReductionDefault,
 		AlignAlloc:     m.CacheLineBytes,
 	}
 }
 
-// EffectiveBind resolves BindUnset per the rule in §III-2: false unless
-// OMP_PLACES is set, in which case spread.
-func (c Config) EffectiveBind() ProcBind {
-	if c.ProcBind != BindUnset {
-		return c.ProcBind
-	}
-	if c.Places != topology.PlaceUnset {
-		return BindSpread
-	}
-	return BindFalse
+// EffectiveBind resolves an unset OMP_PROC_BIND by the runtime's rule
+// (§III-2, openmp.BindPolicy.Resolve).
+func (c Config) EffectiveBind() openmp.BindPolicy {
+	return c.ProcBind.Resolve(c.Places != topology.PlaceUnset)
 }
 
-// EffectiveReduction resolves ReductionUnset with the runtime heuristic of
-// §III-6: a single thread needs no synchronization (tree degenerates to it),
-// 2–4 threads use critical, larger counts use the tree method.
-func (c Config) EffectiveReduction(threads int) Reduction {
-	if c.ForceReduction != ReductionUnset {
-		return c.ForceReduction
-	}
-	switch {
-	case threads <= 1:
-		return ReductionTree // degenerate: no synchronization needed
-	case threads <= 4:
-		return ReductionCritical
-	default:
-		return ReductionTree
-	}
+// EffectiveReduction resolves an unset KMP_FORCE_REDUCTION for a team of
+// threads by the runtime's heuristic (§III-6, openmp.ReductionMethod.Resolve).
+func (c Config) EffectiveReduction(threads int) openmp.ReductionMethod {
+	return c.ForceReduction.Resolve(threads)
 }
 
 // EffectiveBlocktimeMS resolves the wait budget: KMP_LIBRARY=turnaround
-// dedicates the machine to the application and spins indefinitely, which the
-// real runtime expresses by deriving OMP_WAIT_POLICY from KMP_LIBRARY and
-// KMP_BLOCKTIME together (§III).
-func (c Config) EffectiveBlocktimeMS() int {
-	if c.Library == LibTurnaround {
-		return BlocktimeInfinite
-	}
-	return c.BlocktimeMS
-}
+// spins forever (§III, openmp.LibraryMode.Blocktime).
+func (c Config) EffectiveBlocktimeMS() int { return c.Library.Blocktime(c.BlocktimeMS) }
 
 // Validate checks every field against its domain on machine m.
 func (c Config) Validate(m *topology.Machine) error {
@@ -198,9 +138,6 @@ func (c Config) Validate(m *topology.Machine) error {
 	}
 	return nil
 }
-
-// IsDefault reports whether c equals the default configuration on m.
-func (c Config) IsDefault(m *topology.Machine) bool { return c == Default(m) }
 
 // Key returns a stable, human-readable identifier for the configuration,
 // used as the dataset join key. Nesting fields are appended only when set,
@@ -218,16 +155,16 @@ func (c Config) Key() string {
 // caller that only reads the key (the model hashes it into a series seed)
 // and need not allocate it.
 func (c Config) AppendKey(b []byte) []byte {
-	b = append(append(b, "places="...), c.Places...)
-	b = append(append(b, "|bind="...), c.ProcBind...)
-	b = append(append(b, "|sched="...), c.Schedule...)
-	b = append(append(b, "|lib="...), c.Library...)
-	if b = append(b, "|blocktime="...); c.BlocktimeMS == BlocktimeInfinite {
+	b = append(append(b, "places="...), c.Places.String()...)
+	b = append(append(b, "|bind="...), c.ProcBind.String()...)
+	b = append(append(b, "|sched="...), c.Schedule.String()...)
+	b = append(append(b, "|lib="...), c.Library.String()...)
+	if b = append(b, "|blocktime="...); c.BlocktimeMS == openmp.BlocktimeInfinite {
 		b = append(b, "infinite"...)
 	} else {
 		b = strconv.AppendInt(b, int64(c.BlocktimeMS), 10)
 	}
-	b = append(append(b, "|red="...), c.ForceReduction...)
+	b = append(append(b, "|red="...), c.ForceReduction.String()...)
 	b = strconv.AppendInt(append(b, "|align="...), int64(c.AlignAlloc), 10)
 	if c.NumThreadsList != "" {
 		b = append(append(b, "|nthreads="...), c.NumThreadsList...)
@@ -282,10 +219,10 @@ type Assignment struct {
 // ParseAssignments builds a Config from assignments applied in order, with
 // the default rules of Default(m) for absent variables. Names and values are
 // trimmed, names upper-cased and values lower-cased; names the package does
-// not know are ignored, as a real runtime ignores foreign variables. The
-// Config keeps the value strings themselves (Places, ProcBind, …), so a
-// caller passes strings it will not overwrite. Parse is ParseAssignments
-// over KEY=VALUE entries.
+// not know are ignored, as a real runtime ignores foreign variables. Of the
+// values only OMP_NUM_THREADS's is kept as a string (NumThreadsList), so
+// that is the one a caller passes and must not overwrite. Parse is
+// ParseAssignments over KEY=VALUE entries.
 func ParseAssignments(m *topology.Machine, as []Assignment) (Config, error) {
 	c := Default(m)
 	for _, a := range as {
@@ -467,33 +404,29 @@ var variables = [...]variable{
 		valid:  func(c Config, _ *topology.Machine) bool { return c.ThreadLimit >= 0 },
 		// 0 = unset; the logarithm keeps the scale comparable.
 		feature: func(c Config) float64 { return log2i(c.ThreadLimit) }},
-	{name: VarPlaces, optional: true, unset: string(topology.PlaceUnset),
-		domain: func(*topology.Machine) []string { return stringsOf(PlaceKinds()) },
-		get:    func(c Config) string { return string(c.Places) },
-		set:    func(c Config, s string) (Config, bool) { c.Places = topology.PlaceKind(s); return c, true },
-		valid: func(c Config, _ *topology.Machine) bool {
-			return contains(PlaceKinds(), c.Places) || c.Places == topology.PlaceThreads || c.Places == topology.PlaceNUMA
-		},
+	{name: VarPlaces, optional: true, unset: topology.PlaceUnset.String(),
+		domain:  func(*topology.Machine) []string { return spellings(PlaceKinds()) },
+		get:     func(c Config) string { return c.Places.String() },
+		set:     func(c Config, s string) (_ Config, ok bool) { c.Places, ok = parseKind(placeKinds(), s); return c, ok },
+		valid:   func(c Config, _ *topology.Machine) bool { return contains(placeKinds(), c.Places) },
 		feature: func(c Config) float64 { return float64(indexOf(PlaceKinds(), c.Places)) }},
-	{name: VarProcBind, optional: true, unset: string(BindUnset),
-		domain:  func(*topology.Machine) []string { return stringsOf(ProcBinds()) },
-		get:     func(c Config) string { return string(c.ProcBind) },
-		set:     func(c Config, s string) (Config, bool) { c.ProcBind = ProcBind(s); return c, true },
+	{name: VarProcBind, optional: true, unset: openmp.BindDefault.String(),
+		domain:  func(*topology.Machine) []string { return spellings(ProcBinds()) },
+		get:     func(c Config) string { return c.ProcBind.String() },
+		set:     func(c Config, s string) (_ Config, ok bool) { c.ProcBind, ok = parseKind(ProcBinds(), s); return c, ok },
 		valid:   func(c Config, _ *topology.Machine) bool { return contains(ProcBinds(), c.ProcBind) },
 		feature: func(c Config) float64 { return float64(indexOf(ProcBinds(), c.ProcBind)) }},
 	{name: VarSchedule,
-		domain:  func(*topology.Machine) []string { return stringsOf(Schedules()) },
-		get:     func(c Config) string { return string(c.Schedule) },
-		set:     func(c Config, s string) (Config, bool) { c.Schedule = Schedule(s); return c, true },
+		domain:  func(*topology.Machine) []string { return spellings(Schedules()) },
+		get:     func(c Config) string { return c.Schedule.String() },
+		set:     func(c Config, s string) (_ Config, ok bool) { c.Schedule, ok = parseKind(Schedules(), s); return c, ok },
 		valid:   func(c Config, _ *topology.Machine) bool { return contains(Schedules(), c.Schedule) },
 		feature: func(c Config) float64 { return float64(indexOf(Schedules(), c.Schedule)) }},
 	{name: VarLibrary,
-		domain: func(*topology.Machine) []string { return stringsOf(Libraries()) },
-		get:    func(c Config) string { return string(c.Library) },
-		set:    func(c Config, s string) (Config, bool) { c.Library = Library(s); return c, true },
-		valid: func(c Config, _ *topology.Machine) bool {
-			return c.Library == LibSerial || contains(Libraries(), c.Library)
-		},
+		domain:  func(*topology.Machine) []string { return spellings(Libraries()) },
+		get:     func(c Config) string { return c.Library.String() },
+		set:     func(c Config, s string) (_ Config, ok bool) { c.Library, ok = parseKind(libraries(), s); return c, ok },
+		valid:   func(c Config, _ *topology.Machine) bool { return contains(libraries(), c.Library) },
 		feature: func(c Config) float64 { return float64(indexOf(Libraries(), c.Library)) }},
 	{name: VarBlocktime,
 		domain: func(*topology.Machine) []string {
@@ -506,18 +439,21 @@ var variables = [...]variable{
 		get: func(c Config) string { return blocktimeString(c.BlocktimeMS) },
 		set: func(c Config, s string) (_ Config, ok bool) {
 			if s == "infinite" {
-				c.BlocktimeMS = BlocktimeInfinite
+				c.BlocktimeMS = openmp.BlocktimeInfinite
 				return c, true
 			}
 			c.BlocktimeMS, ok = atoiCount(s)
 			return c, ok
 		},
-		valid:   func(c Config, _ *topology.Machine) bool { return c.BlocktimeMS >= BlocktimeInfinite },
+		valid:   func(c Config, _ *topology.Machine) bool { return c.BlocktimeMS >= openmp.BlocktimeInfinite },
 		feature: func(c Config) float64 { return float64(indexOf(Blocktimes(), c.BlocktimeMS)) }},
-	{name: VarForceReduction, optional: true, unset: string(ReductionUnset),
-		domain:  func(*topology.Machine) []string { return stringsOf(Reductions()) },
-		get:     func(c Config) string { return string(c.ForceReduction) },
-		set:     func(c Config, s string) (Config, bool) { c.ForceReduction = Reduction(s); return c, true },
+	{name: VarForceReduction, optional: true, unset: openmp.ReductionDefault.String(),
+		domain: func(*topology.Machine) []string { return spellings(Reductions()) },
+		get:    func(c Config) string { return c.ForceReduction.String() },
+		set: func(c Config, s string) (_ Config, ok bool) {
+			c.ForceReduction, ok = parseKind(Reductions(), s)
+			return c, ok
+		},
 		valid:   func(c Config, _ *topology.Machine) bool { return contains(Reductions(), c.ForceReduction) },
 		feature: func(c Config) float64 { return float64(indexOf(Reductions(), c.ForceReduction)) }},
 	{name: VarAlignAlloc,
@@ -590,7 +526,7 @@ func (c Config) Value(v VarName) string {
 }
 
 func blocktimeString(ms int) string {
-	if ms == BlocktimeInfinite {
+	if ms == openmp.BlocktimeInfinite {
 		return "infinite"
 	}
 	return strconv.Itoa(ms)
@@ -626,10 +562,47 @@ func indexOf[T comparable](dom []T, v T) int {
 	return -1
 }
 
-func stringsOf[T ~string](dom []T) []string {
+// placeKinds is every OMP_PLACES kind a Config may hold: the swept four plus
+// threads and numa_domains, which §III-1 leaves out of the study's sweep
+// (the extended sweep adds numa_domains).
+func placeKinds() []topology.PlaceKind {
+	return []topology.PlaceKind{
+		topology.PlaceUnset, topology.PlaceThreads, topology.PlaceCores,
+		topology.PlaceLLCs, topology.PlaceSockets, topology.PlaceNUMA,
+	}
+}
+
+// libraries is every KMP_LIBRARY mode a Config may hold: the swept two and
+// serial. A literal, not an append to Libraries(): a setter runs once per
+// first-seen configuration and must not allocate.
+func libraries() []openmp.LibraryMode {
+	return []openmp.LibraryMode{openmp.LibThroughput, openmp.LibTurnaround, openmp.LibSerial}
+}
+
+// kind is a variable's runtime type: a small integer whose String() is its
+// spelling.
+type kind interface {
+	~int
+	String() string
+}
+
+// parseKind returns the kind of dom that s spells; ok is false for a
+// spelling outside dom. The study parses its own domains rather than the
+// runtime's, which accepts more (primary, an empty value, a chunk).
+func parseKind[T kind](dom []T, s string) (k T, ok bool) {
+	for _, k := range dom {
+		if k.String() == s {
+			return k, true
+		}
+	}
+	return k, false
+}
+
+// spellings renders a domain in order.
+func spellings[T kind](dom []T) []string {
 	out := make([]string, len(dom))
-	for i, d := range dom {
-		out[i] = string(d)
+	for i, k := range dom {
+		out[i] = k.String()
 	}
 	return out
 }

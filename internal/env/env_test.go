@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"omptune/internal/topology"
+	"omptune/openmp"
 )
 
 func TestDefaultMatchesSectionIII(t *testing.T) {
@@ -14,10 +16,10 @@ func TestDefaultMatchesSectionIII(t *testing.T) {
 		if d.Places != topology.PlaceUnset {
 			t.Errorf("%s: default places = %s, want unset", m.Arch, d.Places)
 		}
-		if d.ProcBind != BindUnset {
+		if d.ProcBind != openmp.BindDefault {
 			t.Errorf("%s: default bind = %s, want unset", m.Arch, d.ProcBind)
 		}
-		if d.Schedule != ScheduleStatic {
+		if d.Schedule != openmp.ScheduleStatic {
 			t.Errorf("%s: default schedule = %s, want static", m.Arch, d.Schedule)
 		}
 		if d.Library != LibThroughput {
@@ -26,7 +28,7 @@ func TestDefaultMatchesSectionIII(t *testing.T) {
 		if d.BlocktimeMS != 200 {
 			t.Errorf("%s: default blocktime = %d, want 200", m.Arch, d.BlocktimeMS)
 		}
-		if d.ForceReduction != ReductionUnset {
+		if d.ForceReduction != openmp.ReductionDefault {
 			t.Errorf("%s: default reduction = %s, want unset", m.Arch, d.ForceReduction)
 		}
 		if d.AlignAlloc != m.CacheLineBytes {
@@ -35,24 +37,21 @@ func TestDefaultMatchesSectionIII(t *testing.T) {
 		if err := d.Validate(m); err != nil {
 			t.Errorf("%s: default config invalid: %v", m.Arch, err)
 		}
-		if !d.IsDefault(m) {
-			t.Errorf("%s: IsDefault(default) = false", m.Arch)
-		}
 	}
 }
 
 func TestEffectiveBindRules(t *testing.T) {
 	tests := []struct {
 		places topology.PlaceKind
-		bind   ProcBind
-		want   ProcBind
+		bind   openmp.BindPolicy
+		want   openmp.BindPolicy
 	}{
-		{topology.PlaceUnset, BindUnset, BindFalse},
-		{topology.PlaceCores, BindUnset, BindSpread}, // places set => spread
-		{topology.PlaceSockets, BindUnset, BindSpread},
-		{topology.PlaceCores, BindMaster, BindMaster},
-		{topology.PlaceUnset, BindClose, BindClose},
-		{topology.PlaceUnset, BindFalse, BindFalse},
+		{topology.PlaceUnset, openmp.BindDefault, openmp.BindNone},
+		{topology.PlaceCores, openmp.BindDefault, openmp.BindSpread}, // places set => spread
+		{topology.PlaceSockets, openmp.BindDefault, openmp.BindSpread},
+		{topology.PlaceCores, openmp.BindMaster, openmp.BindMaster},
+		{topology.PlaceUnset, openmp.BindClose, openmp.BindClose},
+		{topology.PlaceUnset, openmp.BindNone, openmp.BindNone},
 	}
 	for _, tt := range tests {
 		c := Config{Places: tt.places, ProcBind: tt.bind}
@@ -63,21 +62,21 @@ func TestEffectiveBindRules(t *testing.T) {
 }
 
 func TestEffectiveReductionHeuristic(t *testing.T) {
-	c := Config{ForceReduction: ReductionUnset}
+	c := Config{ForceReduction: openmp.ReductionDefault}
 	tests := []struct {
 		threads int
-		want    Reduction
+		want    openmp.ReductionMethod
 	}{
-		{1, ReductionTree}, {2, ReductionCritical}, {3, ReductionCritical},
-		{4, ReductionCritical}, {5, ReductionTree}, {48, ReductionTree},
+		{1, openmp.ReductionTree}, {2, openmp.ReductionCritical}, {3, openmp.ReductionCritical},
+		{4, openmp.ReductionCritical}, {5, openmp.ReductionTree}, {48, openmp.ReductionTree},
 	}
 	for _, tt := range tests {
 		if got := c.EffectiveReduction(tt.threads); got != tt.want {
 			t.Errorf("threads=%d: reduction = %s, want %s", tt.threads, got, tt.want)
 		}
 	}
-	forced := Config{ForceReduction: ReductionAtomic}
-	if got := forced.EffectiveReduction(2); got != ReductionAtomic {
+	forced := Config{ForceReduction: openmp.ReductionAtomic}
+	if got := forced.EffectiveReduction(2); got != openmp.ReductionAtomic {
 		t.Errorf("forced atomic with 2 threads: got %s", got)
 	}
 }
@@ -87,8 +86,8 @@ func TestEffectiveBlocktime(t *testing.T) {
 	if got := c.EffectiveBlocktimeMS(); got != 200 {
 		t.Errorf("throughput/200: got %d, want 200", got)
 	}
-	c.Library = LibTurnaround
-	if got := c.EffectiveBlocktimeMS(); got != BlocktimeInfinite {
+	c.Library = openmp.LibTurnaround
+	if got := c.EffectiveBlocktimeMS(); got != openmp.BlocktimeInfinite {
 		t.Errorf("turnaround: got %d, want infinite", got)
 	}
 }
@@ -128,7 +127,7 @@ func TestSpaceContainsDefault(t *testing.T) {
 	for _, m := range topology.All() {
 		found := false
 		for _, c := range Space(m) {
-			if c.IsDefault(m) {
+			if c == Default(m) {
 				found = true
 				break
 			}
@@ -186,10 +185,10 @@ func TestParseIgnoresForeignAndNormalizesCase(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if c.Schedule != ScheduleGuided {
+	if c.Schedule != openmp.ScheduleGuided {
 		t.Errorf("schedule = %s, want guided", c.Schedule)
 	}
-	if c.BlocktimeMS != BlocktimeInfinite {
+	if c.BlocktimeMS != openmp.BlocktimeInfinite {
 		t.Errorf("blocktime = %d, want infinite", c.BlocktimeMS)
 	}
 }
@@ -234,7 +233,7 @@ func TestFeatureEncoding(t *testing.T) {
 		t.Errorf("Feature(align=64) = %v, want 6", got)
 	}
 	c := d
-	c.BlocktimeMS = BlocktimeInfinite
+	c.BlocktimeMS = openmp.BlocktimeInfinite
 	if d.Feature(VarBlocktime) == c.Feature(VarBlocktime) {
 		t.Error("blocktime 200 and infinite should encode differently")
 	}
@@ -269,11 +268,22 @@ func TestKeyIsStableAndDistinct(t *testing.T) {
 	m := topology.MustGet(topology.Skylake)
 	a := Default(m)
 	b := a
-	b.Schedule = ScheduleDynamic
+	b.Schedule = openmp.ScheduleDynamic
 	if a.Key() == b.Key() {
 		t.Error("distinct configs share a key")
 	}
 	if a.Key() != Default(m).Key() {
 		t.Error("Key not deterministic")
+	}
+}
+
+// TestConfigSize pins Config at nine word-sized integers (the four kinds are
+// the runtime's integer enums) and NumThreadsList's string header: 88 bytes
+// on a 64-bit machine.
+// Every dataset.Sample holds one and every probe copies one, so a kind that
+// came back as a string would cost 8 bytes and a pointer the collector scans.
+func TestConfigSize(t *testing.T) {
+	if got, want := unsafe.Sizeof(Config{}), 9*unsafe.Sizeof(0)+unsafe.Sizeof(""); got != want {
+		t.Errorf("unsafe.Sizeof(Config{}) = %d, want %d", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"omptune/internal/core"
 	"omptune/internal/env"
 	"omptune/internal/topology"
+	"omptune/openmp"
 )
 
 // sprintfKey is Config.Key as it was written before the append builder: the
@@ -15,7 +16,7 @@ import (
 // join keys, sampling-hash input and noise-seed input.
 func sprintfKey(c env.Config) string {
 	bt := "infinite"
-	if c.BlocktimeMS != env.BlocktimeInfinite {
+	if c.BlocktimeMS != openmp.BlocktimeInfinite {
 		bt = strconv.Itoa(c.BlocktimeMS)
 	}
 	k := fmt.Sprintf("places=%s|bind=%s|sched=%s|lib=%s|blocktime=%s|red=%s|align=%d",

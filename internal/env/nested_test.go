@@ -69,11 +69,11 @@ func TestFlatConfigBackCompat(t *testing.T) {
 			t.Errorf("flat Environ emits %q", kv)
 		}
 	}
-	if !c.IsDefault(m) {
-		t.Error("flat default no longer IsDefault")
+	if c != Default(m) {
+		t.Error("flat default no longer equals Default")
 	}
 	c.NumThreadsList = "4,2"
-	if c.IsDefault(m) {
+	if c == Default(m) {
 		t.Error("nested config reported as default")
 	}
 	if !strings.Contains(c.Key(), "|nthreads=4,2") {

@@ -9,28 +9,21 @@ import (
 // Options on machine m — the bridge that lets every Config of the sweep
 // space reach a real openmp.Runtime instead of only the analytic model.
 //
-// The four kinds and the thread list go through the parsers
-// openmp.OptionsFromEnviron itself uses, so the bridge is the
-// string-environment path wherever that path can resolve the value (the
-// abstract topology places — sockets, ll_caches, numa_domains — need a
-// machine model, which is why this bridge exists). NumThreads is set to the
+// The four kinds are the runtime's own and pass through as they are; the
+// thread list goes through the parser openmp.OptionsFromEnviron itself uses.
+// The abstract topology places (sockets, ll_caches, numa_domains) need a
+// machine model, which is why this bridge exists. NumThreads is set to the
 // machine's core count, the same default a full-machine run would use;
 // callers running a specific setting override it with the setting's thread
 // count.
 func (c Config) RuntimeOptions(m *topology.Machine) openmp.Options {
-	// Validate guarantees every spelling parses; one that does not leaves the
-	// runtime's zero kind, or the flat default width.
-	schedule, _, _ := openmp.ParseSchedule(string(c.Schedule))
-	bind, _ := openmp.ParseBind(string(c.ProcBind))
-	library, _ := openmp.ParseLibrary(string(c.Library))
-	reduction, _ := openmp.ParseReduction(string(c.ForceReduction))
 	o := openmp.Options{
 		NumThreads:      m.Cores,
-		Schedule:        schedule,
-		Bind:            bind,
-		Library:         library,
+		Schedule:        c.Schedule,
+		Bind:            c.ProcBind,
+		Library:         c.Library,
 		BlocktimeMS:     c.BlocktimeMS,
-		Reduction:       reduction,
+		Reduction:       c.ForceReduction,
 		AlignAlloc:      c.AlignAlloc,
 		MaxActiveLevels: c.MaxActiveLevels,
 		ThreadLimit:     c.ThreadLimit,

@@ -78,7 +78,7 @@ func TestRuntimeOptionsBindMatchesEnvironPath(t *testing.T) {
 		c := Default(m)
 		c.ProcBind = b
 		o := c.RuntimeOptions(m)
-		ref, err := openmp.ParseBind(string(b))
+		ref, err := openmp.ParseBind(b.String())
 		if err != nil {
 			t.Fatalf("ParseBind(%q): %v", b, err)
 		}
@@ -117,7 +117,7 @@ func TestRuntimeOptionsStealOrderPrefersSameNUMA(t *testing.T) {
 		m := topology.MustGet(arch)
 		c := Default(m)
 		c.Places = topology.PlaceNUMA
-		c.ProcBind = BindSpread
+		c.ProcBind = openmp.BindSpread
 		o := c.RuntimeOptions(m)
 		if len(o.PlaceDistances) != len(o.Places) {
 			t.Fatalf("%s: %d distance rows for %d places", arch, len(o.PlaceDistances), len(o.Places))

@@ -56,13 +56,21 @@ func TestOneRulePerVariable(t *testing.T) {
 		VarMaxActiveLevels: {ok("2"), unset("0"), unset("00"), bad("-1"), bad("deep"), bad("")},
 		VarThreadLimit:     {ok("96"), unset("0"), bad("-1"), bad("lots"), bad("")},
 		VarPlaces: {ok("cores"), ok("unset"), ok("Sockets"), ok("numa_domains"), ok("threads"),
-			bad("clouds"), bad("")},
-		VarProcBind:       {ok("spread"), ok("unset"), ok("FALSE"), bad("left"), bad("")},
+			bad("clouds"), bad(""), bad("{0,1}"), bad("cores(4)")},
+		VarProcBind:       {ok("spread"), ok("unset"), ok("FALSE"), bad("left"), bad(""), bad("primary")},
 		VarSchedule:       {ok("guided"), ok(" AUTO "), bad("fair"), bad("static,4"), bad("")},
 		VarLibrary:        {ok("turnaround"), ok("serial"), bad("interpretive"), bad("")},
 		VarBlocktime:      {ok("0"), ok("200"), ok("1000"), ok("Infinite"), bad("-5"), bad("-1"), bad("forever"), bad("")},
 		VarForceReduction: {ok("tree"), ok("unset"), bad("quantum"), bad("")},
 		VarAlignAlloc:     {ok("64"), ok("512"), bad("96"), bad("-64"), bad("striped"), bad("")},
+	}
+	// The study's domains are stricter than the runtime's parser, which
+	// takes each of these.
+	for _, kv := range []string{"OMP_PROC_BIND=primary", "OMP_PROC_BIND=", "OMP_PLACES={0,1}",
+		"OMP_PLACES=cores(4)", "OMP_SCHEDULE=static,4"} {
+		if _, err := openmp.OptionsFromEnviron([]string{kv}); err != nil {
+			t.Errorf("OptionsFromEnviron(%s): %v", kv, err)
+		}
 	}
 	for _, row := range variables {
 		if len(cases[row.name]) == 0 {

@@ -37,9 +37,11 @@ func NewServer(reg *Registry, status func() any) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/api/status", s.handleStatus)
-	mux.HandleFunc("/api/regions", s.handleRegions)
-	mux.HandleFunc("/api/variability", s.handleVariability)
+	// The producers are read per request: SetRegions and SetVariability may
+	// install theirs after NewServer.
+	mux.HandleFunc("/api/status", func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, s.status) })
+	mux.HandleFunc("/api/regions", func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, s.regions) })
+	mux.HandleFunc("/api/variability", func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, s.variability) })
 	mux.HandleFunc("/", s.handleDashboard)
 	s.http = &http.Server{
 		Handler:           mux,
@@ -117,14 +119,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+// serveJSON writes produce's payload as JSON, null when produce is nil.
+func serveJSON(w http.ResponseWriter, produce func() any) {
 	w.Header().Set("Content-Type", "application/json")
 	var payload any
-	if s.status != nil {
-		payload = s.status()
+	if produce != nil {
+		payload = produce()
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(payload); err != nil {
+	if err := json.NewEncoder(w).Encode(payload); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -135,34 +137,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // unset the endpoint serves null and the dashboard hides its region section.
 func (s *Server) SetRegions(fn func() any) { s.regions = fn }
 
-func (s *Server) handleRegions(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	var payload any
-	if s.regions != nil {
-		payload = s.regions()
-	}
-	if err := json.NewEncoder(w).Encode(payload); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
 // SetVariability installs the /api/variability payload producer — typically
 // a closure returning []VariabilityCell from the monitor's live noise
 // observatory. Like the status producer it must be concurrency-safe and
 // cheap; call before Start. When unset the endpoint serves null and the
 // dashboard hides its variability section.
 func (s *Server) SetVariability(fn func() any) { s.variability = fn }
-
-func (s *Server) handleVariability(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	var payload any
-	if s.variability != nil {
-		payload = s.variability()
-	}
-	if err := json.NewEncoder(w).Encode(payload); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {

@@ -13,6 +13,7 @@ import (
 
 	"omptune/internal/env"
 	"omptune/internal/topology"
+	"omptune/openmp"
 )
 
 // withScatter temporarily overrides an architecture's OS-scatter intensity.
@@ -43,7 +44,7 @@ func bindingGain(m *topology.Machine, p *Profile, threads int) float64 {
 	def := env.Default(m)
 	bound := def
 	bound.Places = topology.PlaceCores
-	bound.ProcBind = env.BindSpread
+	bound.ProcBind = openmp.BindSpread
 	set := Setting{Label: "abl", Threads: threads, Scale: 1}
 	return EvaluateExact(m, p, def, set) / EvaluateExact(m, p, bound, set)
 }
@@ -78,7 +79,7 @@ func TestAblationYieldAsymmetryDrivesNQueensOrdering(t *testing.T) {
 		m := topology.MustGet(arch)
 		def := env.Default(m)
 		turn := def
-		turn.Library = env.LibTurnaround
+		turn.Library = openmp.LibTurnaround
 		set := Setting{Label: "abl", Threads: m.Cores, Scale: 1}
 		return EvaluateExact(m, p, def, set) / EvaluateExact(m, p, turn, set)
 	}
@@ -132,10 +133,10 @@ func TestAblationOversubscriptionDrivesWorstTrend(t *testing.T) {
 	def := env.Default(m)
 	masterCores := def
 	masterCores.Places = topology.PlaceCores
-	masterCores.ProcBind = env.BindMaster
+	masterCores.ProcBind = openmp.BindMaster
 	masterSockets := def
 	masterSockets.Places = topology.PlaceSockets
-	masterSockets.ProcBind = env.BindMaster
+	masterSockets.ProcBind = openmp.BindMaster
 	tDef := EvaluateExact(m, p, def, set)
 	tCores := EvaluateExact(m, p, masterCores, set)
 	tSockets := EvaluateExact(m, p, masterSockets, set)

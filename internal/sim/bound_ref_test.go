@@ -5,6 +5,7 @@ import (
 
 	"omptune/internal/env"
 	"omptune/internal/topology"
+	"omptune/openmp"
 )
 
 // This file freezes the model as it was before problems were bound: one
@@ -77,13 +78,13 @@ func refEvaluateExact(m *topology.Machine, p *Profile, cfg env.Config, set Setti
 	itersTotal := p.ItersPerRegion * p.Regions * grow
 	imbalance, schedOver := 0.0, 0.0
 	switch cfg.Schedule {
-	case env.ScheduleStatic, env.ScheduleAuto:
+	case openmp.ScheduleStatic, openmp.ScheduleAuto:
 		imbalance = p.Imbalance * cpuSec
-	case env.ScheduleDynamic:
+	case openmp.ScheduleDynamic:
 		contention := 1 + float64(float64(threads)/64)
 		schedOver = itersTotal * chunkDispatchSec * clockAdj * contention / float64(threads)
 		imbalance = 0.08 * p.Imbalance * cpuSec
-	case env.ScheduleGuided:
+	case openmp.ScheduleGuided:
 		chunks := p.Regions * 2 * float64(threads) * math.Log(p.ItersPerRegion/float64(threads)+2)
 		schedOver = chunks * chunkDispatchSec * clockAdj / float64(threads)
 		imbalance = 0.15 * p.Imbalance * cpuSec
@@ -129,7 +130,7 @@ func refEvaluateExact(m *topology.Machine, p *Profile, cfg env.Config, set Setti
 		yield := lookup(yieldEventCost, m.Arch, 1.0e-6)
 		var perEvent float64
 		switch bt := cfg.EffectiveBlocktimeMS(); {
-		case bt == env.BlocktimeInfinite:
+		case bt == openmp.BlocktimeInfinite:
 			perEvent = spinEventSec * clockAdj
 		case bt == 0:
 			perEvent = float64(0.25*m.WakeupMicros*1e-6) + float64(0.75*yield)
@@ -157,11 +158,11 @@ func refEvaluateExact(m *topology.Machine, p *Profile, cfg env.Config, set Setti
 		var perRed float64
 		sockets := float64(m.Sockets)
 		switch cfg.EffectiveReduction(threads) {
-		case env.ReductionTree:
+		case openmp.ReductionTree:
 			perRed = math.Ceil(math.Log2(float64(threads)+1)) * treeStageSec
-		case env.ReductionCritical:
+		case openmp.ReductionCritical:
 			perRed = float64(threads) * critHandoffSec * (1 + float64(0.4*(sockets-1)))
-		case env.ReductionAtomic:
+		case openmp.ReductionAtomic:
 			perRed = float64(threads) * atomicOpSec * (1 + float64(0.6*(sockets-1)))
 		}
 		redSec = p.ReductionsPerRun * grow * perRed * clockAdj * af

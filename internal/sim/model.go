@@ -107,7 +107,7 @@ var (
 type placementKey struct {
 	arch    topology.Arch
 	places  topology.PlaceKind
-	bind    env.ProcBind
+	bind    openmp.BindPolicy
 	threads int
 }
 
@@ -132,7 +132,7 @@ func placement(m *topology.Machine, cfg env.Config, threads int) placementInfo {
 
 func computePlacement(m *topology.Machine, cfg env.Config, threads int) placementInfo {
 	bind := cfg.EffectiveBind()
-	if bind == env.BindFalse {
+	if bind == openmp.BindNone {
 		over := 1.0
 		if threads > m.Cores {
 			over = float64(threads) / float64(m.Cores)
@@ -151,7 +151,7 @@ func computePlacement(m *topology.Machine, cfg env.Config, threads int) placemen
 	if err != nil {
 		places, _ = m.Partition(topology.PlaceCores)
 	}
-	asg := openmp.AssignPlaces(len(places), bindPolicy(bind), threads, 0)
+	asg := openmp.AssignPlaces(len(places), bind, threads, 0)
 	counts := make(map[int]int)
 	for _, p := range asg {
 		counts[p]++
@@ -174,24 +174,8 @@ func computePlacement(m *topology.Machine, cfg env.Config, threads int) placemen
 	return placementInfo{oversub: over, nodesUsed: len(nodes), spanFrac: span}
 }
 
-// bindPolicy converts the study's env.ProcBind to the runtime's BindPolicy.
-func bindPolicy(b env.ProcBind) openmp.BindPolicy {
-	switch b {
-	case env.BindMaster:
-		return openmp.BindMaster
-	case env.BindClose:
-		return openmp.BindClose
-	case env.BindSpread:
-		return openmp.BindSpread
-	case env.BindTrue:
-		return openmp.BindTrue
-	default:
-		return openmp.BindNone
-	}
-}
-
 // lookup reads a per-architecture model parameter, falling back to a
-// moderate default for user-registered machines (topology.Register).
+// moderate default for a caller-built machine outside the study's three.
 func lookup(table map[topology.Arch]float64, arch topology.Arch, def float64) float64 {
 	if v, ok := table[arch]; ok {
 		return v
@@ -513,14 +497,14 @@ func (b *Bound) exact(cfg *env.Config) float64 {
 	// --- Worksharing schedule: chunk overhead and residual imbalance. -----
 	imbalance, schedOver := 0.0, 0.0
 	switch cfg.Schedule {
-	case env.ScheduleStatic, env.ScheduleAuto: // LLVM resolves auto to static
+	case openmp.ScheduleStatic, openmp.ScheduleAuto: // LLVM resolves auto to static
 		imbalance = p.Imbalance * cpuSec
-	case env.ScheduleDynamic:
+	case openmp.ScheduleDynamic:
 		if schedOver = b.schedDynamic; b.oneShot {
 			schedOver = b.dynamicOver()
 		}
 		imbalance = b.imbDynamic * cpuSec
-	case env.ScheduleGuided:
+	case openmp.ScheduleGuided:
 		if schedOver = b.schedGuided; b.oneShot {
 			schedOver = b.guidedOver()
 		}
@@ -564,7 +548,7 @@ func (b *Bound) exact(cfg *env.Config) float64 {
 	if b.task {
 		perEvent := b.eventYield
 		switch bt {
-		case env.BlocktimeInfinite:
+		case openmp.BlocktimeInfinite:
 			perEvent = b.eventSpin
 		case 0:
 			perEvent = b.eventZero
@@ -597,11 +581,11 @@ func (b *Bound) exact(cfg *env.Config) float64 {
 	if p.ReductionsPerRun > 0 {
 		var perRed float64
 		switch cfg.EffectiveReduction(threads) {
-		case env.ReductionTree:
+		case openmp.ReductionTree:
 			perRed = b.redTree
-		case env.ReductionCritical:
+		case openmp.ReductionCritical:
 			perRed = b.redCritical
-		case env.ReductionAtomic:
+		case openmp.ReductionAtomic:
 			perRed = b.redAtomic
 		}
 		redSec = b.redScale * perRed * b.clockAdj * af

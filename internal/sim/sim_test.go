@@ -7,6 +7,7 @@ import (
 
 	"omptune/internal/env"
 	"omptune/internal/topology"
+	"omptune/openmp"
 )
 
 // testProfile is a neutral loop workload for exercising model mechanics.
@@ -93,7 +94,7 @@ func TestMasterBindingOnCoresIsCatastrophic(t *testing.T) {
 		def := env.Default(m)
 		bad := def
 		bad.Places = topology.PlaceCores
-		bad.ProcBind = env.BindMaster
+		bad.ProcBind = openmp.BindMaster
 		set := defSetting(m)
 		p := testProfile()
 		tDef := EvaluateExact(m, p, def, set)
@@ -110,7 +111,7 @@ func TestBindingHelpsOnMilanBarelyOnSkylake(t *testing.T) {
 	bound := func(m *topology.Machine) env.Config {
 		c := env.Default(m)
 		c.Places = topology.PlaceCores
-		c.ProcBind = env.BindSpread
+		c.ProcBind = openmp.BindSpread
 		return c
 	}
 	mi := topology.MustGet(topology.Milan)
@@ -135,7 +136,7 @@ func TestTurnaroundHelpsTaskApps(t *testing.T) {
 		m := topology.MustGet(arch)
 		def := env.Default(m)
 		turn := def
-		turn.Library = env.LibTurnaround
+		turn.Library = openmp.LibTurnaround
 		set := defSetting(m)
 		p := taskProfile()
 		gain := EvaluateExact(m, p, def, set) / EvaluateExact(m, p, turn, set)
@@ -149,7 +150,7 @@ func TestTurnaroundHelpsTaskApps(t *testing.T) {
 		m := topology.MustGet(arch)
 		def := env.Default(m)
 		turn := def
-		turn.Library = env.LibTurnaround
+		turn.Library = openmp.LibTurnaround
 		p := taskProfile()
 		gains[arch] = EvaluateExact(m, p, def, defSetting(m)) / EvaluateExact(m, p, turn, defSetting(m))
 	}
@@ -175,7 +176,7 @@ func TestDynamicScheduleTradesImbalanceForOverhead(t *testing.T) {
 	m := topology.MustGet(topology.Skylake)
 	def := env.Default(m)
 	dyn := def
-	dyn.Schedule = env.ScheduleDynamic
+	dyn.Schedule = openmp.ScheduleDynamic
 	set := defSetting(m)
 
 	balanced := testProfile()
@@ -198,17 +199,17 @@ func TestReductionMethodCostsOrdered(t *testing.T) {
 	p := testProfile()
 	p.ReductionsPerRun = 100000
 	set := defSetting(m)
-	times := map[env.Reduction]float64{}
-	for _, red := range []env.Reduction{env.ReductionTree, env.ReductionCritical, env.ReductionAtomic} {
+	times := map[openmp.ReductionMethod]float64{}
+	for _, red := range []openmp.ReductionMethod{openmp.ReductionTree, openmp.ReductionCritical, openmp.ReductionAtomic} {
 		cfg := env.Default(m)
 		cfg.ForceReduction = red
 		times[red] = EvaluateExact(m, p, cfg, set)
 	}
-	if times[env.ReductionCritical] <= times[env.ReductionTree] {
-		t.Errorf("critical %v should cost more than tree %v at 40 threads", times[env.ReductionCritical], times[env.ReductionTree])
+	if times[openmp.ReductionCritical] <= times[openmp.ReductionTree] {
+		t.Errorf("critical %v should cost more than tree %v at 40 threads", times[openmp.ReductionCritical], times[openmp.ReductionTree])
 	}
-	if times[env.ReductionAtomic] <= times[env.ReductionTree]*0.5 {
-		t.Errorf("atomic %v implausibly cheap vs tree %v", times[env.ReductionAtomic], times[env.ReductionTree])
+	if times[openmp.ReductionAtomic] <= times[openmp.ReductionTree]*0.5 {
+		t.Errorf("atomic %v implausibly cheap vs tree %v", times[openmp.ReductionAtomic], times[openmp.ReductionTree])
 	}
 }
 

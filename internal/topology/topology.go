@@ -37,10 +37,10 @@ const (
 
 // Machine describes one CPU architecture.
 //
-// The numeric fields reproduce Table I. The derived fields (CoresPerSocket,
-// CoresPerNUMA, LLCGroups) define the hierarchical place partitioning, and
-// the cost fields (MemBWGBs, RemoteNUMAFactor, CrossSocketFactor,
-// WakeupMicros, NoiseSigma) parameterize the performance model.
+// The numeric fields reproduce Table I. The derived fields (CoresPerNUMA,
+// LLCGroups) define the hierarchical place partitioning, and the cost fields
+// (MemBWGBs, RemoteNUMAFactor, CrossSocketFactor, WakeupMicros, NoiseSigma)
+// parameterize the performance model.
 type Machine struct {
 	Arch    Arch
 	Name    string // marketing name, e.g. "Intel Xeon Gold 6148 (Skylake)"
@@ -136,9 +136,6 @@ func All() []*Machine {
 	return out
 }
 
-// CoresPerSocket returns the number of cores in each socket.
-func (m *Machine) CoresPerSocket() int { return m.Cores / m.Sockets }
-
 // CoresPerNUMA returns the number of cores in each NUMA node.
 func (m *Machine) CoresPerNUMA() int { return m.Cores / m.NUMANodes }
 
@@ -202,18 +199,37 @@ func (p Place) Contains(core int) bool {
 
 // PlaceKind names the granularity at which the machine is partitioned into
 // places, mirroring the values of OMP_PLACES.
-type PlaceKind string
+type PlaceKind int
 
 // Place kinds. Threads and NUMADomains exist for completeness; the paper
 // excludes them from the sweep (no SMT machines; hwloc unavailable).
 const (
-	PlaceUnset   PlaceKind = "unset"
-	PlaceThreads PlaceKind = "threads"
-	PlaceCores   PlaceKind = "cores"
-	PlaceLLCs    PlaceKind = "ll_caches"
-	PlaceSockets PlaceKind = "sockets"
-	PlaceNUMA    PlaceKind = "numa_domains"
+	PlaceUnset PlaceKind = iota
+	PlaceThreads
+	PlaceCores
+	PlaceLLCs
+	PlaceSockets
+	PlaceNUMA
 )
+
+// String returns the OMP_PLACES spelling of the kind.
+func (k PlaceKind) String() string {
+	switch k {
+	case PlaceUnset:
+		return "unset"
+	case PlaceThreads:
+		return "threads"
+	case PlaceCores:
+		return "cores"
+	case PlaceLLCs:
+		return "ll_caches"
+	case PlaceSockets:
+		return "sockets"
+	case PlaceNUMA:
+		return "numa_domains"
+	}
+	return fmt.Sprintf("PlaceKind(%d)", int(k))
+}
 
 // Partition splits the machine's cores into places of the requested kind.
 // PlaceUnset yields a single place covering the whole machine (threads are
@@ -261,46 +277,4 @@ func (m *Machine) AlignAllocValues() []int {
 		return []int{256, 512}
 	}
 	return []int{64, 128, 256, 512}
-}
-
-// Register adds a user-defined machine model to the registry, enabling
-// sweeps and tuning on architectures beyond the study's three (the paper's
-// "latest CPU chips" future-work item). The built-in models cannot be
-// replaced. Registered machines participate in Get/MustGet lookups but not
-// in Arches()/All(), which keep the paper's presentation set.
-func Register(m *Machine) error {
-	if m == nil || m.Arch == "" {
-		return fmt.Errorf("topology: machine needs an Arch name")
-	}
-	if _, exists := machines[m.Arch]; exists {
-		return fmt.Errorf("topology: architecture %q already registered", m.Arch)
-	}
-	if m.Cores < 1 || m.Sockets < 1 || m.NUMANodes < 1 || m.LLCGroups < 1 {
-		return fmt.Errorf("topology: %q needs positive cores/sockets/NUMA/LLC counts", m.Arch)
-	}
-	for _, div := range []struct {
-		name string
-		n    int
-	}{{"sockets", m.Sockets}, {"NUMA nodes", m.NUMANodes}, {"LLC groups", m.LLCGroups}} {
-		if m.Cores%div.n != 0 {
-			return fmt.Errorf("topology: %q: %s (%d) must divide cores (%d)", m.Arch, div.name, div.n, m.Cores)
-		}
-	}
-	if m.CacheLineBytes < 8 || m.CacheLineBytes&(m.CacheLineBytes-1) != 0 {
-		return fmt.Errorf("topology: %q: cache line %d is not a power of two >= 8", m.Arch, m.CacheLineBytes)
-	}
-	if m.ClockGHz <= 0 || m.MemBWGBs <= 0 {
-		return fmt.Errorf("topology: %q needs positive clock and bandwidth", m.Arch)
-	}
-	if m.RemoteNUMAFactor < 1 || m.CrossSocketFactor < 1 {
-		return fmt.Errorf("topology: %q: NUMA factors must be >= 1", m.Arch)
-	}
-	if m.WakeupMicros <= 0 {
-		return fmt.Errorf("topology: %q needs a positive wakeup cost", m.Arch)
-	}
-	if m.NoiseSigma < 0 || m.NoiseSigma > 0.2 {
-		return fmt.Errorf("topology: %q: NoiseSigma %v out of range", m.Arch, m.NoiseSigma)
-	}
-	machines[m.Arch] = m
-	return nil
 }

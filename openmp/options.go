@@ -125,6 +125,19 @@ func ParseBind(s string) (BindPolicy, error) {
 	return 0, fmt.Errorf("openmp: unknown proc_bind %q", s)
 }
 
+// Resolve applies the OMP_PROC_BIND default rule: BindDefault is BindNone
+// unless places are set, in which case it is BindSpread. Any other policy
+// resolves to itself.
+func (b BindPolicy) Resolve(placesSet bool) BindPolicy {
+	switch {
+	case b != BindDefault:
+		return b
+	case placesSet:
+		return BindSpread
+	}
+	return BindNone
+}
+
 // LibraryMode is the KMP_LIBRARY execution mode.
 type LibraryMode int
 
@@ -161,6 +174,17 @@ func ParseLibrary(s string) (LibraryMode, error) {
 		return LibSerial, nil
 	}
 	return 0, fmt.Errorf("openmp: unknown library mode %q", s)
+}
+
+// Blocktime resolves the spin budget a blocktime of ms gives under the mode:
+// turnaround dedicates the machine and spins forever, which the real runtime
+// expresses by deriving OMP_WAIT_POLICY from KMP_LIBRARY and KMP_BLOCKTIME
+// together; the other modes keep ms.
+func (l LibraryMode) Blocktime(ms int) int {
+	if l == LibTurnaround {
+		return BlocktimeInfinite
+	}
+	return ms
 }
 
 // ReductionMethod is the KMP_FORCE_REDUCTION cross-thread reduction method.
@@ -206,9 +230,26 @@ func ParseReduction(s string) (ReductionMethod, error) {
 	return 0, fmt.Errorf("openmp: unknown reduction method %q", s)
 }
 
+// Resolve applies the KMP_FORCE_REDUCTION heuristic to ReductionDefault for
+// a team of threads: one thread needs no synchronization (tree degenerates
+// to it), 2–4 threads use critical, larger teams the tree method. A forced
+// method resolves to itself.
+func (r ReductionMethod) Resolve(threads int) ReductionMethod {
+	switch {
+	case r != ReductionDefault:
+		return r
+	case threads > 1 && threads <= 4:
+		return ReductionCritical
+	}
+	return ReductionTree
+}
+
 // BlocktimeInfinite keeps waiting threads spinning forever — between
 // regions and at barriers alike (KMP_BLOCKTIME=infinite).
 const BlocktimeInfinite = -1
+
+// DefaultBlocktimeMS is the KMP_BLOCKTIME of an unset variable.
+const DefaultBlocktimeMS = 200
 
 // Options configures a Runtime. The zero value is NOT ready to use; call
 // DefaultOptions (or fill every field) to obtain the library defaults.
@@ -276,7 +317,7 @@ func DefaultOptions() Options {
 		Schedule:    ScheduleStatic,
 		Bind:        BindDefault,
 		Library:     LibThroughput,
-		BlocktimeMS: 200,
+		BlocktimeMS: DefaultBlocktimeMS,
 		Reduction:   ReductionDefault,
 		AlignAlloc:  64,
 	}
@@ -410,27 +451,6 @@ func (o Options) validate() error {
 	return nil
 }
 
-// effectiveBind resolves BindDefault: none unless places were given, in
-// which case spread.
-func (o Options) effectiveBind() BindPolicy {
-	if o.Bind != BindDefault {
-		return o.Bind
-	}
-	if len(o.Places) > 0 {
-		return BindSpread
-	}
-	return BindNone
-}
-
-// effectiveBlocktimeMS resolves the spin budget from the library mode, like
-// the OMP_WAIT_POLICY derivation in the real runtime.
-func (o Options) effectiveBlocktimeMS() int {
-	if o.Library == LibTurnaround {
-		return BlocktimeInfinite
-	}
-	return o.BlocktimeMS
-}
-
 // effectiveMaxActiveLevels resolves MaxActiveLevels 0: a multi-entry
 // OMP_NUM_THREADS list opts into as many active levels as it has entries;
 // otherwise nesting stays serialized (one active level), the same default
@@ -478,19 +498,4 @@ func (o Options) peakThreads(n int) int {
 		n = min(n, o.ThreadLimit)
 	}
 	return n
-}
-
-// effectiveReduction resolves ReductionDefault with the runtime heuristic.
-func (o Options) effectiveReduction(threads int) ReductionMethod {
-	if o.Reduction != ReductionDefault {
-		return o.Reduction
-	}
-	switch {
-	case threads <= 1:
-		return ReductionTree
-	case threads <= 4:
-		return ReductionCritical
-	default:
-		return ReductionTree
-	}
 }

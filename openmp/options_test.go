@@ -106,30 +106,27 @@ func TestParseBindPrimaryAlias(t *testing.T) {
 }
 
 func TestEffectiveDerivations(t *testing.T) {
-	o := DefaultOptions()
-	if o.effectiveBind() != BindNone {
+	if BindDefault.Resolve(false) != BindNone {
 		t.Error("unset bind without places should resolve to none")
 	}
-	o.Places = []PlaceSpec{{Cores: []int{0}}}
-	if o.effectiveBind() != BindSpread {
+	if BindDefault.Resolve(true) != BindSpread {
 		t.Error("unset bind with places should resolve to spread")
 	}
-	o.Library = LibTurnaround
-	o.BlocktimeMS = 0
-	if o.effectiveBlocktimeMS() != BlocktimeInfinite {
+	if BindMaster.Resolve(true) != BindMaster {
+		t.Error("a set bind must resolve to itself")
+	}
+	if LibTurnaround.Blocktime(0) != BlocktimeInfinite {
 		t.Error("turnaround should force infinite blocktime")
 	}
-	o.Library = LibThroughput
-	if o.effectiveBlocktimeMS() != 0 {
-		t.Error("throughput should keep the configured blocktime")
+	if LibThroughput.Blocktime(0) != 0 || LibSerial.Blocktime(7) != 7 {
+		t.Error("throughput and serial should keep the configured blocktime")
 	}
-	if o.effectiveReduction(1) != ReductionTree ||
-		o.effectiveReduction(3) != ReductionCritical ||
-		o.effectiveReduction(16) != ReductionTree {
+	if ReductionDefault.Resolve(1) != ReductionTree ||
+		ReductionDefault.Resolve(3) != ReductionCritical ||
+		ReductionDefault.Resolve(16) != ReductionTree {
 		t.Error("reduction heuristic thresholds wrong")
 	}
-	o.Reduction = ReductionAtomic
-	if o.effectiveReduction(3) != ReductionAtomic {
+	if ReductionAtomic.Resolve(3) != ReductionAtomic {
 		t.Error("forced reduction must override the heuristic")
 	}
 }

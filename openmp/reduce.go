@@ -21,7 +21,7 @@ func (th *Thread) ReduceMin(local float64) float64 {
 // threads never share a line. Teams whose reductions take another method
 // (or none: a one-thread team) get nil.
 func treeBuffer(o Options, n int) []float64 {
-	if n < 2 || o.effectiveReduction(n) != ReductionTree {
+	if n < 2 || o.Reduction.Resolve(n) != ReductionTree {
 		return nil
 	}
 	return AlignedFloat64s(n*padStride(o.AlignAlloc), o.AlignAlloc)
@@ -33,7 +33,7 @@ func (th *Thread) reduce(local, identity float64, op func(a, b float64) float64)
 		// Special code path: no synchronization needed (§III-6).
 		return local
 	}
-	method := th.team.rt.opts.effectiveReduction(n)
+	method := th.team.rt.opts.Reduction.Resolve(n)
 	if method == ReductionTree {
 		// Pairwise in log2 rounds over the team's buffer.
 		buf, stride := th.team.tree, padStride(th.team.rt.opts.AlignAlloc)

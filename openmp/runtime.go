@@ -200,7 +200,7 @@ func New(opts Options) (*Runtime, error) {
 	if opts.ThreadLimit > 0 && opts.NumThreads > opts.ThreadLimit {
 		opts.NumThreads = opts.ThreadLimit
 	}
-	rt := &Runtime{opts: opts, bind: opts.effectiveBind()}
+	rt := &Runtime{opts: opts, bind: opts.Bind.Resolve(len(opts.Places) > 0)}
 	n := rt.NumThreads()
 	rt.wait = opts.waitPolicy(opts.peakThreads(n), runtime.GOMAXPROCS(0))
 	rt.placement = AssignPlaces(len(opts.Places), rt.bind, opts.NumThreads, 0)
@@ -410,5 +410,5 @@ func (rt *Runtime) criticalFor(name string) *sync.Mutex {
 func (rt *Runtime) String() string {
 	return fmt.Sprintf("openmp.Runtime{threads=%d sched=%s bind=%s lib=%s blocktime=%d red=%s align=%d}",
 		rt.opts.NumThreads, rt.opts.Schedule, rt.bind, rt.opts.Library,
-		rt.opts.effectiveBlocktimeMS(), rt.opts.Reduction, rt.opts.AlignAlloc)
+		rt.opts.Library.Blocktime(rt.opts.BlocktimeMS), rt.opts.Reduction, rt.opts.AlignAlloc)
 }

@@ -38,7 +38,7 @@ func (o Options) waitPolicy(threads, procs int) waitPolicy {
 	if threads <= procs {
 		w.tight = spinTight
 	}
-	if bt := o.effectiveBlocktimeMS(); bt != BlocktimeInfinite {
+	if bt := o.Library.Blocktime(o.BlocktimeMS); bt != BlocktimeInfinite {
 		w.parks, w.budget = true, time.Duration(bt)*time.Millisecond
 	}
 	return w
