@@ -10,8 +10,8 @@ GO ?= go
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
-# arm64 fuses x*y+z into one rounding where amd64 rounds twice, so a fused product in internal/ml, internal/sim, internal/stats or internal/core would move its bits by GOARCH: write float64(x*y).
-	@for pkg in ./internal/ml ./internal/sim ./internal/stats ./internal/core; do \
+# arm64 fuses x*y+z into one rounding where amd64 rounds twice, so a fused product in internal/ml, internal/sim, internal/stats, internal/core or internal/measure would move its bits by GOARCH: write float64(x*y).
+	@for pkg in ./internal/ml ./internal/sim ./internal/stats ./internal/core ./internal/measure; do \
 		asm=$$(GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S $$pkg 2>&1) || { echo "$$asm" >&2; exit 1; }; \
 		! echo "$$asm" | grep -E '\bFN?M(ADD|SUB)D\b' || exit 1; \
 	done

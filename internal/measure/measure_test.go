@@ -93,7 +93,7 @@ func TestEvaluatorConcurrentSeries(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			set := sim.Setting{Label: "t2", Threads: 2, Scale: 0.3 + 0.1*float64(w%2)}
+			set := sim.Setting{Label: "t2", Threads: 2, Scale: 0.3 + float64(0.1*float64(w%2))}
 			slots, meta, err := e.EvaluateSeries(m, app, cfg, key, set)
 			if err != nil || meta.Reps != 2 || slots[0] <= 0 || slots[0] != slots[2] {
 				t.Errorf("worker %d: slots %v meta %+v err %v", w, slots, meta, err)

@@ -11,31 +11,31 @@ import (
 // TestDequeStressEveryTaskClaimedOnce races the owner's push/popBack path
 // against concurrent half-batch thieves on a raw deque and checks the core
 // Chase–Lev invariant: every task is claimed exactly once — no losses, no
-// double executions. Each claimant bumps the task's children counter (free
-// for this purpose outside the scheduler); run under -race this also
-// exercises the slot/index memory-order protocol.
+// double executions. Each claimant bumps the task's refs counter (free for
+// this purpose outside the scheduler); run under -race this also exercises
+// the slot/index memory-order protocol. The producer keeps the deque's
+// bounded contract as Task does: a task that finds the ring full is claimed
+// by the producer itself instead of pushed, so the ring wraps under
+// contention while full.
 func TestDequeStressEveryTaskClaimedOnce(t *testing.T) {
 	const total = 100_000
 	const thieves = 4
 	var victim taskDeque
-	victim.init(8) // small initial ring: growth happens under contention
 	tasks := make([]task, total)
 
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	for i := 0; i < thieves; i++ {
-		own := &taskDeque{}
-		own.init(8)
 		wg.Add(1)
 		go func(own *taskDeque) {
 			defer wg.Done()
 			for {
 				first, _, _ := victim.stealBatch(own)
 				if first != nil {
-					first.children.Add(1)
+					first.refs.Add(1)
 					// The thief owns its deque: drain the batch surplus.
 					for x := own.popBack(); x != nil; x = own.popBack() {
-						x.children.Add(1)
+						x.refs.Add(1)
 					}
 					continue
 				}
@@ -44,43 +44,45 @@ func TestDequeStressEveryTaskClaimedOnce(t *testing.T) {
 				}
 				runtime.Gosched()
 			}
-		}(own)
+		}(new(taskDeque))
 	}
 
 	for i := range tasks {
+		if victim.size() >= dequeCap {
+			tasks[i].refs.Add(1) // full: run it at once
+			continue
+		}
 		victim.push(&tasks[i])
 		if i%3 == 0 {
 			if x := victim.popBack(); x != nil {
-				x.children.Add(1)
+				x.refs.Add(1)
 			}
 		}
 	}
 	for x := victim.popBack(); x != nil; x = victim.popBack() {
-		x.children.Add(1)
+		x.refs.Add(1)
 	}
 	done.Store(true)
 	wg.Wait()
 
 	for i := range tasks {
-		if n := tasks[i].children.Load(); n != 1 {
+		if n := tasks[i].refs.Load(); n != 1 {
 			t.Fatalf("task %d claimed %d times, want exactly 1", i, n)
 		}
 	}
 }
 
 // TestDequeOwnerPathZeroAllocs pins the lock-free owner fast path at zero
-// allocations per operation: after the warmup run has grown the ring to its
-// steady-state capacity, push and popBack touch only preallocated slots.
-// (AllocsPerRun's warmup invocation absorbs the growth.)
+// allocations per operation: push and popBack touch only the deque's fixed
+// slots, here over a full ring's cycle.
 func TestDequeOwnerPathZeroAllocs(t *testing.T) {
 	var d taskDeque
-	d.init(initialDequeCap)
 	tk := &task{}
 	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 4*initialDequeCap; i++ {
+		for i := 0; i < dequeCap; i++ {
 			d.push(tk)
 		}
-		for i := 0; i < 4*initialDequeCap; i++ {
+		for i := 0; i < dequeCap; i++ {
 			d.popBack()
 		}
 	})
@@ -89,32 +91,27 @@ func TestDequeOwnerPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTaskSpawnSteadyStateAllocs is the regression test for the popFront
-// memory churn: the old slice-backed deque front-sliced its backing array on
-// every steal, so steady producer/consumer phases re-grew the array each
-// region. The ring reuses its slots: a long spawn/steal region must cost
-// exactly its task structs (one allocation per spawn) plus nothing from the
-// deque.
+// TestTaskSpawnSteadyStateAllocs: a long spawn/steal region on a warm team
+// allocates nothing. The deque reuses its fixed slots, and every completed
+// descriptor returns to its spawner's free lists, whichever thread ran it.
 func TestTaskSpawnSteadyStateAllocs(t *testing.T) {
 	const spawns = 512
 	rt := testRuntime(t, taskOpts(4))
 	var ran atomic.Int64
 	body := func(*Thread) { ran.Add(1) }
-	region := func() {
-		rt.Parallel(func(th *Thread) {
-			th.Master(func() {
-				for i := 0; i < spawns; i++ {
-					th.Task(body)
-				}
-			})
+	spawn := func(th *Thread) {
+		th.Master(func() {
+			for i := 0; i < spawns; i++ {
+				th.Task(body)
+			}
 		})
 	}
-	region() // grow rings to steady state
-	allocs := testing.AllocsPerRun(10, region)
-	// One &task{} per spawn is inherent; allow a little scheduler noise on
-	// top but nothing near a deque-regrowth signature.
-	if allocs > spawns+spawns/8 {
-		t.Errorf("spawn/steal region allocates %.0f, want ~%d (task structs only)", allocs, spawns)
+	region := func() { rt.Parallel(spawn) }
+	for i := 0; i < 10; i++ {
+		region() // fill the free lists
+	}
+	if allocs := testing.AllocsPerRun(10, region); allocs != 0 {
+		t.Errorf("spawn/steal region allocates %.0f, want 0", allocs)
 	}
 	if ran.Load() == 0 {
 		t.Fatal("tasks never ran")

@@ -24,7 +24,8 @@ import (
 // here so the property is a test and not a number in a benchmark log. The
 // first cases run with Runtime.hooks nil; the loop-region cases repeat a
 // region with each observer attached alone and with all three, and the ring
-// constructs run under every pairing of wait policy and observer set.
+// constructs and task spawns run under every pairing of wait policy and
+// observer set.
 func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 	region := func(body func(*Runtime) func(*Thread)) func(*Runtime) func() {
 		return func(rt *Runtime) func() {
@@ -113,6 +114,30 @@ func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 	}
 	forBody := func(th *Thread) { th.For(64, func(int) {}) }
 	reduceBody := func(th *Thread) { th.ReduceSum(1) }
+	// BenchmarkTaskSpawnRun and BenchmarkTaskFibonacci's tree shape: task
+	// descriptors come back to their spawners' free lists, whichever thread
+	// ran them, and the deques are fixed rings.
+	spawnBody := func(th *Thread) {
+		th.Master(func() {
+			for i := 0; i < 4*dequeCap; i++ {
+				th.Task(func(*Thread) {})
+			}
+			th.TaskWait()
+		})
+	}
+	// tree[d] spawns two tasks running tree[d+1] and waits for them: 126
+	// tasks a region, and no closure built per spawn.
+	tree := make([]func(*Thread), 7)
+	for d := range tree {
+		tree[d] = func(th *Thread) {
+			if d+1 < len(tree) {
+				th.Task(tree[d+1])
+				th.Task(tree[d+1])
+				th.TaskWait()
+			}
+		}
+	}
+	treeBody := func(th *Thread) { th.Single(func() { tree[0](th) }) }
 	constructs := []struct {
 		name   string
 		mutate func(*Options)
@@ -129,6 +154,8 @@ func TestParallelSteadyStateZeroAlloc(t *testing.T) {
 		{"reduce tree", reduction(ReductionTree), reduceBody},
 		{"reduce atomic", reduction(ReductionAtomic), reduceBody},
 		{"reduce critical", reduction(ReductionCritical), reduceBody},
+		{"task spawn", nil, spawnBody},
+		{"task tree", nil, treeBody},
 	}
 	for _, c := range constructs {
 		op := region(func(*Runtime) func(*Thread) { return c.body })

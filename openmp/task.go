@@ -5,19 +5,36 @@ import (
 	"sync/atomic"
 )
 
-// task is one explicit task, allocated per spawn and kept within the 24-byte
-// size class. children counts direct child tasks that have not yet completed
-// (live heap objects, so 32 bits hold it), which is what TaskWait blocks on.
+// task is one explicit task descriptor, kept within the 24-byte size class
+// and recycled through its owner's free lists (Thread.newTask), so a
+// steady-state spawn allocates nothing.
+//
+// Lifetime rule: refs counts the task's incomplete children plus one for the
+// task itself until it completes. TaskWait waits for refs <= 1. A completing
+// task drops its parent's reference first and then its own, and never touches
+// parent after that decrement: the parent may complete and be recycled the
+// moment its count falls. Whoever takes refs to 0 recycles the descriptor. An
+// implicit task's refs is set to 1 when its team is built and that reference
+// is never released, so an implicit task is never recycled. Descriptors never
+// outlive their region: drainTasks runs every task before the end barrier.
 type task struct {
-	fn       func(*Thread)
-	parent   *task
-	children atomic.Int32
-	// stolen is set by the first thief to claim the task, so a steal counts
-	// once however often batch surplus moves on (Stats.TasksStolen). Plain:
-	// only the thread holding the task touches it, and hand-overs go through
-	// the deque's atomic slot and index words.
-	stolen bool
+	// fn is the body; cleared on release, so a free descriptor keeps no
+	// closure alive.
+	fn func(*Thread)
+	// parent is the spawning task while the task is live, and the next
+	// descriptor while it is on a free list.
+	parent *task
+	refs   atomic.Int32
+	// owner is the spawner's index in its team, whose free lists the
+	// descriptor returns to (tasks never leave their team). Its top bit
+	// (taskStolen) is set by the first thief to claim the task, so a steal
+	// counts once however often batch surplus moves on (Stats.TasksStolen).
+	// Plain: only the thread holding the task touches the bit, hand-overs go
+	// through the deque's atomic slot and index words, and newTask clears it.
+	owner uint32
 }
+
+const taskStolen = 1 << 31
 
 // taskPool is the team's work-stealing task scheduler: one Chase–Lev deque
 // per thread, LIFO for the owner (depth-first, cache-friendly) and FIFO for
@@ -29,106 +46,71 @@ type taskPool struct {
 	pending atomic.Int64
 }
 
-func newTaskPool(n int) *taskPool {
-	p := &taskPool{deques: make([]taskDeque, n)}
-	for i := range p.deques {
-		p.deques[i].init(initialDequeCap)
-	}
-	return p
-}
-
 // anyQueued reports whether any deque currently holds a stealable task.
 // Idle task waiters poll it (taskWaitLoop); a transiently negative size
 // during an owner's popBack reads as empty, which is correct — that element
 // is taken.
 func (p *taskPool) anyQueued() bool {
 	for i := range p.deques {
-		d := &p.deques[i]
-		if d.bottom.Load()-d.top.Load() > 0 {
+		if p.deques[i].size() > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// initialDequeCap is the starting ring capacity of each per-thread deque,
-// allocated once at team construction so the owner path never allocates in
-// steady state. A deque holding more than this many outstanding tasks grows
-// by doubling (amortized O(1), and the old ring is simply garbage).
-const initialDequeCap = 64
+// dequeCap is each per-thread deque's fixed ring capacity, a power of two.
+// A spawn that finds its own deque full runs the task at once (Thread.Task,
+// libomp's task throttling), so a deque never grows.
+const dequeCap = 64
 
 // maxStealBatch bounds how many tasks one steal visit may transfer,
 // keeping a thief's time-to-first-execution bounded on very deep deques.
 const maxStealBatch = 32
 
-// dequeRing is one power-of-two circular array of a Chase–Lev deque. Logical
-// index i lives in slots[i&mask]; the indexes themselves (bottom, top) grow
-// without bound. Slots are atomic because a thief's read of slot top races
-// the owner's store of a new task into the same physical slot one
-// revolution later — the thief's subsequent CAS on top fails in exactly the
-// interleavings where that race occurs, so the stale value is discarded.
-type dequeRing struct {
-	mask  int64
-	slots []atomic.Pointer[task]
-}
-
-func newDequeRing(capacity int64) *dequeRing {
-	return &dequeRing{mask: capacity - 1, slots: make([]atomic.Pointer[task], capacity)}
-}
-
-func (r *dequeRing) get(i int64) *task    { return r.slots[i&r.mask].Load() }
-func (r *dequeRing) put(i int64, t *task) { r.slots[i&r.mask].Store(t) }
+// A steal's surplus (at most maxStealBatch-1 tasks) lands on the thief's own
+// deque, which it found empty: it must fit (see stealBatch).
+const _ = uint(dequeCap - maxStealBatch - 1)
 
 // taskDeque is a Chase–Lev work-stealing deque (Chase & Lev, SPAA'05, in
-// the formulation of Lê et al., PPoPP'13): a growable circular array with
-// two indexes. The owner pushes and pops at bottom; thieves claim at top
-// with a CAS. The owner path is lock-free and allocation-free: push is two
-// loads and two stores, popBack needs a CAS only when racing a thief for
-// the last element. Replaces the previous mutex-guarded slice deque, whose
-// popFront front-sliced the backing array and churned memory in steady
-// producer/consumer phases — the ring reuses its slots by construction.
+// the formulation of Lê et al., PPoPP'13): a fixed circular array of dequeCap
+// slots with two indexes. The owner pushes and pops at bottom; thieves claim
+// at top with a CAS. The owner path is lock-free and allocation-free: push is
+// a load and two stores, popBack needs a CAS only when racing a thief for
+// the last element.
+//
+// Logical index i lives in slots[i&(dequeCap-1)]; the indexes themselves grow
+// without bound. Slots are atomic because a thief's read of slot top races
+// the owner's store of a new task into the same physical slot one revolution
+// later. The owner writes index t+dequeCap only after reading top > t (push's
+// precondition), so in exactly the interleavings where that race occurs the
+// thief's subsequent CAS on top from t fails and the stale value is
+// discarded.
 //
 // The hot words live on separate cache lines: bottom is written by the
-// owner on every push/pop, top by thieves on every steal, and the ring
-// pointer only changes on growth.
+// owner on every push/pop, top by thieves on every steal.
 type taskDeque struct {
 	_      [cacheLineSize]byte
 	bottom atomic.Int64
 	_      [cacheLineSize - 8]byte
 	top    atomic.Int64
 	_      [cacheLineSize - 8]byte
-	ring   atomic.Pointer[dequeRing]
-	_      [cacheLineSize - 8]byte
+	slots  [dequeCap]atomic.Pointer[task]
 }
 
-func (d *taskDeque) init(capacity int64) {
-	d.ring.Store(newDequeRing(capacity))
-}
+// size is the number of queued tasks as of its two loads.
+func (d *taskDeque) size() int64 { return d.bottom.Load() - d.top.Load() }
 
-// push appends t at the bottom (owner side). Owner-only.
+func (d *taskDeque) slot(i int64) *atomic.Pointer[task] { return &d.slots[i&(dequeCap-1)] }
+
+// push appends t at the bottom (owner side). Owner-only, and only while the
+// deque holds fewer than dequeCap tasks: thieves only ever shrink it, so a
+// size the owner read below the capacity stays below it.
 func (d *taskDeque) push(t *task) {
 	b := d.bottom.Load()
-	tp := d.top.Load()
-	r := d.ring.Load()
-	if b-tp >= int64(len(r.slots)) {
-		r = d.grow(r, b, tp)
-	}
-	r.put(b, t)
+	d.slot(b).Store(t)
 	// The seq-cst store publishes the slot write to thieves.
 	d.bottom.Store(b + 1)
-}
-
-// grow doubles the ring, copying the live range. Thieves still holding the
-// old ring read the same values at the same logical indexes (growth never
-// moves or removes elements below bottom), so a stale read stays valid for
-// exactly as long as its claiming CAS can still succeed.
-func (d *taskDeque) grow(r *dequeRing, b, tp int64) *dequeRing {
-	nr := newDequeRing(int64(len(r.slots)) * 2)
-	for i := tp; i < b; i++ {
-		nr.put(i, r.get(i))
-	}
-	d.ring.Store(nr)
-	return nr
 }
 
 // popBack removes the newest task (owner side). Owner-only. The only
@@ -137,7 +119,6 @@ func (d *taskDeque) grow(r *dequeRing, b, tp int64) *dequeRing {
 // concurrent thief may be claiming it.
 func (d *taskDeque) popBack() *task {
 	b := d.bottom.Load() - 1
-	r := d.ring.Load()
 	d.bottom.Store(b) // reserve index b; thieves now see size <= b-top
 	t := d.top.Load()
 	if t > b {
@@ -145,7 +126,7 @@ func (d *taskDeque) popBack() *task {
 		d.bottom.Store(b + 1)
 		return nil
 	}
-	x := r.get(b)
+	x := d.slot(b).Load()
 	if t == b {
 		// Last element: race thieves for it with one CAS on top.
 		if !d.top.CompareAndSwap(t, t+1) {
@@ -161,7 +142,7 @@ func (d *taskDeque) popBack() *task {
 		// store. Thieves must NOT clear claimed slots — after a successful
 		// steal the owner may immediately reuse the physical slot for a new
 		// push, which a late thief-side clear would destroy.
-		r.put(b, nil)
+		d.slot(b).Store(nil)
 	}
 	return x
 }
@@ -182,7 +163,7 @@ func (d *taskDeque) stealOne() *task {
 	if b-t <= 0 {
 		return nil
 	}
-	x := d.ring.Load().get(t)
+	x := d.slot(t).Load()
 	if !d.top.CompareAndSwap(t, t+1) {
 		return nil
 	}
@@ -195,7 +176,9 @@ func (d *taskDeque) stealOne() *task {
 // owner the caller must be). Taking half per visit empties a loaded victim
 // in O(log size) visits instead of one task per scan, and the transferred
 // tasks become stealable from the thief in turn, diffusing load through
-// the team.
+// the team. The surplus fits: the caller found own empty (runOneTask steals
+// only after its popBack came back empty, and only the owner pushes), so own
+// holds at most maxStealBatch-1 < dequeCap tasks afterwards.
 //
 // Each task in the batch is claimed by its own CAS on top. A single CAS
 // claiming a [top, top+k) range would be unsound against the owner's
@@ -208,23 +191,18 @@ func (d *taskDeque) stealOne() *task {
 // n is how many tasks moved; fresh how many of them had never been stolen
 // before — each now marked, so a later thief of the surplus does not recount.
 func (d *taskDeque) stealBatch(own *taskDeque) (first *task, n, fresh int) {
-	t := d.top.Load()
-	b := d.bottom.Load()
-	size := b - t
+	size := d.size()
 	if size <= 0 {
 		return nil, 0, 0
 	}
-	want := (size + 1) / 2
-	if want > maxStealBatch {
-		want = maxStealBatch
-	}
+	want := min((size+1)/2, maxStealBatch)
 	for int64(n) < want {
 		x := d.stealOne()
 		if x == nil {
 			break
 		}
-		if !x.stolen {
-			x.stolen = true
+		if x.owner&taskStolen == 0 {
+			x.owner |= taskStolen
 			fresh++
 		}
 		if first == nil {
@@ -243,16 +221,23 @@ func (d *taskDeque) stealBatch(own *taskDeque) (first *task, n, fresh int) {
 // thread. Queued tasks run in TaskWait and in the drain before the
 // end-of-region barrier; a barrier itself is not a task scheduling point — a
 // thread already waiting at one does not come back for tasks pushed later (a
-// deviation from the spec, DESIGN.md "One wait").
+// deviation from the spec, DESIGN.md "One wait"). A spawn that finds its own
+// deque full (dequeCap tasks) runs the task at once instead, as libomp's
+// task throttling does, so queued work is bounded and the descriptor free
+// lists can keep up with any producer.
 func (th *Thread) Task(fn func(*Thread)) {
-	t := &task{fn: fn, parent: th.curTask}
-	th.curTask.children.Add(1)
+	t := th.newTask(fn)
+	th.curTask.refs.Add(1)
 	pool := th.team.pool
 	pool.pending.Add(1)
-	pool.deques[th.id].push(t)
-	th.team.unpark(siteTasks)
 	if h := th.team.hooks; h != nil {
 		h.taskCreate(th)
+	}
+	if d := &pool.deques[th.id]; d.size() < dequeCap {
+		d.push(t)
+		th.team.unpark(siteTasks)
+	} else {
+		th.execute(t)
 	}
 	// Task creation is a task scheduling point (OpenMP spec §task scheduling):
 	// periodically yield the processor so idle team threads get a chance to
@@ -266,10 +251,52 @@ func (th *Thread) Task(fn func(*Thread)) {
 	}
 }
 
+// newTask returns a descriptor for fn, a child of the current task holding
+// its own reference: from the thread's own free list, else from what
+// teammates returned to it (taken whole, so the one popper sees no ABA),
+// else a fresh allocation.
+func (th *Thread) newTask(fn func(*Thread)) *task {
+	t := th.free
+	if t == nil {
+		if t = th.returned.Swap(nil); t == nil {
+			t = new(task)
+		}
+	}
+	if t.refs.Load() != 0 {
+		panic("openmp: a task descriptor was recycled while referenced")
+	}
+	th.free = t.parent
+	t.fn, t.parent, t.owner = fn, th.curTask, uint32(th.id)
+	t.refs.Store(1)
+	return t
+}
+
+// release drops one reference to t; the last one recycles it onto its
+// owner's free list — th's own when th is the owner, else the owner's
+// returned stack.
+func (th *Thread) release(t *task) {
+	if t.refs.Add(-1) != 0 {
+		return
+	}
+	t.fn = nil
+	owner := int(t.owner &^ taskStolen)
+	if owner == th.id {
+		t.parent, th.free = th.free, t
+		return
+	}
+	ret := &th.team.threads[owner].returned
+	for {
+		t.parent = ret.Load()
+		if ret.CompareAndSwap(t.parent, t) {
+			return
+		}
+	}
+}
+
 // TaskWait blocks until all child tasks of the current task have completed,
 // executing queued tasks (its own or stolen) while it waits.
 func (th *Thread) TaskWait() {
-	th.taskWaitLoop(func() bool { return th.curTask.children.Load() <= 0 })
+	th.taskWaitLoop(func() bool { return th.curTask.refs.Load() <= 1 })
 }
 
 // drainTasks participates in task execution until the team has no pending
@@ -297,14 +324,21 @@ func (th *Thread) taskWaitLoop(done func() bool) {
 // thread's own newest task, then a batch stolen from another thread's
 // deque (near victims first when the team has a place-distance model).
 func (th *Thread) runOneTask() bool {
-	pool := th.team.pool
-	t := pool.deques[th.id].popBack()
+	t := th.team.pool.deques[th.id].popBack()
 	if t == nil {
 		t = th.stealTask()
 	}
 	if t == nil {
 		return false
 	}
+	th.execute(t)
+	return true
+}
+
+// execute runs t on th as its current task, then completes it: the parent's
+// reference goes first, then t's own (task's lifetime rule), and the team's
+// task waiters are unparked.
+func (th *Thread) execute(t *task) {
 	h := th.team.hooks
 	prevTask := th.curTask
 	th.curTask = t
@@ -317,11 +351,11 @@ func (th *Thread) runOneTask() bool {
 		h.taskEnd(th, beginAt)
 	}
 	th.curTask = prevTask
-	t.parent.children.Add(-1)
-	pool.pending.Add(-1)
+	th.release(t.parent)
+	th.release(t)
+	th.team.pool.pending.Add(-1)
 	th.stats.tasksRun.Add(1)
 	th.team.unpark(siteTasks)
-	return true
 }
 
 // stealTask scans the other deques for work and transfers a half-batch from

@@ -298,8 +298,8 @@ func TestTaskSpawningInsideLoop(t *testing.T) {
 	}
 }
 
-// Every Task call allocates one task, so its size class is what the task
-// constructs pay the allocator and the collector per operation.
+// A team's threads keep every task descriptor they ever needed on their free
+// lists, so its size class is what a task-heavy region holds in the heap.
 func TestTaskFitsThe24ByteClass(t *testing.T) {
 	if got := unsafe.Sizeof(task{}); got > 24 {
 		t.Errorf("task is %d bytes, want at most 24", got)
@@ -321,7 +321,6 @@ func TestThreadIsTwoCacheLines(t *testing.T) {
 
 func TestDequeOrdering(t *testing.T) {
 	var d taskDeque
-	d.init(4)
 	t1, t2, t3 := &task{}, &task{}, &task{}
 	d.push(t1)
 	d.push(t2)
@@ -340,23 +339,28 @@ func TestDequeOrdering(t *testing.T) {
 	}
 }
 
-func TestDequeGrowPreservesOrder(t *testing.T) {
+// TestDequeWrapPreservesOrder fills the ring, steals part of it and refills
+// it past the end of the slot array, several revolutions over: thieves still
+// see FIFO order and the owner LIFO order across the wrap.
+func TestDequeWrapPreservesOrder(t *testing.T) {
 	var d taskDeque
-	d.init(4)
-	var tasks []*task
-	for i := 0; i < 100; i++ { // forces several doublings
-		tk := &task{}
-		tasks = append(tasks, tk)
-		d.push(tk)
-	}
-	for i := 0; i < 40; i++ { // FIFO from the top
-		if got := d.stealOne(); got != tasks[i] {
-			t.Fatalf("stealOne #%d returned wrong task", i)
+	tasks := make([]task, 5*dequeCap)
+	next, oldest := 0, 0
+	for rev := 0; rev < 4; rev++ {
+		for d.size() < dequeCap {
+			d.push(&tasks[next])
+			next++
+		}
+		for i := 0; i < dequeCap/2; i++ { // FIFO from the top
+			if got := d.stealOne(); got != &tasks[oldest] {
+				t.Fatalf("revolution %d: stealOne #%d returned the wrong task", rev, i)
+			}
+			oldest++
 		}
 	}
-	for i := 99; i >= 40; i-- { // LIFO from the bottom
-		if got := d.popBack(); got != tasks[i] {
-			t.Fatalf("popBack for slot %d returned wrong task", i)
+	for i := next - 1; i >= oldest; i-- { // LIFO from the bottom
+		if got := d.popBack(); got != &tasks[i] {
+			t.Fatalf("popBack for task %d returned the wrong task", i)
 		}
 	}
 	if d.popBack() != nil || d.stealOne() != nil {
@@ -366,8 +370,6 @@ func TestDequeGrowPreservesOrder(t *testing.T) {
 
 func TestDequeBatchStealTakesHalf(t *testing.T) {
 	var victim, own taskDeque
-	victim.init(4)
-	own.init(4)
 	for i := 0; i < 10; i++ {
 		victim.push(&task{})
 	}
@@ -394,9 +396,7 @@ func TestDequeBatchStealTakesHalf(t *testing.T) {
 
 func TestDequeBatchStealCapped(t *testing.T) {
 	var victim, own taskDeque
-	victim.init(4)
-	own.init(4)
-	for i := 0; i < 4*maxStealBatch; i++ {
+	for i := 0; i < dequeCap; i++ {
 		victim.push(&task{})
 	}
 	if _, n, _ := victim.stealBatch(&own); n != maxStealBatch {
@@ -429,5 +429,144 @@ func TestStealScanCoversAllVictims(t *testing.T) {
 			t.Errorf("region %d: no steals — victim scan went blind", region)
 		}
 		checkStealInvariants(t, d, false)
+	}
+}
+
+// TestTaskReturnsBeforeItsChildren exercises the descriptor lifetime rule:
+// roots spawn children and children spawn grandchildren, none of them
+// waiting, so a task completes while its children are still queued and its
+// descriptor must outlive its body until the last child releases it. Over
+// many regions, with descriptors recycled throughout, every body runs
+// exactly once, and newTask never hands out a descriptor whose refs is not
+// zero (it panics if it would).
+func TestTaskReturnsBeforeItsChildren(t *testing.T) {
+	const roots, fan, regions = 4, 4, 30
+	for _, n := range []int{1, 2, 4} {
+		rt := testRuntime(t, taskOpts(n))
+		for r := 0; r < regions; r++ {
+			var hits [roots][fan][fan + 1]atomic.Int32
+			var early atomic.Int32 // roots that returned with children queued
+			rt.Parallel(func(th *Thread) {
+				th.Single(func() {
+					for i := range hits {
+						th.Task(func(c *Thread) {
+							for j := range hits[i] {
+								c.Task(func(g *Thread) {
+									hits[i][j][fan].Add(1)
+									for k := 0; k < fan; k++ {
+										g.Task(func(*Thread) { hits[i][j][k].Add(1) })
+									}
+								})
+							}
+							if c.curTask.refs.Load() > 1 {
+								early.Add(1)
+							}
+						})
+					}
+				})
+			})
+			for i := range hits {
+				for j := range hits[i] {
+					for k := range hits[i][j] {
+						if got := hits[i][j][k].Load(); got != 1 {
+							t.Fatalf("%d threads, region %d: body %d/%d/%d ran %d times, want 1", n, r, i, j, k, got)
+						}
+					}
+				}
+			}
+			// On one thread nothing else can run a queued child.
+			if n == 1 && early.Load() != roots {
+				t.Fatalf("region %d: %d of %d roots returned with queued children", r, early.Load(), roots)
+			}
+		}
+		if got, want := rt.Stats().TasksRun, uint64(regions*roots*(1+fan+fan*fan)); got != want {
+			t.Errorf("%d threads: TasksRun %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestTaskDescriptorsReturnAcrossThreads: a producer that queues its tasks
+// and is then held while its teammate runs every one of them gets its
+// descriptors back on its returned stack, so its next region allocates
+// nothing.
+func TestTaskDescriptorsReturnAcrossThreads(t *testing.T) {
+	const n = dequeCap / 2
+	rt := testRuntime(t, taskOpts(2))
+	var queued atomic.Bool
+	var ran, elsewhere atomic.Int32
+	fn := func(c *Thread) {
+		if c.ID() != 0 {
+			elsewhere.Add(1)
+		}
+		ran.Add(1)
+	}
+	body := func(th *Thread) {
+		if th.ID() != 0 {
+			for !queued.Load() {
+				runtime.Gosched()
+			}
+			return // to drainTasks, which steals every task
+		}
+		for i := 0; i < n; i++ {
+			th.Task(fn)
+		}
+		queued.Store(true)
+		for ran.Load() < n {
+			runtime.Gosched()
+		}
+		ran.Store(0)
+		queued.Store(false)
+	}
+	rt.Parallel(body)
+	if allocs := testing.AllocsPerRun(10, func() { rt.Parallel(body) }); allocs != 0 {
+		t.Errorf("producer region after a cross-thread return allocates %.1f, want 0", allocs)
+	}
+	if got, want := elsewhere.Load(), int32(12*n); got != want {
+		t.Errorf("%d tasks ran on the producer's teammate, want all %d", got, want)
+	}
+}
+
+// TestTaskThrottleRunsOverflowInline: a spawn that finds its own deque full
+// runs the task at once. With no thief (a one-thread team, or a two-thread
+// team whose other thread is held until the spawn loop ends), exactly the
+// tasks past the first dequeCap run inside their Task call; the counters stay
+// exact and their invariants hold at Close.
+func TestTaskThrottleRunsOverflowInline(t *testing.T) {
+	const n = 10 * dequeCap
+	for _, w := range []int{1, 2} {
+		rt := testRuntime(t, taskOpts(w))
+		var spawned atomic.Bool
+		var ran, inline atomic.Int32
+		fn := func(*Thread) {
+			if !spawned.Load() {
+				inline.Add(1)
+			}
+			ran.Add(1)
+		}
+		before := rt.Stats()
+		rt.Parallel(func(th *Thread) {
+			if th.ID() != 0 {
+				for !spawned.Load() {
+					runtime.Gosched()
+				}
+				return
+			}
+			for i := 0; i < n; i++ {
+				th.Task(fn)
+			}
+			spawned.Store(true)
+		})
+		rt.Close() // the exact-snapshot point: workers are parked between regions
+		d := rt.Stats().Sub(before)
+		if got := inline.Load(); got != n-dequeCap {
+			t.Errorf("%d threads: %d tasks ran inside Task, want %d", w, got, n-dequeCap)
+		}
+		if ran.Load() != n || d.TasksRun != n {
+			t.Errorf("%d threads: %d bodies ran, TasksRun %d, want %d", w, ran.Load(), d.TasksRun, n)
+		}
+		checkStealInvariants(t, d, false)
+		if d.Sleeps != d.Wakeups {
+			t.Errorf("%d threads: %d sleeps, %d wakeups", w, d.Sleeps, d.Wakeups)
+		}
 	}
 }

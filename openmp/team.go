@@ -78,7 +78,8 @@ type Team struct {
 	// implicit holds one implicit-task descriptor per thread, indexed by
 	// thread id: a task spawned outside any explicit task is a child of its
 	// spawning thread's, so a top-level TaskWait waits for that thread's
-	// children only, never for its teammates' (OpenMP's binding rule).
+	// children only, never for its teammates' (OpenMP's binding rule). Each
+	// holds its own reference for the team's lifetime, so none is recycled.
 	implicit []task
 
 	// stealOrder[i] is thread i's victim scan order, sorted by the NUMA
@@ -109,7 +110,7 @@ func newTeam(rt *Runtime, parent *Thread, n int, transient bool) *Team {
 		n:        n,
 		parent:   parent,
 		threads:  make([]Thread, n),
-		pool:     newTaskPool(n),
+		pool:     &taskPool{deques: make([]taskDeque, n)},
 		implicit: make([]task, n),
 		tree:     treeBuffer(rt.opts, n),
 	}
@@ -123,6 +124,7 @@ func newTeam(rt *Runtime, parent *Thread, n int, transient bool) *Team {
 		tm.activeLevels++
 	}
 	for i := range tm.threads {
+		tm.implicit[i].refs.Store(1) // held for the team's lifetime
 		th := &tm.threads[i]
 		th.team = tm
 		th.id = i
@@ -325,15 +327,20 @@ func (tm *Team) barrierWait(th *Thread, explicit bool) {
 // Thread is the per-thread view of a parallel region, passed to the region
 // body. It is not safe to share a Thread between goroutines. Threads are
 // cache-line padded: they live in the hot team's contiguous array. The first
-// line holds what teammates read — the parker every task push and completion
-// scans — beside fields set once; the second the mutable fields (seq,
-// stealAt, curTask) written region after region.
+// line holds what teammates touch — the parker every task push and completion
+// scans, the stack they return task descriptors on — beside fields set once;
+// the second the mutable fields (seq, stealAt, curTask, free) written region
+// after region.
 type Thread struct {
 	team   *Team
 	id     int
 	ring   *trace.Ring // this thread's trace ring while traced, else nil
 	parker parker      // the one place this thread sleeps (wait.go)
 	stats  *statShard  // this thread's stats shard
+	// returned is the stack of this thread's task descriptors that teammates
+	// released (Thread.release), linked through parent; newTask takes it
+	// whole once free runs dry.
+	returned atomic.Pointer[task]
 
 	// inner is this thread's cached nested hot team — the per-level
 	// hot-team cache. It is built on the first nested fork and reused by
@@ -342,15 +349,15 @@ type Thread struct {
 	// team's activeLevels, so it never changes, and the team keeps its
 	// OMP_THREAD_LIMIT grant until Close.
 	inner *Team
-	_     [cacheLineSize - 56]byte
 
 	regionID uint64 // region of the implicit task being run, 0 between regions; see hooks.emit
 	seq      int64  // ring constructs entered, team-lifetime monotonic
 	curTask  *task
+	free     *task  // this thread's free task descriptors, linked through parent; owner-only
 	stealAt  int    // last productive steal victim (scan start position)
 	spawns   int    // tasks spawned; every 32nd spawn is a yield point
 	chunks   uint64 // chunks of the running region, not yet in stats
-	_        [cacheLineSize - 48]byte
+	_        [cacheLineSize - 56]byte
 }
 
 // ID returns the thread number within the team (0 = primary).
