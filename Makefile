@@ -55,13 +55,14 @@ flake:
 	$(GO) test -timeout 20m -count=20 -cpu=1,2,4 ./openmp/...
 
 # fuzz runs every Fuzz* target of the packages that parse outside input — the
-# runtime's environment, the study's variables (with the differential between
-# the two), the CSV format, the search telemetry that ompanalyze -searchreport
-# reads — and of internal/ml, whose CART split kernel is held node-for-node to
-# a frozen reference grower and whose two logistic fit kernels are held to
-# each other's bits, for 5 s each, seed corpora first.
+# committed BENCH_*.json trajectories, the runtime's environment, the study's
+# variables (with the differential between the two), the CSV format, the
+# search telemetry that ompanalyze -searchreport reads — and of internal/ml,
+# whose CART split kernel is held node-for-node to a frozen reference grower
+# and whose two logistic fit kernels are held to each other's bits, for 5 s
+# each, seed corpora first.
 fuzz:
-	@for pkg in ./openmp ./internal/env ./internal/dataset ./internal/core ./internal/ml; do \
+	@for pkg in . ./openmp ./internal/env ./internal/dataset ./internal/core ./internal/ml; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s $$pkg || exit 1; \
 		done; \

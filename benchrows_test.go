@@ -120,3 +120,71 @@ func TestParseBenchRowRejects(t *testing.T) {
 		}
 	}
 }
+
+// FuzzBenchRow holds the trajectory reader to its contract on any line: it
+// never panics, and a row it accepts is valid JSON carrying every identifying
+// field and a finite value for each end-to-end metric. The seeds are the
+// committed lines, each torn at several bytes, garbage and rows whose metrics
+// are not finite numbers; the seeds' verdicts are checked before fuzzing.
+func FuzzBenchRow(f *testing.F) {
+	files, err := filepath.Glob("BENCH_*.json")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no BENCH_*.json trajectories (%v)", err)
+	}
+	var good, bad [][]byte
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+			good = append(good, line)
+			for _, cut := range []int{1, len(line) / 3, len(line) / 2, len(line) - 2, len(line) - 1} {
+				bad = append(bad, line[:cut])
+			}
+		}
+	}
+	row := string(good[0])
+	wall := `"wall_s":{"value":`
+	at := strings.Index(row, wall)
+	if at < 0 {
+		f.Fatalf("first row has no wall_s: %s", row)
+	}
+	at += len(wall)
+	end := at + strings.IndexAny(row[at:], ",}")
+	for _, v := range []string{"1e999", "-1e999", "NaN", "Infinity", `"NaN"`, `"+Inf"`, "null"} {
+		bad = append(bad, []byte(row[:at]+v+row[end:]))
+	}
+	bad = append(bad, nil, []byte("garbage"), []byte("{}"), []byte("[1,2]"), []byte("null"),
+		[]byte(`{"workload":1}`), []byte("\x00\xff{"), bytes.Repeat([]byte("{"), 1000))
+	for _, line := range good {
+		if _, err := parseBenchRow(line); err != nil {
+			f.Fatalf("committed row refused (%v): %s", err, line)
+		}
+		f.Add(line)
+	}
+	for _, line := range bad {
+		if _, err := parseBenchRow(line); err == nil {
+			f.Fatalf("bad row accepted: %q", line)
+		}
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		r, err := parseBenchRow(line)
+		if err != nil {
+			return
+		}
+		if !json.Valid(line) {
+			t.Fatalf("accepted a row that is not JSON: %q", line)
+		}
+		if r.Workload == "" || r.Seed == nil || r.Commit == "" || r.Parent == "" || len(r.Host) == 0 {
+			t.Fatalf("accepted a row without its identifying fields: %q", line)
+		}
+		for _, name := range endToEnd {
+			m, ok := r.Result.Metrics[name]
+			if !ok || m.Value == nil || math.IsNaN(*m.Value) || math.IsInf(*m.Value, 0) {
+				t.Fatalf("accepted a row whose %s is missing or not finite: %q", name, line)
+			}
+		}
+	})
+}

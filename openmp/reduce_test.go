@@ -2,6 +2,7 @@ package openmp
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -209,6 +210,148 @@ func TestTreeReductionSlotsAreAligned(t *testing.T) {
 		}
 		if stride := padStride(align); stride*8 < align {
 			t.Errorf("align=%d: stride %d float64s spans fewer bytes", align, stride)
+		}
+	}
+}
+
+// logRoundTree is a frozen copy of the tree reduction as it ran before it
+// became one barrier: in round step, each thread id with id%(2*step) == 0
+// folds slot id+step into its own slot, then the team passes a barrier; the
+// result is slot 0. The rounds are serialized here: within one round the
+// folding threads write disjoint slots and read none that another writes.
+func logRoundTree(vals []float64, op func(a, b float64) float64) float64 {
+	buf := append([]float64(nil), vals...)
+	for step := 1; step < len(buf); step <<= 1 {
+		for id := 0; id+step < len(buf); id += 2 * step {
+			buf[id] = op(buf[id], buf[id+step])
+		}
+	}
+	return buf[0]
+}
+
+// TestReduceTreeMatchesLogRounds holds every thread's tree reduction to the
+// log-round oracle, bit for bit. The sums are 2^53 and then ones: a left fold
+// drops every one (each 2^53 + 1 ties to even), while the pairwise order adds
+// them in pairs first, so from n = 4 the two orders differ and the oracle
+// pins the pairwise one. The minima cover both signed zeros and infinities.
+func TestReduceTreeMatchesLogRounds(t *testing.T) {
+	inf, negZero := math.Inf(1), math.Copysign(0, -1)
+	const maxN = 13
+	sums := make([]float64, maxN)
+	for i := range sums {
+		sums[i] = 1
+	}
+	sums[0] = 1 << 53
+	zeros := []float64{inf, 0, negZero, 0, inf, 3, negZero, 0, inf, 0, 2.5, negZero, 0}
+	infs := []float64{inf, 4, inf, -inf, 0, negZero, inf, -2, -inf, inf, 1, 0, negZero}
+	add := func(a, b float64) float64 { return a + b }
+	cases := []struct {
+		name string
+		min  bool
+		vals []float64
+	}{
+		{"sum", false, sums},
+		{"min of signed zeros", true, zeros},
+		{"min of infinities", true, infs},
+	}
+	for _, n := range []int{2, 3, 4, 5, 7, 8, 13} {
+		rt := testRuntime(t, reduceOpts(n, ReductionTree))
+		for _, c := range cases {
+			vals := c.vals[:n]
+			op := add
+			if c.min {
+				op = math.Min
+			}
+			want := logRoundTree(vals, op)
+			if !c.min && n >= 4 {
+				left := vals[0]
+				for _, v := range vals[1:] {
+					left += v
+				}
+				if left == want {
+					t.Fatalf("n=%d: left fold %v equals the pairwise fold; the sums do not tell the orders apart", n, left)
+				}
+			}
+			got := make([]float64, n)
+			rt.Parallel(func(th *Thread) {
+				v := vals[th.ID()]
+				if c.min {
+					got[th.ID()] = th.ReduceMin(v)
+				} else {
+					got[th.ID()] = th.ReduceSum(v)
+				}
+			})
+			for id, g := range got {
+				if math.Float64bits(g) != math.Float64bits(want) {
+					t.Errorf("n=%d %s: thread %d got %v (%#x), want %v (%#x)", n, c.name, id,
+						g, math.Float64bits(g), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestReduceOneBarrier pins what a reduction costs: one barrier under every
+// method, as libomp's __kmpc_reduce/__kmpc_end_reduce pair pays. A region of
+// k reductions passes k+1 barriers per thread (the end-of-region one too),
+// and each barrier is one BarrierWait observation per team thread.
+func TestReduceOneBarrier(t *testing.T) {
+	const k = 5
+	for _, m := range []ReductionMethod{ReductionTree, ReductionAtomic, ReductionCritical} {
+		for _, n := range []int{2, 3, 4} {
+			rt := testRuntime(t, reduceOpts(n, m))
+			var waits countingObserver
+			rt.SetMetrics(&Metrics{BarrierWait: &waits})
+			rt.Parallel(func(th *Thread) {
+				for r := 0; r < k; r++ {
+					th.ReduceSum(1)
+				}
+			})
+			want := uint64(n * (k + 1))
+			if got := waitCount(&waits, want); got != want {
+				t.Errorf("%s n=%d: %d barrier waits for %d reductions, want %d (%d per thread)",
+					m, n, got, k, want, k+1)
+			}
+			rt.SetMetrics(nil)
+		}
+	}
+}
+
+// TestReduceBufferReuse runs back-to-back reductions with one thread held
+// back between them, so its teammates enter the next reduction (and, for the
+// tree, write the other half of its buffer) while it is still reading the
+// last one. Every thread's value in every round must be that round's: a
+// thread reading a half a teammate already overwrote, or a slot already
+// zeroed, sees another round's value.
+func TestReduceBufferReuse(t *testing.T) {
+	const regions, rounds = 20, 6
+	for _, m := range []ReductionMethod{ReductionTree, ReductionAtomic, ReductionCritical} {
+		for _, n := range []int{2, 3, 4, 5} {
+			rt := testRuntime(t, reduceOpts(n, m))
+			for reg := 0; reg < regions; reg++ {
+				late := reg % n
+				rt.Parallel(func(th *Thread) {
+					id := float64(th.ID())
+					for r := 0; r < rounds; r++ {
+						if th.ID() == late {
+							for i := 0; i < 20; i++ {
+								runtime.Gosched()
+							}
+						}
+						base := float64(100 * (reg*rounds + r))
+						var got, want float64
+						if r%2 == 0 {
+							got, want = th.ReduceSum(base+id), float64(n)*base+float64(n*(n-1)/2)
+						} else {
+							got, want = th.ReduceMin(base-id), base-float64(n-1)
+						}
+						if got != want {
+							t.Errorf("%s n=%d region %d round %d: thread %d got %v, want %v",
+								m, n, reg, r, th.ID(), got, want)
+						}
+					}
+				})
+			}
 		}
 	}
 }

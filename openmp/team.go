@@ -58,10 +58,10 @@ type Team struct {
 	ring    constructRing
 	bar     barrier
 
-	// tree is the tree reduction's buffer, padStride(KMP_ALIGN_ALLOC)
-	// float64s per thread on a KMP_ALIGN_ALLOC boundary; nil unless the
-	// team's reductions resolve to the tree method. Every reduction ends
-	// behind a barrier, so each one reuses it.
+	// tree is the tree reduction's double buffer: two halves of
+	// padStride(KMP_ALIGN_ALLOC) float64s per thread on a KMP_ALIGN_ALLOC
+	// boundary; nil unless the team's reductions resolve to the tree method.
+	// Successive reductions alternate halves (Thread.reduce).
 	tree []float64
 
 	// prof holds one profile slot per thread, indexed by thread id: each
@@ -329,8 +329,8 @@ func (tm *Team) barrierWait(th *Thread, explicit bool) {
 // cache-line padded: they live in the hot team's contiguous array. The first
 // line holds what teammates touch — the parker every task push and completion
 // scans, the stack they return task descriptors on — beside fields set once;
-// the second the mutable fields (seq, stealAt, curTask, free) written region
-// after region.
+// the second the mutable fields (seq, stealAt, curTask, free, reductions)
+// written region after region.
 type Thread struct {
 	team   *Team
 	id     int
@@ -357,7 +357,9 @@ type Thread struct {
 	stealAt  int    // last productive steal victim (scan start position)
 	spawns   int    // tasks spawned; every 32nd spawn is a yield point
 	chunks   uint64 // chunks of the running region, not yet in stats
-	_        [cacheLineSize - 56]byte
+	// reductions counts the tree reductions this thread has entered; its
+	// parity picks the half of the team's tree buffer the next one uses.
+	reductions uint64
 }
 
 // ID returns the thread number within the team (0 = primary).
