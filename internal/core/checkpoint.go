@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -163,32 +162,35 @@ func openCheckpoint(dir string, man sweepManifest) (*checkpoint, error) {
 
 	ck := &checkpoint{dir: dir, have: map[int]journalEntry{}, segments: dataset.NewCSVReader()}
 	jPath := filepath.Join(dir, "journal.jsonl")
-	if f, err := os.Open(jPath); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			var e journalEntry
-			if err := json.Unmarshal([]byte(line), &e); err != nil {
-				// A torn final line from a killed run is expected; anything
-				// already journaled before it stays valid.
-				break
-			}
-			if e.Unit < 0 || e.Unit >= len(man.Units) || man.Units[e.Unit] != e.Key {
-				f.Close()
-				return nil, fmt.Errorf("core: checkpoint journal entry %q does not match the campaign plan", e.Key)
-			}
-			ck.have[e.Unit] = e
-		}
-		f.Close()
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("core: reading checkpoint journal: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
+	raw, err := os.ReadFile(jPath)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("core: reading checkpoint journal: %w", err)
+	}
+	// A record counts once its newline is on disk. The bytes after the last
+	// newline are a torn append from a killed run: truncate them, so the next
+	// append starts on a fresh line.
+	whole := bytes.LastIndexByte(raw, '\n') + 1
+	if whole < len(raw) {
+		if err := os.Truncate(jPath, int64(whole)); err != nil {
+			return nil, fmt.Errorf("core: truncating torn checkpoint journal: %w", err)
+		}
+	}
+	for _, line := range bytes.Split(raw[:whole], []byte{'\n'}) {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
+			continue
+		}
+		var e journalEntry
+		if err := json.Unmarshal(line, &e); err != nil {
+			// A torn record with the next run's first record on its line, as a
+			// journal written without the truncation above can hold: skip it,
+			// the entries after it stay valid.
+			continue
+		}
+		if e.Unit < 0 || e.Unit >= len(man.Units) || man.Units[e.Unit] != e.Key || e.File != segmentName(e.Unit) {
+			return nil, fmt.Errorf("core: checkpoint journal entry %q does not match the campaign plan", e.Key)
+		}
+		ck.have[e.Unit] = e
 	}
 	j, err := os.OpenFile(jPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -223,7 +225,7 @@ func (ck *checkpoint) load(u *sweepUnit) ([]*dataset.Sample, bool, error) {
 // save persists a completed batch: segment file first (atomically), then the
 // journal record, so the journal never references a missing segment.
 func (ck *checkpoint) save(u *sweepUnit, samples []*dataset.Sample) error {
-	name := fmt.Sprintf("unit-%05d.csv", u.index)
+	name := segmentName(u.index)
 	var buf bytes.Buffer
 	if err := (&dataset.Dataset{Samples: samples}).WriteCSV(&buf); err != nil {
 		return err
@@ -244,6 +246,11 @@ func (ck *checkpoint) save(u *sweepUnit, samples []*dataset.Sample) error {
 	ck.have[u.index] = e
 	return nil
 }
+
+// segmentName is the file a unit's batch is saved in, under the checkpoint
+// directory. The journal names it too, and openCheckpoint rejects an entry
+// that names anything else.
+func segmentName(unit int) string { return fmt.Sprintf("unit-%05d.csv", unit) }
 
 // close releases the journal handle.
 func (ck *checkpoint) close() error {

@@ -147,13 +147,7 @@ func TestCheckpointResumeAfterInterrupt(t *testing.T) {
 	second := smallCampaign()
 	second.Workers = 4
 	second.CheckpointDir = dir
-	second.OnProgress = func(ev ProgressEvent) {
-		if ev.Resumed {
-			resumed++
-		} else {
-			evaluated++
-		}
-	}
+	second = countResumes(second, &resumed, &evaluated)
 	got := sweepCSV(t, second)
 	if resumed != done {
 		t.Errorf("resumed %d settings, want %d from the journal", resumed, done)
@@ -212,6 +206,34 @@ func TestCheckpointRejectsDifferentCampaign(t *testing.T) {
 	}
 }
 
+// countResumes returns sc with an OnProgress that counts resumed and
+// evaluated settings into the two ints.
+func countResumes(sc SweepConfig, resumed, evaluated *int) SweepConfig {
+	*resumed, *evaluated = 0, 0
+	sc.OnProgress = func(ev ProgressEvent) {
+		if ev.Resumed {
+			*resumed++
+		} else {
+			*evaluated++
+		}
+	}
+	return sc
+}
+
+// tearJournal appends a half-written record to dir's journal, as a run
+// killed mid-append leaves it.
+func tearJournal(t *testing.T, dir string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(`{"unit":2,"key":"ga`); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckpointJournalToleratesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	sc := smallCampaign()
@@ -219,27 +241,78 @@ func TestCheckpointJournalToleratesTornTail(t *testing.T) {
 	if _, err := RunSweep(sc); err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
-	// Simulate a kill mid-append: a torn, half-written final record.
-	jPath := filepath.Join(dir, "journal.jsonl")
-	f, err := os.OpenFile(jPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	tearJournal(t, dir)
+	var resumed, evaluated int
+	if _, err := RunSweep(countResumes(sc, &resumed, &evaluated)); err != nil {
+		t.Fatalf("resume over torn journal: %v", err)
+	}
+	if resumed != 3 || evaluated != 0 {
+		t.Errorf("torn complete journal: resumed %d evaluated %d, want 3 and 0", resumed, evaluated)
+	}
+
+	// Interrupt, tear, resume, resume: the first resume journals the
+	// settings it evaluates, and the second must find them all. Appending
+	// onto the torn line used to hide every record after it from all later
+	// resumes.
+	dir = t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	first := smallCampaign()
+	first.Workers = 1
+	first.CheckpointDir = dir
+	first.Context = ctx
+	first.OnProgress = func(ProgressEvent) { cancel() }
+	if _, err := RunSweep(first); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	tearJournal(t, dir)
+	want := sweepCSV(t, smallCampaign())
+	sc.CheckpointDir = dir
+	if got := sweepCSV(t, countResumes(sc, &resumed, &evaluated)); !bytes.Equal(got, want) {
+		t.Fatal("resumed sweep CSV differs from an uninterrupted run")
+	}
+	if resumed+evaluated != 3 || evaluated == 0 {
+		t.Errorf("first resume: resumed %d evaluated %d, want some of 3 evaluated", resumed, evaluated)
+	}
+	if got := sweepCSV(t, countResumes(sc, &resumed, &evaluated)); !bytes.Equal(got, want) {
+		t.Fatal("second resumed sweep CSV differs from an uninterrupted run")
+	}
+	if resumed != 3 || evaluated != 0 {
+		t.Errorf("second resume: resumed %d evaluated %d, want 3 and 0", resumed, evaluated)
+	}
+}
+
+// TestCheckpointRejectsForeignSegmentPath: a journal entry's file is the
+// unit's own segment name, never a path the journal supplies.
+func TestCheckpointRejectsForeignSegmentPath(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "ck")
+	sc := smallCampaign()
+	sc.CheckpointDir = dir
+	if _, err := RunSweep(sc); err != nil {
+		t.Fatalf("RunSweep: %v", err)
+	}
+	// A well-formed segment outside the directory, which the entry names.
+	seg, err := os.ReadFile(filepath.Join(dir, "unit-00000.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"unit":9999,"key":"ga`); err != nil {
+	if err := os.WriteFile(filepath.Join(root, "x.csv"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	var resumed int
-	sc.OnProgress = func(ev ProgressEvent) {
-		if ev.Resumed {
-			resumed++
-		}
+	jPath := filepath.Join(dir, "journal.jsonl")
+	journal, err := os.ReadFile(jPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunSweep(sc); err != nil {
-		t.Fatalf("resume over torn journal: %v", err)
+	forged := strings.Replace(string(journal), `"file":"unit-00000.csv"`, `"file":"../x.csv"`, 1)
+	if forged == string(journal) {
+		t.Fatalf("journal names no unit-00000.csv: %s", journal)
 	}
-	if resumed != 3 {
-		t.Errorf("resumed %d settings over torn journal, want 3", resumed)
+	if err := os.WriteFile(jPath, []byte(forged), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunSweep(sc); err == nil || !strings.Contains(err.Error(), "does not match the campaign plan") {
+		t.Fatalf("journal entry naming ../x.csv: err = %v, want a campaign-plan mismatch", err)
 	}
 }
 

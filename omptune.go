@@ -84,12 +84,6 @@ func NestedApplications() []*App { return apps.NestedApps() }
 // (e.g. "Nqueens", "XSbench").
 func ApplicationByName(name string) (*App, error) { return apps.ByName(name) }
 
-// DefaultConfig returns the runtime's default configuration on m (§III).
-func DefaultConfig(m *Machine) env.Config { return env.Default(m) }
-
-// ParseConfig builds a Config from KEY=VALUE environment entries.
-func ParseConfig(m *Machine, environ []string) (env.Config, error) { return env.Parse(m, environ) }
-
 // Variables returns the canonical order of the studied environment
 // variables.
 func Variables() []VarName { return env.Names() }

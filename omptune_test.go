@@ -53,10 +53,6 @@ func TestFacadeBasics(t *testing.T) {
 	if len(Variables()) != 7 {
 		t.Errorf("Variables() = %d, want 7", len(Variables()))
 	}
-	cfg, err := ParseConfig(m, []string{"KMP_LIBRARY=turnaround"})
-	if err != nil || cfg.Library != openmp.LibTurnaround {
-		t.Errorf("ParseConfig: %v, %v", cfg, err)
-	}
 }
 
 func TestFacadeSimulate(t *testing.T) {
@@ -66,7 +62,7 @@ func TestFacadeSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := Setting{Label: "t20", Threads: 20, Scale: 1}
-	cfg := DefaultConfig(m)
+	cfg := env.Default(m)
 	exact := sim.EvaluateExact(m, app.Profile, cfg, set)
 	if exact <= 0 {
 		t.Fatalf("EvaluateExact = %v", exact)
