@@ -188,48 +188,37 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "running %s (scale %.2f) on %s\n", app.Name, *scale, rt)
 	}
 
-	var series measure.Series
 	tracing := *traceOut != "" || *traceSum || *traceSumJ
 	profiling := *profSum || *profJSON != "" || *profFold != ""
+	// The instruments attach after the warmup runs, so they cover the timed
+	// repetitions only — the same runs the reported times come from.
+	var observe func() error
 	if tracing || profiling {
-		// Warmup runs untraced and unprofiled, so both instruments cover
-		// steady-state timed repetitions only — the same runs the reported
-		// times come from.
-		for i := 0; i < *warmup; i++ {
-			app.Kernel(rt, *scale)
-		}
-		if tracing {
-			if err := rt.StartTrace(*traceBuf); err != nil {
-				return err
+		observe = func() error {
+			if tracing {
+				if err := rt.StartTrace(*traceBuf); err != nil {
+					return err
+				}
 			}
-		}
-		if profiling {
-			if err := rt.StartProfile(); err != nil {
-				return err
+			if profiling {
+				return rt.StartProfile()
 			}
+			return nil
 		}
-		if pol.Enabled() {
-			series = measure.RunAdaptive(rt, app.Kernel, *scale, 0, pol)
-		} else {
-			series = measure.Run(rt, app.Kernel, *scale, 0, *reps)
+	}
+	series, err := measure.RunObserved(rt, app.Kernel, *scale, *warmup, *reps, pol, observe)
+	if err != nil {
+		return err
+	}
+	if tracing {
+		if err := emitTrace(stderr, rt.StopTrace(), *traceOut, *traceSum, *traceSumJ); err != nil {
+			return err
 		}
-		series.Warmup = *warmup
-		if tracing {
-			data := rt.StopTrace()
-			if err := emitTrace(stderr, data, *traceOut, *traceSum, *traceSumJ); err != nil {
-				return err
-			}
+	}
+	if profiling {
+		if err := emitProfile(stderr, rt.StopProfile(), *profSum, *profJSON, *profFold); err != nil {
+			return err
 		}
-		if profiling {
-			rep := rt.StopProfile()
-			if err := emitProfile(stderr, rep, *profSum, *profJSON, *profFold); err != nil {
-				return err
-			}
-		}
-	} else if pol.Enabled() {
-		series = measure.RunAdaptive(rt, app.Kernel, *scale, *warmup, pol)
-	} else {
-		series = measure.Run(rt, app.Kernel, *scale, *warmup, *reps)
 	}
 
 	mean, min := 0.0, series.Runtimes[0]

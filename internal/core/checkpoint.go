@@ -201,7 +201,8 @@ func openCheckpoint(dir string, man sweepManifest) (*checkpoint, error) {
 }
 
 // load restores a previously completed batch, reporting ok=false when the
-// unit has not been checkpointed.
+// unit has not been checkpointed. A segment must hold the journaled number of
+// rows, every one of them the unit's own (arch, app, setting).
 func (ck *checkpoint) load(u *sweepUnit) ([]*dataset.Sample, bool, error) {
 	e, ok := ck.have[u.index]
 	if !ok {
@@ -218,6 +219,11 @@ func (ck *checkpoint) load(u *sweepUnit) ([]*dataset.Sample, bool, error) {
 	}
 	if ds.Len() != e.Samples {
 		return nil, false, fmt.Errorf("core: checkpoint segment for %s has %d samples, journal says %d", e.Key, ds.Len(), e.Samples)
+	}
+	for _, smp := range ds.Samples {
+		if smp.Arch != u.arch || smp.App != u.app.Name || smp.Setting != u.set.Label {
+			return nil, false, fmt.Errorf("core: checkpoint segment for %s holds a row of %s/%s/%s", e.Key, smp.Arch, smp.App, smp.Setting)
+		}
 	}
 	return ds.Samples, true, nil
 }

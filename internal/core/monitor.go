@@ -142,12 +142,13 @@ func (m *Monitor) RuntimeMetrics() *openmp.Metrics { return &m.rtm }
 
 // RuntimeProfile returns the campaign-wide per-region profile aggregate.
 // Set it as measure.Options.Profile so every measured series folds its
-// region report here; serve the result with Regions (obs.Server.SetRegions).
+// region report here; serve the result with Regions.
 func (m *Monitor) RuntimeProfile() *profile.Aggregator { return m.prof }
 
-// Regions snapshots the per-region efficiency aggregate as the
-// /api/regions payload.
-func (m *Monitor) Regions() []obs.Region { return regionRows(m.prof.Snapshot()) }
+// Regions snapshots the per-region efficiency aggregate as the /api/regions
+// payload: the profiler's own rows, the JSON omprun -profile-json writes,
+// ordered by cumulative thread-time, largest first.
+func (m *Monitor) Regions() []profile.RegionProfile { return m.prof.Snapshot().Regions }
 
 // evalHist is the per-arch setting-batch evaluation latency histogram.
 func (m *Monitor) evalHist(arch string) *obs.Histogram {

@@ -44,7 +44,7 @@ func monStatus(t *testing.T, base string) obs.Status {
 // and scrapes the HTTP endpoints before, during and after the campaign.
 func TestMonitorLiveSweep(t *testing.T) {
 	mon := NewMonitor()
-	srv := obs.NewServer(mon.Registry(), func() any { return mon.Status() })
+	srv := obs.NewServer(mon.Registry(), func() any { return mon.Status() }, nil, nil)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -313,6 +314,52 @@ func TestCheckpointRejectsForeignSegmentPath(t *testing.T) {
 	}
 	if _, err := RunSweep(sc); err == nil || !strings.Contains(err.Error(), "does not match the campaign plan") {
 		t.Fatalf("journal entry naming ../x.csv: err = %v, want a campaign-plan mismatch", err)
+	}
+}
+
+// TestCheckpointRejectsForeignSegmentRows: a segment holding another unit's
+// rows is rejected, even when the journal's row count matches it.
+func TestCheckpointRejectsForeignSegmentRows(t *testing.T) {
+	dir := t.TempDir()
+	sc := smallCampaign()
+	sc.CheckpointDir = dir
+	if _, err := RunSweep(sc); err != nil {
+		t.Fatalf("RunSweep: %v", err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, "unit-00001.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "unit-00000.csv"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jPath := filepath.Join(dir, "journal.jsonl")
+	journal, err := os.ReadFile(jPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[int]journalEntry{}
+	for _, line := range strings.Split(strings.TrimSpace(string(journal)), "\n") {
+		var e journalEntry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		entries[e.Unit] = e
+	}
+	var forged bytes.Buffer
+	for unit, e := range entries {
+		if unit == 0 {
+			e.Samples = entries[1].Samples
+		}
+		raw, _ := json.Marshal(e)
+		forged.Write(append(raw, '\n'))
+	}
+	if err := os.WriteFile(jPath, forged.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunSweep(sc)
+	if err == nil || !strings.Contains(err.Error(), "segment for "+entries[0].Key+" holds a row of "+entries[1].Key) {
+		t.Fatalf("unit 1's rows under unit 0: err = %v, want a rejection naming both units", err)
 	}
 }
 

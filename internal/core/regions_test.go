@@ -34,8 +34,8 @@ func TestMonitorRegions(t *testing.T) {
 	if r.Count != 2 || r.Threads != 2 || r.Level != 0 {
 		t.Errorf("row = %+v, want count 2, threads 2, level 0", r)
 	}
-	if r.WallSec <= 0 || r.ThreadSec <= 0 {
-		t.Errorf("times not positive: wall=%v thread=%v", r.WallSec, r.ThreadSec)
+	if r.WallNS <= 0 || r.ThreadNS <= 0 {
+		t.Errorf("times not positive: wall=%v thread=%v", r.WallNS, r.ThreadNS)
 	}
 	if r.ParallelEfficiency <= 0 || r.ParallelEfficiency > 1 {
 		t.Errorf("ParallelEfficiency = %v, want in (0, 1]", r.ParallelEfficiency)

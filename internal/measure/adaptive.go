@@ -83,25 +83,22 @@ func (a Adaptive) met(w *stats.Welford) bool {
 // exercised against scripted time.
 var timeNow = time.Now
 
-// RunAdaptive executes kernel on rt under the adaptive policy: warmup
-// untimed runs, then timed repetitions until the stopping rule fires. The
-// returned Series records the stop reason and final noise estimates.
-func RunAdaptive(rt *openmp.Runtime, kernel func(*openmp.Runtime, float64) float64, scale float64, warmup int, pol Adaptive) Series {
-	return runSeries(rt, kernel, scale, warmup, 0, pol.withDefaults())
-}
-
-// runSeries is the shared timing loop behind Run and RunAdaptive. With the
-// policy disabled it runs exactly fixedReps repetitions (stop reason
-// "fixed"); enabled, it runs between MinReps and MaxReps repetitions under
-// the stopping rule. Either way the series' noise estimates are streamed
-// through a Welford accumulator and recorded on the result.
-func runSeries(rt *openmp.Runtime, kernel func(*openmp.Runtime, float64) float64, scale float64, warmup, fixedReps int, pol Adaptive) Series {
+// RunObserved is the harness behind every measured series: warmup untimed
+// runs, then observe when it is non-nil — where a caller attaches a tracer
+// or a profiler, so that it covers the timed repetitions only, the runs the
+// reported times come from — then the timed repetitions. With pol disabled
+// it runs exactly reps of them (stop reason "fixed"); enabled, between
+// MinReps and MaxReps under the stopping rule. Either way the series' noise
+// estimates are streamed through a Welford accumulator and recorded on the
+// result. An error from observe ends the series before its first timed run.
+func RunObserved(rt *openmp.Runtime, kernel func(*openmp.Runtime, float64) float64, scale float64, warmup, reps int, pol Adaptive, observe func() error) (Series, error) {
 	if warmup < 0 {
 		warmup = 0
 	}
 	adaptive := pol.Enabled()
-	maxReps := fixedReps
+	maxReps := reps
 	if adaptive {
+		pol = pol.withDefaults()
 		maxReps = pol.MaxReps
 	} else if maxReps < 1 {
 		maxReps = 1
@@ -114,6 +111,11 @@ func runSeries(rt *openmp.Runtime, kernel func(*openmp.Runtime, float64) float64
 	}
 	for i := 0; i < warmup; i++ {
 		s.Checksum = kernel(rt, scale)
+	}
+	if observe != nil {
+		if err := observe(); err != nil {
+			return Series{}, err
+		}
 	}
 	var w stats.Welford
 	prev := rt.Stats()
@@ -156,5 +158,5 @@ func runSeries(rt *openmp.Runtime, kernel func(*openmp.Runtime, float64) float64
 	s.CIHalfWidth = w.CIHalfWidth(CIConfidence)
 	s.CIRel = w.CIRel(CIConfidence)
 	s.Stats = rt.Stats()
-	return s
+	return s, nil
 }

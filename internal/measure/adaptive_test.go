@@ -62,7 +62,7 @@ func TestAdaptiveQuietStopsAtMinReps(t *testing.T) {
 	// Every rep takes exactly 10ms: CoV = 0 at n = 2.
 	withFakeClock(t, []time.Duration{10 * time.Millisecond})
 	rt := testRuntime(t)
-	s := RunAdaptive(rt, noopKernel, 0.1, 1, Adaptive{TargetCoV: 0.05, MinReps: 2, MaxReps: 16})
+	s, _ := RunObserved(rt, noopKernel, 0.1, 1, 0, Adaptive{TargetCoV: 0.05, MinReps: 2, MaxReps: 16}, nil)
 	if s.RepsRun != 2 || len(s.Runtimes) != 2 {
 		t.Fatalf("quiet series ran %d reps, want MinReps=2 (runtimes %v)", s.RepsRun, s.Runtimes)
 	}
@@ -87,7 +87,7 @@ func TestAdaptiveQuietStopsAtMinReps(t *testing.T) {
 func TestAdaptiveNoisyRunsToMaxReps(t *testing.T) {
 	withFakeClock(t, []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond})
 	rt := testRuntime(t)
-	s := RunAdaptive(rt, noopKernel, 0.1, 0, Adaptive{TargetCoV: 0.05, MinReps: 2, MaxReps: 6})
+	s, _ := RunObserved(rt, noopKernel, 0.1, 0, 0, Adaptive{TargetCoV: 0.05, MinReps: 2, MaxReps: 6}, nil)
 	if s.RepsRun != 6 {
 		t.Fatalf("noisy series ran %d reps, want MaxReps=6", s.RepsRun)
 	}
@@ -111,9 +111,9 @@ func TestAdaptiveBudgetStops(t *testing.T) {
 	// allows only a few reps.
 	withFakeClock(t, []time.Duration{10 * time.Millisecond, 20 * time.Millisecond})
 	rt := testRuntime(t)
-	s := RunAdaptive(rt, noopKernel, 0.1, 0, Adaptive{
+	s, _ := RunObserved(rt, noopKernel, 0.1, 0, 0, Adaptive{
 		TargetCoV: 0.01, MinReps: 2, MaxReps: 64, MaxTime: 100 * time.Millisecond,
-	})
+	}, nil)
 	if s.StopReason != StopBudget {
 		t.Fatalf("StopReason = %q, want %q (ran %d reps)", s.StopReason, StopBudget, s.RepsRun)
 	}
@@ -130,7 +130,7 @@ func TestAdaptiveCIRelTarget(t *testing.T) {
 	// Mild 10/10.4/10.2ms cycle → CoV ~2%, but CIRel at n=2 is ~12%.
 	withFakeClock(t, []time.Duration{10 * time.Millisecond, 10400 * time.Microsecond, 10200 * time.Microsecond})
 	rt := testRuntime(t)
-	s := RunAdaptive(rt, noopKernel, 0.1, 0, Adaptive{TargetCIRel: 0.05, MinReps: 2, MaxReps: 32})
+	s, _ := RunObserved(rt, noopKernel, 0.1, 0, 0, Adaptive{TargetCIRel: 0.05, MinReps: 2, MaxReps: 32}, nil)
 	if s.StopReason != StopTarget {
 		t.Fatalf("StopReason = %q, want %q (CIRel %v after %d reps)", s.StopReason, StopTarget, s.CIRel, s.RepsRun)
 	}

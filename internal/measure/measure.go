@@ -5,11 +5,12 @@
 // internal/sim — the two plug into the same core.Evaluator seam, so every
 // analysis in the repository can run on modeled or measured data.
 //
-// The package also exposes the shared measurement harness (Run) used by
-// cmd/omprun, so one-off command-line measurements and sweep campaigns time
-// kernels identically: warmup runs first, then timed repetitions on the same
-// runtime (reusing the hot team across reps, as a user re-running a binary
-// under an exported environment would reuse a warmed machine).
+// The package also exposes the shared measurement harness (RunObserved, and
+// Run for a plain fixed series) used by cmd/omprun, so one-off command-line
+// measurements and sweep campaigns time kernels identically: warmup runs
+// first, then timed repetitions on the same runtime (reusing the hot team
+// across reps, as a user re-running a binary under an exported environment
+// would reuse a warmed machine).
 package measure
 
 import (
@@ -67,7 +68,8 @@ type Series struct {
 // (warmup) run pays team spin-up and allocator warm-up so the timed reps
 // measure steady state, mirroring the repeated-run methodology of §IV-C.
 func Run(rt *openmp.Runtime, kernel func(*openmp.Runtime, float64) float64, scale float64, warmup, reps int) Series {
-	return runSeries(rt, kernel, scale, warmup, reps, Adaptive{})
+	s, _ := RunObserved(rt, kernel, scale, warmup, reps, Adaptive{}, nil) // nothing to observe, no error
+	return s
 }
 
 // Options configures the measured evaluator.
@@ -171,19 +173,18 @@ func (e *Evaluator) measure(m *topology.Machine, app *apps.App, cfg env.Config, 
 	if e.opt.Metrics != nil {
 		rt.SetMetrics(e.opt.Metrics)
 	}
-	if e.opt.Profile == nil {
-		return runSeries(rt, app.Kernel, set.Scale, e.opt.Warmup, e.opt.TimedReps, e.opt.Adaptive), nil
+	// A profiled series' profiler watches the timed repetitions, and its
+	// report joins the campaign-wide aggregate.
+	var observe func() error
+	if e.opt.Profile != nil {
+		observe = rt.StartProfile
 	}
-	// Profiled series: warmup runs unprofiled, then the profiler watches the
-	// timed repetitions and its report joins the campaign-wide aggregate.
-	for i := 0; i < e.opt.Warmup; i++ {
-		app.Kernel(rt, set.Scale)
-	}
-	if err := rt.StartProfile(); err != nil {
+	s, err := RunObserved(rt, app.Kernel, set.Scale, e.opt.Warmup, e.opt.TimedReps, e.opt.Adaptive, observe)
+	if err != nil {
 		return Series{}, err
 	}
-	s := runSeries(rt, app.Kernel, set.Scale, 0, e.opt.TimedReps, e.opt.Adaptive)
-	s.Warmup = e.opt.Warmup
-	e.opt.Profile.Fold(rt.StopProfile())
+	if e.opt.Profile != nil {
+		e.opt.Profile.Fold(rt.StopProfile())
+	}
 	return s, nil
 }

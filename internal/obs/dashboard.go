@@ -320,7 +320,7 @@ const dashboardHTML = `<!DOCTYPE html>
       tr.insertCell().textContent = r.level;
       tr.insertCell().textContent = fmtCount(r.count);
       tr.insertCell().textContent = r.threads;
-      tr.insertCell().textContent = fmtSec(r.wall_sec);
+      tr.insertCell().textContent = fmtSec(r.wall_ns / 1e9);
       tr.appendChild(effCell(r.parallel_efficiency));
       tr.appendChild(effCell(r.load_balance));
       tr.insertCell().textContent = (100 * r.barrier_wait_share).toFixed(1);

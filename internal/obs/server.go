@@ -12,16 +12,14 @@ import (
 
 // Server is the embedded HTTP monitor: it exposes a Registry at /metrics
 // (Prometheus text format), liveness at /healthz, a caller-defined status
-// snapshot at /api/status (JSON), an optional per-region profile payload at
-// /api/regions (see SetRegions), and a self-contained HTML dashboard at /
-// that polls both APIs. It is deliberately tiny — net/http only, no
-// external assets — because it runs inside long campaign processes where a
-// dependency or a blocking handler would be a liability.
+// snapshot at /api/status (JSON), optional per-region profile and
+// series-noise payloads at /api/regions and /api/variability, and a
+// self-contained HTML dashboard at / that polls the APIs. It is deliberately
+// tiny — net/http only, no external assets — because it runs inside long
+// campaign processes where a dependency or a blocking handler would be a
+// liability.
 type Server struct {
-	reg         *Registry
-	status      func() any
-	regions     func() any
-	variability func() any
+	reg *Registry
 
 	mu   sync.Mutex
 	ln   net.Listener
@@ -29,19 +27,18 @@ type Server struct {
 	done chan error
 }
 
-// NewServer builds a monitor over reg. status, when non-nil, produces the
-// /api/status payload; it must be safe for concurrent use and cheap (it is
-// called per request).
-func NewServer(reg *Registry, status func() any) *Server {
-	s := &Server{reg: reg, status: status, done: make(chan error, 1)}
+// NewServer builds a monitor over reg. status, regions and variability
+// produce the /api/status, /api/regions and /api/variability payloads; each
+// must be safe for concurrent use and cheap (it is called per request). A
+// nil producer serves JSON null, and the dashboard hides that section.
+func NewServer(reg *Registry, status, regions, variability func() any) *Server {
+	s := &Server{reg: reg, done: make(chan error, 1)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	// The producers are read per request: SetRegions and SetVariability may
-	// install theirs after NewServer.
-	mux.HandleFunc("/api/status", func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, s.status) })
-	mux.HandleFunc("/api/regions", func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, s.regions) })
-	mux.HandleFunc("/api/variability", func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, s.variability) })
+	mux.HandleFunc("/api/status", func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, status) })
+	mux.HandleFunc("/api/regions", func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, regions) })
+	mux.HandleFunc("/api/variability", func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, variability) })
 	mux.HandleFunc("/", s.handleDashboard)
 	s.http = &http.Server{
 		Handler:           mux,
@@ -130,19 +127,6 @@ func serveJSON(w http.ResponseWriter, produce func() any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
-
-// SetRegions installs the /api/regions payload producer — typically a
-// closure returning []Region from a live profile aggregate. Like the status
-// producer it must be concurrency-safe and cheap; call before Start. When
-// unset the endpoint serves null and the dashboard hides its region section.
-func (s *Server) SetRegions(fn func() any) { s.regions = fn }
-
-// SetVariability installs the /api/variability payload producer — typically
-// a closure returning []VariabilityCell from the monitor's live noise
-// observatory. Like the status producer it must be concurrency-safe and
-// cheap; call before Start. When unset the endpoint serves null and the
-// dashboard hides its variability section.
-func (s *Server) SetVariability(fn func() any) { s.variability = fn }
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {

@@ -8,11 +8,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"omptune/openmp/profile"
 )
 
-func startTestServer(t *testing.T, reg *Registry, status func() any) string {
+func startTestServer(t *testing.T, srv *Server) string {
 	t.Helper()
-	srv := NewServer(reg, status)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -43,7 +44,7 @@ func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("omptune_srv_total", "served").Add(7)
 	st := Status{State: "running", Workers: 2, SamplesDone: 3, SamplesTotal: 10}
-	base := startTestServer(t, reg, func() any { return st })
+	base := startTestServer(t, NewServer(reg, func() any { return st }, nil, nil))
 
 	code, body, _ := get(t, base+"/healthz")
 	if code != http.StatusOK || strings.TrimSpace(body) != "ok" {
@@ -97,7 +98,7 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 func TestServerShutdown(t *testing.T) {
-	srv := NewServer(NewRegistry(), func() any { return Status{State: "done"} })
+	srv := NewServer(NewRegistry(), func() any { return Status{State: "done"} }, nil, nil)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -113,8 +114,7 @@ func TestServerShutdown(t *testing.T) {
 }
 
 func TestServerRegionsEndpoint(t *testing.T) {
-	reg := NewRegistry()
-	base := startTestServer(t, reg, nil)
+	base := startTestServer(t, NewServer(NewRegistry(), nil, nil, nil))
 
 	// Without a producer the endpoint serves JSON null, not an error.
 	code, body, hdr := get(t, base+"/api/regions")
@@ -126,38 +126,34 @@ func TestServerRegionsEndpoint(t *testing.T) {
 	}
 }
 
+// TestServerRegionsPayload: /api/regions serves the profiler's rows as
+// they are, the JSON omprun -profile-json writes.
 func TestServerRegionsPayload(t *testing.T) {
-	reg := NewRegistry()
-	rows := []Region{{
-		Name: "main.kernel", Level: 0, Count: 12, Threads: 4,
-		WallSec: 0.25, ThreadSec: 1.0,
-		ParallelEfficiency: 0.85, LoadBalance: 0.9,
-		BarrierWaitShare: 0.05, SchedOverheadShare: 0.01,
+	rows := []profile.RegionProfile{{
+		Name: "main.kernel", Level: 0,
+		Sums:    profile.Sums{Count: 12, Threads: 4, WallNS: 250e6, ThreadNS: 1e9},
+		Derived: profile.Derived{ParallelEfficiency: 0.85, LoadBalance: 0.9, BarrierWaitShare: 0.05, SchedOverheadShare: 0.01},
 	}}
-	srv := NewServer(reg, nil)
-	srv.SetRegions(func() any { return rows })
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(func() { srv.Shutdown(nil) })
+	base := startTestServer(t, NewServer(NewRegistry(), nil, func() any { return rows }, nil))
 
-	code, body, _ := get(t, "http://"+addr.String()+"/api/regions")
+	code, body, _ := get(t, base+"/api/regions")
 	if code != http.StatusOK {
 		t.Fatalf("/api/regions status = %d", code)
 	}
-	var back []Region
+	var back []profile.RegionProfile
 	if err := json.Unmarshal([]byte(body), &back); err != nil {
 		t.Fatalf("decode /api/regions: %v", err)
 	}
 	if len(back) != 1 || back[0] != rows[0] {
 		t.Errorf("round-tripped regions = %+v, want %+v", back, rows)
 	}
+	if !strings.Contains(body, `"wall_ns":250000000`) {
+		t.Errorf("/api/regions body lacks wall_ns: %s", body)
+	}
 }
 
 func TestServerVariabilityEndpoint(t *testing.T) {
-	reg := NewRegistry()
-	base := startTestServer(t, reg, nil)
+	base := startTestServer(t, NewServer(NewRegistry(), nil, nil, nil))
 
 	// Without a producer the endpoint serves JSON null, not an error.
 	code, body, hdr := get(t, base+"/api/variability")
@@ -170,20 +166,13 @@ func TestServerVariabilityEndpoint(t *testing.T) {
 }
 
 func TestServerVariabilityPayload(t *testing.T) {
-	reg := NewRegistry()
 	cells := []VariabilityCell{{
 		Arch: "a64fx", App: "CG", Samples: 24,
 		RepsRun: 61, RepsFixed: 96, CoVP50: 0.004, CoVP90: 0.02,
 	}}
-	srv := NewServer(reg, nil)
-	srv.SetVariability(func() any { return cells })
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(func() { srv.Shutdown(nil) })
+	base := startTestServer(t, NewServer(NewRegistry(), nil, nil, func() any { return cells }))
 
-	code, body, _ := get(t, "http://"+addr.String()+"/api/variability")
+	code, body, _ := get(t, base+"/api/variability")
 	if code != http.StatusOK {
 		t.Fatalf("/api/variability status = %d", code)
 	}

@@ -41,35 +41,6 @@ type Cell struct {
 	SamplesTotal  int    `json:"samples_total"`
 }
 
-// Region is one row of the /api/regions payload: the live per-region
-// efficiency profile aggregated across every runtime the campaign has
-// measured so far. The producer (the campaign monitor in internal/core)
-// fills it from the openmp profiler's report; it lives here
-// so the dashboard's JavaScript and the producer agree on one schema.
-type Region struct {
-	// Name/File/Line/Level identify the construct: the source location of
-	// the parallel region's fork site and its nesting depth.
-	Name  string `json:"name"`
-	File  string `json:"file,omitempty"`
-	Line  int    `json:"line,omitempty"`
-	Level int    `json:"level"`
-	// Count is region instances folded; Threads the widest team observed.
-	Count   int64 `json:"count"`
-	Threads int   `json:"threads"`
-	// WallSec/ThreadSec are cumulative fork-to-join wall time and its
-	// thread-time integral (wall × team width).
-	WallSec   float64 `json:"wall_sec"`
-	ThreadSec float64 `json:"thread_sec"`
-	// The POP-style derived metrics, each in [0, 1]; StealRate is tasks
-	// stolen ÷ tasks run (a task is stolen at most once).
-	ParallelEfficiency float64 `json:"parallel_efficiency"`
-	LoadBalance        float64 `json:"load_balance"`
-	BarrierWaitShare   float64 `json:"barrier_wait_share"`
-	SchedOverheadShare float64 `json:"sched_overhead_share"`
-	StealRate          float64 `json:"steal_rate"`
-	TasksRun           int64   `json:"tasks_run"`
-}
-
 // VariabilityCell is one (architecture, application) cell of the
 // /api/variability payload: the live noise observatory aggregated from the
 // series provenance of every measured sample the campaign has produced so

@@ -205,10 +205,6 @@ type Bound struct {
 	m     *topology.Machine
 	p     *Profile
 	scale float64 // the setting's input scale
-	// oneShot marks a binding for a single configuration: the schedule
-	// overheads and the unbound memory factor are then left to exact, which
-	// computes them only for a configuration that uses them.
-	oneShot bool
 
 	threads    int
 	fthreads   float64 // float64(threads)
@@ -220,14 +216,14 @@ type Bound struct {
 	affBound   float64 // affinity * 0.6
 
 	itersTotal   float64
-	schedDynamic float64 // the dynamic schedule's chunk overhead, unless oneShot
-	schedGuided  float64 // the guided schedule's, unless oneShot
+	schedDynamic float64 // the dynamic schedule's chunk overhead
+	schedGuided  float64 // the guided schedule's
 	imbDynamic   float64 // 0.08 * Imbalance
 	imbGuided    float64 // 0.15 * Imbalance
 
 	traffic    float64
 	perCoreBW  float64
-	unboundMem float64 // the unbound memory factor when traffic > 0, unless oneShot
+	unboundMem float64 // the unbound memory factor when traffic > 0
 
 	stages    float64 // log2(threads + 1)
 	forkFixed float64 // forkBaseSec + forkPerThreadSec * threads
@@ -264,16 +260,20 @@ type Bound struct {
 // problem (a sweep unit, a search).
 func Bind(m *topology.Machine, p *Profile, set Setting) Bound {
 	var b Bound
-	b.bindModel(m, p, set, false)
-	b.bindNoise(set)
+	b.bind(m, p, set)
 	return b
 }
 
-// bindModel computes the noise-free terms into the zero b. A oneShot
-// binding skips the terms only some configurations read (see
-// Bound.oneShot); every other term is computed under the same profile
-// conditions the model applies.
-func (b *Bound) bindModel(m *topology.Machine, p *Profile, set Setting, oneShot bool) {
+// bind is Bind into the zero b: the one-call evaluations bind a Bound of
+// their own stack and never copy it.
+func (b *Bound) bind(m *topology.Machine, p *Profile, set Setting) {
+	b.bindModel(m, p, set)
+	b.bindNoise(set)
+}
+
+// bindModel computes the noise-free terms into the zero b, each under the
+// same profile conditions the model applies.
+func (b *Bound) bindModel(m *topology.Machine, p *Profile, set Setting) {
 	threads := set.Threads
 	if threads < 1 {
 		threads = 1
@@ -281,7 +281,7 @@ func (b *Bound) bindModel(m *topology.Machine, p *Profile, set Setting, oneShot 
 	ft := float64(threads)
 	grow := math.Pow(set.Scale, p.WorkGrowth)
 	clockAdj := 2.4 / m.ClockGHz
-	b.m, b.p, b.scale, b.oneShot = m, p, set.Scale, oneShot
+	b.m, b.p, b.scale = m, p, set.Scale
 	b.threads, b.fthreads, b.clockAdj = threads, ft, clockAdj
 	b.scatter = lookup(osScatter, m.Arch, 0.10)
 
@@ -307,18 +307,14 @@ func (b *Bound) bindModel(m *topology.Machine, p *Profile, set Setting, oneShot 
 
 	// --- Worksharing schedule: chunk overhead. ----------------------------
 	b.itersTotal = p.ItersPerRegion * p.Regions * grow
-	if !oneShot {
-		b.schedDynamic, b.schedGuided = b.dynamicOver(), b.guidedOver()
-	}
+	b.schedDynamic, b.schedGuided = b.dynamicOver(), b.guidedOver()
 	b.imbDynamic, b.imbGuided = 0.08*p.Imbalance, 0.15*p.Imbalance
 
 	// --- Memory. -----------------------------------------------------------
 	b.traffic = p.MemTrafficGB * grow
 	if b.traffic > 0 {
 		b.perCoreBW = 2.2 * m.MemBWGBs / float64(m.Cores)
-		if !oneShot {
-			b.unboundMem = b.unboundMemFactor()
-		}
+		b.unboundMem = b.unboundMemFactor()
 	}
 
 	// --- Fork/join, barriers, and the wait policy. ------------------------
@@ -454,8 +450,7 @@ func (b *Bound) Series(cfg env.Config, key string) (out [Reps]float64) {
 // rep in [0, Reps). The result is deterministic in its arguments.
 func Evaluate(m *topology.Machine, p *Profile, cfg env.Config, set Setting, rep int) float64 {
 	var b Bound
-	b.bindModel(m, p, set, true)
-	b.bindNoise(set)
+	b.bind(m, p, set)
 	var key [192]byte // as in env.Config.Key: the key is hashed, not kept
 	return b.series(&cfg, hashString(cfg.AppendKey(key[:0]))).at(rep)
 }
@@ -465,8 +460,7 @@ func Evaluate(m *topology.Machine, p *Profile, cfg env.Config, set Setting, rep 
 // noise) once instead of Reps times. key must be cfg.Key().
 func EvaluateSeries(m *topology.Machine, p *Profile, cfg env.Config, key string, set Setting) [Reps]float64 {
 	var b Bound
-	b.bindModel(m, p, set, true)
-	b.bindNoise(set)
+	b.bind(m, p, set)
 	return b.Series(cfg, key)
 }
 
@@ -475,7 +469,7 @@ func EvaluateSeries(m *topology.Machine, p *Profile, cfg env.Config, key string,
 // autotuning example.
 func EvaluateExact(m *topology.Machine, p *Profile, cfg env.Config, set Setting) float64 {
 	var b Bound
-	b.bindModel(m, p, set, true)
+	b.bindModel(m, p, set)
 	return b.exact(&cfg)
 }
 
@@ -500,14 +494,10 @@ func (b *Bound) exact(cfg *env.Config) float64 {
 	case openmp.ScheduleStatic, openmp.ScheduleAuto: // LLVM resolves auto to static
 		imbalance = p.Imbalance * cpuSec
 	case openmp.ScheduleDynamic:
-		if schedOver = b.schedDynamic; b.oneShot {
-			schedOver = b.dynamicOver()
-		}
+		schedOver = b.schedDynamic
 		imbalance = b.imbDynamic * cpuSec
 	case openmp.ScheduleGuided:
-		if schedOver = b.schedGuided; b.oneShot {
-			schedOver = b.guidedOver()
-		}
+		schedOver = b.schedGuided
 		imbalance = b.imbGuided * cpuSec
 	}
 
@@ -521,11 +511,7 @@ func (b *Bound) exact(cfg *env.Config) float64 {
 		effBW := math.Min(m.MemBWGBs*bwShare, b.perCoreBW*effThreads)
 		memSec = b.traffic / effBW
 		if pl.unbound {
-			f := b.unboundMem
-			if b.oneShot {
-				f = b.unboundMemFactor()
-			}
-			memSec *= f
+			memSec *= b.unboundMem
 		}
 	}
 

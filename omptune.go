@@ -167,10 +167,10 @@ type MonitorServer = obs.Server
 // NewMonitorServer builds the HTTP monitor for mon. Call Start(addr) to bind
 // and serve, then Linger(ctx, d) once the campaign ends for a graceful stop.
 func NewMonitorServer(mon *Monitor) *MonitorServer {
-	srv := obs.NewServer(mon.Registry(), func() any { return mon.Status() })
-	srv.SetRegions(func() any { return mon.Regions() })
-	srv.SetVariability(func() any { return mon.Variability() })
-	return srv
+	return obs.NewServer(mon.Registry(),
+		func() any { return mon.Status() },
+		func() any { return mon.Regions() },
+		func() any { return mon.Variability() })
 }
 
 // CompareOptions tunes the sweep-vs-sweep regression gate (significance

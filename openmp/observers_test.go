@@ -79,19 +79,10 @@ func waitCount(obs *countingObserver, want uint64) uint64 {
 	return obs.n.Load()
 }
 
-// reportTotals sums the count columns of a profile report over its rows.
-func reportTotals(rep *profile.Report) (sum profile.RegionProfile) {
+// reportTotals adds a profile report's rows up.
+func reportTotals(rep *profile.Report) (sum profile.Sums) {
 	for i := range rep.Regions {
-		r := &rep.Regions[i]
-		sum.Count += r.Count
-		sum.Missing += r.Missing
-		sum.Chunks += r.Chunks
-		sum.TasksCreated += r.TasksCreated
-		sum.TasksRun += r.TasksRun
-		sum.TasksStolen += r.TasksStolen
-		sum.StealBatches += r.StealBatches
-		sum.StealsLocal += r.StealsLocal
-		sum.StealsRemote += r.StealsRemote
+		sum.Add(&rep.Regions[i].Sums)
 	}
 	return sum
 }

@@ -45,7 +45,7 @@ func TestReportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range rep.Regions {
-		rep.Regions[i].finalize()
+		rep.Regions[i].Derived = rep.Regions[i].Derive()
 	}
 	rep.sort()
 

@@ -7,7 +7,9 @@
 // enclosing region's numbers.
 //
 // The per-region record is one type, Sums, and it is added to in one place,
-// Sums.add. Data flows in three stages:
+// Sums.Add; its metrics are derived in one place too, Sums.Derive, which
+// the trace summary calls for its regions as well. Data flows in three
+// stages:
 //
 //  1. While a region runs, each thread writes timestamps and counters into
 //     its own padded Scratch slot, which its team owns (one per thread,
@@ -57,7 +59,7 @@ const tableSize = 512
 // level) over every instance folded so far. It is what a thread's scratch
 // slot counts into, what a fold adds to the table, what an Aggregator merges
 // across runtimes and what a RegionProfile reports; the derived metrics are
-// functions of it (RegionProfile.finalize).
+// functions of it (Derive).
 type Sums struct {
 	Count   int64 `json:"count"`             // region instances
 	Threads int   `json:"threads"`           // widest team seen
@@ -84,9 +86,13 @@ type Sums struct {
 	Wakes        int64 `json:"wakes"`
 }
 
-// add merges o into s: every field sums except Threads, which keeps the
+// BarrierNS is the total barrier wait: explicit mid-region barriers plus
+// the end-of-region join barrier.
+func (s *Sums) BarrierNS() int64 { return s.ExplicitBarNS + s.FinalBarNS }
+
+// Add merges o into s: every field sums except Threads, which keeps the
 // widest team seen.
-func (s *Sums) add(o *Sums) {
+func (s *Sums) Add(o *Sums) {
 	s.Count += o.Count
 	s.Threads = max(s.Threads, o.Threads)
 	s.Samples += o.Samples
@@ -153,7 +159,7 @@ func (t *table) add(key uint64, s *Sums) {
 		row = new(Sums)
 		t.rows[key] = row
 	}
-	row.add(s)
+	row.Add(s)
 }
 
 // Snapshot renders the table into a Report, resolving call sites to
@@ -179,7 +185,7 @@ func (t *table) Snapshot() *Report {
 		rp := &r.Regions[i]
 		*rp = RegionProfile{PC: fmt.Sprintf("%#x", pc), Level: int(row.key & 0xff), Sums: row.sums}
 		rp.Name, rp.File, rp.Line = resolvePC(pc)
-		rp.finalize()
+		rp.Derived = rp.Derive()
 	}
 	r.sort()
 	return r
@@ -236,7 +242,7 @@ func (p *Profiler) Fold(pc uintptr, level int, region uint64, forkNS int64, slot
 		if s.Samples == 0 || sc.ArriveNS > maxArr {
 			maxArr = sc.ArriveNS
 		}
-		s.add(&sc.Sums) // what the runtime counted for the thread
+		s.Add(&sc.Sums) // what the runtime counted for the thread
 		s.BusyNS += busy
 		s.MaxBusyNS = max(s.MaxBusyNS, busy)
 		s.FinalBarNS += max(now-sc.ArriveNS, 0)

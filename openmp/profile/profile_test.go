@@ -115,16 +115,16 @@ func TestTableFullDrops(t *testing.T) {
 }
 
 func TestReportDerivedDegenerate(t *testing.T) {
-	// All-zero raw sums must finalize to zero metrics, not NaN.
+	// All-zero raw sums must derive zero metrics, not NaN.
 	rp := RegionProfile{}
-	rp.finalize()
+	rp.Derived = rp.Derive()
 	if rp.ParallelEfficiency != 0 || rp.LoadBalance != 0 || rp.BarrierWaitShare != 0 ||
 		rp.SchedOverheadShare != 0 || rp.StealRate != 0 || rp.StealLocalFrac != 0 {
-		t.Errorf("degenerate finalize produced nonzero metrics: %+v", rp)
+		t.Errorf("degenerate Derive produced nonzero metrics: %+v", rp)
 	}
 	// Perfectly balanced: busy == thread-time, no overheads.
 	rp = RegionProfile{Sums: Sums{Count: 2, Samples: 8, ThreadNS: 8000, BusyNS: 8000, MaxBusyNS: 2000}}
-	rp.finalize()
+	rp.Derived = rp.Derive()
 	if rp.ParallelEfficiency != 1 || rp.LoadBalance != 1 {
 		t.Errorf("balanced region: pe=%v lb=%v, want 1/1", rp.ParallelEfficiency, rp.LoadBalance)
 	}

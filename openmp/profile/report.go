@@ -10,8 +10,9 @@ import (
 )
 
 // RegionProfile is one region's aggregated profile: its identity, its Sums
-// and the POP-style efficiency metrics derived from them. The Sums are
-// authoritative — merging two profiles adds them and re-derives.
+// and the metrics Derive computes from them. The Sums are authoritative —
+// merging two profiles adds them and re-derives. It is also the row the
+// campaign monitor serves at /api/regions.
 type RegionProfile struct {
 	// Name/File/Line identify the construct: the function containing the
 	// Parallel/ParallelFor call and its source position. PC is the raw call
@@ -23,8 +24,11 @@ type RegionProfile struct {
 	Level int    `json:"level"`
 
 	Sums
+	Derived
+}
 
-	// Derived metrics (see finalize):
+// Derived are the POP-style efficiency metrics of a Sums (see Derive).
+type Derived struct {
 	ParallelEfficiency float64 `json:"parallel_efficiency"`
 	LoadBalance        float64 `json:"load_balance"`
 	BarrierWaitShare   float64 `json:"barrier_wait_share"`
@@ -33,11 +37,8 @@ type RegionProfile struct {
 	StealLocalFrac     float64 `json:"steal_local_frac"`
 }
 
-// BarrierNS is the total barrier wait: explicit mid-region barriers plus
-// the end-of-region join barrier.
-func (rp *RegionProfile) BarrierNS() int64 { return rp.ExplicitBarNS + rp.FinalBarNS }
-
-// finalize derives the efficiency metrics from the raw sums:
+// Derive is the one derivation of a region's metrics from its raw sums,
+// shared by the profiler's report and the trace summary:
 //
 //	parallel efficiency  = useful / thread-time, useful = busy − sched − barrier(explicit)
 //	load balance         = mean thread busy / mean max thread busy
@@ -49,33 +50,28 @@ func (rp *RegionProfile) BarrierNS() int64 { return rp.ExplicitBarNS + rp.FinalB
 // A task is stolen once, by its first thief (see openmp.Stats), so the steal
 // rate is the share of executed tasks that were stolen and never exceeds 1.
 // thread-time is wall × attributed threads, so missing samples shrink both
-// numerator and denominator instead of skewing the ratios.
-func (rp *RegionProfile) finalize() {
-	rp.ParallelEfficiency, rp.LoadBalance = 0, 0
-	rp.BarrierWaitShare, rp.SchedOverheadShare = 0, 0
-	rp.StealRate, rp.StealLocalFrac = 0, 0
-	if rp.ThreadNS > 0 {
-		useful := rp.BusyNS - rp.SchedNS - rp.ExplicitBarNS
-		if useful < 0 {
-			useful = 0
-		}
-		rp.ParallelEfficiency = clamp01(float64(useful) / float64(rp.ThreadNS))
-		rp.BarrierWaitShare = clamp01(float64(rp.BarrierNS()) / float64(rp.ThreadNS))
-		rp.SchedOverheadShare = clamp01(float64(rp.SchedNS) / float64(rp.ThreadNS))
+// numerator and denominator instead of skewing the ratios. Every metric of
+// an empty denominator is 0.
+func (s *Sums) Derive() Derived {
+	var d Derived
+	if s.ThreadNS > 0 {
+		useful := max(s.BusyNS-s.SchedNS-s.ExplicitBarNS, 0)
+		d.ParallelEfficiency = clamp01(float64(useful) / float64(s.ThreadNS))
+		d.BarrierWaitShare = clamp01(float64(s.BarrierNS()) / float64(s.ThreadNS))
+		d.SchedOverheadShare = clamp01(float64(s.SchedNS) / float64(s.ThreadNS))
 	}
-	if rp.Samples > 0 && rp.Count > 0 && rp.MaxBusyNS > 0 {
-		meanBusy := float64(rp.BusyNS) / float64(rp.Samples)
-		meanMax := float64(rp.MaxBusyNS) / float64(rp.Count)
-		if meanMax > 0 {
-			rp.LoadBalance = clamp01(meanBusy / meanMax)
-		}
+	if s.Samples > 0 && s.Count > 0 && s.MaxBusyNS > 0 {
+		meanBusy := float64(s.BusyNS) / float64(s.Samples)
+		meanMax := float64(s.MaxBusyNS) / float64(s.Count)
+		d.LoadBalance = clamp01(meanBusy / meanMax)
 	}
-	if rp.TasksRun > 0 {
-		rp.StealRate = float64(rp.TasksStolen) / float64(rp.TasksRun)
+	if s.TasksRun > 0 {
+		d.StealRate = float64(s.TasksStolen) / float64(s.TasksRun)
 	}
-	if c := rp.StealsLocal + rp.StealsRemote; c > 0 {
-		rp.StealLocalFrac = float64(rp.StealsLocal) / float64(c)
+	if c := s.StealsLocal + s.StealsRemote; c > 0 {
+		d.StealLocalFrac = float64(s.StealsLocal) / float64(c)
 	}
+	return d
 }
 
 func clamp01(v float64) float64 {

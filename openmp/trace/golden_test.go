@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"omptune/openmp/profile"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
@@ -113,6 +115,55 @@ func TestSummaryGolden(t *testing.T) {
 	}
 	checkGolden(t, "summary.json.golden", js.Bytes())
 	checkGolden(t, "summary.txt.golden", []byte(s.String()))
+}
+
+// TestSummarySharesAreDerived holds the summary's wait shares and steal rate
+// to profile.Sums.Derive applied to the sums each row reports: per region
+// and over the whole trace, bit for bit. A region whose waits exceed its
+// thread-time — a worker's final leave landing after the join — reads 1, as
+// its profile row does.
+func TestSummarySharesAreDerived(t *testing.T) {
+	d := goldenTrace()
+	// Region 21: two threads, 10ns of wall, 100ns of waiting each.
+	for tid := int32(0); tid < 2; tid++ {
+		d.Events = append(d.Events,
+			Event{TS: 20000, Region: 21, Tid: tid, Kind: KindBarrierEnter},
+			Event{TS: 20100, Region: 21, Tid: tid, Kind: KindBarrierLeave})
+	}
+	d.Events = append(d.Events,
+		Event{TS: 19995, Region: 21, Kind: KindRegionFork, Arg: 2},
+		Event{TS: 20005, Region: 21, Kind: KindRegionJoin})
+	s := Summarize(d)
+
+	var total profile.Sums
+	for _, m := range s.Regions {
+		sums := profile.Sums{
+			WallNS:      int64(m.Wall),
+			ThreadNS:    int64(m.Wall) * int64(m.Threads),
+			FinalBarNS:  int64(m.BarrierWait),
+			TasksRun:    int64(m.TasksRun),
+			TasksStolen: int64(m.TasksStolen),
+		}
+		if m.Wall <= 0 {
+			sums.ThreadNS = 0
+		}
+		if want := sums.Derive().BarrierWaitShare; m.WaitShare != want {
+			t.Errorf("region %d: wait share %v, Derive gives %v", m.Gen, m.WaitShare, want)
+		}
+		total.Add(&sums)
+	}
+	want := total.Derive()
+	if s.WaitShare != want.BarrierWaitShare || s.StealRate != want.StealRate {
+		t.Errorf("whole trace: wait share %v, steal rate %v; Derive gives %v, %v",
+			s.WaitShare, s.StealRate, want.BarrierWaitShare, want.StealRate)
+	}
+	if s.StealRate != 0.8 {
+		t.Errorf("steal rate %v, want 4 stolen / 5 run", s.StealRate)
+	}
+	if last := s.Regions[len(s.Regions)-1]; last.Gen != 21 || last.BarrierWait != 200 || last.WaitShare != 1 {
+		t.Errorf("region 21: gen %d, wait %v, share %v; want 200ns of waiting clamped to share 1",
+			last.Gen, last.BarrierWait, last.WaitShare)
+	}
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {

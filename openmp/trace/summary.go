@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"omptune/openmp/profile"
 )
 
 // RegionMetrics are the derived per-region statistics — the quantities the
@@ -28,8 +30,9 @@ type RegionMetrics struct {
 	// BarrierWait is the total time team threads spent inside barrier
 	// waits (spinning or parked) during the region, summed over threads.
 	BarrierWait time.Duration `json:"barrier_wait_ns"`
-	// WaitShare is BarrierWait divided by Threads×Wall: the fraction of
-	// the region's aggregate thread-time lost to barrier waiting.
+	// WaitShare is BarrierWait divided by Threads×Wall, at most 1: the
+	// fraction of the region's aggregate thread-time lost to barrier
+	// waiting (profile.Sums.Derive's barrier-wait share).
 	WaitShare float64 `json:"wait_share"`
 	// Imbalance is the arrival spread (max−min enter timestamp) at the
 	// region's final barrier — the end-of-region barrier every thread
@@ -65,7 +68,7 @@ type Summary struct {
 	// Aggregates over all regions (and, for parks/wakes, between them).
 	TotalWall        time.Duration `json:"total_wall_ns"`
 	TotalBarrierWait time.Duration `json:"total_barrier_wait_ns"`
-	WaitShare        float64       `json:"wait_share"` // TotalBarrierWait / Σ(threads×wall)
+	WaitShare        float64       `json:"wait_share"` // TotalBarrierWait / Σ(threads×wall), at most 1
 	AvgImbalance     time.Duration `json:"avg_imbalance_ns"`
 	MaxImbalance     time.Duration `json:"max_imbalance_ns"`
 	Chunks           int           `json:"chunks"`
@@ -98,11 +101,15 @@ type LevelMetrics struct {
 	TotalWall time.Duration `json:"total_wall_ns"`
 }
 
-// regionAcc is one region during the scan: the metrics its events count into
-// directly, plus the state only the scan needs — stamps and per-thread maps
-// that finish reduces into the rest of m.
+// regionAcc is one region during the scan: the profile.Sums its events
+// count into, plus the state only the scan needs — stamps and per-thread maps
+// that finish reduces into the rest of the record. The trace does not tell
+// the end-of-region barrier from explicit ones, so every wait counts into
+// FinalBarNS; only their sum, BarrierNS, is read.
 type regionAcc struct {
-	m            RegionMetrics
+	gen          uint64
+	level        int
+	sums         profile.Sums
 	forkTS       int64
 	joinTS       int64
 	hasFork      bool
@@ -115,7 +122,8 @@ type regionAcc struct {
 
 func newRegionAcc(gen uint64) *regionAcc {
 	return &regionAcc{
-		m:            RegionMetrics{Gen: gen},
+		gen:          gen,
+		sums:         profile.Sums{Count: 1},
 		implicit:     map[int32]bool{},
 		barrierEnter: map[int32]int64{},
 		lastEnter:    map[int32]int64{},
@@ -123,56 +131,54 @@ func newRegionAcc(gen uint64) *regionAcc {
 	}
 }
 
-// finish derives what the scan could not count directly — team width when
-// the fork was not traced, wall, the per-thread chunk histogram, arrival
-// imbalance, wait share — and returns the finished metrics. imbalanced
-// reports whether at least two threads reached a barrier, i.e. whether
-// Imbalance is a measurement.
+// finish completes the region's Sums with what the scan could not count
+// directly — team width when the fork was not traced, wall and thread-time,
+// chunks, arrival imbalance — and renders its row, with the wait share from
+// the shared derivation (Sums.Derive). imbalanced reports whether at least
+// two threads reached a barrier, i.e. whether Imbalance is a measurement.
 func (a *regionAcc) finish(threads int) (m RegionMetrics, imbalanced bool) {
-	m = a.m
-	if m.Threads == 0 {
-		m.Threads = len(a.implicit)
+	s := &a.sums
+	if s.Threads == 0 {
+		s.Threads = len(a.implicit)
 	}
 	if a.hasFork && a.hasJoin {
-		m.Wall = time.Duration(a.joinTS - a.forkTS)
+		s.WallNS = a.joinTS - a.forkTS
+	}
+	if s.WallNS > 0 {
+		s.ThreadNS = s.WallNS * int64(s.Threads)
 	}
 	m.ChunksPerThread = make([]int, threads)
 	for tid, n := range a.chunks {
 		if int(tid) < threads {
 			m.ChunksPerThread[tid] += n
 		}
-		m.Chunks += n
+		s.Chunks += int64(n)
 	}
 	if imbalanced = len(a.lastEnter) >= 2; imbalanced {
 		minTS, maxTS := int64(math.MaxInt64), int64(math.MinInt64)
 		for _, ts := range a.lastEnter {
 			minTS, maxTS = min(minTS, ts), max(maxTS, ts)
 		}
-		m.Imbalance = time.Duration(maxTS - minTS)
+		s.ImbalanceNS = maxTS - minTS
 	}
-	if m.Wall > 0 && m.Threads > 0 {
-		m.WaitShare = float64(m.BarrierWait) / (float64(m.Threads) * float64(m.Wall))
-	}
+	m.Gen, m.Level, m.Threads = a.gen, a.level, s.Threads
+	m.Wall, m.BarrierWait = time.Duration(s.WallNS), time.Duration(s.BarrierNS())
+	m.WaitShare = s.Derive().BarrierWaitShare
+	m.Imbalance = time.Duration(s.ImbalanceNS)
+	m.Chunks = int(s.Chunks)
+	m.TasksCreated, m.TasksRun, m.TasksStolen = int(s.TasksCreated), int(s.TasksRun), int(s.TasksStolen)
+	m.StealBatches, m.StealsLocal, m.StealsRemote = int(s.StealBatches), int(s.StealsLocal), int(s.StealsRemote)
 	return m, imbalanced
 }
 
-// add appends one finished region and counts it into the whole-trace totals
-// and its level's row (Levels is indexed by level until Summarize compacts
-// it).
+// add appends one finished region and counts it into the per-thread chunk
+// histogram, the nesting count and its level's row (Levels is indexed by
+// level until Summarize compacts it).
 func (s *Summary) add(m RegionMetrics) {
 	s.Regions = append(s.Regions, m)
-	s.TotalWall += m.Wall
-	s.TotalBarrierWait += m.BarrierWait
-	s.Chunks += m.Chunks
 	for tid, n := range m.ChunksPerThread {
 		s.ChunksPerThread[tid] += n
 	}
-	s.TasksCreated += m.TasksCreated
-	s.TasksRun += m.TasksRun
-	s.TasksStolen += m.TasksStolen
-	s.StealBatches += m.StealBatches
-	s.StealsLocal += m.StealsLocal
-	s.StealsRemote += m.StealsRemote
 	if m.Level > 0 {
 		s.NestedRegions++
 	}
@@ -187,7 +193,9 @@ func (s *Summary) add(m RegionMetrics) {
 
 // Summarize derives per-region metrics from a collected trace. Incomplete
 // spans (from dropped events or a trace stopped mid-stream) are skipped
-// rather than guessed at.
+// rather than guessed at. Each region's events count into a profile.Sums,
+// the whole-trace totals are those records added up, and both take their
+// wait share and steal rate from Sums.Derive, as the profiler's report does.
 func Summarize(d Data) *Summary {
 	s := &Summary{Threads: d.Threads, Events: len(d.Events), Dropped: d.Dropped}
 	regions := map[uint64]*regionAcc{}
@@ -211,11 +219,11 @@ func Summarize(d Data) *Summary {
 			continue
 		}
 		a := acc(e.Region)
-		a.m.Level = int(e.Level)
+		a.level = int(e.Level)
 		switch e.Kind {
 		case KindRegionFork:
 			a.forkTS, a.hasFork = e.TS, true
-			a.m.Threads = int(e.Arg)
+			a.sums.Threads = int(e.Arg)
 		case KindRegionJoin:
 			a.joinTS, a.hasJoin = e.TS, true
 		case KindImplicitBegin:
@@ -225,24 +233,24 @@ func Summarize(d Data) *Summary {
 			a.lastEnter[e.Tid] = e.TS
 		case KindBarrierLeave:
 			if enter, ok := a.barrierEnter[e.Tid]; ok {
-				a.m.BarrierWait += time.Duration(e.TS - enter)
+				a.sums.FinalBarNS += e.TS - enter
 				delete(a.barrierEnter, e.Tid)
 			}
 		case KindChunk:
 			a.chunks[e.Tid]++
 		case KindTaskCreate:
-			a.m.TasksCreated++
+			a.sums.TasksCreated++
 		case KindTaskBegin:
-			a.m.TasksRun++
+			a.sums.TasksRun++
 		case KindTaskSteal:
-			batch := e.StealBatch()
-			a.m.TasksStolen += batch
-			a.m.StealBatches++
+			batch := int64(e.StealBatch())
+			a.sums.TasksStolen += batch
+			a.sums.StealBatches++
 			switch e.StealLocality() {
 			case StealLocalityLocal:
-				a.m.StealsLocal += batch
+				a.sums.StealsLocal += batch
 			case StealLocalityRemote:
-				a.m.StealsRemote += batch
+				a.sums.StealsRemote += batch
 			}
 		}
 	}
@@ -254,31 +262,30 @@ func Summarize(d Data) *Summary {
 	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
 
 	s.ChunksPerThread = make([]int, d.Threads)
-	var aggThreadTime time.Duration
+	var total profile.Sums
 	var imbalanceSum time.Duration
 	imbalanced := 0
 	for _, gen := range gens {
-		m, hasImbalance := regions[gen].finish(d.Threads)
+		a := regions[gen]
+		m, hasImbalance := a.finish(d.Threads)
 		if hasImbalance {
 			imbalanceSum += m.Imbalance
 			imbalanced++
 			s.MaxImbalance = max(s.MaxImbalance, m.Imbalance)
 		}
-		if m.Wall > 0 && m.Threads > 0 {
-			aggThreadTime += time.Duration(m.Threads) * m.Wall
-		}
+		total.Add(&a.sums)
 		s.add(m)
 	}
 	s.Levels = slices.DeleteFunc(s.Levels, func(lm LevelMetrics) bool { return lm.Regions == 0 })
-	if aggThreadTime > 0 {
-		s.WaitShare = float64(s.TotalBarrierWait) / float64(aggThreadTime)
-	}
 	if imbalanced > 0 {
 		s.AvgImbalance = imbalanceSum / time.Duration(imbalanced)
 	}
-	if s.TasksRun > 0 {
-		s.StealRate = float64(s.TasksStolen) / float64(s.TasksRun)
-	}
+	s.TotalWall, s.TotalBarrierWait = time.Duration(total.WallNS), time.Duration(total.BarrierNS())
+	s.Chunks = int(total.Chunks)
+	s.TasksCreated, s.TasksRun, s.TasksStolen = int(total.TasksCreated), int(total.TasksRun), int(total.TasksStolen)
+	s.StealBatches, s.StealsLocal, s.StealsRemote = int(total.StealBatches), int(total.StealsLocal), int(total.StealsRemote)
+	shares := total.Derive()
+	s.WaitShare, s.StealRate = shares.BarrierWaitShare, shares.StealRate
 	if s.StealBatches > 0 {
 		s.AvgStealBatch = float64(s.TasksStolen) / float64(s.StealBatches)
 	}
