@@ -58,7 +58,7 @@ flake:
 # committed BENCH_*.json trajectories, the runtime's environment, the study's
 # variables (with the differential between the two), the CSV format, the
 # search telemetry that ompanalyze -searchreport reads, the sweep's checkpoint
-# journal — and of internal/ml,
+# journal and manifest — and of internal/ml,
 # whose CART split kernel is held node-for-node to a frozen reference grower
 # and whose two logistic fit kernels are held to each other's bits, for 5 s
 # each, seed corpora first.

@@ -6,7 +6,8 @@
 //
 //	ompanalyze -data dataset.csv [-upshot] [-worst]
 //	           [-wilcoxon APP,SETTING] [-heatmap app|arch|apparch]
-//	           [-recommend APP] [-tune APP@ARCH] [-backend model|measured]
+//	           [-recommend APP] [-compare-models] [-transfer APP]
+//	           [-numa APP@ARCH] [-drill APP@ARCH] [-backend model|measured]
 //	           [-calibrate ARCH] [-searchreport search.jsonl]
 //	           [-sobol [-sobol-samples N] [-sobol-json]]
 //	           [-variability [-variability-json]]
@@ -43,9 +44,10 @@
 // series provenance, pairs are gated by their own recorded CI (-compare-ci)
 // and weighted by their measured noise instead of the -compare-cov fallback.
 //
-// -backend selects the measurement backend for the evaluation-driven
-// analyses (-tune, -random, -numa): model (the deterministic analytic
-// model, default) or measured (real kernel execution on this host).
+// -backend selects the measurement backend for -numa: model (the
+// deterministic analytic model, default) or measured (real kernel execution
+// on this host). Budgeted searches, the §VI guided tuner and the random
+// baseline among them, are ompsearch's.
 //
 // -calibrate quantifies how well the two backends agree: both evaluate a
 // small deterministic subspace of configurations on the given architecture,
@@ -62,9 +64,13 @@ import (
 	"os"
 	"strings"
 
-	"omptune"
+	"omptune/internal/apps"
 	"omptune/internal/core"
+	"omptune/internal/dataset"
+	"omptune/internal/measure"
+	"omptune/internal/ml"
 	"omptune/internal/report"
+	"omptune/internal/topology"
 )
 
 func main() {
@@ -87,9 +93,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		wilcoxon  = fs.String("wilcoxon", "", "APP,SETTING: print the Table III consistency test")
 		heatmap   = fs.String("heatmap", "", "grouping for the influence heatmap: app, arch or apparch")
 		recommend = fs.String("recommend", "", "application to mine Table VII recommendations for")
-		tune      = fs.String("tune", "", "APP@ARCH: run the guided coordinate-descent tuner")
-		budget    = fs.Int("budget", 200, "evaluation budget for -tune and -random")
-		random    = fs.String("random", "", "APP@ARCH: run the random-search baseline")
 		compare   = fs.Bool("compare-models", false, "contrast linear vs random-forest surrogates (per arch)")
 		transfer  = fs.String("transfer", "", "application for leave-one-architecture-out transfer analysis")
 		numa      = fs.String("numa", "", "APP@ARCH: evaluate the deferred numa_domains placements")
@@ -99,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sobolN    = fs.Int("sobol-samples", 256, "Saltelli base samples per group for -sobol")
 		sobolSeed = fs.Int64("sobol-seed", 1, "sampling seed for -sobol")
 		sobolJSON = fs.Bool("sobol-json", false, "emit the -sobol report as JSON instead of a table")
-		backendFl = fs.String("backend", "model", "measurement backend for -tune/-random/-numa: model or measured")
+		backendFl = fs.String("backend", "model", "measurement backend for -numa: model or measured")
 		calibrate = fs.String("calibrate", "", "ARCH: compare the model against the measured backend over a small subspace")
 		calApps   = fs.String("calibrate-apps", "", "comma-separated apps for -calibrate (default: all on the arch)")
 		calCfgs   = fs.Int("calibrate-configs", 12, "configurations per app for -calibrate")
@@ -117,18 +120,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	measureOpt := omptune.MeasureOptions{Warmup: *mwarmup, TimedReps: *mreps}
-	var backend omptune.Evaluator // nil = the analytic model
+	measureOpt := measure.Options{Warmup: *mwarmup, TimedReps: *mreps}
+	var backend core.Evaluator // nil = the analytic model
 	switch *backendFl {
 	case "model":
 	case "measured":
-		backend = omptune.NewMeasuredEvaluator(measureOpt)
+		backend = measure.NewEvaluator(measureOpt)
 	default:
 		return fmt.Errorf("-backend %q: want model or measured", *backendFl)
 	}
 
-	var ds *omptune.Dataset
-	load := func() (*omptune.Dataset, error) {
+	var ds *dataset.Dataset
+	load := func() (*dataset.Dataset, error) {
 		if ds != nil {
 			return ds, nil
 		}
@@ -137,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			ds, err = readCSV(*dataPath)
 		} else {
 			fmt.Fprintln(stderr, "ompanalyze: collecting the Table II dataset (pass -data to reuse one)...")
-			ds, err = omptune.Collect(omptune.CollectOptions{})
+			ds, err = core.RunSweep(core.SweepConfig{})
 		}
 		return ds, err
 	}
@@ -155,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintln(stdout, "== Q1: upshot potential ==")
-		for _, u := range omptune.Upshot(ds) {
+		for _, u := range core.Upshot(ds) {
 			fmt.Fprintf(stdout, "%-8s best speedup %.3f-%.3f, median %.3f over %d settings\n",
 				u.Arch, u.MinBest, u.MaxBest, u.MedianBest, u.Settings)
 		}
@@ -167,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintln(stdout, "== Q4: worst-performance trends ==")
-		for i, t := range omptune.WorstTrends(ds) {
+		for i, t := range core.WorstTrends(ds) {
 			if i >= 8 {
 				break
 			}
@@ -184,7 +187,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		for _, r := range omptune.WilcoxonTable(ds, strings.TrimSpace(app), strings.TrimSpace(setting)) {
+		for _, r := range core.WilcoxonTable(ds, strings.TrimSpace(app), strings.TrimSpace(setting)) {
 			fmt.Fprintf(stdout, "%-28s %-7s stat=%12.1f p=%.3g\n", r.Group, r.Pair, r.Statistic, r.PValue)
 		}
 	}
@@ -203,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		hm, err := omptune.Influence(ds, fig.grouping)
+		hm, err := core.InfluenceHeatmap(ds, fig.grouping, ml.LogisticOptions{})
 		if err != nil {
 			return err
 		}
@@ -213,14 +216,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *recommend != "" {
 		ran = true
-		if _, err := omptune.ApplicationByName(*recommend); err != nil {
+		if _, err := apps.ByName(*recommend); err != nil {
 			return err
 		}
 		ds, err := load()
 		if err != nil {
 			return err
 		}
-		for _, r := range omptune.Recommend(ds, *recommend) {
+		for _, r := range core.Recommend(ds, *recommend) {
 			arch := "All"
 			if r.Arch != "" {
 				arch = string(r.Arch)
@@ -229,39 +232,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 				*recommend, arch, r.Variable, strings.Join(r.Values, "/"), r.Lift)
 		}
 	}
-	if *tune != "" {
-		ran = true
-		app, m, err := appArch(*tune)
-		if err != nil {
-			return err
-		}
-		set := app.Settings(m)[1] // the middle (default-size) setting
-		res := omptune.Tune(backend, m, app, set, nil, *budget)
-		fmt.Fprintf(stdout, "tuned %s on %s (%s, %s backend): %.3fs -> %.3fs (%.3fx) in %d evaluations\n",
-			app.Name, m.Arch, set.Label, *backendFl, res.DefaultSeconds, res.BestSeconds, res.Speedup(), res.Evaluations)
-		for _, s := range res.Trajectory {
-			fmt.Fprintf(stdout, "  %-20s = %-12s -> %.3fs\n", s.Variable, s.Value, s.Seconds)
-		}
-		fmt.Fprintf(stdout, "  best: %s\n", res.Best)
-	}
-	if *random != "" {
-		ran = true
-		app, m, err := appArch(*random)
-		if err != nil {
-			return err
-		}
-		set := app.Settings(m)[1]
-		res := omptune.RandomSearch(backend, m, app, set, *budget, 1)
-		fmt.Fprintf(stdout, "random search %s on %s: %.3fx in %d evaluations (best: %s)\n",
-			app.Name, m.Arch, res.Speedup(), res.Evaluations, res.Best)
-	}
 	if *compare {
 		ran = true
 		ds, err := load()
 		if err != nil {
 			return err
 		}
-		rows, err := omptune.CompareModels(ds, omptune.PerArch)
+		rows, err := core.CompareModels(ds, core.PerArch, ml.LogisticOptions{},
+			ml.TreeOptions{MaxDepth: 8, MinLeaf: 30, Seed: 1}, 10)
 		if err != nil {
 			return err
 		}
@@ -277,7 +255,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rows, err := omptune.Transfer(ds, *transfer)
+		rows, err := core.Transfer(ds, *transfer, ml.TreeOptions{MaxDepth: 8, MinLeaf: 30, Seed: 5}, 10)
 		if err != nil {
 			return err
 		}
@@ -297,14 +275,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		set := app.Settings(m)[1]
-		cfg, speedup := omptune.BestNUMAPlacement(backend, m, app, set)
+		set := app.Settings(m)[1] // the middle (default-size) setting
+		cfg, speedup := core.BestNUMAPlacement(backend, m, app, set)
 		fmt.Fprintf(stdout, "best numa_domains placement for %s on %s (%s): %.3fx with %s\n",
 			app.Name, m.Arch, set.Label, speedup, cfg)
 	}
 	if *calibrate != "" {
 		ran = true
-		m, err := omptune.MachineByName(*calibrate)
+		m, err := topology.Get(topology.Arch(*calibrate))
 		if err != nil {
 			return err
 		}
@@ -312,7 +290,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *calApps != "" {
 			for _, a := range strings.Split(*calApps, ",") {
 				name := strings.TrimSpace(a)
-				if _, err := omptune.ApplicationByName(name); err != nil {
+				if _, err := apps.ByName(name); err != nil {
 					return err
 				}
 				appNames = append(appNames, name)
@@ -322,9 +300,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// backend (the one from -backend measured when given).
 		alt := backend
 		if alt == nil {
-			alt = omptune.NewMeasuredEvaluator(measureOpt)
+			alt = measure.NewEvaluator(measureOpt)
 		}
-		rep, err := omptune.Calibrate(nil, alt, omptune.CalibrationOptions{
+		rep, err := core.Calibrate(nil, alt, core.CalibrationOptions{
 			Arch: m.Arch, Apps: appNames, ConfigsPerApp: *calCfgs,
 		})
 		if err != nil {
@@ -345,7 +323,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rep, err := omptune.CompareSweeps(oldDS, newDS, omptune.CompareOptions{
+		rep, err := core.CompareDatasets(oldDS, newDS, core.CompareOptions{
 			Alpha: *cmpAlpha, CoVThreshold: *cmpCoV, CIRelThreshold: *cmpCI, MinShift: *cmpShift,
 		})
 		if err != nil {
@@ -370,7 +348,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rows, err := omptune.SearchReport(f, ds)
+		rows, err := core.SearchReport(f, ds)
 		f.Close()
 		if err != nil {
 			return err
@@ -390,7 +368,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rep := omptune.DatasetVariability(ds)
+		rep := core.Variability(ds)
 		if *varJSON {
 			if err := printJSON(rep); err != nil {
 				return err
@@ -443,26 +421,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // readCSV loads one dataset CSV.
-func readCSV(path string) (*omptune.Dataset, error) {
+func readCSV(path string) (*dataset.Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return omptune.ReadDatasetCSV(f)
+	return dataset.ReadCSV(f)
 }
 
 // appArch parses an "APP@ARCH" selector.
-func appArch(sel string) (*omptune.App, *omptune.Machine, error) {
+func appArch(sel string) (*apps.App, *topology.Machine, error) {
 	appName, archName, ok := strings.Cut(sel, "@")
 	if !ok {
 		return nil, nil, fmt.Errorf("selector %q wants APP@ARCH", sel)
 	}
-	app, err := omptune.ApplicationByName(appName)
+	app, err := apps.ByName(appName)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := omptune.MachineByName(archName)
+	m, err := topology.Get(topology.Arch(archName))
 	if err != nil {
 		return nil, nil, err
 	}

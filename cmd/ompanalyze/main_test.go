@@ -10,30 +10,31 @@ import (
 	"strings"
 	"testing"
 
-	"omptune"
+	"omptune/internal/apps"
 	"omptune/internal/core"
 	"omptune/internal/env"
+	"omptune/internal/topology"
 )
 
 // fullSweepCSV collects the exhaustive model sweep of one app on a64fx — the
 // ground truth both smokes analyse — and writes it where -data can read it.
 func fullSweepCSV(t *testing.T, app string) string {
 	t.Helper()
-	ds, err := omptune.Collect(omptune.CollectOptions{
-		Arches:   []omptune.Arch{omptune.A64FX},
+	ds, err := core.RunSweep(core.SweepConfig{
+		Arches:   []topology.Arch{topology.A64FX},
 		Apps:     []string{app},
-		Fraction: map[omptune.Arch]float64{omptune.A64FX: 1},
+		Fraction: map[topology.Arch]float64{topology.A64FX: 1},
 	})
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("RunSweep: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "sweep.csv")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := omptune.WriteDatasetCSV(f, ds); err != nil {
-		t.Fatalf("WriteDatasetCSV: %v", err)
+	if err := ds.WriteCSV(f); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -97,11 +98,8 @@ func TestSobolFullSweep(t *testing.T) {
 // speedup while spending at most 10% of the space.
 func TestSearchReportFullSweep(t *testing.T) {
 	csv := fullSweepCSV(t, "Nqueens")
-	m, err := omptune.MachineByName("a64fx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := omptune.ApplicationByName("Nqueens")
+	m := topology.MustGet(topology.A64FX)
+	app, err := apps.ByName("Nqueens")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +152,13 @@ func TestSearchReportFullSweep(t *testing.T) {
 // savings summary over a CSV's series provenance (cmd/ompsweep's tests check
 // the same report over a real adaptive campaign; this is the flag's wiring).
 func TestVariabilityFlag(t *testing.T) {
-	ds, err := omptune.Collect(omptune.CollectOptions{
-		Arches:   []omptune.Arch{omptune.A64FX},
+	ds, err := core.RunSweep(core.SweepConfig{
+		Arches:   []topology.Arch{topology.A64FX},
 		Apps:     []string{"EP"},
-		Fraction: map[omptune.Arch]float64{omptune.A64FX: 0.01},
+		Fraction: map[topology.Arch]float64{topology.A64FX: 0.01},
 	})
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("RunSweep: %v", err)
 	}
 	for i, s := range ds.Samples {
 		s.Source, s.RepsRun, s.CoV, s.CIRel = "measured", 2+i%3, 0.01*float64(1+i%5), 0.02
@@ -170,8 +168,8 @@ func TestVariabilityFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := omptune.WriteDatasetCSV(f, ds); err != nil {
-		t.Fatalf("WriteDatasetCSV: %v", err)
+	if err := ds.WriteCSV(f); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -208,7 +206,7 @@ func TestRunValidation(t *testing.T) {
 		{"wilcoxon without setting", []string{"-wilcoxon", "Alignment"}, "APP,SETTING"},
 		{"unknown heatmap grouping", []string{"-heatmap", "suite"}, "app, arch or apparch"},
 		{"unknown app", []string{"-recommend", "Doom"}, "Doom"},
-		{"selector without arch", []string{"-tune", "Nqueens"}, "APP@ARCH"},
+		{"selector without arch", []string{"-numa", "Nqueens"}, "APP@ARCH"},
 		{"searchreport without data", []string{"-searchreport", "x.jsonl"}, "needs -data"},
 		{"compare without new csv", []string{"-compare", "old.csv"}, "positional argument"},
 		{"missing dataset", []string{"-data", "/nonexistent.csv", "-upshot"}, "nonexistent.csv"},

@@ -14,9 +14,12 @@ import (
 	"os"
 	"path/filepath"
 
-	"omptune"
+	"omptune/internal/apps"
 	"omptune/internal/core"
+	"omptune/internal/dataset"
+	"omptune/internal/ml"
 	"omptune/internal/report"
+	"omptune/internal/viz"
 )
 
 func main() {
@@ -42,13 +45,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var ds *omptune.Dataset
+	var ds *dataset.Dataset
 	if *dataPath != "" {
 		f, err := os.Open(*dataPath)
 		if err != nil {
 			return err
 		}
-		ds, err = omptune.ReadDatasetCSV(f)
+		ds, err = dataset.ReadCSV(f)
 		f.Close()
 		if err != nil {
 			return err
@@ -56,14 +59,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	} else {
 		fmt.Fprintln(stderr, "ompreport: collecting the Table II dataset (pass -data to reuse one)...")
 		var err error
-		ds, err = omptune.Collect(omptune.CollectOptions{})
+		ds, err = core.RunSweep(core.SweepConfig{})
 		if err != nil {
 			return err
 		}
 	}
 
 	if *violinCSV != "" {
-		if _, err := omptune.ApplicationByName(*violinCSV); err != nil {
+		if _, err := apps.ByName(*violinCSV); err != nil {
 			return err
 		}
 		return report.ViolinCSV(stdout, ds, *violinCSV, 128)
@@ -77,12 +80,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stderr, "ompreport: wrote SVG figures to %s\n", *svgDir)
 	}
-	return omptune.WriteReport(stdout, ds)
+	return report.Write(stdout, ds)
 }
 
 // writeSVGs renders the violin figures (1, 5-7) and the influence heatmaps
 // (2-4) as standalone SVG documents.
-func writeSVGs(dir string, ds *omptune.Dataset) error {
+func writeSVGs(dir string, ds *dataset.Dataset) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -97,7 +100,7 @@ func writeSVGs(dir string, ds *omptune.Dataset) error {
 			continue
 		}
 		if err := writeFile(filepath.Join(dir, file), func(w *os.File) error {
-			return omptune.WriteViolinSVG(w, ds, app)
+			return viz.ViolinFigureSVG(w, ds, app)
 		}); err != nil {
 			return err
 		}
@@ -107,17 +110,17 @@ func writeSVGs(dir string, ds *omptune.Dataset) error {
 		g     core.Grouping
 		title string
 	}{
-		{"fig2_by_app.svg", omptune.PerApp, "Fig 2: feature influence per application"},
-		{"fig3_by_arch.svg", omptune.PerArch, "Fig 3: feature influence per architecture"},
-		{"fig4_by_app_arch.svg", omptune.PerArchApp, "Fig 4: feature influence per application-architecture"},
+		{"fig2_by_app.svg", core.PerApp, "Fig 2: feature influence per application"},
+		{"fig3_by_arch.svg", core.PerArch, "Fig 3: feature influence per architecture"},
+		{"fig4_by_app_arch.svg", core.PerArchApp, "Fig 4: feature influence per application-architecture"},
 	}
 	for _, h := range heatmaps {
-		hm, err := omptune.Influence(ds, h.g)
+		hm, err := core.InfluenceHeatmap(ds, h.g, ml.LogisticOptions{})
 		if err != nil {
 			return err
 		}
 		if err := writeFile(filepath.Join(dir, h.file), func(w *os.File) error {
-			return omptune.WriteHeatmapSVG(w, hm, h.title)
+			return viz.HeatmapSVG(w, hm, h.title)
 		}); err != nil {
 			return err
 		}

@@ -7,7 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"omptune"
+	"omptune/internal/core"
+	"omptune/internal/topology"
 )
 
 // reducedCSV collects a thin slice of the Table II campaign — the four
@@ -15,20 +16,20 @@ import (
 // configurations — and writes it where -data can read it.
 func reducedCSV(t *testing.T) string {
 	t.Helper()
-	ds, err := omptune.Collect(omptune.CollectOptions{
+	ds, err := core.RunSweep(core.SweepConfig{
 		Apps:     []string{"Nqueens", "XSbench", "CG", "Alignment"},
-		Fraction: map[omptune.Arch]float64{omptune.A64FX: 0.03, omptune.Skylake: 0.02, omptune.Milan: 0.02},
+		Fraction: map[topology.Arch]float64{topology.A64FX: 0.03, topology.Skylake: 0.02, topology.Milan: 0.02},
 	})
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("RunSweep: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "reduced.csv")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := omptune.WriteDatasetCSV(f, ds); err != nil {
-		t.Fatalf("WriteDatasetCSV: %v", err)
+	if err := ds.WriteCSV(f); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)

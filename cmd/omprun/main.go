@@ -64,7 +64,7 @@ import (
 	"strings"
 	"time"
 
-	"omptune"
+	"omptune/internal/apps"
 	"omptune/internal/measure"
 	"omptune/internal/obs"
 	"omptune/openmp"
@@ -138,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *list {
-		for _, a := range omptune.Applications() {
+		for _, a := range apps.All() {
 			style := "thread-count sweep"
 			if a.VariesInput {
 				style = "input-size sweep"
@@ -151,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return errors.New("-app is required (see -list)")
 	}
-	app, err := omptune.ApplicationByName(*appName)
+	app, err := apps.ByName(*appName)
 	if err != nil {
 		return err
 	}

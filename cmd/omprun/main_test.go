@@ -68,11 +68,11 @@ func TestTracedTaskKernel(t *testing.T) {
 	if s.Dropped != 0 {
 		t.Errorf("dropped %d events", s.Dropped)
 	}
-	if s.TasksStolen <= 0 || s.TasksStolen > s.TasksRun {
-		t.Errorf("tasks stolen = %d of %d run, want some and no more than ran", s.TasksStolen, s.TasksRun)
+	if s.Total.TasksStolen <= 0 || s.Total.TasksStolen > s.Total.TasksRun {
+		t.Errorf("tasks stolen = %d of %d run, want some and no more than ran", s.Total.TasksStolen, s.Total.TasksRun)
 	}
-	if s.TotalBarrierWait <= 0 {
-		t.Errorf("total barrier wait = %v, want > 0", s.TotalBarrierWait)
+	if s.Total.BarrierNS() <= 0 {
+		t.Errorf("total barrier wait = %dns, want > 0", s.Total.BarrierNS())
 	}
 }
 

@@ -46,7 +46,13 @@ import (
 	"strings"
 	"syscall"
 
-	"omptune"
+	"omptune/internal/apps"
+	"omptune/internal/core"
+	"omptune/internal/env"
+	"omptune/internal/measure"
+	"omptune/internal/obs"
+	"omptune/internal/sim"
+	"omptune/internal/topology"
 )
 
 func main() {
@@ -66,10 +72,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ompsearch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		appName  = fs.String("app", "", "application to tune (required; see omptune.Applications)")
+		appName  = fs.String("app", "", "application to tune (required, e.g. Nqueens)")
 		archName = fs.String("arch", "a64fx", "architecture model to tune on")
 		setting  = fs.String("setting", "", "setting label (default: the app's middle setting)")
-		strategy = fs.String("strategy", "surrogate", "search strategy: "+strings.Join(omptune.SearchStrategies(), "|"))
+		strategy = fs.String("strategy", "surrogate", "search strategy: "+strings.Join(core.SearchStrategies(), "|"))
 		budget   = fs.Int("budget", 300, "evaluation budget (> 0; cache hits count)")
 		maxTime  = fs.Duration("max-time", 0, "wall-clock budget (0 = evaluations only)")
 		seed     = fs.Uint64("seed", 1, "seed for every stochastic choice")
@@ -92,18 +98,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *budget <= 0 {
 		return fmt.Errorf("-budget %d: want a positive evaluation budget", *budget)
 	}
-	searcher, err := omptune.NewSearcher(*strategy)
+	searcher, err := core.NewSearcher(*strategy)
 	if err != nil {
 		return err
 	}
 	if *appName == "" {
 		return fmt.Errorf("-app is required (e.g. -app Nqueens)")
 	}
-	app, err := omptune.ApplicationByName(*appName)
+	app, err := apps.ByName(*appName)
 	if err != nil {
 		return err
 	}
-	m, err := omptune.MachineByName(*archName)
+	m, err := topology.Get(topology.Arch(*archName))
 	if err != nil {
 		return err
 	}
@@ -122,11 +128,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-setting %q: %s has %s on %s", *setting, app.Name, strings.Join(labels, ", "), m.Arch)
 		}
 	}
-	var varOrder []omptune.VarName
+	var varOrder []env.VarName
 	if *order != "" {
-		valid := omptune.Variables()
+		valid := env.Names()
 		for _, raw := range strings.Split(*order, ",") {
-			name := omptune.VarName(strings.TrimSpace(raw))
+			name := env.VarName(strings.TrimSpace(raw))
 			ok := false
 			for _, v := range valid {
 				if v == name {
@@ -145,27 +151,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	var mon *omptune.Monitor
+	var mon *core.Monitor
 	if *serve != "" {
-		mon = omptune.NewMonitor()
+		mon = core.NewMonitor()
 	}
-	var ev omptune.Evaluator // nil = the analytic model
+	var ev core.Evaluator // nil = the analytic model
 	switch *backend {
 	case "model":
 	case "measured":
-		mo := omptune.MeasureOptions{Warmup: *mwarmup, TimedReps: *mreps}
+		mo := measure.Options{Warmup: *mwarmup, TimedReps: *mreps}
 		if mon != nil {
 			mo.Metrics = mon.RuntimeMetrics()
 			mo.Profile = mon.RuntimeProfile()
 		}
-		ev = omptune.NewMeasuredEvaluator(mo)
+		ev = measure.NewEvaluator(mo)
 	default:
 		return fmt.Errorf("-backend %q: want model or measured", *backend)
 	}
 
-	var srv *omptune.MonitorServer
+	var srv *obs.Server
 	if mon != nil {
-		srv = omptune.NewMonitorServer(mon)
+		srv = obs.NewServer(mon.Registry(),
+			func() any { return mon.Status() },
+			func() any { return mon.Regions() },
+			func() any { return mon.Variability() })
 		addr, err := srv.Start(*serve)
 		if err != nil {
 			return err
@@ -173,10 +182,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "ompsearch: monitor: serving on http://%s\n", addr)
 	}
 
-	res, serr := searcher.Search(ctx, omptune.SearchSpec{
+	res, serr := searcher.Search(ctx, core.SearchSpec{
 		Machine: m, App: app, Setting: set, Order: varOrder, Seed: *seed,
 		Evaluator:    ev,
-		Budget:       omptune.SearchBudget{MaxEvals: *budget, MaxTime: *maxTime},
+		Budget:       core.SearchBudget{MaxEvals: *budget, MaxTime: *maxTime},
 		TelemetryLog: *telem,
 		Monitor:      mon,
 	})
@@ -227,7 +236,7 @@ type stepJSON struct {
 	Speedup  float64 `json:"speedup"`
 }
 
-func writeJSON(w io.Writer, m *omptune.Machine, app *omptune.App, set omptune.Setting, backend string, seed uint64, res omptune.SearchResult) error {
+func writeJSON(w io.Writer, m *topology.Machine, app *apps.App, set sim.Setting, backend string, seed uint64, res core.SearchResult) error {
 	doc := searchJSON{
 		Strategy: res.Strategy, Arch: string(m.Arch), App: app.Name, Setting: set.Label,
 		Backend: backend, Seed: seed,

@@ -64,7 +64,11 @@ import (
 	"strings"
 	"syscall"
 
-	"omptune"
+	"omptune/internal/apps"
+	"omptune/internal/core"
+	"omptune/internal/measure"
+	"omptune/internal/obs"
+	"omptune/internal/topology"
 )
 
 func main() {
@@ -118,12 +122,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	// The monitor exists before the backend so the measured evaluator can be
 	// built with the monitor's runtime-latency sinks attached.
-	var mon *omptune.Monitor
+	var mon *core.Monitor
 	if *serve != "" {
-		mon = omptune.NewMonitor()
+		mon = core.NewMonitor()
 	}
 
-	opt := omptune.CollectOptions{
+	opt := core.SweepConfig{
 		Workers:           *workers,
 		CheckpointDir:     *checkpoint,
 		Shard:             *shard,
@@ -136,9 +140,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	case "model":
 		// nil Backend: the deterministic default.
 	case "measured":
-		mo := omptune.MeasureOptions{
+		mo := measure.Options{
 			Warmup: *mwarmup, TimedReps: *mreps,
-			Adaptive: omptune.AdaptivePolicy{
+			Adaptive: measure.Adaptive{
 				TargetCoV: *adCoV, TargetCIRel: *adCI,
 				MinReps: *adMin, MaxReps: *adMax, MaxTime: *adBudget,
 			},
@@ -147,7 +151,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			mo.Metrics = mon.RuntimeMetrics()
 			mo.Profile = mon.RuntimeProfile()
 		}
-		opt.Backend = omptune.NewMeasuredEvaluator(mo)
+		opt.Backend = measure.NewEvaluator(mo)
 	default:
 		return fmt.Errorf("-backend %q: want model or measured", *backend)
 	}
@@ -156,16 +160,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *archList != "" {
 		for _, a := range strings.Split(*archList, ",") {
-			if _, err := omptune.MachineByName(strings.TrimSpace(a)); err != nil {
+			arch := topology.Arch(strings.TrimSpace(a))
+			if _, err := topology.Get(arch); err != nil {
 				return err
 			}
-			opt.Arches = append(opt.Arches, omptune.Arch(strings.TrimSpace(a)))
+			opt.Arches = append(opt.Arches, arch)
 		}
 	}
 	if *appList != "" {
 		for _, a := range strings.Split(*appList, ",") {
 			name := strings.TrimSpace(a)
-			if _, err := omptune.ApplicationByName(name); err != nil {
+			if _, err := apps.ByName(name); err != nil {
 				return err
 			}
 			opt.Apps = append(opt.Apps, name)
@@ -183,11 +188,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// checkpoint dir written under a different -shard is rejected.
 		pool := opt.Apps
 		if pool == nil {
-			for _, a := range omptune.Applications() {
+			for _, a := range apps.All() {
 				pool = append(pool, a.Name)
 			}
 			if *nested {
-				for _, a := range omptune.NestedApplications() {
+				for _, a := range apps.NestedApps() {
 					pool = append(pool, a.Name)
 				}
 			}
@@ -204,20 +209,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		opt.Apps = mine
 	}
 	if *frac > 0 {
-		opt.Fraction = map[omptune.Arch]float64{}
-		for _, m := range omptune.Machines() {
+		opt.Fraction = map[topology.Arch]float64{}
+		for _, m := range topology.All() {
 			opt.Fraction[m.Arch] = *frac
 		}
 	}
 	if *progress {
-		opt.Progress = stderr
+		opt.OnProgress = func(ev core.ProgressEvent) { fmt.Fprintln(stderr, ev.String()) }
 	}
 	opt.Extended = *extended
 	opt.Nested = *nested
 
-	var srv *omptune.MonitorServer
+	var srv *obs.Server
 	if mon != nil {
-		srv = omptune.NewMonitorServer(mon)
+		srv = obs.NewServer(mon.Registry(),
+			func() any { return mon.Status() },
+			func() any { return mon.Regions() },
+			func() any { return mon.Variability() })
 		addr, err := srv.Start(*serve)
 		if err != nil {
 			return err
@@ -227,7 +235,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "ompsweep: monitor: serving on http://%s\n", addr)
 	}
 
-	ds, err := omptune.Collect(opt)
+	ds, err := core.RunSweep(opt)
 	if srv != nil {
 		// The dashboard keeps showing the terminal state for -serve-linger.
 		srv.Linger(ctx, *linger)
@@ -241,13 +249,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "ompsweep: collected %d samples\n", ds.Len())
 
 	if *out == "-" {
-		return omptune.WriteDatasetCSV(stdout, ds)
+		return ds.WriteCSV(stdout)
 	}
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
-	if err := omptune.WriteDatasetCSV(f, ds); err != nil {
+	if err := ds.WriteCSV(f); err != nil {
 		f.Close()
 		return err
 	}

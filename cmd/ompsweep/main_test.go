@@ -16,7 +16,8 @@ import (
 	"testing"
 	"time"
 
-	"omptune"
+	"omptune/internal/core"
+	"omptune/internal/dataset"
 	"omptune/internal/obs"
 )
 
@@ -58,14 +59,14 @@ func TestRunValidation(t *testing.T) {
 }
 
 // readCSV decodes a campaign CSV the way every consumer does.
-func readCSV(t *testing.T, path string) *omptune.Dataset {
+func readCSV(t *testing.T, path string) *dataset.Dataset {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	ds, err := omptune.ReadDatasetCSV(f)
+	ds, err := dataset.ReadCSV(f)
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
@@ -335,7 +336,7 @@ func TestAdaptiveCampaignVariability(t *testing.T) {
 		t.Errorf("adaptive spent %d reps vs %d fixed — no savings", run, fixed)
 	}
 
-	report := omptune.DatasetVariability(ds).String()
+	report := core.Variability(ds).String()
 	header, summary := false, false
 	for _, line := range strings.Split(report, "\n") {
 		header = header || strings.HasPrefix(line, "arch ")

@@ -99,9 +99,9 @@ func (m sweepManifest) diff(other sweepManifest) string {
 	case len(m.Units) != len(other.Units):
 		return fmt.Sprintf("%d settings vs %d", len(other.Units), len(m.Units))
 	}
-	for a, f := range m.Fractions {
-		if other.Fractions[a] != f {
-			return fmt.Sprintf("fraction on %s %v vs %v", a, other.Fractions[a], f)
+	for _, a := range m.Arches { // the keys of m.Fractions, in a fixed order
+		if other.Fractions[a] != m.Fractions[a] {
+			return fmt.Sprintf("fraction on %s %v vs %v", a, other.Fractions[a], m.Fractions[a])
 		}
 	}
 	for i, k := range m.Units {

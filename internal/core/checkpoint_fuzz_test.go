@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,6 +96,76 @@ func FuzzCheckpointJournal(f *testing.F) {
 			}
 			if !bytes.Equal(buf.Bytes(), segments[i]) {
 				t.Fatalf("unit %d restored samples that differ from the clean run's", i)
+			}
+		}
+	})
+}
+
+// FuzzCheckpointManifest feeds arbitrary bytes as the manifest of a
+// checkpoint directory opened for a planned 3-unit campaign. Opening must not
+// panic; it either rejects the manifest with an error that names the first
+// mismatch against the campaign's own manifest (or the JSON error), or
+// accepts it, and only when that mismatch is empty.
+func FuzzCheckpointManifest(f *testing.F) {
+	sc := smallCampaign()
+	units, err := planUnits(sc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	man := manifestFor(sc, nil, units)
+	clean, err := json.MarshalIndent(man, "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(clean)
+	mutate := func(edit func(m *sweepManifest)) {
+		m := man
+		m.Fractions = map[string]float64{}
+		for a, v := range man.Fractions {
+			m.Fractions[a] = v
+		}
+		m.Units = append([]string(nil), man.Units...)
+		edit(&m)
+		raw, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	mutate(func(m *sweepManifest) { m.Version++ })
+	mutate(func(m *sweepManifest) { m.Backend = "measured" })
+	mutate(func(m *sweepManifest) { m.Backend = "" }) // a pre-seam manifest: the model
+	mutate(func(m *sweepManifest) { m.Shard = "0/2" })
+	mutate(func(m *sweepManifest) { m.Fractions[m.Arches[0]] /= 2 })
+	mutate(func(m *sweepManifest) { m.Units[1] += "x" })
+	mutate(func(m *sweepManifest) { m.Units = m.Units[:2] })
+	f.Add(clean[:len(clean)/2])
+	f.Add([]byte("null"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := openCheckpoint(dir, man)
+		var prior sweepManifest
+		jsonErr := json.Unmarshal(data, &prior)
+		if ck != nil {
+			defer ck.close()
+		}
+		switch {
+		case jsonErr != nil:
+			if err == nil || !strings.Contains(err.Error(), "corrupt checkpoint manifest") {
+				t.Fatalf("unparsable manifest opened with error %v", err)
+			}
+		case err == nil:
+			if d := man.diff(prior); d != "" {
+				t.Fatalf("manifest accepted despite mismatch %q", d)
+			}
+		default:
+			d := man.diff(prior)
+			if d == "" || !strings.Contains(err.Error(), "("+d+")") {
+				t.Fatalf("manifest rejected with %v, want the first mismatch %q", err, d)
 			}
 		}
 	})

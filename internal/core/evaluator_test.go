@@ -120,9 +120,9 @@ func TestTuneAndRandomSearchUseBackend(t *testing.T) {
 	}
 
 	fake.calls.Store(0)
-	rres := RandomSearch(fake, m, app, set, 20, 7)
+	rres := randomSearch(t, fake, m, app, set, 20, 7)
 	if fake.calls.Load() == 0 {
-		t.Fatal("RandomSearch never called the backend")
+		t.Fatal("random search never called the backend")
 	}
 	if rres.BestSeconds > rres.DefaultSeconds {
 		t.Errorf("random search regressed: %v > %v", rres.BestSeconds, rres.DefaultSeconds)

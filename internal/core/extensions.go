@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -16,9 +15,10 @@ import (
 
 // This file implements the paper's §VI future-work agenda: non-linear
 // models for the classification surrogate, a quantitative check of how
-// (badly) tuning knowledge transfers to unseen architectures, a random-
-// search baseline for the guided tuner, and the sweep extensions the paper
-// deferred (numa_domains places, more thread counts).
+// (badly) tuning knowledge transfers to unseen architectures, and the
+// sweep extensions the paper deferred (numa_domains places, more thread
+// counts). The random-search baseline for the guided tuner is the "random"
+// strategy of the Searcher seam (search.go).
 
 // ModelComparison contrasts the linear surrogate of §IV-D with a random
 // forest on the same group of samples.
@@ -123,22 +123,6 @@ func Transfer(ds *dataset.Dataset, app string, treeOpt ml.TreeOptions, nTrees in
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// RandomSearch is the baseline the guided tuner is judged against: sample
-// `budget` configurations uniformly (deterministically seeded) and keep the
-// best. The ev backend decides what an evaluation measures (nil = analytic
-// model).
-//
-// RandomSearch is a convenience wrapper over the "random" strategy of the
-// Searcher seam (see search.go); the seeded draw sequence and the results
-// are identical to the pre-seam implementation under the analytic backend.
-func RandomSearch(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, budget int, seedVal uint64) SearchResult {
-	res, _ := randomSearcher{}.Search(context.Background(), SearchSpec{
-		Machine: m, App: app, Setting: set, Seed: seedVal,
-		Evaluator: ev, Budget: SearchBudget{MaxEvals: budget},
-	})
-	return res
 }
 
 // ExtendedSpace enumerates the sweep space including the numa_domains

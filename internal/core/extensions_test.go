@@ -103,7 +103,7 @@ func TestRandomSearchNeedsMoreEvalsThanGuided(t *testing.T) {
 	}
 	set := sim.Setting{Label: "medium", Threads: m.Cores, Scale: 1}
 	guided := Tune(nil, m, app, set, nil, 60)
-	random := RandomSearch(nil, m, app, set, 60, 99)
+	random := randomSearch(t, nil, m, app, set, 60, 99)
 	if guided.Speedup() < 4 {
 		t.Errorf("guided speedup %v, want > 4", guided.Speedup())
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -367,9 +368,11 @@ func TestProgressReportsRatesAndTotals(t *testing.T) {
 	var events []ProgressEvent
 	sc := smallCampaign()
 	sc.Workers = 1
-	sc.OnProgress = func(ev ProgressEvent) { events = append(events, ev) }
 	var lines bytes.Buffer
-	sc.Progress = &lines
+	sc.OnProgress = func(ev ProgressEvent) {
+		events = append(events, ev)
+		fmt.Fprintln(&lines, ev.String())
+	}
 	ds, err := RunSweep(sc)
 	if err != nil {
 		t.Fatalf("RunSweep: %v", err)
@@ -397,7 +400,7 @@ func TestProgressReportsRatesAndTotals(t *testing.T) {
 		}
 	}
 	if got := strings.Count(lines.String(), "\n"); got != 3 {
-		t.Errorf("progress writer got %d lines, want 3", got)
+		t.Errorf("progress lines = %d, want 3", got)
 	}
 	if !strings.Contains(lines.String(), "a64fx Sort") {
 		t.Errorf("progress lines lack batch identity: %q", lines.String())
@@ -415,7 +418,7 @@ func TestWorkerErrorAborts(t *testing.T) {
 	// pool path directly.
 	pending := []*sweepUnit{units[0], withoutDefault(units[1]), units[2]}
 	results := make([][]*dataset.Sample, len(units))
-	rep := newReporter(nil, nil, nil)
+	rep := newReporter(nil, nil)
 	err = runUnits(context.Background(), SweepConfig{Workers: 2}, ModelEvaluator{}, pending, results, nil, rep)
 	if err == nil || !strings.Contains(err.Error(), "default configuration") {
 		t.Fatalf("pool error = %v, want default-configuration failure", err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,9 +13,8 @@ import (
 )
 
 // ProgressEvent is one structured progress update, emitted after every
-// completed (arch, app, setting) batch of a sweep. Consumers either receive
-// it through SweepConfig.OnProgress or as a formatted line on
-// SweepConfig.Progress.
+// completed (arch, app, setting) batch of a sweep, delivered through
+// SweepConfig.OnProgress; String renders it as one progress line.
 type ProgressEvent struct {
 	// SettingsDone / SettingsTotal count completed setting batches,
 	// including batches restored from a checkpoint.
@@ -59,7 +57,6 @@ type ProgressEvent struct {
 // event, the telemetry stream and the live Monitor are all rendered from its
 // snapshot, so they cannot disagree.
 type reporter struct {
-	w   io.Writer
 	fn  func(ProgressEvent)
 	tel *telemetry // optional JSONL telemetry sink
 	mon *Monitor   // optional live HTTP monitor
@@ -107,8 +104,8 @@ type ledgerView struct {
 // newReporter opens the ledger of one campaign in state "waiting" and
 // attaches it to the configured monitor, so even a plan-time failure reaches
 // the dashboard as a terminal error state.
-func newReporter(w io.Writer, fn func(ProgressEvent), mon *Monitor) *reporter {
-	r := &reporter{w: w, fn: fn, mon: mon, state: "waiting"}
+func newReporter(fn func(ProgressEvent), mon *Monitor) *reporter {
+	r := &reporter{fn: fn, mon: mon, state: "waiting"}
 	if r.mon != nil {
 		r.mon.led.Store(r)
 	}
@@ -118,7 +115,7 @@ func newReporter(w io.Writer, fn func(ProgressEvent), mon *Monitor) *reporter {
 // unobserved reports whether nothing watches this campaign: its events then
 // return before any lock or allocation.
 func (r *reporter) unobserved() bool {
-	return r.w == nil && r.fn == nil && r.tel == nil && r.mon == nil
+	return r.fn == nil && r.tel == nil && r.mon == nil
 }
 
 // plan records the campaign shape — totals, cell grid, backend, worker
@@ -270,9 +267,6 @@ func (r *reporter) unitDone(u *sweepUnit, samples []*dataset.Sample, skipped int
 	}
 	if r.fn != nil {
 		r.fn(ev)
-	}
-	if r.w != nil {
-		fmt.Fprintln(r.w, ev.String())
 	}
 }
 

@@ -230,7 +230,7 @@ func (s *searchState) table() *configTable {
 // the ledger first and finishes it with the error the search returns, so a
 // spec the search rejects still reaches the monitor as a terminal error.
 func runSearch(ctx context.Context, strategy string, spec SearchSpec, body func(*searchState)) (res SearchResult, err error) {
-	led := newReporter(nil, nil, spec.Monitor)
+	led := newReporter(nil, spec.Monitor)
 	defer func() { led.finish(err) }()
 	s, err := newSearchState(ctx, strategy, spec, led)
 	if err != nil {

@@ -147,6 +147,24 @@ func searchApp(t *testing.T, arch topology.Arch, name string) (*topology.Machine
 	return m, app, app.Settings(m)[0]
 }
 
+// randomSearch runs the "random" strategy on the given backend with an
+// evaluation budget and a seed, nothing else set.
+func randomSearch(t testing.TB, ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, budget int, seed uint64) SearchResult {
+	t.Helper()
+	s, err := NewSearcher("random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Search(context.Background(), SearchSpec{
+		Machine: m, App: app, Setting: set, Seed: seed,
+		Evaluator: ev, Budget: SearchBudget{MaxEvals: budget},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestTuneMatchesLegacyGolden is the compatibility-wrapper guarantee of the
 // seam refactor: Tune results are byte-identical to the pre-seam
 // implementation under the analytic backend, across apps, architectures,
@@ -191,7 +209,7 @@ func TestRandomSearchMatchesLegacyGolden(t *testing.T) {
 	for _, c := range cases {
 		m, app, set := searchApp(t, c.arch, c.app)
 		want := legacyRandomSearch(nil, m, app, set, c.budget, c.seed)
-		got := asLegacy(RandomSearch(nil, m, app, set, c.budget, c.seed))
+		got := asLegacy(randomSearch(t, nil, m, app, set, c.budget, c.seed))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s/%s budget %d seed %d: RandomSearch diverged from legacy:\n got %+v\nwant %+v",
 				c.arch, c.app, c.budget, c.seed, got, want)
@@ -550,7 +568,7 @@ func TestSearchMonitorGauges(t *testing.T) {
 // built for a hit nobody observes.
 func TestSearchProbeNoObserverAllocs(t *testing.T) {
 	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
-	s, err := newSearchState(context.Background(), "random", SearchSpec{Machine: m, App: app, Setting: set}, newReporter(nil, nil, nil))
+	s, err := newSearchState(context.Background(), "random", SearchSpec{Machine: m, App: app, Setting: set}, newReporter(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

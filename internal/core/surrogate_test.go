@@ -110,7 +110,7 @@ func TestSurrogateFailedProbeIsNoTrainingRow(t *testing.T) {
 	s, err := newSearchState(context.Background(), "surrogate", SearchSpec{
 		Machine: m, App: app, Setting: set, Seed: seed,
 		Evaluator: ev, Budget: SearchBudget{MaxEvals: 100},
-	}, newReporter(nil, nil, nil))
+	}, newReporter(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

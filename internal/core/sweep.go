@@ -7,7 +7,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -31,9 +30,6 @@ type SweepConfig struct {
 	// counts of Table II; 1.0 is the fully exhaustive sweep. The default
 	// configuration is always included regardless of the fraction.
 	Fraction map[topology.Arch]float64
-	// Progress, when non-nil, receives one formatted line per completed
-	// setting batch (see ProgressEvent.String).
-	Progress io.Writer
 	// OnProgress, when non-nil, receives the structured event per completed
 	// setting batch. It is called from worker goroutines under a lock, so
 	// events arrive serialized.
@@ -320,7 +316,7 @@ func RunSweep(sc SweepConfig) (ds *dataset.Dataset, err error) {
 	// shard spec) reaches the monitor as a terminal error state. The terminal
 	// record reflects how the sweep actually ended, so the deferred finish
 	// reads the named error result.
-	rep := newReporter(sc.Progress, sc.OnProgress, sc.Monitor)
+	rep := newReporter(sc.OnProgress, sc.Monitor)
 	defer func() { rep.finish(err) }()
 	units, err := planUnits(sc)
 	if err != nil {

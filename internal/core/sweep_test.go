@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -54,10 +55,10 @@ func TestKeepConfigDeterministicAndProportional(t *testing.T) {
 func TestRunSweepRestrictedAndProgress(t *testing.T) {
 	var progress bytes.Buffer
 	ds, err := RunSweep(SweepConfig{
-		Arches:   []topology.Arch{topology.A64FX},
-		Apps:     []string{"Sort"},
-		Fraction: map[topology.Arch]float64{topology.A64FX: 0.1},
-		Progress: &progress,
+		Arches:     []topology.Arch{topology.A64FX},
+		Apps:       []string{"Sort"},
+		Fraction:   map[topology.Arch]float64{topology.A64FX: 0.1},
+		OnProgress: func(ev ProgressEvent) { fmt.Fprintln(&progress, ev.String()) },
 	})
 	if err != nil {
 		t.Fatalf("RunSweep: %v", err)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -169,7 +170,7 @@ func TestSweepTelemetryErrorRecord(t *testing.T) {
 
 func TestTelemetryHeartbeatLoop(t *testing.T) {
 	log := filepath.Join(t.TempDir(), "hb.jsonl")
-	led := newReporter(nil, nil, nil)
+	led := newReporter(nil, nil)
 	led.plan(nil, "model", 2)
 	if err := led.openTelemetry(log, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -269,8 +270,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 			)
 			mon := NewMonitor()
 			sc.Monitor = mon
-			sc.Progress = &lines
-			sc.OnProgress = func(ev ProgressEvent) { last = ev; events++ }
+			sc.OnProgress = func(ev ProgressEvent) { last = ev; events++; fmt.Fprintln(&lines, ev.String()) }
 			sc.TelemetryLog = filepath.Join(t.TempDir(), "run.jsonl")
 			sc.TelemetryInterval = time.Hour
 			ds, err := RunSweep(sc)
@@ -369,7 +369,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 			}
 			progress := strings.Split(strings.TrimSpace(lines.String()), "\n")
 			if len(progress) != len(units) || progress[len(progress)-1] != last.String() {
-				t.Errorf("progress writer: %d lines ending %q, want %d ending %q",
+				t.Errorf("progress lines: %d lines ending %q, want %d ending %q",
 					len(progress), progress[len(progress)-1], len(units), last.String())
 			}
 		})
@@ -590,7 +590,7 @@ func TestTelemetrySinkWriteFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			led := newReporter(nil, nil, nil)
+			led := newReporter(nil, nil)
 			led.plan(units, "model", 1)
 			if err := led.openTelemetry(filepath.Join(t.TempDir(), "run.jsonl"), time.Hour); err != nil {
 				t.Fatal(err)
@@ -603,7 +603,7 @@ func TestTelemetrySinkWriteFailure(t *testing.T) {
 		}},
 		{"search telemetry", func(t *testing.T, w io.WriteCloser, errw io.Writer) {
 			m, app, set := searchApp(t, topology.A64FX, "Nqueens")
-			led := newReporter(nil, nil, nil)
+			led := newReporter(nil, nil)
 			s, err := newSearchState(context.Background(), "random", SearchSpec{
 				Machine: m, App: app, Setting: set,
 				TelemetryLog: filepath.Join(t.TempDir(), "search.jsonl"),

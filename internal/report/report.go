@@ -12,9 +12,62 @@ import (
 
 	"omptune/internal/core"
 	"omptune/internal/dataset"
+	"omptune/internal/ml"
 	"omptune/internal/stats"
 	"omptune/internal/topology"
 )
+
+// Write renders every table and figure of the paper from ds, in paper
+// order, each under a "======== title ========" header.
+func Write(w io.Writer, ds *dataset.Dataset) error {
+	// Every section reads one frame of ds. The section that first needs a
+	// grouping's fit pays for it; Q3 ranks and Fig 3 draws the same
+	// per-architecture one (the costliest single step of the report).
+	f := core.NewFrame(ds)
+	fits := map[core.Grouping]*core.Heatmap{}
+	fitted := func(g core.Grouping, render func(io.Writer, *core.Heatmap) error) error {
+		if fits[g] == nil {
+			hm, err := f.InfluenceHeatmap(g, ml.LogisticOptions{})
+			if err != nil {
+				return err
+			}
+			fits[g] = hm
+		}
+		return render(w, fits[g])
+	}
+	sections := []struct {
+		title  string
+		render func() error
+	}{
+		{"Table I: hardware configuration", func() error { return TableI(w) }},
+		{"Table II: dataset description", func() error { return TableII(w, f) }},
+		{"Table III: Wilcoxon run-consistency (Alignment, small)", func() error { return TableIII(w, f, "Alignment", "small") }},
+		{"Table IV: runtime statistics per run index (Alignment, small)", func() error { return TableIV(w, f, "Alignment", "small") }},
+		{"Table V: speedup ranges per application and architecture", func() error { return TableV(w, f, []string{"Alignment", "XSbench"}) }},
+		{"Table VI: speedup ranges per application", func() error { return TableVI(w, f) }},
+		{"Table VII: best performing variables and values", func() error { return TableVII(w, f, []string{"Nqueens", "CG"}) }},
+		{"Q1: upshot potential per architecture", func() error { return Q1(w, f) }},
+		{"Q2: variable-set consistency across architectures", func() error { return Q2(w, f) }},
+		{"Q3: best variables per architecture", func() error { return fitted(core.PerArch, Q3) }},
+		{"Q4: worst-performance trends", func() error { return Q4(w, f) }},
+		{"Fig 1: Alignment runtime distributions", func() error { return Fig1(w, f) }},
+		{"Fig 2: influence per application", func() error { return fitted(core.PerApp, Fig2) }},
+		{"Fig 3: influence per architecture", func() error { return fitted(core.PerArch, Fig3) }},
+		{"Fig 4: influence per application-architecture", func() error { return fitted(core.PerArchApp, Fig4) }},
+		{"Fig 5: BT runtime distributions", func() error { return Fig5(w, f) }},
+		{"Fig 6: Health runtime distributions", func() error { return Fig6(w, f) }},
+		{"Fig 7: RSBench runtime distributions", func() error { return Fig7(w, f) }},
+	}
+	for _, s := range sections {
+		if _, err := fmt.Fprintf(w, "\n======== %s ========\n", s.title); err != nil {
+			return err
+		}
+		if err := s.render(); err != nil {
+			return fmt.Errorf("report: rendering %q: %w", s.title, err)
+		}
+	}
+	return nil
+}
 
 // TableI prints the hardware configuration table.
 func TableI(w io.Writer) error {

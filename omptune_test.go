@@ -2,6 +2,7 @@ package omptune
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -9,9 +10,13 @@ import (
 	"strings"
 	"testing"
 
+	"omptune/internal/apps"
 	"omptune/internal/core"
 	"omptune/internal/env"
+	"omptune/internal/ml"
 	"omptune/internal/sim"
+	"omptune/internal/topology"
+	"omptune/internal/viz"
 	"omptune/openmp"
 )
 
@@ -34,11 +39,11 @@ func facadeDS(t testing.TB) *Dataset {
 }
 
 func TestFacadeBasics(t *testing.T) {
-	if len(Machines()) != 3 {
-		t.Fatalf("Machines() = %d, want 3", len(Machines()))
+	if len(topology.All()) != 3 {
+		t.Fatalf("topology.All() = %d, want 3", len(topology.All()))
 	}
-	if len(Applications()) != 15 {
-		t.Fatalf("Applications() = %d, want 15", len(Applications()))
+	if len(apps.All()) != 15 {
+		t.Fatalf("apps.All() = %d, want 15", len(apps.All()))
 	}
 	m, err := MachineByName("milan")
 	if err != nil || m.Cores != 96 {
@@ -50,8 +55,8 @@ func TestFacadeBasics(t *testing.T) {
 	if got := len(env.Space(m)); got != 9216 {
 		t.Errorf("env.Space(milan) = %d, want 9216", got)
 	}
-	if len(Variables()) != 7 {
-		t.Errorf("Variables() = %d, want 7", len(Variables()))
+	if len(env.Names()) != 7 {
+		t.Errorf("env.Names() = %d, want 7", len(env.Names()))
 	}
 }
 
@@ -81,7 +86,7 @@ func TestFacadePipeline(t *testing.T) {
 	if ds.Len() == 0 {
 		t.Fatal("empty dataset")
 	}
-	up := Upshot(ds)
+	up := core.Upshot(ds)
 	if len(up) != 3 {
 		t.Fatalf("Upshot groups = %d", len(up))
 	}
@@ -93,7 +98,7 @@ func TestFacadePipeline(t *testing.T) {
 	if len(trends) == 0 || trends[0].Variable != env.VarProcBind {
 		t.Errorf("worst trends = %v, want master binding on top", trends)
 	}
-	rows := WilcoxonTable(ds, "Alignment", "small")
+	rows := core.WilcoxonTable(ds, "Alignment", "small")
 	if len(rows) != 9 {
 		t.Errorf("WilcoxonTable rows = %d, want 9", len(rows))
 	}
@@ -280,7 +285,8 @@ func TestFacadeTune(t *testing.T) {
 
 func TestFacadeExtensions(t *testing.T) {
 	ds := facadeDS(t)
-	cmp, err := CompareModels(ds, PerArch)
+	cmp, err := core.CompareModels(ds, PerArch, ml.LogisticOptions{},
+		ml.TreeOptions{MaxDepth: 8, MinLeaf: 30, Seed: 1}, 10)
 	if err != nil {
 		t.Fatalf("CompareModels: %v", err)
 	}
@@ -292,7 +298,7 @@ func TestFacadeExtensions(t *testing.T) {
 			t.Errorf("%s: forest %v should be at least on par with logistic %v", r.Group, r.ForestAcc, r.LogisticAcc)
 		}
 	}
-	tr, err := Transfer(ds, "Nqueens")
+	tr, err := core.Transfer(ds, "Nqueens", ml.TreeOptions{MaxDepth: 8, MinLeaf: 30, Seed: 5}, 10)
 	if err != nil {
 		t.Fatalf("Transfer: %v", err)
 	}
@@ -307,21 +313,28 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Errorf("ExtendedThreadSettings = %d", got)
 	}
 	app, _ := ApplicationByName("XSbench")
-	cfg, speedup := BestNUMAPlacement(nil, m, app, Setting{Label: "t24", Threads: 24, Scale: 1})
+	cfg, speedup := core.BestNUMAPlacement(nil, m, app, Setting{Label: "t24", Threads: 24, Scale: 1})
 	if speedup < 1.5 || cfg.Places.String() != "numa_domains" {
 		t.Errorf("BestNUMAPlacement = %s / %v", cfg, speedup)
 	}
-	rs := RandomSearch(nil, m, app, Setting{Label: "t24", Threads: 24, Scale: 1}, 40, 7)
-	if rs.Evaluations != 40 || rs.Speedup() < 1 {
-		t.Errorf("RandomSearch = %+v", rs)
+	random, err := core.NewSearcher("random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := random.Search(context.Background(), core.SearchSpec{
+		Machine: m, App: app, Setting: Setting{Label: "t24", Threads: 24, Scale: 1},
+		Seed: 7, Budget: core.SearchBudget{MaxEvals: 40},
+	})
+	if err != nil || rs.Evaluations != 40 || rs.Speedup() < 1 {
+		t.Errorf("random search = %+v, %v", rs, err)
 	}
 }
 
 func TestFacadeSVGOutputs(t *testing.T) {
 	ds := facadeDS(t)
 	var violin bytes.Buffer
-	if err := WriteViolinSVG(&violin, ds, "Alignment"); err != nil {
-		t.Fatalf("WriteViolinSVG: %v", err)
+	if err := viz.ViolinFigureSVG(&violin, ds, "Alignment"); err != nil {
+		t.Fatalf("ViolinFigureSVG: %v", err)
 	}
 	if !strings.HasPrefix(violin.String(), "<svg") {
 		t.Error("violin SVG malformed")
@@ -331,8 +344,8 @@ func TestFacadeSVGOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var heat bytes.Buffer
-	if err := WriteHeatmapSVG(&heat, hm, "fig3"); err != nil {
-		t.Fatalf("WriteHeatmapSVG: %v", err)
+	if err := viz.HeatmapSVG(&heat, hm, "fig3"); err != nil {
+		t.Fatalf("HeatmapSVG: %v", err)
 	}
 	if !strings.Contains(heat.String(), "</svg>") {
 		t.Error("heatmap SVG malformed")

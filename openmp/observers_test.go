@@ -196,13 +196,13 @@ func TestObserversAgree(t *testing.T) {
 				trace, prof, st uint64
 			}{
 				{"regions", uint64(len(sum.Regions)), uint64(tot.Count), d.Regions},
-				{"chunks", uint64(sum.Chunks), uint64(tot.Chunks), d.Chunks},
-				{"tasks created", uint64(sum.TasksCreated), uint64(tot.TasksCreated), d.TasksRun},
-				{"tasks run", uint64(sum.TasksRun), uint64(tot.TasksRun), d.TasksRun},
-				{"tasks stolen", uint64(sum.TasksStolen), uint64(tot.TasksStolen), d.TasksStolen},
-				{"steal batches", uint64(sum.StealBatches), uint64(tot.StealBatches), d.StealBatches},
-				{"steals local", uint64(sum.StealsLocal), uint64(tot.StealsLocal), d.StealsLocal},
-				{"steals remote", uint64(sum.StealsRemote), uint64(tot.StealsRemote), d.StealsRemote},
+				{"chunks", uint64(sum.Total.Chunks), uint64(tot.Chunks), d.Chunks},
+				{"tasks created", uint64(sum.Total.TasksCreated), uint64(tot.TasksCreated), d.TasksRun},
+				{"tasks run", uint64(sum.Total.TasksRun), uint64(tot.TasksRun), d.TasksRun},
+				{"tasks stolen", uint64(sum.Total.TasksStolen), uint64(tot.TasksStolen), d.TasksStolen},
+				{"steal batches", uint64(sum.Total.StealBatches), uint64(tot.StealBatches), d.StealBatches},
+				{"steals local", uint64(sum.Total.StealsLocal), uint64(tot.StealsLocal), d.StealsLocal},
+				{"steals remote", uint64(sum.Total.StealsRemote), uint64(tot.StealsRemote), d.StealsRemote},
 			} {
 				if c.trace != c.st || c.prof != c.st {
 					t.Errorf("%s: trace %d, profile %d, stats %d — want all equal", c.what, c.trace, c.prof, c.st)

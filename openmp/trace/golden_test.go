@@ -137,20 +137,17 @@ func TestSummarySharesAreDerived(t *testing.T) {
 
 	var total profile.Sums
 	for _, m := range s.Regions {
-		sums := profile.Sums{
-			WallNS:      int64(m.Wall),
-			ThreadNS:    int64(m.Wall) * int64(m.Threads),
-			FinalBarNS:  int64(m.BarrierWait),
-			TasksRun:    int64(m.TasksRun),
-			TasksStolen: int64(m.TasksStolen),
+		if want := int64(m.Threads) * max(m.WallNS, 0); m.ThreadNS != want {
+			t.Errorf("region %d: thread time %d, want wall %d × %d threads", m.Gen, m.ThreadNS, m.WallNS, m.Threads)
 		}
-		if m.Wall <= 0 {
-			sums.ThreadNS = 0
-		}
-		if want := sums.Derive().BarrierWaitShare; m.WaitShare != want {
+		if want := m.Sums.Derive().BarrierWaitShare; m.WaitShare != want {
 			t.Errorf("region %d: wait share %v, Derive gives %v", m.Gen, m.WaitShare, want)
 		}
-		total.Add(&sums)
+		total.Add(&m.Sums)
+	}
+	total.Parks, total.Wakes = s.Total.Parks, s.Total.Wakes
+	if total != s.Total {
+		t.Errorf("total %+v, want the regions' sums added up %+v", s.Total, total)
 	}
 	want := total.Derive()
 	if s.WaitShare != want.BarrierWaitShare || s.StealRate != want.StealRate {
@@ -160,9 +157,9 @@ func TestSummarySharesAreDerived(t *testing.T) {
 	if s.StealRate != 0.8 {
 		t.Errorf("steal rate %v, want 4 stolen / 5 run", s.StealRate)
 	}
-	if last := s.Regions[len(s.Regions)-1]; last.Gen != 21 || last.BarrierWait != 200 || last.WaitShare != 1 {
-		t.Errorf("region 21: gen %d, wait %v, share %v; want 200ns of waiting clamped to share 1",
-			last.Gen, last.BarrierWait, last.WaitShare)
+	if last := s.Regions[len(s.Regions)-1]; last.Gen != 21 || last.BarrierNS() != 200 || last.WaitShare != 1 {
+		t.Errorf("region 21: gen %d, wait %dns, share %v; want 200ns of waiting clamped to share 1",
+			last.Gen, last.BarrierNS(), last.WaitShare)
 	}
 }
 

@@ -22,39 +22,28 @@ type RegionMetrics struct {
 	// Level is the region's nesting depth: 0 for outer regions, 1 for
 	// regions forked from inside a level-0 region, and so on.
 	Level int `json:"level"`
-	// Threads is the team size recorded at the fork, or the number of
-	// threads that reported an implicit task when the fork was not traced.
-	Threads int `json:"threads"`
-	// Wall is the fork→join duration on the primary thread.
-	Wall time.Duration `json:"wall_ns"`
-	// BarrierWait is the total time team threads spent inside barrier
-	// waits (spinning or parked) during the region, summed over threads.
-	BarrierWait time.Duration `json:"barrier_wait_ns"`
-	// WaitShare is BarrierWait divided by Threads×Wall, at most 1: the
+	// Sums are the region's counts, the record a profile row carries
+	// (Count 1). Threads is the team size recorded at the fork, or the
+	// number of threads that reported an implicit task when the fork was
+	// not traced; WallNS is the fork→join duration on the primary thread
+	// and ThreadNS that times Threads. The trace does not tell the
+	// end-of-region barrier from explicit ones, so every barrier wait,
+	// summed over threads, counts into FinalBarNS; read BarrierNS.
+	// ImbalanceNS is the arrival spread (max−min enter timestamp) at the
+	// region's final barrier — the end-of-region barrier every thread passes
+	// — i.e. how unevenly the body's work was distributed. TasksStolen
+	// counts each task once, at its first steal (openmp.Stats), so
+	// TasksStolen <= TasksRun, and StealBatches the steal visits behind it;
+	// StealsLocal/StealsRemote split TasksStolen by the victim's NUMA
+	// locality (both zero when locality was unknown). Samples, the busy and
+	// scheduling times and Parks/Wakes are the profiler's and stay zero.
+	profile.Sums
+	// WaitShare is the barrier wait divided by ThreadNS, at most 1: the
 	// fraction of the region's aggregate thread-time lost to barrier
-	// waiting (profile.Sums.Derive's barrier-wait share).
+	// waiting (Sums.Derive's barrier-wait share).
 	WaitShare float64 `json:"wait_share"`
-	// Imbalance is the arrival spread (max−min enter timestamp) at the
-	// region's final barrier — the end-of-region barrier every thread
-	// passes — i.e. how unevenly the body's work was distributed.
-	Imbalance time.Duration `json:"imbalance_ns"`
-	// Chunks counts worksharing chunks dispatched in the region, and
-	// ChunksPerThread is its per-thread breakdown (histogram).
-	Chunks          int   `json:"chunks"`
+	// ChunksPerThread is the per-thread breakdown (histogram) of Chunks.
 	ChunksPerThread []int `json:"chunks_per_thread,omitempty"`
-	// TasksCreated / TasksRun / TasksStolen count explicit-task activity.
-	TasksCreated int `json:"tasks_created"`
-	TasksRun     int `json:"tasks_run"`
-	TasksStolen  int `json:"tasks_stolen"`
-	// StealBatches counts the steal visits behind TasksStolen — each task is
-	// counted once, at its first steal (openmp.Stats), so
-	// TasksStolen <= TasksRun and TasksStolen/StealBatches is the mean
-	// number of fresh tasks a visit took; StealsLocal/StealsRemote split
-	// TasksStolen by the victim's NUMA locality (both zero when locality was
-	// unknown).
-	StealBatches int `json:"steal_batches"`
-	StealsLocal  int `json:"steals_local"`
-	StealsRemote int `json:"steals_remote"`
 }
 
 // Summary is the reduction of a trace to per-region metrics plus
@@ -65,24 +54,16 @@ type Summary struct {
 	Dropped uint64          `json:"dropped"`
 	Regions []RegionMetrics `json:"regions,omitempty"`
 
-	// Aggregates over all regions (and, for parks/wakes, between them).
-	TotalWall        time.Duration `json:"total_wall_ns"`
-	TotalBarrierWait time.Duration `json:"total_barrier_wait_ns"`
-	WaitShare        float64       `json:"wait_share"` // TotalBarrierWait / Σ(threads×wall), at most 1
-	AvgImbalance     time.Duration `json:"avg_imbalance_ns"`
-	MaxImbalance     time.Duration `json:"max_imbalance_ns"`
-	Chunks           int           `json:"chunks"`
-	ChunksPerThread  []int         `json:"chunks_per_thread,omitempty"`
-	TasksCreated     int           `json:"tasks_created"`
-	TasksRun         int           `json:"tasks_run"`
-	TasksStolen      int           `json:"tasks_stolen"`
-	StealRate        float64       `json:"steal_rate"` // TasksStolen / TasksRun, at most 1
-	StealBatches     int           `json:"steal_batches"`
-	StealsLocal      int           `json:"steals_local"`
-	StealsRemote     int           `json:"steals_remote"`
-	AvgStealBatch    float64       `json:"avg_steal_batch"` // TasksStolen / StealBatches
-	Parks            int           `json:"parks"`
-	Wakes            int           `json:"wakes"`
+	// Total is the regions' Sums added up (Sums.Add), plus the worker parks
+	// and wakes the trace recorded, in or between regions.
+	Total         profile.Sums  `json:"total"`
+	WaitShare     float64       `json:"wait_share"` // Total's barrier wait / ThreadNS, at most 1
+	AvgImbalance  time.Duration `json:"avg_imbalance_ns"`
+	MaxImbalance  time.Duration `json:"max_imbalance_ns"`
+	StealRate     float64       `json:"steal_rate"`      // Total.TasksStolen / TasksRun, at most 1
+	AvgStealBatch float64       `json:"avg_steal_batch"` // Total.TasksStolen / StealBatches
+	// ChunksPerThread is the per-thread breakdown of Total.Chunks.
+	ChunksPerThread []int `json:"chunks_per_thread,omitempty"`
 
 	// NestedRegions counts regions at nesting level ≥ 1; Levels breaks the
 	// trace down per nesting depth (ascending, level 0 first).
@@ -103,13 +84,9 @@ type LevelMetrics struct {
 
 // regionAcc is one region during the scan: the profile.Sums its events
 // count into, plus the state only the scan needs — stamps and per-thread maps
-// that finish reduces into the rest of the record. The trace does not tell
-// the end-of-region barrier from explicit ones, so every wait counts into
-// FinalBarNS; only their sum, BarrierNS, is read.
+// that finish reduces into the rest of the record.
 type regionAcc struct {
-	gen          uint64
-	level        int
-	sums         profile.Sums
+	RegionMetrics
 	forkTS       int64
 	joinTS       int64
 	hasFork      bool
@@ -122,22 +99,21 @@ type regionAcc struct {
 
 func newRegionAcc(gen uint64) *regionAcc {
 	return &regionAcc{
-		gen:          gen,
-		sums:         profile.Sums{Count: 1},
-		implicit:     map[int32]bool{},
-		barrierEnter: map[int32]int64{},
-		lastEnter:    map[int32]int64{},
-		chunks:       map[int32]int{},
+		RegionMetrics: RegionMetrics{Gen: gen, Sums: profile.Sums{Count: 1}},
+		implicit:      map[int32]bool{},
+		barrierEnter:  map[int32]int64{},
+		lastEnter:     map[int32]int64{},
+		chunks:        map[int32]int{},
 	}
 }
 
 // finish completes the region's Sums with what the scan could not count
 // directly — team width when the fork was not traced, wall and thread-time,
-// chunks, arrival imbalance — and renders its row, with the wait share from
+// chunks, arrival imbalance — and returns its row, with the wait share from
 // the shared derivation (Sums.Derive). imbalanced reports whether at least
-// two threads reached a barrier, i.e. whether Imbalance is a measurement.
+// two threads reached a barrier, i.e. whether ImbalanceNS is a measurement.
 func (a *regionAcc) finish(threads int) (m RegionMetrics, imbalanced bool) {
-	s := &a.sums
+	s := &a.Sums
 	if s.Threads == 0 {
 		s.Threads = len(a.implicit)
 	}
@@ -147,10 +123,10 @@ func (a *regionAcc) finish(threads int) (m RegionMetrics, imbalanced bool) {
 	if s.WallNS > 0 {
 		s.ThreadNS = s.WallNS * int64(s.Threads)
 	}
-	m.ChunksPerThread = make([]int, threads)
+	a.ChunksPerThread = make([]int, threads)
 	for tid, n := range a.chunks {
 		if int(tid) < threads {
-			m.ChunksPerThread[tid] += n
+			a.ChunksPerThread[tid] += n
 		}
 		s.Chunks += int64(n)
 	}
@@ -161,14 +137,8 @@ func (a *regionAcc) finish(threads int) (m RegionMetrics, imbalanced bool) {
 		}
 		s.ImbalanceNS = maxTS - minTS
 	}
-	m.Gen, m.Level, m.Threads = a.gen, a.level, s.Threads
-	m.Wall, m.BarrierWait = time.Duration(s.WallNS), time.Duration(s.BarrierNS())
-	m.WaitShare = s.Derive().BarrierWaitShare
-	m.Imbalance = time.Duration(s.ImbalanceNS)
-	m.Chunks = int(s.Chunks)
-	m.TasksCreated, m.TasksRun, m.TasksStolen = int(s.TasksCreated), int(s.TasksRun), int(s.TasksStolen)
-	m.StealBatches, m.StealsLocal, m.StealsRemote = int(s.StealBatches), int(s.StealsLocal), int(s.StealsRemote)
-	return m, imbalanced
+	a.WaitShare = s.Derive().BarrierWaitShare
+	return a.RegionMetrics, imbalanced
 }
 
 // add appends one finished region and counts it into the per-thread chunk
@@ -188,7 +158,7 @@ func (s *Summary) add(m RegionMetrics) {
 	lm := &s.Levels[m.Level]
 	lm.Regions++
 	lm.MaxThreads = max(lm.MaxThreads, m.Threads)
-	lm.TotalWall += m.Wall
+	lm.TotalWall += time.Duration(m.WallNS)
 }
 
 // Summarize derives per-region metrics from a collected trace. Incomplete
@@ -212,18 +182,18 @@ func Summarize(d Data) *Summary {
 		// belongs to a region and carries its nesting level.
 		switch e.Kind {
 		case KindPark:
-			s.Parks++
+			s.Total.Parks++
 			continue
 		case KindWake:
-			s.Wakes++
+			s.Total.Wakes++
 			continue
 		}
 		a := acc(e.Region)
-		a.level = int(e.Level)
+		a.Level = int(e.Level)
 		switch e.Kind {
 		case KindRegionFork:
 			a.forkTS, a.hasFork = e.TS, true
-			a.sums.Threads = int(e.Arg)
+			a.Threads = int(e.Arg)
 		case KindRegionJoin:
 			a.joinTS, a.hasJoin = e.TS, true
 		case KindImplicitBegin:
@@ -233,24 +203,24 @@ func Summarize(d Data) *Summary {
 			a.lastEnter[e.Tid] = e.TS
 		case KindBarrierLeave:
 			if enter, ok := a.barrierEnter[e.Tid]; ok {
-				a.sums.FinalBarNS += e.TS - enter
+				a.FinalBarNS += e.TS - enter
 				delete(a.barrierEnter, e.Tid)
 			}
 		case KindChunk:
 			a.chunks[e.Tid]++
 		case KindTaskCreate:
-			a.sums.TasksCreated++
+			a.TasksCreated++
 		case KindTaskBegin:
-			a.sums.TasksRun++
+			a.TasksRun++
 		case KindTaskSteal:
 			batch := int64(e.StealBatch())
-			a.sums.TasksStolen += batch
-			a.sums.StealBatches++
+			a.TasksStolen += batch
+			a.StealBatches++
 			switch e.StealLocality() {
 			case StealLocalityLocal:
-				a.sums.StealsLocal += batch
+				a.StealsLocal += batch
 			case StealLocalityRemote:
-				a.sums.StealsRemote += batch
+				a.StealsRemote += batch
 			}
 		}
 	}
@@ -262,32 +232,26 @@ func Summarize(d Data) *Summary {
 	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
 
 	s.ChunksPerThread = make([]int, d.Threads)
-	var total profile.Sums
 	var imbalanceSum time.Duration
 	imbalanced := 0
 	for _, gen := range gens {
-		a := regions[gen]
-		m, hasImbalance := a.finish(d.Threads)
+		m, hasImbalance := regions[gen].finish(d.Threads)
 		if hasImbalance {
-			imbalanceSum += m.Imbalance
+			imbalanceSum += time.Duration(m.ImbalanceNS)
 			imbalanced++
-			s.MaxImbalance = max(s.MaxImbalance, m.Imbalance)
+			s.MaxImbalance = max(s.MaxImbalance, time.Duration(m.ImbalanceNS))
 		}
-		total.Add(&a.sums)
+		s.Total.Add(&m.Sums)
 		s.add(m)
 	}
 	s.Levels = slices.DeleteFunc(s.Levels, func(lm LevelMetrics) bool { return lm.Regions == 0 })
 	if imbalanced > 0 {
 		s.AvgImbalance = imbalanceSum / time.Duration(imbalanced)
 	}
-	s.TotalWall, s.TotalBarrierWait = time.Duration(total.WallNS), time.Duration(total.BarrierNS())
-	s.Chunks = int(total.Chunks)
-	s.TasksCreated, s.TasksRun, s.TasksStolen = int(total.TasksCreated), int(total.TasksRun), int(total.TasksStolen)
-	s.StealBatches, s.StealsLocal, s.StealsRemote = int(total.StealBatches), int(total.StealsLocal), int(total.StealsRemote)
-	shares := total.Derive()
+	shares := s.Total.Derive()
 	s.WaitShare, s.StealRate = shares.BarrierWaitShare, shares.StealRate
-	if s.StealBatches > 0 {
-		s.AvgStealBatch = float64(s.TasksStolen) / float64(s.StealBatches)
+	if s.Total.StealBatches > 0 {
+		s.AvgStealBatch = float64(s.Total.TasksStolen) / float64(s.Total.StealBatches)
 	}
 	return s
 }
@@ -307,19 +271,20 @@ func (s *Summary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace: %d threads, %d events (%d dropped), %d regions\n",
 		s.Threads, s.Events, s.Dropped, len(s.Regions))
+	t := &s.Total
 	fmt.Fprintf(&b, "tasks: created %d, run %d, stolen %d (steal rate %.1f%%)\n",
-		s.TasksCreated, s.TasksRun, s.TasksStolen, 100*s.StealRate)
-	if s.StealBatches > 0 {
-		fmt.Fprintf(&b, "steals: %d batches (avg %.1f tasks/batch)", s.StealBatches, s.AvgStealBatch)
-		if s.StealsLocal+s.StealsRemote > 0 {
-			fmt.Fprintf(&b, ", locality %d local / %d remote", s.StealsLocal, s.StealsRemote)
+		t.TasksCreated, t.TasksRun, t.TasksStolen, 100*s.StealRate)
+	if t.StealBatches > 0 {
+		fmt.Fprintf(&b, "steals: %d batches (avg %.1f tasks/batch)", t.StealBatches, s.AvgStealBatch)
+		if t.StealsLocal+t.StealsRemote > 0 {
+			fmt.Fprintf(&b, ", locality %d local / %d remote", t.StealsLocal, t.StealsRemote)
 		}
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "chunks: %d dispatched%s\n", s.Chunks, perThread(s.ChunksPerThread))
+	fmt.Fprintf(&b, "chunks: %d dispatched%s\n", t.Chunks, perThread(s.ChunksPerThread))
 	fmt.Fprintf(&b, "barriers: total wait %s (share %.1f%% of aggregate thread-time); end-barrier imbalance avg %s, max %s\n",
-		round(s.TotalBarrierWait), 100*s.WaitShare, round(s.AvgImbalance), round(s.MaxImbalance))
-	fmt.Fprintf(&b, "workers: %d parks, %d wakes between regions\n", s.Parks, s.Wakes)
+		round(time.Duration(t.BarrierNS())), 100*s.WaitShare, round(s.AvgImbalance), round(s.MaxImbalance))
+	fmt.Fprintf(&b, "workers: %d parks, %d wakes between regions\n", t.Parks, t.Wakes)
 	if len(s.Levels) > 1 || s.NestedRegions > 0 {
 		b.WriteString("nesting:")
 		for i, lm := range s.Levels {
@@ -341,17 +306,17 @@ func (s *Summary) String() string {
 			"region", "lvl", "wall", "barwait%", "imbalance", "chunks", "tasks", "steals")
 		for _, m := range shown {
 			fmt.Fprintf(&b, "#%-7d %-4d %-10s %-9s %-10s %-7d %-6d %-6d\n",
-				m.Gen, m.Level, round(m.Wall), fmt.Sprintf("%.1f%%", 100*m.WaitShare),
-				round(m.Imbalance), m.Chunks, m.TasksRun, m.TasksStolen)
+				m.Gen, m.Level, round(time.Duration(m.WallNS)), fmt.Sprintf("%.1f%%", 100*m.WaitShare),
+				round(time.Duration(m.ImbalanceNS)), m.Chunks, m.TasksRun, m.TasksStolen)
 		}
 		if n > maxRows {
 			fmt.Fprintf(&b, "… %d more regions\n", n-maxRows)
 		}
 	}
 	fmt.Fprintf(&b, "summary: regions=%d events=%d dropped=%d tasks_run=%d tasks_stolen=%d steal_rate=%.3f steal_batches=%d steals_local=%d steals_remote=%d barrier_wait_ns=%d wait_share=%.4f imbalance_avg_ns=%d chunks=%d parks=%d wakes=%d",
-		len(s.Regions), s.Events, s.Dropped, s.TasksRun, s.TasksStolen, s.StealRate,
-		s.StealBatches, s.StealsLocal, s.StealsRemote,
-		int64(s.TotalBarrierWait), s.WaitShare, int64(s.AvgImbalance), s.Chunks, s.Parks, s.Wakes)
+		len(s.Regions), s.Events, s.Dropped, t.TasksRun, t.TasksStolen, s.StealRate,
+		t.StealBatches, t.StealsLocal, t.StealsRemote,
+		t.BarrierNS(), s.WaitShare, int64(s.AvgImbalance), t.Chunks, t.Parks, t.Wakes)
 	fmt.Fprintf(&b, " levels=%d nested_regions=%d", len(s.Levels), s.NestedRegions)
 	for _, lm := range s.Levels {
 		fmt.Fprintf(&b, " level%d_regions=%d level%d_threads=%d",

@@ -125,14 +125,14 @@ func TestSummarizeDerivedMetrics(t *testing.T) {
 	if m.Gen != 5 || m.Threads != 2 {
 		t.Errorf("region gen/threads = %d/%d, want 5/2", m.Gen, m.Threads)
 	}
-	if m.Wall != 1000 {
-		t.Errorf("wall = %v, want 1000ns", m.Wall)
+	if m.WallNS != 1000 {
+		t.Errorf("wall = %dns, want 1000ns", m.WallNS)
 	}
-	if m.BarrierWait != 510 { // 400 + 110
-		t.Errorf("barrier wait = %v, want 510ns", m.BarrierWait)
+	if m.BarrierNS() != 510 { // 400 + 110
+		t.Errorf("barrier wait = %dns, want 510ns", m.BarrierNS())
 	}
-	if m.Imbalance != 300 {
-		t.Errorf("imbalance = %v, want 300ns (800-500)", m.Imbalance)
+	if m.ImbalanceNS != 300 {
+		t.Errorf("imbalance = %dns, want 300ns (800-500)", m.ImbalanceNS)
 	}
 	wantShare := 510.0 / 2000.0
 	if diff := m.WaitShare - wantShare; diff > 1e-9 || diff < -1e-9 {

@@ -81,9 +81,9 @@ func TestTraceCapturesRegionEvents(t *testing.T) {
 		t.Fatalf("summary has %d regions, want 1", len(s.Regions))
 	}
 	m := s.Regions[0]
-	if m.Threads != 4 || m.Wall <= 0 || m.BarrierWait <= 0 {
-		t.Errorf("region threads/wall/barrierWait = %d/%v/%v, want 4/>0/>0",
-			m.Threads, m.Wall, m.BarrierWait)
+	if m.Threads != 4 || m.WallNS <= 0 || m.BarrierNS() <= 0 {
+		t.Errorf("region threads/wall/barrierWait = %d/%d/%d, want 4/>0/>0",
+			m.Threads, m.WallNS, m.BarrierNS())
 	}
 	if m.TasksRun != tasks || m.Chunks != 16 {
 		t.Errorf("region tasksRun/chunks = %d/%d, want %d/16", m.TasksRun, m.Chunks, tasks)
