@@ -27,7 +27,9 @@ test: build
 vet:
 	$(GO) vet ./...
 
-# race exercises the concurrency-sensitive packages — the hot-team region
+# race exercises the concurrency-sensitive packages — the study kernels'
+# per-scale inputs (built once, then read by every runtime and goroutine
+# that runs the kernel), the hot-team region
 # dispatch, the lock-free construct ring, the wait-policy barrier and lock
 # park/wake paths, the observer hooks and the trace rings each team hands its
 # threads, cold nested teams included (also end to end on real kernels,
@@ -42,7 +44,7 @@ vet:
 # once) — under the race detector. Keep this green before touching openmp,
 # internal/obs, internal/core or internal/measure.
 race:
-	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./cmd/ompanalyze ./cmd/ompsweep ./cmd/ompsearch ./cmd/ompreport ./internal/core ./internal/obs ./internal/sim ./internal/measure ./internal/dataset ./internal/env ./internal/ml ./internal/report
+	$(GO) vet ./... && $(GO) test -race -count=1 ./openmp/... ./cmd/omprun ./cmd/ompanalyze ./cmd/ompsweep ./cmd/ompsearch ./cmd/ompreport ./internal/apps ./internal/core ./internal/obs ./internal/sim ./internal/measure ./internal/dataset ./internal/env ./internal/ml ./internal/report
 
 # flake runs the runtime's tests twenty times at GOMAXPROCS 1, 2 and 4 beside
 # a CPU hog (one busy shell loop: on a 2-vCPU box the second vCPU is gone for

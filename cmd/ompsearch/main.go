@@ -171,10 +171,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	var srv *obs.Server
 	if mon != nil {
-		srv = obs.NewServer(mon.Registry(),
-			func() any { return mon.Status() },
-			func() any { return mon.Regions() },
-			func() any { return mon.Variability() })
+		srv = mon.Server()
 		addr, err := srv.Start(*serve)
 		if err != nil {
 			return err

@@ -7,6 +7,12 @@
 //     model (parallelism style, work, memory behaviour, task granularity),
 //     calibrated against the observations in the paper's Section V.
 //
+// A kernel call is the timed phase alone, as NPB times its iterations and
+// XSBench/RSBench their lookups: the inputs a kernel reads (sequences,
+// matrices, lookup grids) are a pure function of the scale, built once per
+// scale on first use and shared read-only by every later call, whatever
+// its runtime or goroutine. What a call writes it allocates or copies.
+//
 // The suites mirror §IV-A: NAS Parallel Benchmarks (BT, CG, EP, FT, LU, MG),
 // the BSC OpenMP Tasking Suite (Alignment, Health, NQueens, Sort, Strassen)
 // and the proxy applications (RSBench, XSBench, SU3Bench, LULESH).
@@ -41,8 +47,26 @@ type App struct {
 	// default input (proxies).
 	VariesInput bool
 	// Kernel runs the functional implementation on rt at the given scale
-	// (1.0 = the self-test size) and returns a checksum.
+	// (1.0 = the self-test size) and returns a checksum. Inputs are cached
+	// per scale: a call times the computation, and only the first call at a
+	// scale also builds what it reads.
 	Kernel func(rt *openmp.Runtime, scale float64) float64
+
+	refs memo[float64] // Reference's checksums by scale
+}
+
+// Reference returns the checksum of the kernel at scale on one thread under
+// openmp.DefaultOptions: the value every run of the kernel at that scale
+// reproduces, whatever the configuration, up to the rounding of reduction
+// order. It runs the kernel once per scale.
+func (a *App) Reference(scale float64) float64 {
+	return a.refs.get(scale, func(scale float64) float64 {
+		o := openmp.DefaultOptions()
+		o.NumThreads = 1
+		rt := openmp.MustNew(o) // the default options are valid
+		defer rt.Close()
+		return a.Kernel(rt, scale)
+	})
 }
 
 // Settings returns the experimental settings for the app on machine m,

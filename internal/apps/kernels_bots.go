@@ -2,27 +2,34 @@ package apps
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"omptune/openmp"
 )
+
+// alignmentInputs holds Alignment's batch of sequences.
+var alignmentInputs memo[[][]byte]
 
 // kernelAlignment performs pairwise global sequence alignment
 // (Needleman–Wunsch score, linear space) over a deterministic batch of
 // protein-like sequences of varying lengths — one explicit task per pair,
 // the BOTS Alignment pattern.
 func kernelAlignment(rt *openmp.Runtime, scale float64) float64 {
-	nseq := scaleDim(24, scale, 0.5)
-	rng := newLCG(17)
-	seqs := make([][]byte, nseq)
-	for i := range seqs {
-		l := 20 + rng.intn(60) // varying lengths: task imbalance
-		s := make([]byte, l)
-		for j := range s {
-			s[j] = byte(rng.intn(20))
+	seqs := alignmentInputs.get(scale, func(scale float64) [][]byte {
+		rng := newLCG(17)
+		seqs := make([][]byte, scaleDim(24, scale, 0.5))
+		for i := range seqs {
+			l := 20 + rng.intn(60) // varying lengths: task imbalance
+			s := make([]byte, l)
+			for j := range s {
+				s[j] = byte(rng.intn(20))
+			}
+			seqs[i] = s
 		}
-		seqs[i] = s
-	}
+		return seqs
+	})
+	nseq := len(seqs)
 	score := func(a, b []byte) float64 {
 		const gap, match, mismatch = -2.0, 3.0, -1.0
 		prev := make([]float64, len(b)+1)
@@ -60,32 +67,47 @@ func kernelAlignment(rt *openmp.Runtime, scale float64) float64 {
 	return math.Float64frombits(totalBits.Load())
 }
 
+// village is one node of Health's village tree; its id indexes the
+// per-call patient backlog.
+type village struct {
+	id       int
+	children []*village
+}
+
+// healthInput is Health's village tree and its node count.
+type healthInput struct {
+	root     *village
+	villages int
+}
+
+var healthInputs memo[healthInput]
+
 // kernelHealth simulates a hierarchical health system: a tree of villages,
 // each processing a patient queue per timestep, with one task per village
 // per step (the BOTS Health pattern, deterministic variant).
 func kernelHealth(rt *openmp.Runtime, scale float64) float64 {
-	levels := 4
-	if scale > 1.5 {
-		levels = 5
-	}
-	type village struct {
-		id       int
-		children []*village
-		backlog  float64
-	}
-	var build func(level, id int) *village
-	nextID := 0
-	build = func(level, id int) *village {
-		v := &village{id: nextID}
-		nextID++
-		if level > 0 {
-			for c := 0; c < 3; c++ {
-				v.children = append(v.children, build(level-1, id*3+c))
-			}
+	in := healthInputs.get(scale, func(scale float64) healthInput {
+		levels := 4
+		if scale > 1.5 {
+			levels = 5
 		}
-		return v
-	}
-	root := build(levels, 0)
+		nextID := 0
+		var build func(level int) *village
+		build = func(level int) *village {
+			v := &village{id: nextID}
+			nextID++
+			if level > 0 {
+				for c := 0; c < 3; c++ {
+					v.children = append(v.children, build(level-1))
+				}
+			}
+			return v
+		}
+		root := build(levels)
+		return healthInput{root, nextID}
+	})
+	root := in.root
+	backlog := make([]float64, in.villages) // indexed by village id
 	var treated atomic.Uint64
 	var step func(th *openmp.Thread, v *village, t int)
 	step = func(th *openmp.Thread, v *village, t int) {
@@ -97,9 +119,9 @@ func kernelHealth(rt *openmp.Runtime, scale float64) float64 {
 		// arrivals and treatments.
 		rng := newLCG(uint64(v.id)*2654435761 + uint64(t))
 		arrivals := 2 + rng.intn(6)
-		v.backlog += float64(arrivals)
-		cured := math.Min(v.backlog, 4)
-		v.backlog -= cured
+		backlog[v.id] += float64(arrivals)
+		cured := math.Min(backlog[v.id], 4)
+		backlog[v.id] -= cured
 		addFloat(&treated, cured)
 		th.TaskWait()
 	}
@@ -157,16 +179,22 @@ func kernelNQueens(rt *openmp.Runtime, scale float64) float64 {
 	return float64(total.Load())
 }
 
+// sortInputs holds Sort's unsorted keys.
+var sortInputs memo[[]float64]
+
 // kernelSort is a task-parallel mergesort with an insertion-sort cutoff,
 // the BOTS Sort pattern; it returns 0 misplacements plus a data checksum so
 // an incorrect merge is caught.
 func kernelSort(rt *openmp.Runtime, scale float64) float64 {
-	n := scaleDim(60000, scale, 1.0)
-	data := make([]float64, n)
-	rng := newLCG(23)
-	for i := range data {
-		data[i] = rng.float64()
-	}
+	data := slices.Clone(sortInputs.get(scale, func(scale float64) []float64 {
+		data := make([]float64, scaleDim(60000, scale, 1.0))
+		rng := newLCG(23)
+		for i := range data {
+			data[i] = rng.float64()
+		}
+		return data
+	}))
+	n := len(data)
 	tmp := make([]float64, n)
 	const cutoff = 512
 	insertion := func(a []float64) {
@@ -220,6 +248,11 @@ func kernelSort(rt *openmp.Runtime, scale float64) float64 {
 	return bad*1e6 + data[0] + data[n-1] + data[n/2]
 }
 
+// strassenInput is Strassen's two factor matrices.
+type strassenInput struct{ a, b []float64 }
+
+var strassenInputs memo[strassenInput]
+
 // kernelStrassen multiplies two deterministic square matrices with
 // task-parallel Strassen recursion and a naive cutoff, the BOTS Strassen
 // pattern. The checksum is of the product matrix.
@@ -228,13 +261,16 @@ func kernelStrassen(rt *openmp.Runtime, scale float64) float64 {
 	if scale > 1.5 {
 		n = 128
 	}
-	a := make([]float64, n*n)
-	b := make([]float64, n*n)
-	rng := newLCG(29)
-	for i := range a {
-		a[i] = rng.float64() - 0.5
-		b[i] = rng.float64() - 0.5
-	}
+	in := strassenInputs.get(scale, func(float64) strassenInput {
+		in := strassenInput{make([]float64, n*n), make([]float64, n*n)}
+		rng := newLCG(29)
+		for i := range in.a {
+			in.a[i] = rng.float64() - 0.5
+			in.b[i] = rng.float64() - 0.5
+		}
+		return in
+	})
+	a, b := in.a, in.b
 	type mat struct {
 		d      []float64
 		stride int

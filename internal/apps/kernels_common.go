@@ -1,6 +1,41 @@
 package apps
 
-import "math"
+import (
+	"math"
+	"sync"
+)
+
+// memo builds a value once per input scale and hands the same value to
+// every later call at that scale: the pristine inputs of a kernel, shared
+// read-only by its reps, runtimes and concurrent sweep workers. A kernel
+// that writes to an input works on a copy of it.
+type memo[T any] struct {
+	mu      sync.Mutex
+	byScale map[float64]*memoEntry[T]
+}
+
+type memoEntry[T any] struct {
+	once sync.Once
+	v    T
+}
+
+// get returns the value for scale, building it with build on first use.
+// Callers at one scale wait for its one build; the map's lock is not held
+// while building, so other scales build meanwhile.
+func (m *memo[T]) get(scale float64, build func(scale float64) T) T {
+	m.mu.Lock()
+	e := m.byScale[scale]
+	if e == nil {
+		if m.byScale == nil {
+			m.byScale = make(map[float64]*memoEntry[T])
+		}
+		e = new(memoEntry[T])
+		m.byScale[scale] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.v = build(scale) })
+	return e.v
+}
 
 // lcg is a small deterministic generator for building reproducible kernel
 // inputs (sequences, matrices, lookup grids) without math/rand.
@@ -33,11 +68,19 @@ func scaleDim(base int, scale, exponent float64) int {
 	return n
 }
 
+// checksumWeights holds checksum's 97 weights, sin(k+1).
+var checksumWeights = func() (w [97]float64) {
+	for k := range w {
+		w[k] = math.Sin(float64(k) + 1)
+	}
+	return
+}()
+
 // checksum folds a slice into a stable scalar for verification.
 func checksum(xs []float64) float64 {
 	s, c := 0.0, 0.0
 	for i, x := range xs {
-		v := x * math.Sin(float64(i%97)+1)
+		v := x * checksumWeights[i%97]
 		y := v - c
 		t := s + y
 		c = (t - s) - y

@@ -8,11 +8,15 @@ package apps
 // opts into nesting.
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"omptune/internal/sim"
 	"omptune/openmp"
 )
+
+// luNestInputs holds LUNest's matrix before factorization.
+var luNestInputs memo[[]float64]
 
 // kernelLUNest is a blocked right-looking LU factorization whose trailing-
 // submatrix update is a depth-2 nested region: the outer team workshares
@@ -23,14 +27,17 @@ func kernelLUNest(rt *openmp.Runtime, scale float64) float64 {
 	const block = 8
 	nb := scaleDim(6, scale, 0.5) // blocks per side
 	n := nb * block
-	rng := newLCG(41)
-	a := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a[i*n+j] = rng.float64() - 0.5
+	a := slices.Clone(luNestInputs.get(scale, func(float64) []float64 {
+		rng := newLCG(41)
+		a := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a[i*n+j] = rng.float64() - 0.5
+			}
+			a[i*n+i] += float64(n) // diagonally dominant: no pivoting needed
 		}
-		a[i*n+i] += float64(n) // diagonally dominant: no pivoting needed
-	}
+		return a
+	}))
 	for k := 0; k < n; k++ {
 		piv := a[k*n+k]
 		for i := k + 1; i < n; i++ {

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"slices"
 
 	"omptune/openmp"
 )
@@ -152,6 +153,9 @@ func solveBlockLine(line []bvec) {
 	}
 }
 
+// btInputs holds BT's initial grid of 5-component cells.
+var btInputs memo[[]bvec]
+
 // kernelBT is a block-tridiagonal ADI solver with NPB BT's structure:
 // alternating-direction implicit sweeps over a 3-D grid of 5-component
 // cells, each sweep solving independent 5x5 block-tridiagonal systems
@@ -159,13 +163,16 @@ func solveBlockLine(line []bvec) {
 // lines.
 func kernelBT(rt *openmp.Runtime, scale float64) float64 {
 	n := scaleDim(10, scale, 1.0/3)
-	u := make([]bvec, n*n*n)
-	idx := func(i, j, k int) int { return (i*n+j)*n + k }
-	for i := range u {
-		for c := 0; c < blockDim; c++ {
-			u[i][c] = math.Sin(float64((i*blockDim+c)%251) * 0.1)
+	u := slices.Clone(btInputs.get(scale, func(float64) []bvec {
+		u := make([]bvec, n*n*n)
+		for i := range u {
+			for c := 0; c < blockDim; c++ {
+				u[i][c] = math.Sin(float64((i*blockDim+c)%251) * 0.1)
+			}
 		}
-	}
+		return u
+	}))
+	idx := func(i, j, k int) int { return (i*n+j)*n + k }
 	for step := 0; step < 2; step++ {
 		// x-sweep: one block-tridiagonal system per (j,k) line.
 		rt.ParallelFor(n*n, func(jk int) {
@@ -206,6 +213,9 @@ func kernelBT(rt *openmp.Runtime, scale float64) float64 {
 	return checksum(flat)
 }
 
+// cgInputs holds CG's right-hand side.
+var cgInputs memo[[]float64]
+
 // kernelCG runs conjugate-gradient iterations on a deterministic sparse
 // symmetric positive-definite band matrix, the computation pattern of NPB
 // CG: sparse matrix-vector products plus two inner-product reductions per
@@ -232,11 +242,14 @@ func kernelCG(rt *openmp.Runtime, scale float64) float64 {
 	dot := func(a, b []float64) float64 {
 		return rt.ParallelReduceSum(n, func(i int) float64 { return a[i] * b[i] })
 	}
-	bvec := make([]float64, n)
-	rng := newLCG(7)
-	for i := range bvec {
-		bvec[i] = rng.float64()
-	}
+	bvec := cgInputs.get(scale, func(float64) []float64 {
+		b := make([]float64, n)
+		rng := newLCG(7)
+		for i := range b {
+			b[i] = rng.float64()
+		}
+		return b
+	})
 	x := make([]float64, n)
 	r := make([]float64, n)
 	p := make([]float64, n)
@@ -287,6 +300,10 @@ func kernelEP(rt *openmp.Runtime, scale float64) float64 {
 	return sx + sy + accepted
 }
 
+// ftInputs holds FT's initial field, which the inverse transform must
+// reproduce.
+var ftInputs memo[[]float64]
+
 // kernelFT performs a forward and inverse 3-D FFT (radix-2, iterative) with
 // the line transforms of each dimension parallelized, like NPB FT's
 // pencil decomposition. The checksum includes the round-trip error so a
@@ -298,13 +315,15 @@ func kernelFT(rt *openmp.Runtime, scale float64) float64 {
 	}
 	n := 1 << logn
 	total := n * n * n
-	re := make([]float64, total)
+	orig := ftInputs.get(scale, func(float64) []float64 {
+		orig := make([]float64, total)
+		for i := range orig {
+			orig[i] = math.Cos(float64(i%113) * 0.37)
+		}
+		return orig
+	})
+	re := slices.Clone(orig)
 	im := make([]float64, total)
-	orig := make([]float64, total)
-	for i := range re {
-		re[i] = math.Cos(float64(i%113) * 0.37)
-		orig[i] = re[i]
-	}
 	fft1d := func(re, im []float64, stride int, inverse bool) {
 		m := n
 		// Bit-reversal permutation.
@@ -369,17 +388,23 @@ func kernelFT(rt *openmp.Runtime, scale float64) float64 {
 	return spectral + maxErr
 }
 
+// luInputs holds LU's right-hand side.
+var luInputs memo[[]float64]
+
 // kernelLU performs SSOR-style forward and backward relaxation sweeps over
 // a 2-D grid (NPB LU's computation pattern), parallelized over rows within
 // each wavefront-free Jacobi-style sweep.
 func kernelLU(rt *openmp.Runtime, scale float64) float64 {
 	n := scaleDim(96, scale, 0.5)
+	rhs := luInputs.get(scale, func(float64) []float64 {
+		rhs := make([]float64, n*n)
+		rng := newLCG(11)
+		for i := range rhs {
+			rhs[i] = rng.float64()
+		}
+		return rhs
+	})
 	u := make([]float64, n*n)
-	rhs := make([]float64, n*n)
-	rng := newLCG(11)
-	for i := range rhs {
-		rhs[i] = rng.float64()
-	}
 	const omega = 1.2
 	next := make([]float64, n*n)
 	for sweep := 0; sweep < 8; sweep++ {
@@ -419,6 +444,9 @@ func kernelLU(rt *openmp.Runtime, scale float64) float64 {
 	return math.Sqrt(norm / float64(n*n))
 }
 
+// mgInputs holds MG's right-hand side on the finest grid.
+var mgInputs memo[[]float64]
+
 // kernelMG runs multigrid V-cycles on a 3-D Poisson problem: parallel
 // Jacobi smoothing, residual computation, restriction and prolongation at
 // each level — NPB MG's bandwidth-bound stencil pattern.
@@ -432,18 +460,23 @@ func kernelMG(rt *openmp.Runtime, scale float64) float64 {
 		n          int
 		u, f, r, t []float64
 	}
-	mk := func(n int) *grid {
-		return &grid{n: n, u: make([]float64, n*n*n), f: make([]float64, n*n*n),
+	mk := func(n int, f []float64) *grid {
+		return &grid{n: n, u: make([]float64, n*n*n), f: f,
 			r: make([]float64, n*n*n), t: make([]float64, n*n*n)}
 	}
-	var levels []*grid
-	for m := n; m >= 4; m /= 2 {
-		levels = append(levels, mk(m))
-	}
-	top := levels[0]
-	rng := newLCG(13)
-	for i := range top.f {
-		top.f[i] = rng.float64() - 0.5
+	// Only the coarser levels' f are written below, so the finest level
+	// reads the shared right-hand side in place.
+	top := mk(n, mgInputs.get(scale, func(float64) []float64 {
+		f := make([]float64, n*n*n)
+		rng := newLCG(13)
+		for i := range f {
+			f[i] = rng.float64() - 0.5
+		}
+		return f
+	}))
+	levels := []*grid{top}
+	for m := n / 2; m >= 4; m /= 2 {
+		levels = append(levels, mk(m, make([]float64, m*m*m)))
 	}
 	at := func(g *grid, i, j, k int) int { return (i*g.n+j)*g.n + k }
 	smooth := func(g *grid) {

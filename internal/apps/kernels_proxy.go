@@ -2,30 +2,45 @@ package apps
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"omptune/openmp"
 )
 
+// xsInput is XSBench's sorted unionized energy grid and its per-nuclide
+// cross-section tables.
+type xsInput struct {
+	grid []float64
+	xs   [][]float64
+}
+
+var xsInputs memo[xsInput]
+
 // kernelXSBench performs continuous-energy macroscopic cross-section
 // lookups: binary search into a unionized energy grid followed by gathers
 // from per-nuclide tables — XSBench's random-access, cache-hostile pattern.
 func kernelXSBench(rt *openmp.Runtime, scale float64) float64 {
-	nGrid := scaleDim(6000, scale, 1.0)
 	const nNuclides, lookups = 12, 20000
-	grid := make([]float64, nGrid)
-	rng := newLCG(31)
-	for i := range grid {
-		grid[i] = rng.float64()
-	}
-	sort.Float64s(grid)
-	xs := make([][]float64, nNuclides)
-	for n := range xs {
-		xs[n] = make([]float64, nGrid)
-		for i := range xs[n] {
-			xs[n][i] = rng.float64()
+	in := xsInputs.get(scale, func(scale float64) xsInput {
+		nGrid := scaleDim(6000, scale, 1.0)
+		grid := make([]float64, nGrid)
+		rng := newLCG(31)
+		for i := range grid {
+			grid[i] = rng.float64()
 		}
-	}
+		sort.Float64s(grid)
+		xs := make([][]float64, nNuclides)
+		for n := range xs {
+			xs[n] = make([]float64, nGrid)
+			for i := range xs[n] {
+				xs[n][i] = rng.float64()
+			}
+		}
+		return xsInput{grid, xs}
+	})
+	grid, xs := in.grid, in.xs
+	nGrid := len(grid)
 	total := rt.ParallelReduceSum(lookups, func(l int) float64 {
 		r := newLCG(uint64(l) * 1099511628211)
 		e := r.float64()
@@ -47,19 +62,29 @@ func kernelXSBench(rt *openmp.Runtime, scale float64) float64 {
 	return total
 }
 
+// rsInput is RSBench's pole table, real and imaginary parts.
+type rsInput struct{ re, im []float64 }
+
+var rsInputs memo[rsInput]
+
 // kernelRSBench performs multipole resonance cross-section reconstruction:
 // for each lookup, evaluate a window of complex poles (heavier arithmetic
 // per lookup than XSBench, lighter memory pressure).
 func kernelRSBench(rt *openmp.Runtime, scale float64) float64 {
-	nPoles := scaleDim(800, scale, 1.0)
 	const lookups, window = 8000, 16
-	polesRe := make([]float64, nPoles)
-	polesIm := make([]float64, nPoles)
-	rng := newLCG(37)
-	for i := range polesRe {
-		polesRe[i] = rng.float64()
-		polesIm[i] = 0.01 + rng.float64()*0.1
-	}
+	in := rsInputs.get(scale, func(scale float64) rsInput {
+		nPoles := scaleDim(800, scale, 1.0)
+		re := make([]float64, nPoles)
+		im := make([]float64, nPoles)
+		rng := newLCG(37)
+		for i := range re {
+			re[i] = rng.float64()
+			im[i] = 0.01 + rng.float64()*0.1
+		}
+		return rsInput{re, im}
+	})
+	polesRe, polesIm := in.re, in.im
+	nPoles := len(polesRe)
 	total := rt.ParallelReduceSum(lookups, func(l int) float64 {
 		r := newLCG(uint64(l)*48271 + 1)
 		e := r.float64()
@@ -78,22 +103,29 @@ func kernelRSBench(rt *openmp.Runtime, scale float64) float64 {
 	return total
 }
 
+// su3Input is SU3Bench's two lattices of SU(3) matrices, A and B.
+type su3Input struct{ aRe, aIm, bRe, bIm []float64 }
+
+var su3Inputs memo[su3Input]
+
 // kernelSU3 is the mult_su3_nn kernel: C = A*B over a lattice of 3x3
 // complex SU(3) matrices, a perfectly balanced streaming workload.
 func kernelSU3(rt *openmp.Runtime, scale float64) float64 {
-	sites := scaleDim(4000, scale, 1.0)
 	const elems = 9 // 3x3 complex
-	aRe := make([]float64, sites*elems)
-	aIm := make([]float64, sites*elems)
-	bRe := make([]float64, sites*elems)
-	bIm := make([]float64, sites*elems)
-	cRe := make([]float64, sites*elems)
-	cIm := make([]float64, sites*elems)
-	rng := newLCG(41)
-	for i := range aRe {
-		aRe[i], aIm[i] = rng.float64()-0.5, rng.float64()-0.5
-		bRe[i], bIm[i] = rng.float64()-0.5, rng.float64()-0.5
-	}
+	in := su3Inputs.get(scale, func(scale float64) su3Input {
+		n := scaleDim(4000, scale, 1.0) * elems
+		in := su3Input{make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)}
+		rng := newLCG(41)
+		for i := range in.aRe {
+			in.aRe[i], in.aIm[i] = rng.float64()-0.5, rng.float64()-0.5
+			in.bRe[i], in.bIm[i] = rng.float64()-0.5, rng.float64()-0.5
+		}
+		return in
+	})
+	aRe, aIm, bRe, bIm := in.aRe, in.aIm, in.bRe, in.bIm
+	sites := len(aRe) / elems
+	cRe := make([]float64, len(aRe))
+	cIm := make([]float64, len(aRe))
 	rt.ParallelFor(sites, func(s int) {
 		base := s * elems
 		for i := 0; i < 3; i++ {
@@ -113,23 +145,31 @@ func kernelSU3(rt *openmp.Runtime, scale float64) float64 {
 	return checksum(cRe) + checksum(cIm)
 }
 
+// luleshInputs holds LULESH's initial element energies.
+var luleshInputs memo[[]float64]
+
 // kernelLULESH approximates one coarse pass of explicit shock
 // hydrodynamics on a 3-D hex mesh: per-timestep element loops for stress
 // and force, a nodal update loop, and a courant-condition minimum
 // reduction — LULESH's many-short-regions pattern.
 func kernelLULESH(rt *openmp.Runtime, scale float64) float64 {
-	n := scaleDim(16, scale, 1.0/3)
-	elems := n * n * n
-	p := make([]float64, elems)   // pressure
-	e := make([]float64, elems)   // energy
-	v := make([]float64, elems)   // relative volume
-	vel := make([]float64, elems) // nodal speed proxy
-	rng := newLCG(43)
-	for i := range p {
-		p[i] = rng.float64()
-		e[i] = 1 + rng.float64()
+	e := slices.Clone(luleshInputs.get(scale, func(scale float64) []float64 { // energy
+		n := scaleDim(16, scale, 1.0/3)
+		e := make([]float64, n*n*n)
+		rng := newLCG(43)
+		for i := range e {
+			rng.float64() // an initial pressure: the first step overwrites every one unread
+			e[i] = 1 + rng.float64()
+		}
+		return e
+	}))
+	elems := len(e)
+	p := make([]float64, elems) // pressure
+	v := make([]float64, elems) // relative volume
+	for i := range v {
 		v[i] = 1.0
 	}
+	vel := make([]float64, elems) // nodal speed proxy
 	dt := 1e-3
 	energyTrace := 0.0
 	for step := 0; step < 12; step++ {

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"omptune/openmp"
@@ -238,6 +239,91 @@ func TestBlockLUSolve(t *testing.T) {
 	for i := range x {
 		if math.Abs(b[i]-x[i]) > 1e-10 {
 			t.Fatalf("luSolve[%d] = %v, want %v", i, b[i], x[i])
+		}
+	}
+}
+
+// frozenChecksums are every kernel's one-thread checksums at scales 1 and
+// 2 under openmp.DefaultOptions, recorded before the kernels cached their
+// inputs per scale.
+var frozenChecksums = map[string][2]float64{
+	"BT":        {-0.17943274834889075, -0.16579225819319374},
+	"CG":        {3.8462458556037569, 8.9045660200753538},
+	"EP":        {47152.520588519947, 94272.003283853453},
+	"FT":        {-50.360360890061287, -338.42344837824135},
+	"LU":        {0.53665520316586035, 0.53909536378566758},
+	"MG":        {0.032685349719523867, 0.037002493602518963},
+	"Alignment": {-5438, -11497},
+	"Health":    {2719, 8155},
+	"Nqueens":   {92, 352},
+	"Sort":      {1.5012289072081235, 1.5011601834612889},
+	"Strassen":  {46.952253117966997, 51.597656886956273},
+	"LULESH":    {6163.4959468688194, 12023.460041992435},
+	"RSBench":   {440970.40900251514, 439748.28213912074},
+	"SU3Bench":  {-48.340652467672605, -34.372990966403414},
+	"XSbench":   {126940.74691321673, 127282.88381286662},
+	"LUNest":    {53.020178159850289, 46.64976525980731},
+	"TreeNest":  {2018573, 8162595},
+}
+
+// checkFrozen reports a checksum of app at scale (1 or 2) that is not the
+// frozen one. The tolerance only absorbs a GOARCH that fuses multiply-adds;
+// a kernel handed another scale's inputs misses by far more.
+func checkFrozen(t *testing.T, app string, scale, got float64) {
+	t.Helper()
+	want := frozenChecksums[app][int(scale)-1]
+	if got != want && math.Abs(got-want) > 1e-12*math.Abs(want) {
+		t.Errorf("%s at scale %v: checksum %.17g, frozen %.17g", app, scale, got, want)
+	}
+}
+
+func everyKernel() []*App { return append(All(), NestedApps()...) }
+
+func TestKernelChecksumsFrozen(t *testing.T) {
+	rt := newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = 1 })
+	// Scale 1 again after 2: a cache that hands out the wrong scale's
+	// inputs, or whose inputs a call wrote to, fails the second pass.
+	for _, scale := range []float64{1, 2, 1} {
+		for _, a := range everyKernel() {
+			checkFrozen(t, a.Name, scale, a.Kernel(rt, scale))
+		}
+	}
+	for _, a := range everyKernel() {
+		for _, scale := range []float64{2, 1} {
+			checkFrozen(t, a.Name, scale, a.Reference(scale))
+		}
+	}
+}
+
+// TestKernelsShareInputsAcrossGoroutines runs every kernel from two
+// goroutines at once, each on its own runtime, both in the same order at
+// alternating scales, so each kernel's inputs at a scale are read (and, run
+// alone, built) by both at about the same time; under -race a kernel that
+// writes to a shared input, or an unguarded cache, shows.
+func TestKernelsShareInputsAcrossGoroutines(t *testing.T) {
+	type result struct {
+		app          string
+		scale, value float64
+	}
+	results := make([][]result, 2)
+	var wg sync.WaitGroup
+	for g := range results {
+		rt := newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = 1 })
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for i, a := range everyKernel() {
+					scale := float64(1 + (i+round)%2)
+					results[g] = append(results[g], result{a.Name, scale, a.Kernel(rt, scale)})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, rs := range results {
+		for _, r := range rs {
+			checkFrozen(t, r.app, r.scale, r.value)
 		}
 	}
 }

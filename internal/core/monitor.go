@@ -130,9 +130,15 @@ func NewMonitor() *Monitor {
 	return m
 }
 
-// Registry exposes the monitor's metrics registry (for obs.Server or a
-// custom scrape endpoint).
-func (m *Monitor) Registry() *obs.Registry { return m.reg }
+// Server returns an HTTP server over the monitor, not yet started: the
+// registry on /metrics and Status, Regions and Variability on /api/status,
+// /api/regions and /api/variability.
+func (m *Monitor) Server() *obs.Server {
+	return obs.NewServer(m.reg,
+		func() any { return m.Status() },
+		func() any { return m.Regions() },
+		func() any { return m.Variability() })
+}
 
 // RuntimeMetrics returns the openmp metrics sinks backed by this monitor's
 // runtime histograms. Attach it with Runtime.SetMetrics — the measured

@@ -551,7 +551,7 @@ func TestSearchMonitorGauges(t *testing.T) {
 		t.Errorf("latencies %+v, want eval histogram with %d observations", st.Latencies, res.Evaluations)
 	}
 	var buf strings.Builder
-	if err := mon.Registry().WritePrometheus(&buf); err != nil {
+	if err := mon.reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"omptune_search_best_speedup", "omptune_search_evaluations", "omptune_search_eval_seconds"} {

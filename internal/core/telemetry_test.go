@@ -456,7 +456,7 @@ func testSearchLedgerViewsAgree(t *testing.T) {
 						return
 					default:
 						mon.Status()
-						mon.Registry().WritePrometheus(io.Discard)
+						mon.reg.WritePrometheus(io.Discard)
 					}
 				}
 			}()
@@ -512,7 +512,7 @@ func testSearchLedgerViewsAgree(t *testing.T) {
 				t.Fatalf("cells = %+v, want the one a64fx/Nqueens cell", st.Cells)
 			}
 			var expo strings.Builder
-			if err := mon.Registry().WritePrometheus(&expo); err != nil {
+			if err := mon.reg.WritePrometheus(&expo); err != nil {
 				t.Fatal(err)
 			}
 			gauge := func(name string) float64 { return gaugeValue(t, expo.String(), name) }

@@ -15,6 +15,7 @@ package measure
 
 import (
 	"fmt"
+	"math"
 
 	"omptune/internal/apps"
 	"omptune/internal/dataset"
@@ -143,9 +144,14 @@ func (e *Evaluator) Name() string { return dataset.SourceMeasured }
 // repetitions the series timed — a short fixed series repeats, a longer
 // adaptive one keeps its first sim.Reps — and the returned provenance records
 // how many really ran. A failed measurement is an error naming the series,
-// never a panic: one bad configuration must not kill a campaign.
+// never a panic: one bad configuration must not kill a campaign. So is a
+// series whose checksum is more than checksumTolerance from the app's
+// one-thread reference (apps.App.Reference): it computed something else.
 func (e *Evaluator) EvaluateSeries(m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) (slots [sim.Reps]float64, meta dataset.SeriesMeta, err error) {
 	s, err := e.measure(m, app, cfg, set)
+	if err == nil {
+		err = checkChecksum(s.Checksum, app.Reference(set.Scale))
+	}
 	if err != nil {
 		return slots, meta, fmt.Errorf("measure: %s|%s|%s|%s: %w", m.Arch, app.Name, set.Label, key, err)
 	}
@@ -153,6 +159,21 @@ func (e *Evaluator) EvaluateSeries(m *topology.Machine, app *apps.App, cfg env.C
 		slots[rep] = s.Runtimes[rep%len(s.Runtimes)]
 	}
 	return slots, dataset.SeriesMeta{Reps: s.RepsRun, CoV: s.CoV, CIRel: s.CIRel, StopReason: s.StopReason}, nil
+}
+
+// checksumTolerance bounds a series' relative checksum drift from the
+// reference. Reduction order moves the last bits with the team and the
+// reduction method (below 5e-14 over six configurations at scales 0.5, 1
+// and 2); a kernel that computed something else misses by far more.
+const checksumTolerance = 1e-9
+
+// checkChecksum reports a checksum that differs from the reference by more
+// than checksumTolerance, relative; a NaN matches nothing.
+func checkChecksum(got, ref float64) error {
+	if got == ref || math.Abs(got-ref) <= checksumTolerance*math.Max(math.Abs(got), math.Abs(ref)) {
+		return nil
+	}
+	return fmt.Errorf("checksum %.17g, one-thread reference %.17g", got, ref)
 }
 
 // newRuntime builds the runtime a series measures on; a test seam for

@@ -148,6 +148,37 @@ func TestEvaluatorFailureDoesNotPanic(t *testing.T) {
 	}
 }
 
+// TestEvaluatorRejectsWrongChecksum: a series whose checksum is not the
+// app's one-thread reference computed something else, and is an error
+// naming the series like a failed measurement; drift of a rounding's size
+// measures.
+func TestEvaluatorRejectsWrongChecksum(t *testing.T) {
+	m := topology.MustGet(topology.A64FX)
+	// The fake kernel's checksum moves with the team size, by step per
+	// thread beyond the first.
+	fake := func(step float64) *apps.App {
+		return &apps.App{Name: "Fake", Kernel: func(rt *openmp.Runtime, _ float64) float64 {
+			return 1 + float64(step*float64(rt.Options().NumThreads-1))
+		}}
+	}
+	e := NewEvaluator(Options{Warmup: 0, TimedReps: 1})
+	cfg := env.Default(m)
+	set := testSetting()
+	if _, _, err := e.EvaluateSeries(m, fake(1e-12), cfg, cfg.Key(), set); err != nil {
+		t.Fatalf("checksum within rounding of the reference: %v", err)
+	}
+	_, meta, err := e.EvaluateSeries(m, fake(0.5), cfg, cfg.Key(), set)
+	if err == nil || !strings.Contains(err.Error(), "checksum 2.5, one-thread reference 1") {
+		t.Fatalf("err = %v, want the wrong checksum and its reference", err)
+	}
+	if want := "a64fx|Fake|t4|" + cfg.Key(); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the series %q", err, want)
+	}
+	if meta != (dataset.SeriesMeta{}) {
+		t.Errorf("failed series carries provenance: %+v", meta)
+	}
+}
+
 func TestEvaluatorHonoursConfigAndSetting(t *testing.T) {
 	m := topology.MustGet(topology.A64FX)
 	app, err := apps.ByName("EP")
