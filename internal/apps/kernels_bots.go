@@ -9,26 +9,26 @@ import (
 )
 
 // alignmentInputs holds Alignment's batch of sequences.
-var alignmentInputs memo[[][]byte]
+var alignmentInputs = input[[][]byte]{build: func(scale float64) [][]byte {
+	rng := newLCG(17)
+	seqs := make([][]byte, scaleDim(24, scale, 0.5))
+	for i := range seqs {
+		l := 20 + rng.intn(60) // varying lengths: task imbalance
+		s := make([]byte, l)
+		for j := range s {
+			s[j] = byte(rng.intn(20))
+		}
+		seqs[i] = s
+	}
+	return seqs
+}}
 
 // kernelAlignment performs pairwise global sequence alignment
 // (Needleman–Wunsch score, linear space) over a deterministic batch of
 // protein-like sequences of varying lengths — one explicit task per pair,
 // the BOTS Alignment pattern.
 func kernelAlignment(rt *openmp.Runtime, scale float64) float64 {
-	seqs := alignmentInputs.get(scale, func(scale float64) [][]byte {
-		rng := newLCG(17)
-		seqs := make([][]byte, scaleDim(24, scale, 0.5))
-		for i := range seqs {
-			l := 20 + rng.intn(60) // varying lengths: task imbalance
-			s := make([]byte, l)
-			for j := range s {
-				s[j] = byte(rng.intn(20))
-			}
-			seqs[i] = s
-		}
-		return seqs
-	})
+	seqs := alignmentInputs.get(scale)
 	nseq := len(seqs)
 	score := func(a, b []byte) float64 {
 		const gap, match, mismatch = -2.0, 3.0, -1.0
@@ -80,32 +80,32 @@ type healthInput struct {
 	villages int
 }
 
-var healthInputs memo[healthInput]
+var healthInputs = input[healthInput]{build: func(scale float64) healthInput {
+	levels := 4
+	if scale > 1.5 {
+		levels = 5
+	}
+	nextID := 0
+	var build func(level int) *village
+	build = func(level int) *village {
+		v := &village{id: nextID}
+		nextID++
+		if level > 0 {
+			for c := 0; c < 3; c++ {
+				v.children = append(v.children, build(level-1))
+			}
+		}
+		return v
+	}
+	root := build(levels)
+	return healthInput{root, nextID}
+}}
 
 // kernelHealth simulates a hierarchical health system: a tree of villages,
 // each processing a patient queue per timestep, with one task per village
 // per step (the BOTS Health pattern, deterministic variant).
 func kernelHealth(rt *openmp.Runtime, scale float64) float64 {
-	in := healthInputs.get(scale, func(scale float64) healthInput {
-		levels := 4
-		if scale > 1.5 {
-			levels = 5
-		}
-		nextID := 0
-		var build func(level int) *village
-		build = func(level int) *village {
-			v := &village{id: nextID}
-			nextID++
-			if level > 0 {
-				for c := 0; c < 3; c++ {
-					v.children = append(v.children, build(level-1))
-				}
-			}
-			return v
-		}
-		root := build(levels)
-		return healthInput{root, nextID}
-	})
+	in := healthInputs.get(scale)
 	root := in.root
 	backlog := make([]float64, in.villages) // indexed by village id
 	var treated atomic.Uint64
@@ -180,20 +180,20 @@ func kernelNQueens(rt *openmp.Runtime, scale float64) float64 {
 }
 
 // sortInputs holds Sort's unsorted keys.
-var sortInputs memo[[]float64]
+var sortInputs = input[[]float64]{build: func(scale float64) []float64 {
+	data := make([]float64, scaleDim(60000, scale, 1.0))
+	rng := newLCG(23)
+	for i := range data {
+		data[i] = rng.float64()
+	}
+	return data
+}}
 
 // kernelSort is a task-parallel mergesort with an insertion-sort cutoff,
 // the BOTS Sort pattern; it returns 0 misplacements plus a data checksum so
 // an incorrect merge is caught.
 func kernelSort(rt *openmp.Runtime, scale float64) float64 {
-	data := slices.Clone(sortInputs.get(scale, func(scale float64) []float64 {
-		data := make([]float64, scaleDim(60000, scale, 1.0))
-		rng := newLCG(23)
-		for i := range data {
-			data[i] = rng.float64()
-		}
-		return data
-	}))
+	data := slices.Clone(sortInputs.get(scale))
 	n := len(data)
 	tmp := make([]float64, n)
 	const cutoff = 512
@@ -251,7 +251,19 @@ func kernelSort(rt *openmp.Runtime, scale float64) float64 {
 // strassenInput is Strassen's two factor matrices.
 type strassenInput struct{ a, b []float64 }
 
-var strassenInputs memo[strassenInput]
+var strassenInputs = input[strassenInput]{build: func(scale float64) strassenInput {
+	n := 64
+	if scale > 1.5 {
+		n = 128
+	}
+	in := strassenInput{make([]float64, n*n), make([]float64, n*n)}
+	rng := newLCG(29)
+	for i := range in.a {
+		in.a[i] = rng.float64() - 0.5
+		in.b[i] = rng.float64() - 0.5
+	}
+	return in
+}}
 
 // kernelStrassen multiplies two deterministic square matrices with
 // task-parallel Strassen recursion and a naive cutoff, the BOTS Strassen
@@ -261,15 +273,7 @@ func kernelStrassen(rt *openmp.Runtime, scale float64) float64 {
 	if scale > 1.5 {
 		n = 128
 	}
-	in := strassenInputs.get(scale, func(float64) strassenInput {
-		in := strassenInput{make([]float64, n*n), make([]float64, n*n)}
-		rng := newLCG(29)
-		for i := range in.a {
-			in.a[i] = rng.float64() - 0.5
-			in.b[i] = rng.float64() - 0.5
-		}
-		return in
-	})
+	in := strassenInputs.get(scale)
 	a, b := in.a, in.b
 	type mat struct {
 		d      []float64

@@ -37,6 +37,15 @@ func (m *memo[T]) get(scale float64, build func(scale float64) T) T {
 	return e.v
 }
 
+// input is a kernel's input: build makes it from the scale alone, and the
+// memo keeps what it made.
+type input[T any] struct {
+	memo[T]
+	build func(scale float64) T
+}
+
+func (in *input[T]) get(scale float64) T { return in.memo.get(scale, in.build) }
+
 // lcg is a small deterministic generator for building reproducible kernel
 // inputs (sequences, matrices, lookup grids) without math/rand.
 type lcg struct{ state uint64 }

@@ -15,8 +15,22 @@ import (
 	"omptune/openmp"
 )
 
+// luNestBlock is the side of LUNest's blocks.
+const luNestBlock = 8
+
 // luNestInputs holds LUNest's matrix before factorization.
-var luNestInputs memo[[]float64]
+var luNestInputs = input[[]float64]{build: func(scale float64) []float64 {
+	n := scaleDim(6, scale, 0.5) * luNestBlock
+	rng := newLCG(41)
+	a := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a[i*n+j] = rng.float64() - 0.5
+		}
+		a[i*n+i] += float64(n) // diagonally dominant: no pivoting needed
+	}
+	return a
+}}
 
 // kernelLUNest is a blocked right-looking LU factorization whose trailing-
 // submatrix update is a depth-2 nested region: the outer team workshares
@@ -24,20 +38,10 @@ var luNestInputs memo[[]float64]
 // rows of its block. Each matrix element is updated by a fixed sequence of
 // operations independent of scheduling, so the checksum is deterministic.
 func kernelLUNest(rt *openmp.Runtime, scale float64) float64 {
-	const block = 8
+	const block = luNestBlock
 	nb := scaleDim(6, scale, 0.5) // blocks per side
 	n := nb * block
-	a := slices.Clone(luNestInputs.get(scale, func(float64) []float64 {
-		rng := newLCG(41)
-		a := make([]float64, n*n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a[i*n+j] = rng.float64() - 0.5
-			}
-			a[i*n+i] += float64(n) // diagonally dominant: no pivoting needed
-		}
-		return a
-	}))
+	a := slices.Clone(luNestInputs.get(scale))
 	for k := 0; k < n; k++ {
 		piv := a[k*n+k]
 		for i := k + 1; i < n; i++ {

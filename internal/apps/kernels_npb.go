@@ -91,6 +91,9 @@ func matVec(dst *bvec, m *bmat, v *bvec) {
 	}
 }
 
+// btBlocks are the coefficient blocks of one position along a line.
+type btBlocks struct{ a, b, c bmat }
+
 // btCoefficients builds the diagonally dominant off-diagonal (A, C) and
 // diagonal (B) blocks used along every line; position-dependent mixing
 // keeps the five variables coupled, like BT's flux Jacobians.
@@ -109,21 +112,30 @@ func btCoefficients(pos int) (a, b, c bmat) {
 	return
 }
 
-// solveBlockLine runs the block-Thomas algorithm on one grid line: forward
-// elimination with per-cell 5x5 LU solves, then back substitution.
-func solveBlockLine(line []bvec) {
+// btCoefficientTable is the blocks of positions 0 to n-1.
+func btCoefficientTable(n int) []btBlocks {
+	t := make([]btBlocks, n)
+	for i := range t {
+		t[i].a, t[i].b, t[i].c = btCoefficients(i)
+	}
+	return t
+}
+
+// solveBlockLine runs the block-Thomas algorithm on one grid line, whose
+// blocks coef holds position by position: forward elimination with per-cell
+// 5x5 LU solves, then back substitution.
+func solveBlockLine(line []bvec, coef []btBlocks) {
 	m := len(line)
 	cp := make([]bmat, m)
 	// Cell 0.
-	a0, b0, c0 := btCoefficients(0)
-	_ = a0
+	b0, c0 := coef[0].b, coef[0].c
 	cp[0] = c0
 	b0p := b0
 	b0p.luSolveMat(&cp[0])
 	bb := b0
 	bb.luSolve(&line[0])
 	for i := 1; i < m; i++ {
-		ai, bi, ci := btCoefficients(i)
+		ai, bi, ci := coef[i].a, coef[i].b, coef[i].c
 		// w = B_i - A_i * Cp_{i-1}
 		var ac bmat
 		matMul(&ac, &ai, &cp[i-1])
@@ -154,7 +166,20 @@ func solveBlockLine(line []bvec) {
 }
 
 // btInputs holds BT's initial grid of 5-component cells.
-var btInputs memo[[]bvec]
+var btInputs = input[[]bvec]{build: func(scale float64) []bvec {
+	n := scaleDim(10, scale, 1.0/3)
+	u := make([]bvec, n*n*n)
+	for i := range u {
+		for c := 0; c < blockDim; c++ {
+			u[i][c] = math.Sin(float64((i*blockDim+c)%251) * 0.1)
+		}
+	}
+	return u
+}}
+
+// btCoef holds the coefficient blocks along BT's lines, which depend on the
+// position alone.
+var btCoef = input[[]btBlocks]{build: func(scale float64) []btBlocks { return btCoefficientTable(scaleDim(10, scale, 1.0/3)) }}
 
 // kernelBT is a block-tridiagonal ADI solver with NPB BT's structure:
 // alternating-direction implicit sweeps over a 3-D grid of 5-component
@@ -163,15 +188,8 @@ var btInputs memo[[]bvec]
 // lines.
 func kernelBT(rt *openmp.Runtime, scale float64) float64 {
 	n := scaleDim(10, scale, 1.0/3)
-	u := slices.Clone(btInputs.get(scale, func(float64) []bvec {
-		u := make([]bvec, n*n*n)
-		for i := range u {
-			for c := 0; c < blockDim; c++ {
-				u[i][c] = math.Sin(float64((i*blockDim+c)%251) * 0.1)
-			}
-		}
-		return u
-	}))
+	u := slices.Clone(btInputs.get(scale))
+	coef := btCoef.get(scale)
 	idx := func(i, j, k int) int { return (i*n+j)*n + k }
 	for step := 0; step < 2; step++ {
 		// x-sweep: one block-tridiagonal system per (j,k) line.
@@ -181,7 +199,7 @@ func kernelBT(rt *openmp.Runtime, scale float64) float64 {
 			for i := 0; i < n; i++ {
 				line[i] = u[idx(i, j, k)]
 			}
-			solveBlockLine(line)
+			solveBlockLine(line, coef)
 			for i := 0; i < n; i++ {
 				u[idx(i, j, k)] = line[i]
 			}
@@ -193,7 +211,7 @@ func kernelBT(rt *openmp.Runtime, scale float64) float64 {
 			for j := 0; j < n; j++ {
 				line[j] = u[idx(i, j, k)]
 			}
-			solveBlockLine(line)
+			solveBlockLine(line, coef)
 			for j := 0; j < n; j++ {
 				u[idx(i, j, k)] = line[j]
 			}
@@ -202,7 +220,7 @@ func kernelBT(rt *openmp.Runtime, scale float64) float64 {
 		rt.ParallelFor(n*n, func(ij int) {
 			line := make([]bvec, n)
 			copy(line, u[ij*n:ij*n+n])
-			solveBlockLine(line)
+			solveBlockLine(line, coef)
 			copy(u[ij*n:ij*n+n], line)
 		})
 	}
@@ -214,7 +232,15 @@ func kernelBT(rt *openmp.Runtime, scale float64) float64 {
 }
 
 // cgInputs holds CG's right-hand side.
-var cgInputs memo[[]float64]
+var cgInputs = input[[]float64]{build: func(scale float64) []float64 {
+	n := scaleDim(900, scale, 1.0)
+	b := make([]float64, n)
+	rng := newLCG(7)
+	for i := range b {
+		b[i] = rng.float64()
+	}
+	return b
+}}
 
 // kernelCG runs conjugate-gradient iterations on a deterministic sparse
 // symmetric positive-definite band matrix, the computation pattern of NPB
@@ -242,14 +268,7 @@ func kernelCG(rt *openmp.Runtime, scale float64) float64 {
 	dot := func(a, b []float64) float64 {
 		return rt.ParallelReduceSum(n, func(i int) float64 { return a[i] * b[i] })
 	}
-	bvec := cgInputs.get(scale, func(float64) []float64 {
-		b := make([]float64, n)
-		rng := newLCG(7)
-		for i := range b {
-			b[i] = rng.float64()
-		}
-		return b
-	})
+	bvec := cgInputs.get(scale)
 	x := make([]float64, n)
 	r := make([]float64, n)
 	p := make([]float64, n)
@@ -302,7 +321,18 @@ func kernelEP(rt *openmp.Runtime, scale float64) float64 {
 
 // ftInputs holds FT's initial field, which the inverse transform must
 // reproduce.
-var ftInputs memo[[]float64]
+var ftInputs = input[[]float64]{build: func(scale float64) []float64 {
+	n := 16 // 1 << logn, as kernelFT sizes it
+	if scale > 1.5 {
+		n = 32
+	}
+	total := n * n * n
+	orig := make([]float64, total)
+	for i := range orig {
+		orig[i] = math.Cos(float64(i%113) * 0.37)
+	}
+	return orig
+}}
 
 // kernelFT performs a forward and inverse 3-D FFT (radix-2, iterative) with
 // the line transforms of each dimension parallelized, like NPB FT's
@@ -315,13 +345,7 @@ func kernelFT(rt *openmp.Runtime, scale float64) float64 {
 	}
 	n := 1 << logn
 	total := n * n * n
-	orig := ftInputs.get(scale, func(float64) []float64 {
-		orig := make([]float64, total)
-		for i := range orig {
-			orig[i] = math.Cos(float64(i%113) * 0.37)
-		}
-		return orig
-	})
+	orig := ftInputs.get(scale)
 	re := slices.Clone(orig)
 	im := make([]float64, total)
 	fft1d := func(re, im []float64, stride int, inverse bool) {
@@ -389,21 +413,22 @@ func kernelFT(rt *openmp.Runtime, scale float64) float64 {
 }
 
 // luInputs holds LU's right-hand side.
-var luInputs memo[[]float64]
+var luInputs = input[[]float64]{build: func(scale float64) []float64 {
+	n := scaleDim(96, scale, 0.5)
+	rhs := make([]float64, n*n)
+	rng := newLCG(11)
+	for i := range rhs {
+		rhs[i] = rng.float64()
+	}
+	return rhs
+}}
 
 // kernelLU performs SSOR-style forward and backward relaxation sweeps over
 // a 2-D grid (NPB LU's computation pattern), parallelized over rows within
 // each wavefront-free Jacobi-style sweep.
 func kernelLU(rt *openmp.Runtime, scale float64) float64 {
 	n := scaleDim(96, scale, 0.5)
-	rhs := luInputs.get(scale, func(float64) []float64 {
-		rhs := make([]float64, n*n)
-		rng := newLCG(11)
-		for i := range rhs {
-			rhs[i] = rng.float64()
-		}
-		return rhs
-	})
+	rhs := luInputs.get(scale)
 	u := make([]float64, n*n)
 	const omega = 1.2
 	next := make([]float64, n*n)
@@ -445,7 +470,18 @@ func kernelLU(rt *openmp.Runtime, scale float64) float64 {
 }
 
 // mgInputs holds MG's right-hand side on the finest grid.
-var mgInputs memo[[]float64]
+var mgInputs = input[[]float64]{build: func(scale float64) []float64 {
+	n := 16 // 1 << logn, as kernelMG sizes it
+	if scale > 1.5 {
+		n = 32
+	}
+	f := make([]float64, n*n*n)
+	rng := newLCG(13)
+	for i := range f {
+		f[i] = rng.float64() - 0.5
+	}
+	return f
+}}
 
 // kernelMG runs multigrid V-cycles on a 3-D Poisson problem: parallel
 // Jacobi smoothing, residual computation, restriction and prolongation at
@@ -466,14 +502,7 @@ func kernelMG(rt *openmp.Runtime, scale float64) float64 {
 	}
 	// Only the coarser levels' f are written below, so the finest level
 	// reads the shared right-hand side in place.
-	top := mk(n, mgInputs.get(scale, func(float64) []float64 {
-		f := make([]float64, n*n*n)
-		rng := newLCG(13)
-		for i := range f {
-			f[i] = rng.float64() - 0.5
-		}
-		return f
-	}))
+	top := mk(n, mgInputs.get(scale))
 	levels := []*grid{top}
 	for m := n / 2; m >= 4; m /= 2 {
 		levels = append(levels, mk(m, make([]float64, m*m*m)))

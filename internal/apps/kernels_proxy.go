@@ -15,30 +15,33 @@ type xsInput struct {
 	xs   [][]float64
 }
 
-var xsInputs memo[xsInput]
+// xsNuclides is how many nuclides XSBench's tables hold.
+const xsNuclides = 12
+
+var xsInputs = input[xsInput]{build: func(scale float64) xsInput {
+	nGrid := scaleDim(6000, scale, 1.0)
+	grid := make([]float64, nGrid)
+	rng := newLCG(31)
+	for i := range grid {
+		grid[i] = rng.float64()
+	}
+	sort.Float64s(grid)
+	xs := make([][]float64, xsNuclides)
+	for n := range xs {
+		xs[n] = make([]float64, nGrid)
+		for i := range xs[n] {
+			xs[n][i] = rng.float64()
+		}
+	}
+	return xsInput{grid, xs}
+}}
 
 // kernelXSBench performs continuous-energy macroscopic cross-section
 // lookups: binary search into a unionized energy grid followed by gathers
 // from per-nuclide tables — XSBench's random-access, cache-hostile pattern.
 func kernelXSBench(rt *openmp.Runtime, scale float64) float64 {
-	const nNuclides, lookups = 12, 20000
-	in := xsInputs.get(scale, func(scale float64) xsInput {
-		nGrid := scaleDim(6000, scale, 1.0)
-		grid := make([]float64, nGrid)
-		rng := newLCG(31)
-		for i := range grid {
-			grid[i] = rng.float64()
-		}
-		sort.Float64s(grid)
-		xs := make([][]float64, nNuclides)
-		for n := range xs {
-			xs[n] = make([]float64, nGrid)
-			for i := range xs[n] {
-				xs[n][i] = rng.float64()
-			}
-		}
-		return xsInput{grid, xs}
-	})
+	const lookups = 20000
+	in := xsInputs.get(scale)
 	grid, xs := in.grid, in.xs
 	nGrid := len(grid)
 	total := rt.ParallelReduceSum(lookups, func(l int) float64 {
@@ -54,7 +57,7 @@ func kernelXSBench(rt *openmp.Runtime, scale float64) float64 {
 			}
 		}
 		macro := 0.0
-		for n := 0; n < nNuclides; n++ {
+		for n := 0; n < xsNuclides; n++ {
 			macro += xs[n][lo] * (1 + float64(n)*0.01)
 		}
 		return macro
@@ -65,24 +68,24 @@ func kernelXSBench(rt *openmp.Runtime, scale float64) float64 {
 // rsInput is RSBench's pole table, real and imaginary parts.
 type rsInput struct{ re, im []float64 }
 
-var rsInputs memo[rsInput]
+var rsInputs = input[rsInput]{build: func(scale float64) rsInput {
+	nPoles := scaleDim(800, scale, 1.0)
+	re := make([]float64, nPoles)
+	im := make([]float64, nPoles)
+	rng := newLCG(37)
+	for i := range re {
+		re[i] = rng.float64()
+		im[i] = 0.01 + rng.float64()*0.1
+	}
+	return rsInput{re, im}
+}}
 
 // kernelRSBench performs multipole resonance cross-section reconstruction:
 // for each lookup, evaluate a window of complex poles (heavier arithmetic
 // per lookup than XSBench, lighter memory pressure).
 func kernelRSBench(rt *openmp.Runtime, scale float64) float64 {
 	const lookups, window = 8000, 16
-	in := rsInputs.get(scale, func(scale float64) rsInput {
-		nPoles := scaleDim(800, scale, 1.0)
-		re := make([]float64, nPoles)
-		im := make([]float64, nPoles)
-		rng := newLCG(37)
-		for i := range re {
-			re[i] = rng.float64()
-			im[i] = 0.01 + rng.float64()*0.1
-		}
-		return rsInput{re, im}
-	})
+	in := rsInputs.get(scale)
 	polesRe, polesIm := in.re, in.im
 	nPoles := len(polesRe)
 	total := rt.ParallelReduceSum(lookups, func(l int) float64 {
@@ -106,28 +109,30 @@ func kernelRSBench(rt *openmp.Runtime, scale float64) float64 {
 // su3Input is SU3Bench's two lattices of SU(3) matrices, A and B.
 type su3Input struct{ aRe, aIm, bRe, bIm []float64 }
 
-var su3Inputs memo[su3Input]
+// su3Elems are the complex elements of a 3x3 matrix.
+const su3Elems = 9
+
+var su3Inputs = input[su3Input]{build: func(scale float64) su3Input {
+	n := scaleDim(4000, scale, 1.0) * su3Elems
+	in := su3Input{make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)}
+	rng := newLCG(41)
+	for i := range in.aRe {
+		in.aRe[i], in.aIm[i] = rng.float64()-0.5, rng.float64()-0.5
+		in.bRe[i], in.bIm[i] = rng.float64()-0.5, rng.float64()-0.5
+	}
+	return in
+}}
 
 // kernelSU3 is the mult_su3_nn kernel: C = A*B over a lattice of 3x3
 // complex SU(3) matrices, a perfectly balanced streaming workload.
 func kernelSU3(rt *openmp.Runtime, scale float64) float64 {
-	const elems = 9 // 3x3 complex
-	in := su3Inputs.get(scale, func(scale float64) su3Input {
-		n := scaleDim(4000, scale, 1.0) * elems
-		in := su3Input{make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)}
-		rng := newLCG(41)
-		for i := range in.aRe {
-			in.aRe[i], in.aIm[i] = rng.float64()-0.5, rng.float64()-0.5
-			in.bRe[i], in.bIm[i] = rng.float64()-0.5, rng.float64()-0.5
-		}
-		return in
-	})
+	in := su3Inputs.get(scale)
 	aRe, aIm, bRe, bIm := in.aRe, in.aIm, in.bRe, in.bIm
-	sites := len(aRe) / elems
+	sites := len(aRe) / su3Elems
 	cRe := make([]float64, len(aRe))
 	cIm := make([]float64, len(aRe))
 	rt.ParallelFor(sites, func(s int) {
-		base := s * elems
+		base := s * su3Elems
 		for i := 0; i < 3; i++ {
 			for j := 0; j < 3; j++ {
 				sumRe, sumIm := 0.0, 0.0
@@ -146,23 +151,23 @@ func kernelSU3(rt *openmp.Runtime, scale float64) float64 {
 }
 
 // luleshInputs holds LULESH's initial element energies.
-var luleshInputs memo[[]float64]
+var luleshInputs = input[[]float64]{build: func(scale float64) []float64 { // energy
+	n := scaleDim(16, scale, 1.0/3)
+	e := make([]float64, n*n*n)
+	rng := newLCG(43)
+	for i := range e {
+		rng.float64() // an initial pressure: the first step overwrites every one unread
+		e[i] = 1 + rng.float64()
+	}
+	return e
+}}
 
 // kernelLULESH approximates one coarse pass of explicit shock
 // hydrodynamics on a 3-D hex mesh: per-timestep element loops for stress
 // and force, a nodal update loop, and a courant-condition minimum
 // reduction — LULESH's many-short-regions pattern.
 func kernelLULESH(rt *openmp.Runtime, scale float64) float64 {
-	e := slices.Clone(luleshInputs.get(scale, func(scale float64) []float64 { // energy
-		n := scaleDim(16, scale, 1.0/3)
-		e := make([]float64, n*n*n)
-		rng := newLCG(43)
-		for i := range e {
-			rng.float64() // an initial pressure: the first step overwrites every one unread
-			e[i] = 1 + rng.float64()
-		}
-		return e
-	}))
+	e := slices.Clone(luleshInputs.get(scale))
 	elems := len(e)
 	p := make([]float64, elems) // pressure
 	v := make([]float64, elems) // relative volume

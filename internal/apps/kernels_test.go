@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -205,7 +206,7 @@ func TestBlockThomasSolvesTheAssembledSystem(t *testing.T) {
 			set(i, i+1, &c)
 		}
 	}
-	solveBlockLine(line)
+	solveBlockLine(line, btCoefficientTable(m))
 	// Check residual of A*x against the original rhs.
 	for r := 0; r < dim; r++ {
 		s := 0.0
@@ -325,5 +326,47 @@ func TestKernelsShareInputsAcrossGoroutines(t *testing.T) {
 		for _, r := range rs {
 			checkFrozen(t, r.app, r.scale, r.value)
 		}
+	}
+}
+
+// changed returns the scales at which in holds a value that building it
+// again does not give: a kernel wrote to an input it shares.
+func (in *input[T]) changed() (scales []float64) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for scale, e := range in.byScale {
+		if !reflect.DeepEqual(e.v, in.build(scale)) {
+			scales = append(scales, scale)
+		}
+	}
+	return scales
+}
+
+// TestKernelsLeaveInputsUnchanged runs each kernel that memoizes its inputs
+// on two threads, then builds each input again and compares: a kernel that
+// writes to what it shares (a Sort that sorts its input in place) fails
+// here, without -race.
+func TestKernelsLeaveInputsUnchanged(t *testing.T) {
+	inputs := map[string][]interface{ changed() []float64 }{
+		"BT": {&btInputs, &btCoef}, "CG": {&cgInputs}, "FT": {&ftInputs}, "LU": {&luInputs}, "MG": {&mgInputs},
+		"Alignment": {&alignmentInputs}, "Health": {&healthInputs}, "Sort": {&sortInputs}, "Strassen": {&strassenInputs},
+		"LUNest": {&luNestInputs}, "XSbench": {&xsInputs}, "RSBench": {&rsInputs}, "SU3Bench": {&su3Inputs}, "LULESH": {&luleshInputs},
+	}
+	rt := newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = 2 })
+	for _, a := range everyKernel() {
+		memos, ok := inputs[a.Name]
+		if !ok {
+			continue
+		}
+		delete(inputs, a.Name)
+		a.Kernel(rt, 1)
+		for _, m := range memos {
+			if scales := m.changed(); len(scales) > 0 {
+				t.Errorf("%s: a run on two threads changed its shared input at scales %v", a.Name, scales)
+			}
+		}
+	}
+	for name := range inputs {
+		t.Errorf("no kernel %s", name)
 	}
 }

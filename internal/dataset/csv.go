@@ -1,10 +1,10 @@
 package dataset
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -30,12 +30,16 @@ const (
 
 // column is one CSV column, in both directions: WriteCSV appends a sample's
 // cell to the row with write, ReadCSV finds the column by its header name and
-// parses the cell with read. A nil read marks a column derived from the
-// others, which reading recomputes instead of trusting.
+// parses the cell with read. same reports whether two samples share the
+// column's cell, so the writer copies the row above's bytes instead of
+// rendering them again; it is nil for a column rendered on every row. A nil
+// read marks a column derived from the others, which reading recomputes
+// instead of trusting.
 type column struct {
 	name  string
 	group colGroup
 	write func(w *rowWrite, s *Sample)
+	same  func(a, b *Sample) bool
 	read  func(p *CSVReader, cell string) error
 }
 
@@ -47,9 +51,7 @@ var columns = slices.Concat(
 		textCol("app", func(s *Sample) *string { return &s.App }),
 		textCol("suite", func(s *Sample) *string { return &s.Suite }),
 		textCol("setting", func(s *Sample) *string { return &s.Setting }),
-		{"threads", groupBase,
-			func(w *rowWrite, s *Sample) { w.b = strconv.AppendInt(w.b, int64(s.Threads), 10) },
-			func(p *CSVReader, cell string) (err error) { p.s.Threads, err = strconv.Atoi(cell); return err }},
+		intCol("threads", groupBase, func(s *Sample) *int { return &s.Threads }),
 		floatCol("scale", groupBase, func(s *Sample) *float64 { return &s.Scale }),
 	},
 	cfgCols(groupBase, env.Names()),
@@ -59,11 +61,12 @@ var columns = slices.Concat(
 		floatCol("runtime_2", groupBase, func(s *Sample) *float64 { return &s.Runtimes[2] }),
 		floatCol("runtime_3", groupBase, func(s *Sample) *float64 { return &s.Runtimes[3] }),
 		floatCol("default_runtime", groupBase, func(s *Sample) *float64 { return &s.DefaultRuntime }),
-		{"speedup", groupBase, func(w *rowWrite, s *Sample) { w.b = appendFloat(w.b, s.Speedup()) }, nil},
-		{"optimal", groupBase, func(w *rowWrite, s *Sample) { w.b = strconv.AppendBool(w.b, s.Optimal()) }, nil},
+		{name: "speedup", group: groupBase, write: func(w *rowWrite, s *Sample) { w.b = appendFloat(w.b, s.Speedup()) }},
+		{name: "optimal", group: groupBase, write: func(w *rowWrite, s *Sample) { w.b = strconv.AppendBool(w.b, s.Optimal()) }},
 
 		{"source", groupSource,
-			func(w *rowWrite, s *Sample) { w.b = append(w.b, quoted(s.SourceName())...) },
+			func(w *rowWrite, s *Sample) { w.b = appendCell(w.b, s.SourceName()) },
+			func(a, b *Sample) bool { return a.SourceName() == b.SourceName() },
 			func(p *CSVReader, cell string) error {
 				if cell == "" {
 					return errors.New("empty")
@@ -73,46 +76,78 @@ var columns = slices.Concat(
 			}},
 	},
 	cfgCols(groupNested, env.NestedNames()),
-	[]column{
-		{"reps", groupMeta,
-			func(w *rowWrite, s *Sample) { w.b = strconv.AppendInt(w.b, int64(s.RepsRun), 10) },
-			func(p *CSVReader, cell string) (err error) { p.s.RepsRun, err = strconv.Atoi(cell); return err }},
+	metaCols(
+		intCol("reps", groupMeta, func(s *Sample) *int { return &s.RepsRun }),
 		floatCol("cov", groupMeta, func(s *Sample) *float64 { return &s.CoV }),
 		floatCol("ci", groupMeta, func(s *Sample) *float64 { return &s.CIRel }),
-	},
+	),
 )
-
-// cfgVars are the variables of the configuration columns, base then nested:
-// a configuration's cells are kept in this order on both sides.
-var cfgVars = slices.Concat(env.Names(), env.NestedNames())
 
 // textCol is a string field, written quoted where CSV needs it and read back
 // interned.
 func textCol(name string, field func(*Sample) *string) column {
 	return column{name, groupBase,
-		func(w *rowWrite, s *Sample) { w.b = append(w.b, quoted(*field(s))...) },
+		func(w *rowWrite, s *Sample) { w.b = appendCell(w.b, *field(s)) },
+		func(a, b *Sample) bool { return *field(a) == *field(b) },
 		func(p *CSVReader, cell string) error { *field(p.s) = p.intern(cell); return nil }}
 }
 
+func intCol(name string, g colGroup, field func(*Sample) *int) column {
+	return column{name, g,
+		func(w *rowWrite, s *Sample) { w.b = strconv.AppendInt(w.b, int64(*field(s)), 10) },
+		func(a, b *Sample) bool { return *field(a) == *field(b) },
+		func(p *CSVReader, cell string) (err error) { *field(p.s), err = strconv.Atoi(cell); return err }}
+}
+
+// floatCol is a float field; two samples share its cell when the floats
+// share their bits.
 func floatCol(name string, g colGroup, field func(*Sample) *float64) column {
 	return column{name, g,
 		func(w *rowWrite, s *Sample) { w.b = appendFloat(w.b, *field(s)) },
+		func(a, b *Sample) bool { return math.Float64bits(*field(a)) == math.Float64bits(*field(b)) },
 		func(p *CSVReader, cell string) (err error) {
 			*field(p.s), err = strconv.ParseFloat(cell, 64)
 			return err
 		}}
 }
 
+// metaCols are the provenance columns, blank in the row of a sample without
+// provenance (a model row merged into a measured campaign), which is how the
+// reader tells it has none.
+func metaCols(cols ...column) []column {
+	for i, c := range cols {
+		cols[i].write = func(w *rowWrite, s *Sample) {
+			if s.HasSeriesMeta() {
+				c.write(w, s)
+			}
+		}
+		cols[i].same = func(a, b *Sample) bool { return a.HasSeriesMeta() == b.HasSeriesMeta() && c.same(a, b) }
+	}
+	return cols
+}
+
+// cfgVars are the variables of the configuration columns, base then nested
+// (from cfgVars[cfgNested] on): a configuration's cells are kept in this
+// order on both sides.
+var cfgVars, cfgNested = func() []env.VarName {
+	vars := slices.Concat(env.Names(), env.NestedNames())
+	if len(vars) > maxCfgVars {
+		panic("dataset: more configuration variables than a cfgKey holds")
+	}
+	return vars
+}(), len(env.Names())
+
 // cfgCols are the configuration columns of the variables vars, one each,
 // named by the variable in lower case: written as the configuration's value
-// of it, read back as the assignment of the cell to it (see finish).
+// of it (see rowWrite.config), read back as the id of the cell (see cfgCell
+// and finish).
 func cfgCols(g colGroup, vars []env.VarName) []column {
 	cols := make([]column, len(vars))
 	for i, v := range vars {
 		k := slices.Index(cfgVars, v)
-		cols[i] = column{strings.ToLower(string(v)), g,
-			func(w *rowWrite, _ *Sample) { w.b = append(w.b, w.cfg[k]...) },
-			func(p *CSVReader, cell string) error { p.cfg = append(p.cfg, cfgCell{k, cell}); return nil }}
+		cols[i] = column{name: strings.ToLower(string(v)), group: g,
+			write: func(w *rowWrite, _ *Sample) { w.b = append(w.b, w.arena[w.cfg[k]:w.cfg[k+1]]...) },
+			read:  func(p *CSVReader, cell string) error { p.cfgCell(k, g, cell); return nil }}
 	}
 	return cols
 }
@@ -137,41 +172,68 @@ func (d *Dataset) groupNeeded() colGroup {
 }
 
 // rowWrite is the writer's state: the rows appended since the last flush,
-// and every distinct configuration's cells, rendered once per file.
+// of which the last, the row above, stays in b across a flush, with where
+// its cells lie from its start; and every distinct configuration's cells,
+// rendered once per file into one arena.
 type rowWrite struct {
-	b       []byte
-	cfg     []string // the current sample's configuration cells, in cfgVars order
-	configs map[env.Config][]string
+	b     []byte
+	above int
+	cells []span
+	prev  *Sample // the row above's sample; nil before the first row
+
+	// The current sample's configuration cells: cell k is
+	// arena[cfg[k]:cfg[k+1]]. ends holds where every configuration's cells
+	// end in arena, one configuration after another, after a 0; configs
+	// where each configuration's start in ends.
+	cfg     []int32
+	arena   []byte
+	ends    []int32
+	configs map[env.Config]int
+}
+
+type span struct{ from, to int }
+
+// config makes c the current sample's configuration. A nesting variable's
+// cell is blank where it is unset, which is how the reader tells.
+func (w *rowWrite) config(c env.Config) {
+	at, ok := w.configs[c]
+	if !ok {
+		at = len(w.ends)
+		for k, v := range cfgVars {
+			from := len(w.arena)
+			w.arena = c.AppendValue(w.arena, v)
+			switch cell := w.arena[from:]; {
+			case k >= cfgNested && string(cell) == "0":
+				w.arena = w.arena[:from]
+			case needsQuotes(cell):
+				w.arena = appendCell(w.arena[:from], c.Value(v))
+			}
+			w.ends = append(w.ends, int32(len(w.arena)))
+		}
+		w.configs[c] = at
+	}
+	w.cfg = w.ends[at-1 : at+len(cfgVars)]
 }
 
 // flushAt is the size at which WriteCSV hands its rows to the io.Writer.
 const flushAt = 64 << 10
 
-// config makes c the current sample's configuration.
-func (w *rowWrite) config(c env.Config) {
-	cells, ok := w.configs[c]
-	if !ok {
-		cells = make([]string, len(cfgVars))
-		for k, v := range cfgVars {
-			cells[k] = quoted(c.Value(v))
-		}
-		w.configs[c] = cells
-	}
-	w.cfg = cells
-}
-
 // WriteCSV streams the dataset in the study's tabular format: the base
 // columns, plus every optional group up to the highest one a sample needs
 // (see colGroup). The output is what encoding/csv writes for the same cells.
+// A cell the row above shares (column.same) is copied from it: a setting's
+// cells are rendered once per run of its rows, a configuration's once per
+// file, and the runtimes on every row.
 func (d *Dataset) WriteCSV(out io.Writer) error {
 	need := d.groupNeeded()
-	var cols []*column
+	cols := make([]*column, 0, len(columns))
 	for i := range columns {
 		if columns[i].group <= need {
 			cols = append(cols, &columns[i])
 		}
 	}
-	w := rowWrite{b: make([]byte, 0, flushAt+1024), configs: make(map[env.Config][]string)}
+	w := rowWrite{b: make([]byte, 0, flushAt+1024), cells: make([]span, len(cols)),
+		ends: []int32{0}, configs: make(map[env.Config]int)}
 	for i, c := range cols {
 		if i > 0 {
 			w.b = append(w.b, ',')
@@ -180,41 +242,69 @@ func (d *Dataset) WriteCSV(out io.Writer) error {
 	}
 	w.b = append(w.b, '\n')
 	for _, s := range d.Samples {
+		row := len(w.b)
 		w.config(s.Config)
 		for i, c := range cols {
 			if i > 0 {
 				w.b = append(w.b, ',')
 			}
 			at := len(w.b)
-			c.write(&w, s)
-			// What the reader takes a blank cell for: an unset nesting limit,
-			// and the provenance of a sample without any (a model row merged
-			// into a measured campaign).
-			if c.group == groupNested && string(w.b[at:]) == "0" || c.group == groupMeta && !s.HasSeriesMeta() {
-				w.b = w.b[:at]
+			if w.prev != nil && c.same != nil && c.same(w.prev, s) {
+				cell := w.cells[i]
+				w.b = append(w.b, w.b[w.above+cell.from:w.above+cell.to]...)
+			} else {
+				c.write(&w, s)
 			}
+			w.cells[i] = span{at - row, len(w.b) - row}
 		}
 		w.b = append(w.b, '\n')
+		w.above, w.prev = row, s
 		if len(w.b) >= flushAt {
-			if _, err := out.Write(w.b); err != nil {
+			if _, err := out.Write(w.b[:row]); err != nil {
 				return err
 			}
-			w.b = w.b[:0]
+			w.b, w.above = w.b[:copy(w.b, w.b[row:])], 0
 		}
 	}
 	_, err := out.Write(w.b)
 	return err
 }
 
-// quoted returns cell as encoding/csv writes it: verbatim, or between double
-// quotes with its quotes doubled when it is `\.`, holds a comma, a quote or a
-// line break, or starts with a space.
-func quoted(cell string) string {
-	r, _ := utf8.DecodeRuneInString(cell)
-	if cell == `\.` || strings.ContainsAny(cell, ",\"\r\n") || unicode.IsSpace(r) {
-		return `"` + strings.ReplaceAll(cell, `"`, `""`) + `"`
+// needsQuotes reports whether encoding/csv quotes cell: when it is `\.`,
+// holds a comma, a quote or a line break, or starts with a space.
+func needsQuotes[T string | []byte](cell T) bool {
+	for i := 0; i < len(cell); i++ {
+		if c := cell[i]; c == ',' || c == '"' || c == '\r' || c == '\n' {
+			return true
+		}
 	}
-	return cell
+	switch {
+	case len(cell) == 0:
+		return false
+	case len(cell) == 2 && cell[0] == '\\' && cell[1] == '.':
+		return true
+	case cell[0] < utf8.RuneSelf:
+		return unicode.IsSpace(rune(cell[0]))
+	}
+	var head [utf8.UTFMax]byte
+	r, _ := utf8.DecodeRune(head[:copy(head[:], cell)])
+	return unicode.IsSpace(r)
+}
+
+// appendCell appends cell as encoding/csv writes it: verbatim, or between
+// double quotes with its quotes doubled where needsQuotes says so.
+func appendCell(b []byte, cell string) []byte {
+	if !needsQuotes(cell) {
+		return append(b, cell...)
+	}
+	b = append(b, '"')
+	for i := 0; i < len(cell); i++ {
+		if cell[i] == '"' {
+			b = append(b, '"')
+		}
+		b = append(b, cell[i])
+	}
+	return append(b, '"')
 }
 
 func appendFloat(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', 10, 64) }
@@ -243,44 +333,58 @@ func resolveHeader(header []string) ([]*column, error) {
 }
 
 // A CSVReader parses datasets written by WriteCSV. Across the files it reads
-// it keeps each distinct text cell once, parses each distinct (machine,
-// configuration cells) once, and carves samples from blocks that grow with
-// what it has read: the segments of one checkpointed campaign, read through
-// one CSVReader, parse each configuration once, not once per setting. A
-// CSVReader is not safe for concurrent use.
+// it keeps each distinct text and configuration cell once, parses each
+// distinct (machine, configuration cells) once, and carves samples from
+// blocks that grow with what it has read: the segments of one checkpointed
+// campaign, read through one CSVReader, parse each configuration once, not
+// once per setting. A CSVReader is not safe for concurrent use.
 type CSVReader struct {
 	rec recordReader
 
-	// The row being read: its sample, its configuration cells (which parse
-	// only with the row's machine) and how many of the three provenance
-	// cells are set.
-	s       *Sample
-	cfg     []cfgCell
+	// The row being read: its sample, which starts as a copy of the row
+	// above's (nil on a file's first row), the row above's cells, the id of
+	// each configuration cell (the configuration parses only with the row's
+	// machine) and how many of the three provenance cells are set.
+	s, prev *Sample
+	above   record
+	key     cfgKey
 	metaSet int
 
-	key     []byte // the row's machine and configuration cells, the configs key
-	configs map[string]env.Config
-	assign  []env.Assignment // a first-seen configuration's interned cells
-	strs    map[string]string
-	block   []Sample
-	carved  int
+	cfgIDs   map[cfgCellKey]int32
+	cfgCells []string // the cell of configuration cell id i+1
+	configs  map[cfgKey]env.Config
+	assign   []env.Assignment // a first-seen configuration's cells
+	strs     map[string]string
+	block    []Sample
+	carved   int
 }
 
-// cfgCell is one configuration cell: the variable cfgVars[k], as written.
-// The cell is a view of the record, like every cell a column reads.
-type cfgCell struct {
+// maxCfgVars bounds the configuration variables, so that a cfgKey is a
+// small fixed-size value: keying a configuration allocates nothing.
+const maxCfgVars = 12
+
+// cfgKey is a configuration as the reader keys it: the row's machine, and
+// for each of cfgVars the id of the row's cell, 0 where it has none.
+type cfgKey struct {
+	arch topology.Arch
+	ids  [maxCfgVars]int32
+}
+
+// cfgCellKey is one configuration cell: the variable cfgVars[k], as written.
+type cfgCellKey struct {
 	k    int
 	cell string
 }
 
 // NewCSVReader returns a reader that has seen nothing yet.
 func NewCSVReader() *CSVReader {
-	return &CSVReader{configs: make(map[string]env.Config), strs: make(map[string]string)}
+	return &CSVReader{cfgIDs: make(map[cfgCellKey]int32),
+		configs: make(map[cfgKey]env.Config), strs: make(map[string]string)}
 }
 
 // intern returns the reader's one copy of cell. The cell is a view of the
-// record, which the next record overwrites: whatever a sample or a
-// configuration keeps goes through here.
+// record, which the next record overwrites: whatever a sample keeps goes
+// through here.
 func (p *CSVReader) intern(cell string) string {
 	if s, ok := p.strs[cell]; ok {
 		return s
@@ -290,51 +394,69 @@ func (p *CSVReader) intern(cell string) string {
 	return s
 }
 
-// next starts the next row on a zero sample carved from the current block.
-// Blocks double up to 4,096 samples, so a checkpoint segment of a few
-// hundred rows and a campaign of 244k each take a handful of allocations.
+// cfgCell sets the row's cell of the variable cfgVars[k], in the column
+// group g: its id, numbered from 1 in first-seen order and kept with a copy
+// of the cell. A blank nesting cell means the variable is unset.
+func (p *CSVReader) cfgCell(k int, g colGroup, cell string) {
+	if cell == "" && g == groupNested {
+		p.key.ids[k] = 0
+		return
+	}
+	id, ok := p.cfgIDs[cfgCellKey{k, cell}]
+	if !ok {
+		kept := strings.Clone(cell)
+		p.cfgCells = append(p.cfgCells, kept)
+		id = int32(len(p.cfgCells))
+		p.cfgIDs[cfgCellKey{k, kept}] = id
+	}
+	p.key.ids[k] = id
+}
+
+// next starts the next row on a sample carved from the current block, a
+// copy of the row above's if there is one. Blocks double up to 4,096
+// samples, so a checkpoint segment of a few hundred rows and a campaign of
+// 244k each take a handful of allocations.
 func (p *CSVReader) next() {
 	if len(p.block) == 0 {
 		p.block = make([]Sample, min(max(p.carved, 16), 4096))
 	}
 	p.s, p.block = &p.block[0], p.block[1:]
 	p.carved++
-	p.cfg, p.metaSet = p.cfg[:0], 0
+	if p.prev != nil {
+		*p.s = *p.prev
+	}
+	p.metaSet = 0
 }
 
 // finish settles what needs the whole row: the machine, the configuration,
 // and the all-or-nothing provenance cells. A configuration is parsed the
-// first time its machine and cells occur; the cells are length-prefixed in
-// the key, so no two different rows share one.
+// first time its machine and cells occur.
 func (p *CSVReader) finish() error {
-	p.key = appendKeyPart(p.key[:0], string(p.s.Arch))
-	for _, c := range p.cfg {
-		p.key = appendKeyPart(append(p.key, byte(c.k)), c.cell)
-	}
-	cfg, ok := p.configs[string(p.key)]
+	p.key.arch = p.s.Arch
+	cfg, ok := p.configs[p.key]
 	if !ok {
 		m, err := topology.Get(p.s.Arch)
 		if err != nil {
 			return err
 		}
 		p.assign = p.assign[:0]
-		for _, c := range p.cfg {
-			p.assign = append(p.assign, env.Assignment{Name: cfgVars[c.k], Value: p.intern(c.cell)})
+		for k, id := range p.key.ids[:len(cfgVars)] {
+			if id != 0 {
+				p.assign = append(p.assign, env.Assignment{Name: cfgVars[k], Value: p.cfgCells[id-1]})
+			}
 		}
 		if cfg, err = env.ParseAssignments(m, p.assign); err != nil {
 			return fmt.Errorf("config: %w", err)
 		}
-		p.configs[string(p.key)] = cfg
+		p.configs[p.key] = cfg
 	}
 	p.s.Config = cfg
-	if p.metaSet != 0 && (p.metaSet != 3 || p.s.RepsRun < 1) {
+	if p.metaSet == 0 {
+		p.s.RepsRun, p.s.CoV, p.s.CIRel = 0, 0, 0
+	} else if p.metaSet != 3 || p.s.RepsRun < 1 {
 		return errors.New("reps, cov and ci must be set together, reps positive")
 	}
 	return nil
-}
-
-func appendKeyPart(key []byte, s string) []byte {
-	return append(binary.AppendUvarint(key, uint64(len(s))), s...)
 }
 
 // ReadCSV parses a dataset previously written by WriteCSV with a fresh
@@ -346,7 +468,9 @@ func ReadCSV(r io.Reader) (*Dataset, error) { return NewCSVReader().ReadCSV(r) }
 // the group existed — read back with its fields unset (Source defaulting to
 // "model"). The rows stream through one record reader (see recordReader),
 // which rejects what encoding/csv rejects, rows of uneven length included.
-// The returned dataset has passed Validate.
+// A cell with the bytes of the same column's cell in the row above keeps the
+// value read from that: a setting's cells are parsed once per run of its
+// rows. The returned dataset has passed Validate.
 func (p *CSVReader) ReadCSV(r io.Reader) (*Dataset, error) {
 	rec := &p.rec
 	rec.reset(r)
@@ -365,6 +489,7 @@ func (p *CSVReader) ReadCSV(r io.Reader) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.prev, p.key = nil, cfgKey{}
 	d := &Dataset{}
 	for ln := 2; ; ln++ {
 		err := rec.read()
@@ -377,20 +502,23 @@ func (p *CSVReader) ReadCSV(r io.Reader) (*Dataset, error) {
 		p.next()
 		for i, c := range cols {
 			cell := rec.cell(i)
-			// A blank nesting or provenance cell means the row has none.
-			if c.read == nil || cell == "" && c.group >= groupNested {
+			if c.group == groupMeta && cell != "" {
+				p.metaSet++
+			}
+			// A blank provenance cell means the row has none (see finish).
+			if c.read == nil || p.prev != nil && cell == p.above.cell(i) || cell == "" && c.group == groupMeta {
 				continue
 			}
 			if err := c.read(p, cell); err != nil {
 				return nil, fmt.Errorf("dataset: row %d %s: %w", ln, c.name, err)
 			}
-			if c.group == groupMeta {
-				p.metaSet++
-			}
 		}
 		if err := p.finish(); err != nil {
 			return nil, fmt.Errorf("dataset: row %d: %w", ln, err)
 		}
+		p.above.buf = append(p.above.buf[:0], rec.buf...)
+		p.above.ends = append(p.above.ends[:0], rec.ends...)
+		p.prev = p.s
 		d.Samples = append(d.Samples, p.s)
 	}
 	if err := d.Validate(); err != nil {

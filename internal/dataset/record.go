@@ -27,8 +27,14 @@ type recordReader struct {
 	fields int           // the first record's width; 0 before it
 	raw    []byte        // a line longer than the bufio.Reader's buffer
 	rec    []byte        // a quoted record's cells, unescaped, each followed by a comma
-	buf    []byte        // the record: its line, or rec
-	ends   []int         // where each cell ends in buf; the next starts one byte later
+	record               // the record: its line, or rec
+}
+
+// record is a record's cells: where each ends in buf, the next starting one
+// byte later.
+type record struct {
+	buf  []byte
+	ends []int
 }
 
 // The ways a record is malformed, worded as encoding/csv words them.
@@ -105,16 +111,17 @@ func lengthNL(b []byte) int {
 	return 0
 }
 
-// cell returns the record's cell i, a view valid until the next read.
-func (rr *recordReader) cell(i int) string {
+// cell returns the record's cell i, a view of buf: a recordReader's holds
+// until the next read.
+func (r *record) cell(i int) string {
 	from := 0
 	if i > 0 {
-		from = rr.ends[i-1] + 1
+		from = r.ends[i-1] + 1
 	}
-	if from == rr.ends[i] {
+	if from == r.ends[i] {
 		return ""
 	}
-	return unsafe.String(&rr.buf[from], rr.ends[i]-from)
+	return unsafe.String(&r.buf[from], r.ends[i]-from)
 }
 
 // read reads the next record, skipping blank lines. It returns io.EOF when

@@ -133,7 +133,7 @@ func (c Config) EffectiveBlocktimeMS() int { return c.Library.Blocktime(c.Blockt
 func (c Config) Validate(m *topology.Machine) error {
 	for i := range variables {
 		if row := &variables[i]; !row.valid(c, m) {
-			return row.invalid(row.get(c))
+			return row.invalid(row.value(c))
 		}
 	}
 	return nil
@@ -188,7 +188,7 @@ func (c Config) Environ() []string {
 	out := make([]string, 0, len(variables))
 	for i := range variables {
 		row := &variables[i]
-		if val := row.get(c); !row.optional || val != row.unset {
+		if val := row.value(c); !row.optional || val != row.unset {
 			out = append(out, string(row.name)+"="+val)
 		}
 	}
@@ -234,7 +234,7 @@ func ParseAssignments(m *topology.Machine, as []Assignment) (Config, error) {
 		// An exported nesting variable must carry a value: its unset spelling
 		// is how Set and Values say "not exported", not something to export.
 		var ok bool
-		if c, ok = row.set(c, val); !ok || row.nested && row.get(c) == row.unset {
+		if c, ok = row.set(c, val); !ok || row.nested && row.value(c) == row.unset {
 			return Config{}, row.invalid(val)
 		}
 	}
@@ -354,7 +354,11 @@ type variable struct {
 	unset    string
 
 	domain func(m *topology.Machine) []string // swept values on m, in sweep order
-	get    func(c Config) string
+	// get spells the value in c. A numeric variable gives count instead,
+	// spelled in decimal where ok; get spells the rest (an infinite
+	// blocktime). See value and appendValue.
+	get   func(c Config) string
+	count func(c Config) (n int, ok bool)
 	// set parses a lower-cased, trimmed value; ok is false for one that is
 	// not a spelling of the variable's type.
 	set     func(c Config, value string) (_ Config, ok bool)
@@ -393,13 +397,13 @@ var variables = [...]variable{
 		}},
 	{name: VarMaxActiveLevels, nested: true, optional: true, unset: "0",
 		domain:  func(*topology.Machine) []string { return itoas(MaxActiveLevelsValues()) },
-		get:     func(c Config) string { return strconv.Itoa(c.MaxActiveLevels) },
+		count:   func(c Config) (int, bool) { return c.MaxActiveLevels, true },
 		set:     func(c Config, s string) (_ Config, ok bool) { c.MaxActiveLevels, ok = atoiCount(s); return c, ok },
 		valid:   func(c Config, _ *topology.Machine) bool { return c.MaxActiveLevels >= 0 },
 		feature: func(c Config) float64 { return float64(c.MaxActiveLevels) }},
 	{name: VarThreadLimit, nested: true, optional: true, unset: "0",
 		domain: func(m *topology.Machine) []string { return itoas(ThreadLimits(m)) },
-		get:    func(c Config) string { return strconv.Itoa(c.ThreadLimit) },
+		count:  func(c Config) (int, bool) { return c.ThreadLimit, true },
 		set:    func(c Config, s string) (_ Config, ok bool) { c.ThreadLimit, ok = atoiCount(s); return c, ok },
 		valid:  func(c Config, _ *topology.Machine) bool { return c.ThreadLimit >= 0 },
 		// 0 = unset; the logarithm keeps the scale comparable.
@@ -436,7 +440,8 @@ var variables = [...]variable{
 			}
 			return out
 		},
-		get: func(c Config) string { return blocktimeString(c.BlocktimeMS) },
+		count: func(c Config) (int, bool) { return c.BlocktimeMS, c.BlocktimeMS != openmp.BlocktimeInfinite },
+		get:   func(Config) string { return "infinite" },
 		set: func(c Config, s string) (_ Config, ok bool) {
 			if s == "infinite" {
 				c.BlocktimeMS = openmp.BlocktimeInfinite
@@ -458,7 +463,7 @@ var variables = [...]variable{
 		feature: func(c Config) float64 { return float64(indexOf(Reductions(), c.ForceReduction)) }},
 	{name: VarAlignAlloc,
 		domain: func(m *topology.Machine) []string { return itoas(m.AlignAllocValues()) },
-		get:    func(c Config) string { return strconv.Itoa(c.AlignAlloc) },
+		count:  func(c Config) (int, bool) { return c.AlignAlloc, true },
 		set:    func(c Config, s string) (_ Config, ok bool) { c.AlignAlloc, ok = atoiCount(s); return c, ok },
 		valid:  func(c Config, m *topology.Machine) bool { return containsInt(m.AlignAllocValues(), c.AlignAlloc) },
 		// log2(bytes), so the scale stays comparable with the index encodings.
@@ -520,9 +525,36 @@ func Values(m *topology.Machine, v VarName) []string {
 // Value returns the string value of variable v in configuration c.
 func (c Config) Value(v VarName) string {
 	if row := lookup(v); row != nil {
-		return row.get(c)
+		return row.value(c)
 	}
 	return ""
+}
+
+// AppendValue appends Value(v)'s bytes to b, allocating nothing beyond b's
+// growth: a writer that spells many configurations renders them in place.
+func (c Config) AppendValue(b []byte, v VarName) []byte {
+	if row := lookup(v); row != nil {
+		return row.appendValue(b, c)
+	}
+	return b
+}
+
+func (row *variable) value(c Config) string {
+	if row.count != nil {
+		if n, ok := row.count(c); ok {
+			return strconv.Itoa(n)
+		}
+	}
+	return row.get(c)
+}
+
+func (row *variable) appendValue(b []byte, c Config) []byte {
+	if row.count != nil {
+		if n, ok := row.count(c); ok {
+			return strconv.AppendInt(b, int64(n), 10)
+		}
+	}
+	return append(b, row.get(c)...)
 }
 
 func blocktimeString(ms int) string {

@@ -43,3 +43,31 @@ func TestVariableGolden(t *testing.T) {
 		t.Errorf("variable renderings hash to %s, want %s", got, variableGolden)
 	}
 }
+
+// TestAppendValueIsValue: AppendValue appends Value's bytes, for every
+// variable (and an unknown name) of every configuration a sweep can plan,
+// and allocates nothing into a buffer that has room.
+func TestAppendValueIsValue(t *testing.T) {
+	names := append(append(env.Names(), env.NestedNames()...), "NO_SUCH_VARIABLE")
+	buf := make([]byte, 0, 64)
+	for _, arch := range topology.Arches() {
+		m := topology.MustGet(arch)
+		for _, space := range [][]env.Config{env.Space(m), core.ExtendedSpace(m), core.NestedSpace(m)} {
+			for _, c := range space {
+				for _, v := range names {
+					if got := c.AppendValue(buf[:0], v); string(got) != c.Value(v) {
+						t.Fatalf("%s %s: AppendValue %q, Value %q", arch, c, got, c.Value(v))
+					}
+				}
+			}
+			c := space[len(space)-1]
+			if n := testing.AllocsPerRun(10, func() {
+				for _, v := range names {
+					buf = c.AppendValue(buf[:0], v)
+				}
+			}); n != 0 {
+				t.Errorf("%s %s: AppendValue allocates %.0f times", arch, c, n)
+			}
+		}
+	}
+}
