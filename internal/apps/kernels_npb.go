@@ -123,10 +123,10 @@ func btCoefficientTable(n int) []btBlocks {
 
 // solveBlockLine runs the block-Thomas algorithm on one grid line, whose
 // blocks coef holds position by position: forward elimination with per-cell
-// 5x5 LU solves, then back substitution.
-func solveBlockLine(line []bvec, coef []btBlocks) {
+// 5x5 LU solves, then back substitution. cp is scratch for the eliminated
+// upper blocks, one per cell of the line.
+func solveBlockLine(line []bvec, coef []btBlocks, cp []bmat) {
 	m := len(line)
-	cp := make([]bmat, m)
 	// Cell 0.
 	b0, c0 := coef[0].b, coef[0].c
 	cp[0] = c0
@@ -191,38 +191,31 @@ func kernelBT(rt *openmp.Runtime, scale float64) float64 {
 	u := slices.Clone(btInputs.get(scale))
 	coef := btCoef.get(scale)
 	idx := func(i, j, k int) int { return (i*n+j)*n + k }
+	// Each team thread solves its lines in its own stretch of the call's
+	// scratch: the line's n cells and its n eliminated upper blocks.
+	lines := make([]bvec, rt.NumThreads()*n)
+	cps := make([]bmat, rt.NumThreads()*n)
+	// sweep solves the n*n lines along one dimension, parallel over lines;
+	// cell(l, i) is the index in u of cell i of line l.
+	sweep := func(cell func(l, i int) int) {
+		rt.Parallel(func(th *openmp.Thread) {
+			t := th.ID()
+			line, cp := lines[t*n:(t+1)*n], cps[t*n:(t+1)*n]
+			th.For(n*n, func(l int) {
+				for i := range line {
+					line[i] = u[cell(l, i)]
+				}
+				solveBlockLine(line, coef, cp)
+				for i := range line {
+					u[cell(l, i)] = line[i]
+				}
+			})
+		})
+	}
 	for step := 0; step < 2; step++ {
-		// x-sweep: one block-tridiagonal system per (j,k) line.
-		rt.ParallelFor(n*n, func(jk int) {
-			j, k := jk/n, jk%n
-			line := make([]bvec, n)
-			for i := 0; i < n; i++ {
-				line[i] = u[idx(i, j, k)]
-			}
-			solveBlockLine(line, coef)
-			for i := 0; i < n; i++ {
-				u[idx(i, j, k)] = line[i]
-			}
-		})
-		// y-sweep.
-		rt.ParallelFor(n*n, func(ik int) {
-			i, k := ik/n, ik%n
-			line := make([]bvec, n)
-			for j := 0; j < n; j++ {
-				line[j] = u[idx(i, j, k)]
-			}
-			solveBlockLine(line, coef)
-			for j := 0; j < n; j++ {
-				u[idx(i, j, k)] = line[j]
-			}
-		})
-		// z-sweep: contiguous lines.
-		rt.ParallelFor(n*n, func(ij int) {
-			line := make([]bvec, n)
-			copy(line, u[ij*n:ij*n+n])
-			solveBlockLine(line, coef)
-			copy(u[ij*n:ij*n+n], line)
-		})
+		sweep(func(jk, i int) int { return idx(i, jk/n, jk%n) }) // x: one line per (j,k)
+		sweep(func(ik, j int) int { return idx(ik/n, j, ik%n) }) // y
+		sweep(func(ij, k int) int { return ij*n + k })           // z: contiguous lines
 	}
 	flat := make([]float64, 0, len(u)*blockDim)
 	for i := range u {

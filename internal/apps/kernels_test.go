@@ -206,7 +206,7 @@ func TestBlockThomasSolvesTheAssembledSystem(t *testing.T) {
 			set(i, i+1, &c)
 		}
 	}
-	solveBlockLine(line, btCoefficientTable(m))
+	solveBlockLine(line, btCoefficientTable(m), make([]bmat, m))
 	// Check residual of A*x against the original rhs.
 	for r := 0; r < dim; r++ {
 		s := 0.0
@@ -368,5 +368,20 @@ func TestKernelsLeaveInputsUnchanged(t *testing.T) {
 	}
 	for name := range inputs {
 		t.Errorf("no kernel %s", name)
+	}
+}
+
+// TestBTAllocsPerCall pins BT's allocations per call, inputs built: the
+// grid's copy, the per-thread line and block scratch, the flattened
+// checksum input and the sweep closures, whatever the grid size; no line
+// allocates.
+func TestBTAllocsPerCall(t *testing.T) {
+	rt := newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = 2 })
+	const want = 17
+	for _, scale := range []float64{1, 8} {
+		kernelBT(rt, scale) // builds the inputs at this scale
+		if got := testing.AllocsPerRun(5, func() { kernelBT(rt, scale) }); got != want {
+			t.Errorf("scale %g (n = %d): %.1f allocs a call, want %d", scale, scaleDim(10, scale, 1.0/3), got, want)
+		}
 	}
 }

@@ -146,11 +146,16 @@ func (e *Evaluator) Name() string { return dataset.SourceMeasured }
 // how many really ran. A failed measurement is an error naming the series,
 // never a panic: one bad configuration must not kill a campaign. So is a
 // series whose checksum is more than checksumTolerance from the app's
-// one-thread reference (apps.App.Reference): it computed something else.
+// one-thread reference (apps.App.Reference): it computed something else;
+// and one whose timed reps disagree on the counts its kernel's control flow
+// fixes (checkCounts): its reps ran different work.
 func (e *Evaluator) EvaluateSeries(m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) (slots [sim.Reps]float64, meta dataset.SeriesMeta, err error) {
 	s, err := e.measure(m, app, cfg, set)
 	if err == nil {
 		err = checkChecksum(s.Checksum, app.Reference(set.Scale))
+	}
+	if err == nil {
+		err = checkCounts(s.RepStats)
 	}
 	if err != nil {
 		return slots, meta, fmt.Errorf("measure: %s|%s|%s|%s: %w", m.Arch, app.Name, set.Label, key, err)
@@ -174,6 +179,22 @@ func checkChecksum(got, ref float64) error {
 		return nil
 	}
 	return fmt.Errorf("checksum %.17g, one-thread reference %.17g", got, ref)
+}
+
+// checkCounts reports timed reps that disagree with the first on regions
+// forked, loop chunks handed out or tasks run. A kernel fixes all three by
+// its control flow, whatever the schedule or the interleaving (openmp's
+// Stats are exact per rep), so a rep that differs ran different work. Sleeps,
+// wakeups and steals follow timing and are not compared.
+func checkCounts(reps []openmp.Stats) error {
+	for i := 1; i < len(reps); i++ {
+		r, f := reps[i], reps[0]
+		if r.Regions != f.Regions || r.Chunks != f.Chunks || r.TasksRun != f.TasksRun {
+			return fmt.Errorf("rep %d: %d regions, %d chunks, %d tasks run; rep 0: %d, %d, %d",
+				i, r.Regions, r.Chunks, r.TasksRun, f.Regions, f.Chunks, f.TasksRun)
+		}
+	}
+	return nil
 }
 
 // newRuntime builds the runtime a series measures on; a test seam for

@@ -179,6 +179,35 @@ func TestEvaluatorRejectsWrongChecksum(t *testing.T) {
 	}
 }
 
+// TestEvaluatorRejectsDriftingCounts: a series whose timed reps hand out
+// different numbers of loop chunks ran different work, and is an error
+// naming the series, even though its checksum matches.
+func TestEvaluatorRejectsDriftingCounts(t *testing.T) {
+	m := topology.MustGet(topology.A64FX)
+	calls := 0 // kernel calls so far: call k runs k nowait loops
+	fake := &apps.App{Name: "Fake", Kernel: func(rt *openmp.Runtime, _ float64) float64 {
+		calls++
+		rt.Parallel(func(th *openmp.Thread) {
+			for range calls {
+				th.ForNowait(100, func(int) {})
+			}
+		})
+		return 1
+	}}
+	e := NewEvaluator(Options{Warmup: 1, TimedReps: 3})
+	cfg := env.Default(m)
+	_, meta, err := e.EvaluateSeries(m, fake, cfg, cfg.Key(), testSetting())
+	if err == nil || !strings.Contains(err.Error(), "rep 1: 1 regions, 12 chunks, 0 tasks run; rep 0: 1, 8, 0") {
+		t.Fatalf("err = %v, want rep 1's chunk count against rep 0's", err)
+	}
+	if want := "a64fx|Fake|t4|" + cfg.Key(); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the series %q", err, want)
+	}
+	if meta != (dataset.SeriesMeta{}) {
+		t.Errorf("failed series carries provenance: %+v", meta)
+	}
+}
+
 func TestEvaluatorHonoursConfigAndSetting(t *testing.T) {
 	m := topology.MustGet(topology.A64FX)
 	app, err := apps.ByName("EP")

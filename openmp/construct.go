@@ -27,11 +27,13 @@ const constructRingSize = 64
 // unambiguous identity: claimed == seq<<1|1 can only ever mean construct
 // seq, never a recycled number.
 //
-// word is the active construct's whole shared state — a Single's winner
-// flag, a dynamic or guided loop's count of iterations handed out, an atomic
-// or critical reduction's accumulator — and mu is the critical reduction's
-// lock. The last release zeroes word before it frees the slot, so every
-// construct starts from zero and no construct publishes anything on entry.
+// word is the active construct's shared state — a Single's winner flag, a
+// guided loop's count of iterations handed out, an atomic or critical
+// reduction's accumulator — and mu is the critical reduction's lock. A
+// dynamic loop keeps its state in the team's steal words for the slot
+// instead (Team.stealWords). The last release zeroes word, and a dynamic
+// loop's steal words, before it frees the slot, so every construct starts
+// from zero and no construct publishes anything on entry.
 type constructSlot struct {
 	claimed atomic.Int64
 	done    atomic.Int32 // releases of the active construct
@@ -51,7 +53,7 @@ type constructSlot struct {
 // released it, and waits for the release. This cannot deadlock in a
 // conforming program: no construct between the two has a barrier (else the
 // thread could not be this far ahead), a nowait Single and a dynamic or
-// guided chunk claim never wait on a teammate, and OpenMP forbids a
+// guided chunk claim or steal never wait on a teammate, and OpenMP forbids a
 // worksharing region inside a critical one, so the teammate always reaches
 // its release. The wait spins under the zero policy, yielding between polls
 // and never parking, because a teammate's release posts to no parker.
@@ -81,13 +83,17 @@ func (r *constructRing) enter(seq int64) *constructSlot {
 
 // release marks the calling thread done with the slot's active construct and,
 // once every one of the n team threads has released it, zeroes the slot's
-// state and frees it. The zeroing happens before the claimed store, which
-// happens before the next claimant's CAS, which happens before any teammate
-// loads the claimed word it wrote: whoever enters the slot next sees a zero
-// word.
-func (slot *constructSlot) release(n int) {
+// state — its word and steal, the steal words of a dynamic loop (nil for any
+// other construct) — and frees it. The zeroing happens before the
+// claimed store, which happens before the next claimant's CAS, which happens
+// before any teammate loads the claimed word it wrote: whoever enters the
+// slot next sees zero words.
+func (slot *constructSlot) release(n int, steal []stealWord) {
 	if slot.done.Add(1) == int32(n) {
 		slot.word.Store(0)
+		for i := range steal {
+			steal[i].Store(0)
+		}
 		slot.done.Store(0)
 		slot.claimed.Add(-1) // clear the active bit: claimable again
 	}

@@ -73,7 +73,7 @@ func (th *Thread) reduce(local, identity float64, op func(a, b float64) float64)
 	}
 	th.Barrier()
 	out := math.Float64frombits(slot.word.Load() ^ id)
-	slot.release(n)
+	slot.release(n, nil)
 	return out
 }
 

@@ -58,6 +58,11 @@ type Team struct {
 	ring    constructRing
 	bar     barrier
 
+	// steal holds a dynamic loop's static-steal state: one padded word per
+	// thread per ring slot, slot-major (stealWords); nil unless the
+	// runtime's schedule is dynamic.
+	steal []stealWord
+
 	// tree is the tree reduction's double buffer: two halves of
 	// padStride(KMP_ALIGN_ALLOC) float64s per thread on a KMP_ALIGN_ALLOC
 	// boundary; nil unless the team's reductions resolve to the tree method.
@@ -113,6 +118,9 @@ func newTeam(rt *Runtime, parent *Thread, n int, transient bool) *Team {
 		pool:     &taskPool{deques: make([]taskDeque, n)},
 		implicit: make([]task, n),
 		tree:     treeBuffer(rt.opts, n),
+	}
+	if rt.opts.Schedule == ScheduleDynamic {
+		tm.steal = make([]stealWord, constructRingSize*n)
 	}
 	switch {
 	case transient:
@@ -428,6 +436,13 @@ func (th *Thread) enter() *constructSlot {
 	return th.team.ring.enter(th.seq)
 }
 
+// stealWords returns the team's steal words for the ring slot of construct
+// seq, one per thread.
+func (tm *Team) stealWords(seq int64) []stealWord {
+	i := int(seq&(constructRingSize-1)) * tm.n
+	return tm.steal[i : i+tm.n]
+}
+
 // Barrier blocks until every thread of the team has called it (inner-team
 // barriers involve only the inner team's threads).
 func (th *Thread) Barrier() { th.team.barrierWait(th, true) }
@@ -446,7 +461,7 @@ func (th *Thread) Single(fn func()) {
 	if slot.word.CompareAndSwap(0, 1) {
 		fn()
 	}
-	slot.release(th.team.n)
+	slot.release(th.team.n, nil)
 }
 
 // Critical runs fn under the process-wide named critical-section lock.
