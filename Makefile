@@ -78,8 +78,9 @@ fuzz:
 # benchmark/README.md).
 # BENCH selects the benchmarks (regexp); default covers the EPCC-style
 # overhead suite plus the whole-operation benchmarks it complements. The
-# campaign side rides along: the model sweep's throughput and the
-# configuration-key cost behind it, each search strategy on one problem per
+# campaign side rides along: the model sweep's throughput, the default
+# campaign's planning alone (every unit's kept list) and the
+# configuration-key cost behind them, each search strategy on one problem per
 # machine (300 evaluations, us/eval), one-shot sim.Evaluate calls and
 # Bound.Series on a bound problem (the model's cost without and with the
 # problem bound once), one logistic fit of the influence
@@ -91,7 +92,7 @@ fuzz:
 BENCH ?= .
 bench:
 	$(GO) test ./openmp -run '^$$' -bench '$(BENCH)' -benchtime=300ms -count=5 -benchmem
-	$(GO) test . ./internal/core ./internal/sim ./internal/ml ./internal/dataset -run '^$$' -bench 'TableII_SweepThroughput|EnvConfigKey|Search|Evaluate|BoundSeries|FitLogistic|FitRegForest|WriteCSV|ReadCSV|WriteReport' -benchtime=300ms -count=5 -benchmem
+	$(GO) test . ./internal/core ./internal/sim ./internal/ml ./internal/dataset -run '^$$' -bench 'TableII_SweepThroughput|PlanUnits|EnvConfigKey|Search|Evaluate|BoundSeries|FitLogistic|FitRegForest|WriteCSV|ReadCSV|WriteReport' -benchtime=300ms -count=5 -benchmem
 
 # bench-record runs one untraced 20 s pass of a benchmark workload and appends
 # one JSON line to BENCH_<workload>.json (OUT overrides the file): the workload

@@ -92,10 +92,10 @@ func bindSeries(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Settin
 }
 
 // series returns cfg's series, with EvaluateSeries' results; key must be
-// cfg.Key().
-func (ps *problemSeries) series(cfg env.Config, key string) ([sim.Reps]float64, dataset.SeriesMeta, error) {
+// cfg.Key() and keyHash sim.KeyHash(key), the seed the model reads.
+func (ps *problemSeries) series(cfg env.Config, key string, keyHash uint64) ([sim.Reps]float64, dataset.SeriesMeta, error) {
 	if ps.model {
-		return ps.bound.Series(cfg, key), dataset.SeriesMeta{}, nil
+		return ps.bound.Series(cfg, keyHash), dataset.SeriesMeta{}, nil
 	}
 	return ps.ev.EvaluateSeries(ps.m, ps.app, cfg, key, ps.set)
 }
@@ -104,7 +104,7 @@ func (ps *problemSeries) series(cfg env.Config, key string) ([sim.Reps]float64, 
 // measurements, the very quantity the study's speedups use; NaN for a
 // failed series. key must be cfg.Key().
 func (ps *problemSeries) mean(cfg env.Config, key string) (float64, error) {
-	runs, _, err := ps.series(cfg, key)
+	runs, _, err := ps.series(cfg, key, sim.KeyHash(key))
 	if err != nil {
 		return math.NaN(), err
 	}

@@ -7,7 +7,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -125,9 +127,18 @@ func samplePrefix(appName string, arch topology.Arch, setting string) uint64 {
 // keepHash reports whether the configuration whose sampling hash state is h
 // (the unit's prefix continued over the configuration's Key()) is part of
 // the sampled sweep: the hash of "app|arch|setting|key", mapped to [0, 1),
-// falls below frac.
-func keepHash(h uint64, frac float64) bool {
-	return frac >= 1 || float64(fnvFinish(h)>>11)/(1<<53) < frac
+// falls below frac, limit = keepLimit(frac).
+func keepHash(h, limit uint64) bool { return fnvFinish(h)>>11 < limit }
+
+// keepLimit is the sampling fraction as an integer bound on a hash's top 53
+// bits: for an integer x < 2^53, x/2^53 < frac exactly when x < ⌈frac·2^53⌉
+// (both scalings by 2^53 are exact), every x is below 2^53 at frac >= 1,
+// and none is below a NaN.
+func keepLimit(frac float64) uint64 {
+	if !(frac > 0) {
+		return 0
+	}
+	return uint64(math.Ceil(min(frac, 1) * (1 << 53)))
 }
 
 // sweepUnit is one (arch, app, setting) batch — the unit of parallelism and
@@ -153,32 +164,60 @@ func (u *sweepUnit) key() string {
 // sampleUnits applies the deterministic sampling rule to units that share
 // one table, without evaluating anything: the plan knows every unit's exact
 // sample set, hence exact progress totals, up front, and evalUnit walks only
-// what is kept. FNV-1a is one dependent xor-and-multiply per byte, so the
-// units go four at a time, their four chains advancing together over each
-// key's bytes; every chain takes the steps it would alone.
+// what is kept. FNV-1a is one dependent xor-and-multiply per byte, so each
+// unit's chain keeps its state after every byte of the key it last walked
+// and restarts the next key from the state at the prefix the two share
+// (table.shared): align is the innermost domain, so neighbouring keys differ
+// only in their last bytes. The units go four at a time, their chains
+// advancing together; every chain takes the steps it would alone over the
+// whole key.
 func sampleUnits(units []*sweepUnit) {
 	const prime = 0x100000001b3
+	if len(units) == 0 {
+		return
+	}
+	t := units[0].configTable
+	// st[k] holds the four chains' states after the first k bytes of the
+	// key walked last; st[0] is each unit's "app|arch|setting|" prefix.
+	st := make([][4]uint64, t.maxKey+1)
+	// Lane j writes every position into its row of rows and advances n[j]
+	// over the kept ones, so no branch waits on the keep rule's coin flip.
+	// A lane without a unit has limit 0 and keeps nothing.
+	nk := len(t.keys)
+	rows := make([]int32, 4*nk)
 	for ; len(units) > 0; units = units[min(4, len(units)):] {
 		g := units[:min(4, len(units))]
-		var h [4]uint64
+		var limit [4]uint64
+		def := [4]int{-1, -1, -1, -1}
 		for j, u := range g {
-			h[j] = samplePrefix(u.app.Name, u.arch, u.set.Label)
+			st[0][j] = samplePrefix(u.app.Name, u.arch, u.set.Label)
+			limit[j], def[j] = keepLimit(u.frac), u.defIdx
 		}
-		for i, key := range g[0].keys {
-			a, b, c, d := h[0], h[1], h[2], h[3]
-			for k := 0; k < len(key); k++ {
+		var n [4]int
+		for i, key := range t.keys {
+			k := int(t.shared[i])
+			a, b, c, d := st[k][0], st[k][1], st[k][2], st[k][3]
+			for ; k < len(key); k++ {
 				x := uint64(key[k])
 				a, b, c, d = (a^x)*prime, (b^x)*prime, (c^x)*prime, (d^x)*prime
+				st[k+1] = [4]uint64{a, b, c, d}
 			}
 			states := [4]uint64{a, b, c, d}
-			for j, u := range g {
-				if i == u.defIdx || keepHash(states[j], u.frac) {
-					u.kept = append(u.kept, int32(i))
+			for j := range states {
+				rows[j*nk+n[j]] = int32(i)
+				keep := 0
+				if keepHash(states[j], limit[j]) {
+					keep = 1
 				}
+				if i == def[j] {
+					keep = 1
+				}
+				n[j] += keep
 			}
 		}
-		for _, u := range g {
-			u.cfgCount = len(u.kept)
+		for j, u := range g {
+			u.kept = slices.Clone(rows[j*nk : j*nk+n[j]])
+			u.cfgCount = n[j]
 		}
 	}
 }
@@ -268,7 +307,7 @@ func evalUnit(u *sweepUnit, ev Evaluator) (out []*dataset.Sample, skipped int, e
 	}
 	ps := bindSeries(ev, u.m, u.app, u.set)
 	fill := func(s *dataset.Sample, i int32) bool {
-		runs, meta, err := ps.series(u.space[i], u.keys[i])
+		runs, meta, err := ps.series(u.space[i], u.keys[i], u.hashes[i])
 		if err != nil {
 			reportSkipped(err)
 			return false

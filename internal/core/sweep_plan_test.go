@@ -1,9 +1,13 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"omptune/internal/apps"
 	"omptune/internal/env"
+	"omptune/internal/sim"
 	"omptune/internal/topology"
 )
 
@@ -18,18 +22,72 @@ func TestPlanKeepsWhatTheConcatenatedHashKept(t *testing.T) {
 		t.Fatalf("planUnits: %v", err)
 	}
 	perArch := map[topology.Arch]int{}
+	for _, u := range units {
+		perArch[u.arch] += u.cfgCount
+	}
+	checkKeptAgainstConcatenation(t, units)
+	for arch, want := range map[topology.Arch]int{topology.A64FX: 53806, topology.Skylake: 90480, topology.Milan: 100019} {
+		if perArch[arch] != want {
+			t.Errorf("%s: plan samples %d configurations, Table II count %d", arch, perArch[arch], want)
+		}
+	}
+}
+
+// TestPlanKeepsOnEveryPlanShape runs the same reference over the plans with
+// the longest keys and the shortest shared prefixes: the extended space
+// (numa_domains places, six thread counts), the nested one (per-level
+// thread lists, level and thread limits appended after the flat space) and
+// both together.
+func TestPlanKeepsOnEveryPlanShape(t *testing.T) {
+	for _, sc := range []SweepConfig{{Extended: true}, {Nested: true}, {Extended: true, Nested: true}} {
+		units, err := planUnits(sc)
+		if err != nil {
+			t.Fatalf("planUnits(extended %v, nested %v): %v", sc.Extended, sc.Nested, err)
+		}
+		checkKeptAgainstConcatenation(t, units)
+	}
+}
+
+// TestPlanKeepsWithALongKey: the walk's saved states are sized from the
+// table's longest key, so a caller's space whose per-level thread list is
+// longer than any study key is sampled like any other. Five units cover a
+// full group of four and a lone one.
+func TestPlanKeepsWithALongKey(t *testing.T) {
+	m := topology.MustGet(topology.Milan)
+	app, err := apps.ByName("CG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := env.Default(m)
+	space := slices.DeleteFunc(env.Space(m)[:40], func(c env.Config) bool { return c == def })
+	long := def
+	long.NumThreadsList = strings.Repeat("48,", 120) + "2"
+	longer := long
+	longer.NumThreadsList += ",4"
+	space = append(space, long, def, longer, long)
+	table := newConfigTable(space, def)
+	if table.maxKey != len(longer.Key()) || table.maxKey < 400 {
+		t.Fatalf("maxKey %d, longest key %d bytes", table.maxKey, len(longer.Key()))
+	}
+	var units []*sweepUnit
+	for i, sets := 0, app.Settings(m); i < 5; i++ {
+		set := sets[i%len(sets)]
+		units = append(units, &sweepUnit{index: i, arch: m.Arch, m: m, app: app, set: set, frac: 0.5, configTable: table})
+	}
+	sampleUnits(units)
+	checkKeptAgainstConcatenation(t, units)
+}
+
+// checkKeptAgainstConcatenation checks every unit's kept list against the
+// concatenated-string reference, and each table it meets once: its keys,
+// seed hashes, shared prefixes, longest key and default position.
+func checkKeptAgainstConcatenation(t *testing.T, units []*sweepUnit) {
+	t.Helper()
 	checked := map[*configTable]bool{}
 	for _, u := range units {
 		if !checked[u.configTable] {
 			checked[u.configTable] = true
-			if len(u.keys) != len(u.space) {
-				t.Fatalf("%s: %d keys for %d configurations", u.arch, len(u.keys), len(u.space))
-			}
-			for i, cfg := range u.space {
-				if u.keys[i] != cfg.Key() {
-					t.Fatalf("%s: keys[%d] = %q, want %q", u.arch, i, u.keys[i], cfg.Key())
-				}
-			}
+			checkTableKeys(t, u.configTable)
 			if u.defIdx < 0 || u.space[u.defIdx] != env.Default(u.m) {
 				t.Fatalf("%s: defIdx %d does not locate the default", u.arch, u.defIdx)
 			}
@@ -49,12 +107,40 @@ func TestPlanKeepsWhatTheConcatenatedHashKept(t *testing.T) {
 				t.Fatalf("%s: kept[%d] = %d, reference %d", u.key(), n, u.kept[n], want[n])
 			}
 		}
-		perArch[u.arch] += u.cfgCount
 	}
-	for arch, want := range map[topology.Arch]int{topology.A64FX: 53806, topology.Skylake: 90480, topology.Milan: 100019} {
-		if perArch[arch] != want {
-			t.Errorf("%s: plan samples %d configurations, Table II count %d", arch, perArch[arch], want)
+}
+
+// checkTableKeys checks a table's per-key columns: keys[i] is the
+// configuration's key, hashes[i] the model's seed of it, shared[i] the
+// longest prefix keys[i] shares with keys[i-1], maxKey the longest key.
+func checkTableKeys(t *testing.T, tab *configTable) {
+	t.Helper()
+	if len(tab.keys) != len(tab.space) || len(tab.hashes) != len(tab.space) || len(tab.shared) != len(tab.space) {
+		t.Fatalf("%d keys, %d hashes, %d shared lengths for %d configurations", len(tab.keys), len(tab.hashes), len(tab.shared), len(tab.space))
+	}
+	longest := 0
+	for i, cfg := range tab.space {
+		key := cfg.Key()
+		if tab.keys[i] != key {
+			t.Fatalf("keys[%d] = %q, want %q", i, tab.keys[i], key)
 		}
+		if tab.hashes[i] != sim.KeyHash(key) {
+			t.Fatalf("hashes[%d] = %#x, sim.KeyHash(%q) = %#x", i, tab.hashes[i], key, sim.KeyHash(key))
+		}
+		n := 0
+		if i > 0 {
+			prev := tab.keys[i-1]
+			for n < len(key) && n < len(prev) && key[n] == prev[n] {
+				n++
+			}
+		}
+		if int(tab.shared[i]) != n {
+			t.Fatalf("shared[%d] = %d, keys %q and %q share %d bytes", i, tab.shared[i], tab.keys[max(i-1, 0)], key, n)
+		}
+		longest = max(longest, len(key))
+	}
+	if tab.maxKey != longest {
+		t.Fatalf("maxKey %d, longest key %d bytes", tab.maxKey, longest)
 	}
 }
 
@@ -124,4 +210,23 @@ func TestEvalUnitAllocsPerSample(t *testing.T) {
 	if perSample := allocs / float64(n); perSample >= 0.5 {
 		t.Errorf("evalUnit: %.0f allocs for %d samples = %.3f per sample, want < 0.5", allocs, n, perSample)
 	}
+}
+
+// BenchmarkPlanUnits times the default campaign's planning alone: every
+// unit's kept list over its machine's table (the tables are built on the
+// first call and shared from then on), the sampling the sweep's
+// throughput pays per Collect before it evaluates anything.
+func BenchmarkPlanUnits(b *testing.B) {
+	b.ReportAllocs()
+	kept := 0
+	for i := 0; i < b.N; i++ {
+		units, err := planUnits(SweepConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, u := range units {
+			kept += u.cfgCount
+		}
+	}
+	b.ReportMetric(float64(kept)/float64(b.N), "kept/op")
 }

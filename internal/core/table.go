@@ -4,22 +4,28 @@ import (
 	"sync"
 
 	"omptune/internal/env"
+	"omptune/internal/sim"
 	"omptune/internal/topology"
 )
 
 // configTable is a configuration space with what every consumer needs per
-// configuration: keys[i] is space[i].Key(), row(i) its env.Names()
-// features, defIdx the position of the default configuration defCfg (-1
-// when the space lacks it). newConfigTable, and aliasRepeats for a
-// caller's pool, build it; it is read-only from then on.
+// configuration: keys[i] is space[i].Key(), hashes[i] its series seed
+// sim.KeyHash(keys[i]), shared[i] the length of the prefix keys[i] shares
+// with keys[i-1] (the sampling walk's restart point), row(i) its
+// env.Names() features, defIdx the position of the default configuration
+// defCfg (-1 when the space lacks it). newConfigTable, and aliasRepeats for
+// a caller's pool, build it; it is read-only from then on.
 //
 // The study's space on a registered machine has one table per process
 // (machineTable), shared by the sweep plan, Calibrate and every
 // space-sampling search. Extended and nested sweeps and a caller's search
 // pool build their own through newConfigTable.
 type configTable struct {
-	space []env.Config
-	keys  []string
+	space  []env.Config
+	keys   []string
+	hashes []uint64
+	shared []int32
+	maxKey int // the longest key's length
 	// feats holds the feature rows back to back, tableFeatures wide.
 	feats  []float64
 	defCfg env.Config
@@ -39,10 +45,18 @@ func newConfigTable(space []env.Config, defCfg env.Config) *configTable {
 	nf := len(tableFeatures)
 	t := &configTable{
 		space: space[:len(space):len(space)], keys: make([]string, len(space)),
+		hashes: make([]uint64, len(space)), shared: make([]int32, len(space)),
 		feats: make([]float64, len(space)*nf), defCfg: defCfg, defIdx: -1,
 	}
+	prev := ""
 	for i, cfg := range space {
-		t.keys[i] = cfg.Key()
+		key := cfg.Key()
+		t.keys[i], t.hashes[i] = key, sim.KeyHash(key)
+		n := 0
+		for n < len(key) && n < len(prev) && key[n] == prev[n] {
+			n++
+		}
+		t.shared[i], t.maxKey, prev = int32(n), max(t.maxKey, len(key)), key
 		featureRow(cfg, t.feats[i*nf:(i+1)*nf])
 		if t.defIdx < 0 && cfg == defCfg {
 			t.defIdx = i

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
 
+	"omptune/internal/apps"
 	"omptune/internal/env"
+	"omptune/internal/sim"
 	"omptune/internal/topology"
 	"omptune/openmp"
 )
@@ -202,6 +205,35 @@ func TestSearchCustomPool(t *testing.T) {
 		if want := 1 + len(inPool); res.Evaluations != want || res.CacheHits != 0 || len(ev.asked) != want {
 			t.Errorf("surrogate: %d evaluations, %d cache hits, %d series; want the default and each of the %d pool configurations once",
 				res.Evaluations, res.CacheHits, len(ev.asked), len(inPool))
+		}
+	}
+}
+
+// TestTableHashesAreSeriesSeeds: a table's hashes are the seeds the model
+// reads, on every registered machine's table and on a nested table, so
+// Bound.Series under a table's hash is sim.Evaluate, repetition by
+// repetition, on a seeded draw of each machine's configurations.
+func TestTableHashesAreSeriesSeeds(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for _, m := range topology.All() {
+		nested := newConfigTable(NestedSpace(m), env.Default(m))
+		for _, tab := range []*configTable{machineTable(m), nested} {
+			checkTableKeys(t, tab)
+			for _, app := range append(apps.OnArch(m.Arch), apps.NestedOnArch(m.Arch)...) {
+				sets := app.Settings(m)
+				set := sets[rng.Intn(len(sets))]
+				b := sim.Bind(m, app.Profile, set)
+				for range 8 {
+					i := rng.Intn(len(tab.space))
+					got := b.Series(tab.space[i], tab.hashes[i])
+					for rep := range got {
+						if want := sim.Evaluate(m, app.Profile, tab.space[i], set, rep); got[rep] != want {
+							t.Fatalf("%s %s %s %s rep %d: Series under the table's hash %v, Evaluate %v",
+								m.Arch, app.Name, set.Label, tab.keys[i], rep, got[rep], want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -47,7 +47,7 @@ func TestBoundMatchesFrozenModel(t *testing.T) {
 			if got := sim.EvaluateExact(m, p, cfg, set); math.Float64bits(got) != math.Float64bits(exact) {
 				t.Fatalf("%s %s %s %s: EvaluateExact %v, frozen %v", m.Arch, p.Name, set.Label, key, got, exact)
 			}
-			if got := b.Series(cfg, key); got != want {
+			if got := b.Series(cfg, sim.KeyHash(key)); got != want {
 				t.Fatalf("%s %s %s %s: Bound.Series %v, frozen %v", m.Arch, p.Name, set.Label, key, got, want)
 			}
 			if got := sim.EvaluateSeries(m, p, cfg, key, set); got != want {
@@ -110,26 +110,26 @@ func BenchmarkEvaluate(b *testing.B) {
 
 // BenchmarkBoundSeries times Bound.Series over the study space of one
 // bound problem per machine (Nqueens at its first setting), as a search
-// probe that misses the cache evaluates it: keys are built beforehand, as
-// the configuration table holds them.
+// probe that misses the cache evaluates it: key hashes are computed
+// beforehand, as the configuration table holds them.
 func BenchmarkBoundSeries(b *testing.B) {
 	app, err := apps.ByName("Nqueens")
 	if err != nil {
 		b.Fatal(err)
 	}
 	type problem struct {
-		bound sim.Bound
-		space []env.Config
-		keys  []string
+		bound  sim.Bound
+		space  []env.Config
+		hashes []uint64
 	}
 	var probs []problem
 	for _, m := range topology.All() {
 		space := env.Space(m)
-		keys := make([]string, len(space))
+		hashes := make([]uint64, len(space))
 		for i, cfg := range space {
-			keys[i] = cfg.Key()
+			hashes[i] = sim.KeyHash(cfg.Key())
 		}
-		probs = append(probs, problem{sim.Bind(m, app.Profile, app.Settings(m)[0]), space, keys})
+		probs = append(probs, problem{sim.Bind(m, app.Profile, app.Settings(m)[0]), space, hashes})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -137,7 +137,7 @@ func BenchmarkBoundSeries(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := &probs[i%len(probs)]
 		j := (i * 7919) % len(p.space)
-		sum += p.bound.Series(p.space[j], p.keys[j])[0]
+		sum += p.bound.Series(p.space[j], p.hashes[j])[0]
 	}
 	if sum <= 0 {
 		b.Fatal("runtimes sum to", sum)

@@ -197,7 +197,8 @@ func avgDist(m *topology.Machine) float64 {
 // the model that does not read the configuration computed once: the work
 // growth, the Amdahl split, the affinity penalty, the schedule overheads,
 // the bandwidth and fork/join constants, the tasking costs and the noise
-// identity. Series evaluates one configuration of the problem. Evaluate,
+// identity. Series evaluates one configuration of the problem, named by
+// its key's seed (KeyHash). Evaluate,
 // EvaluateSeries and EvaluateExact bind for their one call, so the model
 // has one formula. Bind makes a Bound (the zero value is not one); it is
 // read-only from then on and safe for concurrent use.
@@ -407,7 +408,7 @@ type series struct {
 }
 
 // series does the per-configuration work once. keyHash must be
-// hashString(cfg.Key()).
+// KeyHash(cfg.Key()).
 func (b *Bound) series(cfg *env.Config, keyHash uint64) series {
 	base := splitmix64(splitmix64(b.prefix^keyHash) ^ b.label)
 	return series{
@@ -435,10 +436,10 @@ func (s series) at(rep int) float64 {
 }
 
 // Series returns the Reps runtimes, in seconds, of configuration cfg of the
-// bound problem; key must be cfg.Key(). Slot rep is Evaluate's repetition
-// rep, bit for bit.
-func (b *Bound) Series(cfg env.Config, key string) (out [Reps]float64) {
-	s := b.series(&cfg, hashString(key))
+// bound problem; keyHash must be KeyHash(cfg.Key()). Slot rep is
+// Evaluate's repetition rep, bit for bit.
+func (b *Bound) Series(cfg env.Config, keyHash uint64) (out [Reps]float64) {
+	s := b.series(&cfg, keyHash)
 	for rep := range out {
 		out[rep] = s.at(rep)
 	}
@@ -452,7 +453,7 @@ func Evaluate(m *topology.Machine, p *Profile, cfg env.Config, set Setting, rep 
 	var b Bound
 	b.bind(m, p, set)
 	var key [192]byte // as in env.Config.Key: the key is hashed, not kept
-	return b.series(&cfg, hashString(cfg.AppendKey(key[:0]))).at(rep)
+	return b.series(&cfg, KeyHash(cfg.AppendKey(key[:0]))).at(rep)
 }
 
 // EvaluateSeries returns Evaluate for every repetition, bit for bit, doing
@@ -461,7 +462,7 @@ func Evaluate(m *topology.Machine, p *Profile, cfg env.Config, set Setting, rep 
 func EvaluateSeries(m *topology.Machine, p *Profile, cfg env.Config, key string, set Setting) [Reps]float64 {
 	var b Bound
 	b.bind(m, p, set)
-	return b.Series(cfg, key)
+	return b.Series(cfg, KeyHash(key))
 }
 
 // EvaluateExact is Evaluate without measurement noise, drift or

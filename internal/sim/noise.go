@@ -40,6 +40,12 @@ func hashString[T string | []byte](s T) uint64 {
 	return splitmix64(h)
 }
 
+// KeyHash is the seed a configuration contributes to its series' noise: the
+// hash of its key, cfg.Key() or the bytes cfg.AppendKey writes. Bound.Series
+// takes it, so a caller that evaluates one configuration under many
+// problems hashes its key once.
+func KeyHash[T string | []byte](key T) uint64 { return hashString(key) }
+
 // seed combines identity parts into one deterministic stream seed.
 func seed(parts ...uint64) uint64 {
 	var h uint64 = 0x9e3779b97f4a7c15
