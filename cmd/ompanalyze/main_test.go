@@ -206,6 +206,10 @@ func TestRunValidation(t *testing.T) {
 		{"wilcoxon without setting", []string{"-wilcoxon", "Alignment"}, "APP,SETTING"},
 		{"unknown heatmap grouping", []string{"-heatmap", "suite"}, "app, arch or apparch"},
 		{"unknown app", []string{"-recommend", "Doom"}, "Doom"},
+		{"runtime-only recommend", []string{"-recommend", "LUNest"}, "LUNest has no model profile"},
+		{"runtime-only numa", []string{"-numa", "LUNest@a64fx"}, "LUNest has no model profile"},
+		{"runtime-only drill", []string{"-drill", "TreeNest@milan"}, "TreeNest has no model profile"},
+		{"runtime-only calibrate", []string{"-calibrate", "a64fx", "-calibrate-apps", "TreeNest"}, "TreeNest has no model profile"},
 		{"selector without arch", []string{"-numa", "Nqueens"}, "APP@ARCH"},
 		{"searchreport without data", []string{"-searchreport", "x.jsonl"}, "needs -data"},
 		{"compare without new csv", []string{"-compare", "old.csv"}, "positional argument"},

@@ -151,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return errors.New("-app is required (see -list)")
 	}
-	app, err := apps.ByName(*appName)
+	app, err := apps.KernelByName(*appName)
 	if err != nil {
 		return err
 	}

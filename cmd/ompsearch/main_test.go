@@ -33,6 +33,7 @@ func TestRunValidation(t *testing.T) {
 		{"max-time unparsable", []string{"-app", "Nqueens", "-max-time", "5 minutes"}, "-max-time"},
 		{"missing app", []string{"-strategy", "greedy"}, "-app is required"},
 		{"unknown app", []string{"-app", "Doom"}, "Doom"},
+		{"runtime-only app", []string{"-app", "TreeNest"}, "TreeNest has no model profile"},
 		{"unknown arch", []string{"-app", "Nqueens", "-arch", "riscv"}, "riscv"},
 		{"unknown setting", []string{"-app", "Nqueens", "-setting", "nope"}, `-setting "nope"`},
 		{"unknown backend", []string{"-app", "Nqueens", "-backend", "oracle"}, `-backend "oracle"`},

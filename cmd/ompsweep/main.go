@@ -95,7 +95,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		out        = fs.String("o", "-", "output CSV path ('-' = stdout)")
 		progress   = fs.Bool("progress", false, "print one line per completed setting to stderr")
 		extended   = fs.Bool("extended", false, "include numa_domains places and six thread counts (future-work coverage)")
-		nested     = fs.Bool("nested", false, "sweep the nesting axis: per-level OMP_NUM_THREADS lists, OMP_MAX_ACTIVE_LEVELS, OMP_THREAD_LIMIT, plus the nested apps")
 		shard      = fs.String("shard", "", "K/N: collect only the K-th of N application shards (merge CSVs afterwards)")
 		workers    = fs.Int("workers", 0, "concurrent setting batches (0 = one per CPU)")
 		checkpoint = fs.String("checkpoint", "", "journal completed settings here; rerun with the same flags to resume")
@@ -116,7 +115,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if *frac < 0 || *frac > 1 {
+	if !(*frac >= 0 && *frac <= 1) { // NaN included
 		return fmt.Errorf("-frac %v outside [0, 1]", *frac)
 	}
 
@@ -191,11 +190,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			for _, a := range apps.All() {
 				pool = append(pool, a.Name)
 			}
-			if *nested {
-				for _, a := range apps.NestedApps() {
-					pool = append(pool, a.Name)
-				}
-			}
 		}
 		var mine []string
 		for i, name := range pool {
@@ -218,7 +212,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		opt.OnProgress = func(ev core.ProgressEvent) { fmt.Fprintln(stderr, ev.String()) }
 	}
 	opt.Extended = *extended
-	opt.Nested = *nested
 
 	var srv *obs.Server
 	if mon != nil {

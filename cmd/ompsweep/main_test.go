@@ -32,6 +32,8 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{"frac negative", []string{"-frac", "-0.1"}, "-frac -0.1 outside [0, 1]"},
 		{"frac above one", []string{"-frac", "1.5"}, "-frac 1.5 outside [0, 1]"},
+		{"frac NaN", []string{"-frac", "NaN"}, "-frac NaN outside [0, 1]"},
+		{"runtime-only app", []string{"-apps", "LUNest"}, "LUNest has no model profile"},
 		{"unknown backend", []string{"-backend", "oracle"}, `-backend "oracle"`},
 		{"shard malformed", []string{"-shard", "3"}, `-shard wants K/N with 0 <= K < N, got "3"`},
 		{"shard out of range", []string{"-shard", "2/2"}, `got "2/2"`},

@@ -41,7 +41,7 @@ const (
 type App struct {
 	Name    string
 	Suite   Suite
-	Profile *sim.Profile
+	Profile *sim.Profile // nil for a runtime-only kernel (see runtimeOnly)
 	// VariesInput selects the sweep style of §IV-B: input-size variation at
 	// a fixed thread count (NPB, BOTS) vs. thread-count variation at the
 	// default input (proxies).
@@ -100,48 +100,25 @@ func All() []*App {
 	return out
 }
 
-// nestedRegistry holds the nested-parallelism applications this repo adds
-// beyond the paper's fifteen. They live in their own registry so All() —
-// and every dataset shape pinned on it — stays exactly the study's set;
-// nesting sweeps opt in through NestedApps/NestedOnArch.
-var nestedRegistry []*App
-
-func registerNested(a *App) *App {
-	nestedRegistry = append(nestedRegistry, a)
-	return a
-}
-
-// NestedApps returns the nested-parallelism applications in name order.
-func NestedApps() []*App {
-	out := make([]*App, len(nestedRegistry))
-	copy(out, nestedRegistry)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// NestedOnArch returns the nested applications available on arch (all of
-// them — the nesting study has no per-architecture exclusions).
-func NestedOnArch(arch topology.Arch) []*App {
-	var out []*App
-	for _, a := range NestedApps() {
-		if a.RunsOn(arch) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// ByName returns the named application, searching the study set first and
-// the nested-parallelism set second.
+// ByName returns the named study application. Every path that meets the
+// model resolves its applications through ByName, so it refuses a
+// runtime-only kernel, which has no model profile, by name.
 func ByName(name string) (*App, error) {
-	for _, a := range registry {
-		if a.Name == name {
-			return a, nil
-		}
+	a, err := KernelByName(name)
+	if err == nil && a.Profile == nil {
+		return nil, fmt.Errorf("apps: %s has no model profile: it runs only on the openmp runtime (omprun -app %s)", name, name)
 	}
-	for _, a := range nestedRegistry {
-		if a.Name == name {
-			return a, nil
+	return a, err
+}
+
+// KernelByName returns the named application for a run of its kernel on the
+// openmp runtime: a study application or a runtime-only kernel.
+func KernelByName(name string) (*App, error) {
+	for _, reg := range [][]*App{registry, runtimeOnly} {
+		for _, a := range reg {
+			if a.Name == name {
+				return a, nil
+			}
 		}
 	}
 	return nil, fmt.Errorf("apps: unknown application %q", name)

@@ -1,17 +1,14 @@
 package apps
 
-// Nested-parallelism applications: the two kernels this repo adds beyond
-// the paper's fifteen to exercise the nesting tunable axis
-// (OMP_NUM_THREADS per-level lists, OMP_MAX_ACTIVE_LEVELS,
-// OMP_THREAD_LIMIT). Both are registered in the separate nested registry —
-// see apps.go — so the study's dataset shape is untouched unless a sweep
-// opts into nesting.
+// Runtime-only kernels: the two this repo adds beyond the paper's fifteen to
+// exercise the runtime's nested teams (OMP_NUM_THREADS per-level lists,
+// OMP_MAX_ACTIVE_LEVELS, OMP_THREAD_LIMIT). They have no model profile and
+// are kept apart from the study's applications (see runtimeOnly).
 
 import (
 	"slices"
 	"sync/atomic"
 
-	"omptune/internal/sim"
 	"omptune/openmp"
 )
 
@@ -110,32 +107,10 @@ func kernelTreeNest(rt *openmp.Runtime, scale float64) float64 {
 	return float64(total.Load())
 }
 
-var luNestApp = registerNested(&App{
-	Name: "LUNest", Suite: NPB, VariesInput: true, Kernel: kernelLUNest,
-	Profile: &sim.Profile{
-		Name: "LUNest", Class: sim.LoopParallel,
-		// Blocked LU: the panel scale is serial, the trailing update is the
-		// nested bulk. Triangular shrinkage gives the outer loop its
-		// imbalance; the inner regions carry over half the flops.
-		SerialFrac: 0.02, CPUWorkGOps: 40, MemTrafficGB: 30, WorkGrowth: 1.3,
-		Regions: 800, ItersPerRegion: 120, Imbalance: 0.10,
-		NestedRegions: 6000, NestedFrac: 0.55,
-		MemSens: 0.70, MemSizeExp: 1.0, CacheSens: 0.30,
-	},
-})
-
-var treeNestApp = registerNested(&App{
-	Name: "TreeNest", Suite: BOTS, VariesInput: true, Kernel: kernelTreeNest,
-	Profile: &sim.Profile{
-		Name: "TreeNest", Class: sim.TaskParallel,
-		// Recursive task tree with worksharing leaves: modest flop count,
-		// many medium-grained tasks, and most of the work inside the leaf
-		// regions — the shape where per-level widths and the thread budget
-		// dominate.
-		SerialFrac: 0.01, CPUWorkGOps: 25, WorkGrowth: 1.1,
-		Regions: 30, ItersPerRegion: 256, Imbalance: 0.05,
-		Tasks: 30000, AvgTaskUS: 15, TaskIdleFactor: 1.2,
-		NestedRegions: 5000, NestedFrac: 0.70,
-		MemSens: 0.20, CacheSens: 0.15,
-	},
-})
+// runtimeOnly holds the kernels of this file. They have no model profile and
+// are no part of the study: ByName refuses them, and KernelByName finds them
+// for a run on the openmp runtime.
+var runtimeOnly = []*App{
+	{Name: "LUNest", Suite: NPB, VariesInput: true, Kernel: kernelLUNest},
+	{Name: "TreeNest", Suite: BOTS, VariesInput: true, Kernel: kernelTreeNest},
+}

@@ -278,7 +278,7 @@ func checkFrozen(t *testing.T, app string, scale, got float64) {
 	}
 }
 
-func everyKernel() []*App { return append(All(), NestedApps()...) }
+func everyKernel() []*App { return append(All(), runtimeOnly...) }
 
 func TestKernelChecksumsFrozen(t *testing.T) {
 	rt := newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = 1 })

@@ -1,40 +1,33 @@
 package apps
 
-// Tests for the nested-parallelism applications: registry separation,
-// checksum determinism across nesting configurations, and that the kernels
-// really execute nested regions (visible in the runtime's stats).
+// Tests for the runtime-only kernels: kept out of the study, checksum
+// determinism across nesting configurations, and that the kernels really
+// execute nested regions (visible in the runtime's stats).
 
 import (
+	"strings"
 	"testing"
 
-	"omptune/internal/topology"
 	"omptune/openmp"
 )
 
-func TestNestedRegistrySeparation(t *testing.T) {
+// TestRuntimeOnlyKernels: LUNest and TreeNest run on the runtime alone.
+// KernelByName finds them; ByName, which every model path resolves through,
+// refuses each by name; All, and so every study campaign, leaves them out.
+func TestRuntimeOnlyKernels(t *testing.T) {
 	if n := len(All()); n != 15 {
 		t.Fatalf("All() has %d apps; the study set is pinned at 15", n)
 	}
-	nested := NestedApps()
-	if len(nested) != 2 {
-		t.Fatalf("NestedApps() = %d apps, want 2 (LUNest, TreeNest)", len(nested))
-	}
-	if nested[0].Name != "LUNest" || nested[1].Name != "TreeNest" {
-		t.Errorf("NestedApps order %s, %s; want LUNest, TreeNest", nested[0].Name, nested[1].Name)
-	}
 	for _, name := range []string{"LUNest", "TreeNest"} {
-		a, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%s): %v", name, err)
+		if a, err := KernelByName(name); err != nil || a.Name != name || a.Kernel == nil {
+			t.Fatalf("KernelByName(%s) = %v, %v", name, a, err)
 		}
-		if a.Profile.NestedRegions <= 0 || a.Profile.NestedFrac <= 0 {
-			t.Errorf("%s profile has no nesting parameters", name)
+		if _, err := ByName(name); err == nil || !strings.Contains(err.Error(), name+" has no model profile") {
+			t.Errorf("ByName(%s) error %v, want one naming the app", name, err)
 		}
-		for _, arch := range topology.Arches() {
-			if !a.RunsOn(arch) {
-				t.Errorf("%s excluded on %s; nested apps run everywhere", name, arch)
-			}
-		}
+	}
+	if a, err := KernelByName("Nqueens"); err != nil || a.Profile == nil {
+		t.Errorf("KernelByName(Nqueens) = %v, %v; want the study application", a, err)
 	}
 }
 
@@ -54,7 +47,7 @@ func TestNestedKernelsDeterministicAcrossConfigs(t *testing.T) {
 			o.ThreadLimit = 4 // partial grants: some inner teams serialize
 		},
 	}
-	for _, a := range NestedApps() {
+	for _, a := range runtimeOnly {
 		var want float64
 		for i, mut := range mutations {
 			rt := newTestRuntime(t, mut)
@@ -74,7 +67,7 @@ func TestNestedKernelsDeterministicAcrossConfigs(t *testing.T) {
 // with a per-level width list configured, the runtime must report nested
 // regions after a run.
 func TestNestedKernelsForkNestedRegions(t *testing.T) {
-	for _, a := range NestedApps() {
+	for _, a := range runtimeOnly {
 		rt := newTestRuntime(t, func(o *openmp.Options) {
 			o.ThreadsPerLevel = []int{3, 2}
 			o.MaxActiveLevels = 2

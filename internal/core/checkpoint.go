@@ -33,9 +33,9 @@ type sweepManifest struct {
 	Arches    []string           `json:"arches"`
 	Fractions map[string]float64 `json:"fractions"`
 	Extended  bool               `json:"extended"`
-	// Nested records whether the campaign swept the nesting axis. Manifests
-	// written before the axis existed carry no field and read back as false —
-	// exactly the space those campaigns used.
+	// Nested is only read: it is true in the manifest of a campaign that
+	// swept the nesting axis, which no longer exists, so such a checkpoint
+	// cannot resume.
 	Nested bool   `json:"nested,omitempty"`
 	Shard  string `json:"shard,omitempty"`
 	// Backend is the measurement backend's identity (Evaluator.Name). Model
@@ -62,7 +62,6 @@ func manifestFor(sc SweepConfig, ev Evaluator, units []*sweepUnit) sweepManifest
 	man := sweepManifest{
 		Version:   manifestVersion,
 		Extended:  sc.Extended,
-		Nested:    sc.Nested,
 		Shard:     sc.Shard,
 		Backend:   orModel(ev).Name(),
 		Fractions: map[string]float64{},
@@ -83,6 +82,8 @@ func manifestFor(sc SweepConfig, ev Evaluator, units []*sweepUnit) sweepManifest
 // diff describes the first mismatch against other, or "" when equal.
 func (m sweepManifest) diff(other sweepManifest) string {
 	switch {
+	case other.Nested:
+		return "it swept the nesting axis, which was removed from the sweep"
 	case m.Version != other.Version:
 		return fmt.Sprintf("checkpoint format version %d vs %d", other.Version, m.Version)
 	case m.backendName() != other.backendName():
@@ -92,8 +93,6 @@ func (m sweepManifest) diff(other sweepManifest) string {
 		return fmt.Sprintf("shard spec %q vs %q", other.Shard, m.Shard)
 	case m.Extended != other.Extended:
 		return fmt.Sprintf("extended space %v vs %v", other.Extended, m.Extended)
-	case m.Nested != other.Nested:
-		return fmt.Sprintf("nested axis %v vs %v", other.Nested, m.Nested)
 	case strings.Join(m.Arches, ",") != strings.Join(other.Arches, ","):
 		return fmt.Sprintf("architectures %v vs %v", other.Arches, m.Arches)
 	case len(m.Units) != len(other.Units):

@@ -136,6 +136,7 @@ func FuzzCheckpointManifest(f *testing.F) {
 	mutate(func(m *sweepManifest) { m.Backend = "measured" })
 	mutate(func(m *sweepManifest) { m.Backend = "" }) // a pre-seam manifest: the model
 	mutate(func(m *sweepManifest) { m.Shard = "0/2" })
+	mutate(func(m *sweepManifest) { m.Nested = true })
 	mutate(func(m *sweepManifest) { m.Fractions[m.Arches[0]] /= 2 })
 	mutate(func(m *sweepManifest) { m.Units[1] += "x" })
 	mutate(func(m *sweepManifest) { m.Units = m.Units[:2] })

@@ -142,44 +142,6 @@ func ExtendedSpace(m *topology.Machine) []env.Config {
 	return out
 }
 
-// NestedSpace enumerates the sweep space extended along the nesting axis —
-// the tunable dimension this repo adds beyond the paper's seven variables.
-// Every configuration that is otherwise at default places, binding,
-// reduction and alignment gains one variant per (non-flat OMP_NUM_THREADS
-// list × OMP_MAX_ACTIVE_LEVELS × OMP_THREAD_LIMIT) combination; restricting
-// the nested variants to those configurations keeps the space bounded while
-// still crossing nesting with the schedule and wait-policy knobs it
-// actually interacts with.
-func NestedSpace(m *topology.Machine) []env.Config {
-	base := env.Space(m)
-	return append(append([]env.Config(nil), base...), nestedVariants(m)...)
-}
-
-// nestedVariants generates the nesting-axis configurations NestedSpace (and
-// a Nested sweep) appends to a base space.
-func nestedVariants(m *topology.Machine) []env.Config {
-	def := env.Default(m)
-	var out []env.Config
-	for _, c := range env.Space(m) {
-		if c.Places != def.Places || c.ProcBind != def.ProcBind ||
-			c.ForceReduction != def.ForceReduction || c.AlignAlloc != def.AlignAlloc {
-			continue
-		}
-		for _, list := range env.NumThreadsLists(m)[1:] { // skip the flat entry
-			for _, mal := range env.MaxActiveLevelsValues() {
-				for _, tl := range env.ThreadLimits(m) {
-					nc := c
-					nc.NumThreadsList = list
-					nc.MaxActiveLevels = mal
-					nc.ThreadLimit = tl
-					out = append(out, nc)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // ExtendedThreadSettings widens the thread-count exploration the paper
 // lists as a limitation (§VI): an eighth, quarter, three-eighths, half,
 // three-quarters and all of the machine.

@@ -9,7 +9,6 @@ import (
 	"omptune/internal/ml"
 	"omptune/internal/sim"
 	"omptune/internal/topology"
-	"omptune/openmp"
 )
 
 func TestCompareModelsForestDominatesLinear(t *testing.T) {
@@ -138,119 +137,6 @@ func TestExtendedSpaceAddsNUMAPlaces(t *testing.T) {
 	}
 	if !seenNUMA {
 		t.Error("extended space missing numa_domains configurations")
-	}
-}
-
-func TestNestedSpaceShape(t *testing.T) {
-	m := topology.MustGet(topology.Milan)
-	base := env.Space(m)
-	nested := NestedSpace(m)
-	variants := nestedVariants(m)
-	if len(variants) == 0 {
-		t.Fatal("nestedVariants is empty")
-	}
-	if len(nested) != len(base)+len(variants) {
-		t.Errorf("NestedSpace = %d configs, want base %d + variants %d",
-			len(nested), len(base), len(variants))
-	}
-	// The base prefix is untouched: position i of NestedSpace is position i
-	// of the flat space (checkpoint resumes of flat campaigns depend on it).
-	for i, c := range base {
-		if nested[i] != c {
-			t.Fatalf("NestedSpace[%d] differs from the flat space", i)
-		}
-	}
-	def := env.Default(m)
-	keys := map[string]bool{}
-	for _, c := range variants {
-		if c.NumThreadsList == "" {
-			t.Fatal("nested variant without a thread list")
-		}
-		if _, err := openmp.ParseThreadList(c.NumThreadsList); err != nil {
-			t.Fatalf("nested variant list %q: %v", c.NumThreadsList, err)
-		}
-		if c.Places != def.Places || c.ProcBind != def.ProcBind {
-			t.Fatal("nested variants must stay at default placement")
-		}
-		if keys[c.Key()] {
-			t.Fatalf("duplicate nested config %s", c.Key())
-		}
-		keys[c.Key()] = true
-		if err := c.Validate(m); err != nil {
-			t.Fatalf("nested variant invalid: %v", err)
-		}
-	}
-}
-
-func TestNestedSweepPlanAddsAppsAndSpace(t *testing.T) {
-	sc := SweepConfig{
-		Arches:   []topology.Arch{topology.Milan},
-		Fraction: map[topology.Arch]float64{topology.Milan: 0.01},
-		Nested:   true,
-	}
-	units, err := planUnits(sc)
-	if err != nil {
-		t.Fatalf("planUnits: %v", err)
-	}
-	m := topology.MustGet(topology.Milan)
-	wantSpace := len(NestedSpace(m))
-	appsSeen := map[string]bool{}
-	for _, u := range units {
-		appsSeen[u.app.Name] = true
-		if len(u.space) != wantSpace {
-			t.Fatalf("unit %s space = %d configs, want %d", u.key(), len(u.space), wantSpace)
-		}
-	}
-	for _, name := range []string{"LUNest", "TreeNest"} {
-		if !appsSeen[name] {
-			t.Errorf("nested sweep plan omits %s", name)
-		}
-	}
-	// Explicit app lists stay exactly as given — nested apps don't tag along.
-	sc.Apps = []string{"XSbench"}
-	units, err = planUnits(sc)
-	if err != nil {
-		t.Fatalf("planUnits: %v", err)
-	}
-	for _, u := range units {
-		if u.app.Name != "XSbench" {
-			t.Errorf("explicit app list grew a %s unit", u.app.Name)
-		}
-	}
-}
-
-func TestNestedSweepProducesNestedConfigs(t *testing.T) {
-	ds, err := RunSweep(SweepConfig{
-		Arches:   []topology.Arch{topology.Milan},
-		Apps:     []string{"LUNest"},
-		Fraction: map[topology.Arch]float64{topology.Milan: 0.02},
-		Nested:   true,
-	})
-	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
-	}
-	nestedSeen := false
-	for _, s := range ds.Samples {
-		if s.App != "LUNest" {
-			t.Fatalf("unexpected app %s", s.App)
-		}
-		if s.Config.NumThreadsList != "" {
-			nestedSeen = true
-		}
-	}
-	if !nestedSeen {
-		t.Error("nested sweep sampled no per-level thread-list configurations")
-	}
-}
-
-func TestCheckpointManifestPinsNestedAxis(t *testing.T) {
-	flat := sweepManifest{Version: manifestVersion}
-	nested := sweepManifest{Version: manifestVersion, Nested: true}
-	if d := flat.diff(nested); !strings.Contains(d, "nested") {
-		t.Errorf("manifest diff %q should flag the nested axis", d)
-	}
-	if d := nested.diff(nested); d != "" {
-		t.Errorf("identical manifests diff: %q", d)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,11 +110,11 @@ func TestEvalUnitDefaultMissingFromSpace(t *testing.T) {
 }
 
 func TestPlanUnitsRejectsBadFraction(t *testing.T) {
-	for _, bad := range []float64{-0.1, 1.5} {
+	for _, bad := range []float64{-0.1, 1.5, math.NaN()} {
 		sc := smallCampaign()
 		sc.Fraction[topology.A64FX] = bad
-		if _, err := RunSweep(sc); err == nil {
-			t.Errorf("fraction %v accepted", bad)
+		if _, err := RunSweep(sc); err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+			t.Errorf("fraction %v: error %v", bad, err)
 		}
 	}
 }
@@ -205,6 +206,35 @@ func TestCheckpointRejectsDifferentCampaign(t *testing.T) {
 	same.Shard = "0/2"
 	if _, err := RunSweep(same); err != nil {
 		t.Errorf("identical campaign rejected: %v", err)
+	}
+}
+
+// TestCheckpointManifestPinsNestedAxis: a checkpoint of a campaign that swept
+// the nesting axis, whose manifest says "nested": true, is refused with an
+// error that says the axis was removed, even where the rest of the spec
+// matches; a new manifest never says it.
+func TestCheckpointManifestPinsNestedAxis(t *testing.T) {
+	dir := t.TempDir()
+	sc := smallCampaign()
+	units, err := planUnits(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := manifestFor(sc, nil, units)
+	man.Nested = true
+	raw, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc.CheckpointDir = dir
+	if _, err := RunSweep(sc); err == nil || !strings.Contains(err.Error(), "nesting axis, which was removed") {
+		t.Errorf("nested checkpoint: error %v, want one saying the nesting axis was removed", err)
+	}
+	if man := manifestFor(sc, nil, units); man.Nested {
+		t.Error("a new manifest says the campaign swept the nesting axis")
 	}
 }
 

@@ -345,16 +345,16 @@ func TestSharedCacheAcrossSearches(t *testing.T) {
 // TestSharedCacheKeepsProblemsApart: a problem is its machine value, app,
 // setting and backend, so one cache shared by two machine values of one arch
 // (the registered model and a modified copy) and by two backends answers
-// each problem with its own values, on the study space's slots and on a
-// nested configuration outside it alike.
+// each problem with its own values, on the study space's slots and on an
+// extended configuration outside it alike.
 func TestSharedCacheKeepsProblemsApart(t *testing.T) {
 	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
 	fast := *m
 	fast.ClockGHz *= 2
-	nested := env.Default(m)
-	nested.NumThreadsList, nested.MaxActiveLevels = "4,2", 2
+	numa := env.Default(m)
+	numa.Places = topology.PlaceNUMA
 	cache := NewEvalCache()
-	for _, cfg := range []env.Config{env.Default(m), env.Space(m)[7], nested} {
+	for _, cfg := range []env.Config{env.Default(m), env.Space(m)[7], numa} {
 		type asked struct {
 			ev Evaluator
 			m  *topology.Machine

@@ -40,12 +40,6 @@ type SweepConfig struct {
 	// places in the configuration space and six thread counts instead of
 	// three for the thread-varied applications.
 	Extended bool
-	// Nested enables the nesting tunable axis: the configuration space
-	// gains per-level OMP_NUM_THREADS lists, OMP_MAX_ACTIVE_LEVELS and
-	// OMP_THREAD_LIMIT variants (see NestedSpace), and the nested-parallel
-	// applications (LUNest, TreeNest) join the campaign when Apps is
-	// nil. Composable with Extended (the nested variants are added on top).
-	Nested bool
 	// Workers bounds the number of setting batches evaluated concurrently;
 	// <= 0 means runtime.NumCPU(). The merged sample order is independent
 	// of the worker count (byte-identical CSV output).
@@ -243,28 +237,18 @@ func planUnits(sc SweepConfig) ([]*sweepUnit, error) {
 		if !ok {
 			frac = 1.0
 		}
-		if frac < 0 || frac > 1 {
+		if !(frac >= 0 && frac <= 1) { // NaN included
 			return nil, fmt.Errorf("core: fraction %v for %s outside [0, 1]", frac, arch)
 		}
 		appList, err := selectApps(arch, sc.Apps)
 		if err != nil {
 			return nil, err
 		}
-		if sc.Nested && sc.Apps == nil {
-			appList = append(appList, apps.NestedOnArch(arch)...)
-		}
 		// The arch's units share one table; the study space's is the
 		// machine's own, built once per process.
 		var table *configTable
-		if sc.Extended || sc.Nested {
-			space := env.Space(m)
-			if sc.Extended {
-				space = ExtendedSpace(m)
-			}
-			if sc.Nested {
-				space = append(space, nestedVariants(m)...)
-			}
-			table = newConfigTable(space, env.Default(m))
+		if sc.Extended {
+			table = newConfigTable(ExtendedSpace(m), env.Default(m))
 		} else {
 			table = machineTable(m)
 		}

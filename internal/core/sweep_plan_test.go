@@ -1,8 +1,8 @@
 package core
 
 import (
+	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"omptune/internal/apps"
@@ -33,25 +33,23 @@ func TestPlanKeepsWhatTheConcatenatedHashKept(t *testing.T) {
 	}
 }
 
-// TestPlanKeepsOnEveryPlanShape runs the same reference over the plans with
+// TestPlanKeepsOnEveryPlanShape runs the same reference over the plan with
 // the longest keys and the shortest shared prefixes: the extended space
-// (numa_domains places, six thread counts), the nested one (per-level
-// thread lists, level and thread limits appended after the flat space) and
-// both together.
+// (numa_domains places, six thread counts).
 func TestPlanKeepsOnEveryPlanShape(t *testing.T) {
-	for _, sc := range []SweepConfig{{Extended: true}, {Nested: true}, {Extended: true, Nested: true}} {
+	for _, sc := range []SweepConfig{{Extended: true}} {
 		units, err := planUnits(sc)
 		if err != nil {
-			t.Fatalf("planUnits(extended %v, nested %v): %v", sc.Extended, sc.Nested, err)
+			t.Fatalf("planUnits(extended %v): %v", sc.Extended, err)
 		}
 		checkKeptAgainstConcatenation(t, units)
 	}
 }
 
 // TestPlanKeepsWithALongKey: the walk's saved states are sized from the
-// table's longest key, so a caller's space whose per-level thread list is
-// longer than any study key is sampled like any other. Five units cover a
-// full group of four and a lone one.
+// table's longest key, so a caller's space whose integers render longer than
+// any study key's is sampled like any other. Five units cover a full group
+// of four and a lone one.
 func TestPlanKeepsWithALongKey(t *testing.T) {
 	m := topology.MustGet(topology.Milan)
 	app, err := apps.ByName("CG")
@@ -61,12 +59,12 @@ func TestPlanKeepsWithALongKey(t *testing.T) {
 	def := env.Default(m)
 	space := slices.DeleteFunc(env.Space(m)[:40], func(c env.Config) bool { return c == def })
 	long := def
-	long.NumThreadsList = strings.Repeat("48,", 120) + "2"
+	long.Places, long.AlignAlloc = topology.PlaceNUMA, math.MaxInt
 	longer := long
-	longer.NumThreadsList += ",4"
+	longer.BlocktimeMS = math.MinInt
 	space = append(space, long, def, longer, long)
 	table := newConfigTable(space, def)
-	if table.maxKey != len(longer.Key()) || table.maxKey < 400 {
+	if table.maxKey != len(longer.Key()) || table.maxKey < 125 { // the longest swept key is 102 bytes
 		t.Fatalf("maxKey %d, longest key %d bytes", table.maxKey, len(longer.Key()))
 	}
 	var units []*sweepUnit

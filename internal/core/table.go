@@ -18,8 +18,8 @@ import (
 //
 // The study's space on a registered machine has one table per process
 // (machineTable), shared by the sweep plan, Calibrate and every
-// space-sampling search. Extended and nested sweeps and a caller's search
-// pool build their own through newConfigTable.
+// space-sampling search. Extended sweeps and a caller's search pool build
+// their own through newConfigTable.
 type configTable struct {
 	space  []env.Config
 	keys   []string
@@ -142,7 +142,7 @@ func (tm *tableMemo) get(m *topology.Machine) *configTable {
 
 // spaceIndex addresses the study space of one machine, env.Space(m). A
 // configuration's position there is its mixed-radix number over the seven
-// domains in the space's nesting order — places, bind, schedule, library,
+// domains in the space's loop order — places, bind, schedule, library,
 // blocktime, reduction, align, the last varying fastest — which is also its
 // index in the machine's table. pos computes it from the fields, building
 // neither the space nor a key.
@@ -167,14 +167,11 @@ func newSpaceIndex(m *topology.Machine) spaceIndex {
 		len(libraries) * len(blocktimes) * len(reductions) * len(aligns)}
 }
 
-// pos returns c's position, or -1 for a configuration outside the space: a
-// nesting field set, or a value the sweep does not take. A probe computes it
+// pos returns c's position, or -1 for a configuration outside the space, one
+// with a value the sweep does not take. A probe computes it
 // on every lookup, of configurations in random order, so no digit branches
 // on which value it meets: each scans its whole domain.
 func (x spaceIndex) pos(c *env.Config) int {
-	if c.NumThreadsList != "" || c.MaxActiveLevels != 0 || c.ThreadLimit != 0 {
-		return -1
-	}
 	place, bind := digit(places, c.Places), digit(binds, c.ProcBind)
 	sched, lib := digit(schedules, c.Schedule), digit(libraries, c.Library)
 	bt, red := digit(blocktimes, c.BlocktimeMS), digit(reductions, c.ForceReduction)

@@ -66,8 +66,8 @@ func TestMachineTableContract(t *testing.T) {
 
 // TestSpaceIndexPosition: on every machine, and on a machine outside the
 // registry, the position computed from a configuration's fields is its index
-// in env.Space, and a configuration outside the space — a nesting field set
-// or a value the sweep does not take — has none.
+// in env.Space, and a configuration outside the space — one with a value the
+// sweep does not take — has none.
 func TestSpaceIndexPosition(t *testing.T) {
 	custom := *topology.MustGet(topology.Milan)
 	custom.Arch, custom.CacheLineBytes = "custom", 256
@@ -89,9 +89,6 @@ func TestSpaceIndexPosition(t *testing.T) {
 				t.Errorf("%s: %s (%s) has position %d, want none", m.Arch, what, cfg, got)
 			}
 		}
-		outside("nested list", func(c *env.Config) { c.NumThreadsList = "4,2" })
-		outside("max active levels", func(c *env.Config) { c.MaxActiveLevels = 2 })
-		outside("thread limit", func(c *env.Config) { c.ThreadLimit = m.Cores })
 		outside("numa places", func(c *env.Config) { c.Places = topology.PlaceNUMA })
 		outside("serial library", func(c *env.Config) { c.Library = openmp.LibSerial })
 		outside("blocktime 50", func(c *env.Config) { c.BlocktimeMS = 50 })
@@ -99,11 +96,6 @@ func TestSpaceIndexPosition(t *testing.T) {
 		for _, cfg := range ExtendedSpace(m)[len(space):] {
 			if got := x.pos(&cfg); got != -1 {
 				t.Fatalf("%s: extended %s has position %d, want none", m.Arch, cfg, got)
-			}
-		}
-		for _, cfg := range nestedVariants(m) {
-			if got := x.pos(&cfg); got != -1 {
-				t.Fatalf("%s: nested %s has position %d, want none", m.Arch, cfg, got)
 			}
 		}
 	}
@@ -210,16 +202,16 @@ func TestSearchCustomPool(t *testing.T) {
 }
 
 // TestTableHashesAreSeriesSeeds: a table's hashes are the seeds the model
-// reads, on every registered machine's table and on a nested table, so
+// reads, on every registered machine's table and on an extended table, so
 // Bound.Series under a table's hash is sim.Evaluate, repetition by
 // repetition, on a seeded draw of each machine's configurations.
 func TestTableHashesAreSeriesSeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	for _, m := range topology.All() {
-		nested := newConfigTable(NestedSpace(m), env.Default(m))
-		for _, tab := range []*configTable{machineTable(m), nested} {
+		extended := newConfigTable(ExtendedSpace(m), env.Default(m))
+		for _, tab := range []*configTable{machineTable(m), extended} {
 			checkTableKeys(t, tab)
-			for _, app := range append(apps.OnArch(m.Arch), apps.NestedOnArch(m.Arch)...) {
+			for _, app := range apps.OnArch(m.Arch) {
 				sets := app.Settings(m)
 				set := sets[rng.Intn(len(sets))]
 				b := sim.Bind(m, app.Profile, set)

@@ -24,8 +24,8 @@ type colGroup int
 const (
 	groupBase   colGroup = iota // the original 20 columns
 	groupSource                 // backend provenance: any sample not model-sourced
-	groupNested                 // nesting-axis configuration: any nested sample
 	groupMeta                   // series noise provenance: any sample carrying it
+	groupGone                   // read, never written: see goneCol
 )
 
 // column is one CSV column, in both directions: WriteCSV appends a sample's
@@ -54,7 +54,7 @@ var columns = slices.Concat(
 		intCol("threads", groupBase, func(s *Sample) *int { return &s.Threads }),
 		floatCol("scale", groupBase, func(s *Sample) *float64 { return &s.Scale }),
 	},
-	cfgCols(groupBase, env.Names()),
+	cfgCols(),
 	[]column{
 		floatCol("runtime_0", groupBase, func(s *Sample) *float64 { return &s.Runtimes[0] }),
 		floatCol("runtime_1", groupBase, func(s *Sample) *float64 { return &s.Runtimes[1] }),
@@ -75,7 +75,9 @@ var columns = slices.Concat(
 				return nil
 			}},
 	},
-	cfgCols(groupNested, env.NestedNames()),
+	// Files written before the nesting axis left the sweep carry its three
+	// columns ahead of the provenance group, blank in every flat row.
+	[]column{goneCol("omp_num_threads"), goneCol("omp_max_active_levels"), goneCol("omp_thread_limit")},
 	metaCols(
 		intCol("reps", groupMeta, func(s *Sample) *int { return &s.RepsRun }),
 		floatCol("cov", groupMeta, func(s *Sample) *float64 { return &s.CoV }),
@@ -111,6 +113,18 @@ func floatCol(name string, g colGroup, field func(*Sample) *float64) column {
 		}}
 }
 
+// goneCol is a column of a variable the sweep no longer takes: a file may
+// carry it, blank, and a cell that sets the variable is refused.
+func goneCol(name string) column {
+	return column{name: name, group: groupGone,
+		read: func(_ *CSVReader, cell string) error {
+			if cell != "" {
+				return fmt.Errorf("%q sets a variable the sweep no longer takes (the nesting axis was removed)", cell)
+			}
+			return nil
+		}}
+}
+
 // metaCols are the provenance columns, blank in the row of a sample without
 // provenance (a model row merged into a measured campaign), which is how the
 // reader tells it has none.
@@ -126,44 +140,37 @@ func metaCols(cols ...column) []column {
 	return cols
 }
 
-// cfgVars are the variables of the configuration columns, base then nested
-// (from cfgVars[cfgNested] on): a configuration's cells are kept in this
-// order on both sides.
-var cfgVars, cfgNested = func() []env.VarName {
-	vars := slices.Concat(env.Names(), env.NestedNames())
+// cfgVars are the variables of the configuration columns: a configuration's
+// cells are kept in this order on both sides.
+var cfgVars = func() []env.VarName {
+	vars := env.Names()
 	if len(vars) > maxCfgVars {
 		panic("dataset: more configuration variables than a cfgKey holds")
 	}
 	return vars
-}(), len(env.Names())
+}()
 
-// cfgCols are the configuration columns of the variables vars, one each,
-// named by the variable in lower case: written as the configuration's value
-// of it (see rowWrite.config), read back as the id of the cell (see cfgCell
-// and finish).
-func cfgCols(g colGroup, vars []env.VarName) []column {
-	cols := make([]column, len(vars))
-	for i, v := range vars {
-		k := slices.Index(cfgVars, v)
-		cols[i] = column{name: strings.ToLower(string(v)), group: g,
+// cfgCols are the configuration columns, one per variable, named by the
+// variable in lower case: written as the configuration's value of it (see
+// rowWrite.config), read back as the id of the cell (see cfgCell and
+// finish).
+func cfgCols() []column {
+	cols := make([]column, len(cfgVars))
+	for k, v := range cfgVars {
+		cols[k] = column{name: strings.ToLower(string(v)), group: groupBase,
 			write: func(w *rowWrite, _ *Sample) { w.b = append(w.b, w.arena[w.cfg[k]:w.cfg[k+1]]...) },
-			read:  func(p *CSVReader, cell string) error { p.cfgCell(k, g, cell); return nil }}
+			read:  func(p *CSVReader, cell string) error { p.cfgCell(k, cell); return nil }}
 	}
 	return cols
 }
 
-// groupNeeded returns the highest column group any sample needs. Dropping the
-// nesting columns would collapse configurations that differ only in the
-// nesting axis into indistinguishable rows.
+// groupNeeded returns the highest column group any sample needs.
 func (d *Dataset) groupNeeded() colGroup {
 	need := groupBase
 	for _, s := range d.Samples {
-		c := &s.Config
 		switch {
 		case s.HasSeriesMeta():
 			return groupMeta
-		case c.NumThreadsList != "" || c.MaxActiveLevels != 0 || c.ThreadLimit != 0:
-			need = groupNested
 		case need < groupSource && s.SourceName() != SourceModel:
 			need = groupSource
 		}
@@ -193,19 +200,14 @@ type rowWrite struct {
 
 type span struct{ from, to int }
 
-// config makes c the current sample's configuration. A nesting variable's
-// cell is blank where it is unset, which is how the reader tells.
+// config makes c the current sample's configuration.
 func (w *rowWrite) config(c env.Config) {
 	at, ok := w.configs[c]
 	if !ok {
 		at = len(w.ends)
-		for k, v := range cfgVars {
+		for _, v := range cfgVars {
 			from := len(w.arena)
-			w.arena = c.AppendValue(w.arena, v)
-			switch cell := w.arena[from:]; {
-			case k >= cfgNested && string(cell) == "0":
-				w.arena = w.arena[:from]
-			case needsQuotes(cell):
+			if w.arena = c.AppendValue(w.arena, v); needsQuotes(w.arena[from:]) {
 				w.arena = appendCell(w.arena[:from], c.Value(v))
 			}
 			w.ends = append(w.ends, int32(len(w.arena)))
@@ -361,10 +363,10 @@ type CSVReader struct {
 
 // maxCfgVars bounds the configuration variables, so that a cfgKey is a
 // small fixed-size value: keying a configuration allocates nothing.
-const maxCfgVars = 12
+const maxCfgVars = 7
 
 // cfgKey is a configuration as the reader keys it: the row's machine, and
-// for each of cfgVars the id of the row's cell, 0 where it has none.
+// for each of cfgVars the id of the row's cell.
 type cfgKey struct {
 	arch topology.Arch
 	ids  [maxCfgVars]int32
@@ -394,14 +396,9 @@ func (p *CSVReader) intern(cell string) string {
 	return s
 }
 
-// cfgCell sets the row's cell of the variable cfgVars[k], in the column
-// group g: its id, numbered from 1 in first-seen order and kept with a copy
-// of the cell. A blank nesting cell means the variable is unset.
-func (p *CSVReader) cfgCell(k int, g colGroup, cell string) {
-	if cell == "" && g == groupNested {
-		p.key.ids[k] = 0
-		return
-	}
+// cfgCell sets the row's cell of the variable cfgVars[k]: its id, numbered
+// from 1 in first-seen order and kept with a copy of the cell.
+func (p *CSVReader) cfgCell(k int, cell string) {
 	id, ok := p.cfgIDs[cfgCellKey{k, cell}]
 	if !ok {
 		kept := strings.Clone(cell)
@@ -440,10 +437,8 @@ func (p *CSVReader) finish() error {
 			return err
 		}
 		p.assign = p.assign[:0]
-		for k, id := range p.key.ids[:len(cfgVars)] {
-			if id != 0 {
-				p.assign = append(p.assign, env.Assignment{Name: cfgVars[k], Value: p.cfgCells[id-1]})
-			}
+		for k, id := range p.key.ids[:len(cfgVars)] { // every base column is read
+			p.assign = append(p.assign, env.Assignment{Name: cfgVars[k], Value: p.cfgCells[id-1]})
 		}
 		if cfg, err = env.ParseAssignments(m, p.assign); err != nil {
 			return fmt.Errorf("config: %w", err)

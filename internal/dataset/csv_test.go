@@ -52,11 +52,9 @@ func TestCSVWriterMatchesEncodingCSV(t *testing.T) {
 		s.Suite, s.Setting, s.Source = cell, "s"+cell, SourceMeasured
 		samples = append(samples, s)
 	}
-	nested := mkSample(topology.Milan, "LUNest", "small", 1.3)
-	nested.Config.NumThreadsList, nested.Config.ThreadLimit = "4,2", 16
 	withMeta := mkSample(topology.A64FX, "CG", "large", 1.1)
 	withMeta.RepsRun, withMeta.CoV, withMeta.CIRel = 7, 0.0123, 0.0345
-	out := regenerate(t, &Dataset{Samples: append(samples, nested, withMeta)})
+	out := regenerate(t, &Dataset{Samples: append(samples, withMeta)})
 	records, err := csv.NewReader(bytes.NewReader(out)).ReadAll()
 	if err != nil {
 		t.Fatalf("encoding/csv rejects the writer's output: %v", err)
@@ -249,9 +247,7 @@ func referenceCells(t testing.TB, header []string, s *Sample) []string {
 			if !slices.Contains(cfgVars, v) {
 				t.Fatalf("the writer wrote an unknown column %q", name)
 			}
-			if cells[i] = s.Config.Value(v); slices.Contains(env.NestedNames(), v) && cells[i] == "0" {
-				cells[i] = ""
-			}
+			cells[i] = s.Config.Value(v)
 		}
 	}
 	return cells
@@ -357,9 +353,6 @@ func TestCSVRowReuse(t *testing.T) {
 		"source":          func(s *Sample) { s.Source = SourceMeasured },
 		"source, quoted":  func(s *Sample) { s.Source = "my,backend" },
 		"config":          func(s *Sample) { s.Config.Schedule = openmp.ScheduleGuided },
-		"num_threads":     func(s *Sample) { s.Config.NumThreadsList = "4,2" },
-		"max_levels":      func(s *Sample) { s.Config.MaxActiveLevels = 2 },
-		"thread_limit":    func(s *Sample) { s.Config.ThreadLimit = 64 },
 		"reps":            func(s *Sample) { s.RepsRun, s.CoV, s.CIRel = 3, 0.125, 0.25 },
 		"reps alone":      func(s *Sample) { s.RepsRun = 5 },
 		"cov":             func(s *Sample) { s.CoV = 0.375 },
@@ -487,11 +480,11 @@ func FuzzCSVRowReuse(f *testing.F) {
 			case 8:
 				s.CoV = float64(v) / 8
 			case 9:
-				s.Config.NumThreadsList = []string{"", "4,2", "8"}[v%3]
+				s.Config.Schedule = env.Schedules()[v%4]
 			case 10:
-				s.Config.MaxActiveLevels = []int{0, 2, 3}[v%3]
+				s.Config.BlocktimeMS = env.Blocktimes()[v%3]
 			case 11:
-				s.Config.ThreadLimit = []int{0, 64, 128}[v%3]
+				s.Config.ForceReduction = env.Reductions()[v%4]
 			case 12:
 				s.Arch = []topology.Arch{topology.Milan, topology.Skylake}[v%2]
 				s.Config.AlignAlloc = 64

@@ -294,8 +294,6 @@ func TestReadCSVResolvesColumnsByName(t *testing.T) {
 // exactly so from the second pass on (the first may round floats to the
 // format's 10 significant digits).
 func FuzzReadCSV(f *testing.F) {
-	nested := mkSample(topology.Milan, "LUNest", "small", 1.3)
-	nested.Config.NumThreadsList, nested.Config.MaxActiveLevels = "64,2", 2
 	measured := mkSample(topology.A64FX, "CG", "small", 1.2)
 	measured.Source = SourceMeasured
 	withMeta := mkSample(topology.A64FX, "CG", "large", 1.1)
@@ -303,11 +301,13 @@ func FuzzReadCSV(f *testing.F) {
 	for _, ds := range []*Dataset{
 		{Samples: []*Sample{mkSample(topology.A64FX, "CG", "small", 1.5)}},
 		{Samples: []*Sample{measured}},
-		{Samples: []*Sample{nested, measured}},
 		{Samples: []*Sample{withMeta, measured}},
 	} {
 		f.Add(regenerate(f, ds))
 	}
+	legacy := withNestingColumns(regenerate(f, &Dataset{Samples: []*Sample{withMeta, measured}}), ",,")
+	f.Add(legacy)
+	f.Add(bytes.Replace(legacy, []byte(",,,7,"), []byte(",4,2,,7,"), 1))
 	f.Add([]byte(strings.Replace(baseHeader, "runtime_0,runtime_1", "runtime_1,runtime_0", 1) + "\n" + baseRow + "\n"))
 	f.Fuzz(func(t *testing.T, file []byte) {
 		d1, err := ReadCSV(bytes.NewReader(file))
@@ -425,49 +425,56 @@ func TestCSVLegacyFileReadsWithModelSource(t *testing.T) {
 	}
 }
 
-func TestCSVNestedConfigRoundTrip(t *testing.T) {
-	// A dataset with nesting-axis configurations writes the V3 header and
-	// round-trips the nested fields — without them, configurations differing
-	// only in the nesting axis would collapse into duplicate rows.
-	nested := mkSample(topology.Milan, "LUNest", "small", 1.3)
-	nested.Config.NumThreadsList = "4,2"
-	nested.Config.MaxActiveLevels = 2
-	nested.Config.ThreadLimit = 16
-	flat := mkSample(topology.Milan, "LUNest", "small", 1.1)
-	// The same cell in different nesting columns, the others blank: two
-	// configurations the reader's parse memo must keep apart.
-	levels := mkSample(topology.Milan, "LUNest", "small", 1.2)
-	levels.Config.MaxActiveLevels = 2
-	limit := mkSample(topology.Milan, "LUNest", "small", 1.2)
-	limit.Config.ThreadLimit = 2
-	ds := &Dataset{Samples: []*Sample{nested, flat, levels, limit}}
-	var buf bytes.Buffer
-	if err := ds.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
+// withNestingColumns returns file as the commits that swept the nesting axis
+// wrote it: the three nesting columns after source, their cells in every row
+// cells (",," for blank).
+func withNestingColumns(file []byte, cells string) []byte {
+	lines := strings.SplitAfter(string(file), "\n")
+	lines[0] = strings.Replace(lines[0], ",source,", ",source,omp_num_threads,omp_max_active_levels,omp_thread_limit,", 1)
+	for i := 1; i < len(lines); i++ {
+		lines[i] = strings.Replace(lines[i], ",measured,", ",measured,"+cells+",", 1)
 	}
-	head := strings.SplitN(buf.String(), "\n", 2)[0]
-	if !strings.HasSuffix(head, ",source,omp_num_threads,omp_max_active_levels,omp_thread_limit") {
-		t.Fatalf("V3 header missing nesting columns: %q", head)
-	}
-	back, err := ReadCSV(&buf)
+	return []byte(strings.Join(lines, ""))
+}
+
+// TestCSVLegacyNestingColumns: a file with the three nesting columns, which
+// every measured file carried while the sweep took the nesting axis, reads
+// sample for sample as the file without them when they are blank, and is
+// refused, naming the column and the row, when a cell sets the variable.
+func TestCSVLegacyNestingColumns(t *testing.T) {
+	adaptive := mkSample(topology.A64FX, "CG", "small", 1.2)
+	adaptive.Source, adaptive.RepsRun, adaptive.CoV, adaptive.CIRel = SourceMeasured, 7, 0.0123, 0.0345
+	plain := mkSample(topology.A64FX, "CG", "large", 1.1)
+	plain.Source, plain.RepsRun, plain.CoV, plain.CIRel = SourceMeasured, 3, 0.02, 0.04
+	file := regenerate(t, &Dataset{Samples: []*Sample{adaptive, plain}})
+	want, err := ReadCSV(bytes.NewReader(file))
 	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
+		t.Fatal(err)
 	}
-	for i, s := range ds.Samples {
-		if got := back.Samples[i].Config; got != s.Config {
-			t.Errorf("sample %d config round-trip = %+v, want %+v", i, got, s.Config)
+	legacy := withNestingColumns(file, ",,")
+	got, err := ReadCSV(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("blank nesting columns refused: %v\n%s", err, legacy)
+	}
+	if len(got.Samples) != len(want.Samples) {
+		t.Fatalf("read %d samples, want %d", len(got.Samples), len(want.Samples))
+	}
+	for i := range want.Samples {
+		if *got.Samples[i] != *want.Samples[i] {
+			t.Errorf("sample %d: read %+v, want %+v", i, *got.Samples[i], *want.Samples[i])
 		}
 	}
-	if back.Samples[0].Config.Key() == back.Samples[1].Config.Key() {
-		t.Error("nested and flat configs collapsed to the same key after round-trip")
+	if !bytes.Equal(regenerate(t, got), file) {
+		t.Error("a legacy file does not rewrite as the file without the nesting columns")
 	}
-	// Byte-identical on a second pass, the property checkpoint resume needs.
-	var buf2 bytes.Buffer
-	if err := back.WriteCSV(&buf2); err != nil {
-		t.Fatalf("WriteCSV(back): %v", err)
-	}
-	if buf2.String() == "" || !bytes.Equal(buf2.Bytes(), regenerate(t, ds)) {
-		t.Error("nested CSV not byte-stable across write-read-write")
+	for _, tc := range []struct{ cells, col string }{
+		{"4,,", "omp_num_threads"}, {",2,", "omp_max_active_levels"}, {",,0", "omp_thread_limit"},
+	} {
+		_, err := ReadCSV(bytes.NewReader(withNestingColumns(file, tc.cells)))
+		if want := "dataset: row 2 " + tc.col + ": "; err == nil || !strings.Contains(err.Error(), want) ||
+			!strings.Contains(err.Error(), "nesting axis was removed") {
+			t.Errorf("nesting cells %q: error %v, want one starting %q that says the axis was removed", tc.cells, err, want)
+		}
 	}
 }
 
@@ -482,8 +489,8 @@ func regenerate(t testing.TB, ds *Dataset) []byte {
 }
 
 func TestCSVFlatDatasetOmitsNestedColumns(t *testing.T) {
-	// Flat campaigns must stay byte-identical with pre-nesting files even
-	// when measured (V2): the nesting columns appear only when used.
+	// Measured files keep the V2 header: the writer never writes the
+	// nesting columns (see TestCSVLegacyNestingColumns).
 	measured := mkSample(topology.A64FX, "CG", "small", 1.2)
 	measured.Source = SourceMeasured
 	ds := &Dataset{Samples: []*Sample{measured}}
@@ -522,7 +529,7 @@ func TestCSVSeriesMetaRoundTrip(t *testing.T) {
 		t.Fatalf("WriteCSV: %v", err)
 	}
 	head := strings.SplitN(buf.String(), "\n", 2)[0]
-	if !strings.HasSuffix(head, ",omp_thread_limit,reps,cov,ci") {
+	if !strings.HasSuffix(head, ",source,reps,cov,ci") {
 		t.Fatalf("V4 header missing provenance columns: %q", head)
 	}
 	back, err := ReadCSV(&buf)
@@ -552,7 +559,7 @@ func TestCSVSeriesMetaRoundTrip(t *testing.T) {
 
 func TestCSVMetaFreeDatasetOmitsMetaColumns(t *testing.T) {
 	// Fixed-rep campaigns (no provenance) must keep their pre-V4 headers:
-	// measured stays V2, nested stays V3.
+	// measured stays V2.
 	measured := mkSample(topology.A64FX, "CG", "small", 1.2)
 	measured.Source = SourceMeasured
 	ds := &Dataset{Samples: []*Sample{measured}}

@@ -70,13 +70,10 @@ func PlaceKinds() []topology.PlaceKind {
 	}
 }
 
-// Config is one assignment to the seven studied environment variables, plus
-// the optional nesting axis (per-level thread lists, active-level and
-// thread-limit bounds). The four kinds are the openmp runtime's own, so each
-// spelling is its String() and each default rule its method. The nesting
-// fields are scalars with zero meaning "unset" so Config stays comparable
-// (dataset join keys) and a flat Config renders byte-identically to the
-// pre-nesting format.
+// Config is one assignment to the seven studied environment variables. The
+// four kinds are the openmp runtime's own, so each spelling is its String()
+// and each default rule its method. Config is comparable: datasets and
+// caches key on it.
 type Config struct {
 	Places         topology.PlaceKind     // OMP_PLACES
 	ProcBind       openmp.BindPolicy      // OMP_PROC_BIND
@@ -85,17 +82,6 @@ type Config struct {
 	BlocktimeMS    int                    // KMP_BLOCKTIME; openmp.BlocktimeInfinite = never sleep
 	ForceReduction openmp.ReductionMethod // KMP_FORCE_REDUCTION
 	AlignAlloc     int                    // KMP_ALIGN_ALLOC in bytes
-
-	// NumThreadsList is the OMP_NUM_THREADS per-level list as its canonical
-	// comma-separated string ("4,2"); empty means unset (the machine-wide
-	// flat default). Kept as a string so Config remains comparable.
-	NumThreadsList string
-	// MaxActiveLevels is OMP_MAX_ACTIVE_LEVELS; 0 means unset (nesting depth
-	// then follows the NumThreadsList length, or stays serialized).
-	MaxActiveLevels int
-	// ThreadLimit is OMP_THREAD_LIMIT, bounding the whole contention group
-	// across nesting levels; 0 means unset (unlimited).
-	ThreadLimit int
 }
 
 // Default returns the runtime's default configuration on machine m (§III):
@@ -140,14 +126,12 @@ func (c Config) Validate(m *topology.Machine) error {
 }
 
 // Key returns a stable, human-readable identifier for the configuration,
-// used as the dataset join key. Nesting fields are appended only when set,
-// so flat configurations keep their pre-nesting keys (existing datasets
-// stay joinable).
+// used as the dataset join key.
 //
 // The key is appended into a stack buffer: the returned string is the only
 // allocation.
 func (c Config) Key() string {
-	var buf [192]byte // the longest nested-space key is ~130 bytes
+	var buf [128]byte // the longest swept key is 102 bytes
 	return string(c.AppendKey(buf[:0]))
 }
 
@@ -165,17 +149,7 @@ func (c Config) AppendKey(b []byte) []byte {
 		b = strconv.AppendInt(b, int64(c.BlocktimeMS), 10)
 	}
 	b = append(append(b, "|red="...), c.ForceReduction.String()...)
-	b = strconv.AppendInt(append(b, "|align="...), int64(c.AlignAlloc), 10)
-	if c.NumThreadsList != "" {
-		b = append(append(b, "|nthreads="...), c.NumThreadsList...)
-	}
-	if c.MaxActiveLevels != 0 {
-		b = strconv.AppendInt(append(b, "|maxlevels="...), int64(c.MaxActiveLevels), 10)
-	}
-	if c.ThreadLimit != 0 {
-		b = strconv.AppendInt(append(b, "|threadlimit="...), int64(c.ThreadLimit), 10)
-	}
-	return b
+	return strconv.AppendInt(append(b, "|align="...), int64(c.AlignAlloc), 10)
 }
 
 // String implements fmt.Stringer with the Key representation.
@@ -219,9 +193,8 @@ type Assignment struct {
 // ParseAssignments builds a Config from assignments applied in order, with
 // the default rules of Default(m) for absent variables. Names and values are
 // trimmed, names upper-cased and values lower-cased; names the package does
-// not know are ignored, as a real runtime ignores foreign variables. Of the
-// values only OMP_NUM_THREADS's is kept as a string (NumThreadsList), so
-// that is the one a caller passes and must not overwrite. Parse is
+// not know are ignored, as a real runtime ignores foreign variables. No
+// value is kept: a caller may reuse the strings it passes. Parse is
 // ParseAssignments over KEY=VALUE entries.
 func ParseAssignments(m *topology.Machine, as []Assignment) (Config, error) {
 	c := Default(m)
@@ -231,10 +204,8 @@ func ParseAssignments(m *topology.Machine, as []Assignment) (Config, error) {
 			continue
 		}
 		val := strings.TrimSpace(strings.ToLower(a.Value))
-		// An exported nesting variable must carry a value: its unset spelling
-		// is how Set and Values say "not exported", not something to export.
 		var ok bool
-		if c, ok = row.set(c, val); !ok || row.nested && row.value(c) == row.unset {
+		if c, ok = row.set(c, val); !ok {
 			return Config{}, row.invalid(val)
 		}
 	}
@@ -287,59 +258,14 @@ const (
 	VarAlignAlloc     VarName = "KMP_ALIGN_ALLOC"
 )
 
-// The nesting-axis variables. They are deliberately NOT part of Names():
-// the canonical seven-variable feature order (and every dataset keyed on
-// it) is pinned; nesting sweeps opt in through NestedNames.
-const (
-	VarNumThreads      VarName = "OMP_NUM_THREADS"
-	VarMaxActiveLevels VarName = "OMP_MAX_ACTIVE_LEVELS"
-	VarThreadLimit     VarName = "OMP_THREAD_LIMIT"
-)
-
 // Names returns the canonical variable order.
-func Names() []VarName { return names(false) }
-
-// NestedNames returns the nesting-axis variable order, appended after
-// Names() when a sweep enables the nesting dimension.
-func NestedNames() []VarName { return names(true) }
-
-func names(nested bool) []VarName {
-	out := make([]VarName, 0, len(variables))
+func Names() []VarName {
+	out := make([]VarName, len(variables))
 	for i := range variables {
-		if variables[i].nested == nested {
-			out = append(out, variables[i].name)
-		}
+		out[i] = variables[i].name
 	}
 	return out
 }
-
-// NumThreadsLists returns the OMP_NUM_THREADS per-level lists swept when
-// the nesting axis is enabled on machine m: unset (flat full-machine
-// default), a depth-2 split forking 2-wide inner teams from a full-width
-// outer team, and a depth-3 split halving the outer team to leave headroom
-// for two threaded inner levels.
-func NumThreadsLists(m *topology.Machine) []string {
-	half := m.Cores / 2
-	if half < 1 {
-		half = 1
-	}
-	return []string{
-		"",
-		fmt.Sprintf("%d,2", m.Cores),
-		fmt.Sprintf("%d,2,2", half),
-	}
-}
-
-// MaxActiveLevelsValues returns the OMP_MAX_ACTIVE_LEVELS domain swept on
-// the nesting axis: unset (list-depth default), nesting capped at two
-// active levels, and at three.
-func MaxActiveLevelsValues() []int { return []int{0, 2, 3} }
-
-// ThreadLimits returns the OMP_THREAD_LIMIT domain swept on the nesting
-// axis: unset (unlimited), the core count (inner forks must serialize once
-// the outer team fills the machine), and twice the core count
-// (oversubscription headroom for nested teams).
-func ThreadLimits(m *topology.Machine) []int { return []int{0, m.Cores, 2 * m.Cores} }
 
 // variable is everything the package knows about one environment variable.
 // Validate, Parse, Environ, Set, Value, Values and Feature are loops or
@@ -347,8 +273,7 @@ func ThreadLimits(m *topology.Machine) []int { return []int{0, m.Cores, 2 * m.Co
 // a row, and a tag in Key. The accessors take the Config by value: through a
 // func value a pointer would move the caller's copy to the heap.
 type variable struct {
-	name   VarName
-	nested bool // on the nesting axis: listed by NestedNames, not Names
+	name VarName
 	// An optional variable is left unexported while its Value is unset.
 	optional bool
 	unset    string
@@ -366,48 +291,8 @@ type variable struct {
 	feature func(c Config) float64 // see Feature
 }
 
-// variables is in Environ order: the nesting axis, then the seven of Names.
+// variables is in Names order, which is also Environ order.
 var variables = [...]variable{
-	{name: VarNumThreads, nested: true, optional: true, unset: "",
-		domain: NumThreadsLists,
-		get:    func(c Config) string { return c.NumThreadsList },
-		set: func(c Config, s string) (Config, bool) {
-			if s == "" || s == "unset" {
-				c.NumThreadsList = ""
-				return c, true
-			}
-			list, err := openmp.ParseThreadList(s)
-			c.NumThreadsList = strings.Join(itoas(list), ",") // canonical: no spaces
-			return c, err == nil
-		},
-		valid: func(c Config, _ *topology.Machine) bool {
-			if c.NumThreadsList == "" {
-				return true
-			}
-			_, err := openmp.ParseThreadList(c.NumThreadsList)
-			return err == nil
-		},
-		// The list depth: 0 = unset/flat, 2 = depth-2 split, … roughly
-		// monotone in how much nesting the list enables.
-		feature: func(c Config) float64 {
-			if c.NumThreadsList == "" {
-				return 0
-			}
-			return float64(strings.Count(c.NumThreadsList, ",") + 1)
-		}},
-	{name: VarMaxActiveLevels, nested: true, optional: true, unset: "0",
-		domain:  func(*topology.Machine) []string { return itoas(MaxActiveLevelsValues()) },
-		count:   func(c Config) (int, bool) { return c.MaxActiveLevels, true },
-		set:     func(c Config, s string) (_ Config, ok bool) { c.MaxActiveLevels, ok = atoiCount(s); return c, ok },
-		valid:   func(c Config, _ *topology.Machine) bool { return c.MaxActiveLevels >= 0 },
-		feature: func(c Config) float64 { return float64(c.MaxActiveLevels) }},
-	{name: VarThreadLimit, nested: true, optional: true, unset: "0",
-		domain: func(m *topology.Machine) []string { return itoas(ThreadLimits(m)) },
-		count:  func(c Config) (int, bool) { return c.ThreadLimit, true },
-		set:    func(c Config, s string) (_ Config, ok bool) { c.ThreadLimit, ok = atoiCount(s); return c, ok },
-		valid:  func(c Config, _ *topology.Machine) bool { return c.ThreadLimit >= 0 },
-		// 0 = unset; the logarithm keeps the scale comparable.
-		feature: func(c Config) float64 { return log2i(c.ThreadLimit) }},
 	{name: VarPlaces, optional: true, unset: topology.PlaceUnset.String(),
 		domain:  func(*topology.Machine) []string { return spellings(PlaceKinds()) },
 		get:     func(c Config) string { return c.Places.String() },
@@ -497,9 +382,8 @@ func (c Config) Feature(v VarName) float64 {
 
 // Set assigns the given value (by string) to variable v, returning an
 // updated copy. It is used by the search-space-pruning tuner. Set accepts
-// what Parse accepts, plus the unset spelling Values lists for a nesting
-// variable; like Parse's, its result is Validate's to check against a
-// machine.
+// what Parse accepts; like Parse's, its result is Validate's to check
+// against a machine.
 func (c Config) Set(v VarName, value string) (Config, error) {
 	row := lookup(v)
 	if row == nil {

@@ -277,13 +277,36 @@ func TestKeyIsStableAndDistinct(t *testing.T) {
 	}
 }
 
-// TestConfigSize pins Config at nine word-sized integers (the four kinds are
-// the runtime's integer enums) and NumThreadsList's string header: 88 bytes
-// on a 64-bit machine.
-// Every dataset.Sample holds one and every probe copies one, so a kind that
-// came back as a string would cost 8 bytes and a pointer the collector scans.
+// TestFlatConfigBackCompat: the nesting variables are foreign to Config, as
+// any variable the package does not know: Key and Environ never name them,
+// and Parse ignores them, so an environment that sets them parses to the
+// configuration it would without them.
+func TestFlatConfigBackCompat(t *testing.T) {
+	m := topology.MustGet(topology.Milan)
+	c := Default(m)
+	if k := c.Key(); strings.Contains(k, "nthreads") || strings.Contains(k, "maxlevels") ||
+		strings.Contains(k, "threadlimit") {
+		t.Errorf("Key %q names a nesting variable", k)
+	}
+	for _, kv := range c.Environ() {
+		if strings.HasPrefix(kv, "OMP_NUM_THREADS") || strings.HasPrefix(kv, "OMP_MAX_ACTIVE_LEVELS") ||
+			strings.HasPrefix(kv, "OMP_THREAD_LIMIT") {
+			t.Errorf("Environ emits %q", kv)
+		}
+	}
+	got, err := Parse(m, append(c.Environ(), "OMP_NUM_THREADS=4,2", "OMP_MAX_ACTIVE_LEVELS=2", "OMP_THREAD_LIMIT=8"))
+	if err != nil || got != c {
+		t.Errorf("Parse with nesting variables = %s, %v; want %s", got, err, c)
+	}
+}
+
+// TestConfigSize pins Config at seven word-sized integers, one per variable
+// (the four kinds are the runtime's integer enums): 56 bytes on a 64-bit
+// machine. Every dataset.Sample holds one and every probe copies one, so a
+// kind that came back as a string would cost 8 bytes and a pointer the
+// collector scans.
 func TestConfigSize(t *testing.T) {
-	if got, want := unsafe.Sizeof(Config{}), 9*unsafe.Sizeof(0)+unsafe.Sizeof(""); got != want {
+	if got, want := unsafe.Sizeof(Config{}), 7*unsafe.Sizeof(0); got != want {
 		t.Errorf("unsafe.Sizeof(Config{}) = %d, want %d", got, want)
 	}
 }

@@ -12,25 +12,27 @@ import (
 )
 
 // variableGolden is the sha256 TestVariableGolden computes. It was recorded
-// by running this test, unchanged, at commit 9927307 — the last commit where
-// Validate, Environ, Parse, Feature, Set, Values and Value were seven
-// hand-written per-variable switches — so the variable table is held to the
-// bytes those switches produced.
-const variableGolden = "e4d9d150210a397636bd0f43de7b6c097bd8b6476de9085de0d5ee0097aec3ee"
+// by running this test, unchanged, at commit 8825f19 — the last commit whose
+// Config also held the nesting axis (per-level OMP_NUM_THREADS lists,
+// OMP_MAX_ACTIVE_LEVELS, OMP_THREAD_LIMIT) — so every rendering of the flat
+// and extended spaces is held to the bytes it had beside that axis. Its
+// predecessor, recorded at commit 9927307 over the nested space too, held the
+// variable table to the hand-written per-variable switches it replaced.
+const variableGolden = "875e7880b7d10f33bdba5fe2809be3c2ffcac8728d2f57e52f59d6a1220926aa"
 
 // TestVariableGolden hashes every rendering of every configuration a sweep
-// can plan: Key, Environ, and the Value and Feature of each flat and nested
-// variable (plus one unknown name), over the flat, extended and nested
-// spaces of the three machines, and each variable's swept domain.
+// can plan: Key, Environ, and the Value and Feature of each variable (plus
+// one unknown name), over the flat and extended spaces of the three
+// machines, and each variable's swept domain.
 func TestVariableGolden(t *testing.T) {
-	names := append(append(env.Names(), env.NestedNames()...), "NO_SUCH_VARIABLE")
+	names := append(env.Names(), "NO_SUCH_VARIABLE")
 	h := sha256.New()
 	for _, arch := range topology.Arches() {
 		m := topology.MustGet(arch)
 		for _, v := range names {
 			fmt.Fprintf(h, "%s %s %q\n", arch, v, env.Values(m, v))
 		}
-		for _, space := range [][]env.Config{env.Space(m), core.ExtendedSpace(m), core.NestedSpace(m)} {
+		for _, space := range [][]env.Config{env.Space(m), core.ExtendedSpace(m)} {
 			for _, c := range space {
 				fmt.Fprintf(h, "%s\n%s\n", c.Key(), strings.Join(c.Environ(), " "))
 				for _, v := range names {
@@ -48,11 +50,11 @@ func TestVariableGolden(t *testing.T) {
 // variable (and an unknown name) of every configuration a sweep can plan,
 // and allocates nothing into a buffer that has room.
 func TestAppendValueIsValue(t *testing.T) {
-	names := append(append(env.Names(), env.NestedNames()...), "NO_SUCH_VARIABLE")
+	names := append(env.Names(), "NO_SUCH_VARIABLE")
 	buf := make([]byte, 0, 64)
 	for _, arch := range topology.Arches() {
 		m := topology.MustGet(arch)
-		for _, space := range [][]env.Config{env.Space(m), core.ExtendedSpace(m), core.NestedSpace(m)} {
+		for _, space := range [][]env.Config{env.Space(m), core.ExtendedSpace(m)} {
 			for _, c := range space {
 				for _, v := range names {
 					if got := c.AppendValue(buf[:0], v); string(got) != c.Value(v) {

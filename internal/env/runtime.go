@@ -9,34 +9,21 @@ import (
 // Options on machine m — the bridge that lets every Config of the sweep
 // space reach a real openmp.Runtime instead of only the analytic model.
 //
-// The four kinds are the runtime's own and pass through as they are; the
-// thread list goes through the parser openmp.OptionsFromEnviron itself uses.
-// The abstract topology places (sockets, ll_caches, numa_domains) need a
+// The four kinds are the runtime's own and pass through as they are. The
+// abstract topology places (sockets, ll_caches, numa_domains) need a
 // machine model, which is why this bridge exists. NumThreads is set to the
 // machine's core count, the same default a full-machine run would use;
 // callers running a specific setting override it with the setting's thread
 // count.
 func (c Config) RuntimeOptions(m *topology.Machine) openmp.Options {
 	o := openmp.Options{
-		NumThreads:      m.Cores,
-		Schedule:        c.Schedule,
-		Bind:            c.ProcBind,
-		Library:         c.Library,
-		BlocktimeMS:     c.BlocktimeMS,
-		Reduction:       c.ForceReduction,
-		AlignAlloc:      c.AlignAlloc,
-		MaxActiveLevels: c.MaxActiveLevels,
-		ThreadLimit:     c.ThreadLimit,
-	}
-	if c.NumThreadsList != "" {
-		// Level 0 overrides the machine-wide default and the full list
-		// drives nested widths.
-		if list, err := openmp.ParseThreadList(c.NumThreadsList); err == nil {
-			o.NumThreads = list[0]
-			if len(list) > 1 {
-				o.ThreadsPerLevel = list
-			}
-		}
+		NumThreads:  m.Cores,
+		Schedule:    c.Schedule,
+		Bind:        c.ProcBind,
+		Library:     c.Library,
+		BlocktimeMS: c.BlocktimeMS,
+		Reduction:   c.ForceReduction,
+		AlignAlloc:  c.AlignAlloc,
 	}
 	if c.Places != topology.PlaceUnset {
 		// Resolve the place kind against the machine model, falling back to

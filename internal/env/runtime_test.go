@@ -164,3 +164,19 @@ func TestRuntimeOptionsStealOrderPrefersSameNUMA(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedRuntimeOptions: no swept configuration configures nested teams.
+// The bridge gives every one the machine-wide width and leaves the per-level
+// list and both nesting bounds at the runtime's defaults; a run sets them
+// through openmp.OptionsFromEnviron instead (omprun -set).
+func TestNestedRuntimeOptions(t *testing.T) {
+	for _, m := range topology.All() {
+		for _, c := range Space(m) {
+			o := c.RuntimeOptions(m)
+			if o.NumThreads != m.Cores || o.ThreadsPerLevel != nil || o.MaxActiveLevels != 0 || o.ThreadLimit != 0 {
+				t.Fatalf("%s %s: NumThreads %d, ThreadsPerLevel %v, MaxActiveLevels %d, ThreadLimit %d; want %d, nil, 0, 0",
+					m.Arch, c, o.NumThreads, o.ThreadsPerLevel, o.MaxActiveLevels, o.ThreadLimit, m.Cores)
+			}
+		}
+	}
+}

@@ -37,24 +37,17 @@ func TestKeyCoversTable(t *testing.T) {
 }
 
 // TestOneRulePerVariable drives Parse and Set (followed by Validate, as the
-// tuner does) with the same values. The two agree on everything but a
-// nesting variable's unset spelling, which Values lists and Set therefore
-// takes, and which exporting — Parse — rejects; and every rejection, from
-// Parse, Set or Validate, is worded the same.
+// tuner does) with the same values. The two agree on every value, and every
+// rejection, from Parse, Set or Validate, is worded the same.
 func TestOneRulePerVariable(t *testing.T) {
 	m := topology.MustGet(topology.Skylake)
 	type tc struct {
 		value      string
 		parse, set bool
 	}
-	ok, bad, unset := func(v string) tc { return tc{v, true, true} },
-		func(v string) tc { return tc{v, false, false} },
-		func(v string) tc { return tc{v, false, true} }
+	ok, bad := func(v string) tc { return tc{v, true, true} },
+		func(v string) tc { return tc{v, false, false} }
 	cases := map[VarName][]tc{
-		VarNumThreads: {ok("4,2"), ok(" 4 , 2 "), ok("36"), unset(""), unset("unset"),
-			bad("4,,2"), bad("4,"), bad("0"), bad("many"), bad("4,-1")},
-		VarMaxActiveLevels: {ok("2"), unset("0"), unset("00"), bad("-1"), bad("deep"), bad("")},
-		VarThreadLimit:     {ok("96"), unset("0"), bad("-1"), bad("lots"), bad("")},
 		VarPlaces: {ok("cores"), ok("unset"), ok("Sockets"), ok("numa_domains"), ok("threads"),
 			bad("clouds"), bad(""), bad("{0,1}"), bad("cores(4)")},
 		VarProcBind:       {ok("spread"), ok("unset"), ok("FALSE"), bad("left"), bad(""), bad("primary")},
@@ -130,10 +123,7 @@ func FuzzParse(f *testing.F) {
 		}
 
 		c.Places = topology.PlaceUnset
-		environ := c.Environ()
-		if c.NumThreadsList == "" {
-			environ = append(environ, "OMP_NUM_THREADS="+strconv.Itoa(m.Cores))
-		}
+		environ := append(c.Environ(), "OMP_NUM_THREADS="+strconv.Itoa(m.Cores))
 		ref, err := openmp.OptionsFromEnviron(environ)
 		if err != nil {
 			t.Fatalf("%s: OptionsFromEnviron(%q): %v", c, environ, err)

@@ -142,17 +142,6 @@ func refEvaluateExact(m *topology.Machine, p *Profile, cfg env.Config, set Setti
 		taskSec = (idle + spawn) * pl.oversub
 	}
 
-	nestSec := 0.0
-	if p.NestedRegions > 0 {
-		innerW := nestedInnerWidth(cfg, threads)
-		forks := p.NestedRegions * grow
-		innerStages := math.Log2(innerW + 1)
-		nestSec = forks * (forkBaseSec + float64(forkPerThreadSec*innerW) +
-			float64(barrierStageSec*innerStages*barrierAdj)) * clockAdj / float64(threads)
-		innerSpeed := math.Min(innerW, math.Max(1, float64(m.Cores)/float64(threads)))
-		nestSec += float64(cpuSec * p.NestedFrac * (1/innerSpeed - 1))
-	}
-
 	redSec := 0.0
 	if p.ReductionsPerRun > 0 {
 		var perRed float64
@@ -168,5 +157,5 @@ func refEvaluateExact(m *topology.Machine, p *Profile, cfg env.Config, set Setti
 		redSec = p.ReductionsPerRun * grow * perRed * clockAdj * af
 	}
 
-	return serialSec + cpuSec + imbalance + schedOver + memSec + forkSec + wakeSec + taskSec + redSec + nestSec
+	return serialSec + cpuSec + imbalance + schedOver + memSec + forkSec + wakeSec + taskSec + redSec
 }

@@ -13,15 +13,14 @@ import (
 )
 
 // studyDraws calls f with seeded configurations for every (machine, app,
-// setting) of the study, nested applications included: the default, then
-// draws from the study space with nested variants mixed in.
+// setting) of the study: the default, then draws from the extended space.
 func studyDraws(t *testing.T, perSetting int, f func(m *topology.Machine, p *sim.Profile, set sim.Setting, cfgs []env.Config)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20261017))
 	for _, arch := range topology.Arches() {
 		m := topology.MustGet(arch)
-		space := core.NestedSpace(m)
-		for _, app := range append(apps.All(), apps.NestedApps()...) {
+		space := core.ExtendedSpace(m)
+		for _, app := range apps.All() {
 			for _, set := range app.Settings(m) {
 				cfgs := []env.Config{env.Default(m)}
 				for range perSetting {

@@ -240,9 +240,6 @@ type Bound struct {
 	eventYield float64 // at a finite positive blocktime: the yield cost
 	spawn      float64
 
-	nestForks float64 // NestedRegions * grow
-	nestCores float64 // max(1, cores / threads): what an inner team can widen into
-
 	redScale    float64 // ReductionsPerRun * grow
 	redTree     float64
 	redCritical float64
@@ -343,11 +340,7 @@ func (b *Bound) bindModel(m *topology.Machine, p *Profile, set Setting) {
 		b.spawn = tasks * taskSpawnSec * clockAdj / ft
 	}
 
-	// --- Nested parallelism and reductions. --------------------------------
-	if p.NestedRegions > 0 {
-		b.nestForks = p.NestedRegions * grow
-		b.nestCores = math.Max(1, float64(m.Cores)/ft)
-	}
+	// --- Reductions. -------------------------------------------------------
 	if p.ReductionsPerRun > 0 {
 		sockets := float64(m.Sockets)
 		b.redScale = p.ReductionsPerRun * grow
@@ -544,25 +537,6 @@ func (b *Bound) exact(cfg *env.Config) float64 {
 		taskSec = (idle + b.spawn) * pl.oversub
 	}
 
-	// --- Nested parallelism. ----------------------------------------------
-	// Gated on the profile: flat applications (NestedRegions == 0) skip the
-	// term entirely, so pre-nesting sweeps evaluate byte-identically.
-	nestSec := 0.0
-	if p.NestedRegions > 0 {
-		innerW := nestedInnerWidth(*cfg, threads)
-		// Each outer thread forks its own inner regions concurrently, so the
-		// per-fork cost (base + per-inner-thread + inner join barrier)
-		// amortizes across the outer team.
-		innerStages := math.Log2(innerW + 1)
-		nestSec = b.nestForks * (forkBaseSec + float64(forkPerThreadSec*innerW) +
-			float64(barrierStageSec*innerStages*barrierAdj)) * b.clockAdj / b.fthreads
-		// The nested share of the parallel work speeds up by the inner width,
-		// but only idle cores can carry it: with the outer team already
-		// filling the machine, wider inner teams just oversubscribe.
-		innerSpeed := math.Min(innerW, b.nestCores)
-		nestSec += float64(cpuSec * p.NestedFrac * (1/innerSpeed - 1))
-	}
-
 	// --- Reductions. -------------------------------------------------------
 	redSec := 0.0
 	if p.ReductionsPerRun > 0 {
@@ -578,49 +552,5 @@ func (b *Bound) exact(cfg *env.Config) float64 {
 		redSec = b.redScale * perRed * b.clockAdj * af
 	}
 
-	return b.serialSec + cpuSec + imbalance + schedOver + memSec + forkSec + wakeSec + taskSec + redSec + nestSec
-}
-
-// nestedInnerWidth resolves the inner-team width a configuration grants a
-// level-1 fork, mirroring the openmp runtime's rules: the OMP_NUM_THREADS
-// list entry for level 1 (last entry extends), serialized to 1 when the
-// effective OMP_MAX_ACTIVE_LEVELS is below 2, and clamped by the
-// OMP_THREAD_LIMIT budget shared across the outer team's concurrent forks.
-func nestedInnerWidth(cfg env.Config, threads int) float64 {
-	list, err := openmp.ParseThreadList(cfg.NumThreadsList)
-	if cfg.NumThreadsList == "" || err != nil {
-		list = nil
-	}
-	levels := cfg.MaxActiveLevels
-	if levels == 0 {
-		if len(list) > 1 {
-			levels = len(list)
-		} else {
-			levels = 1
-		}
-	}
-	if levels < 2 {
-		return 1
-	}
-	w := 1.0
-	if len(list) > 0 {
-		idx := 1
-		if idx >= len(list) {
-			idx = len(list) - 1
-		}
-		w = float64(list[idx])
-	}
-	if cfg.ThreadLimit > 0 {
-		// The budget beyond the outer team is split across its threads'
-		// concurrent forks; each fork keeps its own thread regardless.
-		spare := float64(cfg.ThreadLimit-threads) / float64(threads)
-		if spare < 0 {
-			spare = 0
-		}
-		w = math.Min(w, 1+spare)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return b.serialSec + cpuSec + imbalance + schedOver + memSec + forkSec + wakeSec + taskSec + redSec
 }

@@ -49,16 +49,6 @@ type Profile struct {
 	// fine-grained tasking (NQueens) so sensitive to KMP_LIBRARY.
 	TaskIdleFactor float64
 
-	// NestedRegions is the number of nested (inner) parallel regions per run
-	// at scale 1; 0 for flat applications, which keeps the model's nesting
-	// term switched off entirely (existing profiles evaluate byte-identically).
-	NestedRegions float64
-	// NestedFrac is the share of the parallel CPU work executed inside
-	// nested regions; only meaningful when NestedRegions > 0. That work
-	// speeds up with the inner-team width the configuration grants (bounded
-	// by idle cores) and pays a per-fork overhead proportional to it.
-	NestedFrac float64
-
 	// MemSens scales how strongly the run suffers from non-local memory
 	// (0 = compute bound, 1 = fully bandwidth/latency bound).
 	MemSens float64

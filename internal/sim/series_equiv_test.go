@@ -14,14 +14,14 @@ import (
 // under the key's KeyHash, to Evaluate with == on every repetition: the
 // sweep's dataset and the searchers' objective are byte-pinned, so sharing
 // the repetition-independent work may not move a bit. The draw covers every
-// architecture, every application including the nested ones, every setting,
-// and flat as well as nested configurations.
+// architecture, every application, every setting, and configurations of the
+// extended space.
 func TestEvaluateSeriesMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(20241117))
 	for _, arch := range topology.Arches() {
 		m := topology.MustGet(arch)
-		space := core.NestedSpace(m)
-		for _, app := range append(apps.All(), apps.NestedApps()...) {
+		space := core.ExtendedSpace(m)
+		for _, app := range apps.All() {
 			for _, set := range app.Settings(m) {
 				b := sim.Bind(m, app.Profile, set)
 				for draw := 0; draw < 64; draw++ {
