@@ -4,9 +4,7 @@ GO ?= go
 
 # build also compiles and vets the benchmark/ module against this checkout:
 # it has its own go.mod, so `go build ./...` alone never sees a facade or
-# core rename that breaks the judge. The arm64 build keeps the portable fit
-# kernel compiling, and vetting internal/ml checks the lane kernel's
-# assembly frames (asmdecl).
+# core rename that breaks the judge.
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
@@ -15,14 +13,10 @@ build:
 		asm=$$(GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S $$pkg 2>&1) || { echo "$$asm" >&2; exit 1; }; \
 		! echo "$$asm" | grep -E '\bFN?M(ADD|SUB)D\b' || exit 1; \
 	done
-	$(GO) vet ./internal/ml
 	cd benchmark && GOWORK=off GOFLAGS=-mod=mod $(GO) build -o /dev/null ./... && GOWORK=off GOFLAGS=-mod=mod $(GO) vet ./...
 
-# test also holds the portable fit kernel (purego: no assembly) to the fit,
-# influence and report bit goldens, which the lane kernel runs on amd64.
 test: build
 	$(GO) test ./...
-	$(GO) test -tags purego ./internal/ml .
 
 vet:
 	$(GO) vet ./...
@@ -61,9 +55,8 @@ flake:
 # variables (with the differential between the two), the CSV format, the
 # search telemetry that ompanalyze -searchreport reads, the sweep's checkpoint
 # journal and manifest — and of internal/ml,
-# whose CART split kernel is held node-for-node to a frozen reference grower
-# and whose two logistic fit kernels are held to each other's bits, for 5 s
-# each, seed corpora first.
+# whose CART split kernel is held node-for-node to a frozen reference grower,
+# for 5 s each, seed corpora first.
 fuzz:
 	@for pkg in . ./openmp ./internal/env ./internal/dataset ./internal/core ./internal/ml; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
@@ -83,9 +76,8 @@ fuzz:
 # configuration-key cost behind them, each search strategy on one problem per
 # machine (300 evaluations, us/eval), one-shot sim.Evaluate calls and
 # Bound.Series on a bound problem (the model's cost without and with the
-# problem bound once), one logistic fit of the influence
-# heatmaps (50,000 x 10, 300 epochs) on each of its two kernels (simd,
-# portable), one fit of the surrogate search's regression forest (300 x 7,
+# problem bound once), one logistic fit of an influence-heatmap row
+# (50,000 x 10), one fit of the surrogate search's regression forest (300 x 7,
 # 12 trees), one write and one read of a 20,000-row dataset CSV and one
 # report pass over the facade's 24,497-sample dataset, with their
 # allocation counts.

@@ -183,6 +183,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if !ok {
 			return fmt.Errorf("-wilcoxon wants APP,SETTING")
 		}
+		if _, err := apps.ByName(strings.TrimSpace(app)); err != nil {
+			return err
+		}
 		ds, err := load()
 		if err != nil {
 			return err
@@ -251,6 +254,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *transfer != "" {
 		ran = true
+		if _, err := apps.ByName(*transfer); err != nil {
+			return err
+		}
 		ds, err := load()
 		if err != nil {
 			return err

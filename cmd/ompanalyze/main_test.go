@@ -206,6 +206,9 @@ func TestRunValidation(t *testing.T) {
 		{"wilcoxon without setting", []string{"-wilcoxon", "Alignment"}, "APP,SETTING"},
 		{"unknown heatmap grouping", []string{"-heatmap", "suite"}, "app, arch or apparch"},
 		{"unknown app", []string{"-recommend", "Doom"}, "Doom"},
+		{"unknown transfer app", []string{"-transfer", "Doom"}, `unknown application "Doom"`},
+		{"unknown wilcoxon app", []string{"-wilcoxon", "Doom,small"}, `unknown application "Doom"`},
+		{"runtime-only transfer", []string{"-transfer", "LUNest"}, "LUNest has no model profile"},
 		{"runtime-only recommend", []string{"-recommend", "LUNest"}, "LUNest has no model profile"},
 		{"runtime-only numa", []string{"-numa", "LUNest@a64fx"}, "LUNest has no model profile"},
 		{"runtime-only drill", []string{"-drill", "TreeNest@milan"}, "TreeNest has no model profile"},

@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		appName   = fs.String("app", "", "application to run (see -list)")
 		scale     = fs.Float64("scale", 1.0, "input scale relative to the self-test size")
 		setFlag   = fs.String("set", "", "comma-separated KEY=VALUE overrides")
-		list      = fs.Bool("list", false, "list the available applications")
+		list      = fs.Bool("list", false, "list the available applications and runtime-only kernels")
 		warmup    = fs.Int("warmup", 0, "untimed warmup runs before the timed repetitions")
 		reps      = fs.Int("reps", 1, "timed repetitions (the runtime is reused across them)")
 		jsonOut   = fs.Bool("json", false, "emit the measurement series as JSON on stdout")
@@ -138,9 +138,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *list {
-		for _, a := range apps.All() {
+		for _, a := range append(apps.All(), apps.RuntimeOnly()...) {
 			style := "thread-count sweep"
-			if a.VariesInput {
+			switch {
+			case a.Profile == nil:
+				style = "runtime only (no model profile, not in the study)"
+			case a.VariesInput:
 				style = "input-size sweep"
 			}
 			fmt.Fprintf(stdout, "%-10s %-6s %s\n", a.Name, a.Suite, style)

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"omptune/internal/apps"
 	"omptune/openmp/profile"
 	"omptune/openmp/trace"
 )
@@ -152,6 +153,32 @@ func TestProfiledTaskKernel(t *testing.T) {
 	}
 	if lines == 0 || !compute {
 		t.Errorf("folded output: %d lines, compute leaf %v", lines, compute)
+	}
+}
+
+// TestListShowsRuntimeOnlyKernels: -list names every kernel -app runs, the
+// study's applications and the runtime-only kernels, and marks the latter.
+func TestListShowsRuntimeOnlyKernels(t *testing.T) {
+	var out, errb bytes.Buffer
+	if err := run([]string{"-list"}, &out, &errb); err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		lines[strings.Fields(line)[0]] = line
+	}
+	for _, a := range apps.All() {
+		if line, ok := lines[a.Name]; !ok || strings.Contains(line, "runtime only") {
+			t.Errorf("study application %s: line %q, want one not marked runtime only", a.Name, line)
+		}
+	}
+	for _, name := range []string{"LUNest", "TreeNest"} {
+		if line := lines[name]; !strings.Contains(line, "runtime only") {
+			t.Errorf("%s: line %q, want one marked runtime only", name, line)
+		}
+	}
+	if want := len(apps.All()) + 2; len(lines) != want {
+		t.Errorf("-list printed %d kernels, want %d:\n%s", len(lines), want, out.String())
 	}
 }
 

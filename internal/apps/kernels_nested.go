@@ -114,3 +114,7 @@ var runtimeOnly = []*App{
 	{Name: "LUNest", Suite: NPB, VariesInput: true, Kernel: kernelLUNest},
 	{Name: "TreeNest", Suite: BOTS, VariesInput: true, Kernel: kernelTreeNest},
 }
+
+// RuntimeOnly returns the runtime-only kernels: KernelByName finds them,
+// ByName refuses them.
+func RuntimeOnly() []*App { return slices.Clone(runtimeOnly) }

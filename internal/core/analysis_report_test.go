@@ -46,7 +46,7 @@ func TestAnalysisReport(t *testing.T) {
 		fmt.Fprintf(&b, "  %-20s = %-12s lift %.2f\n", w.Variable, w.Value, w.Lift)
 	}
 
-	opt := ml.LogisticOptions{Epochs: 120}
+	opt := ml.LogisticOptions{}
 	fig3, err := InfluenceHeatmap(ds, PerArch, opt)
 	if err != nil {
 		t.Fatalf("fig3: %v", err)

@@ -72,7 +72,8 @@ func (c *EvalCache) Mean(ev Evaluator, mc *topology.Machine, app *apps.App, cfg 
 		return sec, true
 	}
 	ps := bindSeries(ev, mc, app, set)
-	sec, _ = c.fill(b, &ps, &cfg, pos, cfg.Key())
+	key := cfg.Key()
+	sec, _ = c.fill(b, &ps, &cfg, pos, key, sim.KeyHash(key))
 	return sec, false
 }
 
@@ -114,14 +115,14 @@ func (c *EvalCache) lookup(b *evalBlock, cfg *env.Config, pos int) (sec float64,
 	return sec, ok
 }
 
-// fill runs the series of cfg (key = cfg.Key()) on a lookup's miss and
-// stores its mean, NaN for a failed series; err is the backend's. The series
-// runs outside the lock: a measured-backend evaluation can take seconds, and
-// holding the lock would serialize unrelated problems. Searches are
-// sequential today, so the benign race (two goroutines computing the same
-// configuration; first store wins) costs nothing.
-func (c *EvalCache) fill(b *evalBlock, ps *problemSeries, cfg *env.Config, pos int, key string) (sec float64, err error) {
-	sec, err = ps.mean(*cfg, key)
+// fill runs the series of cfg (key = cfg.Key(), keyHash = sim.KeyHash(key))
+// on a lookup's miss and stores its mean, NaN for a failed series; err is the
+// backend's. The series runs outside the lock: a measured-backend evaluation
+// can take seconds, and holding the lock would serialize unrelated problems.
+// Searches are sequential today, so the benign race (two goroutines
+// computing the same configuration; first store wins) costs nothing.
+func (c *EvalCache) fill(b *evalBlock, ps *problemSeries, cfg *env.Config, pos int, key string, keyHash uint64) (sec float64, err error) {
+	sec, err = ps.mean(*cfg, key, keyHash)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if pos >= 0 {
@@ -171,19 +172,20 @@ func (c *EvalCache) bindProblem(ev Evaluator, m *topology.Machine, app *apps.App
 	return boundProblem{c, c.block(m, app, set, ev.Name()), bindSeries(ev, m, app, set)}
 }
 
-// mean is the cached objective of cfg. key is cfg.Key(), or "" when the
-// caller has not built it: the key is built only on a miss, where the
-// backend and the series seed need it, and returned either way ("" on a
-// hit the caller did not key). err is the backend's, returned on the one
-// miss that ran the failed series.
-func (p *boundProblem) mean(cfg *env.Config, key string) (sec float64, _ string, hit bool, err error) {
+// mean is the cached objective of cfg. key is cfg.Key() and keyHash its
+// sim.KeyHash, or key is "" when the caller has not built it: both are
+// built only on a miss, where the backend and the series seed need them,
+// and the key is returned either way ("" on a hit the caller did not key).
+// err is the backend's, returned on the one miss that ran the failed series.
+func (p *boundProblem) mean(cfg *env.Config, key string, keyHash uint64) (sec float64, _ string, hit bool, err error) {
 	pos := p.blk.space.pos(cfg)
 	if sec, hit = p.cache.lookup(p.blk, cfg, pos); hit {
 		return sec, key, true, nil
 	}
 	if key == "" {
 		key = cfg.Key()
+		keyHash = sim.KeyHash(key)
 	}
-	sec, err = p.cache.fill(p.blk, &p.ps, cfg, pos, key)
+	sec, err = p.cache.fill(p.blk, &p.ps, cfg, pos, key, keyHash)
 	return sec, key, false, err
 }

@@ -102,9 +102,9 @@ func (ps *problemSeries) series(cfg env.Config, key string, keyHash uint64) ([si
 
 // mean is the tuning and calibration objective: the mean of cfg's repeated
 // measurements, the very quantity the study's speedups use; NaN for a
-// failed series. key must be cfg.Key().
-func (ps *problemSeries) mean(cfg env.Config, key string) (float64, error) {
-	runs, _, err := ps.series(cfg, key, sim.KeyHash(key))
+// failed series. key and keyHash are as series takes them.
+func (ps *problemSeries) mean(cfg env.Config, key string, keyHash uint64) (float64, error) {
+	runs, _, err := ps.series(cfg, key, keyHash)
 	if err != nil {
 		return math.NaN(), err
 	}

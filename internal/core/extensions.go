@@ -166,7 +166,8 @@ func ExtendedThreadSettings(m *topology.Machine) []sim.Setting {
 func BestNUMAPlacement(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting) (env.Config, float64) {
 	ps := bindSeries(orModel(ev), m, app, set)
 	measure := func(cfg env.Config) float64 {
-		sec, err := ps.mean(cfg, cfg.Key())
+		key := cfg.Key()
+		sec, err := ps.mean(cfg, key, sim.KeyHash(key))
 		if err != nil {
 			reportSkipped(err) // sec is NaN: never the best
 		}

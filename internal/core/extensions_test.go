@@ -17,7 +17,7 @@ func TestCompareModelsForestDominatesLinear(t *testing.T) {
 	}
 	ds := sweepOnce(t)
 	rows, err := CompareModels(ds.ByApp("XSbench"), PerArch,
-		ml.LogisticOptions{Epochs: 80}, ml.TreeOptions{MaxDepth: 8, MinLeaf: 30, Seed: 1}, 8)
+		ml.LogisticOptions{}, ml.TreeOptions{MaxDepth: 8, MinLeaf: 30, Seed: 1}, 8)
 	if err != nil {
 		t.Fatalf("CompareModels: %v", err)
 	}
@@ -215,8 +215,8 @@ func TestDrillDownNQueensOnA64FX(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
-	// A fifth of the Table II campaign: the three fits run ml's default
-	// epochs, and the shapes below do not need the other four fifths.
+	// A twentieth of the Table II campaign: the shapes below do not need
+	// the rest.
 	ds, err := RunSweep(SweepConfig{Fraction: map[topology.Arch]float64{
 		topology.A64FX: 0.05, topology.Skylake: 0.05, topology.Milan: 0.05}})
 	if err != nil {
@@ -304,7 +304,7 @@ func TestQ3BestVariablesShapes(t *testing.T) {
 		t.Skip("full sweep in -short mode")
 	}
 	ds := sweepOnce(t)
-	hm, err := InfluenceHeatmap(ds, PerArch, ml.LogisticOptions{Epochs: 100})
+	hm, err := InfluenceHeatmap(ds, PerArch, ml.LogisticOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestSearchFailedProbeNeverBestNotRemeasured(t *testing.T) {
 	bad, badSec := env.Config{}, math.Inf(1)
 	ps := bindSeries(ModelEvaluator{}, m, app, set)
 	for _, cfg := range space {
-		if sec, _ := ps.mean(cfg, cfg.Key()); sec < badSec {
+		if sec, _ := ps.mean(cfg, cfg.Key(), sim.KeyHash(cfg.Key())); sec < badSec {
 			bad, badSec = cfg, sec
 		}
 	}

@@ -251,7 +251,7 @@ func (s *searchState) init() {
 	s.prob = s.cache.bindProblem(s.ev, s.spec.Machine, s.spec.App, s.spec.Setting)
 	def := env.Default(s.spec.Machine)
 	t0 := s.clock()
-	sec, key, hit := s.mean(&def, "")
+	sec, key, hit := s.mean(&def, "", 0)
 	s.res.Evaluations = 1
 	if hit {
 		s.res.CacheHits++
@@ -260,12 +260,13 @@ func (s *searchState) init() {
 	s.observe(&def, key, sec, hit, t0)
 }
 
-// mean is the cache-routed objective; key is as boundProblem.mean takes and
-// returns it. A failed series is reported on the miss that ran it and reads
-// as NaN then and on every revisit, so it is counted against the budget like
-// any probe but never becomes the best.
-func (s *searchState) mean(cfg *env.Config, key string) (sec float64, _ string, hit bool) {
-	sec, key, hit, err := s.prob.mean(cfg, key)
+// mean is the cache-routed objective; key and keyHash are as
+// boundProblem.mean takes them, and key as it returns it. A failed series is
+// reported on the miss that ran it and reads as NaN then and on every
+// revisit, so it is counted against the budget like any probe but never
+// becomes the best.
+func (s *searchState) mean(cfg *env.Config, key string, keyHash uint64) (sec float64, _ string, hit bool) {
+	sec, key, hit, err := s.prob.mean(cfg, key, keyHash)
 	if err != nil {
 		reportSkipped(err)
 	}
@@ -300,19 +301,20 @@ func (s *searchState) observe(cfg *env.Config, key string, sec float64, hit bool
 // must have checked exhausted() first. The candidate's key is built only if
 // the cache misses or an observer watches.
 func (s *searchState) probe(cfg env.Config, variable, value string) float64 {
-	return s.probeKeyed(&cfg, "", variable, value)
+	return s.probeKeyed(&cfg, "", 0, variable, value)
 }
 
 // probeAt is probe for a move that draws a whole configuration, position i
 // of the candidate table: the step is labelled with the table's key, which
-// also serves the backend and the observers.
+// also serves the backend and the observers, and the table's hash of it
+// seeds the model.
 func (s *searchState) probeAt(i int, move string) float64 {
-	return s.probeKeyed(&s.tab.space[i], s.tab.keys[i], move, s.tab.keys[i])
+	return s.probeKeyed(&s.tab.space[i], s.tab.keys[i], s.tab.hashes[i], move, s.tab.keys[i])
 }
 
-func (s *searchState) probeKeyed(cfg *env.Config, key, variable, value string) float64 {
+func (s *searchState) probeKeyed(cfg *env.Config, key string, keyHash uint64, variable, value string) float64 {
 	t0 := s.clock()
-	sec, key, hit := s.mean(cfg, key)
+	sec, key, hit := s.mean(cfg, key, keyHash)
 	s.res.Evaluations++
 	if hit {
 		s.res.CacheHits++

@@ -297,7 +297,7 @@ func TestShapeInfluenceHeatmaps(t *testing.T) {
 		t.Skip("full sweep in -short mode")
 	}
 	ds := sweepOnce(t)
-	opt := ml.LogisticOptions{Epochs: 120}
+	opt := ml.LogisticOptions{}
 
 	fig3, err := InfluenceHeatmap(ds, PerArch, opt)
 	if err != nil {

@@ -1,9 +1,9 @@
 package env
 
 // Tests that hold the variables table to being the single definition of a
-// variable: Key (the one per-variable list outside it) covers every row,
-// both entry points apply one rule per variable, and whatever Parse accepts
-// means the same to the runtime's own environment path.
+// variable: Key and lookup (the per-variable lists outside it) cover every
+// row, both entry points apply one rule per variable, and whatever Parse
+// accepts means the same to the runtime's own environment path.
 
 import (
 	"slices"
@@ -14,6 +14,21 @@ import (
 	"omptune/internal/topology"
 	"omptune/openmp"
 )
+
+// TestLookupIndexesTable fails for a row lookup does not find by its name,
+// and for a name lookup finds that no row holds.
+func TestLookupIndexesTable(t *testing.T) {
+	for i := range variables {
+		if row := lookup(variables[i].name); row != &variables[i] {
+			t.Errorf("lookup(%s) is not row %d", variables[i].name, i)
+		}
+	}
+	for _, v := range []VarName{"", "OMP_NUM_THREADS", "omp_places", "OMP_PLACES "} {
+		if row := lookup(v); row != nil {
+			t.Errorf("lookup(%q) = row %s, want none", v, row.name)
+		}
+	}
+}
 
 // TestKeyCoversTable fails for a table row Key has no tag for: two distinct
 // values of the row's swept domain must give two keys.

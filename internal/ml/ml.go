@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Standardizer rescales features to zero mean and unit variance, fitted on
@@ -100,168 +101,208 @@ type LogisticModel struct {
 	Scaler    *Standardizer
 }
 
-// LogisticOptions tunes the gradient-ascent fit.
+// LogisticOptions tunes the fit.
 type LogisticOptions struct {
-	Epochs int     // full-batch gradient steps (default 300)
-	LR     float64 // learning rate (default 0.5)
-	L2     float64 // ridge penalty (default 1e-4)
+	L2 float64 // ridge penalty on the coefficients (0 takes the default 1e-4)
 }
 
-// FitLogistic trains an L2-regularized logistic regression with full-batch
-// gradient ascent on standardized features. Labels are booleans ("optimal"
-// vs "sub-optimal" in the study).
+// maxPasses caps the passes over the rows one fit may take. The study's
+// fits take 4–9; a fit that reaches the cap is an error, not a model.
+const maxPasses = 100
+
+// FitLogistic trains an L2-regularized logistic regression on standardized
+// features to convergence. It maximises the mean log-likelihood minus
+// (L2/2)‖w‖², the intercept unpenalised, by damped Newton's method (IRLS).
+// Labels are booleans ("optimal" vs "sub-optimal" in the study). A negative
+// penalty is refused.
 func FitLogistic(x [][]float64, y []bool, opt LogisticOptions) (*LogisticModel, error) {
-	return fitLogistic(x, y, opt, useLanes)
+	m, _, err := fitLogistic(x, y, opt, maxPasses)
+	return m, err
 }
 
-// fitLogistic is FitLogistic on the lane kernel where lanes is set and the
-// design's width fits it, on the portable kernel elsewhere. Both give the
-// same bits.
-func fitLogistic(x [][]float64, y []bool, opt LogisticOptions, lanes bool) (*LogisticModel, error) {
+// fitLogistic is FitLogistic with at most limit passes over the rows; it
+// also returns the passes the fit took.
+func fitLogistic(x [][]float64, y []bool, opt LogisticOptions, limit int) (*LogisticModel, int, error) {
 	if len(x) == 0 || len(x) != len(y) {
-		return nil, errors.New("ml: bad training data")
+		return nil, 0, errors.New("ml: bad training data")
 	}
-	if opt.Epochs <= 0 {
-		opt.Epochs = 300
+	if !(opt.L2 >= 0) || math.IsInf(opt.L2, 1) {
+		return nil, 0, fmt.Errorf("ml: L2 penalty %v, want a finite value ≥ 0", opt.L2)
 	}
-	if opt.LR <= 0 {
-		opt.LR = 0.5
-	}
-	if opt.L2 < 0 {
-		opt.L2 = 0
-	} else if opt.L2 == 0 {
+	if opt.L2 == 0 {
 		opt.L2 = 1e-4
 	}
 	scaler, err := FitStandardizer(x)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	d := newFitData(x, y, scaler, lanes)
-	n := float64(len(x))
-	w := make([]float64, d.p)
-	b := 0.0
-	gw := make([]float64, d.p)
-	for epoch := 0; epoch < opt.Epochs; epoch++ {
-		clear(gw)
-		gb := d.epoch(w, b, gw)
-		b += opt.LR * gb / n
-		for j := range w {
-			w[j] += float64(opt.LR * (gw[j]/n - float64(opt.L2*w[j])))
+	d := newFit(x, y, scaler, opt.L2)
+	f, passes := d.pass(d.beta, d.g, d.h), 1
+	for {
+		if err := cholSolve(d.h, d.g, d.step, d.q); err != nil {
+			return nil, passes, err
+		}
+		if max(-slices.Min(d.step), slices.Max(d.step)) < 1e-9 {
+			break
+		}
+		// Halve the step while it lowers the objective by more than
+		// rounding: near the optimum the objective's last bits are noise,
+		// and a plain "fell" test would halve on it.
+		for t := 1.0; ; t /= 2 {
+			if passes == limit {
+				return nil, passes, fmt.Errorf("ml: logistic fit did not converge in %d passes", limit)
+			}
+			for j, s := range d.step {
+				d.cand[j] = d.beta[j] + float64(t*s)
+			}
+			fc := d.pass(d.cand, d.gc, d.hc)
+			passes++
+			if fc >= f-float64(1e-12*math.Abs(f)) {
+				f = fc
+				d.beta, d.cand, d.g, d.gc, d.h, d.hc = d.cand, d.beta, d.gc, d.g, d.hc, d.h
+				break
+			}
 		}
 	}
-	return &LogisticModel{Intercept: b, Coef: w, Scaler: scaler}, nil
-}
-
-// fitData is a fit's standardised rows and 0/1 labels, built once per fit in
-// the layout its epoch kernel reads; the epochs allocate nothing.
-type fitData struct {
-	xs     []float64 // row i is xs[i*stride:][:p]
-	ts     []float64
-	p      int
-	stride int // p, or p rounded up to a multiple of 4 for the lane kernel
-	// lanes selects the lane kernel, which also reads panel: each 4-row
-	// block's columns in turn, a column's four values side by side.
-	lanes bool
-	panel []float64
-}
-
-func newFitData(x [][]float64, y []bool, sc *Standardizer, lanes bool) fitData {
-	rows, p := len(x), len(sc.Mean)
-	d := fitData{ts: make([]float64, rows), p: p, stride: p, lanes: lanes && p >= 1 && p <= maxLaneWidth}
-	if d.lanes {
-		d.stride = (p + 3) &^ 3
+	for j, s := range d.step {
+		d.beta[j] += s
 	}
-	d.xs = make([]float64, rows*d.stride)
+	return &LogisticModel{Intercept: d.beta[0], Coef: slices.Clone(d.beta[1:]), Scaler: scaler}, passes, nil
+}
+
+// fit is one fit's rows and iterates, carved from one block: nothing is
+// allocated per pass. The coefficient vectors are (intercept, w).
+type fit struct {
+	q  int       // 1 + the number of features
+	xs []float64 // row i is xs[i*q:][:q]: a 1, then the standardised features
+	ts []float64 // the labels as 0 and 1
+	l2 float64
+	// beta is the current model, g and h its gradient and negated Hessian
+	// (lower triangle of a row-major q×q); cand, gc and hc a candidate's.
+	// step is the Newton step from beta.
+	beta, g, h, cand, gc, hc, step []float64
+}
+
+func newFit(x [][]float64, y []bool, sc *Standardizer, l2 float64) *fit {
+	rows, q := len(x), len(sc.Mean)+1
+	block := make([]float64, rows*q+rows+2*q*q+5*q)
+	d := &fit{q: q, l2: l2}
+	carve := func(n int) []float64 {
+		s := block[:n:n]
+		block = block[n:]
+		return s
+	}
+	d.xs, d.ts = carve(rows*q), carve(rows)
+	d.h, d.hc = carve(q*q), carve(q*q)
+	d.beta, d.g, d.cand, d.gc, d.step = carve(q), carve(q), carve(q), carve(q), carve(q)
 	for i, row := range x {
-		r := d.xs[i*d.stride:][:p]
+		r := d.xs[i*q:][:q]
+		r[0] = 1
 		for j, v := range row {
-			r[j] = (v - sc.Mean[j]) / sc.Std[j]
+			r[j+1] = (v - sc.Mean[j]) / sc.Std[j]
 		}
 		if y[i] {
 			d.ts[i] = 1
 		}
 	}
-	if d.lanes {
-		d.panel = make([]float64, rows/4*4*p)
-		for i := 0; i+4 <= rows; i += 4 {
-			blk := d.panel[i*p:][:4*p]
-			for l := 0; l < 4; l++ {
-				for j, v := range d.xs[(i+l)*d.stride:][:p] {
-					blk[4*j+l] = v
-				}
-			}
-		}
-	}
 	return d
 }
 
-// epoch adds one epoch's weight gradient to gw and returns its intercept
-// gradient, for the model (w, b).
-func (d *fitData) epoch(w []float64, b float64, gw []float64) float64 {
-	if d.lanes {
-		return d.laneEpoch(w, b, gw)
+// pass walks the rows once at the model beta: it returns the objective and
+// writes its gradient to g and the lower triangle of its negated Hessian,
+// mean σ(z)σ(-z)·x·xᵀ plus the penalty, to h. Rows go in pairs, so each
+// Hessian cell is loaded and stored once per two rows; an odd last row is
+// paired with itself at zero weight.
+func (d *fit) pass(beta, g, h []float64) float64 {
+	q, n := d.q, len(d.ts)
+	beta, g = beta[:q], g[:q]
+	clear(g)
+	clear(h)
+	ll := 0.0
+	for i := 0; i < n; i += 2 {
+		r0 := d.xs[i*q:][:q]
+		l0, e0, w0 := rowTerms(r0, d.ts[i], beta)
+		r1, l1, e1, w1 := r0, 0.0, 0.0, 0.0
+		if i+1 < n {
+			r1 = d.xs[(i+1)*q:][:q]
+			l1, e1, w1 = rowTerms(r1, d.ts[i+1], beta)
+		}
+		ll += l0 + l1
+		for j := range g {
+			g[j] += float64(e0*r0[j]) + float64(e1*r1[j])
+			u0, u1 := float64(w0*r0[j]), float64(w1*r1[j])
+			hj := h[j*q:][:j+1]
+			x0, x1 := r0[:len(hj)], r1[:len(hj)]
+			for k := range hj {
+				hj[k] += float64(u0*x0[k]) + float64(u1*x1[k])
+			}
+		}
 	}
-	return d.rowEpoch(0, len(d.ts), w, b, 0, gw)
+	pen := 0.0
+	for j := range g {
+		for k := range j + 1 {
+			h[j*q+k] /= float64(n)
+		}
+		g[j] /= float64(n)
+		if j > 0 { // the intercept is unpenalised
+			g[j] -= float64(d.l2 * beta[j])
+			h[j*q+j] += d.l2
+			pen += float64(beta[j] * beta[j])
+		}
+	}
+	return ll/float64(n) - float64(d.l2/2*pen)
 }
 
-// rowEpoch is the portable kernel over rows [lo, hi): it adds their terms to
-// gw and returns gb plus theirs. Products are converted to float64 so that
-// no compiler fuses them into the sums, which would round differently.
-func (d *fitData) rowEpoch(lo, hi int, w []float64, b, gb float64, gw []float64) float64 {
-	p, s, xs, ts := d.p, d.stride, d.xs, d.ts
-	w, gw = w[:p], gw[:p]
-	i := lo
-	// Four rows at a time: their dot products are independent, so they
-	// overlap, while every sum — each z, gb and each gw[j] — still adds
-	// the same terms in row order as the one-row tail below.
-	for ; i+4 <= hi; i += 4 {
-		// Each slice is resliced to [:p] so its length is provably that
-		// of w and gw, and the inner loops carry no bounds checks.
-		blk := xs[i*s:]
-		r0, r1, r2, r3 := blk[:p], blk[s:][:p], blk[2*s:][:p], blk[3*s:][:p]
-		t := ts[i:][:4]
-		z0, z1, z2, z3 := b, b, b, b
-		for j, wj := range w {
-			z0 += float64(wj * r0[j])
-			z1 += float64(wj * r1[j])
-			z2 += float64(wj * r2[j])
-			z3 += float64(wj * r3[j])
-		}
-		// The four exponentials first: the calls leave the divisions
-		// of sigmoidOf free to overlap.
-		a0 := math.Exp(-math.Abs(z0))
-		a1 := math.Exp(-math.Abs(z1))
-		a2 := math.Exp(-math.Abs(z2))
-		a3 := math.Exp(-math.Abs(z3))
-		e0 := t[0] - sigmoidOf(z0, a0)
-		e1 := t[1] - sigmoidOf(z1, a1)
-		e2 := t[2] - sigmoidOf(z2, a2)
-		e3 := t[3] - sigmoidOf(z3, a3)
-		gb += e0
-		gb += e1
-		gb += e2
-		gb += e3
-		for j, g := range gw {
-			g += float64(e0 * r0[j])
-			g += float64(e1 * r1[j])
-			g += float64(e2 * r2[j])
-			g += float64(e3 * r3[j])
-			gw[j] = g
+// rowTerms returns the log-likelihood of the row r with label t at beta, its
+// residual t − σ(z) and its Hessian weight σ(z)σ(-z).
+func rowTerms(r []float64, t float64, beta []float64) (ll, e, wt float64) {
+	z := 0.0
+	for j, v := range r {
+		z += float64(beta[j] * v)
+	}
+	a := math.Exp(-math.Abs(z))
+	c := 1 + a
+	// log σ(z) if t else log σ(-z), through a = e^-|z| in both; the weight
+	// a/(1+a)² without 1-σ's cancellation.
+	return float64(t*z) - max(z, 0) - math.Log1p(a), t - sigmoidOf(z, a), a / (c * c)
+}
+
+// cholSolve solves h·x = g for the symmetric positive definite q×q matrix
+// whose lower triangle h holds, overwriting h with its Cholesky factor. A
+// feature that is 0 in every row has a zero gradient component and zeros off
+// h's diagonal in its row and column, and its component of x comes out
+// exactly 0.
+func cholSolve(h, g, x []float64, q int) error {
+	for j := range q {
+		for k := range j + 1 {
+			s := h[j*q+k]
+			for m := range k {
+				s -= float64(h[j*q+m] * h[k*q+m])
+			}
+			if k < j {
+				h[j*q+k] = s / h[k*q+k]
+			} else if s > 0 {
+				h[j*q+j] = math.Sqrt(s)
+			} else {
+				return errors.New("ml: logistic fit: Hessian not positive definite")
+			}
 		}
 	}
-	for ; i < hi; i++ {
-		r := xs[i*s:][:p]
-		z := b
-		for j, wj := range w {
-			z += float64(wj * r[j])
+	for j := range q {
+		s := g[j]
+		for m := range j {
+			s -= float64(h[j*q+m] * x[m])
 		}
-		e := ts[i] - sigmoid(z)
-		gb += e
-		for j := range gw {
-			gw[j] += float64(e * r[j])
-		}
+		x[j] = s / h[j*q+j]
 	}
-	return gb
+	for j := q - 1; j >= 0; j-- {
+		s := x[j]
+		for m := j + 1; m < q; m++ {
+			s -= float64(h[m*q+j] * x[m])
+		}
+		x[j] = s / h[j*q+j]
+	}
+	return nil
 }
 
 // sigmoid is 1/(1+e^-z) without overflow.
@@ -269,8 +310,8 @@ func sigmoid(z float64) float64 { return sigmoidOf(z, math.Exp(-math.Abs(z))) }
 
 // sigmoidOf is sigmoid(z) given a = exp(-|z|). exp(-|z|) is exactly exp(-z)
 // for z ≥ 0 and exp(z) below, so this is 1/(1+exp(-z)) or exp(z)/(1+exp(z))
-// to the bit. Unlike sigmoid it is small enough to inline, which the fit
-// kernel relies on.
+// to the bit. Unlike sigmoid it is small enough to inline into the fit's
+// pass.
 func sigmoidOf(z, a float64) float64 {
 	// The numerator is a where z's sign bit is set and 1 elsewhere, picked
 	// by a mask: the compiler turns an if on a float into a branch, which

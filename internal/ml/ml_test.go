@@ -1,11 +1,9 @@
 package ml
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -28,38 +26,79 @@ func design(n int, seed int64) ([][]float64, []bool) {
 	return x, y
 }
 
-// bitsHash is the hex SHA-256 of the IEEE-754 bits of vs, in order.
-func bitsHash(vs ...[]float64) string {
-	h := sha256.New()
-	var b [8]byte
-	for _, v := range vs {
-		for _, f := range v {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-			h.Write(b[:])
+// objectiveGradient is the gradient of FitLogistic's objective at m on
+// (x, y), written out from its definition: the mean over the rows of
+// (t − P(row))·(1, standardised row), less l2·(0, w).
+func objectiveGradient(m *LogisticModel, x [][]float64, y []bool, l2 float64) []float64 {
+	g := make([]float64, 1+len(m.Coef))
+	for i, row := range x {
+		e := -m.Prob(row)
+		if y[i] {
+			e++
+		}
+		g[0] += e
+		for j, v := range row {
+			g[1+j] += e * (v - m.Scaler.Mean[j]) / m.Scaler.Std[j]
 		}
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	for j := range g {
+		g[j] /= float64(len(x))
+		if j > 0 {
+			g[j] -= float64(l2 * m.Coef[j-1])
+		}
+	}
+	return g
 }
 
-// fitBitsSHA256 pins every bit a fit produces on design(1003, 1): the
-// intercept, the coefficients, the scaler and the probability of every row.
-// 1,003 rows leave a tail of three behind any 4-row blocking. A kernel change
-// that reorders one sum moves this hash.
-const fitBitsSHA256 = "3c842657a01b2207f7bc51542e3b5ca75ca800728c3add77fd500c28b318692d"
+// assertConverged fails t unless every component of the objective's
+// gradient at m is at most 1e-8 in magnitude.
+func assertConverged(t *testing.T, m *LogisticModel, x [][]float64, y []bool, l2 float64) {
+	t.Helper()
+	for j, g := range objectiveGradient(m, x, y, l2) {
+		if math.Abs(g) > 1e-8 {
+			t.Errorf("gradient component %d = %g at the returned fit, want |g| ≤ 1e-8", j, g)
+		}
+	}
+}
 
+// The fit is the optimum of its objective: at the returned model the
+// gradient vanishes, on a design with columns of different scales and
+// offsets and a constant column, and under a stronger penalty.
 func TestFitLogisticBits(t *testing.T) {
 	x, y := design(1003, 1)
-	m, err := FitLogistic(x, y, LogisticOptions{})
+	for _, l2 := range []float64{0, 1e-2} {
+		m, passes, err := fitLogistic(x, y, LogisticOptions{L2: l2}, maxPasses)
+		if err != nil {
+			t.Fatalf("L2 %v: %v", l2, err)
+		}
+		if l2 == 0 {
+			l2 = 1e-4
+		}
+		assertConverged(t, m, x, y, l2)
+		if m.Coef[9] != 0 {
+			t.Errorf("L2 %v: constant column's coefficient %v, want exactly 0", l2, m.Coef[9])
+		}
+		t.Logf("L2 %v: %d passes", l2, passes)
+	}
+}
+
+// A negative or non-finite penalty is refused, and a fit that needs more
+// passes than its cap is an error, not a model.
+func TestFitLogisticRefuses(t *testing.T) {
+	x, y := design(200, 1)
+	for _, l2 := range []float64{-1e-4, math.Inf(1), math.NaN()} {
+		if m, err := FitLogistic(x, y, LogisticOptions{L2: l2}); err == nil {
+			t.Errorf("L2 %v: model %+v, want an error", l2, m)
+		}
+	}
+	_, passes, err := fitLogistic(x, y, LogisticOptions{}, maxPasses)
 	if err != nil {
-		t.Fatalf("FitLogistic: %v", err)
+		t.Fatal(err)
 	}
-	probs := make([]float64, len(x))
-	for i, row := range x {
-		probs[i] = m.Prob(row)
-	}
-	got := bitsHash([]float64{m.Intercept}, m.Coef, m.Scaler.Mean, m.Scaler.Std, probs)
-	if got != fitBitsSHA256 {
-		t.Errorf("fit bits sha256 %s, want %s", got, fitBitsSHA256)
+	m, _, err := fitLogistic(x, y, LogisticOptions{}, passes-1)
+	const want = "did not converge"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("cap %d below the %d passes the fit takes: model %+v, error %v, want %q", passes-1, passes, m, err, want)
 	}
 }
 
@@ -169,7 +208,7 @@ func TestLogisticIrrelevantFeatureLowInfluence(t *testing.T) {
 		x = append(x, []float64{a, noise})
 		y = append(y, a > 0)
 	}
-	m, err := FitLogistic(x, y, LogisticOptions{Epochs: 500})
+	m, err := FitLogistic(x, y, LogisticOptions{})
 	if err != nil {
 		t.Fatalf("FitLogistic: %v", err)
 	}
@@ -239,45 +278,43 @@ func TestInfluenceZeroModel(t *testing.T) {
 	}
 }
 
-// The fit's allocations are its outputs and one flat block, so their count
-// grows neither with the rows nor with the epochs.
+// The fit's allocations are its outputs, its scaler and one flat block, so
+// their count grows neither with the rows nor with the passes.
 func TestFitLogisticAllocsConstant(t *testing.T) {
-	allocs := func(n, epochs int) float64 {
+	allocs := func(n int, l2 float64) (float64, int) {
 		x, y := design(n, 2)
+		_, passes, err := fitLogistic(x, y, LogisticOptions{L2: l2}, maxPasses)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := FitLogistic(x, y, LogisticOptions{Epochs: epochs}); err != nil {
+			if _, err := FitLogistic(x, y, LogisticOptions{L2: l2}); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}), passes
 	}
-	base := allocs(1000, 5)
-	if a := allocs(4000, 5); a != base {
+	base, basePasses := allocs(1000, 0)
+	if a, _ := allocs(4000, 0); a != base {
 		t.Errorf("FitLogistic allocs: %v at 1k rows, %v at 4k rows, want equal", base, a)
 	}
-	if a := allocs(1000, 50); a != base {
-		t.Errorf("FitLogistic allocs: %v at 5 epochs, %v at 50, want equal", base, a)
+	a, passes := allocs(1000, 10)
+	if passes == basePasses {
+		t.Fatalf("both penalties take %d passes: the test needs two pass counts", passes)
+	}
+	if a != base {
+		t.Errorf("FitLogistic allocs: %v in %d passes, %v in %d, want equal", base, basePasses, a, passes)
 	}
 }
 
-// BenchmarkFitLogistic times one full-batch fit (300 epochs) of a seeded
-// 50,000 × 10 design — the shape of one influence-heatmap row — on the lane
-// kernel (simd, skipped where it is unavailable) and on the portable one.
+// BenchmarkFitLogistic times one fit of a seeded 50,000 × 10 design, the
+// shape of one influence-heatmap row.
 func BenchmarkFitLogistic(b *testing.B) {
 	x, y := design(50000, 3)
-	for _, k := range []struct {
-		name  string
-		lanes bool
-	}{{"simd", true}, {"portable", false}} {
-		b.Run(k.name, func(b *testing.B) {
-			if k.lanes && !useLanes {
-				b.Skip("lane kernel unavailable")
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := fitLogistic(x, y, LogisticOptions{}, k.lanes); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitLogistic(x, y, LogisticOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

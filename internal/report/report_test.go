@@ -74,7 +74,7 @@ func TestHeatmapRendering(t *testing.T) {
 	ds := smallDS(t)
 	render := func(g core.Grouping, fig func(io.Writer, *core.Heatmap) error) string {
 		t.Helper()
-		hm, err := core.InfluenceHeatmap(ds, g, ml.LogisticOptions{Epochs: 40})
+		hm, err := core.InfluenceHeatmap(ds, g, ml.LogisticOptions{})
 		if err != nil {
 			t.Fatalf("InfluenceHeatmap(%v): %v", g, err)
 		}
@@ -201,7 +201,7 @@ func TestQ2AndQ3Render(t *testing.T) {
 			t.Errorf("Q2 missing %q:\n%s", want, buf.String())
 		}
 	}
-	hm, err := core.InfluenceHeatmap(ds, core.PerArch, ml.LogisticOptions{Epochs: 30})
+	hm, err := core.InfluenceHeatmap(ds, core.PerArch, ml.LogisticOptions{})
 	if err != nil {
 		t.Fatalf("InfluenceHeatmap: %v", err)
 	}

@@ -71,7 +71,7 @@ func TestViolinFigureSVGMissingApp(t *testing.T) {
 
 func TestHeatmapSVG(t *testing.T) {
 	ds := vizDS(t)
-	hm, err := core.InfluenceHeatmap(ds, core.PerArch, ml.LogisticOptions{Epochs: 40})
+	hm, err := core.InfluenceHeatmap(ds, core.PerArch, ml.LogisticOptions{})
 	if err != nil {
 		t.Fatalf("InfluenceHeatmap: %v", err)
 	}

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"omptune/internal/apps"
 	"omptune/internal/core"
+	"omptune/internal/dataset"
 	"omptune/internal/env"
 	"omptune/internal/ml"
 	"omptune/internal/sim"
@@ -176,7 +178,7 @@ func TestFacadeWriteReport(t *testing.T) {
 // 11,334 bytes): every table, question and figure the analysis derives,
 // pinned to the byte, so a refactor of grouping, featurizing or fitting that
 // moves one digit fails here in seconds rather than on a full-campaign cmp.
-const reportSHA256 = "ab25f6c3331f553ad48f9d3b941b05dfe3b0c2edc463ce8806d813eaef15904f"
+const reportSHA256 = "6a40c1b794896ebcba222a6579f4fe62825c4eaff8b31dd4cdfbf6385b97ada1"
 
 func TestWriteReportGolden(t *testing.T) {
 	ds := facadeDS(t)
@@ -194,7 +196,7 @@ func TestWriteReportGolden(t *testing.T) {
 // dataset ompreport -data and the benchmark's paper_pipeline report from:
 // all 15 applications, every Table VI and Q2 row and Figs 5–7, which the
 // facade dataset lacks.
-const fullReportSHA256 = "f51b5de7d41c70f28b6fe3cfd3b0a674c145f2e2cd3358a4377363b2c217a325"
+const fullReportSHA256 = "7e5716ab6a31f149dbd961e6383fb0ca466c8167358e4b6cd7bb14fc9acbc826"
 
 func TestWriteReportFullGolden(t *testing.T) {
 	if testing.Short() {
@@ -227,32 +229,172 @@ func TestWriteReportFullGolden(t *testing.T) {
 	}
 }
 
-// heatmapBitsSHA256 pins the IEEE-754 bits of every cell and accuracy of the
-// three influence heatmaps over facadeDS — finer than the report, which
-// prints them rounded.
-const heatmapBitsSHA256 = "77103d6e70034cbafc80c1edb0a9f28e7b6c23ee9fac285830d8bd4cddc58266"
-
+// TestInfluenceBits holds the three influence heatmaps over facadeDS to the
+// optimum of FitLogistic's objective. Each heatmap row is refitted from a
+// design matrix built here from the samples: its influence and accuracy
+// must be the row's to the bit, which pins the design and the grouping. At that fit
+// the objective's gradient vanishes, and 3000 epochs of full-batch gradient
+// ascent, a solver written out independently, reach the same cells within
+// 1e-3, the same top feature and the same top three.
 func TestInfluenceBits(t *testing.T) {
 	ds := facadeDS(t)
-	h := sha256.New()
-	put := func(f float64) {
-		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)))
-	}
-	for _, g := range []core.Grouping{PerArchApp, PerApp, PerArch} {
+	for name, g := range map[string]core.Grouping{"PerArchApp": PerArchApp, "PerApp": PerApp, "PerArch": PerArch} {
 		hm, err := Influence(ds, g)
 		if err != nil {
-			t.Fatalf("Influence(%v): %v", g, err)
+			t.Fatalf("Influence(%s): %v", name, err)
 		}
-		for i, row := range hm.Cells {
-			for _, c := range row {
-				put(c)
+		designs := influenceDesigns(ds, g)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for i, label := range hm.RowLabels {
+				x, y := designs[label].x, designs[label].y
+				if !slices.Contains(y, true) || !slices.Contains(y, false) {
+					if slices.ContainsFunc(hm.Cells[i], func(c float64) bool { return c != 0 }) {
+						t.Errorf("%s: one class only, cells %v, want zeros", label, hm.Cells[i])
+					}
+					continue
+				}
+				m, err := ml.FitLogistic(x, y, ml.LogisticOptions{})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got, acc := m.Influence(), m.Accuracy(x, y); !slices.Equal(got, hm.Cells[i]) || acc != hm.Accuracy[i] {
+					t.Fatalf("%s: refitted influence %v, accuracy %v; heatmap row %v, %v: the test's design is not the heatmap's",
+						label, got, acc, hm.Cells[i], hm.Accuracy[i])
+				}
+				for j, gj := range logisticGradient(m, x, y, 1e-4) {
+					if math.Abs(gj) > 1e-8 {
+						t.Errorf("%s: gradient component %d = %g at the fit, want |g| ≤ 1e-8", label, j, gj)
+					}
+				}
+				ref := ascentInfluence(x, y, 3000)
+				for j, c := range hm.Cells[i] {
+					if math.Abs(c-ref[j]) > 1e-3 {
+						t.Errorf("%s %s: influence %.6f, gradient ascent %.6f, want within 1e-3", label, hm.Features[j], c, ref[j])
+					}
+				}
+				top, refTop := topFeatures(hm.Cells[i], 3), topFeatures(ref, 3)
+				if top[0] != refTop[0] || !slices.Equal(sortedInts(top), sortedInts(refTop)) {
+					t.Errorf("%s: top features %v, gradient ascent %v", label, top, refTop)
+				}
 			}
-			put(hm.Accuracy[i])
+		})
+	}
+}
+
+type design struct {
+	x [][]float64
+	y []bool
+}
+
+// influenceDesigns is each heatmap row's design matrix and labels under g,
+// from its samples in dataset order: input scale, threads, the seven
+// variables' features and the grouping's context feature (the architecture's
+// index in Arches, or the application's in the sorted application names).
+func influenceDesigns(ds *Dataset, g core.Grouping) map[string]design {
+	apps := dataset.AppsOf(ds.Groups())
+	out := map[string]design{}
+	for _, s := range ds.Samples {
+		label, ctx := s.App+"@"+string(s.Arch), -1.0
+		switch g {
+		case PerApp:
+			label, ctx = s.App, float64(slices.Index(topology.Arches(), s.Arch))
+		case PerArch:
+			label, ctx = string(s.Arch), float64(slices.Index(apps, s.App))
+		}
+		row := []float64{s.Scale, float64(s.Threads)}
+		for _, v := range env.Names() {
+			row = append(row, s.Config.Feature(v))
+		}
+		if ctx >= 0 {
+			row = append(row, ctx)
+		}
+		d := out[label]
+		d.x, d.y = append(d.x, row), append(d.y, s.Optimal())
+		out[label] = d
+	}
+	return out
+}
+
+// logisticGradient is the gradient of FitLogistic's objective at m: the mean
+// over the rows of (t − P(row))·(1, standardised row), less l2·(0, w).
+func logisticGradient(m *ml.LogisticModel, x [][]float64, y []bool, l2 float64) []float64 {
+	g := make([]float64, 1+len(m.Coef))
+	for i, row := range x {
+		e := -m.Prob(row)
+		if y[i] {
+			e++
+		}
+		g[0] += e
+		for j, v := range row {
+			g[1+j] += e * (v - m.Scaler.Mean[j]) / m.Scaler.Std[j]
 		}
 	}
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != heatmapBitsSHA256 {
-		t.Errorf("heatmap bits sha256 %s, want %s", got, heatmapBitsSHA256)
+	for j := range g {
+		g[j] /= float64(len(x))
+		if j > 0 {
+			g[j] -= l2 * m.Coef[j-1]
+		}
 	}
+	return g
+}
+
+// ascentInfluence is the influence of a fit by full-batch gradient ascent on
+// FitLogistic's objective (L2 1e-4, intercept unpenalised) from zero at rate
+// 0.5 for the given epochs: the solver the heatmaps used before Newton's.
+func ascentInfluence(x [][]float64, y []bool, epochs int) []float64 {
+	sc, err := ml.FitStandardizer(x)
+	if err != nil {
+		panic(err)
+	}
+	p, n := len(x[0]), float64(len(x))
+	xs := make([][]float64, len(x))
+	for i, row := range x {
+		xs[i] = make([]float64, p)
+		for j, v := range row {
+			xs[i][j] = (v - sc.Mean[j]) / sc.Std[j]
+		}
+	}
+	w, gw, b := make([]float64, p), make([]float64, p), 0.0
+	for range epochs {
+		clear(gw)
+		gb := 0.0
+		for i, r := range xs {
+			z := b
+			for j, v := range r {
+				z += w[j] * v
+			}
+			e := -1 / (1 + math.Exp(-z))
+			if y[i] {
+				e++
+			}
+			gb += e
+			for j, v := range r {
+				gw[j] += e * v
+			}
+		}
+		b += 0.5 * gb / n
+		for j := range w {
+			w[j] += 0.5 * (gw[j]/n - 1e-4*w[j])
+		}
+	}
+	return (&ml.LogisticModel{Coef: w}).Influence()
+}
+
+// topFeatures is the indices of the k largest cells, largest first.
+func topFeatures(cells []float64, k int) []int {
+	idx := make([]int, len(cells))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return cells[idx[a]] > cells[idx[b]] })
+	return idx[:k]
+}
+
+func sortedInts(v []int) []int {
+	v = slices.Clone(v)
+	slices.Sort(v)
+	return v
 }
 
 func TestFacadeTune(t *testing.T) {
