@@ -70,6 +70,7 @@ import (
 	"omptune/internal/measure"
 	"omptune/internal/ml"
 	"omptune/internal/report"
+	"omptune/internal/sim"
 	"omptune/internal/topology"
 )
 
@@ -119,15 +120,67 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	for _, name := range []string{"sobol-samples", "calibrate-configs", "measure-reps", "measure-warmup"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return fmt.Errorf("-%s %s: want >= 0", name, v)
+		}
+	}
 
+	// Every name resolves before a dataset is read or collected.
 	measureOpt := measure.Options{Warmup: *mwarmup, TimedReps: *mreps}
-	var backend core.Evaluator // nil = the analytic model
-	switch *backendFl {
-	case "model":
-	case "measured":
-		backend = measure.NewEvaluator(measureOpt)
-	default:
-		return fmt.Errorf("-backend %q: want model or measured", *backendFl)
+	backend, err := core.NewBackend(*backendFl, measureOpt, nil)
+	if err != nil {
+		return fmt.Errorf("-backend: %w", err)
+	}
+	var wilApp *apps.App
+	var wilSet sim.Setting
+	if *wilcoxon != "" {
+		name, label, ok := strings.Cut(*wilcoxon, ",")
+		if !ok {
+			return fmt.Errorf("-wilcoxon wants APP,SETTING")
+		}
+		if wilApp, err = apps.ByName(strings.TrimSpace(name)); err == nil {
+			wilSet, err = wilApp.Setting(nil, strings.TrimSpace(label))
+		}
+		if err != nil {
+			return fmt.Errorf("-wilcoxon: %w", err)
+		}
+	}
+	fig, ok := map[string]struct {
+		grouping core.Grouping
+		render   func(io.Writer, *core.Heatmap) error
+	}{
+		"app": {core.PerApp, report.Fig2}, "arch": {core.PerArch, report.Fig3}, "apparch": {core.PerArchApp, report.Fig4},
+	}[*heatmap]
+	if !ok && *heatmap != "" {
+		return fmt.Errorf("-heatmap %q: want app, arch or apparch", *heatmap)
+	}
+	for _, sel := range [][2]string{{"recommend", *recommend}, {"transfer", *transfer}} {
+		if _, err := apps.ByName(sel[1]); sel[1] != "" && err != nil {
+			return fmt.Errorf("-%s: %w", sel[0], err)
+		}
+	}
+	numaApp, numaM, err := appArch("numa", *numa)
+	if err != nil {
+		return err
+	}
+	drillApp, drillM, err := appArch("drill", *drill)
+	if err != nil {
+		return err
+	}
+	calM, calErr := topology.Get(topology.Arch(*calibrate))
+	if *calibrate != "" && calErr != nil {
+		return fmt.Errorf("-calibrate: %w", calErr)
+	}
+	var calAppNames []string
+	if *calApps != "" {
+		for _, a := range strings.Split(*calApps, ",") {
+			app, err := apps.ByName(strings.TrimSpace(a))
+			if err != nil {
+				return fmt.Errorf("-calibrate-apps: %w", err)
+			}
+			calAppNames = append(calAppNames, app.Name)
+		}
 	}
 
 	var ds *dataset.Dataset
@@ -177,34 +230,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "%-20s = %-10s lift %.2fx among the slowest 5%%\n", t.Variable, t.Value, t.Lift)
 		}
 	}
-	if *wilcoxon != "" {
+	if wilApp != nil {
 		ran = true
-		app, setting, ok := strings.Cut(*wilcoxon, ",")
-		if !ok {
-			return fmt.Errorf("-wilcoxon wants APP,SETTING")
-		}
-		if _, err := apps.ByName(strings.TrimSpace(app)); err != nil {
-			return err
-		}
 		ds, err := load()
 		if err != nil {
 			return err
 		}
-		for _, r := range core.WilcoxonTable(ds, strings.TrimSpace(app), strings.TrimSpace(setting)) {
+		rows, err := core.WilcoxonTable(ds, wilApp.Name, wilSet.Label)
+		if err != nil {
+			return err
+		}
+		for _, r := range rows {
 			fmt.Fprintf(stdout, "%-28s %-7s stat=%12.1f p=%.3g\n", r.Group, r.Pair, r.Statistic, r.PValue)
 		}
 	}
 	if *heatmap != "" {
 		ran = true
-		fig, ok := map[string]struct {
-			grouping core.Grouping
-			render   func(io.Writer, *core.Heatmap) error
-		}{
-			"app": {core.PerApp, report.Fig2}, "arch": {core.PerArch, report.Fig3}, "apparch": {core.PerArchApp, report.Fig4},
-		}[*heatmap]
-		if !ok {
-			return fmt.Errorf("-heatmap wants app, arch or apparch")
-		}
 		ds, err := load()
 		if err != nil {
 			return err
@@ -219,14 +260,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *recommend != "" {
 		ran = true
-		if _, err := apps.ByName(*recommend); err != nil {
-			return err
-		}
 		ds, err := load()
 		if err != nil {
 			return err
 		}
-		for _, r := range core.Recommend(ds, *recommend) {
+		recs, err := core.Recommend(ds, *recommend)
+		if err != nil {
+			return err
+		}
+		for _, r := range recs {
 			arch := "All"
 			if r.Arch != "" {
 				arch = string(r.Arch)
@@ -254,9 +296,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *transfer != "" {
 		ran = true
-		if _, err := apps.ByName(*transfer); err != nil {
-			return err
-		}
 		ds, err := load()
 		if err != nil {
 			return err
@@ -275,41 +314,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 				r.HeldOut, r.Accuracy, r.Majority, verdict)
 		}
 	}
-	if *numa != "" {
+	if numaApp != nil {
 		ran = true
-		app, m, err := appArch(*numa)
-		if err != nil {
-			return err
-		}
-		set := app.Settings(m)[1] // the middle (default-size) setting
-		cfg, speedup := core.BestNUMAPlacement(backend, m, app, set)
+		set, _ := numaApp.Setting(numaM, "") // the middle (default-size) setting
+		cfg, speedup := core.BestNUMAPlacement(backend, numaM, numaApp, set)
 		fmt.Fprintf(stdout, "best numa_domains placement for %s on %s (%s): %.3fx with %s\n",
-			app.Name, m.Arch, set.Label, speedup, cfg)
+			numaApp.Name, numaM.Arch, set.Label, speedup, cfg)
 	}
-	if *calibrate != "" {
+	if calM != nil {
 		ran = true
-		m, err := topology.Get(topology.Arch(*calibrate))
-		if err != nil {
-			return err
-		}
-		var appNames []string
-		if *calApps != "" {
-			for _, a := range strings.Split(*calApps, ",") {
-				name := strings.TrimSpace(a)
-				if _, err := apps.ByName(name); err != nil {
-					return err
-				}
-				appNames = append(appNames, name)
-			}
-		}
-		// The reference is always the model; the alternate is the measured
-		// backend (the one from -backend measured when given).
-		alt := backend
-		if alt == nil {
-			alt = measure.NewEvaluator(measureOpt)
-		}
-		rep, err := core.Calibrate(nil, alt, core.CalibrationOptions{
-			Arch: m.Arch, Apps: appNames, ConfigsPerApp: *calCfgs,
+		// The reference is always the model, the alternate the measured backend.
+		rep, err := core.Calibrate(nil, measure.NewEvaluator(measureOpt), core.CalibrationOptions{
+			Arch: calM.Arch, Apps: calAppNames, ConfigsPerApp: *calCfgs,
 		})
 		if err != nil {
 			return err
@@ -403,17 +419,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprint(stdout, rep.String())
 		}
 	}
-	if *drill != "" {
+	if drillApp != nil {
 		ran = true
-		app, m, err := appArch(*drill)
-		if err != nil {
-			return err
-		}
 		ds, err := load()
 		if err != nil {
 			return err
 		}
-		d, err := core.Drill(ds, app.Name, m.Arch)
+		d, err := core.Drill(ds, drillApp.Name, drillM.Arch)
 		if err != nil {
 			return err
 		}
@@ -436,19 +448,22 @@ func readCSV(path string) (*dataset.Dataset, error) {
 	return dataset.ReadCSV(f)
 }
 
-// appArch parses an "APP@ARCH" selector.
-func appArch(sel string) (*apps.App, *topology.Machine, error) {
+// appArch resolves the "APP@ARCH" selector of flag; "" selects nothing.
+func appArch(flag, sel string) (*apps.App, *topology.Machine, error) {
+	if sel == "" {
+		return nil, nil, nil
+	}
 	appName, archName, ok := strings.Cut(sel, "@")
 	if !ok {
-		return nil, nil, fmt.Errorf("selector %q wants APP@ARCH", sel)
+		return nil, nil, fmt.Errorf("-%s %q wants APP@ARCH", flag, sel)
 	}
 	app, err := apps.ByName(appName)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("-%s: %w", flag, err)
 	}
 	m, err := topology.Get(topology.Arch(archName))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("-%s: %w", flag, err)
 	}
 	return app, m, nil
 }

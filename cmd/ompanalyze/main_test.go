@@ -193,27 +193,70 @@ func TestVariabilityFlag(t *testing.T) {
 	}
 }
 
+// validSet is how a resolver's error lists the names it knows.
+func validSet[T ~string](names []T) string {
+	var b strings.Builder
+	for i, n := range names {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(string(n))
+	}
+	return "(valid: " + b.String() + ")"
+}
+
+// studyApps is the study's application names, in apps.All order.
+func studyApps() []string {
+	var names []string
+	for _, a := range apps.All() {
+		names = append(names, a.Name)
+	}
+	return names
+}
+
 // TestRunValidation: a bad invocation comes back as an error naming the
-// problem, not an os.Exit.
+// problem, not an os.Exit, and writes nothing to stdout. Every name a flag
+// takes resolves before any dataset is read: the name cases also ask for
+// -upshot over a missing -data file, whose error they must not reach. A
+// negative count is refused by its flag, not read as its default. An
+// analysis of an application the dataset lacks fails as -drill does.
 func TestRunValidation(t *testing.T) {
+	missing := []string{"-data", filepath.Join(t.TempDir(), "absent.csv"), "-upshot"}
+	small := fullSweepCSV(t, "Sort")
 	cases := []struct {
 		name string
 		args []string
 		want string
 	}{
 		{"nothing selected", nil, "no analysis selected"},
-		{"unknown backend", []string{"-backend", "oracle", "-upshot"}, `-backend "oracle"`},
+		{"unknown backend", append([]string{"-backend", "oracle"}, missing...), `-backend: core: unknown backend "oracle" (valid: model, measured)`},
 		{"wilcoxon without setting", []string{"-wilcoxon", "Alignment"}, "APP,SETTING"},
-		{"unknown heatmap grouping", []string{"-heatmap", "suite"}, "app, arch or apparch"},
-		{"unknown app", []string{"-recommend", "Doom"}, "Doom"},
-		{"unknown transfer app", []string{"-transfer", "Doom"}, `unknown application "Doom"`},
-		{"unknown wilcoxon app", []string{"-wilcoxon", "Doom,small"}, `unknown application "Doom"`},
+		{"unknown heatmap grouping", append([]string{"-heatmap", "suite"}, missing...), "app, arch or apparch"},
+		{"unknown app", append([]string{"-recommend", "Doom"}, missing...), `-recommend: apps: unknown application "Doom" ` + validSet(studyApps())},
+		{"unknown transfer app", append([]string{"-transfer", "Doom"}, missing...), `-transfer: apps: unknown application "Doom" ` + validSet(studyApps())},
+		{"unknown wilcoxon app", append([]string{"-wilcoxon", "Doom,small"}, missing...), `-wilcoxon: apps: unknown application "Doom" ` + validSet(studyApps())},
+		{"unknown wilcoxon setting", append([]string{"-wilcoxon", "Nqueens,huge"}, missing...), `-wilcoxon: apps: Nqueens has no setting "huge" (valid: small, medium, large)`},
+		{"unknown wilcoxon thread setting", append([]string{"-wilcoxon", "XSbench,t7"}, missing...), `XSbench has no setting "t7" (valid: t12, t24, t48, t10, t20, t40, t96)`},
+		{"unknown numa app", append([]string{"-numa", "Doom@milan"}, missing...), `-numa: apps: unknown application "Doom" ` + validSet(studyApps())},
+		{"unknown numa arch", append([]string{"-numa", "Nqueens@riscv"}, missing...), `-numa: topology: unknown architecture "riscv" ` + validSet(topology.Arches())},
+		{"unknown drill app", append([]string{"-drill", "Doom@milan"}, missing...), `-drill: apps: unknown application "Doom" ` + validSet(studyApps())},
+		{"unknown drill arch", append([]string{"-drill", "Nqueens@riscv"}, missing...), `-drill: topology: unknown architecture "riscv" ` + validSet(topology.Arches())},
+		{"unknown calibrate arch", append([]string{"-calibrate", "riscv"}, missing...), `-calibrate: topology: unknown architecture "riscv" ` + validSet(topology.Arches())},
+		{"unknown calibrate app", append([]string{"-calibrate-apps", "EP,Doom"}, missing...), `-calibrate-apps: apps: unknown application "Doom" ` + validSet(studyApps())},
 		{"runtime-only transfer", []string{"-transfer", "LUNest"}, "LUNest has no model profile"},
 		{"runtime-only recommend", []string{"-recommend", "LUNest"}, "LUNest has no model profile"},
 		{"runtime-only numa", []string{"-numa", "LUNest@a64fx"}, "LUNest has no model profile"},
 		{"runtime-only drill", []string{"-drill", "TreeNest@milan"}, "TreeNest has no model profile"},
 		{"runtime-only calibrate", []string{"-calibrate", "a64fx", "-calibrate-apps", "TreeNest"}, "TreeNest has no model profile"},
 		{"selector without arch", []string{"-numa", "Nqueens"}, "APP@ARCH"},
+		{"negative sobol-samples", []string{"-sobol", "-sobol-samples", "-5"}, "-sobol-samples -5: want >= 0"},
+		{"negative calibrate-configs", []string{"-calibrate", "a64fx", "-calibrate-configs", "-1"}, "-calibrate-configs -1: want >= 0"},
+		{"negative measure-reps", []string{"-numa", "EP@a64fx", "-measure-reps", "-2"}, "-measure-reps -2: want >= 0"},
+		{"negative measure-warmup", []string{"-numa", "EP@a64fx", "-measure-warmup", "-1"}, "-measure-warmup -1: want >= 0"},
+		{"recommend app not in dataset", []string{"-data", small, "-recommend", "EP"}, "core: no samples for EP"},
+		{"transfer app not in dataset", []string{"-data", small, "-transfer", "EP"}, "core: no samples for EP"},
+		{"wilcoxon app not in dataset", []string{"-data", small, "-wilcoxon", "EP,small"}, "core: no samples for EP at small"},
+		{"drill app not in dataset", []string{"-data", small, "-drill", "EP@a64fx"}, "core: no samples for EP on a64fx"},
 		{"searchreport without data", []string{"-searchreport", "x.jsonl"}, "needs -data"},
 		{"compare without new csv", []string{"-compare", "old.csv"}, "positional argument"},
 		{"missing dataset", []string{"-data", "/nonexistent.csv", "-upshot"}, "nonexistent.csv"},
@@ -224,6 +267,9 @@ func TestRunValidation(t *testing.T) {
 			err := run(tc.args, &out, &errb)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("run(%v) error = %v, want one containing %q", tc.args, err, tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("run(%v) wrote %q to stdout before failing", tc.args, out.String())
 			}
 		})
 	}

@@ -44,6 +44,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if _, err := apps.ByName(*violinCSV); *violinCSV != "" && err != nil { // before a dataset is read or collected
+		return fmt.Errorf("-violin-csv: %w", err)
+	}
 
 	var ds *dataset.Dataset
 	if *dataPath != "" {
@@ -66,9 +69,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *violinCSV != "" {
-		if _, err := apps.ByName(*violinCSV); err != nil {
-			return err
-		}
 		return report.ViolinCSV(stdout, ds, *violinCSV, 128)
 	}
 	if *compare {

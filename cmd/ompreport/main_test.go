@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"omptune/internal/apps"
 	"omptune/internal/core"
 	"omptune/internal/topology"
 )
@@ -101,19 +102,38 @@ func TestRunFromCSV(t *testing.T) {
 	}
 }
 
+// TestRunValidation: a bad invocation is an error with nothing on stdout. An
+// unknown -violin-csv application is refused, with the study's applications
+// listed, before a dataset is read or collected.
 func TestRunValidation(t *testing.T) {
 	csv := reducedCSV(t)
-	for name, args := range map[string][]string{
-		"unknown flag":       {"-nope"},
-		"missing dataset":    {"-data", filepath.Join(t.TempDir(), "absent.csv")},
-		"unknown violin app": {"-data", csv, "-violin-csv", "Quake"},
+	var studyApps []string
+	for _, a := range apps.All() {
+		studyApps = append(studyApps, a.Name)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown flag", []string{"-nope"}, "-nope"},
+		{"missing dataset", []string{"-data", filepath.Join(t.TempDir(), "absent.csv")}, "absent.csv"},
+		{"unknown violin app", []string{"-data", csv, "-violin-csv", "Quake"}, `-violin-csv: apps: unknown application "Quake"`},
+		{"unknown violin app before collecting", []string{"-violin-csv", "Doom"}, `-violin-csv: apps: unknown application "Doom" (valid: ` + strings.Join(studyApps, ", ") + ")"},
+		{"unknown violin app before reading", []string{"-data", filepath.Join(t.TempDir(), "absent.csv"), "-violin-csv", "Doom"}, `unknown application "Doom"`},
 	} {
-		var out, errb bytes.Buffer
-		if err := run(args, &out, &errb); err == nil {
-			t.Errorf("%s: run(%v) succeeded, want an error", name, args)
-		}
-		if out.Len() != 0 {
-			t.Errorf("%s: wrote %d bytes to stdout before failing", name, out.Len())
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			err := run(tc.args, &out, &errb)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%v) error = %v, want one containing %q", tc.args, err, tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("run(%v) wrote %d bytes to stdout before failing", tc.args, out.Len())
+			}
+			if strings.Contains(errb.String(), "collecting") {
+				t.Errorf("run(%v) collected a dataset before failing: %q", tc.args, errb.String())
+			}
+		})
 	}
 }

@@ -60,6 +60,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -156,13 +157,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	app, err := apps.KernelByName(*appName)
 	if err != nil {
-		return err
+		return fmt.Errorf("-app: %w", err)
+	}
+	if !(*scale > 0 && !math.IsInf(*scale, 1)) { // NaN included
+		return fmt.Errorf("-scale %v: want a finite number > 0", *scale)
 	}
 	if *reps < 1 {
 		return fmt.Errorf("-reps %d: want at least 1", *reps)
 	}
-	if *warmup < 0 {
-		return fmt.Errorf("-warmup %d: want >= 0", *warmup)
+	for _, name := range []string{"warmup", "trace-buf", "min-reps", "max-reps", "rep-budget"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return fmt.Errorf("-%s %s: want >= 0", name, v)
+		}
 	}
 	var pol measure.Adaptive
 	if *adaptive || *targetCoV > 0 || *targetCI > 0 {

@@ -98,75 +98,42 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *budget <= 0 {
 		return fmt.Errorf("-budget %d: want a positive evaluation budget", *budget)
 	}
+	for _, name := range []string{"max-time", "measure-reps", "measure-warmup", "serve-linger"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return fmt.Errorf("-%s %s: want >= 0", name, v)
+		}
+	}
 	searcher, err := core.NewSearcher(*strategy)
 	if err != nil {
-		return err
+		return fmt.Errorf("-strategy: %w", err)
 	}
 	if *appName == "" {
 		return fmt.Errorf("-app is required (e.g. -app Nqueens)")
 	}
 	app, err := apps.ByName(*appName)
 	if err != nil {
-		return err
+		return fmt.Errorf("-app: %w", err)
 	}
 	m, err := topology.Get(topology.Arch(*archName))
 	if err != nil {
-		return err
+		return fmt.Errorf("-arch: %w", err)
 	}
-	sets := app.Settings(m)
-	set := sets[len(sets)/2] // the middle (default-size) setting
-	if *setting != "" {
-		found := false
-		var labels []string
-		for _, s := range sets {
-			labels = append(labels, s.Label)
-			if s.Label == *setting {
-				set, found = s, true
-			}
-		}
-		if !found {
-			return fmt.Errorf("-setting %q: %s has %s on %s", *setting, app.Name, strings.Join(labels, ", "), m.Arch)
-		}
+	set, err := app.Setting(m, *setting)
+	if err != nil {
+		return fmt.Errorf("-setting: %w", err)
 	}
-	var varOrder []env.VarName
-	if *order != "" {
-		valid := env.Names()
-		for _, raw := range strings.Split(*order, ",") {
-			name := env.VarName(strings.TrimSpace(raw))
-			ok := false
-			for _, v := range valid {
-				if v == name {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				var names []string
-				for _, v := range valid {
-					names = append(names, string(v))
-				}
-				return fmt.Errorf("-order: unknown variable %q (valid: %s)", name, strings.Join(names, ", "))
-			}
-			varOrder = append(varOrder, name)
-		}
+	varOrder, err := env.ParseNames(*order)
+	if err != nil {
+		return fmt.Errorf("-order: %w", err)
 	}
 
 	var mon *core.Monitor
 	if *serve != "" {
 		mon = core.NewMonitor()
 	}
-	var ev core.Evaluator // nil = the analytic model
-	switch *backend {
-	case "model":
-	case "measured":
-		mo := measure.Options{Warmup: *mwarmup, TimedReps: *mreps}
-		if mon != nil {
-			mo.Metrics = mon.RuntimeMetrics()
-			mo.Profile = mon.RuntimeProfile()
-		}
-		ev = measure.NewEvaluator(mo)
-	default:
-		return fmt.Errorf("-backend %q: want model or measured", *backend)
+	ev, err := core.NewBackend(*backend, measure.Options{Warmup: *mwarmup, TimedReps: *mreps}, mon)
+	if err != nil {
+		return fmt.Errorf("-backend: %w", err)
 	}
 
 	var srv *obs.Server

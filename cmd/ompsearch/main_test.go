@@ -14,13 +14,24 @@ import (
 	"testing"
 	"time"
 
+	"omptune/internal/apps"
+	"omptune/internal/env"
 	"omptune/internal/obs"
 )
 
 // TestRunValidation is the loud-flag-validation table: every bad invocation
 // must come back as an error naming the offending flag, not a silent default
-// or an os.Exit.
+// or an os.Exit, and write nothing to stdout. An unknown name's error lists
+// the valid set; a negative count or duration is refused, not read as 0.
 func TestRunValidation(t *testing.T) {
+	var studyApps []string
+	for _, a := range apps.All() {
+		studyApps = append(studyApps, a.Name)
+	}
+	var variables []string
+	for _, v := range env.Names() {
+		variables = append(variables, string(v))
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -28,16 +39,21 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{"budget zero", []string{"-app", "Nqueens", "-budget", "0"}, "-budget 0"},
 		{"budget negative", []string{"-app", "Nqueens", "-budget", "-5"}, "-budget -5"},
-		{"unknown strategy", []string{"-app", "Nqueens", "-strategy", "brownian"}, `unknown search strategy "brownian"`},
-		{"strategy error names valid set", []string{"-app", "Nqueens", "-strategy", "brownian"}, "greedy, restart, anneal, surrogate, random"},
+		{"unknown strategy", []string{"-app", "Nqueens", "-strategy", "brownian"}, `-strategy: core: unknown search strategy "brownian"`},
+		{"strategy error names valid set", []string{"-app", "Nqueens", "-strategy", "brownian"}, "(valid: greedy, restart, anneal, surrogate, random)"},
 		{"max-time unparsable", []string{"-app", "Nqueens", "-max-time", "5 minutes"}, "-max-time"},
+		{"max-time negative", []string{"-app", "Nqueens", "-max-time", "-1s"}, "-max-time -1s: want >= 0"},
+		{"measure-reps negative", []string{"-app", "Nqueens", "-measure-reps", "-1"}, "-measure-reps -1: want >= 0"},
+		{"measure-warmup negative", []string{"-app", "Nqueens", "-measure-warmup", "-1"}, "-measure-warmup -1: want >= 0"},
+		{"serve-linger negative", []string{"-app", "Nqueens", "-serve-linger", "-5s"}, "-serve-linger -5s: want >= 0"},
 		{"missing app", []string{"-strategy", "greedy"}, "-app is required"},
-		{"unknown app", []string{"-app", "Doom"}, "Doom"},
+		{"unknown app", []string{"-app", "Doom"}, `-app: apps: unknown application "Doom" (valid: ` + strings.Join(studyApps, ", ") + ")"},
 		{"runtime-only app", []string{"-app", "TreeNest"}, "TreeNest has no model profile"},
-		{"unknown arch", []string{"-app", "Nqueens", "-arch", "riscv"}, "riscv"},
-		{"unknown setting", []string{"-app", "Nqueens", "-setting", "nope"}, `-setting "nope"`},
-		{"unknown backend", []string{"-app", "Nqueens", "-backend", "oracle"}, `-backend "oracle"`},
-		{"unknown order variable", []string{"-app", "Nqueens", "-order", "OMP_MOOD"}, `unknown variable "OMP_MOOD"`},
+		{"unknown arch", []string{"-app", "Nqueens", "-arch", "riscv"}, `-arch: topology: unknown architecture "riscv" (valid: a64fx, skylake, milan)`},
+		{"unknown setting", []string{"-app", "Nqueens", "-setting", "nope"}, `-setting: apps: Nqueens has no setting "nope" on a64fx (valid: small, medium, large)`},
+		{"unknown thread setting", []string{"-app", "XSbench", "-arch", "skylake", "-setting", "t24"}, `XSbench has no setting "t24" on skylake (valid: t10, t20, t40)`},
+		{"unknown backend", []string{"-app", "Nqueens", "-backend", "oracle"}, `-backend: core: unknown backend "oracle" (valid: model, measured)`},
+		{"unknown order variable", []string{"-app", "Nqueens", "-order", "OMP_SCHEDULE,OMP_MOOD"}, `-order: env: unknown variable "OMP_MOOD" (valid: ` + strings.Join(variables, ", ") + ")"},
 		{"positional junk", []string{"-app", "Nqueens", "extra"}, "unexpected arguments"},
 	}
 	for _, tc := range cases {
@@ -49,6 +65,9 @@ func TestRunValidation(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("run(%v) error = %q, want it to contain %q", tc.args, err.Error(), tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("run(%v) wrote %q to stdout before failing", tc.args, out.String())
 			}
 		})
 	}

@@ -118,6 +118,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if !(*frac >= 0 && *frac <= 1) { // NaN included
 		return fmt.Errorf("-frac %v outside [0, 1]", *frac)
 	}
+	for _, name := range []string{"workers", "measure-reps", "measure-warmup", "adaptive-min", "adaptive-max", "adaptive-budget", "heartbeat", "serve-linger"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return fmt.Errorf("-%s %s: want >= 0", name, v)
+		}
+	}
 
 	// The monitor exists before the backend so the measured evaluator can be
 	// built with the monitor's runtime-latency sinks attached.
@@ -125,7 +130,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *serve != "" {
 		mon = core.NewMonitor()
 	}
-
+	ev, err := core.NewBackend(*backend, measure.Options{
+		Warmup: *mwarmup, TimedReps: *mreps,
+		Adaptive: measure.Adaptive{
+			TargetCoV: *adCoV, TargetCIRel: *adCI,
+			MinReps: *adMin, MaxReps: *adMax, MaxTime: *adBudget,
+		},
+	}, mon)
+	if err != nil {
+		return fmt.Errorf("-backend: %w", err)
+	}
+	if (*adCoV > 0 || *adCI > 0) && ev == nil {
+		return fmt.Errorf("-adaptive-cov/-adaptive-ci need -backend measured (the model is deterministic)")
+	}
 	opt := core.SweepConfig{
 		Workers:           *workers,
 		CheckpointDir:     *checkpoint,
@@ -134,45 +151,24 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		TelemetryInterval: *heartbeat,
 		Context:           ctx,
 		Monitor:           mon,
-	}
-	switch *backend {
-	case "model":
-		// nil Backend: the deterministic default.
-	case "measured":
-		mo := measure.Options{
-			Warmup: *mwarmup, TimedReps: *mreps,
-			Adaptive: measure.Adaptive{
-				TargetCoV: *adCoV, TargetCIRel: *adCI,
-				MinReps: *adMin, MaxReps: *adMax, MaxTime: *adBudget,
-			},
-		}
-		if mon != nil {
-			mo.Metrics = mon.RuntimeMetrics()
-			mo.Profile = mon.RuntimeProfile()
-		}
-		opt.Backend = measure.NewEvaluator(mo)
-	default:
-		return fmt.Errorf("-backend %q: want model or measured", *backend)
-	}
-	if (*adCoV > 0 || *adCI > 0) && *backend != "measured" {
-		return fmt.Errorf("-adaptive-cov/-adaptive-ci need -backend measured (the model is deterministic)")
+		Backend:           ev,
 	}
 	if *archList != "" {
 		for _, a := range strings.Split(*archList, ",") {
 			arch := topology.Arch(strings.TrimSpace(a))
 			if _, err := topology.Get(arch); err != nil {
-				return err
+				return fmt.Errorf("-arch: %w", err)
 			}
 			opt.Arches = append(opt.Arches, arch)
 		}
 	}
 	if *appList != "" {
 		for _, a := range strings.Split(*appList, ",") {
-			name := strings.TrimSpace(a)
-			if _, err := apps.ByName(name); err != nil {
-				return err
+			app, err := apps.ByName(strings.TrimSpace(a))
+			if err != nil {
+				return fmt.Errorf("-apps: %w", err)
 			}
-			opt.Apps = append(opt.Apps, name)
+			opt.Apps = append(opt.Apps, app.Name)
 		}
 	}
 	if *shard != "" {

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"omptune/internal/apps"
 	"omptune/internal/core"
 	"omptune/internal/dataset"
 	"omptune/internal/obs"
@@ -23,8 +24,13 @@ import (
 
 // TestRunValidation is the loud-flag-validation table: every bad invocation
 // must come back as an error naming the offending flag, before any campaign
-// starts.
+// starts. An unknown name's error lists the valid set; a negative count or
+// duration is refused, not read as its 0 default.
 func TestRunValidation(t *testing.T) {
+	var studyApps []string
+	for _, a := range apps.All() {
+		studyApps = append(studyApps, a.Name)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -34,14 +40,22 @@ func TestRunValidation(t *testing.T) {
 		{"frac above one", []string{"-frac", "1.5"}, "-frac 1.5 outside [0, 1]"},
 		{"frac NaN", []string{"-frac", "NaN"}, "-frac NaN outside [0, 1]"},
 		{"runtime-only app", []string{"-apps", "LUNest"}, "LUNest has no model profile"},
-		{"unknown backend", []string{"-backend", "oracle"}, `-backend "oracle"`},
+		{"unknown backend", []string{"-backend", "oracle"}, `-backend: core: unknown backend "oracle" (valid: model, measured)`},
 		{"shard malformed", []string{"-shard", "3"}, `-shard wants K/N with 0 <= K < N, got "3"`},
 		{"shard out of range", []string{"-shard", "2/2"}, `got "2/2"`},
 		{"shard selects nothing", []string{"-apps", "EP", "-shard", "1/2"}, "shard 1/2 selects no applications"},
 		{"adaptive-cov without measured", []string{"-adaptive-cov", "0.05"}, "need -backend measured"},
 		{"adaptive-ci without measured", []string{"-adaptive-ci", "0.05"}, "need -backend measured"},
-		{"unknown arch", []string{"-arch", "riscv"}, "riscv"},
-		{"unknown app", []string{"-apps", "Doom"}, "Doom"},
+		{"unknown arch", []string{"-arch", "a64fx,riscv"}, `-arch: topology: unknown architecture "riscv" (valid: a64fx, skylake, milan)`},
+		{"unknown app", []string{"-apps", "EP,Doom"}, `-apps: apps: unknown application "Doom" (valid: ` + strings.Join(studyApps, ", ") + ")"},
+		{"workers negative", []string{"-workers", "-3"}, "-workers -3: want >= 0"},
+		{"measure-reps negative", []string{"-backend", "measured", "-measure-reps", "-1"}, "-measure-reps -1: want >= 0"},
+		{"measure-warmup negative", []string{"-backend", "measured", "-measure-warmup", "-1"}, "-measure-warmup -1: want >= 0"},
+		{"adaptive-min negative", []string{"-adaptive-min", "-2"}, "-adaptive-min -2: want >= 0"},
+		{"adaptive-max negative", []string{"-adaptive-max", "-2"}, "-adaptive-max -2: want >= 0"},
+		{"adaptive-budget negative", []string{"-adaptive-budget", "-1s"}, "-adaptive-budget -1s: want >= 0"},
+		{"heartbeat negative", []string{"-heartbeat", "-30s"}, "-heartbeat -30s: want >= 0"},
+		{"serve-linger negative", []string{"-serve-linger", "-1m"}, "-serve-linger -1m0s: want >= 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package omptune_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"omptune"
@@ -24,13 +25,14 @@ func ExampleCollect() {
 	fmt.Printf("collected %d samples\n", ds.Len())
 
 	// Per setting (thread count), the best configuration found.
+	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, g := range ds.Groups() {
 		best := g.Best()
 		fmt.Printf("%s default: %.3fs best: %.3fs speedup: %.2fx\n",
 			best.SettingKey(), best.DefaultRuntime, best.MeanRuntime(), best.Speedup())
 		fmt.Printf("  %s\n", best.Config)
+		lo, hi = min(lo, best.Speedup()), max(hi, best.Speedup())
 	}
-	lo, hi := ds.SpeedupRange()
 	fmt.Printf("speedup range: %.3f - %.3f (paper Table V: 1.016 - 2.602)\n", lo, hi)
 	// Output:
 	// collected 4216 samples

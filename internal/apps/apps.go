@@ -20,7 +20,9 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"omptune/internal/sim"
 	"omptune/internal/topology"
@@ -102,17 +104,22 @@ func All() []*App {
 
 // ByName returns the named study application. Every path that meets the
 // model resolves its applications through ByName, so it refuses a
-// runtime-only kernel, which has no model profile, by name.
+// runtime-only kernel, which has no model profile, by name. The error of an
+// unknown name lists the study's applications.
 func ByName(name string) (*App, error) {
 	a, err := KernelByName(name)
-	if err == nil && a.Profile == nil {
+	switch {
+	case err != nil:
+		return nil, unknownApp(name, All())
+	case a.Profile == nil:
 		return nil, fmt.Errorf("apps: %s has no model profile: it runs only on the openmp runtime (omprun -app %s)", name, name)
 	}
-	return a, err
+	return a, nil
 }
 
 // KernelByName returns the named application for a run of its kernel on the
-// openmp runtime: a study application or a runtime-only kernel.
+// openmp runtime: a study application or a runtime-only kernel. The error of
+// an unknown name lists both.
 func KernelByName(name string) (*App, error) {
 	for _, reg := range [][]*App{registry, runtimeOnly} {
 		for _, a := range reg {
@@ -121,7 +128,39 @@ func KernelByName(name string) (*App, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("apps: unknown application %q", name)
+	return nil, unknownApp(name, append(All(), runtimeOnly...))
+}
+
+func unknownApp(name string, valid []*App) error {
+	names := make([]string, len(valid))
+	for i, a := range valid {
+		names[i] = a.Name
+	}
+	return fmt.Errorf("apps: unknown application %q (valid: %s)", name, strings.Join(names, ", "))
+}
+
+// Setting resolves the app's setting labelled label on m, "" being the
+// middle (default-size) one. With m nil the label may name a setting on any
+// of the study's machines, the first in presentation order that has it. The
+// error of an unknown label lists the labels there are.
+func (a *App) Setting(m *topology.Machine, label string) (sim.Setting, error) {
+	machines, where := topology.All(), ""
+	if m != nil {
+		machines, where = []*topology.Machine{m}, " on "+string(m.Arch)
+	}
+	var labels []string
+	for _, m := range machines {
+		sets := a.Settings(m)
+		for i, s := range sets {
+			if s.Label == label || label == "" && i == len(sets)/2 {
+				return s, nil
+			}
+			if !slices.Contains(labels, s.Label) {
+				labels = append(labels, s.Label)
+			}
+		}
+	}
+	return sim.Setting{}, fmt.Errorf("apps: %s has no setting %q%s (valid: %s)", a.Name, label, where, strings.Join(labels, ", "))
 }
 
 // excluded lists the app×arch combinations that were not executed in the

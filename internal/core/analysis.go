@@ -104,8 +104,13 @@ type WilcoxonRow struct {
 
 // WilcoxonTable reproduces Table III for one application and setting label
 // across all architectures: consecutive run pairs (R0,R1), (R1,R2), (R2,R3).
-func WilcoxonTable(ds *dataset.Dataset, app, setting string) []WilcoxonRow {
-	return NewFrame(ds).WilcoxonTable(app, setting)
+// A selection with no samples in ds is an error.
+func WilcoxonTable(ds *dataset.Dataset, app, setting string) ([]WilcoxonRow, error) {
+	rows := NewFrame(ds).WilcoxonTable(app, setting) // three rows per matching group
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("core: no samples for %s at %s", app, setting)
+	}
+	return rows, nil
 }
 
 // WilcoxonTable is WilcoxonTable over the frame's dataset.

@@ -18,7 +18,7 @@ func TestAnalysisReport(t *testing.T) {
 	var b strings.Builder
 
 	fmt.Fprintf(&b, "\nTable III (Wilcoxon, alignment-small):\n")
-	for _, r := range WilcoxonTable(ds, "Alignment", "small") {
+	for _, r := range NewFrame(ds).WilcoxonTable("Alignment", "small") {
 		fmt.Fprintf(&b, "  %-26s %-7s stat=%12.1f p=%.3g degenerate=%v\n", r.Group, r.Pair, r.Statistic, r.PValue, r.Degenerate)
 	}
 
@@ -29,7 +29,7 @@ func TestAnalysisReport(t *testing.T) {
 
 	fmt.Fprintf(&b, "\nTable VII (recommendations):\n")
 	for _, app := range []string{"Nqueens", "CG"} {
-		for _, r := range Recommend(ds, app) {
+		for _, r := range NewFrame(ds).Recommend(app) {
 			arch := "All"
 			if r.Arch != "" {
 				arch = string(r.Arch)
@@ -51,7 +51,7 @@ func TestAnalysisReport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fig3: %v", err)
 	}
-	fmt.Fprintf(&b, "\nFig 3 (per-arch influence), feature rank: %v\n", fig3.FeatureRank())
+	fmt.Fprintf(&b, "\nFig 3 (per-arch influence), feature rank: %v\n", featureRank(fig3))
 	for i, row := range fig3.RowLabels {
 		fmt.Fprintf(&b, "  %-8s acc=%.3f ", row, fig3.Accuracy[i])
 		for j, f := range fig3.Features {

@@ -62,13 +62,13 @@ func TestCalibrationReport(t *testing.T) {
 
 	fmt.Fprintf(&b, "\nQ1 medians of best speedups: ")
 	for _, arch := range topology.Arches() {
-		fmt.Fprintf(&b, "%s=%.3f ", arch, ds.ByArch(arch).MedianBestSpeedup())
+		fmt.Fprintf(&b, "%s=%.3f ", arch, dataset.MedianOf(bestSpeedups(ds.ByArch(arch))))
 	}
 	fmt.Fprintf(&b, "(paper: a64fx 1.02, skylake 1.065, milan 1.15)\n")
 
 	fmt.Fprintf(&b, "\nTable VI (best-speedup range per app) — measured vs paper:\n")
 	for app, want := range paperTableVI {
-		lo, hi := ds.ByApp(app).SpeedupRange()
+		lo, hi := speedupRange(ds.ByApp(app))
 		fmt.Fprintf(&b, "  %-10s %6.3f - %6.3f   (paper %.3f - %.3f)\n", app, lo, hi, want[0], want[1])
 	}
 
@@ -79,7 +79,7 @@ func TestCalibrationReport(t *testing.T) {
 			if sub.Len() == 0 {
 				continue
 			}
-			lo, hi := sub.SpeedupRange()
+			lo, hi := speedupRange(sub)
 			fmt.Fprintf(&b, "  %-10s %-8s %6.3f - %6.3f\n", app, arch, lo, hi)
 		}
 	}

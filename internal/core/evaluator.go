@@ -8,6 +8,7 @@ import (
 	"omptune/internal/apps"
 	"omptune/internal/dataset"
 	"omptune/internal/env"
+	"omptune/internal/measure"
 	"omptune/internal/sim"
 	"omptune/internal/topology"
 )
@@ -57,6 +58,24 @@ func (ModelEvaluator) EvaluateSeries(m *topology.Machine, app *apps.App, cfg env
 // bit-identical to EvaluateSeries' slot rep.
 func (ModelEvaluator) Evaluate(m *topology.Machine, app *apps.App, cfg env.Config, set sim.Setting, rep int) float64 {
 	return sim.Evaluate(m, app.Profile, cfg, set, rep)
+}
+
+// NewBackend resolves a measurement backend by name: "model" is the analytic
+// model, which reaches every Evaluator field as nil (never as a typed-nil
+// *measure.Evaluator), and "measured" runs the kernels under opt, reporting
+// the runtime's latencies and region profiles to mon when it is set. The
+// error of an unknown name lists the two.
+func NewBackend(name string, opt measure.Options, mon *Monitor) (Evaluator, error) {
+	switch name {
+	case dataset.SourceModel:
+		return nil, nil
+	case dataset.SourceMeasured:
+		if mon != nil {
+			opt.Metrics, opt.Profile = mon.RuntimeMetrics(), mon.RuntimeProfile()
+		}
+		return measure.NewEvaluator(opt), nil
+	}
+	return nil, fmt.Errorf("core: unknown backend %q (valid: %s, %s)", name, dataset.SourceModel, dataset.SourceMeasured)
 }
 
 // orModel resolves a nil evaluator to the default model backend, keeping

@@ -92,9 +92,13 @@ type TransferRow struct {
 // application, quantifying §VI's caveat that "there is no guarantee this
 // knowledge can be transferred" to unseen architectures. Features exclude
 // the architecture code (the held-out value would be unseen); the forest
-// model is used since it dominates the linear one in-sample.
+// model is used since it dominates the linear one in-sample. An app with no
+// samples in ds is an error.
 func Transfer(ds *dataset.Dataset, app string, treeOpt ml.TreeOptions, nTrees int) ([]TransferRow, error) {
 	f := NewFrame(ds)
+	if !f.has(ofApp(app)) {
+		return nil, noSamples(app)
+	}
 	var rows []TransferRow
 	for _, held := range topology.Arches() {
 		test := f.where(ofAppOnArch(app, held))

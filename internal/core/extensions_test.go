@@ -265,6 +265,33 @@ func TestDrillDownMissingGroup(t *testing.T) {
 	}
 }
 
+// TestAnalysesRefuseMissingSelection: an analysis of an application, or of
+// an application's setting, that the dataset lacks is an error naming it, as
+// Drill's is, not an empty answer.
+func TestAnalysesRefuseMissingSelection(t *testing.T) {
+	ds, err := RunSweep(SweepConfig{
+		Arches: []topology.Arch{topology.A64FX}, Apps: []string{"EP"},
+		Fraction: map[topology.Arch]float64{topology.A64FX: 0.01},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := WilcoxonTable(ds, "EP", "small"); err != nil || len(rows) != 3 {
+		t.Fatalf("WilcoxonTable(EP, small) = %d rows, %v; want 3", len(rows), err)
+	}
+	opt := ml.TreeOptions{MaxDepth: 4, MinLeaf: 30, Seed: 5}
+	for name, analysis := range map[string]func() error{
+		"Recommend":   func() error { _, err := Recommend(ds, "Nqueens"); return err },
+		"Transfer":    func() error { _, err := Transfer(ds, "Nqueens", opt, 2); return err },
+		"WilcoxonApp": func() error { _, err := WilcoxonTable(ds, "Nqueens", "small"); return err },
+		"WilcoxonSet": func() error { _, err := WilcoxonTable(ds, "EP", "huge"); return err },
+	} {
+		if err := analysis(); err == nil || !strings.Contains(err.Error(), "core: no samples for ") {
+			t.Errorf("%s: error %v, want one saying there are no samples", name, err)
+		}
+	}
+}
+
 func TestQ2ConsistencyShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")

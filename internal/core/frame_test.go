@@ -172,7 +172,7 @@ func TestFrameMatchesWhereAndLifts(t *testing.T) {
 			}
 		}
 		lo, hi := dataset.RangeOf(f.bests(s.match))
-		if wlo, whi := s.want.SpeedupRange(); lo != wlo || hi != whi {
+		if wlo, whi := speedupRange(s.want); lo != wlo || hi != whi {
 			t.Errorf("%s: best range %v-%v, Dataset %v-%v", s.name, lo, hi, wlo, whi)
 		}
 		sameLifts(t, s.name+" fastest", f, f.valueLift(sel, fastest), refValueLift(s.want, refFastest))

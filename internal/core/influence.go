@@ -195,28 +195,6 @@ func (f *Frame) InfluenceHeatmap(g Grouping, opt ml.LogisticOptions) (*Heatmap, 
 	return hm, nil
 }
 
-// FeatureRank returns the features of a heatmap ordered by mean influence
-// across rows, most influential first — the reading the paper gives of
-// Fig. 3 (threads, then proc_bind, then places, ...).
-func (h *Heatmap) FeatureRank() []string {
-	means := make([]float64, len(h.Features))
-	for _, row := range h.Cells {
-		for j, v := range row {
-			means[j] += v
-		}
-	}
-	idx := make([]int, len(h.Features))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return means[idx[a]] > means[idx[b]] })
-	out := make([]string, len(idx))
-	for i, j := range idx {
-		out[i] = h.Features[j]
-	}
-	return out
-}
-
 // RowInfluence returns the influence of feature in the named row, or 0.
 func (h *Heatmap) RowInfluence(row, feature string) float64 {
 	for i, r := range h.RowLabels {

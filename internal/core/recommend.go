@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"omptune/internal/dataset"
@@ -97,8 +98,18 @@ func (f *Frame) valueLift(sel selection, before func(a, b float64) bool) [][]flo
 // application: first values that are enriched among the fastest
 // configurations on every architecture (the "All" rows of Table VII, like
 // NQueens' KMP_LIBRARY=turnaround), then per-architecture additions. Rows
-// of equal lift keep env.Names order.
-func Recommend(ds *dataset.Dataset, app string) []Recommendation { return NewFrame(ds).Recommend(app) }
+// of equal lift keep env.Names order. An app with no samples in ds is an
+// error.
+func Recommend(ds *dataset.Dataset, app string) ([]Recommendation, error) {
+	f := NewFrame(ds)
+	if !f.has(ofApp(app)) {
+		return nil, noSamples(app)
+	}
+	return f.Recommend(app), nil
+}
+
+// noSamples is the error of an analysis of app over a dataset without it.
+func noSamples(app string) error { return fmt.Errorf("core: no samples for %s", app) }
 
 // Recommend is Recommend over the frame's dataset.
 func (f *Frame) Recommend(app string) []Recommendation {

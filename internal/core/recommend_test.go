@@ -38,7 +38,7 @@ func equalLifts() *dataset.Dataset {
 func TestEqualLiftOrder(t *testing.T) {
 	ds := equalLifts()
 	render := func() (recs, trends string) {
-		for _, r := range Recommend(ds, "Nqueens") {
+		for _, r := range NewFrame(ds).Recommend("Nqueens") {
 			recs += fmt.Sprintf("%s %s=%v %.3f; ", r.Arch, r.Variable, r.Values, r.Lift)
 		}
 		for _, w := range WorstTrends(ds) {

@@ -61,8 +61,8 @@ type SearchSpec struct {
 	// lattice and never read it.
 	Space []env.Config
 	// Order is the coordinate order of the greedy descents (most influential
-	// first, e.g. from a heatmap's FeatureRank); nil means the canonical
-	// env.Names() order.
+	// first, e.g. a heatmap's features by mean influence); nil means the
+	// canonical env.Names() order.
 	Order []env.VarName
 	// Seed drives every stochastic choice; same seed + deterministic backend
 	// means an identical SearchResult.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"omptune/internal/dataset"
 	"omptune/internal/env"
 	"omptune/internal/ml"
 	"omptune/internal/topology"
@@ -80,7 +81,7 @@ func TestShapeNQueensTurnaroundEverywhere(t *testing.T) {
 	ds := sweepOnce(t)
 	// Table VI: 2.342-4.851 across architectures.
 	for _, arch := range topology.Arches() {
-		lo, hi := ds.ByApp("Nqueens").ByArch(arch).SpeedupRange()
+		lo, hi := speedupRange(ds.ByApp("Nqueens").ByArch(arch))
 		if lo < 1.8 {
 			t.Errorf("%s: NQueens best speedup %v, want > 1.8 on every arch", arch, lo)
 		}
@@ -89,7 +90,7 @@ func TestShapeNQueensTurnaroundEverywhere(t *testing.T) {
 		}
 	}
 	// Table VII: KMP_LIBRARY=turnaround is the all-architecture winner.
-	recs := Recommend(ds, "Nqueens")
+	recs := NewFrame(ds).Recommend("Nqueens")
 	found := false
 	for _, r := range recs {
 		if r.Arch == "" && r.Variable == env.VarLibrary {
@@ -121,12 +122,12 @@ func TestShapeXSBenchMilanOutlier(t *testing.T) {
 	}
 	ds := sweepOnce(t)
 	// Table V: Milan reaches 2.6x; A64FX and Skylake stay marginal.
-	_, hiMilan := ds.ByApp("XSbench").ByArch(topology.Milan).SpeedupRange()
+	_, hiMilan := speedupRange(ds.ByApp("XSbench").ByArch(topology.Milan))
 	if hiMilan < 2.0 || hiMilan > 3.2 {
 		t.Errorf("XSbench Milan max speedup %v, want ~2.6", hiMilan)
 	}
 	for _, arch := range []topology.Arch{topology.A64FX, topology.Skylake} {
-		_, hi := ds.ByApp("XSbench").ByArch(arch).SpeedupRange()
+		_, hi := speedupRange(ds.ByApp("XSbench").ByArch(arch))
 		if hi > 1.08 {
 			t.Errorf("XSbench %s max speedup %v, want marginal (paper <= 1.015)", arch, hi)
 		}
@@ -164,7 +165,7 @@ func TestShapeAppSpeedupBands(t *testing.T) {
 		"XSbench":   {1.0, 1.06, 2.00, 3.20},
 	}
 	for app, b := range bands {
-		lo, hi := ds.ByApp(app).SpeedupRange()
+		lo, hi := speedupRange(ds.ByApp(app))
 		if lo < b[0] || lo > b[1] {
 			t.Errorf("%s: range low %v outside [%v, %v]", app, lo, b[0], b[1])
 		}
@@ -179,7 +180,7 @@ func TestShapeWilcoxonTableIII(t *testing.T) {
 		t.Skip("full sweep in -short mode")
 	}
 	ds := sweepOnce(t)
-	rows := WilcoxonTable(ds, "Alignment", "small")
+	rows := NewFrame(ds).WilcoxonTable("Alignment", "small")
 	if len(rows) != 9 {
 		t.Fatalf("WilcoxonTable returned %d rows, want 9 (3 archs x 3 pairs)", len(rows))
 	}
@@ -321,7 +322,7 @@ func TestShapeInfluenceHeatmaps(t *testing.T) {
 	if v := meanInfluence(fig3, string(env.VarLibrary)); v < 0.05 {
 		t.Errorf("library influence %v, want >= 0.05 (\"some impact\")", v)
 	}
-	rank := fig3.FeatureRank()
+	rank := featureRank(fig3)
 	last2 := map[string]bool{rank[len(rank)-1]: true, rank[len(rank)-2]: true}
 	if !last2[string(env.VarForceReduction)] || !last2[string(env.VarAlignAlloc)] {
 		t.Errorf("least influential features = %v, want force_reduction and align_alloc", rank[len(rank)-2:])
@@ -384,7 +385,7 @@ func TestShapeCGSkylakeReductionSensitivity(t *testing.T) {
 	ds := sweepOnce(t)
 	// Table VII: CG on Skylake is sensitive to the reduction method and the
 	// allocation alignment.
-	recs := Recommend(ds, "CG")
+	recs := NewFrame(ds).Recommend("CG")
 	hasRedOrAlign := false
 	for _, r := range recs {
 		if r.Arch == topology.Skylake &&
@@ -415,7 +416,7 @@ func TestShapeDefaultConfigurationIsStrong(t *testing.T) {
 		if med > 1.03 {
 			t.Errorf("%s: median sample speedup %v — default should be hard to beat", arch, med)
 		}
-		lo, _ := sub.SpeedupRange()
+		lo, _ := speedupRange(sub)
 		if lo < 1.0 {
 			t.Errorf("%s: best-per-setting speedup %v < 1 — default is in the sweep, best can't lose to it", arch, lo)
 		}
@@ -430,3 +431,39 @@ func medianOf(xs []float64) float64 {
 	sort.Float64s(cp)
 	return cp[len(cp)/2]
 }
+
+// featureRank returns the features of a heatmap ordered by mean influence
+// across rows, most influential first — the reading the paper gives of
+// Fig. 3 (threads, then proc_bind, then places, ...).
+func featureRank(h *Heatmap) []string {
+	means := make([]float64, len(h.Features))
+	for _, row := range h.Cells {
+		for j, v := range row {
+			means[j] += v
+		}
+	}
+	idx := make([]int, len(h.Features))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return means[idx[a]] > means[idx[b]] })
+	out := make([]string, len(idx))
+	for i, j := range idx {
+		out[i] = h.Features[j]
+	}
+	return out
+}
+
+// bestSpeedups returns every group's best speedup, in group order: what
+// dataset.RangeOf and dataset.MedianOf take.
+func bestSpeedups(ds *dataset.Dataset) []float64 {
+	var sp []float64
+	for _, g := range ds.Groups() {
+		sp = append(sp, g.Best().Speedup())
+	}
+	return sp
+}
+
+// speedupRange is the least and the greatest best speedup of ds's settings
+// (Tables V and VI).
+func speedupRange(ds *dataset.Dataset) (lo, hi float64) { return dataset.RangeOf(bestSpeedups(ds)) }

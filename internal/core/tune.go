@@ -11,9 +11,9 @@ import (
 
 // Tune performs the search-space-pruned coordinate descent the paper
 // proposes in §VI: vary one variable at a time in the given importance
-// order (most influential first, e.g. from a Fig. 3 heatmap's FeatureRank),
-// keeping the best value before moving on, and stop after a full pass with
-// no improvement or when the evaluation budget is exhausted.
+// order (most influential first, e.g. a Fig. 3 heatmap's features by mean
+// influence), keeping the best value before moving on, and stop after a
+// full pass with no improvement or when the evaluation budget is exhausted.
 //
 // The objective is the mean of the repeated measurements — the same
 // quantity the study's speedups use — so Tune behaves like a user re-running

@@ -253,25 +253,6 @@ func (g *Group) Best() *Sample {
 	return best
 }
 
-// bestSpeedups returns every group's best speedup, in group order.
-func (d *Dataset) bestSpeedups() []float64 {
-	groups := d.Groups()
-	sp := make([]float64, len(groups))
-	for i := range groups {
-		sp[i] = groups[i].Best().Speedup()
-	}
-	return sp
-}
-
-// SpeedupRange returns the minimum and maximum best-speedup across the
-// dataset's settings — the quantity tabulated per application (Table VI)
-// and per application×architecture (Table V).
-func (d *Dataset) SpeedupRange() (lo, hi float64) { return RangeOf(d.bestSpeedups()) }
-
-// MedianBestSpeedup returns the median of the per-setting best speedups,
-// the per-architecture "median improvement" of §V-Q1.
-func (d *Dataset) MedianBestSpeedup() float64 { return MedianOf(d.bestSpeedups()) }
-
 // RangeOf returns the minimum and maximum of per-setting best speedups, or
 // 0, 0 for none.
 func RangeOf(best []float64) (lo, hi float64) {

@@ -101,22 +101,22 @@ func TestBestPerSettingAndRange(t *testing.T) {
 	if sp := groups[0].Best().Speedup(); groups[0].Setting != "small" || math.Abs(sp-1.5) > 1e-9 {
 		t.Errorf("best %s speedup %v, want small 1.5", groups[0].Setting, sp)
 	}
-	lo, hi := ds.SpeedupRange()
+	lo, hi := RangeOf(bestSpeedups(ds))
 	if math.Abs(lo-1.1) > 1e-9 || math.Abs(hi-1.5) > 1e-9 {
-		t.Errorf("SpeedupRange = %v-%v, want 1.1-1.5", lo, hi)
+		t.Errorf("RangeOf = %v-%v, want 1.1-1.5", lo, hi)
 	}
-	if med := ds.MedianBestSpeedup(); math.Abs(med-1.3) > 1e-9 {
-		t.Errorf("MedianBestSpeedup = %v, want 1.3", med)
+	if med := MedianOf(bestSpeedups(ds)); math.Abs(med-1.3) > 1e-9 {
+		t.Errorf("MedianOf = %v, want 1.3", med)
 	}
 }
 
 func TestEmptyDatasetRanges(t *testing.T) {
 	ds := &Dataset{}
-	lo, hi := ds.SpeedupRange()
+	lo, hi := RangeOf(bestSpeedups(ds))
 	if lo != 0 || hi != 0 {
 		t.Errorf("empty range = %v-%v", lo, hi)
 	}
-	if ds.MedianBestSpeedup() != 0 {
+	if MedianOf(bestSpeedups(ds)) != 0 {
 		t.Error("empty median should be 0")
 	}
 }
@@ -356,7 +356,7 @@ func TestSpeedupRangePropertyBestIsMax(t *testing.T) {
 			}
 			ds.Samples = append(ds.Samples, mkSample(topology.A64FX, "CG", "small", sp))
 		}
-		_, hi := ds.SpeedupRange()
+		_, hi := RangeOf(bestSpeedups(ds))
 		return math.Abs(hi-maxSp) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -599,4 +599,15 @@ func TestCSVSeriesMetaLegacyFilesUnchanged(t *testing.T) {
 			t.Fatalf("%s: legacy file not byte-identical after round-trip:\n got %q\nwant %q", name, buf.String(), legacy)
 		}
 	}
+}
+
+// bestSpeedups returns every group's best speedup, in group order: what
+// RangeOf and MedianOf take.
+func bestSpeedups(d *Dataset) []float64 {
+	groups := d.Groups()
+	sp := make([]float64, len(groups))
+	for i := range groups {
+		sp[i] = groups[i].Best().Speedup()
+	}
+	return sp
 }

@@ -155,35 +155,6 @@ func (c Config) AppendKey(b []byte) []byte {
 // String implements fmt.Stringer with the Key representation.
 func (c Config) String() string { return c.Key() }
 
-// Environ renders the configuration as KEY=VALUE strings in the style a user
-// would export before launching an application. Unset variables are omitted,
-// matching how the study drives the real runtime.
-func (c Config) Environ() []string {
-	out := make([]string, 0, len(variables))
-	for i := range variables {
-		row := &variables[i]
-		if val := row.value(c); !row.optional || val != row.unset {
-			out = append(out, string(row.name)+"="+val)
-		}
-	}
-	return out
-}
-
-// Parse builds a Config from KEY=VALUE pairs (or a process-style environment
-// slice), applying the default rules of Default(m) for absent keys. A
-// malformed entry is reported before any value is read.
-func Parse(m *topology.Machine, environ []string) (Config, error) {
-	as := make([]Assignment, len(environ))
-	for i, kv := range environ {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("env: malformed entry %q", kv)
-		}
-		as[i] = Assignment{VarName(key), val}
-	}
-	return ParseAssignments(m, as)
-}
-
 // An Assignment is one exported variable: its name and its value.
 type Assignment struct {
 	Name  VarName
@@ -194,8 +165,7 @@ type Assignment struct {
 // the default rules of Default(m) for absent variables. Names and values are
 // trimmed, names upper-cased and values lower-cased; names the package does
 // not know are ignored, as a real runtime ignores foreign variables. No
-// value is kept: a caller may reuse the strings it passes. Parse is
-// ParseAssignments over KEY=VALUE entries.
+// value is kept: a caller may reuse the strings it passes.
 func ParseAssignments(m *topology.Machine, as []Assignment) (Config, error) {
 	c := Default(m)
 	for _, a := range as {
@@ -267,16 +237,39 @@ func Names() []VarName {
 	return out
 }
 
+// ParseNames resolves a comma-separated list of variable names, such as a
+// search's variable order; "" is none. The error of an unknown name lists
+// the variables.
+func ParseNames(list string) ([]VarName, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var out []VarName
+	for _, raw := range strings.Split(list, ",") {
+		v := VarName(strings.TrimSpace(raw))
+		if lookup(v) == nil {
+			return nil, unknownVariable(v)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+func unknownVariable(v VarName) error {
+	names := make([]string, len(variables))
+	for i := range variables {
+		names[i] = string(variables[i].name)
+	}
+	return fmt.Errorf("env: unknown variable %q (valid: %s)", v, strings.Join(names, ", "))
+}
+
 // variable is everything the package knows about one environment variable.
-// Validate, Parse, Environ, Set, Value, Values and Feature are loops or
+// Validate, ParseAssignments, Set, Value, Values and Feature are loops or
 // lookups over the variables table, so adding a variable is a Config field,
 // a row, and a tag in Key. The accessors take the Config by value: through a
 // func value a pointer would move the caller's copy to the heap.
 type variable struct {
 	name VarName
-	// An optional variable is left unexported while its Value is unset.
-	optional bool
-	unset    string
 
 	domain func(m *topology.Machine) []string // swept values on m, in sweep order
 	// get spells the value in c. A numeric variable gives count instead,
@@ -291,15 +284,15 @@ type variable struct {
 	feature func(c Config) float64 // see Feature
 }
 
-// variables is in Names order, which is also Environ order.
+// variables is in Names order.
 var variables = [...]variable{
-	{name: VarPlaces, optional: true, unset: topology.PlaceUnset.String(),
+	{name: VarPlaces,
 		domain:  func(*topology.Machine) []string { return spellings(PlaceKinds()) },
 		get:     func(c Config) string { return c.Places.String() },
 		set:     func(c Config, s string) (_ Config, ok bool) { c.Places, ok = parseKind(placeKinds(), s); return c, ok },
 		valid:   func(c Config, _ *topology.Machine) bool { return contains(placeKinds(), c.Places) },
 		feature: func(c Config) float64 { return float64(indexOf(PlaceKinds(), c.Places)) }},
-	{name: VarProcBind, optional: true, unset: openmp.BindDefault.String(),
+	{name: VarProcBind,
 		domain:  func(*topology.Machine) []string { return spellings(ProcBinds()) },
 		get:     func(c Config) string { return c.ProcBind.String() },
 		set:     func(c Config, s string) (_ Config, ok bool) { c.ProcBind, ok = parseKind(ProcBinds(), s); return c, ok },
@@ -337,7 +330,7 @@ var variables = [...]variable{
 		},
 		valid:   func(c Config, _ *topology.Machine) bool { return c.BlocktimeMS >= openmp.BlocktimeInfinite },
 		feature: func(c Config) float64 { return float64(indexOf(Blocktimes(), c.BlocktimeMS)) }},
-	{name: VarForceReduction, optional: true, unset: openmp.ReductionDefault.String(),
+	{name: VarForceReduction,
 		domain: func(*topology.Machine) []string { return spellings(Reductions()) },
 		get:    func(c Config) string { return c.ForceReduction.String() },
 		set: func(c Config, s string) (_ Config, ok bool) {
@@ -400,7 +393,7 @@ func (c Config) Feature(v VarName) float64 {
 func (c Config) Set(v VarName, value string) (Config, error) {
 	row := lookup(v)
 	if row == nil {
-		return c, fmt.Errorf("env: unknown variable %q", v)
+		return c, unknownVariable(v)
 	}
 	value = strings.ToLower(strings.TrimSpace(value))
 	nc, ok := row.set(c, value)

@@ -1,6 +1,7 @@
 package env
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -150,7 +151,7 @@ func TestParseRoundTrip(t *testing.T) {
 			ForceReduction: Reductions()[int(ri)%len(Reductions())],
 			AlignAlloc:     m.AlignAllocValues()[int(ai)%len(m.AlignAllocValues())],
 		}
-		got, err := Parse(m, c.Environ())
+		got, err := parse(m, environOf(c))
 		return err == nil && got == c
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -173,15 +174,15 @@ func TestParseErrors(t *testing.T) {
 		{"OMP_PLACES=clouds"},           // unknown place kind
 	}
 	for _, environ := range bad {
-		if _, err := Parse(m, environ); err == nil {
-			t.Errorf("Parse(%v): want error, got nil", environ)
+		if _, err := parse(m, environ); err == nil {
+			t.Errorf("parse(%v): want error, got nil", environ)
 		}
 	}
 }
 
 func TestParseIgnoresForeignAndNormalizesCase(t *testing.T) {
 	m := topology.MustGet(topology.Skylake)
-	c, err := Parse(m, []string{"PATH=/usr/bin", "omp_schedule=GUIDED", "KMP_BLOCKTIME=Infinite"})
+	c, err := parse(m, []string{"PATH=/usr/bin", "omp_schedule=GUIDED", "KMP_BLOCKTIME=Infinite"})
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -196,13 +197,13 @@ func TestParseIgnoresForeignAndNormalizesCase(t *testing.T) {
 func TestEnvironOmitsUnset(t *testing.T) {
 	m := topology.MustGet(topology.A64FX)
 	d := Default(m)
-	joined := strings.Join(d.Environ(), " ")
+	joined := strings.Join(environOf(d), " ")
 	if strings.Contains(joined, "OMP_PLACES") || strings.Contains(joined, "OMP_PROC_BIND") ||
 		strings.Contains(joined, "KMP_FORCE_REDUCTION") {
-		t.Errorf("default Environ should omit unset variables: %v", d.Environ())
+		t.Errorf("default Environ should omit unset variables: %v", environOf(d))
 	}
 	if !strings.Contains(joined, "KMP_BLOCKTIME=200") {
-		t.Errorf("default Environ missing blocktime: %v", d.Environ())
+		t.Errorf("default Environ missing blocktime: %v", environOf(d))
 	}
 }
 
@@ -279,7 +280,7 @@ func TestKeyIsStableAndDistinct(t *testing.T) {
 
 // TestFlatConfigBackCompat: the nesting variables are foreign to Config, as
 // any variable the package does not know: Key and Environ never name them,
-// and Parse ignores them, so an environment that sets them parses to the
+// and parse ignores them, so an environment that sets them parses to the
 // configuration it would without them.
 func TestFlatConfigBackCompat(t *testing.T) {
 	m := topology.MustGet(topology.Milan)
@@ -288,13 +289,13 @@ func TestFlatConfigBackCompat(t *testing.T) {
 		strings.Contains(k, "threadlimit") {
 		t.Errorf("Key %q names a nesting variable", k)
 	}
-	for _, kv := range c.Environ() {
+	for _, kv := range environOf(c) {
 		if strings.HasPrefix(kv, "OMP_NUM_THREADS") || strings.HasPrefix(kv, "OMP_MAX_ACTIVE_LEVELS") ||
 			strings.HasPrefix(kv, "OMP_THREAD_LIMIT") {
 			t.Errorf("Environ emits %q", kv)
 		}
 	}
-	got, err := Parse(m, append(c.Environ(), "OMP_NUM_THREADS=4,2", "OMP_MAX_ACTIVE_LEVELS=2", "OMP_THREAD_LIMIT=8"))
+	got, err := parse(m, append(environOf(c), "OMP_NUM_THREADS=4,2", "OMP_MAX_ACTIVE_LEVELS=2", "OMP_THREAD_LIMIT=8"))
 	if err != nil || got != c {
 		t.Errorf("Parse with nesting variables = %s, %v; want %s", got, err, c)
 	}
@@ -309,4 +310,30 @@ func TestConfigSize(t *testing.T) {
 	if got, want := unsafe.Sizeof(Config{}), 7*unsafe.Sizeof(0); got != want {
 		t.Errorf("unsafe.Sizeof(Config{}) = %d, want %d", got, want)
 	}
+}
+
+// environOf renders c as KEY=VALUE strings in the style a user would export
+// before launching an application, unset variables omitted.
+func environOf(c Config) []string {
+	var out []string
+	for _, v := range Names() {
+		if val := c.Value(v); val != "unset" {
+			out = append(out, string(v)+"="+val)
+		}
+	}
+	return out
+}
+
+// parse is ParseAssignments over KEY=VALUE entries (or a process-style
+// environment slice); a malformed entry is reported before any value is read.
+func parse(m *topology.Machine, entries []string) (Config, error) {
+	as := make([]Assignment, len(entries))
+	for i, kv := range entries {
+		key, val, ok := strings.Cut(kv, "=")
+		if !ok {
+			return Config{}, fmt.Errorf("env: malformed entry %q", kv)
+		}
+		as[i] = Assignment{VarName(key), val}
+	}
+	return ParseAssignments(m, as)
 }

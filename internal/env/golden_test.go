@@ -34,7 +34,7 @@ func TestVariableGolden(t *testing.T) {
 		}
 		for _, space := range [][]env.Config{env.Space(m), core.ExtendedSpace(m)} {
 			for _, c := range space {
-				fmt.Fprintf(h, "%s\n%s\n", c.Key(), strings.Join(c.Environ(), " "))
+				fmt.Fprintf(h, "%s\n%s\n", c.Key(), strings.Join(env.EnvironOf(c), " "))
 				for _, v := range names {
 					fmt.Fprintf(h, "%q %v\n", c.Value(v), c.Feature(v))
 				}

@@ -87,11 +87,11 @@ func TestOneRulePerVariable(t *testing.T) {
 		for _, c := range cases[row.name] {
 			wantErr := row.invalid(strings.ToLower(strings.TrimSpace(c.value))).Error()
 
-			parsed, err := Parse(m, []string{string(row.name) + "=" + c.value})
+			parsed, err := parse(m, []string{string(row.name) + "=" + c.value})
 			if (err == nil) != c.parse {
-				t.Errorf("Parse(%s=%q): error %v, want accepted = %v", row.name, c.value, err, c.parse)
+				t.Errorf("parse(%s=%q): error %v, want accepted = %v", row.name, c.value, err, c.parse)
 			} else if err != nil && err.Error() != wantErr {
-				t.Errorf("Parse(%s=%q): error %q, want %q", row.name, c.value, err, wantErr)
+				t.Errorf("parse(%s=%q): error %q, want %q", row.name, c.value, err, wantErr)
 			}
 
 			set, err := Default(m).Set(row.name, c.value)
@@ -110,7 +110,7 @@ func TestOneRulePerVariable(t *testing.T) {
 	}
 }
 
-// FuzzParse feeds Parse newline-separated environment entries. It must not
+// FuzzParse feeds parse newline-separated environment entries. It must not
 // panic, and what it accepts must be valid, must survive Environ → Parse, and
 // must configure a runtime through RuntimeOptions exactly as the runtime's
 // own string-environment path does from the same entries (OMP_PLACES aside:
@@ -118,7 +118,7 @@ func TestOneRulePerVariable(t *testing.T) {
 // with places unset).
 func FuzzParse(f *testing.F) {
 	m := topology.MustGet(topology.Milan)
-	f.Add(strings.Join(Default(m).Environ(), "\n"))
+	f.Add(strings.Join(environOf(Default(m)), "\n"))
 	f.Add("OMP_NUM_THREADS= 64 , 2\nOMP_MAX_ACTIVE_LEVELS=2\nOMP_THREAD_LIMIT=128\nOMP_PLACES=ll_caches")
 	f.Add("omp_proc_bind=SPREAD\nKMP_BLOCKTIME=Infinite\nKMP_LIBRARY=serial\nKMP_FORCE_REDUCTION=atomic\nPATH=/bin")
 	f.Add("OMP_NUM_THREADS=4,,2")
@@ -126,19 +126,19 @@ func FuzzParse(f *testing.F) {
 	f.Add("KMP_BLOCKTIME=-1\nKMP_ALIGN_ALLOC=96")
 	f.Add("OMP_SCHEDULE")
 	f.Fuzz(func(t *testing.T, entries string) {
-		c, err := Parse(m, strings.Split(entries, "\n"))
+		c, err := parse(m, strings.Split(entries, "\n"))
 		if err != nil {
 			return
 		}
 		if err := c.Validate(m); err != nil {
 			t.Fatalf("Parse accepted %q as %s, which Validate rejects: %v", entries, c, err)
 		}
-		if back, err := Parse(m, c.Environ()); err != nil || back != c {
-			t.Fatalf("%s: Parse(Environ()) = %s, %v", c, back, err)
+		if back, err := parse(m, environOf(c)); err != nil || back != c {
+			t.Fatalf("%s: parse(Environ()) = %s, %v", c, back, err)
 		}
 
 		c.Places = topology.PlaceUnset
-		environ := append(c.Environ(), "OMP_NUM_THREADS="+strconv.Itoa(m.Cores))
+		environ := append(environOf(c), "OMP_NUM_THREADS="+strconv.Itoa(m.Cores))
 		ref, err := openmp.OptionsFromEnviron(environ)
 		if err != nil {
 			t.Fatalf("%s: OptionsFromEnviron(%q): %v", c, environ, err)

@@ -158,7 +158,7 @@ func TestEvaluatorRejectsWrongChecksum(t *testing.T) {
 	// thread beyond the first.
 	fake := func(step float64) *apps.App {
 		return &apps.App{Name: "Fake", Kernel: func(rt *openmp.Runtime, _ float64) float64 {
-			return 1 + float64(step*float64(rt.Options().NumThreads-1))
+			return 1 + float64(step*float64(rt.NumThreads()-1))
 		}}
 	}
 	e := NewEvaluator(Options{Warmup: 0, TimedReps: 1})

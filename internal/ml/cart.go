@@ -41,15 +41,6 @@ func (n *node) predict(row []float64) float64 {
 	return n.value
 }
 
-// indices returns 0..n-1: every row of a training set.
-func indices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
 func treeRNG(seed uint64) uint64 { return seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d }
 
 // columns is a training set ranked once per fit: per feature, its distinct

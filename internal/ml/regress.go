@@ -18,21 +18,6 @@ type RegTree struct {
 	root *node
 }
 
-// FitRegTree grows a regression tree on (x, y) by greedy variance-reduction
-// splits. The TreeOptions defaults are tuned for classification-sized data;
-// regression callers with few samples should lower MinLeaf explicitly.
-func FitRegTree(x [][]float64, y []float64, opt TreeOptions) (*RegTree, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, errors.New("ml: bad regression training data")
-	}
-	if err := checkDesign(x); err != nil {
-		return nil, err
-	}
-	opt.defaults()
-	g := newRegGrower(x, y, opt)
-	return g.fit(indices(len(x)), opt), nil
-}
-
 // sse returns the sum of squared errors around the mean of y[idx].
 func sse(y []float64, idx []int) (mean, s float64) {
 	if len(idx) == 0 {

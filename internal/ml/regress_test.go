@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -30,7 +31,7 @@ func regSample(n int) (x [][]float64, y []float64) {
 
 func TestRegTreeFitsStep(t *testing.T) {
 	x, y := regSample(400)
-	tree, err := FitRegTree(x, y, TreeOptions{MaxDepth: 6, MinLeaf: 5, Seed: 1})
+	tree, err := fitRegTree(x, y, TreeOptions{MaxDepth: 6, MinLeaf: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +87,8 @@ func TestRegForestDeterministicAndUncertain(t *testing.T) {
 }
 
 func TestRegFitRejectsBadData(t *testing.T) {
-	if _, err := FitRegTree(nil, nil, TreeOptions{}); err == nil {
-		t.Error("FitRegTree accepted empty data")
+	if _, err := fitRegTree(nil, nil, TreeOptions{}); err == nil {
+		t.Error("fitRegTree accepted empty data")
 	}
 	if _, err := FitRegForest([][]float64{{1}}, []float64{1, 2}, 3, TreeOptions{}); err == nil {
 		t.Error("FitRegForest accepted mismatched data")
@@ -148,4 +149,19 @@ func predictions(f *RegForest, x [][]float64) []float64 {
 		out[i] = f.Predict(row)
 	}
 	return out
+}
+
+// fitRegTree grows a regression tree on (x, y) by greedy variance-reduction
+// splits. The TreeOptions defaults are tuned for classification-sized data;
+// regression callers with few samples should lower MinLeaf explicitly.
+func fitRegTree(x [][]float64, y []float64, opt TreeOptions) (*RegTree, error) {
+	if len(x) == 0 || len(x) != len(y) {
+		return nil, errors.New("ml: bad regression training data")
+	}
+	if err := checkDesign(x); err != nil {
+		return nil, err
+	}
+	opt.defaults()
+	g := newRegGrower(x, y, opt)
+	return g.fit(indices(len(x)), opt), nil
 }

@@ -4,9 +4,8 @@ import "errors"
 
 // The paper closes by proposing "the development of non-linear approaches
 // to model such data" (§VI). This file provides that extension: CART-style
-// decision trees and a bootstrap-aggregated random forest, both with
-// Gini-based feature importances comparable to the logistic influence
-// vector. Everything is deterministic given the options' Seed.
+// decision trees and a bootstrap-aggregated random forest. Everything is
+// deterministic given the options' Seed.
 
 // TreeOptions tunes decision-tree induction.
 type TreeOptions struct {
@@ -38,30 +37,15 @@ func (o *TreeOptions) defaults() {
 
 // DecisionTree is a fitted binary CART classifier.
 type DecisionTree struct {
-	root       *node
-	importance []float64
-}
-
-// FitTree grows a CART tree on (x, y) by greedy Gini-impurity splits.
-func FitTree(x [][]float64, y []bool, opt TreeOptions) (*DecisionTree, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, errors.New("ml: bad training data")
-	}
-	if err := checkDesign(x); err != nil {
-		return nil, err
-	}
-	opt.defaults()
-	g := newClassGrower(x, y, opt)
-	return g.fit(indices(len(x)), opt), nil
+	root *node
 }
 
 // classGrower is the scaffold with the classifier's per-threshold count of
 // positives left of it.
 type classGrower struct {
 	grower
-	y          []bool
-	lp         []int
-	importance []float64 // the tree being grown's
+	y  []bool
+	lp []int
 }
 
 func newClassGrower(x [][]float64, y []bool, opt TreeOptions) *classGrower {
@@ -71,19 +55,7 @@ func newClassGrower(x [][]float64, y []bool, opt TreeOptions) *classGrower {
 // fit grows one tree on the rows idx; opt carries its defaults.
 func (g *classGrower) fit(idx []int, opt TreeOptions) *DecisionTree {
 	g.start(opt)
-	t := &DecisionTree{importance: make([]float64, len(g.features))}
-	g.importance = t.importance
-	t.root = g.grow(idx, opt.MaxDepth)
-	total := 0.0
-	for _, v := range t.importance {
-		total += v
-	}
-	if total > 0 {
-		for i := range t.importance {
-			t.importance[i] /= total
-		}
-	}
-	return t
+	return &DecisionTree{root: g.grow(idx, opt.MaxDepth)}
 }
 
 func gini(pos, n int) float64 {
@@ -135,7 +107,6 @@ func (g *classGrower) grow(idx []int, depth int) *node {
 	if bestF < 0 {
 		return g.newNode(node{leaf: true, value: value})
 	}
-	g.importance[bestF] += float64(bestGain * float64(len(idx)))
 	li, ri := g.partition(idx, bestF, bestR)
 	return g.newNode(node{
 		feature:   bestF,
@@ -160,28 +131,6 @@ func (t *DecisionTree) Accuracy(x [][]float64, y []bool) float64 {
 		}
 	}
 	return float64(hits) / float64(len(x))
-}
-
-// Importance returns the normalized Gini importance per feature (sums to 1
-// unless the tree is a single leaf).
-func (t *DecisionTree) Importance() []float64 {
-	out := make([]float64, len(t.importance))
-	copy(out, t.importance)
-	return out
-}
-
-// Depth returns the height of the fitted tree (0 for a stump leaf).
-func (t *DecisionTree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *node) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
 }
 
 // Forest is a bootstrap-aggregated ensemble of decision trees.
@@ -227,27 +176,4 @@ func (f *Forest) Accuracy(x [][]float64, y []bool) float64 {
 		}
 	}
 	return float64(hits) / float64(len(x))
-}
-
-// Importance returns the mean normalized Gini importance across trees.
-func (f *Forest) Importance() []float64 {
-	if len(f.Trees) == 0 {
-		return nil
-	}
-	out := make([]float64, len(f.Trees[0].importance))
-	for _, t := range f.Trees {
-		for i, v := range t.Importance() {
-			out[i] += v
-		}
-	}
-	total := 0.0
-	for _, v := range out {
-		total += v
-	}
-	if total > 0 {
-		for i := range out {
-			out[i] /= total
-		}
-	}
-	return out
 }

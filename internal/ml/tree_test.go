@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -24,9 +25,9 @@ func TestTreeSolvesXORWhereLogisticCannot(t *testing.T) {
 	x, y := xorData()
 	// Note MaxDepth 6: XOR's first split has zero marginal gain, so greedy
 	// CART needs spare depth to recover after an uninformative root.
-	tree, err := FitTree(x, y, TreeOptions{MaxDepth: 6, MinLeaf: 3})
+	tree, err := fitTree(x, y, TreeOptions{MaxDepth: 6, MinLeaf: 3})
 	if err != nil {
-		t.Fatalf("FitTree: %v", err)
+		t.Fatalf("fitTree: %v", err)
 	}
 	if acc := tree.Accuracy(x, y); acc < 0.9 {
 		t.Errorf("tree accuracy %v on XOR, want >= 0.9", acc)
@@ -40,34 +41,15 @@ func TestTreeSolvesXORWhereLogisticCannot(t *testing.T) {
 	}
 }
 
-func TestTreeImportanceFindsRealFeatures(t *testing.T) {
-	x, y := xorData()
-	tree, err := FitTree(x, y, TreeOptions{MaxDepth: 5, MinLeaf: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp := tree.Importance()
-	if imp[0]+imp[1] < 0.9 {
-		t.Errorf("importance %v: the two XOR features should dominate", imp)
-	}
-	sum := 0.0
-	for _, v := range imp {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("importance sums to %v, want 1", sum)
-	}
-}
-
 func TestTreePureLeafStops(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}, {4}}
 	y := []bool{true, true, true, true}
-	tree, err := FitTree(x, y, TreeOptions{MinLeaf: 1})
+	tree, err := fitTree(x, y, TreeOptions{MinLeaf: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() != 0 {
-		t.Errorf("pure-class tree depth %d, want 0", tree.Depth())
+	if depthOf(tree.root) != 0 {
+		t.Errorf("pure-class tree depth %d, want 0", depthOf(tree.root))
 	}
 	if p := tree.Prob([]float64{2.5}); p != 1 {
 		t.Errorf("pure-class prob %v, want 1", p)
@@ -76,28 +58,28 @@ func TestTreePureLeafStops(t *testing.T) {
 
 func TestTreeRespectsMaxDepthAndMinLeaf(t *testing.T) {
 	x, y := xorData()
-	tree, err := FitTree(x, y, TreeOptions{MaxDepth: 2, MinLeaf: 5})
+	tree, err := fitTree(x, y, TreeOptions{MaxDepth: 2, MinLeaf: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tree.Depth(); d > 2 {
+	if d := depthOf(tree.root); d > 2 {
 		t.Errorf("depth %d exceeds MaxDepth 2", d)
 	}
 }
 
 func TestTreeBadInput(t *testing.T) {
-	if _, err := FitTree(nil, nil, TreeOptions{}); err == nil {
+	if _, err := fitTree(nil, nil, TreeOptions{}); err == nil {
 		t.Error("empty input should error")
 	}
-	if _, err := FitTree([][]float64{{1}}, []bool{true, false}, TreeOptions{}); err == nil {
+	if _, err := fitTree([][]float64{{1}}, []bool{true, false}, TreeOptions{}); err == nil {
 		t.Error("length mismatch should error")
 	}
 }
 
 func TestTreeDeterministic(t *testing.T) {
 	x, y := xorData()
-	a, _ := FitTree(x, y, TreeOptions{Seed: 7, MaxFeatures: 2, MinLeaf: 5})
-	b, _ := FitTree(x, y, TreeOptions{Seed: 7, MaxFeatures: 2, MinLeaf: 5})
+	a, _ := fitTree(x, y, TreeOptions{Seed: 7, MaxFeatures: 2, MinLeaf: 5})
+	b, _ := fitTree(x, y, TreeOptions{Seed: 7, MaxFeatures: 2, MinLeaf: 5})
 	for _, row := range x {
 		if a.Prob(row) != b.Prob(row) {
 			t.Fatal("same-seed trees disagree")
@@ -113,10 +95,6 @@ func TestForestBeatsOrMatchesSingleTreeOnXOR(t *testing.T) {
 	}
 	if acc := forest.Accuracy(x, y); acc < 0.95 {
 		t.Errorf("forest accuracy %v, want >= 0.95", acc)
-	}
-	imp := forest.Importance()
-	if imp[0]+imp[1] < 0.8 {
-		t.Errorf("forest importance %v: XOR features should dominate", imp)
 	}
 }
 
@@ -139,7 +117,7 @@ func TestForestProbIsAverage(t *testing.T) {
 
 func TestForestEmptyAndErrors(t *testing.T) {
 	var f Forest
-	if f.Prob([]float64{1}) != 0 || f.Importance() != nil {
+	if f.Prob([]float64{1}) != 0 {
 		t.Error("empty forest should degrade gracefully")
 	}
 	if _, err := FitForest(nil, nil, 3, TreeOptions{}); err == nil {
@@ -156,4 +134,29 @@ func TestForestDeterministic(t *testing.T) {
 			t.Fatal("same-seed forests disagree")
 		}
 	}
+}
+
+// fitTree grows a CART tree on (x, y) by greedy Gini-impurity splits.
+func fitTree(x [][]float64, y []bool, opt TreeOptions) (*DecisionTree, error) {
+	if len(x) == 0 || len(x) != len(y) {
+		return nil, errors.New("ml: bad training data")
+	}
+	if err := checkDesign(x); err != nil {
+		return nil, err
+	}
+	opt.defaults()
+	g := newClassGrower(x, y, opt)
+	return g.fit(indices(len(x)), opt), nil
+}
+
+// depthOf returns the height of a fitted tree (0 for a stump leaf).
+func depthOf(n *node) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	l, r := depthOf(n.left), depthOf(n.right)
+	if l > r {
+		return l + 1
+	}
+	return r + 1
 }

@@ -266,19 +266,6 @@ func influenceFig(w io.Writer, fig, grouping string, hm *core.Heatmap) error {
 	return Heatmap(w, hm)
 }
 
-// Violin renders one ASCII violin: a vertical density profile of the
-// runtime distribution of one (arch, app, setting) group, with quartile
-// marks — the unit of Figs. 1 and 5–7.
-func Violin(w io.Writer, ds *dataset.Dataset, arch topology.Arch, app, setting string, rows int) error {
-	for _, g := range ds.Groups() {
-		if g.Arch == arch && g.App == app && g.Setting == setting {
-			violin(w, &g, rows)
-			return nil
-		}
-	}
-	return fmt.Errorf("report: no samples for %s/%s/%s", arch, app, setting)
-}
-
 // meanRuntimes is the runtime distribution a violin draws: one mean runtime
 // per configuration of the group.
 func meanRuntimes(g *dataset.Group) []float64 {

@@ -16,3 +16,11 @@ func RefSeries(m *topology.Machine, p *Profile, cfg env.Config, key string, set 
 }
 
 var RefExact = refEvaluateExact
+
+// EvaluateExact is Evaluate without measurement noise, drift or
+// quantization: the model's "true" runtime, which the tests reason about.
+func EvaluateExact(m *topology.Machine, p *Profile, cfg env.Config, set Setting) float64 {
+	var b Bound
+	b.bindModel(m, p, set)
+	return b.exact(&cfg)
+}

@@ -198,9 +198,8 @@ func avgDist(m *topology.Machine) float64 {
 // growth, the Amdahl split, the affinity penalty, the schedule overheads,
 // the bandwidth and fork/join constants, the tasking costs and the noise
 // identity. Series evaluates one configuration of the problem, named by
-// its key's seed (KeyHash). Evaluate,
-// EvaluateSeries and EvaluateExact bind for their one call, so the model
-// has one formula. Bind makes a Bound (the zero value is not one); it is
+// its key's seed (KeyHash). Evaluate and
+// EvaluateSeries bind for their one call, so the model has one formula. Bind makes a Bound (the zero value is not one); it is
 // read-only from then on and safe for concurrent use.
 type Bound struct {
 	m     *topology.Machine
@@ -456,15 +455,6 @@ func EvaluateSeries(m *topology.Machine, p *Profile, cfg env.Config, key string,
 	var b Bound
 	b.bind(m, p, set)
 	return b.Series(cfg, KeyHash(key))
-}
-
-// EvaluateExact is Evaluate without measurement noise, drift or
-// quantization: the model's "true" runtime, used by tests and the
-// autotuning example.
-func EvaluateExact(m *topology.Machine, p *Profile, cfg env.Config, set Setting) float64 {
-	var b Bound
-	b.bindModel(m, p, set)
-	return b.exact(&cfg)
 }
 
 // exact is the noise-free runtime of configuration cfg of the bound

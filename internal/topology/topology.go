@@ -8,10 +8,7 @@
 // package sim. Nothing here touches the host; topologies are pure data.
 package topology
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Arch identifies one of the CPU micro-architectures in the study.
 type Arch string
@@ -108,11 +105,12 @@ var machines = map[Arch]*Machine{
 	},
 }
 
-// Get returns the machine model for arch.
+// Get returns the machine model for arch. The error of an unknown arch lists
+// the three there are.
 func Get(arch Arch) (*Machine, error) {
 	m, ok := machines[arch]
 	if !ok {
-		return nil, fmt.Errorf("topology: unknown architecture %q", arch)
+		return nil, fmt.Errorf("topology: unknown architecture %q (valid: %s, %s, %s)", arch, A64FX, Skylake, Milan)
 	}
 	return m, nil
 }
@@ -189,12 +187,6 @@ func (m *Machine) PlaceDistanceMatrix(places []Place) [][]float64 {
 // sorted and never aliased between places produced by Partition.
 type Place struct {
 	Cores []int
-}
-
-// Contains reports whether core is a member of the place.
-func (p Place) Contains(core int) bool {
-	i := sort.SearchInts(p.Cores, core)
-	return i < len(p.Cores) && p.Cores[i] == core
 }
 
 // PlaceKind names the granularity at which the machine is partitioned into

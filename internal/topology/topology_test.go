@@ -166,20 +166,6 @@ func TestPartitionGroupCounts(t *testing.T) {
 	}
 }
 
-func TestPlaceContains(t *testing.T) {
-	p := Place{Cores: []int{2, 4, 6}}
-	for _, c := range []int{2, 4, 6} {
-		if !p.Contains(c) {
-			t.Errorf("Contains(%d) = false, want true", c)
-		}
-	}
-	for _, c := range []int{0, 3, 7} {
-		if p.Contains(c) {
-			t.Errorf("Contains(%d) = true, want false", c)
-		}
-	}
-}
-
 func TestSweepThreadCounts(t *testing.T) {
 	m := MustGet(A64FX)
 	got := m.SweepThreadCounts()

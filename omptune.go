@@ -128,7 +128,7 @@ func Influence(ds *Dataset, g core.Grouping) (*core.Heatmap, error) {
 
 // Recommend mines Table VII-style variable/value suggestions for app.
 func Recommend(ds *Dataset, app string) []core.Recommendation {
-	return core.Recommend(ds, app)
+	return core.NewFrame(ds).Recommend(app)
 }
 
 // WorstTrends mines §V-Q4's worst-performance patterns.
@@ -141,7 +141,8 @@ type SearchResult = core.SearchResult
 
 // Tune runs the §VI guided coordinate-descent search for app on m at the
 // given setting, trying variables in the given order (nil = canonical
-// order; pass a Heatmap's FeatureRank-derived variables for pruning).
+// order; pass the variables of an Influence heatmap by mean influence for
+// pruning).
 // backend nil means the deterministic analytic model; pass
 // NewMeasuredEvaluator(...) to tune against real kernel execution — the
 // setting the paper's §VI tuner actually targets.

@@ -70,10 +70,6 @@ func TestFacadeSimulate(t *testing.T) {
 	}
 	set := Setting{Label: "t20", Threads: 20, Scale: 1}
 	cfg := env.Default(m)
-	exact := sim.EvaluateExact(m, app.Profile, cfg, set)
-	if exact <= 0 {
-		t.Fatalf("EvaluateExact = %v", exact)
-	}
 	noisy := sim.Evaluate(m, app.Profile, cfg, set, 1)
 	if noisy <= 0 {
 		t.Fatalf("Evaluate = %v", noisy)
@@ -100,9 +96,9 @@ func TestFacadePipeline(t *testing.T) {
 	if len(trends) == 0 || trends[0].Variable != env.VarProcBind {
 		t.Errorf("worst trends = %v, want master binding on top", trends)
 	}
-	rows := core.WilcoxonTable(ds, "Alignment", "small")
-	if len(rows) != 9 {
-		t.Errorf("WilcoxonTable rows = %d, want 9", len(rows))
+	rows, err := core.WilcoxonTable(ds, "Alignment", "small")
+	if err != nil || len(rows) != 9 {
+		t.Errorf("WilcoxonTable rows = %d (%v), want 9", len(rows), err)
 	}
 	hm, err := Influence(ds, PerArch)
 	if err != nil {

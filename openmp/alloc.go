@@ -35,20 +35,6 @@ func AlignedFloat64s(n, align int) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), n)
 }
 
-// Alignment reports the largest power-of-two alignment (up to 4096) of the
-// address p. It returns 0 for a nil pointer.
-func Alignment(p unsafe.Pointer) int {
-	if p == nil {
-		return 0
-	}
-	addr := uintptr(p)
-	a := 1
-	for a < 4096 && addr&uintptr(a) == 0 {
-		a <<= 1
-	}
-	return a
-}
-
 // padStride returns the number of float64 slots that span at least align
 // bytes; per-thread accumulator arrays use this stride so that threads never
 // share a cache line when align >= the machine's line size.

@@ -178,7 +178,7 @@ func TestStealOrderPrefersNearPlaces(t *testing.T) {
 		t.Fatal("StealOrder is nil despite placement and distances")
 	}
 	placement := rt.Placement()
-	pd := rt.Options().PlaceDistances
+	pd := rt.opts.PlaceDistances
 	for i, row := range order {
 		if len(row) != rt.NumThreads()-1 {
 			t.Fatalf("thread %d scan order has %d victims, want %d", i, len(row), rt.NumThreads()-1)

@@ -1,0 +1,50 @@
+package openmp
+
+import "unsafe"
+
+// The runtime's internals that tests inspect, exported to them alone.
+
+// Placement returns a copy of the thread→place assignment, or nil when
+// threads are unbound (OMP_PROC_BIND=false).
+func (rt *Runtime) Placement() []int {
+	if rt.placement == nil {
+		return nil
+	}
+	out := make([]int, len(rt.placement))
+	copy(out, rt.placement)
+	return out
+}
+
+// StealOrder returns, per thread, the victim scan order task stealing uses:
+// the other thread ids sorted by NUMA distance from the thread's bound
+// place, nearest first (ring order within a distance class). It returns nil
+// when the runtime has no placement or no Options.PlaceDistances model, in
+// which case stealing uses a rotating uniform scan instead.
+func (rt *Runtime) StealOrder() [][]int {
+	if rt.hot == nil || rt.hot.stealOrder == nil {
+		return nil
+	}
+	out := make([][]int, len(rt.hot.stealOrder))
+	for i, row := range rt.hot.stealOrder {
+		r := make([]int, len(row))
+		for j, v := range row {
+			r[j] = int(v)
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// Alignment reports the largest power-of-two alignment (up to 4096) of the
+// address p. It returns 0 for a nil pointer.
+func Alignment(p unsafe.Pointer) int {
+	if p == nil {
+		return 0
+	}
+	addr := uintptr(p)
+	a := 1
+	for a < 4096 && addr&uintptr(a) == 0 {
+		a <<= 1
+	}
+	return a
+}

@@ -222,9 +222,6 @@ func MustNew(opts Options) *Runtime {
 	return rt
 }
 
-// Options returns the configuration the runtime was built with.
-func (rt *Runtime) Options() Options { return rt.opts }
-
 // NumThreads returns the team size of outer parallel regions (1 in serial
 // mode).
 func (rt *Runtime) NumThreads() int {
@@ -232,17 +229,6 @@ func (rt *Runtime) NumThreads() int {
 		return 1
 	}
 	return rt.opts.NumThreads
-}
-
-// Placement returns a copy of the thread→place assignment, or nil when
-// threads are unbound (OMP_PROC_BIND=false).
-func (rt *Runtime) Placement() []int {
-	if rt.placement == nil {
-		return nil
-	}
-	out := make([]int, len(rt.placement))
-	copy(out, rt.placement)
-	return out
 }
 
 // registerTeam adds a team to the live-team registry.
@@ -290,26 +276,6 @@ func (rt *Runtime) Stats() Stats {
 		for i := range tm.stats {
 			tm.stats[i].addInto(&out)
 		}
-	}
-	return out
-}
-
-// StealOrder returns, per thread, the victim scan order task stealing uses:
-// the other thread ids sorted by NUMA distance from the thread's bound
-// place, nearest first (ring order within a distance class). It returns nil
-// when the runtime has no placement or no Options.PlaceDistances model, in
-// which case stealing uses a rotating uniform scan instead.
-func (rt *Runtime) StealOrder() [][]int {
-	if rt.hot == nil || rt.hot.stealOrder == nil {
-		return nil
-	}
-	out := make([][]int, len(rt.hot.stealOrder))
-	for i, row := range rt.hot.stealOrder {
-		r := make([]int, len(row))
-		for j, v := range row {
-			r[j] = int(v)
-		}
-		out[i] = r
 	}
 	return out
 }

@@ -380,9 +380,6 @@ func (th *Thread) NumThreads() int { return th.team.n }
 // (0 = an outer region).
 func (th *Thread) Level() int { return th.team.level }
 
-// Runtime returns the owning runtime.
-func (th *Thread) Runtime() *Runtime { return th.team.rt }
-
 // Parallel forks a nested parallel region from this thread: the body runs
 // on an inner team whose width follows the OMP_NUM_THREADS per-level list
 // for the next nesting level, clamped by OMP_MAX_ACTIVE_LEVELS (a region

@@ -224,8 +224,6 @@ func TestTraceSmallRingDropsCounted(t *testing.T) {
 	if err := rt.StartTrace(8); err != nil {
 		t.Fatalf("StartTrace: %v", err)
 	}
-	o := rt.Options()
-	_ = o
 	rt.Parallel(func(th *Thread) {
 		th.For(4096, func(i int) {}) // static: few chunks
 		for i := 0; i < 200; i++ {
