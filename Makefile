@@ -53,8 +53,8 @@ flake:
 # fuzz runs every Fuzz* target of the packages that parse outside input — the
 # committed BENCH_*.json trajectories, the runtime's environment, the study's
 # variables (with the differential between the two), the CSV format, the
-# search telemetry that ompanalyze -searchreport reads, the sweep's checkpoint
-# journal and manifest — and of internal/ml,
+# campaign records (core.Event) that ompanalyze -searchreport reads, the
+# sweep's checkpoint journal and manifest — and of internal/ml,
 # whose CART split kernel is held node-for-node to a frozen reference grower,
 # for 5 s each, seed corpora first.
 fuzz:

@@ -1,12 +1,14 @@
 package omptune
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -146,5 +148,58 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if !used[e.key] && !kept[e.name] {
 			t.Errorf("%s: %s is exported but only tests call it", e.pos, e.name)
 		}
+	}
+}
+
+// TestOneEventType keeps one record shape for a campaign's progress: exactly
+// one struct type in the module's non-test Go (benchmark/ aside) declares a
+// field tagged json:"type" — core.Event, which OnProgress, the telemetry log
+// and the live monitor share. A second record type for a new stream or reader
+// fails here; add the fields to core.Event instead.
+func TestOneEventType(t *testing.T) {
+	fset := token.NewFileSet()
+	var typed []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			if err == nil && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "benchmark") {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			spec, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := spec.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				if field.Tag == nil {
+					continue
+				}
+				name, _, _ := strings.Cut(reflect.StructTag(strings.Trim(field.Tag.Value, "`")).Get("json"), ",")
+				if name == "type" {
+					typed = append(typed, fmt.Sprintf("%s: %s", fset.Position(spec.Pos()), spec.Name.Name))
+					break
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(typed) != 1 {
+		t.Errorf("%d struct types declare a json:\"type\" field, want one record type:\n%s", len(typed), strings.Join(typed, "\n"))
 	}
 }

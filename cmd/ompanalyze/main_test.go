@@ -148,6 +148,35 @@ func TestSearchReportFullSweep(t *testing.T) {
 	}
 }
 
+// TestSearchReportReadsOlderStream: -searchreport over a stream an older
+// ompsearch -telemetry wrote, before the sweep and search records became one
+// core.Event (its steps carry no elapsed_sec) — a greedy and a random search
+// of one group, then a measured search cancelled mid-run that ends in an
+// error record — prints, against a fixed sweep CSV, the bytes that release
+// printed.
+func TestSearchReportReadsOlderStream(t *testing.T) {
+	stream := filepath.Join("testdata", "search_telemetry.jsonl")
+	raw, err := os.ReadFile(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`{"type":"error",`)) || bytes.Contains(raw, []byte(`"workers_busy"`)) {
+		t.Fatal("the fixture is no older stream with an error record")
+	}
+	var out, errb bytes.Buffer
+	args := []string{"-data", filepath.Join("testdata", "search_sweep.csv"), "-searchreport", stream}
+	if err := run(args, &out, &errb); err != nil {
+		t.Fatalf("run(%v): %v\nstderr: %s", args, err, errb.String())
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "searchreport.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("-searchreport printed\n%s\nwant\n%s", out.String(), want)
+	}
+}
+
 // TestVariabilityFlag: -variability renders the observatory table and the
 // savings summary over a CSV's series provenance (cmd/ompsweep's tests check
 // the same report over a real adaptive campaign; this is the flag's wiring).
@@ -249,7 +278,15 @@ func TestRunValidation(t *testing.T) {
 		{"runtime-only drill", []string{"-drill", "TreeNest@milan"}, "TreeNest has no model profile"},
 		{"runtime-only calibrate", []string{"-calibrate", "a64fx", "-calibrate-apps", "TreeNest"}, "TreeNest has no model profile"},
 		{"selector without arch", []string{"-numa", "Nqueens"}, "APP@ARCH"},
-		{"negative sobol-samples", []string{"-sobol", "-sobol-samples", "-5"}, "-sobol-samples -5: want >= 0"},
+		{"negative sobol-samples", []string{"-sobol", "-sobol-samples", "-5"}, "-sobol-samples -5: want >= 2"},
+		{"zero sobol-samples", []string{"-sobol", "-sobol-samples", "0"}, "-sobol-samples 0: want >= 2"},
+		{"one sobol-sample", []string{"-data", small, "-sobol", "-sobol-samples", "1"}, "-sobol-samples 1: want >= 2"},
+		{"negative compare-alpha", []string{"-compare", small, "-compare-alpha", "-0.5", small}, "-compare-alpha -0.5: want a level in (0, 1)"},
+		{"compare-alpha one", []string{"-compare", small, "-compare-alpha", "1", small}, "-compare-alpha 1: want a level in (0, 1)"},
+		{"compare-alpha NaN", []string{"-compare", small, "-compare-alpha", "NaN", small}, "-compare-alpha NaN: want a level in (0, 1)"},
+		{"negative compare-cov", []string{"-compare", small, "-compare-cov", "-1", small}, "-compare-cov -1: want > 0"},
+		{"zero compare-ci", []string{"-compare", small, "-compare-ci", "0", small}, "-compare-ci 0: want > 0"},
+		{"negative compare-shift", []string{"-compare", small, "-compare-shift", "-3", small}, "-compare-shift -3: want > 0"},
 		{"negative calibrate-configs", []string{"-calibrate", "a64fx", "-calibrate-configs", "-1"}, "-calibrate-configs -1: want >= 0"},
 		{"negative measure-reps", []string{"-numa", "EP@a64fx", "-measure-reps", "-2"}, "-measure-reps -2: want >= 0"},
 		{"negative measure-warmup", []string{"-numa", "EP@a64fx", "-measure-warmup", "-1"}, "-measure-warmup -1: want >= 0"},

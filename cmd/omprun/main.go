@@ -170,6 +170,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-%s %s: want >= 0", name, v)
 		}
 	}
+	if *traceBuf > trace.MaxBufferSize {
+		return fmt.Errorf("-trace-buf %d: want at most %d", *traceBuf, trace.MaxBufferSize)
+	}
 	var pol measure.Adaptive
 	if *adaptive || *targetCoV > 0 || *targetCI > 0 {
 		pol = measure.Adaptive{

@@ -26,13 +26,13 @@
 // seed under the model backend returns an identical result.
 //
 // -telemetry appends per-evaluation JSONL records (search_plan, one
-// search_step per evaluation, search_done) to the given file; feed it to
-// `ompanalyze -searchreport` together with a sweep CSV to measure what
+// search_step per evaluation, search_done or error) to the given file; feed
+// it to `ompanalyze -searchreport` together with a sweep CSV to measure what
 // fraction of the full sweep's best speedup the search recovered. -serve
-// exposes the live monitor (dashboard, /metrics, /api/status, /healthz)
-// while the search runs, exactly like ompsweep -serve — including, with the
-// measured backend, the runtime's fork-join, barrier-wait and task-run
-// latency histograms.
+// exposes the live monitor (/metrics, /api/status, /healthz) while the
+// search runs, exactly like ompsweep -serve — including, with the measured
+// backend, the runtime's fork-join, barrier-wait and task-run latency
+// histograms.
 package main
 
 import (

@@ -37,16 +37,16 @@
 // columns (ompanalyze -variability aggregates them).
 //
 // -telemetry appends a JSONL event log of the campaign (plan, per-setting
-// completion, heartbeats with workers-busy and per-arch completion gauges,
-// terminal done/error record) — followable with tail -f and jq while the
-// sweep runs. -heartbeat sets the heartbeat period (default 30s).
+// completion carrying the error of any skipped rows, heartbeats with
+// workers-busy and per-arch completion gauges, terminal done/error record) —
+// followable with tail -f and jq while the sweep runs. -heartbeat sets the
+// heartbeat period (default 30s).
 //
 // -serve starts the embedded live monitor on the given address while the
-// campaign runs: / is a self-contained HTML dashboard (completion heatmap,
-// throughput sparkline, latency percentiles), /metrics is a Prometheus
-// scrape endpoint, /api/status returns JSON campaign progress, /healthz
-// answers ok. The bound address is printed to stderr (use :0 for an
-// ephemeral port). With the measured backend the runtime's fork-join,
+// campaign runs: /metrics is a Prometheus scrape endpoint, /api/status
+// returns JSON campaign progress, /api/regions and /api/variability the
+// measured runtime's region profile and series noise, /healthz answers ok.
+// The bound address is printed to stderr (use :0 for an ephemeral port). With the measured backend the runtime's fork-join,
 // barrier-wait and task-run latency histograms are included. -serve-linger
 // keeps the monitor up after the campaign ends so the final state can still
 // be scraped; Ctrl-C cuts the linger short.
@@ -63,6 +63,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"omptune/internal/apps"
 	"omptune/internal/core"
@@ -107,8 +108,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		adMax      = fs.Int("adaptive-max", 0, "adaptive: repetition ceiling (default 16)")
 		adBudget   = fs.Duration("adaptive-budget", 0, "adaptive: wall-clock budget per series (0 = none)")
 		telemetry  = fs.String("telemetry", "", "append a JSONL telemetry stream (plan/setting_done/heartbeat/done) to this file")
-		heartbeat  = fs.Duration("heartbeat", 0, "telemetry heartbeat period (0 = 30s)")
-		serve      = fs.String("serve", "", "serve the live monitor (/, /metrics, /api/status, /healthz) on this address, e.g. :8080 or 127.0.0.1:0")
+		heartbeat  = fs.Duration("heartbeat", 30*time.Second, "telemetry heartbeat period (> 0)")
+		serve      = fs.String("serve", "", "serve the live monitor (/metrics, /api/status, /healthz) on this address, e.g. :8080 or 127.0.0.1:0")
 		linger     = fs.Duration("serve-linger", 0, "keep the monitor serving this long after the campaign ends (0 = shut down immediately)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -118,10 +119,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if !(*frac >= 0 && *frac <= 1) { // NaN included
 		return fmt.Errorf("-frac %v outside [0, 1]", *frac)
 	}
-	for _, name := range []string{"workers", "measure-reps", "measure-warmup", "adaptive-min", "adaptive-max", "adaptive-budget", "heartbeat", "serve-linger"} {
+	for _, name := range []string{"workers", "measure-reps", "measure-warmup", "adaptive-min", "adaptive-max", "adaptive-budget", "serve-linger"} {
 		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
 			return fmt.Errorf("-%s %s: want >= 0", name, v)
 		}
+	}
+	if *heartbeat <= 0 {
+		return fmt.Errorf("-heartbeat %v: want > 0", *heartbeat)
 	}
 
 	// The monitor exists before the backend so the measured evaluator can be
@@ -205,7 +209,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *progress {
-		opt.OnProgress = func(ev core.ProgressEvent) { fmt.Fprintln(stderr, ev.String()) }
+		opt.OnProgress = func(ev core.Event) { fmt.Fprintln(stderr, ev.String()) }
 	}
 	opt.Extended = *extended
 
@@ -223,7 +227,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	ds, err := core.RunSweep(opt)
 	if srv != nil {
-		// The dashboard keeps showing the terminal state for -serve-linger.
+		// The monitor keeps serving the terminal state for -serve-linger.
 		srv.Linger(ctx, *linger)
 	}
 	if err != nil {

@@ -54,7 +54,8 @@ func TestRunValidation(t *testing.T) {
 		{"adaptive-min negative", []string{"-adaptive-min", "-2"}, "-adaptive-min -2: want >= 0"},
 		{"adaptive-max negative", []string{"-adaptive-max", "-2"}, "-adaptive-max -2: want >= 0"},
 		{"adaptive-budget negative", []string{"-adaptive-budget", "-1s"}, "-adaptive-budget -1s: want >= 0"},
-		{"heartbeat negative", []string{"-heartbeat", "-30s"}, "-heartbeat -30s: want >= 0"},
+		{"heartbeat negative", []string{"-heartbeat", "-30s"}, "-heartbeat -30s: want > 0"},
+		{"heartbeat zero", []string{"-heartbeat", "0"}, "-heartbeat 0s: want > 0"},
 		{"serve-linger negative", []string{"-serve-linger", "-1m"}, "-serve-linger -1m0s: want >= 0"},
 	}
 	for _, tc := range cases {

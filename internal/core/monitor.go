@@ -6,9 +6,9 @@ package core
 // cache hits and best-so-far speedup), the per-arch setting-evaluation and
 // per-probe latency histograms, and the openmp runtime's fork-join /
 // barrier-wait / task-run histograms, and it assembles the /api/status
-// payload the embedded dashboard polls. It is the Prometheus-facing sibling
-// of the JSONL telemetry sink: telemetry writes history to a file, the
-// monitor answers "now" over HTTP.
+// payload. It is the Prometheus-facing sibling of the JSONL telemetry
+// stream: telemetry writes history to a file, the monitor answers "now" over
+// HTTP.
 
 import (
 	"sync"
@@ -108,9 +108,9 @@ func NewMonitor() *Monitor {
 		{"omptune_search_evaluations", "configuration evaluations done so far (cache hits included)",
 			func(st ledgerView) float64 { return float64(st.SamplesDone) }},
 		{"omptune_search_cache_hits", "evaluations answered by the memoizing cache",
-			func(st ledgerView) float64 { return float64(st.cacheHits) }},
+			func(st ledgerView) float64 { return float64(st.search.CacheHits) }},
 		{"omptune_search_best_speedup", "best speedup over the default configuration found so far",
-			func(st ledgerView) float64 { return st.bestSpeedup }},
+			func(st ledgerView) float64 { return st.search.BestSpeedup }},
 		{"omptune_search_elapsed_seconds", "wall-clock time since the search plan was recorded",
 			func(st ledgerView) float64 { return st.ElapsedSec }},
 	} {
@@ -183,18 +183,18 @@ func (m *Monitor) plan(arches []string) {
 // provenance into the variability observatory (resumed batches carry
 // provenance too — the reps/cov/ci columns round-trip through the checkpoint
 // journal).
-func (m *Monitor) unitDone(cell int, ev ProgressEvent, samples []*dataset.Sample) {
+func (m *Monitor) unitDone(cell int, ev Event, samples []*dataset.Sample) {
 	m.reg.Counter("omptune_sweep_settings_done_total",
 		"completed setting batches", "arch", ev.Arch).Inc()
 	m.reg.Counter("omptune_sweep_samples_done_total",
-		"dataset rows produced", "arch", ev.Arch).Add(uint64(ev.SettingSamples))
-	if ev.SettingRepsFixed > 0 {
+		"dataset rows produced", "arch", ev.Arch).Add(uint64(ev.Samples))
+	if ev.RepsFixed > 0 {
 		m.reg.Counter("omptune_sweep_reps_run_total",
 			"timed repetitions actually run for provenance-carrying samples", "arch", ev.Arch).
-			Add(uint64(ev.SettingRepsRun))
+			Add(uint64(ev.RepsRun))
 		m.reg.Counter("omptune_sweep_reps_fixed_total",
 			"timed repetitions a fixed-rep campaign would have run for the same samples", "arch", ev.Arch).
-			Add(uint64(ev.SettingRepsFixed))
+			Add(uint64(ev.RepsFixed))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

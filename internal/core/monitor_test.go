@@ -65,7 +65,7 @@ func TestMonitorLiveSweep(t *testing.T) {
 		Apps:     []string{"Sort"},
 		Fraction: map[topology.Arch]float64{topology.A64FX: 0.05},
 		Monitor:  mon,
-		OnProgress: func(ProgressEvent) {
+		OnProgress: func(Event) {
 			if !probed {
 				probed = true
 				during = monStatus(t, base)

@@ -131,7 +131,7 @@ func TestCheckpointResumeAfterInterrupt(t *testing.T) {
 	first.Workers = 1
 	first.CheckpointDir = dir
 	first.Context = ctx
-	first.OnProgress = func(ProgressEvent) { cancel() }
+	first.OnProgress = func(Event) { cancel() }
 	if _, err := RunSweep(first); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
@@ -242,7 +242,7 @@ func TestCheckpointManifestPinsNestedAxis(t *testing.T) {
 // evaluated settings into the two ints.
 func countResumes(sc SweepConfig, resumed, evaluated *int) SweepConfig {
 	*resumed, *evaluated = 0, 0
-	sc.OnProgress = func(ev ProgressEvent) {
+	sc.OnProgress = func(ev Event) {
 		if ev.Resumed {
 			*resumed++
 		} else {
@@ -292,7 +292,7 @@ func TestCheckpointJournalToleratesTornTail(t *testing.T) {
 	first.Workers = 1
 	first.CheckpointDir = dir
 	first.Context = ctx
-	first.OnProgress = func(ProgressEvent) { cancel() }
+	first.OnProgress = func(Event) { cancel() }
 	if _, err := RunSweep(first); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
@@ -395,11 +395,11 @@ func TestCheckpointRejectsForeignSegmentRows(t *testing.T) {
 }
 
 func TestProgressReportsRatesAndTotals(t *testing.T) {
-	var events []ProgressEvent
+	var events []Event
 	sc := smallCampaign()
 	sc.Workers = 1
 	var lines bytes.Buffer
-	sc.OnProgress = func(ev ProgressEvent) {
+	sc.OnProgress = func(ev Event) {
 		events = append(events, ev)
 		fmt.Fprintln(&lines, ev.String())
 	}
@@ -421,8 +421,8 @@ func TestProgressReportsRatesAndTotals(t *testing.T) {
 	if last.SamplesPerSec <= 0 {
 		t.Error("final event has no throughput estimate")
 	}
-	if last.ETA != 0 {
-		t.Errorf("final event ETA = %v, want 0", last.ETA)
+	if last.ETASec != 0 {
+		t.Errorf("final event ETA = %vs, want 0", last.ETASec)
 	}
 	for _, ev := range events {
 		if ev.Resumed {

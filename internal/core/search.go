@@ -198,11 +198,11 @@ func newSearchState(ctx context.Context, strategy string, spec SearchSpec, led *
 	}
 	s.res.Strategy = strategy
 	if spec.TelemetryLog != "" {
-		if err := s.openTelemetry(spec.TelemetryLog); err != nil {
+		if err := led.openTelemetry(spec.TelemetryLog, 0); err != nil {
 			return nil, err
 		}
 	}
-	start := led.planSearch(string(spec.Machine.Arch), spec.App.Name, s.ev.Name(), strategy, s.maxEvals)
+	start := led.planSearch(s)
 	if spec.Budget.MaxTime > 0 {
 		s.deadline = start.Add(spec.Budget.MaxTime)
 	}
@@ -257,7 +257,7 @@ func (s *searchState) init() {
 		s.res.CacheHits++
 	}
 	s.res.Best, s.res.BestSeconds, s.res.DefaultSeconds = def, sec, sec
-	s.observe(&def, key, sec, hit, t0)
+	s.observe(&def, key, sec, hit, true, t0)
 }
 
 // mean is the cache-routed objective; key and keyHash are as
@@ -282,17 +282,17 @@ func (s *searchState) clock() time.Time {
 	return time.Now()
 }
 
-// observe reports a probe begun at started to the ledger, building the
-// configuration's key if the probe did not need it. An unobserved search
-// builds nothing.
-func (s *searchState) observe(cfg *env.Config, key string, sec float64, hit bool, started time.Time) {
+// observe reports a probe begun at started, which made cfg the best so far
+// when improved, to the ledger, building the configuration's key if the
+// probe did not need it. An unobserved search builds nothing.
+func (s *searchState) observe(cfg *env.Config, key string, sec float64, hit, improved bool, started time.Time) {
 	if s.led.unobserved() {
 		return
 	}
 	if key == "" {
 		key = cfg.Key()
 	}
-	s.led.probed(s, key, sec, hit, started)
+	s.led.probed(s, key, sec, hit, improved, started)
 }
 
 // probe evaluates one candidate: it spends one budget unit, consults the
@@ -319,7 +319,8 @@ func (s *searchState) probeKeyed(cfg *env.Config, key string, keyHash uint64, va
 	if hit {
 		s.res.CacheHits++
 	}
-	if sec < s.res.BestSeconds {
+	improved := sec < s.res.BestSeconds
+	if improved {
 		s.res.Best = *cfg
 		s.res.BestSeconds = sec
 		s.res.Trajectory = append(s.res.Trajectory, SearchStep{
@@ -327,7 +328,7 @@ func (s *searchState) probeKeyed(cfg *env.Config, key string, keyHash uint64, va
 			Config: *cfg, Seconds: sec, Speedup: s.res.DefaultSeconds / sec,
 		})
 	}
-	s.observe(cfg, key, sec, hit, t0)
+	s.observe(cfg, key, sec, hit, improved, t0)
 	return sec
 }
 

@@ -477,14 +477,14 @@ func TestSearchTelemetryStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var recs []searchRecord
+	var recs []Event
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		var rec searchRecord
+		var rec Event
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
 		}
-		if rec.TS == "" {
+		if rec.TS.IsZero() {
 			t.Error("record missing timestamp")
 		}
 		if rec.Strategy != "greedy" || rec.Arch != "a64fx" || rec.App != "Nqueens" {

@@ -46,7 +46,7 @@ type SearchReportRow struct {
 // Rows come out sorted by arch, app, setting, strategy.
 func SearchReport(r io.Reader, ds *dataset.Dataset) ([]SearchReportRow, error) {
 	type ident struct{ arch, app, setting, strategy string }
-	done := make(map[ident]searchRecord)
+	done := make(map[ident]Event)
 	var order []ident
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -57,7 +57,7 @@ func SearchReport(r io.Reader, ds *dataset.Dataset) ([]SearchReportRow, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var rec searchRecord
+		var rec Event
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return nil, fmt.Errorf("core: search telemetry line %d: %w", line, err)
 		}

@@ -32,10 +32,11 @@ type SweepConfig struct {
 	// counts of Table II; 1.0 is the fully exhaustive sweep. The default
 	// configuration is always included regardless of the fraction.
 	Fraction map[topology.Arch]float64
-	// OnProgress, when non-nil, receives the structured event per completed
-	// setting batch. It is called from worker goroutines under a lock, so
-	// events arrive serialized.
-	OnProgress func(ProgressEvent)
+	// OnProgress, when non-nil, receives the setting_done Event of every
+	// completed setting batch, the value the telemetry log and the Monitor
+	// receive. It is called from worker goroutines under a lock, so events
+	// arrive serialized.
+	OnProgress func(Event)
 	// Extended enables the paper's future-work coverage: numa_domains
 	// places in the configuration space and six thread counts instead of
 	// three for the thread-varied applications.
@@ -70,8 +71,8 @@ type SweepConfig struct {
 	// heartbeat is always emitted immediately after the plan record.
 	TelemetryInterval time.Duration
 	// Monitor, when non-nil, receives live campaign gauges and latency
-	// histograms for the embedded HTTP monitor (Prometheus /metrics and the
-	// dashboard's /api/status). One Monitor observes one campaign.
+	// histograms for the embedded HTTP monitor (Prometheus /metrics and
+	// /api/status). One Monitor observes one campaign.
 	Monitor *Monitor
 }
 
@@ -359,12 +360,16 @@ func RunSweep(sc SweepConfig) (ds *dataset.Dataset, err error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	rep.plan(units, ev.Name(), workers)
 	if sc.TelemetryLog != "" {
-		if err = rep.openTelemetry(sc.TelemetryLog, sc.TelemetryInterval); err != nil {
+		interval := sc.TelemetryInterval
+		if interval <= 0 {
+			interval = 30 * time.Second
+		}
+		if err = rep.openTelemetry(sc.TelemetryLog, interval); err != nil {
 			return nil, err
 		}
 	}
+	rep.plan(units, ev.Name(), workers)
 
 	results := make([][]*dataset.Sample, len(units))
 	var pending []*sweepUnit

@@ -81,7 +81,7 @@ func TestRunSweepSurvivesMeasurementFailure(t *testing.T) {
 	var skippedSeen int
 	sc := smallCampaign()
 	sc.Backend = failing(bad)
-	sc.OnProgress = func(ev ProgressEvent) { skippedSeen += ev.SettingSkipped }
+	sc.OnProgress = func(ev Event) { skippedSeen += ev.SamplesSkipped }
 	ds, err := RunSweep(sc)
 	if err != nil {
 		t.Fatalf("RunSweep died on a measurement failure: %v", err)

@@ -58,7 +58,7 @@ func TestRunSweepRestrictedAndProgress(t *testing.T) {
 		Arches:     []topology.Arch{topology.A64FX},
 		Apps:       []string{"Sort"},
 		Fraction:   map[topology.Arch]float64{topology.A64FX: 0.1},
-		OnProgress: func(ev ProgressEvent) { fmt.Fprintln(&progress, ev.String()) },
+		OnProgress: func(ev Event) { fmt.Fprintln(&progress, ev.String()) },
 	})
 	if err != nil {
 		t.Fatalf("RunSweep: %v", err)

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,25 +24,22 @@ import (
 )
 
 // readTelemetry parses every JSONL record from the log.
-func readTelemetry(t *testing.T, path string) []telemetryRecord {
+func readTelemetry(t *testing.T, path string) []Event {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("open telemetry log: %v", err)
 	}
 	defer f.Close()
-	var recs []telemetryRecord
+	var recs []Event
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		var rec telemetryRecord
+		var rec Event
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("record %d not valid JSON: %v\n%s", len(recs), err, sc.Text())
 		}
-		if rec.TS == "" {
-			t.Fatalf("record %d missing timestamp: %s", len(recs), sc.Text())
-		}
-		if _, err := time.Parse(time.RFC3339Nano, rec.TS); err != nil {
-			t.Fatalf("record %d timestamp %q: %v", len(recs), rec.TS, err)
+		if rec.TS.IsZero() || rec.TS.Location() != time.UTC {
+			t.Fatalf("record %d timestamp %v, want a UTC instant: %s", len(recs), rec.TS, sc.Text())
 		}
 		recs = append(recs, rec)
 	}
@@ -171,10 +169,10 @@ func TestSweepTelemetryErrorRecord(t *testing.T) {
 func TestTelemetryHeartbeatLoop(t *testing.T) {
 	log := filepath.Join(t.TempDir(), "hb.jsonl")
 	led := newReporter(nil, nil)
-	led.plan(nil, "model", 2)
 	if err := led.openTelemetry(log, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
+	led.plan(nil, "model", 2)
 	started := led.unitStart()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -205,12 +203,12 @@ func TestTelemetryHeartbeatLoop(t *testing.T) {
 }
 
 // TestLedgerViewsAgree attaches every observer of a sweep at once — progress
-// line, OnProgress, telemetry log, monitor — and checks that the final
-// ProgressEvent, the terminal telemetry record, Monitor.Status() and the
-// summed cell grid report the same campaign, including when one batch is
-// resumed from a checkpoint or drops a failed sample. The search cases do the
-// same for a search's ledger: result, terminal record, status, gauges and the
-// single cell, on one clock.
+// line, OnProgress, telemetry log, monitor — and checks that the last batch's
+// event reaches OnProgress and the log as one value, and that it, the
+// terminal telemetry record, Monitor.Status() and the summed cell grid report
+// the same campaign, including when one batch is resumed from a checkpoint or
+// drops a failed sample. The search cases do the same for a search's ledger:
+// result, terminal record, status, gauges and the single cell, on one clock.
 func TestLedgerViewsAgree(t *testing.T) {
 	t.Run("search", testSearchLedgerViewsAgree)
 	campaign := func() SweepConfig {
@@ -243,7 +241,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 			first.Workers = 1
 			first.CheckpointDir = t.TempDir()
 			first.Context = ctx
-			first.OnProgress = func(ProgressEvent) { cancel() }
+			first.OnProgress = func(Event) { cancel() }
 			if _, err := RunSweep(first); !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 			}
@@ -264,13 +262,13 @@ func TestLedgerViewsAgree(t *testing.T) {
 			sc := campaign()
 			wantResumed, wantSkipped := tc.prepare(t, &sc)
 			var (
-				last   ProgressEvent
+				last   Event
 				events int
 				lines  bytes.Buffer
 			)
 			mon := NewMonitor()
 			sc.Monitor = mon
-			sc.OnProgress = func(ev ProgressEvent) { last = ev; events++; fmt.Fprintln(&lines, ev.String()) }
+			sc.OnProgress = func(ev Event) { last = ev; events++; fmt.Fprintln(&lines, ev.String()) }
 			sc.TelemetryLog = filepath.Join(t.TempDir(), "run.jsonl")
 			sc.TelemetryInterval = time.Hour
 			ds, err := RunSweep(sc)
@@ -283,17 +281,19 @@ func TestLedgerViewsAgree(t *testing.T) {
 			if done.Type != "done" {
 				t.Fatalf("terminal record type %q, want done", done.Type)
 			}
-			var lastSetting telemetryRecord
+			var lastSetting Event
 			resumed, skipped := 0, 0
 			for _, rec := range recs {
-				switch rec.Type {
-				case "setting_done":
-					lastSetting = rec
-					if rec.Resumed {
-						resumed++
-					}
-				case "eval_error":
-					skipped += rec.SamplesSkipped
+				if rec.Type != "setting_done" {
+					continue
+				}
+				lastSetting = rec
+				if rec.Resumed {
+					resumed++
+				}
+				skipped += rec.SamplesSkipped
+				if (rec.Error != "") != (rec.SamplesSkipped > 0) {
+					t.Errorf("setting_done with %d skipped rows carries error %q", rec.SamplesSkipped, rec.Error)
 				}
 			}
 			if wantResumed > 0 && resumed == 0 {
@@ -330,7 +330,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 			want := view{len(units), len(units), ds.Len(), planned, last.SamplesPerSec}
 			cellSum.rate, archSum.rate = want.rate, want.rate // the roll-ups carry no rate
 			for name, got := range map[string]view{
-				"final ProgressEvent":    {last.SettingsDone, last.SettingsTotal, last.SamplesDone, last.SamplesTotal, last.SamplesPerSec},
+				"final OnProgress event": {last.SettingsDone, last.SettingsTotal, last.SamplesDone, last.SamplesTotal, last.SamplesPerSec},
 				"terminal record":        {done.SettingsDone, done.SettingsTotal, done.SamplesDone, done.SamplesTotal, done.SamplesPerSec},
 				"Monitor.Status":         {st.SettingsDone, st.SettingsTotal, st.SamplesDone, st.SamplesTotal, st.SamplesPerSec},
 				"summed Status.Cells":    cellSum,
@@ -347,16 +347,17 @@ func TestLedgerViewsAgree(t *testing.T) {
 				t.Errorf("%d events / rate %v, want %d events and a positive rate", events, last.SamplesPerSec, len(units))
 			}
 
-			// One clock: the last batch's event and record were stamped from
-			// the same instant, and the clock stopped with the campaign.
-			if lastSetting.ElapsedSec != last.Elapsed.Seconds() || lastSetting.ETASec != last.ETA.Seconds() {
-				t.Errorf("last setting_done elapsed %v / eta %v, final event %v / %v",
-					lastSetting.ElapsedSec, lastSetting.ETASec, last.Elapsed.Seconds(), last.ETA.Seconds())
+			// One record: the last batch's line in the log is the value
+			// OnProgress received, and the clock stopped with the campaign.
+			logged, err1 := json.Marshal(lastSetting)
+			handed, err2 := json.Marshal(last)
+			if err1 != nil || err2 != nil || !bytes.Equal(logged, handed) {
+				t.Errorf("last setting_done record %s, OnProgress event %s", logged, handed)
 			}
 			// Skipped rows are settled, not still to come: nothing remains
 			// after the last batch even when the campaign dropped a row.
-			if last.ETA != 0 {
-				t.Errorf("last batch ETA = %v with every planned row settled, want 0", last.ETA)
+			if last.ETASec != 0 {
+				t.Errorf("last batch ETA = %vs with every planned row settled, want 0", last.ETASec)
 			}
 			if st.ETASec != 0 || done.ETASec != 0 {
 				t.Errorf("eta after done: status %v, record %v", st.ETASec, done.ETASec)
@@ -485,9 +486,9 @@ func testSearchLedgerViewsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var recs []searchRecord
+			var recs []Event
 			for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-				var rec searchRecord
+				var rec Event
 				if err := json.Unmarshal([]byte(line), &rec); err != nil {
 					t.Fatalf("bad JSONL line %q: %v", line, err)
 				}
@@ -499,6 +500,12 @@ func testSearchLedgerViewsAgree(t *testing.T) {
 			}
 			if (last.Error != "") != (tc.cancelAt > 0) {
 				t.Errorf("terminal record error %q", last.Error)
+			}
+			if last.Strategy != tc.strategy || last.Arch != "a64fx" || last.App != "Nqueens" || last.Setting != set.Label ||
+				last.BestConfig != res.Best.Key() || last.SpaceSize != len(pool) {
+				t.Errorf("terminal record %s/%s/%s/%s best %q over %d, want %s/a64fx/Nqueens/%s best %q over %d",
+					last.Strategy, last.Arch, last.App, last.Setting, last.BestConfig, last.SpaceSize,
+					tc.strategy, set.Label, res.Best.Key(), len(pool))
 			}
 
 			st := mon.Status()
@@ -569,55 +576,60 @@ func (w *flakyWriter) Write(p []byte) (int, error) {
 
 func (w *flakyWriter) Close() error { return nil }
 
-// TestTelemetrySinkWriteFailure drives both record streams through a writer
-// that starts failing: the first error is surfaced once, a terminal error
-// record is attempted, and the stream stays silent afterwards — for the rest
-// of the campaign and its terminal record.
+// TestTelemetrySinkWriteFailure drives a sweep's and a search's stream
+// through a writer that starts failing: the first error is surfaced once, a
+// terminal error record is attempted, and the stream stays silent afterwards
+// — for the rest of the campaign and its terminal record. The error record is
+// the ledger's: a search's names the search, so a reader of a file many
+// searches append to can tell which stream died, and both carry the clock.
 func TestTelemetrySinkWriteFailure(t *testing.T) {
-	// redirect points an opened sink at w and its diagnostic at errw.
-	redirect := func(s *jsonlSink, w io.WriteCloser, errw io.Writer) {
-		s.w.Close()
-		s.w, s.errw = w, errw
+	// redirect points an opened stream at w and its diagnostic at errw.
+	redirect := func(tel *telemetry, w io.WriteCloser, errw io.Writer) {
+		tel.w.Close()
+		tel.w, tel.errw = w, errw
 	}
+	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
 	streams := []struct {
 		name string
+		// want is the identity the error record must carry.
+		want Event
 		// run opens the stream, redirects it, and emits one record that
 		// lands, one that fails, and the rest of a campaign after it.
 		run func(t *testing.T, w io.WriteCloser, errw io.Writer)
 	}{
-		{"telemetry", func(t *testing.T, w io.WriteCloser, errw io.Writer) {
+		{"telemetry", Event{}, func(t *testing.T, w io.WriteCloser, errw io.Writer) {
 			units, err := planUnits(smallCampaign())
 			if err != nil {
 				t.Fatal(err)
 			}
 			led := newReporter(nil, nil)
-			led.plan(units, "model", 1)
 			if err := led.openTelemetry(filepath.Join(t.TempDir(), "run.jsonl"), time.Hour); err != nil {
 				t.Fatal(err)
 			}
-			redirect(led.tel.sink, w, errw)
+			led.plan(units, "model", 1)
+			redirect(led.tel, w, errw)
 			for _, u := range units {
 				led.unitDone(u, nil, 0, false)
 			}
 			led.finish(nil)
 		}},
-		{"search telemetry", func(t *testing.T, w io.WriteCloser, errw io.Writer) {
-			m, app, set := searchApp(t, topology.A64FX, "Nqueens")
-			led := newReporter(nil, nil)
-			s, err := newSearchState(context.Background(), "random", SearchSpec{
-				Machine: m, App: app, Setting: set,
-				TelemetryLog: filepath.Join(t.TempDir(), "search.jsonl"),
-			}, led)
-			if err != nil {
-				t.Fatal(err)
-			}
-			redirect(led.tel.sink, w, errw)
-			s.init()
-			for i := 0; i < 2; i++ {
-				s.probe(env.Default(m), "x", "y")
-			}
-			led.finish(nil)
-		}},
+		{"search telemetry", Event{Strategy: "random", Arch: "a64fx", App: "Nqueens", Setting: set.Label},
+			func(t *testing.T, w io.WriteCloser, errw io.Writer) {
+				led := newReporter(nil, nil)
+				s, err := newSearchState(context.Background(), "random", SearchSpec{
+					Machine: m, App: app, Setting: set,
+					TelemetryLog: filepath.Join(t.TempDir(), "search.jsonl"),
+				}, led)
+				if err != nil {
+					t.Fatal(err)
+				}
+				redirect(led.tel, w, errw)
+				s.init()
+				for i := 0; i < 2; i++ {
+					s.probe(env.Default(m), "x", "y")
+				}
+				led.finish(nil)
+			}},
 	}
 	for _, tc := range streams {
 		t.Run(tc.name, func(t *testing.T) {
@@ -634,13 +646,18 @@ func TestTelemetrySinkWriteFailure(t *testing.T) {
 			if len(w.attempts) != 3 {
 				t.Fatalf("%d write attempts, want 3 (ok, failed, terminal error record)", len(w.attempts))
 			}
-			var last struct{ Type, TS, Error string }
+			var last Event
 			if err := json.Unmarshal(w.attempts[2], &last); err != nil {
 				t.Fatalf("terminal record not valid JSON: %v\n%s", err, w.attempts[2])
 			}
-			if last.Type != "error" || last.TS == "" ||
+			if last.Type != "error" || last.TS.IsZero() ||
 				last.Error != tc.name+" stream disabled after write error: disk full" {
-				t.Errorf("terminal record = %+v", last)
+				t.Errorf("terminal record = %s", w.attempts[2])
+			}
+			id := Event{Strategy: last.Strategy, Arch: last.Arch, App: last.App, Setting: last.Setting}
+			if !reflect.DeepEqual(id, tc.want) || last.ElapsedSec <= 0 ||
+				!strings.Contains(string(w.attempts[2]), `"elapsed_sec":`) {
+				t.Errorf("terminal record %s, want identity %+v and the elapsed time", w.attempts[2], tc.want)
 			}
 		})
 	}

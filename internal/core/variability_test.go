@@ -182,9 +182,9 @@ func TestSweepStampsSeriesMeta(t *testing.T) {
 		Fraction: map[topology.Arch]float64{topology.A64FX: 0.05},
 		Backend:  metaEvaluator{},
 		Monitor:  mon,
-		OnProgress: func(ev ProgressEvent) {
-			repsRun += ev.SettingRepsRun
-			repsFixed += ev.SettingRepsFixed
+		OnProgress: func(ev Event) {
+			repsRun += ev.RepsRun
+			repsFixed += ev.RepsFixed
 		},
 	})
 	if err != nil {

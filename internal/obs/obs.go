@@ -1,8 +1,8 @@
 // Package obs is the live-observability layer of the study engine: a
 // dependency-free metrics registry (atomic counters, scrape-time gauges and
 // log-linear latency histograms), a Prometheus text-format exposition
-// encoder, and an embedded HTTP monitor that serves /metrics, /healthz,
-// /api/status and a self-contained HTML dashboard while a campaign runs.
+// encoder, and an embedded HTTP monitor that serves /metrics, /healthz and
+// the JSON payloads under /api/ while a campaign runs.
 //
 // The paper's 240k-sample campaigns run for days; Cui et al. (PAPERS.md)
 // show that run-to-run variability — not just the median — decides whether

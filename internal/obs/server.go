@@ -12,12 +12,11 @@ import (
 
 // Server is the embedded HTTP monitor: it exposes a Registry at /metrics
 // (Prometheus text format), liveness at /healthz, a caller-defined status
-// snapshot at /api/status (JSON), optional per-region profile and
-// series-noise payloads at /api/regions and /api/variability, and a
-// self-contained HTML dashboard at / that polls the APIs. It is deliberately
-// tiny — net/http only, no external assets — because it runs inside long
-// campaign processes where a dependency or a blocking handler would be a
-// liability.
+// snapshot at /api/status (JSON), and optional per-region profile and
+// series-noise payloads at /api/regions and /api/variability; any other
+// path is 404. It is deliberately tiny — net/http only — because it runs
+// inside long campaign processes where a dependency or a blocking handler
+// would be a liability.
 type Server struct {
 	reg *Registry
 
@@ -30,7 +29,7 @@ type Server struct {
 // NewServer builds a monitor over reg. status, regions and variability
 // produce the /api/status, /api/regions and /api/variability payloads; each
 // must be safe for concurrent use and cheap (it is called per request). A
-// nil producer serves JSON null, and the dashboard hides that section.
+// nil producer serves JSON null.
 func NewServer(reg *Registry, status, regions, variability func() any) *Server {
 	s := &Server{reg: reg, done: make(chan error, 1)}
 	mux := http.NewServeMux()
@@ -39,7 +38,6 @@ func NewServer(reg *Registry, status, regions, variability func() any) *Server {
 	mux.HandleFunc("/api/status", func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, status) })
 	mux.HandleFunc("/api/regions", func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, regions) })
 	mux.HandleFunc("/api/variability", func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, variability) })
-	mux.HandleFunc("/", s.handleDashboard)
 	s.http = &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -126,13 +124,4 @@ func serveJSON(w http.ResponseWriter, produce func() any) {
 	if err := json.NewEncoder(w).Encode(payload); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, dashboardHTML)
 }

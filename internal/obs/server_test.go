@@ -77,23 +77,10 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("/api/status = %+v, want %+v", got, st)
 	}
 
-	code, body, hdr = get(t, base+"/")
-	if code != http.StatusOK || !strings.Contains(body, "<html") {
-		t.Errorf("dashboard: status %d, body prefix %.60q", code, body)
-	}
-	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Errorf("dashboard content type = %q", ct)
-	}
-	// Self-contained: no external scripts, styles or fonts.
-	for _, needle := range []string{"src=\"http", "href=\"http", "url(http"} {
-		if strings.Contains(body, needle) {
-			t.Errorf("dashboard references an external asset (%s)", needle)
+	for _, path := range []string{"/", "/nope"} {
+		if code, _, _ := get(t, base+path); code != http.StatusNotFound {
+			t.Errorf("%s status = %d, want 404", path, code)
 		}
-	}
-
-	code, _, _ = get(t, base+"/nope")
-	if code != http.StatusNotFound {
-		t.Errorf("unknown path status = %d, want 404", code)
 	}
 }
 

@@ -1,9 +1,7 @@
 package obs
 
-// Status is the campaign-progress payload served at /api/status and
-// consumed by the dashboard. The campaign monitor in internal/core fills it
-// for sweeps and searches alike; it lives here so the dashboard's JavaScript
-// and the producer agree on one schema.
+// Status is the campaign-progress payload served at /api/status. The
+// campaign monitor in internal/core fills it for sweeps and searches alike.
 type Status struct {
 	// State is waiting | running | done | error.
 	State string `json:"state"`
@@ -25,7 +23,7 @@ type Status struct {
 	ETASec        float64 `json:"eta_sec"`
 	// Error carries the failure message when State is "error".
 	Error string `json:"error,omitempty"`
-	// Cells is the arch×app completion grid behind the dashboard heatmap.
+	// Cells is the arch×app completion grid in plan order.
 	Cells []Cell `json:"cells,omitempty"`
 	// Latencies summarizes the registered latency histograms.
 	Latencies []Latency `json:"latencies,omitempty"`
@@ -44,8 +42,7 @@ type Cell struct {
 // VariabilityCell is one (architecture, application) cell of the
 // /api/variability payload: the live noise observatory aggregated from the
 // series provenance of every measured sample the campaign has produced so
-// far. The campaign monitor in internal/core fills it; it lives here so the
-// dashboard's JavaScript and the producer agree on one schema.
+// far. The campaign monitor in internal/core fills it.
 type VariabilityCell struct {
 	Arch string `json:"arch"`
 	App  string `json:"app"`

@@ -112,9 +112,9 @@ func Calibrate(ref, alt Evaluator, opt CalibrationOptions) (*core.CalibrationRep
 // NewMeasuredEvaluator(...) as Backend to collect real kernel runtimes.
 type CollectOptions = core.SweepConfig
 
-// ProgressEvent is the structured per-setting progress update of a sweep,
-// delivered to CollectOptions.OnProgress.
-type ProgressEvent = core.ProgressEvent
+// ProgressEvent is the campaign record a sweep hands
+// CollectOptions.OnProgress once per completed setting batch.
+type ProgressEvent = core.Event
 
 // Collect runs the sweep of §IV and returns the enriched dataset.
 func Collect(opt CollectOptions) (*Dataset, error) { return core.RunSweep(opt) }
