@@ -23,7 +23,8 @@ vet:
 
 # race exercises the concurrency-sensitive packages — the study kernels'
 # per-scale inputs (built once, then read by every runtime and goroutine
-# that runs the kernel), the hot-team region
+# that runs the kernel) and workspaces (taken from and put back on per-scale
+# free lists by calls at any team width), the hot-team region
 # dispatch, the lock-free construct ring, the wait-policy barrier and lock
 # park/wake paths, the observer hooks and the trace rings each team hands its
 # threads, cold nested teams included (also end to end on real kernels,
@@ -78,13 +79,14 @@ fuzz:
 # Bound.Series on a bound problem (the model's cost without and with the
 # problem bound once), one logistic fit of an influence-heatmap row
 # (50,000 x 10), one fit of the surrogate search's regression forest (300 x 7,
-# 12 trees), one write and one read of a 20,000-row dataset CSV and one
-# report pass over the facade's 24,497-sample dataset, with their
-# allocation counts.
+# 12 trees), one write and one read of a 20,000-row dataset CSV, one
+# report pass over the facade's 24,497-sample dataset and one call of each
+# study kernel at its benchmark scale (inputs and workspace built), with
+# their allocation counts.
 BENCH ?= .
 bench:
 	$(GO) test ./openmp -run '^$$' -bench '$(BENCH)' -benchtime=300ms -count=5 -benchmem
-	$(GO) test . ./internal/core ./internal/sim ./internal/ml ./internal/dataset -run '^$$' -bench 'TableII_SweepThroughput|PlanUnits|EnvConfigKey|Search|Evaluate|BoundSeries|FitLogistic|FitRegForest|WriteCSV|ReadCSV|WriteReport' -benchtime=300ms -count=5 -benchmem
+	$(GO) test . ./internal/core ./internal/sim ./internal/ml ./internal/dataset ./internal/apps -run '^$$' -bench 'TableII_SweepThroughput|PlanUnits|EnvConfigKey|Search|Evaluate|BoundSeries|FitLogistic|FitRegForest|WriteCSV|ReadCSV|WriteReport|Kernel' -benchtime=300ms -count=5 -benchmem
 
 # bench-record runs one untraced 20 s pass of a benchmark workload and appends
 # one JSON line to BENCH_<workload>.json (OUT overrides the file): the workload

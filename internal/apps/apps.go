@@ -11,7 +11,9 @@
 // XSBench/RSBench their lookups: the inputs a kernel reads (sequences,
 // matrices, lookup grids) are a pure function of the scale, built once per
 // scale on first use and shared read-only by every later call, whatever
-// its runtime or goroutine. What a call writes it allocates or copies.
+// its runtime or goroutine. What a call writes is in a workspace it takes
+// from a per-scale free list and puts back, so a warm call allocates
+// nothing.
 //
 // The suites mirror §IV-A: NAS Parallel Benchmarks (BT, CG, EP, FT, LU, MG),
 // the BSC OpenMP Tasking Suite (Alignment, Health, NQueens, Sort, Strassen)
@@ -49,9 +51,10 @@ type App struct {
 	// default input (proxies).
 	VariesInput bool
 	// Kernel runs the functional implementation on rt at the given scale
-	// (1.0 = the self-test size) and returns a checksum. Inputs are cached
-	// per scale: a call times the computation, and only the first call at a
-	// scale also builds what it reads.
+	// (1.0 = the self-test size) and returns a checksum. Inputs and
+	// workspaces are kept per scale: a call times the computation, and only
+	// the first call at a scale (or past the free workspaces) also builds
+	// what it reads and writes.
 	Kernel func(rt *openmp.Runtime, scale float64) float64
 
 	refs memo[float64] // Reference's checksums by scale

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"omptune/internal/env"
@@ -145,18 +146,36 @@ func TestKernelsInvariantAcrossConfigurations(t *testing.T) {
 func TestNQueensKnownCount(t *testing.T) {
 	rt := newTestRuntime(t, nil)
 	// 8-queens has exactly 92 solutions.
-	if got := kernelNQueens(rt, 1.0); got != 92 {
+	if got := kernelNQueens(1.0)(rt); got != 92 {
 		t.Errorf("8-queens solutions = %v, want 92", got)
 	}
 }
 
+// TestSortProducesSortedOutput checks Sort key by key: on two consecutive
+// runs of one workspace, on one thread and then two, the keys a run leaves
+// are its input's, sorted — none lost, duplicated or read stale from the run
+// before.
 func TestSortProducesSortedOutput(t *testing.T) {
-	rt := newTestRuntime(t, nil)
-	got := kernelSort(rt, 1.0)
-	// Misplacements are encoded as bad*1e6; a sorted result keeps the
-	// checksum far below that.
-	if got >= 1e6 {
-		t.Errorf("sort checksum %v implies misplaced elements", got)
+	const scale = 1.0
+	want := slices.Clone(sortInputs.get(scale))
+	slices.Sort(want)
+	run, data := sortWorkspace(scale)
+	for _, threads := range []int{1, 2} {
+		rt := newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = threads })
+		for call := 0; call < 2; call++ {
+			// Misplacements are encoded as bad*1e6; a sorted result keeps
+			// the checksum far below that.
+			if got := run(rt); got >= 1e6 {
+				t.Errorf("%d threads, call %d: sort checksum %v implies misplaced elements", threads, call, got)
+			}
+			if !slices.Equal(data, want) {
+				i := 0
+				for data[i] == want[i] {
+					i++
+				}
+				t.Errorf("%d threads, call %d: key %d is %v, want %v", threads, call, i, data[i], want[i])
+			}
+		}
 	}
 }
 
@@ -164,12 +183,12 @@ func TestFTRoundTripAccuracy(t *testing.T) {
 	rt := newTestRuntime(t, nil)
 	// The checksum embeds the max inverse-transform error; re-deriving it
 	// here keeps the bound tight: forward+inverse must reproduce the input.
-	got := kernelFT(rt, 1.0)
+	got := kernelFT(1.0)(rt)
 	if math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("FT checksum = %v", got)
 	}
 	rt2 := newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = 1 })
-	serial := kernelFT(rt2, 1.0)
+	serial := kernelFT(1.0)(rt2)
 	if math.Abs(got-serial) > 1e-6*(1+math.Abs(serial)) {
 		t.Errorf("FT parallel %v != serial %v", got, serial)
 	}
@@ -181,8 +200,8 @@ func TestStrassenMatchesNaive(t *testing.T) {
 	// thread vs many exercises the task tree deeply.
 	a := newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = 1 })
 	b := newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = 4 })
-	sa := kernelStrassen(a, 1.0)
-	sb := kernelStrassen(b, 1.0)
+	sa := kernelStrassen(1.0)(a)
+	sb := kernelStrassen(1.0)(b)
 	if math.Abs(sa-sb) > 1e-7*(1+math.Abs(sa)) {
 		t.Errorf("strassen 1-thread %v != 4-thread %v", sa, sb)
 	}

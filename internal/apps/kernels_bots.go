@@ -2,7 +2,6 @@ package apps
 
 import (
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"omptune/openmp"
@@ -27,13 +26,18 @@ var alignmentInputs = input[[][]byte]{build: func(scale float64) [][]byte {
 // (Needleman–Wunsch score, linear space) over a deterministic batch of
 // protein-like sequences of varying lengths — one explicit task per pair,
 // the BOTS Alignment pattern.
-func kernelAlignment(rt *openmp.Runtime, scale float64) float64 {
+func kernelAlignment(scale float64) func(*openmp.Runtime) float64 {
 	seqs := alignmentInputs.get(scale)
 	nseq := len(seqs)
-	score := func(a, b []byte) float64 {
+	width := 0 // a DP row: the longest sequence's length + 1
+	for _, s := range seqs {
+		width = max(width, len(s)+1)
+	}
+	var rows []float64 // two DP rows per team thread
+	score := func(th *openmp.Thread, a, b []byte) float64 {
 		const gap, match, mismatch = -2.0, 3.0, -1.0
-		prev := make([]float64, len(b)+1)
-		cur := make([]float64, len(b)+1)
+		prev := rows[2*th.ID()*width:][:len(b)+1]
+		cur := rows[(2*th.ID()+1)*width:][:len(b)+1]
 		for j := range prev {
 			prev[j] = gap * float64(j)
 		}
@@ -51,20 +55,30 @@ func kernelAlignment(rt *openmp.Runtime, scale float64) float64 {
 		return prev[len(b)]
 	}
 	var totalBits atomic.Uint64
-	rt.Parallel(func(th *openmp.Thread) {
+	var tasks []func(*openmp.Thread) // one per pair, in spawn order
+	for i := 0; i < nseq; i++ {
+		for j := i + 1; j < nseq; j++ {
+			tasks = append(tasks, func(th *openmp.Thread) {
+				s := score(th, seqs[i], seqs[j])
+				addFloat(&totalBits, s)
+			})
+		}
+	}
+	region := func(th *openmp.Thread) {
 		th.Single(func() {
-			for i := 0; i < nseq; i++ {
-				for j := i + 1; j < nseq; j++ {
-					i, j := i, j
-					th.Task(func(*openmp.Thread) {
-						s := score(seqs[i], seqs[j])
-						addFloat(&totalBits, s)
-					})
-				}
+			for _, task := range tasks {
+				th.Task(task)
 			}
 		})
-	})
-	return math.Float64frombits(totalBits.Load())
+	}
+	return func(rt *openmp.Runtime) float64 {
+		if need := 2 * rt.NumThreads() * width; len(rows) < need {
+			rows = make([]float64, need)
+		}
+		totalBits.Store(0)
+		rt.Parallel(region)
+		return math.Float64frombits(totalBits.Load())
+	}
 }
 
 // village is one node of Health's village tree; its id indexes the
@@ -104,16 +118,17 @@ var healthInputs = input[healthInput]{build: func(scale float64) healthInput {
 // kernelHealth simulates a hierarchical health system: a tree of villages,
 // each processing a patient queue per timestep, with one task per village
 // per step (the BOTS Health pattern, deterministic variant).
-func kernelHealth(rt *openmp.Runtime, scale float64) float64 {
+func kernelHealth(scale float64) func(*openmp.Runtime) float64 {
 	in := healthInputs.get(scale)
 	root := in.root
 	backlog := make([]float64, in.villages) // indexed by village id
 	var treated atomic.Uint64
-	var step func(th *openmp.Thread, v *village, t int)
-	step = func(th *openmp.Thread, v *village, t int) {
+	t := 0                                             // the timestep being stepped
+	tasks := make([]func(*openmp.Thread), in.villages) // village id -> its step at t
+	var step func(th *openmp.Thread, v *village)
+	step = func(th *openmp.Thread, v *village) {
 		for _, c := range v.children {
-			c := c
-			th.Task(func(inner *openmp.Thread) { step(inner, c, t) })
+			th.Task(tasks[c.id])
 		}
 		// Process this village's queue: deterministic pseudo-stochastic
 		// arrivals and treatments.
@@ -125,19 +140,32 @@ func kernelHealth(rt *openmp.Runtime, scale float64) float64 {
 		addFloat(&treated, cured)
 		th.TaskWait()
 	}
-	rt.Parallel(func(th *openmp.Thread) {
+	var visit func(v *village)
+	visit = func(v *village) {
+		tasks[v.id] = func(th *openmp.Thread) { step(th, v) }
+		for _, c := range v.children {
+			visit(c)
+		}
+	}
+	visit(root)
+	region := func(th *openmp.Thread) {
 		th.Single(func() {
-			for t := 0; t < 6; t++ {
-				step(th, root, t)
+			for t = 0; t < 6; t++ {
+				step(th, root)
 			}
 		})
-	})
-	return math.Float64frombits(treated.Load())
+	}
+	return func(rt *openmp.Runtime) float64 {
+		clear(backlog)
+		treated.Store(0)
+		rt.Parallel(region)
+		return math.Float64frombits(treated.Load())
+	}
 }
 
 // kernelNQueens counts all N-queens solutions with recursive task
 // parallelism and a sequential cutoff, the BOTS NQueens pattern.
-func kernelNQueens(rt *openmp.Runtime, scale float64) float64 {
+func kernelNQueens(scale float64) func(*openmp.Runtime) float64 {
 	n := 8
 	if scale > 1.5 {
 		n = 9
@@ -158,25 +186,37 @@ func kernelNQueens(rt *openmp.Runtime, scale float64) float64 {
 		return count
 	}
 	var total atomic.Int64
-	var explore func(th *openmp.Thread, cols, diag1, diag2 uint32, row int)
-	explore = func(th *openmp.Thread, cols, diag1, diag2 uint32, row int) {
+	// The task tree is fixed by n: explore builds the task of one board,
+	// which at the cutoff depth counts serially and above it spawns the
+	// task of each child board and waits for them.
+	var explore func(cols, diag1, diag2 uint32, row int) func(*openmp.Thread)
+	explore = func(cols, diag1, diag2 uint32, row int) func(*openmp.Thread) {
 		if row >= cutoffDepth {
-			total.Add(serial(cols, diag1, diag2, row))
-			return
+			return func(*openmp.Thread) { total.Add(serial(cols, diag1, diag2, row)) }
 		}
+		var children []func(*openmp.Thread)
 		free := ^(cols | diag1 | diag2) & ((1 << n) - 1)
 		for free != 0 {
 			bit := free & (-free)
 			free ^= bit
-			c, d1, d2 := cols|bit, (diag1|bit)<<1, (diag2|bit)>>1
-			th.Task(func(inner *openmp.Thread) { explore(inner, c, d1, d2, row+1) })
+			children = append(children, explore(cols|bit, (diag1|bit)<<1, (diag2|bit)>>1, row+1))
 		}
-		th.TaskWait()
+		return func(th *openmp.Thread) {
+			for _, c := range children {
+				th.Task(c)
+			}
+			th.TaskWait()
+		}
 	}
-	rt.Parallel(func(th *openmp.Thread) {
-		th.Single(func() { explore(th, 0, 0, 0, 0) })
-	})
-	return float64(total.Load())
+	root := explore(0, 0, 0, 0)
+	region := func(th *openmp.Thread) {
+		th.Single(func() { root(th) })
+	}
+	return func(rt *openmp.Runtime) float64 {
+		total.Store(0)
+		rt.Parallel(region)
+		return float64(total.Load())
+	}
 }
 
 // sortInputs holds Sort's unsorted keys.
@@ -192,9 +232,17 @@ var sortInputs = input[[]float64]{build: func(scale float64) []float64 {
 // kernelSort is a task-parallel mergesort with an insertion-sort cutoff,
 // the BOTS Sort pattern; it returns 0 misplacements plus a data checksum so
 // an incorrect merge is caught.
-func kernelSort(rt *openmp.Runtime, scale float64) float64 {
-	data := slices.Clone(sortInputs.get(scale))
-	n := len(data)
+func kernelSort(scale float64) func(*openmp.Runtime) float64 {
+	run, _ := sortWorkspace(scale)
+	return run
+}
+
+// sortWorkspace makes a workspace of kernelSort at scale: its run function
+// and the keys a run leaves sorted.
+func sortWorkspace(scale float64) (run func(*openmp.Runtime) float64, data []float64) {
+	in := sortInputs.get(scale)
+	n := len(in)
+	data = make([]float64, n)
 	tmp := make([]float64, n)
 	const cutoff = 512
 	insertion := func(a []float64) {
@@ -223,29 +271,40 @@ func kernelSort(rt *openmp.Runtime, scale float64) float64 {
 		copy(dst[k:], a[i:])
 		copy(dst[k+len(a)-i:], b[j:])
 	}
-	var msort func(th *openmp.Thread, a, scratch []float64)
-	msort = func(th *openmp.Thread, a, scratch []float64) {
+	// The mergesort tree is fixed by n: msort builds the task that sorts
+	// data[lo:hi], which above the cutoff sorts its left half in a task and
+	// its right half itself, then merges them through the scratch.
+	var msort func(lo, hi int) func(*openmp.Thread)
+	msort = func(lo, hi int) func(*openmp.Thread) {
+		a, scratch := data[lo:hi], tmp[lo:hi]
 		if len(a) <= cutoff {
-			insertion(a)
-			return
+			return func(*openmp.Thread) { insertion(a) }
 		}
 		mid := len(a) / 2
-		th.Task(func(inner *openmp.Thread) { msort(inner, a[:mid], scratch[:mid]) })
-		msort(th, a[mid:], scratch[mid:])
-		th.TaskWait()
-		copy(scratch, a)
-		merge(scratch[:mid], scratch[mid:], a)
-	}
-	rt.Parallel(func(th *openmp.Thread) {
-		th.Single(func() { msort(th, data, tmp) })
-	})
-	bad := 0.0
-	for i := 1; i < n; i++ {
-		if data[i] < data[i-1] {
-			bad++
+		left, right := msort(lo, lo+mid), msort(lo+mid, hi)
+		return func(th *openmp.Thread) {
+			th.Task(left)
+			right(th)
+			th.TaskWait()
+			copy(scratch, a)
+			merge(scratch[:mid], scratch[mid:], a)
 		}
 	}
-	return bad*1e6 + data[0] + data[n-1] + data[n/2]
+	root := msort(0, n)
+	region := func(th *openmp.Thread) {
+		th.Single(func() { root(th) })
+	}
+	return func(rt *openmp.Runtime) float64 {
+		copy(data, in)
+		rt.Parallel(region)
+		bad := 0.0
+		for i := 1; i < n; i++ {
+			if data[i] < data[i-1] {
+				bad++
+			}
+		}
+		return bad*1e6 + data[0] + data[n-1] + data[n/2]
+	}, data
 }
 
 // strassenInput is Strassen's two factor matrices.
@@ -267,8 +326,9 @@ var strassenInputs = input[strassenInput]{build: func(scale float64) strassenInp
 
 // kernelStrassen multiplies two deterministic square matrices with
 // task-parallel Strassen recursion and a naive cutoff, the BOTS Strassen
-// pattern. The checksum is of the product matrix.
-func kernelStrassen(rt *openmp.Runtime, scale float64) float64 {
+// pattern. The checksum is of the product matrix, all of which a call
+// writes.
+func kernelStrassen(scale float64) func(*openmp.Runtime) float64 {
 	n := 64
 	if scale > 1.5 {
 		n = 128
@@ -311,11 +371,14 @@ func kernelStrassen(rt *openmp.Runtime, scale float64) float64 {
 		}
 	}
 	const cutoff = 16
-	var strassen func(th *openmp.Thread, c, x, y mat)
-	strassen = func(th *openmp.Thread, c, x, y mat) {
+	// The recursion is fixed by n: node builds the task that computes
+	// c = x*y, naively at the cutoff, else from seven products of quadrant
+	// sums, the temporaries of which it builds once, the first six products
+	// in tasks.
+	var node func(c, x, y mat) func(*openmp.Thread)
+	node = func(c, x, y mat) func(*openmp.Thread) {
 		if c.n <= cutoff {
-			naive(c, x, y)
-			return
+			return func(*openmp.Thread) { naive(c, x, y) }
 		}
 		h := c.n / 2
 		a11, a12 := sub(x, 0, 0), sub(x, 0, 1)
@@ -326,52 +389,51 @@ func kernelStrassen(rt *openmp.Runtime, scale float64) float64 {
 		for i := range m {
 			m[i] = newMat(h)
 		}
-		run := func(c, x, y mat) func(*openmp.Thread) {
-			return func(inner *openmp.Thread) { strassen(inner, c, x, y) }
-		}
-		t1, t2 := newMat(h), newMat(h)
-		addM(t1, a11, a22)
-		addM(t2, b11, b22)
-		th.Task(run(m[0], t1, t2))
-		t3, t4 := newMat(h), newMat(h)
-		addM(t3, a21, a22)
-		th.Task(run(m[1], t3, b11))
-		subM(t4, b12, b22)
-		th.Task(run(m[2], a11, t4))
-		t5 := newMat(h)
-		subM(t5, b21, b11)
-		th.Task(run(m[3], a22, t5))
-		t6, t7 := newMat(h), newMat(h)
-		addM(t6, a11, a12)
-		th.Task(run(m[4], t6, b22))
-		subM(t7, a21, a11)
-		t8 := newMat(h)
-		addM(t8, b11, b12)
-		th.Task(run(m[5], t7, t8))
-		t9, t10 := newMat(h), newMat(h)
-		subM(t9, a12, a22)
-		addM(t10, b21, b22)
-		strassen(th, m[6], t9, t10)
-		th.TaskWait()
+		t1, t2, t3, t4, t5 := newMat(h), newMat(h), newMat(h), newMat(h), newMat(h)
+		t6, t7, t8, t9, t10 := newMat(h), newMat(h), newMat(h), newMat(h), newMat(h)
+		run := [7]func(*openmp.Thread){node(m[0], t1, t2), node(m[1], t3, b11), node(m[2], a11, t4),
+			node(m[3], a22, t5), node(m[4], t6, b22), node(m[5], t7, t8), node(m[6], t9, t10)}
 		c11, c12 := sub(c, 0, 0), sub(c, 0, 1)
 		c21, c22 := sub(c, 1, 0), sub(c, 1, 1)
-		for i := 0; i < h; i++ {
-			for j := 0; j < h; j++ {
-				p := i*h + j
-				c11.d[i*c11.stride+j] = m[0].d[p] + m[3].d[p] - m[4].d[p] + m[6].d[p]
-				c12.d[i*c12.stride+j] = m[2].d[p] + m[4].d[p]
-				c21.d[i*c21.stride+j] = m[1].d[p] + m[3].d[p]
-				c22.d[i*c22.stride+j] = m[0].d[p] - m[1].d[p] + m[2].d[p] + m[5].d[p]
+		return func(th *openmp.Thread) {
+			addM(t1, a11, a22)
+			addM(t2, b11, b22)
+			th.Task(run[0])
+			addM(t3, a21, a22)
+			th.Task(run[1])
+			subM(t4, b12, b22)
+			th.Task(run[2])
+			subM(t5, b21, b11)
+			th.Task(run[3])
+			addM(t6, a11, a12)
+			th.Task(run[4])
+			subM(t7, a21, a11)
+			addM(t8, b11, b12)
+			th.Task(run[5])
+			subM(t9, a12, a22)
+			addM(t10, b21, b22)
+			run[6](th)
+			th.TaskWait()
+			for i := 0; i < h; i++ {
+				for j := 0; j < h; j++ {
+					p := i*h + j
+					c11.d[i*c11.stride+j] = m[0].d[p] + m[3].d[p] - m[4].d[p] + m[6].d[p]
+					c12.d[i*c12.stride+j] = m[2].d[p] + m[4].d[p]
+					c21.d[i*c21.stride+j] = m[1].d[p] + m[3].d[p]
+					c22.d[i*c22.stride+j] = m[0].d[p] - m[1].d[p] + m[2].d[p] + m[5].d[p]
+				}
 			}
 		}
 	}
-	c := mat{d: make([]float64, n*n), stride: n, n: n}
-	rt.Parallel(func(th *openmp.Thread) {
-		th.Single(func() {
-			strassen(th, c, mat{d: a, stride: n, n: n}, mat{d: b, stride: n, n: n})
-		})
-	})
-	return checksum(c.d)
+	c := newMat(n)
+	root := node(c, mat{d: a, stride: n, n: n}, mat{d: b, stride: n, n: n})
+	region := func(th *openmp.Thread) {
+		th.Single(func() { root(th) })
+	}
+	return func(rt *openmp.Runtime) float64 {
+		rt.Parallel(region)
+		return checksum(c.d)
+	}
 }
 
 // addFloat atomically accumulates a float64 into a bit-packed cell.

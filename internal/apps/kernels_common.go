@@ -3,12 +3,14 @@ package apps
 import (
 	"math"
 	"sync"
+
+	"omptune/openmp"
 )
 
 // memo builds a value once per input scale and hands the same value to
 // every later call at that scale: the pristine inputs of a kernel, shared
-// read-only by its reps, runtimes and concurrent sweep workers. A kernel
-// that writes to an input works on a copy of it.
+// read-only by its reps, runtimes and concurrent sweep workers. What a
+// kernel writes, a copy of an input included, is in its workspace (kernel).
 type memo[T any] struct {
 	mu      sync.Mutex
 	byScale map[float64]*memoEntry[T]
@@ -45,6 +47,37 @@ type input[T any] struct {
 }
 
 func (in *input[T]) get(scale float64) T { return in.memo.get(scale, in.build) }
+
+// kernel makes a study kernel from build (kernelBT, kernelCG, …), which
+// makes a workspace for one scale: a call's run function, closing over all a call writes (buffers,
+// the copies it makes of its inputs) and over the task closures and loop
+// bodies it hands the runtime, built once. The kernel keeps free workspaces
+// per scale; a call takes one, built only when none is free, and puts it
+// back when it ends, so concurrent calls each hold their own and a warm call
+// allocates nothing. A run resets what it reads before it writes it, so
+// nothing that reaches a result crosses calls.
+func kernel(build func(scale float64) func(rt *openmp.Runtime) float64) func(rt *openmp.Runtime, scale float64) float64 {
+	var mu sync.Mutex
+	free := make(map[float64][]func(*openmp.Runtime) float64)
+	put := func(scale float64, run func(*openmp.Runtime) float64) {
+		mu.Lock()
+		free[scale] = append(free[scale], run)
+		mu.Unlock()
+	}
+	return func(rt *openmp.Runtime, scale float64) float64 {
+		var run func(*openmp.Runtime) float64
+		mu.Lock()
+		if list := free[scale]; len(list) > 0 {
+			run, free[scale] = list[len(list)-1], list[:len(list)-1]
+		}
+		mu.Unlock()
+		if run == nil {
+			run = build(scale)
+		}
+		defer put(scale, run)
+		return run(rt)
+	}
+}
 
 // lcg is a small deterministic generator for building reproducible kernel
 // inputs (sequences, matrices, lookup grids) without math/rand.

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"math"
-	"slices"
 
 	"omptune/openmp"
 )
@@ -186,42 +185,57 @@ var btCoef = input[[]btBlocks]{build: func(scale float64) []btBlocks { return bt
 // cells, each sweep solving independent 5x5 block-tridiagonal systems
 // along one dimension with the block Thomas algorithm, parallelized over
 // lines.
-func kernelBT(rt *openmp.Runtime, scale float64) float64 {
+func kernelBT(scale float64) func(*openmp.Runtime) float64 {
 	n := scaleDim(10, scale, 1.0/3)
-	u := slices.Clone(btInputs.get(scale))
+	in := btInputs.get(scale)
 	coef := btCoef.get(scale)
+	u := make([]bvec, len(in))
 	idx := func(i, j, k int) int { return (i*n+j)*n + k }
 	// Each team thread solves its lines in its own stretch of the call's
 	// scratch: the line's n cells and its n eliminated upper blocks.
-	lines := make([]bvec, rt.NumThreads()*n)
-	cps := make([]bmat, rt.NumThreads()*n)
+	var lines []bvec
+	var cps []bmat
 	// sweep solves the n*n lines along one dimension, parallel over lines;
 	// cell(l, i) is the index in u of cell i of line l.
-	sweep := func(cell func(l, i int) int) {
-		rt.Parallel(func(th *openmp.Thread) {
-			t := th.ID()
-			line, cp := lines[t*n:(t+1)*n], cps[t*n:(t+1)*n]
-			th.For(n*n, func(l int) {
-				for i := range line {
-					line[i] = u[cell(l, i)]
-				}
-				solveBlockLine(line, coef, cp)
-				for i := range line {
-					u[cell(l, i)] = line[i]
-				}
-			})
+	var cell func(l, i int) int
+	sweep := func(th *openmp.Thread) {
+		t := th.ID()
+		line, cp := lines[t*n:(t+1)*n], cps[t*n:(t+1)*n]
+		th.For(n*n, func(l int) {
+			for i := range line {
+				line[i] = u[cell(l, i)]
+			}
+			solveBlockLine(line, coef, cp)
+			for i := range line {
+				u[cell(l, i)] = line[i]
+			}
 		})
 	}
-	for step := 0; step < 2; step++ {
-		sweep(func(jk, i int) int { return idx(i, jk/n, jk%n) }) // x: one line per (j,k)
-		sweep(func(ik, j int) int { return idx(ik/n, j, ik%n) }) // y
-		sweep(func(ij, k int) int { return ij*n + k })           // z: contiguous lines
-	}
+	cellX := func(jk, i int) int { return idx(i, jk/n, jk%n) } // one line per (j,k)
+	cellY := func(ik, j int) int { return idx(ik/n, j, ik%n) }
+	cellZ := func(ij, k int) int { return ij*n + k } // contiguous lines
 	flat := make([]float64, 0, len(u)*blockDim)
-	for i := range u {
-		flat = append(flat, u[i][:]...)
+	return func(rt *openmp.Runtime) float64 {
+		copy(u, in)
+		if need := rt.NumThreads() * n; len(lines) < need {
+			lines, cps = make([]bvec, need), make([]bmat, need)
+		}
+		// Each dimension's sweep is its own region, as NPB BT's x_solve,
+		// y_solve and z_solve are.
+		for step := 0; step < 2; step++ {
+			cell = cellX
+			rt.Parallel(sweep)
+			cell = cellY
+			rt.Parallel(sweep)
+			cell = cellZ
+			rt.Parallel(sweep)
+		}
+		flat = flat[:0]
+		for i := range u {
+			flat = append(flat, u[i][:]...)
+		}
+		return checksum(flat)
 	}
-	return checksum(flat)
 }
 
 // cgInputs holds CG's right-hand side.
@@ -239,58 +253,69 @@ var cgInputs = input[[]float64]{build: func(scale float64) []float64 {
 // symmetric positive-definite band matrix, the computation pattern of NPB
 // CG: sparse matrix-vector products plus two inner-product reductions per
 // iteration.
-func kernelCG(rt *openmp.Runtime, scale float64) float64 {
+func kernelCG(scale float64) func(*openmp.Runtime) float64 {
 	n := scaleDim(900, scale, 1.0)
 	const band = 6
 	// A = I*4 + symmetric band with decaying off-diagonals.
-	matvec := func(dst, src []float64) {
-		rt.ParallelFor(n, func(i int) {
-			s := 4.0 * src[i]
-			for d := 1; d <= band; d++ {
-				w := 1.0 / float64(d*d+1)
-				if i-d >= 0 {
-					s -= w * src[i-d]
-				}
-				if i+d < n {
-					s -= w * src[i+d]
-				}
+	var src, dst, da, db []float64
+	product := func(i int) {
+		s := 4.0 * src[i]
+		for d := 1; d <= band; d++ {
+			w := 1.0 / float64(d*d+1)
+			if i-d >= 0 {
+				s -= w * src[i-d]
 			}
-			dst[i] = s
-		})
+			if i+d < n {
+				s -= w * src[i+d]
+			}
+		}
+		dst[i] = s
 	}
-	dot := func(a, b []float64) float64 {
-		return rt.ParallelReduceSum(n, func(i int) float64 { return a[i] * b[i] })
-	}
+	term := func(i int) float64 { return da[i] * db[i] }
 	bvec := cgInputs.get(scale)
 	x := make([]float64, n)
 	r := make([]float64, n)
 	p := make([]float64, n)
 	q := make([]float64, n)
-	copy(r, bvec)
-	copy(p, bvec)
-	rho := dot(r, r)
-	for iter := 0; iter < 15; iter++ {
-		matvec(q, p)
-		alpha := rho / dot(p, q)
-		rt.ParallelFor(n, func(i int) {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * q[i]
-		})
-		rhoNew := dot(r, r)
-		beta := rhoNew / rho
-		rho = rhoNew
-		rt.ParallelFor(n, func(i int) { p[i] = r[i] + beta*p[i] })
+	var alpha, beta float64
+	step := func(i int) {
+		x[i] += alpha * p[i]
+		r[i] -= alpha * q[i]
 	}
-	return math.Sqrt(rho) + checksum(x)
+	direction := func(i int) { p[i] = r[i] + beta*p[i] }
+	return func(rt *openmp.Runtime) float64 {
+		matvec := func(to, from []float64) {
+			dst, src = to, from
+			rt.ParallelFor(n, product)
+		}
+		dot := func(a, b []float64) float64 {
+			da, db = a, b
+			return rt.ParallelReduceSum(n, term)
+		}
+		clear(x)
+		copy(r, bvec)
+		copy(p, bvec)
+		rho := dot(r, r)
+		for iter := 0; iter < 15; iter++ {
+			matvec(q, p)
+			alpha = rho / dot(p, q)
+			rt.ParallelFor(n, step)
+			rhoNew := dot(r, r)
+			beta = rhoNew / rho
+			rho = rhoNew
+			rt.ParallelFor(n, direction)
+		}
+		return math.Sqrt(rho) + checksum(x)
+	}
 }
 
 // kernelEP is the NPB embarrassingly-parallel kernel: generate pairs of
 // uniform deviates, apply the Marsaglia polar acceptance test, and reduce
 // the accepted Gaussian sums and annulus counts across the team.
-func kernelEP(rt *openmp.Runtime, scale float64) float64 {
+func kernelEP(scale float64) func(*openmp.Runtime) float64 {
 	pairs := scaleDim(60000, scale, 1.0)
 	var sx, sy, accepted float64
-	rt.Parallel(func(th *openmp.Thread) {
+	region := func(th *openmp.Thread) {
 		var lx, ly, lacc float64
 		th.ForNowait(pairs, func(i int) {
 			rng := newLCG(uint64(i) + 1)
@@ -308,8 +333,11 @@ func kernelEP(rt *openmp.Runtime, scale float64) float64 {
 		gy := th.ReduceSum(ly)
 		ga := th.ReduceSum(lacc)
 		th.Master(func() { sx, sy, accepted = gx, gy, ga })
-	})
-	return sx + sy + accepted
+	}
+	return func(rt *openmp.Runtime) float64 {
+		rt.Parallel(region)
+		return sx + sy + accepted
+	}
 }
 
 // ftInputs holds FT's initial field, which the inverse transform must
@@ -331,7 +359,7 @@ var ftInputs = input[[]float64]{build: func(scale float64) []float64 {
 // the line transforms of each dimension parallelized, like NPB FT's
 // pencil decomposition. The checksum includes the round-trip error so a
 // broken schedule or reduction shows up numerically.
-func kernelFT(rt *openmp.Runtime, scale float64) float64 {
+func kernelFT(scale float64) func(*openmp.Runtime) float64 {
 	logn := 4
 	if scale > 1.5 {
 		logn = 5
@@ -339,7 +367,7 @@ func kernelFT(rt *openmp.Runtime, scale float64) float64 {
 	n := 1 << logn
 	total := n * n * n
 	orig := ftInputs.get(scale)
-	re := slices.Clone(orig)
+	re := make([]float64, total)
 	im := make([]float64, total)
 	fft1d := func(re, im []float64, stride int, inverse bool) {
 		m := n
@@ -383,26 +411,35 @@ func kernelFT(rt *openmp.Runtime, scale float64) float64 {
 			}
 		}
 	}
-	pass := func(inverse bool) {
-		// Transform along z (contiguous), then y, then x.
-		rt.ParallelFor(n*n, func(l int) { fft1d(re[l*n:], im[l*n:], 1, inverse) })
-		rt.ParallelFor(n*n, func(l int) {
-			i, k := l/n, l%n
-			off := i*n*n + k
-			fft1d(re[off:], im[off:], n, inverse)
-		})
-		rt.ParallelFor(n*n, func(l int) { fft1d(re[l:], im[l:], n*n, inverse) })
+	var inverse bool
+	lineZ := func(l int) { fft1d(re[l*n:], im[l*n:], 1, inverse) }
+	lineY := func(l int) {
+		i, k := l/n, l%n
+		off := i*n*n + k
+		fft1d(re[off:], im[off:], n, inverse)
 	}
-	pass(false)
-	spectral := checksum(re[:n*n])
-	pass(true)
-	maxErr := 0.0
-	for i := range re {
-		if e := math.Abs(re[i] - orig[i]); e > maxErr {
-			maxErr = e
+	lineX := func(l int) { fft1d(re[l:], im[l:], n*n, inverse) }
+	return func(rt *openmp.Runtime) float64 {
+		copy(re, orig)
+		clear(im)
+		pass := func(inv bool) {
+			// Transform along z (contiguous), then y, then x.
+			inverse = inv
+			rt.ParallelFor(n*n, lineZ)
+			rt.ParallelFor(n*n, lineY)
+			rt.ParallelFor(n*n, lineX)
 		}
+		pass(false)
+		spectral := checksum(re[:n*n])
+		pass(true)
+		maxErr := 0.0
+		for i := range re {
+			if e := math.Abs(re[i] - orig[i]); e > maxErr {
+				maxErr = e
+			}
+		}
+		return spectral + maxErr
 	}
-	return spectral + maxErr
 }
 
 // luInputs holds LU's right-hand side.
@@ -419,47 +456,54 @@ var luInputs = input[[]float64]{build: func(scale float64) []float64 {
 // kernelLU performs SSOR-style forward and backward relaxation sweeps over
 // a 2-D grid (NPB LU's computation pattern), parallelized over rows within
 // each wavefront-free Jacobi-style sweep.
-func kernelLU(rt *openmp.Runtime, scale float64) float64 {
+func kernelLU(scale float64) func(*openmp.Runtime) float64 {
 	n := scaleDim(96, scale, 0.5)
 	rhs := luInputs.get(scale)
 	u := make([]float64, n*n)
 	const omega = 1.2
 	next := make([]float64, n*n)
-	for sweep := 0; sweep < 8; sweep++ {
-		// Forward (lower-triangular flavoured) relaxation: cross-row terms
-		// read the previous sweep's values so rows are independent; in-row
-		// terms use this sweep's values computed by the same thread.
-		rt.ParallelFor(n, func(i int) {
-			for j := 0; j < n; j++ {
-				s := rhs[i*n+j]
-				if i > 0 {
-					s += 0.25 * u[(i-1)*n+j]
-				}
-				if j > 0 {
-					s += 0.25 * next[i*n+j-1]
-				}
-				next[i*n+j] = (1-omega)*u[i*n+j] + omega*s/1.5
+	// Forward (lower-triangular flavoured) relaxation: cross-row terms
+	// read the previous sweep's values so rows are independent; in-row
+	// terms use this sweep's values computed by the same thread.
+	forward := func(i int) {
+		for j := 0; j < n; j++ {
+			s := rhs[i*n+j]
+			if i > 0 {
+				s += 0.25 * u[(i-1)*n+j]
 			}
-		})
-		u, next = next, u
-		// Backward (upper-triangular flavoured) relaxation.
-		rt.ParallelFor(n, func(ri int) {
-			i := n - 1 - ri
-			for j := n - 1; j >= 0; j-- {
-				s := rhs[i*n+j]
-				if i < n-1 {
-					s += 0.25 * u[(i+1)*n+j]
-				}
-				if j < n-1 {
-					s += 0.25 * next[i*n+j+1]
-				}
-				next[i*n+j] = (1-omega)*u[i*n+j] + omega*s/1.5
+			if j > 0 {
+				s += 0.25 * next[i*n+j-1]
 			}
-		})
-		u, next = next, u
+			next[i*n+j] = (1-omega)*u[i*n+j] + omega*s/1.5
+		}
 	}
-	norm := rt.ParallelReduceSum(n*n, func(i int) float64 { return u[i] * u[i] })
-	return math.Sqrt(norm / float64(n*n))
+	// Backward (upper-triangular flavoured) relaxation.
+	backward := func(ri int) {
+		i := n - 1 - ri
+		for j := n - 1; j >= 0; j-- {
+			s := rhs[i*n+j]
+			if i < n-1 {
+				s += 0.25 * u[(i+1)*n+j]
+			}
+			if j < n-1 {
+				s += 0.25 * next[i*n+j+1]
+			}
+			next[i*n+j] = (1-omega)*u[i*n+j] + omega*s/1.5
+		}
+	}
+	square := func(i int) float64 { return u[i] * u[i] }
+	return func(rt *openmp.Runtime) float64 {
+		clear(u)
+		clear(next)
+		for sweep := 0; sweep < 8; sweep++ {
+			rt.ParallelFor(n, forward)
+			u, next = next, u
+			rt.ParallelFor(n, backward)
+			u, next = next, u
+		}
+		norm := rt.ParallelReduceSum(n*n, square)
+		return math.Sqrt(norm / float64(n*n))
+	}
 }
 
 // mgInputs holds MG's right-hand side on the finest grid.
@@ -479,15 +523,20 @@ var mgInputs = input[[]float64]{build: func(scale float64) []float64 {
 // kernelMG runs multigrid V-cycles on a 3-D Poisson problem: parallel
 // Jacobi smoothing, residual computation, restriction and prolongation at
 // each level — NPB MG's bandwidth-bound stencil pattern.
-func kernelMG(rt *openmp.Runtime, scale float64) float64 {
+func kernelMG(scale float64) func(*openmp.Runtime) float64 {
 	logn := 4
 	if scale > 1.5 {
 		logn = 5
 	}
 	n := 1 << logn
+	// A grid holds one level, its smoothing and the bodies of its loops: the
+	// residual, the restriction of its residual onto the next coarser level
+	// and the prolongation of that level's correction onto this one.
 	type grid struct {
-		n          int
-		u, f, r, t []float64
+		n                           int
+		u, f, r, t                  []float64
+		smooth                      func(rt *openmp.Runtime)
+		residual, restrict, prolong func(i int)
 	}
 	mk := func(n int, f []float64) *grid {
 		return &grid{n: n, u: make([]float64, n*n*n), f: f,
@@ -501,11 +550,11 @@ func kernelMG(rt *openmp.Runtime, scale float64) float64 {
 		levels = append(levels, mk(m, make([]float64, m*m*m)))
 	}
 	at := func(g *grid, i, j, k int) int { return (i*g.n+j)*g.n + k }
-	smooth := func(g *grid) {
+	for l, g := range levels {
 		// Jacobi smoothing into a scratch array keeps the stencil
 		// deterministic under any schedule or thread count.
 		m := g.n
-		rt.ParallelFor(m-2, func(ii int) {
+		smoothT := func(ii int) {
 			i := ii + 1
 			for j := 1; j < m-1; j++ {
 				for k := 1; k < m-1; k++ {
@@ -515,19 +564,20 @@ func kernelMG(rt *openmp.Runtime, scale float64) float64 {
 						g.f[at(g, i, j, k)]) / 6
 				}
 			}
-		})
-		rt.ParallelFor(m-2, func(ii int) {
+		}
+		smoothU := func(ii int) {
 			i := ii + 1
 			for j := 1; j < m-1; j++ {
 				for k := 1; k < m-1; k++ {
 					g.u[at(g, i, j, k)] = g.t[at(g, i, j, k)]
 				}
 			}
-		})
-	}
-	residual := func(g *grid) {
-		m := g.n
-		rt.ParallelFor(m-2, func(ii int) {
+		}
+		g.smooth = func(rt *openmp.Runtime) {
+			rt.ParallelFor(m-2, smoothT)
+			rt.ParallelFor(m-2, smoothU)
+		}
+		g.residual = func(ii int) {
 			i := ii + 1
 			for j := 1; j < m-1; j++ {
 				for k := 1; k < m-1; k++ {
@@ -537,39 +587,57 @@ func kernelMG(rt *openmp.Runtime, scale float64) float64 {
 							g.u[at(g, i, j, k-1)] - g.u[at(g, i, j, k+1)])
 				}
 			}
-		})
-	}
-	for cycle := 0; cycle < 2; cycle++ {
-		for l := 0; l < len(levels)-1; l++ {
-			g, coarse := levels[l], levels[l+1]
-			smooth(g)
-			residual(g)
-			cm := coarse.n
-			rt.ParallelFor(cm, func(i int) {
-				for j := 0; j < cm; j++ {
-					for k := 0; k < cm; k++ {
-						coarse.f[at(coarse, i, j, k)] = g.r[at(g, min2(2*i, g.n-1), min2(2*j, g.n-1), min2(2*k, g.n-1))]
-						coarse.u[at(coarse, i, j, k)] = 0
-					}
-				}
-			})
 		}
-		smooth(levels[len(levels)-1])
-		for l := len(levels) - 1; l > 0; l-- {
-			coarse, g := levels[l], levels[l-1]
-			rt.ParallelFor(g.n, func(i int) {
-				for j := 0; j < g.n; j++ {
-					for k := 0; k < g.n; k++ {
-						g.u[at(g, i, j, k)] += coarse.u[at(coarse, min2(i/2, coarse.n-1), min2(j/2, coarse.n-1), min2(k/2, coarse.n-1))]
-					}
+		if l+1 == len(levels) {
+			break
+		}
+		coarse := levels[l+1]
+		cm := coarse.n
+		g.restrict = func(i int) {
+			for j := 0; j < cm; j++ {
+				for k := 0; k < cm; k++ {
+					coarse.f[at(coarse, i, j, k)] = g.r[at(g, min2(2*i, g.n-1), min2(2*j, g.n-1), min2(2*k, g.n-1))]
+					coarse.u[at(coarse, i, j, k)] = 0
 				}
-			})
-			smooth(g)
+			}
+		}
+		g.prolong = func(i int) {
+			for j := 0; j < g.n; j++ {
+				for k := 0; k < g.n; k++ {
+					g.u[at(g, i, j, k)] += coarse.u[at(coarse, min2(i/2, coarse.n-1), min2(j/2, coarse.n-1), min2(k/2, coarse.n-1))]
+				}
+			}
 		}
 	}
-	residual(top)
-	norm := rt.ParallelReduceSum(len(top.r), func(i int) float64 { return top.r[i] * top.r[i] })
-	return math.Sqrt(norm / float64(len(top.r)))
+	square := func(i int) float64 { return top.r[i] * top.r[i] }
+	return func(rt *openmp.Runtime) float64 {
+		for l, g := range levels {
+			clear(g.u)
+			clear(g.r)
+			clear(g.t)
+			if l > 0 {
+				clear(g.f)
+			}
+		}
+		residual := func(g *grid) { rt.ParallelFor(g.n-2, g.residual) }
+		for cycle := 0; cycle < 2; cycle++ {
+			for l := 0; l < len(levels)-1; l++ {
+				g := levels[l]
+				g.smooth(rt)
+				residual(g)
+				rt.ParallelFor(levels[l+1].n, g.restrict)
+			}
+			levels[len(levels)-1].smooth(rt)
+			for l := len(levels) - 1; l > 0; l-- {
+				g := levels[l-1]
+				rt.ParallelFor(g.n, g.prolong)
+				g.smooth(rt)
+			}
+		}
+		residual(top)
+		norm := rt.ParallelReduceSum(len(top.r), square)
+		return math.Sqrt(norm / float64(len(top.r)))
+	}
 }
 
 func min2(a, b int) int {

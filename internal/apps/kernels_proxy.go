@@ -2,7 +2,6 @@ package apps
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"omptune/openmp"
@@ -39,12 +38,12 @@ var xsInputs = input[xsInput]{build: func(scale float64) xsInput {
 // kernelXSBench performs continuous-energy macroscopic cross-section
 // lookups: binary search into a unionized energy grid followed by gathers
 // from per-nuclide tables — XSBench's random-access, cache-hostile pattern.
-func kernelXSBench(rt *openmp.Runtime, scale float64) float64 {
+func kernelXSBench(scale float64) func(*openmp.Runtime) float64 {
 	const lookups = 20000
 	in := xsInputs.get(scale)
 	grid, xs := in.grid, in.xs
 	nGrid := len(grid)
-	total := rt.ParallelReduceSum(lookups, func(l int) float64 {
+	lookup := func(l int) float64 {
 		r := newLCG(uint64(l) * 1099511628211)
 		e := r.float64()
 		lo, hi := 0, nGrid-1
@@ -61,8 +60,8 @@ func kernelXSBench(rt *openmp.Runtime, scale float64) float64 {
 			macro += xs[n][lo] * (1 + float64(n)*0.01)
 		}
 		return macro
-	})
-	return total
+	}
+	return func(rt *openmp.Runtime) float64 { return rt.ParallelReduceSum(lookups, lookup) }
 }
 
 // rsInput is RSBench's pole table, real and imaginary parts.
@@ -83,12 +82,12 @@ var rsInputs = input[rsInput]{build: func(scale float64) rsInput {
 // kernelRSBench performs multipole resonance cross-section reconstruction:
 // for each lookup, evaluate a window of complex poles (heavier arithmetic
 // per lookup than XSBench, lighter memory pressure).
-func kernelRSBench(rt *openmp.Runtime, scale float64) float64 {
+func kernelRSBench(scale float64) func(*openmp.Runtime) float64 {
 	const lookups, window = 8000, 16
 	in := rsInputs.get(scale)
 	polesRe, polesIm := in.re, in.im
 	nPoles := len(polesRe)
-	total := rt.ParallelReduceSum(lookups, func(l int) float64 {
+	lookup := func(l int) float64 {
 		r := newLCG(uint64(l)*48271 + 1)
 		e := r.float64()
 		start := r.intn(nPoles - window)
@@ -102,8 +101,8 @@ func kernelRSBench(rt *openmp.Runtime, scale float64) float64 {
 			sigIm += -di / den
 		}
 		return math.Sqrt(sigRe*sigRe + sigIm*sigIm)
-	})
-	return total
+	}
+	return func(rt *openmp.Runtime) float64 { return rt.ParallelReduceSum(lookups, lookup) }
 }
 
 // su3Input is SU3Bench's two lattices of SU(3) matrices, A and B.
@@ -124,14 +123,15 @@ var su3Inputs = input[su3Input]{build: func(scale float64) su3Input {
 }}
 
 // kernelSU3 is the mult_su3_nn kernel: C = A*B over a lattice of 3x3
-// complex SU(3) matrices, a perfectly balanced streaming workload.
-func kernelSU3(rt *openmp.Runtime, scale float64) float64 {
+// complex SU(3) matrices, a perfectly balanced streaming workload. Every
+// site writes all of its elements of C.
+func kernelSU3(scale float64) func(*openmp.Runtime) float64 {
 	in := su3Inputs.get(scale)
 	aRe, aIm, bRe, bIm := in.aRe, in.aIm, in.bRe, in.bIm
 	sites := len(aRe) / su3Elems
 	cRe := make([]float64, len(aRe))
 	cIm := make([]float64, len(aRe))
-	rt.ParallelFor(sites, func(s int) {
+	site := func(s int) {
 		base := s * su3Elems
 		for i := 0; i < 3; i++ {
 			for j := 0; j < 3; j++ {
@@ -146,8 +146,11 @@ func kernelSU3(rt *openmp.Runtime, scale float64) float64 {
 				cIm[base+i*3+j] = sumIm
 			}
 		}
-	})
-	return checksum(cRe) + checksum(cIm)
+	}
+	return func(rt *openmp.Runtime) float64 {
+		rt.ParallelFor(sites, site)
+		return checksum(cRe) + checksum(cIm)
+	}
 }
 
 // luleshInputs holds LULESH's initial element energies.
@@ -166,53 +169,64 @@ var luleshInputs = input[[]float64]{build: func(scale float64) []float64 { // en
 // hydrodynamics on a 3-D hex mesh: per-timestep element loops for stress
 // and force, a nodal update loop, and a courant-condition minimum
 // reduction — LULESH's many-short-regions pattern.
-func kernelLULESH(rt *openmp.Runtime, scale float64) float64 {
-	e := slices.Clone(luleshInputs.get(scale))
-	elems := len(e)
-	p := make([]float64, elems) // pressure
-	v := make([]float64, elems) // relative volume
-	for i := range v {
-		v[i] = 1.0
-	}
+func kernelLULESH(scale float64) func(*openmp.Runtime) float64 {
+	in := luleshInputs.get(scale)
+	elems := len(in)
+	e := make([]float64, elems)
+	p := make([]float64, elems)   // pressure
+	v := make([]float64, elems)   // relative volume
 	vel := make([]float64, elems) // nodal speed proxy
-	dt := 1e-3
-	energyTrace := 0.0
-	for step := 0; step < 12; step++ {
-		// Element stress and q (artificial viscosity) update.
-		rt.ParallelFor(elems, func(i int) {
-			q := 0.1 * vel[i] * vel[i]
-			p[i] = 0.6*e[i]/v[i] + q
-		})
-		// Nodal force/acceleration/velocity update (neighbour gather).
-		rt.ParallelFor(elems, func(i int) {
-			left := i - 1
-			if left < 0 {
-				left = 0
-			}
-			f := p[left] - p[i]
-			vel[i] += dt * f
-		})
-		// Element volume and energy update.
-		rt.ParallelFor(elems, func(i int) {
-			v[i] = math.Max(0.2, v[i]-dt*vel[i]*0.1)
-			e[i] = math.Max(1e-9, e[i]-dt*p[i]*vel[i]*0.05)
-		})
-		// Courant timestep reduction.
-		var newDt float64
-		rt.Parallel(func(th *openmp.Thread) {
-			local := math.Inf(1)
-			th.ForNowait(elems, func(i int) {
-				c := math.Sqrt(1.4 * p[i] / math.Max(v[i], 1e-9))
-				if d := 0.1 / math.Max(c, 1e-9); d < local {
-					local = d
-				}
-			})
-			g := th.ReduceMin(local)
-			th.Master(func() { newDt = g })
-		})
-		dt = math.Min(1e-3, math.Max(1e-6, newDt))
-		energyTrace += e[elems/2]
+	var dt, newDt float64
+	// Element stress and q (artificial viscosity) update.
+	stress := func(i int) {
+		q := 0.1 * vel[i] * vel[i]
+		p[i] = 0.6*e[i]/v[i] + q
 	}
-	total := rt.ParallelReduceSum(elems, func(i int) float64 { return e[i] })
-	return total + energyTrace
+	// Nodal force/acceleration/velocity update (neighbour gather).
+	force := func(i int) {
+		left := i - 1
+		if left < 0 {
+			left = 0
+		}
+		f := p[left] - p[i]
+		vel[i] += dt * f
+	}
+	// Element volume and energy update.
+	update := func(i int) {
+		v[i] = math.Max(0.2, v[i]-dt*vel[i]*0.1)
+		e[i] = math.Max(1e-9, e[i]-dt*p[i]*vel[i]*0.05)
+	}
+	// Courant timestep reduction.
+	courant := func(th *openmp.Thread) {
+		local := math.Inf(1)
+		th.ForNowait(elems, func(i int) {
+			c := math.Sqrt(1.4 * p[i] / math.Max(v[i], 1e-9))
+			if d := 0.1 / math.Max(c, 1e-9); d < local {
+				local = d
+			}
+		})
+		g := th.ReduceMin(local)
+		th.Master(func() { newDt = g })
+	}
+	energy := func(i int) float64 { return e[i] }
+	return func(rt *openmp.Runtime) float64 {
+		copy(e, in)
+		clear(p)
+		for i := range v {
+			v[i] = 1.0
+		}
+		clear(vel)
+		dt = 1e-3
+		energyTrace := 0.0
+		for step := 0; step < 12; step++ {
+			rt.ParallelFor(elems, stress)
+			rt.ParallelFor(elems, force)
+			rt.ParallelFor(elems, update)
+			rt.Parallel(courant)
+			dt = math.Min(1e-3, math.Max(1e-6, newDt))
+			energyTrace += e[elems/2]
+		}
+		total := rt.ParallelReduceSum(elems, energy)
+		return total + energyTrace
+	}
 }

@@ -3,6 +3,7 @@ package apps
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestCGConverges(t *testing.T) {
 	// fixed at 15 iterations, so instead verify the residual it reports is
 	// small relative to the right-hand side (diagonally dominant system).
 	rt := newTestRuntime(t, nil)
-	sum := kernelCG(rt, 1.0)
+	sum := kernelCG(1.0)(rt)
 	if math.IsNaN(sum) || math.IsInf(sum, 0) {
 		t.Fatalf("CG checksum = %v", sum)
 	}
@@ -33,7 +34,7 @@ func TestEPAcceptanceRatioNearTheory(t *testing.T) {
 	// Marsaglia polar method: acceptance probability is pi/4 ~ 0.785.
 	rt := newTestRuntime(t, nil)
 	pairs := scaleDim(60000, 1.0, 1.0)
-	sum := kernelEP(rt, 1.0)
+	sum := kernelEP(1.0)(rt)
 	// kernelEP returns sx+sy+accepted; the Gaussian sums are O(sqrt(n))
 	// while accepted is O(n), so the count dominates.
 	ratio := sum / float64(pairs)
@@ -47,7 +48,7 @@ func TestMGReducesResidual(t *testing.T) {
 	// smooth right-hand side must bring it well below the RHS norm (~0.29
 	// for uniform [-0.5, 0.5) entries).
 	rt := newTestRuntime(t, nil)
-	res := kernelMG(rt, 1.0)
+	res := kernelMG(1.0)(rt)
 	if res <= 0 {
 		t.Fatalf("MG residual %v", res)
 	}
@@ -60,7 +61,7 @@ func TestLUStaysBounded(t *testing.T) {
 	// SSOR with omega=1.2 on a diagonally dominant operator converges to a
 	// bounded fixed point; the RMS of the solution must be O(1).
 	rt := newTestRuntime(t, nil)
-	rms := kernelLU(rt, 1.0)
+	rms := kernelLU(1.0)(rt)
 	if rms <= 0 || rms > 10 {
 		t.Errorf("LU RMS %v out of bounds", rms)
 	}
@@ -71,8 +72,8 @@ func TestAlignmentScoreProperties(t *testing.T) {
 	// the total over all unordered pairs must not depend on task order, and
 	// aligning identical sequences yields match*len.
 	rt := newTestRuntime(t, nil)
-	a := kernelAlignment(rt, 1.0)
-	b := kernelAlignment(rt, 1.0)
+	run := kernelAlignment(1.0)
+	a, b := run(rt), run(rt)
 	if math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
 		t.Errorf("alignment total not stable: %v vs %v", a, b)
 	}
@@ -81,7 +82,7 @@ func TestAlignmentScoreProperties(t *testing.T) {
 func TestXSBenchLookupsPositive(t *testing.T) {
 	// Every macroscopic cross section is a sum of positive entries.
 	rt := newTestRuntime(t, nil)
-	total := kernelXSBench(rt, 1.0)
+	total := kernelXSBench(1.0)(rt)
 	if total <= 0 {
 		t.Errorf("XSBench total XS %v, want > 0", total)
 	}
@@ -94,7 +95,7 @@ func TestXSBenchLookupsPositive(t *testing.T) {
 
 func TestRSBenchMagnitudesPositive(t *testing.T) {
 	rt := newTestRuntime(t, nil)
-	total := kernelRSBench(rt, 1.0)
+	total := kernelRSBench(1.0)(rt)
 	if total <= 0 || math.IsNaN(total) {
 		t.Errorf("RSBench total %v", total)
 	}
@@ -104,7 +105,7 @@ func TestSU3UnitaryLikeScale(t *testing.T) {
 	// Products of matrices with entries in [-0.5, 0.5) stay O(1); the
 	// checksum over ~36k values must not explode.
 	rt := newTestRuntime(t, nil)
-	sum := kernelSU3(rt, 1.0)
+	sum := kernelSU3(1.0)(rt)
 	if math.Abs(sum) > 1e5 || math.IsNaN(sum) {
 		t.Errorf("SU3 checksum %v out of scale", sum)
 	}
@@ -114,7 +115,7 @@ func TestLULESHEnergyConservationish(t *testing.T) {
 	// Energies are clamped positive and the courant dt stays in its bounds;
 	// the checksum (total energy + trace) must be positive and finite.
 	rt := newTestRuntime(t, nil)
-	sum := kernelLULESH(rt, 1.0)
+	sum := kernelLULESH(1.0)(rt)
 	if sum <= 0 || math.IsInf(sum, 0) || math.IsNaN(sum) {
 		t.Errorf("LULESH checksum %v", sum)
 	}
@@ -122,8 +123,8 @@ func TestLULESHEnergyConservationish(t *testing.T) {
 
 func TestHealthTreatmentsScaleWithLevels(t *testing.T) {
 	rt := newTestRuntime(t, nil)
-	small := kernelHealth(rt, 1.0) // 4 levels
-	large := kernelHealth(rt, 2.0) // 5 levels: 3x the villages
+	small := kernelHealth(1.0)(rt) // 4 levels
+	large := kernelHealth(2.0)(rt) // 5 levels: 3x the villages
 	if large <= small {
 		t.Errorf("health treated %v at scale 2 vs %v at scale 1, want growth", large, small)
 	}
@@ -133,7 +134,7 @@ func TestBTSolveIsStable(t *testing.T) {
 	// The Thomas solves use a diagonally dominant operator (|b| > |a|+|c|);
 	// repeated sweeps must keep the field bounded.
 	rt := newTestRuntime(t, nil)
-	sum := kernelBT(rt, 1.0)
+	sum := kernelBT(1.0)(rt)
 	if math.Abs(sum) > 1e4 || math.IsNaN(sum) {
 		t.Errorf("BT checksum %v out of bounds", sum)
 	}
@@ -297,10 +298,14 @@ func TestKernelChecksumsFrozen(t *testing.T) {
 }
 
 // TestKernelsShareInputsAcrossGoroutines runs every kernel from two
-// goroutines at once, each on its own runtime, both in the same order at
-// alternating scales, so each kernel's inputs at a scale are read (and, run
-// alone, built) by both at about the same time; under -race a kernel that
-// writes to a shared input, or an unguarded cache, shows.
+// goroutines at once, each with a one-thread and a two-thread runtime of its
+// own, both in the same order over three rounds at alternating scales. In
+// each round the two run at different widths, and each switches width from
+// round to round, so each kernel's inputs at a scale are read (and, run
+// alone, built) by both at about the same time, and a call takes a
+// workspace last used at another width, by either goroutine. Under -race a
+// kernel that writes to a shared input or to a workspace in use, or an
+// unguarded cache or free list, shows.
 func TestKernelsShareInputsAcrossGoroutines(t *testing.T) {
 	type result struct {
 		app          string
@@ -309,13 +314,17 @@ func TestKernelsShareInputsAcrossGoroutines(t *testing.T) {
 	results := make([][]result, 2)
 	var wg sync.WaitGroup
 	for g := range results {
-		rt := newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = 1 })
+		var rts [2]*openmp.Runtime
+		for w := range rts {
+			rts[w] = newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = w + 1 })
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for round := 0; round < 2; round++ {
+			for round := 0; round < 3; round++ {
 				for i, a := range everyKernel() {
 					scale := float64(1 + (i+round)%2)
+					rt := rts[(round+g)%2]
 					results[g] = append(results[g], result{a.Name, scale, a.Kernel(rt, scale)})
 				}
 			}
@@ -371,17 +380,63 @@ func TestKernelsLeaveInputsUnchanged(t *testing.T) {
 	}
 }
 
-// TestBTAllocsPerCall pins BT's allocations per call, inputs built: the
-// grid's copy, the per-thread line and block scratch, the flattened
-// checksum input and the sweep closures, whatever the grid size; no line
-// allocates.
-func TestBTAllocsPerCall(t *testing.T) {
-	rt := newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = 2 })
-	const want = 17
-	for _, scale := range []float64{1, 8} {
-		kernelBT(rt, scale) // builds the inputs at this scale
-		if got := testing.AllocsPerRun(5, func() { kernelBT(rt, scale) }); got != want {
-			t.Errorf("scale %g (n = %d): %.1f allocs a call, want %d", scale, scaleDim(10, scale, 1.0/3), got, want)
+// TestKernelsAllocateNothing pins every study kernel's allocations per call
+// to zero once a call has built its inputs and workspace at the scale and
+// team width: what a call writes, the task closures and loop bodies it hands
+// the runtime included, is in its workspace.
+//
+// One exception is the runtime's, not the kernel's: a task descriptor comes
+// from its spawner's free list, which grows by a slab of 64 whenever more of
+// the thread's descriptors are in flight at once than ever before on the
+// runtime. On one thread that peak is the same every call; on two, which
+// thread wins a Single and how many tasks a steal moves follow the
+// interleaving, so a later call can still allocate a slab. A two-thread task
+// kernel is held to one allocation per 64 of its tasks, far below the one a
+// task that a closure built per spawn costs.
+func TestKernelsAllocateNothing(t *testing.T) {
+	for _, threads := range []int{1, 2} {
+		rt := newTestRuntime(t, func(o *openmp.Options) { o.NumThreads = threads })
+		for _, a := range All() {
+			for _, scale := range []float64{1, 2} {
+				before := rt.Stats()
+				a.Kernel(rt, scale)
+				ceiling := 0.0
+				if threads > 1 {
+					ceiling = float64(rt.Stats().Sub(before).TasksRun) / 64
+				}
+				if got := testing.AllocsPerRun(5, func() { a.Kernel(rt, scale) }); got > ceiling {
+					t.Errorf("%s at scale %g on %d threads: %.1f allocs a call, want at most %g", a.Name, scale, threads, got, ceiling)
+				}
+			}
 		}
+	}
+}
+
+// benchScale is each app's input scale in the benchmark's measured_kernels
+// workload (benchmark/pinned.go kernelScale).
+var benchScale = map[string]float64{
+	"BT": 1, "CG": 4, "EP": 3, "FT": 2, "LU": 4, "MG": 2,
+	"Alignment": 0.8, "Health": 2, "Nqueens": 2, "Sort": 0.8, "Strassen": 2,
+	"LULESH": 2, "RSBench": 1, "SU3Bench": 2, "XSbench": 3,
+}
+
+// BenchmarkKernel times one call of each study kernel at its benchmark
+// scale on min(2, NumCPU) threads under the default options, inputs and
+// workspace built, with its allocations.
+func BenchmarkKernel(b *testing.B) {
+	o := openmp.DefaultOptions()
+	o.NumThreads = min(2, runtime.NumCPU())
+	rt := openmp.MustNew(o) // the default options are valid
+	defer rt.Close()
+	for _, a := range All() {
+		scale := benchScale[a.Name]
+		b.Run(a.Name, func(b *testing.B) {
+			a.Kernel(rt, scale)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				a.Kernel(rt, scale)
+			}
+		})
 	}
 }

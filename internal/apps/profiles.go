@@ -13,7 +13,7 @@ import (
 // targets", and the calibration test in internal/sim).
 
 var btApp = register(&App{
-	Name: "BT", Suite: NPB, VariesInput: true, Kernel: kernelBT,
+	Name: "BT", Suite: NPB, VariesInput: true, Kernel: kernel(kernelBT),
 	Profile: &sim.Profile{
 		Name: "BT", Class: sim.LoopParallel,
 		SerialFrac: 0.003, CPUWorkGOps: 110, MemTrafficGB: 45, WorkGrowth: 1.3,
@@ -25,7 +25,7 @@ var btApp = register(&App{
 })
 
 var cgApp = register(&App{
-	Name: "CG", Suite: NPB, VariesInput: true, Kernel: kernelCG,
+	Name: "CG", Suite: NPB, VariesInput: true, Kernel: kernel(kernelCG),
 	Profile: &sim.Profile{
 		Name: "CG", Class: sim.LoopParallel,
 		// Sparse matrix-vector products: low arithmetic intensity, indirect
@@ -41,7 +41,7 @@ var cgApp = register(&App{
 })
 
 var epApp = register(&App{
-	Name: "EP", Suite: NPB, VariesInput: true, Kernel: kernelEP,
+	Name: "EP", Suite: NPB, VariesInput: true, Kernel: kernel(kernelEP),
 	Profile: &sim.Profile{
 		Name: "EP", Class: sim.LoopParallel,
 		// Embarrassingly parallel RNG: compute bound, negligible traffic,
@@ -54,7 +54,7 @@ var epApp = register(&App{
 })
 
 var ftApp = register(&App{
-	Name: "FT", Suite: NPB, VariesInput: true, Kernel: kernelFT,
+	Name: "FT", Suite: NPB, VariesInput: true, Kernel: kernel(kernelFT),
 	Profile: &sim.Profile{
 		Name: "FT", Class: sim.LoopParallel,
 		// 3-D FFT: bandwidth heavy transposes.
@@ -67,7 +67,7 @@ var ftApp = register(&App{
 })
 
 var luApp = register(&App{
-	Name: "LU", Suite: NPB, VariesInput: true, Kernel: kernelLU,
+	Name: "LU", Suite: NPB, VariesInput: true, Kernel: kernel(kernelLU),
 	Profile: &sim.Profile{
 		Name: "LU", Class: sim.LoopParallel,
 		// SSOR with wavefront dependencies: many small regions, triangular
@@ -81,7 +81,7 @@ var luApp = register(&App{
 })
 
 var mgApp = register(&App{
-	Name: "MG", Suite: NPB, VariesInput: true, Kernel: kernelMG,
+	Name: "MG", Suite: NPB, VariesInput: true, Kernel: kernel(kernelMG),
 	Profile: &sim.Profile{
 		Name: "MG", Class: sim.LoopParallel,
 		// Multigrid V-cycles: almost purely bandwidth bound, so first-touch
@@ -96,7 +96,7 @@ var mgApp = register(&App{
 })
 
 var alignmentApp = register(&App{
-	Name: "Alignment", Suite: BOTS, VariesInput: true, Kernel: kernelAlignment,
+	Name: "Alignment", Suite: BOTS, VariesInput: true, Kernel: kernel(kernelAlignment),
 	Profile: &sim.Profile{
 		Name: "Alignment", Class: sim.TaskParallel,
 		// Pairwise sequence alignment: one task per pair, quadratic cost in
@@ -110,7 +110,7 @@ var alignmentApp = register(&App{
 })
 
 var healthApp = register(&App{
-	Name: "Health", Suite: BOTS, VariesInput: true, Kernel: kernelHealth,
+	Name: "Health", Suite: BOTS, VariesInput: true, Kernel: kernel(kernelHealth),
 	Profile: &sim.Profile{
 		Name: "Health", Class: sim.TaskParallel,
 		// Hierarchical health-system simulation: very fine recursive tasks
@@ -125,7 +125,7 @@ var healthApp = register(&App{
 })
 
 var nqueensApp = register(&App{
-	Name: "Nqueens", Suite: BOTS, VariesInput: true, Kernel: kernelNQueens,
+	Name: "Nqueens", Suite: BOTS, VariesInput: true, Kernel: kernel(kernelNQueens),
 	Profile: &sim.Profile{
 		Name: "Nqueens", Class: sim.TaskParallel,
 		// Exhaustive backtracking with millions of tiny tasks: idle-event
@@ -141,7 +141,7 @@ var nqueensApp = register(&App{
 })
 
 var sortApp = register(&App{
-	Name: "Sort", Suite: BOTS, VariesInput: true, Kernel: kernelSort,
+	Name: "Sort", Suite: BOTS, VariesInput: true, Kernel: kernel(kernelSort),
 	Profile: &sim.Profile{
 		Name: "Sort", Class: sim.TaskParallel,
 		// Parallel mergesort (A64FX only in the dataset): moderate tasks,
@@ -155,7 +155,7 @@ var sortApp = register(&App{
 })
 
 var strassenApp = register(&App{
-	Name: "Strassen", Suite: BOTS, VariesInput: true, Kernel: kernelStrassen,
+	Name: "Strassen", Suite: BOTS, VariesInput: true, Kernel: kernel(kernelStrassen),
 	Profile: &sim.Profile{
 		Name: "Strassen", Class: sim.TaskParallel,
 		// Strassen multiplication (A64FX only): coarse compute-bound tasks,
@@ -169,7 +169,7 @@ var strassenApp = register(&App{
 })
 
 var rsbenchApp = register(&App{
-	Name: "RSBench", Suite: Proxy, VariesInput: false, Kernel: kernelRSBench,
+	Name: "RSBench", Suite: Proxy, VariesInput: false, Kernel: kernel(kernelRSBench),
 	Profile: &sim.Profile{
 		Name: "RSBench", Class: sim.LoopParallel,
 		// Multipole cross-section lookups: more arithmetic per lookup than
@@ -183,7 +183,7 @@ var rsbenchApp = register(&App{
 })
 
 var xsbenchApp = register(&App{
-	Name: "XSbench", Suite: Proxy, VariesInput: false, Kernel: kernelXSBench,
+	Name: "XSbench", Suite: Proxy, VariesInput: false, Kernel: kernel(kernelXSBench),
 	Profile: &sim.Profile{
 		Name: "XSbench", Class: sim.LoopParallel,
 		// Random binary-search lookups over a large unionized energy grid:
@@ -199,7 +199,7 @@ var xsbenchApp = register(&App{
 })
 
 var su3App = register(&App{
-	Name: "SU3Bench", Suite: Proxy, VariesInput: false, Kernel: kernelSU3,
+	Name: "SU3Bench", Suite: Proxy, VariesInput: false, Kernel: kernel(kernelSU3),
 	Profile: &sim.Profile{
 		Name: "SU3Bench", Class: sim.LoopParallel,
 		// SU(3) matrix-matrix streaming: perfectly balanced, bandwidth
@@ -213,7 +213,7 @@ var su3App = register(&App{
 })
 
 var luleshApp = register(&App{
-	Name: "LULESH", Suite: Proxy, VariesInput: false, Kernel: kernelLULESH,
+	Name: "LULESH", Suite: Proxy, VariesInput: false, Kernel: kernel(kernelLULESH),
 	Profile: &sim.Profile{
 		Name: "LULESH", Class: sim.LoopParallel,
 		// Explicit shock hydrodynamics: dozens of short regions per

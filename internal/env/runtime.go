@@ -32,11 +32,11 @@ func (c Config) RuntimeOptions(m *topology.Machine) openmp.Options {
 		if err != nil {
 			places, _ = m.Partition(topology.PlaceCores)
 		}
+		// Partition's places are the call's own, so the specs take their
+		// cores as they are.
 		o.Places = make([]openmp.PlaceSpec, len(places))
 		for i, p := range places {
-			cores := make([]int, len(p.Cores))
-			copy(cores, p.Cores)
-			o.Places[i] = openmp.PlaceSpec{Cores: cores}
+			o.Places[i] = openmp.PlaceSpec{Cores: p.Cores}
 		}
 		// Give the runtime the machine's place-distance model so task
 		// stealing can prefer NUMA-near victims (and classify steal

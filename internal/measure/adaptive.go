@@ -105,12 +105,14 @@ func RunObserved(rt *openmp.Runtime, kernel func(*openmp.Runtime, float64) float
 	}
 	s := Series{
 		Runtimes:   make([]float64, 0, maxReps),
+		Checksums:  make([]float64, 0, warmup+maxReps),
 		RepStats:   make([]openmp.Stats, 0, maxReps),
 		Warmup:     warmup,
 		StopReason: StopFixed,
 	}
 	for i := 0; i < warmup; i++ {
 		s.Checksum = kernel(rt, scale)
+		s.Checksums = append(s.Checksums, s.Checksum)
 	}
 	if observe != nil {
 		if err := observe(); err != nil {
@@ -124,6 +126,7 @@ func RunObserved(rt *openmp.Runtime, kernel func(*openmp.Runtime, float64) float
 		start := timeNow()
 		s.Checksum = kernel(rt, scale)
 		elapsed := timeNow().Sub(start).Seconds()
+		s.Checksums = append(s.Checksums, s.Checksum)
 		if elapsed <= 0 {
 			// Sub-resolution kernels still need a positive, honest runtime;
 			// one nanosecond is below every real kernel here.

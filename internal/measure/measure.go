@@ -33,6 +33,10 @@ type Series struct {
 	Runtimes []float64
 	// Checksum is the kernel's verification value from the last run.
 	Checksum float64
+	// Checksums holds every run's verification value: the warmup runs',
+	// then the timed repetitions' (Checksums[Warmup+i] pairs with
+	// Runtimes[i]).
+	Checksums []float64
 	// Stats snapshots the runtime's activity counters after the series
 	// (cumulative over warmup and timed runs).
 	Stats openmp.Stats
@@ -152,7 +156,7 @@ func (e *Evaluator) Name() string { return dataset.SourceMeasured }
 func (e *Evaluator) EvaluateSeries(m *topology.Machine, app *apps.App, cfg env.Config, key string, set sim.Setting) (slots [sim.Reps]float64, meta dataset.SeriesMeta, err error) {
 	s, err := e.measure(m, app, cfg, set)
 	if err == nil {
-		err = checkChecksum(s.Checksum, app.Reference(set.Scale))
+		err = checkChecksums(s, app.Reference(set.Scale))
 	}
 	if err == nil {
 		err = checkCounts(s.RepStats)
@@ -172,13 +176,23 @@ func (e *Evaluator) EvaluateSeries(m *topology.Machine, app *apps.App, cfg env.C
 // and 2); a kernel that computed something else misses by far more.
 const checksumTolerance = 1e-9
 
-// checkChecksum reports a checksum that differs from the reference by more
-// than checksumTolerance, relative; a NaN matches nothing.
-func checkChecksum(got, ref float64) error {
-	if got == ref || math.Abs(got-ref) <= checksumTolerance*math.Max(math.Abs(got), math.Abs(ref)) {
-		return nil
+// checkChecksums reports the first run of s, warmup or timed, whose
+// checksum differs from the reference by more than checksumTolerance,
+// relative; a NaN matches nothing. Every run is checked, not only the last:
+// a kernel that carries state from one call into the next goes wrong after
+// its first.
+func checkChecksums(s Series, ref float64) error {
+	for i, got := range s.Checksums {
+		if got == ref || math.Abs(got-ref) <= checksumTolerance*math.Max(math.Abs(got), math.Abs(ref)) {
+			continue
+		}
+		run := fmt.Sprintf("rep %d", i-s.Warmup)
+		if i < s.Warmup {
+			run = fmt.Sprintf("warmup run %d", i)
+		}
+		return fmt.Errorf("%s: checksum %.17g, one-thread reference %.17g", run, got, ref)
 	}
-	return fmt.Errorf("checksum %.17g, one-thread reference %.17g", got, ref)
+	return nil
 }
 
 // checkCounts reports timed reps that disagree with the first on regions

@@ -179,6 +179,44 @@ func TestEvaluatorRejectsWrongChecksum(t *testing.T) {
 	}
 }
 
+// TestEvaluatorChecksEveryRun: a series fails when any run, warmup or
+// timed, computed something else, though the last run matches the
+// reference; the error names the run.
+func TestEvaluatorChecksEveryRun(t *testing.T) {
+	m := topology.MustGet(topology.A64FX)
+	cfg := env.Default(m)
+	e := NewEvaluator(Options{Warmup: 1, TimedReps: 4})
+	for _, tc := range []struct {
+		offCall int // the call on the series' runtime whose checksum is off
+		want    string
+	}{
+		{1, "warmup run 0: checksum 1.0000009999999999, one-thread reference 1"},
+		{3, "rep 1: checksum 1.0000009999999999, one-thread reference 1"},
+	} {
+		calls := 0
+		fake := &apps.App{Name: "Fake", Kernel: func(rt *openmp.Runtime, _ float64) float64 {
+			if rt.NumThreads() == 1 {
+				return 1 // the reference's runtime
+			}
+			calls++
+			if calls == tc.offCall {
+				return 1 + 1e-6
+			}
+			return 1
+		}}
+		_, meta, err := e.EvaluateSeries(m, fake, cfg, cfg.Key(), testSetting())
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("call %d off: err = %v, want %q", tc.offCall, err, tc.want)
+		}
+		if calls != 5 {
+			t.Errorf("call %d off: %d calls, want a warmup and 4 reps", tc.offCall, calls)
+		}
+		if meta != (dataset.SeriesMeta{}) {
+			t.Errorf("failed series carries provenance: %+v", meta)
+		}
+	}
+}
+
 // TestEvaluatorRejectsDriftingCounts: a series whose timed reps hand out
 // different numbers of loop chunks ran different work, and is an error
 // naming the series, even though its checksum matches.

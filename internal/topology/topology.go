@@ -173,8 +173,9 @@ func (m *Machine) PlaceDistanceMatrix(places []Place) [][]float64 {
 		}
 	}
 	out := make([][]float64, len(places))
+	cells := make([]float64, len(places)*len(places)) // one backing array, capped per row
 	for i := range places {
-		row := make([]float64, len(places))
+		row := cells[i*len(places) : (i+1)*len(places) : (i+1)*len(places)]
 		for j := range places {
 			row[j] = m.NUMADistance(node[i], node[j])
 		}
@@ -245,8 +246,9 @@ func (m *Machine) Partition(kind PlaceKind) ([]Place, error) {
 	}
 	per := m.Cores / groups
 	places := make([]Place, groups)
+	cores := make([]int, groups*per) // one backing array, capped per place
 	for g := 0; g < groups; g++ {
-		cs := make([]int, per)
+		cs := cores[g*per : (g+1)*per : (g+1)*per]
 		for i := range cs {
 			cs[i] = g*per + i
 		}

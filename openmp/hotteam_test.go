@@ -228,6 +228,43 @@ func staticForZeroAlloc(t *testing.T, lib LibraryMode, chunk int, set observerSe
 	}
 }
 
+// TestParallelLoopShorthandZeroAlloc: ParallelFor and ParallelReduceSum fork
+// their regions on the hot team with a package-level body that reads the
+// loop from the team, so with a body built once neither allocates — under
+// every schedule, and ParallelReduceSum under every reduction method.
+func TestParallelLoopShorthandZeroAlloc(t *testing.T) {
+	var sink atomic.Int64
+	do := func(i int) {
+		if i == 0 {
+			sink.Add(1)
+		}
+	}
+	sum := func(i int) float64 { return float64(i) }
+	for _, sched := range []ScheduleKind{ScheduleStatic, ScheduleDynamic, ScheduleGuided} {
+		for _, red := range []ReductionMethod{ReductionTree, ReductionAtomic, ReductionCritical} {
+			o := optsN(4)
+			o.Schedule, o.Reduction = sched, red
+			rt := testRuntime(t, o)
+			ops := map[string]func(){
+				"ParallelFor": func() { rt.ParallelFor(256, do) },
+				"ParallelReduceSum": func() {
+					if got := rt.ParallelReduceSum(256, sum); got != 255*256/2 {
+						t.Fatalf("sum %v, want %d", got, 255*256/2)
+					}
+				},
+			}
+			for name, op := range ops {
+				for i := 0; i < 10; i++ {
+					op()
+				}
+				if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+					t.Errorf("%s, %s, %s: %.1f allocs/op, want 0", name, sched, red, allocs)
+				}
+			}
+		}
+	}
+}
+
 // TestConstructRingOverflow runs one thread through 3 × constructRingSize
 // nowait constructs — Singles alternating with dynamic or guided loops —
 // while its teammate starts late. The ring is the only construct store, so

@@ -314,12 +314,13 @@ func (rt *Runtime) Close() {
 // width-1 nested region on the calling goroutine. Thread.Parallel is the
 // threaded nested fork — prefer it inside region bodies.
 func (rt *Runtime) Parallel(body func(th *Thread)) {
-	rt.parallel(rt.callerPC(), body)
+	rt.parallel(rt.callerPC(), body, teamLoop{})
 }
 
 // parallel is Parallel with the construct identity (callerPC) captured by the
-// exported entry point.
-func (rt *Runtime) parallel(pc uintptr, body func(th *Thread)) {
+// exported entry point. loop is the team's loop for the region (forRegion,
+// sumRegion; zero for any other body), and the result is its sum.
+func (rt *Runtime) parallel(pc uintptr, body func(th *Thread), loop teamLoop) float64 {
 	if rt.regionActive.Load() {
 		// The outer region holds regionMu for its whole duration, so the
 		// nested path must not touch it. This cold fallback runs body on a
@@ -327,8 +328,10 @@ func (rt *Runtime) parallel(pc uintptr, body func(th *Thread)) {
 		// (everything collapses to serial execution); counters land on the
 		// misc shard, and with neither a ring nor profile slots the region
 		// is neither traced nor profiled.
-		newTeam(rt, nil, 1, true).dispatchRegion(body, true, pc)
-		return
+		tm := newTeam(rt, nil, 1, true)
+		tm.loop = loop
+		tm.dispatchRegion(body, true, pc)
+		return tm.loop.out
 	}
 	rt.regionMu.Lock()
 	defer rt.regionMu.Unlock()
@@ -336,29 +339,54 @@ func (rt *Runtime) parallel(pc uintptr, body func(th *Thread)) {
 		panic("openmp: Parallel called on closed Runtime")
 	}
 	rt.regionActive.Store(true)
-	rt.hot.dispatchRegion(body, true, pc)
+	tm := rt.hot
+	tm.loop = loop
+	tm.dispatchRegion(body, true, pc)
+	out := tm.loop.out
+	tm.loop = teamLoop{} // keep no loop body alive between regions
 	rt.regionActive.Store(false)
+	return out
+}
+
+// teamLoop is the worksharing loop of a region that ParallelFor or
+// ParallelReduceSum forks: its trip count, its body (one of the two) and,
+// written by the primary, the reduced sum. The team holds it, published with
+// the region's body, so the region's body is a package function and forking
+// it allocates nothing.
+type teamLoop struct {
+	n   int
+	do  func(i int)
+	sum func(i int) float64
+	out float64
+}
+
+// forRegion is the body of a ParallelFor region.
+func forRegion(th *Thread) {
+	l := &th.team.loop
+	th.For(l.n, l.do)
+}
+
+// sumRegion is the body of a ParallelReduceSum region.
+func sumRegion(th *Thread) {
+	l := &th.team.loop
+	local := 0.0
+	th.ForNowait(l.n, func(i int) { local += l.sum(i) })
+	v := th.ReduceSum(local)
+	if th.id == 0 {
+		l.out = v
+	}
 }
 
 // ParallelFor is shorthand for a region containing a single worksharing
 // loop over [0, n).
 func (rt *Runtime) ParallelFor(n int, body func(i int)) {
-	rt.parallel(rt.callerPC(), func(th *Thread) { th.For(n, body) })
+	rt.parallel(rt.callerPC(), forRegion, teamLoop{n: n, do: body})
 }
 
 // ParallelReduceSum runs body over [0, n) and returns the sum of its return
 // values, combined with the configured reduction method.
 func (rt *Runtime) ParallelReduceSum(n int, body func(i int) float64) float64 {
-	var out float64
-	rt.parallel(rt.callerPC(), func(th *Thread) {
-		local := 0.0
-		th.ForNowait(n, func(i int) { local += body(i) })
-		v := th.ReduceSum(local)
-		if th.ID() == 0 {
-			out = v
-		}
-	})
-	return out
+	return rt.parallel(rt.callerPC(), sumRegion, teamLoop{n: n, sum: body})
 }
 
 // criticalFor returns the process-wide lock for the named critical section.

@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// task is one explicit task descriptor, kept within the 24-byte size class
-// and recycled through its owner's free lists (Thread.newTask), so a
+// task is one explicit task descriptor, 24 bytes, allocated a slab at a
+// time and recycled through its owner's free lists (Thread.newTask), so a
 // steady-state spawn allocates nothing.
 //
 // Lifetime rule: refs counts the task's incomplete children plus one for the
@@ -254,12 +254,12 @@ func (th *Thread) Task(fn func(*Thread)) {
 // newTask returns a descriptor for fn, a child of the current task holding
 // its own reference: from the thread's own free list, else from what
 // teammates returned to it (taken whole, so the one popper sees no ABA),
-// else a fresh allocation.
+// else from a fresh slab.
 func (th *Thread) newTask(fn func(*Thread)) *task {
 	t := th.free
 	if t == nil {
 		if t = th.returned.Swap(nil); t == nil {
-			t = new(task)
+			t = newTaskSlab()
 		}
 	}
 	if t.refs.Load() != 0 {
@@ -269,6 +269,21 @@ func (th *Thread) newTask(fn func(*Thread)) *task {
 	t.fn, t.parent, t.owner = fn, th.curTask, uint32(th.id)
 	t.refs.Store(1)
 	return t
+}
+
+// taskSlab is how many descriptors a thread whose free lists ran dry
+// allocates at once: a full deque's worth, in one allocation, so a new
+// runtime's first task-heavy region allocates per 64 tasks, not per task.
+const taskSlab = dequeCap
+
+// newTaskSlab allocates taskSlab descriptors linked through parent, a free
+// list, and returns its head.
+func newTaskSlab() *task {
+	slab := make([]task, taskSlab)
+	for i := range slab[:taskSlab-1] {
+		slab[i].parent = &slab[i+1]
+	}
+	return &slab[0]
 }
 
 // release drops one reference to t; the last one recycles it onto its

@@ -29,6 +29,9 @@ type Team struct {
 	rt   *Runtime
 	n    int
 	body func(*Thread)
+	// loop is the region's loop when body is forRegion or sumRegion,
+	// published like body.
+	loop teamLoop
 
 	// parent is the thread that forked the team, nil for the outer hot team
 	// and the transient serialized team.
