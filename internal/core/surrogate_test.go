@@ -47,6 +47,11 @@ func hashSearchResult(h hash.Hash, r SearchResult) {
 // configuration table and every descent from a drawn start.
 const samplingGoldenSHA256 = "360c1863e750be88d6835c5ac510dc65834c7a251cbcf1b7e2c131102e7f78e2"
 
+// descentGoldenSHA256 pins greedy's and anneal's SearchResults on the same
+// nine problems × three seeds at 300 evaluations: every candidate the
+// lattice descents build, in order, and every step they label.
+const descentGoldenSHA256 = "46bb8cea04187a3971e27026fac185dadab6cf7347ed310b0feb8b439aeffd93"
+
 // searchGoldenHash runs each strategy on the benchmark's nine search
 // problems × seeds 1–3 at 300 evaluations under the analytic backend and
 // returns the sha256 of every result, in that order.
@@ -91,6 +96,15 @@ func TestSamplingSearchGolden(t *testing.T) {
 	}
 	if got := searchGoldenHash(t, restartSearcher{}, randomSearcher{}); got != samplingGoldenSHA256 {
 		t.Errorf("restart and random results sha256 %s, want %s", got, samplingGoldenSHA256)
+	}
+}
+
+func TestDescentSearchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("54 greedy and anneal searches at 300 evaluations")
+	}
+	if got := searchGoldenHash(t, greedySearcher{}, annealSearcher{}); got != descentGoldenSHA256 {
+		t.Errorf("greedy and anneal results sha256 %s, want %s", got, descentGoldenSHA256)
 	}
 }
 
