@@ -72,8 +72,8 @@ func (c *EvalCache) Mean(ev Evaluator, mc *topology.Machine, app *apps.App, cfg 
 		return sec, true
 	}
 	ps := bindSeries(ev, mc, app, set)
-	key := cfg.Key()
-	sec, _ = c.fill(b, &ps, &cfg, pos, key, sim.KeyHash(key))
+	key, keyHash := ps.keyed(&cfg)
+	sec, _ = c.fill(b, &ps, &cfg, pos, key, keyHash)
 	return sec, false
 }
 
@@ -115,8 +115,8 @@ func (c *EvalCache) lookup(b *evalBlock, cfg *env.Config, pos int) (sec float64,
 	return sec, ok
 }
 
-// fill runs the series of cfg (key = cfg.Key(), keyHash = sim.KeyHash(key))
-// on a lookup's miss and stores its mean, NaN for a failed series; err is the
+// fill runs the series of cfg (key and keyHash as series reads them) on a
+// lookup's miss and stores its mean, NaN for a failed series; err is the
 // backend's. The series runs outside the lock: a measured-backend evaluation
 // can take seconds, and holding the lock would serialize unrelated problems.
 // Searches are sequential today, so the benign race (two goroutines
@@ -173,9 +173,9 @@ func (c *EvalCache) bindProblem(ev Evaluator, m *topology.Machine, app *apps.App
 }
 
 // mean is the cached objective of cfg. key is cfg.Key() and keyHash its
-// sim.KeyHash, or key is "" when the caller has not built it: both are
-// built only on a miss, where the backend and the series seed need them,
-// and the key is returned either way ("" on a hit the caller did not key).
+// sim.KeyHash, or key is "" when the caller has not built it: then a miss
+// builds what its series reads (see problemSeries.keyed), and the key is
+// returned as it stands ("" unless a backend other than the model needed it).
 // err is the backend's, returned on the one miss that ran the failed series.
 func (p *boundProblem) mean(cfg *env.Config, key string, keyHash uint64) (sec float64, _ string, hit bool, err error) {
 	pos := p.blk.space.pos(cfg)
@@ -183,8 +183,7 @@ func (p *boundProblem) mean(cfg *env.Config, key string, keyHash uint64) (sec fl
 		return sec, key, true, nil
 	}
 	if key == "" {
-		key = cfg.Key()
-		keyHash = sim.KeyHash(key)
+		key, keyHash = p.ps.keyed(cfg)
 	}
 	sec, err = p.cache.fill(p.blk, &p.ps, cfg, pos, key, keyHash)
 	return sec, key, false, err

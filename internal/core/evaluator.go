@@ -110,13 +110,25 @@ func bindSeries(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Settin
 	return ps
 }
 
-// series returns cfg's series, with EvaluateSeries' results; key must be
-// cfg.Key() and keyHash sim.KeyHash(key), the seed the model reads.
+// series returns cfg's series, with EvaluateSeries' results. The model reads
+// keyHash, sim.KeyHash(cfg.Key()), as its seed, and any other backend key,
+// cfg.Key(): a caller that holds neither takes what is read from keyed.
 func (ps *problemSeries) series(cfg env.Config, key string, keyHash uint64) ([sim.Reps]float64, dataset.SeriesMeta, error) {
 	if ps.model {
 		return ps.bound.Series(cfg, keyHash), dataset.SeriesMeta{}, nil
 	}
 	return ps.ev.EvaluateSeries(ps.m, ps.app, cfg, key, ps.set)
+}
+
+// keyed builds what cfg's series reads of its key: for the model the seed,
+// hashed from a key appended into a stack buffer, so nothing is allocated;
+// for any other backend the key.
+func (ps *problemSeries) keyed(cfg *env.Config) (key string, keyHash uint64) {
+	if !ps.model {
+		return cfg.Key(), 0
+	}
+	var buf [128]byte // as Key's: the longest swept key is 102 bytes
+	return "", sim.KeyHash(cfg.AppendKey(buf[:0]))
 }
 
 // mean is the tuning and calibration objective: the mean of cfg's repeated

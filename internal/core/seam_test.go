@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -105,6 +107,42 @@ func TestSearchFailedProbeNeverBestNotRemeasured(t *testing.T) {
 	for _, st := range res.Trajectory {
 		if st.Config == bad {
 			t.Errorf("failed configuration on the trajectory: %+v", st)
+		}
+	}
+}
+
+// TestSearchStopsWhenDefaultFails: a search whose default configuration
+// fails has no speedup to search for. Every strategy stops after that one
+// evaluation, asks the backend once, and returns an error that names it, the
+// problem and the default and wraps the backend's; its telemetry ends with
+// the error record.
+func TestSearchStopsWhenDefaultFails(t *testing.T) {
+	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
+	for _, name := range SearchStrategies() {
+		searcher, err := NewSearcher(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := failing(env.Default(m))
+		log := filepath.Join(t.TempDir(), "search.jsonl")
+		res, err := searcher.Search(context.Background(), SearchSpec{
+			Machine: m, App: app, Setting: set, Seed: 1, Evaluator: ev,
+			Budget: SearchBudget{MaxEvals: 60}, TelemetryLog: log,
+		})
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("%s: err = %v, want the injected failure", name, err)
+		}
+		for _, want := range []string{name, app.Name, string(m.Arch), "default configuration"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", name, err, want)
+			}
+		}
+		if res.Evaluations != 1 || len(ev.asked) != 1 {
+			t.Errorf("%s: %d evaluations, %d series asked for, want 1 and 1", name, res.Evaluations, len(ev.asked))
+		}
+		recs := readTelemetry(t, log)
+		if last := recs[len(recs)-1]; last.Type != "error" || last.Error != err.Error() {
+			t.Errorf("%s: telemetry ends with %q (%q), want the error record", name, last.Type, last.Error)
 		}
 	}
 }

@@ -13,7 +13,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -118,9 +120,9 @@ type SearchResult struct {
 }
 
 // Speedup returns the improvement of the best found configuration over the
-// default.
+// default, 0 while no best has a runtime (a default that failed).
 func (r SearchResult) Speedup() float64 {
-	if r.BestSeconds <= 0 {
+	if !(r.BestSeconds > 0) {
 		return 0
 	}
 	return r.DefaultSeconds / r.BestSeconds
@@ -168,6 +170,8 @@ type searchState struct {
 	// tab is the candidate pool's table once table has resolved it.
 	tab   *configTable
 	order []env.VarName
+	// coords is order's coordinates once coordinates has resolved them.
+	coords []coordinate
 
 	maxEvals int
 	deadline time.Time
@@ -228,13 +232,17 @@ func (s *searchState) table() *configTable {
 // runSearch wraps a strategy body with state setup and teardown; it is the
 // single entry path of every Search implementation. Like RunSweep it opens
 // the ledger first and finishes it with the error the search returns, so a
-// spec the search rejects still reaches the monitor as a terminal error.
+// spec the search rejects, or a default configuration that fails, still
+// reaches the monitor as a terminal error. The body runs after init.
 func runSearch(ctx context.Context, strategy string, spec SearchSpec, body func(*searchState)) (res SearchResult, err error) {
 	led := newReporter(nil, spec.Monitor)
 	defer func() { led.finish(err) }()
 	s, err := newSearchState(ctx, strategy, spec, led)
 	if err != nil {
 		return SearchResult{}, err
+	}
+	if err = s.init(); err != nil {
+		return s.res, err
 	}
 	body(s)
 	if ctx != nil {
@@ -246,18 +254,28 @@ func runSearch(ctx context.Context, strategy string, spec SearchSpec, body func(
 // init measures the default configuration — the first evaluation of every
 // strategy and the denominator of every speedup, exactly as the pre-seam
 // tuners did. It resolves the search's problem first: its block of the cache
-// and, for the model, its sim.Bound.
-func (s *searchState) init() {
+// and, for the model, its sim.Bound. A default whose series fails leaves no
+// speedup to search for: init returns an error wrapping the backend's, and
+// the search stops after that one evaluation.
+func (s *searchState) init() error {
 	s.prob = s.cache.bindProblem(s.ev, s.spec.Machine, s.spec.App, s.spec.Setting)
 	def := env.Default(s.spec.Machine)
 	t0 := s.clock()
-	sec, key, hit := s.mean(&def, "", 0)
+	sec, key, hit, err := s.prob.mean(&def, "", 0)
 	s.res.Evaluations = 1
 	if hit {
 		s.res.CacheHits++
 	}
 	s.res.Best, s.res.BestSeconds, s.res.DefaultSeconds = def, sec, sec
 	s.observe(&def, key, sec, hit, true, t0)
+	if !math.IsNaN(sec) {
+		return nil
+	}
+	if err == nil { // a shared cache remembers an earlier search's failure
+		err = errors.New("its series failed on an earlier probe")
+	}
+	return fmt.Errorf("core: %s search of %s on %s at %s: default configuration: %w",
+		s.res.Strategy, s.spec.App.Name, s.spec.Machine.Arch, s.spec.Setting.Label, err)
 }
 
 // mean is the cache-routed objective; key and keyHash are as

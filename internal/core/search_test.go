@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"omptune/internal/env"
 	"omptune/internal/sim"
 	"omptune/internal/topology"
+	"omptune/openmp"
 )
 
 // legacyStep and legacyResult are the pre-seam result shape the two
@@ -189,6 +191,91 @@ func TestTuneMatchesLegacyGolden(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s/%s budget %d: Tune diverged from legacy:\n got %+v\nwant %+v",
 				c.arch, c.app, c.budget, got, want)
+		}
+	}
+}
+
+// stringDescend is a frozen copy of the descent as it spelled and parsed
+// every candidate and validated each one: the reference descend is held to.
+func (s *searchState) stringDescend(cur env.Config, curSec float64) (env.Config, float64) {
+	for pass := 0; pass < greedyPasses; pass++ {
+		improved := false
+		for _, v := range s.order {
+			for _, val := range env.Values(s.spec.Machine, v) {
+				if cur.Value(v) == val {
+					continue
+				}
+				cand, err := cur.Set(v, val)
+				if err != nil || cand.Validate(s.spec.Machine) != nil {
+					continue
+				}
+				if s.exhausted() {
+					return cur, curSec
+				}
+				if t := s.probe(cand, string(v), val); t < curSec {
+					cur, curSec = cand, t
+					improved = true
+				}
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return cur, curSec
+}
+
+// TestDescendMatchesStringPath holds the index moves to the string path
+// from the starts a caller's pool can hand restart: valid values outside the
+// swept domain, one field Validate rejects (only moves that overwrite it
+// are probed), two (none are), under the full order and a partial one. The
+// end point, every probe the backend is asked for, in order, and the whole
+// result must agree.
+func TestDescendMatchesStringPath(t *testing.T) {
+	m, app, set := searchApp(t, topology.Milan, "CG")
+	def := env.Default(m)
+	var starts []env.Config
+	for _, f := range []func(*env.Config){
+		func(*env.Config) {},
+		func(c *env.Config) {
+			c.Places, c.Library, c.BlocktimeMS = topology.PlaceThreads, openmp.LibSerial, 1000
+		},
+		func(c *env.Config) { c.Places = topology.PlaceKind(99) },
+		func(c *env.Config) { c.Schedule = openmp.ScheduleKind(-3) },
+		func(c *env.Config) { c.BlocktimeMS = -5 },
+		func(c *env.Config) { c.AlignAlloc = 96 },
+		func(c *env.Config) { c.AlignAlloc, c.ProcBind = 96, openmp.BindPolicy(42) },
+	} {
+		c := def
+		f(&c)
+		starts = append(starts, c)
+	}
+	for _, order := range [][]env.VarName{nil, {env.VarAlignAlloc, env.VarSchedule, env.VarPlaces}} {
+		for i, start := range starts {
+			run := func(descend func(*searchState, env.Config, float64) (env.Config, float64)) (env.Config, float64, SearchResult, []askedSeries) {
+				ev := &seamBackend{}
+				s, err := newSearchState(context.Background(), "greedy", SearchSpec{
+					Machine: m, App: app, Setting: set, Order: order, Evaluator: ev,
+					Budget: SearchBudget{MaxEvals: 120},
+				}, newReporter(nil, nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.init(); err != nil {
+					t.Fatal(err)
+				}
+				end, sec := descend(s, start, s.res.DefaultSeconds*1.01)
+				return end, sec, s.res, ev.asked
+			}
+			end, sec, res, asked := run((*searchState).descend)
+			wantEnd, wantSec, wantRes, wantAsked := run((*searchState).stringDescend)
+			if end != wantEnd || sec != wantSec || !reflect.DeepEqual(res, wantRes) || !reflect.DeepEqual(asked, wantAsked) {
+				t.Errorf("order %v, start %d (%s): descent ends at %s (%v) after %d probes, string path at %s (%v) after %d",
+					order, i, start, end, sec, len(asked), wantEnd, wantSec, len(wantAsked))
+			}
+			if i == len(starts)-1 && res.Evaluations != 1 {
+				t.Errorf("order %v: a start with two rejected fields probed %d candidates, want none", order, res.Evaluations-1)
+			}
 		}
 	}
 }
@@ -562,17 +649,20 @@ func TestSearchMonitorGauges(t *testing.T) {
 }
 
 // TestSearchProbeNoObserverAllocs holds the hot path of every search the
-// benchmark's search_tune runs: with no telemetry log and no monitor a cached
-// probe allocates nothing. The cache addresses the configuration by its
-// study-space position, the step label comes from the table, and no key is
-// built for a hit nobody observes.
+// benchmark's search_tune runs: with no telemetry log and no monitor a probe
+// allocates nothing, cached or not. The cache addresses the configuration by
+// its study-space position, the step label comes from the table or the
+// search's resolved domains, a miss seeds the model from a key appended into
+// a stack buffer, and no key string is built that nobody observes.
 func TestSearchProbeNoObserverAllocs(t *testing.T) {
 	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
 	s, err := newSearchState(context.Background(), "random", SearchSpec{Machine: m, App: app, Setting: set}, newReporter(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.init()
+	if err := s.init(); err != nil {
+		t.Fatal(err)
+	}
 	s.table()
 	s.probeAt(1, "random")
 	if got := testing.AllocsPerRun(200, func() { s.probeAt(1, "random") }); got != 0 {
@@ -581,6 +671,72 @@ func TestSearchProbeNoObserverAllocs(t *testing.T) {
 	cfg := s.tab.space[1]
 	if got := testing.AllocsPerRun(200, func() { s.probe(cfg, "schedule", "dynamic") }); got != 0 {
 		t.Errorf("cached lattice probe with no observers: %v allocations, want 0", got)
+	}
+	// Misses: every run probes a position no probe has asked for, the table
+	// probes from 2 up, the lattice probes from the top of the space down.
+	next, last := 2, len(s.tab.space)-1
+	if got := testing.AllocsPerRun(200, func() { s.probeAt(next, "random"); next++ }); got != 0 {
+		t.Errorf("missed table probe with no observers: %v allocations, want 0", got)
+	}
+	if got := testing.AllocsPerRun(200, func() { s.probe(s.tab.space[last], "schedule", "dynamic"); last-- }); got != 0 {
+		t.Errorf("missed lattice probe with no observers: %v allocations, want 0", got)
+	}
+	if want := 2 + 2*201; s.res.Evaluations-s.res.CacheHits != want {
+		t.Errorf("%d misses, want %d: a miss test probed a cached position", s.res.Evaluations-s.res.CacheHits, want)
+	}
+}
+
+// searchFixedAllocs is what a whole search of Nqueens on a64fx on the model
+// backend allocates whatever its budget, trajectory growth aside. Random
+// makes 10: the eval cache (2), the problem's block (5: the block, its slots,
+// bitset and space index, and its entry in the cache's map), the search
+// state, its ledger and the default variable order. A descent makes 11 more to
+// spell its domains once: the coordinates, one []string per variable, and
+// the three spellings strconv builds ("200", "256", "512").
+const searchFixedAllocs = 21
+
+// TestSearchAllocsArePerSearch: on the model backend with a fresh cache, a
+// whole search by greedy, anneal, restart or random allocates as much at 100
+// evaluations as at 300, apart from the appends that grow its trajectory: no
+// probe, hit or miss, allocates.
+func TestSearchAllocsArePerSearch(t *testing.T) {
+	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
+	runtime.GC() // the first cycle starts the collector's workers, which allocate
+	// growth counts the allocations of n single appends to a nil trajectory.
+	growth := func(n int) float64 {
+		var steps []SearchStep
+		allocs := 0
+		for range n {
+			if len(steps) == cap(steps) {
+				allocs++
+			}
+			steps = append(steps, SearchStep{})
+		}
+		return float64(allocs)
+	}
+	for _, name := range []string{"greedy", "anneal", "restart", "random"} {
+		searcher, err := NewSearcher(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perSearch := func(evals int) float64 {
+			var res SearchResult
+			allocs := testing.AllocsPerRun(5, func() {
+				res, err = searcher.Search(context.Background(), SearchSpec{
+					Machine: m, App: app, Setting: set, Seed: 3,
+					Budget: SearchBudget{MaxEvals: evals}, Cache: NewEvalCache(),
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return allocs - growth(len(res.Trajectory))
+		}
+		at100, at300 := perSearch(100), perSearch(300)
+		if at100 != at300 || at300 > searchFixedAllocs {
+			t.Errorf("%s: %v allocations a search at 100 evaluations, %v at 300 (trajectory growth aside), want equal and at most %d",
+				name, at100, at300, searchFixedAllocs)
+		}
 	}
 }
 
@@ -659,7 +815,8 @@ func TestSearchReportJoinsSweep(t *testing.T) {
 
 // BenchmarkSearch times each strategy on one problem per machine — Nqueens
 // at its first setting, 300 evaluations, a fresh EvalCache per search — so
-// an op is three searches; us/eval divides the time by their evaluations.
+// an op is three searches; us/eval and allocs/eval divide the time and the
+// allocations by their evaluations.
 func BenchmarkSearch(b *testing.B) {
 	app, err := apps.ByName("Nqueens")
 	if err != nil {
@@ -672,6 +829,9 @@ func BenchmarkSearch(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
 			evals := 0
 			for i := 0; i < b.N; i++ {
 				for _, m := range topology.All() {
@@ -685,7 +845,9 @@ func BenchmarkSearch(b *testing.B) {
 					evals += res.Evaluations
 				}
 			}
+			runtime.ReadMemStats(&ms)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(evals), "us/eval")
+			b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(evals), "allocs/eval")
 		})
 	}
 }

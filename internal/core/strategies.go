@@ -41,6 +41,45 @@ func (r *lcgRand) float() float64 { return float64(r.next()) / (1 << 31) }
 // Tune loop.
 const greedyPasses = 4
 
+// coordinate is one variable the descents move along: its name and the
+// spellings of its swept domain on the search's machine. A move assigns the
+// k-th value by index (env.Config.SetIndex); the spelling only labels the
+// step.
+type coordinate struct {
+	v    env.VarName
+	vals []string
+}
+
+// coordinates returns s.order's coordinates, resolved on first use: a search
+// spells each domain once.
+func (s *searchState) coordinates() []coordinate {
+	if s.coords == nil {
+		s.coords = make([]coordinate, len(s.order))
+		for i, v := range s.order {
+			s.coords[i] = coordinate{v, env.Values(s.spec.Machine, v)}
+		}
+	}
+	return s.coords
+}
+
+// movesFrom decides once which moves from start give a configuration
+// Validate accepts, since every swept value is valid: all of them when start
+// is valid; otherwise only the moves of the coordinate only, the one field
+// Validate rejects ("" when it rejects two, or one no coordinate moves).
+// A descent that accepts a move stands on a valid configuration from then on.
+func (s *searchState) movesFrom(start env.Config) (all bool, only env.VarName) {
+	m := s.spec.Machine
+	if start.Validate(m) == nil {
+		return true, ""
+	}
+	for _, c := range s.coordinates() {
+		if len(c.vals) > 0 && start.SetIndex(m, c.v, 0).Validate(m) == nil {
+			return false, c.v
+		}
+	}
+	return false, ""
+}
+
 // descend runs coordinate descent from (cur, curSec): vary one variable at a
 // time in s.order, keep the best value before moving on, stop after a full
 // pass without improvement, a spent budget, or greedyPasses passes. Global
@@ -48,23 +87,26 @@ const greedyPasses = 4
 // which for a descent started at the global best makes the two identical —
 // the pre-seam Tune semantics.
 func (s *searchState) descend(cur env.Config, curSec float64) (env.Config, float64) {
+	m := s.spec.Machine
+	all, only := s.movesFrom(cur)
 	for pass := 0; pass < greedyPasses; pass++ {
 		improved := false
-		for _, v := range s.order {
-			for _, val := range env.Values(s.spec.Machine, v) {
-				if cur.Value(v) == val {
-					continue
-				}
-				cand, err := cur.Set(v, val)
-				if err != nil || cand.Validate(s.spec.Machine) != nil {
+		for _, c := range s.coordinates() {
+			if !all && c.v != only {
+				continue
+			}
+			at := cur.Index(m, c.v)
+			for k, val := range c.vals {
+				if k == at {
 					continue
 				}
 				if s.exhausted() {
 					return cur, curSec
 				}
-				if t := s.probe(cand, string(v), val); t < curSec {
-					cur, curSec = cand, t
-					improved = true
+				cand := cur.SetIndex(m, c.v, k)
+				if t := s.probe(cand, string(c.v), val); t < curSec {
+					cur, curSec, at = cand, t, k
+					improved, all = true, true
 				}
 			}
 		}
@@ -82,7 +124,6 @@ func (greedySearcher) Name() string { return "greedy" }
 
 func (greedySearcher) Search(ctx context.Context, spec SearchSpec) (SearchResult, error) {
 	return runSearch(ctx, "greedy", spec, func(s *searchState) {
-		s.init()
 		s.descend(s.res.Best, s.res.BestSeconds)
 	})
 }
@@ -94,7 +135,6 @@ func (randomSearcher) Name() string { return "random" }
 
 func (randomSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResult, error) {
 	return runSearch(ctx, "random", spec, func(s *searchState) {
-		s.init()
 		rng := newLCG(spec.Seed)
 		n := len(s.table().space)
 		for !s.exhausted() {
@@ -112,7 +152,6 @@ func (restartSearcher) Name() string { return "restart" }
 
 func (restartSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResult, error) {
 	return runSearch(ctx, "restart", spec, func(s *searchState) {
-		s.init()
 		s.descend(s.res.Best, s.res.BestSeconds)
 		rng := newLCG(spec.Seed ^ hash64("restart"))
 		t := s.table()
@@ -144,16 +183,16 @@ func (annealSearcher) Name() string { return "anneal" }
 
 func (annealSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResult, error) {
 	return runSearch(ctx, "anneal", spec, func(s *searchState) {
-		s.init()
 		rng := newLCG(spec.Seed ^ hash64("anneal"))
+		m := spec.Machine
+		coords := s.coordinates()
 		cur, curSec := s.res.Best, s.res.BestSeconds
+		all, only := s.movesFrom(cur)
 		misses := 0
 		for !s.exhausted() {
-			v := s.order[rng.intn(len(s.order))]
-			vals := env.Values(s.spec.Machine, v)
-			val := vals[rng.intn(len(vals))]
-			cand, err := cur.Set(v, val)
-			if cur.Value(v) == val || err != nil || cand.Validate(s.spec.Machine) != nil {
+			c := coords[rng.intn(len(coords))]
+			k := rng.intn(len(c.vals))
+			if cur.Index(m, c.v) == k || !all && c.v != only {
 				// Degenerate corner guard: a lattice point with no drawable
 				// valid neighbor would otherwise spin without spending budget.
 				if misses++; misses > 64 {
@@ -162,14 +201,15 @@ func (annealSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResult
 				continue
 			}
 			misses = 0
-			t := s.probe(cand, string(v), val)
+			cand := cur.SetIndex(m, c.v, k)
+			t := s.probe(cand, string(c.v), c.vals[k])
 			if t < curSec {
-				cur, curSec = cand, t
+				cur, curSec, all = cand, t, true
 				continue
 			}
 			temp := annealT0 * math.Pow(annealT1/annealT0, s.progress())
 			if rel := (t - curSec) / curSec; rng.float() < math.Exp(-rel/temp) {
-				cur, curSec = cand, t
+				cur, curSec, all = cand, t, true
 			}
 		}
 	})
@@ -195,7 +235,6 @@ func (surrogateSearcher) Name() string { return "surrogate" }
 
 func (surrogateSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResult, error) {
 	return runSearch(ctx, "surrogate", spec, func(s *searchState) {
-		s.init()
 		surrogateSearch(s)
 	})
 }

@@ -264,10 +264,11 @@ func unknownVariable(v VarName) error {
 }
 
 // variable is everything the package knows about one environment variable.
-// Validate, ParseAssignments, Set, Value, Values and Feature are loops or
-// lookups over the variables table, so adding a variable is a Config field,
-// a row, and a tag in Key. The accessors take the Config by value: through a
-// func value a pointer would move the caller's copy to the heap.
+// Validate, ParseAssignments, Set, SetIndex, Index, Value, Values and
+// Feature are loops or lookups over the variables table, so adding a
+// variable is a Config field, a row, and a tag in Key. The accessors take
+// the Config by value: through a func value a pointer would move the
+// caller's copy to the heap.
 type variable struct {
 	name VarName
 
@@ -279,37 +280,47 @@ type variable struct {
 	count func(c Config) (n int, ok bool)
 	// set parses a lower-cased, trimmed value; ok is false for one that is
 	// not a spelling of the variable's type.
-	set     func(c Config, value string) (_ Config, ok bool)
-	valid   func(c Config, m *topology.Machine) bool
-	feature func(c Config) float64 // see Feature
+	set func(c Config, value string) (_ Config, ok bool)
+	// setIndex assigns domain(m)[k] without spelling it; index is the
+	// position of c's value in domain(m), -1 when it lies outside.
+	setIndex func(c Config, m *topology.Machine, k int) Config
+	index    func(c Config, m *topology.Machine) int
+	valid    func(c Config, m *topology.Machine) bool
+	// feature is Feature's encoding; nil means index, which must then not
+	// read m.
+	feature func(c Config) float64
 }
 
 // variables is in Names order.
 var variables = [...]variable{
 	{name: VarPlaces,
-		domain:  func(*topology.Machine) []string { return spellings(PlaceKinds()) },
-		get:     func(c Config) string { return c.Places.String() },
-		set:     func(c Config, s string) (_ Config, ok bool) { c.Places, ok = parseKind(placeKinds(), s); return c, ok },
-		valid:   func(c Config, _ *topology.Machine) bool { return contains(placeKinds(), c.Places) },
-		feature: func(c Config) float64 { return float64(indexOf(PlaceKinds(), c.Places)) }},
+		domain:   func(*topology.Machine) []string { return spellings(PlaceKinds()) },
+		get:      func(c Config) string { return c.Places.String() },
+		set:      func(c Config, s string) (_ Config, ok bool) { c.Places, ok = parseKind(placeKinds(), s); return c, ok },
+		setIndex: func(c Config, _ *topology.Machine, k int) Config { c.Places = PlaceKinds()[k]; return c },
+		index:    func(c Config, _ *topology.Machine) int { return indexOf(PlaceKinds(), c.Places) },
+		valid:    func(c Config, _ *topology.Machine) bool { return contains(placeKinds(), c.Places) }},
 	{name: VarProcBind,
-		domain:  func(*topology.Machine) []string { return spellings(ProcBinds()) },
-		get:     func(c Config) string { return c.ProcBind.String() },
-		set:     func(c Config, s string) (_ Config, ok bool) { c.ProcBind, ok = parseKind(ProcBinds(), s); return c, ok },
-		valid:   func(c Config, _ *topology.Machine) bool { return contains(ProcBinds(), c.ProcBind) },
-		feature: func(c Config) float64 { return float64(indexOf(ProcBinds(), c.ProcBind)) }},
+		domain:   func(*topology.Machine) []string { return spellings(ProcBinds()) },
+		get:      func(c Config) string { return c.ProcBind.String() },
+		set:      func(c Config, s string) (_ Config, ok bool) { c.ProcBind, ok = parseKind(ProcBinds(), s); return c, ok },
+		setIndex: func(c Config, _ *topology.Machine, k int) Config { c.ProcBind = ProcBinds()[k]; return c },
+		index:    func(c Config, _ *topology.Machine) int { return indexOf(ProcBinds(), c.ProcBind) },
+		valid:    func(c Config, _ *topology.Machine) bool { return contains(ProcBinds(), c.ProcBind) }},
 	{name: VarSchedule,
-		domain:  func(*topology.Machine) []string { return spellings(Schedules()) },
-		get:     func(c Config) string { return c.Schedule.String() },
-		set:     func(c Config, s string) (_ Config, ok bool) { c.Schedule, ok = parseKind(Schedules(), s); return c, ok },
-		valid:   func(c Config, _ *topology.Machine) bool { return contains(Schedules(), c.Schedule) },
-		feature: func(c Config) float64 { return float64(indexOf(Schedules(), c.Schedule)) }},
+		domain:   func(*topology.Machine) []string { return spellings(Schedules()) },
+		get:      func(c Config) string { return c.Schedule.String() },
+		set:      func(c Config, s string) (_ Config, ok bool) { c.Schedule, ok = parseKind(Schedules(), s); return c, ok },
+		setIndex: func(c Config, _ *topology.Machine, k int) Config { c.Schedule = Schedules()[k]; return c },
+		index:    func(c Config, _ *topology.Machine) int { return indexOf(Schedules(), c.Schedule) },
+		valid:    func(c Config, _ *topology.Machine) bool { return contains(Schedules(), c.Schedule) }},
 	{name: VarLibrary,
-		domain:  func(*topology.Machine) []string { return spellings(Libraries()) },
-		get:     func(c Config) string { return c.Library.String() },
-		set:     func(c Config, s string) (_ Config, ok bool) { c.Library, ok = parseKind(libraries(), s); return c, ok },
-		valid:   func(c Config, _ *topology.Machine) bool { return contains(libraries(), c.Library) },
-		feature: func(c Config) float64 { return float64(indexOf(Libraries(), c.Library)) }},
+		domain:   func(*topology.Machine) []string { return spellings(Libraries()) },
+		get:      func(c Config) string { return c.Library.String() },
+		set:      func(c Config, s string) (_ Config, ok bool) { c.Library, ok = parseKind(libraries(), s); return c, ok },
+		setIndex: func(c Config, _ *topology.Machine, k int) Config { c.Library = Libraries()[k]; return c },
+		index:    func(c Config, _ *topology.Machine) int { return indexOf(Libraries(), c.Library) },
+		valid:    func(c Config, _ *topology.Machine) bool { return contains(libraries(), c.Library) }},
 	{name: VarBlocktime,
 		domain: func(*topology.Machine) []string {
 			out := make([]string, 0, 3)
@@ -328,8 +339,9 @@ var variables = [...]variable{
 			c.BlocktimeMS, ok = atoiCount(s)
 			return c, ok
 		},
-		valid:   func(c Config, _ *topology.Machine) bool { return c.BlocktimeMS >= openmp.BlocktimeInfinite },
-		feature: func(c Config) float64 { return float64(indexOf(Blocktimes(), c.BlocktimeMS)) }},
+		setIndex: func(c Config, _ *topology.Machine, k int) Config { c.BlocktimeMS = Blocktimes()[k]; return c },
+		index:    func(c Config, _ *topology.Machine) int { return indexOf(Blocktimes(), c.BlocktimeMS) },
+		valid:    func(c Config, _ *topology.Machine) bool { return c.BlocktimeMS >= openmp.BlocktimeInfinite }},
 	{name: VarForceReduction,
 		domain: func(*topology.Machine) []string { return spellings(Reductions()) },
 		get:    func(c Config) string { return c.ForceReduction.String() },
@@ -337,13 +349,16 @@ var variables = [...]variable{
 			c.ForceReduction, ok = parseKind(Reductions(), s)
 			return c, ok
 		},
-		valid:   func(c Config, _ *topology.Machine) bool { return contains(Reductions(), c.ForceReduction) },
-		feature: func(c Config) float64 { return float64(indexOf(Reductions(), c.ForceReduction)) }},
+		setIndex: func(c Config, _ *topology.Machine, k int) Config { c.ForceReduction = Reductions()[k]; return c },
+		index:    func(c Config, _ *topology.Machine) int { return indexOf(Reductions(), c.ForceReduction) },
+		valid:    func(c Config, _ *topology.Machine) bool { return contains(Reductions(), c.ForceReduction) }},
 	{name: VarAlignAlloc,
-		domain: func(m *topology.Machine) []string { return itoas(m.AlignAllocValues()) },
-		count:  func(c Config) (int, bool) { return c.AlignAlloc, true },
-		set:    func(c Config, s string) (_ Config, ok bool) { c.AlignAlloc, ok = atoiCount(s); return c, ok },
-		valid:  func(c Config, m *topology.Machine) bool { return containsInt(m.AlignAllocValues(), c.AlignAlloc) },
+		domain:   func(m *topology.Machine) []string { return itoas(m.AlignAllocValues()) },
+		count:    func(c Config) (int, bool) { return c.AlignAlloc, true },
+		set:      func(c Config, s string) (_ Config, ok bool) { c.AlignAlloc, ok = atoiCount(s); return c, ok },
+		setIndex: func(c Config, m *topology.Machine, k int) Config { c.AlignAlloc = m.AlignAllocValues()[k]; return c },
+		index:    func(c Config, m *topology.Machine) int { return indexOf(m.AlignAllocValues(), c.AlignAlloc) },
+		valid:    func(c Config, m *topology.Machine) bool { return containsInt(m.AlignAllocValues(), c.AlignAlloc) },
 		// log2(bytes), so the scale stays comparable with the index encodings.
 		feature: func(c Config) float64 { return log2i(c.AlignAlloc) }},
 }
@@ -380,10 +395,14 @@ func (row *variable) invalid(value string) error {
 // a naive numeric scheme): the index within the swept domain unless the
 // variable's row says otherwise, -1 for a variable the package does not know.
 func (c Config) Feature(v VarName) float64 {
-	if row := lookup(v); row != nil {
+	row := lookup(v)
+	switch {
+	case row == nil:
+		return -1
+	case row.feature != nil:
 		return row.feature(c)
 	}
-	return -1
+	return float64(row.index(c, nil))
 }
 
 // Set assigns the given value (by string) to variable v, returning an
@@ -401,6 +420,26 @@ func (c Config) Set(v VarName, value string) (Config, error) {
 		return c, row.invalid(value)
 	}
 	return nc, nil
+}
+
+// SetIndex returns c with variable v assigned the k-th value of its swept
+// domain on m: c.Set(v, Values(m, v)[k]), without spelling or parsing the
+// value. k must index that domain; an unknown v leaves c as it is.
+func (c Config) SetIndex(m *topology.Machine, v VarName, k int) Config {
+	if row := lookup(v); row != nil {
+		return row.setIndex(c, m, k)
+	}
+	return c
+}
+
+// Index returns the position of c's value of variable v in Values(m, v): k
+// where c.Value(v) == Values(m, v)[k], -1 when no swept value matches or v
+// is unknown.
+func (c Config) Index(m *topology.Machine, v VarName) int {
+	if row := lookup(v); row != nil {
+		return row.index(c, m)
+	}
+	return -1
 }
 
 // Values returns the swept string domain of variable v on machine m, in

@@ -24,13 +24,11 @@ func (rt *Runtime) StealOrder() [][]int {
 	if rt.hot == nil || rt.hot.stealOrder == nil {
 		return nil
 	}
-	out := make([][]int, len(rt.hot.stealOrder))
-	for i, row := range rt.hot.stealOrder {
-		r := make([]int, len(row))
-		for j, v := range row {
-			r[j] = int(v)
+	out := make([][]int, rt.hot.n)
+	for i := range out {
+		for _, v := range rt.hot.victims(i) {
+			out[i] = append(out[i], int(v))
 		}
-		out[i] = r
 	}
 	return out
 }

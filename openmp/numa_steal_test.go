@@ -65,3 +65,33 @@ func TestRuntimeOptionsStealOrderPrefersSameNUMA(t *testing.T) {
 		}
 	}
 }
+
+// TestNewWithPlacesAllocsPerTeam: binding a team to places costs New the
+// thread→place assignment and one flat victim table for the whole team,
+// nothing per thread, so at every width New under a place kind makes at
+// most 2 allocations more than with places unset.
+func TestNewWithPlacesAllocsPerTeam(t *testing.T) {
+	m := topology.MustGet(topology.A64FX)
+	allocs := func(places topology.PlaceKind, threads int) float64 {
+		c := env.Default(m)
+		c.Places = places
+		o := c.RuntimeOptions(m)
+		o.NumThreads = threads
+		return testing.AllocsPerRun(20, func() {
+			rt, err := openmp.New(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Close()
+		})
+	}
+	for _, threads := range []int{2, 4} {
+		unset := allocs(topology.PlaceUnset, threads)
+		for _, places := range append(env.PlaceKinds()[1:], topology.PlaceNUMA) {
+			if got := allocs(places, threads); got > unset+2 {
+				t.Errorf("T = %d, OMP_PLACES=%s: New makes %v allocations, want at most %v (unset's %v + 2)",
+					threads, places, got, unset+2, unset)
+			}
+		}
+	}
+}

@@ -402,7 +402,7 @@ func (th *Thread) stealTask() *task {
 			return t
 		}
 	}
-	for _, v := range tm.stealOrder[th.id] {
+	for _, v := range tm.victims(th.id) {
 		victim := int(v)
 		if victim == last {
 			continue // already tried above
@@ -437,8 +437,8 @@ func (th *Thread) stealFrom(victim int) *task {
 	th.stats.tasksStolen.Add(uint64(fresh))
 	th.stats.stealBatches.Add(1)
 	class := stealUnknown
-	if tm.stealLocal != nil {
-		if tm.stealLocal[th.id][victim] {
+	if tm.stealOrder != nil {
+		if tm.localVictim(th.id, victim) {
 			class = stealLocal
 			th.stats.stealsLocal.Add(uint64(fresh))
 		} else {

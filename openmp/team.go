@@ -1,7 +1,8 @@
 package openmp
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"omptune/openmp/profile"
@@ -90,13 +91,12 @@ type Team struct {
 	// holds its own reference for the team's lifetime, so none is recycled.
 	implicit []task
 
-	// stealOrder[i] is thread i's victim scan order, sorted by the NUMA
-	// distance from i's bound place (ring order within a distance class);
-	// stealLocal[i][j] classifies victim j as NUMA-local to thread i. Both
-	// are nil when the runtime has no placement or no place-distance model,
-	// in which case stealing falls back to the rotating uniform scan.
-	stealOrder [][]int32
-	stealLocal [][]bool
+	// stealOrder holds each thread's victim scan order, n-1 ids a thread
+	// back to back (see victims), sorted by the NUMA distance from the
+	// thread's bound place (ring order within a distance class). It is nil
+	// when the runtime has no placement or no place-distance model, in which
+	// case stealing falls back to the rotating uniform scan.
+	stealOrder []int32
 }
 
 // newTeam builds a width-n team; the region body is assigned per region by
@@ -151,7 +151,7 @@ func newTeam(rt *Runtime, parent *Thread, n int, transient bool) *Team {
 		tm.threads[i].stats = &tm.stats[i]
 	}
 	if parent == nil {
-		tm.stealOrder, tm.stealLocal = buildStealOrder(rt.placement, rt.opts.PlaceDistances, n)
+		tm.stealOrder = buildStealOrder(rt.placement, rt.opts.PlaceDistances, n)
 	} else if h := parent.team.hooks; h != nil && h.tr != nil {
 		tm.takeRings(h.tr)
 	}
@@ -247,43 +247,46 @@ func (tm *Team) dispatchRegion(body func(*Thread), counted bool, pc uintptr) {
 }
 
 // buildStealOrder precomputes each thread's distance-sorted victim order
-// from the thread→place assignment and the pairwise place distances. Within
-// one distance class victims keep ring order (i+1, i+2, … mod n), so
-// equidistant victims are still scanned fairly rather than all threads
-// hammering the same lowest-numbered one. A victim is classified local when
-// its place is no farther than the thief's own place's self-distance (same
-// place, or another place on the same NUMA node).
-func buildStealOrder(placement []int, dist [][]float64, n int) ([][]int32, [][]bool) {
+// from the thread→place assignment and the pairwise place distances, one
+// flat table for the team. Within one distance class victims keep ring
+// order (i+1, i+2, … mod n), so equidistant victims are still scanned
+// fairly rather than all threads hammering the same lowest-numbered one.
+func buildStealOrder(placement []int, dist [][]float64, n int) []int32 {
 	if placement == nil || len(dist) == 0 || n < 2 {
-		return nil, nil
+		return nil
 	}
 	for i := 0; i < n; i++ {
 		if placement[i] < 0 || placement[i] >= len(dist) {
-			return nil, nil
+			return nil
 		}
 	}
-	order := make([][]int32, n)
-	local := make([][]bool, n)
+	order := make([]int32, n*(n-1))
 	for i := 0; i < n; i++ {
 		row := dist[placement[i]]
-		self := row[placement[i]]
-		victims := make([]int32, 0, n-1)
+		victims := order[i*(n-1) : (i+1)*(n-1)]
 		for k := 1; k < n; k++ { // ring order seeds the within-class tiebreak
-			victims = append(victims, int32((i+k)%n))
+			victims[k-1] = int32((i + k) % n)
 		}
-		sort.SliceStable(victims, func(a, b int) bool {
-			return row[placement[victims[a]]] < row[placement[victims[b]]]
+		slices.SortStableFunc(victims, func(a, b int32) int {
+			return cmp.Compare(row[placement[a]], row[placement[b]])
 		})
-		loc := make([]bool, n)
-		for j := 0; j < n; j++ {
-			if j != i {
-				loc[j] = row[placement[j]] <= self
-			}
-		}
-		order[i] = victims
-		local[i] = loc
 	}
-	return order, local
+	return order
+}
+
+// victims returns thread i's victim scan order; stealOrder must be set.
+func (tm *Team) victims(i int) []int32 {
+	return tm.stealOrder[i*(tm.n-1) : (i+1)*(tm.n-1)]
+}
+
+// localVictim classifies victim as NUMA-local to thread i: its place is no
+// farther than i's own place's self-distance (same place, or another place
+// on the same NUMA node). stealOrder must be set, which vouches for the
+// placement and the distances.
+func (tm *Team) localVictim(i, victim int) bool {
+	pl := tm.rt.placement
+	row := tm.rt.opts.PlaceDistances[pl[i]]
+	return row[pl[victim]] <= row[pl[i]]
 }
 
 // run executes the region body as thread tid, drains leftover explicit
