@@ -331,7 +331,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if numaApp != nil {
 		ran = true
 		set, _ := numaApp.Setting(numaM, "") // the middle (default-size) setting
-		cfg, speedup := core.BestNUMAPlacement(backend, numaM, numaApp, set)
+		cfg, speedup, err := core.BestNUMAPlacement(backend, numaM, numaApp, set)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(stdout, "best numa_domains placement for %s on %s (%s): %.3fx with %s\n",
 			numaApp.Name, numaM.Arch, set.Label, speedup, cfg)
 	}

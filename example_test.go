@@ -93,7 +93,11 @@ func ExampleTune() {
 	nqueens, _ := omptune.ApplicationByName("Nqueens")
 	set := omptune.Setting{Label: "medium", Threads: a64fx.Cores, Scale: 1}
 
-	res := omptune.Tune(nil, a64fx, nqueens, set, nil, 100)
+	res, err := omptune.Tune(nil, a64fx, nqueens, set, nil, 100)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println("library:", res.Best.Value("KMP_LIBRARY"))
 	fmt.Println("beats default:", res.Speedup() > 4)
 	// Output:

@@ -111,7 +111,7 @@ func TestTuneAndRandomSearchUseBackend(t *testing.T) {
 	set := app.Settings(m)[0]
 
 	fake := &fakeEvaluator{}
-	res := Tune(fake, m, app, set, nil, 30)
+	res := mustTune(t, fake, m, app, set, nil, 30)
 	if fake.calls.Load() == 0 {
 		t.Fatal("Tune never called the backend")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"omptune/internal/dataset"
@@ -166,27 +167,31 @@ func ExtendedThreadSettings(m *topology.Machine) []sim.Setting {
 // BestNUMAPlacement evaluates the extended numa_domains configurations for
 // one app/arch/setting and reports the best speedup over the default —
 // the experiment the paper left for future work. The ev backend decides
-// what an evaluation measures (nil = analytic model).
-func BestNUMAPlacement(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting) (env.Config, float64) {
+// what an evaluation measures (nil = analytic model). A default whose
+// series fails leaves no speedup to report and is returned as an error; a
+// failing candidate is skipped.
+func BestNUMAPlacement(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting) (env.Config, float64, error) {
 	ps := bindSeries(orModel(ev), m, app, set)
-	measure := func(cfg env.Config) float64 {
+	measure := func(cfg env.Config) (float64, error) {
 		key := cfg.Key()
-		sec, err := ps.mean(cfg, key, sim.KeyHash(key))
-		if err != nil {
-			reportSkipped(err) // sec is NaN: never the best
-		}
-		return sec
+		return ps.mean(cfg, key, sim.KeyHash(key))
 	}
-	def := measure(env.Default(m))
 	best := env.Default(m)
+	def, err := measure(best)
+	if err != nil {
+		return best, math.NaN(), fmt.Errorf("core: numa placement of %s on %s at %s: default configuration: %w",
+			app.Name, m.Arch, set.Label, err)
+	}
 	bestT := def
 	for _, c := range ExtendedSpace(m) {
 		if c.Places != topology.PlaceNUMA {
 			continue
 		}
-		if t := measure(c); t < bestT {
+		if t, err := measure(c); err != nil {
+			reportSkipped(err) // never the best
+		} else if t < bestT {
 			best, bestT = c, t
 		}
 	}
-	return best, def / bestT
+	return best, def / bestT, nil
 }

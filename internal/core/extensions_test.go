@@ -101,7 +101,7 @@ func TestRandomSearchNeedsMoreEvalsThanGuided(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := sim.Setting{Label: "medium", Threads: m.Cores, Scale: 1}
-	guided := Tune(nil, m, app, set, nil, 60)
+	guided := mustTune(t, nil, m, app, set, nil, 60)
 	random := randomSearch(t, nil, m, app, set, 60, 99)
 	if guided.Speedup() < 4 {
 		t.Errorf("guided speedup %v, want > 4", guided.Speedup())
@@ -147,7 +147,10 @@ func TestBestNUMAPlacementHelpsMemoryBoundOnMilan(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := sim.Setting{Label: "t24", Threads: 24, Scale: 1}
-	cfg, speedup := BestNUMAPlacement(nil, m, app, set)
+	cfg, speedup, err := BestNUMAPlacement(nil, m, app, set)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cfg.Places != topology.PlaceNUMA {
 		t.Fatalf("best config places = %s, want numa_domains", cfg.Places)
 	}
@@ -245,7 +248,7 @@ func TestDrillDownNQueensOnA64FX(t *testing.T) {
 		order = append(order, rv.Variable)
 	}
 	app, _ := apps.ByName("Nqueens")
-	res := Tune(nil, topology.MustGet(topology.A64FX), app,
+	res := mustTune(t, nil, topology.MustGet(topology.A64FX), app,
 		sim.Setting{Label: "medium", Threads: 48, Scale: 1}, order, 40)
 	if res.Speedup() < 4 {
 		t.Errorf("drill-guided tuning speedup %v, want > 4", res.Speedup())

@@ -9,13 +9,11 @@ import (
 // foldTestReport produces a one-region profiler report to feed an aggregator.
 func foldTestReport() *profile.Report {
 	p := profile.New()
-	fork := p.Now()
 	slots := make([]profile.Scratch, 2)
 	for i := range slots {
-		slots[i] = profile.Scratch{Region: 1, StartNS: p.Now()}
-		slots[i].ArriveNS = p.Now()
+		slots[i] = profile.Scratch{Region: 1, StartNS: 10, ArriveNS: 50 + int64(i), Arrived: true}
 	}
-	p.Fold(0x1234, 0, 1, fork, slots)
+	p.Fold(0x1234, 0, 1, 0, 100, slots)
 	return p.Snapshot()
 }
 

@@ -147,6 +147,49 @@ func TestSearchStopsWhenDefaultFails(t *testing.T) {
 	}
 }
 
+// mustTune is Tune for problems whose default configuration the test knows
+// evaluates.
+func mustTune(t testing.TB, ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, order []env.VarName, budget int) SearchResult {
+	t.Helper()
+	res, err := Tune(ev, m, app, set, order, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestTuneAndNUMAPlacementReturnDefaultFailure: Tune and BestNUMAPlacement
+// have no speedup to report when the default configuration fails; each
+// returns the backend's error after asking for the default once. A failing
+// numa_domains candidate is skipped instead, as a search skips one.
+func TestTuneAndNUMAPlacementReturnDefaultFailure(t *testing.T) {
+	m, app, set := searchApp(t, topology.Milan, "XSbench")
+	ev := failing(env.Default(m))
+	res, err := Tune(ev, m, app, set, nil, 30)
+	if !errors.Is(err, errInjected) || res.Evaluations != 1 || len(ev.asked) != 1 {
+		t.Errorf("Tune: err %v, %d evaluations, %d series asked for; want the injected failure, 1 and 1",
+			err, res.Evaluations, len(ev.asked))
+	}
+
+	ev = failing(env.Default(m))
+	_, ratio, err := BestNUMAPlacement(ev, m, app, set)
+	if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), "default configuration") || len(ev.asked) != 1 {
+		t.Errorf("BestNUMAPlacement: err %v, ratio %v, %d series asked for; want the injected default failure after 1",
+			err, ratio, len(ev.asked))
+	}
+
+	best, ratio, err := BestNUMAPlacement(nil, m, app, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev = failing(best)
+	again, againRatio, err := BestNUMAPlacement(ev, m, app, set)
+	if err != nil || again == best || !(againRatio > 1) || againRatio > ratio {
+		t.Errorf("with the best candidate %s failing: %s at %v (err %v); want another candidate, at most %v",
+			best, again, againRatio, err, ratio)
+	}
+}
+
 // TestCalibrateAsksEachConfigurationOnce: Calibrate needs the default twice
 // per app (normalizer and subspace member) and may meet a one-at-a-time
 // deviation in the sampled subspace too; its per-backend memo keeps that to

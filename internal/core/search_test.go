@@ -187,7 +187,7 @@ func TestTuneMatchesLegacyGolden(t *testing.T) {
 	for _, c := range cases {
 		m, app, set := searchApp(t, c.arch, c.app)
 		want := legacyTune(nil, m, app, set, c.order, c.budget)
-		got := asLegacy(Tune(nil, m, app, set, c.order, c.budget))
+		got := asLegacy(mustTune(t, nil, m, app, set, c.order, c.budget))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s/%s budget %d: Tune diverged from legacy:\n got %+v\nwant %+v",
 				c.arch, c.app, c.budget, got, want)

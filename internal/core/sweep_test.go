@@ -119,7 +119,7 @@ func TestTuneRespectsBudgetAndMonotonicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := sim.Setting{Label: "t24", Threads: 24, Scale: 1}
-	res := Tune(nil, m, app, set, nil, 25)
+	res := mustTune(t, nil, m, app, set, nil, 25)
 	if res.Evaluations > 25 {
 		t.Errorf("evaluations %d exceed budget 25", res.Evaluations)
 	}
@@ -135,7 +135,7 @@ func TestTuneRespectsBudgetAndMonotonicity(t *testing.T) {
 		prev = step.Seconds
 	}
 	// With a generous budget the Milan XSbench win should be found.
-	full := Tune(nil, m, app, set, nil, 500)
+	full := mustTune(t, nil, m, app, set, nil, 500)
 	if full.Speedup() < 2 {
 		t.Errorf("full-budget XSbench Milan speedup %v, want > 2", full.Speedup())
 	}

@@ -28,10 +28,12 @@ import (
 // implementation under the analytic backend, and the seam's memoizing
 // evaluation cache spares the descent its repeated probes (the budget
 // accounting still counts them, as before — only the backend work is saved).
-func Tune(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, order []env.VarName, budget int) SearchResult {
-	res, _ := greedySearcher{}.Search(context.Background(), SearchSpec{
+// A default configuration whose series fails leaves no speedup to search
+// for: Tune then returns the search's error, which wraps the backend's. A
+// failing candidate is skipped, as in every search.
+func Tune(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting, order []env.VarName, budget int) (SearchResult, error) {
+	return greedySearcher{}.Search(context.Background(), SearchSpec{
 		Machine: m, App: app, Setting: set, Order: order,
 		Evaluator: ev, Budget: SearchBudget{MaxEvals: budget},
 	})
-	return res
 }

@@ -145,8 +145,10 @@ type SearchResult = core.SearchResult
 // pruning).
 // backend nil means the deterministic analytic model; pass
 // NewMeasuredEvaluator(...) to tune against real kernel execution — the
-// setting the paper's §VI tuner actually targets.
-func Tune(backend Evaluator, m *Machine, app *App, set Setting, order []VarName, budget int) SearchResult {
+// setting the paper's §VI tuner actually targets. A default configuration
+// whose series fails is returned as an error; failing candidates are
+// skipped.
+func Tune(backend Evaluator, m *Machine, app *App, set Setting, order []VarName, budget int) (SearchResult, error) {
 	return core.Tune(backend, m, app, set, order, budget)
 }
 

@@ -400,7 +400,10 @@ func TestFacadeTune(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := Setting{Label: "medium", Threads: m.Cores, Scale: 1}
-	res := Tune(nil, m, app, set, nil, 150)
+	res, err := Tune(nil, m, app, set, nil, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Speedup() < 2 {
 		t.Errorf("tuned NQueens speedup %v, want > 2 (turnaround effect)", res.Speedup())
 	}
@@ -415,7 +418,10 @@ func TestFacadeTune(t *testing.T) {
 	}
 	// Importance-guided ordering (library first) must find the win within a
 	// tiny budget.
-	guided := Tune(nil, m, app, set, []VarName{env.VarLibrary, env.VarBlocktime}, 10)
+	guided, err := Tune(nil, m, app, set, []VarName{env.VarLibrary, env.VarBlocktime}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if guided.Speedup() < 2 {
 		t.Errorf("guided tuning speedup %v within 10 evals, want > 2", guided.Speedup())
 	}
@@ -451,9 +457,9 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Errorf("ExtendedThreadSettings = %d", got)
 	}
 	app, _ := ApplicationByName("XSbench")
-	cfg, speedup := core.BestNUMAPlacement(nil, m, app, Setting{Label: "t24", Threads: 24, Scale: 1})
-	if speedup < 1.5 || cfg.Places.String() != "numa_domains" {
-		t.Errorf("BestNUMAPlacement = %s / %v", cfg, speedup)
+	cfg, speedup, err := core.BestNUMAPlacement(nil, m, app, Setting{Label: "t24", Threads: 24, Scale: 1})
+	if err != nil || speedup < 1.5 || cfg.Places.String() != "numa_domains" {
+		t.Errorf("BestNUMAPlacement = %s / %v / %v", cfg, speedup, err)
 	}
 	random, err := core.NewSearcher("random")
 	if err != nil {

@@ -1,6 +1,11 @@
 package openmp
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"omptune/openmp/profile"
+	"omptune/openmp/trace"
+)
 
 // The runtime's internals that tests inspect, exported to them alone.
 
@@ -45,4 +50,10 @@ func Alignment(p unsafe.Pointer) int {
 		a <<= 1
 	}
 	return a
+}
+
+// SensorDisagreements lists the profile.Sums fields in which a trace
+// summary and a profile, each added up per nesting level, differ.
+func SensorDisagreements(sum *trace.Summary, rep *profile.Report) []string {
+	return sensorDisagreements(sum, rep)
 }

@@ -21,24 +21,33 @@ import (
 // whole or not at all — no unmatched begin/end pair after a detach, the
 // profiler that stamped a thread folds it — and the uncounted StopTrace flush
 // region, handed nil, is invisible to all. A site is one load, one nil check
-// and one method call; what each consumer records is decided here only. The
-// always-on statShard counters are no consumer but the oracle they are
-// checked against.
+// and one method call. Each method reads the snapshot's clock at most once
+// (stamp) and hands the same stamped event to the thread's trace ring and,
+// through trace.Step, to its profile slot; the latency sinks time with the
+// same stamps. The always-on statShard counters are no consumer but the oracle
+// they are checked against.
 type hooks struct {
 	tr   *trace.Tracer
 	prof *profile.Profiler
 	met  Metrics // zero fields while no sink is attached
 
-	epoch time.Time // anchors now() while no profiler is attached
+	// epoch is the zero of the snapshot's clock, the one clock every
+	// consumer reads; a copy keeps it, so it moves only on an attach to an
+	// empty seam.
+	epoch time.Time
 }
 
-// now reads the snapshot's clock in nanoseconds — the profiler's while one is
-// attached, since Fold takes its fork stamp on that clock.
-func (h *hooks) now() int64 {
-	if h.prof != nil {
-		return h.prof.Now()
+// now reads the snapshot's clock in nanoseconds.
+func (h *hooks) now() int64 { return int64(time.Since(h.epoch)) }
+
+// stamp reads the clock for an event that the tracer records or that a fold
+// or sink times (timed); an event the profiler alone only counts is left
+// unstamped, which spares it a clock read per task, steal and park.
+func (h *hooks) stamp(timed bool) int64 {
+	if timed || h.tr != nil {
+		return h.now()
 	}
-	return int64(time.Since(h.epoch))
+	return 0
 }
 
 // Steal-victim locality classes, numbered as the trace packs them.
@@ -48,174 +57,136 @@ const (
 	stealRemote  = trace.StealLocalityRemote
 )
 
-// slot returns th's profile slot while a profiler is attached, nil otherwise
-// and on the transient serialized team, which has none.
-func (h *hooks) slot(th *Thread) *profile.Scratch {
-	if h.prof == nil || th.team.prof == nil {
-		return nil
+// event hands one event of th's current region, stamped ts, to th's ring and
+// profile slot. The region is the thread's (stamped at implicit-task begin,
+// zero between regions), not the team's: a worker closes its end-of-region
+// spans after the team may be restamped. Rings are read only once the
+// snapshot shows a tracer (StartTrace hands them out before it publishes
+// one); the transient serialized team has neither rings nor slots.
+func (h *hooks) event(th *Thread, k trace.Kind, ts, arg int64) {
+	e := trace.Event{TS: ts, Arg: arg, Region: th.regionID, Kind: k, Level: uint8(th.team.level)}
+	if h.tr != nil && th.ring != nil {
+		th.ring.Emit(e)
 	}
-	return &th.team.prof[th.id]
+	if h.prof != nil && th.team.prof != nil {
+		trace.Step(&th.team.prof[th.id], e)
+	}
 }
 
-// emit traces one event of th's current region. The id is the thread's
-// (stamped at implicit-task begin, zero between regions), not the team's: a
-// worker closes its end-of-region spans after the team may be restamped.
-// Rings are read only once the snapshot shows a tracer (StartTrace hands
-// them out before it publishes one); the transient serialized team has none.
-func (h *hooks) emit(th *Thread, k trace.Kind, arg int64) {
-	if h.tr != nil && th.ring != nil {
-		h.tr.Emit(th.ring, th.team.level, k, th.regionID, arg)
+// teamEvent traces one event of the team's region on its primary's ring.
+func (h *hooks) teamEvent(tm *Team, k trace.Kind, ts, arg int64) {
+	if r := tm.threads[0].ring; h.tr != nil && r != nil {
+		r.Emit(trace.Event{TS: ts, Arg: arg, Region: tm.regionID, Kind: k, Level: uint8(tm.level)})
 	}
 }
 
 // regionFork opens a region on its primary thread before the generation bump:
 // the fork event precedes every worker event, the stamp covers the wakes.
 func (h *hooks) regionFork(tm *Team) (forkAt int64) {
-	if r := tm.threads[0].ring; h.tr != nil && r != nil {
-		h.tr.Emit(r, tm.level, trace.KindRegionFork, tm.regionID, int64(tm.n))
-	}
-	if h.met.Region != nil || h.prof != nil {
-		forkAt = h.now()
-	}
+	forkAt = h.now()
+	h.teamEvent(tm, trace.KindRegionFork, forkAt, int64(tm.n))
 	return forkAt
 }
 
 // regionJoin closes it after the primary has passed the join barrier, which
 // ordered every worker's profile slot writes before the fold.
 func (h *hooks) regionJoin(tm *Team, pc uintptr, forkAt int64) {
+	joinAt := h.now()
 	if h.met.Region != nil {
-		h.met.Region.Observe(time.Duration(h.now() - forkAt))
+		h.met.Region.Observe(time.Duration(joinAt - forkAt))
 	}
 	if h.prof != nil && tm.prof != nil { // the transient serialized team has no slots
-		h.prof.Fold(pc, tm.level, tm.regionID, forkAt, tm.prof)
+		h.prof.Fold(pc, tm.level, tm.regionID, forkAt, joinAt, tm.prof)
 	}
-	if r := tm.threads[0].ring; h.tr != nil && r != nil {
-		h.tr.Emit(r, tm.level, trace.KindRegionJoin, tm.regionID, 0)
-	}
+	h.teamEvent(tm, trace.KindRegionJoin, joinAt, 0)
 }
 
 // implicitBegin and implicitEnd bracket one thread's implicit task; its
-// arrival is barrierEnter at the end-of-region barrier. The profiler stamps
-// begin and arrival; the fold derives busy time and the final wait from them.
+// arrival is barrierEnter at the end-of-region barrier.
 func (h *hooks) implicitBegin(th *Thread) {
-	if sc := h.slot(th); sc != nil {
-		*sc = profile.Scratch{Region: th.regionID, StartNS: h.prof.Now()}
-	}
-	h.emit(th, trace.KindImplicitBegin, 0)
+	h.event(th, trace.KindImplicitBegin, h.stamp(h.prof != nil), 0)
 }
 
-func (h *hooks) implicitEnd(th *Thread) { h.emit(th, trace.KindImplicitEnd, 0) }
+func (h *hooks) implicitEnd(th *Thread) { h.event(th, trace.KindImplicitEnd, h.stamp(false), 0) }
 
 // barrierEnter and barrierLeave bracket one thread's passage through a team
-// barrier. The profiler times explicit barriers only — a mid-region barrier
-// completes inside the region, so self-timing is race-free; of the
-// end-of-region one it takes the arrival and lets the fold derive the wait.
+// barrier; the events carry whether it is explicit (trace.Step times an
+// explicit one, and takes the end-of-region one's enter as the arrival).
 func (h *hooks) barrierEnter(th *Thread, explicit bool) (enterAt int64) {
-	if sc := h.slot(th); sc != nil && !explicit {
-		sc.ArriveNS = h.prof.Now()
-	}
-	h.emit(th, trace.KindBarrierEnter, 0)
-	if h.met.BarrierWait != nil || explicit && h.prof != nil {
-		enterAt = h.now()
-	}
+	enterAt = h.stamp(h.prof != nil || h.met.BarrierWait != nil)
+	h.event(th, trace.KindBarrierEnter, enterAt, barrierArg(explicit))
 	return enterAt
 }
 
 func (h *hooks) barrierLeave(th *Thread, explicit bool, enterAt int64) {
+	leaveAt := h.stamp(explicit && h.prof != nil || h.met.BarrierWait != nil)
 	if h.met.BarrierWait != nil {
-		h.met.BarrierWait.Observe(time.Duration(h.now() - enterAt))
+		h.met.BarrierWait.Observe(time.Duration(leaveAt - enterAt))
 	}
-	if sc := h.slot(th); sc != nil && explicit {
-		sc.Sums.ExplicitBarNS += h.now() - enterAt
-	}
-	h.emit(th, trace.KindBarrierLeave, 0)
+	h.event(th, trace.KindBarrierLeave, leaveAt, barrierArg(explicit))
 }
 
-// claimStart stamps the start of one chunk claim of a dynamic or guided loop,
-// which the profiler charges to scheduling overhead; zero when nobody does, a
-// nil snapshot included.
+func barrierArg(explicit bool) int64 {
+	if explicit {
+		return 1
+	}
+	return 0
+}
+
+// claimStart stamps the start of one chunk claim of a dynamic or guided loop
+// for the fold's scheduling time; zero when nobody times it, a nil snapshot
+// included.
 func (h *hooks) claimStart() (claimAt int64) {
-	if h != nil && h.prof != nil {
-		claimAt = h.prof.Now()
+	if h != nil {
+		claimAt = h.stamp(h.prof != nil)
 	}
 	return claimAt
 }
 
 // chunk closes the claim begun at claimAt (zero for static chunks, which are
-// computed, not claimed) and records the iters iterations it handed to th.
+// computed, not claimed) that handed iters iterations to th; a claim that
+// found the loop exhausted (iters 0) is traced for its scheduling time.
 func (h *hooks) chunk(th *Thread, iters int, claimAt int64) {
-	sc := h.slot(th)
-	if sc != nil && claimAt != 0 {
-		sc.Sums.SchedNS += h.prof.Now() - claimAt
-	}
-	if iters <= 0 {
+	if iters <= 0 && claimAt == 0 {
 		return
 	}
-	h.emit(th, trace.KindChunk, int64(iters))
-	if sc != nil {
-		sc.Sums.Chunks++
+	ts, claim := h.stamp(claimAt != 0), int64(0)
+	if claimAt != 0 {
+		claim = ts - claimAt
 	}
+	h.event(th, trace.KindChunk, ts, trace.ChunkArg(iters, claim))
 }
 
-func (h *hooks) taskCreate(th *Thread) {
-	h.emit(th, trace.KindTaskCreate, 0)
-	if sc := h.slot(th); sc != nil {
-		sc.Sums.TasksCreated++
-	}
-}
+func (h *hooks) taskCreate(th *Thread) { h.event(th, trace.KindTaskCreate, h.stamp(false), 0) }
 
 // taskBegin and taskEnd bracket one explicit task's body on the thread
 // executing it, queue and steal overhead excluded.
 func (h *hooks) taskBegin(th *Thread) (beginAt int64) {
-	h.emit(th, trace.KindTaskBegin, 0)
-	if h.met.TaskRun != nil {
-		beginAt = h.now()
-	}
+	beginAt = h.stamp(h.met.TaskRun != nil)
+	h.event(th, trace.KindTaskBegin, beginAt, 0)
 	return beginAt
 }
 
 func (h *hooks) taskEnd(th *Thread, beginAt int64) {
+	endAt := h.stamp(h.met.TaskRun != nil)
 	if h.met.TaskRun != nil {
-		h.met.TaskRun.Observe(time.Duration(h.now() - beginAt))
+		h.met.TaskRun.Observe(time.Duration(endAt - beginAt))
 	}
-	h.emit(th, trace.KindTaskEnd, 0)
-	if sc := h.slot(th); sc != nil {
-		sc.Sums.TasksRun++
-	}
+	h.event(th, trace.KindTaskEnd, endAt, 0)
 }
 
 // taskSteal records one steal visit by th that took n not-yet-stolen tasks
 // (see Stats.TasksStolen) from victim, whose locality class is class.
 func (h *hooks) taskSteal(th *Thread, victim, n int, class trace.StealLocality) {
-	if sc := h.slot(th); sc != nil {
-		sc.Sums.TasksStolen += int64(n)
-		sc.Sums.StealBatches++
-		switch class {
-		case stealLocal:
-			sc.Sums.StealsLocal += int64(n)
-		case stealRemote:
-			sc.Sums.StealsRemote += int64(n)
-		}
-	}
-	h.emit(th, trace.KindTaskSteal, trace.StealArg(victim, n, class))
+	h.event(th, trace.KindTaskSteal, h.stamp(false), trace.StealArg(victim, n, class))
 }
 
 // park and wake bracket a blocked wait. A task-wait park ends inside its
-// region and is charged to the region's profile; a worker's park between
+// region and counts into the region's record; a worker's park between
 // regions (region id zero) may outlive the fold and is traced only.
-func (h *hooks) park(th *Thread) {
-	h.emit(th, trace.KindPark, 0)
-	if sc := h.slot(th); sc != nil && th.regionID != 0 {
-		sc.Sums.Parks++
-	}
-}
+func (h *hooks) park(th *Thread) { h.event(th, trace.KindPark, h.stamp(false), 0) }
 
-func (h *hooks) wake(th *Thread) {
-	if sc := h.slot(th); sc != nil && th.regionID != 0 {
-		sc.Sums.Wakes++
-	}
-	h.emit(th, trace.KindWake, 0)
-}
+func (h *hooks) wake(th *Thread) { h.event(th, trace.KindWake, h.stamp(false), 0) }
 
 // editHooks publishes a new snapshot: edit is applied to a copy of the
 // current one under hooksMu, which orders attach and detach among themselves
@@ -252,16 +223,24 @@ func (rt *Runtime) StartTrace(eventsPerThread int) error {
 	if h := rt.hooks.Load(); h != nil && h.tr != nil {
 		return errors.New("openmp: StartTrace while already tracing")
 	}
-	tr, err := trace.New(eventsPerThread)
+	var err error
+	rt.editHooks(func(h *hooks) {
+		var tr *trace.Tracer
+		if tr, err = trace.New(eventsPerThread, h.epoch); err != nil {
+			return
+		}
+		// The registry lists a parent's team before its nested teams, so a
+		// parent's ring exists by the time its inner thread 0 shares it.
+		// The rings are handed out before the snapshot that shows tr is
+		// published.
+		for _, tm := range rt.liveTeams() {
+			tm.takeRings(tr)
+		}
+		h.tr = tr
+	})
 	if err != nil {
 		return fmt.Errorf("openmp: StartTrace: %w", err)
 	}
-	// The registry lists a parent's team before its nested teams, so a
-	// parent's ring exists by the time its inner thread 0 shares it.
-	for _, tm := range rt.liveTeams() {
-		tm.takeRings(tr)
-	}
-	rt.editHooks(func(h *hooks) { h.tr = tr })
 	return nil
 }
 

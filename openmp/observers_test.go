@@ -8,7 +8,10 @@ package openmp
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,6 +82,38 @@ func waitCount(obs *countingObserver, want uint64) uint64 {
 	return obs.n.Load()
 }
 
+// sensorDisagreements adds the trace summary's regions and the profile's rows
+// up per nesting level and lists every profile.Sums field in which the two
+// differ: both sensors fold the same stamped events by one rule, so times
+// must agree as exactly as counts. Region-0 parks and wakes, which only the
+// trace's Total holds, take no part.
+func sensorDisagreements(sum *trace.Summary, rep *profile.Report) []string {
+	levels := map[int]*[2]profile.Sums{}
+	at := func(level int) *[2]profile.Sums {
+		if levels[level] == nil {
+			levels[level] = new([2]profile.Sums)
+		}
+		return levels[level]
+	}
+	for i := range sum.Regions {
+		at(sum.Regions[i].Level)[0].Add(&sum.Regions[i].Sums)
+	}
+	for i := range rep.Regions {
+		at(rep.Regions[i].Level)[1].Add(&rep.Regions[i].Sums)
+	}
+	var out []string
+	for level, s := range levels {
+		tr, pr := reflect.ValueOf(s[0]), reflect.ValueOf(s[1])
+		for f := 0; f < tr.NumField(); f++ {
+			if a, b := tr.Field(f).Int(), pr.Field(f).Int(); a != b {
+				out = append(out, fmt.Sprintf("level %d %s: trace %d, profile %d", level, tr.Type().Field(f).Name, a, b))
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // reportTotals adds a profile report's rows up.
 func reportTotals(rep *profile.Report) (sum profile.Sums) {
 	for i := range rep.Regions {
@@ -91,7 +126,8 @@ func reportTotals(rep *profile.Report) (sum profile.Sums) {
 // schedule, an explicit barrier, a two-level task tree whose first task is
 // forced onto a thief, and one threaded nested region per outer thread —
 // with the tracer, the profiler and a counting Metrics attached at once,
-// and requires the three views and the Stats delta to agree at quiescence.
+// and requires the three views and the Stats delta to agree at quiescence,
+// and the trace summary and the profile on every Sums field.
 //
 // Teams are two wide on purpose: a deque then never holds enough surplus
 // for a batch to be stolen twice over, so the steal invariants below do not
@@ -207,6 +243,12 @@ func TestObserversAgree(t *testing.T) {
 				if c.trace != c.st || c.prof != c.st {
 					t.Errorf("%s: trace %d, profile %d, stats %d — want all equal", c.what, c.trace, c.prof, c.st)
 				}
+			}
+			if sum.Total.Missing != 0 {
+				t.Errorf("trace missed %d thread samples, want 0", sum.Total.Missing)
+			}
+			for _, diff := range sensorDisagreements(sum, rep) {
+				t.Error(diff)
 			}
 			if uint64(sum.NestedRegions) != d.NestedRegions {
 				t.Errorf("nested regions: trace %d, stats %d", sum.NestedRegions, d.NestedRegions)

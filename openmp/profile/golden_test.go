@@ -96,13 +96,12 @@ func TestTableConcurrentFolds(t *testing.T) {
 		slots[g] = make([]Scratch, 1)
 	}
 	fold := func(p *Profiler, g int, pc uintptr, level int, region uint64) {
-		fork := p.Now()
 		sc := &slots[g][0]
-		*sc = Scratch{Region: region, StartNS: p.Now()}
+		*sc = Scratch{Region: region, StartNS: 10}
 		sc.Sums.Chunks += 2
 		sc.Sums.SchedNS += 10
-		sc.ArriveNS = p.Now()
-		p.Fold(pc, level, region, fork, slots[g])
+		sc.ArriveNS, sc.Arrived = 40, true
+		p.Fold(pc, level, region, 0, 50, slots[g])
 	}
 	// run starts the folders plus a snapshotter that polls until they finish.
 	run := func(p *Profiler, body func(g int)) {

@@ -6,35 +6,19 @@
 // nesting level, so LUNest/TreeNest inner regions never alias their
 // enclosing region's numbers.
 //
-// The per-region record is one type, Sums, and it is added to in one place,
-// Sums.Add; its metrics are derived in one place too, Sums.Derive, which
-// the trace summary calls for its regions as well. Data flows in three
-// stages:
-//
-//  1. While a region runs, each thread writes timestamps and counters into
-//     its own padded Scratch slot, which its team owns (one per thread,
-//     built with the team, so every thread of every team has one) —
-//     owner-written only, so recording is plain stores with no sharing.
-//  2. At region quiescence (the primary thread has passed the join barrier,
-//     so every worker's scratch writes happen-before by the barrier's
-//     release/acquire edges) the primary folds the team's scratch into one
-//     Sums: busy time from the arrival stamps, barrier wait as fold-time
-//     minus arrival, arrival imbalance as the arrival spread.
-//  3. That Sums is added to the region's row of the table, a map from the
-//     packed (pc, level) key to *Sums under one mutex — one short critical
-//     section per region instance, shared only with folds of nested teams
-//     and with Snapshot, which copies the rows under the same lock.
-//
-// A key's first fold allocates its row; every later fold of it allocates
-// nothing, so steady state is 0 allocs per region with the profiler on. The
-// table holds at most tableSize rows; folds of further keys are counted in
-// Report.Dropped.
-//
-// Scratch slots carry the region id they were stamped for; a fold skips
-// (and counts as missing) any slot whose stamp does not match, so a thread
-// that did not stamp the region it is folded for — a fault, since the
-// runtime hands every region one observer snapshot — is discarded, never
-// misattributed.
+// The per-region record is one type, Sums, merged by Sums.Add and derived by
+// Sums.Derive. Both sensors fill it by one rule: the runtime's hooks stamp
+// each event once, trace.Step applies it to the thread's Scratch (a padded
+// slot its team owns, written by that thread only), and Fold turns a team's
+// slots and the join stamp into the region's Sums — online here at region
+// quiescence (the primary has passed the join barrier, whose edges order
+// every worker's slot writes before the read), replayed from the rings by
+// trace.Summarize. A slot not stamped for the folded region counts as
+// missing, never as a sample. The profiler adds each region's Sums to its
+// row, a map from the packed (pc, level) key under one mutex shared only
+// with folds of nested teams and with Snapshot. A key's first fold allocates
+// its row and no later fold allocates; past tableSize rows, folds of new
+// keys are counted in Report.Dropped.
 //
 // Snapshot resolves construct PCs to function names and source lines (cold
 // path, allocates freely) and derives the efficiency metrics; Report can
@@ -48,7 +32,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // tableSize is the region-table capacity. Distinct (call site, level) pairs
@@ -116,20 +99,65 @@ func (s *Sums) Add(o *Sums) {
 	s.Wakes += o.Wakes
 }
 
-// Scratch is one thread's recording slot for the region its team is running:
-// a team owns one per thread (openmp's Team.prof), the thread writes only its
-// own, and the team primary reads them all only after the end-of-region
-// barrier's happens-before edge. The runtime counts into Sums (overheads,
-// chunks, tasks, steals, parks); the fields a fold derives from the stamps
-// stay zero there. Padded to four cache lines so neighbouring threads'
-// slots never false-share.
+// Scratch is one thread's record of the region its team is running, as
+// trace.Step leaves it: a team owns one per thread (openmp's Team.prof) and
+// its primary reads them all only after the end-of-region barrier. Step
+// counts into Sums; the fields Fold derives from the stamps stay zero there.
+// Padded to four cache lines so neighbouring threads' slots never
+// false-share.
 type Scratch struct {
 	Region   uint64 // region id the slot was stamped for (fold guard)
-	StartNS  int64  // implicit-task start
+	StartNS  int64  // implicit-task begin
+	EnterNS  int64  // enter of the explicit barrier being passed
 	ArriveNS int64  // arrival at the end-of-region barrier
+	Entered  bool   // an explicit barrier's enter awaits its leave
+	Arrived  bool   // ArriveNS is stamped
 	Sums     Sums
 
-	_ [256 - 24*8]byte
+	_ [256 - 26*8]byte
+}
+
+// Attributed reports whether the slot is a sample of region: stamped for it
+// at its implicit-task begin and arrived at its end-of-region barrier.
+func (sc *Scratch) Attributed(region uint64) bool { return sc.Region == region && sc.Arrived }
+
+// Fold folds one region instance into its Sums, for the profiler at the
+// join and for the trace summary alike. threads is the team's width; forkNS
+// and joinNS are the region's fork and join stamps, negative when not seen:
+// without both there is no wall or thread-time, without the join no final
+// wait. A slot not Attributed to region counts as missing. Busy time is
+// begin to arrival, the final wait join minus arrival, the imbalance the
+// arrivals' spread.
+func Fold(region uint64, threads int, forkNS, joinNS int64, slots []Scratch) Sums {
+	s := Sums{Count: 1, Threads: threads}
+	if forkNS >= 0 && joinNS >= 0 {
+		s.WallNS = max(joinNS-forkNS, 0)
+	}
+	var minArr, maxArr int64
+	for i := range slots {
+		sc := &slots[i]
+		if !sc.Attributed(region) {
+			s.Missing++
+			continue
+		}
+		busy := max(sc.ArriveNS-sc.StartNS, 0)
+		if s.Samples == 0 || sc.ArriveNS < minArr {
+			minArr = sc.ArriveNS
+		}
+		if s.Samples == 0 || sc.ArriveNS > maxArr {
+			maxArr = sc.ArriveNS
+		}
+		s.Add(&sc.Sums) // what the step counted for the thread
+		s.BusyNS += busy
+		s.MaxBusyNS = max(s.MaxBusyNS, busy)
+		if joinNS >= 0 {
+			s.FinalBarNS += max(joinNS-sc.ArriveNS, 0)
+		}
+		s.Samples++
+	}
+	s.ThreadNS = s.WallNS * s.Samples
+	s.ImbalanceNS = maxArr - minArr
+	return s
 }
 
 // table is the region table of a Profiler or an Aggregator: one row of Sums
@@ -193,63 +221,29 @@ func (t *table) Snapshot() *Report {
 
 // Profiler collects per-region efficiency data for one runtime. Create one
 // with New (Runtime.StartProfile does, and attaches it) and snapshot with
-// Runtime.Profile. The runtime records into its teams' Scratch slots on this
-// profiler's clock and hands each finished region to Fold; nothing allocates
-// but a call site's first Fold (its table row).
+// Runtime.Profile; the runtime hands it each finished region through Fold.
 type Profiler struct {
-	start time.Time
 	table
 }
 
-// New builds a profiler whose clock starts now.
-func New() *Profiler { return &Profiler{start: time.Now()} }
-
-// Now returns the profiler's monotonic clock reading in nanoseconds.
-func (p *Profiler) Now() int64 { return int64(time.Since(p.start)) }
+// New builds an empty profiler.
+func New() *Profiler { return &Profiler{} }
 
 // packKey builds the table key for a call site and level.
 func packKey(pc uintptr, level int) uint64 {
 	return uint64(pc)<<8 | uint64(level)
 }
 
-// Fold merges one finished region instance into its table row. It must be
-// called by the region's primary thread after it has passed the join
-// barrier (region quiescence): every worker's scratch writes then
-// happen-before this read. slots are the team's Scratch slots in thread
-// order; forkNS is the profiler-clock reading taken at dispatch. A slot not
-// stamped for region is counted as missing, never attributed, and a level
-// that does not fit the key's low 8 bits is counted in Dropped.
-func (p *Profiler) Fold(pc uintptr, level int, region uint64, forkNS int64, slots []Scratch) {
+// Fold adds one finished region instance, the package's Fold of the team's
+// slots in thread order, to its table row. The region's primary calls it
+// once it has passed the join barrier; a level that does not fit the key's
+// low 8 bits is counted in Dropped.
+func (p *Profiler) Fold(pc uintptr, level int, region uint64, forkNS, joinNS int64, slots []Scratch) {
 	if uint(level) > 0xff {
 		p.dropped.Add(1)
 		return
 	}
-	now := p.Now()
-	wall := max(now-forkNS, 0)
-
-	s := Sums{Count: 1, Threads: len(slots), WallNS: wall}
-	var minArr, maxArr int64
-	for i := range slots {
-		sc := &slots[i]
-		if sc.Region != region {
-			s.Missing++
-			continue
-		}
-		busy := max(sc.ArriveNS-sc.StartNS, 0)
-		if s.Samples == 0 || sc.ArriveNS < minArr {
-			minArr = sc.ArriveNS
-		}
-		if s.Samples == 0 || sc.ArriveNS > maxArr {
-			maxArr = sc.ArriveNS
-		}
-		s.Add(&sc.Sums) // what the runtime counted for the thread
-		s.BusyNS += busy
-		s.MaxBusyNS = max(s.MaxBusyNS, busy)
-		s.FinalBarNS += max(now-sc.ArriveNS, 0)
-		s.Samples++
-	}
-	s.ThreadNS = wall * s.Samples
-	s.ImbalanceNS = maxArr - minArr
+	s := Fold(region, len(slots), forkNS, joinNS, slots)
 	p.add(packKey(pc, level), &s)
 }
 

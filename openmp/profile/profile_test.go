@@ -11,21 +11,18 @@ import (
 // foldOne simulates one region instance of a team of width threads: start
 // and arrive stamps in each thread's slot, then the primary fold.
 func foldOne(p *Profiler, pc uintptr, level int, region uint64, threads int) {
-	fork := p.Now()
 	slots := make([]Scratch, threads)
 	for i := range slots {
-		slots[i] = Scratch{Region: region, StartNS: p.Now()}
-		slots[i].ArriveNS = p.Now()
+		slots[i] = Scratch{Region: region, StartNS: 10, ArriveNS: 20 + int64(i), Arrived: true}
 	}
-	p.Fold(pc, level, region, fork, slots)
+	p.Fold(pc, level, region, 0, 100, slots)
 }
 
 func TestFoldBasic(t *testing.T) {
 	p := New()
 	slots := make([]Scratch, 4)
-	fork := p.Now()
 	for i := range slots {
-		slots[i] = Scratch{Region: 7, StartNS: p.Now()} // region begin zeroes each slot
+		slots[i] = Scratch{Region: 7, StartNS: 10} // region begin zeroes each slot
 	}
 	slots[0].Sums.SchedNS += 100
 	slots[0].Sums.Chunks++
@@ -35,9 +32,9 @@ func TestFoldBasic(t *testing.T) {
 	slots[2].Sums.Parks++
 	slots[2].Sums.Wakes++
 	for i := range slots {
-		slots[i].ArriveNS = p.Now()
+		slots[i].ArriveNS, slots[i].Arrived = 200+int64(i), true
 	}
-	p.Fold(0x1234, 0, 7, fork, slots)
+	p.Fold(0x1234, 0, 7, 0, 300, slots)
 
 	rep := p.Snapshot()
 	if len(rep.Regions) != 1 {
@@ -46,6 +43,12 @@ func TestFoldBasic(t *testing.T) {
 	rp := rep.Regions[0]
 	if rp.Count != 1 || rp.Samples != 4 || rp.Missing != 0 {
 		t.Errorf("count/samples/missing = %d/%d/%d, want 1/4/0", rp.Count, rp.Samples, rp.Missing)
+	}
+	// Begins at 10, arrivals at 200..203, fork at 0 and join at 300.
+	if rp.WallNS != 300 || rp.ThreadNS != 1200 || rp.BusyNS != 766 || rp.MaxBusyNS != 193 ||
+		rp.FinalBarNS != 394 || rp.ImbalanceNS != 3 {
+		t.Errorf("wall/thread/busy/max busy/final/imbalance = %d/%d/%d/%d/%d/%d, want 300/1200/766/193/394/3",
+			rp.WallNS, rp.ThreadNS, rp.BusyNS, rp.MaxBusyNS, rp.FinalBarNS, rp.ImbalanceNS)
 	}
 	if rp.SchedNS != 100 || rp.Chunks != 1 {
 		t.Errorf("sched/chunks = %d/%d, want 100/1", rp.SchedNS, rp.Chunks)
@@ -67,13 +70,33 @@ func TestFoldStaleRegionGuard(t *testing.T) {
 	// discarded, not misattributed.
 	slots := []Scratch{{Region: 9}, {Region: 8}}
 	for i := range slots {
-		slots[i].StartNS = p.Now()
-		slots[i].ArriveNS = p.Now()
+		slots[i].StartNS, slots[i].ArriveNS, slots[i].Arrived = 10, 20, true
 	}
-	p.Fold(0x1, 0, 9, 0, slots)
+	p.Fold(0x1, 0, 9, 0, 30, slots)
 	rp := p.Snapshot().Regions[0]
 	if rp.Samples != 1 || rp.Missing != 1 {
 		t.Errorf("samples/missing = %d/%d, want 1/1", rp.Samples, rp.Missing)
+	}
+}
+
+// TestFoldUnseenStamps folds a region whose fork or join was not seen, as a
+// trace with dropped events hands it: no wall or thread-time without
+// either, no final wait without the join, and a slot with no final arrival
+// is missing.
+func TestFoldUnseenStamps(t *testing.T) {
+	slots := []Scratch{
+		{Region: 4, StartNS: 10, ArriveNS: 50, Arrived: true},
+		{Region: 4, StartNS: 10},
+	}
+	for _, c := range []struct {
+		fork, join, wall, final int64
+	}{{0, 100, 100, 50}, {-1, 100, 0, 50}, {0, -1, 0, 0}} {
+		s := Fold(4, 2, c.fork, c.join, slots)
+		if s.WallNS != c.wall || s.ThreadNS != c.wall || s.FinalBarNS != c.final ||
+			s.BusyNS != 40 || s.Samples != 1 || s.Missing != 1 || s.Threads != 2 {
+			t.Errorf("fork %d, join %d: %+v, want wall and thread time %d, final wait %d, busy 40, 1 sample, 1 missing, 2 threads",
+				c.fork, c.join, s, c.wall, c.final)
+		}
 	}
 }
 

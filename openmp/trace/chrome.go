@@ -29,9 +29,9 @@ var chromeSpec = [kindMax]struct {
 	KindRegionJoin:    {"E", "", ""},
 	KindImplicitBegin: {"B", "implicit task", ""},
 	KindImplicitEnd:   {"E", "", ""},
-	KindBarrierEnter:  {"B", "barrier wait", ""},
+	KindBarrierEnter:  {"B", "barrier wait", "explicit"},
 	KindBarrierLeave:  {"E", "", ""},
-	KindChunk:         {"i", "chunk", "iters"},
+	KindChunk:         {"i", "chunk", ""}, // packed Arg: unpacked inline below
 	KindTaskCreate:    {"i", "task create", ""},
 	KindTaskBegin:     {"B", "task", ""},
 	KindTaskEnd:       {"E", "", ""},
@@ -91,14 +91,20 @@ func WriteChrome(w io.Writer, d Data) error {
 		}
 		if spec.ph != "E" {
 			ce.Args = map[string]int64{"region": int64(e.Region), "level": int64(e.Level)}
-			if e.Kind == KindTaskSteal {
-				// Packed payload (see StealArg): unpack into separate args so
-				// Perfetto shows victim/batch/locality as distinct fields.
+			// Packed payloads (see StealArg, ChunkArg) unpack into separate
+			// args so Perfetto shows each field on its own.
+			switch e.Kind {
+			case KindTaskSteal:
 				ce.Args["victim"] = int64(e.StealVictim())
 				ce.Args["batch"] = int64(e.StealBatch())
 				ce.Args["locality"] = int64(e.StealLocality())
-			} else if spec.argName != "" {
-				ce.Args[spec.argName] = e.Arg
+			case KindChunk:
+				ce.Args["iters"] = int64(e.ChunkIters())
+				ce.Args["claim_ns"] = e.ClaimNS()
+			default:
+				if spec.argName != "" {
+					ce.Args[spec.argName] = e.Arg
+				}
 			}
 		}
 		if err := write(ce); err != nil {

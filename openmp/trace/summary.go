@@ -1,12 +1,11 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -22,21 +21,11 @@ type RegionMetrics struct {
 	// Level is the region's nesting depth: 0 for outer regions, 1 for
 	// regions forked from inside a level-0 region, and so on.
 	Level int `json:"level"`
-	// Sums are the region's counts, the record a profile row carries
-	// (Count 1). Threads is the team size recorded at the fork, or the
-	// number of threads that reported an implicit task when the fork was
-	// not traced; WallNS is the fork→join duration on the primary thread
-	// and ThreadNS that times Threads. The trace does not tell the
-	// end-of-region barrier from explicit ones, so every barrier wait,
-	// summed over threads, counts into FinalBarNS; read BarrierNS.
-	// ImbalanceNS is the arrival spread (max−min enter timestamp) at the
-	// region's final barrier — the end-of-region barrier every thread passes
-	// — i.e. how unevenly the body's work was distributed. TasksStolen
-	// counts each task once, at its first steal (openmp.Stats), so
-	// TasksStolen <= TasksRun, and StealBatches the steal visits behind it;
-	// StealsLocal/StealsRemote split TasksStolen by the victim's NUMA
-	// locality (both zero when locality was unknown). Samples, the busy and
-	// scheduling times and Parks/Wakes are the profiler's and stay zero.
+	// Sums are the region's record (Count 1), folded from its threads'
+	// events by the profiler's rule (Step, then profile.Fold at the join
+	// stamp), so every field is what the profile row of that instance
+	// holds. Threads is the team size recorded at the fork, or the number
+	// of threads that traced the region when the fork was not.
 	profile.Sums
 	// WaitShare is the barrier wait divided by ThreadNS, at most 1: the
 	// fraction of the region's aggregate thread-time lost to barrier
@@ -54,8 +43,8 @@ type Summary struct {
 	Dropped uint64          `json:"dropped"`
 	Regions []RegionMetrics `json:"regions,omitempty"`
 
-	// Total is the regions' Sums added up (Sums.Add), plus the worker parks
-	// and wakes the trace recorded, in or between regions.
+	// Total is the regions' Sums added up (Sums.Add), plus the parks and
+	// wakes of workers between regions (Region 0), which no region owns.
 	Total         profile.Sums  `json:"total"`
 	WaitShare     float64       `json:"wait_share"` // Total's barrier wait / ThreadNS, at most 1
 	AvgImbalance  time.Duration `json:"avg_imbalance_ns"`
@@ -82,167 +71,150 @@ type LevelMetrics struct {
 	TotalWall time.Duration `json:"total_wall_ns"`
 }
 
-// regionAcc is one region during the scan: the profile.Sums its events
-// count into, plus the state only the scan needs — stamps and per-thread maps
-// that finish reduces into the rest of the record.
-type regionAcc struct {
-	RegionMetrics
-	forkTS       int64
-	joinTS       int64
-	hasFork      bool
-	hasJoin      bool
-	implicit     map[int32]bool
-	barrierEnter map[int32]int64 // pending enter per tid
-	lastEnter    map[int32]int64 // latest barrier arrival per tid
-	chunks       map[int32]int
-}
-
-func newRegionAcc(gen uint64) *regionAcc {
-	return &regionAcc{
-		RegionMetrics: RegionMetrics{Gen: gen, Sums: profile.Sums{Count: 1}},
-		implicit:      map[int32]bool{},
-		barrierEnter:  map[int32]int64{},
-		lastEnter:     map[int32]int64{},
-		chunks:        map[int32]int{},
+// Step applies one event of a thread to its profile slot: the one rule by
+// which both sensors fold events, online by the runtime's hooks and over
+// drained rings by Summarize. An implicit-task begin stamps the slot for
+// its region; an event of another region or of none (a worker's park
+// between regions) leaves the slot alone, and so do the end-of-region
+// barrier's leave and the implicit-task end, which a worker stamps after
+// its primary may have folded the slot. An explicit barrier's wait is its
+// enter to its leave; the end-of-region barrier's enter is the thread's
+// arrival, whose wait the fold takes up to the join.
+func Step(sc *profile.Scratch, e Event) {
+	if e.Kind == KindImplicitBegin {
+		*sc = profile.Scratch{Region: e.Region, StartNS: e.TS}
+		return
 	}
-}
-
-// finish completes the region's Sums with what the scan could not count
-// directly — team width when the fork was not traced, wall and thread-time,
-// chunks, arrival imbalance — and returns its row, with the wait share from
-// the shared derivation (Sums.Derive). imbalanced reports whether at least
-// two threads reached a barrier, i.e. whether ImbalanceNS is a measurement.
-func (a *regionAcc) finish(threads int) (m RegionMetrics, imbalanced bool) {
-	s := &a.Sums
-	if s.Threads == 0 {
-		s.Threads = len(a.implicit)
+	if e.Region != sc.Region || e.Region == 0 {
+		return
 	}
-	if a.hasFork && a.hasJoin {
-		s.WallNS = a.joinTS - a.forkTS
-	}
-	if s.WallNS > 0 {
-		s.ThreadNS = s.WallNS * int64(s.Threads)
-	}
-	a.ChunksPerThread = make([]int, threads)
-	for tid, n := range a.chunks {
-		if int(tid) < threads {
-			a.ChunksPerThread[tid] += n
+	s := &sc.Sums
+	switch e.Kind {
+	case KindBarrierEnter:
+		if e.Arg == 0 {
+			sc.ArriveNS, sc.Arrived = e.TS, true
+		} else {
+			sc.EnterNS, sc.Entered = e.TS, true
 		}
-		s.Chunks += int64(n)
-	}
-	if imbalanced = len(a.lastEnter) >= 2; imbalanced {
-		minTS, maxTS := int64(math.MaxInt64), int64(math.MinInt64)
-		for _, ts := range a.lastEnter {
-			minTS, maxTS = min(minTS, ts), max(maxTS, ts)
+	case KindBarrierLeave:
+		if e.Arg != 0 && sc.Entered {
+			s.ExplicitBarNS += e.TS - sc.EnterNS
+			sc.Entered = false
 		}
-		s.ImbalanceNS = maxTS - minTS
+	case KindChunk:
+		if e.ChunkIters() > 0 {
+			s.Chunks++
+		}
+		s.SchedNS += e.ClaimNS()
+	case KindTaskCreate:
+		s.TasksCreated++
+	case KindTaskEnd:
+		s.TasksRun++
+	case KindTaskSteal:
+		n := int64(e.StealBatch())
+		s.TasksStolen += n
+		s.StealBatches++
+		switch e.StealLocality() {
+		case StealLocalityLocal:
+			s.StealsLocal += n
+		case StealLocalityRemote:
+			s.StealsRemote += n
+		}
+	case KindPark:
+		s.Parks++
+	case KindWake:
+		s.Wakes++
 	}
-	a.WaitShare = s.Derive().BarrierWaitShare
-	return a.RegionMetrics, imbalanced
 }
 
-// add appends one finished region and counts it into the per-thread chunk
-// histogram, the nesting count and its level's row (Levels is indexed by
-// level until Summarize compacts it).
-func (s *Summary) add(m RegionMetrics) {
-	s.Regions = append(s.Regions, m)
-	for tid, n := range m.ChunksPerThread {
-		s.ChunksPerThread[tid] += n
-	}
-	if m.Level > 0 {
-		s.NestedRegions++
-	}
-	for len(s.Levels) <= m.Level {
-		s.Levels = append(s.Levels, LevelMetrics{Level: len(s.Levels)})
-	}
-	lm := &s.Levels[m.Level]
-	lm.Regions++
-	lm.MaxThreads = max(lm.MaxThreads, m.Threads)
-	lm.TotalWall += time.Duration(m.WallNS)
-}
-
-// Summarize derives per-region metrics from a collected trace. Incomplete
-// spans (from dropped events or a trace stopped mid-stream) are skipped
-// rather than guessed at. Each region's events count into a profile.Sums,
-// the whole-trace totals are those records added up, and both take their
-// wait share and steal rate from Sums.Derive, as the profiler's report does.
+// Summarize derives per-region metrics from a collected trace by replaying
+// each region's events, thread by thread, through Step and folding the
+// region at its join stamp (profile.Fold), so a region's Sums are those the
+// profiler folds. Parks and wakes between regions (Region 0) count into
+// Total only. Spans left incomplete by dropped events or a trace stopped
+// mid-stream are skipped rather than guessed at: a thread with no final
+// arrival is Missing, and a region with no traced fork or join gets no
+// wall. The totals are the regions' Sums added up, and both take their wait
+// share and steal rate from Sums.Derive, as the profiler's report does.
 func Summarize(d Data) *Summary {
 	s := &Summary{Threads: d.Threads, Events: len(d.Events), Dropped: d.Dropped}
-	regions := map[uint64]*regionAcc{}
-	acc := func(gen uint64) *regionAcc {
-		a := regions[gen]
-		if a == nil {
-			a = newRegionAcc(gen)
-			regions[gen] = a
-		}
-		return a
-	}
-	for _, e := range d.Events {
-		// Park/wake events are between-regions instants; everything else
-		// belongs to a region and carries its nesting level.
-		switch e.Kind {
-		case KindPark:
-			s.Total.Parks++
-			continue
-		case KindWake:
-			s.Total.Wakes++
-			continue
-		}
-		a := acc(e.Region)
-		a.Level = int(e.Level)
-		switch e.Kind {
-		case KindRegionFork:
-			a.forkTS, a.hasFork = e.TS, true
-			a.Threads = int(e.Arg)
-		case KindRegionJoin:
-			a.joinTS, a.hasJoin = e.TS, true
-		case KindImplicitBegin:
-			a.implicit[e.Tid] = true
-		case KindBarrierEnter:
-			a.barrierEnter[e.Tid] = e.TS
-			a.lastEnter[e.Tid] = e.TS
-		case KindBarrierLeave:
-			if enter, ok := a.barrierEnter[e.Tid]; ok {
-				a.FinalBarNS += e.TS - enter
-				delete(a.barrierEnter, e.Tid)
-			}
-		case KindChunk:
-			a.chunks[e.Tid]++
-		case KindTaskCreate:
-			a.TasksCreated++
-		case KindTaskBegin:
-			a.TasksRun++
-		case KindTaskSteal:
-			batch := int64(e.StealBatch())
-			a.TasksStolen += batch
-			a.StealBatches++
-			switch e.StealLocality() {
-			case StealLocalityLocal:
-				a.StealsLocal += batch
-			case StealLocalityRemote:
-				a.StealsRemote += batch
-			}
-		}
-	}
-
-	gens := make([]uint64, 0, len(regions))
-	for gen := range regions {
-		gens = append(gens, gen)
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-
 	s.ChunksPerThread = make([]int, d.Threads)
-	var imbalanceSum time.Duration
-	imbalanced := 0
-	for _, gen := range gens {
-		m, hasImbalance := regions[gen].finish(d.Threads)
-		if hasImbalance {
+	evs := slices.Clone(d.Events)
+	slices.SortStableFunc(evs, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Region, b.Region), cmp.Compare(a.Tid, b.Tid))
+	})
+	var (
+		slots        []profile.Scratch
+		tids         []int32
+		imbalanceSum time.Duration
+		imbalanced   int
+	)
+	for len(evs) > 0 {
+		gen := evs[0].Region
+		n := 1
+		for n < len(evs) && evs[n].Region == gen {
+			n++
+		}
+		region := evs[:n]
+		evs = evs[n:]
+		if gen == 0 { // parks and wakes between regions
+			for _, e := range region {
+				switch e.Kind {
+				case KindPark:
+					s.Total.Parks++
+				case KindWake:
+					s.Total.Wakes++
+				}
+			}
+			continue
+		}
+		forkNS, joinNS, threads := int64(-1), int64(-1), 0
+		slots, tids = slots[:0], tids[:0]
+		for _, e := range region {
+			switch e.Kind {
+			case KindRegionFork:
+				forkNS, threads = e.TS, int(e.Arg)
+				continue
+			case KindRegionJoin:
+				joinNS = e.TS
+				continue
+			}
+			if len(tids) == 0 || tids[len(tids)-1] != e.Tid {
+				slots, tids = append(slots, profile.Scratch{}), append(tids, e.Tid)
+			}
+			Step(&slots[len(slots)-1], e)
+		}
+		if threads == 0 {
+			threads = len(slots)
+		}
+		m := RegionMetrics{Gen: gen, Level: int(region[0].Level), ChunksPerThread: make([]int, d.Threads)}
+		m.Sums = profile.Fold(gen, threads, forkNS, joinNS, slots)
+		for i, tid := range tids {
+			if slots[i].Attributed(gen) && int(tid) < d.Threads {
+				m.ChunksPerThread[tid] += int(slots[i].Sums.Chunks)
+			}
+		}
+		m.WaitShare = m.Derive().BarrierWaitShare
+		if m.Samples >= 2 {
 			imbalanceSum += time.Duration(m.ImbalanceNS)
 			imbalanced++
 			s.MaxImbalance = max(s.MaxImbalance, time.Duration(m.ImbalanceNS))
 		}
 		s.Total.Add(&m.Sums)
-		s.add(m)
+		for tid, n := range m.ChunksPerThread {
+			s.ChunksPerThread[tid] += n
+		}
+		if m.Level > 0 {
+			s.NestedRegions++
+		}
+		for len(s.Levels) <= m.Level { // indexed by level until compacted below
+			s.Levels = append(s.Levels, LevelMetrics{Level: len(s.Levels)})
+		}
+		lm := &s.Levels[m.Level]
+		lm.Regions++
+		lm.MaxThreads = max(lm.MaxThreads, m.Threads)
+		lm.TotalWall += time.Duration(m.WallNS)
+		s.Regions = append(s.Regions, m)
 	}
 	s.Levels = slices.DeleteFunc(s.Levels, func(lm LevelMetrics) bool { return lm.Regions == 0 })
 	if imbalanced > 0 {
@@ -284,7 +256,12 @@ func (s *Summary) String() string {
 	fmt.Fprintf(&b, "chunks: %d dispatched%s\n", t.Chunks, perThread(s.ChunksPerThread))
 	fmt.Fprintf(&b, "barriers: total wait %s (share %.1f%% of aggregate thread-time); end-barrier imbalance avg %s, max %s\n",
 		round(time.Duration(t.BarrierNS())), 100*s.WaitShare, round(s.AvgImbalance), round(s.MaxImbalance))
-	fmt.Fprintf(&b, "workers: %d parks, %d wakes between regions\n", t.Parks, t.Wakes)
+	var inParks, inWakes int64
+	for i := range s.Regions {
+		inParks, inWakes = inParks+s.Regions[i].Parks, inWakes+s.Regions[i].Wakes
+	}
+	fmt.Fprintf(&b, "parks: %d parks, %d wakes (%d, %d in task waits; %d, %d between regions)\n",
+		t.Parks, t.Wakes, inParks, inWakes, t.Parks-inParks, t.Wakes-inWakes)
 	if len(s.Levels) > 1 || s.NestedRegions > 0 {
 		b.WriteString("nesting:")
 		for i, lm := range s.Levels {

@@ -49,12 +49,15 @@ const (
 	KindImplicitBegin
 	KindImplicitEnd
 	// KindBarrierEnter/Leave bracket one thread's passage through a team
-	// barrier (explicit or the implicit end-of-region barrier); the span is
-	// the thread's barrier wait, parked or spinning.
+	// barrier, parked or spinning; Arg is 1 for an explicit barrier and 0
+	// for the implicit end-of-region one, whose enter is the thread's
+	// arrival.
 	KindBarrierEnter
 	KindBarrierLeave
-	// KindChunk marks one worksharing chunk dispatched to the thread; Arg
-	// is the chunk's iteration count.
+	// KindChunk marks one worksharing chunk claim by the thread; Arg packs
+	// the chunk's iteration count and the claim's span (see ChunkArg). The
+	// last claim of a dynamic or guided loop finds it exhausted and carries
+	// zero iterations: it is scheduling time, not a chunk.
 	KindChunk
 	// KindTaskCreate marks an explicit task being spawned.
 	KindTaskCreate
@@ -67,9 +70,9 @@ const (
 	// earlier thief is not counted again, see openmp.Stats) and the victim's
 	// NUMA-locality class — see StealArg.
 	KindTaskSteal
-	// KindPark/Wake mark a worker exhausting its blocktime budget between
-	// regions and being woken for the next one; Region is the awaited
-	// generation.
+	// KindPark/Wake bracket a thread's blocked wait once its blocktime
+	// budget is spent: a worker's between regions (Region 0) or a task
+	// wait's inside its region (Region that region's id).
 	KindPark
 	KindWake
 
@@ -103,10 +106,11 @@ func (k Kind) String() string {
 // Event is one timestamped trace record. Events are fixed-size (32 bytes)
 // so a ring's storage is a single flat allocation.
 type Event struct {
-	// TS is nanoseconds since the tracer was created (monotonic clock).
+	// TS is nanoseconds on the runtime's observer clock, which Data.Start
+	// anchors (monotonic); the profiler folds the same stamps.
 	TS int64
-	// Arg is the kind-specific payload (team size, chunk iterations,
-	// steal victim); zero when the kind carries none.
+	// Arg is the kind-specific payload (team size, barrier kind, packed
+	// chunk or steal fields); zero when the kind carries none.
 	Arg int64
 	// Region is the parallel-region id the event belongs to (the runtime's
 	// global region counter, shared by every nesting level so inner regions
@@ -161,15 +165,7 @@ func StealArg(victim, batch int, loc StealLocality) int64 {
 func (e Event) StealVictim() int { return int(e.Arg & 0xffff) }
 
 // StealBatch returns how many tasks a KindTaskSteal event transferred.
-// Events written before batch stealing carried only the victim id; their
-// zero batch field decodes as 1 (one event was one stolen task).
-func (e Event) StealBatch() int {
-	b := int(e.Arg >> 16 & 0xffff)
-	if b == 0 {
-		b = 1
-	}
-	return b
-}
+func (e Event) StealBatch() int { return int(e.Arg >> 16 & 0xffff) }
 
 // StealLocality returns the NUMA-locality class of a KindTaskSteal event.
 func (e Event) StealLocality() StealLocality {
@@ -179,6 +175,30 @@ func (e Event) StealLocality() StealLocality {
 	}
 	return l
 }
+
+// Field bounds of ChunkArg: iterations saturate at chunkMaxIters, the
+// claim span at chunkMaxClaim ns (about 2.1 s).
+const (
+	chunkMaxIters = 1<<32 - 1
+	chunkMaxClaim = 1<<31 - 1
+)
+
+// ChunkArg packs a KindChunk payload into Event.Arg: the iteration count in
+// bits 0–31 and the claim's span in nanoseconds in bits 32–62, each
+// saturating at its field's maximum rather than wrapping; negative values
+// read as zero. Decoded by Event.ChunkIters and ClaimNS.
+func ChunkArg(iters int, claimNS int64) int64 {
+	return min(max(int64(iters), 0), chunkMaxIters) | min(max(claimNS, 0), chunkMaxClaim)<<32
+}
+
+// ChunkIters returns the iterations a KindChunk event handed out, zero for a
+// claim that found its loop exhausted.
+func (e Event) ChunkIters() int { return int(e.Arg & chunkMaxIters) }
+
+// ClaimNS returns the span of the claim a KindChunk event closed: the
+// scheduling time since the thread's previous chunk body, zero for a static
+// chunk, which is computed rather than claimed.
+func (e Event) ClaimNS() int64 { return e.Arg >> 32 }
 
 // cacheLine is the padding granularity separating independently written hot
 // words, matching the openmp package's layout convention.
@@ -217,24 +237,25 @@ const MaxBufferSize = 1 << 24
 // its own ring with NewRing; a ring is allocated whole when it is handed
 // out, so Emit never allocates.
 type Tracer struct {
-	start time.Time
-	size  int // events per ring, a power of two
+	start time.Time // zero of the event stamps
+	size  int       // events per ring, a power of two
 
 	mu    sync.Mutex // guards rings: NewRing may race a drain
 	rings []*Ring
 }
 
 // New returns a tracer whose rings hold eventsPerThread events each,
-// rounded up to a power of two; 0 or less means DefaultBufferSize, more
-// than MaxBufferSize is an error.
-func New(eventsPerThread int) (*Tracer, error) {
+// rounded up to a power of two, and whose events are stamped in
+// nanoseconds since start; 0 or less means DefaultBufferSize, more than
+// MaxBufferSize is an error.
+func New(eventsPerThread int, start time.Time) (*Tracer, error) {
 	if eventsPerThread <= 0 {
 		eventsPerThread = DefaultBufferSize
 	}
 	if eventsPerThread > MaxBufferSize {
 		return nil, fmt.Errorf("trace: ring capacity %d events exceeds the maximum %d", eventsPerThread, MaxBufferSize)
 	}
-	return &Tracer{start: time.Now(), size: 1 << bits.Len(uint(eventsPerThread-1))}, nil
+	return &Tracer{start: start, size: 1 << bits.Len(uint(eventsPerThread-1))}, nil
 }
 
 // NewRing allocates a ring for one producing thread. Rings are numbered in
@@ -254,23 +275,17 @@ func (t *Tracer) snapshot() []*Ring {
 	return t.rings
 }
 
-// Emit records one event on ring r, stamped with the nesting level of the
-// emitting region. It is allocation-free and never blocks; events emitted
-// while the ring is full are dropped and counted. Only r's own thread may
-// call it (the single producer of its ring).
-func (t *Tracer) Emit(r *Ring, level int, k Kind, region uint64, arg int64) {
+// Emit records one event, stamped by the caller, on the ring. It is
+// allocation-free and never blocks; events emitted while the ring is full
+// are dropped and counted. Only the ring's own thread may call it (its
+// single producer).
+func (r *Ring) Emit(e Event) {
 	head := r.head.Load()
 	if head-r.tail.Load() >= uint64(len(r.buf)) {
 		r.dropped.Add(1)
 		return
 	}
-	r.buf[head&r.mask] = Event{
-		TS:     int64(time.Since(t.start)),
-		Arg:    arg,
-		Region: region,
-		Kind:   k,
-		Level:  uint8(level),
-	}
+	r.buf[head&r.mask] = e
 	r.head.Store(head + 1) // release: publishes the slot to the consumer
 }
 

@@ -17,7 +17,7 @@ func TestRingWrapAround(t *testing.T) {
 	capacity := len(r.buf)
 	total := 3 * capacity
 	for i := 0; i < total; i++ {
-		tr.Emit(r, 0, KindChunk, 1, int64(i))
+		r.Emit(Event{Region: 1, Kind: KindChunk, Arg: int64(i)})
 	}
 	evs := tr.DrainAppend(nil)
 	if len(evs) != capacity {
@@ -32,7 +32,7 @@ func TestRingWrapAround(t *testing.T) {
 		t.Errorf("Dropped() = %d, want %d", got, want)
 	}
 	// After a drain the ring accepts new events again.
-	tr.Emit(r, 0, KindChunk, 2, 99)
+	r.Emit(Event{Region: 2, Kind: KindChunk, Arg: 99})
 	if evs := tr.DrainAppend(nil); len(evs) != 1 || evs[0].Arg != 99 {
 		t.Errorf("post-drain emit: drained %v, want one event with arg 99", evs)
 	}
@@ -52,7 +52,7 @@ func TestRingConcurrentFillDrain(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perThread; i++ {
-				tr.Emit(r, 0, KindChunk, uint64(tid), int64(i))
+				r.Emit(Event{Region: uint64(tid), Kind: KindChunk, Arg: int64(i)})
 			}
 		}()
 	}
@@ -99,16 +99,16 @@ func synthetic() Data {
 		mk(100, 0, KindRegionFork, 2),
 		mk(110, 0, KindImplicitBegin, 0),
 		mk(120, 1, KindImplicitBegin, 0),
-		mk(130, 0, KindChunk, 50),
-		mk(140, 1, KindChunk, 50),
+		mk(130, 0, KindChunk, ChunkArg(50, 0)),
+		mk(140, 1, KindChunk, ChunkArg(50, 0)),
 		mk(150, 0, KindTaskCreate, 0),
-		mk(200, 1, KindTaskSteal, 0),
+		mk(200, 1, KindTaskSteal, StealArg(0, 1, StealLocalityUnknown)),
 		mk(210, 1, KindTaskBegin, 0),
 		mk(400, 1, KindTaskEnd, 0),
-		mk(500, 0, KindBarrierEnter, 0), // tid 0 arrives first
-		mk(800, 1, KindBarrierEnter, 0), // tid 1 arrives 300ns later
-		mk(900, 0, KindBarrierLeave, 0), // tid 0 waited 400ns
-		mk(910, 1, KindBarrierLeave, 0), // tid 1 waited 110ns
+		mk(500, 0, KindBarrierEnter, 0), // tid 0 arrives first: 600ns before the join
+		mk(800, 1, KindBarrierEnter, 0), // tid 1 arrives 300ns later: 300ns before it
+		mk(900, 0, KindBarrierLeave, 0),
+		mk(910, 1, KindBarrierLeave, 0),
 		mk(950, 1, KindImplicitEnd, 0),
 		mk(960, 0, KindImplicitEnd, 0),
 		mk(1100, 0, KindRegionJoin, 0),
@@ -128,13 +128,16 @@ func TestSummarizeDerivedMetrics(t *testing.T) {
 	if m.WallNS != 1000 {
 		t.Errorf("wall = %dns, want 1000ns", m.WallNS)
 	}
-	if m.BarrierNS() != 510 { // 400 + 110
-		t.Errorf("barrier wait = %dns, want 510ns", m.BarrierNS())
+	if m.BarrierNS() != 900 || m.FinalBarNS != 900 { // 600 + 300: join − arrival
+		t.Errorf("barrier wait = %dns (final %dns), want 900ns, all final", m.BarrierNS(), m.FinalBarNS)
+	}
+	if m.Samples != 2 || m.BusyNS != 1070 || m.MaxBusyNS != 680 { // 500−110 and 800−120
+		t.Errorf("samples/busy/max busy = %d/%d/%d, want 2/1070/680", m.Samples, m.BusyNS, m.MaxBusyNS)
 	}
 	if m.ImbalanceNS != 300 {
 		t.Errorf("imbalance = %dns, want 300ns (800-500)", m.ImbalanceNS)
 	}
-	wantShare := 510.0 / 2000.0
+	wantShare := 900.0 / 2000.0
 	if diff := m.WaitShare - wantShare; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("wait share = %v, want %v", m.WaitShare, wantShare)
 	}
@@ -150,7 +153,7 @@ func TestSummarizeDerivedMetrics(t *testing.T) {
 	out := s.String()
 	if !strings.Contains(out, "summary: regions=1") ||
 		!strings.Contains(out, "tasks_stolen=1") ||
-		!strings.Contains(out, "barrier_wait_ns=510") {
+		!strings.Contains(out, "barrier_wait_ns=900") {
 		t.Errorf("summary text missing machine line fields:\n%s", out)
 	}
 }
@@ -276,11 +279,9 @@ func TestValidateChromeRejects(t *testing.T) {
 func TestCollectSortsByTimestamp(t *testing.T) {
 	tr := mustNew(t, 16)
 	r0, r1 := tr.NewRing(), tr.NewRing()
-	tr.Emit(r0, 0, KindChunk, 1, 0)
-	time.Sleep(time.Millisecond)
-	tr.Emit(r1, 0, KindChunk, 1, 1)
-	time.Sleep(time.Millisecond)
-	tr.Emit(r0, 0, KindChunk, 1, 2)
+	r0.Emit(Event{TS: 10, Region: 1, Kind: KindChunk, Arg: 0})
+	r1.Emit(Event{TS: 20, Region: 1, Kind: KindChunk, Arg: 1})
+	r0.Emit(Event{TS: 30, Region: 1, Kind: KindChunk, Arg: 2})
 	d := tr.Collect()
 	if len(d.Events) != 3 {
 		t.Fatalf("collected %d events, want 3", len(d.Events))
@@ -303,7 +304,7 @@ func TestCollectSortsByTimestamp(t *testing.T) {
 // mustNew is New for capacities the test knows are valid.
 func mustNew(t testing.TB, eventsPerThread int) *Tracer {
 	t.Helper()
-	tr, err := New(eventsPerThread)
+	tr, err := New(eventsPerThread, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,12 +316,12 @@ func mustNew(t testing.TB, eventsPerThread int) *Tracer {
 // are not.
 func TestNewRejectsHugeRings(t *testing.T) {
 	for _, n := range []int{MaxBufferSize + 1, 1<<62 + 1, math.MaxInt} {
-		if _, err := New(n); err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
+		if _, err := New(n, time.Time{}); err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
 			t.Errorf("New(%d): err = %v, want the maximum-capacity error", n, err)
 		}
 	}
 	for n, want := range map[int]int{0: DefaultBufferSize, -1: DefaultBufferSize, 5: 8, MaxBufferSize: MaxBufferSize} {
-		tr, err := New(n)
+		tr, err := New(n, time.Time{})
 		if err != nil {
 			t.Fatalf("New(%d): %v", n, err)
 		}
@@ -339,6 +340,48 @@ func BenchmarkEmit(b *testing.B) {
 		if i&(1<<19-1) == 0 {
 			r.tail.Store(r.head.Load()) // keep the ring from filling
 		}
-		tr.Emit(r, 0, KindChunk, 1, int64(i))
+		r.Emit(Event{TS: int64(i), Region: 1, Kind: KindChunk, Arg: int64(i)})
+	}
+}
+
+// TestStealArgRoundTrip packs each StealArg field at its bounds and decodes
+// it back unchanged.
+func TestStealArgRoundTrip(t *testing.T) {
+	for _, victim := range []int{0, 1, 0xffff} {
+		for _, batch := range []int{1, 32, 0xffff} {
+			for _, loc := range []StealLocality{StealLocalityUnknown, StealLocalityLocal, StealLocalityRemote} {
+				e := Event{Kind: KindTaskSteal, Arg: StealArg(victim, batch, loc)}
+				if e.StealVictim() != victim || e.StealBatch() != batch || e.StealLocality() != loc {
+					t.Errorf("StealArg(%d, %d, %v) decodes as %d, %d, %v",
+						victim, batch, loc, e.StealVictim(), e.StealBatch(), e.StealLocality())
+				}
+			}
+		}
+	}
+}
+
+// TestChunkArgRoundTrip packs iteration counts and claim spans at and past
+// their field bounds: in range they decode unchanged, past it they saturate
+// (negative ones read zero), and neither field spills into the other.
+func TestChunkArgRoundTrip(t *testing.T) {
+	const maxIters, maxClaim = 1<<32 - 1, 1<<31 - 1
+	for _, c := range []struct {
+		iters, wantIters int
+		claim, wantClaim int64
+	}{
+		{0, 0, 0, 0},
+		{1, 1, 1, 1},
+		{maxIters, maxIters, maxClaim, maxClaim},
+		{maxIters + 1, maxIters, maxClaim + 1, maxClaim},
+		{math.MaxInt, maxIters, math.MaxInt64, maxClaim},
+		{-1, 0, -1, 0},
+		{maxIters, maxIters, 0, 0},
+		{0, 0, maxClaim, maxClaim},
+	} {
+		e := Event{Kind: KindChunk, Arg: ChunkArg(c.iters, c.claim)}
+		if e.ChunkIters() != c.wantIters || e.ClaimNS() != c.wantClaim || e.Arg < 0 {
+			t.Errorf("ChunkArg(%d, %d) = %#x decodes as %d iterations, %d ns; want %d, %d",
+				c.iters, c.claim, e.Arg, e.ChunkIters(), e.ClaimNS(), c.wantIters, c.wantClaim)
+		}
 	}
 }

@@ -49,7 +49,12 @@ func TestTraceCapturesRegionEvents(t *testing.T) {
 	}
 
 	counts := map[trace.Kind]int{}
+	exhausted := 0 // claims that found the loop empty: scheduling time, no chunk
 	for _, e := range d.Events {
+		if e.Kind == trace.KindChunk && e.ChunkIters() == 0 {
+			exhausted++
+			continue
+		}
 		counts[e.Kind]++
 	}
 	if counts[trace.KindRegionFork] != 1 || counts[trace.KindRegionJoin] != 1 {
@@ -61,8 +66,8 @@ func TestTraceCapturesRegionEvents(t *testing.T) {
 	}
 	// 64 iters / chunk 4 = 16 chunks; each thread also passes the explicit
 	// barrier, the loop's implicit barrier, and the end-of-region barrier.
-	if counts[trace.KindChunk] != 16 {
-		t.Errorf("chunks = %d, want 16", counts[trace.KindChunk])
+	if counts[trace.KindChunk] != 16 || exhausted != 4 {
+		t.Errorf("chunks = %d, exhausted claims = %d, want 16 and one per thread", counts[trace.KindChunk], exhausted)
 	}
 	if counts[trace.KindBarrierEnter] != 12 || counts[trace.KindBarrierLeave] != 12 {
 		t.Errorf("barrier enter/leave = %d/%d, want 12/12",
