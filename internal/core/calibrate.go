@@ -129,7 +129,7 @@ func Calibrate(ref, alt Evaluator, opt CalibrationOptions) (*CalibrationReport, 
 			if failed != nil {
 				return math.NaN()
 			}
-			sec, _, _, err := p.mean(&cfg, "", 0)
+			sec, _, _, err := p.mean(&cfg, p.pos(&cfg), "", 0)
 			failed = err
 			return sec
 		}

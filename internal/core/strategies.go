@@ -41,25 +41,38 @@ func (r *lcgRand) float() float64 { return float64(r.next()) / (1 << 31) }
 // Tune loop.
 const greedyPasses = 4
 
-// coordinate is one variable the descents move along: its name and the
-// spellings of its swept domain on the search's machine. A move assigns the
-// k-th value by index (env.Config.SetIndex); the spelling only labels the
-// step.
+// coordinate is one variable the descents move along: its name, the
+// spellings of its swept domain on the search's machine and its stride in
+// the study space. A move assigns the k-th value by index
+// (env.Config.SetIndex); the spelling only labels the step.
 type coordinate struct {
-	v    env.VarName
-	vals []string
+	v      env.VarName
+	vals   []string
+	stride int
 }
 
-// coordinates returns s.order's coordinates, resolved on first use: a search
-// spells each domain once.
+// coordinates returns s.order's coordinates, resolved on first use (after
+// init): a search spells each domain once.
 func (s *searchState) coordinates() []coordinate {
 	if s.coords == nil {
 		s.coords = make([]coordinate, len(s.order))
 		for i, v := range s.order {
-			s.coords[i] = coordinate{v, env.Values(s.spec.Machine, v)}
+			s.coords[i] = coordinate{v, env.Values(s.spec.Machine, v), s.prob.blk.space.stride(v)}
 		}
 	}
 	return s.coords
+}
+
+// moved returns the study-space position of cand, the configuration at
+// position pos with coordinate c moved from index at to k: carried from pos
+// by c's stride, so a descent probe scans no domain, or looked up when the
+// configuration moved from lies outside the space (pos -1), which cand may
+// not.
+func (s *searchState) moved(pos int, c coordinate, at, k int, cand *env.Config) int {
+	if pos < 0 {
+		return s.prob.pos(cand)
+	}
+	return pos + (k-at)*c.stride
 }
 
 // movesFrom decides once which moves from start give a configuration
@@ -85,10 +98,12 @@ func (s *searchState) movesFrom(start env.Config) (all bool, only env.VarName) {
 // pass without improvement, a spent budget, or greedyPasses passes. Global
 // best-so-far tracking rides inside probe; cur tracks the local incumbent,
 // which for a descent started at the global best makes the two identical —
-// the pre-seam Tune semantics.
+// the pre-seam Tune semantics. The descent derives cur's position once and
+// carries it from move to move.
 func (s *searchState) descend(cur env.Config, curSec float64) (env.Config, float64) {
 	m := s.spec.Machine
 	all, only := s.movesFrom(cur)
+	pos := s.prob.pos(&cur)
 	for pass := 0; pass < greedyPasses; pass++ {
 		improved := false
 		for _, c := range s.coordinates() {
@@ -104,8 +119,9 @@ func (s *searchState) descend(cur env.Config, curSec float64) (env.Config, float
 					return cur, curSec
 				}
 				cand := cur.SetIndex(m, c.v, k)
-				if t := s.probe(cand, string(c.v), val); t < curSec {
-					cur, curSec, at = cand, t, k
+				candPos := s.moved(pos, c, at, k, &cand)
+				if t := s.probe(cand, candPos, string(c.v), val); t < curSec {
+					cur, pos, curSec, at = cand, candPos, t, k
 					improved, all = true, true
 				}
 			}
@@ -187,12 +203,14 @@ func (annealSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResult
 		m := spec.Machine
 		coords := s.coordinates()
 		cur, curSec := s.res.Best, s.res.BestSeconds
+		pos := s.prob.pos(&cur)
 		all, only := s.movesFrom(cur)
 		misses := 0
 		for !s.exhausted() {
 			c := coords[rng.intn(len(coords))]
 			k := rng.intn(len(c.vals))
-			if cur.Index(m, c.v) == k || !all && c.v != only {
+			at := cur.Index(m, c.v)
+			if at == k || !all && c.v != only {
 				// Degenerate corner guard: a lattice point with no drawable
 				// valid neighbor would otherwise spin without spending budget.
 				if misses++; misses > 64 {
@@ -202,14 +220,15 @@ func (annealSearcher) Search(ctx context.Context, spec SearchSpec) (SearchResult
 			}
 			misses = 0
 			cand := cur.SetIndex(m, c.v, k)
-			t := s.probe(cand, string(c.v), c.vals[k])
+			candPos := s.moved(pos, c, at, k, &cand)
+			t := s.probe(cand, candPos, string(c.v), c.vals[k])
 			if t < curSec {
-				cur, curSec, all = cand, t, true
+				cur, pos, curSec, all = cand, candPos, t, true
 				continue
 			}
 			temp := annealT0 * math.Pow(annealT1/annealT0, s.progress())
 			if rel := (t - curSec) / curSec; rng.float() < math.Exp(-rel/temp) {
-				cur, curSec, all = cand, t, true
+				cur, pos, curSec, all = cand, candPos, t, true
 			}
 		}
 	})

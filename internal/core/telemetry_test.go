@@ -625,8 +625,9 @@ func TestTelemetrySinkWriteFailure(t *testing.T) {
 				}
 				redirect(led.tel, w, errw)
 				s.init()
+				def := env.Default(m)
 				for i := 0; i < 2; i++ {
-					s.probe(env.Default(m), "x", "y")
+					s.probe(def, s.prob.pos(&def), "x", "y")
 				}
 				led.finish(nil)
 			}},
