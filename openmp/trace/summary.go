@@ -71,16 +71,33 @@ type LevelMetrics struct {
 	TotalWall time.Duration `json:"total_wall_ns"`
 }
 
+// Folds reports whether Step folds anything of an event of kind k carrying
+// arg. It is Step's gate, and the runtime's hooks hand the profiler only the
+// events it passes: the end-of-region barrier's leave and the implicit-task
+// end, which a worker stamps after its primary may have folded the slot,
+// task begin and the region fork and join fold nothing.
+func Folds(k Kind, arg int64) bool {
+	switch k {
+	case KindImplicitBegin, KindBarrierEnter, KindChunk, KindTaskCreate, KindTaskEnd, KindTaskSteal, KindPark, KindWake:
+		return true
+	case KindBarrierLeave:
+		return arg != 0
+	}
+	return false
+}
+
 // Step applies one event of a thread to its profile slot: the one rule by
 // which both sensors fold events, online by the runtime's hooks and over
 // drained rings by Summarize. An implicit-task begin stamps the slot for
 // its region; an event of another region or of none (a worker's park
-// between regions) leaves the slot alone, and so do the end-of-region
-// barrier's leave and the implicit-task end, which a worker stamps after
-// its primary may have folded the slot. An explicit barrier's wait is its
-// enter to its leave; the end-of-region barrier's enter is the thread's
-// arrival, whose wait the fold takes up to the join.
+// between regions) leaves the slot alone, and so does every event Folds
+// rejects. An explicit barrier's wait is its enter to its leave; the
+// end-of-region barrier's enter is the thread's arrival, whose wait the
+// fold takes up to the join.
 func Step(sc *profile.Scratch, e Event) {
+	if !Folds(e.Kind, e.Arg) {
+		return
+	}
 	if e.Kind == KindImplicitBegin {
 		*sc = profile.Scratch{Region: e.Region, StartNS: e.TS}
 		return
@@ -97,7 +114,7 @@ func Step(sc *profile.Scratch, e Event) {
 			sc.EnterNS, sc.Entered = e.TS, true
 		}
 	case KindBarrierLeave:
-		if e.Arg != 0 && sc.Entered {
+		if sc.Entered {
 			s.ExplicitBarNS += e.TS - sc.EnterNS
 			sc.Entered = false
 		}
