@@ -80,13 +80,14 @@ fuzz:
 # problem bound once), one logistic fit of an influence-heatmap row
 # (50,000 x 10), one fit of the surrogate search's regression forest (300 x 7,
 # 12 trees), one write and one read of a 20,000-row dataset CSV, one
-# report pass over the facade's 24,497-sample dataset and one call of each
+# report pass over the facade's 24,497-sample dataset, its frame alone and
+# each of its three influence heatmaps alone, and one call of each
 # study kernel at its benchmark scale (inputs and workspace built), with
 # their allocation counts.
 BENCH ?= .
 bench:
 	$(GO) test ./openmp -run '^$$' -bench '$(BENCH)' -benchtime=300ms -count=5 -benchmem
-	$(GO) test . ./internal/core ./internal/sim ./internal/ml ./internal/dataset ./internal/apps -run '^$$' -bench 'TableII_SweepThroughput|PlanUnits|EnvConfigKey|Search|Evaluate|BoundSeries|FitLogistic|FitRegForest|WriteCSV|ReadCSV|WriteReport|Kernel' -benchtime=300ms -count=5 -benchmem
+	$(GO) test . ./internal/core ./internal/sim ./internal/ml ./internal/dataset ./internal/apps -run '^$$' -bench 'TableII_SweepThroughput|PlanUnits|EnvConfigKey|Search|Evaluate|BoundSeries|FitLogistic|FitRegForest|WriteCSV|ReadCSV|WriteReport|NewFrame|InfluenceHeatmap|Kernel' -benchtime=300ms -count=5 -benchmem
 
 # bench-record runs one untraced 20 s pass of a benchmark workload and appends
 # one JSON line to BENCH_<workload>.json (OUT overrides the file): the workload

@@ -2,7 +2,8 @@ package omptune
 
 // Campaign-side microbenchmarks that `make bench` runs beside the runtime's:
 // the model sweep's sample throughput, the configuration-key cost behind
-// it, and one report pass over the facade dataset. Tables and figures over
+// it, and one report pass over the facade dataset with two of its layers
+// alone: the frame and each influence heatmap. Tables and figures over
 // the full campaign are timed end to end by the benchmark/ module's
 // paper_pipeline workload.
 
@@ -10,7 +11,9 @@ import (
 	"io"
 	"testing"
 
+	"omptune/internal/core"
 	"omptune/internal/env"
+	"omptune/internal/ml"
 	"omptune/internal/topology"
 )
 
@@ -63,5 +66,37 @@ func BenchmarkWriteReport(b *testing.B) {
 		if err := WriteReport(io.Discard, ds); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNewFrame times building the report's frame — its groups, runs,
+// speedup and configuration-id columns and per-configuration value ids —
+// over the facade test dataset.
+func BenchmarkNewFrame(b *testing.B) {
+	ds := facadeDS(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.NewFrame(ds)
+	}
+}
+
+// BenchmarkInfluenceHeatmap times one influence heatmap of each grouping —
+// its rows, design matrix and logistic fits — over a frame of the facade
+// test dataset built once.
+func BenchmarkInfluenceHeatmap(b *testing.B) {
+	f := core.NewFrame(facadeDS(b))
+	for _, g := range []struct {
+		name string
+		g    core.Grouping
+	}{{"PerApp", core.PerApp}, {"PerArch", core.PerArch}, {"PerArchApp", core.PerArchApp}} {
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.InfluenceHeatmap(g.g, ml.LogisticOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

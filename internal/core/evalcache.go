@@ -228,12 +228,19 @@ type boundProblem struct {
 // bindProblem resolves app on m at set under ev against c.
 func (c *EvalCache) bindProblem(ev Evaluator, m *topology.Machine, app *apps.App, set sim.Setting) boundProblem {
 	p := boundProblem{cache: c, blk: c.block(m, app, set, ev.Name()), ps: bindSeries(ev, m, app, set)}
+	p.readSeeds(m)
+	return p
+}
+
+// readSeeds has a problem the model answers on m read its seeds from m's
+// machine table, if a use has built it: at bind, and again when the holder
+// builds the table itself after binding.
+func (p *boundProblem) readSeeds(m *topology.Machine) {
 	if p.ps.model {
 		if t := machineTables.built(m); t != nil {
 			p.hashes = t.hashes
 		}
 	}
-	return p
 }
 
 // pos returns cfg's position in the problem's study space, -1 for none: the

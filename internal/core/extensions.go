@@ -38,9 +38,10 @@ type ModelComparison struct {
 func CompareModels(ds *dataset.Dataset, g Grouping, logOpt ml.LogisticOptions, treeOpt ml.TreeOptions, nTrees int) ([]ModelComparison, error) {
 	f := NewFrame(ds)
 	labels, sels := f.rows(g)
+	d := newDesign(g, sels...)
 	var out []ModelComparison
 	for i, label := range labels {
-		x, y := f.design(sels[i], g)
+		x, y := f.design(d, sels[i], g)
 		mc := ModelComparison{Group: label, Samples: len(x), MajorityAcc: majorityAccuracy(y)}
 		if hasBothClasses(y) {
 			lm, err := ml.FitLogistic(x, y, logOpt)
@@ -112,8 +113,8 @@ func Transfer(ds *dataset.Dataset, app string, treeOpt ml.TreeOptions, nTrees in
 		}
 		// PerArchApp's columns are the base features alone: no architecture
 		// code, whose held-out value the model would never have seen.
-		xTr, yTr := f.design(train, PerArchApp)
-		xTe, yTe := f.design(test, PerArchApp)
+		xTr, yTr := f.design(newDesign(PerArchApp, train), train, PerArchApp)
+		xTe, yTe := f.design(newDesign(PerArchApp, test), test, PerArchApp)
 		row := TransferRow{App: app, HeldOut: held, Majority: majorityAccuracy(yTe)}
 		if hasBothClasses(yTr) {
 			fm, err := ml.FitForest(xTr, yTr, nTrees, treeOpt)

@@ -111,10 +111,13 @@ func tiedInterleaved() *dataset.Dataset {
 // sameLifts reports whether the frame's lifts of variable position k equal
 // the oracle's: every value the oracle lists at the same bits, every other
 // value at 0.
-func sameLifts(t *testing.T, what string, f *Frame, got [][]float64, want map[env.VarName]map[string]float64) {
+func sameLifts(t *testing.T, what string, f *Frame, got []float64, want map[env.VarName]map[string]float64) {
 	t.Helper()
+	if len(got) != f.base[len(f.names)] {
+		t.Errorf("%s: %d lifts, the frame has %d values", what, len(got), f.base[len(f.names)])
+	}
 	for k, v := range env.Names() {
-		for id, lift := range got[k] {
+		for id, lift := range f.liftsOf(got, k) {
 			val := f.names[k][id]
 			w, ok := want[v][val]
 			if !ok {
@@ -209,8 +212,9 @@ func TestFrameDesignMatchesSamples(t *testing.T) {
 	apps := ds.Apps()
 	for _, g := range []Grouping{PerArchApp, PerApp, PerArch} {
 		labels, sels := f.rows(g)
+		d := newDesign(g, sels...)
 		for k, label := range labels {
-			x, y := f.design(sels[k], g)
+			x, y := f.design(d, sels[k], g)
 			want := ds.Where(func(grp *dataset.Group) bool { return g.label(grp) == label })
 			if len(x) != want.Len() {
 				t.Fatalf("grouping %d row %s: %d rows, Where keeps %d", g, label, len(x), want.Len())

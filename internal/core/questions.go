@@ -41,10 +41,10 @@ func (f *Frame) Q2Consistency() []Q2Row {
 				v    env.VarName
 				lift float64
 			}
-			var ranked []vl
-			for k, v := range env.Names() {
+			ranked := make([]vl, 0, len(tableFeatures))
+			for k, v := range tableFeatures {
 				best := 0.0
-				for _, l := range lifts[k] {
+				for _, l := range f.liftsOf(lifts, k) {
 					if l > best {
 						best = l
 					}
@@ -52,10 +52,12 @@ func (f *Frame) Q2Consistency() []Q2Row {
 				ranked = append(ranked, vl{v, best})
 			}
 			sort.Slice(ranked, func(i, j int) bool { return ranked[i].lift > ranked[j].lift })
+			top := make([]env.VarName, 0, 2)
 			for k := 0; k < 2 && k < len(ranked); k++ {
-				row.PerArchTop[arch] = append(row.PerArchTop[arch], ranked[k].v)
+				top = append(top, ranked[k].v)
 				union[ranked[k].v]++
 			}
+			row.PerArchTop[arch] = top
 		}
 		inter := 0
 		for v, c := range union {

@@ -216,11 +216,14 @@ func newSearchState(ctx context.Context, strategy string, spec SearchSpec, led *
 // table returns the candidate pool of the space-sampling strategies: the
 // machine's shared table of env.Space, or a table of spec's Space built for
 // this search. It is resolved on first use, because the descents (greedy,
-// anneal) never sample the pool.
+// anneal) never sample the pool. Once the machine's table is there, the
+// search's problem reads its seeds from it (restart descends before its
+// first table call).
 func (s *searchState) table() *configTable {
 	if s.tab == nil {
 		if len(s.spec.Space) == 0 {
 			s.tab = machineTable(s.spec.Machine)
+			s.prob.readSeeds(s.spec.Machine)
 		} else {
 			s.tab = newConfigTable(s.spec.Space, env.Default(s.spec.Machine))
 			s.tab.aliasRepeats()

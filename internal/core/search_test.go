@@ -765,6 +765,29 @@ func TestSearchProbeNoObserverAllocs(t *testing.T) {
 	}
 }
 
+// TestSearchReadsSeedsOfTheTableItBuilds: a search bound before any use
+// built its machine's table reads no seeds at bind, and reads the table's
+// once its own first table call builds it, so that the misses after it
+// (restart's later descents) hash no key.
+func TestSearchReadsSeedsOfTheTableItBuilds(t *testing.T) {
+	m, app, set := searchApp(t, topology.A64FX, "Nqueens")
+	forgetTables()
+	s, err := newSearchState(context.Background(), "restart", SearchSpec{Machine: m, App: app, Setting: set}, newReporter(nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.init(); err != nil {
+		t.Fatal(err)
+	}
+	if s.prob.hashes != nil {
+		t.Fatal("the problem reads seeds before any use built the machine's table")
+	}
+	tab := s.table()
+	if len(s.prob.hashes) != len(tab.hashes) || &s.prob.hashes[0] != &tab.hashes[0] {
+		t.Fatal("the problem reads no seeds from the machine table its search built")
+	}
+}
+
 // searchFixedAllocs is what a whole search of Nqueens on a64fx on the model
 // backend allocates whatever its budget, trajectory growth aside. Random
 // makes 10: the eval cache (2), the problem's block (5: the block, its

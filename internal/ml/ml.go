@@ -31,7 +31,8 @@ func FitStandardizer(x [][]float64) (*Standardizer, error) {
 		return nil, err
 	}
 	cols := len(x[0])
-	s := &Standardizer{Mean: make([]float64, cols), Std: make([]float64, cols)}
+	ms := make([]float64, 2*cols)
+	s := &Standardizer{Mean: ms[:cols:cols], Std: ms[cols:]}
 	for _, row := range x {
 		for j, v := range row {
 			s.Mean[j] += v
@@ -116,13 +117,28 @@ const maxPasses = 100
 // Labels are booleans ("optimal" vs "sub-optimal" in the study). A negative
 // penalty is refused.
 func FitLogistic(x [][]float64, y []bool, opt LogisticOptions) (*LogisticModel, error) {
-	m, _, err := fitLogistic(x, y, opt, maxPasses)
+	return new(LogisticFitter).FitLogistic(x, y, opt)
+}
+
+// A LogisticFitter runs one fit after another on one block of scratch,
+// grown to the largest fit so far: its first fit is FitLogistic's, and a
+// later fit no larger allocates only its model. The zero value is ready to
+// use; a fitter is not safe for concurrent use.
+type LogisticFitter struct {
+	block []float64
+	d     fit
+}
+
+// FitLogistic is FitLogistic on the fitter's block. The model it returns
+// shares nothing with the block.
+func (lf *LogisticFitter) FitLogistic(x [][]float64, y []bool, opt LogisticOptions) (*LogisticModel, error) {
+	m, _, err := lf.fit(x, y, opt, maxPasses)
 	return m, err
 }
 
-// fitLogistic is FitLogistic with at most limit passes over the rows; it
-// also returns the passes the fit took.
-func fitLogistic(x [][]float64, y []bool, opt LogisticOptions, limit int) (*LogisticModel, int, error) {
+// fit is FitLogistic with at most limit passes over the rows; it also
+// returns the passes the fit took.
+func (lf *LogisticFitter) fit(x [][]float64, y []bool, opt LogisticOptions, limit int) (*LogisticModel, int, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, 0, errors.New("ml: bad training data")
 	}
@@ -136,7 +152,7 @@ func fitLogistic(x [][]float64, y []bool, opt LogisticOptions, limit int) (*Logi
 	if err != nil {
 		return nil, 0, err
 	}
-	d := newFit(x, y, scaler, opt.L2)
+	d := lf.newFit(x, y, scaler, opt.L2)
 	f, passes := d.pass(d.beta, d.g, d.h), 1
 	for {
 		if err := cholSolve(d.h, d.g, d.step, d.q); err != nil {
@@ -170,8 +186,8 @@ func fitLogistic(x [][]float64, y []bool, opt LogisticOptions, limit int) (*Logi
 	return &LogisticModel{Intercept: d.beta[0], Coef: slices.Clone(d.beta[1:]), Scaler: scaler}, passes, nil
 }
 
-// fit is one fit's rows and iterates, carved from one block: nothing is
-// allocated per pass. The coefficient vectors are (intercept, w).
+// fit is one fit's rows and iterates, carved from the fitter's block:
+// nothing is allocated per pass. The coefficient vectors are (intercept, w).
 type fit struct {
 	q  int       // 1 + the number of features
 	xs []float64 // row i is xs[i*q:][:q]: a 1, then the standardised features
@@ -183,10 +199,16 @@ type fit struct {
 	beta, g, h, cand, gc, hc, step []float64
 }
 
-func newFit(x [][]float64, y []bool, sc *Standardizer, l2 float64) *fit {
+func (lf *LogisticFitter) newFit(x [][]float64, y []bool, sc *Standardizer, l2 float64) *fit {
 	rows, q := len(x), len(sc.Mean)+1
-	block := make([]float64, rows*q+rows+2*q*q+5*q)
-	d := &fit{q: q, l2: l2}
+	need := rows*q + rows + 2*q*q + 5*q
+	if cap(lf.block) < need {
+		lf.block = make([]float64, need)
+	}
+	block := lf.block[:need]
+	clear(block)
+	d := &lf.d
+	*d = fit{q: q, l2: l2}
 	carve := func(n int) []float64 {
 		s := block[:n:n]
 		block = block[n:]
@@ -210,16 +232,47 @@ func newFit(x [][]float64, y []bool, sc *Standardizer, l2 float64) *fit {
 
 // pass walks the rows once at the model beta: it returns the objective and
 // writes its gradient to g and the lower triangle of its negated Hessian,
-// mean σ(z)σ(-z)·x·xᵀ plus the penalty, to h. Rows go in pairs, so each
-// Hessian cell is loaded and stored once per two rows; an odd last row is
-// paired with itself at zero weight.
+// mean σ(z)σ(-z)·x·xᵀ plus the penalty, to h. Rows go in fours, so each
+// Hessian cell is loaded and stored once per four rows; the four dot
+// products are independent chains. A cell takes its four products as
+// (h + pair01) + pair23, the roundings of two pairs in turn, so the sums are
+// those of a walk by pairs to the bit. The last n mod 4 rows go by pairs,
+// an odd last row paired with itself at zero weight.
 func (d *fit) pass(beta, g, h []float64) float64 {
 	q, n := d.q, len(d.ts)
 	beta, g = beta[:q], g[:q]
 	clear(g)
 	clear(h)
 	ll := 0.0
-	for i := 0; i < n; i += 2 {
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		r0 := d.xs[i*q:][:q]
+		r1 := d.xs[(i+1)*q:][:q]
+		r2 := d.xs[(i+2)*q:][:q]
+		r3 := d.xs[(i+3)*q:][:q]
+		z0, z1, z2, z3 := 0.0, 0.0, 0.0, 0.0
+		for j, b := range beta {
+			z0 += float64(b * r0[j])
+			z1 += float64(b * r1[j])
+			z2 += float64(b * r2[j])
+			z3 += float64(b * r3[j])
+		}
+		l0, e0, w0 := zTerms(z0, d.ts[i])
+		l1, e1, w1 := zTerms(z1, d.ts[i+1])
+		l2, e2, w2 := zTerms(z2, d.ts[i+2])
+		l3, e3, w3 := zTerms(z3, d.ts[i+3])
+		ll = (ll + (l0 + l1)) + (l2 + l3)
+		for j := range g {
+			g[j] = (g[j] + (float64(e0*r0[j]) + float64(e1*r1[j]))) + (float64(e2*r2[j]) + float64(e3*r3[j]))
+			u0, u1, u2, u3 := float64(w0*r0[j]), float64(w1*r1[j]), float64(w2*r2[j]), float64(w3*r3[j])
+			hj := h[j*q:][:j+1]
+			x0, x1, x2, x3 := r0[:len(hj)], r1[:len(hj)], r2[:len(hj)], r3[:len(hj)]
+			for k := range hj {
+				hj[k] = (hj[k] + (float64(u0*x0[k]) + float64(u1*x1[k]))) + (float64(u2*x2[k]) + float64(u3*x3[k]))
+			}
+		}
+	}
+	for ; i < n; i += 2 {
 		r0 := d.xs[i*q:][:q]
 		l0, e0, w0 := rowTerms(r0, d.ts[i], beta)
 		r1, l1, e1, w1 := r0, 0.0, 0.0, 0.0
@@ -260,6 +313,11 @@ func rowTerms(r []float64, t float64, beta []float64) (ll, e, wt float64) {
 	for j, v := range r {
 		z += float64(beta[j] * v)
 	}
+	return zTerms(z, t)
+}
+
+// zTerms is rowTerms given the row's z = beta·r.
+func zTerms(z, t float64) (ll, e, wt float64) {
 	a := math.Exp(-math.Abs(z))
 	c := 1 + a
 	// log σ(z) if t else log σ(-z), through a = e^-|z| in both; the weight

@@ -67,7 +67,7 @@ func assertConverged(t *testing.T, m *LogisticModel, x [][]float64, y []bool, l2
 func TestFitLogisticBits(t *testing.T) {
 	x, y := design(1003, 1)
 	for _, l2 := range []float64{0, 1e-2} {
-		m, passes, err := fitLogistic(x, y, LogisticOptions{L2: l2}, maxPasses)
+		m, passes, err := new(LogisticFitter).fit(x, y, LogisticOptions{L2: l2}, maxPasses)
 		if err != nil {
 			t.Fatalf("L2 %v: %v", l2, err)
 		}
@@ -91,11 +91,11 @@ func TestFitLogisticRefuses(t *testing.T) {
 			t.Errorf("L2 %v: model %+v, want an error", l2, m)
 		}
 	}
-	_, passes, err := fitLogistic(x, y, LogisticOptions{}, maxPasses)
+	_, passes, err := new(LogisticFitter).fit(x, y, LogisticOptions{}, maxPasses)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := fitLogistic(x, y, LogisticOptions{}, passes-1)
+	m, _, err := new(LogisticFitter).fit(x, y, LogisticOptions{}, passes-1)
 	const want = "did not converge"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("cap %d below the %d passes the fit takes: model %+v, error %v, want %q", passes-1, passes, m, err, want)
@@ -283,7 +283,7 @@ func TestInfluenceZeroModel(t *testing.T) {
 func TestFitLogisticAllocsConstant(t *testing.T) {
 	allocs := func(n int, l2 float64) (float64, int) {
 		x, y := design(n, 2)
-		_, passes, err := fitLogistic(x, y, LogisticOptions{L2: l2}, maxPasses)
+		_, passes, err := new(LogisticFitter).fit(x, y, LogisticOptions{L2: l2}, maxPasses)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,6 +45,11 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return quantileSorted(sorted, q)
+}
+
+// quantileSorted is Quantile of the ascending, non-empty sample sorted.
+func quantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]
 	}
@@ -71,14 +76,18 @@ type Description struct {
 	Q1, Q3           float64
 }
 
-// Describe computes the summary statistics of xs.
+// Describe computes the summary statistics of xs. It sorts one copy of xs
+// and reads the five quantiles from it.
 func Describe(xs []float64) Description {
-	return Description{
-		N:    len(xs),
-		Mean: Mean(xs), Std: StdDev(xs),
-		Min: Quantile(xs, 0), Median: Median(xs), Max: Quantile(xs, 1),
-		Q1: Quantile(xs, 0.25), Q3: Quantile(xs, 0.75),
+	d := Description{N: len(xs), Mean: Mean(xs), Std: StdDev(xs)}
+	if len(xs) == 0 {
+		return d
 	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	d.Min, d.Median, d.Max = quantileSorted(sorted, 0), quantileSorted(sorted, 0.5), quantileSorted(sorted, 1)
+	d.Q1, d.Q3 = quantileSorted(sorted, 0.25), quantileSorted(sorted, 0.75)
+	return d
 }
 
 // WilcoxonResult is the outcome of a Wilcoxon signed-rank test.
@@ -109,7 +118,7 @@ func Wilcoxon(a, b []float64) (WilcoxonResult, error) {
 		return WilcoxonResult{}, errors.New("stats: paired samples differ in length")
 	}
 	type diff struct{ abs, sign float64 }
-	var ds []diff
+	ds := make([]diff, 0, len(a))
 	for i := range a {
 		d := a[i] - b[i]
 		if d == 0 {

@@ -68,6 +68,28 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
+// Describe sorts once; its five quantiles are the bits of the five
+// Quantile calls, on empty, one- and two-point samples and on heavy ties.
+func TestDescribeMatchesQuantile(t *testing.T) {
+	ties := make([]float64, 101)
+	for i := range ties {
+		ties[i] = float64((i*37)%4) * 0.1
+	}
+	for _, xs := range [][]float64{nil, {3.5}, {2, -1}, ties, {0.3, 0.1, 0.2, 0.1, 0.3, 0.1, 0.7}} {
+		d := Describe(xs)
+		got := []float64{d.Min, d.Q1, d.Median, d.Q3, d.Max}
+		want := []float64{Quantile(xs, 0), Quantile(xs, 0.25), Median(xs), Quantile(xs, 0.75), Quantile(xs, 1)}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("n = %d: Describe quantile %d = %v, Quantile %v", len(xs), i, got[i], want[i])
+			}
+		}
+		if d.N != len(xs) || d.Mean != Mean(xs) || d.Std != StdDev(xs) {
+			t.Errorf("n = %d: Describe %+v, want N, Mean and Std of the sample", len(xs), d)
+		}
+	}
+}
+
 func TestWilcoxonIdenticalSamplesDegenerate(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	if _, err := Wilcoxon(a, a); err != ErrDegenerate {
