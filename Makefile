@@ -55,11 +55,11 @@ flake:
 # committed BENCH_*.json trajectories, the runtime's environment, the study's
 # variables (with the differential between the two), the CSV format, the
 # campaign records (core.Event) that ompanalyze -searchreport reads, the
-# sweep's checkpoint journal and manifest — and of internal/ml,
-# whose CART split kernel is held node-for-node to a frozen reference grower,
-# for 5 s each, seed corpora first.
+# sweep's checkpoint journal and manifest, the commands' numeric flags — and
+# of internal/ml, whose CART split kernel is held node-for-node to a frozen
+# reference grower, for 5 s each, seed corpora first.
 fuzz:
-	@for pkg in . ./openmp ./internal/env ./internal/dataset ./internal/core ./internal/ml; do \
+	@for pkg in . ./openmp ./internal/env ./internal/dataset ./internal/core ./internal/ml ./internal/numflag; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s $$pkg || exit 1; \
 		done; \

@@ -69,6 +69,7 @@ import (
 	"omptune/internal/dataset"
 	"omptune/internal/measure"
 	"omptune/internal/ml"
+	"omptune/internal/numflag"
 	"omptune/internal/report"
 	"omptune/internal/sim"
 	"omptune/internal/topology"
@@ -100,44 +101,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 		drill     = fs.String("drill", "", "APP@ARCH: hierarchical Fig3->Fig2->Fig4 drill-down with tuning advice")
 		searchRep = fs.String("searchreport", "", "JSONL file from ompsearch -telemetry: report search quality vs the -data full sweep")
 		sobol     = fs.Bool("sobol", false, "variance-based sensitivity: Sobol indices per tuning variable, per setting")
-		sobolN    = fs.Int("sobol-samples", 256, "Saltelli base samples per group for -sobol (>= 2)")
+		sobolN    = numflag.Var(fs, "sobol-samples", 256, ">= 2", "Saltelli base samples per group for -sobol")
 		sobolSeed = fs.Int64("sobol-seed", 1, "sampling seed for -sobol")
 		sobolJSON = fs.Bool("sobol-json", false, "emit the -sobol report as JSON instead of a table")
 		backendFl = fs.String("backend", "model", "measurement backend for -numa: model or measured")
 		calibrate = fs.String("calibrate", "", "ARCH: compare the model against the measured backend over a small subspace")
 		calApps   = fs.String("calibrate-apps", "", "comma-separated apps for -calibrate (default: all on the arch)")
-		calCfgs   = fs.Int("calibrate-configs", 12, "configurations per app for -calibrate")
-		mreps     = fs.Int("measure-reps", 0, "measured backend: timed repetitions per configuration (0 = one per sample slot)")
-		mwarmup   = fs.Int("measure-warmup", 1, "measured backend: untimed warmup runs per configuration")
+		calCfgs   = numflag.Var(fs, "calibrate-configs", 12, ">= 2", "configurations per app for -calibrate")
+		mreps     = numflag.Var(fs, "measure-reps", sim.Reps, ">= 1", "measured backend: timed repetitions per configuration")
+		mwarmup   = numflag.Var(fs, "measure-warmup", 1, ">= 1", "measured backend: untimed warmup runs per configuration")
 		compareTo = fs.String("compare", "", "OLD.csv: regression-gate against NEW.csv given as the positional argument; exits 1 on significant slowdowns")
-		cmpAlpha  = fs.Float64("compare-alpha", 0.05, "-compare significance level, in (0, 1)")
-		cmpCoV    = fs.Float64("compare-cov", 0.10, "-compare noise gate: exclude pairs whose repetition CoV exceeds this (> 0)")
-		cmpCI     = fs.Float64("compare-ci", 0.05, "-compare noise-aware gate: exclude provenance-carrying pairs whose recorded relative CI exceeds this (> 0)")
-		cmpShift  = fs.Float64("compare-shift", 0.02, "-compare practical floor: flag only shifts beyond this fraction (> 0)")
+		cmpAlpha  = numflag.Var(fs, "compare-alpha", 0.05, "in (0, 1)", "-compare significance level")
+		cmpCoV    = numflag.Var(fs, "compare-cov", 0.10, "> 0", "-compare noise gate: exclude pairs whose repetition CoV exceeds this")
+		cmpCI     = numflag.Var(fs, "compare-ci", 0.05, "> 0", "-compare noise-aware gate: exclude provenance-carrying pairs whose recorded relative CI exceeds this")
+		cmpShift  = numflag.Var(fs, "compare-shift", 0.02, "> 0", "-compare practical floor: flag only shifts beyond this fraction")
 		varTable  = fs.Bool("variability", false, "print the noise observatory of the -data dataset (per-group CoV/CI quantiles, reps saved)")
 		varJSON   = fs.Bool("variability-json", false, "emit the -variability report as JSON")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	for _, name := range []string{"calibrate-configs", "measure-reps", "measure-warmup"} {
-		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
-			return fmt.Errorf("-%s %s: want >= 0", name, v)
-		}
-	}
-	if *sobolN < 2 {
-		return fmt.Errorf("-sobol-samples %d: want >= 2", *sobolN)
-	}
-	if !(*cmpAlpha > 0 && *cmpAlpha < 1) { // NaN included
-		return fmt.Errorf("-compare-alpha %v: want a level in (0, 1)", *cmpAlpha)
-	}
-	for _, gate := range []struct {
-		name string
-		v    float64
-	}{{"compare-cov", *cmpCoV}, {"compare-ci", *cmpCI}, {"compare-shift", *cmpShift}} {
-		if !(gate.v > 0) { // NaN included
-			return fmt.Errorf("-%s %v: want > 0", gate.name, gate.v)
-		}
 	}
 
 	// Every name resolves before a dataset is read or collected.

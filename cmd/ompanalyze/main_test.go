@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -246,9 +249,12 @@ func studyApps() []string {
 // TestRunValidation: a bad invocation comes back as an error naming the
 // problem, not an os.Exit, and writes nothing to stdout. Every name a flag
 // takes resolves before any dataset is read: the name cases also ask for
-// -upshot over a missing -data file, whose error they must not reach. A
-// negative count is refused by its flag, not read as its default. An
-// analysis of an application the dataset lacks fails as -drill does.
+// -upshot over a missing -data file, whose error they must not reach. An
+// analysis of an application the dataset lacks fails as -drill does. Every
+// numeric flag is also fed the values its domain refuses (refusedValues),
+// each followed by -help: a value refused while flags are parsed fails with
+// the flag package's error naming the flag, one accepted stops at -help
+// instead.
 func TestRunValidation(t *testing.T) {
 	missing := []string{"-data", filepath.Join(t.TempDir(), "absent.csv"), "-upshot"}
 	small := fullSweepCSV(t, "Sort")
@@ -278,18 +284,9 @@ func TestRunValidation(t *testing.T) {
 		{"runtime-only drill", []string{"-drill", "TreeNest@milan"}, "TreeNest has no model profile"},
 		{"runtime-only calibrate", []string{"-calibrate", "a64fx", "-calibrate-apps", "TreeNest"}, "TreeNest has no model profile"},
 		{"selector without arch", []string{"-numa", "Nqueens"}, "APP@ARCH"},
-		{"negative sobol-samples", []string{"-sobol", "-sobol-samples", "-5"}, "-sobol-samples -5: want >= 2"},
-		{"zero sobol-samples", []string{"-sobol", "-sobol-samples", "0"}, "-sobol-samples 0: want >= 2"},
-		{"one sobol-sample", []string{"-data", small, "-sobol", "-sobol-samples", "1"}, "-sobol-samples 1: want >= 2"},
-		{"negative compare-alpha", []string{"-compare", small, "-compare-alpha", "-0.5", small}, "-compare-alpha -0.5: want a level in (0, 1)"},
-		{"compare-alpha one", []string{"-compare", small, "-compare-alpha", "1", small}, "-compare-alpha 1: want a level in (0, 1)"},
-		{"compare-alpha NaN", []string{"-compare", small, "-compare-alpha", "NaN", small}, "-compare-alpha NaN: want a level in (0, 1)"},
-		{"negative compare-cov", []string{"-compare", small, "-compare-cov", "-1", small}, "-compare-cov -1: want > 0"},
-		{"zero compare-ci", []string{"-compare", small, "-compare-ci", "0", small}, "-compare-ci 0: want > 0"},
-		{"negative compare-shift", []string{"-compare", small, "-compare-shift", "-3", small}, "-compare-shift -3: want > 0"},
-		{"negative calibrate-configs", []string{"-calibrate", "a64fx", "-calibrate-configs", "-1"}, "-calibrate-configs -1: want >= 0"},
-		{"negative measure-reps", []string{"-numa", "EP@a64fx", "-measure-reps", "-2"}, "-measure-reps -2: want >= 0"},
-		{"negative measure-warmup", []string{"-numa", "EP@a64fx", "-measure-warmup", "-1"}, "-measure-warmup -1: want >= 0"},
+		{"one sobol-sample", []string{"-data", small, "-sobol", "-sobol-samples", "1"}, `invalid value "1" for flag -sobol-samples: want int >= 2`},
+		{"compare-alpha one", []string{"-compare", small, "-compare-alpha", "1", small}, `invalid value "1" for flag -compare-alpha: want finite float in (0, 1)`},
+		{"one calibrate-config", []string{"-calibrate", "a64fx", "-calibrate-configs", "1"}, `invalid value "1" for flag -calibrate-configs: want int >= 2`},
 		{"recommend app not in dataset", []string{"-data", small, "-recommend", "EP"}, "core: no samples for EP"},
 		{"transfer app not in dataset", []string{"-data", small, "-transfer", "EP"}, "core: no samples for EP"},
 		{"wilcoxon app not in dataset", []string{"-data", small, "-wilcoxon", "EP,small"}, "core: no samples for EP at small"},
@@ -298,16 +295,53 @@ func TestRunValidation(t *testing.T) {
 		{"compare without new csv", []string{"-compare", "old.csv"}, "positional argument"},
 		{"missing dataset", []string{"-data", "/nonexistent.csv", "-upshot"}, "nonexistent.csv"},
 	}
+	check := func(t *testing.T, args []string, want string) {
+		var out, errb bytes.Buffer
+		err := run(args, &out, &errb)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run(%v) error = %v, want one containing %q", args, err, want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) wrote %q to stdout before failing", args, out.String())
+		}
+	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var out, errb bytes.Buffer
-			err := run(tc.args, &out, &errb)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("run(%v) error = %v, want one containing %q", tc.args, err, tc.want)
-			}
-			if out.Len() != 0 {
-				t.Errorf("run(%v) wrote %q to stdout before failing", tc.args, out.String())
-			}
+		t.Run(tc.name, func(t *testing.T) { check(t, tc.args, tc.want) })
+	}
+	var help bytes.Buffer
+	run([]string{"-help"}, io.Discard, &help)
+	for _, r := range refusedValues(t, help.String()) {
+		t.Run(r.word+" "+r.flag, func(t *testing.T) {
+			check(t, []string{"-" + r.flag, r.value, "-help"}, fmt.Sprintf("invalid value %q for flag -%s", r.value, r.flag))
 		})
 	}
+}
+
+// refused is a value a numeric flag's domain refuses.
+type refused struct{ flag, word, value string }
+
+// refusedValues walks the -help listing. For every flag it shows with a
+// numeric type word it returns NaN, -1 (a seed takes any integer) and +Inf,
+// and 0 unless the domain -help shows holds 0.
+func refusedValues(t *testing.T, help string) []refused {
+	var rows []refused
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+) (int|uint|float|duration)\n(.*)`).FindAllStringSubmatch(help, -1) {
+		name, kind, usage := m[1], m[2], m[3]
+		rows = append(rows, refused{name, "NaN", "NaN"}, refused{name, "Inf", "+Inf"})
+		if strings.HasSuffix(name, "seed") {
+			continue
+		}
+		negative := "-1"
+		if kind == "duration" {
+			negative = "-1s"
+		}
+		rows = append(rows, refused{name, "negative", negative})
+		if !strings.Contains(usage, ">= 0") && !strings.Contains(usage, "[0,") {
+			rows = append(rows, refused{name, "zero", "0"})
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatalf("no numeric flag in the -help listing:\n%s", help)
+	}
+	return rows
 }

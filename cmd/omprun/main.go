@@ -60,13 +60,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 	"time"
 
 	"omptune/internal/apps"
 	"omptune/internal/measure"
+	"omptune/internal/numflag"
 	"omptune/internal/obs"
 	"omptune/openmp"
 	"omptune/openmp/profile"
@@ -114,28 +114,31 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		appName   = fs.String("app", "", "application to run (see -list)")
-		scale     = fs.Float64("scale", 1.0, "input scale relative to the self-test size")
+		scale     = numflag.Var(fs, "scale", 1.0, "> 0", "input scale relative to the self-test size")
 		setFlag   = fs.String("set", "", "comma-separated KEY=VALUE overrides")
 		list      = fs.Bool("list", false, "list the available applications and runtime-only kernels")
-		warmup    = fs.Int("warmup", 0, "untimed warmup runs before the timed repetitions")
-		reps      = fs.Int("reps", 1, "timed repetitions (the runtime is reused across them)")
+		warmup    = numflag.Var(fs, "warmup", 0, ">= 0", "untimed warmup runs before the timed repetitions")
+		reps      = numflag.Var(fs, "reps", 1, ">= 1", "timed repetitions (the runtime is reused across them)")
 		jsonOut   = fs.Bool("json", false, "emit the measurement series as JSON on stdout")
 		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the timed runs to this file")
 		traceSum  = fs.Bool("trace-summary", false, "print derived per-region trace metrics to stderr (implies tracing)")
 		traceSumJ = fs.Bool("trace-summary-json", false, "print the trace summary as JSON on stderr (implies tracing)")
-		traceBuf  = fs.Int("trace-buf", 0, "per-thread trace ring capacity in events (0 = default, at most 2^24)")
+		traceBuf  = numflag.Var(fs, "trace-buf", trace.DefaultBufferSize, fmt.Sprintf("in [1, %d]", trace.MaxBufferSize), "per-thread trace ring capacity in events")
 		profSum   = fs.Bool("profile", false, "print the per-region efficiency profile to stderr (implies profiling)")
 		profJSON  = fs.String("profile-json", "", "write the per-region efficiency profile as JSON to this file")
 		profFold  = fs.String("profile-folded", "", "write the profile as folded stacks (flamegraph.pl input) to this file")
 		adaptive  = fs.Bool("adaptive", false, "repeat until the noise targets are met instead of a fixed -reps count")
-		targetCoV = fs.Float64("target-cov", 0, "adaptive: stop when the running CoV drops under this (0.02 when -adaptive is set with no target)")
-		targetCI  = fs.Float64("target-ci", 0, "adaptive: stop when the relative 95% CI half-width drops under this")
-		minReps   = fs.Int("min-reps", 0, "adaptive: repetitions before the stopping rule may fire (default 2)")
-		maxReps   = fs.Int("max-reps", 0, "adaptive: repetition ceiling (default 16)")
-		repBudget = fs.Duration("rep-budget", 0, "adaptive: wall-clock budget for the timed series (0 = none)")
+		targetCoV = numflag.Var(fs, "target-cov", 0.0, ">= 0", "adaptive: stop when the running CoV drops under this (0 = off; 0.02 when -adaptive is set with no target)")
+		targetCI  = numflag.Var(fs, "target-ci", 0.0, ">= 0", "adaptive: stop when the relative 95% CI half-width drops under this (0 = off)")
+		minReps   = numflag.Var(fs, "min-reps", 2, ">= 2", "adaptive: repetitions before the stopping rule may fire")
+		maxReps   = numflag.Var(fs, "max-reps", 16, ">= 2", "adaptive: repetition ceiling, at least -min-reps")
+		repBudget = numflag.Var(fs, "rep-budget", time.Duration(0), ">= 0", "adaptive: wall-clock budget for the timed series (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *maxReps < *minReps {
+		return fmt.Errorf("-max-reps %d: want >= -min-reps %d", *maxReps, *minReps)
 	}
 
 	if *list {
@@ -159,30 +162,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-app: %w", err)
 	}
-	if !(*scale > 0 && !math.IsInf(*scale, 1)) { // NaN included
-		return fmt.Errorf("-scale %v: want a finite number > 0", *scale)
+	pol := measure.Adaptive{
+		TargetCoV: *targetCoV, TargetCIRel: *targetCI,
+		MinReps: *minReps, MaxReps: *maxReps, MaxTime: *repBudget,
 	}
-	if *reps < 1 {
-		return fmt.Errorf("-reps %d: want at least 1", *reps)
-	}
-	for _, name := range []string{"warmup", "trace-buf", "min-reps", "max-reps", "rep-budget"} {
-		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
-			return fmt.Errorf("-%s %s: want >= 0", name, v)
-		}
-	}
-	if *traceBuf > trace.MaxBufferSize {
-		return fmt.Errorf("-trace-buf %d: want at most %d", *traceBuf, trace.MaxBufferSize)
-	}
-	var pol measure.Adaptive
-	if *adaptive || *targetCoV > 0 || *targetCI > 0 {
-		pol = measure.Adaptive{
-			TargetCoV: *targetCoV, TargetCIRel: *targetCI,
-			MinReps: *minReps, MaxReps: *maxReps, MaxTime: *repBudget,
-		}
-		if !pol.Enabled() {
-			// Bare -adaptive: a sensible default noise target.
-			pol.TargetCoV = 0.02
-		}
+	if *adaptive && !pol.Enabled() {
+		pol.TargetCoV = 0.02 // bare -adaptive: a sensible default noise target
 	}
 
 	environ := append(os.Environ(), splitSetFlag(*setFlag)...)

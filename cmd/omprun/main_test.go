@@ -8,6 +8,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -183,41 +185,74 @@ func TestListShowsRuntimeOnlyKernels(t *testing.T) {
 }
 
 // TestRunValidation: bad invocations come back as errors, not os.Exit, with
-// nothing on stdout. An unknown -app lists every kernel there is; a -scale
-// that is not a finite number > 0, a negative count or duration and a ring
-// past trace.MaxBufferSize are refused by their flag.
+// nothing on stdout. An unknown -app lists every kernel there is. Every
+// numeric flag is also fed the values its domain refuses (refusedValues),
+// each followed by -help: a value refused while flags are parsed fails with
+// the flag package's error naming the flag, one accepted stops at -help
+// instead.
 func TestRunValidation(t *testing.T) {
 	var kernels []string
 	for _, a := range append(apps.All(), apps.RuntimeOnly()...) {
 		kernels = append(kernels, a.Name)
 	}
-	for _, tc := range []struct {
+	cases := []struct {
 		args []string
 		want string
 	}{
 		{nil, "-app is required"},
 		{[]string{"-app", "Doom"}, `-app: apps: unknown application "Doom" (valid: ` + strings.Join(kernels, ", ") + ")"},
-		{[]string{"-app", "EP", "-reps", "0"}, "-reps 0"},
-		{[]string{"-app", "EP", "-warmup", "-1"}, "-warmup -1"},
-		{[]string{"-app", "EP", "-scale", "-1"}, "-scale -1: want a finite number > 0"},
-		{[]string{"-app", "EP", "-scale", "0"}, "-scale 0: want a finite number > 0"},
-		{[]string{"-app", "EP", "-scale", "NaN"}, "-scale NaN: want a finite number > 0"},
-		{[]string{"-app", "EP", "-scale", "+Inf"}, "-scale +Inf: want a finite number > 0"},
-		{[]string{"-app", "EP", "-trace-buf", "-1"}, "-trace-buf -1: want >= 0"},
-		{[]string{"-app", "EP", "-adaptive", "-min-reps", "-2"}, "-min-reps -2: want >= 0"},
-		{[]string{"-app", "EP", "-adaptive", "-max-reps", "-2"}, "-max-reps -2: want >= 0"},
-		{[]string{"-app", "EP", "-adaptive", "-rep-budget", "-1s"}, "-rep-budget -1s: want >= 0"},
 		{[]string{"-app", "EP", "-set", "OMP_SCHEDULE=sideways"}, "sideways"},
-		{[]string{"-app", "EP", "-trace-summary", "-trace-buf", "4611686018427387905"}, "-trace-buf 4611686018427387905: want at most 16777216"},
-		{[]string{"-app", "EP", "-trace", filepath.Join(t.TempDir(), "t.json"), "-trace-buf", "99999999"}, "-trace-buf 99999999: want at most 16777216"},
-	} {
+		{[]string{"-app", "EP", "-adaptive", "-min-reps", "5", "-max-reps", "3"}, "-max-reps 3: want >= -min-reps 5"},
+		{[]string{"-app", "EP", "-trace-summary", "-trace-buf", "4611686018427387905"}, `invalid value "4611686018427387905" for flag -trace-buf: want int in [1, 16777216]`},
+		{[]string{"-app", "EP", "-trace", filepath.Join(t.TempDir(), "t.json"), "-trace-buf", "99999999"}, `invalid value "99999999" for flag -trace-buf: want int in [1, 16777216]`},
+	}
+	check := func(t *testing.T, args []string, want string) {
 		var out, errb bytes.Buffer
-		err := run(tc.args, &out, &errb)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("run(%v) error = %v, want one containing %q", tc.args, err, tc.want)
+		err := run(args, &out, &errb)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("run(%v) error = %v, want one containing %q", args, err, want)
 		}
 		if out.Len() != 0 {
-			t.Errorf("run(%v) wrote %q to stdout", tc.args, out.String())
+			t.Errorf("run(%v) wrote %q to stdout", args, out.String())
 		}
 	}
+	for _, tc := range cases {
+		check(t, tc.args, tc.want)
+	}
+	var help bytes.Buffer
+	run([]string{"-help"}, io.Discard, &help)
+	for _, r := range refusedValues(t, help.String()) {
+		t.Run(r.flag+" "+r.word, func(t *testing.T) {
+			check(t, []string{"-" + r.flag, r.value, "-help"}, fmt.Sprintf("invalid value %q for flag -%s", r.value, r.flag))
+		})
+	}
+}
+
+// refused is a value a numeric flag's domain refuses.
+type refused struct{ flag, word, value string }
+
+// refusedValues walks the -help listing. For every flag it shows with a
+// numeric type word it returns NaN, -1 (a seed takes any integer) and +Inf,
+// and 0 unless the domain -help shows holds 0.
+func refusedValues(t *testing.T, help string) []refused {
+	var rows []refused
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+) (int|uint|float|duration)\n(.*)`).FindAllStringSubmatch(help, -1) {
+		name, kind, usage := m[1], m[2], m[3]
+		rows = append(rows, refused{name, "NaN", "NaN"}, refused{name, "Inf", "+Inf"})
+		if strings.HasSuffix(name, "seed") {
+			continue
+		}
+		negative := "-1"
+		if kind == "duration" {
+			negative = "-1s"
+		}
+		rows = append(rows, refused{name, "negative", negative})
+		if !strings.Contains(usage, ">= 0") && !strings.Contains(usage, "[0,") {
+			rows = append(rows, refused{name, "zero", "0"})
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatalf("no numeric flag in the -help listing:\n%s", help)
+	}
+	return rows
 }

@@ -45,11 +45,13 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"omptune/internal/apps"
 	"omptune/internal/core"
 	"omptune/internal/env"
 	"omptune/internal/measure"
+	"omptune/internal/numflag"
 	"omptune/internal/obs"
 	"omptune/internal/sim"
 	"omptune/internal/topology"
@@ -76,17 +78,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		archName = fs.String("arch", "a64fx", "architecture model to tune on")
 		setting  = fs.String("setting", "", "setting label (default: the app's middle setting)")
 		strategy = fs.String("strategy", "surrogate", "search strategy: "+strings.Join(core.SearchStrategies(), "|"))
-		budget   = fs.Int("budget", 300, "evaluation budget (> 0; cache hits count)")
-		maxTime  = fs.Duration("max-time", 0, "wall-clock budget (0 = evaluations only)")
+		budget   = numflag.Var(fs, "budget", 300, ">= 1", "evaluation budget (cache hits count)")
+		maxTime  = numflag.Var(fs, "max-time", time.Duration(0), ">= 0", "wall-clock budget (0 = evaluations only)")
 		seed     = fs.Uint64("seed", 1, "seed for every stochastic choice")
 		order    = fs.String("order", "", "comma-separated variable order for the greedy descents (default: canonical)")
 		backend  = fs.String("backend", "model", "measurement backend: model (analytic, deterministic) or measured (real kernel execution)")
-		mreps    = fs.Int("measure-reps", 0, "measured backend: timed repetitions per configuration (0 = one per sample slot)")
-		mwarmup  = fs.Int("measure-warmup", 1, "measured backend: untimed warmup runs per configuration")
+		mreps    = numflag.Var(fs, "measure-reps", sim.Reps, ">= 1", "measured backend: timed repetitions per configuration")
+		mwarmup  = numflag.Var(fs, "measure-warmup", 1, ">= 1", "measured backend: untimed warmup runs per configuration")
 		jsonOut  = fs.Bool("json", false, "print the result as JSON instead of text")
 		telem    = fs.String("telemetry", "", "append per-evaluation JSONL telemetry to this file")
 		serve    = fs.String("serve", "", "serve the live monitor on this address, e.g. :8080 or 127.0.0.1:0")
-		linger   = fs.Duration("serve-linger", 0, "keep the monitor serving this long after the search ends")
+		linger   = numflag.Var(fs, "serve-linger", time.Duration(0), ">= 0", "keep the monitor serving this long after the search ends (0 = shut down immediately)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -95,14 +97,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
 
-	if *budget <= 0 {
-		return fmt.Errorf("-budget %d: want a positive evaluation budget", *budget)
-	}
-	for _, name := range []string{"max-time", "measure-reps", "measure-warmup", "serve-linger"} {
-		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
-			return fmt.Errorf("-%s %s: want >= 0", name, v)
-		}
-	}
 	searcher, err := core.NewSearcher(*strategy)
 	if err != nil {
 		return fmt.Errorf("-strategy: %w", err)

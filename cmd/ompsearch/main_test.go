@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,7 +24,10 @@ import (
 // TestRunValidation is the loud-flag-validation table: every bad invocation
 // must come back as an error naming the offending flag, not a silent default
 // or an os.Exit, and write nothing to stdout. An unknown name's error lists
-// the valid set; a negative count or duration is refused, not read as 0.
+// the valid set. Every numeric flag is also fed the values its domain
+// refuses (refusedValues), each followed by -help: a value refused while
+// flags are parsed fails with the flag package's error naming the flag, one
+// accepted stops at -help instead.
 func TestRunValidation(t *testing.T) {
 	var studyApps []string
 	for _, a := range apps.All() {
@@ -37,15 +42,9 @@ func TestRunValidation(t *testing.T) {
 		args []string
 		want string // substring of the returned error
 	}{
-		{"budget zero", []string{"-app", "Nqueens", "-budget", "0"}, "-budget 0"},
-		{"budget negative", []string{"-app", "Nqueens", "-budget", "-5"}, "-budget -5"},
 		{"unknown strategy", []string{"-app", "Nqueens", "-strategy", "brownian"}, `-strategy: core: unknown search strategy "brownian"`},
 		{"strategy error names valid set", []string{"-app", "Nqueens", "-strategy", "brownian"}, "(valid: greedy, restart, anneal, surrogate, random)"},
 		{"max-time unparsable", []string{"-app", "Nqueens", "-max-time", "5 minutes"}, "-max-time"},
-		{"max-time negative", []string{"-app", "Nqueens", "-max-time", "-1s"}, "-max-time -1s: want >= 0"},
-		{"measure-reps negative", []string{"-app", "Nqueens", "-measure-reps", "-1"}, "-measure-reps -1: want >= 0"},
-		{"measure-warmup negative", []string{"-app", "Nqueens", "-measure-warmup", "-1"}, "-measure-warmup -1: want >= 0"},
-		{"serve-linger negative", []string{"-app", "Nqueens", "-serve-linger", "-5s"}, "-serve-linger -5s: want >= 0"},
 		{"missing app", []string{"-strategy", "greedy"}, "-app is required"},
 		{"unknown app", []string{"-app", "Doom"}, `-app: apps: unknown application "Doom" (valid: ` + strings.Join(studyApps, ", ") + ")"},
 		{"runtime-only app", []string{"-app", "TreeNest"}, "TreeNest has no model profile"},
@@ -56,21 +55,55 @@ func TestRunValidation(t *testing.T) {
 		{"unknown order variable", []string{"-app", "Nqueens", "-order", "OMP_SCHEDULE,OMP_MOOD"}, `-order: env: unknown variable "OMP_MOOD" (valid: ` + strings.Join(variables, ", ") + ")"},
 		{"positional junk", []string{"-app", "Nqueens", "extra"}, "unexpected arguments"},
 	}
+	check := func(t *testing.T, args []string, want string) {
+		var out, errb bytes.Buffer
+		err := run(context.Background(), args, &out, &errb)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run(%v) error = %v, want one containing %q", args, err, want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) wrote %q to stdout before failing", args, out.String())
+		}
+	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var out, errb bytes.Buffer
-			err := run(context.Background(), tc.args, &out, &errb)
-			if err == nil {
-				t.Fatalf("run(%v) = nil error, want one containing %q", tc.args, tc.want)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("run(%v) error = %q, want it to contain %q", tc.args, err.Error(), tc.want)
-			}
-			if out.Len() != 0 {
-				t.Errorf("run(%v) wrote %q to stdout before failing", tc.args, out.String())
-			}
+		t.Run(tc.name, func(t *testing.T) { check(t, tc.args, tc.want) })
+	}
+	var help bytes.Buffer
+	run(context.Background(), []string{"-help"}, io.Discard, &help)
+	for _, r := range refusedValues(t, help.String()) {
+		t.Run(r.flag+" "+r.word, func(t *testing.T) {
+			check(t, []string{"-" + r.flag, r.value, "-help"}, fmt.Sprintf("invalid value %q for flag -%s", r.value, r.flag))
 		})
 	}
+}
+
+// refused is a value a numeric flag's domain refuses.
+type refused struct{ flag, word, value string }
+
+// refusedValues walks the -help listing. For every flag it shows with a
+// numeric type word it returns NaN, -1 (a seed takes any integer) and +Inf,
+// and 0 unless the domain -help shows holds 0.
+func refusedValues(t *testing.T, help string) []refused {
+	var rows []refused
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+) (int|uint|float|duration)\n(.*)`).FindAllStringSubmatch(help, -1) {
+		name, kind, usage := m[1], m[2], m[3]
+		rows = append(rows, refused{name, "NaN", "NaN"}, refused{name, "Inf", "+Inf"})
+		if strings.HasSuffix(name, "seed") {
+			continue
+		}
+		negative := "-1"
+		if kind == "duration" {
+			negative = "-1s"
+		}
+		rows = append(rows, refused{name, "negative", negative})
+		if !strings.Contains(usage, ">= 0") && !strings.Contains(usage, "[0,") {
+			rows = append(rows, refused{name, "zero", "0"})
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatalf("no numeric flag in the -help listing:\n%s", help)
+	}
+	return rows
 }
 
 // TestRunGreedyJSON runs a real (model-backend) search through the CLI and

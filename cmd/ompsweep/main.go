@@ -60,6 +60,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -68,7 +69,9 @@ import (
 	"omptune/internal/apps"
 	"omptune/internal/core"
 	"omptune/internal/measure"
+	"omptune/internal/numflag"
 	"omptune/internal/obs"
+	"omptune/internal/sim"
 	"omptune/internal/topology"
 )
 
@@ -92,40 +95,32 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		archList   = fs.String("arch", "", "comma-separated architectures (default: all)")
 		appList    = fs.String("apps", "", "comma-separated applications (default: all per arch)")
-		frac       = fs.Float64("frac", 0, "fraction of the config space to sample in [0, 1] (0 = Table II defaults, 1 = exhaustive)")
+		frac       = numflag.Var(fs, "frac", 0.0, "in [0, 1]", "fraction of the config space to sample (0 = Table II defaults, 1 = exhaustive)")
 		out        = fs.String("o", "-", "output CSV path ('-' = stdout)")
 		progress   = fs.Bool("progress", false, "print one line per completed setting to stderr")
 		extended   = fs.Bool("extended", false, "include numa_domains places and six thread counts (future-work coverage)")
 		shard      = fs.String("shard", "", "K/N: collect only the K-th of N application shards (merge CSVs afterwards)")
-		workers    = fs.Int("workers", 0, "concurrent setting batches (0 = one per CPU)")
+		workers    = numflag.Var(fs, "workers", runtime.NumCPU(), ">= 1", "concurrent setting batches")
 		checkpoint = fs.String("checkpoint", "", "journal completed settings here; rerun with the same flags to resume")
 		backend    = fs.String("backend", "model", "measurement backend: model (analytic, deterministic) or measured (real kernel execution)")
-		mreps      = fs.Int("measure-reps", 0, "measured backend: timed repetitions per configuration (0 = one per sample slot)")
-		mwarmup    = fs.Int("measure-warmup", 1, "measured backend: untimed warmup runs per configuration")
-		adCoV      = fs.Float64("adaptive-cov", 0, "measured backend: adaptive repetition CoV target (0 = fixed reps)")
-		adCI       = fs.Float64("adaptive-ci", 0, "measured backend: adaptive relative 95% CI half-width target (0 = off)")
-		adMin      = fs.Int("adaptive-min", 0, "adaptive: repetitions before the stopping rule may fire (default 2)")
-		adMax      = fs.Int("adaptive-max", 0, "adaptive: repetition ceiling (default 16)")
-		adBudget   = fs.Duration("adaptive-budget", 0, "adaptive: wall-clock budget per series (0 = none)")
+		mreps      = numflag.Var(fs, "measure-reps", sim.Reps, ">= 1", "measured backend: timed repetitions per configuration")
+		mwarmup    = numflag.Var(fs, "measure-warmup", 1, ">= 1", "measured backend: untimed warmup runs per configuration")
+		adCoV      = numflag.Var(fs, "adaptive-cov", 0.0, ">= 0", "measured backend: adaptive repetition CoV target (0 = fixed reps)")
+		adCI       = numflag.Var(fs, "adaptive-ci", 0.0, ">= 0", "measured backend: adaptive relative 95% CI half-width target (0 = off)")
+		adMin      = numflag.Var(fs, "adaptive-min", 2, ">= 2", "adaptive: repetitions before the stopping rule may fire")
+		adMax      = numflag.Var(fs, "adaptive-max", 16, ">= 2", "adaptive: repetition ceiling, at least -adaptive-min")
+		adBudget   = numflag.Var(fs, "adaptive-budget", time.Duration(0), ">= 0", "adaptive: wall-clock budget per series (0 = none)")
 		telemetry  = fs.String("telemetry", "", "append a JSONL telemetry stream (plan/setting_done/heartbeat/done) to this file")
-		heartbeat  = fs.Duration("heartbeat", 30*time.Second, "telemetry heartbeat period (> 0)")
+		heartbeat  = numflag.Var(fs, "heartbeat", 30*time.Second, "> 0", "telemetry heartbeat period")
 		serve      = fs.String("serve", "", "serve the live monitor (/metrics, /api/status, /healthz) on this address, e.g. :8080 or 127.0.0.1:0")
-		linger     = fs.Duration("serve-linger", 0, "keep the monitor serving this long after the campaign ends (0 = shut down immediately)")
+		linger     = numflag.Var(fs, "serve-linger", time.Duration(0), ">= 0", "keep the monitor serving this long after the campaign ends (0 = shut down immediately)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if !(*frac >= 0 && *frac <= 1) { // NaN included
-		return fmt.Errorf("-frac %v outside [0, 1]", *frac)
-	}
-	for _, name := range []string{"workers", "measure-reps", "measure-warmup", "adaptive-min", "adaptive-max", "adaptive-budget", "serve-linger"} {
-		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
-			return fmt.Errorf("-%s %s: want >= 0", name, v)
-		}
-	}
-	if *heartbeat <= 0 {
-		return fmt.Errorf("-heartbeat %v: want > 0", *heartbeat)
+	if *adMax < *adMin {
+		return fmt.Errorf("-adaptive-max %d: want >= -adaptive-min %d", *adMax, *adMin)
 	}
 
 	// The monitor exists before the backend so the measured evaluator can be

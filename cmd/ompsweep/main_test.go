@@ -24,8 +24,10 @@ import (
 
 // TestRunValidation is the loud-flag-validation table: every bad invocation
 // must come back as an error naming the offending flag, before any campaign
-// starts. An unknown name's error lists the valid set; a negative count or
-// duration is refused, not read as its 0 default.
+// starts. An unknown name's error lists the valid set. Every numeric flag
+// is also fed the values its domain refuses (refusedValues), each followed
+// by -help: a value refused while flags are parsed fails with the flag
+// package's error naming the flag, one accepted stops at -help instead.
 func TestRunValidation(t *testing.T) {
 	var studyApps []string
 	for _, a := range apps.All() {
@@ -36,9 +38,8 @@ func TestRunValidation(t *testing.T) {
 		args []string
 		want string // substring of the returned error
 	}{
-		{"frac negative", []string{"-frac", "-0.1"}, "-frac -0.1 outside [0, 1]"},
-		{"frac above one", []string{"-frac", "1.5"}, "-frac 1.5 outside [0, 1]"},
-		{"frac NaN", []string{"-frac", "NaN"}, "-frac NaN outside [0, 1]"},
+		{"frac above one", []string{"-frac", "1.5"}, `invalid value "1.5" for flag -frac: want finite float in [0, 1]`},
+		{"adaptive-max below adaptive-min", []string{"-adaptive-min", "5", "-adaptive-max", "3"}, "-adaptive-max 3: want >= -adaptive-min 5"},
 		{"runtime-only app", []string{"-apps", "LUNest"}, "LUNest has no model profile"},
 		{"unknown backend", []string{"-backend", "oracle"}, `-backend: core: unknown backend "oracle" (valid: model, measured)`},
 		{"shard malformed", []string{"-shard", "3"}, `-shard wants K/N with 0 <= K < N, got "3"`},
@@ -48,31 +49,56 @@ func TestRunValidation(t *testing.T) {
 		{"adaptive-ci without measured", []string{"-adaptive-ci", "0.05"}, "need -backend measured"},
 		{"unknown arch", []string{"-arch", "a64fx,riscv"}, `-arch: topology: unknown architecture "riscv" (valid: a64fx, skylake, milan)`},
 		{"unknown app", []string{"-apps", "EP,Doom"}, `-apps: apps: unknown application "Doom" (valid: ` + strings.Join(studyApps, ", ") + ")"},
-		{"workers negative", []string{"-workers", "-3"}, "-workers -3: want >= 0"},
-		{"measure-reps negative", []string{"-backend", "measured", "-measure-reps", "-1"}, "-measure-reps -1: want >= 0"},
-		{"measure-warmup negative", []string{"-backend", "measured", "-measure-warmup", "-1"}, "-measure-warmup -1: want >= 0"},
-		{"adaptive-min negative", []string{"-adaptive-min", "-2"}, "-adaptive-min -2: want >= 0"},
-		{"adaptive-max negative", []string{"-adaptive-max", "-2"}, "-adaptive-max -2: want >= 0"},
-		{"adaptive-budget negative", []string{"-adaptive-budget", "-1s"}, "-adaptive-budget -1s: want >= 0"},
-		{"heartbeat negative", []string{"-heartbeat", "-30s"}, "-heartbeat -30s: want > 0"},
-		{"heartbeat zero", []string{"-heartbeat", "0"}, "-heartbeat 0s: want > 0"},
-		{"serve-linger negative", []string{"-serve-linger", "-1m"}, "-serve-linger -1m0s: want >= 0"},
+	}
+	check := func(t *testing.T, args []string, want string) {
+		var out, errb bytes.Buffer
+		err := run(context.Background(), args, &out, &errb)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run(%v) error = %v, want one containing %q", args, err, want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("a rejected invocation wrote %d bytes of CSV", out.Len())
+		}
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var out, errb bytes.Buffer
-			err := run(context.Background(), tc.args, &out, &errb)
-			if err == nil {
-				t.Fatalf("run(%v) = nil error, want one containing %q", tc.args, tc.want)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("run(%v) error = %q, want it to contain %q", tc.args, err.Error(), tc.want)
-			}
-			if out.Len() != 0 {
-				t.Errorf("a rejected invocation wrote %d bytes of CSV", out.Len())
-			}
+		t.Run(tc.name, func(t *testing.T) { check(t, tc.args, tc.want) })
+	}
+	var help bytes.Buffer
+	run(context.Background(), []string{"-help"}, io.Discard, &help)
+	for _, r := range refusedValues(t, help.String()) {
+		t.Run(r.flag+" "+r.word, func(t *testing.T) {
+			check(t, []string{"-" + r.flag, r.value, "-help"}, fmt.Sprintf("invalid value %q for flag -%s", r.value, r.flag))
 		})
 	}
+}
+
+// refused is a value a numeric flag's domain refuses.
+type refused struct{ flag, word, value string }
+
+// refusedValues walks the -help listing. For every flag it shows with a
+// numeric type word it returns NaN, -1 (a seed takes any integer) and +Inf,
+// and 0 unless the domain -help shows holds 0.
+func refusedValues(t *testing.T, help string) []refused {
+	var rows []refused
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+) (int|uint|float|duration)\n(.*)`).FindAllStringSubmatch(help, -1) {
+		name, kind, usage := m[1], m[2], m[3]
+		rows = append(rows, refused{name, "NaN", "NaN"}, refused{name, "Inf", "+Inf"})
+		if strings.HasSuffix(name, "seed") {
+			continue
+		}
+		negative := "-1"
+		if kind == "duration" {
+			negative = "-1s"
+		}
+		rows = append(rows, refused{name, "negative", negative})
+		if !strings.Contains(usage, ">= 0") && !strings.Contains(usage, "[0,") {
+			rows = append(rows, refused{name, "zero", "0"})
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatalf("no numeric flag in the -help listing:\n%s", help)
+	}
+	return rows
 }
 
 // readCSV decodes a campaign CSV the way every consumer does.

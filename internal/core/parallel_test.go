@@ -449,7 +449,7 @@ func TestWorkerErrorAborts(t *testing.T) {
 	pending := []*sweepUnit{units[0], withoutDefault(units[1]), units[2]}
 	results := make([][]*dataset.Sample, len(units))
 	rep := newReporter(nil, nil)
-	err = runUnits(context.Background(), SweepConfig{Workers: 2}, ModelEvaluator{}, pending, results, nil, rep)
+	err = runUnits(context.Background(), SweepConfig{}, ModelEvaluator{}, 2, pending, results, nil, rep)
 	if err == nil || !strings.Contains(err.Error(), "default configuration") {
 		t.Fatalf("pool error = %v, want default-configuration failure", err)
 	}

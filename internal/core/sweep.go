@@ -389,7 +389,7 @@ func RunSweep(sc SweepConfig) (ds *dataset.Dataset, err error) {
 	}
 
 	if len(pending) > 0 {
-		if err := runUnits(ctx, sc, ev, pending, results, ck, rep); err != nil {
+		if err := runUnits(ctx, sc, ev, workers, pending, results, ck, rep); err != nil {
 			return nil, err
 		}
 	}
@@ -406,12 +406,8 @@ func RunSweep(sc SweepConfig) (ds *dataset.Dataset, err error) {
 
 // runUnits fans the pending batches out over the worker pool, writing each
 // result into its plan slot (and the checkpoint, if any) as it completes.
-func runUnits(ctx context.Context, sc SweepConfig, ev Evaluator, pending []*sweepUnit,
+func runUnits(ctx context.Context, sc SweepConfig, ev Evaluator, workers int, pending []*sweepUnit,
 	results [][]*dataset.Sample, ck *checkpoint, rep *reporter) error {
-	workers := sc.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	if workers > len(pending) {
 		workers = len(pending)
 	}
