@@ -76,10 +76,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "ompanalyze:", err)
-		os.Exit(1)
-	}
+	numflag.Exit("ompanalyze", run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the testable command body: reports go to stdout, progress and usage

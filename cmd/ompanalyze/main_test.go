@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -308,8 +309,10 @@ func TestRunValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { check(t, tc.args, tc.want) })
 	}
-	var help bytes.Buffer
-	run([]string{"-help"}, io.Discard, &help)
+	var stdout, help bytes.Buffer // -help: the listing on stderr, flag.ErrHelp, which main exits 0 on
+	if err := run([]string{"-help"}, &stdout, &help); !errors.Is(err, flag.ErrHelp) || stdout.Len() != 0 {
+		t.Fatalf("-help: error %v, %d bytes on stdout; want flag.ErrHelp and none", err, stdout.Len())
+	}
 	for _, r := range refusedValues(t, help.String()) {
 		t.Run(r.word+" "+r.flag, func(t *testing.T) {
 			check(t, []string{"-" + r.flag, r.value, "-help"}, fmt.Sprintf("invalid value %q for flag -%s", r.value, r.flag))

@@ -1,10 +1,11 @@
 // Command ompreport regenerates every table and figure of the paper. It
 // either reads a previously collected dataset (-data) or collects one on
-// the fly, then renders Tables I–VII, the Q1/Q4 summaries, and Figs. 1–7.
+// the fly, then renders Tables I–VII, the Q1/Q4 summaries, and Figs. 1–7,
+// or with -verdicts the paper's shape claims, each with its margin.
 //
 // Usage:
 //
-//	ompreport [-data dataset.csv] [-violin-csv APP]
+//	ompreport [-data dataset.csv] [-svg-dir DIR] [-verdicts | -violin-csv APP]
 package main
 
 import (
@@ -18,18 +19,16 @@ import (
 	"omptune/internal/core"
 	"omptune/internal/dataset"
 	"omptune/internal/ml"
+	"omptune/internal/numflag"
 	"omptune/internal/report"
 	"omptune/internal/viz"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "ompreport:", err)
-		os.Exit(1)
-	}
+	numflag.Exit("ompreport", run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the testable command body: the report (or the -compare table, or
+// run is the testable command body: the report (or the -verdicts table, or
 // the -violin-csv densities) goes to stdout, progress and usage to stderr,
 // and every failure comes back as the error.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -39,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		dataPath  = fs.String("data", "", "dataset CSV produced by ompsweep (default: collect now)")
 		violinCSV = fs.String("violin-csv", "", "emit the violin densities of this application as CSV and exit")
 		svgDir    = fs.String("svg-dir", "", "also write figs 1-7 as SVG files into this directory")
-		compare   = fs.Bool("compare", false, "print measured-vs-paper comparison instead of the full report")
+		verdicts  = fs.Bool("verdicts", false, "print the paper's shape claims with the dataset's values and margins instead of the report")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *violinCSV != "" {
 		return report.ViolinCSV(stdout, ds, *violinCSV, 128)
 	}
-	if *compare {
+	if *verdicts {
 		return report.CompareWithPaper(stdout, ds)
 	}
 	if *svgDir != "" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,7 +40,7 @@ func reducedCSV(t *testing.T) string {
 }
 
 // TestRunFromCSV drives every mode of the command on one reduced dataset:
-// the full report (with the SVG figures beside it), the paper comparison and
+// the full report (with the SVG figures beside it), the verdict table and
 // the violin densities.
 func TestRunFromCSV(t *testing.T) {
 	csv := reducedCSV(t)
@@ -84,14 +85,24 @@ func TestRunFromCSV(t *testing.T) {
 		t.Error("-svg-dir wrote fig5_bt.svg for a dataset without BT")
 	}
 
-	compare, _ := exec("-compare")
-	for _, want := range []string{"== Table II: dataset sizes ==", "== Q1: upshot potential ==", "== Table VI: per-app speedup ranges ==", "Nqueens"} {
-		if !strings.Contains(compare, want) {
-			t.Errorf("-compare missing %q:\n%s", want, compare)
+	// The reduced campaign lacks BT, FT, Sort and others: a row that needs
+	// them is n/a, never DEVIATES, and every row ends in one status.
+	verdicts, _ := exec("-verdicts")
+	rows := strings.Split(strings.TrimSuffix(verdicts, "\n"), "\n")
+	status := map[string]string{}
+	for _, line := range rows[1:] {
+		name, _, _ := strings.Cut(line, "  ")
+		status[name] = line[strings.LastIndex(line, " ")+1:]
+		if s := status[name]; s != "ok" && s != "DEVIATES" && s != "n/a" || s == "n/a" && strings.Contains(line, "DEVIATES") {
+			t.Errorf("-verdicts row %q", line)
 		}
 	}
-	if strings.Contains(compare, "========") {
-		t.Error("-compare also rendered the report")
+	if !strings.HasPrefix(rows[0], "verdict ") || status["Table VI: BT high end in [1.05, 1.3]"] != "n/a" ||
+		status["Table VI: Nqueens high end in [4, 6]"] == "n/a" || len(status) != len(rows)-1 {
+		t.Errorf("-verdicts: want a header, BT n/a, Nqueens evaluated, one row per name:\n%s", verdicts)
+	}
+	if strings.Contains(verdicts, "========") {
+		t.Error("-verdicts also rendered the report")
 	}
 
 	violin, _ := exec("-violin-csv", "Alignment")
@@ -117,6 +128,7 @@ func TestRunValidation(t *testing.T) {
 		want string
 	}{
 		{"unknown flag", []string{"-nope"}, "-nope"},
+		{"help", []string{"-help"}, flag.ErrHelp.Error()},
 		{"missing dataset", []string{"-data", filepath.Join(t.TempDir(), "absent.csv")}, "absent.csv"},
 		{"unknown violin app", []string{"-data", csv, "-violin-csv", "Quake"}, `-violin-csv: apps: unknown application "Quake"`},
 		{"unknown violin app before collecting", []string{"-violin-csv", "Doom"}, `-violin-csv: apps: unknown application "Doom" (valid: ` + strings.Join(studyApps, ", ") + ")"},

@@ -101,10 +101,7 @@ type runReport struct {
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "omprun:", err)
-		os.Exit(1)
-	}
+	numflag.Exit("omprun", run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the testable command body: everything main used to print goes to

@@ -60,10 +60,7 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "ompsearch:", err)
-		os.Exit(1)
-	}
+	numflag.Exit("ompsearch", run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the testable command body: flag validation errors come back loud

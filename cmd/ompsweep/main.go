@@ -80,10 +80,7 @@ func main() {
 	// finish and checkpoint — a second one kills the process the usual way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "ompsweep:", err)
-		os.Exit(1)
-	}
+	numflag.Exit("ompsweep", run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the testable command body: flag validation errors come back loud

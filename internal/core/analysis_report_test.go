@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -97,4 +98,26 @@ func abbrev(f string) string {
 		return "align"
 	}
 	return f
+}
+
+// featureRank returns the features of a heatmap ordered by mean influence
+// across rows, most influential first — the reading the paper gives of
+// Fig. 3 (threads, then proc_bind, then places, ...).
+func featureRank(h *Heatmap) []string {
+	means := make([]float64, len(h.Features))
+	for _, row := range h.Cells {
+		for j, v := range row {
+			means[j] += v
+		}
+	}
+	idx := make([]int, len(h.Features))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return means[idx[a]] > means[idx[b]] })
+	out := make([]string, len(idx))
+	for i, j := range idx {
+		out[i] = h.Features[j]
+	}
+	return out
 }

@@ -245,17 +245,19 @@ func (f *Frame) InfluenceHeatmap(g Grouping, opt ml.LogisticOptions) (*Heatmap, 
 
 // RowInfluence returns the influence of feature in the named row, or 0.
 func (h *Heatmap) RowInfluence(row, feature string) float64 {
-	for i, r := range h.RowLabels {
-		if r != row {
-			continue
-		}
-		for j, f := range h.Features {
-			if f == feature {
-				return h.Cells[i][j]
-			}
-		}
+	i, j := slices.Index(h.RowLabels, row), slices.Index(h.Features, feature)
+	if i < 0 || j < 0 {
+		return 0
 	}
-	return 0
+	return h.Cells[i][j]
+}
+
+// influence is RowInfluence, NaN without the row.
+func (h *Heatmap) influence(row, feature string) float64 {
+	if !slices.Contains(h.RowLabels, row) {
+		return nan
+	}
+	return h.RowInfluence(row, feature)
 }
 
 func hasBothClasses(y []bool) bool {

@@ -1,17 +1,30 @@
 // Package numflag registers numeric command-line flags with the domain
 // their values must lie in. A value outside it fails inside
 // flag.FlagSet.Parse, as `invalid value "…" for flag -name: want …`, and
-// -help shows the domain beside the registered default.
+// -help shows the domain beside the registered default. Exit ends a
+// command on its run's error.
 package numflag
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"time"
 )
+
+// Exit ends command name's main on its run's error: "name: err" on stderr
+// and exit 1, except for nil and flag.ErrHelp (-help: Parse printed the
+// listing), on which it returns, so the process exits 0.
+func Exit(name string, err error) {
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, name+":", err)
+		os.Exit(1)
+	}
+}
 
 type value[T int | float64 | time.Duration] struct {
 	p              *T

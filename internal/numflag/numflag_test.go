@@ -2,6 +2,7 @@ package numflag
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -160,4 +161,12 @@ func checkSet[T int | float64 | time.Duration](t *testing.T, s string, def T, do
 	if printed := fs.Lookup("x").Value.String(); again.Set("x", printed) != nil || *r != *p {
 		t.Fatalf("%s: %v printed as %q reads back as %v", domain, *p, printed, *r)
 	}
+}
+
+// TestExitReturnsOnHelp: Exit returns on a nil error and on -help's
+// flag.ErrHelp, wrapped or not, so main returns and the process exits 0.
+func TestExitReturnsOnHelp(t *testing.T) {
+	Exit("t", nil)
+	Exit("t", flag.ErrHelp)
+	Exit("t", fmt.Errorf("parse: %w", flag.ErrHelp))
 }
