@@ -246,16 +246,12 @@ func TestFrameDesignMatchesSamples(t *testing.T) {
 	}
 }
 
-// bestSpeedups returns every group's best speedup, in group order: what
-// dataset.RangeOf and dataset.MedianOf take.
-func bestSpeedups(ds *dataset.Dataset) []float64 {
+// speedupRange is the least and the greatest best speedup of ds's settings
+// (Tables V and VI).
+func speedupRange(ds *dataset.Dataset) (lo, hi float64) {
 	var sp []float64
 	for _, g := range ds.Groups() {
 		sp = append(sp, g.Best().Speedup())
 	}
-	return sp
+	return dataset.RangeOf(sp)
 }
-
-// speedupRange is the least and the greatest best speedup of ds's settings
-// (Tables V and VI).
-func speedupRange(ds *dataset.Dataset) (lo, hi float64) { return dataset.RangeOf(bestSpeedups(ds)) }

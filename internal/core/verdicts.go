@@ -75,7 +75,7 @@ func Verdicts(f *Frame) []Verdict {
 	// the nearer one.
 	in := func(name string, paper, value, lo, hi float64) {
 		m := min(value-lo, hi-value)
-		add(fmt.Sprintf("%s in [%g, %g]", name, lo, hi), paper, value, m, m >= 0)
+		add(fmt.Sprintf("%s in [%.6g, %.6g]", name, lo, hi), paper, value, m, m >= 0)
 	}
 	archs := topology.Arches()
 	type bounds struct {
@@ -89,7 +89,7 @@ func Verdicts(f *Frame) []Verdict {
 		if total += n; n == 0 {
 			n = nan
 		}
-		in(fmt.Sprintf("Table II: %s samples (the paper's ± 3%%)", r.Arch), p, n, float64(0.97*p), float64(1.03*p))
+		in(fmt.Sprintf("Table II: %s samples (the paper's 3%% band)", r.Arch), p, n, float64(0.97*p), float64(1.03*p))
 	}
 	in("Table II: total samples", 243759, total, 230000, 260000)
 

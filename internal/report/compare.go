@@ -18,7 +18,7 @@ import (
 // does not give prints as "-".
 func CompareWithPaper(w io.Writer, ds *dataset.Dataset) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "verdict\tpaper\tmeasured\tmargin\t")
+	fmt.Fprintln(tw, "verdict\tpaper\tmeasured\tmargin\tstatus")
 	num := func(x float64) string {
 		if math.IsNaN(x) {
 			return "-"
