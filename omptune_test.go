@@ -17,6 +17,7 @@ import (
 	"omptune/internal/dataset"
 	"omptune/internal/env"
 	"omptune/internal/ml"
+	"omptune/internal/report"
 	"omptune/internal/sim"
 	"omptune/internal/topology"
 	"omptune/internal/viz"
@@ -185,6 +186,35 @@ func TestWriteReportGolden(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != reportSHA256 {
 		t.Errorf("%d samples, report %d bytes, sha256 %s, want %s", ds.Len(), buf.Len(), got, reportSHA256)
+	}
+}
+
+// The SHA-256 of the two other outputs ompreport prints over facadeDS:
+// -verdicts (report.CompareWithPaper) and -violin-csv Alignment
+// (report.ViolinCSV at 128 points), 11,160 and 29,212 bytes. Like
+// reportSHA256 they pin every printed digit and every column's padding.
+const (
+	verdictsSHA256  = "06b7b692ab174ee222afb0608ba5470e50a775a10ba14cc834fcb345dd5e83e6"
+	violinCSVSHA256 = "3ebb07496aa3b042b26a7c36539a1a05946dc1365ee29feb6a5380f0f62ad7fa"
+)
+
+func TestVerdictsAndViolinCSVGolden(t *testing.T) {
+	ds := facadeDS(t)
+	for _, c := range []struct {
+		name   string
+		render func(io.Writer) error
+		want   string
+	}{
+		{"CompareWithPaper", func(w io.Writer) error { return report.CompareWithPaper(w, ds) }, verdictsSHA256},
+		{"ViolinCSV", func(w io.Writer) error { return report.ViolinCSV(w, ds, "Alignment", 128) }, violinCSVSHA256},
+	} {
+		var buf bytes.Buffer
+		if err := c.render(&buf); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.want {
+			t.Errorf("%s: %d bytes, sha256 %s, want %s", c.name, buf.Len(), got, c.want)
+		}
 	}
 }
 
