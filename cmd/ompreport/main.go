@@ -67,17 +67,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
+	if *svgDir != "" { // in every mode
+		if err := writeSVGs(*svgDir, ds); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "ompreport: wrote SVG figures to %s\n", *svgDir)
+	}
 	if *violinCSV != "" {
 		return report.ViolinCSV(stdout, ds, *violinCSV, 128)
 	}
 	if *verdicts {
 		return report.CompareWithPaper(stdout, ds)
-	}
-	if *svgDir != "" {
-		if err := writeSVGs(*svgDir, ds); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "ompreport: wrote SVG figures to %s\n", *svgDir)
 	}
 	return report.Write(stdout, ds)
 }

@@ -40,8 +40,8 @@ func reducedCSV(t *testing.T) string {
 }
 
 // TestRunFromCSV drives every mode of the command on one reduced dataset:
-// the full report (with the SVG figures beside it), the verdict table and
-// the violin densities.
+// the full report, the verdict table and the violin densities, each with
+// the SVG figures beside it.
 func TestRunFromCSV(t *testing.T) {
 	csv := reducedCSV(t)
 	exec := func(args ...string) (stdout, stderr string) {
@@ -68,26 +68,33 @@ func TestRunFromCSV(t *testing.T) {
 			t.Errorf("report missing %q", want)
 		}
 	}
-	if !strings.Contains(progress, "wrote SVG figures to "+svgDir) {
-		t.Errorf("stderr does not name the SVG directory: %q", progress)
-	}
 	// BT, Health and RSBench are not in the reduced campaign: their violin
 	// files are skipped, everything else is written as an SVG document.
-	for _, name := range []string{"fig1_alignment.svg", "fig2_by_app.svg", "fig3_by_arch.svg", "fig4_by_app_arch.svg"} {
-		b, err := os.ReadFile(filepath.Join(svgDir, name))
-		if err != nil {
-			t.Errorf("-svg-dir: %v", err)
-		} else if !bytes.HasPrefix(b, []byte("<svg")) && !bytes.HasPrefix(b, []byte("<?xml")) {
-			t.Errorf("%s is not an SVG document: %.40q", name, b)
+	checkSVGs := func(mode, dir, progress string) {
+		t.Helper()
+		if !strings.Contains(progress, "wrote SVG figures to "+dir) {
+			t.Errorf("%s: stderr does not name the SVG directory: %q", mode, progress)
+		}
+		for _, name := range []string{"fig1_alignment.svg", "fig2_by_app.svg", "fig3_by_arch.svg", "fig4_by_app_arch.svg"} {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Errorf("%s -svg-dir: %v", mode, err)
+			} else if !bytes.HasPrefix(b, []byte("<svg")) && !bytes.HasPrefix(b, []byte("<?xml")) {
+				t.Errorf("%s: %s is not an SVG document: %.40q", mode, name, b)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, "fig5_bt.svg")); err == nil {
+			t.Errorf("%s -svg-dir wrote fig5_bt.svg for a dataset without BT", mode)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(svgDir, "fig5_bt.svg")); err == nil {
-		t.Error("-svg-dir wrote fig5_bt.svg for a dataset without BT")
-	}
+	checkSVGs("report", svgDir, progress)
 
 	// The reduced campaign lacks BT, FT, Sort and others: a row that needs
-	// them is n/a, never DEVIATES, and every row ends in one status.
-	verdicts, _ := exec("-verdicts")
+	// them is n/a, never DEVIATES, and every row ends in one status. The
+	// figures are written in this mode too.
+	svgDir = filepath.Join(t.TempDir(), "figs")
+	verdicts, progress := exec("-verdicts", "-svg-dir", svgDir)
+	checkSVGs("-verdicts", svgDir, progress)
 	rows := strings.Split(strings.TrimSuffix(verdicts, "\n"), "\n")
 	status := map[string]string{}
 	for _, line := range rows[1:] {
@@ -105,7 +112,9 @@ func TestRunFromCSV(t *testing.T) {
 		t.Error("-verdicts also rendered the report")
 	}
 
-	violin, _ := exec("-violin-csv", "Alignment")
+	svgDir = filepath.Join(t.TempDir(), "figs")
+	violin, progress := exec("-violin-csv", "Alignment", "-svg-dir", svgDir)
+	checkSVGs("-violin-csv", svgDir, progress)
 	lines := strings.Split(strings.TrimSpace(violin), "\n")
 	// Three input sizes on three architectures, 128 grid points each.
 	if lines[0] != "arch,setting,runtime_seconds,density" || len(lines) != 1+9*128 {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"omptune/internal/dataset"
 	"omptune/internal/sim"
@@ -85,7 +85,7 @@ func settingGroups(groups []dataset.Group, app string) []dataset.Group {
 			}
 		}
 		cells := out[n:]
-		sort.Slice(cells, func(i, j int) bool { return cells[i].Setting < cells[j].Setting })
+		slices.SortFunc(cells, func(a, b dataset.Group) int { return before(a.Setting < b.Setting) })
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"omptune/internal/env"
 	"omptune/internal/topology"
@@ -51,7 +51,7 @@ func (f *Frame) Q2Consistency() []Q2Row {
 				}
 				ranked = append(ranked, vl{v, best})
 			}
-			sort.Slice(ranked, func(i, j int) bool { return ranked[i].lift > ranked[j].lift })
+			slices.SortFunc(ranked, func(a, b vl) int { return before(a.lift > b.lift) })
 			top := make([]env.VarName, 0, 2)
 			for k := 0; k < 2 && k < len(ranked); k++ {
 				top = append(top, ranked[k].v)
@@ -66,13 +66,13 @@ func (f *Frame) Q2Consistency() []Q2Row {
 				row.Consistent = append(row.Consistent, v)
 			}
 		}
-		sort.Slice(row.Consistent, func(i, j int) bool { return row.Consistent[i] < row.Consistent[j] })
+		slices.SortFunc(row.Consistent, func(a, b env.VarName) int { return before(a < b) })
 		if len(union) > 0 {
 			row.Jaccard = float64(inter) / float64(len(union))
 		}
 		rows = append(rows, row)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].App < rows[j].App })
+	slices.SortFunc(rows, func(a, b Q2Row) int { return before(a.App < b.App) })
 	return rows
 }
 
@@ -101,9 +101,7 @@ func Q3BestVariables(hm *Heatmap) []Q3Row {
 				Influence: hm.RowInfluence(label, string(v)),
 			})
 		}
-		sort.SliceStable(row.Ranked, func(i, j int) bool {
-			return row.Ranked[i].Influence > row.Ranked[j].Influence
-		})
+		slices.SortStableFunc(row.Ranked, func(a, b RankedVariable) int { return before(a.Influence > b.Influence) })
 		row.WaitPolicyShare = hm.RowInfluence(label, string(env.VarLibrary)) +
 			hm.RowInfluence(label, string(env.VarBlocktime))
 		rows = append(rows, row)

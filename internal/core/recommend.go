@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"omptune/internal/dataset"
 	"omptune/internal/env"
@@ -35,22 +34,30 @@ const (
 func fastest(a, b float64) bool { return a > b }
 func slowest(a, b float64) bool { return a < b }
 
+// before answers a slices.SortFunc comparison as sort.Slice's less did:
+// < 0 exactly when less holds. The two packages' sorts are generated from
+// one template and read only that sign, so the permutation, ties included,
+// is sort.Slice's (sort.SliceStable's for slices.SortStableFunc).
+func before(less bool) int {
+	if less {
+		return -1
+	}
+	return 0
+}
+
 // valueLift computes, for each variable (env.Names order), the enrichment
 // of each value among the extremeFrac of sel's samples that come first
-// under before (fastest or slowest), relative to its share of all of sel:
+// under extreme (fastest or slowest), relative to its share of all of sel:
 // a lift vector, which holds value id of variable k at slot base[k]+id (see
 // liftsOf), 0 where sel lacks the value. The vector is the one allocation:
 // the rest is the frame's scratch.
 //
-// The extreme set is the prefix sort.Slice leaves over sel in dataset
-// order. Speedups tie across the cut in most (application, architecture)
-// slices of the study's dataset, so which tied samples count is that sort's
-// choice. sort.Slice's permutation depends only on the length and the
-// comparator's answers, and slices.SortFunc runs the same pattern-defeating
-// quicksort (both are generated from one template), so sorting the
-// selection's sample positions by the same comparison of the same speedups
-// picks the same samples as sorting the samples did.
-func (f *Frame) valueLift(sel selection, before func(a, b float64) bool) []float64 {
+// The extreme set is the prefix a sort leaves over sel in dataset order.
+// Speedups tie across the cut in most (application, architecture) slices of
+// the study's dataset, so which tied samples count is that sort's choice:
+// sorting the selection's sample positions with before of the same
+// comparison picks the samples sort.Slice over the samples did.
+func (f *Frame) valueLift(sel selection, extreme func(a, b float64) bool) []float64 {
 	s := &f.lift
 	if n := sel.len(); cap(s.order) < n {
 		s.order = make([]int32, 0, n)
@@ -62,12 +69,7 @@ func (f *Frame) valueLift(sel selection, before func(a, b float64) bool) []float
 		}
 	}
 	sp := f.speedup
-	slices.SortFunc(s.order, func(a, b int32) int {
-		if before(sp[a], sp[b]) {
-			return -1
-		}
-		return 0
-	})
+	slices.SortFunc(s.order, func(a, b int32) int { return before(extreme(sp[a], sp[b])) })
 	n := len(s.order)
 	nTop := int(float64(n) * extremeFrac)
 	if nTop < 10 {
@@ -207,17 +209,17 @@ func (f *Frame) Recommend(app string) []Recommendation {
 				cands = append(cands, cand{v, vals, best})
 			}
 		}
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].lift > cands[j].lift })
+		slices.SortStableFunc(cands, func(a, b cand) int { return before(a.lift > b.lift) })
 		cands = cands[:min(len(cands), maxVarsAdded)]
 		for _, c := range cands {
 			out = append(out, Recommendation{App: app, Arch: arch, Variable: c.v, Values: c.vals, Lift: c.lift})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Arch != out[j].Arch {
-			return out[i].Arch < out[j].Arch
+	slices.SortStableFunc(out, func(a, b Recommendation) int {
+		if a.Arch != b.Arch {
+			return before(a.Arch < b.Arch)
 		}
-		return out[i].Lift > out[j].Lift
+		return before(a.Lift > b.Lift)
 	})
 	return out
 }
@@ -248,6 +250,6 @@ func (f *Frame) WorstTrends() []WorstTrend {
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Lift > out[j].Lift })
+	slices.SortStableFunc(out, func(a, b WorstTrend) int { return before(a.Lift > b.Lift) })
 	return out
 }

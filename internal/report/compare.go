@@ -1,11 +1,9 @@
 package report
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"text/tabwriter"
 
 	"omptune/internal/core"
 	"omptune/internal/dataset"
@@ -17,14 +15,7 @@ import (
 // the dataset lacks what the claim needs. A value the paper or the dataset
 // does not give prints as "-".
 func CompareWithPaper(w io.Writer, ds *dataset.Dataset) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "verdict\tpaper\tmeasured\tmargin\tstatus")
-	num := func(x float64) string {
-		if math.IsNaN(x) {
-			return "-"
-		}
-		return strconv.FormatFloat(x, 'g', 6, 64)
-	}
+	p, t := table(w, "verdict\tpaper\tmeasured\tmargin\tstatus\n")
 	for _, v := range core.Verdicts(core.NewFrame(ds)) {
 		status := "ok"
 		if v.NA {
@@ -32,7 +23,15 @@ func CompareWithPaper(w io.Writer, ds *dataset.Dataset) error {
 		} else if !v.Holds {
 			status = "DEVIATES"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", v.Name, num(v.Paper), num(v.Value), num(v.Margin), status)
+		p.s(v.Name)
+		for _, x := range [...]float64{v.Paper, v.Value, v.Margin} {
+			if p.s("\t"); math.IsNaN(x) {
+				p.s("-")
+			} else {
+				p.buf = strconv.AppendFloat(p.buf, x, 'g', 6, 64)
+			}
+		}
+		p.s("\t", status, "\n")
 	}
-	return tw.Flush()
+	return p.columns(t, 2)
 }

@@ -7,8 +7,7 @@ package report
 import (
 	"fmt"
 	"io"
-	"strings"
-	"text/tabwriter"
+	"slices"
 
 	"omptune/internal/core"
 	"omptune/internal/dataset"
@@ -18,12 +17,14 @@ import (
 )
 
 // Write renders every table and figure of the paper from ds, in paper
-// order, each under a "======== title ========" header.
+// order, each under a "======== title ========" header. Each header and
+// each section reach w as one Write call.
 func Write(w io.Writer, ds *dataset.Dataset) error {
 	// Every section reads one frame of ds. The section that first needs a
 	// grouping's fit pays for it; Q3 ranks and Fig 3 draws the same
 	// per-architecture one (the costliest single step of the report).
-	f := core.NewFrame(ds)
+	f, p := core.NewFrame(ds), &page{w: w}
+	w = p
 	fits := map[core.Grouping]*core.Heatmap{}
 	fitted := func(g core.Grouping, render func(io.Writer, *core.Heatmap) error) error {
 		if fits[g] == nil {
@@ -59,7 +60,7 @@ func Write(w io.Writer, ds *dataset.Dataset) error {
 		{"Fig 7: RSBench runtime distributions", func() error { return Fig7(w, f) }},
 	}
 	for _, s := range sections {
-		if _, err := fmt.Fprintf(w, "\n======== %s ========\n", s.title); err != nil {
+		if err := p.s("\n======== ", s.title, " ========\n").flush(); err != nil {
 			return err
 		}
 		if err := s.render(); err != nil {
@@ -71,112 +72,107 @@ func Write(w io.Writer, ds *dataset.Dataset) error {
 
 // TableI prints the hardware configuration table.
 func TableI(w io.Writer) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "CPU Architecture\t#Cores\t#Sockets\t#NUMA Nodes\tClock\tMemory\tCapacity (GB)")
+	p, t := table(w, "CPU Architecture\t#Cores\t#Sockets\t#NUMA Nodes\tClock\tMemory\tCapacity (GB)\n")
 	for _, m := range topology.All() {
-		sockets := fmt.Sprintf("%d", m.Sockets)
+		p.s(m.Name, "\t").d(m.Cores).s("\t")
 		if m.Sockets == 1 {
-			sockets = "-"
+			p.s("-")
+		} else {
+			p.d(m.Sockets)
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%.1f GHz\t%s\t%d\n",
-			m.Name, m.Cores, sockets, m.NUMANodes, m.ClockGHz, m.Memory, m.MemGB)
+		p.s("\t").d(m.NUMANodes).s("\t").num(m.ClockGHz, 'f', 1).s(" GHz\t", string(m.Memory), "\t").d(m.MemGB).s("\n")
 	}
-	return tw.Flush()
+	return p.columns(t, 2)
 }
 
 // TableII prints the dataset description (samples and applications per
 // architecture).
 func TableII(w io.Writer, f *core.Frame) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Architecture\tApplications\t#Samples")
+	p, t := table(w, "Architecture\tApplications\t#Samples\n")
 	for _, r := range f.TableII() {
-		fmt.Fprintf(tw, "%s\t%d\t%d\n", topology.MustGet(r.Arch).Name, r.Apps, r.Samples)
+		p.s(topology.MustGet(r.Arch).Name, "\t").d(r.Apps).s("\t").d(r.Samples).s("\n")
 	}
-	return tw.Flush()
+	return p.columns(t, 2)
 }
 
 // TableIII prints the Wilcoxon consistency table for one app and setting.
 func TableIII(w io.Writer, f *core.Frame, app, setting string) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Architecture-Benchmark\tPair\tTest Stat\tp-value")
+	p, t := table(w, "Architecture-Benchmark\tPair\tTest Stat\tp-value\n")
 	for _, r := range f.WilcoxonTable(app, setting) {
-		p := fmt.Sprintf("%.3g", r.PValue)
+		p.lower(r.Group).s("\t", r.Pair, "\t").num(r.Statistic, 'f', 1).s("\t")
 		if r.Degenerate {
-			p = "1.0 (ties)"
+			p.s("1.0 (ties)\n")
+		} else {
+			p.num(r.PValue, 'g', 3).s("\n")
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.1f\t%s\n", strings.ToLower(r.Group), r.Pair, r.Statistic, p)
 	}
-	return tw.Flush()
+	return p.columns(t, 2)
 }
 
 // TableIV prints the per-run-index runtime statistics table.
 func TableIV(w io.Writer, f *core.Frame, app, setting string) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Architecture-Application\tRuntime Idx\tMean (sec)\tStd Dev (sec)")
+	p, t := table(w, "Architecture-Application\tRuntime Idx\tMean (sec)\tStd Dev (sec)\n")
 	for _, r := range f.RuntimeStats(app, setting, 3) {
-		fmt.Fprintf(tw, "%s\tRuntime_%d\t%.3f\t%.3f\n", strings.ToLower(r.Group), r.Rep, r.Mean, r.Std)
+		p.lower(r.Group).s("\tRuntime_").d(r.Rep).s("\t").num(r.Mean, 'f', 3).s("\t").num(r.Std, 'f', 3).s("\n")
 	}
-	return tw.Flush()
+	return p.columns(t, 2)
 }
 
 // TableV prints per-application, per-architecture speedup ranges.
 func TableV(w io.Writer, f *core.Frame, apps []string) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Application\tArchitecture\tSpeedup Range (x)")
+	p, t := table(w, "Application\tArchitecture\tSpeedup Range (x)\n")
 	for _, r := range f.TableV(apps) {
-		fmt.Fprintf(tw, "%s\t%s\t%.3f - %.3f\n", r.App, r.Arch, r.Lo, r.Hi)
+		p.s(r.App, "\t", string(r.Arch), "\t").num(r.Lo, 'f', 3).s(" - ").num(r.Hi, 'f', 3).s("\n")
 	}
-	return tw.Flush()
+	return p.columns(t, 2)
 }
 
 // TableVI prints the per-application speedup ranges across architectures.
 func TableVI(w io.Writer, f *core.Frame) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Application\tSpeedup Range (x)")
+	p, t := table(w, "Application\tSpeedup Range (x)\n")
 	for _, r := range f.TableVI() {
-		fmt.Fprintf(tw, "%s\t%.3f - %.3f\n", r.App, r.Lo, r.Hi)
+		p.s(r.App, "\t").num(r.Lo, 'f', 3).s(" - ").num(r.Hi, 'f', 3).s("\n")
 	}
-	return tw.Flush()
+	return p.columns(t, 2)
 }
 
 // TableVII prints the mined best-performing variables and values for the
 // given applications.
 func TableVII(w io.Writer, f *core.Frame, apps []string) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "App\tArch\tVariable\tValue")
+	p, t := table(w, "App\tArch\tVariable\tValue\n")
 	for _, app := range apps {
 		for _, r := range f.Recommend(app) {
 			arch := "All"
 			if r.Arch != "" {
 				arch = string(r.Arch)
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", app, arch, r.Variable, strings.Join(r.Values, "/"))
+			p.s(app, "\t", arch, "\t", string(r.Variable), "\t")
+			for i, v := range r.Values {
+				p.s(sep(i, "/"), v)
+			}
+			p.s("\n")
 		}
 	}
-	return tw.Flush()
+	return p.columns(t, 2)
 }
 
 // Q1 prints the upshot summary of §V-Q1.
 func Q1(w io.Writer, f *core.Frame) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Architecture\tBest-Speedup Range (x)\tMedian (x)\tSettings")
+	p, t := table(w, "Architecture\tBest-Speedup Range (x)\tMedian (x)\tSettings\n")
 	for _, u := range f.Upshot() {
-		fmt.Fprintf(tw, "%s\t%.3f - %.3f\t%.3f\t%d\n", u.Arch, u.MinBest, u.MaxBest, u.MedianBest, u.Settings)
+		p.s(string(u.Arch), "\t").num(u.MinBest, 'f', 3).s(" - ").num(u.MaxBest, 'f', 3).s("\t").num(u.MedianBest, 'f', 3).s("\t").d(u.Settings).s("\n")
 	}
-	return tw.Flush()
+	return p.columns(t, 2)
 }
 
 // Q4 prints the worst-performance trend analysis of §V-Q4.
 func Q4(w io.Writer, f *core.Frame) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Variable\tValue\tLift among slowest 5%")
-	for i, t := range f.WorstTrends() {
-		if i >= 8 {
-			break
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%.2fx\n", t.Variable, t.Value, t.Lift)
+	p, t := table(w, "Variable\tValue\tLift among slowest 5%\n")
+	trends := f.WorstTrends()
+	for _, r := range trends[:min(8, len(trends))] {
+		p.s(string(r.Variable), "\t", r.Value, "\t").num(r.Lift, 'f', 2).s("x\n")
 	}
-	return tw.Flush()
+	return p.columns(t, 2)
 }
 
 // shades maps an influence in [0,1] to an ASCII darkness ramp.
@@ -207,37 +203,39 @@ func Heatmap(w io.Writer, hm *core.Heatmap) error {
 			}
 		}
 	}
-	tw := tabwriter.NewWriter(w, 2, 4, 1, ' ', 0)
-	fmt.Fprint(tw, "group")
+	p, t := table(w, "group")
 	for _, f := range hm.Features {
-		fmt.Fprintf(tw, "\t%s", shortFeature(f))
+		p.s("\t", shortFeature(f))
 	}
-	fmt.Fprintln(tw, "\tacc")
+	p.s("\tacc\n")
 	for i, label := range hm.RowLabels {
-		fmt.Fprint(tw, label)
+		p.s(label)
 		for _, v := range hm.Cells[i] {
-			fmt.Fprintf(tw, "\t%c %.2f", shadeOf(v, maxV), v)
+			p.buf = append(p.buf, '\t', shadeOf(v, maxV), ' ')
+			p.num(v, 'f', 2)
 		}
-		fmt.Fprintf(tw, "\t%.2f\n", hm.Accuracy[i])
+		p.s("\t").num(hm.Accuracy[i], 'f', 2).s("\n")
 	}
-	return tw.Flush()
+	return p.columns(t, 1)
+}
+
+// shortFeatures are the heatmap's column labels.
+var shortFeatures = map[string]string{
+	"Input Size":          "input",
+	"OMP_NUM_THREADS":     "threads",
+	"OMP_PLACES":          "places",
+	"OMP_PROC_BIND":       "bind",
+	"OMP_SCHEDULE":        "sched",
+	"KMP_LIBRARY":         "library",
+	"KMP_BLOCKTIME":       "blocktime",
+	"KMP_FORCE_REDUCTION": "reduction",
+	"KMP_ALIGN_ALLOC":     "align",
+	"Application":         "app",
+	"Architecture":        "arch",
 }
 
 func shortFeature(f string) string {
-	repl := map[string]string{
-		"Input Size":          "input",
-		"OMP_NUM_THREADS":     "threads",
-		"OMP_PLACES":          "places",
-		"OMP_PROC_BIND":       "bind",
-		"OMP_SCHEDULE":        "sched",
-		"KMP_LIBRARY":         "library",
-		"KMP_BLOCKTIME":       "blocktime",
-		"KMP_FORCE_REDUCTION": "reduction",
-		"KMP_ALIGN_ALLOC":     "align",
-		"Application":         "app",
-		"Architecture":        "arch",
-	}
-	if s, ok := repl[f]; ok {
+	if s, ok := shortFeatures[f]; ok {
 		return s
 	}
 	return f
@@ -262,8 +260,8 @@ func Fig4(w io.Writer, hm *core.Heatmap) error {
 }
 
 func influenceFig(w io.Writer, fig, grouping string, hm *core.Heatmap) error {
-	fmt.Fprintf(w, "%s: feature influence, grouped by %s (darker = larger)\n", fig, grouping)
-	return Heatmap(w, hm)
+	p := pageOf(w).s(fig, ": feature influence, grouped by ", grouping, " (darker = larger)\n")
+	return Heatmap(p, hm)
 }
 
 // meanRuntimes is the runtime distribution a violin draws: one mean runtime
@@ -276,7 +274,10 @@ func meanRuntimes(g *dataset.Group) []float64 {
 	return times
 }
 
-func violin(w io.Writer, g *dataset.Group, rows int) {
+// bars is the longest violin bar.
+const bars = "##################################################"
+
+func violin(p *page, g *dataset.Group, rows int) {
 	v := stats.ViolinOf(meanRuntimes(g), rows)
 	maxD := 0.0
 	for _, d := range v.Density {
@@ -284,12 +285,11 @@ func violin(w io.Writer, g *dataset.Group, rows int) {
 			maxD = d
 		}
 	}
-	fmt.Fprintf(w, "%s-%s-%s  n=%d  mean=%.3fs  std=%.3fs\n", g.Arch, g.App, g.Setting, v.Desc.N, v.Desc.Mean, v.Desc.Std)
-	const width = 50
+	p.s(string(g.Arch), "-", g.App, "-", g.Setting, "  n=").d(v.Desc.N).s("  mean=").num(v.Desc.Mean, 'f', 3).s("s  std=").num(v.Desc.Std, 'f', 3).s("s\n")
 	for i := len(v.Grid) - 1; i >= 0; i-- {
 		bar := 0
 		if maxD > 0 {
-			bar = int(v.Density[i] / maxD * width)
+			bar = int(v.Density[i] / maxD * float64(len(bars)))
 		}
 		mark := " "
 		switch {
@@ -298,7 +298,12 @@ func violin(w io.Writer, g *dataset.Group, rows int) {
 		case near(v.Grid[i], v.Desc.Q1, v.Grid) || near(v.Grid[i], v.Desc.Q3, v.Grid):
 			mark = "Q"
 		}
-		fmt.Fprintf(w, "%9.3fs %s |%s\n", v.Grid[i], mark, strings.Repeat("#", bar))
+		n := len(p.buf)
+		p.num(v.Grid[i], 'f', 3)
+		for len(p.buf)-n < 9 { // %9.3f
+			p.buf = slices.Insert(p.buf, n, ' ')
+		}
+		p.s("s ", mark, " |", bars[:bar], "\n")
 	}
 }
 
@@ -314,14 +319,14 @@ func near(g, target float64, grid []float64) bool {
 // every architecture in long CSV form (arch,setting,runtime,density) for
 // external plotting — the open-data companion to Figs. 1 and 5–7.
 func ViolinCSV(w io.Writer, ds *dataset.Dataset, app string, points int) error {
-	fmt.Fprintln(w, "arch,setting,runtime_seconds,density")
+	p := pageOf(w).s("arch,setting,runtime_seconds,density\n")
 	for _, g := range core.SettingGroups(ds, app) {
 		v := stats.ViolinOf(meanRuntimes(&g), points)
 		for i := range v.Grid {
-			fmt.Fprintf(w, "%s,%s,%.6g,%.6g\n", g.Arch, g.Setting, v.Grid[i], v.Density[i])
+			p.s(string(g.Arch), ",", g.Setting, ",").num(v.Grid[i], 'g', 6).s(",").num(v.Density[i], 'g', 6).s("\n")
 		}
 	}
-	return nil
+	return p.flush()
 }
 
 // Fig1 renders the Alignment violins of Fig. 1 (three input sizes on each
@@ -342,48 +347,41 @@ func Fig7(w io.Writer, f *core.Frame) error {
 }
 
 func violinFigure(w io.Writer, f *core.Frame, app, caption string) error {
-	fmt.Fprintf(w, "%s: runtime distributions of the %s benchmark across the search space\n", caption, app)
+	p := pageOf(w).s(caption, ": runtime distributions of the ", app, " benchmark across the search space\n")
 	for _, g := range f.SettingGroups(app) {
-		fmt.Fprintln(w)
-		violin(w, &g, 20)
+		violin(p.s("\n"), &g, 20)
 	}
-	return nil
+	return p.flush()
 }
 
 // Q2 prints the §V-Q2 analysis: whether the same environment variables
 // define the upshot for an application on every architecture.
 func Q2(w io.Writer, f *core.Frame) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Application\tConsistent Variables\tOverlap (Jaccard)")
+	p, t := table(w, "Application\tConsistent Variables\tOverlap (Jaccard)\n")
 	for _, r := range f.Q2Consistency() {
-		vars := make([]string, 0, len(r.Consistent))
-		for _, v := range r.Consistent {
-			vars = append(vars, string(v))
+		p.s(r.App, "\t")
+		if len(r.Consistent) == 0 {
+			p.s("(none)")
 		}
-		label := strings.Join(vars, ", ")
-		if label == "" {
-			label = "(none)"
+		for i, v := range r.Consistent {
+			p.s(sep(i, ", "), string(v))
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.2f\n", r.App, label, r.Jaccard)
+		p.s("\t").num(r.Jaccard, 'f', 2).s("\n")
 	}
-	return tw.Flush()
+	return p.columns(t, 2)
 }
 
 // Q3 prints the §V-Q3 analysis from the fitted per-architecture heatmap:
 // the per-architecture variable ranking and the share addressable through
 // the derived OMP_WAIT_POLICY.
 func Q3(w io.Writer, hm *core.Heatmap) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Architecture\tVariables (descending influence)\tOMP_WAIT_POLICY share")
+	p, t := table(w, "Architecture\tVariables (descending influence)\tOMP_WAIT_POLICY share\n")
 	for _, r := range core.Q3BestVariables(hm) {
-		parts := make([]string, 0, 3)
-		for i, rv := range r.Ranked {
-			if i >= 3 {
-				break
-			}
-			parts = append(parts, fmt.Sprintf("%s (%.2f)", rv.Variable, rv.Influence))
+		p.s(string(r.Arch), "\t")
+		for i, rv := range r.Ranked[:min(3, len(r.Ranked))] {
+			p.s(sep(i, ", "), string(rv.Variable), " (").num(rv.Influence, 'f', 2).s(")")
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.2f\n", r.Arch, strings.Join(parts, ", "), r.WaitPolicyShare)
+		p.s("\t").num(r.WaitPolicyShare, 'f', 2).s("\n")
 	}
-	return tw.Flush()
+	return p.columns(t, 2)
 }

@@ -106,7 +106,9 @@ func TestViolinRendering(t *testing.T) {
 			continue
 		}
 		var buf bytes.Buffer
-		violin(&buf, &g, 16)
+		p := &page{w: &buf}
+		violin(p, &g, 16)
+		p.flush()
 		if out := buf.String(); !strings.Contains(out, "a64fx-Alignment-small") || !strings.Contains(out, "#") {
 			t.Errorf("violin output malformed:\n%s", out)
 		}

@@ -7,6 +7,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -134,7 +135,13 @@ func Wilcoxon(a, b []float64) (WilcoxonResult, error) {
 	if n < 2 {
 		return WilcoxonResult{N: n}, ErrDegenerate
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].abs < ds[j].abs })
+	// < 0 exactly where sort.Slice's less held: the same permutation.
+	slices.SortFunc(ds, func(x, y diff) int {
+		if x.abs < y.abs {
+			return -1
+		}
+		return 0
+	})
 	// Average ranks over ties; accumulate tie correction term Σ(t³−t).
 	ranks := make([]float64, n)
 	tieTerm := 0.0
