@@ -23,6 +23,7 @@ func Write(w io.Writer, ds *dataset.Dataset) error {
 	// Every section reads one frame of ds. The section that first needs a
 	// grouping's fit pays for it; Q3 ranks and Fig 3 draws the same
 	// per-architecture one (the costliest single step of the report).
+	// Every section renders into p, one buffer for the whole pass.
 	f, p := core.NewFrame(ds), &page{w: w}
 	w = p
 	fits := map[core.Grouping]*core.Heatmap{}
